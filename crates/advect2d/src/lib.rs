@@ -34,11 +34,14 @@ pub use laxwendroff::{
 pub use ndfield::PaddedFieldN;
 pub use ndproblem::{ProblemN, TimeGridN};
 pub use ndsolve::{
-    jacobi_kernel, padded_rhs, upwind_diffusion_kernel, SolverN, UpwindDiffusionCoefN,
+    jacobi_kernel, jacobi_row_n, padded_rhs, padded_rhs_slab, upwind_diffusion_kernel,
+    upwind_diffusion_row_n, JacobiAxisN, SolverN, StencilN, UpwindAxisN, UpwindDiffusionCoefN,
 };
 pub use problem::{AdvectionProblem, InitialCondition};
 pub use simd::{
-    ftcs_row_simd, lax_wendroff_row_simd, simd_isa_label, upwind_row_simd, KernelConfig, KernelKind,
+    ftcs_row_simd, jacobi_row_n_simd, lax_wendroff_row_simd, simd_isa_label,
+    upwind_diffusion_row_n_on, upwind_diffusion_row_n_simd, upwind_row_simd, KernelConfig,
+    KernelKind, SimdIsa,
 };
 pub use stepper::{PaddedField, TimeGrid};
 pub use upwind::{

@@ -5,10 +5,24 @@
 //! fundamental periodic domain; the duplicated seam node is *not*
 //! stored) surrounded by a 1-cell halo on every face, row-major with
 //! axis 0 fastest. One timestep refreshes the halo (`O(surface)`
-//! copies), evaluates a point kernel over the interior into the other
-//! buffer, and ping-pongs — the same allocation-free discipline as the
-//! tuned 2D path, which remains the d=2 fast case (this engine never
-//! runs at d=2 in production; the 2D kernels do).
+//! copies), evaluates a stencil over the interior into the other buffer,
+//! and ping-pongs — the same allocation-free discipline as the tuned 2D
+//! path, which remains the d=2 fast case (this engine never runs at d=2
+//! in production; the 2D kernels do).
+//!
+//! ## Production rows, reference points
+//!
+//! The solvers step with [`PaddedFieldN::step_rows`]: the interior is
+//! visited as contiguous axis-0 rows and a *row kernel*
+//! ([`crate::ndsolve::StencilN::row`]) updates each in one call, so a
+//! step touches the allocator never and dispatches once per row. The halo
+//! wrap moves whole contiguous runs the same way. The point-closure entry
+//! points — [`PaddedFieldN::step_with`] and
+//! [`PaddedFieldN::step_planes`] with
+//! [`crate::ndsolve::upwind_diffusion_kernel`] /
+//! [`crate::ndsolve::jacobi_kernel`] — are the pinned reference the rows
+//! are tested bitwise against (`tests/kernel_props.rs`); nothing in
+//! production calls them.
 //!
 //! The halo can be filled two ways: [`PaddedFieldN::refresh_periodic_halo`]
 //! for single-owner periodic solves, or transverse wrap + external plane
@@ -17,7 +31,7 @@
 //! slabs split the **last** axis, whose stride is largest, so every
 //! exchanged halo plane is one contiguous slice.
 
-use sparsegrid::ndgrid::{advance, GridN};
+use sparsegrid::ndgrid::{advance, for_each_offset, for_each_slab_row, GridN};
 
 /// A persistent double-buffered halo-padded d-dimensional field.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,96 +109,87 @@ impl PaddedFieldN {
         self.cur[off]
     }
 
-    /// Copy `grid`'s fundamental domain into the interior. The halo is
-    /// left stale; refresh or exchange before stepping.
-    pub fn load(&mut self, grid: &GridN) {
+    fn assert_matches(&self, grid: &GridN) {
         assert!(
             grid.shape().iter().zip(&self.shape).all(|(&g, &n)| g - 1 == n),
             "grid size mismatch: {:?} vs {:?}",
             grid.shape(),
             self.shape
         );
-        let mut idx = vec![0usize; self.dim()];
-        loop {
-            let off: usize = idx.iter().zip(&self.pstride).map(|(&k, &s)| (k + 1) * s).sum();
-            self.cur[off] = grid.at(&idx);
-            if !advance(&mut idx, &self.shape) {
-                return;
-            }
-        }
+    }
+
+    /// Copy `grid`'s fundamental domain into the interior. The halo is
+    /// left stale; refresh or exchange before stepping.
+    pub fn load(&mut self, grid: &GridN) {
+        self.assert_matches(grid);
+        let PaddedFieldN { shape, pstride, cur, .. } = self;
+        let n0 = shape[0];
+        for_each_grid_row(shape, pstride, |p, g| {
+            cur[p..p + n0].copy_from_slice(&grid.values()[g..g + n0]);
+        });
     }
 
     /// Copy the interior back into `grid`'s fundamental domain and
     /// re-assert the periodic seams (the last node of every axis
     /// duplicates node 0).
     pub fn store(&self, grid: &mut GridN) {
-        let d = self.dim();
-        let mut idx = vec![0usize; d];
-        loop {
-            let off: usize = idx.iter().zip(&self.pstride).map(|(&k, &s)| (k + 1) * s).sum();
-            *grid.at_mut(&idx) = self.cur[off];
-            if !advance(&mut idx, &self.shape) {
-                break;
-            }
-        }
-        // Seam pass per axis: coordinates on already-seamed axes (< a)
-        // range over the full grid extent, later axes stay below their
-        // seam (their own pass fills it) — corners end up consistent.
-        let gshape = grid.shape().to_vec();
-        for a in 0..d {
-            let mut span: Vec<usize> = gshape.clone();
-            span[a] = 1;
-            for s in span.iter_mut().skip(a + 1) {
-                *s -= 1;
-            }
-            let mut it = vec![0usize; d];
-            loop {
-                let mut dst = it.clone();
-                dst[a] = gshape[a] - 1;
-                let mut src = dst.clone();
-                src[a] = 0;
-                *grid.at_mut(&dst) = grid.at(&src);
-                if !advance(&mut it, &span) {
-                    break;
-                }
-            }
-        }
+        self.assert_matches(grid);
+        let n0 = self.shape[0];
+        let values = grid.values_mut();
+        for_each_grid_row(&self.shape, &self.pstride, |p, g| {
+            values[g..g + n0].copy_from_slice(&self.cur[p..p + n0]);
+        });
+        grid.apply_periodic_seams();
+    }
+
+    /// Append the interior (row-major, axis 0 fastest, halo dropped) to
+    /// `out`, one contiguous axis-0 run at a time.
+    pub fn extend_with_interior(&self, out: &mut Vec<f64>) {
+        let origin: usize = self.pstride.iter().sum();
+        let planes = self.shape[self.dim() - 1];
+        out.reserve(self.shape.iter().product());
+        for_each_slab_row(&self.shape, &self.pstride, origin, 0, planes, &mut |off, n| {
+            out.extend_from_slice(&self.cur[off..off + n]);
+        });
+    }
+
+    /// Overwrite the interior from row-major `values` (the layout
+    /// [`extend_with_interior`](Self::extend_with_interior) produces).
+    /// The halo is left stale.
+    pub fn load_interior(&mut self, values: &[f64]) {
+        let PaddedFieldN { shape, pstride, cur, .. } = self;
+        assert_eq!(values.len(), shape.iter().product::<usize>(), "interior size mismatch");
+        let origin: usize = pstride.iter().sum();
+        let mut src = 0usize;
+        for_each_slab_row(shape, pstride, origin, 0, shape[shape.len() - 1], &mut |off, n| {
+            cur[off..off + n].copy_from_slice(&values[src..src + n]);
+            src += n;
+        });
     }
 
     /// Wrap the halo of axes `from..upto` periodically from the interior.
     /// Axis `a`'s pass covers the full padded extent of axes `< a` and
     /// the interior extent of axes `> a`, so corners shared by wrapped
     /// axes come out consistent (same scheme as the 2D path: columns
-    /// first, then whole padded rows).
+    /// first, then whole padded rows). Axes `< a` spanning their full
+    /// padded extent makes each copy one contiguous run of `pstride[a]`
+    /// values — single cells for axis 0, whole padded rows for axis 1,
+    /// whole padded planes for axis 2, ….
     fn wrap_axes_from(&mut self, from: usize, upto: usize) {
-        let d = self.dim();
+        let PaddedFieldN { shape, pstride, cur, .. } = self;
         for a in from..upto {
-            let mut span: Vec<usize> = self.pshape.clone();
-            span[a] = 1;
-            for s in span.iter_mut().skip(a + 1) {
-                *s -= 2;
-            }
-            let n = self.shape[a];
-            let sa = self.pstride[a];
-            let mut it = vec![0usize; d];
-            'pass: loop {
-                let mut off = 0usize;
-                for (i, &iv) in it.iter().enumerate() {
-                    let k = if i == a {
-                        0
-                    } else if i > a {
-                        iv + 1
-                    } else {
-                        iv
-                    };
-                    off += k * self.pstride[i];
+            let (n, run) = (shape[a], pstride[a]);
+            // Later axes start at their first interior index.
+            let base: usize = pstride[a + 1..].iter().sum();
+            for_each_offset(&shape[a + 1..], &pstride[a + 1..], base, &mut |off| {
+                if run == 1 {
+                    cur[off] = cur[off + n];
+                    cur[off + n + 1] = cur[off + 1];
+                } else {
+                    cur.copy_within(off + n * run..off + (n + 1) * run, off);
+                    cur.copy_within(off + run..off + 2 * run, off + (n + 1) * run);
                 }
-                self.cur[off] = self.cur[off + n * sa];
-                self.cur[off + (n + 1) * sa] = self.cur[off + sa];
-                if !advance(&mut it, &span) {
-                    break 'pass;
-                }
-            }
+            });
         }
     }
 
@@ -223,20 +228,31 @@ impl PaddedFieldN {
         self.cur[z * s..(z + 1) * s].copy_from_slice(data);
     }
 
-    /// One timestep: `kernel` receives the current padded buffer and the
-    /// center offset of each interior point and returns its new value;
-    /// the buffers then swap. The halo of the new current buffer is stale
-    /// until the next refresh/exchange.
+    /// The production stepping primitive: update last-axis interior
+    /// planes `z0..z1` row by row, without swapping. `row` receives the
+    /// current padded buffer, the padded offset of a row's first cell and
+    /// the row's slot in the other buffer, and must write every cell of
+    /// it. A full timestep is a disjoint cover by `step_rows` calls
+    /// followed by one [`commit_step`](Self::commit_step); rows never
+    /// read the buffer they write, so any cover is bitwise equal to a
+    /// monolithic step. Allocation-free.
+    pub fn step_rows(&mut self, z0: usize, z1: usize, row: impl Fn(&[f64], usize, &mut [f64])) {
+        let PaddedFieldN { shape, pstride, cur, next, .. } = self;
+        debug_assert!(z1 <= shape[shape.len() - 1]);
+        let origin: usize = pstride.iter().sum();
+        for_each_slab_row(shape, pstride, origin, z0, z1, &mut |off, n| {
+            row(cur, off, &mut next[off..off + n]);
+        });
+    }
+
+    /// One timestep by point closure — the reference formulation:
+    /// `kernel` receives the current padded buffer and the center offset
+    /// of each interior point and returns its new value; the buffers then
+    /// swap. The halo of the new current buffer is stale until the next
+    /// refresh/exchange.
     pub fn step_with(&mut self, kernel: impl Fn(&[f64], usize) -> f64) {
-        let mut idx = vec![0usize; self.dim()];
-        loop {
-            let off: usize = idx.iter().zip(&self.pstride).map(|(&k, &s)| (k + 1) * s).sum();
-            self.next[off] = kernel(&self.cur, off);
-            if !advance(&mut idx, &self.shape) {
-                break;
-            }
-        }
-        std::mem::swap(&mut self.cur, &mut self.next);
+        self.step_planes(0, self.shape[self.dim() - 1], kernel);
+        self.commit_step();
     }
 
     /// [`step_with`](Self::step_with) restricted to last-axis interior
@@ -246,31 +262,39 @@ impl PaddedFieldN {
     /// expression, so a decomposed step is bitwise equal to a monolithic
     /// one.
     pub fn step_planes(&mut self, z0: usize, z1: usize, kernel: impl Fn(&[f64], usize) -> f64) {
-        let d = self.dim();
-        debug_assert!(z1 <= self.shape[d - 1]);
-        if z0 >= z1 {
-            return;
-        }
-        let mut span = self.shape.clone();
-        span[d - 1] = z1 - z0;
-        let mut idx = vec![0usize; d];
-        loop {
-            let mut off = 0usize;
-            for (i, &iv) in idx.iter().enumerate() {
-                let k = if i == d - 1 { iv + z0 + 1 } else { iv + 1 };
-                off += k * self.pstride[i];
+        self.step_rows(z0, z1, |cur, off, out| {
+            for (k, v) in out.iter_mut().enumerate() {
+                *v = kernel(cur, off + k);
             }
-            self.next[off] = kernel(&self.cur, off);
-            if !advance(&mut idx, &span) {
-                return;
-            }
-        }
+        });
     }
 
-    /// Commit a timestep assembled from [`step_planes`](Self::step_planes)
-    /// calls: swap the buffers.
+    /// Commit a timestep assembled from [`step_rows`](Self::step_rows) /
+    /// [`step_planes`](Self::step_planes) calls: swap the buffers.
     pub fn commit_step(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.next);
+    }
+}
+
+/// Call `f(padded offset, grid offset)` for the first cell of every
+/// axis-0 row of the fundamental domain a field of interior `shape`
+/// shares with its grid (`shape[i] + 1` points per axis, seam included).
+fn for_each_grid_row(shape: &[usize], pstride: &[usize], mut f: impl FnMut(usize, usize)) {
+    let d = shape.len();
+    let mut gstride = vec![1usize; d];
+    for i in 1..d {
+        gstride[i] = gstride[i - 1] * (shape[i - 1] + 1);
+    }
+    let origin: usize = pstride.iter().sum();
+    let mut hi = vec![0usize; d - 1];
+    loop {
+        let row = |strides: &[usize]| -> usize {
+            hi.iter().zip(&strides[1..]).map(|(&k, &s)| k * s).sum()
+        };
+        f(origin + row(pstride), row(&gstride));
+        if !advance(&mut hi, &shape[1..]) {
+            return;
+        }
     }
 }
 

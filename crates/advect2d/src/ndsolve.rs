@@ -2,17 +2,21 @@
 //! Jacobi sweeps for the elliptic problem, plus the single-owner
 //! [`SolverN`] that drives them over a [`PaddedFieldN`].
 //!
-//! The kernels are built as closures over the field's padded strides so
-//! the same point update runs under the single-owner solver and the
-//! distributed slab solver (`ftsg-core::psolve_nd`) — decomposition
-//! cannot change the arithmetic, which keeps decomposed steps bitwise
-//! equal to monolithic ones.
+//! The solvers hold a [`StencilN`] — the problem's coefficients in row
+//! form — and step with [`PaddedFieldN::step_rows`]; the single-owner
+//! solver and the distributed slab solver (`ftsg-core::psolve_nd`) share
+//! it, and rows never read what they write, so decomposition cannot
+//! change the arithmetic: decomposed steps are bitwise equal to
+//! monolithic ones. The point closures [`upwind_diffusion_kernel`] and
+//! [`jacobi_kernel`] are the reference formulation every row kernel
+//! (scalar loop and each SIMD backend) is tested bitwise against.
 
 use sparsegrid::ndgrid::advance;
 use sparsegrid::GridN;
 
 use crate::ndfield::PaddedFieldN;
 use crate::ndproblem::ProblemN;
+use crate::simd::{jacobi_row_n_simd, upwind_diffusion_row_n_simd, KernelConfig, KernelKind};
 
 /// Precomputed upwind–diffusion coefficients for one `(Δt, h, a, κ)`
 /// combination: per-axis Courant numbers `c_i = a_i Δt / h_i` and
@@ -86,18 +90,193 @@ pub fn jacobi_kernel(
     }
 }
 
+/// One axis of the upwind–diffusion row update: the neighbour distance
+/// in the padded buffer, the axis's Courant and diffusion numbers, and
+/// the upwind side (`c ≥ 0` differences backwards), resolved once here
+/// instead of once per point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpwindAxisN {
+    /// Padded stride of the axis.
+    pub stride: usize,
+    /// `a_i Δt / h_i`
+    pub c: f64,
+    /// `κ Δt / h_i²`
+    pub r: f64,
+    /// `c ≥ 0`: the upwind neighbour is the backward one.
+    pub backward: bool,
+}
+
+/// One axis of the Jacobi row update.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JacobiAxisN {
+    /// Padded stride of the axis.
+    pub stride: usize,
+    /// `1 / h_i²`
+    pub inv_h2: f64,
+}
+
+/// What a d-dimensional solver steps with: the problem class's
+/// coefficients in row form. Built once per solver; [`row`](Self::row)
+/// is the row kernel [`PaddedFieldN::step_rows`] applies.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StencilN {
+    /// First-order upwind advection + centered diffusion.
+    UpwindDiffusion(Vec<UpwindAxisN>),
+    /// Weighted-Jacobi sweep for `−Δu = f`.
+    Jacobi {
+        /// Per-axis stride and `1 / h_i²`.
+        axes: Vec<JacobiAxisN>,
+        /// `1 / (2 Σ_i 1/h_i²)`
+        inv_diag: f64,
+        /// Right-hand side in the padded offset space of the field.
+        rhs: Vec<f64>,
+    },
+}
+
+impl StencilN {
+    /// Row form of [`upwind_diffusion_kernel`]`(coef, pstride)`.
+    pub fn upwind_diffusion(coef: &UpwindDiffusionCoefN, pstride: &[usize]) -> Self {
+        StencilN::UpwindDiffusion(
+            (pstride.iter().zip(&coef.c).zip(&coef.r))
+                .map(|((&stride, &c), &r)| UpwindAxisN { stride, c, r, backward: c >= 0.0 })
+                .collect(),
+        )
+    }
+
+    /// Row form of [`jacobi_kernel`]`(inv_h2, pstride, rhs)`.
+    pub fn jacobi(inv_h2: &[f64], pstride: &[usize], rhs: Vec<f64>) -> Self {
+        StencilN::Jacobi {
+            axes: (pstride.iter().zip(inv_h2))
+                .map(|(&stride, &inv_h2)| JacobiAxisN { stride, inv_h2 })
+                .collect(),
+            inv_diag: 1.0 / (2.0 * inv_h2.iter().sum::<f64>()),
+            rhs,
+        }
+    }
+
+    /// The stencil a problem steps with on `field` (a slab whose last
+    /// axis starts at global plane `z0` of a domain with `np` cells per
+    /// axis), at timestep `dt`.
+    pub fn for_slab(
+        problem: &ProblemN,
+        field: &PaddedFieldN,
+        z0: usize,
+        np: &[usize],
+        dt: f64,
+    ) -> Self {
+        let h: Vec<f64> = np.iter().map(|&n| 1.0 / n as f64).collect();
+        if problem.is_elliptic() {
+            let inv_h2: Vec<f64> = h.iter().map(|hi| 1.0 / (hi * hi)).collect();
+            StencilN::jacobi(&inv_h2, field.pstrides(), padded_rhs_slab(problem, field, z0, np))
+        } else {
+            let coef = UpwindDiffusionCoefN::new(problem, &h, dt);
+            StencilN::upwind_diffusion(&coef, field.pstrides())
+        }
+    }
+
+    /// Update one contiguous axis-0 row: `out[k]` becomes the new value
+    /// of the cell at padded offset `off + k` of `cur`. `Scalar` runs
+    /// the axis-pass loops below; `Simd` runs the lane-parallel body of
+    /// the process's ISA — bit-identical by construction (see
+    /// [`crate::simd`]).
+    #[inline]
+    pub fn row(&self, kind: KernelKind, cur: &[f64], off: usize, out: &mut [f64]) {
+        match (self, kind) {
+            (StencilN::UpwindDiffusion(axes), KernelKind::Scalar) => {
+                upwind_diffusion_row_n(axes, cur, off, out)
+            }
+            (StencilN::UpwindDiffusion(axes), KernelKind::Simd) => {
+                upwind_diffusion_row_n_simd(axes, cur, off, out)
+            }
+            (StencilN::Jacobi { axes, inv_diag, rhs }, KernelKind::Scalar) => {
+                jacobi_row_n(axes, *inv_diag, rhs, cur, off, out)
+            }
+            (StencilN::Jacobi { axes, inv_diag, rhs }, KernelKind::Simd) => {
+                jacobi_row_n_simd(axes, *inv_diag, rhs, cur, off, out)
+            }
+        }
+    }
+}
+
+/// Scalar upwind–diffusion row, one pass per axis over contiguous
+/// slices: `out` starts as the row's centre values and each axis applies
+/// its two updates to every cell — per cell the operation sequence of
+/// [`upwind_diffusion_kernel`] (`acc = c`, then per axis in order
+/// `acc − c_i·dx`, `acc + r_i·(fwd − 2c + bwd)`), with the upwind side
+/// chosen once per axis instead of once per point.
+pub fn upwind_diffusion_row_n(axes: &[UpwindAxisN], cur: &[f64], off: usize, out: &mut [f64]) {
+    let n = out.len();
+    let c = &cur[off..off + n];
+    out.copy_from_slice(c);
+    for ax in axes {
+        let fwd = &cur[off + ax.stride..][..n];
+        let bwd = &cur[off - ax.stride..][..n];
+        let cells = out.iter_mut().zip(c).zip(fwd.iter().zip(bwd));
+        if ax.backward {
+            for ((acc, &c), (&fwd, &bwd)) in cells {
+                *acc -= ax.c * (c - bwd);
+                *acc += ax.r * (fwd - 2.0 * c + bwd);
+            }
+        } else {
+            for ((acc, &c), (&fwd, &bwd)) in cells {
+                *acc -= ax.c * (fwd - c);
+                *acc += ax.r * (fwd - 2.0 * c + bwd);
+            }
+        }
+    }
+}
+
+/// Scalar Jacobi row, one pass per axis: per cell the operation sequence
+/// of [`jacobi_kernel`] (`acc = rhs`, per axis `acc + (fwd + bwd)/h_i²`,
+/// then `acc · inv_diag`).
+pub fn jacobi_row_n(
+    axes: &[JacobiAxisN],
+    inv_diag: f64,
+    rhs: &[f64],
+    cur: &[f64],
+    off: usize,
+    out: &mut [f64],
+) {
+    let n = out.len();
+    out.copy_from_slice(&rhs[off..off + n]);
+    for ax in axes {
+        let fwd = &cur[off + ax.stride..][..n];
+        let bwd = &cur[off - ax.stride..][..n];
+        for (acc, (&fwd, &bwd)) in out.iter_mut().zip(fwd.iter().zip(bwd)) {
+            *acc += ax.inv_h2 * (fwd + bwd);
+        }
+    }
+    for acc in out.iter_mut() {
+        *acc *= inv_diag;
+    }
+}
+
 /// Sample a problem's right-hand side into the padded offset space of a
 /// field (interior entries only; halo stays zero).
 pub fn padded_rhs(problem: &ProblemN, field: &PaddedFieldN) -> Vec<f64> {
+    padded_rhs_slab(problem, field, 0, field.shape())
+}
+
+/// [`padded_rhs`] for a slab field whose last axis starts at global plane
+/// `z0` of a domain with `np` cells per axis.
+pub fn padded_rhs_slab(
+    problem: &ProblemN,
+    field: &PaddedFieldN,
+    z0: usize,
+    np: &[usize],
+) -> Vec<f64> {
     let d = field.dim();
-    let shape = field.shape().to_vec();
     let mut rhs = vec![0.0; field.padded().len()];
     let mut idx = vec![0usize; d];
+    let mut x = vec![0.0f64; d];
     loop {
+        for i in 0..d {
+            let g = if i == d - 1 { idx[i] + z0 } else { idx[i] };
+            x[i] = g as f64 / np[i] as f64;
+        }
         let off: usize = idx.iter().zip(field.pstrides()).map(|(&k, &s)| (k + 1) * s).sum();
-        let x: Vec<f64> = idx.iter().zip(&shape).map(|(&k, &n)| k as f64 / n as f64).collect();
         rhs[off] = problem.rhs(&x);
-        if !advance(&mut idx, &shape) {
+        if !advance(&mut idx, field.shape()) {
             return rhs;
         }
     }
@@ -113,6 +292,7 @@ pub struct SolverN {
     dt: f64,
     steps_done: u64,
     field: PaddedFieldN,
+    stencil: StencilN,
 }
 
 impl SolverN {
@@ -121,7 +301,8 @@ impl SolverN {
         assert_eq!(problem.dim(), level.len(), "problem/level dimension mismatch");
         let grid = GridN::from_fn(level, |x| problem.initial(x));
         let field = PaddedFieldN::from_grid(&grid);
-        SolverN { problem, grid, dt, steps_done: 0, field }
+        let stencil = StencilN::for_slab(&problem, &field, 0, field.shape(), dt);
+        SolverN { problem, grid, dt, steps_done: 0, field, stencil }
     }
 
     /// Advance `n` timesteps (or Jacobi sweeps for the elliptic class).
@@ -129,27 +310,16 @@ impl SolverN {
         if n == 0 {
             return;
         }
-        self.field.load(&self.grid);
-        let pstride = self.field.pstrides().to_vec();
-        if self.problem.is_elliptic() {
-            let h: Vec<f64> = self.field.shape().iter().map(|&np| 1.0 / np as f64).collect();
-            let inv_h2: Vec<f64> = h.iter().map(|hi| 1.0 / (hi * hi)).collect();
-            let rhs = padded_rhs(&self.problem, &self.field);
-            let kernel = jacobi_kernel(inv_h2, pstride, rhs);
-            for _ in 0..n {
-                self.field.refresh_periodic_halo();
-                self.field.step_with(&kernel);
-            }
-        } else {
-            let h: Vec<f64> = self.field.shape().iter().map(|&np| 1.0 / np as f64).collect();
-            let coef = UpwindDiffusionCoefN::new(&self.problem, &h, self.dt);
-            let kernel = upwind_diffusion_kernel(coef, pstride);
-            for _ in 0..n {
-                self.field.refresh_periodic_halo();
-                self.field.step_with(&kernel);
-            }
+        let SolverN { grid, field, stencil, .. } = self;
+        let kind = KernelConfig::global().kind;
+        field.load(grid);
+        let planes = field.shape()[field.dim() - 1];
+        for _ in 0..n {
+            field.refresh_periodic_halo();
+            field.step_rows(0, planes, |cur, off, out| stencil.row(kind, cur, off, out));
+            field.commit_step();
         }
-        self.field.store(&mut self.grid);
+        field.store(grid);
         self.steps_done += n;
     }
 

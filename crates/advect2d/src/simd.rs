@@ -26,7 +26,9 @@
 //! recompute after a failure on a machine that selected a different ISA
 //! backend — produces bit-identical grids. The proptests in
 //! `tests/kernel_props.rs` pin this across random sizes, coefficients
-//! and ragged widths for all three stencils.
+//! and ragged widths for all three stencils, and for the d-dimensional
+//! upwind–diffusion and Jacobi rows against their point-closure
+//! references (d = 1..4, every backend the CPU runs).
 //!
 //! ## Backends
 //!
@@ -46,6 +48,7 @@ use std::ops::{Add, Mul, Sub};
 use std::sync::OnceLock;
 
 use crate::laxwendroff::LwCoef;
+use crate::ndsolve::{jacobi_row_n, upwind_diffusion_row_n, JacobiAxisN, UpwindAxisN};
 use crate::upwind::UpwindCoef;
 
 // ---------------------------------------------------------------------
@@ -178,52 +181,69 @@ impl Lanes for F64x8 {
 // ISA selection
 // ---------------------------------------------------------------------
 
-/// The instruction-set backend the SIMD rows dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
+/// An instruction-set backend of the SIMD rows, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SimdIsa {
+    /// Four portable lanes at the target's baseline vector ISA.
     Portable,
+    /// The same four lanes compiled with AVX2 enabled.
     Avx2,
+    /// Eight AVX-512 lanes.
     Avx512,
 }
 
-fn detect_isa() -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let want = std::env::var("FTSG_SIMD").unwrap_or_default();
-        let best = if is_x86_feature_detected!("avx512f") {
-            Isa::Avx512
-        } else if is_x86_feature_detected!("avx2") {
-            Isa::Avx2
-        } else {
-            Isa::Portable
-        };
-        // Env override is clamped to what the CPU can actually run.
-        match want.as_str() {
-            "portable" => Isa::Portable,
-            "avx2" if best != Isa::Portable => Isa::Avx2,
-            "avx512" if best == Isa::Avx512 => Isa::Avx512,
-            _ => best,
+impl SimdIsa {
+    /// `"portable"` / `"avx2"` / `"avx512"`, as `FTSG_SIMD` spells them.
+    pub fn label(self) -> &'static str {
+        match self {
+            SimdIsa::Avx512 => "avx512",
+            SimdIsa::Avx2 => "avx2",
+            SimdIsa::Portable => "portable",
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Isa::Portable
-    }
-}
 
-fn isa() -> Isa {
-    static ISA: OnceLock<Isa> = OnceLock::new();
-    *ISA.get_or_init(detect_isa)
+    /// The widest backend this CPU can run (runtime feature detection,
+    /// resolved once per process).
+    pub fn best() -> SimdIsa {
+        static BEST: OnceLock<SimdIsa> = OnceLock::new();
+        *BEST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if is_x86_feature_detected!("avx512f") {
+                    return SimdIsa::Avx512;
+                }
+                if is_x86_feature_detected!("avx2") {
+                    return SimdIsa::Avx2;
+                }
+            }
+            SimdIsa::Portable
+        })
+    }
+
+    /// The backend the process steps with: the best one, unless
+    /// `FTSG_SIMD` names a narrower one (an override is clamped to what
+    /// the CPU can actually run). Resolved once per process.
+    pub fn resolved() -> SimdIsa {
+        static ISA: OnceLock<SimdIsa> = OnceLock::new();
+        *ISA.get_or_init(|| {
+            let want = std::env::var("FTSG_SIMD").unwrap_or_default();
+            SimdIsa::available().find(|isa| isa.label() == want).unwrap_or(SimdIsa::best())
+        })
+    }
+
+    /// Every backend this CPU can run, narrowest first (for benchmarks
+    /// and tests that sweep them in one process).
+    pub fn available() -> impl Iterator<Item = SimdIsa> {
+        [SimdIsa::Portable, SimdIsa::Avx2, SimdIsa::Avx512]
+            .into_iter()
+            .filter(|&isa| isa <= SimdIsa::best())
+    }
 }
 
 /// Label of the SIMD backend the process resolved to
 /// (`"avx512"` / `"avx2"` / `"portable"`), for benchmark reports.
 pub fn simd_isa_label() -> &'static str {
-    match isa() {
-        Isa::Avx512 => "avx512",
-        Isa::Avx2 => "avx2",
-        Isa::Portable => "portable",
-    }
+    SimdIsa::resolved().label()
 }
 
 // ---------------------------------------------------------------------
@@ -316,12 +336,12 @@ pub fn lax_wendroff_row_simd(
     coef: &LwCoef,
     out: &mut [f64],
 ) {
-    match isa() {
-        // SAFETY: isa() returned Avx512/Avx2 only after runtime detection.
+    match SimdIsa::resolved() {
+        // SAFETY: resolved() returns Avx512/Avx2 only after runtime detection.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { lw_avx512(south, center, north, coef, out) },
+        SimdIsa::Avx512 => unsafe { lw_avx512(south, center, north, coef, out) },
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { lw_avx2(south, center, north, coef, out) },
+        SimdIsa::Avx2 => unsafe { lw_avx2(south, center, north, coef, out) },
         _ => lw_body::<F64x4>(south, center, north, coef, out),
     }
 }
@@ -414,12 +434,12 @@ pub fn upwind_row_simd(
     coef: &UpwindCoef,
     out: &mut [f64],
 ) {
-    match isa() {
-        // SAFETY: isa() returned Avx512/Avx2 only after runtime detection.
+    match SimdIsa::resolved() {
+        // SAFETY: resolved() returns Avx512/Avx2 only after runtime detection.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { upwind_avx512(south, center, north, coef, out) },
+        SimdIsa::Avx512 => unsafe { upwind_avx512(south, center, north, coef, out) },
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { upwind_avx2(south, center, north, coef, out) },
+        SimdIsa::Avx2 => unsafe { upwind_avx2(south, center, north, coef, out) },
         _ => upwind_signs!(F64x4, south, center, north, coef, out),
     }
 }
@@ -498,13 +518,196 @@ pub fn ftcs_row_simd(
     ry: f64,
     out: &mut [f64],
 ) {
-    match isa() {
-        // SAFETY: isa() returned Avx512/Avx2 only after runtime detection.
+    match SimdIsa::resolved() {
+        // SAFETY: resolved() returns Avx512/Avx2 only after runtime detection.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { ftcs_avx512(south, center, north, rx, ry, out) },
+        SimdIsa::Avx512 => unsafe { ftcs_avx512(south, center, north, rx, ry, out) },
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { ftcs_avx2(south, center, north, rx, ry, out) },
+        SimdIsa::Avx2 => unsafe { ftcs_avx2(south, center, north, rx, ry, out) },
         _ => ftcs_body::<F64x4>(south, center, north, rx, ry, out),
+    }
+}
+
+// ---------------------------------------------------------------------
+// d-dimensional rows (upwind–diffusion, Jacobi)
+// ---------------------------------------------------------------------
+
+/// The farthest a row's stencil reaches from its cells: rows at
+/// `off..off + n` read `cur[off − reach .. off + n + reach]`. Checked
+/// once per row so the lane loads below need no per-access bounds test.
+#[inline(always)]
+fn assert_row_in_bounds(reach: usize, cur: &[f64], off: usize, n: usize) {
+    assert!(
+        off >= reach && off + n + reach <= cur.len(),
+        "row {off}..{} reaches {reach} beyond a buffer of {}",
+        off + n,
+        cur.len()
+    );
+}
+
+/// Generic lane-parallel d-dimensional upwind–diffusion body. Per lane
+/// the operation sequence is **exactly** that of
+/// [`crate::ndsolve::upwind_diffusion_kernel`]: `acc = c`, then per axis
+/// in order `acc − c_i·dx`, `acc + r_i·(fwd − 2c + bwd)`. The upwind side
+/// is an axis constant, so the branch selects between two whole lane
+/// expressions without touching any lane's arithmetic; the tail is the
+/// scalar row itself on the remaining cells.
+#[inline(always)]
+fn upwind_diffusion_n_body<V: Lanes>(
+    axes: &[UpwindAxisN],
+    cur: &[f64],
+    off: usize,
+    out: &mut [f64],
+) {
+    let n = out.len();
+    assert_row_in_bounds(axes.iter().map(|ax| ax.stride).max().unwrap_or(0), cur, off, n);
+    let two = V::splat(2.0);
+    let op = out.as_mut_ptr();
+    let mut k = 0;
+    while k + V::N <= n {
+        // SAFETY: k + V::N <= n and the assert above give
+        // off + k − stride >= 0 and off + k + stride + V::N <= cur.len()
+        // for every axis, so each load of V::N values is in bounds; the
+        // store writes out[k .. k + V::N] <= n.
+        unsafe {
+            let p = cur.as_ptr().add(off + k);
+            let c = V::load(p);
+            let mut acc = c;
+            for ax in axes {
+                let fwd = V::load(p.add(ax.stride));
+                let bwd = V::load(p.sub(ax.stride));
+                let dx = if ax.backward { c - bwd } else { fwd - c };
+                acc = acc - V::splat(ax.c) * dx;
+                acc = acc + V::splat(ax.r) * (fwd - two * c + bwd);
+            }
+            acc.store(op.add(k));
+        }
+        k += V::N;
+    }
+    upwind_diffusion_row_n(axes, cur, off + k, &mut out[k..]);
+}
+
+/// Generic lane-parallel d-dimensional Jacobi body; per lane the
+/// operation sequence of [`crate::ndsolve::jacobi_kernel`].
+#[inline(always)]
+fn jacobi_n_body<V: Lanes>(
+    axes: &[JacobiAxisN],
+    inv_diag: f64,
+    rhs: &[f64],
+    cur: &[f64],
+    off: usize,
+    out: &mut [f64],
+) {
+    let n = out.len();
+    assert_row_in_bounds(axes.iter().map(|ax| ax.stride).max().unwrap_or(0), cur, off, n);
+    let rhs_row = &rhs[off..off + n];
+    let scale = V::splat(inv_diag);
+    let op = out.as_mut_ptr();
+    let mut k = 0;
+    while k + V::N <= n {
+        // SAFETY: same bounds argument as `upwind_diffusion_n_body`;
+        // `rhs_row` holds n values and k + V::N <= n.
+        unsafe {
+            let p = cur.as_ptr().add(off + k);
+            let mut acc = V::load(rhs_row.as_ptr().add(k));
+            for ax in axes {
+                acc = acc
+                    + V::splat(ax.inv_h2) * (V::load(p.add(ax.stride)) + V::load(p.sub(ax.stride)));
+            }
+            (acc * scale).store(op.add(k));
+        }
+        k += V::N;
+    }
+    jacobi_row_n(axes, inv_diag, rhs, cur, off + k, &mut out[k..]);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn upwind_diffusion_n_avx2(axes: &[UpwindAxisN], cur: &[f64], off: usize, out: &mut [f64]) {
+    upwind_diffusion_n_body::<F64x4>(axes, cur, off, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn upwind_diffusion_n_avx512(axes: &[UpwindAxisN], cur: &[f64], off: usize, out: &mut [f64]) {
+    upwind_diffusion_n_body::<F64x8>(axes, cur, off, out)
+}
+
+/// Vectorized d-dimensional upwind–diffusion row on a named backend, so
+/// benchmarks and tests can sweep [`SimdIsa::available`] in one process:
+/// same contract and **bit-identical results** as
+/// [`crate::ndsolve::upwind_diffusion_row_n`]. Panics if this CPU cannot
+/// run `isa`.
+#[inline]
+pub fn upwind_diffusion_row_n_on(
+    isa: SimdIsa,
+    axes: &[UpwindAxisN],
+    cur: &[f64],
+    off: usize,
+    out: &mut [f64],
+) {
+    assert!(isa <= SimdIsa::best(), "this CPU cannot run the {} rows", isa.label());
+    match isa {
+        // SAFETY: `isa` is at most what runtime detection found.
+        #[cfg(target_arch = "x86_64")]
+        SimdIsa::Avx512 => unsafe { upwind_diffusion_n_avx512(axes, cur, off, out) },
+        #[cfg(target_arch = "x86_64")]
+        SimdIsa::Avx2 => unsafe { upwind_diffusion_n_avx2(axes, cur, off, out) },
+        _ => upwind_diffusion_n_body::<F64x4>(axes, cur, off, out),
+    }
+}
+
+/// [`upwind_diffusion_row_n_on`] the backend the process resolved to —
+/// what the solvers step with.
+#[inline]
+pub fn upwind_diffusion_row_n_simd(axes: &[UpwindAxisN], cur: &[f64], off: usize, out: &mut [f64]) {
+    upwind_diffusion_row_n_on(SimdIsa::resolved(), axes, cur, off, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn jacobi_n_avx2(
+    axes: &[JacobiAxisN],
+    inv_diag: f64,
+    rhs: &[f64],
+    cur: &[f64],
+    off: usize,
+    out: &mut [f64],
+) {
+    jacobi_n_body::<F64x4>(axes, inv_diag, rhs, cur, off, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn jacobi_n_avx512(
+    axes: &[JacobiAxisN],
+    inv_diag: f64,
+    rhs: &[f64],
+    cur: &[f64],
+    off: usize,
+    out: &mut [f64],
+) {
+    jacobi_n_body::<F64x8>(axes, inv_diag, rhs, cur, off, out)
+}
+
+/// Vectorized d-dimensional Jacobi row: same contract and **bit-identical
+/// results** as [`crate::ndsolve::jacobi_row_n`].
+#[inline]
+pub fn jacobi_row_n_simd(
+    axes: &[JacobiAxisN],
+    inv_diag: f64,
+    rhs: &[f64],
+    cur: &[f64],
+    off: usize,
+    out: &mut [f64],
+) {
+    match SimdIsa::resolved() {
+        // SAFETY: resolved() returns Avx512/Avx2 only after runtime detection.
+        #[cfg(target_arch = "x86_64")]
+        SimdIsa::Avx512 => unsafe { jacobi_n_avx512(axes, inv_diag, rhs, cur, off, out) },
+        #[cfg(target_arch = "x86_64")]
+        SimdIsa::Avx2 => unsafe { jacobi_n_avx2(axes, inv_diag, rhs, cur, off, out) },
+        _ => jacobi_n_body::<F64x4>(axes, inv_diag, rhs, cur, off, out),
     }
 }
 

@@ -5,10 +5,16 @@
 //! stencils. This is the load-bearing guarantee behind recompute-based
 //! fault recovery: any kernel configuration recomputes the exact state
 //! a failed rank held.
+//!
+//! The d-dimensional engine is pinned the same way: the production row
+//! step (scalar loop, the process's SIMD rows, every SIMD backend the CPU
+//! runs) against the point-closure reference, for d = 1..4.
 
 use advect2d::{
-    ftcs_row, ftcs_row_simd, lax_wendroff_row, lax_wendroff_row_simd, upwind_row, upwind_row_simd,
-    BandPool, LwCoef, PaddedField, UpwindCoef,
+    ftcs_row, ftcs_row_simd, jacobi_kernel, lax_wendroff_row, lax_wendroff_row_simd,
+    upwind_diffusion_kernel, upwind_diffusion_row_n_on, upwind_row, upwind_row_simd, BandPool,
+    KernelKind, LwCoef, PaddedField, PaddedFieldN, SimdIsa, StencilN, UpwindCoef,
+    UpwindDiffusionCoefN,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -155,4 +161,122 @@ proptest! {
             );
         }
     }
+
+    /// The d-dimensional row step — scalar row loop, the process's SIMD
+    /// rows, and each SIMD backend this CPU runs — equals the
+    /// point-closure reference bitwise: d = 1..4, ragged axis-0 lengths
+    /// from 1 cell (shorter than any lane bundle) past several bundles,
+    /// both signs of every `c_i`, both stencils, monolithic and split
+    /// into two plane ranges at a random cut.
+    #[test]
+    fn nd_row_step_matches_point_closures_bitwise(
+        shape in nd_shape(),
+        seed in any::<u64>(),
+        signs in 0usize..16,
+        jacobi in any::<bool>(),
+        cut in any::<usize>(),
+    ) {
+        let d = shape.len();
+        let mut start = PaddedFieldN::new(&shape);
+        fill(seed, start.padded_mut());
+        let pstride = start.pstrides().to_vec();
+        let mut raw = vec![0.0; 2 * d];
+        fill(seed ^ 0x5eed, &mut raw);
+
+        // The reference closure and the row form of the same stencil.
+        type PointKernel = Box<dyn Fn(&[f64], usize) -> f64>;
+        let (closure, stencil): (PointKernel, StencilN) = if jacobi {
+            let inv_h2: Vec<f64> = raw[..d].iter().map(|v| 1.0 + 100.0 * v.abs()).collect();
+            let mut rhs = vec![0.0; start.padded().len()];
+            fill(seed ^ 0xface, &mut rhs);
+            (
+                Box::new(jacobi_kernel(inv_h2.clone(), pstride.clone(), rhs.clone())),
+                StencilN::jacobi(&inv_h2, &pstride, rhs),
+            )
+        } else {
+            let coef = UpwindDiffusionCoefN {
+                c: (0..d)
+                    .map(|i| 0.3 * raw[i].abs() * if (signs >> i) & 1 == 1 { -1.0 } else { 1.0 })
+                    .collect(),
+                r: raw[d..].iter().map(|v| 0.1 * v.abs()).collect(),
+            };
+            (
+                Box::new(upwind_diffusion_kernel(coef.clone(), pstride.clone())),
+                StencilN::upwind_diffusion(&coef, &pstride),
+            )
+        };
+
+        // Three steps with a halo refresh between them.
+        let run = |step: &dyn Fn(&mut PaddedFieldN)| {
+            let mut f = start.clone();
+            for _ in 0..3 {
+                f.refresh_periodic_halo();
+                step(&mut f);
+            }
+            bits(f.padded())
+        };
+        let want = run(&|f| f.step_with(&*closure));
+
+        let planes = shape[d - 1];
+        let cut = cut % (planes + 1);
+        for kind in KernelKind::all() {
+            let got = run(&|f| {
+                f.step_rows(0, planes, |cur, off, out| stencil.row(kind, cur, off, out));
+                f.commit_step();
+            });
+            prop_assert_eq!(&got, &want, "{:?} rows, shape {:?}, jacobi={}", kind, &shape, jacobi);
+            let got = run(&|f| {
+                f.step_rows(cut, planes, |cur, off, out| stencil.row(kind, cur, off, out));
+                f.step_rows(0, cut, |cur, off, out| stencil.row(kind, cur, off, out));
+                f.commit_step();
+            });
+            prop_assert_eq!(&got, &want, "{:?} rows cut at {}, shape {:?}", kind, cut, &shape);
+        }
+        if let StencilN::UpwindDiffusion(axes) = &stencil {
+            for isa in SimdIsa::available() {
+                let got = run(&|f| {
+                    f.step_rows(0, planes, |cur, off, out| {
+                        upwind_diffusion_row_n_on(isa, axes, cur, off, out)
+                    });
+                    f.commit_step();
+                });
+                prop_assert_eq!(&got, &want, "{} rows, shape {:?}", isa.label(), &shape);
+            }
+        }
+    }
+
+    /// The point-closure reference itself decomposes: `step_planes` over
+    /// a split cover equals `step_with`.
+    #[test]
+    fn nd_plane_decomposed_reference_matches_monolithic(
+        shape in nd_shape(),
+        seed in any::<u64>(),
+        cut in any::<usize>(),
+    ) {
+        let d = shape.len();
+        let mut whole = PaddedFieldN::new(&shape);
+        fill(seed, whole.padded_mut());
+        whole.refresh_periodic_halo();
+        let mut parts = whole.clone();
+        let coef = UpwindDiffusionCoefN { c: vec![0.2; d], r: vec![0.05; d] };
+        let kernel = upwind_diffusion_kernel(coef, whole.pstrides().to_vec());
+        let cut = cut % (shape[d - 1] + 1);
+        whole.step_with(&kernel);
+        parts.step_planes(0, cut, &kernel);
+        parts.step_planes(cut, shape[d - 1], &kernel);
+        parts.commit_step();
+        prop_assert_eq!(bits(whole.padded()), bits(parts.padded()));
+    }
+}
+
+/// Interior shapes for the d-dimensional properties: d = 1..4, a ragged
+/// axis 0 (1..40 cells) and small transverse extents.
+fn nd_shape() -> impl Strategy<Value = Vec<usize>> {
+    (1usize..=4).prop_flat_map(|d| {
+        (1usize..40, proptest::collection::vec(1usize..5, d - 1)).prop_map(|(n0, rest)| {
+            let mut shape = vec![n0];
+            shape.extend(rest);
+            shape
+        })
+    })
 }

@@ -8,12 +8,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use advect2d::laxwendroff::{lax_wendroff_kernel, lax_wendroff_row, lax_wendroff_step, LwCoef};
 use advect2d::{
-    lax_wendroff_row_simd, AdvectionProblem, BandPool, KernelConfig, LocalSolver, PaddedField,
+    lax_wendroff_row_simd, AdvectionProblem, BandPool, KernelConfig, KernelKind, LocalSolver,
+    PaddedField, PaddedFieldN, ProblemN, StencilN,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ftsg_core::gather_nd::{assemble_grid_n, split_grid_n};
+use ftsg_core::layout_nd::GroupInfoN;
 use sparsegrid::{
-    combine_onto_into, gcp_coefficients, CombinationTerm, Grid2, GridSystem, Layout as GridLayout,
-    LevelPair,
+    combine_onto_into, combine_onto_into_nd, gcp_coefficients, CombinationTerm, CombinationTermN,
+    Grid2, GridN, GridSystem, Layout as GridLayout, LevelPair,
 };
 use ulfm_sim::{MetricsCell, TraceEvent, TraceRing};
 
@@ -144,6 +147,9 @@ fn bench_local_solver(c: &mut Criterion) {
 /// after one warm-up run, further stepping must not touch the allocator
 /// at all.
 fn assert_alloc_free(_c: &mut Criterion) {
+    // First, while this is the only thread: the counter is process-wide.
+    assert_nd_alloc_discipline();
+
     let p = AdvectionProblem::standard();
     let mut s = LocalSolver::new(p, LevelPair::new(8, 8), 1e-4);
     s.run(2); // warm-up: pays any one-time setup
@@ -268,7 +274,78 @@ fn assert_alloc_free(_c: &mut Criterion) {
     assert_eq!(ring.len(), 1024);
     assert_eq!(ring.dropped(), 2048 + 4096 - 1024);
 
-    println!("alloc_discipline: 0 allocations over 192 steps (incl. banded) + 8 combine rounds + 4096 trace events ... ok");
+    println!("alloc_discipline: 0 allocations over 192 steps (incl. banded) + 8 combine rounds + 4096 trace events + 200 nd steps; nd combine and assemble size-independent ... ok");
+}
+
+/// The d-dimensional stack's share of the discipline: a step allocates
+/// nothing, and what the grid walks allocate is per call — it must not
+/// grow with the number of nodes walked.
+fn assert_nd_alloc_discipline() {
+    // 100 steady-state steps — transverse wrap, row kernel over every
+    // plane, commit — at a 3D slab shape (128 × 16 cells, 3 planes), for
+    // each row formulation.
+    let problem = ProblemN::standard_advection(3);
+    let (np, shape) = ([128usize, 16, 16], [128usize, 16, 3]);
+    let mut field = PaddedFieldN::new(&shape);
+    let stencil = StencilN::for_slab(&problem, &field, 5, &np, 1e-4);
+    for (k, v) in field.padded_mut().iter_mut().enumerate() {
+        *v = (k as f64 * 0.01).sin();
+    }
+    for kind in KernelKind::all() {
+        let step = |field: &mut PaddedFieldN| {
+            field.wrap_transverse_halo();
+            field.step_rows(0, shape[2], |cur, off, out| stencil.row(kind, cur, off, out));
+            field.commit_step();
+        };
+        step(&mut field); // warm-up: resolves the SIMD backend once
+        let before = alloc_count();
+        for _ in 0..100 {
+            step(&mut field);
+        }
+        let after = alloc_count();
+        assert_eq!(
+            after - before,
+            0,
+            "nd {} row step allocated {} times over 100 steady-state steps",
+            kind.label(),
+            after - before
+        );
+    }
+    assert!(field.padded().iter().all(|v| v.is_finite()));
+
+    // `combine_onto_into_nd` into a warm `out` on a non-dominated target
+    // (both terms are coarser on one axis and finer on another): per-call
+    // tables are allowed, per-node requests are not — so a target with 18×
+    // the nodes must make exactly as many requests.
+    let terms: Vec<GridN> = [[2u32, 6, 3], [7, 2, 5]]
+        .iter()
+        .map(|lv| GridN::from_fn(lv, |x| (3.0 * x[0]).sin() + x[1] * x[2]))
+        .collect();
+    let refs: Vec<CombinationTermN> =
+        terms.iter().map(|g| CombinationTermN { coeff: 1.0, grid: g }).collect();
+    let combine_requests = |level: &[u32]| {
+        let mut out = GridN::zeros(level);
+        combine_onto_into_nd(&mut out, &refs); // warm-up
+        let before = alloc_count();
+        combine_onto_into_nd(&mut out, &refs);
+        alloc_count() - before
+    };
+    let (small, large) = (combine_requests(&[4, 4, 4]), combine_requests(&[6, 5, 4]));
+    assert_eq!(small, large, "nd combine requests grew with the target: {small} vs {large}");
+
+    // `assemble_grid_n` over three slabs: the request count must not
+    // depend on the plane size (4 × 4 vs 32 × 16 nodes per plane).
+    let info = GroupInfoN { grid: 0, first: 0, size: 3 };
+    let assemble_requests = |level: &[u32]| {
+        let blocks = split_grid_n(&GridN::from_fn(level, |x| x[0] - x[1] + x[2]), &info);
+        let before = alloc_count();
+        let grid = assemble_grid_n(level, &info, &blocks).expect("well-formed blocks");
+        let requests = alloc_count() - before;
+        assert_eq!(grid.level(), level);
+        requests
+    };
+    let (small, large) = (assemble_requests(&[2, 2, 3]), assemble_requests(&[5, 4, 3]));
+    assert_eq!(small, large, "assemble_grid_n requests grew with the plane: {small} vs {large}");
 }
 
 criterion_group!(benches, assert_alloc_free, bench_kernel, bench_level9_step, bench_local_solver);

@@ -2,7 +2,10 @@
 //! GFLOP/s (scalar vs SIMD) and the level-9 steady-state step wall under
 //! scalar / SIMD / SIMD+bands (see `ftsg_bench::experiments::kernel`).
 //! Emits `BENCH_pr8.json` (override the path with `BENCH_OUT`) and
-//! `results/kernel.csv`.
+//! `results/kernel.csv`, then the 3D section — closure reference vs row
+//! kernels at the `solve3d_kill` slab shapes — as `BENCH_pr17.json`
+//! (`<BENCH_OUT stem>_3d.json` when `BENCH_OUT` redirects the run) and
+//! `results/kernel3d.csv`.
 //!
 //! Accepts the standard experiment flags; only `--reps` (timing samples,
 //! scaled ×10) and `--quick` matter here.
@@ -27,4 +30,19 @@ fn main() {
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr8.json".into());
     std::fs::write(&out, report.to_json(&utc_today())).expect("write bench json");
     println!("wrote {out}");
+
+    let report = kernel::run_3d(iters);
+    report.table().emit("results/kernel3d.csv");
+    assert!(report.bitwise_ok, "3D row kernels drifted from the closure reference");
+    println!(
+        "3D step: rows {:.2}x vs closure (isa: {}, nproc: {}, cpu: {})",
+        report.rows_speedup_vs_closure, report.isa, report.nproc, report.cpu
+    );
+    // A redirected run (smoke lanes) must not touch the committed file.
+    let out3d = match std::env::var("BENCH_OUT") {
+        Ok(path) => format!("{}_3d.json", path.trim_end_matches(".json")),
+        Err(_) => "BENCH_pr17.json".into(),
+    };
+    std::fs::write(&out3d, report.to_json(&utc_today())).expect("write bench json");
+    println!("wrote {out3d}");
 }

@@ -1,8 +1,9 @@
-//! `expt-regress` — bench-regression gate: re-measure the level-9 step
-//! speedup, the n9 combine-tree speedup and the ~1k-rank pooled scale
-//! wall, and fail (exit 1) if any slips more than 15% against the
-//! committed `BENCH_pr1.json` / `BENCH_pr3.json` / `BENCH_pr6.json`
-//! baselines (see `ftsg_bench::experiments::regress`).
+//! `expt-regress` — bench-regression gate: re-measure the gated
+//! quantities (level-9 step speedup, n9 combine-tree speedup, ~1k-rank
+//! pooled scale wall, SIMD and service ratios, the absolute d=2 step
+//! wall, the 3D rows-over-closure ratio) and fail (exit 1) if any slips
+//! more than 15% against its committed `BENCH_pr*.json` baseline (see
+//! `ftsg_bench::experiments::regress` for the list).
 //!
 //! ```text
 //! expt-regress [--dir PATH] [--iters K]

@@ -9,14 +9,26 @@
 //! The experiment also *checks* (not assumes) the bitwise contract: the
 //! SIMD and banded paths must reproduce the scalar trajectory exactly,
 //! bit for bit, over several steps before any timing is reported.
+//!
+//! The **3D section** ([`run_3d`], `BENCH_pr17.json`) measures the
+//! d-dimensional step at the slab shapes of the benchmark's
+//! `solve3d_kill` workload — one field per rank, swept in rank order —
+//! under the point-closure reference, the scalar row loop and the row
+//! kernel of every SIMD backend the CPU can run. The rows-over-closure
+//! *ratio* is what `expt-regress` gates: both sides are measured in one
+//! process, so the host factor cancels.
 
 use std::time::Instant;
 
 use advect2d::laxwendroff::{lax_wendroff_row, LwCoef};
 use advect2d::{
-    ftcs_row, ftcs_row_simd, lax_wendroff_row_simd, simd_isa_label, upwind_row, upwind_row_simd,
-    AdvectionProblem, BandPool, PaddedField, UpwindCoef,
+    ftcs_row, ftcs_row_simd, lax_wendroff_row_simd, simd_isa_label, upwind_diffusion_kernel,
+    upwind_diffusion_row_n, upwind_diffusion_row_n_on, upwind_row, upwind_row_simd,
+    AdvectionProblem, BandPool, PaddedField, PaddedFieldN, SimdIsa, StencilN, TimeGridN,
+    UpwindAxisN, UpwindCoef, UpwindDiffusionCoefN,
 };
+use ftsg_core::psolve::block_range;
+use ftsg_core::{AppConfig, ProcLayoutN, Technique};
 use sparsegrid::{Grid2, LevelPair};
 
 use crate::table::{sig3, Table};
@@ -327,6 +339,247 @@ pub fn measure_simd_step_speedup(iters: usize) -> f64 {
     ns_of("fast_scalar").unwrap_or(f64::NAN) / ns_of("fast_simd").unwrap_or(f64::NAN)
 }
 
+// ---------------------------------------------------------------------
+// 3D section
+// ---------------------------------------------------------------------
+
+/// One way of stepping the 3D slabs.
+#[derive(Debug, Clone, Copy)]
+enum Step3d {
+    /// `step_planes` with the boxed `upwind_diffusion_kernel` point
+    /// closure — the reference, and what the nd solvers ran before rows.
+    Closure,
+    /// `step_rows` with the scalar row loop.
+    RowsScalar,
+    /// `step_rows` with the row kernel of one SIMD backend.
+    Rows(SimdIsa),
+}
+
+impl Step3d {
+    fn label(self) -> String {
+        match self {
+            Step3d::Closure => "closure".into(),
+            Step3d::RowsScalar => "rows_scalar".into(),
+            Step3d::Rows(isa) => format!("rows_{}", isa.label()),
+        }
+    }
+}
+
+/// One 3D step measurement.
+#[derive(Debug, Clone)]
+pub struct Step3dRow {
+    pub mode: String,
+    pub ns_per_cell: f64,
+}
+
+/// Outcome of the 3D section.
+#[derive(Debug, Clone)]
+pub struct Kernel3dReport {
+    /// The backend the process steps with (what production rows use).
+    pub isa: &'static str,
+    pub nproc: usize,
+    pub cpu: String,
+    /// Slab fields (= ranks of the workload's layout) and their cells.
+    pub fields: usize,
+    pub cells: usize,
+    pub rows: Vec<Step3dRow>,
+    /// Every mode reproduced the closure trajectory bit for bit.
+    pub bitwise_ok: bool,
+    /// `closure ns ÷ rows ns` at the process's backend — gated.
+    pub rows_speedup_vs_closure: f64,
+}
+
+/// The reference point kernel, boxed as the benchmark's
+/// `probes::kernel_nd` holds it.
+type PointKernel = Box<dyn Fn(&[f64], usize) -> f64>;
+
+/// One slab of the workload with both formulations of its stencil.
+struct Slab3d {
+    field: PaddedFieldN,
+    closure: PointKernel,
+    axes: Vec<UpwindAxisN>,
+}
+
+/// One field per rank of `solve3d_kill`'s layout (3D, n = 7, l = 4,
+/// scale 2: 56 ranks over 19 sub-grids), filled with smooth data.
+fn solve3d_slabs() -> Vec<Slab3d> {
+    let mut cfg = AppConfig::small_nd(Technique::AlternateCombination, 3);
+    (cfg.n, cfg.l, cfg.scale, cfg.log2_steps) = (7, 4, 2, 6);
+    let lay = ProcLayoutN::new(cfg.dim, cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
+    let problem = cfg.resolved_problem_nd();
+    let dt = TimeGridN::for_system(&problem, cfg.n, cfg.steps(), 0.4).dt;
+    let mut slabs = Vec::new();
+    for info in lay.groups() {
+        let np: Vec<usize> =
+            lay.system().grid(info.grid).level.iter().map(|&l| 1usize << l).collect();
+        let h: Vec<f64> = np.iter().map(|&n| 1.0 / n as f64).collect();
+        for local in 0..info.size {
+            let mut shape = np.clone();
+            shape[cfg.dim - 1] = block_range(np[cfg.dim - 1], info.size, local).1;
+            let mut field = PaddedFieldN::new(&shape);
+            for (k, v) in field.padded_mut().iter_mut().enumerate() {
+                *v = (k as f64 * 0.01).sin();
+            }
+            let coef = UpwindDiffusionCoefN::new(&problem, &h, dt);
+            let StencilN::UpwindDiffusion(axes) =
+                StencilN::upwind_diffusion(&coef, field.pstrides())
+            else {
+                unreachable!("upwind_diffusion builds the upwind–diffusion variant")
+            };
+            let closure = Box::new(upwind_diffusion_kernel(coef, field.pstrides().to_vec()));
+            slabs.push(Slab3d { field, closure, axes });
+        }
+    }
+    slabs
+}
+
+/// One sweep: wrap + step + commit of every slab, in rank order.
+fn sweep_3d(slabs: &mut [Slab3d], how: Step3d) {
+    for Slab3d { field, closure, axes } in slabs.iter_mut() {
+        field.wrap_transverse_halo();
+        let planes = field.shape()[field.dim() - 1];
+        match how {
+            Step3d::Closure => field.step_planes(0, planes, &**closure),
+            Step3d::RowsScalar => field
+                .step_rows(0, planes, |cur, off, out| upwind_diffusion_row_n(axes, cur, off, out)),
+            Step3d::Rows(isa) => field.step_rows(0, planes, |cur, off, out| {
+                upwind_diffusion_row_n_on(isa, axes, cur, off, out)
+            }),
+        }
+        field.commit_step();
+    }
+}
+
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|t| {
+            t.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Run the 3D section with `iters` timing samples per mode.
+pub fn run_3d(iters: usize) -> Kernel3dReport {
+    let modes: Vec<Step3d> = [Step3d::Closure, Step3d::RowsScalar]
+        .into_iter()
+        .chain(SimdIsa::available().map(Step3d::Rows))
+        .collect();
+    let slabs = solve3d_slabs();
+    let fields = slabs.len();
+    let cells: usize = slabs.iter().map(|s| s.field.shape().iter().product::<usize>()).sum();
+    drop(slabs);
+
+    // Bitwise contract first: every mode must walk the closure's
+    // trajectory exactly.
+    let trajectory = |how: Step3d| {
+        let mut slabs = solve3d_slabs();
+        for _ in 0..3 {
+            sweep_3d(&mut slabs, how);
+        }
+        slabs
+    };
+    let reference = trajectory(Step3d::Closure);
+    let bitwise_ok = modes[1..].iter().all(|&how| {
+        trajectory(how).iter().zip(&reference).all(|(a, b)| {
+            let (a, b) = (a.field.padded(), b.field.padded());
+            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        })
+    });
+
+    let rows: Vec<Step3dRow> = modes
+        .iter()
+        .map(|&how| Step3dRow {
+            mode: how.label(),
+            ns_per_cell: sweep_ns_3d(how, iters) / cells as f64,
+        })
+        .collect();
+    let ns_of = |how: Step3d| {
+        let mode = how.label();
+        rows.iter().find(|r| r.mode == mode).map(|r| r.ns_per_cell).unwrap_or(f64::NAN)
+    };
+    Kernel3dReport {
+        isa: simd_isa_label(),
+        nproc: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        cpu: cpu_model(),
+        fields,
+        cells,
+        rows_speedup_vs_closure: ns_of(Step3d::Closure) / ns_of(Step3d::Rows(SimdIsa::resolved())),
+        rows,
+        bitwise_ok,
+    }
+}
+
+/// Best-of-samples nanoseconds of one sweep under `how`, measured in its
+/// own steady state on fresh slabs (see `measure_level9`).
+fn sweep_ns_3d(how: Step3d, iters: usize) -> f64 {
+    let mut slabs = solve3d_slabs();
+    time_ns(iters, 2, || sweep_3d(&mut slabs, how))
+}
+
+/// Fresh rows-over-closure ratio of the 3D step at the process's SIMD
+/// backend, for the regression gate.
+pub fn measure_3d_rows_speedup(iters: usize) -> f64 {
+    sweep_ns_3d(Step3d::Closure, iters) / sweep_ns_3d(Step3d::Rows(SimdIsa::resolved()), iters)
+}
+
+impl Kernel3dReport {
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
+            format!(
+                "3D step at the solve3d_kill slab shapes ({} fields, {} cells; isa: {})",
+                self.fields, self.cells, self.isa
+            ),
+            &["mode", "ns_per_cell"],
+        );
+        for r in &self.rows {
+            t.row(vec![r.mode.clone(), sig3(r.ns_per_cell)]);
+        }
+        t
+    }
+
+    /// `BENCH_pr17.json` contents.
+    pub fn to_json(&self, date: &str) -> String {
+        let mut s = String::new();
+        s.push_str("{\n \"pr\": 17,\n");
+        s.push_str(&format!(" \"date\": \"{date}\",\n"));
+        s.push_str(
+            " \"note\": \"3D step from expt-kernel: wrap + step + commit of one field per rank \
+             at the slab shapes of the benchmark's solve3d_kill workload, swept in rank order; \
+             point-closure reference vs the scalar row loop vs the row kernel of every SIMD \
+             backend this CPU runs. Best-of-samples ns per cell update; bitwise equality of \
+             every mode to the closure trajectory is re-checked before timing.\",\n",
+        );
+        s.push_str(&format!(
+            " \"config\": {{\"simd_isa\": \"{}\", \"nproc\": {}, \"cpu\": \"{}\", \
+             \"dim\": 3, \"n\": 7, \"l\": 4, \"scale\": 2, \"fields\": {}, \"cells\": {}}},\n",
+            self.isa, self.nproc, self.cpu, self.fields, self.cells
+        ));
+        s.push_str(" \"acceptance\": {\n");
+        s.push_str(&format!("  \"nd_rows_bitwise_identical\": {},\n", self.bitwise_ok));
+        s.push_str(&format!(
+            "  \"nd_rows_speedup_vs_closure\": {:.4}\n }},\n \"results\": [\n",
+            self.rows_speedup_vs_closure
+        ));
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "  {{\"bench\": \"step3d/{}\", \"ns_per_cell\": {:.3}}}",
+                    r.mode, r.ns_per_cell
+                )
+            })
+            .collect();
+        s.push_str(&rows.join(",\n"));
+        s.push_str("\n ]\n}\n");
+        s
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,5 +604,19 @@ mod tests {
         assert!(json.contains("\"level9_simd_speedup_vs_scalar\""));
         assert!(json.contains("level9_step/fast_simd_bands2/9x9"));
         assert!(report.table().render().contains("GFLOP/s"));
+    }
+
+    #[test]
+    fn quick_3d_report_is_bitwise_and_serializes() {
+        let report = run_3d(5);
+        assert!(report.bitwise_ok, "3D rows drifted from the closure reference");
+        assert_eq!(report.fields, 56, "solve3d_kill runs 56 ranks");
+        // closure + scalar rows + at least the portable backend.
+        assert!(report.rows.len() >= 3);
+        assert!(report.rows_speedup_vs_closure.is_finite());
+        let json = report.to_json("2026-01-01");
+        assert!(json.contains("\"nd_rows_speedup_vs_closure\""));
+        assert!(json.contains("step3d/rows_scalar"));
+        assert!(report.table().render().contains("closure"));
     }
 }

@@ -36,6 +36,13 @@
 //!    Guards the classic 2D hot path against the d-dimensional
 //!    generalization: the speedup gates are ratios and would hide a
 //!    change that slowed both formulations equally.
+//! 7. **`nd_rows_speedup_vs_closure`** (wall clock, ratio of two
+//!    same-process measurements) — the d-dimensional row step vs the
+//!    point-closure reference step at the `solve3d_kill` slab shapes, vs
+//!    `BENCH_pr17.json` `acceptance.nd_rows_speedup_vs_closure`. Guards
+//!    the nd hot path: a per-point dispatch or a per-step allocation
+//!    creeping back into `PaddedFieldN::step_rows` / `StencilN::row`
+//!    collapses the ratio towards 1, while the host factor cancels.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs this lane
 //! advisory (`continue-on-error`); locally a nonzero exit means "look
@@ -242,6 +249,10 @@ pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
     let serve_base = num_field(&pr9, "gate_overlap_ratio", "BENCH_pr9.json")?;
     let serve_fresh = crate::experiments::serve::measure_gate_overlap_ratio();
 
+    let pr17 = read_baseline(dir, "BENCH_pr17.json")?;
+    let nd_base = num_field(&pr17, "nd_rows_speedup_vs_closure", "BENCH_pr17.json")?;
+    let nd_fresh = crate::experiments::kernel::measure_3d_rows_speedup(iters);
+
     Ok(RegressReport {
         gates: vec![
             GateResult::new("level9_step_speedup", "BENCH_pr1.json", step_base, step_fresh, true),
@@ -267,6 +278,13 @@ pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
                 step_wall_base,
                 fast_wall * 1e9,
                 false,
+            ),
+            GateResult::new(
+                "nd_rows_speedup_vs_closure",
+                "BENCH_pr17.json",
+                nd_base,
+                nd_fresh,
+                true,
             ),
         ],
         tolerance: TOLERANCE,

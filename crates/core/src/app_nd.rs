@@ -87,6 +87,7 @@ fn refresh_slot_n(
                 layout.group(m.grid),
                 m.local,
             )
+            .with_kernel(cfg.kernel)
         });
     }
 }
@@ -260,6 +261,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             layout.group(m.grid),
             m.local,
         )
+        .with_kernel(cfg.kernel)
     };
 
     if child {

@@ -8,7 +8,7 @@
 //! recoverable [`ulfm_sim::Error::Protocol`] surface at the final-ship
 //! hop.
 
-use sparsegrid::ndgrid::advance;
+use sparsegrid::ndgrid::for_each_slab_row;
 use sparsegrid::GridN;
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
@@ -29,6 +29,7 @@ pub fn assemble_grid_n(level: &[u32], info: &GroupInfoN, blocks: &[Vec<f64>]) ->
     }
     let plane: usize = np[..d - 1].iter().product();
     let mut grid = GridN::zeros(level);
+    let stride = grid.strides().to_vec();
     for (local, block) in blocks.iter().enumerate() {
         let (z0, lnz) = block_range(np[d - 1], info.size, local);
         if block.len() != plane * lnz {
@@ -38,45 +39,16 @@ pub fn assemble_grid_n(level: &[u32], info: &GroupInfoN, blocks: &[Vec<f64>]) ->
                 plane * lnz
             )));
         }
-        // Slab values are row-major over the fundamental domain; copy
-        // node by node (the grid rows carry seam nodes, so runs differ).
-        let mut shape = np.clone();
-        shape[d - 1] = lnz;
-        let mut idx = vec![0usize; d];
+        // Slab values are row-major over the fundamental domain; the grid
+        // rows carry a seam node each, so the copy goes run by run.
+        let values = grid.values_mut();
         let mut src = 0usize;
-        let mut dst = vec![0usize; d];
-        loop {
-            dst.copy_from_slice(&idx);
-            dst[d - 1] += z0;
-            *grid.at_mut(&dst) = block[src];
-            src += 1;
-            if !advance(&mut idx, &shape) {
-                break;
-            }
-        }
+        for_each_slab_row(&np, &stride, 0, z0, z0 + lnz, &mut |off, n| {
+            values[off..off + n].copy_from_slice(&block[src..src + n]);
+            src += n;
+        });
     }
-    // Periodic seam pass per axis, mirroring `PaddedFieldN::store`:
-    // already-seamed axes range over the full extent, later axes stay
-    // below their seam, so corners come out consistent.
-    let gshape = grid.shape().to_vec();
-    for a in 0..d {
-        let mut span = gshape.clone();
-        span[a] = 1;
-        for s in span.iter_mut().skip(a + 1) {
-            *s -= 1;
-        }
-        let mut it = vec![0usize; d];
-        loop {
-            let mut dst = it.clone();
-            dst[a] = gshape[a] - 1;
-            let mut srcv = dst.clone();
-            srcv[a] = 0;
-            *grid.at_mut(&dst) = grid.at(&srcv);
-            if !advance(&mut it, &span) {
-                break;
-            }
-        }
-    }
+    grid.apply_periodic_seams();
     Ok(grid)
 }
 
@@ -90,27 +62,17 @@ pub fn split_grid_n(grid: &GridN, info: &GroupInfoN) -> Vec<Vec<f64>> {
 
 /// [`split_grid_n`] into reused storage.
 pub fn split_grid_n_into(grid: &GridN, info: &GroupInfoN, out: &mut Vec<Vec<f64>>) {
-    let level = grid.level();
-    let d = level.len();
-    let np: Vec<usize> = level.iter().map(|&l| 1usize << l).collect();
+    let d = grid.dim();
+    let np: Vec<usize> = grid.level().iter().map(|&l| 1usize << l).collect();
+    let plane: usize = np[..d - 1].iter().product();
     out.resize_with(info.size, Vec::new);
-    out.truncate(info.size);
     for (local, block) in out.iter_mut().enumerate() {
         let (z0, lnz) = block_range(np[d - 1], info.size, local);
-        let mut shape = np.clone();
-        shape[d - 1] = lnz;
         block.clear();
-        block.reserve(shape.iter().product());
-        let mut idx = vec![0usize; d];
-        let mut src = vec![0usize; d];
-        loop {
-            src.copy_from_slice(&idx);
-            src[d - 1] += z0;
-            block.push(grid.at(&src));
-            if !advance(&mut idx, &shape) {
-                break;
-            }
-        }
+        block.reserve(plane * lnz);
+        for_each_slab_row(&np, grid.strides(), 0, z0, z0 + lnz, &mut |off, n| {
+            block.extend_from_slice(&grid.values()[off..off + n]);
+        });
     }
 }
 
@@ -283,6 +245,37 @@ mod tests {
             assert_eq!(blocks.len(), size);
             let back = assemble_grid_n(&level, &g, &blocks).unwrap();
             assert_eq!(back, grid, "roundtrip at {size} slabs");
+        }
+    }
+
+    #[test]
+    fn uneven_slabs_split_by_rows_and_roundtrip() {
+        // nz = 8 over 3 ranks → 2/3/3 planes; d = 1..4 with a ragged
+        // transverse shape. Every block is checked value for value
+        // against a per-node read, so a misplaced row cannot hide behind
+        // the symmetric round trip.
+        for level in [vec![3u32], vec![2, 3], vec![3, 2, 3], vec![1, 2, 0, 3]] {
+            let d = level.len();
+            let grid = periodic_grid(&level);
+            let g = info(3);
+            let blocks = split_grid_n(&grid, &g);
+            let plane: usize = level[..d - 1].iter().map(|&l| 1usize << l).product();
+            assert_eq!(
+                blocks.iter().map(Vec::len).collect::<Vec<_>>(),
+                [2 * plane, 3 * plane, 3 * plane],
+                "level {level:?}"
+            );
+            let np: Vec<usize> = level.iter().map(|&l| 1usize << l).collect();
+            let mut idx = vec![0usize; d];
+            for value in blocks.iter().flatten() {
+                assert_eq!(*value, grid.at(&idx), "level {level:?} at {idx:?}");
+                sparsegrid::ndgrid::advance(&mut idx, &np);
+            }
+            assert_eq!(assemble_grid_n(&level, &g, &blocks).unwrap(), grid, "level {level:?}");
+            // Reused storage of another group size comes out the same.
+            let mut reused = split_grid_n(&grid, &info(5));
+            split_grid_n_into(&grid, &g, &mut reused);
+            assert_eq!(reused, blocks, "level {level:?}");
         }
     }
 

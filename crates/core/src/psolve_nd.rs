@@ -7,16 +7,20 @@
 //! along the last axis inside a one-cell halo-padded buffer; a step wraps
 //! the transverse axes periodically (the slab owns them entirely), then
 //! exchanges the two boundary planes with the ring neighbours — each one
-//! contiguous slice of the padded buffer — and applies the point kernel.
+//! contiguous slice of the padded buffer — and applies the problem's
+//! [`StencilN`] row by row ([`PaddedFieldN::step_rows`]): no allocation
+//! and one kernel dispatch per contiguous axis-0 row.
 //! Like the 2D [`crate::psolve::DistributedSolver`], the overlapped
 //! [`step`](DistributedSolverN::step) computes the deep interior while
 //! the planes fly and is **bitwise equal** to the blocking reference
-//! [`step_blocking`](DistributedSolverN::step_blocking), which in turn is
-//! bitwise equal to the single-owner [`advect2d::ndsolve::SolverN`].
+//! [`step_blocking`](DistributedSolverN::step_blocking) (which always
+//! runs the scalar row loop), which in turn is bitwise equal to the
+//! single-owner [`advect2d::ndsolve::SolverN`].
 
 use advect2d::ndfield::PaddedFieldN;
 use advect2d::ndproblem::ProblemN;
-use advect2d::ndsolve::{jacobi_kernel, upwind_diffusion_kernel, UpwindDiffusionCoefN};
+use advect2d::ndsolve::StencilN;
+use advect2d::{KernelConfig, KernelKind};
 use sparsegrid::ndgrid::advance;
 use sparsegrid::LevelVecN;
 use ulfm_sim::{waitall, Comm, Ctx, Result};
@@ -29,10 +33,6 @@ use crate::psolve::block_range;
 const TAG_UP: i32 = 111;
 const TAG_DOWN: i32 = 112;
 
-/// The boxed point-update kernel a slab applies at each padded offset
-/// (upwind–diffusion or Jacobi, chosen by the problem class).
-type PointKernel = Box<dyn Fn(&[f64], usize) -> f64 + Send>;
-
 /// One rank's share of a distributed d-dimensional sub-grid solve.
 pub struct DistributedSolverN {
     problem: ProblemN,
@@ -43,36 +43,11 @@ pub struct DistributedSolverN {
     z0: usize,
     lnz: usize,
     field: PaddedFieldN,
-    kernel: PointKernel,
+    stencil: StencilN,
+    kind: KernelKind,
     recv_lo: Vec<f64>,
     recv_hi: Vec<f64>,
     steps_done: u64,
-}
-
-/// Sample the problem's right-hand side into the padded offset space of
-/// a slab field whose last axis starts at global plane `z0`. At `z0 = 0`
-/// with a full-extent slab this reproduces
-/// [`advect2d::ndsolve::padded_rhs`] exactly.
-fn padded_rhs_slab(problem: &ProblemN, field: &PaddedFieldN, z0: usize, np: &[usize]) -> Vec<f64> {
-    let d = field.dim();
-    let shape = field.shape().to_vec();
-    let mut rhs = vec![0.0; field.padded().len()];
-    let mut idx = vec![0usize; d];
-    loop {
-        let off: usize = idx.iter().zip(field.pstrides()).map(|(&k, &s)| (k + 1) * s).sum();
-        let x: Vec<f64> = idx
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let g = if i == d - 1 { k + z0 } else { k };
-                g as f64 / np[i] as f64
-            })
-            .collect();
-        rhs[off] = problem.rhs(&x);
-        if !advance(&mut idx, &shape) {
-            return rhs;
-        }
-    }
 }
 
 impl DistributedSolverN {
@@ -93,16 +68,7 @@ impl DistributedSolverN {
         let mut shape = np.clone();
         shape[d - 1] = lnz;
         let field = PaddedFieldN::new(&shape);
-        let pstride = field.pstrides().to_vec();
-        let h: Vec<f64> = np.iter().map(|&n| 1.0 / n as f64).collect();
-        let kernel: PointKernel = if problem.is_elliptic() {
-            let inv_h2: Vec<f64> = h.iter().map(|hi| 1.0 / (hi * hi)).collect();
-            let rhs = padded_rhs_slab(&problem, &field, z0, &np);
-            Box::new(jacobi_kernel(inv_h2, pstride, rhs))
-        } else {
-            let coef = UpwindDiffusionCoefN::new(&problem, &h, dt);
-            Box::new(upwind_diffusion_kernel(coef, pstride))
-        };
+        let stencil = StencilN::for_slab(&problem, &field, z0, &np, dt);
         let mut s = DistributedSolverN {
             problem,
             level: level.to_vec(),
@@ -112,13 +78,21 @@ impl DistributedSolverN {
             z0,
             lnz,
             field,
-            kernel,
+            stencil,
+            kind: KernelConfig::global().kind,
             recv_lo: Vec::new(),
             recv_hi: Vec::new(),
             steps_done: 0,
         };
         s.reset_to_initial();
         s
+    }
+
+    /// Replace the row-kernel formulation (results are bit-identical
+    /// either way; slabs are never banded, so only `kind` applies).
+    pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
+        self.kind = kernel.kind;
+        self
     }
 
     /// Refill the slab from the initial condition and rewind the step
@@ -167,7 +141,8 @@ impl DistributedSolverN {
         let up = (self.slab + 1) % self.size;
         let down = (self.slab + self.size - 1) % self.size;
         self.field.wrap_transverse_halo();
-        let DistributedSolverN { field, kernel, recv_lo, recv_hi, .. } = self;
+        let DistributedSolverN { field, stencil, kind, recv_lo, recv_hi, .. } = self;
+        let row = |cur: &[f64], off: usize, out: &mut [f64]| stencil.row(*kind, cur, off, out);
         // Eager sends copy at post time, so the field stays free for the
         // stencil while the requests are in flight.
         let mut reqs = [
@@ -177,23 +152,15 @@ impl DistributedSolverN {
             group.irecv_into(ctx, up, TAG_DOWN, recv_hi)?,
         ];
         // Deep interior planes need no external halo.
-        if lnz > 2 {
-            field.step_planes(1, lnz - 1, &**kernel);
-        }
+        field.step_rows(1, lnz.saturating_sub(1), row);
         ctx.compute_step_cells((plane_cells * lnz.saturating_sub(2)) as u64);
         waitall(ctx, &mut reqs)?;
-        debug_assert_eq!(recv_lo.len(), field.plane_len());
-        debug_assert_eq!(recv_hi.len(), field.plane_len());
-        let lo = std::mem::take(recv_lo);
-        let hi = std::mem::take(recv_hi);
-        field.set_plane(0, &lo);
-        field.set_plane(lnz + 1, &hi);
-        *recv_lo = lo;
-        *recv_hi = hi;
+        field.set_plane(0, recv_lo);
+        field.set_plane(lnz + 1, recv_hi);
         // Boundary planes complete the cover.
-        field.step_planes(0, 1, &**kernel);
+        field.step_rows(0, 1, row);
         if lnz > 1 {
-            field.step_planes(lnz - 1, lnz, &**kernel);
+            field.step_rows(lnz - 1, lnz, row);
         }
         ctx.compute_step_cells((plane_cells * lnz.min(2)) as u64);
         field.commit_step();
@@ -202,25 +169,19 @@ impl DistributedSolverN {
     }
 
     /// The blocking reference step (halo exchange, then the whole
-    /// stencil): kept in-tree as the bitwise oracle for
-    /// [`step`](Self::step).
+    /// stencil with the scalar row loop): kept in-tree as the bitwise
+    /// oracle for [`step`](Self::step).
     pub fn step_blocking(&mut self, ctx: &Ctx, group: &Comm) -> Result<()> {
         let lnz = self.lnz;
         let up = (self.slab + 1) % self.size;
         let down = (self.slab + self.size - 1) % self.size;
         self.field.wrap_transverse_halo();
-        let DistributedSolverN { field, kernel, recv_lo, recv_hi, .. } = self;
-        let n = group.sendrecv_into(ctx, up, TAG_UP, field.plane(lnz), down, TAG_UP, recv_lo)?;
-        debug_assert_eq!(n, field.plane_len());
-        let n = group.sendrecv_into(ctx, down, TAG_DOWN, field.plane(1), up, TAG_DOWN, recv_hi)?;
-        debug_assert_eq!(n, field.plane_len());
-        let lo = std::mem::take(recv_lo);
-        let hi = std::mem::take(recv_hi);
-        field.set_plane(0, &lo);
-        field.set_plane(lnz + 1, &hi);
-        *recv_lo = lo;
-        *recv_hi = hi;
-        field.step_planes(0, lnz, &**kernel);
+        let DistributedSolverN { field, stencil, recv_lo, recv_hi, .. } = self;
+        group.sendrecv_into(ctx, up, TAG_UP, field.plane(lnz), down, TAG_UP, recv_lo)?;
+        group.sendrecv_into(ctx, down, TAG_DOWN, field.plane(1), up, TAG_DOWN, recv_hi)?;
+        field.set_plane(0, recv_lo);
+        field.set_plane(lnz + 1, recv_hi);
+        field.step_rows(0, lnz, |cur, off, out| stencil.row(KernelKind::Scalar, cur, off, out));
         field.commit_step();
         ctx.compute_step_cells((self.plane_cells() * lnz) as u64);
         self.steps_done += 1;
@@ -242,60 +203,17 @@ impl DistributedSolverN {
         out
     }
 
-    /// Copy the owned interior slab into a reused buffer (cleared first).
+    /// Copy the owned interior slab into a reused buffer (cleared first),
+    /// one contiguous axis-0 run at a time.
     pub fn local_block_into(&self, out: &mut Vec<f64>) {
-        let shape = self.field.shape();
-        let d = shape.len();
-        let pstride = self.field.pstrides();
-        let n0 = shape[0];
         out.clear();
-        out.reserve(shape.iter().product());
-        // Axis-0 runs are contiguous in the padded buffer.
-        let mut rows = shape[1..].to_vec();
-        if rows.is_empty() {
-            rows.push(1);
-        }
-        let mut idx = vec![0usize; rows.len()];
-        let padded = self.field.padded();
-        loop {
-            let mut off = pstride[0]; // interior start on axis 0
-            for i in 0..idx.len().min(d - 1) {
-                off += (idx[i] + 1) * pstride[i + 1];
-            }
-            out.extend_from_slice(&padded[off..off + n0]);
-            if !advance(&mut idx, &rows) {
-                return;
-            }
-        }
+        self.field.extend_with_interior(out);
     }
 
     /// Overwrite the owned slab (data recovery path) and set the step
     /// counter to `steps_done`.
     pub fn load_block(&mut self, values: &[f64], steps_done: u64) {
-        let shape = self.field.shape().to_vec();
-        let d = shape.len();
-        let total: usize = shape.iter().product();
-        assert_eq!(values.len(), total, "slab size mismatch");
-        let pstride = self.field.pstrides().to_vec();
-        let n0 = shape[0];
-        let mut rows = shape[1..].to_vec();
-        if rows.is_empty() {
-            rows.push(1);
-        }
-        let mut idx = vec![0usize; rows.len()];
-        let mut src = 0usize;
-        let padded = self.field.padded_mut();
-        loop {
-            let mut off = pstride[0];
-            for i in 0..idx.len().min(d - 1) {
-                off += (idx[i] + 1) * pstride[i + 1];
-            }
-            padded[off..off + n0].copy_from_slice(&values[src..src + n0]);
-            src += n0;
-            if !advance(&mut idx, &rows) {
-                break;
-            }
-        }
+        self.field.load_interior(values);
         self.steps_done = steps_done;
     }
 

@@ -8,7 +8,7 @@
 //! target node. At d = 2 both paths are bitwise identical to the 2D
 //! implementation — [`GridN`] shares `Grid2`'s memory layout.
 
-use crate::ndgrid::{advance, GridN};
+use crate::ndgrid::{inject_rows, GridN, InterpWalk};
 
 /// One term of a d-dimensional combination.
 #[derive(Debug, Clone, Copy)]
@@ -29,14 +29,18 @@ pub fn combine_onto_nd(target: &[u32], terms: &[CombinationTermN<'_>]) -> GridN 
 /// [`combine_onto_nd`] into reused storage: `out` (already at the target
 /// level) is zeroed and accumulated in place. Bitwise identical to
 /// [`combine_onto_nd`] at `out.level()`.
+///
+/// Both branches walk contiguous rows of `out` (see the module docs of
+/// [`crate::ndgrid`]): the interpolation tables are allocated once per
+/// call and re-aimed per term, so the request count depends on the term
+/// list only, never on the target's size.
 pub fn combine_onto_into_nd(out: &mut GridN, terms: &[CombinationTermN<'_>]) {
-    let target = out.level().to_vec();
-    let d = target.len();
+    let d = out.dim();
     for v in out.values_mut() {
         *v = 0.0;
     }
-    let shape = out.shape().to_vec();
     let spacing = out.spacing();
+    let mut walk: Option<InterpWalk> = None;
     for term in terms {
         let g = term.grid;
         let c = term.coeff;
@@ -44,33 +48,14 @@ pub fn combine_onto_into_nd(out: &mut GridN, terms: &[CombinationTermN<'_>]) {
         if c == 0.0 {
             continue;
         }
-        let dominated = target.iter().zip(g.level()).all(|(&t, &s)| t <= s);
-        let mut idx = vec![0usize; d];
+        let dominated = out.level().iter().zip(g.level()).all(|(&t, &s)| t <= s);
         if dominated {
             // Injection fast path: strides are exact powers of two.
-            let steps: Vec<usize> =
-                target.iter().zip(g.level()).map(|(&t, &s)| 1usize << (s - t)).collect();
-            let mut src = vec![0usize; d];
-            loop {
-                for i in 0..d {
-                    src[i] = idx[i] * steps[i];
-                }
-                *out.at_mut(&idx) += c * g.at(&src);
-                if !advance(&mut idx, &shape) {
-                    break;
-                }
-            }
+            inject_rows(g, out, |o, v| *o += c * v);
         } else {
-            let mut x = vec![0.0f64; d];
-            loop {
-                for i in 0..d {
-                    x[i] = idx[i] as f64 * spacing[i];
-                }
-                *out.at_mut(&idx) += c * g.eval(&x);
-                if !advance(&mut idx, &shape) {
-                    break;
-                }
-            }
+            let walk = walk.get_or_insert_with(|| InterpWalk::new(out.shape()));
+            walk.aim(g, |i, k| k as f64 * spacing[i]);
+            walk.run(g, out.values_mut(), |o, v| *o += c * v);
         }
     }
 }
@@ -106,6 +91,7 @@ mod tests {
     use crate::combine::{combine_binomial, combine_onto, CombinationTerm};
     use crate::grid2::Grid2;
     use crate::level::LevelPair;
+    use crate::ndgrid::advance;
     use crate::ndim::{gcp_coefficients_nd, LevelSetN, LevelVecN};
 
     /// Classical truncated-simplex terms in d dimensions sampling `f`.

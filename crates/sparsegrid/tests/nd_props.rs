@@ -1,13 +1,17 @@
 //! Property tests pinning the d-dimensional combination machinery to its
-//! 2D specialization, and exercising the covering verifier against
-//! fabricated non-coverings.
+//! 2D specialization, exercising the covering verifier against
+//! fabricated non-coverings, and pinning the table-driven grid walks
+//! (`combine_onto_nd`, `sample_to`, `restrict_to`) bitwise to a per-node
+//! fold of the reference [`GridN::eval`].
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use sparsegrid::ndgrid::advance;
 use sparsegrid::{
-    gcp_coefficients_nd, robust_coefficients, robust_coefficients_nd, verify_covering_nd,
-    LevelPair, LevelSet, LevelSetN, LevelVecN,
+    combine_onto_into_nd, combine_onto_nd, gcp_coefficients_nd, robust_coefficients,
+    robust_coefficients_nd, verify_covering_nd, CombinationTermN, GridN, LevelPair, LevelSet,
+    LevelSetN, LevelVecN,
 };
 
 /// A random truncated-simplex shape `(d, n, l)` plus a bitmask selecting
@@ -33,8 +37,179 @@ fn pick_lost(downset: &LevelSetN, mask: u64) -> Vec<LevelVecN> {
         .collect()
 }
 
+/// A grid at `level` holding pseudo-random values in [-1, 1]
+/// (splitmix64), so no two corners or terms can cancel by accident.
+fn noise_grid(level: &[u32], seed: u64) -> GridN {
+    let mut g = GridN::zeros(level);
+    let mut x = seed.wrapping_add(0x9e3779b97f4a7c15);
+    for v in g.values_mut() {
+        x = x.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^= z >> 31;
+        *v = (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+    }
+    g
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The combination as the per-node reference computes it: every target
+/// node folds the terms in order, a dominated term by injection
+/// (`at` of the coinciding node), any other by [`GridN::eval`] at the
+/// node's coordinate `index · spacing`.
+fn combine_by_eval_fold(target: &[u32], terms: &[CombinationTermN<'_>]) -> GridN {
+    let mut out = GridN::zeros(target);
+    let d = target.len();
+    let spacing = out.spacing();
+    let shape = out.shape().to_vec();
+    let mut idx = vec![0usize; d];
+    loop {
+        let mut acc = 0.0;
+        for term in terms.iter().filter(|t| t.coeff != 0.0) {
+            let g = term.grid;
+            let v = if target.iter().zip(g.level()).all(|(&t, &s)| t <= s) {
+                let src: Vec<usize> =
+                    (0..d).map(|i| idx[i] << (g.level()[i] - target[i])).collect();
+                g.at(&src)
+            } else {
+                let x: Vec<f64> = (0..d).map(|i| idx[i] as f64 * spacing[i]).collect();
+                g.eval(&x)
+            };
+            acc += term.coeff * v;
+        }
+        *out.at_mut(&idx) = acc;
+        if !advance(&mut idx, &shape) {
+            return out;
+        }
+    }
+}
+
+/// `sample_to` as the per-node reference computes it: `eval` at every
+/// target node's `coords`.
+fn sample_by_eval(src: &GridN, target: &[u32]) -> GridN {
+    let mut out = GridN::zeros(target);
+    let shape = out.shape().to_vec();
+    let mut idx = vec![0usize; target.len()];
+    loop {
+        *out.at_mut(&idx) = src.eval(&out.coords(&idx));
+        if !advance(&mut idx, &shape) {
+            return out;
+        }
+    }
+}
+
+/// A dimension, a target level and up to five term levels with
+/// coefficients (zero included). Levels start at 0 — two points, where
+/// the base-corner clamp `min(⌊f⌋, n − 2)` always binds.
+#[allow(clippy::type_complexity)]
+fn walk_case() -> impl Strategy<Value = (Vec<u32>, Vec<(Vec<u32>, i32)>)> {
+    (1usize..=3).prop_flat_map(|d| {
+        (
+            proptest::collection::vec(0u32..=4, d),
+            proptest::collection::vec((proptest::collection::vec(0u32..=4, d), -2i32..=2), 1..6),
+        )
+    })
+}
+
+/// Combine `terms` (level, coefficient, data seed) onto `target` both
+/// ways and compare bit patterns; also through a dirty reused `out`.
+fn assert_combine_matches_fold(target: &[u32], terms: &[(Vec<u32>, f64)], seed: u64) {
+    let grids: Vec<GridN> =
+        terms.iter().enumerate().map(|(i, (lv, _))| noise_grid(lv, seed + i as u64)).collect();
+    let refs: Vec<CombinationTermN> = terms
+        .iter()
+        .zip(&grids)
+        .map(|((_, c), g)| CombinationTermN { coeff: *c, grid: g })
+        .collect();
+    let want = combine_by_eval_fold(target, &refs);
+    let got = combine_onto_nd(target, &refs);
+    assert_eq!(bits(got.values()), bits(want.values()), "target {target:?}, terms {terms:?}");
+    let mut reused = noise_grid(target, seed ^ 0xd1);
+    combine_onto_into_nd(&mut reused, &refs);
+    assert_eq!(bits(reused.values()), bits(want.values()), "reused out, target {target:?}");
+}
+
+#[test]
+fn table_walk_matches_eval_fold_on_each_term_class() {
+    // All terms dominate the target: pure injection.
+    assert_combine_matches_fold(
+        &[2, 1, 2],
+        &[(vec![3, 1, 2], 1.0), (vec![2, 2, 4], -1.0), (vec![2, 1, 2], 0.5)],
+        1,
+    );
+    // No term dominates: the target is finer on one axis and coarser on
+    // another than every term, so every node interpolates.
+    assert_combine_matches_fold(
+        &[4, 0, 2],
+        &[(vec![1, 3, 2], 1.0), (vec![3, 2, 1], -2.0), (vec![0, 4, 3], 1.0)],
+        2,
+    );
+    // Mixed list, a zero coefficient in the middle, a level-0 axis.
+    assert_combine_matches_fold(
+        &[2, 3, 1],
+        &[
+            (vec![3, 3, 2], 1.0),
+            (vec![1, 4, 0], -1.0),
+            (vec![4, 4, 4], 0.0),
+            (vec![2, 3, 1], 1.0),
+            (vec![2, 2, 2], -1.0),
+        ],
+        3,
+    );
+    // Other dimensions, 1 and 4.
+    assert_combine_matches_fold(&[3], &[(vec![1], 1.0), (vec![4], -1.0)], 4);
+    assert_combine_matches_fold(
+        &[1, 2, 0, 2],
+        &[(vec![2, 1, 1, 1], 1.0), (vec![1, 2, 0, 3], 2.0)],
+        5,
+    );
+}
+
+#[test]
+fn table_walk_clamps_like_eval_at_the_upper_edge() {
+    // The last node of every axis sits at x = 1.0 exactly, where
+    // ⌊f⌋ = n − 1 lies outside the last cell: the base corner clamps to
+    // n − 2 and the whole weight moves to frac = 1.
+    let src = noise_grid(&[2, 3], 7);
+    for target in [[3u32, 1], [0, 0], [2, 3], [4, 4]] {
+        let got = src.sample_to(&target);
+        let want = sample_by_eval(&src, &target);
+        assert_eq!(bits(got.values()), bits(want.values()), "target {target:?}");
+        let last: Vec<usize> = got.shape().iter().map(|&n| n - 1).collect();
+        assert_eq!(got.at(&last), src.at(&[4, 8]), "the far corner is the source's far corner");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `combine_onto_nd` equals the per-node eval fold bitwise on random
+    /// term lists — dominated, non-dominated and mixed as they come.
+    #[test]
+    fn combine_walk_matches_eval_fold((target, terms) in walk_case(), seed in any::<u64>()) {
+        let terms: Vec<(Vec<u32>, f64)> =
+            terms.into_iter().map(|(lv, c)| (lv, c as f64)).collect();
+        assert_combine_matches_fold(&target, &terms, seed >> 8);
+    }
+
+    /// `sample_to` equals `eval` at every target node's coordinates, and
+    /// `restrict_to` equals it wherever the source dominates.
+    #[test]
+    fn sample_and_restrict_match_eval((target, terms) in walk_case(), seed in any::<u64>()) {
+        let src = noise_grid(&terms[0].0, seed);
+        let want = sample_by_eval(&src, &target);
+        prop_assert_eq!(bits(src.sample_to(&target).values()), bits(want.values()));
+        if target.iter().zip(src.level()).all(|(&t, &s)| t <= s) {
+            // Injection reads the coinciding node; eval there folds it
+            // with zero-weight corners, which adds +0.0 only.
+            let got = src.restrict_to(&target);
+            prop_assert_eq!(got.values(), want.values());
+        }
+    }
 
     /// `robust_coefficients_nd` at d = 2 is the 2D robust path: identical
     /// coefficient maps for every random loss pattern over the downset.
