@@ -59,8 +59,9 @@ fn bench_pack_unpack(c: &mut Criterion) {
 
 /// The wire path one halo message takes: typed slice → bytes → typed
 /// vector. Seed: fresh buffer per encode, fresh `Vec` per decode.
-/// Optimized: pooled buffer, bulk memcpy both ways, reused receive
-/// vector.
+/// Optimized: the owned pooled buffer `send` moves into the envelope and
+/// `recv_into` recycles (no allocator request once warm), bulk memcpy
+/// both ways, reused receive vector.
 fn bench_wire_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("halo_wire");
     let boundary: Vec<f64> = (0..258).map(|k| (k as f64).sin()).collect();
@@ -78,9 +79,8 @@ fn bench_wire_path(c: &mut Criterion) {
     let mut back: Vec<f64> = Vec::new();
     g.bench_function(BenchmarkId::new("pooled_reused", "258"), |b| {
         b.iter(|| {
-            let mut buf = pool.take(boundary.len() * 8);
-            encode_into(&boundary, &mut buf);
-            let payload = buf.freeze();
+            let mut payload = pool.take(boundary.len() * 8);
+            encode_into(&boundary, &mut payload);
             decode_into(&payload, &mut back).unwrap();
             pool.recycle(payload);
             back.len()

@@ -16,11 +16,52 @@
 //! the restart must produce the bitwise-identical combined solution.
 //!
 //! Emits `BENCH_pr5.json` (override with `BENCH_OUT`).
+//!
+//! Then the **codec section** (`ftsg_bench::experiments::codec`): sliced
+//! vs bytewise CRC-64 throughput, `write` / `read_latest_valid` per round
+//! and the allocator bytes a write round requests, at the `ckpt_heavy`
+//! grid set — wall-clock and counts of the layer the A/B above prices in
+//! virtual seconds. Emits `BENCH_pr18.json` (`<BENCH_OUT stem>_codec.json`
+//! when `BENCH_OUT` redirects the run) and `results/ckpt_codec.csv`. It
+//! asserts bitwise agreement only, never a timing, so the CI step stays
+//! deterministic; `expt-regress` holds the CRC ratio to its floor.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ftsg_bench::experiments::codec;
 use ftsg_bench::runner::{emulate_paper_scale, launch_on, ModelKind};
 use ftsg_core::app::keys;
 use ftsg_core::{AppConfig, ProcLayout, Technique};
 use ulfm_sim::{ClusterProfile, FaultPlan, Report};
+
+/// Bytes requested from the allocator so far, by every thread.
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a side effect only.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const N: u32 = 7;
 const LOG2_STEPS: u32 = 5;
@@ -189,4 +230,18 @@ fn main() {
     );
     std::fs::write(&out, json).expect("write bench json");
     println!("wrote {out}");
+
+    let report = codec::run(10, || ALLOC_BYTES.load(Ordering::Relaxed)).expect("codec section I/O");
+    report.table().emit("results/ckpt_codec.csv");
+    println!(
+        "codec: sliced CRC {:.2}x the bytewise reference (nproc: {}, cpu: {}, {}, git: {})",
+        report.crc_ratio, report.nproc, report.cpu, report.rustc, report.git
+    );
+    // A redirected run (smoke lanes) must not touch the committed file.
+    let out_codec = match std::env::var("BENCH_OUT") {
+        Ok(path) => format!("{}_codec.json", path.trim_end_matches(".json")),
+        Err(_) => "BENCH_pr18.json".into(),
+    };
+    std::fs::write(&out_codec, report.to_json(&utc_today())).expect("write bench json");
+    println!("wrote {out_codec}");
 }

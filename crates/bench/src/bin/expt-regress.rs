@@ -1,9 +1,10 @@
 //! `expt-regress` — bench-regression gate: re-measure the gated
 //! quantities (level-9 step speedup, n9 combine-tree speedup, ~1k-rank
 //! pooled scale wall, SIMD and service ratios, the absolute d=2 step
-//! wall, the 3D rows-over-closure ratio) and fail (exit 1) if any slips
-//! more than 15% against its committed `BENCH_pr*.json` baseline (see
-//! `ftsg_bench::experiments::regress` for the list).
+//! wall, the 3D rows-over-closure ratio, the sliced-over-bytewise CRC
+//! ratio) and fail (exit 1) if any slips more than 15% against its
+//! committed `BENCH_pr*.json` baseline — or, for the CRC ratio, under its
+//! 2x floor (see `ftsg_bench::experiments::regress` for the list).
 //!
 //! ```text
 //! expt-regress [--dir PATH] [--iters K]

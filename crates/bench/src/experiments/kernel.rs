@@ -450,7 +450,7 @@ fn sweep_3d(slabs: &mut [Slab3d], how: Step3d) {
     }
 }
 
-fn cpu_model() -> String {
+pub(crate) fn cpu_model() -> String {
     std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|t| {

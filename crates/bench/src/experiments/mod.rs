@@ -2,6 +2,7 @@
 //! `run(&Opts) -> Vec<Table>`; the binaries print and save the tables.
 
 pub mod ablation;
+pub mod codec;
 pub mod dim3;
 pub mod fig10;
 pub mod fig11;

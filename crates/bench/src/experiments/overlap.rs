@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use ftsg_core::gather::{binomial_combine, recv_grid_into, send_grid, GridScratch};
+use ftsg_core::gather::{binomial_combine, recv_grid, send_grid};
 use sparsegrid::{
     combine_onto, gcp_coefficients, CombinationTerm, Grid2, GridSystem, Layout, LevelPair,
 };
@@ -40,10 +40,9 @@ pub fn combine_makespan(n: u32, central: bool) -> f64 {
             if me != 0 {
                 send_grid(ctx, &w, 0, 9000 + me as i32, grid).unwrap();
             } else {
-                let mut scratch = GridScratch::default();
                 let mut sources: Vec<(f64, Grid2)> = vec![(*coeff, grid.clone())];
                 for src in 1..w.size() {
-                    let g = recv_grid_into(ctx, &w, src, 9000 + src as i32, &mut scratch).unwrap();
+                    let g = recv_grid(ctx, &w, src, 9000 + src as i32).unwrap();
                     sources.push((td[src].0, g));
                 }
                 let terms: Vec<CombinationTerm> =

@@ -43,6 +43,16 @@
 //!    the nd hot path: a per-point dispatch or a per-step allocation
 //!    creeping back into `PaddedFieldN::step_rows` / `StencilN::row`
 //!    collapses the ratio towards 1, while the host factor cancels.
+//! 8. **`crc_sliced_over_bytewise_ratio`** (wall clock, ratio of two
+//!    same-process measurements, held to a *floor* rather than to the
+//!    committed value ± tolerance) — the production slice-by-8 CRC-64
+//!    over the byte-at-a-time reference on the largest `ckpt_heavy`
+//!    sub-grid, vs `BENCH_pr18.json` `acceptance.crc_ratio_required_min`
+//!    (2×). Guards the checkpoint codec: the checksum runs over every
+//!    byte written and every byte restored, and a fallback to the
+//!    bytewise loop collapses the ratio to 1. How far above the floor a
+//!    CPU lands varies with its cache and issue width, which is why the
+//!    committed ratio itself is not the bar.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs this lane
 //! advisory (`continue-on-error`); locally a nonzero exit means "look
@@ -86,6 +96,13 @@ impl GateResult {
     ) -> Self {
         let pass = passes(baseline, fresh, higher_is_better, TOLERANCE);
         GateResult { name, source, baseline, fresh, higher_is_better, pass }
+    }
+
+    /// A gate held to a fixed floor: `fresh` must reach `floor` itself,
+    /// with no tolerance band around a committed measurement.
+    fn floor(name: &'static str, source: &'static str, floor: f64, fresh: f64) -> Self {
+        let pass = passes(floor, fresh, true, 0.0);
+        GateResult { name, source, baseline: floor, fresh, higher_is_better: true, pass }
     }
 }
 
@@ -253,6 +270,10 @@ pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
     let nd_base = num_field(&pr17, "nd_rows_speedup_vs_closure", "BENCH_pr17.json")?;
     let nd_fresh = crate::experiments::kernel::measure_3d_rows_speedup(iters);
 
+    let pr18 = read_baseline(dir, "BENCH_pr18.json")?;
+    let crc_floor = num_field(&pr18, "crc_ratio_required_min", "BENCH_pr18.json")?;
+    let crc_fresh = crate::experiments::codec::measure_crc_ratio(iters);
+
     Ok(RegressReport {
         gates: vec![
             GateResult::new("level9_step_speedup", "BENCH_pr1.json", step_base, step_fresh, true),
@@ -286,6 +307,12 @@ pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
                 nd_fresh,
                 true,
             ),
+            GateResult::floor(
+                "crc_sliced_over_bytewise_ratio",
+                "BENCH_pr18.json",
+                crc_floor,
+                crc_fresh,
+            ),
         ],
         tolerance: TOLERANCE,
     })
@@ -305,6 +332,10 @@ mod tests {
         assert!(passes(10.0, 11.4, false, 0.15));
         assert!(!passes(10.0, 11.6, false, 0.15));
         assert!(passes(10.0, 5.0, false, 0.15));
+        // A floor gate has no band: 2.0 holds, a hair under does not.
+        assert!(GateResult::floor("f", "x.json", 2.0, 2.0).pass);
+        assert!(GateResult::floor("f", "x.json", 2.0, 4.7).pass);
+        assert!(!GateResult::floor("f", "x.json", 2.0, 1.99).pass);
         // Non-finite measurements never pass.
         assert!(!passes(f64::NAN, 1.0, true, 0.15));
         assert!(!passes(1.0, f64::INFINITY, false, 0.15));

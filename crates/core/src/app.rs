@@ -20,7 +20,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::ckpt_async::AsyncCheckpointer;
 use crate::config::{AppConfig, AppEvent, CombineMode, Technique};
 use crate::gather::{
-    binomial_combine, current_rank_of, gather_grid, recv_grid_into, send_grid, GridScratch,
+    binomial_combine, current_rank_of, gather_grid, gather_grid_into, recv_grid, send_grid,
 };
 use crate::layout::{Assignment, ProcLayout};
 use crate::policy::RecoveryPolicy;
@@ -120,9 +120,9 @@ pub(crate) fn detection_points(cfg: &AppConfig) -> Vec<u64> {
 
 /// Gather this rank's sub-grid to its group root: the owned block is
 /// staged through the shared `block_buf` (no per-call allocation), then
-/// group-gathered. One helper serves the periodic checkpoint write and
-/// the final combination identically. Returns `Some(grid)` on the group
-/// root, `None` elsewhere.
+/// group-gathered into a grid that passes to the caller (the final
+/// combination consumes it). Returns `Some(grid)` on the group root,
+/// `None` elsewhere.
 fn gather_own_grid(
     ctx: &Ctx,
     group: &Comm,
@@ -135,14 +135,102 @@ fn gather_own_grid(
     gather_grid(ctx, group, layout.group(my.grid), solver.level(), block_buf)
 }
 
-/// Drain the async checkpoint queue if this rank runs one (group roots
-/// under CR with `ckpt_async`); a no-op everywhere else. Called before
-/// every checkpoint restore and at end of run, so a restart only ever
-/// sees fully landed files and the store can be cleared safely.
-fn drain_ckpt(ctx: &Ctx, ck: &Option<AsyncCheckpointer>) -> Result<()> {
-    match ck {
-        Some(ck) => ck.drain(ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}"))),
-        None => Ok(()),
+/// Where a CR group root assembles and lands its periodic checkpoints.
+///
+/// While the background writer stage is usable, the gather target *is*
+/// one of its two snapshot buffers: the root assembles into it and hands
+/// it over, nothing is copied. In synchronous mode — configured, or
+/// degraded to because the writer stage became unusable, which pins the
+/// rank to the critical-path write for the rest of the run — the root
+/// assembles into the one buffer kept here and writes from it.
+#[derive(Default)]
+struct CkptLanding {
+    /// The background writer, created by the first checkpoint of a root
+    /// in async mode.
+    writer: Option<AsyncCheckpointer>,
+    degraded: bool,
+    /// The synchronous path's gather target, reused across rounds.
+    own: Option<Grid2>,
+}
+
+impl CkptLanding {
+    /// The grid to gather the next checkpoint into, at `level`; its node
+    /// values are unspecified. May block on the writer's backpressure.
+    fn buffer(&mut self, cfg: &AppConfig, store: &CheckpointStore, level: LevelPair) -> Grid2 {
+        if cfg.ckpt_async && !self.degraded {
+            let ck = self.writer.get_or_insert_with(|| AsyncCheckpointer::new(store.clone()));
+            match ck.take_buffer(level) {
+                Ok(grid) => return grid,
+                Err(_) => self.degrade(),
+            }
+        }
+        match self.own.take() {
+            Some(mut grid) => {
+                grid.reshape(level);
+                grid
+            }
+            None => Grid2::zeros(level),
+        }
+    }
+
+    /// The writer stage is unusable (its thread is gone). Degrade to the
+    /// synchronous critical-path write for the rest of the run instead of
+    /// failing the rank: slower, still correct. Dropping the checkpointer
+    /// joins the dead thread.
+    fn degrade(&mut self) {
+        self.degraded = true;
+        self.writer = None;
+    }
+
+    /// A buffer from [`buffer`](Self::buffer) whose gather failed: back to
+    /// where it came from.
+    fn release(&mut self, grid: Grid2) {
+        match self.writer.as_mut() {
+            Some(ck) => ck.give_back(grid),
+            None => self.own = Some(grid),
+        }
+    }
+
+    /// Land the gathered `grid` as the checkpoint of `grid_id` at `step`:
+    /// snapshot + hand-off (T_IO is charged as deferred cost and settled
+    /// at the drains), or the synchronous write.
+    fn land(
+        &mut self,
+        ctx: &Ctx,
+        store: &CheckpointStore,
+        grid_id: usize,
+        step: u64,
+        mut grid: Grid2,
+    ) -> Result<()> {
+        if let Some(ck) = self.writer.as_mut() {
+            match ck.submit(ctx, grid_id, step, grid) {
+                Ok(_) => return Ok(()),
+                Err((_, refused)) => {
+                    grid = refused;
+                    self.degrade();
+                }
+            }
+        }
+        let bytes = store
+            .write(grid_id, step, &grid)
+            .map_err(|e| Error::InvalidArg(format!("checkpoint write: {e}")))?;
+        ctx.disk_write(bytes);
+        self.own = Some(grid);
+        Ok(())
+    }
+
+    /// Drain the async checkpoint queue if this rank runs one (group
+    /// roots under CR with `ckpt_async`); a no-op everywhere else. Called
+    /// before every checkpoint restore and at end of run, so a restart
+    /// only ever sees fully landed files and the store can be cleared
+    /// safely.
+    fn drain(&self, ctx: &Ctx) -> Result<()> {
+        match &self.writer {
+            Some(ck) => {
+                ck.drain(ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}")))
+            }
+            None => Ok(()),
+        }
     }
 }
 
@@ -409,12 +497,9 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         .map_err(|e| Error::InvalidArg(format!("checkpoint dir: {e}")))?
         .with_corruption(cfg.ckpt_corruption.clone());
 
-    // Background checkpoint writer, created lazily by the first healthy
-    // CR checkpoint on a group root (async mode only). If the writer
-    // stage ever becomes unusable, `ckpt_degraded` pins this rank to the
-    // synchronous write path for the rest of the run.
-    let mut async_ckpt: Option<AsyncCheckpointer> = None;
-    let mut ckpt_degraded = false;
+    // This rank's checkpoint buffers and (async mode) background writer;
+    // only a CR group root ever puts anything in it.
+    let mut landing = CkptLanding::default();
 
     let child = ctx.is_spawned();
     let mut repair_timings = ReconstructTimings::default();
@@ -695,7 +780,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // land before any restore reads the store (counted as
             // checkpoint time — it is the write's exposed tail).
             let t_drain0 = ctx.now();
-            stage(drain_ckpt(ctx, &async_ckpt), "ckpt-drain", ctx)?;
+            stage(landing.drain(ctx), "ckpt-drain", ctx)?;
             t_ckpt_local += ctx.now() - t_drain0;
             // A promote split may have moved this rank into a failed slot.
             refresh_slot(ctx, cfg, &layout, &world, tg.dt, &mut my, &mut solver);
@@ -739,36 +824,22 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // spares skip the write.
             if let (Some(m), Some(sv)) = (my, solver.as_ref()) {
                 let t0 = ctx.now();
-                match gather_own_grid(ctx, &group, &layout, m, sv, &mut block_buf) {
-                    Ok(full) => {
-                        if let Some(g) = full {
-                            let mut queued = false;
-                            if cfg.ckpt_async && !ckpt_degraded {
-                                // Snapshot + hand-off; T_IO is charged as
-                                // deferred cost and settled at the drains.
-                                let ck = async_ckpt
-                                    .get_or_insert_with(|| AsyncCheckpointer::new(store.clone()));
-                                match ck.enqueue(ctx, m.grid, current_step, &g) {
-                                    Ok(_) => queued = true,
-                                    Err(_) => {
-                                        // The writer stage is unusable (its
-                                        // thread is gone). Degrade to the
-                                        // synchronous critical-path write for
-                                        // the rest of the run instead of
-                                        // failing the rank: slower, still
-                                        // correct. Dropping the checkpointer
-                                        // joins the dead thread.
-                                        ckpt_degraded = true;
-                                        async_ckpt = None;
-                                    }
-                                }
-                            }
-                            if !queued {
-                                let bytes = store.write(m.grid, current_step, &g).map_err(|e| {
-                                    Error::InvalidArg(format!("checkpoint write: {e}"))
-                                })?;
-                                ctx.disk_write(bytes);
-                            }
+                // The root gathers straight into the buffer the checkpoint
+                // is written from.
+                let mut target =
+                    (group.rank() == 0).then(|| landing.buffer(cfg, &store, sv.level()));
+                sv.local_block_into(&mut block_buf);
+                match gather_grid_into(
+                    ctx,
+                    &group,
+                    layout.group(m.grid),
+                    sv.level(),
+                    &block_buf,
+                    target.as_mut(),
+                ) {
+                    Ok(()) => {
+                        if let Some(g) = target {
+                            landing.land(ctx, &store, m.grid, current_step, g)?;
                         }
                     }
                     Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
@@ -776,6 +847,9 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         // is lost (recovery will fall back to an older one and
                         // recompute further); mark the group broken and let
                         // the next detection point repair.
+                        if let Some(g) = target {
+                            landing.release(g);
+                        }
                         group.revoke(ctx);
                         world.revoke(ctx);
                         group_broken = true;
@@ -834,7 +908,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             let t_event0 = ctx.now();
             let mut round = ReconstructTimings::default();
             let t_drain0 = ctx.now();
-            stage(drain_ckpt(ctx, &async_ckpt), "ckpt-drain", ctx)?;
+            stage(landing.drain(ctx), "ckpt-drain", ctx)?;
             t_ckpt_local += ctx.now() - t_drain0;
             let m = members.take().unwrap_or_else(|| (0..world.size()).collect());
             world = stage(
@@ -899,7 +973,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // store is cleared. ----
     {
         let t_drain0 = ctx.now();
-        stage(drain_ckpt(ctx, &async_ckpt), "ckpt-drain-final", ctx)?;
+        stage(landing.drain(ctx), "ckpt-drain-final", ctx)?;
         t_ckpt_local += ctx.now() - t_drain0;
     }
     // Every write (and any fault-injected strike on it) has landed by
@@ -1053,7 +1127,6 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         }
                     }
                     if world.rank() == 0 {
-                        let mut scratch = GridScratch::default();
                         let mut sources: Vec<(f64, Grid2)> = Vec::new();
                         for (&gid, &coeff) in combine_ids.iter().zip(&combine_coeffs) {
                             // Layout roots are original ranks; translate to
@@ -1070,13 +1143,9 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                                 // the gathered grid can be moved, not cloned.
                                 my_full.take().expect("controller gathered its own grid")
                             } else {
-                                recv_grid_into(
-                                    ctx,
-                                    &world,
-                                    src,
-                                    tags.combine + gid as i32,
-                                    &mut scratch,
-                                )?
+                                // Every source is alive at once for the
+                                // fold, so each is a grid of its own.
+                                recv_grid(ctx, &world, src, tags.combine + gid as i32)?
                             };
                             sources.push((coeff, grid));
                         }

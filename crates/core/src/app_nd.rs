@@ -31,7 +31,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::{AppConfig, AppEvent, CombineMode, Technique};
 use crate::gather::current_rank_of;
 use crate::gather_nd::{
-    binomial_combine_n, gather_grid_n, recv_grid_n_into, send_grid_n, GridScratchN,
+    binomial_combine_n, gather_grid_n, gather_grid_n_into, recv_grid_n, send_grid_n,
 };
 use crate::layout_nd::{AssignmentN, ProcLayoutN};
 use crate::policy::RecoveryPolicy;
@@ -45,7 +45,7 @@ use crate::tags::TagSpace;
 use crate::timeline::build_timeline;
 
 /// Gather this rank's sub-grid to its group root (staging the owned slab
-/// through the shared buffer).
+/// through the shared buffer) into a grid that passes to the caller.
 fn gather_own_grid_n(
     ctx: &Ctx,
     group: &Comm,
@@ -330,6 +330,9 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     let mut group_broken = false;
     let mut event_idx = 0usize;
     let mut block_buf: Vec<f64> = Vec::new();
+    // A CR group root's checkpoint buffer: gathered into and written from
+    // every round, allocated by the first.
+    let mut ckpt_grid: Option<GridN> = None;
     while current_step < steps {
         notify(cfg, &world, AppEvent::Epoch { step: current_step, steps });
         if let Some(flag) = &cfg.cancel {
@@ -466,11 +469,21 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // Healthy synchronous checkpoint write (v3 format).
             if let (Some(m), Some(sv)) = (my, solver.as_ref()) {
                 let t0 = ctx.now();
-                match gather_own_grid_n(ctx, &group, &layout, m, sv, &mut block_buf) {
-                    Ok(full) => {
-                        if let Some(g) = full {
+                let mut target = (group.rank() == 0)
+                    .then(|| ckpt_grid.get_or_insert_with(|| GridN::zeros(sv.level())));
+                sv.local_block_into(&mut block_buf);
+                match gather_grid_n_into(
+                    ctx,
+                    &group,
+                    layout.group(m.grid),
+                    sv.level(),
+                    &block_buf,
+                    target.as_deref_mut(),
+                ) {
+                    Ok(()) => {
+                        if let Some(g) = target {
                             let bytes = store
-                                .write_nd(m.grid, current_step, &g)
+                                .write_nd(m.grid, current_step, g)
                                 .map_err(|e| Error::InvalidArg(format!("checkpoint write: {e}")))?;
                             ctx.disk_write(bytes);
                         }
@@ -681,7 +694,6 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         }
                     }
                     if world.rank() == 0 {
-                        let mut scratch = GridScratchN::default();
                         let mut sources: Vec<(f64, GridN)> = Vec::new();
                         for (&gid, &coeff) in combine_ids.iter().zip(&combine_coeffs) {
                             let src = current_rank_of(layout.root_of(gid), members.as_deref())
@@ -693,13 +705,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                             let grid = if src == world.rank() {
                                 my_full.take().expect("controller gathered its own grid")
                             } else {
-                                recv_grid_n_into(
-                                    ctx,
-                                    &world,
-                                    src,
-                                    tags.combine + gid as i32,
-                                    &mut scratch,
-                                )?
+                                recv_grid_n(ctx, &world, src, tags.combine + gid as i32)?
                             };
                             sources.push((coeff, grid));
                         }

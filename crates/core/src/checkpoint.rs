@@ -27,6 +27,24 @@
 //! 25+8n   8     CRC-64/XZ (u64 LE, over all preceding bytes)
 //! ```
 //!
+//! # Streaming writes, incremental CRC
+//!
+//! A checkpoint is never materialized as one encoded buffer on the write
+//! path. [`CheckpointStore::write_raw`] streams the three regions of the
+//! layout above into the tmp file in order — the 25-byte header, then the
+//! payload, then the CRC trailer — and the payload *is* the grid's own
+//! value bytes wherever the in-memory layout equals the little-endian
+//! wire format (every little-endian target; elsewhere it is converted a
+//! fixed-size chunk at a time). The checksum covers bytes that never sit
+//! in one place, so it is computed incrementally: a [`Crc64`] is fed each
+//! region as it is written and finished into the trailer. It processes
+//! eight bytes per step through slice-by-8 tables and is bit-identical
+//! to the byte-at-a-time loop kept as [`crc64_bytewise`].
+//! [`CheckpointStore::encode`] / [`CheckpointStore::encode_nd`] remain
+//! the whole-buffer reference the streamed file is pinned against, byte
+//! for byte, so corruption strikes and repro specs keep addressing the
+//! same offsets.
+//!
 //! Files are *versioned*: each write lands in `grid_NNNN.sSSSSSSSSSSSS.ckpt`
 //! (step-stamped, so newest = highest step) and the store retains the last
 //! `retain` checkpoints per grid. [`CheckpointStore::read_latest_valid`]
@@ -41,6 +59,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sparsegrid::{Grid2, GridN, LevelPair};
+use ulfm_sim::MpiData;
 
 const MAGIC: &[u8; 8] = b"FTSGCKP2";
 const FORMAT_VERSION: u8 = 2;
@@ -83,8 +102,11 @@ pub type RestoredN = (u64, GridN, usize);
 
 const CRC64_POLY_REFLECTED: u64 = 0xC96C_5795_D787_0F42;
 
-const fn crc64_table() -> [u64; 256] {
-    let mut table = [0u64; 256];
+/// The slice-by-8 tables: `T[0]` is the classic byte table; `T[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight table lookups
+/// advance the register over eight input bytes at once.
+const fn crc64_tables() -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut crc = n as u64;
@@ -93,20 +115,89 @@ const fn crc64_table() -> [u64; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ CRC64_POLY_REFLECTED } else { crc >> 1 };
             k += 1;
         }
-        table[n] = crc;
+        tables[0][n] = crc;
         n += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[t - 1][n];
+            tables[t][n] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            n += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC64_TABLE: [u64; 256] = crc64_table();
+static CRC64_TABLES: [[u64; 256]; 8] = crc64_tables();
+
+/// An incremental CRC-64/XZ: feed the data in any number of pieces with
+/// [`update`](Crc64::update), read the checksum with
+/// [`finish`](Crc64::finish). However the input is split, the result is
+/// [`crc64`] of the concatenation.
+#[derive(Debug, Clone)]
+pub struct Crc64 {
+    /// The running register (init `!0`; the xorout is applied by `finish`).
+    state: u64,
+}
+
+impl Default for Crc64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc64 {
+    /// A checksum over no data yet.
+    pub fn new() -> Self {
+        Crc64 { state: !0 }
+    }
+
+    /// Absorb `data`: eight bytes per step through the sliced tables, the
+    /// ragged tail byte by byte.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC64_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let w = crc ^ u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+            crc = t[7][(w & 0xff) as usize]
+                ^ t[6][((w >> 8) & 0xff) as usize]
+                ^ t[5][((w >> 16) & 0xff) as usize]
+                ^ t[4][((w >> 24) & 0xff) as usize]
+                ^ t[3][((w >> 32) & 0xff) as usize]
+                ^ t[2][((w >> 40) & 0xff) as usize]
+                ^ t[1][((w >> 48) & 0xff) as usize]
+                ^ t[0][(w >> 56) as usize];
+        }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u64) & 0xff) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of everything absorbed so far.
+    pub fn finish(&self) -> u64 {
+        !self.state
+    }
+}
 
 /// CRC-64/XZ of `data` (the widely used check is
 /// `crc64(b"123456789") == 0x995D_C9BB_DF19_39FA`).
 pub fn crc64(data: &[u8]) -> u64 {
+    let mut crc = Crc64::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// The byte-at-a-time CRC-64/XZ: the pinned reference [`Crc64`] is tested
+/// and timed against. No production path calls it.
+pub fn crc64_bytewise(data: &[u8]) -> u64 {
     let mut crc = !0u64;
     for &b in data {
-        crc = CRC64_TABLE[((crc ^ b as u64) & 0xff) as usize] ^ (crc >> 8);
+        crc = CRC64_TABLES[0][((crc ^ b as u64) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -241,8 +332,17 @@ impl CheckpointStore {
 
     /// Step-stamped checkpoint files of one grid, newest (highest step)
     /// first.
+    ///
+    /// Every write's prune and every restore scans the whole directory —
+    /// all grids' files — so entries are matched on the borrowed bytes of
+    /// their name and a path is only built for files of the asked-for
+    /// grid.
     fn candidates(&self, grid_id: usize) -> io::Result<Vec<(u64, PathBuf)>> {
-        let prefix = format!("grid_{grid_id:04}.s");
+        let mut prefix = [0u8; 40];
+        let mut cursor = io::Cursor::new(&mut prefix[..]);
+        write!(cursor, "grid_{grid_id:04}.s").expect("a usize has at most 20 digits");
+        let len = cursor.position() as usize;
+        let prefix = &prefix[..len];
         let entries = match fs::read_dir(&self.dir) {
             Ok(rd) => rd,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -250,29 +350,38 @@ impl CheckpointStore {
         };
         let mut found = Vec::new();
         for entry in entries {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
+            let name = entry?.file_name();
             if let Some(step) = name
-                .strip_prefix(&prefix)
-                .and_then(|rest| rest.strip_suffix(".ckpt"))
+                .as_encoded_bytes()
+                .strip_prefix(prefix)
+                .and_then(|rest| rest.strip_suffix(b".ckpt"))
+                .and_then(|digits| std::str::from_utf8(digits).ok())
                 .and_then(|digits| digits.parse::<u64>().ok())
             {
-                found.push((step, entry.path()));
+                found.push((step, self.dir.join(&name)));
             }
         }
         found.sort_by_key(|entry| std::cmp::Reverse(entry.0));
         Ok(found)
     }
 
-    /// Serialize a checkpoint into the v2 wire format.
+    /// The v2 header: magic, version, level pair, step.
+    fn header(step: u64, level: LevelPair) -> [u8; HEADER_LEN] {
+        let mut h = [0u8; HEADER_LEN];
+        h[..8].copy_from_slice(MAGIC);
+        h[8] = FORMAT_VERSION;
+        h[9..13].copy_from_slice(&level.i.to_le_bytes());
+        h[13..17].copy_from_slice(&level.j.to_le_bytes());
+        h[17..25].copy_from_slice(&step.to_le_bytes());
+        h
+    }
+
+    /// Serialize a checkpoint into the v2 wire format, as one buffer: the
+    /// reference the streamed [`write_raw`](Self::write_raw) is pinned
+    /// against.
     pub fn encode(step: u64, level: LevelPair, values: &[f64]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(OVERHEAD + values.len() * 8);
-        buf.extend_from_slice(MAGIC);
-        buf.push(FORMAT_VERSION);
-        buf.extend_from_slice(&level.i.to_le_bytes());
-        buf.extend_from_slice(&level.j.to_le_bytes());
-        buf.extend_from_slice(&step.to_le_bytes());
+        buf.extend_from_slice(&Self::header(step, level));
         for v in values {
             buf.extend_from_slice(&v.to_le_bytes());
         }
@@ -319,9 +428,7 @@ impl CheckpointStore {
         }
         let level = LevelPair::new(i, j);
         let mut values = Vec::with_capacity(points as usize);
-        for chunk in raw[HEADER_LEN..raw.len() - 8].chunks_exact(8) {
-            values.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-        }
+        f64::extend_from_raw(&raw[HEADER_LEN..raw.len() - 8], &mut values);
         Grid2::from_raw(level, values).map(|grid| (step, grid))
     }
 
@@ -331,11 +438,12 @@ impl CheckpointStore {
         self.write_raw(grid_id, step, grid.level(), grid.values())
     }
 
-    /// Write a checkpoint from raw parts (the async writer thread hands
-    /// over a reusable snapshot buffer, not a `Grid2`). The file lands
-    /// atomically via tmp + rename, the parent directory is fsynced, any
-    /// matching corruption strike is applied, and retention pruning keeps
-    /// the newest `retain` files for the grid.
+    /// Write a checkpoint from raw parts, streamed: header, payload and
+    /// CRC trailer go to the file in order and no encoded copy of the grid
+    /// is built (see the module doc). The file lands atomically via tmp +
+    /// rename, the parent directory is fsynced, any matching corruption
+    /// strike is applied, and retention pruning keeps the newest `retain`
+    /// files for the grid.
     pub fn write_raw(
         &self,
         grid_id: usize,
@@ -343,13 +451,15 @@ impl CheckpointStore {
         level: LevelPair,
         values: &[f64],
     ) -> io::Result<usize> {
-        self.land(grid_id, step, Self::encode(step, level, values))
+        self.land(grid_id, step, &Self::header(step, level), values)
     }
 
-    /// Land an encoded checkpoint buffer on disk: tmp + rename + dir
-    /// fsync, then corruption strikes and retention pruning. Shared by
-    /// the v2 (2D) and v3 (d-dimensional) write paths.
-    fn land(&self, grid_id: usize, step: u64, buf: Vec<u8>) -> io::Result<usize> {
+    /// Land a checkpoint on disk: stream `header`, the little-endian
+    /// `values` and the CRC-64 of both into a tmp file, then `sync_all` +
+    /// rename + dir fsync, then corruption strikes and retention pruning.
+    /// Shared by the v2 (2D) and v3 (d-dimensional) write paths. Returns
+    /// the file's size.
+    fn land(&self, grid_id: usize, step: u64, header: &[u8], values: &[f64]) -> io::Result<usize> {
         let tmp = self.dir.join(format!(
             ".grid_{grid_id:04}.{}.{}.tmp",
             std::process::id(),
@@ -357,7 +467,26 @@ impl CheckpointStore {
         ));
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(&buf)?;
+            let mut crc = Crc64::new();
+            let mut put = |bytes: &[u8]| {
+                crc.update(bytes);
+                f.write_all(bytes)
+            };
+            put(header)?;
+            match f64::as_wire(values) {
+                Some(bytes) => put(bytes)?,
+                None => {
+                    let mut chunk = [0u8; 8 * 512];
+                    for vals in values.chunks(512) {
+                        for (slot, v) in chunk.chunks_exact_mut(8).zip(vals) {
+                            slot.copy_from_slice(&v.to_le_bytes());
+                        }
+                        put(&chunk[..8 * vals.len()])?;
+                    }
+                }
+            }
+            let trailer = crc.finish().to_le_bytes();
+            f.write_all(&trailer)?;
             f.sync_all()?;
         }
         let dst = self.path(grid_id, step);
@@ -372,7 +501,7 @@ impl CheckpointStore {
             self.applied.fetch_add(1, Ordering::SeqCst);
         }
         self.prune(grid_id)?;
-        Ok(buf.len())
+        Ok(header.len() + 8 * values.len() + 8)
     }
 
     fn prune(&self, grid_id: usize) -> io::Result<()> {
@@ -463,19 +592,24 @@ impl CheckpointStore {
     /// size computation, exact-length check, CRC over everything.
     pub fn encode_nd(step: u64, level: &[u32], values: &[f64]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(HEADER3_FIXED + 4 * level.len() + 8 * values.len() + 8);
-        buf.extend_from_slice(MAGIC3);
-        buf.push(FORMAT_VERSION3);
-        buf.extend_from_slice(&(level.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&step.to_le_bytes());
-        for &l in level {
-            buf.extend_from_slice(&l.to_le_bytes());
-        }
+        Self::header_nd(step, level, &mut buf);
         for v in values {
             buf.extend_from_slice(&v.to_le_bytes());
         }
         let crc = crc64(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
         buf
+    }
+
+    /// Append the v3 header: magic, version, dim, step, level vector.
+    fn header_nd(step: u64, level: &[u32], out: &mut Vec<u8>) {
+        out.extend_from_slice(MAGIC3);
+        out.push(FORMAT_VERSION3);
+        out.extend_from_slice(&(level.len() as u32).to_le_bytes());
+        out.extend_from_slice(&step.to_le_bytes());
+        for &l in level {
+            out.extend_from_slice(&l.to_le_bytes());
+        }
     }
 
     /// Parse and validate a v3 checkpoint buffer, with the same
@@ -528,9 +662,7 @@ impl CheckpointStore {
             ));
         }
         let mut values = Vec::with_capacity(points as usize);
-        for chunk in raw[header_len..raw.len() - 8].chunks_exact(8) {
-            values.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-        }
+        f64::extend_from_raw(&raw[header_len..raw.len() - 8], &mut values);
         GridN::from_raw(&level, values).map(|grid| (step, grid))
     }
 
@@ -542,7 +674,8 @@ impl CheckpointStore {
         self.write_raw_nd(grid_id, step, grid.level(), grid.values())
     }
 
-    /// Write a d-dimensional checkpoint from raw parts.
+    /// Write a d-dimensional checkpoint from raw parts, streamed like
+    /// [`CheckpointStore::write_raw`].
     pub fn write_raw_nd(
         &self,
         grid_id: usize,
@@ -550,7 +683,9 @@ impl CheckpointStore {
         level: &[u32],
         values: &[f64],
     ) -> io::Result<usize> {
-        self.land(grid_id, step, Self::encode_nd(step, level, values))
+        let mut header = Vec::with_capacity(HEADER3_FIXED + 4 * level.len());
+        Self::header_nd(step, level, &mut header);
+        self.land(grid_id, step, &header, values)
     }
 
     /// Read the newest *valid* d-dimensional checkpoint of a grid,

@@ -3,31 +3,41 @@
 //!
 //! The paper prices Checkpoint/Restart entirely by `T_IO` (Eq. 2,
 //! `C = T / T_IO`) because every periodic write stalls the group root for
-//! a full disk write. Here the root instead *snapshots* its gathered
-//! sub-grid into a reusable double buffer and hands it to a bounded queue
-//! consumed by a dedicated writer thread; the solver keeps stepping while
-//! the write is in flight. The matching virtual-disk cost is charged as
+//! a full disk write. Here the root instead gathers its sub-grid straight
+//! into one of two snapshot buffers it borrows from this stage
+//! ([`AsyncCheckpointer::take_buffer`]) and hands the filled buffer to a
+//! bounded queue consumed by a dedicated writer thread
+//! ([`AsyncCheckpointer::submit`]); the solver keeps stepping while the
+//! write is in flight. The matching virtual-disk cost is charged as
 //! deferred I/O via [`Ctx::disk_write_async`] and settled — hidden where
 //! compute covered it, exposed where it did not — at the drain barriers.
+//!
+//! Ownership: a snapshot buffer belongs to exactly one party at a time
+//! and is never copied. The stage owns both while idle; `take_buffer`
+//! lends one to the root, which is its gather target; `submit` moves it
+//! to the writer, which streams it to disk and sends it back to the free
+//! list; a buffer whose gather failed returns through
+//! [`AsyncCheckpointer::give_back`].
 //!
 //! Protocol invariants:
 //!
 //! * **Bounded queue, backpressure.** At most [`QUEUE_DEPTH`] snapshots
-//!   are in flight; `enqueue` blocks on buffer reuse when the writer falls
+//!   exist; `take_buffer` blocks on buffer reuse when the writer falls
 //!   behind, so memory stays bounded and a fast solver cannot outrun a
 //!   slow disk without feeling it.
 //! * **Drain barriers.** `drain` blocks until the queue is empty and
 //!   surfaces any writer-side I/O error. The application drains before
 //!   every checkpoint *restore* (a restart must only ever see fully
 //!   landed files) and at end of run (before the store is cleared).
-//! * **Crash atomicity.** The writer reuses [`CheckpointStore::write_raw`],
+//! * **Crash atomicity.** The writer reuses [`CheckpointStore::write`],
 //!   so every file still lands via tmp + rename + directory fsync: a rank
 //!   killed with writes in flight leaves either a complete, checksummed
 //!   checkpoint or none — never a torn one.
 //!
-//! Fault sites: [`OpClass::CkptSnapshot`] fires before the buffer copy,
+//! Fault sites, all inside `submit` and in this order:
+//! [`OpClass::CkptSnapshot`] (the snapshot is complete),
 //! [`OpClass::CkptEnqueue`] before the hand-off, [`OpClass::CkptWrite`]
-//! (inside `disk_write_async`) before the virtual write is scheduled, and
+//! (inside `disk_write_async`) before the virtual write is scheduled; and
 //! [`OpClass::CkptDrain`] at the top of every drain — so chaos campaigns
 //! can kill a root at every stage of the pipeline.
 
@@ -44,12 +54,11 @@ use crate::checkpoint::CheckpointStore;
 /// written, one being filled.
 pub const QUEUE_DEPTH: usize = 2;
 
-/// A reusable snapshot buffer travelling between solver and writer.
+/// A filled snapshot buffer on its way to the writer.
 struct Snapshot {
     grid_id: usize,
     step: u64,
-    level: LevelPair,
-    values: Vec<f64>,
+    grid: Grid2,
 }
 
 /// Shared solver/writer state: in-flight count and writer-side errors.
@@ -76,8 +85,11 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// partial state either way.
 pub struct AsyncCheckpointer {
     job_tx: Option<SyncSender<Snapshot>>,
-    free_rx: Receiver<Snapshot>,
-    free_count: usize,
+    free_rx: Receiver<Grid2>,
+    /// Snapshot buffers not created yet (of the `QUEUE_DEPTH`).
+    uncreated: usize,
+    /// Buffers lent out and given back unused.
+    idle: Vec<Grid2>,
     shared: Arc<Shared>,
     writer: Option<JoinHandle<()>>,
 }
@@ -86,7 +98,7 @@ impl AsyncCheckpointer {
     /// Spawn the writer thread for `store`.
     pub fn new(store: CheckpointStore) -> Self {
         let (job_tx, job_rx) = sync_channel::<Snapshot>(QUEUE_DEPTH);
-        let (free_tx, free_rx) = sync_channel::<Snapshot>(QUEUE_DEPTH);
+        let (free_tx, free_rx) = sync_channel::<Grid2>(QUEUE_DEPTH);
         let shared = Arc::new(Shared {
             pending: Mutex::new(0),
             all_done: Condvar::new(),
@@ -97,9 +109,7 @@ impl AsyncCheckpointer {
             .name("ckpt-writer".into())
             .spawn(move || {
                 while let Ok(snap) = job_rx.recv() {
-                    if let Err(e) =
-                        store.write_raw(snap.grid_id, snap.step, snap.level, &snap.values)
-                    {
+                    if let Err(e) = store.write(snap.grid_id, snap.step, &snap.grid) {
                         lock_recover(&shared2.errors)
                             .push(format!("grid {} step {}: {e}", snap.grid_id, snap.step));
                     }
@@ -112,40 +122,67 @@ impl AsyncCheckpointer {
                     }
                     // Hand the buffer back for reuse; the solver may
                     // already be gone (rank death) — that's fine.
-                    let _ = free_tx.send(snap);
+                    let _ = free_tx.send(snap.grid);
                 }
             })
             .expect("failed to spawn checkpoint writer thread");
         AsyncCheckpointer {
             job_tx: Some(job_tx),
             free_rx,
-            free_count: QUEUE_DEPTH,
+            uncreated: QUEUE_DEPTH,
+            idle: Vec::new(),
             shared,
             writer: Some(writer),
         }
     }
 
-    /// Snapshot `grid` and hand it to the writer; returns the encoded
-    /// byte size (header + payload + checksum), as `write` would.
+    /// Borrow a snapshot buffer, re-shaped to `level` with unspecified
+    /// node values: the caller assembles the next checkpoint into it and
+    /// passes it to [`submit`](Self::submit) — or, if the assembly failed,
+    /// to [`give_back`](Self::give_back).
     ///
     /// Blocks — real backpressure, not virtual — when both snapshot
-    /// buffers are still in the writer's hands. Virtual disk cost is
+    /// buffers are still in the writer's hands.
+    pub fn take_buffer(&mut self, level: LevelPair) -> Result<Grid2> {
+        let mut grid = if let Some(grid) = self.idle.pop() {
+            grid
+        } else if self.uncreated > 0 {
+            self.uncreated -= 1;
+            return Ok(Grid2::zeros(level));
+        } else {
+            self.free_rx
+                .recv()
+                .map_err(|_| Error::InvalidArg("checkpoint writer thread is gone".into()))?
+        };
+        grid.reshape(level);
+        Ok(grid)
+    }
+
+    /// Return a buffer from [`take_buffer`](Self::take_buffer) unused.
+    pub fn give_back(&mut self, grid: Grid2) {
+        self.idle.push(grid);
+    }
+
+    /// Hand a filled snapshot buffer to the writer as the checkpoint of
+    /// `grid_id` at `step`; returns the encoded byte size (header +
+    /// payload + checksum), as `write` would. Virtual disk cost is
     /// charged as deferred I/O on `ctx`.
-    pub fn enqueue(&mut self, ctx: &Ctx, grid_id: usize, step: u64, grid: &Grid2) -> Result<usize> {
+    ///
+    /// A shut-down writer stage is a recoverable condition, not a
+    /// protocol bug: the error hands the snapshot back so the caller can
+    /// degrade to the synchronous write path (see the CR checkpoint arm
+    /// in `app`), and must never panic the rank.
+    pub fn submit(
+        &mut self,
+        ctx: &Ctx,
+        grid_id: usize,
+        step: u64,
+        grid: Grid2,
+    ) -> std::result::Result<usize, (Error, Grid2)> {
         ctx.fault_op(OpClass::CkptSnapshot);
-        let mut snap = self.take_buffer()?;
-        snap.grid_id = grid_id;
-        snap.step = step;
-        snap.level = grid.level();
-        snap.values.clear();
-        snap.values.extend_from_slice(grid.values());
         ctx.fault_op(OpClass::CkptEnqueue);
-        // A shut-down writer stage is a recoverable condition, not a
-        // protocol bug: the caller degrades to the synchronous write path
-        // (see the CR checkpoint arm in `app`), so the error return must
-        // never panic the rank.
         let Some(tx) = self.job_tx.as_ref() else {
-            return Err(Error::InvalidArg("checkpoint writer already shut down".into()));
+            return Err((Error::InvalidArg("checkpoint writer already shut down".into()), grid));
         };
         let bytes = crate::checkpoint::OVERHEAD + grid.byte_size();
         ctx.disk_write_async(bytes);
@@ -153,30 +190,14 @@ impl AsyncCheckpointer {
             let mut n = lock_recover(&self.shared.pending);
             *n += 1;
         }
-        if tx.send(snap).is_err() {
+        if let Err(refused) = tx.send(Snapshot { grid_id, step, grid }) {
             // Writer thread is gone; roll the gauge back so a later drain
             // cannot wait forever on a job that will never complete.
             *lock_recover(&self.shared.pending) -= 1;
-            return Err(Error::InvalidArg("checkpoint writer thread is gone".into()));
+            let gone = Error::InvalidArg("checkpoint writer thread is gone".into());
+            return Err((gone, refused.0.grid));
         }
         Ok(bytes)
-    }
-
-    /// Obtain a snapshot buffer: one of the initial `QUEUE_DEPTH` fresh
-    /// ones, else block until the writer returns one.
-    fn take_buffer(&mut self) -> Result<Snapshot> {
-        if self.free_count > 0 {
-            self.free_count -= 1;
-            return Ok(Snapshot {
-                grid_id: 0,
-                step: 0,
-                level: LevelPair::new(1, 1),
-                values: Vec::new(),
-            });
-        }
-        self.free_rx
-            .recv()
-            .map_err(|_| Error::InvalidArg("checkpoint writer thread is gone".into()))
     }
 
     /// Checkpoints handed to the writer and not yet landed on disk.
@@ -227,6 +248,20 @@ mod tests {
         CheckpointStore::new(crate::config::default_ckpt_dir()).unwrap()
     }
 
+    /// Snapshot `grid` the way a root does: borrow a buffer, fill it,
+    /// submit it.
+    fn enqueue(
+        ck: &mut AsyncCheckpointer,
+        ctx: &Ctx,
+        grid_id: usize,
+        step: u64,
+        grid: &Grid2,
+    ) -> Result<usize> {
+        let mut buf = ck.take_buffer(grid.level())?;
+        buf.values_mut().copy_from_slice(grid.values());
+        ck.submit(ctx, grid_id, step, buf).map_err(|(e, _)| e)
+    }
+
     #[test]
     fn enqueued_checkpoints_land_and_validate() {
         let s = store();
@@ -235,7 +270,7 @@ mod tests {
             let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
             let g = Grid2::from_fn(LevelPair::new(4, 3), |x, y| x * y + 0.5);
             for step in [10u64, 20, 30] {
-                ck.enqueue(ctx, 0, step, &g).unwrap();
+                enqueue(&mut ck, ctx, 0, step, &g).unwrap();
                 ctx.advance(1.0);
             }
             ck.drain(ctx).unwrap();
@@ -251,13 +286,52 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_buffers_circulate_without_copies() {
+        let s = store();
+        let dir = s.dir().to_path_buf();
+        run(RunConfig::local(1), move |ctx| {
+            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
+            let level = LevelPair::new(4, 4);
+            // The two buffers of the double buffer, by allocation.
+            let a = ck.take_buffer(level).unwrap();
+            let b = ck.take_buffer(level).unwrap();
+            let ptrs = [a.values().as_ptr(), b.values().as_ptr()];
+            // A buffer whose gather failed comes straight back.
+            ck.give_back(b);
+            let b = ck.take_buffer(LevelPair::new(3, 4)).unwrap();
+            assert_eq!(b.values().as_ptr(), ptrs[1]);
+            assert_eq!((b.level(), b.values().len()), (LevelPair::new(3, 4), 9 * 17));
+            ck.give_back(b);
+            // A submitted one returns from the writer once it has landed:
+            // every later buffer is one of the same two allocations.
+            ck.submit(ctx, 0, 1, a).map_err(|(e, _)| e).unwrap();
+            for step in 2..6u64 {
+                let g = ck.take_buffer(level).unwrap();
+                assert!(ptrs.contains(&g.values().as_ptr()), "a third buffer appeared");
+                ck.submit(ctx, 0, step, g).map_err(|(e, _)| e).unwrap();
+            }
+            ck.drain(ctx).unwrap();
+            // A refused snapshot is handed back intact for the sync path.
+            ck.job_tx.take();
+            let mut g = ck.take_buffer(level).unwrap();
+            g.values_mut().fill(7.0);
+            let (err, back) = ck.submit(ctx, 0, 9, g).unwrap_err();
+            assert!(err.to_string().contains("writer"), "got: {err}");
+            assert!(back.values().iter().all(|&v| v == 7.0));
+        })
+        .assert_no_app_errors();
+        assert_eq!(s.read(0).unwrap().expect("landed").0, 5);
+        s.clear().unwrap();
+    }
+
+    #[test]
     fn drop_without_drain_still_lands_queued_writes() {
         let s = store();
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
             let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
             let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x - y);
-            ck.enqueue(ctx, 2, 7, &g).unwrap();
+            enqueue(&mut ck, ctx, 2, 7, &g).unwrap();
             // Dropped here: the writer must finish the queued job first.
         })
         .assert_no_app_errors();
@@ -273,7 +347,7 @@ mod tests {
         run(RunConfig::local(1), move |ctx| {
             let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
             let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x + y);
-            ck.enqueue(ctx, 0, 1, &g).unwrap();
+            enqueue(&mut ck, ctx, 0, 1, &g).unwrap();
             ck.drain(ctx).unwrap();
             // Simulate the writer stage going away mid-run (the Drop path
             // with the checkpointer still referenced): enqueue must turn
@@ -282,7 +356,7 @@ mod tests {
             if let Some(h) = ck.writer.take() {
                 h.join().unwrap();
             }
-            let err = ck.enqueue(ctx, 0, 2, &g).unwrap_err();
+            let err = enqueue(&mut ck, ctx, 0, 2, &g).unwrap_err();
             assert!(err.to_string().contains("writer"), "got: {err}");
             // The gauge was not bumped for the refused snapshot, so a
             // later drain still returns instead of waiting forever.
@@ -315,7 +389,7 @@ mod tests {
             // poison cascade into this rank (or, under the campaign
             // service, into sibling jobs sharing the worker).
             let g = Grid2::from_fn(LevelPair::new(4, 4), |x, y| x * y);
-            ck.enqueue(ctx, 1, 9, &g).unwrap();
+            enqueue(&mut ck, ctx, 1, 9, &g).unwrap();
             ck.drain(ctx).unwrap();
             assert_eq!(ck.in_flight(), 0);
         })
@@ -335,7 +409,7 @@ mod tests {
             // Nuke the directory so the writer's tmp-file creation fails.
             std::fs::remove_dir_all(&dir).unwrap();
             let g = Grid2::from_fn(LevelPair::new(2, 2), |x, _| x);
-            ck.enqueue(ctx, 0, 1, &g).unwrap();
+            enqueue(&mut ck, ctx, 0, 1, &g).unwrap();
             let err = ck.drain(ctx).unwrap_err();
             assert!(err.to_string().contains("checkpoint write failed"), "got: {err}");
             // A second drain reports clean — errors are consumed.

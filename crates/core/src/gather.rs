@@ -4,9 +4,17 @@
 //! approach" (§II-A): each group's root gathers the member blocks into a
 //! full [`Grid2`], the roots exchange grids (for combination or data
 //! recovery), and recovered grids are scattered back into member blocks.
+//!
+//! The gather assembles **in place**: the root reads each member's block
+//! from the collective's wire bytes ([`Comm::gather_view`]) and copies
+//! its rows straight into a caller-owned grid ([`gather_grid_into`]), so
+//! a gathered sub-grid exists once on the root — not also as a decoded
+//! `Vec` per member and a fresh zero-filled grid per round.
+//! [`assemble_grid`] over decoded blocks stays as the reference the
+//! in-place path is pinned against.
 
 use sparsegrid::{Grid2, LevelPair};
-use ulfm_sim::{Comm, Ctx, Error, Result};
+use ulfm_sim::{Comm, Ctx, Error, Gathered, Result};
 
 use crate::layout::GroupInfo;
 use crate::psolve::block_range;
@@ -50,6 +58,54 @@ pub fn assemble_grid(level: LevelPair, info: &GroupInfo, blocks: &[Vec<f64>]) ->
     Ok(grid)
 }
 
+/// [`assemble_grid`] from the wire bytes of a gather into a caller-owned
+/// grid: `out` is re-shaped to `level` (keeping its allocation, no
+/// zero-fill) and every node is overwritten. The block-count, block-length
+/// and seam rules — and the error texts — are [`assemble_grid`]'s. On an
+/// error `out` holds a partial assembly; the caller must not use it.
+fn assemble_grid_into(
+    level: LevelPair,
+    info: &GroupInfo,
+    blocks: &Gathered<f64>,
+    out: &mut Grid2,
+) -> Result<()> {
+    let nxg = 1usize << level.i;
+    let nyg = 1usize << level.j;
+    if blocks.len() != info.size {
+        return Err(Error::InvalidArg(format!(
+            "assemble_grid: {} blocks for group of {}",
+            blocks.len(),
+            info.size
+        )));
+    }
+    out.reshape(level);
+    for local in 0..info.size {
+        let block = blocks.part(local);
+        let pi = local % info.px;
+        let pj = local / info.px;
+        let (x0, lnx) = block_range(nxg, info.px, pi);
+        let (y0, lny) = block_range(nyg, info.py, pj);
+        if block.len() != lnx * lny {
+            return Err(Error::InvalidArg(format!(
+                "assemble_grid: block {local} has {} values, expected {}",
+                block.len(),
+                lnx * lny
+            )));
+        }
+        for m in 0..lny {
+            block.copy_to(m * lnx, &mut out.row_mut(y0 + m)[x0..x0 + lnx]);
+        }
+    }
+    // Periodic seam: node 2^i duplicates node 0.
+    for m in 0..nyg {
+        let row = out.row_mut(m);
+        row[nxg] = row[0];
+    }
+    let row_len = nxg + 1;
+    out.values_mut().copy_within(0..row_len, nyg * row_len);
+    Ok(())
+}
+
 /// Cut a full grid into the per-member blocks of a group (inverse of
 /// [`assemble_grid`]; the seam is dropped).
 pub fn split_grid(grid: &Grid2, info: &GroupInfo) -> Vec<Vec<f64>> {
@@ -80,8 +136,35 @@ pub fn split_grid_into(grid: &Grid2, info: &GroupInfo, out: &mut Vec<Vec<f64>>) 
     }
 }
 
-/// Collective over the group: gather member blocks to the group root.
-/// Returns `Some(grid)` on the root, `None` elsewhere.
+/// Collective over the group: gather member blocks to the group root,
+/// assembled in place into the root's own grid. Exactly the root (group
+/// rank 0) supplies `out`; it is re-shaped to `level` and fully
+/// overwritten, so a root that gathers every round (the periodic
+/// checkpoint) hands in the same buffer each time and allocates nothing.
+/// If the collective or the assembly fails, `out` is unspecified.
+pub fn gather_grid_into(
+    ctx: &Ctx,
+    group: &Comm,
+    info: &GroupInfo,
+    level: LevelPair,
+    my_block: &[f64],
+    out: Option<&mut Grid2>,
+) -> Result<()> {
+    if (group.rank() == 0) != out.is_some() {
+        return Err(Error::InvalidArg(
+            "gather_grid_into: exactly the group root must supply the grid".into(),
+        ));
+    }
+    match (group.gather_view(ctx, 0, my_block)?, out) {
+        (Some(blocks), Some(out)) => assemble_grid_into(level, info, &blocks, out),
+        _ => Ok(()),
+    }
+}
+
+/// [`gather_grid_into`] for a caller without a grid to gather into:
+/// returns `Some(grid)` on the root, `None` elsewhere. Ownership of the
+/// gathered grid passes to the caller, so each call allocates it — for
+/// the once-per-event gathers (final combination, data recovery).
 pub fn gather_grid(
     ctx: &Ctx,
     group: &Comm,
@@ -89,10 +172,14 @@ pub fn gather_grid(
     level: LevelPair,
     my_block: &[f64],
 ) -> Result<Option<Grid2>> {
-    match group.gather(ctx, 0, my_block)? {
-        Some(blocks) => Ok(Some(assemble_grid(level, info, &blocks)?)),
-        None => Ok(None),
-    }
+    // The grid is made once the contributions are in: a root blocked in
+    // the collective should not sit on an empty grid meanwhile.
+    let Some(blocks) = group.gather_view(ctx, 0, my_block)? else {
+        return Ok(None);
+    };
+    let mut grid = Grid2::zeros(level);
+    assemble_grid_into(level, info, &blocks, &mut grid)?;
+    Ok(Some(grid))
 }
 
 /// Collective over the group: the root splits `grid` and scatters; every
@@ -130,45 +217,33 @@ pub fn send_grid(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Grid2) ->
     comm.send(ctx, dest, tag, grid.values())
 }
 
-/// Receive a whole grid sent by [`send_grid`].
+/// Receive a whole grid sent by [`send_grid`]. Ownership passes to the
+/// caller, so each call allocates the grid it returns; a caller that
+/// already owns a grid to overwrite uses [`recv_grid_onto`].
 pub fn recv_grid(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Grid2> {
-    let mut scratch = GridScratch::default();
-    recv_grid_into(ctx, comm, src, tag, &mut scratch)
+    let level = recv_grid_level(ctx, comm, src, tag)?;
+    Grid2::from_raw(level, comm.recv(ctx, src, tag)?).map_err(Error::InvalidArg)
 }
 
-/// Reused receive buffers for [`recv_grid_into`]: holding them across
-/// calls keeps repeated grid receives (the combination's hop payloads,
-/// the recovery transfers) free of per-message heap allocation on the
-/// application side — the wire bytes are already pooled by the
-/// simulator's `BufPool`.
-#[derive(Debug, Default)]
-pub struct GridScratch {
-    header: Vec<u64>,
-    values: Vec<f64>,
+/// Receive a whole grid sent by [`send_grid`] onto a caller-owned grid:
+/// `out` is re-shaped to the sender's level (keeping its allocation) and
+/// the values land straight in it, so repeated receives onto the same
+/// grid (the periodic buddy copies) allocate nothing once it has grown
+/// to the largest level flowing through. The values are written only
+/// once they have arrived whole: on an error `out` is untouched, except
+/// that a level change has already re-shaped it.
+pub fn recv_grid_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut Grid2) -> Result<()> {
+    out.reshape(recv_grid_level(ctx, comm, src, tag)?);
+    comm.recv_onto(ctx, src, tag, out.values_mut())
 }
 
-/// [`recv_grid`] into reused scratch storage. The returned [`Grid2`]
-/// takes the scratch value buffer (it must own its storage); the scratch
-/// regrows on the next call from the pool-backed wire payload, so the
-/// steady state performs no allocation once the buffers reached the
-/// high-water mark of the grid sizes flowing through them.
-pub fn recv_grid_into(
-    ctx: &Ctx,
-    comm: &Comm,
-    src: usize,
-    tag: i32,
-    scratch: &mut GridScratch,
-) -> Result<Grid2> {
-    comm.recv_into(ctx, src, tag, &mut scratch.header)?;
-    if scratch.header.len() != 2 {
-        return Err(Error::InvalidArg(format!(
-            "recv_grid: malformed header of {} values",
-            scratch.header.len()
-        )));
-    }
-    let level = LevelPair::new(scratch.header[0] as u32, scratch.header[1] as u32);
-    comm.recv_into(ctx, src, tag, &mut scratch.values)?;
-    Grid2::from_raw(level, std::mem::take(&mut scratch.values)).map_err(Error::InvalidArg)
+/// The header message of [`send_grid`].
+fn recv_grid_level(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<LevelPair> {
+    // A header of any other length is `recv_onto`'s `InvalidArg`; a dead
+    // or revoked peer surfaces as itself, for the callers' retry loops.
+    let mut header = [0u64; 2];
+    comm.recv_onto(ctx, src, tag, &mut header)?;
+    Ok(LevelPair::new(header[0] as u32, header[1] as u32))
 }
 
 /// Binomial-tree reduction of per-leader partial grids, ending at world
@@ -342,6 +417,43 @@ mod tests {
         });
         report.assert_no_app_errors();
         assert_eq!(report.get_f64("ok"), Some(4.0));
+    }
+
+    #[test]
+    fn recv_grid_onto_reuses_the_callers_grid_and_passes_failures_through() {
+        use ulfm_sim::{run, RunConfig};
+        let report = run(RunConfig::local(3), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            match w.rank() {
+                0 => {
+                    for level in [LevelPair::new(3, 2), LevelPair::new(2, 2)] {
+                        send_grid(ctx, &w, 1, 55, &Grid2::from_fn(level, |x, y| x - y)).unwrap();
+                    }
+                }
+                1 => {
+                    let mut grid = Grid2::from_fn(LevelPair::new(3, 2), |_, _| f64::NAN);
+                    let ptr = grid.values().as_ptr();
+                    for level in [LevelPair::new(3, 2), LevelPair::new(2, 2)] {
+                        recv_grid_onto(ctx, &w, 0, 55, &mut grid).unwrap();
+                        assert_eq!(grid, Grid2::from_fn(level, |x, y| x - y));
+                        assert_eq!(grid.values().as_ptr(), ptr, "received in place");
+                    }
+                    // A sender that died before sending is `ProcFailed` on
+                    // both forms — what the recovery retry loops match on —
+                    // and the caller's grid is untouched.
+                    let before = grid.clone();
+                    let dead = recv_grid_onto(ctx, &w, 2, 56, &mut grid).unwrap_err();
+                    assert!(matches!(dead, Error::ProcFailed { .. }), "got: {dead}");
+                    assert_eq!(grid, before);
+                    let dead = recv_grid(ctx, &w, 2, 56).unwrap_err();
+                    assert!(matches!(dead, Error::ProcFailed { .. }), "got: {dead}");
+                    ctx.report_f64("ok", 1.0);
+                }
+                _ => ctx.die(),
+            }
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.get_f64("ok"), Some(1.0));
     }
 
     #[test]

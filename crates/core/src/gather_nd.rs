@@ -3,14 +3,17 @@
 //!
 //! Each group's root gathers the member slabs into a full [`GridN`], the
 //! roots exchange grids (for combination or data recovery), and recovered
-//! grids are scattered back into member slabs. The tree combination
+//! grids are scattered back into member slabs. The gather assembles in
+//! place from the collective's wire bytes into a caller-owned grid
+//! ([`gather_grid_n_into`]), like its 2D sibling; [`assemble_grid_n`]
+//! over decoded slabs stays as the pinned reference. The tree combination
 //! mirrors [`crate::gather::binomial_combine`] hop for hop, including the
 //! recoverable [`ulfm_sim::Error::Protocol`] surface at the final-ship
 //! hop.
 
 use sparsegrid::ndgrid::for_each_slab_row;
 use sparsegrid::GridN;
-use ulfm_sim::{Comm, Ctx, Error, Result};
+use ulfm_sim::{Comm, Ctx, Error, Gathered, Result};
 
 use crate::layout_nd::GroupInfoN;
 use crate::psolve::block_range;
@@ -52,6 +55,50 @@ pub fn assemble_grid_n(level: &[u32], info: &GroupInfoN, blocks: &[Vec<f64>]) ->
     Ok(grid)
 }
 
+/// [`assemble_grid_n`] from the wire bytes of a gather into a
+/// caller-owned grid: `out` is re-shaped to `level` (keeping its value
+/// allocation, no zero-fill) and every node is overwritten. Checks and
+/// error texts are [`assemble_grid_n`]'s. On an error `out` holds a
+/// partial assembly; the caller must not use it.
+fn assemble_grid_n_into(
+    level: &[u32],
+    info: &GroupInfoN,
+    blocks: &Gathered<f64>,
+    out: &mut GridN,
+) -> Result<()> {
+    let d = level.len();
+    let np: Vec<usize> = level.iter().map(|&l| 1usize << l).collect();
+    if blocks.len() != info.size {
+        return Err(Error::InvalidArg(format!(
+            "assemble_grid_n: {} blocks for group of {}",
+            blocks.len(),
+            info.size
+        )));
+    }
+    let plane: usize = np[..d - 1].iter().product();
+    out.reshape(level);
+    let stride = out.strides().to_vec();
+    let values = out.values_mut();
+    for local in 0..info.size {
+        let block = blocks.part(local);
+        let (z0, lnz) = block_range(np[d - 1], info.size, local);
+        if block.len() != plane * lnz {
+            return Err(Error::InvalidArg(format!(
+                "assemble_grid_n: block {local} has {} values, expected {}",
+                block.len(),
+                plane * lnz
+            )));
+        }
+        let mut src = 0usize;
+        for_each_slab_row(&np, &stride, 0, z0, z0 + lnz, &mut |off, n| {
+            block.copy_to(src, &mut values[off..off + n]);
+            src += n;
+        });
+    }
+    out.apply_periodic_seams();
+    Ok(())
+}
+
 /// Cut a full grid into the per-member slabs of a group (inverse of
 /// [`assemble_grid_n`]; the seams are dropped).
 pub fn split_grid_n(grid: &GridN, info: &GroupInfoN) -> Vec<Vec<f64>> {
@@ -76,8 +123,32 @@ pub fn split_grid_n_into(grid: &GridN, info: &GroupInfoN, out: &mut Vec<Vec<f64>
     }
 }
 
-/// Collective over the group: gather member slabs to the group root.
-/// Returns `Some(grid)` on the root, `None` elsewhere.
+/// Collective over the group: gather member slabs to the group root,
+/// assembled in place into the root's own grid — the d-dimensional
+/// [`crate::gather::gather_grid_into`], with the same contract: exactly
+/// the root supplies `out`, which is re-shaped and fully overwritten.
+pub fn gather_grid_n_into(
+    ctx: &Ctx,
+    group: &Comm,
+    info: &GroupInfoN,
+    level: &[u32],
+    my_block: &[f64],
+    out: Option<&mut GridN>,
+) -> Result<()> {
+    if (group.rank() == 0) != out.is_some() {
+        return Err(Error::InvalidArg(
+            "gather_grid_n_into: exactly the group root must supply the grid".into(),
+        ));
+    }
+    match (group.gather_view(ctx, 0, my_block)?, out) {
+        (Some(blocks), Some(out)) => assemble_grid_n_into(level, info, &blocks, out),
+        _ => Ok(()),
+    }
+}
+
+/// [`gather_grid_n_into`] for a caller without a grid to gather into:
+/// `Some(grid)` on the root, `None` elsewhere. Ownership passes to the
+/// caller, so each call allocates the grid (after the collective).
 pub fn gather_grid_n(
     ctx: &Ctx,
     group: &Comm,
@@ -85,10 +156,12 @@ pub fn gather_grid_n(
     level: &[u32],
     my_block: &[f64],
 ) -> Result<Option<GridN>> {
-    match group.gather(ctx, 0, my_block)? {
-        Some(blocks) => Ok(Some(assemble_grid_n(level, info, &blocks)?)),
-        None => Ok(None),
-    }
+    let Some(blocks) = group.gather_view(ctx, 0, my_block)? else {
+        return Ok(None);
+    };
+    let mut grid = GridN::zeros(level);
+    assemble_grid_n_into(level, info, &blocks, &mut grid)?;
+    Ok(Some(grid))
 }
 
 /// Collective over the group: the root splits `grid` and scatters; every
@@ -112,35 +185,36 @@ pub fn send_grid_n(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &GridN) 
     comm.send(ctx, dest, tag, grid.values())
 }
 
-/// Receive a whole grid sent by [`send_grid_n`].
+/// Receive a whole grid sent by [`send_grid_n`]. Ownership passes to the
+/// caller, so each call allocates the grid it returns; a caller that
+/// already owns a grid to overwrite uses [`recv_grid_n_onto`].
 pub fn recv_grid_n(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<GridN> {
-    let mut scratch = GridScratchN::default();
-    recv_grid_n_into(ctx, comm, src, tag, &mut scratch)
+    let level = recv_grid_n_level(ctx, comm, src, tag)?;
+    GridN::from_raw(&level, comm.recv(ctx, src, tag)?).map_err(Error::InvalidArg)
 }
 
-/// Reused receive buffers for [`recv_grid_n_into`].
-#[derive(Debug, Default)]
-pub struct GridScratchN {
-    header: Vec<u64>,
-    values: Vec<f64>,
-}
-
-/// [`recv_grid_n`] into reused scratch storage; the returned [`GridN`]
-/// takes the scratch value buffer.
-pub fn recv_grid_n_into(
+/// Receive a whole grid sent by [`send_grid_n`] onto a caller-owned
+/// grid, re-shaped to the sender's level with its value allocation kept
+/// — the d-dimensional [`crate::gather::recv_grid_onto`], with the same
+/// rule on errors: `out` is untouched but for a re-shape already done.
+pub fn recv_grid_n_onto(
     ctx: &Ctx,
     comm: &Comm,
     src: usize,
     tag: i32,
-    scratch: &mut GridScratchN,
-) -> Result<GridN> {
-    comm.recv_into(ctx, src, tag, &mut scratch.header)?;
-    if scratch.header.is_empty() {
+    out: &mut GridN,
+) -> Result<()> {
+    out.reshape(&recv_grid_n_level(ctx, comm, src, tag)?);
+    comm.recv_onto(ctx, src, tag, out.values_mut())
+}
+
+/// The header message of [`send_grid_n`]; its length is the dimension.
+fn recv_grid_n_level(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Vec<u32>> {
+    let header: Vec<u64> = comm.recv(ctx, src, tag)?;
+    if header.is_empty() {
         return Err(Error::InvalidArg("recv_grid_n: empty level header".into()));
     }
-    let level: Vec<u32> = scratch.header.iter().map(|&l| l as u32).collect();
-    comm.recv_into(ctx, src, tag, &mut scratch.values)?;
-    GridN::from_raw(&level, std::mem::take(&mut scratch.values)).map_err(Error::InvalidArg)
+    Ok(header.iter().map(|&l| l as u32).collect())
 }
 
 /// Binomial-tree reduction of per-leader partial grids, ending at world

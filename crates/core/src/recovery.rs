@@ -29,7 +29,7 @@ use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::{AppConfig, Technique};
-use crate::gather::{gather_grid, recv_grid, scatter_grid, send_grid};
+use crate::gather::{gather_grid, recv_grid, recv_grid_onto, scatter_grid, send_grid};
 use crate::layout::{Assignment, ProcLayout};
 use crate::psolve::DistributedSolver;
 use crate::tags::TagSpace;
@@ -84,8 +84,20 @@ pub fn buddy_exchange(
     for &g in &ids {
         let buddy = buddy_of(layout, g)?;
         if world.rank() == layout.root_of(buddy) {
-            let grid = recv_grid(ctx, world, layout.root_of(g), tags.buddy + g as i32)?;
-            store.insert(g, (at_step, grid));
+            let (src, tag) = (layout.root_of(g), tags.buddy + g as i32);
+            match store.get_mut(&g) {
+                // Overwrite the previous round's copy in place. It is the
+                // same grid at the same level, so nothing is re-shaped and
+                // the values are only written once they arrived whole: a
+                // transfer that fails leaves the previous copy intact.
+                Some((step, grid)) => {
+                    recv_grid_onto(ctx, world, src, tag, grid)?;
+                    *step = at_step;
+                }
+                None => {
+                    store.insert(g, (at_step, recv_grid(ctx, world, src, tag)?));
+                }
+            }
         }
     }
     Ok(())

@@ -16,7 +16,7 @@ use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::{AppConfig, Technique};
-use crate::gather_nd::{gather_grid_n, recv_grid_n, scatter_grid_n, send_grid_n};
+use crate::gather_nd::{gather_grid_n, recv_grid_n, recv_grid_n_onto, scatter_grid_n, send_grid_n};
 use crate::layout_nd::{AssignmentN, ProcLayoutN};
 use crate::psolve_nd::DistributedSolverN;
 use crate::recovery::RecoveryStats;
@@ -63,8 +63,19 @@ pub fn buddy_exchange_n(
     for &g in &ids {
         let buddy = buddy_of_n(layout, g)?;
         if world.rank() == layout.root_of(buddy) {
-            let grid = recv_grid_n(ctx, world, layout.root_of(g), tags.buddy + g as i32)?;
-            store.insert(g, (at_step, grid));
+            let (src, tag) = (layout.root_of(g), tags.buddy + g as i32);
+            match store.get_mut(&g) {
+                // In place over the previous round's copy — same grid,
+                // same level, written only once the values arrived whole
+                // (see `recovery::buddy_exchange`).
+                Some((step, grid)) => {
+                    recv_grid_n_onto(ctx, world, src, tag, grid)?;
+                    *step = at_step;
+                }
+                None => {
+                    store.insert(g, (at_step, recv_grid_n(ctx, world, src, tag)?));
+                }
+            }
         }
     }
     Ok(())

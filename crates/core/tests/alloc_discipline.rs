@@ -1,0 +1,215 @@
+//! Allocation discipline as a blocking test (PR 18).
+//!
+//! This binary installs its own counting `#[global_allocator]` and holds
+//! exactly **one** `#[test]`, so the process-wide counters see nothing but
+//! the scenario under measurement (the harness runs a lone test on a lone
+//! thread). It asserts, with the pooled scheduler pinned to one worker:
+//!
+//! 1. 64 warm `DistributedSolver::step`s of a 2×2 level-9 group make **0**
+//!    allocator requests, summed over all ranks;
+//! 2. so do 64 warm `DistributedSolverN::step`s of a 3-slab 3D group;
+//! 3. so does a warm ring exchange of mixed 2 KB / 128 KB messages — in
+//!    particular `BufPool::take` never (re)allocates once every size has a
+//!    buffer in circulation;
+//! 4. a Checkpoint/Restart run with 2·C checkpoints requests, per extra
+//!    checkpoint round it takes, at most `1.1 × (bytes of one round)` more
+//!    than the same run with C: per round, only each member's wire copy of
+//!    its own block may scale — no decoded copy, no fresh grid, no encoded
+//!    file image.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use advect2d::{AdvectionProblem, KernelConfig, ProblemN};
+use ftsg_core::layout::GroupInfo;
+use ftsg_core::layout_nd::GroupInfoN;
+use ftsg_core::psolve::DistributedSolver;
+use ftsg_core::psolve_nd::DistributedSolverN;
+use ftsg_core::{run_app, AppConfig, ProcLayout, Technique};
+use sparsegrid::LevelPair;
+use ulfm_sim::{run, Comm, Ctx, RunConfig};
+
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are side effects only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// A rendezvous of all ranks that itself allocates nothing (an MPI
+/// barrier does): arrive, then poll cooperatively — a false `iprobe`
+/// yields the fiber without touching the allocator — until the last rank
+/// has. That rank stamps the request counter *before* it releases the
+/// others, so the stamp separates "everything before the gate, on every
+/// rank" from "everything after it".
+#[derive(Default)]
+struct Gate {
+    arrived: AtomicUsize,
+    stamp: AtomicU64,
+    open: AtomicBool,
+}
+
+impl Gate {
+    fn pass(&self, ctx: &Ctx, comm: &Comm) {
+        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == comm.size() {
+            self.stamp.store(REQUESTS.load(Ordering::SeqCst), Ordering::SeqCst);
+            self.open.store(true, Ordering::SeqCst);
+        }
+        while !self.open.load(Ordering::SeqCst) {
+            // Nobody sends on this tag; the probe is the yield point.
+            assert!(!comm.iprobe(ctx, Some(comm.rank()), Some(i32::MAX)).unwrap());
+        }
+    }
+}
+
+/// Allocator requests made by all `world` ranks together over `counted`
+/// rounds of `round`, after `warm` warm-up rounds.
+fn warm_requests<S>(
+    world: usize,
+    warm: usize,
+    counted: usize,
+    make: impl Fn(&Ctx, &Comm) -> S + Send + Sync + 'static,
+    round: impl Fn(&Ctx, &Comm, &mut S) + Send + Sync + 'static,
+) -> u64 {
+    let (open, close) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
+    let gates = (Arc::clone(&open), Arc::clone(&close));
+    let report = run(RunConfig::local(world).with_workers(1), move |ctx| {
+        let comm = ctx.initial_world().unwrap();
+        let mut state = make(ctx, &comm);
+        for _ in 0..warm {
+            round(ctx, &comm, &mut state);
+        }
+        gates.0.pass(ctx, &comm);
+        for _ in 0..counted {
+            round(ctx, &comm, &mut state);
+        }
+        gates.1.pass(ctx, &comm);
+    });
+    report.assert_no_app_errors();
+    close.stamp.load(Ordering::SeqCst) - open.stamp.load(Ordering::SeqCst)
+}
+
+/// The CR configuration of scenario 4 at `checkpoints` checkpoints.
+fn cr_config(checkpoints: u32) -> AppConfig {
+    let mut cfg = AppConfig::small(Technique::CheckpointRestart).with_checkpoints(checkpoints);
+    (cfg.n, cfg.l, cfg.log2_steps) = (8, 3, 5);
+    cfg.kernel = KernelConfig::simd();
+    cfg
+}
+
+/// Checkpoint rounds a healthy run of `cfg` takes: one per detection
+/// point short of the last step.
+fn cr_rounds(cfg: &AppConfig) -> u64 {
+    (cfg.steps() - 1) / cfg.ckpt_period()
+}
+
+/// Bytes requested, by every thread, over one whole CR run of `cfg`.
+fn cr_run_bytes(cfg: AppConfig) -> u64 {
+    let world = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale).world_size();
+    let before = BYTES.load(Ordering::SeqCst);
+    let report = run(RunConfig::local(world).with_workers(1), move |ctx| run_app(&cfg, ctx));
+    report.assert_no_app_errors();
+    BYTES.load(Ordering::SeqCst) - before
+}
+
+#[test]
+fn bulk_data_paths_hold_their_allocation_budget() {
+    // 1. The 2D halo exchange + stencil: 4 isends, 4 irecvs, 8 waits and a
+    //    level-9 quarter-grid update per rank per step.
+    let steps2d = warm_requests(
+        4,
+        8,
+        64,
+        |_, comm| {
+            let info = GroupInfo { grid: 0, first: 0, size: 4, px: 2, py: 2 };
+            let p = AdvectionProblem::standard();
+            // The production formulation, whatever `FTSG_*` says: the
+            // band pool's worker threads are not this test's subject.
+            DistributedSolver::new(p, LevelPair::new(9, 9), 1e-4, &info, comm.rank())
+                .with_kernel(KernelConfig::simd())
+        },
+        |ctx, comm, solver| solver.step(ctx, comm).unwrap(),
+    );
+    assert_eq!(steps2d, 0, "64 warm 2D steps x 4 ranks made {steps2d} allocator requests");
+
+    // 2. The d-dimensional plane exchange + row kernels, uneven slabs.
+    let steps3d = warm_requests(
+        3,
+        8,
+        64,
+        |_, comm| {
+            let info = GroupInfoN { grid: 0, first: 0, size: 3 };
+            let p = ProblemN::standard_advection(3);
+            DistributedSolverN::new(p, &[5, 4, 3], 1e-4, &info, comm.rank())
+        },
+        |ctx, comm, solver| solver.step(ctx, comm).unwrap(),
+    );
+    assert_eq!(steps3d, 0, "64 warm 3D steps x 3 ranks made {steps3d} allocator requests");
+
+    // 3. Mixed message sizes round a ring: every size in flight keeps its
+    //    own pooled buffer, so no take grows one or asks for another.
+    let ring = warm_requests(
+        4,
+        4,
+        32,
+        |_, _| (vec![1.5f64; 256], vec![2.5f64; 16 * 1024], Vec::<f64>::new(), Vec::<f64>::new()),
+        |ctx, comm, (small, large, got_small, got_large)| {
+            let (to, from) = ((comm.rank() + 1) % comm.size(), (comm.rank() + 3) % comm.size());
+            comm.send(ctx, to, 1, small).unwrap();
+            comm.send(ctx, to, 2, large).unwrap();
+            comm.recv_into(ctx, from, 1, got_small).unwrap();
+            comm.recv_into(ctx, from, 2, got_large).unwrap();
+            assert_eq!((got_small.len(), got_large.len()), (256, 16 * 1024));
+        },
+    );
+    assert_eq!(ring, 0, "32 warm mixed 2 KB / 128 KB ring rounds made {ring} requests");
+
+    // 4. What a checkpoint round may cost. One round lands every sub-grid
+    //    once; its bytes are the files'.
+    const C: u32 = 3;
+    let (few, many) = (cr_config(C), cr_config(2 * C));
+    let extra_rounds = cr_rounds(&many) - cr_rounds(&few);
+    assert!(extra_rounds >= u64::from(C), "2C checkpoints add at least C rounds");
+    let layout = ProcLayout::new(few.n, few.l, few.technique.layout(), few.scale);
+    let round_bytes: u64 = (layout.system().grids().iter())
+        .map(|g| (ftsg_core::checkpoint::OVERHEAD + 8 * g.level.points()) as u64)
+        .sum();
+    let extra = cr_run_bytes(many).saturating_sub(cr_run_bytes(few));
+    let budget = (extra_rounds as f64 * 1.1 * round_bytes as f64) as u64;
+    assert!(
+        extra <= budget,
+        "{extra_rounds} more checkpoint rounds requested {extra} more bytes; the budget is \
+         {budget} ({extra_rounds} x 1.1 x {round_bytes} per round): something besides the \
+         members' wire copies scales with rounds"
+    );
+    println!(
+        "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps and 32 mixed \
+         ring rounds; {extra_rounds} extra checkpoint rounds cost {:.3} of one round's bytes each",
+        extra as f64 / extra_rounds as f64 / round_bytes as f64
+    );
+}

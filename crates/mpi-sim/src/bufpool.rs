@@ -1,22 +1,25 @@
 //! Reusable payload buffers.
 //!
-//! Every eager send encodes into a fresh heap buffer that the receiver
-//! drops after decoding — at one allocation per message, a halo exchange
-//! churns four buffers per rank per timestep. The pool closes the loop:
-//! a send takes a retired buffer, and a receiver hands the payload back
-//! once decoded. Recovery uses [`BytesMut::try_from(Bytes)`], which
-//! succeeds exactly when the payload's refcount has dropped to one and
-//! the view spans the whole allocation — a payload still aliased
-//! somewhere simply isn't recycled.
+//! A point-to-point payload is owned by exactly one party at a time: the
+//! sender takes a buffer from the pool and encodes into it, the
+//! [`Envelope`](crate::mailbox::Envelope) carries it — by value, never
+//! shared — through the destination mailbox, and the receiver hands it
+//! back with [`BufPool::recycle`] once decoded. Nothing on that path is
+//! reference counted, so a warm exchange makes no allocator request at
+//! all: the buffer that carried the last message carries the next one.
+//!
+//! Payloads that really are shared — the results of `bcast`, `allgather`,
+//! `scatter` and friends, which every participant reads — stay
+//! [`bytes::Bytes`] and never enter the pool.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use parking_lot::Mutex;
 
 /// A bounded stack of retired payload buffers.
 ///
 /// Shared by all ranks of a communicator (senders take, receivers
 /// recycle — they are different processes, so the pool must span both).
-/// Bounded so a burst of large collectives cannot pin memory forever.
+/// Bounded so a burst of large messages cannot pin memory forever.
 #[derive(Debug)]
 pub struct BufPool {
     bufs: Mutex<Vec<BytesMut>>,
@@ -35,33 +38,46 @@ impl BufPool {
         BufPool { bufs: Mutex::new(Vec::new()), max }
     }
 
-    /// A cleared buffer with at least `cap` capacity — pooled if one is
-    /// available, freshly allocated otherwise.
+    /// An empty buffer with at least `cap` capacity: the pooled buffer
+    /// that fits `cap` most tightly, or a fresh one when none is large
+    /// enough. A too-small pooled buffer is never grown — that would be
+    /// an allocator request although a large-enough buffer may sit one
+    /// slot further down — and a small message does not walk off with a
+    /// large buffer while a closer fit is pooled, so a mix of message
+    /// sizes settles into one buffer per size in flight.
+    ///
+    /// The scan runs newest-first and stops at an exact fit, which is the
+    /// top of the stack whenever messages of one size ping-pong.
     pub fn take(&self, cap: usize) -> BytesMut {
-        let recycled = self.bufs.lock().pop();
-        match recycled {
-            Some(mut b) => {
-                b.clear();
-                b.reserve(cap);
-                b
+        let mut bufs = self.bufs.lock();
+        let mut best: Option<(usize, usize)> = None;
+        for (i, b) in bufs.iter().enumerate().rev() {
+            let have = b.capacity();
+            if have == cap {
+                best = Some((i, have));
+                break;
             }
-            None => BytesMut::with_capacity(cap),
+            if have > cap && best.is_none_or(|(_, tightest)| have < tightest) {
+                best = Some((i, have));
+            }
+        }
+        match best {
+            Some((i, _)) => bufs.swap_remove(i),
+            None => {
+                drop(bufs);
+                BytesMut::with_capacity(cap)
+            }
         }
     }
 
-    /// Return a consumed payload to the pool. Succeeds (true) only when
-    /// `payload` was the last reference to its allocation and the pool
-    /// has room; otherwise the bytes are simply dropped.
-    pub fn recycle(&self, payload: Bytes) -> bool {
-        let Ok(buf) = BytesMut::try_from(payload) else {
-            return false;
-        };
+    /// Return a consumed payload's buffer to the pool (cleared, storage
+    /// kept). Beyond `max` pooled buffers it is simply dropped.
+    pub fn recycle(&self, mut buf: BytesMut) {
+        buf.clear();
         let mut bufs = self.bufs.lock();
-        if bufs.len() >= self.max {
-            return false;
+        if bufs.len() < self.max {
+            bufs.push(buf);
         }
-        bufs.push(buf);
-        true
     }
 
     /// Number of buffers currently pooled.
@@ -79,51 +95,55 @@ mod tests {
         let pool = BufPool::new(4);
         let mut b = pool.take(64);
         b.extend_from_slice(&[1, 2, 3]);
-        let frozen = b.freeze();
-        let ptr = frozen.as_ptr();
-        assert!(pool.recycle(frozen));
+        let ptr = b.as_ptr();
+        pool.recycle(b);
         assert_eq!(pool.pooled(), 1);
         let b2 = pool.take(8);
-        assert!(b2.capacity() >= 8);
+        assert!(b2.is_empty(), "recycled buffers come back cleared");
+        assert!(b2.capacity() >= 64);
         // Same allocation came back (clear() keeps the storage).
-        let frozen2 = {
-            let mut b2 = b2;
-            b2.extend_from_slice(&[9]);
-            b2.freeze()
-        };
-        assert_eq!(frozen2.as_ptr(), ptr);
-    }
-
-    #[test]
-    fn shared_payloads_are_not_recycled() {
-        let pool = BufPool::new(4);
-        let mut b = pool.take(16);
-        b.extend_from_slice(&[5; 16]);
-        let frozen = b.freeze();
-        let alias = frozen.clone();
-        assert!(!pool.recycle(frozen), "refcount 2 must not be reclaimed");
+        assert_eq!(b2.as_ptr(), ptr);
         assert_eq!(pool.pooled(), 0);
-        drop(alias);
     }
 
     #[test]
-    fn sub_slice_views_are_not_recycled() {
-        let pool = BufPool::new(4);
-        let mut b = pool.take(16);
-        b.extend_from_slice(&[7; 16]);
-        let frozen = b.freeze();
-        let tail = frozen.slice(8..);
-        drop(frozen);
-        assert!(!pool.recycle(tail), "partial view must not be reclaimed");
+    fn take_prefers_the_tightest_fit_and_never_grows_a_small_buffer() {
+        let pool = BufPool::new(8);
+        let caps = [2048usize, 131_072, 2064, 16];
+        let mut held: Vec<BytesMut> = caps.iter().map(|&c| pool.take(c)).collect();
+        let by_cap: Vec<(usize, *const u8)> =
+            held.iter().map(|b| (b.capacity(), b.as_ptr())).collect();
+        for b in held.drain(..) {
+            pool.recycle(b);
+        }
+        // Exact fits come back whatever the stack order.
+        for &(cap, ptr) in &by_cap {
+            let b = pool.take(cap);
+            assert_eq!((b.capacity(), b.as_ptr()), (cap, ptr));
+            pool.recycle(b);
+        }
+        // 2050 bytes: the 2064 buffer is the tightest fit, not 131_072,
+        // and certainly not the 2048 one grown.
+        let b = pool.take(2050);
+        assert_eq!(b.capacity(), 2064);
+        // With that one out, the next-tightest is the large buffer.
+        let c = pool.take(2050);
+        assert_eq!(c.capacity(), 131_072);
+        // Nothing pooled is large enough now: a fresh buffer, and the
+        // small ones stay where they are.
+        let pooled = pool.pooled();
+        let d = pool.take(4096);
+        assert_eq!(d.capacity(), 4096);
+        assert_eq!(pool.pooled(), pooled);
     }
 
     #[test]
     fn pool_is_bounded() {
         let pool = BufPool::new(1);
-        let a = pool.take(8).freeze();
-        let b = pool.take(8).freeze();
-        assert!(pool.recycle(a));
-        assert!(!pool.recycle(b), "beyond max, buffers are dropped");
+        let a = pool.take(8);
+        let b = pool.take(8);
+        pool.recycle(a);
+        pool.recycle(b); // beyond max: dropped
         assert_eq!(pool.pooled(), 1);
     }
 }

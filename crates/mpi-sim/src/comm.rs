@@ -16,13 +16,14 @@
 //!   acknowledgement protocol the paper's error handler (its Fig. 4) uses.
 
 use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::bufpool::BufPool;
-use crate::datatype::{decode, decode_into, decode_one, encode, encode_into, MpiData};
+use crate::datatype::{decode, decode_into, decode_one, encode, encode_into, MpiData, WireSlice};
 use crate::error::{Error, Result};
 use crate::faultplan::OpClass;
 use crate::group::Group;
@@ -258,10 +259,25 @@ impl Comm {
         if d.is_failed() {
             return self.handle_err(ctx, Err(Error::proc_failed(dest)));
         }
+        self.deposit(ctx, d, tag, data, "send");
+        Ok(())
+    }
+
+    /// The eager deposit behind [`send`](Comm::send) and
+    /// [`isend`](Comm::isend): one copy, slice → pooled wire buffer, and
+    /// the buffer itself moves into the destination mailbox. From the
+    /// push on it belongs to the envelope; the receiver recycles it.
+    fn deposit<T: MpiData>(
+        &self,
+        ctx: &Ctx,
+        d: &ProcState,
+        tag: Tag,
+        data: &[T],
+        label: &'static str,
+    ) {
         let t0 = ctx.now();
-        let mut buf = self.shared.pool.take(std::mem::size_of_val(data));
-        encode_into(data, &mut buf);
-        let payload = buf.freeze();
+        let mut payload = self.shared.pool.take(data.len() * T::WIDTH);
+        encode_into(data, &mut payload);
         let nbytes = payload.len();
         let arrive = ctx.now() + ctx.net().p2p(nbytes);
         d.mailbox.push(Envelope {
@@ -272,10 +288,9 @@ impl Comm {
             arrive,
         });
         d.wake(); // after the push: the message is visible before the wake
-        ctx.advance(ctx.net().latency); // sender-side occupancy
+        ctx.advance(ctx.net().latency); // sender-side occupancy only
         ctx.metrics.note_sent(nbytes);
-        ctx.trace_p2p("send", self.shared.cid, t0, nbytes);
-        Ok(())
+        ctx.trace_p2p(label, self.shared.cid, t0, nbytes);
     }
 
     /// Send a single element.
@@ -290,8 +305,9 @@ impl Comm {
 
     /// Blocking receive from a specific source rank and tag into a
     /// reused buffer (cleared first); returns the element count. The
-    /// consumed payload is recycled into the communicator's buffer pool,
-    /// so a steady-state exchange allocates nothing.
+    /// consumed payload's buffer goes back to the communicator's pool,
+    /// where the next send of that size finds it: a warm exchange makes
+    /// no allocator request on either side.
     pub fn recv_into<T: MpiData>(
         &self,
         ctx: &Ctx,
@@ -300,15 +316,46 @@ impl Comm {
         out: &mut Vec<T>,
     ) -> Result<usize> {
         let (_, _, raw) = self.recv_raw(ctx, Some(src), Some(tag))?;
-        decode_into(&raw, out)?;
+        let decoded = decode_into(&raw, out);
         self.shared.pool.recycle(raw);
+        decoded?;
         Ok(out.len())
+    }
+
+    /// Blocking receive straight onto a caller-sized slice — MPI's own
+    /// idiom of receiving into the array one computes on. The payload
+    /// must hold exactly `out.len()` elements; any other length is an
+    /// [`Error::InvalidArg`] and leaves `out` untouched.
+    pub fn recv_onto<T: MpiData>(
+        &self,
+        ctx: &Ctx,
+        src: usize,
+        tag: Tag,
+        out: &mut [T],
+    ) -> Result<()> {
+        let (_, _, raw) = self.recv_raw(ctx, Some(src), Some(tag))?;
+        let got = raw.len();
+        let fits = got == out.len() * T::WIDTH;
+        if fits {
+            T::copy_from_raw(&raw, out);
+        }
+        self.shared.pool.recycle(raw);
+        if !fits {
+            return Err(Error::InvalidArg(format!(
+                "recv_onto: payload of {got} bytes for {} elements of width {}",
+                out.len(),
+                T::WIDTH
+            )));
+        }
+        Ok(())
     }
 
     /// Receive exactly one element.
     pub fn recv_one<T: MpiData>(&self, ctx: &Ctx, src: usize, tag: Tag) -> Result<T> {
-        let (_, _, e) = self.recv_raw(ctx, Some(src), Some(tag))?;
-        decode_one(&e)
+        let (_, _, raw) = self.recv_raw(ctx, Some(src), Some(tag))?;
+        let v = decode_one(&raw);
+        self.shared.pool.recycle(raw);
+        v
     }
 
     /// Blocking receive with `MPI_ANY_SOURCE` / `MPI_ANY_TAG` wildcards.
@@ -320,9 +367,9 @@ impl Comm {
         tag: Option<Tag>,
     ) -> Result<(usize, Tag, Vec<T>)> {
         let (s, t, raw) = self.recv_raw(ctx, src, tag)?;
-        let v = decode(&raw)?;
+        let v = decode(&raw);
         self.shared.pool.recycle(raw);
-        Ok((s, t, v))
+        Ok((s, t, v?))
     }
 
     fn recv_raw(
@@ -330,7 +377,7 @@ impl Comm {
         ctx: &Ctx,
         src: Option<usize>,
         tag: Option<Tag>,
-    ) -> Result<(usize, Tag, Bytes)> {
+    ) -> Result<(usize, Tag, BytesMut)> {
         self.recv_raw_full(ctx, src, tag).map(|(s, t, _, b)| (s, t, b))
     }
 
@@ -339,12 +386,14 @@ impl Comm {
     /// time into hidden and exposed shares. The stall the *caller* pays
     /// (clock advance up to arrival) is accounted as exposed
     /// communication here, uniformly for blocking and nonblocking paths.
+    /// The returned buffer is the caller's: decode it, then hand it back
+    /// to the communicator's pool.
     fn recv_raw_full(
         &self,
         ctx: &Ctx,
         src: Option<usize>,
         tag: Option<Tag>,
-    ) -> Result<(usize, Tag, f64, Bytes)> {
+    ) -> Result<(usize, Tag, f64, BytesMut)> {
         if let Some(s) = src {
             if s >= self.size() {
                 return Err(Error::InvalidArg(format!("recv from rank {s} of {}", self.size())));
@@ -438,23 +487,7 @@ impl Comm {
         if d.is_failed() {
             return self.handle_err(ctx, Err(Error::proc_failed(dest)));
         }
-        let t0 = ctx.now();
-        let mut buf = self.shared.pool.take(std::mem::size_of_val(data));
-        encode_into(data, &mut buf);
-        let payload = buf.freeze();
-        let nbytes = payload.len();
-        let arrive = ctx.now() + ctx.net().p2p(nbytes);
-        d.mailbox.push(Envelope {
-            cid: self.shared.cid,
-            src_rank: self.rank,
-            tag,
-            payload,
-            arrive,
-        });
-        d.wake();
-        ctx.advance(ctx.net().latency); // sender-side occupancy only
-        ctx.metrics.note_sent(nbytes);
-        ctx.trace_p2p("isend", self.shared.cid, t0, nbytes);
+        self.deposit(ctx, d, tag, data, "isend");
         Ok(Request { comm: self, state: ReqState::Send { dest } })
     }
 
@@ -603,21 +636,38 @@ impl Comm {
 
     /// `MPI_Gatherv`: every rank contributes a slice (lengths may differ);
     /// the root receives all contributions in rank order.
+    ///
+    /// This form decodes every contribution into a vector of its own —
+    /// right for the small metadata gathers; a root that assembles bulk
+    /// data in place uses [`gather_view`](Comm::gather_view), on which
+    /// this one is built.
     pub fn gather<T: MpiData>(
         &self,
         ctx: &Ctx,
         root: usize,
         mine: &[T],
     ) -> Result<Option<Vec<Vec<T>>>> {
+        Ok(self.gather_view(ctx, root, mine)?.map(|parts| parts.to_vecs()))
+    }
+
+    /// `MPI_Gatherv` whose root *visits* the contributions instead of
+    /// receiving copies of them: the root gets a [`Gathered`] handle onto
+    /// every rank's wire bytes, in rank order, and decodes the ranges it
+    /// wants straight into the array it assembles (`None` elsewhere).
+    /// Same collective as [`gather`](Comm::gather) in every other
+    /// respect — one fault site, one cost-model charge, the same failure
+    /// semantics.
+    pub fn gather_view<T: MpiData>(
+        &self,
+        ctx: &Ctx,
+        root: usize,
+        mine: &[T],
+    ) -> Result<Option<Gathered<T>>> {
         let parts = self.gather_bytes(ctx, OpKind::Gather, mine)?;
         if self.rank != root {
             return Ok(None);
         }
-        let mut out = Vec::with_capacity(parts.len());
-        for b in parts.iter() {
-            out.push(decode(b)?);
-        }
-        Ok(Some(out))
+        Gathered::new(parts).map(Some)
     }
 
     /// `MPI_Allgatherv`: like gather, but everyone gets all contributions.
@@ -768,7 +818,7 @@ impl Comm {
         ctx.trace_event("alltoall", self.shared.cid, t0, ctx.now());
         let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         let matrix = res.downcast_ref::<Vec<Vec<Bytes>>>().expect("alltoall payload");
-        matrix[self.rank].iter().map(decode).collect()
+        matrix[self.rank].iter().map(|b| decode(b)).collect()
     }
 
     /// `MPI_Reduce` (element-wise): the root gets the combined vector.
@@ -1041,6 +1091,46 @@ impl Comm {
     }
 }
 
+/// What the root of a [`Comm::gather_view`] holds: every rank's
+/// contribution, still in wire form, in rank order. The bytes are the
+/// ones each member encoded — shared with the collective's bookkeeping,
+/// never copied for the root — and stay alive as long as this handle.
+pub struct Gathered<T: MpiData> {
+    parts: Arc<Vec<Bytes>>,
+    _elem: PhantomData<T>,
+}
+
+impl<T: MpiData> Gathered<T> {
+    /// Checks every contribution's width once (the error [`decode`]
+    /// would give), so the views below are infallible.
+    fn new(parts: Arc<Vec<Bytes>>) -> Result<Self> {
+        for b in parts.iter() {
+            WireSlice::<T>::new(b)?;
+        }
+        Ok(Gathered { parts, _elem: PhantomData })
+    }
+
+    /// Number of contributions (the communicator size).
+    pub fn len(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// True for a gather over no rank (never, on a live communicator).
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// Rank `rank`'s contribution.
+    pub fn part(&self, rank: usize) -> WireSlice<'_, T> {
+        WireSlice::new(&self.parts[rank]).expect("widths were checked at construction")
+    }
+
+    /// Every contribution decoded into a vector of its own, in rank order.
+    pub fn to_vecs(&self) -> Vec<Vec<T>> {
+        (0..self.len()).map(|r| self.part(r).to_vec()).collect()
+    }
+}
+
 /// A posted nonblocking operation (see [`Comm::isend`] /
 /// [`Comm::irecv_into`]). Must be completed with [`Request::wait`],
 /// [`Request::test`] or [`waitall`]; an error consumes the request (like
@@ -1080,8 +1170,9 @@ impl<T: MpiData> Request<'_, T> {
             ReqState::Recv { src, tag, out, posted } => {
                 let t_block = ctx.now();
                 let (_, _, arrive, raw) = self.comm.recv_raw_full(ctx, Some(src), Some(tag))?;
-                decode_into(&raw, out)?;
+                let decoded = decode_into(&raw, out);
                 self.comm.shared.pool.recycle(raw);
+                decoded?;
                 // Flight time between posting and blocking was hidden
                 // behind whatever the rank computed in the meantime; the
                 // remainder (up to arrival) was exposed stall, which

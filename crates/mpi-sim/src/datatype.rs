@@ -2,8 +2,13 @@
 //!
 //! MPI transfers raw buffers described by datatypes; we keep the same spirit
 //! with a small [`MpiData`] trait that fixes a little-endian wire encoding,
-//! so payloads are plain byte buffers ([`bytes::Bytes`]) inside the runtime
-//! and typed slices at the API boundary.
+//! so payloads are plain byte buffers inside the runtime — a uniquely
+//! owned [`bytes::BytesMut`] for point-to-point messages, a shared
+//! [`bytes::Bytes`] for collective results — and typed slices at the API
+//! boundary. Decoding reads any `&[u8]`, so both kinds (and sub-ranges of
+//! them, see [`WireSlice`]) decode through the same functions.
+
+use std::marker::PhantomData;
 
 use bytes::{Bytes, BytesMut};
 
@@ -22,16 +27,33 @@ pub trait MpiData: Copy + Send + Sync + 'static {
     /// Decode one element from exactly `Self::WIDTH` bytes.
     fn get(raw: &[u8]) -> Self;
 
-    /// Append the encoding of a whole slice to `out`.
+    /// The slice's own bytes, when they *are* its wire encoding: the
+    /// primitive numeric types on a little-endian target, where the
+    /// little-endian wire format equals the in-memory layout. `None`
+    /// otherwise — the caller then encodes element by element.
     ///
-    /// The default loops over [`put`](MpiData::put); the primitive
-    /// numeric types override it with a single `memcpy` on little-endian
-    /// targets, where the wire format equals the in-memory layout.
+    /// Besides [`put_slice`](MpiData::put_slice), this is what lets a
+    /// writer stream a large typed buffer (a checkpoint payload) without
+    /// first materializing its encoding.
+    #[inline]
+    fn as_wire(data: &[Self]) -> Option<&[u8]> {
+        let _ = data;
+        None
+    }
+
+    /// Append the encoding of a whole slice to `out`: one `memcpy` where
+    /// [`as_wire`](MpiData::as_wire) applies, else a loop over
+    /// [`put`](MpiData::put).
     #[inline]
     fn put_slice(data: &[Self], out: &mut BytesMut) {
-        out.reserve(data.len() * Self::WIDTH);
-        for v in data {
-            v.put(out);
+        match Self::as_wire(data) {
+            Some(bytes) => out.extend_from_slice(bytes),
+            None => {
+                out.reserve(data.len() * Self::WIDTH);
+                for v in data {
+                    v.put(out);
+                }
+            }
         }
     }
 
@@ -46,6 +68,19 @@ pub trait MpiData: Copy + Send + Sync + 'static {
         out.reserve(n);
         for i in 0..n {
             out.push(Self::get(&raw[i * Self::WIDTH..]));
+        }
+    }
+
+    /// Decode exactly `out.len()` elements from `raw` over `out`. `raw`
+    /// must be `out.len() * Self::WIDTH` bytes long (checked by the
+    /// callers). The same bulk-copy override story again: this is what
+    /// lets a receiver assemble straight from wire bytes into the array
+    /// it computes on.
+    #[inline]
+    fn copy_from_raw(raw: &[u8], out: &mut [Self]) {
+        debug_assert_eq!(raw.len(), out.len() * Self::WIDTH);
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = Self::get(&raw[i * Self::WIDTH..]);
         }
     }
 }
@@ -66,18 +101,20 @@ macro_rules! impl_mpi_data {
             }
             #[cfg(target_endian = "little")]
             #[inline]
-            fn put_slice(data: &[Self], out: &mut BytesMut) {
-                // On little-endian targets the LE wire format is exactly
-                // the in-memory byte layout of these plain-old-data
-                // types, so the whole slice encodes as one copy. (The
-                // big-endian fallback is the default per-element loop.)
-                let bytes = unsafe {
+            fn as_wire(data: &[Self]) -> Option<&[u8]> {
+                // SAFETY: `data` is an initialized slice of a
+                // plain-old-data numeric type without padding, so its
+                // `size_of_val` bytes are initialized and readable for
+                // the lifetime of the borrow; `u8` has no alignment
+                // requirement. On little-endian targets those bytes are
+                // exactly the LE wire format. (The big-endian fallback is
+                // the default `None`.)
+                Some(unsafe {
                     std::slice::from_raw_parts(
                         data.as_ptr() as *const u8,
                         std::mem::size_of_val(data),
                     )
-                };
-                out.extend_from_slice(bytes);
+                })
             }
             #[cfg(target_endian = "little")]
             #[inline]
@@ -96,6 +133,24 @@ macro_rules! impl_mpi_data {
                         n * Self::WIDTH,
                     );
                     out.set_len(old + n);
+                }
+            }
+            #[cfg(target_endian = "little")]
+            #[inline]
+            fn copy_from_raw(raw: &[u8], out: &mut [Self]) {
+                assert_eq!(raw.len(), std::mem::size_of_val(out), "wire/typed length mismatch");
+                // SAFETY: `out` is an exclusive, initialized slice of a
+                // plain-old-data numeric type for which every bit pattern
+                // is a valid value; the assert above makes the byte counts
+                // equal, and `raw` (shared) cannot overlap `out`
+                // (exclusive). On little-endian targets the wire format is
+                // the in-memory layout, so the copy is the decode.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        raw.as_ptr(),
+                        out.as_mut_ptr() as *mut u8,
+                        raw.len(),
+                    );
                 }
             }
         }
@@ -149,7 +204,7 @@ pub fn encode_into<T: MpiData>(data: &[T], out: &mut BytesMut) {
 ///
 /// Errors if the buffer length is not a multiple of the element width —
 /// which, like a datatype mismatch in MPI, indicates a protocol bug.
-pub fn decode<T: MpiData>(raw: &Bytes) -> Result<Vec<T>> {
+pub fn decode<T: MpiData>(raw: &[u8]) -> Result<Vec<T>> {
     check_width::<T>(raw.len())?;
     let mut out = Vec::with_capacity(raw.len() / T::WIDTH);
     T::extend_from_raw(raw, &mut out);
@@ -158,7 +213,7 @@ pub fn decode<T: MpiData>(raw: &Bytes) -> Result<Vec<T>> {
 
 /// Decode a byte buffer into a reused vector (cleared first), avoiding
 /// the per-receive allocation of [`decode`].
-pub fn decode_into<T: MpiData>(raw: &Bytes, out: &mut Vec<T>) -> Result<()> {
+pub fn decode_into<T: MpiData>(raw: &[u8], out: &mut Vec<T>) -> Result<()> {
     check_width::<T>(raw.len())?;
     out.clear();
     T::extend_from_raw(raw, out);
@@ -175,8 +230,49 @@ fn check_width<T: MpiData>(len: usize) -> Result<()> {
     Ok(())
 }
 
+/// A typed, read-only view of wire bytes: [`len`](WireSlice::len)
+/// elements of `T` that have not been decoded yet. The root of a gather
+/// reads each contribution through one (see
+/// [`Gathered`](crate::comm::Gathered)) and decodes the ranges it wants
+/// straight into place, so no intermediate `Vec<T>` exists.
+#[derive(Debug, Clone, Copy)]
+pub struct WireSlice<'a, T: MpiData> {
+    raw: &'a [u8],
+    _elem: PhantomData<T>,
+}
+
+impl<'a, T: MpiData> WireSlice<'a, T> {
+    /// View `raw` as elements of `T`; the same width check (and error)
+    /// as [`decode`].
+    pub fn new(raw: &'a [u8]) -> Result<Self> {
+        check_width::<T>(raw.len())?;
+        Ok(WireSlice { raw, _elem: PhantomData })
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.raw.len() / T::WIDTH
+    }
+
+    /// True when the view holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.raw.is_empty()
+    }
+
+    /// Decode elements `start .. start + out.len()` over `out`. Panics
+    /// when the range runs past the view, like slice indexing.
+    pub fn copy_to(&self, start: usize, out: &mut [T]) {
+        T::copy_from_raw(&self.raw[start * T::WIDTH..(start + out.len()) * T::WIDTH], out);
+    }
+
+    /// Decode the whole view into a fresh vector.
+    pub fn to_vec(&self) -> Vec<T> {
+        decode(self.raw).expect("the width was checked at construction")
+    }
+}
+
 /// Decode exactly one element.
-pub fn decode_one<T: MpiData>(raw: &Bytes) -> Result<T> {
+pub fn decode_one<T: MpiData>(raw: &[u8]) -> Result<T> {
     let v = decode::<T>(raw)?;
     if v.len() != 1 {
         return Err(Error::InvalidArg(format!("expected exactly 1 element, got {}", v.len())));
@@ -273,6 +369,32 @@ mod tests {
         }
         // Misaligned buffers still rejected.
         assert!(decode_into::<f64>(&enc.slice(0..9), &mut out).is_err());
+    }
+
+    #[test]
+    fn wire_slice_decodes_ranges_in_place() {
+        let xs: Vec<f64> = (0..37).map(|i| f64::from_bits(0x7ff8_0000_0000_0000 | i)).collect();
+        let enc = encode(&xs);
+        let view = WireSlice::<f64>::new(&enc).unwrap();
+        assert_eq!((view.len(), view.is_empty()), (37, false));
+        // A ragged interior range lands bit for bit, neighbours untouched.
+        let mut out = [1.0f64; 9];
+        view.copy_to(5, &mut out[2..7]);
+        for (k, v) in out.iter().enumerate() {
+            let want = if (2..7).contains(&k) { xs[5 + k - 2].to_bits() } else { 1.0f64.to_bits() };
+            assert_eq!(v.to_bits(), want, "slot {k}");
+        }
+        let back = view.to_vec();
+        assert!(back.iter().zip(&xs).all(|(a, b)| a.to_bits() == b.to_bits()));
+        // Non-memcpy element types go through the per-element default.
+        let flags = [true, false, true, true];
+        let enc = encode(&flags);
+        let mut got = [false; 2];
+        WireSlice::<bool>::new(&enc).unwrap().copy_to(2, &mut got);
+        assert_eq!(got, [true, true]);
+        // The width check is `decode`'s.
+        let err = WireSlice::<f64>::new(&enc).unwrap_err();
+        assert_eq!(err.to_string(), decode::<f64>(&enc).unwrap_err().to_string());
     }
 
     #[test]

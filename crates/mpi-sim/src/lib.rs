@@ -78,9 +78,11 @@ pub mod topology;
 pub mod trace_export;
 
 pub use bufpool::BufPool;
-pub use comm::{waitall, Comm, ErrHandler, InterComm, ReduceOp, Request, ANY_SOURCE, ANY_TAG};
+pub use comm::{
+    waitall, Comm, ErrHandler, Gathered, InterComm, ReduceOp, Request, ANY_SOURCE, ANY_TAG,
+};
 pub use costmodel::{BetaUlfm, ClusterProfile, DiskParams, IdealUlfm, NetParams, UlfmCostModel};
-pub use datatype::MpiData;
+pub use datatype::{MpiData, WireSlice};
 pub use error::{Error, Result};
 pub use faultplan::{FaultPlan, FaultSite, OpClass};
 pub use group::Group;

@@ -5,17 +5,25 @@
 //! mode the paper's application uses). Receives match on
 //! `(communicator id, source rank, tag)` with `ANY` wildcards, in FIFO
 //! order per matching stream, exactly like MPI's non-overtaking rule.
+//!
+//! Ownership: between post and match the payload buffer belongs to the
+//! [`Envelope`] — and so to the destination mailbox — alone. The sender
+//! gave it up when it pushed; the receiver owns it from
+//! [`Mailbox::try_take`] until it has decoded and recycled it into the
+//! communicator's [`BufPool`](crate::BufPool). An envelope is therefore
+//! not `Clone`, and a message still queued when its receiver dies is
+//! freed with the mailbox.
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
+use bytes::BytesMut;
 use parking_lot::Mutex;
 
 /// Message tag. Negative tags are reserved for the runtime's own protocols.
 pub type Tag = i32;
 
 /// One in-flight message.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Envelope {
     /// Communicator (or intercommunicator) id the message was sent on.
     pub cid: u64,
@@ -23,8 +31,8 @@ pub struct Envelope {
     pub src_rank: usize,
     /// Application tag.
     pub tag: Tag,
-    /// Encoded payload.
-    pub payload: Bytes,
+    /// Encoded payload, in a uniquely owned (pooled) buffer.
+    pub payload: BytesMut,
     /// Virtual time at which the message arrives at the receiver.
     pub arrive: f64,
 }
@@ -118,8 +126,14 @@ impl Mailbox {
 mod tests {
     use super::*;
 
+    fn payload(bytes: &[u8]) -> BytesMut {
+        let mut b = BytesMut::with_capacity(bytes.len());
+        b.extend_from_slice(bytes);
+        b
+    }
+
     fn env(cid: u64, src: usize, tag: Tag) -> Envelope {
-        Envelope { cid, src_rank: src, tag, payload: Bytes::from_static(b"x"), arrive: 0.0 }
+        Envelope { cid, src_rank: src, tag, payload: payload(b"x"), arrive: 0.0 }
     }
 
     #[test]
@@ -175,7 +189,7 @@ mod tests {
             cid,
             src_rank: src,
             tag,
-            payload: Bytes::copy_from_slice(&[n]),
+            payload: payload(&[n]),
             arrive: 0.0,
         };
         let mb = Mailbox::new();

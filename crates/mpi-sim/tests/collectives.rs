@@ -134,6 +134,61 @@ fn gather_variable_lengths() {
 }
 
 #[test]
+fn gather_view_lets_the_root_assemble_in_place() {
+    // The root reads each contribution's wire bytes through a typed view
+    // and lands ranges of them in its own buffer; the allocating `gather`
+    // is the same collective decoded, so the two agree and cost the same.
+    let n = 5;
+    let report = run(RunConfig::local(n), move |ctx| {
+        let w = ctx.initial_world().unwrap();
+        let mine: Vec<u32> = (0..=w.rank() as u32).map(|k| 100 * w.rank() as u32 + k).collect();
+        let t0 = ctx.now();
+        let decoded = w.gather(ctx, 2, &mine).unwrap();
+        let t1 = ctx.now();
+        let view = w.gather_view(ctx, 2, &mine).unwrap();
+        assert_eq!(ctx.now() - t1, t1 - t0, "same cost-model charge");
+        assert_eq!(view.is_some(), w.rank() == 2);
+        if let (Some(decoded), Some(view)) = (decoded, view) {
+            assert_eq!((view.len(), view.is_empty()), (n, false));
+            assert_eq!(view.to_vecs(), decoded);
+            // The last element of every contribution, straight into place.
+            let mut tails = [0u32; 5];
+            for (r, slot) in tails.iter_mut().enumerate() {
+                view.part(r).copy_to(r, std::slice::from_mut(slot));
+            }
+            assert_eq!(tails, [0, 101, 202, 303, 404]);
+            ctx.report_f64("ok", 1.0);
+        }
+    });
+    report.assert_no_app_errors();
+    assert_eq!(report.get_f64("ok"), Some(1.0));
+}
+
+#[test]
+fn recv_onto_lands_on_a_caller_sized_slice() {
+    let report = run(RunConfig::local(2), |ctx| {
+        let w = ctx.initial_world().unwrap();
+        if w.rank() == 0 {
+            w.send(ctx, 1, 3, &[1.5f64, -2.5, 4.0]).unwrap();
+            w.send(ctx, 1, 3, &[9.0f64, 8.0]).unwrap();
+        } else {
+            // Into the middle of a larger array, neighbours untouched.
+            let mut field = [0.0f64; 5];
+            w.recv_onto(ctx, 0, 3, &mut field[1..4]).unwrap();
+            assert_eq!(field, [0.0, 1.5, -2.5, 4.0, 0.0]);
+            // A payload of another length is refused and changes nothing
+            // (the message is consumed, like a truncated MPI receive).
+            let err = w.recv_onto(ctx, 0, 3, &mut field[..3]).unwrap_err();
+            assert!(err.to_string().contains("payload of 16 bytes for 3 elements"), "{err}");
+            assert_eq!(field, [0.0, 1.5, -2.5, 4.0, 0.0]);
+            ctx.report_f64("ok", 1.0);
+        }
+    });
+    report.assert_no_app_errors();
+    assert_eq!(report.get_f64("ok"), Some(1.0));
+}
+
+#[test]
 fn scatter_and_allgather() {
     let n = 4;
     let report = run(RunConfig::local(n), move |ctx| {

@@ -62,6 +62,20 @@ impl Grid2 {
         Ok(Grid2 { level, nx, ny, data })
     }
 
+    /// Reuse or re-shape: make this grid one at `level`, keeping its
+    /// allocation. At the same level nothing moves; otherwise the value
+    /// buffer is cut or extended to the new node count (the invariant
+    /// `values().len() == nx * ny` holds either way). Node values are
+    /// **unspecified** afterwards — whatever the buffer held, zeros where
+    /// it grew — so this is for in-place assembly that overwrites every
+    /// node, which must not pay a zero-fill first.
+    pub fn reshape(&mut self, level: LevelPair) {
+        if level != self.level {
+            (self.level, self.nx, self.ny) = (level, level.nx(), level.ny());
+            self.data.resize(self.nx * self.ny, 0.0);
+        }
+    }
+
     /// The grid's level pair.
     pub fn level(&self) -> LevelPair {
         self.level
@@ -234,6 +248,22 @@ mod tests {
     fn from_raw_validates_length() {
         assert!(Grid2::from_raw(lv(1, 1), vec![0.0; 9]).is_ok());
         assert!(Grid2::from_raw(lv(1, 1), vec![0.0; 8]).is_err());
+    }
+
+    #[test]
+    fn reshape_keeps_the_allocation_and_the_length_invariant() {
+        let mut g = Grid2::from_fn(lv(3, 2), |x, y| 1.0 + x + y);
+        let (ptr, before) = (g.values().as_ptr(), g.clone());
+        g.reshape(lv(3, 2));
+        assert_eq!(g, before, "same level: nothing moves");
+        // Smaller, then back: the buffer is cut and re-extended in place.
+        g.reshape(lv(1, 2));
+        assert_eq!((g.nx(), g.ny(), g.values().len()), (3, 5, 15));
+        assert_eq!(g.values().as_ptr(), ptr);
+        g.reshape(lv(2, 3));
+        assert_eq!((g.level(), g.values().len()), (lv(2, 3), 45));
+        assert_eq!(g.values().as_ptr(), ptr, "45 nodes fit the 45-node allocation");
+        assert_eq!(g.row(8).len(), 5);
     }
 
     #[test]

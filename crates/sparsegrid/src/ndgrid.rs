@@ -81,6 +81,22 @@ impl GridN {
         Ok(GridN { level: level.to_vec(), shape, stride, data })
     }
 
+    /// Reuse or re-shape: make this grid one at `level`, keeping its
+    /// value allocation — the d-dimensional [`crate::Grid2::reshape`].
+    /// At the same level nothing moves; otherwise shape, strides and the
+    /// value count follow `level`. Node values are **unspecified**
+    /// afterwards (stale contents, zeros where the buffer grew): for
+    /// in-place assembly that overwrites every node.
+    pub fn reshape(&mut self, level: &[u32]) {
+        if level != self.level.as_slice() {
+            let (shape, stride, total) = geometry(level);
+            (self.shape, self.stride) = (shape, stride);
+            self.level.clear();
+            self.level.extend_from_slice(level);
+            self.data.resize(total, 0.0);
+        }
+    }
+
     /// The grid's level vector.
     pub fn level(&self) -> &[u32] {
         &self.level
@@ -482,6 +498,26 @@ mod tests {
     fn from_raw_validates_length() {
         assert!(GridN::from_raw(&[1, 1, 1], vec![0.0; 27]).is_ok());
         assert!(GridN::from_raw(&[1, 1, 1], vec![0.0; 26]).is_err());
+    }
+
+    #[test]
+    fn reshape_keeps_the_allocation_and_follows_the_level() {
+        let mut g = GridN::from_fn(&[2, 1, 2], |x| x[0] - x[1] + x[2]);
+        let (ptr, before) = (g.values().as_ptr(), g.clone());
+        g.reshape(&[2, 1, 2]);
+        assert_eq!(g, before, "same level: nothing moves");
+        // Another dimension, fewer nodes, then back up to the old count.
+        g.reshape(&[3, 2]);
+        let fresh = GridN::zeros(&[3, 2]);
+        assert_eq!(
+            (g.level(), g.shape(), g.strides()),
+            (&[3u32, 2][..], fresh.shape(), fresh.strides())
+        );
+        assert_eq!(g.values().len(), 45);
+        g.reshape(&[1, 2, 2]);
+        assert_eq!((g.dim(), g.values().len()), (3, 75));
+        assert_eq!(g.values().as_ptr(), ptr, "75 nodes fit the 75-node allocation");
+        assert_eq!(g.offset(&[2, 4, 4]), 74);
     }
 
     #[test]
