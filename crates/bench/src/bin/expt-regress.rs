@@ -4,20 +4,23 @@
 //! wall, the 3D rows-over-closure ratio, the sliced-over-bytewise CRC
 //! ratio) and fail (exit 1) if any slips more than 15% against its
 //! committed `BENCH_pr*.json` baseline — or, for the CRC ratio, under its
-//! 2x floor (see `ftsg_bench::experiments::regress` for the list).
+//! 2x floor — or if the one-failure repair of the paper's shape does not
+//! reproduce its committed agree count and `T_RECONSTRUCT` exactly (see
+//! `ftsg_bench::experiments::regress` for the list).
 //!
 //! ```text
-//! expt-regress [--dir PATH] [--iters K]
+//! expt-regress [--dir PATH] [--iters K] [--exact]
 //! ```
 //!
 //! `--dir` points at the directory holding the committed baselines
 //! (default `.`, the repo root); `--iters` sets the timed repetitions per
-//! wall-clock measurement (default 30, median taken).
+//! wall-clock measurement (default 30, median taken); `--exact` runs only
+//! the deterministic virtual-clock gate, which CI blocks on.
 
 use ftsg_bench::experiments::regress;
 
 fn usage() -> ! {
-    eprintln!("usage: expt-regress [--dir PATH] [--iters K]");
+    eprintln!("usage: expt-regress [--dir PATH] [--iters K] [--exact]");
     std::process::exit(2);
 }
 
@@ -25,6 +28,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut dir = ".".to_string();
     let mut iters = 30usize;
+    let mut exact = false;
     let mut i = 0;
     while i < args.len() {
         let take = |i: &mut usize| -> String {
@@ -34,13 +38,19 @@ fn main() {
         match args[i].as_str() {
             "--dir" => dir = take(&mut i),
             "--iters" => iters = take(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--exact" => exact = true,
             _ => usage(),
         }
         i += 1;
     }
-    match regress::run(&dir, iters) {
+    let outcome = if exact { regress::run_exact(&dir) } else { regress::run(&dir, iters) };
+    match outcome {
         Ok(report) => {
-            report.table().emit("results/regress.csv");
+            if exact {
+                print!("{}", report.table().render());
+            } else {
+                report.table().emit("results/regress.csv");
+            }
             if report.all_pass() {
                 println!(
                     "regression gate: PASS ({} gates within {:.0}%)",

@@ -12,10 +12,23 @@
 //! data restore, and the uninstrumented residual. The table shows virtual
 //! milliseconds per phase; `--json` additionally writes the raw
 //! timelines, keyed by technique label, for plotting.
+//!
+//! A second pair of tables is the op-count audit: how many ULFM calls the
+//! event put on rank 0's path under `Respawn` and under
+//! `SpareSubstitute`, next to what the paper's listings (Figs. 3 and 5)
+//! make — the reproduction should perform exactly those.
+//!
+//! Last comes the repair-path ledger (`ftsg_bench::experiments::repair`):
+//! the benchmark's five kill-and-repair shapes on OPL under the beta-ULFM
+//! model, parent commit vs this one, written to `BENCH_pr22.json`
+//! (`BENCH_OUT` redirects it) and `results/repair.csv`.
 
 use ftsg_bench::chaos::TECHNIQUES;
+use ftsg_bench::experiments::repair;
+use ftsg_bench::table::utc_today;
 use ftsg_bench::Table;
-use ftsg_core::{run_app, AppConfig, ProcLayout, PHASES};
+use ftsg_core::app::{keys, AUDITED_OPS};
+use ftsg_core::{run_app, AppConfig, ProcLayout, RecoveryPolicy, PHASES};
 use ulfm_sim::{run, timelines_to_json, FaultPlan, RecoveryTimeline, RunConfig};
 
 struct Cli {
@@ -46,19 +59,59 @@ fn parse_args() -> Cli {
     cli
 }
 
+/// ULFM calls of one single-failure repair in the paper's listings, in
+/// [`AUDITED_OPS`] order: Fig. 3's agree before the detecting and before
+/// the confirming barrier plus Fig. 5's on the intercommunicator, one
+/// shrink, spawn and merge, the reorder split, the two barriers.
+const LISTINGS_RESPAWN: [u64; 7] = [2, 1, 1, 1, 1, 1, 2];
+/// The same loop with Fig. 5 replaced by one promote split.
+const LISTINGS_SUBSTITUTE: [u64; 7] = [2, 0, 1, 0, 0, 1, 2];
+
 /// One failure in rank 0's own group, so the rank-0 timeline shows the
-/// data-restore phase itself rather than a wait inside the agree vote.
-fn timelines_for(technique: ftsg_core::Technique, seed: u64) -> Vec<RecoveryTimeline> {
-    let base = AppConfig::small(technique);
+/// data-restore phase itself rather than a wait in the confirming barrier.
+/// Returns the timelines and rank 0's per-event [`AUDITED_OPS`] counts.
+fn one_failure(
+    technique: ftsg_core::Technique,
+    policy: RecoveryPolicy,
+    seed: u64,
+) -> (Vec<RecoveryTimeline>, Vec<u64>) {
+    let spares = if policy == RecoveryPolicy::SpareSubstitute { 1 } else { 0 };
+    let base = AppConfig::small(technique).with_recovery_policy(policy).with_spares(spares);
     let steps = base.steps();
     let layout = ProcLayout::new(base.n, base.l, technique.layout(), base.scale);
     let victim = layout.group(0).first + 1;
     let when = if technique.has_periodic_protection() { steps / 2 } else { steps };
     let cfg = base.with_plan(FaultPlan::single(victim, when));
-    let world = layout.world_size();
+    let world = cfg.world_size(layout.world_size());
     let report = run(RunConfig::local(world).with_seed(seed), move |ctx| run_app(&cfg, ctx));
     report.assert_no_app_errors();
-    report.timelines
+    let counts = AUDITED_OPS
+        .iter()
+        .map(|op| report.get_list(&keys::op_count(op)).map_or(0, |per_event| per_event[0] as u64))
+        .collect();
+    (report.timelines, counts)
+}
+
+/// The op-count audit of one policy: the listings' counts beside every
+/// technique's (`per_tech` in [`TECHNIQUES`] order).
+fn audit_table(
+    policy: RecoveryPolicy,
+    listings: [u64; 7],
+    per_tech: &[Vec<u64>],
+    seed: u64,
+) -> Table {
+    let mut headers: Vec<&str> = vec!["op", "listings"];
+    headers.extend(TECHNIQUES.iter().map(|t| t.label()));
+    let mut table = Table::new(
+        format!("ULFM calls per failure event on rank 0 ({}, seed={seed})", policy.label()),
+        &headers,
+    );
+    for (i, op) in AUDITED_OPS.iter().enumerate() {
+        let mut row = vec![op.to_string(), listings[i].to_string()];
+        row.extend(per_tech.iter().map(|counts| counts[i].to_string()));
+        table.row(row);
+    }
+    table
 }
 
 fn main() {
@@ -68,8 +121,11 @@ fn main() {
     let mut table =
         Table::new(format!("Recovery timeline breakdown (ms, seed={})", cli.seed), &headers);
 
-    let per_tech: Vec<(&'static str, Vec<RecoveryTimeline>)> =
-        TECHNIQUES.iter().map(|&t| (t.label(), timelines_for(t, cli.seed))).collect();
+    let respawn: Vec<(Vec<RecoveryTimeline>, Vec<u64>)> =
+        TECHNIQUES.iter().map(|&t| one_failure(t, RecoveryPolicy::Respawn, cli.seed)).collect();
+    let per_tech: Vec<(&'static str, &Vec<RecoveryTimeline>)> =
+        TECHNIQUES.iter().zip(&respawn).map(|(t, (timelines, _))| (t.label(), timelines)).collect();
+    let respawn_ops: Vec<Vec<u64>> = respawn.iter().map(|(_, ops)| ops.clone()).collect();
     for (label, tls) in &per_tech {
         assert!(!tls.is_empty(), "{label}: the injected failure must produce a recovery timeline");
     }
@@ -88,6 +144,27 @@ fn main() {
     }
     table.row(total_row);
     print!("{}", table.render());
+    // The split row is one above the listings': the application's per-grid
+    // group split rides the confirming round.
+    let substitute_ops: Vec<Vec<u64>> = TECHNIQUES
+        .iter()
+        .map(|&t| one_failure(t, RecoveryPolicy::SpareSubstitute, cli.seed).1)
+        .collect();
+    for (policy, listings, ops) in [
+        (RecoveryPolicy::Respawn, LISTINGS_RESPAWN, &respawn_ops),
+        (RecoveryPolicy::SpareSubstitute, LISTINGS_SUBSTITUTE, &substitute_ops),
+    ] {
+        print!("{}", audit_table(policy, listings, ops, cli.seed).render());
+    }
+
+    let ledger = repair::run_all();
+    ledger.table().emit("results/repair.csv");
+    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr22.json".into());
+    std::fs::write(&out, ledger.to_json(&utc_today())).unwrap_or_else(|e| {
+        eprintln!("expt-timeline: cannot write {out}: {e}");
+        std::process::exit(2);
+    });
+    println!("repair ledger written to {out}");
 
     if let Some(path) = &cli.json {
         let entries: Vec<String> = per_tech

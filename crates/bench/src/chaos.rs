@@ -84,6 +84,11 @@ pub const APPROX_ENVELOPE: f64 = 64.0;
 /// ≤ ~0.11; the cap leaves generous headroom while still catching a
 /// blown combination, whose error is O(1)).
 pub const SHRINK_ERR_CAP: f64 = 0.5;
+/// `"recovery"` cases strike one of the first this-many operations inside
+/// the recovery scopes: the repair's five (shrink, spawn, merge, agree,
+/// reorder split under respawn), the data recovery's metadata broadcast
+/// and group split, and the first restore transfers on grid owners.
+pub const RECOVERY_REACH: u64 = 12;
 /// Spares provisioned for every `SpareSubstitute` chaos case. Campaign
 /// cases inject at most 3 failures, so promotion never runs out and the
 /// spawn fallback stays a deliberate (separately tested) path.
@@ -1188,14 +1193,31 @@ pub fn sample_case(
         }
         "recovery" => {
             // A primary step kill plus a second failure striking *during
-            // the recovery of the first* — mid-shrink, mid-spawn, or at
-            // the Nth runtime operation inside the recovery scope.
+            // the recovery of the first* — mid-shrink, mid-spawn, at the
+            // Nth runtime operation inside the recovery scopes (the repair
+            // makes the first five under respawn, then come the data
+            // recovery's metadata broadcast, its group split and the
+            // technique's restore transfers), or entering the confirming
+            // barrier that commits it all.
             let ranks = sample_ranks(rng, &layout, technique, 2);
-            case.victims.push((ranks[0], step_site(rng)));
-            let site = match rng.gen_range(0..4) {
+            let killed_at = rng.gen_range(1..=steps);
+            case.victims.push((ranks[0], FaultSite::Step(killed_at)));
+            let site = match rng.gen_range(0..6) {
                 0 => FaultSite::Op { kind: OpClass::Shrink, nth: 0 },
                 1 => FaultSite::Op { kind: OpClass::Spawn, nth: 0 },
-                _ => FaultSite::DuringRecovery { nth: rng.gen_range(0..3) },
+                2 => {
+                    // Every detection round before the one that finds the
+                    // primary made one (passing) barrier; the detecting
+                    // barrier follows, then the confirming one.
+                    let mut rounds = vec![steps];
+                    if technique.has_periodic_protection() {
+                        rounds.splice(0..0, write_steps(&shape));
+                    }
+                    let detected_in =
+                        rounds.iter().filter(|&&d| d <= killed_at).count().min(rounds.len() - 1);
+                    FaultSite::Op { kind: OpClass::Barrier, nth: detected_in as u64 + 1 }
+                }
+                _ => FaultSite::DuringRecovery { nth: rng.gen_range(0..RECOVERY_REACH) },
             };
             case.victims.push((ranks[1], site));
         }

@@ -105,7 +105,7 @@ pub fn measure_crc_ratio(iters: usize) -> f64 {
     sliced / bytewise
 }
 
-fn rustc_version() -> String {
+pub(crate) fn rustc_version() -> String {
     std::process::Command::new("rustc")
         .arg("-V")
         .output()
@@ -115,7 +115,7 @@ fn rustc_version() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-fn git_revision() -> String {
+pub(crate) fn git_revision() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()

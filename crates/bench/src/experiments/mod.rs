@@ -12,6 +12,7 @@ pub mod kernel;
 pub mod overlap;
 pub mod policy;
 pub mod regress;
+pub mod repair;
 pub mod scale;
 pub mod serve;
 pub mod table1;

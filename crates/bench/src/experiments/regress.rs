@@ -53,10 +53,19 @@
 //!    bytewise loop collapses the ratio to 1. How far above the floor a
 //!    CPU lands varies with its cache and issue width, which is why the
 //!    committed ratio itself is not the bar.
+//! 9. **`paper_shape_agree_calls`** and **`paper_shape_t_reconstruct`**
+//!    (virtual clock, **exact match**) — how many agreements the
+//!    one-failure repair of the paper's own shape (`paper2d_kill`) puts on
+//!    rank 0's path, and its `T_RECONSTRUCT`, vs `BENCH_pr22.json`
+//!    `acceptance`. Guards the recovery protocol: a consensus round
+//!    creeping back in, or a repair-path operation changing, moves one of
+//!    the two. Deterministic and host-independent, so unlike the gates
+//!    above it is not a matter of tolerance.
 //!
-//! Wall-clock gates are inherently machine-relative, so CI runs this lane
-//! advisory (`continue-on-error`); locally a nonzero exit means "look
-//! before you merge".
+//! Wall-clock gates are inherently machine-relative, so CI runs the full
+//! lane advisory (`continue-on-error`); the exact gate alone
+//! ([`run_exact`], `expt-regress --exact`) is a blocking CI step. Locally
+//! a nonzero exit means "look before you merge".
 
 use std::time::Instant;
 
@@ -83,6 +92,9 @@ pub struct GateResult {
     pub fresh: f64,
     /// Whether larger values are better (speedups) or worse (walls).
     pub higher_is_better: bool,
+    /// A deterministic quantity held to its committed value bit for bit;
+    /// neither direction nor tolerance applies.
+    pub exact: bool,
     pub pass: bool,
 }
 
@@ -95,14 +107,29 @@ impl GateResult {
         higher_is_better: bool,
     ) -> Self {
         let pass = passes(baseline, fresh, higher_is_better, TOLERANCE);
-        GateResult { name, source, baseline, fresh, higher_is_better, pass }
+        GateResult { name, source, baseline, fresh, higher_is_better, exact: false, pass }
+    }
+
+    /// A deterministic quantity: `fresh` must equal the committed value to
+    /// the last bit.
+    fn exact(name: &'static str, source: &'static str, baseline: f64, fresh: f64) -> Self {
+        let pass = baseline.to_bits() == fresh.to_bits();
+        GateResult { name, source, baseline, fresh, higher_is_better: false, exact: true, pass }
     }
 
     /// A gate held to a fixed floor: `fresh` must reach `floor` itself,
     /// with no tolerance band around a committed measurement.
     fn floor(name: &'static str, source: &'static str, floor: f64, fresh: f64) -> Self {
         let pass = passes(floor, fresh, true, 0.0);
-        GateResult { name, source, baseline: floor, fresh, higher_is_better: true, pass }
+        GateResult {
+            name,
+            source,
+            baseline: floor,
+            fresh,
+            higher_is_better: true,
+            exact: false,
+            pass,
+        }
     }
 }
 
@@ -128,7 +155,11 @@ impl RegressReport {
                 g.name.into(),
                 sig3(g.baseline),
                 sig3(g.fresh),
-                if g.higher_is_better { "higher-better".into() } else { "lower-better".into() },
+                match (g.exact, g.higher_is_better) {
+                    (true, _) => "exact".into(),
+                    (false, true) => "higher-better".into(),
+                    (false, false) => "lower-better".into(),
+                },
                 if g.pass { "ok".into() } else { "REGRESSED".into() },
                 g.source.into(),
             ]);
@@ -239,9 +270,36 @@ fn baseline_scale_wall(pr6: &str) -> Result<f64, String> {
         .ok_or_else(|| "BENCH_pr6.json: no ok pooled row with wall_per_step_ms".into())
 }
 
+/// The exact-match (virtual-clock) gates alone — deterministic, so CI
+/// can block on them.
+pub fn run_exact(dir: &str) -> Result<RegressReport, String> {
+    let pr22 = read_baseline(dir, "BENCH_pr22.json")?;
+    let agree_base = num_field(&pr22, "paper_shape_agree_calls", "BENCH_pr22.json")?;
+    let reconstruct_base = num_field(&pr22, "paper_shape_t_reconstruct", "BENCH_pr22.json")?;
+    let (agree_fresh, reconstruct_fresh) = crate::experiments::repair::measure_paper_shape();
+    Ok(RegressReport {
+        gates: vec![
+            GateResult::exact(
+                "paper_shape_agree_calls",
+                "BENCH_pr22.json",
+                agree_base,
+                agree_fresh as f64,
+            ),
+            GateResult::exact(
+                "paper_shape_t_reconstruct",
+                "BENCH_pr22.json",
+                reconstruct_base,
+                reconstruct_fresh,
+            ),
+        ],
+        tolerance: 0.0,
+    })
+}
+
 /// Run every gate against the baselines committed in `dir`.
 pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
     let iters = iters.max(3);
+    let exact = run_exact(dir)?;
 
     let pr1 = read_baseline(dir, "BENCH_pr1.json")?;
     let step_base = num_field(&pr1, "level9_single_owner_step_speedup", "BENCH_pr1.json")?;
@@ -313,7 +371,10 @@ pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
                 crc_floor,
                 crc_fresh,
             ),
-        ],
+        ]
+        .into_iter()
+        .chain(exact.gates)
+        .collect(),
         tolerance: TOLERANCE,
     })
 }
@@ -336,6 +397,10 @@ mod tests {
         assert!(GateResult::floor("f", "x.json", 2.0, 2.0).pass);
         assert!(GateResult::floor("f", "x.json", 2.0, 4.7).pass);
         assert!(!GateResult::floor("f", "x.json", 2.0, 1.99).pass);
+        // An exact gate has no band either way.
+        assert!(GateResult::exact("e", "x.json", 1.5, 1.5).pass);
+        assert!(!GateResult::exact("e", "x.json", 1.5, 1.5 + f64::EPSILON).pass);
+        assert!(!GateResult::exact("e", "x.json", 3.0, 2.0).pass);
         // Non-finite measurements never pass.
         assert!(!passes(f64::NAN, 1.0, true, 0.15));
         assert!(!passes(1.0, f64::INFINITY, false, 0.15));

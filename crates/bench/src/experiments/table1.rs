@@ -4,27 +4,19 @@
 //!
 //! The measured columns come from the application's repair path
 //! (timed per operation in `ftsg_core::reconstruct`); the paper's
-//! published values are shown alongside for direct comparison — by
+//! published values (`ulfm_sim::TABLE_I`, the same constants the cost
+//! model interpolates) are shown alongside for direct comparison — by
 //! construction the beta-ULFM cost model was calibrated against them, so
 //! agreement here validates the calibration end-to-end *through the whole
 //! recovery protocol*, not just the model functions.
 
 use ftsg_core::app::keys;
 use ftsg_core::{AppConfig, ProcLayout, Technique};
-use ulfm_sim::{ClusterProfile, FaultPlan};
+use ulfm_sim::{ClusterProfile, FaultPlan, TABLE_I};
 
 use crate::opts::Opts;
 use crate::runner::{launch_on, random_victims, ModelKind};
 use crate::table::{sig3, Table};
-
-/// The paper's measurements: (cores, spawn, shrink, agree, merge).
-pub const PAPER: &[(usize, f64, f64, f64, f64)] = &[
-    (19, 0.01, 0.01, 0.49, 0.01),
-    (38, 4.19, 2.46, 0.51, 0.01),
-    (76, 60.75, 43.35, 1.03, 0.02),
-    (152, 86.45, 50.80, 2.36, 0.03),
-    (304, 112.61, 55.57, 12.83, 0.03),
-];
 
 /// Run the two-failure sweep.
 pub fn run(opts: &Opts) -> Vec<Table> {
@@ -55,7 +47,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         let victims = random_victims(&layout, 2, true, seed);
         let plan = FaultPlan::new(victims.into_iter().map(|r| (r, steps)).collect());
         let report = launch_on(ClusterProfile::opl(), ModelKind::Beta, cfg.with_plan(plan), seed);
-        let paper = PAPER.iter().find(|&&(c, ..)| c == cores).copied().unwrap_or((
+        let paper = TABLE_I.iter().find(|&&(c, ..)| c == cores).copied().unwrap_or((
             cores,
             f64::NAN,
             f64::NAN,

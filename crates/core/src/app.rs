@@ -26,8 +26,7 @@ use crate::layout::{Assignment, ProcLayout};
 use crate::policy::RecoveryPolicy;
 use crate::psolve::DistributedSolver;
 use crate::reconstruct::{
-    communicator_reconstruct_shrink, communicator_reconstruct_substitute,
-    communicator_reconstruct_with, deferred_epoch_repair, detect_and_repair, ReconstructTimings,
+    is_casualty, reconstruct, repair_deferred, Attempt, Join, ReconstructTimings, RepairArm,
 };
 use crate::recovery;
 use crate::tags::TagSpace;
@@ -93,6 +92,12 @@ pub mod keys {
     /// cancellation (the campaign service reads it to classify the job
     /// as cancelled rather than failed).
     pub const CANCELLED: &str = "cancelled";
+    /// How many operations named `op` (an entry of
+    /// [`AUDITED_OPS`](super::AUDITED_OPS)) rank 0 made during each
+    /// failure event: a list with one entry per event, in event order.
+    pub fn op_count(op: &str) -> String {
+        format!("ops_{op}")
+    }
 }
 
 /// Marker type documenting the report-key contract of [`run_app`]: results
@@ -254,197 +259,281 @@ fn build_group(ctx: &Ctx, world: &Comm, my: Option<Assignment>, n_grids: usize) 
     build_group_by_color(ctx, world, my.map(|m| m.grid), n_grids)
 }
 
-/// After a `SpareSubstitute` repair, the promote split may have moved this
-/// rank into a grid slot it did not own before (a spare taking over a
-/// failed active slot, or — on the spawn fallback — back to its own).
-/// Re-derive the assignment from the *current* world rank and rebuild the
-/// solver if the owned block changed; the subsequent data recovery
-/// restores its state. Other policies never move a surviving rank, so
-/// this is a no-op for them.
-fn refresh_slot(
+/// What a committed data-recovery attempt leaves behind on this rank.
+pub(crate) struct Recovered {
+    /// The detection step the data came back at.
+    pub at_step: u64,
+    /// The per-grid group communicator over the confirmed world.
+    pub group: Comm,
+    /// This rank's accountable recovery time (Fig. 9a).
+    pub t_recovery: f64,
+    /// The failed-rank list the recovery used (rank 0's broadcast).
+    pub failed: Vec<usize>,
+}
+
+/// First collective of a data-recovery attempt: rank 0 tells everyone —
+/// respawned children know nothing — the detection step `dp` and the ranks
+/// to recover: this event's casualties so far, plus (at the final step)
+/// the earlier end-of-run casualties, so that late-spawned children derive
+/// the same lost-grid set as the survivors.
+pub(crate) fn share_recovery_metadata(
     ctx: &Ctx,
-    cfg: &AppConfig,
-    layout: &ProcLayout,
     world: &Comm,
-    dt: f64,
-    my: &mut Option<Assignment>,
-    solver: &mut Option<DistributedSolver>,
-) {
-    if cfg.recovery_policy != RecoveryPolicy::SpareSubstitute {
-        return;
+    dp: Option<u64>,
+    steps: u64,
+    event_failed: &[usize],
+    end_failed: &[usize],
+) -> Result<(u64, Vec<usize>)> {
+    let meta: Option<Vec<u64>> = if world.rank() == 0 {
+        // Cross-rank protocol assumption, not a local invariant: slot 0
+        // knows the detection step because the controller never fails (the
+        // paper's standing constraint) and children are never spawned into
+        // slot 0. If adversarial fault timing ever violates that — the
+        // exact regime the chaos engine probes — fail with an error
+        // (recorded and isolated) instead of panicking: a retry cannot
+        // manufacture the missing metadata, so this is a hard error, not
+        // a vote against the round.
+        let Some(d) = dp else {
+            return Err(Error::InvalidArg(
+                "recovery metadata missing on the controller rank".into(),
+            ));
+        };
+        let mut failed = event_failed.to_vec();
+        if d == steps {
+            failed.extend(end_failed.iter().filter(|r| !event_failed.contains(r)));
+        }
+        failed.sort_unstable();
+        let mut v = vec![d];
+        v.extend(failed.iter().map(|&r| r as u64));
+        Some(v)
+    } else {
+        None
+    };
+    let meta = world.bcast(ctx, 0, meta.as_deref())?;
+    Ok((meta[0], meta[1..].iter().map(|&r| r as usize).collect()))
+}
+
+/// [`reconstruct`] with `attempt` as the data recovery of its confirming
+/// rounds: returns the confirmed world and what the attempt of the round
+/// that was confirmed recovered (`None` when no round ran one — nothing
+/// failed, or the arm only shrinks and so refills nothing to recover).
+pub(crate) fn reconstruct_recovering(
+    ctx: &Ctx,
+    join: Join,
+    arm: &mut RepairArm<'_>,
+    timings: &mut ReconstructTimings,
+    mut attempt: impl FnMut(&Ctx, &Comm, &mut ReconstructTimings) -> Result<Recovered>,
+) -> Result<(Comm, Option<Recovered>)> {
+    let mut last: Option<Recovered> = None;
+    let mut run = |ctx: &Ctx, world: &Comm, tm: &mut ReconstructTimings| {
+        last = None;
+        last = Some(attempt(ctx, world, tm)?);
+        Ok(())
+    };
+    let riding: Option<Attempt<'_>> =
+        if matches!(arm, RepairArm::Shrink(_)) { None } else { Some(&mut run) };
+    let world = reconstruct(ctx, join, arm, riding, timings)?;
+    Ok((world, last))
+}
+
+/// The ULFM operations the per-event audit counts (`ulfm_sim::OP_NAMES`
+/// spellings), each reported under the key `ops_<name>`.
+pub const AUDITED_OPS: [&str; 7] =
+    ["agree", "intercomm_agree", "shrink", "spawn_multiple", "intercomm_merge", "split", "barrier"];
+
+/// One failure event as rank 0 books it: where its window and its
+/// operation counts started, and what the repair loop timed.
+pub(crate) struct Event {
+    t_start: f64,
+    ops_start: [u64; AUDITED_OPS.len()],
+    /// This event's timings only (detection, reconstruction and the data
+    /// recovery riding its confirming round).
+    pub round: ReconstructTimings,
+}
+
+impl Event {
+    pub fn open(ctx: &Ctx) -> Self {
+        Event {
+            t_start: ctx.now(),
+            ops_start: AUDITED_OPS.map(|op| ctx.op_count(op)),
+            round: ReconstructTimings::default(),
+        }
     }
-    let _ = ctx;
-    let new = layout.try_assignment(world.rank());
-    if new != *my {
-        *my = new;
-        *solver = new.map(|m| {
-            DistributedSolver::new(
-                cfg.problem,
-                layout.system().grid(m.grid).level,
-                dt,
-                layout.group(m.grid),
-                m.local,
-            )
-            .with_kernel(cfg.kernel)
-        });
+
+    /// The repaired world is confirmed: rank 0 reports the event's
+    /// timeline and how many of each audited operation it made (one list
+    /// entry per event), everyone folds its timings into the run's.
+    pub fn close(
+        self,
+        ctx: &Ctx,
+        cfg: &AppConfig,
+        world: &Comm,
+        index: &mut usize,
+        step: u64,
+        run: &mut ReconstructTimings,
+    ) {
+        if world.rank() == 0 {
+            ctx.report_timeline(build_timeline(*index, step, self.t_start, ctx.now(), &self.round));
+            for (op, n0) in AUDITED_OPS.iter().zip(self.ops_start) {
+                ctx.report_push(&keys::op_count(op), (ctx.op_count(op) - n0) as f64);
+            }
+        }
+        *index += 1;
+        merge_timings(run, &self.round);
+        notify(cfg, world, AppEvent::Recovered { step, ranks: self.round.failed_ranks.len() });
     }
 }
 
-/// Post-reconstruction phase with a **commit protocol** that survives
-/// failures striking *during the data recovery itself*. One attempt is:
-/// broadcast the failure metadata (rank 0 never fails, by the paper's
-/// constraint), rebuild the per-grid group communicators, and run the
-/// technique's data recovery. The attempt's outcome is then put to a
-/// fault-tolerant `OMPI_Comm_agree` vote; any rank that observed a
-/// recoverable error revokes the world (and its attempt group, releasing
-/// peers blocked in group collectives or cross-group point-to-point) and
-/// votes no, in which case the world is reconstructed again — absorbing
-/// the new casualty — and the recovery is retried from the top with the
-/// enlarged failed-rank list. Recovery (restore + recompute) is
-/// idempotent, so re-running it is safe.
-///
-/// Returns the (possibly re-reconstructed) world, the detection step, the
-/// new group communicator, this rank's recovery time, and the bcast
-/// failed-rank list the recovery actually used.
-#[allow(clippy::too_many_arguments)]
-fn recover_with_commit(
-    ctx: &Ctx,
-    cfg: &AppConfig,
-    layout: &ProcLayout,
-    mut world: Comm,
-    my: &mut Option<Assignment>,
-    solver: &mut Option<DistributedSolver>,
+/// What every data-recovery attempt of a run reads but never changes.
+struct Env<'a> {
+    cfg: &'a AppConfig,
+    layout: &'a ProcLayout,
+    store: &'a CheckpointStore,
     dt: f64,
-    store: &CheckpointStore,
-    buddy_store: &mut recovery::BuddyStore,
-    mut known: Option<(u64, Vec<usize>)>,
-    timings: &mut ReconstructTimings,
-) -> Result<(Comm, u64, Comm, f64, Vec<usize>)> {
-    let n_grids = layout.system().grids().len();
-    loop {
-        let _scope = ctx.recovery_scope();
-        let mut group_attempt: Option<Comm> = None;
-        let attempt: Result<(u64, f64, Vec<usize>)> = (|| {
-            let meta: Option<Vec<u64>> = if world.rank() == 0 {
-                // Cross-rank protocol assumption, not a local invariant:
-                // slot 0 holds metadata because the controller never
-                // fails (the paper's standing constraint) and children
-                // are never spawned into slot 0. If adversarial fault
-                // timing ever violates that — the exact regime the chaos
-                // engine probes — fail this rank's attempt with an error
-                // (recorded and isolated) instead of panicking: a retry
-                // cannot manufacture the missing metadata, so this is a
-                // hard error, not a vote-no.
-                let Some((d, failed)) = known.clone() else {
-                    return Err(Error::InvalidArg(
-                        "recovery metadata missing on the controller rank".into(),
-                    ));
-                };
-                let mut v = vec![d];
-                v.extend(failed.iter().map(|&r| r as u64));
-                Some(v)
-            } else {
-                None
-            };
-            let meta = world.bcast(ctx, 0, meta.as_deref())?;
-            let at_step = meta[0];
-            let failed: Vec<usize> = meta[1..].iter().map(|&r| r as usize).collect();
-            let group = &*group_attempt.insert(build_group(ctx, &world, *my, n_grids)?);
-            // Even a failed attempt spent restore time — attribute it.
-            // Idle spares hold no grid data; they skip the technique's
-            // recovery (which is group collectives plus point-to-point
-            // between grid owners) and just keep the world collectives
-            // above/below company.
-            let t_res0 = ctx.now();
-            let recovered = match (*my, solver.as_mut()) {
-                (Some(m), Some(sv)) => recovery::recover(
-                    ctx,
-                    cfg,
-                    layout,
-                    &world,
-                    group,
-                    m,
-                    sv,
-                    store,
-                    buddy_store,
-                    &failed,
-                    at_step,
-                ),
-                _ => Ok(recovery::RecoveryStats::default()),
-            };
-            timings.t_restore += ctx.now() - t_res0;
-            let stats = recovered?;
-            Ok((at_step, stats.t_recovery, failed))
-        })();
-        let ok = match &attempt {
-            Ok(_) => true,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => false,
-            Err(e) => return Err(e.clone()),
-        };
-        if !ok {
-            // Release every peer still blocked in this attempt's
-            // collectives or cross-group transfers, then vote no.
-            world.revoke(ctx);
-            if let Some(g) = &group_attempt {
-                g.revoke(ctx);
-            }
+}
+
+/// This rank's share of what a repair can rewrite: its grid slot, the
+/// solver on it, the protection data it holds, and the casualty lists the
+/// final combination needs.
+#[derive(Default)]
+struct RankState {
+    /// `None` on the idle spare tail under `SpareSubstitute`.
+    my: Option<Assignment>,
+    solver: Option<DistributedSolver>,
+    /// Checkpoint buffers and (async mode) the background writer; only a
+    /// CR group root ever puts anything in it.
+    landing: CkptLanding,
+    /// In-memory buddy checkpoints this rank holds for partner grids
+    /// (Buddy Checkpoint only; respawned ranks start empty).
+    buddy_store: recovery::BuddyStore,
+    /// Grids that lost data at the *final* detection point; the Alternate
+    /// Combination's final solution is the robust combination over the
+    /// survivors ("all the surviving sub-grids, including those on the
+    /// extra layers, are assigned new coefficients for the combination").
+    final_lost: Vec<usize>,
+    /// Ranks that failed at the *final* detection step (or later, during
+    /// the combination), accumulated across failure events.
+    end_failed: Vec<usize>,
+    t_rec: f64,
+    t_ckpt: f64,
+}
+
+impl RankState {
+    /// Take the grid slot of `world_rank` (none on the spare tail),
+    /// rebuilding the solver if the slot changed: a respawned child takes
+    /// its slot for the first time, a promote split may have moved a spare
+    /// into a failed slot (or, on the spawn fallback, back out). The data
+    /// recovery that follows restores the solver's state. No other repair
+    /// ever moves a surviving rank, so elsewhere this changes nothing.
+    fn take_slot(&mut self, env: &Env<'_>, world_rank: usize) {
+        let new = env.layout.try_assignment(world_rank);
+        if new != self.my {
+            self.my = new;
+            self.solver = new.map(|m| {
+                DistributedSolver::new(
+                    env.cfg.problem,
+                    env.layout.system().grid(m.grid).level,
+                    env.dt,
+                    env.layout.group(m.grid),
+                    m.local,
+                )
+                .with_kernel(env.cfg.kernel)
+            });
         }
-        let t_ack0 = ctx.now();
-        world.failure_ack(ctx);
-        timings.t_ack += ctx.now() - t_ack0;
-        let mut flag = ok;
-        let t_agree0 = ctx.now();
-        let _ = world.agree(ctx, &mut flag); // fault-tolerant; flag = AND
-        timings.t_agree += ctx.now() - t_agree0;
-        if flag {
-            // A true vote normally implies our own attempt succeeded: the
-            // agree is the AND over the survivors and we contributed
-            // `ok`. The exception is adversarial timing — a failure
-            // disrupting the agree op itself can leave `flag` holding the
-            // local vote instead of the deposited agreement — so a
-            // commit with a locally failed attempt falls through to the
-            // repair-and-retry tail (recovery is idempotent; one more
-            // round is always safe) rather than asserting. When the
-            // attempt really did succeed its group exists by
-            // construction: the closure inserts `group_attempt` before
-            // it can return Ok.
-            if let (Ok((at_step, trec, failed)), Some(group)) = (attempt, group_attempt) {
-                return Ok((world, at_step, group, trec, failed));
-            }
-        }
-        // Someone failed mid-recovery: repair the world, fold the new
-        // casualties into the metadata, and retry. Only the respawn-family
-        // repairs apply here — `ShrinkRedistribute` never reaches this
-        // function, and a `DeferRepair` epoch has already restored the
-        // original numbering, so its mid-recovery casualties are repaired
-        // by the ordinary respawn protocol.
-        let mut round = ReconstructTimings::default();
-        world = match cfg.recovery_policy {
-            RecoveryPolicy::SpareSubstitute => communicator_reconstruct_substitute(
+    }
+
+    /// One data-recovery attempt on the `world` being confirmed: drain the
+    /// in-flight checkpoints, learn what failed, rebuild the per-grid
+    /// group communicators, and run the technique's data recovery.
+    /// Idempotent (restore + recompute), so a later round may re-run it.
+    fn attempt(
+        &mut self,
+        ctx: &Ctx,
+        env: &Env<'_>,
+        world: &Comm,
+        dp: Option<u64>,
+        timings: &mut ReconstructTimings,
+    ) -> Result<Recovered> {
+        // Recovery barrier: every in-flight async checkpoint must land
+        // before any restore reads the store (counted as checkpoint time —
+        // it is the write's exposed tail).
+        let t_drain0 = ctx.now();
+        stage(self.landing.drain(ctx), "ckpt-drain", ctx)?;
+        self.t_ckpt += ctx.now() - t_drain0;
+        self.take_slot(env, world.rank());
+        let steps = env.cfg.steps();
+        let (at_step, failed) = share_recovery_metadata(
+            ctx,
+            world,
+            dp,
+            steps,
+            &timings.failed_ranks,
+            &self.end_failed,
+        )?;
+        let n_grids = env.layout.system().grids().len();
+        let group = build_group(ctx, world, self.my, n_grids)?;
+        // Even a failed attempt spent restore time — attribute it. Idle
+        // spares hold no grid data; they skip the technique's recovery
+        // (group collectives plus point-to-point between grid owners) and
+        // just keep the world collectives around it company.
+        let t_res0 = ctx.now();
+        let recovered = match (self.my, self.solver.as_mut()) {
+            (Some(m), Some(sv)) => recovery::recover(
                 ctx,
+                env.cfg,
+                env.layout,
                 world,
-                layout.world_size(),
-                cfg.respawn_policy,
-                &mut round,
-            )?,
-            _ => communicator_reconstruct_with(
-                ctx,
-                Some(world),
-                None,
-                cfg.respawn_policy,
-                &mut round,
-            )?,
+                &group,
+                m,
+                sv,
+                env.store,
+                &mut self.buddy_store,
+                &failed,
+                at_step,
+            ),
+            _ => Ok(recovery::RecoveryStats::default()),
         };
-        refresh_slot(ctx, cfg, layout, &world, dt, my, solver);
-        if let Some((_, failed)) = known.as_mut() {
-            for &r in &round.failed_ranks {
-                if !failed.contains(&r) {
-                    failed.push(r);
+        timings.t_restore += ctx.now() - t_res0;
+        match recovered {
+            Ok(stats) => Ok(Recovered { at_step, group, t_recovery: stats.t_recovery, failed }),
+            Err(e) => {
+                // Release every peer still blocked in this attempt's group
+                // collectives (the loop revokes the world).
+                if is_casualty(&e) {
+                    group.revoke(ctx);
                 }
+                Err(e)
             }
-            failed.sort_unstable();
         }
-        merge_timings(timings, &round);
+    }
+
+    /// Run the Fig. 3 loop with this rank's data recovery riding its
+    /// confirming rounds, and book what the confirming barrier committed:
+    /// returns the confirmed world and, if any round ran an attempt, the
+    /// new group communicator and the step the data came back at.
+    fn reconstruct(
+        &mut self,
+        ctx: &Ctx,
+        env: &Env<'_>,
+        join: Join,
+        arm: &mut RepairArm<'_>,
+        dp: Option<u64>,
+        timings: &mut ReconstructTimings,
+    ) -> Result<(Comm, Option<(Comm, u64)>)> {
+        let (world, recovered) =
+            reconstruct_recovering(ctx, join, arm, timings, |ctx, world, tm| {
+                self.attempt(ctx, env, world, dp, tm)
+            })?;
+        Ok((world, recovered.map(|rec| self.commit(env, rec))))
+    }
+
+    fn commit(&mut self, env: &Env<'_>, rec: Recovered) -> (Comm, u64) {
+        self.t_rec += rec.t_recovery;
+        if rec.at_step == env.cfg.steps() {
+            extend_lost(&mut self.final_lost, env.layout, &rec.failed);
+            self.end_failed = rec.failed;
+        }
+        (rec.group, rec.at_step)
     }
 }
 
@@ -496,28 +585,10 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     let store = CheckpointStore::new(&cfg.ckpt_dir)
         .map_err(|e| Error::InvalidArg(format!("checkpoint dir: {e}")))?
         .with_corruption(cfg.ckpt_corruption.clone());
+    let env = Env { cfg, layout: &layout, store: &store, dt: tg.dt };
+    let mut st = RankState::default();
 
-    // This rank's checkpoint buffers and (async mode) background writer;
-    // only a CR group root ever puts anything in it.
-    let mut landing = CkptLanding::default();
-
-    let child = ctx.is_spawned();
     let mut repair_timings = ReconstructTimings::default();
-    // In-memory buddy checkpoints this rank holds for partner grids
-    // (Buddy Checkpoint technique only; respawned ranks start empty).
-    let mut buddy_store: recovery::BuddyStore = Default::default();
-    // Grids that lost data at the *final* detection point; the Alternate
-    // Combination's final solution is the robust combination over the
-    // survivors ("all the surviving sub-grids, including those on the
-    // extra layers, are assigned new coefficients for the combination").
-    let mut final_lost: Vec<usize> = Vec::new();
-    // Ranks that failed at the *final* detection step (or later, during
-    // the combination), accumulated across recovery rounds: rank 0 folds
-    // them into the metadata broadcast of every subsequent recovery so
-    // that late-spawned children derive the same `final_lost` set.
-    let mut end_failed: Vec<usize> = Vec::new();
-    let mut t_rec_local = 0.0_f64;
-    let mut t_ckpt_local = 0.0_f64;
     let mut t_solve_local = 0.0_f64;
 
     // ---- policy state. ----
@@ -538,67 +609,33 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // ---- world acquisition (original vs respawned child). ----
     let mut world: Comm;
     let mut current_step: u64;
-    let mut my: Option<Assignment>;
-    let mut solver: Option<DistributedSolver>;
     let mut group: Comm;
 
-    if child {
-        let parent = ctx.parent().expect("spawned process has a parent intercommunicator");
+    if let Some(parent) = ctx.parent() {
         // NOTE: children never arm fault sites — a replacement re-arming
         // its predecessor's operation counters would strike again at the
         // same index, killing every successive replacement forever.
-        world = match communicator_reconstruct_with(
-            ctx,
-            None,
-            Some(parent),
-            cfg.respawn_policy,
-            &mut repair_timings,
-        ) {
-            Ok(w) => w,
+        //
+        // A child attaches, takes its slot and has its data recovered all
+        // inside the loop; whatever wrecks a later round, it repairs the
+        // way the survivors do (the numbering is original: it exists).
+        let mut arm =
+            RepairArm::for_policy(pol, cfg.respawn_policy, active_slots, &mut members, true);
+        let joined =
+            st.reconstruct(ctx, &env, Join::Child(parent), &mut arm, None, &mut repair_timings);
+        (world, (group, current_step)) = match joined {
+            Ok((w, Some(rec))) => (w, rec),
+            Ok((_, None)) => {
+                return Err(Error::InvalidArg("[child-reconstruct] no recovery ran".into()))
+            }
             // Our repair round was abandoned mid-flight; exit cleanly.
             Err(Error::Orphaned) => return Err(Error::Orphaned),
             Err(e) => return Err(Error::InvalidArg(format!("[child-reconstruct] {e}"))),
         };
-        // Children are only spawned into grid slots (respawn, the defer
-        // epoch batch, or the substitute fallback) — never as spares.
-        my = Some(layout.assignment(world.rank()));
-        solver = my.map(|m| {
-            DistributedSolver::new(
-                cfg.problem,
-                layout.system().grid(m.grid).level,
-                tg.dt,
-                layout.group(m.grid),
-                m.local,
-            )
-            .with_kernel(cfg.kernel)
-        });
-        let (w, d, g, trec, failed) = stage(
-            recover_with_commit(
-                ctx,
-                cfg,
-                &layout,
-                world,
-                &mut my,
-                &mut solver,
-                tg.dt,
-                &store,
-                &mut buddy_store,
-                None,
-                &mut repair_timings,
-            ),
-            "child-post-recovery",
-            ctx,
-        )?;
-        world = w;
-        group = g;
-        current_step = d;
-        t_rec_local += trec;
-        if d == steps {
-            extend_lost(&mut final_lost, &layout, &failed);
-            end_failed = failed;
-        }
     } else {
-        world = ctx.initial_world().expect("original process has a world");
+        world = ctx
+            .initial_world()
+            .ok_or_else(|| Error::InvalidArg("original process has no world".into()))?;
         let expected = cfg.world_size(layout.world_size());
         if world.size() != expected {
             return Err(Error::InvalidArg(format!(
@@ -608,23 +645,12 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 cfg.spares
             )));
         }
-        // `None` on the idle spare tail under `SpareSubstitute`.
-        my = layout.try_assignment(world.rank());
         // Arm this rank's operation-site and during-recovery fault
         // triggers (step-boundary strikes stay polled in the main loop).
         // Only original ranks arm — see the child branch.
         ctx.arm_fault_sites(&cfg.plan, world.rank());
-        solver = my.map(|m| {
-            DistributedSolver::new(
-                cfg.problem,
-                layout.system().grid(m.grid).level,
-                tg.dt,
-                layout.group(m.grid),
-                m.local,
-            )
-            .with_kernel(cfg.kernel)
-        });
-        group = stage(build_group(ctx, &world, my, n_grids), "initial-split", ctx)?;
+        st.take_slot(&env, world.rank());
+        group = stage(build_group(ctx, &world, st.my, n_grids), "initial-split", ctx)?;
         current_step = 0;
     }
 
@@ -646,9 +672,10 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     while current_step < steps {
         // ---- epoch boundary: observer tick + cooperative cancellation
         // poll. Every rank arrives here together (children join at the
-        // loop top after their post-recovery hand-off; survivors finish
-        // the repair arm of the previous iteration first), so both the
-        // poll broadcast and the agree below are collective. ----
+        // loop top once the round that recovered them is confirmed;
+        // survivors finish the repair arm of the previous iteration
+        // first), so both the poll broadcast and the agree below are
+        // collective. ----
         notify(cfg, &world, AppEvent::Epoch { step: current_step, steps });
         if let Some(flag) = &cfg.cancel {
             let mine = if world.rank() == 0 {
@@ -663,7 +690,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // simply observed at the next one.
             let seen = match world.bcast(ctx, 0, mine.as_deref()) {
                 Ok(v) => v[0] != 0,
-                Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => false,
+                Err(e) if is_casualty(&e) => false,
                 Err(e) => return Err(Error::InvalidArg(format!("[cancel-poll] {e}"))),
             };
             let mut cancel = seen;
@@ -679,7 +706,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             .iter()
             .copied()
             .find(|&d| d > current_step)
-            .expect("detection points end at `steps`");
+            .ok_or_else(|| Error::InvalidArg("detection points end at `steps`".into()))?;
 
         // Solve this segment. A broken group sits the stepping out (its
         // data will be recovered wholesale — or, under the shrink-family
@@ -696,12 +723,12 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             if group_broken {
                 continue;
             }
-            let Some(sv) = solver.as_mut() else {
+            let Some(sv) = st.solver.as_mut() else {
                 continue; // idle spare
             };
             match sv.step(ctx, &group) {
                 Ok(()) => {}
-                Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
+                Err(e) if is_casualty(&e) => {
                     // Propagate the failure to the rest of the group:
                     // members whose halo partners are alive would
                     // otherwise wait forever on neighbours that have
@@ -721,113 +748,50 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             ctx.die();
         }
 
-        // Detection + (if needed) reconstruction — the Fig. 3 protocol,
+        // Detection and — if the barrier fails — reconstruction with the
+        // data recovery riding its confirming round: the Fig. 3 protocol,
         // with the repair action chosen by the recovery policy.
-        // `round` accumulates this event's timings only (detection,
-        // reconstruction, and the commit-protocol recovery below), so the
-        // window starting here can be broken into per-phase durations.
-        let t_event0 = ctx.now();
-        let mut round = ReconstructTimings::default();
-        world = stage(
-            detect_and_repair(
-                ctx,
-                world,
-                pol,
-                cfg.respawn_policy,
-                active_slots,
-                &mut members,
-                &mut round,
-            ),
+        let mut event = Event::open(ctx);
+        let mut arm =
+            RepairArm::for_policy(pol, cfg.respawn_policy, active_slots, &mut members, false);
+        let (w, recovered) = stage(
+            st.reconstruct(ctx, &env, Join::Detect(world), &mut arm, Some(dp), &mut event.round),
             "detect-reconstruct",
             ctx,
         )?;
-        let repaired = !round.failed_ranks.is_empty();
-        if repaired && pol.shrinks_mid_run() {
+        world = w;
+        if let Some((g, d)) = recovered {
+            debug_assert_eq!(d, dp);
+            group = g;
+            group_broken = false;
+            event.close(ctx, cfg, &world, &mut event_idx, dp, &mut repair_timings);
+        } else if !event.round.failed_ranks.is_empty() {
             // Shrink-family mid-run repair: nothing was spawned. Fold the
             // new dead (original numbering) into the cumulative set, drop
             // their grids, and keep going on the survivors. Survivors of
             // a broken grid sit out — for good under shrink, until the
             // epoch batch under defer. Healthy groups keep their old
             // group communicator (its membership is untouched).
-            for &r in &round.failed_ranks {
+            for &r in &event.round.failed_ranks {
                 if !deferred.contains(&r) {
                     deferred.push(r);
                 }
             }
             deferred.sort_unstable();
             dropped = layout.broken_grids(&deferred);
-            group_broken = my.is_some_and(|m| dropped.contains(&m.grid));
-            if world.rank() == 0 {
-                ctx.report_timeline(build_timeline(event_idx, dp, t_event0, ctx.now(), &round));
-            }
-            event_idx += 1;
-            merge_timings(&mut repair_timings, &round);
-            notify(cfg, &world, AppEvent::Recovered { step: dp, ranks: round.failed_ranks.len() });
-        } else if repaired {
-            let mut known_failed = round.failed_ranks.clone();
-            if world.rank() == 0 && dp == steps {
-                // End-of-run failures accumulate across recovery rounds so
-                // late-spawned children compute the same lost-grid set as
-                // the survivors.
-                for &r in &end_failed {
-                    if !known_failed.contains(&r) {
-                        known_failed.push(r);
-                    }
-                }
-                known_failed.sort_unstable();
-            }
-            // Recovery barrier: every in-flight async checkpoint must
-            // land before any restore reads the store (counted as
-            // checkpoint time — it is the write's exposed tail).
-            let t_drain0 = ctx.now();
-            stage(landing.drain(ctx), "ckpt-drain", ctx)?;
-            t_ckpt_local += ctx.now() - t_drain0;
-            // A promote split may have moved this rank into a failed slot.
-            refresh_slot(ctx, cfg, &layout, &world, tg.dt, &mut my, &mut solver);
-            let known = Some((dp, known_failed));
-            let (w, d, g, trec, failed) = stage(
-                recover_with_commit(
-                    ctx,
-                    cfg,
-                    &layout,
-                    world,
-                    &mut my,
-                    &mut solver,
-                    tg.dt,
-                    &store,
-                    &mut buddy_store,
-                    known,
-                    &mut round,
-                ),
-                "post-recovery",
-                ctx,
-            )?;
-            debug_assert_eq!(d, dp);
-            world = w;
-            group = g;
-            t_rec_local += trec;
-            group_broken = false;
-            if world.rank() == 0 {
-                ctx.report_timeline(build_timeline(event_idx, dp, t_event0, ctx.now(), &round));
-            }
-            event_idx += 1;
-            merge_timings(&mut repair_timings, &round);
-            notify(cfg, &world, AppEvent::Recovered { step: dp, ranks: round.failed_ranks.len() });
-            if d == steps {
-                extend_lost(&mut final_lost, &layout, &failed);
-                end_failed = failed;
-            }
+            group_broken = st.my.is_some_and(|m| dropped.contains(&m.grid));
+            event.close(ctx, cfg, &world, &mut event_idx, dp, &mut repair_timings);
         } else if cfg.technique == Technique::CheckpointRestart && dp < steps && !group_broken {
             // Healthy checkpoint write ("failure detection is tested prior
             // to initiating the checkpoint write"). A rank sitting out
             // (broken grid under a shrink-family policy) and the idle
             // spares skip the write.
-            if let (Some(m), Some(sv)) = (my, solver.as_ref()) {
+            if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
                 let t0 = ctx.now();
                 // The root gathers straight into the buffer the checkpoint
                 // is written from.
                 let mut target =
-                    (group.rank() == 0).then(|| landing.buffer(cfg, &store, sv.level()));
+                    (group.rank() == 0).then(|| st.landing.buffer(cfg, &store, sv.level()));
                 sv.local_block_into(&mut block_buf);
                 match gather_grid_into(
                     ctx,
@@ -839,16 +803,16 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 ) {
                     Ok(()) => {
                         if let Some(g) = target {
-                            landing.land(ctx, &store, m.grid, current_step, g)?;
+                            st.landing.land(ctx, &store, m.grid, current_step, g)?;
                         }
                     }
-                    Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
+                    Err(e) if is_casualty(&e) => {
                         // A group member died mid-checkpoint. This checkpoint
                         // is lost (recovery will fall back to an older one and
                         // recompute further); mark the group broken and let
                         // the next detection point repair.
                         if let Some(g) = target {
-                            landing.release(g);
+                            st.landing.release(g);
                         }
                         group.revoke(ctx);
                         world.revoke(ctx);
@@ -856,7 +820,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                     }
                     Err(e) => return Err(e),
                 }
-                t_ckpt_local += ctx.now() - t0;
+                st.t_ckpt += ctx.now() - t0;
             }
         } else if cfg.technique == Technique::BuddyCheckpoint && dp < steps && members.is_none() {
             // Healthy buddy exchange: the in-memory, diskless analogue.
@@ -866,7 +830,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // grid's root may simply be gone. `members` flips identically
             // on every survivor, so the suspension is collective.
             if !group_broken {
-                if let (Some(m), Some(sv)) = (my, solver.as_ref()) {
+                if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
                     let t0 = ctx.now();
                     match recovery::buddy_exchange(
                         ctx,
@@ -876,10 +840,10 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         m,
                         sv,
                         current_step,
-                        &mut buddy_store,
+                        &mut st.buddy_store,
                     ) {
                         Ok(()) => {}
-                        Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
+                        Err(e) if is_casualty(&e) => {
                             // Release any peer blocked on the dead/errored ranks.
                             world.revoke(ctx);
                             if !group.failed_ranks().is_empty() || group.is_revoked() {
@@ -895,75 +859,44 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         }
                         Err(e) => return Err(e),
                     }
-                    t_ckpt_local += ctx.now() - t0;
+                    st.t_ckpt += ctx.now() - t0;
                 }
             }
         }
 
         // ---- the `DeferRepair` lazy batch: at the combination epoch,
         // respawn every accumulated dead in one round and run the
-        // technique's data recovery with the full failed set. From here
-        // on the run is indistinguishable from `Respawn`. ----
+        // technique's data recovery with the full failed set in the round
+        // that confirms them. From here on the run is indistinguishable
+        // from `Respawn`. ----
         if pol == RecoveryPolicy::DeferRepair && dp == steps && !deferred.is_empty() {
-            let t_event0 = ctx.now();
-            let mut round = ReconstructTimings::default();
-            let t_drain0 = ctx.now();
-            stage(landing.drain(ctx), "ckpt-drain", ctx)?;
-            t_ckpt_local += ctx.now() - t_drain0;
+            let mut event = Event::open(ctx);
             let m = members.take().unwrap_or_else(|| (0..world.size()).collect());
-            world = stage(
-                deferred_epoch_repair(ctx, world, m, &mut deferred, cfg.respawn_policy, &mut round),
+            let refilled = stage(
+                repair_deferred(ctx, world, m, &mut deferred, cfg.respawn_policy, &mut event.round),
                 "defer-epoch-repair",
                 ctx,
             )?;
-            // Everyone repaired this epoch: the deferred set plus any
-            // casualty of the batch itself, plus earlier end-of-run
-            // rounds — children must derive the same lost-grid set.
-            let mut known_failed = round.failed_ranks.clone();
-            if world.rank() == 0 {
-                for &r in &end_failed {
-                    if !known_failed.contains(&r) {
-                        known_failed.push(r);
-                    }
-                }
-                known_failed.sort_unstable();
-            }
-            let (w, d, g, trec, failed) = stage(
-                recover_with_commit(
+            let (w, recovered) = stage(
+                st.reconstruct(
                     ctx,
-                    cfg,
-                    &layout,
-                    world,
-                    &mut my,
-                    &mut solver,
-                    tg.dt,
-                    &store,
-                    &mut buddy_store,
-                    Some((steps, known_failed)),
-                    &mut round,
+                    &env,
+                    Join::Refilled(refilled),
+                    &mut RepairArm::Respawn(cfg.respawn_policy),
+                    Some(steps),
+                    &mut event.round,
                 ),
                 "defer-epoch-recovery",
                 ctx,
             )?;
-            debug_assert_eq!(d, steps);
             world = w;
-            group = g;
-            t_rec_local += trec;
+            if let Some((g, _)) = recovered {
+                group = g;
+            }
             group_broken = false;
             deferred.clear();
             dropped.clear();
-            if world.rank() == 0 {
-                ctx.report_timeline(build_timeline(event_idx, steps, t_event0, ctx.now(), &round));
-            }
-            event_idx += 1;
-            merge_timings(&mut repair_timings, &round);
-            notify(
-                cfg,
-                &world,
-                AppEvent::Recovered { step: steps, ranks: round.failed_ranks.len() },
-            );
-            extend_lost(&mut final_lost, &layout, &failed);
-            end_failed = failed;
+            event.close(ctx, cfg, &world, &mut event_idx, steps, &mut repair_timings);
         }
     }
 
@@ -973,8 +906,8 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // store is cleared. ----
     {
         let t_drain0 = ctx.now();
-        stage(landing.drain(ctx), "ckpt-drain-final", ctx)?;
-        t_ckpt_local += ctx.now() - t_drain0;
+        stage(st.landing.drain(ctx), "ckpt-drain-final", ctx)?;
+        st.t_ckpt += ctx.now() - t_drain0;
     }
     // Every write (and any fault-injected strike on it) has landed by
     // now; tell the restart-integrity oracle which strikes really did.
@@ -1000,7 +933,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         debug_assert!(!fabricated.contains(&0), "rank 0 cannot be a (simulated) victim");
         // The recovery protocol is group collectives plus point-to-point
         // between grid owners; idle spares have nothing to do.
-        if let (Some(m), Some(sv)) = (my, solver.as_mut()) {
+        if let (Some(m), Some(sv)) = (st.my, st.solver.as_mut()) {
             let stats = recovery::recover(
                 ctx,
                 cfg,
@@ -1010,18 +943,18 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 m,
                 sv,
                 &store,
-                &mut buddy_store,
+                &mut st.buddy_store,
                 &fabricated,
                 steps,
             )?;
-            t_rec_local += stats.t_recovery;
+            st.t_rec += stats.t_recovery;
         }
         for g in layout.broken_grids(&fabricated) {
-            if !final_lost.contains(&g) {
-                final_lost.push(g);
+            if !st.final_lost.contains(&g) {
+                st.final_lost.push(g);
             }
         }
-        final_lost.sort_unstable();
+        st.final_lost.sort_unstable();
     }
 
     // ---- combination & measurement. ----
@@ -1044,11 +977,11 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // no restored data to combine classically).
     if pol == RecoveryPolicy::ShrinkRedistribute {
         for &g in &dropped {
-            if !final_lost.contains(&g) {
-                final_lost.push(g);
+            if !st.final_lost.contains(&g) {
+                st.final_lost.push(g);
             }
         }
-        final_lost.sort_unstable();
+        st.final_lost.sort_unstable();
     }
     let sys = layout.system();
     let tags = TagSpace::for_layout(&layout);
@@ -1057,11 +990,11 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             let use_robust = match pol {
                 // Dropped grids were never repaired: robust coefficients
                 // are the only way to a solution, whatever the technique.
-                RecoveryPolicy::ShrinkRedistribute => !final_lost.is_empty(),
+                RecoveryPolicy::ShrinkRedistribute => !st.final_lost.is_empty(),
                 // Repaired-slot policies restored exact (CR/BC) or
                 // near-exact (RC) data; only Alternate Combination's
                 // end-of-run losses combine robustly.
-                _ => cfg.technique == Technique::AlternateCombination && !final_lost.is_empty(),
+                _ => cfg.technique == Technique::AlternateCombination && !st.final_lost.is_empty(),
             };
             let (combine_ids, combine_coeffs): (Vec<usize>, Vec<f64>) = if use_robust {
                 // A level only counts as lost when *no* surviving grid
@@ -1070,10 +1003,11 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 let surviving: LevelSet = sys
                     .grids()
                     .iter()
-                    .filter(|g| !final_lost.contains(&g.id))
+                    .filter(|g| !st.final_lost.contains(&g.id))
                     .map(|g| g.level)
                     .collect();
-                let lost_levels: Vec<LevelPair> = final_lost
+                let lost_levels: Vec<LevelPair> = st
+                    .final_lost
                     .iter()
                     .map(|&b| sys.grid(b).level)
                     .filter(|lv| !surviving.contains(lv))
@@ -1086,7 +1020,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 let mut ids: Vec<usize> = Vec::new();
                 let mut covered: Vec<LevelPair> = Vec::new();
                 for g in sys.grids() {
-                    if final_lost.contains(&g.id)
+                    if st.final_lost.contains(&g.id)
                         || cmap.get(&g.level).copied().unwrap_or(0) == 0
                         || covered.contains(&g.level)
                     {
@@ -1106,11 +1040,11 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // sitting-out survivor is excluded via `combine_ids` already;
             // `group_broken` and the spare guard make the exclusion
             // explicit.
-            let combining = !group_broken && my.is_some_and(|m| combine_ids.contains(&m.grid));
+            let combining = !group_broken && st.my.is_some_and(|m| combine_ids.contains(&m.grid));
             let mut my_full: Option<Grid2> = None;
             if combining {
-                let m = my.expect("combining rank owns a grid");
-                let sv = solver.as_ref().expect("combining rank runs a solver");
+                let m = st.my.expect("combining rank owns a grid");
+                let sv = st.solver.as_ref().expect("combining rank runs a solver");
                 my_full = gather_own_grid(ctx, &group, &layout, m, sv, &mut block_buf)?;
             }
             let target = sys.min_level();
@@ -1122,7 +1056,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                     // never drops it.)
                     if let Some(g) = &my_full {
                         if world.rank() != 0 {
-                            let gid = my.expect("combining rank owns a grid").grid;
+                            let gid = st.my.expect("combining rank owns a grid").grid;
                             send_grid(ctx, &world, 0, tags.combine + gid as i32, g)?;
                         }
                     }
@@ -1182,7 +1116,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         .collect::<Result<_>>()?;
                     let part = match my_full.take() {
                         Some(g) => {
-                            let mg = my.expect("combining rank owns a grid").grid;
+                            let mg = st.my.expect("combining rank owns a grid").grid;
                             let k = combine_ids
                                 .iter()
                                 .position(|&gid| gid == mg)
@@ -1219,8 +1153,8 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         .map_err(|e| Error::InvalidArg(format!("solution pgm: {e}")))?;
                 }
             }
-            let t_rec_max = world.allreduce_max(ctx, t_rec_local)?;
-            let t_ckpt_max = world.allreduce_max(ctx, t_ckpt_local)?;
+            let t_rec_max = world.allreduce_max(ctx, st.t_rec)?;
+            let t_ckpt_max = world.allreduce_max(ctx, st.t_ckpt)?;
             let t_solve_max = world.allreduce_max(ctx, t_solve_local)?;
             let t_end = world.allreduce_max(ctx, ctx.now())?;
             // Final rank→host and rank→grid maps, gathered over the live
@@ -1231,7 +1165,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             };
             let hosts = flatten(world.gather(ctx, 0, &[ctx.my_host() as f64])?);
             // Idle spares report grid −1.
-            let grids = flatten(world.gather(ctx, 0, &[my.map_or(-1.0, |m| m.grid as f64)])?);
+            let grids = flatten(world.gather(ctx, 0, &[st.my.map_or(-1.0, |m| m.grid as f64)])?);
             // The membership map, only under the policies whose contract
             // O7 checks through it — the respawn-family policies skip the
             // extra gather so their no-failure path stays bitwise
@@ -1248,129 +1182,60 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         })();
         match attempt {
             Ok(v) => break v,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) | Err(Error::Protocol(_))
-                if pol == RecoveryPolicy::ShrinkRedistribute =>
-            {
-                // A casualty mid-combination under shrink: drop the new
-                // dead and their grids and retry over the smaller
-                // survivor set — no repair, no data recovery. Healthy
-                // groups keep their comms (their membership is intact;
-                // the world revoke releases any rank blocked on a dead
-                // peer's point-to-point).
-                let t_event0 = ctx.now();
-                world.revoke(ctx);
-                let mut round = ReconstructTimings::default();
-                world = stage(
-                    communicator_reconstruct_shrink(ctx, world, &mut members, &mut round),
-                    "combine-shrink",
-                    ctx,
-                )?;
-                for &r in &round.failed_ranks {
-                    if !deferred.contains(&r) {
-                        deferred.push(r);
-                    }
-                }
-                deferred.sort_unstable();
-                dropped = layout.broken_grids(&deferred);
-                for &g in &dropped {
-                    if !final_lost.contains(&g) {
-                        final_lost.push(g);
-                    }
-                }
-                final_lost.sort_unstable();
-                group_broken = my.is_some_and(|m| dropped.contains(&m.grid));
-                if world.rank() == 0 {
-                    ctx.report_timeline(build_timeline(
-                        event_idx,
-                        steps,
-                        t_event0,
-                        ctx.now(),
-                        &round,
-                    ));
-                }
-                event_idx += 1;
-                merge_timings(&mut repair_timings, &round);
-                notify(
-                    cfg,
-                    &world,
-                    AppEvent::Recovered { step: steps, ranks: round.failed_ranks.len() },
-                );
-            }
             Err(Error::ProcFailed { .. }) | Err(Error::Revoked) | Err(Error::Protocol(_)) => {
                 // Release peers still blocked in this attempt, repair,
                 // recover the new casualties, and go again. This is a
                 // failure event of its own: window and timings start here.
-                let t_event0 = ctx.now();
+                // Under shrink there is no repair and no data recovery —
+                // the new dead and their grids are dropped and the retry
+                // runs over the smaller survivor set; healthy groups keep
+                // their comms (their membership is intact).
+                let shrink = pol == RecoveryPolicy::ShrinkRedistribute;
+                let mut event = Event::open(ctx);
                 world.revoke(ctx);
-                group.revoke(ctx);
-                let mut round = ReconstructTimings::default();
-                world = stage(
-                    match pol {
-                        RecoveryPolicy::SpareSubstitute => communicator_reconstruct_substitute(
-                            ctx,
-                            world,
-                            active_slots,
-                            cfg.respawn_policy,
-                            &mut round,
-                        ),
-                        _ => communicator_reconstruct_with(
-                            ctx,
-                            Some(world),
-                            None,
-                            cfg.respawn_policy,
-                            &mut round,
-                        ),
-                    },
+                if !shrink {
+                    group.revoke(ctx);
+                }
+                let mut arm = RepairArm::for_policy(
+                    pol,
+                    cfg.respawn_policy,
+                    active_slots,
+                    &mut members,
+                    true,
+                );
+                let (w, recovered) = stage(
+                    st.reconstruct(
+                        ctx,
+                        &env,
+                        Join::Detect(world),
+                        &mut arm,
+                        Some(steps),
+                        &mut event.round,
+                    ),
                     "combine-reconstruct",
                     ctx,
                 )?;
-                refresh_slot(ctx, cfg, &layout, &world, tg.dt, &mut my, &mut solver);
-                let mut known_failed = round.failed_ranks.clone();
-                for &r in &end_failed {
-                    if !known_failed.contains(&r) {
-                        known_failed.push(r);
-                    }
-                }
-                known_failed.sort_unstable();
-                let (w, d, g, trec, failed) = stage(
-                    recover_with_commit(
-                        ctx,
-                        cfg,
-                        &layout,
-                        world,
-                        &mut my,
-                        &mut solver,
-                        tg.dt,
-                        &store,
-                        &mut buddy_store,
-                        Some((steps, known_failed)),
-                        &mut round,
-                    ),
-                    "combine-recovery",
-                    ctx,
-                )?;
-                debug_assert_eq!(d, steps);
                 world = w;
-                group = g;
-                t_rec_local += trec;
-                if world.rank() == 0 {
-                    ctx.report_timeline(build_timeline(
-                        event_idx,
-                        steps,
-                        t_event0,
-                        ctx.now(),
-                        &round,
-                    ));
+                if let Some((g, _)) = recovered {
+                    group = g;
                 }
-                event_idx += 1;
-                merge_timings(&mut repair_timings, &round);
-                notify(
-                    cfg,
-                    &world,
-                    AppEvent::Recovered { step: steps, ranks: round.failed_ranks.len() },
-                );
-                extend_lost(&mut final_lost, &layout, &failed);
-                end_failed = failed;
+                if shrink {
+                    for &r in &event.round.failed_ranks {
+                        if !deferred.contains(&r) {
+                            deferred.push(r);
+                        }
+                    }
+                    deferred.sort_unstable();
+                    dropped = layout.broken_grids(&deferred);
+                    for &g in &dropped {
+                        if !st.final_lost.contains(&g) {
+                            st.final_lost.push(g);
+                        }
+                    }
+                    st.final_lost.sort_unstable();
+                    group_broken = st.my.is_some_and(|m| dropped.contains(&m.grid));
+                }
+                event.close(ctx, cfg, &world, &mut event_idx, steps, &mut repair_timings);
             }
             Err(e) => return Err(e),
         }

@@ -26,7 +26,10 @@ use sparsegrid::{
 };
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
-use crate::app::{build_group_by_color, detection_points, keys, merge_timings, notify, stage};
+use crate::app::{
+    build_group_by_color, detection_points, keys, notify, reconstruct_recovering,
+    share_recovery_metadata, stage, Event, Recovered,
+};
 use crate::checkpoint::CheckpointStore;
 use crate::config::{AppConfig, AppEvent, CombineMode, Technique};
 use crate::gather::current_rank_of;
@@ -36,13 +39,9 @@ use crate::gather_nd::{
 use crate::layout_nd::{AssignmentN, ProcLayoutN};
 use crate::policy::RecoveryPolicy;
 use crate::psolve_nd::DistributedSolverN;
-use crate::reconstruct::{
-    communicator_reconstruct_shrink, communicator_reconstruct_substitute,
-    communicator_reconstruct_with, deferred_epoch_repair, detect_and_repair, ReconstructTimings,
-};
+use crate::reconstruct::{is_casualty, repair_deferred, Join, ReconstructTimings, RepairArm};
 use crate::recovery_nd;
 use crate::tags::TagSpace;
-use crate::timeline::build_timeline;
 
 /// Gather this rank's sub-grid to its group root (staging the owned slab
 /// through the shared buffer) into a grid that passes to the caller.
@@ -63,145 +62,128 @@ fn build_group_n(ctx: &Ctx, world: &Comm, my: Option<AssignmentN>, n_grids: usiz
     build_group_by_color(ctx, world, my.map(|m| m.grid), n_grids)
 }
 
-/// Re-derive this rank's slot after a `SpareSubstitute` promote split.
-fn refresh_slot_n(
-    cfg: &AppConfig,
-    layout: &ProcLayoutN,
-    world: &Comm,
-    problem: &ProblemN,
+/// What every data-recovery attempt of a run reads but never changes.
+struct EnvN<'a> {
+    cfg: &'a AppConfig,
+    layout: &'a ProcLayoutN,
+    store: &'a CheckpointStore,
+    problem: &'a ProblemN,
     dt: f64,
-    my: &mut Option<AssignmentN>,
-    solver: &mut Option<DistributedSolverN>,
-) {
-    if cfg.recovery_policy != RecoveryPolicy::SpareSubstitute {
-        return;
-    }
-    let new = layout.try_assignment(world.rank());
-    if new != *my {
-        *my = new;
-        *solver = new.map(|m| {
-            DistributedSolverN::new(
-                problem.clone(),
-                &layout.system().grid(m.grid).level,
-                dt,
-                layout.group(m.grid),
-                m.local,
-            )
-            .with_kernel(cfg.kernel)
-        });
-    }
 }
 
-/// Post-reconstruction recovery with the commit protocol of
-/// [`crate::app`]: attempt → fault-tolerant agree → on failure repair and
-/// retry with the enlarged failed-rank list. Recovery is idempotent.
-#[allow(clippy::too_many_arguments)]
-fn recover_with_commit_n(
-    ctx: &Ctx,
-    cfg: &AppConfig,
-    layout: &ProcLayoutN,
-    mut world: Comm,
-    my: &mut Option<AssignmentN>,
-    solver: &mut Option<DistributedSolverN>,
-    problem: &ProblemN,
-    dt: f64,
-    store: &CheckpointStore,
-    buddy_store: &mut recovery_nd::BuddyStoreN,
-    mut known: Option<(u64, Vec<usize>)>,
-    timings: &mut ReconstructTimings,
-) -> Result<(Comm, u64, Comm, f64, Vec<usize>)> {
-    let n_grids = layout.system().grids().len();
-    loop {
-        let _scope = ctx.recovery_scope();
-        let mut group_attempt: Option<Comm> = None;
-        let attempt: Result<(u64, f64, Vec<usize>)> = (|| {
-            let meta: Option<Vec<u64>> = if world.rank() == 0 {
-                let Some((d, failed)) = known.clone() else {
-                    return Err(Error::InvalidArg(
-                        "recovery metadata missing on the controller rank".into(),
-                    ));
-                };
-                let mut v = vec![d];
-                v.extend(failed.iter().map(|&r| r as u64));
-                Some(v)
-            } else {
-                None
-            };
-            let meta = world.bcast(ctx, 0, meta.as_deref())?;
-            let at_step = meta[0];
-            let failed: Vec<usize> = meta[1..].iter().map(|&r| r as usize).collect();
-            let group = &*group_attempt.insert(build_group_n(ctx, &world, *my, n_grids)?);
-            let t_res0 = ctx.now();
-            let recovered = match (*my, solver.as_mut()) {
-                (Some(m), Some(sv)) => recovery_nd::recover_n(
-                    ctx,
-                    cfg,
-                    layout,
-                    &world,
-                    group,
-                    m,
-                    sv,
-                    store,
-                    buddy_store,
-                    &failed,
-                    at_step,
-                ),
-                _ => Ok(crate::recovery::RecoveryStats::default()),
-            };
-            timings.t_restore += ctx.now() - t_res0;
-            let stats = recovered?;
-            Ok((at_step, stats.t_recovery, failed))
-        })();
-        let ok = match &attempt {
-            Ok(_) => true,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => false,
-            Err(e) => return Err(e.clone()),
-        };
-        if !ok {
-            world.revoke(ctx);
-            if let Some(g) = &group_attempt {
-                g.revoke(ctx);
-            }
+/// This rank's share of what a repair can rewrite — the nd twin of the 2D
+/// driver's `RankState` (checkpoints are synchronous here, so there is no
+/// writer stage to drain).
+#[derive(Default)]
+struct RankStateN {
+    /// `None` on the idle spare tail under `SpareSubstitute`.
+    my: Option<AssignmentN>,
+    solver: Option<DistributedSolverN>,
+    buddy_store: recovery_nd::BuddyStoreN,
+    final_lost: Vec<usize>,
+    end_failed: Vec<usize>,
+    t_rec: f64,
+    t_ckpt: f64,
+}
+
+impl RankStateN {
+    /// Take the grid slot of `world_rank` (none on the spare tail),
+    /// rebuilding the solver if the slot changed (a respawned child, a
+    /// promoted spare); the data recovery that follows restores its state.
+    fn take_slot(&mut self, env: &EnvN<'_>, world_rank: usize) {
+        let new = env.layout.try_assignment(world_rank);
+        if new != self.my {
+            self.my = new;
+            self.solver = new.map(|m| {
+                DistributedSolverN::new(
+                    env.problem.clone(),
+                    &env.layout.system().grid(m.grid).level,
+                    env.dt,
+                    env.layout.group(m.grid),
+                    m.local,
+                )
+                .with_kernel(env.cfg.kernel)
+            });
         }
-        let t_ack0 = ctx.now();
-        world.failure_ack(ctx);
-        timings.t_ack += ctx.now() - t_ack0;
-        let mut flag = ok;
-        let t_agree0 = ctx.now();
-        let _ = world.agree(ctx, &mut flag);
-        timings.t_agree += ctx.now() - t_agree0;
-        if flag {
-            if let (Ok((at_step, trec, failed)), Some(group)) = (attempt, group_attempt) {
-                return Ok((world, at_step, group, trec, failed));
-            }
-        }
-        let mut round = ReconstructTimings::default();
-        world = match cfg.recovery_policy {
-            RecoveryPolicy::SpareSubstitute => communicator_reconstruct_substitute(
+    }
+
+    /// One data-recovery attempt on the `world` being confirmed: learn
+    /// what failed, rebuild the group communicators, run the technique's
+    /// recovery. Idempotent, so a later round may re-run it.
+    fn attempt(
+        &mut self,
+        ctx: &Ctx,
+        env: &EnvN<'_>,
+        world: &Comm,
+        dp: Option<u64>,
+        timings: &mut ReconstructTimings,
+    ) -> Result<Recovered> {
+        self.take_slot(env, world.rank());
+        let steps = env.cfg.steps();
+        let (at_step, failed) = share_recovery_metadata(
+            ctx,
+            world,
+            dp,
+            steps,
+            &timings.failed_ranks,
+            &self.end_failed,
+        )?;
+        let n_grids = env.layout.system().grids().len();
+        let group = build_group_n(ctx, world, self.my, n_grids)?;
+        let t_res0 = ctx.now();
+        let recovered = match (self.my, self.solver.as_mut()) {
+            (Some(m), Some(sv)) => recovery_nd::recover_n(
                 ctx,
+                env.cfg,
+                env.layout,
                 world,
-                layout.world_size(),
-                cfg.respawn_policy,
-                &mut round,
-            )?,
-            _ => communicator_reconstruct_with(
-                ctx,
-                Some(world),
-                None,
-                cfg.respawn_policy,
-                &mut round,
-            )?,
+                &group,
+                m,
+                sv,
+                env.store,
+                &mut self.buddy_store,
+                &failed,
+                at_step,
+            ),
+            _ => Ok(crate::recovery::RecoveryStats::default()),
         };
-        refresh_slot_n(cfg, layout, &world, problem, dt, my, solver);
-        if let Some((_, failed)) = known.as_mut() {
-            for &r in &round.failed_ranks {
-                if !failed.contains(&r) {
-                    failed.push(r);
+        timings.t_restore += ctx.now() - t_res0;
+        match recovered {
+            Ok(stats) => Ok(Recovered { at_step, group, t_recovery: stats.t_recovery, failed }),
+            Err(e) => {
+                if is_casualty(&e) {
+                    group.revoke(ctx);
                 }
+                Err(e)
             }
-            failed.sort_unstable();
         }
-        merge_timings(timings, &round);
+    }
+
+    /// The Fig. 3 loop with this rank's data recovery riding its
+    /// confirming rounds; books what the confirming barrier committed.
+    fn reconstruct(
+        &mut self,
+        ctx: &Ctx,
+        env: &EnvN<'_>,
+        join: Join,
+        arm: &mut RepairArm<'_>,
+        dp: Option<u64>,
+        timings: &mut ReconstructTimings,
+    ) -> Result<(Comm, Option<(Comm, u64)>)> {
+        let (world, recovered) =
+            reconstruct_recovering(ctx, join, arm, timings, |ctx, world, tm| {
+                self.attempt(ctx, env, world, dp, tm)
+            })?;
+        Ok((world, recovered.map(|rec| self.commit(env, rec))))
+    }
+
+    fn commit(&mut self, env: &EnvN<'_>, rec: Recovered) -> (Comm, u64) {
+        self.t_rec += rec.t_recovery;
+        if rec.at_step == env.cfg.steps() {
+            extend_lost_n(&mut self.final_lost, env.layout, &rec.failed);
+            self.end_failed = rec.failed;
+        }
+        (rec.group, rec.at_step)
     }
 }
 
@@ -228,14 +210,10 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     let store = CheckpointStore::new(&cfg.ckpt_dir)
         .map_err(|e| Error::InvalidArg(format!("checkpoint dir: {e}")))?
         .with_corruption(cfg.ckpt_corruption.clone());
+    let env = EnvN { cfg, layout: &layout, store: &store, problem: &problem, dt: tg.dt };
+    let mut st = RankStateN::default();
 
-    let child = ctx.is_spawned();
     let mut repair_timings = ReconstructTimings::default();
-    let mut buddy_store: recovery_nd::BuddyStoreN = Default::default();
-    let mut final_lost: Vec<usize> = Vec::new();
-    let mut end_failed: Vec<usize> = Vec::new();
-    let mut t_rec_local = 0.0_f64;
-    let mut t_ckpt_local = 0.0_f64;
     let mut t_solve_local = 0.0_f64;
 
     // ---- policy state. ----
@@ -249,64 +227,27 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // ---- world acquisition (original vs respawned child). ----
     let mut world: Comm;
     let mut current_step: u64;
-    let mut my: Option<AssignmentN>;
-    let mut solver: Option<DistributedSolverN>;
     let mut group: Comm;
 
-    let new_solver = |m: AssignmentN| {
-        DistributedSolverN::new(
-            problem.clone(),
-            &layout.system().grid(m.grid).level,
-            tg.dt,
-            layout.group(m.grid),
-            m.local,
-        )
-        .with_kernel(cfg.kernel)
-    };
-
-    if child {
-        let parent = ctx.parent().expect("spawned process has a parent intercommunicator");
-        world = match communicator_reconstruct_with(
-            ctx,
-            None,
-            Some(parent),
-            cfg.respawn_policy,
-            &mut repair_timings,
-        ) {
-            Ok(w) => w,
+    if let Some(parent) = ctx.parent() {
+        // A child attaches, takes its slot and has its data recovered all
+        // inside the loop, repairing later rounds the way survivors do.
+        let mut arm =
+            RepairArm::for_policy(pol, cfg.respawn_policy, active_slots, &mut members, true);
+        let joined =
+            st.reconstruct(ctx, &env, Join::Child(parent), &mut arm, None, &mut repair_timings);
+        (world, (group, current_step)) = match joined {
+            Ok((w, Some(rec))) => (w, rec),
+            Ok((_, None)) => {
+                return Err(Error::InvalidArg("[child-reconstruct] no recovery ran".into()))
+            }
             Err(Error::Orphaned) => return Err(Error::Orphaned),
             Err(e) => return Err(Error::InvalidArg(format!("[child-reconstruct] {e}"))),
         };
-        my = Some(layout.assignment(world.rank()));
-        solver = my.map(new_solver);
-        let (w, d, g, trec, failed) = stage(
-            recover_with_commit_n(
-                ctx,
-                cfg,
-                &layout,
-                world,
-                &mut my,
-                &mut solver,
-                &problem,
-                tg.dt,
-                &store,
-                &mut buddy_store,
-                None,
-                &mut repair_timings,
-            ),
-            "child-post-recovery",
-            ctx,
-        )?;
-        world = w;
-        group = g;
-        current_step = d;
-        t_rec_local += trec;
-        if d == steps {
-            extend_lost_n(&mut final_lost, &layout, &failed);
-            end_failed = failed;
-        }
     } else {
-        world = ctx.initial_world().expect("original process has a world");
+        world = ctx
+            .initial_world()
+            .ok_or_else(|| Error::InvalidArg("original process has no world".into()))?;
         let expected = cfg.world_size(layout.world_size());
         if world.size() != expected {
             return Err(Error::InvalidArg(format!(
@@ -316,10 +257,9 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 cfg.spares
             )));
         }
-        my = layout.try_assignment(world.rank());
         ctx.arm_fault_sites(&cfg.plan, world.rank());
-        solver = my.map(new_solver);
-        group = stage(build_group_n(ctx, &world, my, n_grids), "initial-split", ctx)?;
+        st.take_slot(&env, world.rank());
+        group = stage(build_group_n(ctx, &world, st.my, n_grids), "initial-split", ctx)?;
         current_step = 0;
     }
 
@@ -343,7 +283,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             };
             let seen = match world.bcast(ctx, 0, mine.as_deref()) {
                 Ok(v) => v[0] != 0,
-                Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => false,
+                Err(e) if is_casualty(&e) => false,
                 Err(e) => return Err(Error::InvalidArg(format!("[cancel-poll] {e}"))),
             };
             let mut cancel = seen;
@@ -359,7 +299,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             .iter()
             .copied()
             .find(|&d| d > current_step)
-            .expect("detection points end at `steps`");
+            .ok_or_else(|| Error::InvalidArg("detection points end at `steps`".into()))?;
 
         // Solve this segment; planned kills strike by original rank.
         let t_solve0 = ctx.now();
@@ -370,12 +310,12 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             if group_broken {
                 continue;
             }
-            let Some(sv) = solver.as_mut() else {
+            let Some(sv) = st.solver.as_mut() else {
                 continue; // idle spare
             };
             match sv.step(ctx, &group) {
                 Ok(()) => {}
-                Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
+                Err(e) if is_casualty(&e) => {
                     group.revoke(ctx);
                     group_broken = true;
                 }
@@ -388,86 +328,36 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             ctx.die();
         }
 
-        // Detection + reconstruction (Fig. 3 protocol, policy-directed).
-        let t_event0 = ctx.now();
-        let mut round = ReconstructTimings::default();
-        world = stage(
-            detect_and_repair(
-                ctx,
-                world,
-                pol,
-                cfg.respawn_policy,
-                active_slots,
-                &mut members,
-                &mut round,
-            ),
+        // Detection + reconstruction with the data recovery riding its
+        // confirming round (Fig. 3 protocol, policy-directed).
+        let mut event = Event::open(ctx);
+        let mut arm =
+            RepairArm::for_policy(pol, cfg.respawn_policy, active_slots, &mut members, false);
+        let (w, recovered) = stage(
+            st.reconstruct(ctx, &env, Join::Detect(world), &mut arm, Some(dp), &mut event.round),
             "detect-reconstruct",
             ctx,
         )?;
-        let repaired = !round.failed_ranks.is_empty();
-        if repaired && pol.shrinks_mid_run() {
-            for &r in &round.failed_ranks {
+        world = w;
+        if let Some((g, d)) = recovered {
+            debug_assert_eq!(d, dp);
+            group = g;
+            group_broken = false;
+            event.close(ctx, cfg, &world, &mut event_idx, dp, &mut repair_timings);
+        } else if !event.round.failed_ranks.is_empty() {
+            // Shrink-family mid-run repair: drop the dead and their grids.
+            for &r in &event.round.failed_ranks {
                 if !deferred.contains(&r) {
                     deferred.push(r);
                 }
             }
             deferred.sort_unstable();
             dropped = layout.broken_grids(&deferred);
-            group_broken = my.is_some_and(|m| dropped.contains(&m.grid));
-            if world.rank() == 0 {
-                ctx.report_timeline(build_timeline(event_idx, dp, t_event0, ctx.now(), &round));
-            }
-            event_idx += 1;
-            merge_timings(&mut repair_timings, &round);
-            notify(cfg, &world, AppEvent::Recovered { step: dp, ranks: round.failed_ranks.len() });
-        } else if repaired {
-            let mut known_failed = round.failed_ranks.clone();
-            if world.rank() == 0 && dp == steps {
-                for &r in &end_failed {
-                    if !known_failed.contains(&r) {
-                        known_failed.push(r);
-                    }
-                }
-                known_failed.sort_unstable();
-            }
-            refresh_slot_n(cfg, &layout, &world, &problem, tg.dt, &mut my, &mut solver);
-            let known = Some((dp, known_failed));
-            let (w, d, g, trec, failed) = stage(
-                recover_with_commit_n(
-                    ctx,
-                    cfg,
-                    &layout,
-                    world,
-                    &mut my,
-                    &mut solver,
-                    &problem,
-                    tg.dt,
-                    &store,
-                    &mut buddy_store,
-                    known,
-                    &mut round,
-                ),
-                "post-recovery",
-                ctx,
-            )?;
-            debug_assert_eq!(d, dp);
-            world = w;
-            group = g;
-            t_rec_local += trec;
-            group_broken = false;
-            if world.rank() == 0 {
-                ctx.report_timeline(build_timeline(event_idx, dp, t_event0, ctx.now(), &round));
-            }
-            event_idx += 1;
-            merge_timings(&mut repair_timings, &round);
-            notify(cfg, &world, AppEvent::Recovered { step: dp, ranks: round.failed_ranks.len() });
-            if d == steps {
-                extend_lost_n(&mut final_lost, &layout, &failed);
-                end_failed = failed;
-            }
+            group_broken = st.my.is_some_and(|m| dropped.contains(&m.grid));
+            event.close(ctx, cfg, &world, &mut event_idx, dp, &mut repair_timings);
         } else if cfg.technique == Technique::CheckpointRestart && dp < steps && !group_broken {
             // Healthy synchronous checkpoint write (v3 format).
-            if let (Some(m), Some(sv)) = (my, solver.as_ref()) {
+            if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
                 let t0 = ctx.now();
                 let mut target = (group.rank() == 0)
                     .then(|| ckpt_grid.get_or_insert_with(|| GridN::zeros(sv.level())));
@@ -488,19 +378,19 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                             ctx.disk_write(bytes);
                         }
                     }
-                    Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
+                    Err(e) if is_casualty(&e) => {
                         group.revoke(ctx);
                         world.revoke(ctx);
                         group_broken = true;
                     }
                     Err(e) => return Err(e),
                 }
-                t_ckpt_local += ctx.now() - t0;
+                st.t_ckpt += ctx.now() - t0;
             }
         } else if cfg.technique == Technique::BuddyCheckpoint && dp < steps && members.is_none() {
             // Healthy buddy exchange (suspended after any shrink repair).
             if !group_broken {
-                if let (Some(m), Some(sv)) = (my, solver.as_ref()) {
+                if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
                     let t0 = ctx.now();
                     match recovery_nd::buddy_exchange_n(
                         ctx,
@@ -510,10 +400,10 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         m,
                         sv,
                         current_step,
-                        &mut buddy_store,
+                        &mut st.buddy_store,
                     ) {
                         Ok(()) => {}
-                        Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
+                        Err(e) if is_casualty(&e) => {
                             world.revoke(ctx);
                             if !group.failed_ranks().is_empty() || group.is_revoked() {
                                 group.revoke(ctx);
@@ -522,67 +412,40 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         }
                         Err(e) => return Err(e),
                     }
-                    t_ckpt_local += ctx.now() - t0;
+                    st.t_ckpt += ctx.now() - t0;
                 }
             }
         }
 
         // ---- the `DeferRepair` epoch batch. ----
         if pol == RecoveryPolicy::DeferRepair && dp == steps && !deferred.is_empty() {
-            let t_event0 = ctx.now();
-            let mut round = ReconstructTimings::default();
+            let mut event = Event::open(ctx);
             let m = members.take().unwrap_or_else(|| (0..world.size()).collect());
-            world = stage(
-                deferred_epoch_repair(ctx, world, m, &mut deferred, cfg.respawn_policy, &mut round),
+            let refilled = stage(
+                repair_deferred(ctx, world, m, &mut deferred, cfg.respawn_policy, &mut event.round),
                 "defer-epoch-repair",
                 ctx,
             )?;
-            let mut known_failed = round.failed_ranks.clone();
-            if world.rank() == 0 {
-                for &r in &end_failed {
-                    if !known_failed.contains(&r) {
-                        known_failed.push(r);
-                    }
-                }
-                known_failed.sort_unstable();
-            }
-            let (w, d, g, trec, failed) = stage(
-                recover_with_commit_n(
+            let (w, recovered) = stage(
+                st.reconstruct(
                     ctx,
-                    cfg,
-                    &layout,
-                    world,
-                    &mut my,
-                    &mut solver,
-                    &problem,
-                    tg.dt,
-                    &store,
-                    &mut buddy_store,
-                    Some((steps, known_failed)),
-                    &mut round,
+                    &env,
+                    Join::Refilled(refilled),
+                    &mut RepairArm::Respawn(cfg.respawn_policy),
+                    Some(steps),
+                    &mut event.round,
                 ),
                 "defer-epoch-recovery",
                 ctx,
             )?;
-            debug_assert_eq!(d, steps);
             world = w;
-            group = g;
-            t_rec_local += trec;
+            if let Some((g, _)) = recovered {
+                group = g;
+            }
             group_broken = false;
             deferred.clear();
             dropped.clear();
-            if world.rank() == 0 {
-                ctx.report_timeline(build_timeline(event_idx, steps, t_event0, ctx.now(), &round));
-            }
-            event_idx += 1;
-            merge_timings(&mut repair_timings, &round);
-            notify(
-                cfg,
-                &world,
-                AppEvent::Recovered { step: steps, ranks: round.failed_ranks.len() },
-            );
-            extend_lost_n(&mut final_lost, &layout, &failed);
-            end_failed = failed;
+            event.close(ctx, cfg, &world, &mut event_idx, steps, &mut repair_timings);
         }
     }
 
@@ -603,7 +466,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             })
             .collect();
         debug_assert!(!fabricated.contains(&0), "rank 0 cannot be a (simulated) victim");
-        if let (Some(m), Some(sv)) = (my, solver.as_mut()) {
+        if let (Some(m), Some(sv)) = (st.my, st.solver.as_mut()) {
             let stats = recovery_nd::recover_n(
                 ctx,
                 cfg,
@@ -613,18 +476,18 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 m,
                 sv,
                 &store,
-                &mut buddy_store,
+                &mut st.buddy_store,
                 &fabricated,
                 steps,
             )?;
-            t_rec_local += stats.t_recovery;
+            st.t_rec += stats.t_recovery;
         }
         for g in layout.broken_grids(&fabricated) {
-            if !final_lost.contains(&g) {
-                final_lost.push(g);
+            if !st.final_lost.contains(&g) {
+                st.final_lost.push(g);
             }
         }
-        final_lost.sort_unstable();
+        st.final_lost.sort_unstable();
     }
 
     // ---- combination & measurement (retry loop, same commit discipline
@@ -632,26 +495,27 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     type CombineOutcome = (f64, f64, f64, f64, f64, Vec<f64>, Vec<f64>, Vec<f64>);
     if pol == RecoveryPolicy::ShrinkRedistribute {
         for &g in &dropped {
-            if !final_lost.contains(&g) {
-                final_lost.push(g);
+            if !st.final_lost.contains(&g) {
+                st.final_lost.push(g);
             }
         }
-        final_lost.sort_unstable();
+        st.final_lost.sort_unstable();
     }
     let sys = layout.system();
     let tags = TagSpace::for_layout_nd(&layout);
     let (err, t_rec_max, t_ckpt_max, t_solve_max, t_end, rank_hosts, rank_grids, rank_orig) = loop {
         let attempt: Result<CombineOutcome> = (|| {
             let use_robust = match pol {
-                RecoveryPolicy::ShrinkRedistribute => !final_lost.is_empty(),
-                _ => cfg.technique == Technique::AlternateCombination && !final_lost.is_empty(),
+                RecoveryPolicy::ShrinkRedistribute => !st.final_lost.is_empty(),
+                _ => cfg.technique == Technique::AlternateCombination && !st.final_lost.is_empty(),
             };
             let (combine_ids, combine_coeffs): (Vec<usize>, Vec<f64>) = if use_robust {
                 let mut surviving = LevelSetN::new(sys.dim());
-                for g in sys.grids().iter().filter(|g| !final_lost.contains(&g.id)) {
+                for g in sys.grids().iter().filter(|g| !st.final_lost.contains(&g.id)) {
                     surviving.insert(g.level.clone());
                 }
-                let lost_levels: Vec<LevelVecN> = final_lost
+                let lost_levels: Vec<LevelVecN> = st
+                    .final_lost
                     .iter()
                     .map(|&b| sys.grid(b).level.clone())
                     .filter(|lv| !surviving.contains(lv))
@@ -661,7 +525,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 let mut ids: Vec<usize> = Vec::new();
                 let mut covered: Vec<LevelVecN> = Vec::new();
                 for g in sys.grids() {
-                    if final_lost.contains(&g.id)
+                    if st.final_lost.contains(&g.id)
                         || cmap.get(&g.level).copied().unwrap_or(0) == 0
                         || covered.contains(&g.level)
                     {
@@ -677,11 +541,11 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 let coeffs = ids.iter().map(|&i| sys.classical_coefficient(i) as f64).collect();
                 (ids, coeffs)
             };
-            let combining = !group_broken && my.is_some_and(|m| combine_ids.contains(&m.grid));
+            let combining = !group_broken && st.my.is_some_and(|m| combine_ids.contains(&m.grid));
             let mut my_full: Option<GridN> = None;
             if combining {
-                let m = my.expect("combining rank owns a grid");
-                let sv = solver.as_ref().expect("combining rank runs a solver");
+                let m = st.my.expect("combining rank owns a grid");
+                let sv = st.solver.as_ref().expect("combining rank runs a solver");
                 my_full = gather_own_grid_n(ctx, &group, &layout, m, sv, &mut block_buf)?;
             }
             let target = sys.min_level();
@@ -689,7 +553,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 CombineMode::Central => {
                     if let Some(g) = &my_full {
                         if world.rank() != 0 {
-                            let gid = my.expect("combining rank owns a grid").grid;
+                            let gid = st.my.expect("combining rank owns a grid").grid;
                             send_grid_n(ctx, &world, 0, tags.combine + gid as i32, g)?;
                         }
                     }
@@ -735,7 +599,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                         .collect::<Result<_>>()?;
                     let part = match my_full.take() {
                         Some(g) => {
-                            let mg = my.expect("combining rank owns a grid").grid;
+                            let mg = st.my.expect("combining rank owns a grid").grid;
                             let k = combine_ids
                                 .iter()
                                 .position(|&gid| gid == mg)
@@ -766,15 +630,15 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 let p = problem.clone();
                 err = combined.l1_error_vs(move |x| p.exact(x, t_final));
             }
-            let t_rec_max = world.allreduce_max(ctx, t_rec_local)?;
-            let t_ckpt_max = world.allreduce_max(ctx, t_ckpt_local)?;
+            let t_rec_max = world.allreduce_max(ctx, st.t_rec)?;
+            let t_ckpt_max = world.allreduce_max(ctx, st.t_ckpt)?;
             let t_solve_max = world.allreduce_max(ctx, t_solve_local)?;
             let t_end = world.allreduce_max(ctx, ctx.now())?;
             let flatten = |o: Option<Vec<Vec<f64>>>| -> Vec<f64> {
                 o.map(|v| v.into_iter().flatten().collect()).unwrap_or_default()
             };
             let hosts = flatten(world.gather(ctx, 0, &[ctx.my_host() as f64])?);
-            let grids = flatten(world.gather(ctx, 0, &[my.map_or(-1.0, |m| m.grid as f64)])?);
+            let grids = flatten(world.gather(ctx, 0, &[st.my.map_or(-1.0, |m| m.grid as f64)])?);
             let origs = if matches!(
                 pol,
                 RecoveryPolicy::ShrinkRedistribute | RecoveryPolicy::SpareSubstitute
@@ -787,121 +651,56 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         })();
         match attempt {
             Ok(v) => break v,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) | Err(Error::Protocol(_))
-                if pol == RecoveryPolicy::ShrinkRedistribute =>
-            {
-                let t_event0 = ctx.now();
-                world.revoke(ctx);
-                let mut round = ReconstructTimings::default();
-                world = stage(
-                    communicator_reconstruct_shrink(ctx, world, &mut members, &mut round),
-                    "combine-shrink",
-                    ctx,
-                )?;
-                for &r in &round.failed_ranks {
-                    if !deferred.contains(&r) {
-                        deferred.push(r);
-                    }
-                }
-                deferred.sort_unstable();
-                dropped = layout.broken_grids(&deferred);
-                for &g in &dropped {
-                    if !final_lost.contains(&g) {
-                        final_lost.push(g);
-                    }
-                }
-                final_lost.sort_unstable();
-                group_broken = my.is_some_and(|m| dropped.contains(&m.grid));
-                if world.rank() == 0 {
-                    ctx.report_timeline(build_timeline(
-                        event_idx,
-                        steps,
-                        t_event0,
-                        ctx.now(),
-                        &round,
-                    ));
-                }
-                event_idx += 1;
-                merge_timings(&mut repair_timings, &round);
-                notify(
-                    cfg,
-                    &world,
-                    AppEvent::Recovered { step: steps, ranks: round.failed_ranks.len() },
-                );
-            }
             Err(Error::ProcFailed { .. }) | Err(Error::Revoked) | Err(Error::Protocol(_)) => {
-                let t_event0 = ctx.now();
+                // A failure event of its own: repair and recover the new
+                // casualties — under shrink, drop them and their grids —
+                // and go again (see the 2D driver).
+                let shrink = pol == RecoveryPolicy::ShrinkRedistribute;
+                let mut event = Event::open(ctx);
                 world.revoke(ctx);
-                group.revoke(ctx);
-                let mut round = ReconstructTimings::default();
-                world = stage(
-                    match pol {
-                        RecoveryPolicy::SpareSubstitute => communicator_reconstruct_substitute(
-                            ctx,
-                            world,
-                            active_slots,
-                            cfg.respawn_policy,
-                            &mut round,
-                        ),
-                        _ => communicator_reconstruct_with(
-                            ctx,
-                            Some(world),
-                            None,
-                            cfg.respawn_policy,
-                            &mut round,
-                        ),
-                    },
+                if !shrink {
+                    group.revoke(ctx);
+                }
+                let mut arm = RepairArm::for_policy(
+                    pol,
+                    cfg.respawn_policy,
+                    active_slots,
+                    &mut members,
+                    true,
+                );
+                let (w, recovered) = stage(
+                    st.reconstruct(
+                        ctx,
+                        &env,
+                        Join::Detect(world),
+                        &mut arm,
+                        Some(steps),
+                        &mut event.round,
+                    ),
                     "combine-reconstruct",
                     ctx,
                 )?;
-                refresh_slot_n(cfg, &layout, &world, &problem, tg.dt, &mut my, &mut solver);
-                let mut known_failed = round.failed_ranks.clone();
-                for &r in &end_failed {
-                    if !known_failed.contains(&r) {
-                        known_failed.push(r);
-                    }
-                }
-                known_failed.sort_unstable();
-                let (w, d, g, trec, failed) = stage(
-                    recover_with_commit_n(
-                        ctx,
-                        cfg,
-                        &layout,
-                        world,
-                        &mut my,
-                        &mut solver,
-                        &problem,
-                        tg.dt,
-                        &store,
-                        &mut buddy_store,
-                        Some((steps, known_failed)),
-                        &mut round,
-                    ),
-                    "combine-recovery",
-                    ctx,
-                )?;
-                debug_assert_eq!(d, steps);
                 world = w;
-                group = g;
-                t_rec_local += trec;
-                if world.rank() == 0 {
-                    ctx.report_timeline(build_timeline(
-                        event_idx,
-                        steps,
-                        t_event0,
-                        ctx.now(),
-                        &round,
-                    ));
+                if let Some((g, _)) = recovered {
+                    group = g;
                 }
-                event_idx += 1;
-                merge_timings(&mut repair_timings, &round);
-                notify(
-                    cfg,
-                    &world,
-                    AppEvent::Recovered { step: steps, ranks: round.failed_ranks.len() },
-                );
-                extend_lost_n(&mut final_lost, &layout, &failed);
-                end_failed = failed;
+                if shrink {
+                    for &r in &event.round.failed_ranks {
+                        if !deferred.contains(&r) {
+                            deferred.push(r);
+                        }
+                    }
+                    deferred.sort_unstable();
+                    dropped = layout.broken_grids(&deferred);
+                    for &g in &dropped {
+                        if !st.final_lost.contains(&g) {
+                            st.final_lost.push(g);
+                        }
+                    }
+                    st.final_lost.sort_unstable();
+                    group_broken = st.my.is_some_and(|m| dropped.contains(&m.grid));
+                }
+                event.close(ctx, cfg, &world, &mut event_idx, steps, &mut repair_timings);
             }
             Err(e) => return Err(e),
         }

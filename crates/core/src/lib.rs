@@ -49,8 +49,8 @@ pub use layout_nd::{AssignmentN, GroupInfoN, ProcLayoutN};
 pub use policy::RecoveryPolicy;
 pub use psolve_nd::DistributedSolverN;
 pub use reconstruct::{
-    communicator_reconstruct, communicator_reconstruct_with, deferred_epoch_repair,
-    detect_and_repair, repair_comm, repair_comm_with, ReconstructTimings, RespawnPolicy,
+    communicator_reconstruct, communicator_reconstruct_with, reconstruct, repair_comm,
+    repair_comm_with, repair_deferred, Attempt, Join, ReconstructTimings, RepairArm, RespawnPolicy,
 };
 pub use tags::TagSpace;
 pub use timeline::{build_timeline, PHASES};

@@ -10,15 +10,36 @@
 //! everyone so ranks match the pre-failure communicator (the paper's
 //! Fig. 2 walk-through).
 //!
-//! One documented deviation: the paper's listings have the parents merge
-//! *before* agreeing (Fig. 5 lines 14–15) while the children agree
-//! *before* merging (Fig. 3 lines 21–22). That opposite interleaving
-//! relies on Open MPI's internal progress engine; our rendezvous-based
+//! There is **one** Fig. 3 do-while, [`reconstruct`]. Every rank of a
+//! failure event runs it, however it joined ([`Join`]), and every round is
+//! the listing's `agree → barrier`; a failing barrier takes the policy's
+//! repair arm ([`RepairArm`]) and loops. Per failure event a rank performs
+//!
+//! ```text
+//! agree → barrier✗ → repair (revoke, shrink, list, spawn, merge, agree,
+//! reorder split) → agree → [data-recovery attempt] → confirming barrier
+//! ```
+//!
+//! — the ULFM calls of Figs. 3/5 in the listings' order, three agreements.
+//! The application's data recovery (an [`Attempt`]) runs *inside* the
+//! confirming round, between its agree and its barrier, so the barrier
+//! that confirms the repaired communicator also commits the recovery: a
+//! rank whose attempt hit a further failure revokes the communicator
+//! *before* it enters the barrier, and no rank can leave a barrier before
+//! every rank has entered it, so the verdict is uniform. A failed verdict
+//! is the loop's ordinary repair arm; the next confirming round re-runs
+//! the (idempotent) attempt with the enlarged failed list.
+//!
+//! Two documented deviations from the listings. The paper has the parents
+//! merge *before* agreeing (Fig. 5 lines 14–15) while the children agree
+//! *before* merging (Fig. 3 lines 21–22); that opposite interleaving
+//! relies on Open MPI's internal progress engine, our rendezvous-based
 //! collectives require a consistent order, so both sides merge first and
-//! agree second.
+//! agree second. And the attempt sits between Fig. 3's line-12 agree and
+//! its line-13 barrier, where the listing has nothing.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex as StdMutex;
 
 use ulfm_sim::{comm_spawn_multiple, Comm, Ctx, Error, InterComm, Result, SpawnSpec};
 
@@ -146,9 +167,11 @@ pub struct ReconstructTimings {
     pub t_split: f64,
     /// Technique data recovery (checkpoint read / resample / alternate
     /// combination / buddy fetch, including any recompute), cumulative
-    /// over commit retries.
+    /// over attempts, plus the wait in the confirming barrier for slower
+    /// peers' recoveries.
     pub t_restore: f64,
-    /// The whole `communicatorReconstruct` call (Fig. 8b).
+    /// The whole `communicatorReconstruct` call (Fig. 8b), net of the
+    /// data-recovery attempts that ride its confirming rounds.
     pub t_total: f64,
     /// Number of do-while iterations (> 2 means failures struck during
     /// recovery itself).
@@ -176,6 +199,152 @@ pub fn select_rank_key(
     shrink_merge_list[my_rank] as i64
 }
 
+/// A further casualty (or the revocation it triggered) rather than a hard
+/// error: the protocols below absorb these and go round again.
+pub(crate) fn is_casualty(e: &Error) -> bool {
+    matches!(e, Error::ProcFailed { .. } | Error::Revoked)
+}
+
+/// The one communicator of a single-colour split (`MPI_UNDEFINED` is never
+/// passed, so a missing result is a runtime fault, reported as such).
+fn single_colour(split: Option<Comm>) -> Result<Comm> {
+    split.ok_or_else(|| Error::Protocol("single-colour split returned no communicator".into()))
+}
+
+/// Record `failed` (original numbering) among the event's repaired ranks.
+fn note_failed(timings: &mut ReconstructTimings, failed: &[usize]) {
+    for &r in failed {
+        if !timings.failed_ranks.contains(&r) {
+            timings.failed_ranks.push(r);
+        }
+    }
+}
+
+/// Drop from a current→original rank map the entries at the (current)
+/// positions in `gone`.
+fn compact_members(members: &mut Vec<usize>, gone: &[usize]) {
+    let mut idx = 0usize;
+    members.retain(|_| {
+        let keep = !gone.contains(&idx);
+        idx += 1;
+        keep
+    });
+}
+
+/// Fig. 5 lines 2–6, timed as Fig. 8a's "creating the list": revoke and
+/// shrink the broken communicator and derive the failed-rank list.
+fn revoke_shrink_list(
+    ctx: &Ctx,
+    broken: &Comm,
+    timings: &mut ReconstructTimings,
+) -> Result<(Comm, Vec<usize>)> {
+    let t0 = ctx.now();
+    broken.revoke(ctx);
+    timings.t_revoke += ctx.now() - t0;
+    let t_shrink0 = ctx.now();
+    let shrinked = broken.shrink(ctx)?;
+    timings.t_shrink += ctx.now() - t_shrink0;
+    ctx.trace_phase("revoke_shrink", t0);
+    let t_flist0 = ctx.now();
+    let failed = failed_procs_list(broken, &shrinked);
+    timings.t_flist += ctx.now() - t_flist0;
+    ctx.trace_phase("failed_list", t_flist0);
+    timings.t_list += ctx.now() - t0;
+    Ok((shrinked, failed))
+}
+
+/// After a mid-repair casualty: shrink the survivors again and rebuild the
+/// failed list against `reference` (the communicator the list is numbered
+/// in), so it stays cumulative across rounds.
+fn reshrink(
+    ctx: &Ctx,
+    reference: &Comm,
+    survivors: &Comm,
+    timings: &mut ReconstructTimings,
+) -> Result<(Comm, Vec<usize>)> {
+    timings.rounds += 1;
+    let t = ctx.now();
+    let shrinked = survivors.shrink(ctx)?;
+    timings.t_shrink += ctx.now() - t;
+    ctx.trace_phase("revoke_shrink", t);
+    let tf = ctx.now();
+    let failed = failed_procs_list(reference, &shrinked);
+    timings.t_flist += ctx.now() - tf;
+    Ok((shrinked, failed))
+}
+
+/// Fig. 5 lines 7–21 over `survivors`: spawn one replacement per entry of
+/// `failed`, merge, agree, hand each child its old rank, and re-order with
+/// this survivor keyed `key`. `Ok(None)` means a *further* rank died
+/// mid-round: the round is abandoned (its children — if any were created —
+/// saw the same uniform error and exit as [`Error::Orphaned`]) and the
+/// caller re-shrinks and goes again with the enlarged list.
+fn respawn_round(
+    ctx: &Ctx,
+    survivors: &Comm,
+    specs: &[SpawnSpec],
+    failed: &[usize],
+    key: i64,
+    timings: &mut ReconstructTimings,
+) -> Result<Option<Comm>> {
+    let t_spawn0 = ctx.now();
+    let inter: InterComm = match comm_spawn_multiple(ctx, survivors, specs) {
+        Ok(i) => i,
+        // A survivor died at the spawn rendezvous: no children exist.
+        Err(e) if is_casualty(&e) => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    timings.t_spawn += ctx.now() - t_spawn0;
+    ctx.trace_phase("spawn", t_spawn0);
+
+    let t_merge0 = ctx.now();
+    let unordered = match inter.merge(ctx, false) {
+        Ok(u) => u,
+        Err(e) if is_casualty(&e) => {
+            inter.revoke(ctx);
+            return Ok(None);
+        }
+        Err(e) => return Err(e),
+    };
+    timings.t_merge += ctx.now() - t_merge0;
+    ctx.trace_phase("merge", t_merge0);
+    let t_agree0 = ctx.now();
+    let mut flag = true;
+    // Fault-tolerant agreement: completes over survivors either way; a
+    // casualty between merge and split is caught by the split below.
+    let _ = inter.agree(ctx, &mut flag);
+    timings.t_agree += ctx.now() - t_agree0;
+    ctx.trace_phase("agree", t_agree0);
+
+    // Rank 0 never fails (application invariant), so when the merge
+    // succeeded the children are told their old ranks before the split.
+    if unordered.rank() == 0 {
+        for (i, &fr) in failed.iter().enumerate() {
+            if unordered.send_one(ctx, survivors.size() + i, MERGE_TAG, fr as u64).is_err() {
+                unordered.revoke(ctx);
+                inter.revoke(ctx);
+                return Ok(None);
+            }
+        }
+    }
+
+    let t_split0 = ctx.now();
+    let reordered = unordered.split(ctx, Some(0), key);
+    timings.t_split += ctx.now() - t_split0;
+    match reordered {
+        Ok(repaired) => {
+            ctx.trace_phase("rank_reorder", t_split0);
+            single_colour(repaired).map(Some)
+        }
+        Err(e) if is_casualty(&e) => {
+            unordered.revoke(ctx);
+            inter.revoke(ctx);
+            Ok(None)
+        }
+        Err(e) => Err(e),
+    }
+}
+
 /// Port of Fig. 5 (`repairComm`) with the paper's same-host placement.
 /// Called by the survivors; returns the repaired communicator (original
 /// size, original ranks).
@@ -188,11 +357,8 @@ pub fn repair_comm(ctx: &Ctx, broken: &Comm, timings: &mut ReconstructTimings) -
 /// per the [`RespawnPolicy`], merge, hand out old ranks, and re-order.
 ///
 /// Nested failures are survived here, not just in the caller's do-while:
-/// if a *further* rank dies while the survivors are mid-`spawn_multiple`,
-/// mid-`merge`, or mid-`split`, the failing round is abandoned (its
-/// children — if any were created — observe the same uniform error and
-/// exit as [`Error::Orphaned`]), the shrunken communicator is re-shrunk to
-/// drop the new casualty, and the spawn/merge/split protocol restarts with
+/// a rank dying mid-`spawn_multiple`, mid-`merge` or mid-`split` abandons
+/// the round, the survivors are re-shrunk, and the protocol restarts with
 /// the enlarged failed-rank list. The whole call runs inside a
 /// [`Ctx::recovery_scope`], so `DuringRecovery` fault sites can strike any
 /// of these operations.
@@ -203,248 +369,24 @@ pub fn repair_comm_with(
     timings: &mut ReconstructTimings,
 ) -> Result<Comm> {
     let _scope = ctx.recovery_scope();
-    // --- failed-process list (timed as Fig. 8a's "creating the list"). ---
-    let t0 = ctx.now();
-    broken.revoke(ctx);
-    timings.t_revoke += ctx.now() - t0;
-    let t_shrink0 = ctx.now();
-    let mut shrinked = broken.shrink(ctx)?;
-    timings.t_shrink += ctx.now() - t_shrink0;
-    ctx.trace_phase("revoke_shrink", t0);
-    let t_flist0 = ctx.now();
-    let mut failed_ranks = failed_procs_list(broken, &shrinked);
-    timings.t_flist += ctx.now() - t_flist0;
-    ctx.trace_phase("failed_list", t_flist0);
-    timings.t_list += ctx.now() - t0;
-
-    // Drop the current round's survivors communicator and re-shrink after
-    // a mid-repair casualty. The failed list is rebuilt by comparing the
-    // *original* broken group against the latest shrink, so it is
-    // cumulative across rounds.
-    macro_rules! reshrink {
-        () => {{
-            timings.rounds += 1;
-            let t = ctx.now();
-            shrinked = shrinked.shrink(ctx)?;
-            timings.t_shrink += ctx.now() - t;
-            ctx.trace_phase("revoke_shrink", t);
-            let tf = ctx.now();
-            failed_ranks = failed_procs_list(broken, &shrinked);
-            timings.t_flist += ctx.now() - tf;
-        }};
-    }
-
+    let (mut shrinked, mut failed) = revoke_shrink_list(ctx, broken, timings)?;
     loop {
-        for &r in &failed_ranks {
-            if !timings.failed_ranks.contains(&r) {
-                timings.failed_ranks.push(r);
-            }
-        }
+        note_failed(timings, &failed);
         // A revoked-but-intact communicator (collateral revocation, no
         // deaths) needs no respawn; hand back the full-membership shrink.
-        if failed_ranks.is_empty() {
+        if failed.is_empty() {
             return Ok(shrinked);
         }
-
-        // --- spawn replacements per the placement policy. ---
         // Paper (same-host): hostfileLineIndex ← failedRank / SLOTS; read
         // the host name from that hostfile line and put it in the MPI_Info.
-        let specs = respawn_specs(ctx, broken, &failed_ranks, policy);
-        let t_spawn0 = ctx.now();
-        let inter: InterComm = match comm_spawn_multiple(ctx, &shrinked, &specs) {
-            Ok(i) => i,
-            // A survivor died at the spawn rendezvous: no children were
-            // created; enlarge the failed list and retry.
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                reshrink!();
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        timings.t_spawn += ctx.now() - t_spawn0;
-        ctx.trace_phase("spawn", t_spawn0);
-
-        // --- merge (parent part), then synchronize. ---
-        let t_merge0 = ctx.now();
-        let unordered = match inter.merge(ctx, false) {
-            Ok(u) => u,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                // This round's children saw the same uniform merge error
-                // and exit orphaned; make the abandonment explicit on the
-                // intercomm and retry without them.
-                inter.revoke(ctx);
-                reshrink!();
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        timings.t_merge += ctx.now() - t_merge0;
-        ctx.trace_phase("merge", t_merge0);
-        let t_agree0 = ctx.now();
-        let mut flag = true;
-        // Fault-tolerant agreement: completes over survivors either way;
-        // a casualty between merge and split is caught by the split below.
-        let _ = inter.agree(ctx, &mut flag);
-        timings.t_agree += ctx.now() - t_agree0;
-        ctx.trace_phase("agree", t_agree0);
-
-        // --- hand every child its old rank. ---
-        // Rank 0 never fails (application invariant), so when the merge
-        // succeeded the children are always told their old ranks before
-        // entering the split.
-        let shrinked_group_size = shrinked.size();
-        let total_procs = unordered.size();
-        if unordered.rank() == 0 {
-            let mut send_failed = false;
-            for (i, &fr) in failed_ranks.iter().enumerate() {
-                let child = shrinked_group_size + i;
-                if unordered.send_one(ctx, child, MERGE_TAG, fr as u64).is_err() {
-                    send_failed = true;
-                    break;
-                }
-            }
-            if send_failed {
-                unordered.revoke(ctx);
-                inter.revoke(ctx);
-                reshrink!();
-                continue;
-            }
+        let specs = respawn_specs(ctx, broken, &failed, policy);
+        // A survivor's merged rank equals its shrunken rank (Fig. 7).
+        let key = select_rank_key(shrinked.rank(), shrinked.size(), &failed, broken.size());
+        if let Some(repaired) = respawn_round(ctx, &shrinked, &specs, &failed, key, timings)? {
+            return Ok(repaired);
         }
-
-        // --- re-order so ranks match the pre-failure communicator. ---
-        let key =
-            select_rank_key(unordered.rank(), shrinked_group_size, &failed_ranks, total_procs);
-        let t_split0 = ctx.now();
-        match unordered.split(ctx, Some(0), key) {
-            Ok(repaired) => {
-                timings.t_split += ctx.now() - t_split0;
-                ctx.trace_phase("rank_reorder", t_split0);
-                return Ok(repaired.expect("repair split uses a single colour"));
-            }
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                timings.t_split += ctx.now() - t_split0;
-                // A casualty inside the final reorder: abandon this round's
-                // children (they saw the same split error) and restart.
-                unordered.revoke(ctx);
-                inter.revoke(ctx);
-                reshrink!();
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
+        (shrinked, failed) = reshrink(ctx, broken, &shrinked, timings)?;
     }
-}
-
-/// Port of Fig. 3 (`communicatorReconstruct`): the detection/repair
-/// do-while loop. Survivors pass `Some(world)` and `None`; respawned
-/// children pass `None` and `Some(parent)` (what `MPI_Comm_get_parent`
-/// returned). Returns the reconstructed communicator, on which every rank
-/// holds its pre-failure rank and a final agree+barrier round has
-/// succeeded.
-pub fn communicator_reconstruct(
-    ctx: &Ctx,
-    my_world: Option<Comm>,
-    parent: Option<InterComm>,
-    timings: &mut ReconstructTimings,
-) -> Result<Comm> {
-    communicator_reconstruct_with(ctx, my_world, parent, RespawnPolicy::SameHost, timings)
-}
-
-/// [`communicator_reconstruct`] with an explicit [`RespawnPolicy`].
-pub fn communicator_reconstruct_with(
-    ctx: &Ctx,
-    my_world: Option<Comm>,
-    parent: Option<InterComm>,
-    policy: RespawnPolicy,
-    timings: &mut ReconstructTimings,
-) -> Result<Comm> {
-    let t_start = ctx.now();
-    let mut reconstructed = my_world;
-    let mut parent = parent;
-    loop {
-        timings.rounds += 1;
-        let mut failure = false;
-        if let Some(p) = parent.take() {
-            // ---- child part (Fig. 3 lines 19–26). ----
-            // Any recoverable error here means a *further* failure struck
-            // while the survivors were attaching us: they abandon this
-            // round, re-shrink, and spawn fresh replacements. We hold no
-            // usable communicator, so we exit as orphaned — a clean
-            // termination, not an application error.
-            let orphan = |e: Error| match e {
-                Error::ProcFailed { .. } | Error::Revoked => Error::Orphaned,
-                other => other,
-            };
-            let t_merge0 = ctx.now();
-            let unordered = p.merge(ctx, true).map_err(orphan)?;
-            timings.t_merge += ctx.now() - t_merge0;
-            let t_agree0 = ctx.now();
-            let mut flag = true;
-            let _ = p.agree(ctx, &mut flag); // fault-tolerant; advisory
-            timings.t_agree += ctx.now() - t_agree0;
-            let old_rank: u64 = unordered.recv_one(ctx, 0, MERGE_TAG).map_err(orphan)?;
-            let t_split0 = ctx.now();
-            let ordered = unordered
-                .split(ctx, Some(0), old_rank as i64)
-                .map_err(orphan)?
-                .expect("child split uses a single colour");
-            timings.t_split += ctx.now() - t_split0;
-            reconstructed = Some(ordered);
-            // Like the paper's `returnValue ← MPI_ERR_COMM`: force another
-            // round, now on the parent path, to verify the repaired
-            // communicator with everyone.
-            failure = true;
-        } else {
-            // ---- parent part (Fig. 3 lines 6–18). ----
-            let comm = reconstructed.take().expect("parent path requires a communicator");
-            // Fig. 3 line 11: attach the Fig. 4 error handler; it
-            // acknowledges observed failures whenever an operation on
-            // this handle errors, so the subsequent agreement returns
-            // uniformly. The handler's acknowledgement time is
-            // accumulated separately so the agree/detect segments it
-            // runs inside can be reported net of it — keeping every
-            // timeline phase disjoint.
-            let ack_time = Arc::new(StdMutex::new(0.0f64));
-            let acc = Arc::clone(&ack_time);
-            comm.set_errhandler(move |ctx, comm, _err| {
-                let a0 = ctx.now();
-                mpi_error_handler(ctx, comm);
-                *acc.lock().unwrap() += ctx.now() - a0;
-            });
-            let ack_of = |since: f64| (*ack_time.lock().unwrap() - since).max(0.0);
-            let ack0 = *ack_time.lock().unwrap();
-            let t_agree0 = ctx.now();
-            let mut flag = true;
-            let _ = comm.agree(ctx, &mut flag); // handler acks on error
-            let ack_in_agree = ack_of(ack0);
-            timings.t_agree += (ctx.now() - t_agree0 - ack_in_agree).max(0.0);
-            timings.t_ack += ack_in_agree;
-            let ack1 = *ack_time.lock().unwrap();
-            let t_detect0 = ctx.now();
-            match comm.barrier(ctx) {
-                Ok(()) => {
-                    reconstructed = Some(comm);
-                }
-                Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                    // The erroring barrier *is* the failure detector
-                    // (Fig. 3 line 13): its time is the detection phase.
-                    let ack_in_detect = ack_of(ack1);
-                    timings.t_detect += (ctx.now() - t_detect0 - ack_in_detect).max(0.0);
-                    timings.t_ack += ack_in_detect;
-                    ctx.trace_phase("detect", t_detect0);
-                    let repaired = repair_comm_with(ctx, &comm, policy, timings)?;
-                    reconstructed = Some(repaired);
-                    failure = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if !failure {
-            break;
-        }
-    }
-    timings.t_total += ctx.now() - t_start;
-    Ok(reconstructed.expect("loop exits with a communicator"))
 }
 
 /// Shrink-only repair (`ShrinkRedistribute` / `DeferRepair` mid-run): the
@@ -465,79 +407,12 @@ pub fn repair_shrink(
     let _scope = ctx.recovery_scope();
     let m = members.get_or_insert_with(|| (0..broken.size()).collect());
     debug_assert_eq!(m.len(), broken.size(), "members map tracks the current world");
-    let t0 = ctx.now();
-    broken.revoke(ctx);
-    timings.t_revoke += ctx.now() - t0;
-    let t_shrink0 = ctx.now();
-    let shrinked = broken.shrink(ctx)?;
-    timings.t_shrink += ctx.now() - t_shrink0;
-    ctx.trace_phase("revoke_shrink", t0);
-    let t_flist0 = ctx.now();
-    let failed = failed_procs_list(broken, &shrinked);
-    timings.t_flist += ctx.now() - t_flist0;
-    ctx.trace_phase("failed_list", t_flist0);
-    timings.t_list += ctx.now() - t0;
-    for &r in &failed {
-        let orig = m[r];
-        if !timings.failed_ranks.contains(&orig) {
-            timings.failed_ranks.push(orig);
-        }
-    }
-    let mut idx = 0usize;
-    m.retain(|_| {
-        let keep = !failed.contains(&idx);
-        idx += 1;
-        keep
-    });
+    let (shrinked, failed) = revoke_shrink_list(ctx, broken, timings)?;
+    let orig: Vec<usize> = failed.iter().map(|&r| m[r]).collect();
+    note_failed(timings, &orig);
+    compact_members(m, &failed);
     debug_assert_eq!(m.len(), shrinked.size());
     Ok(shrinked)
-}
-
-/// The Fig. 3 detection do-while specialised to shrink-only repair:
-/// agree + barrier detect the failure, [`repair_shrink`] drops the dead,
-/// and another round verifies the survivors. There is never a child path —
-/// nothing is spawned.
-pub fn communicator_reconstruct_shrink(
-    ctx: &Ctx,
-    my_world: Comm,
-    members: &mut Option<Vec<usize>>,
-    timings: &mut ReconstructTimings,
-) -> Result<Comm> {
-    let t_start = ctx.now();
-    let mut comm = my_world;
-    loop {
-        timings.rounds += 1;
-        let ack_time = Arc::new(StdMutex::new(0.0f64));
-        let acc = Arc::clone(&ack_time);
-        comm.set_errhandler(move |ctx, comm, _err| {
-            let a0 = ctx.now();
-            mpi_error_handler(ctx, comm);
-            *acc.lock().unwrap() += ctx.now() - a0;
-        });
-        let ack_of = |since: f64| (*ack_time.lock().unwrap() - since).max(0.0);
-        let ack0 = *ack_time.lock().unwrap();
-        let t_agree0 = ctx.now();
-        let mut flag = true;
-        let _ = comm.agree(ctx, &mut flag);
-        let ack_in_agree = ack_of(ack0);
-        timings.t_agree += (ctx.now() - t_agree0 - ack_in_agree).max(0.0);
-        timings.t_ack += ack_in_agree;
-        let ack1 = *ack_time.lock().unwrap();
-        let t_detect0 = ctx.now();
-        match comm.barrier(ctx) {
-            Ok(()) => break,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                let ack_in_detect = ack_of(ack1);
-                timings.t_detect += (ctx.now() - t_detect0 - ack_in_detect).max(0.0);
-                timings.t_ack += ack_in_detect;
-                ctx.trace_phase("detect", t_detect0);
-                comm = repair_shrink(ctx, &comm, members, timings)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    timings.t_total += ctx.now() - t_start;
-    Ok(comm)
 }
 
 /// Spare-substitution repair: revoke + shrink, then — if enough idle
@@ -566,27 +441,10 @@ pub fn repair_substitute(
     timings: &mut ReconstructTimings,
 ) -> Result<Comm> {
     let _scope = ctx.recovery_scope();
-    let t0 = ctx.now();
-    broken.revoke(ctx);
-    timings.t_revoke += ctx.now() - t0;
-    let t_shrink0 = ctx.now();
-    let mut shrinked = broken.shrink(ctx)?;
-    timings.t_shrink += ctx.now() - t_shrink0;
-    ctx.trace_phase("revoke_shrink", t0);
-    let t_flist0 = ctx.now();
-    let mut failed = failed_procs_list(broken, &shrinked);
-    timings.t_flist += ctx.now() - t_flist0;
-    ctx.trace_phase("failed_list", t_flist0);
-    timings.t_list += ctx.now() - t0;
-
-    let total_procs = broken.size();
+    let (mut shrinked, mut failed) = revoke_shrink_list(ctx, broken, timings)?;
     loop {
         failed.sort_unstable();
-        for &r in &failed {
-            if !timings.failed_ranks.contains(&r) {
-                timings.failed_ranks.push(r);
-            }
-        }
+        note_failed(timings, &failed);
         if failed.is_empty() {
             return Ok(shrinked);
         }
@@ -601,127 +459,48 @@ pub fn repair_substitute(
         }
 
         // --- single promote split over the survivors. ---
-        let old_rank = select_rank_key(shrinked.rank(), shrinked.size(), &failed, total_procs);
+        let old_rank = select_rank_key(shrinked.rank(), shrinked.size(), &failed, broken.size());
         let key = if (old_rank as usize) < active_slots {
             old_rank // surviving active keeps its slot
         } else {
             // My position among the surviving spares, by old rank.
             let j = (active_slots..old_rank as usize).filter(|r| !failed.contains(r)).count();
-            if j < dead_active.len() {
-                dead_active[j] as i64 // promoted into the j-th failed slot
-            } else {
-                old_rank // stay at the tail
-            }
+            // Promoted into the j-th failed slot, or staying at the tail.
+            dead_active.get(j).map_or(old_rank, |&slot| slot as i64)
         };
         let t_split0 = ctx.now();
-        match shrinked.split(ctx, Some(0), key) {
+        let promoted = shrinked.split(ctx, Some(0), key);
+        timings.t_split += ctx.now() - t_split0;
+        match promoted {
             Ok(repaired) => {
-                timings.t_split += ctx.now() - t_split0;
                 ctx.trace_phase("rank_reorder", t_split0);
-                return Ok(repaired.expect("promote split uses a single colour"));
+                return single_colour(repaired);
             }
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                timings.t_split += ctx.now() - t_split0;
-                // A further casualty mid-promote: re-shrink and retry with
-                // the enlarged failed list (cumulative vs the original
-                // broken membership).
-                timings.rounds += 1;
-                let t = ctx.now();
-                shrinked = shrinked.shrink(ctx)?;
-                timings.t_shrink += ctx.now() - t;
-                ctx.trace_phase("revoke_shrink", t);
-                let tf = ctx.now();
-                failed = failed_procs_list(broken, &shrinked);
-                timings.t_flist += ctx.now() - tf;
+            // A further casualty mid-promote: re-shrink and retry with the
+            // enlarged failed list.
+            Err(e) if is_casualty(&e) => {
+                (shrinked, failed) = reshrink(ctx, broken, &shrinked, timings)?;
             }
             Err(e) => return Err(e),
         }
     }
 }
 
-/// The Fig. 3 detection do-while specialised to spare substitution. The
-/// parent path is identical to [`communicator_reconstruct_with`]; repair
-/// promotes spares via [`repair_substitute`]. Only when a burst exhausts
-/// the spares does the fallback spawn children — those children join
-/// through the ordinary child path of [`communicator_reconstruct_with`]
-/// and meet the survivors in this loop's verification round.
-pub fn communicator_reconstruct_substitute(
-    ctx: &Ctx,
-    my_world: Comm,
-    active_slots: usize,
-    respawn: RespawnPolicy,
-    timings: &mut ReconstructTimings,
-) -> Result<Comm> {
-    let t_start = ctx.now();
-    let mut comm = my_world;
-    loop {
-        timings.rounds += 1;
-        let ack_time = Arc::new(StdMutex::new(0.0f64));
-        let acc = Arc::clone(&ack_time);
-        comm.set_errhandler(move |ctx, comm, _err| {
-            let a0 = ctx.now();
-            mpi_error_handler(ctx, comm);
-            *acc.lock().unwrap() += ctx.now() - a0;
-        });
-        let ack_of = |since: f64| (*ack_time.lock().unwrap() - since).max(0.0);
-        let ack0 = *ack_time.lock().unwrap();
-        let t_agree0 = ctx.now();
-        let mut flag = true;
-        let _ = comm.agree(ctx, &mut flag);
-        let ack_in_agree = ack_of(ack0);
-        timings.t_agree += (ctx.now() - t_agree0 - ack_in_agree).max(0.0);
-        timings.t_ack += ack_in_agree;
-        let ack1 = *ack_time.lock().unwrap();
-        let t_detect0 = ctx.now();
-        match comm.barrier(ctx) {
-            Ok(()) => break,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                let ack_in_detect = ack_of(ack1);
-                timings.t_detect += (ctx.now() - t_detect0 - ack_in_detect).max(0.0);
-                timings.t_ack += ack_in_detect;
-                ctx.trace_phase("detect", t_detect0);
-                comm = repair_substitute(ctx, &comm, active_slots, respawn, timings)?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    timings.t_total += ctx.now() - t_start;
-    Ok(comm)
-}
-
-/// The `DeferRepair` epoch repair: respawn **all** accumulated dead (in
-/// original numbering) in one batch, restoring the original world size and
-/// rank order, then verify with a standard detection round (which also
-/// repairs any casualty that strikes during the batch itself, via the
-/// ordinary respawn protocol — at this point the numbering is original
-/// again).
+/// The `DeferRepair` epoch batch: respawn **all** accumulated dead (in
+/// original numbering) in one round, restoring the original world size and
+/// rank order. Like [`repair_comm_with`], but the failed list is the
+/// *accumulated* deferred set rather than one derived from a revoke+shrink
+/// (the survivor world is already shrunken and healthy), and survivor
+/// split keys come from the `members` map instead of Fig. 7 (which assumes
+/// the dead were members of the communicator being repaired).
 ///
 /// `alive` is the shrunken survivor world, `members` its current→original
-/// rank map, `deferred` the accumulated dead (original ranks). On success
-/// the returned communicator has the original size with every rank at its
-/// original position; all repaired ranks (deferred plus any epoch
-/// casualties) are recorded in `timings.failed_ranks`.
-pub fn deferred_epoch_repair(
-    ctx: &Ctx,
-    alive: Comm,
-    members: Vec<usize>,
-    deferred: &mut Vec<usize>,
-    respawn: RespawnPolicy,
-    timings: &mut ReconstructTimings,
-) -> Result<Comm> {
-    let repaired = repair_deferred(ctx, alive, members, deferred, respawn, timings)?;
-    // Verification round with the children; epoch casualties are repaired
-    // by the standard Fig. 3/5 protocol.
-    communicator_reconstruct_with(ctx, Some(repaired), None, respawn, timings)
-}
-
-/// The spawn/merge/split batch of [`deferred_epoch_repair`]: like
-/// [`repair_comm_with`] but the failed list is the *accumulated* deferred
-/// set rather than one derived from a revoke+shrink (the survivor world is
-/// already shrunken and healthy), and survivor split keys come from the
-/// `members` map instead of Fig. 7 (which assumes the dead were members of
-/// the broken communicator being repaired).
-fn repair_deferred(
+/// rank map, `deferred` the accumulated dead (original ranks); a casualty
+/// during the batch joins it. The caller confirms the returned
+/// communicator with [`reconstruct`] entered as [`Join::Refilled`], whose
+/// first round is already a confirming round. All repaired ranks are
+/// recorded in `timings.failed_ranks`.
+pub fn repair_deferred(
     ctx: &Ctx,
     alive: Comm,
     mut members: Vec<usize>,
@@ -732,144 +511,268 @@ fn repair_deferred(
     let _scope = ctx.recovery_scope();
     debug_assert_eq!(members.len(), alive.size());
     let mut cur = alive;
-
-    // A casualty during the batch: shrink the survivor world, move the new
-    // dead (translated to original numbering) into the deferred set, and
-    // restart the batch.
-    macro_rules! reshrink_deferred {
-        () => {{
-            timings.rounds += 1;
-            let t = ctx.now();
-            let shr = cur.shrink(ctx)?;
-            timings.t_shrink += ctx.now() - t;
-            ctx.trace_phase("revoke_shrink", t);
-            let tf = ctx.now();
-            let newly = failed_procs_list(&cur, &shr);
-            timings.t_flist += ctx.now() - tf;
-            for &r in &newly {
-                let orig = members[r];
-                if !deferred.contains(&orig) {
-                    deferred.push(orig);
-                }
-            }
-            let mut idx = 0usize;
-            members.retain(|_| {
-                let keep = !newly.contains(&idx);
-                idx += 1;
-                keep
-            });
-            cur = shr;
-        }};
-    }
-
     loop {
         deferred.sort_unstable();
-        for &r in deferred.iter() {
-            if !timings.failed_ranks.contains(&r) {
-                timings.failed_ranks.push(r);
-            }
-        }
+        note_failed(timings, deferred);
         if deferred.is_empty() {
             return Ok(cur);
         }
-
         let specs = respawn_specs(ctx, &cur, deferred, respawn);
-        let t_spawn0 = ctx.now();
-        let inter: InterComm = match comm_spawn_multiple(ctx, &cur, &specs) {
-            Ok(i) => i,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                reshrink_deferred!();
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        timings.t_spawn += ctx.now() - t_spawn0;
-        ctx.trace_phase("spawn", t_spawn0);
-
-        let t_merge0 = ctx.now();
-        let unordered = match inter.merge(ctx, false) {
-            Ok(u) => u,
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                inter.revoke(ctx);
-                reshrink_deferred!();
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        timings.t_merge += ctx.now() - t_merge0;
-        ctx.trace_phase("merge", t_merge0);
-        let t_agree0 = ctx.now();
-        let mut flag = true;
-        let _ = inter.agree(ctx, &mut flag);
-        timings.t_agree += ctx.now() - t_agree0;
-        ctx.trace_phase("agree", t_agree0);
-
-        // Hand each child its original rank (rank 0 never fails, and it is
-        // always original rank 0 — the members map never drops it).
-        let alive_count = cur.size();
-        if unordered.rank() == 0 {
-            let mut send_failed = false;
-            for (i, &fr) in deferred.iter().enumerate() {
-                if unordered.send_one(ctx, alive_count + i, MERGE_TAG, fr as u64).is_err() {
-                    send_failed = true;
-                    break;
-                }
-            }
-            if send_failed {
-                unordered.revoke(ctx);
-                inter.revoke(ctx);
-                reshrink_deferred!();
-                continue;
+        // Survivors key by their original rank; children key by the rank
+        // they are handed. Together that restores the original order.
+        let key = members[cur.rank()] as i64;
+        if let Some(repaired) = respawn_round(ctx, &cur, &specs, deferred, key, timings)? {
+            return Ok(repaired);
+        }
+        // A casualty during the batch: shrink the survivor world and move
+        // the new dead (translated to original numbering) into the set.
+        let (shrinked, newly) = reshrink(ctx, &cur, &cur, timings)?;
+        for &r in &newly {
+            if !deferred.contains(&members[r]) {
+                deferred.push(members[r]);
             }
         }
+        compact_members(&mut members, &newly);
+        cur = shrinked;
+    }
+}
 
-        // Survivors key by their original rank; children key by the rank
-        // they were just handed. Together that restores original order.
-        let key = members[unordered.rank()] as i64;
-        let t_split0 = ctx.now();
-        match unordered.split(ctx, Some(0), key) {
-            Ok(repaired) => {
-                timings.t_split += ctx.now() - t_split0;
-                ctx.trace_phase("rank_reorder", t_split0);
-                return Ok(repaired.expect("deferred repair split uses a single colour"));
+/// What a failing round of [`reconstruct`] does about it — the recovery
+/// policy's repair action.
+pub enum RepairArm<'a> {
+    /// Fig. 5: respawn the failed ranks ([`repair_comm_with`]).
+    Respawn(RespawnPolicy),
+    /// Continue smaller ([`repair_shrink`]), compacting the
+    /// current→original rank map.
+    Shrink(&'a mut Option<Vec<usize>>),
+    /// Promote idle spares into the failed slots of the grid-owning prefix
+    /// ([`repair_substitute`]).
+    Substitute { active_slots: usize, respawn: RespawnPolicy },
+}
+
+impl<'a> RepairArm<'a> {
+    /// The arm `policy` takes. `refilled` says the world is (back) at its
+    /// original numbering with every slot to be refilled — always, except
+    /// mid-run under the shrink-family policies, which continue smaller.
+    /// After a `DeferRepair` epoch batch the numbering is original again,
+    /// so its later casualties take the ordinary respawn arm.
+    pub fn for_policy(
+        policy: RecoveryPolicy,
+        respawn: RespawnPolicy,
+        active_slots: usize,
+        members: &'a mut Option<Vec<usize>>,
+        refilled: bool,
+    ) -> Self {
+        match policy {
+            RecoveryPolicy::SpareSubstitute => RepairArm::Substitute { active_slots, respawn },
+            RecoveryPolicy::ShrinkRedistribute => RepairArm::Shrink(members),
+            RecoveryPolicy::DeferRepair if !refilled => RepairArm::Shrink(members),
+            RecoveryPolicy::Respawn | RecoveryPolicy::DeferRepair => RepairArm::Respawn(respawn),
+        }
+    }
+
+    fn repair(
+        &mut self,
+        ctx: &Ctx,
+        broken: &Comm,
+        timings: &mut ReconstructTimings,
+    ) -> Result<Comm> {
+        match self {
+            RepairArm::Respawn(policy) => repair_comm_with(ctx, broken, *policy, timings),
+            RepairArm::Shrink(members) => repair_shrink(ctx, broken, members, timings),
+            RepairArm::Substitute { active_slots, respawn } => {
+                repair_substitute(ctx, broken, *active_slots, *respawn, timings)
             }
-            Err(Error::ProcFailed { .. }) | Err(Error::Revoked) => {
-                timings.t_split += ctx.now() - t_split0;
-                unordered.revoke(ctx);
-                inter.revoke(ctx);
-                reshrink_deferred!();
-                continue;
-            }
-            Err(e) => return Err(e),
         }
     }
 }
 
-/// Policy dispatcher for the mid-run detection/repair round. `Respawn`
-/// takes the paper's Fig. 3 protocol; `ShrinkRedistribute` and
-/// `DeferRepair` shrink only (updating the `members` current→original
-/// map); `SpareSubstitute` promotes spares (`active_slots` = grid-owning
-/// prefix `W`).
-pub fn detect_and_repair(
+/// How a rank enters [`reconstruct`].
+pub enum Join {
+    /// A survivor at a detection point (or retrying a wrecked
+    /// combination): nothing is known to have failed on this world yet, so
+    /// the first round only detects.
+    Detect(Comm),
+    /// A survivor whose world was just refilled outside the loop (the
+    /// `DeferRepair` epoch batch): the first round already confirms.
+    Refilled(Comm),
+    /// A respawned child (what `MPI_Comm_get_parent` returned): it attaches
+    /// through Fig. 3 lines 19–26, then confirms with everyone.
+    Child(InterComm),
+}
+
+/// The application's data recovery, run inside every confirming round on
+/// the communicator being confirmed. `timings.failed_ranks` holds the
+/// event's casualties so far; restore time goes to `timings.t_restore`.
+/// Must be idempotent: a later round re-runs it with an enlarged list.
+/// [`Error::ProcFailed`] / [`Error::Revoked`] vote the round down; the
+/// attempt revokes whatever communicators it created itself first.
+pub type Attempt<'a> = &'a mut dyn FnMut(&Ctx, &Comm, &mut ReconstructTimings) -> Result<()>;
+
+/// Virtual seconds the Fig. 4 error handler spent acknowledging failures
+/// on one communicator handle, so the agree/detect segments it runs inside
+/// are reported net of it and every timeline phase stays disjoint. (An
+/// `f64` in atomic bits: the handler must be `Send`.)
+struct AckMeter(Arc<AtomicU64>);
+
+impl AckMeter {
+    /// Fig. 3 line 11: attach the Fig. 4 handler; it acknowledges observed
+    /// failures whenever an operation on `comm` errors, so the subsequent
+    /// agreement returns uniformly.
+    fn attach(comm: &Comm) -> Self {
+        let bits = Arc::new(AtomicU64::new(0.0f64.to_bits()));
+        let acc = Arc::clone(&bits);
+        comm.set_errhandler(move |ctx, comm, _err| {
+            let a0 = ctx.now();
+            mpi_error_handler(ctx, comm);
+            let total = f64::from_bits(acc.load(Ordering::Relaxed)) + (ctx.now() - a0);
+            acc.store(total.to_bits(), Ordering::Relaxed);
+        });
+        AckMeter(bits)
+    }
+
+    fn total(&self) -> f64 {
+        f64::from_bits(self.0.load(Ordering::Relaxed))
+    }
+}
+
+/// The child part of Fig. 3 (lines 19–26): merge with the survivors, agree,
+/// learn the old rank, and take it in the reorder split.
+///
+/// Any recoverable error here means a *further* failure struck while the
+/// survivors were attaching us: they abandon this round, re-shrink, and
+/// spawn fresh replacements. We hold no usable communicator, so we exit as
+/// orphaned — a clean termination, not an application error.
+fn child_join(ctx: &Ctx, parent: InterComm, timings: &mut ReconstructTimings) -> Result<Comm> {
+    let orphan = |e: Error| if is_casualty(&e) { Error::Orphaned } else { e };
+    let t_merge0 = ctx.now();
+    let unordered = parent.merge(ctx, true).map_err(orphan)?;
+    timings.t_merge += ctx.now() - t_merge0;
+    let t_agree0 = ctx.now();
+    let mut flag = true;
+    let _ = parent.agree(ctx, &mut flag); // fault-tolerant; advisory
+    timings.t_agree += ctx.now() - t_agree0;
+    let old_rank: u64 = unordered.recv_one(ctx, 0, MERGE_TAG).map_err(orphan)?;
+    let t_split0 = ctx.now();
+    let ordered = unordered.split(ctx, Some(0), old_rank as i64).map_err(orphan)?;
+    timings.t_split += ctx.now() - t_split0;
+    single_colour(ordered)
+}
+
+/// Port of Fig. 3 (`communicatorReconstruct`): the detection/repair
+/// do-while, for every policy and every way of joining. Returns the
+/// reconstructed communicator, on which a final agree + barrier round has
+/// succeeded — and, when an `attempt` is given, on which the data recovery
+/// it ran inside that round is thereby committed for every rank.
+///
+/// The attempt is due in every confirming round, i.e. once this event has
+/// repaired something (a child and a refilled world start there). The
+/// exit test is the barrier's result alone, as in the listing.
+///
+/// `timings.t_total` stays the paper's quantity (Fig. 8b): it excludes the
+/// attempt windows and the time spent in the barrier that follows one
+/// waiting for slower peers' attempts.
+pub fn reconstruct(
     ctx: &Ctx,
-    world: Comm,
-    policy: RecoveryPolicy,
-    respawn: RespawnPolicy,
-    active_slots: usize,
-    members: &mut Option<Vec<usize>>,
+    join: Join,
+    arm: &mut RepairArm<'_>,
+    mut attempt: Option<Attempt<'_>>,
     timings: &mut ReconstructTimings,
 ) -> Result<Comm> {
-    match policy {
-        RecoveryPolicy::Respawn => {
-            communicator_reconstruct_with(ctx, Some(world), None, respawn, timings)
+    let t_start = ctx.now();
+    let mut not_reconstruction = 0.0;
+    let (mut comm, mut confirming) = match join {
+        Join::Detect(world) => (world, false),
+        Join::Refilled(world) => (world, true),
+        Join::Child(parent) => {
+            timings.rounds += 1;
+            (child_join(ctx, parent, timings)?, true)
         }
-        RecoveryPolicy::ShrinkRedistribute | RecoveryPolicy::DeferRepair => {
-            communicator_reconstruct_shrink(ctx, world, members, timings)
-        }
-        RecoveryPolicy::SpareSubstitute => {
-            communicator_reconstruct_substitute(ctx, world, active_slots, respawn, timings)
+    };
+    loop {
+        timings.rounds += 1;
+        let ack = AckMeter::attach(&comm);
+        let t_agree0 = ctx.now();
+        let mut flag = true;
+        let _ = comm.agree(ctx, &mut flag); // handler acks on error
+        let ack_in_agree = ack.total();
+        timings.t_agree += (ctx.now() - t_agree0 - ack_in_agree).max(0.0);
+        timings.t_ack += ack_in_agree;
+
+        let attempted = match attempt.as_mut() {
+            Some(run) if confirming => {
+                let t_attempt0 = ctx.now();
+                let _scope = ctx.recovery_scope();
+                match run(ctx, &comm, timings) {
+                    Ok(()) => {}
+                    // Vote the round down: revoked before we enter the
+                    // barrier, it fails for every rank.
+                    Err(e) if is_casualty(&e) => comm.revoke(ctx),
+                    Err(e) => return Err(e),
+                }
+                not_reconstruction += ctx.now() - t_attempt0;
+                true
+            }
+            _ => false,
+        };
+
+        let wait0 = ctx.peer_wait();
+        let t_barrier0 = ctx.now();
+        let verdict = comm.barrier(ctx);
+        let waited = if attempted { ctx.peer_wait() - wait0 } else { 0.0 };
+        not_reconstruction += waited;
+        match verdict {
+            Ok(()) => {
+                // Rank-local view: waiting for a slower peer's restore is
+                // restore time of the event.
+                timings.t_restore += waited;
+                break;
+            }
+            Err(e) if is_casualty(&e) => {
+                // The erroring barrier *is* the failure detector (Fig. 3
+                // line 13): its time is the detection phase.
+                let ack_in_detect = ack.total() - ack_in_agree;
+                timings.t_detect += (ctx.now() - t_barrier0 - ack_in_detect).max(0.0);
+                timings.t_ack += ack_in_detect;
+                ctx.trace_phase("detect", t_barrier0);
+                comm = arm.repair(ctx, &comm, timings)?;
+                confirming = true;
+            }
+            Err(e) => return Err(e),
         }
     }
+    timings.t_total += ctx.now() - t_start - not_reconstruction;
+    Ok(comm)
+}
+
+/// [`reconstruct`] as the paper's listing has it — same-host respawn, no
+/// data recovery. Survivors pass `Some(world)` and `None`; respawned
+/// children pass `None` and `Some(parent)`.
+pub fn communicator_reconstruct(
+    ctx: &Ctx,
+    my_world: Option<Comm>,
+    parent: Option<InterComm>,
+    timings: &mut ReconstructTimings,
+) -> Result<Comm> {
+    communicator_reconstruct_with(ctx, my_world, parent, RespawnPolicy::SameHost, timings)
+}
+
+/// [`communicator_reconstruct`] with an explicit [`RespawnPolicy`].
+pub fn communicator_reconstruct_with(
+    ctx: &Ctx,
+    my_world: Option<Comm>,
+    parent: Option<InterComm>,
+    policy: RespawnPolicy,
+    timings: &mut ReconstructTimings,
+) -> Result<Comm> {
+    let join = match (parent, my_world) {
+        (Some(parent), _) => Join::Child(parent),
+        (None, Some(world)) => Join::Detect(world),
+        (None, None) => {
+            return Err(Error::InvalidArg("reconstruct: neither a world nor a parent".into()))
+        }
+    };
+    reconstruct(ctx, join, &mut RepairArm::Respawn(policy), None, timings)
 }
 
 #[cfg(test)]

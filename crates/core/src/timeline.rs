@@ -4,18 +4,22 @@
 //! event's wall-clock window on rank 0 broken into the protocol's named
 //! phases, measured from the [`ReconstructTimings`] the reconstruction
 //! accumulated for that event. The named phases are disjoint segments of
-//! the window; whatever the instrumented segments do not cover (commit
-//! checkpointing, combination retries, plain compute between detection
-//! points) lands in the `"other"` residual, so the phase durations always
-//! sum — exactly, within float round-off — to the event's measured
-//! recovery time. That invariant is what the chaos campaign's timeline
-//! oracle checks on every injected failure.
+//! the window; whatever the instrumented segments do not cover (the
+//! confirming barrier's own cost, the checkpoint drain, the recovery's
+//! metadata broadcast and group split) lands in the `"other"` residual, so
+//! the phase durations always sum — exactly, within float round-off — to
+//! the event's measured recovery time. That invariant is what the chaos
+//! campaign's timeline oracle checks on every injected failure.
 //!
-//! Being a *per-rank* view, synchronization waits land in the phase rank
-//! 0 waits in: when another group restores its data, rank 0 blocks in
-//! the commit protocol's agree vote, so that restore shows up under
-//! `"agree"` rather than `"data_restore"` (exactly as an MPI profiler
-//! attributes wait time to the operation waited in).
+//! Being a *per-rank* view, synchronization waits land where rank 0 waits.
+//! The data recovery runs inside the confirming round, so when another
+//! group restores its data rank 0 waits for it in the confirming barrier;
+//! that wait — the barrier's time net of its own cost, measured by the
+//! runtime's per-rank `peer_wait` — is booked under `"data_restore"`
+//! together with rank 0's own restore: the phase reads "what the event
+//! spent on getting the data back, as rank 0 lived it". Waits for late
+//! arrivals at the *detecting* round stay in the `"agree"` they happen in
+//! (as an MPI profiler attributes wait time to the operation waited in).
 
 use ulfm_sim::RecoveryTimeline;
 

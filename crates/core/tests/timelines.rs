@@ -44,8 +44,8 @@ fn every_technique_yields_a_timeline_per_failure_event() {
         let steps = base.steps();
         let layout = ftsg_core::ProcLayout::new(base.n, base.l, technique.layout(), base.scale);
         // A victim in rank 0's own group: the timeline is rank 0's view,
-        // so this makes the data-restore phase visible (for other groups'
-        // failures, rank 0 waits out the restore inside the agree vote).
+        // so the data-restore phase is rank 0's own restore (for other
+        // groups' failures it is rank 0's wait in the confirming barrier).
         let victim = layout.group(0).first + 1;
         // CR/BC detect at the next protection point; RC/AC at the end.
         let when = if technique.has_periodic_protection() { 15 } else { steps };

@@ -595,7 +595,7 @@ impl Comm {
             Contribution { clock: ctx.now(), data: OpData::None },
             move |_| (Arc::new(()) as _, cost),
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("barrier", self.shared.cid, t0, ctx.now());
         self.handle_err(ctx, out.result.as_ref().map(|_| ()).map_err(Clone::clone))
     }
@@ -628,7 +628,7 @@ impl Comm {
                 (Arc::new(bytes) as _, cost)
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("bcast", self.shared.cid, t0, ctx.now());
         let bytes = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         decode(bytes.downcast_ref::<Bytes>().expect("bcast payload"))
@@ -712,7 +712,7 @@ impl Comm {
                 (Arc::new(parts) as _, cost)
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("gather", self.shared.cid, t0, ctx.now());
         let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         Ok(Arc::clone(res).downcast::<Vec<Bytes>>().expect("gather payload"))
@@ -764,7 +764,7 @@ impl Comm {
                 (Arc::new(parts) as _, cost)
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("scatter", self.shared.cid, t0, ctx.now());
         let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         let parts = res.downcast_ref::<Vec<Bytes>>().expect("scatter payload");
@@ -814,7 +814,7 @@ impl Comm {
                 (Arc::new(matrix) as _, cost)
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("alltoall", self.shared.cid, t0, ctx.now());
         let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         let matrix = res.downcast_ref::<Vec<Vec<Bytes>>>().expect("alltoall payload");
@@ -894,7 +894,7 @@ impl Comm {
                 (Arc::new(encode(&acc.unwrap_or_default())) as _, cost)
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("reduce", self.shared.cid, t0, ctx.now());
         let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         decode(res.downcast_ref::<Bytes>().expect("reduce result"))
@@ -942,7 +942,7 @@ impl Comm {
                 (Arc::new(result) as _, cost)
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("split", self.shared.cid, t0, ctx.now());
         let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         let map = res
@@ -971,7 +971,7 @@ impl Comm {
                 (Arc::new(shared) as _, net.tree(p, 16))
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("dup", self.shared.cid, t0, ctx.now());
         let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         let shared = res.downcast_ref::<Arc<CommShared>>().expect("dup result");
@@ -1020,7 +1020,7 @@ impl Comm {
                 (Arc::new((shared, rank_map)) as _, cost)
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("shrink", self.shared.cid, t0, ctx.now());
         let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
         let (shared, rank_map) = res
@@ -1057,7 +1057,7 @@ impl Comm {
                 (Arc::new(acc) as _, cost)
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("agree", self.shared.cid, t0, ctx.now());
         let res = out.result.as_ref().map_err(Clone::clone)?;
         *flag = *res.downcast_ref::<bool>().expect("agree result");
@@ -1398,7 +1398,7 @@ impl InterComm {
                 (Arc::new((shared, side0_first)) as _, model.intercomm_merge(p))
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("intercomm_merge", self.shared.cid, t0, ctx.now());
         let res = out.result.as_ref().map_err(Clone::clone)?;
         let (shared, side0_first) =
@@ -1446,7 +1446,7 @@ impl InterComm {
                 (Arc::new(acc) as _, model.agree(p, nfailed))
             },
         );
-        ctx.advance_to(out.t_end);
+        ctx.sync_to(&out);
         ctx.trace_event("intercomm_agree", self.shared.cid, t0, ctx.now());
         let res = out.result.as_ref().map_err(Clone::clone)?;
         *flag = *res.downcast_ref::<bool>().expect("agree result");

@@ -250,15 +250,33 @@ fn interp(anchors: &[(f64, f64)], x: f64) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct BetaUlfm;
 
-/// Table I anchors: (cores, seconds) at exactly two failed processes.
-const SPAWN_2F: &[(f64, f64)] =
-    &[(19.0, 0.01), (38.0, 4.19), (76.0, 60.75), (152.0, 86.45), (304.0, 112.61)];
-const SHRINK_2F: &[(f64, f64)] =
-    &[(19.0, 0.01), (38.0, 2.46), (76.0, 43.35), (152.0, 50.80), (304.0, 55.57)];
-const AGREE_2F: &[(f64, f64)] =
-    &[(19.0, 0.49), (38.0, 0.51), (76.0, 1.03), (152.0, 2.36), (304.0, 12.83)];
-const MERGE: &[(f64, f64)] =
-    &[(19.0, 0.01), (38.0, 0.01), (76.0, 0.02), (152.0, 0.02), (304.0, 0.03)];
+/// Table I of the paper: `(cores, spawn_multiple, shrink, agree, merge)`
+/// seconds on OPL at exactly two failed processes. The one copy of these
+/// numbers — the model's anchors below and the paper column of
+/// `expt-table1` both read it.
+pub const TABLE_I: [(usize, f64, f64, f64, f64); 5] = [
+    (19, 0.01, 0.01, 0.49, 0.01),
+    (38, 4.19, 2.46, 0.51, 0.01),
+    (76, 60.75, 43.35, 1.03, 0.02),
+    (152, 86.45, 50.80, 2.36, 0.02),
+    (304, 112.61, 55.57, 12.83, 0.03),
+];
+
+/// One operation's `(cores, seconds)` anchors out of [`TABLE_I`].
+const fn table_i_column(op: usize) -> [(f64, f64); TABLE_I.len()] {
+    let mut anchors = [(0.0, 0.0); TABLE_I.len()];
+    let mut i = 0;
+    while i < TABLE_I.len() {
+        let (cores, spawn, shrink, agree, merge) = TABLE_I[i];
+        anchors[i] = (cores as f64, [spawn, shrink, agree, merge][op]);
+        i += 1;
+    }
+    anchors
+}
+const SPAWN_2F: &[(f64, f64)] = &table_i_column(0);
+const SHRINK_2F: &[(f64, f64)] = &table_i_column(1);
+const AGREE_2F: &[(f64, f64)] = &table_i_column(2);
+const MERGE: &[(f64, f64)] = &table_i_column(3);
 
 impl UlfmCostModel for BetaUlfm {
     fn spawn_multiple(&self, p: usize, nspawned: usize, nfailed: usize) -> f64 {

@@ -81,7 +81,9 @@ pub use bufpool::BufPool;
 pub use comm::{
     waitall, Comm, ErrHandler, Gathered, InterComm, ReduceOp, Request, ANY_SOURCE, ANY_TAG,
 };
-pub use costmodel::{BetaUlfm, ClusterProfile, DiskParams, IdealUlfm, NetParams, UlfmCostModel};
+pub use costmodel::{
+    BetaUlfm, ClusterProfile, DiskParams, IdealUlfm, NetParams, UlfmCostModel, TABLE_I,
+};
 pub use datatype::{MpiData, WireSlice};
 pub use error::{Error, Result};
 pub use faultplan::{FaultPlan, FaultSite, OpClass};

@@ -7,8 +7,9 @@
 //!   oldest and a dropped counter grows. Pushing never allocates in
 //!   steady state, so tracing no longer needs an opt-in flag.
 //! * [`MetricsCell`] — per-rank counters (messages, bytes, receive
-//!   retries, failures observed) plus per-operation virtual-duration
-//!   aggregates over the fixed [`OP_NAMES`] table. All fields are
+//!   retries, failures observed, time waited in collectives for slower
+//!   peers) plus per-operation virtual-duration aggregates over the fixed
+//!   [`OP_NAMES`] table. All fields are
 //!   [`Cell`]s in rank-thread-local storage: updating one is a couple of
 //!   register moves, never a lock, never an allocation.
 //! * [`RecoveryTimeline`] — one per failure event, the paper's Figs. 8–11
@@ -135,6 +136,7 @@ pub struct MetricsCell {
     bytes_recvd: Cell<u64>,
     recv_retries: Cell<u64>,
     failures_observed: Cell<u64>,
+    peer_wait: Cell<f64>,
     op_count: [Cell<u64>; OP_NAMES.len()],
     op_time: [Cell<f64>; OP_NAMES.len()],
 }
@@ -154,6 +156,7 @@ impl MetricsCell {
             bytes_recvd: Cell::new(0),
             recv_retries: Cell::new(0),
             failures_observed: Cell::new(0),
+            peer_wait: Cell::new(0.0),
             op_count: [const { Cell::new(0) }; OP_NAMES.len()],
             op_time: [const { Cell::new(0.0) }; OP_NAMES.len()],
         }
@@ -165,6 +168,24 @@ impl MetricsCell {
             self.op_count[i].set(self.op_count[i].get() + 1);
             self.op_time[i].set(self.op_time[i].get() + dur.max(0.0));
         }
+    }
+
+    /// Completed operations named `op` so far (0 outside [`OP_NAMES`]).
+    pub fn op_count(&self, op: &str) -> u64 {
+        op_index(op).map_or(0, |i| self.op_count[i].get())
+    }
+
+    /// Account `dt` virtual seconds spent in a collective waiting for the
+    /// last participant to arrive (nothing when this rank was the last).
+    pub fn note_peer_wait(&self, dt: f64) {
+        if dt > 0.0 {
+            self.peer_wait.set(self.peer_wait.get() + dt);
+        }
+    }
+
+    /// Cumulative [`note_peer_wait`](Self::note_peer_wait) seconds.
+    pub fn peer_wait(&self) -> f64 {
+        self.peer_wait.get()
     }
 
     /// Account one sent point-to-point payload.
@@ -200,6 +221,7 @@ impl MetricsCell {
             bytes_recvd: self.bytes_recvd.get(),
             recv_retries: self.recv_retries.get(),
             failures_observed: self.failures_observed.get(),
+            peer_wait: self.peer_wait.get(),
             op_count: std::array::from_fn(|i| self.op_count[i].get()),
             op_time: std::array::from_fn(|i| self.op_time[i].get()),
         }
@@ -222,6 +244,9 @@ pub struct RankMetrics {
     pub recv_retries: u64,
     /// `ProcFailed`/`Revoked` errors surfaced to this process.
     pub failures_observed: u64,
+    /// Virtual seconds spent inside collectives waiting for slower
+    /// participants to arrive (the operations' own cost excluded).
+    pub peer_wait: f64,
     /// Completed-operation count per [`OP_NAMES`] entry.
     pub op_count: [u64; OP_NAMES.len()],
     /// Summed virtual duration per [`OP_NAMES`] entry.
@@ -398,7 +423,11 @@ mod tests {
         m.note_op("barrier", 0.5);
         m.note_op("barrier", 0.25);
         m.note_op("not-an-op", 9.0); // ignored
+        m.note_peer_wait(0.5);
+        m.note_peer_wait(-0.25); // the last arriver waits for nobody
+        assert_eq!((m.op_count("barrier"), m.op_count("not-an-op")), (2, 0));
         let s = m.snapshot(7, 2);
+        assert_eq!(s.peer_wait, 0.5);
         assert_eq!((s.proc, s.host), (7, 2));
         assert_eq!((s.msgs_sent, s.bytes_sent), (2, 128));
         assert_eq!((s.msgs_recvd, s.bytes_recvd), (1, 100));

@@ -96,7 +96,11 @@ pub(crate) struct Contribution {
 
 /// Published outcome of an operation.
 pub(crate) struct Outcome {
-    /// Virtual time at which the operation completes for everyone.
+    /// Virtual time at which the last participant arrived (the maximum of
+    /// the contributed clocks): what an early arriver waits until.
+    pub t_arrived: f64,
+    /// Virtual time at which the operation completes for everyone:
+    /// `t_arrived` plus the operation's cost.
     pub t_end: f64,
     /// The computed result (downcast by the calling collective), or the
     /// uniform error the operation finished with.
@@ -119,6 +123,12 @@ struct OpState {
     /// ops never pay the O(participants) scan after the first one.
     failed_cache: Vec<usize>,
     scan_epoch: u64,
+}
+
+impl Outcome {
+    fn at(t_arrived: f64, cost: f64, result: Result<Arc<dyn Any + Send + Sync>>) -> Arc<Self> {
+        Arc::new(Outcome { t_arrived, t_end: t_arrived + cost, result })
+    }
 }
 
 impl OpState {
@@ -274,8 +284,8 @@ impl OpTable {
 
             // Revocation aborts revocable ops for every participant.
             if ctx.semantics.revocable && ctx.revoked.load(Ordering::Acquire) {
-                let t = max_clock(&st.contrib).max(contrib.clock) + ctx.fail_cost;
-                st.done = Some(Arc::new(Outcome { t_end: t, result: Err(Error::Revoked) }));
+                let arrived = max_clock(&st.contrib).max(contrib.clock);
+                st.done = Some(Outcome::at(arrived, ctx.fail_cost, Err(Error::Revoked)));
                 wake_peers(&ctx);
                 continue;
             }
@@ -292,14 +302,13 @@ impl OpTable {
                     // Complete (over the survivors, for tolerant ops).
                     let f = finish.take().expect("finish consumed twice");
                     let (result, cost) = f(&st.contrib);
-                    let t = max_clock(&st.contrib) + cost;
-                    st.done = Some(Arc::new(Outcome { t_end: t, result: Ok(result) }));
+                    st.done = Some(Outcome::at(max_clock(&st.contrib), cost, Ok(result)));
                 } else {
-                    let t = max_clock(&st.contrib) + ctx.fail_cost;
-                    st.done = Some(Arc::new(Outcome {
-                        t_end: t,
-                        result: Err(Error::ProcFailed { ranks: failed_missing }),
-                    }));
+                    st.done = Some(Outcome::at(
+                        max_clock(&st.contrib),
+                        ctx.fail_cost,
+                        Err(Error::ProcFailed { ranks: failed_missing }),
+                    ));
                 }
                 wake_peers(&ctx);
                 continue;
@@ -313,7 +322,6 @@ impl OpTable {
             // the `missing_live == 0` branch above.
 
             if started.elapsed() > ctx.stall_timeout {
-                let t = max_clock(&st.contrib) + ctx.fail_cost;
                 let result = if !failed_missing.is_empty() && !ctx.semantics.tolerant {
                     // Live peers never arrived, likely thrown off course by
                     // the failure; report the failure, not the stall.
@@ -328,7 +336,7 @@ impl OpTable {
                         ),
                     })
                 };
-                st.done = Some(Arc::new(Outcome { t_end: t, result }));
+                st.done = Some(Outcome::at(max_clock(&st.contrib), ctx.fail_cost, result));
                 wake_peers(&ctx);
                 continue;
             }
@@ -407,7 +415,8 @@ mod tests {
             vec![1.0, 4.0, 2.0, 3.0],
         );
         for o in &outs {
-            assert!((o.t_end - 5.0).abs() < 1e-12); // max clock 4.0 + cost 1.0
+            assert_eq!(o.t_arrived, 4.0); // the last arrival ...
+            assert!((o.t_end - 5.0).abs() < 1e-12); // ... plus cost 1.0
             let n = o.result.as_ref().unwrap().downcast_ref::<usize>().unwrap();
             assert_eq!(*n, 4);
         }

@@ -614,6 +614,26 @@ impl Ctx {
         }
     }
 
+    /// Finish a collective: tally the time this rank waited for the last
+    /// participant to arrive, then move the clock to the operation's end.
+    pub(crate) fn sync_to(&self, out: &crate::rendezvous::Outcome) {
+        self.metrics.note_peer_wait(out.t_arrived - self.now());
+        self.advance_to(out.t_end);
+    }
+
+    /// Cumulative virtual seconds this rank has spent inside collectives
+    /// waiting for slower participants to arrive (the operations' own
+    /// cost excluded).
+    pub fn peer_wait(&self) -> f64 {
+        self.metrics.peer_wait()
+    }
+
+    /// How many operations named `op` (an [`crate::OP_NAMES`] entry) this
+    /// rank has completed so far; 0 for names outside the table.
+    pub fn op_count(&self, op: &str) -> u64 {
+        self.metrics.op_count(op)
+    }
+
     /// Charge `n` grid-cell updates of local compute (one-shot work:
     /// combination, recovery interpolation, ...).
     pub fn compute_cells(&self, n: u64) {

@@ -264,32 +264,31 @@ impl Hub {
         let counts: Vec<usize> = self.host_live.iter().map(|c| c.load(Ordering::Acquire)).collect();
         #[cfg(debug_assertions)]
         {
-            let mut scan = vec![0usize; counts.len()];
-            for shard in &self.registry {
-                for p in shard.lock().iter() {
-                    if !p.is_failed() {
-                        scan[p.host] += 1;
-                    }
-                }
-            }
-            // The lock-free snapshot may be mid-update; tolerate a scan
-            // taken while a kill is between its flag store and its
-            // counter decrement by re-checking once.
-            if scan != counts {
-                let again: Vec<usize> =
+            // Neither a kill (flag store, then counter decrement) nor a
+            // registration (counter increment, then registry push) is
+            // atomic with respect to this lock-free snapshot, so a
+            // mismatch only counts once it persists across re-reads.
+            let mut attempts = 0;
+            loop {
+                let live: Vec<usize> =
                     self.host_live.iter().map(|c| c.load(Ordering::Acquire)).collect();
-                let mut scan2 = vec![0usize; again.len()];
+                let mut scan = vec![0usize; live.len()];
                 for shard in &self.registry {
                     for p in shard.lock().iter() {
                         if !p.is_failed() {
-                            scan2[p.host] += 1;
+                            scan[p.host] += 1;
                         }
                     }
                 }
-                debug_assert_eq!(
-                    scan2, again,
-                    "per-host live counters diverged from registry scan"
+                if scan == live {
+                    break;
+                }
+                attempts += 1;
+                debug_assert!(
+                    attempts < 1000,
+                    "per-host live counters {live:?} diverged from registry scan {scan:?}"
                 );
+                std::thread::yield_now();
             }
         }
         counts

@@ -123,7 +123,7 @@ pub fn comm_spawn_multiple(ctx: &Ctx, comm: &Comm, specs: &[SpawnSpec]) -> Resul
             (Arc::new(Ok::<Arc<InterShared>, Error>(inter)) as _, cost)
         },
     );
-    ctx.advance_to(out.t_end);
+    ctx.sync_to(&out);
     ctx.trace_event("spawn_multiple", comm.cid(), t0, ctx.now());
     let res = out.result.as_ref().map_err(Clone::clone)?;
     let inner =

@@ -429,3 +429,29 @@ fn nonblocking_recv_from_dead_source_errors_on_test() {
     report.assert_no_app_errors();
     assert_eq!(report.get_f64("ok"), Some(1.0));
 }
+
+/// A collective's outcome knows the last arrival and the operation's cost
+/// separately; the gap between a rank's own arrival and the last one is
+/// tallied as its `peer_wait`, the cost is not.
+#[test]
+fn peer_wait_is_the_gap_to_the_last_arrival() {
+    let n = 4;
+    let report = run(RunConfig::local(n), move |ctx| {
+        let w = ctx.initial_world().unwrap();
+        // Rank r arrives r virtual seconds late; rank 3 is last.
+        ctx.advance(w.rank() as f64);
+        let arrived = ctx.now();
+        assert_eq!(ctx.peer_wait(), 0.0);
+        w.barrier(ctx).unwrap();
+        assert_eq!(ctx.peer_wait(), 3.0 - arrived);
+        assert!(ctx.now() > 3.0, "the barrier's own cost is charged on top");
+        // Everyone leaves together, so the next one makes nobody wait.
+        w.barrier(ctx).unwrap();
+        assert_eq!(ctx.peer_wait(), 3.0 - arrived);
+        assert_eq!(ctx.op_count("barrier"), 2);
+        assert_eq!(ctx.op_count("no-such-op"), 0);
+    });
+    report.assert_no_app_errors();
+    let waits: Vec<f64> = report.metrics.ranks.iter().map(|r| r.peer_wait).collect();
+    assert_eq!(waits, vec![3.0, 2.0, 1.0, 0.0]);
+}
