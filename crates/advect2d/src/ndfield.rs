@@ -142,14 +142,45 @@ impl PaddedFieldN {
         grid.apply_periodic_seams();
     }
 
+    /// Visit the interior (halo dropped) one contiguous axis-0 run at a
+    /// time, in row-major order (axis 0 fastest).
+    pub fn for_each_interior_row(&self, f: &mut dyn FnMut(&[f64])) {
+        let origin: usize = self.pstride.iter().sum();
+        let planes = self.shape[self.dim() - 1];
+        for_each_slab_row(&self.shape, &self.pstride, origin, 0, planes, &mut |off, n| {
+            f(&self.cur[off..off + n]);
+        });
+    }
+
     /// Append the interior (row-major, axis 0 fastest, halo dropped) to
     /// `out`, one contiguous axis-0 run at a time.
     pub fn extend_with_interior(&self, out: &mut Vec<f64>) {
-        let origin: usize = self.pstride.iter().sum();
-        let planes = self.shape[self.dim() - 1];
         out.reserve(self.shape.iter().product());
-        for_each_slab_row(&self.shape, &self.pstride, origin, 0, planes, &mut |off, n| {
-            out.extend_from_slice(&self.cur[off..off + n]);
+        self.for_each_interior_row(&mut |row| out.extend_from_slice(row));
+    }
+
+    /// Overwrite the interior with a product of per-axis tables: `tables`
+    /// holds one factor per interior node of axis 0, then of axis 1, …
+    /// end to end, and node `(k₀, k₁, …)` becomes
+    /// `((t₀[k₀]·t₁[k₁])·t₂[k₂])…` — that association exactly, so a
+    /// separable function tabulated per axis lands bit for bit as its
+    /// per-node evaluation would. The halo is left stale.
+    pub fn fill_separable(&mut self, tables: &[f64]) {
+        let PaddedFieldN { shape, pstride, cur, .. } = self;
+        assert_eq!(tables.len(), shape.iter().sum::<usize>(), "one factor per axis node");
+        let origin: usize = pstride.iter().sum();
+        let (t0, higher) = tables.split_at(shape[0]);
+        for_each_slab_row(shape, pstride, origin, 0, shape[shape.len() - 1], &mut |off, n| {
+            let row = &mut cur[off..off + n];
+            row.copy_from_slice(t0);
+            // The row's index along each higher axis is a digit of its
+            // padded offset; its factor scales the whole row.
+            let mut table = higher;
+            for (&extent, &stride) in shape.iter().zip(pstride.iter()).skip(1) {
+                let f = table[(off / stride) % (extent + 2) - 1];
+                row.iter_mut().for_each(|v| *v *= f);
+                table = &table[extent..];
+            }
         });
     }
 

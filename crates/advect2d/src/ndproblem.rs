@@ -62,33 +62,62 @@ impl ProblemN {
 
     /// Initial condition: the exact solution at `t = 0` for
     /// advection–diffusion, the zero guess for the elliptic solve.
+    ///
+    /// By definition the product, in axis order, of
+    /// [`initial_scale`](Self::initial_scale) and one
+    /// [`initial_factor`](Self::initial_factor) per axis — so a caller
+    /// that tabulates the factors per axis and multiplies in that order
+    /// reproduces it bit for bit without a transcendental per cell.
     pub fn initial(&self, x: &[f64]) -> f64 {
+        x.iter()
+            .enumerate()
+            .fold(self.initial_scale(), |u, (i, &xi)| u * self.initial_factor(i, xi))
+    }
+
+    /// What the per-axis factors of [`initial`](Self::initial) multiply:
+    /// the `t = 0` amplitude, or 0 for the elliptic zero guess.
+    pub fn initial_scale(&self) -> f64 {
         match self {
-            ProblemN::AdvectionDiffusion { .. } => self.exact(x, 0.0),
+            ProblemN::AdvectionDiffusion { .. } => self.amplitude(0.0),
             ProblemN::Elliptic { .. } => 0.0,
+        }
+    }
+
+    /// Axis `i`'s factor of [`initial`](Self::initial) at coordinate `xi`
+    /// (1 for the elliptic zero guess, which has none).
+    pub fn initial_factor(&self, i: usize, xi: f64) -> f64 {
+        match self {
+            ProblemN::AdvectionDiffusion { .. } => self.axis_factor(i, xi, 0.0),
+            ProblemN::Elliptic { .. } => 1.0,
         }
     }
 
     /// The reference solution: time-dependent for advection–diffusion,
     /// the manufactured `u*` (time-independent) for the elliptic solve.
+    /// Separable: the amplitude times one factor per axis, in axis order.
     pub fn exact(&self, x: &[f64], t: f64) -> f64 {
+        x.iter().enumerate().fold(self.amplitude(t), |u, (i, &xi)| u * self.axis_factor(i, xi, t))
+    }
+
+    /// The time-dependent amplitude of [`exact`](Self::exact).
+    fn amplitude(&self, t: f64) -> f64 {
         match self {
-            ProblemN::AdvectionDiffusion { a, kappa, k } => {
+            ProblemN::AdvectionDiffusion { kappa, k, .. } => {
                 let lambda: f64 =
                     kappa * (2.0 * PI).powi(2) * k.iter().map(|&ki| (ki * ki) as f64).sum::<f64>();
-                let mut u = (-lambda * t).exp();
-                for i in 0..x.len() {
-                    u *= (2.0 * PI * k[i] as f64 * (x[i] - a[i] * t)).sin();
-                }
-                u
+                (-lambda * t).exp()
             }
-            ProblemN::Elliptic { k } => {
-                let mut u = 1.0;
-                for i in 0..x.len() {
-                    u *= (2.0 * PI * k[i] as f64 * x[i]).sin();
-                }
-                u
+            ProblemN::Elliptic { .. } => 1.0,
+        }
+    }
+
+    /// Axis `i`'s factor of [`exact`](Self::exact) at coordinate `xi`.
+    fn axis_factor(&self, i: usize, xi: f64, t: f64) -> f64 {
+        match self {
+            ProblemN::AdvectionDiffusion { a, k, .. } => {
+                (2.0 * PI * k[i] as f64 * (xi - a[i] * t)).sin()
             }
+            ProblemN::Elliptic { k } => (2.0 * PI * k[i] as f64 * xi).sin(),
         }
     }
 

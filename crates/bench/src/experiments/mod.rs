@@ -3,6 +3,7 @@
 
 pub mod ablation;
 pub mod codec;
+pub mod collectives;
 pub mod dim3;
 pub mod fig10;
 pub mod fig11;

@@ -61,6 +61,16 @@
 //!    creeping back in, or a repair-path operation changing, moves one of
 //!    the two. Deterministic and host-independent, so unlike the gates
 //!    above it is not a matter of tolerance.
+//! 10. **`warm_inline_collective_requests`** and
+//!     **`warm_gather_view_requests`** (allocator requests, **exact
+//!     match**) — what 16 warm rounds of `barrier` + `allreduce_sum` +
+//!     `agree`, and 16 warm `gather_view` rounds, cost on 64 ranks
+//!     ([`crate::experiments::collectives`]), vs `BENCH_pr24.json`
+//!     `acceptance` (0, and 1 per operation). Guards the rendezvous: a
+//!     per-rank allocation creeping back into a collective — a cloned
+//!     contribution, a boxed outcome, a map node — moves a count by a
+//!     multiple of 64. Measured through the calling binary's counting
+//!     allocator, so only `expt-regress` (which installs one) runs them.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -270,15 +280,32 @@ fn baseline_scale_wall(pr6: &str) -> Result<f64, String> {
         .ok_or_else(|| "BENCH_pr6.json: no ok pooled row with wall_per_step_ms".into())
 }
 
-/// The exact-match (virtual-clock) gates alone — deterministic, so CI
-/// can block on them.
-pub fn run_exact(dir: &str) -> Result<RegressReport, String> {
+/// The exact-match gates alone (virtual clock, allocator counts) —
+/// deterministic, so CI can block on them. `requests` reads the calling
+/// binary's counting allocator.
+pub fn run_exact(dir: &str, requests: fn() -> u64) -> Result<RegressReport, String> {
     let pr22 = read_baseline(dir, "BENCH_pr22.json")?;
     let agree_base = num_field(&pr22, "paper_shape_agree_calls", "BENCH_pr22.json")?;
     let reconstruct_base = num_field(&pr22, "paper_shape_t_reconstruct", "BENCH_pr22.json")?;
     let (agree_fresh, reconstruct_fresh) = crate::experiments::repair::measure_paper_shape();
+    let pr24 = read_baseline(dir, "BENCH_pr24.json")?;
+    let inline_base = num_field(&pr24, "warm_inline_collective_requests", "BENCH_pr24.json")?;
+    let gather_base = num_field(&pr24, "warm_gather_view_requests", "BENCH_pr24.json")?;
+    let warm = crate::experiments::collectives::measure(requests);
     Ok(RegressReport {
         gates: vec![
+            GateResult::exact(
+                "warm_inline_collective_requests",
+                "BENCH_pr24.json",
+                inline_base,
+                warm.inline_rounds as f64,
+            ),
+            GateResult::exact(
+                "warm_gather_view_requests",
+                "BENCH_pr24.json",
+                gather_base,
+                warm.gather_rounds as f64,
+            ),
             GateResult::exact(
                 "paper_shape_agree_calls",
                 "BENCH_pr22.json",
@@ -297,9 +324,9 @@ pub fn run_exact(dir: &str) -> Result<RegressReport, String> {
 }
 
 /// Run every gate against the baselines committed in `dir`.
-pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
+pub fn run(dir: &str, iters: usize, requests: fn() -> u64) -> Result<RegressReport, String> {
     let iters = iters.max(3);
-    let exact = run_exact(dir)?;
+    let exact = run_exact(dir, requests)?;
 
     let pr1 = read_baseline(dir, "BENCH_pr1.json")?;
     let step_base = num_field(&pr1, "level9_single_owner_step_speedup", "BENCH_pr1.json")?;

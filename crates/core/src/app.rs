@@ -123,23 +123,6 @@ pub(crate) fn detection_points(cfg: &AppConfig) -> Vec<u64> {
     v
 }
 
-/// Gather this rank's sub-grid to its group root: the owned block is
-/// staged through the shared `block_buf` (no per-call allocation), then
-/// group-gathered into a grid that passes to the caller (the final
-/// combination consumes it). Returns `Some(grid)` on the group root,
-/// `None` elsewhere.
-fn gather_own_grid(
-    ctx: &Ctx,
-    group: &Comm,
-    layout: &ProcLayout,
-    my: Assignment,
-    solver: &DistributedSolver,
-    block_buf: &mut Vec<f64>,
-) -> Result<Option<Grid2>> {
-    solver.local_block_into(block_buf);
-    gather_grid(ctx, group, layout.group(my.grid), solver.level(), block_buf)
-}
-
 /// Where a CR group root assembles and lands its periodic checkpoints.
 ///
 /// While the background writer stage is usable, the gather target *is*
@@ -792,13 +775,12 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 // is written from.
                 let mut target =
                     (group.rank() == 0).then(|| st.landing.buffer(cfg, &store, sv.level()));
-                sv.local_block_into(&mut block_buf);
                 match gather_grid_into(
                     ctx,
                     &group,
                     layout.group(m.grid),
                     sv.level(),
-                    &block_buf,
+                    sv,
                     target.as_mut(),
                 ) {
                     Ok(()) => {
@@ -1045,7 +1027,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             if combining {
                 let m = st.my.expect("combining rank owns a grid");
                 let sv = st.solver.as_ref().expect("combining rank runs a solver");
-                my_full = gather_own_grid(ctx, &group, &layout, m, sv, &mut block_buf)?;
+                my_full = gather_grid(ctx, &group, layout.group(m.grid), sv.level(), sv)?;
             }
             let target = sys.min_level();
             let combined: Option<Grid2> = match cfg.combine_mode {

@@ -43,20 +43,6 @@ use crate::reconstruct::{is_casualty, repair_deferred, Join, ReconstructTimings,
 use crate::recovery_nd;
 use crate::tags::TagSpace;
 
-/// Gather this rank's sub-grid to its group root (staging the owned slab
-/// through the shared buffer) into a grid that passes to the caller.
-fn gather_own_grid_n(
-    ctx: &Ctx,
-    group: &Comm,
-    layout: &ProcLayoutN,
-    my: AssignmentN,
-    solver: &DistributedSolverN,
-    block_buf: &mut Vec<f64>,
-) -> Result<Option<GridN>> {
-    solver.local_block_into(block_buf);
-    gather_grid_n(ctx, group, layout.group(my.grid), solver.level(), block_buf)
-}
-
 /// Split the world into per-grid groups (spares take the overflow colour).
 fn build_group_n(ctx: &Ctx, world: &Comm, my: Option<AssignmentN>, n_grids: usize) -> Result<Comm> {
     build_group_by_color(ctx, world, my.map(|m| m.grid), n_grids)
@@ -361,13 +347,12 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 let t0 = ctx.now();
                 let mut target = (group.rank() == 0)
                     .then(|| ckpt_grid.get_or_insert_with(|| GridN::zeros(sv.level())));
-                sv.local_block_into(&mut block_buf);
                 match gather_grid_n_into(
                     ctx,
                     &group,
                     layout.group(m.grid),
                     sv.level(),
-                    &block_buf,
+                    sv,
                     target.as_deref_mut(),
                 ) {
                     Ok(()) => {
@@ -546,7 +531,7 @@ fn run_app_nd_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             if combining {
                 let m = st.my.expect("combining rank owns a grid");
                 let sv = st.solver.as_ref().expect("combining rank runs a solver");
-                my_full = gather_own_grid_n(ctx, &group, &layout, m, sv, &mut block_buf)?;
+                my_full = gather_grid_n(ctx, &group, layout.group(m.grid), sv.level(), sv)?;
             }
             let target = sys.min_level();
             let combined: Option<GridN> = match cfg.combine_mode {

@@ -136,6 +136,38 @@ pub fn split_grid_into(grid: &Grid2, info: &GroupInfo, out: &mut Vec<Vec<f64>>) 
     }
 }
 
+/// A rank's block as it goes into a gather: [`block_len`] values in the
+/// layout [`assemble_grid`] expects, delivered row by row. A slice is
+/// its own single row; a solver hands over its interior rows where they
+/// lie in the padded field, so they go straight onto the wire and the
+/// block is never staged in a contiguous copy first.
+///
+/// [`block_len`]: BlockRows::block_len
+pub trait BlockRows {
+    /// Number of values in the block.
+    fn block_len(&self) -> usize;
+    /// Call `put` with every row, in order.
+    fn for_each_row(&self, put: &mut dyn FnMut(&[f64]));
+}
+
+impl<S: AsRef<[f64]> + ?Sized> BlockRows for S {
+    fn block_len(&self) -> usize {
+        self.as_ref().len()
+    }
+    fn for_each_row(&self, put: &mut dyn FnMut(&[f64])) {
+        put(self.as_ref());
+    }
+}
+
+/// The group's gather of `my_block` to rank 0 (see [`BlockRows`]).
+pub(crate) fn gather_blocks(
+    ctx: &Ctx,
+    group: &Comm,
+    my_block: &(impl BlockRows + ?Sized),
+) -> Result<Option<Gathered<f64>>> {
+    group.gather_view_with(ctx, 0, my_block.block_len(), |put| my_block.for_each_row(put))
+}
+
 /// Collective over the group: gather member blocks to the group root,
 /// assembled in place into the root's own grid. Exactly the root (group
 /// rank 0) supplies `out`; it is re-shaped to `level` and fully
@@ -147,7 +179,7 @@ pub fn gather_grid_into(
     group: &Comm,
     info: &GroupInfo,
     level: LevelPair,
-    my_block: &[f64],
+    my_block: &(impl BlockRows + ?Sized),
     out: Option<&mut Grid2>,
 ) -> Result<()> {
     if (group.rank() == 0) != out.is_some() {
@@ -155,7 +187,7 @@ pub fn gather_grid_into(
             "gather_grid_into: exactly the group root must supply the grid".into(),
         ));
     }
-    match (group.gather_view(ctx, 0, my_block)?, out) {
+    match (gather_blocks(ctx, group, my_block)?, out) {
         (Some(blocks), Some(out)) => assemble_grid_into(level, info, &blocks, out),
         _ => Ok(()),
     }
@@ -170,11 +202,11 @@ pub fn gather_grid(
     group: &Comm,
     info: &GroupInfo,
     level: LevelPair,
-    my_block: &[f64],
+    my_block: &(impl BlockRows + ?Sized),
 ) -> Result<Option<Grid2>> {
     // The grid is made once the contributions are in: a root blocked in
     // the collective should not sit on an empty grid meanwhile.
-    let Some(blocks) = group.gather_view(ctx, 0, my_block)? else {
+    let Some(blocks) = gather_blocks(ctx, group, my_block)? else {
         return Ok(None);
     };
     let mut grid = Grid2::zeros(level);

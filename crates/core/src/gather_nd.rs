@@ -15,6 +15,7 @@ use sparsegrid::ndgrid::for_each_slab_row;
 use sparsegrid::GridN;
 use ulfm_sim::{Comm, Ctx, Error, Gathered, Result};
 
+use crate::gather::{gather_blocks, BlockRows};
 use crate::layout_nd::GroupInfoN;
 use crate::psolve::block_range;
 
@@ -132,7 +133,7 @@ pub fn gather_grid_n_into(
     group: &Comm,
     info: &GroupInfoN,
     level: &[u32],
-    my_block: &[f64],
+    my_block: &(impl BlockRows + ?Sized),
     out: Option<&mut GridN>,
 ) -> Result<()> {
     if (group.rank() == 0) != out.is_some() {
@@ -140,7 +141,7 @@ pub fn gather_grid_n_into(
             "gather_grid_n_into: exactly the group root must supply the grid".into(),
         ));
     }
-    match (group.gather_view(ctx, 0, my_block)?, out) {
+    match (gather_blocks(ctx, group, my_block)?, out) {
         (Some(blocks), Some(out)) => assemble_grid_n_into(level, info, &blocks, out),
         _ => Ok(()),
     }
@@ -154,9 +155,9 @@ pub fn gather_grid_n(
     group: &Comm,
     info: &GroupInfoN,
     level: &[u32],
-    my_block: &[f64],
+    my_block: &(impl BlockRows + ?Sized),
 ) -> Result<Option<GridN>> {
-    let Some(blocks) = group.gather_view(ctx, 0, my_block)? else {
+    let Some(blocks) = gather_blocks(ctx, group, my_block)? else {
         return Ok(None);
     };
     let mut grid = GridN::zeros(level);

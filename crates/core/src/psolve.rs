@@ -15,6 +15,7 @@ use advect2d::{AdvectionProblem, BandPool, KernelConfig};
 use sparsegrid::{ensure_len, LevelPair};
 use ulfm_sim::{waitall, Comm, Ctx, Result};
 
+use crate::gather::BlockRows;
 use crate::layout::GroupInfo;
 
 /// Halo-exchange message tags (runtime-reserved range is negative, so any
@@ -112,18 +113,23 @@ impl DistributedSolver {
     }
 
     /// Refill the block from the initial condition and rewind the step
-    /// counter.
+    /// counter. The condition is separable
+    /// ([`AdvectionProblem::initial_x`]), so it is tabulated once per
+    /// column and once per row and multiplied out, not evaluated per
+    /// cell.
     pub fn reset_to_initial(&mut self) {
         let nx_glob = (1usize << self.level.i) as f64;
         let ny_glob = (1usize << self.level.j) as f64;
-        let ic = self.problem.initial();
+        let fx: Vec<f64> = (self.x0..self.x0 + self.lnx)
+            .map(|gx| self.problem.initial_x(gx as f64 / nx_glob))
+            .collect();
         let pnx = self.lnx + 2;
         let padded = self.field.padded_mut();
         for m in 0..self.lny {
-            let y = (self.y0 + m) as f64 / ny_glob;
-            for k in 0..self.lnx {
-                let x = (self.x0 + k) as f64 / nx_glob;
-                padded[(m + 1) * pnx + k + 1] = ic(x, y);
+            let fy = self.problem.initial_y((self.y0 + m) as f64 / ny_glob);
+            let row = &mut padded[(m + 1) * pnx + 1..][..self.lnx];
+            for (v, &f) in row.iter_mut().zip(&fx) {
+                *v = f * fy;
             }
         }
         self.steps_done = 0;
@@ -368,10 +374,8 @@ impl DistributedSolver {
     /// [`local_block`]: DistributedSolver::local_block
     pub fn local_block_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(self.lnx * self.lny);
-        for m in 0..self.lny {
-            out.extend_from_slice(self.field.interior_row(m));
-        }
+        out.reserve(self.block_len());
+        self.for_each_row(&mut |row| out.extend_from_slice(row));
     }
 
     /// Overwrite the owned block (data recovery path) and set the step
@@ -410,6 +414,18 @@ impl DistributedSolver {
     /// The PDE.
     pub fn problem(&self) -> &AdvectionProblem {
         &self.problem
+    }
+}
+
+/// The owned interior block, row by row where it lies in the padded field.
+impl BlockRows for DistributedSolver {
+    fn block_len(&self) -> usize {
+        self.lnx * self.lny
+    }
+    fn for_each_row(&self, put: &mut dyn FnMut(&[f64])) {
+        for m in 0..self.lny {
+            put(self.field.interior_row(m));
+        }
     }
 }
 

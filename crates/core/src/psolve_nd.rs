@@ -21,10 +21,10 @@ use advect2d::ndfield::PaddedFieldN;
 use advect2d::ndproblem::ProblemN;
 use advect2d::ndsolve::StencilN;
 use advect2d::{KernelConfig, KernelKind};
-use sparsegrid::ndgrid::advance;
 use sparsegrid::LevelVecN;
 use ulfm_sim::{waitall, Comm, Ctx, Result};
 
+use crate::gather::BlockRows;
 use crate::layout_nd::GroupInfoN;
 use crate::psolve::block_range;
 
@@ -96,26 +96,21 @@ impl DistributedSolverN {
     }
 
     /// Refill the slab from the initial condition and rewind the step
-    /// counter.
+    /// counter. The condition is separable ([`ProblemN::initial`]), so
+    /// it is tabulated once per axis node — the scale folded into axis
+    /// 0's table — and multiplied out, not evaluated per cell.
     pub fn reset_to_initial(&mut self) {
-        let d = self.level.len();
-        let np: Vec<f64> = self.level.iter().map(|&l| (1usize << l) as f64).collect();
-        let z0 = self.z0;
-        let shape = self.field.shape().to_vec();
-        let pstride = self.field.pstrides().to_vec();
-        let mut idx = vec![0usize; d];
-        let mut x = vec![0.0f64; d];
-        loop {
-            for i in 0..d {
-                let g = if i == d - 1 { idx[i] + z0 } else { idx[i] };
-                x[i] = g as f64 / np[i];
-            }
-            let off: usize = idx.iter().zip(&pstride).map(|(&k, &s)| (k + 1) * s).sum();
-            self.field.padded_mut()[off] = self.problem.initial(&x);
-            if !advance(&mut idx, &shape) {
-                break;
-            }
+        let last = self.level.len() - 1;
+        let mut tables = Vec::with_capacity(self.field.shape().iter().sum());
+        for (i, (&n, &l)) in self.field.shape().iter().zip(&self.level).enumerate() {
+            let np = (1usize << l) as f64;
+            let first = if i == last { self.z0 } else { 0 };
+            tables
+                .extend((first..first + n).map(|g| self.problem.initial_factor(i, g as f64 / np)));
         }
+        let scale = self.problem.initial_scale();
+        tables[..self.field.shape()[0]].iter_mut().for_each(|f| *f *= scale);
+        self.field.fill_separable(&tables);
         self.steps_done = 0;
     }
 
@@ -244,10 +239,21 @@ impl DistributedSolverN {
     }
 }
 
+/// The owned interior slab, one contiguous axis-0 run at a time.
+impl BlockRows for DistributedSolverN {
+    fn block_len(&self) -> usize {
+        self.field.shape().iter().product()
+    }
+    fn for_each_row(&self, put: &mut dyn FnMut(&[f64])) {
+        self.field.for_each_interior_row(put);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use advect2d::ndsolve::SolverN;
+    use sparsegrid::ndgrid::advance;
     use ulfm_sim::{run, RunConfig};
 
     /// Fundamental-domain values of a single-owner solve, row-major with

@@ -185,18 +185,31 @@ pub struct ReconstructTimings {
 /// restores the original rank order. `my_rank` is the survivor's rank in
 /// the merged (unordered) intracommunicator, which equals its rank in the
 /// shrunken communicator.
+///
+/// The key is the survivor's old rank: the `my_rank`-th entry of the
+/// figure's `shrinkMergeList` (the old ranks that did not fail,
+/// ascending). The list is never built — the old rank is `my_rank` plus
+/// the failed ranks at or below it, counted in one walk of
+/// `failed_ranks`, which must be ascending as [`failed_procs_list`]
+/// yields it: O(|failed|) per survivor where materialising the list was
+/// O(p · |failed|) time and O(p) memory on each of p survivors.
 pub fn select_rank_key(
     my_rank: usize,
     shrinked_group_size: usize,
     failed_ranks: &[usize],
     total_procs: usize,
 ) -> i64 {
-    // shrinkMergeList: the old ranks of the survivors, ascending.
-    let shrink_merge_list: Vec<usize> =
-        (0..total_procs).filter(|i| !failed_ranks.contains(i)).collect();
-    debug_assert_eq!(shrink_merge_list.len(), shrinked_group_size);
+    debug_assert!(failed_ranks.windows(2).all(|w| w[0] < w[1]), "ascending, distinct");
+    debug_assert_eq!(total_procs - failed_ranks.len(), shrinked_group_size);
     debug_assert!(my_rank < shrinked_group_size, "only survivors call selectRankKey");
-    shrink_merge_list[my_rank] as i64
+    let mut old_rank = my_rank;
+    for &failed in failed_ranks {
+        if failed > old_rank {
+            break;
+        }
+        old_rank += 1;
+    }
+    old_rank as i64
 }
 
 /// A further casualty (or the revocation it triggered) rather than a hard
@@ -792,6 +805,45 @@ mod tests {
     fn select_rank_key_no_failures_is_identity() {
         let keys: Vec<i64> = (0..4).map(|r| select_rank_key(r, 4, &[], 4)).collect();
         assert_eq!(keys, vec![0, 1, 2, 3]);
+    }
+
+    /// Fig. 7 as printed: build `shrinkMergeList`, index it.
+    fn select_rank_key_by_list(my_rank: usize, failed: &[usize], total: usize) -> i64 {
+        let list: Vec<usize> = (0..total).filter(|i| !failed.contains(i)).collect();
+        list[my_rank] as i64
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The walk of the failed list against the materialised list, for
+        /// random failed sets (none to all but one) in worlds up to 2,000.
+        #[test]
+        fn select_rank_key_matches_the_list_form(
+            total in 1usize..=2000,
+            threshold in proptest::prelude::any::<u8>(),
+            draws in proptest::collection::vec(proptest::prelude::any::<u8>(), 2000),
+        ) {
+            let mut failed: Vec<usize> = (0..total).filter(|&r| draws[r] < threshold).collect();
+            if failed.len() == total {
+                failed.remove(draws[0] as usize % total);
+            }
+            let survivors = total - failed.len();
+            for my_rank in [0, survivors / 2, survivors - 1] {
+                proptest::prop_assert_eq!(
+                    select_rank_key(my_rank, survivors, &failed, total),
+                    select_rank_key_by_list(my_rank, &failed, total)
+                );
+            }
+            if total <= 64 {
+                for my_rank in 0..survivors {
+                    proptest::prop_assert_eq!(
+                        select_rank_key(my_rank, survivors, &failed, total),
+                        select_rank_key_by_list(my_rank, &failed, total)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

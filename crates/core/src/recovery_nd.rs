@@ -53,8 +53,7 @@ pub fn buddy_exchange_n(
     let ids = layout.system().combination_ids();
     let tags = TagSpace::for_layout_nd(layout);
     // Phase 1: every group gathers and its root sends to the buddy root.
-    let full =
-        gather_grid_n(ctx, group, layout.group(my.grid), solver.level(), &solver.local_block())?;
+    let full = gather_grid_n(ctx, group, layout.group(my.grid), solver.level(), solver)?;
     if let Some(grid) = &full {
         let buddy = buddy_of_n(layout, my.grid)?;
         send_grid_n(ctx, world, layout.root_of(buddy), tags.buddy + my.grid as i32, grid)?;
@@ -280,13 +279,7 @@ fn recover_resample_copy_n(
         if my.grid == src_id {
             touched = true;
             // Source group: gather and ship (restricted if resampling).
-            let full = gather_grid_n(
-                ctx,
-                group,
-                layout.group(src_id),
-                solver.level(),
-                &solver.local_block(),
-            )?;
+            let full = gather_grid_n(ctx, group, layout.group(src_id), solver.level(), solver)?;
             if let Some(full) = full {
                 let out = if resample { full.restrict_to(&b_level) } else { full };
                 send_grid_n(ctx, world, layout.root_of(b), tags.rc + b as i32, &out)?;
@@ -348,13 +341,7 @@ fn recover_alt_combination_n(
         ));
     }
     if needed.contains(&my.grid) {
-        let full = gather_grid_n(
-            ctx,
-            group,
-            layout.group(my.grid),
-            solver.level(),
-            &solver.local_block(),
-        )?;
+        let full = gather_grid_n(ctx, group, layout.group(my.grid), solver.level(), solver)?;
         if let Some(full) = full {
             send_grid_n(ctx, world, 0, tags.ac_gather + my.grid as i32, &full)?;
         }

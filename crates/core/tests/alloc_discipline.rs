@@ -12,10 +12,18 @@
 //!    particular `BufPool::take` never (re)allocates once every size has a
 //!    buffer in circulation;
 //! 4. a Checkpoint/Restart run with 2·C checkpoints requests, per extra
-//!    checkpoint round it takes, at most `1.1 × (bytes of one round)` more
-//!    than the same run with C: per round, only each member's wire copy of
-//!    its own block may scale — no decoded copy, no fresh grid, no encoded
-//!    file image.
+//!    checkpoint round it takes, at most `0.1 × (bytes of one round)` more
+//!    than the same run with C: nothing may scale with rounds any more —
+//!    no wire copy (round k+1 gathers through round k's pooled buffers),
+//!    no decoded copy, no fresh grid, no encoded file image;
+//! 5. a warm `barrier` + `allreduce_sum` round of 64 ranks makes **0**
+//!    requests — none per rank, none per operation: flags and scalars
+//!    travel inline in the rendezvous' recycled slot vector;
+//! 6. so does a warm `agree`;
+//! 7. a warm `gather_view` of 64 ranks makes **exactly 1** request per
+//!    operation (the vector of parts the root's `Gathered` owns) and none
+//!    per rank: every member's wire buffer comes from the pool and goes
+//!    back to it when the root drops its view.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -200,16 +208,67 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         .map(|g| (ftsg_core::checkpoint::OVERHEAD + 8 * g.level.points()) as u64)
         .sum();
     let extra = cr_run_bytes(many).saturating_sub(cr_run_bytes(few));
-    let budget = (extra_rounds as f64 * 1.1 * round_bytes as f64) as u64;
+    let budget = (extra_rounds as f64 * 0.1 * round_bytes as f64) as u64;
     assert!(
         extra <= budget,
         "{extra_rounds} more checkpoint rounds requested {extra} more bytes; the budget is \
-         {budget} ({extra_rounds} x 1.1 x {round_bytes} per round): something besides the \
-         members' wire copies scales with rounds"
+         {budget} ({extra_rounds} x 0.1 x {round_bytes} per round): something scales with \
+         rounds"
+    );
+    // 5.-7. Collectives through the rendezvous, 64 ranks, warm.
+    const RANKS: usize = 64;
+    const ROUNDS: usize = 16;
+    let small = warm_requests(
+        RANKS,
+        4,
+        ROUNDS,
+        |_, _| (),
+        |ctx, comm, ()| {
+            comm.barrier(ctx).unwrap();
+            let ranks = comm.allreduce_sum(ctx, comm.rank() as f64).unwrap();
+            assert_eq!(ranks, (RANKS * (RANKS - 1) / 2) as f64);
+        },
+    );
+    assert_eq!(small, 0, "{ROUNDS} warm barrier + allreduce_sum rounds made {small} requests");
+    let agree = warm_requests(
+        RANKS,
+        4,
+        ROUNDS,
+        |_, _| (),
+        |ctx, comm, ()| {
+            let mut flag = comm.rank() != 7;
+            comm.agree(ctx, &mut flag).unwrap();
+            assert!(!flag, "rank 7 said no");
+        },
+    );
+    assert_eq!(agree, 0, "{ROUNDS} warm agree rounds made {agree} requests");
+    let gather = warm_requests(
+        RANKS,
+        4,
+        ROUNDS,
+        |_, comm| (vec![comm.rank() as f64; 2048], vec![0.0f64; RANKS * 2048]),
+        |ctx, comm, (mine, assembled)| {
+            // The root assembles in place, as `gather_grid_into` does.
+            if let Some(parts) = comm.gather_view(ctx, 0, mine).unwrap() {
+                for r in 0..parts.len() {
+                    parts.part(r).copy_to(0, &mut assembled[r * 2048..(r + 1) * 2048]);
+                }
+                assert_eq!(assembled[2048 * (RANKS - 1)], (RANKS - 1) as f64);
+            }
+            // Rounds are apart, as checkpoint rounds are: nobody starts
+            // the next one before the root has let go of this one's view.
+            comm.barrier(ctx).unwrap();
+        },
+    );
+    assert_eq!(
+        gather, ROUNDS as u64,
+        "{ROUNDS} warm gather_view rounds of {RANKS} ranks made {gather} requests, not one each"
     );
     println!(
-        "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps and 32 mixed \
-         ring rounds; {extra_rounds} extra checkpoint rounds cost {:.3} of one round's bytes each",
+        "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
+         rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
+         gather_view of {RANKS} ranks; {extra_rounds} extra checkpoint rounds cost {:.3} of one \
+         round's bytes each",
         extra as f64 / extra_rounds as f64 / round_bytes as f64
     );
 }

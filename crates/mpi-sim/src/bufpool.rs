@@ -8,9 +8,12 @@
 //! reference counted, so a warm exchange makes no allocator request at
 //! all: the buffer that carried the last message carries the next one.
 //!
-//! Payloads that really are shared — the results of `bcast`, `allgather`,
-//! `scatter` and friends, which every participant reads — stay
-//! [`bytes::Bytes`] and never enter the pool.
+//! A collective's bulk contribution takes the same road: a member fills a
+//! pooled buffer and *moves* it into the rendezvous; whoever holds it last
+//! — a gather's root for as long as its view lives, the last reader of a
+//! result everyone shares (`bcast`, `allgather`, `allreduce`), or the
+//! rendezvous itself when nobody came for it — hands it back on drop, so
+//! round k+1 of a checkpoint schedule gathers through round k's buffers.
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
@@ -28,11 +31,14 @@ pub struct BufPool {
 
 impl Default for BufPool {
     fn default() -> Self {
-        Self::new(32)
+        Self::new(Self::DEFAULT_MAX)
     }
 }
 
 impl BufPool {
+    /// The bound of a [`Default`] pool.
+    pub(crate) const DEFAULT_MAX: usize = 32;
+
     /// An empty pool retaining at most `max` buffers.
     pub fn new(max: usize) -> Self {
         BufPool { bufs: Mutex::new(Vec::new()), max }

@@ -17,19 +17,20 @@
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
+use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use crate::bufpool::BufPool;
-use crate::datatype::{decode, decode_into, decode_one, encode, encode_into, MpiData, WireSlice};
+use crate::datatype::{decode, decode_into, decode_one, encode_into, MpiData, WireSlice};
 use crate::error::{Error, Result};
 use crate::faultplan::OpClass;
 use crate::group::Group;
 use crate::mailbox::{Envelope, Pattern, Tag};
 use crate::proc::{failure_epoch, ProcState};
-use crate::rendezvous::{Contribution, OpCtx, OpData, OpKey, OpKind, OpSemantics, OpTable};
+use crate::rendezvous::{arrived, Deposit, OpCtx, OpKey, OpKind, OpTable, Share, Slot};
 use crate::runtime::Ctx;
 
 /// `MPI_ANY_SOURCE` for [`Comm::recv_from`].
@@ -66,34 +67,97 @@ pub(crate) struct CommShared {
 
 impl CommShared {
     pub fn new(members: Vec<Arc<ProcState>>) -> Arc<Self> {
-        Arc::new(CommShared {
+        Arc::new(Self::over(members))
+    }
+
+    /// The state itself, not yet shared (an intercommunicator embeds one
+    /// over both its groups).
+    fn over(members: Vec<Arc<ProcState>>) -> Self {
+        // One collective has a buffer per member in flight at once.
+        let pool = BufPool::new(members.len().max(BufPool::DEFAULT_MAX));
+        CommShared {
             cid: alloc_cid(),
             members,
             revoked: AtomicBool::new(false),
-            ops: OpTable::new(),
-            pool: BufPool::default(),
+            ops: OpTable::default(),
+            pool,
             failed_cache: parking_lot::Mutex::new((0, Vec::new())),
             group_cache: OnceLock::new(),
-        })
+        }
     }
 
-    fn failed_ranks_cached(&self) -> Vec<usize> {
+    /// Read the ranks currently known failed, ascending.
+    fn with_failed<R>(&self, read: impl FnOnce(&[usize]) -> R) -> R {
         let epoch = failure_epoch();
         if epoch == 0 {
-            return Vec::new();
+            return read(&[]);
         }
         let mut c = self.failed_cache.lock();
         if c.0 != epoch {
-            c.1 = self
-                .members
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.is_failed())
-                .map(|(r, _)| r)
-                .collect();
+            c.1.clear();
+            let failed = self.members.iter().enumerate().filter(|(_, p)| p.is_failed());
+            c.1.extend(failed.map(|(r, _)| r));
             c.0 = epoch;
         }
-        c.1.clone()
+        read(&c.1)
+    }
+
+    /// One collective of member `my_index`, from deposit to share: the
+    /// rendezvous ([`OpTable::run_op`] explains `finish`), the clock
+    /// synchronization, the trace event named `label`. The result is the
+    /// operation's own — attached error handlers are the caller's call.
+    /// How an operation takes a failure is decided here, by its kind:
+    /// `shrink` and `agree` complete over the survivors and ignore a
+    /// revoke, everything else fails uniformly — at the price of a
+    /// barrier, the detection cost (a failed spawn is charged nothing).
+    pub(crate) fn collective(
+        &self,
+        ctx: &Ctx,
+        my_index: usize,
+        (label, key): (&'static str, OpKey),
+        deposit: Deposit,
+        finish: impl FnOnce(&mut [Slot]) -> (Result<()>, f64),
+    ) -> Result<Share> {
+        let recovery = matches!(key.kind, OpKind::Shrink | OpKind::Agree);
+        let fail_cost = match key.kind {
+            OpKind::Shrink | OpKind::Agree | OpKind::Spawn => 0.0,
+            _ => ctx.net().barrier(self.members.len()),
+        };
+        let opctx = OpCtx {
+            my_index,
+            participants: &self.members,
+            revoked: &self.revoked,
+            recovery,
+            fail_cost,
+            stall_timeout: ctx.stall_timeout(),
+        };
+        let t0 = ctx.now();
+        let out = self.ops.run_op(key, opctx, t0, deposit, finish);
+        ctx.sync_to(&out);
+        ctx.trace_event(label, self.cid, t0, ctx.now());
+        out.result
+    }
+
+    /// The agreement proper, on either kind of communicator: `flag`
+    /// becomes the AND of the survivors' flags.
+    fn agree(
+        &self,
+        ctx: &Ctx,
+        my_index: usize,
+        id: (&'static str, OpKey),
+        flag: &mut bool,
+    ) -> Result<()> {
+        let cost = ctx.model().agree(self.members.len(), self.with_failed(<[usize]>::len));
+        let res = self.collective(ctx, my_index, id, Deposit::Flag(*flag), |slots| {
+            let agreed = arrived(slots).all(|(_, s)| !matches!(s.deposit, Deposit::Flag(false)));
+            slots.iter_mut().for_each(|s| s.share = Share::Flag(agreed));
+            (Ok(()), cost)
+        });
+        match res? {
+            Share::Flag(agreed) => *flag = agreed,
+            _ => return Err(wrong_kind("agree")),
+        }
+        Ok(())
     }
 }
 
@@ -112,6 +176,10 @@ pub enum ReduceOp {
 pub trait Reducible: MpiData + PartialOrd {
     /// Combine two elements under `op`.
     fn combine(op: ReduceOp, a: Self, b: Self) -> Self;
+    /// The element's little-endian wire bytes, zero-padded to eight: the
+    /// inline form a scalar reduction travels in ([`MpiData::get`] reads
+    /// it back).
+    fn to_word(self) -> [u8; 8];
 }
 
 macro_rules! impl_reducible {
@@ -124,6 +192,12 @@ macro_rules! impl_reducible {
                     ReduceOp::Min => if b < a { b } else { a },
                     ReduceOp::Max => if b > a { b } else { a },
                 }
+            }
+            #[inline]
+            fn to_word(self) -> [u8; 8] {
+                let (mut word, wire) = ([0u8; 8], self.to_le_bytes());
+                word[..wire.len()].copy_from_slice(&wire);
+                word
             }
         }
     )*};
@@ -222,7 +296,7 @@ impl Comm {
     /// communicator's epoch cache; only the first call after a new
     /// failure pays the member scan.
     pub fn failed_ranks(&self) -> Vec<usize> {
-        self.shared.failed_ranks_cached()
+        self.shared.with_failed(<[usize]>::to_vec)
     }
 
     /// Hostfile index of the node a rank runs on (ground truth; the paper
@@ -276,8 +350,7 @@ impl Comm {
         label: &'static str,
     ) {
         let t0 = ctx.now();
-        let mut payload = self.shared.pool.take(data.len() * T::WIDTH);
-        encode_into(data, &mut payload);
+        let payload = self.wire(data);
         let nbytes = payload.len();
         let arrive = ctx.now() + ctx.net().p2p(nbytes);
         d.mailbox.push(Envelope {
@@ -553,85 +626,78 @@ impl Comm {
 
     // ---------------------------------------------------------- collectives
 
+    /// The next matching key of `kind`. The recovery tools count in a
+    /// domain of their own (see `recovery_seq`).
     pub(crate) fn next_key(&self, kind: OpKind) -> OpKey {
-        let seq = self.op_seq.get();
-        self.op_seq.set(seq + 1);
+        let recovery = matches!(kind, OpKind::Shrink | OpKind::Agree);
+        let counter = if recovery { &self.recovery_seq } else { &self.op_seq };
+        let seq = counter.get();
+        counter.set(seq + 1);
         OpKey { seq, kind }
     }
 
-    fn next_recovery_key(&self, kind: OpKind) -> OpKey {
-        let seq = self.recovery_seq.get();
-        self.recovery_seq.set(seq + 1);
-        OpKey { seq, kind }
+    /// One collective over this communicator: see
+    /// [`CommShared::collective`].
+    pub(crate) fn collective(
+        &self,
+        ctx: &Ctx,
+        label: &'static str,
+        kind: OpKind,
+        deposit: Deposit,
+        finish: impl FnOnce(&mut [Slot]) -> (Result<()>, f64),
+    ) -> Result<Share> {
+        self.shared.collective(ctx, self.rank, (label, self.next_key(kind)), deposit, finish)
     }
 
-    fn op_ctx<'a>(&'a self, ctx: &'a Ctx, semantics: OpSemantics, fail_cost: f64) -> OpCtx<'a> {
-        OpCtx {
-            my_index: self.rank,
-            participants: &self.shared.members,
-            me: ctx.me(),
-            revoked: &self.shared.revoked,
-            semantics,
-            fail_cost,
-            stall_timeout: ctx.stall_timeout(),
-        }
+    /// `data` in wire form, in a buffer from the communicator's pool.
+    fn wire<T: MpiData>(&self, data: &[T]) -> BytesMut {
+        let mut buf = self.shared.pool.take(data.len() * T::WIDTH);
+        encode_into(data, &mut buf);
+        buf
     }
 
-    fn strict() -> OpSemantics {
-        OpSemantics { tolerant: false, revocable: true }
+    /// Decode a payload that was this rank's alone and retire its buffer.
+    fn unwire<T: MpiData>(&self, buf: BytesMut) -> Result<Vec<T>> {
+        let v = decode(&buf);
+        self.shared.pool.recycle(buf);
+        v
+    }
+
+    fn pooled(&self, bufs: Vec<BytesMut>) -> Pooled {
+        Pooled { bufs, home: Arc::clone(&self.shared) }
     }
 
     /// `MPI_Barrier`. The paper uses a barrier's error return as its
     /// failure detector (its Fig. 3, line 13).
     pub fn barrier(&self, ctx: &Ctx) -> Result<()> {
         ctx.fault_op(OpClass::Barrier);
-        let t0 = ctx.now();
-        let p = self.size();
-        let cost = ctx.net().barrier(p);
-        let key = self.next_key(OpKind::Barrier);
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, Self::strict(), cost),
-            Contribution { clock: ctx.now(), data: OpData::None },
-            move |_| (Arc::new(()) as _, cost),
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("barrier", self.shared.cid, t0, ctx.now());
-        self.handle_err(ctx, out.result.as_ref().map(|_| ()).map_err(Clone::clone))
+        let cost = ctx.net().barrier(self.size());
+        let res =
+            self.collective(ctx, "barrier", OpKind::Barrier, Deposit::None, |_| (Ok(()), cost));
+        self.handle_err(ctx, res.map(|_| ()))
     }
 
     /// `MPI_Bcast`: `root` supplies `Some(data)`, everyone gets the data.
     pub fn bcast<T: MpiData>(&self, ctx: &Ctx, root: usize, data: Option<&[T]>) -> Result<Vec<T>> {
         ctx.fault_op(OpClass::Bcast);
-        let t0 = ctx.now();
         if (self.rank == root) != data.is_some() {
             return Err(Error::InvalidArg("bcast: exactly the root must supply data".into()));
         }
         let p = self.size();
         let net = *ctx.net();
-        let contrib = match data {
-            Some(d) => OpData::Bytes(encode(d)),
-            None => OpData::None,
-        };
-        let key = self.next_key(OpKind::Bcast);
-        let fail_cost = net.barrier(p);
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, Self::strict(), fail_cost),
-            Contribution { clock: ctx.now(), data: contrib },
-            move |c| {
-                let bytes = match &c[&root].data {
-                    OpData::Bytes(b) => b.clone(),
-                    _ => unreachable!("bcast root contributed no data"),
-                };
-                let cost = net.tree(p, bytes.len());
-                (Arc::new(bytes) as _, cost)
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("bcast", self.shared.cid, t0, ctx.now());
-        let bytes = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
-        decode(bytes.downcast_ref::<Bytes>().expect("bcast payload"))
+        let deposit = data.map_or(Deposit::None, |d| Deposit::Bytes(self.wire(d)));
+        let res = self.collective(ctx, "bcast", OpKind::Bcast, deposit, |slots| {
+            let Some(buf) = slots.get_mut(root).and_then(Slot::take_bytes) else {
+                return (Err(wrong_kind("bcast: the root's contribution")), 0.0);
+            };
+            let cost = net.tree(p, buf.len());
+            share_all(slots, self.pooled(vec![buf]));
+            (Ok(()), cost)
+        });
+        match self.handle_err(ctx, res)? {
+            Share::Shared(data) => decode(&data.bufs[0]),
+            _ => Err(wrong_kind("bcast")),
+        }
     }
 
     /// `MPI_Gatherv`: every rank contributes a slice (lengths may differ);
@@ -663,59 +729,63 @@ impl Comm {
         root: usize,
         mine: &[T],
     ) -> Result<Option<Gathered<T>>> {
-        let parts = self.gather_bytes(ctx, OpKind::Gather, mine)?;
-        if self.rank != root {
-            return Ok(None);
+        self.gather_view_with(ctx, root, mine.len(), |put| put(mine))
+    }
+
+    /// [`gather_view`](Comm::gather_view) of a contribution that lies in
+    /// pieces — the rows of a strided block: `fill` pushes the pieces, in
+    /// order and `len` elements in all, straight into the wire buffer, so
+    /// the contribution is never staged in a contiguous copy first.
+    pub fn gather_view_with<T: MpiData>(
+        &self,
+        ctx: &Ctx,
+        root: usize,
+        len: usize,
+        fill: impl FnOnce(&mut dyn FnMut(&[T])),
+    ) -> Result<Option<Gathered<T>>> {
+        match self.gather_wire(ctx, OpKind::Gather, Some(root), len, fill)? {
+            Share::Parts(parts) => Gathered::new(parts).map(Some),
+            Share::Unit => Ok(None),
+            _ => Err(wrong_kind("gather")),
         }
-        Gathered::new(parts).map(Some)
     }
 
     /// `MPI_Allgatherv`: like gather, but everyone gets all contributions.
     pub fn allgather<T: MpiData>(&self, ctx: &Ctx, mine: &[T]) -> Result<Vec<Vec<T>>> {
-        let parts = self.gather_bytes(ctx, OpKind::Allgather, mine)?;
-        let mut out = Vec::with_capacity(parts.len());
-        for b in parts.iter() {
-            out.push(decode(b)?);
+        match self.gather_wire(ctx, OpKind::Allgather, None, mine.len(), |put| put(mine))? {
+            Share::Shared(parts) => parts.bufs.iter().map(|b| decode(b)).collect(),
+            _ => Err(wrong_kind("allgather")),
         }
-        Ok(out)
     }
 
-    fn gather_bytes<T: MpiData>(
+    /// The gather proper: every rank's wire buffer moves through the
+    /// rendezvous to `root` alone, or (without one) is shared by all.
+    fn gather_wire<T: MpiData>(
         &self,
         ctx: &Ctx,
         kind: OpKind,
-        mine: &[T],
-    ) -> Result<Arc<Vec<Bytes>>> {
+        root: Option<usize>,
+        len: usize,
+        fill: impl FnOnce(&mut dyn FnMut(&[T])),
+    ) -> Result<Share> {
         ctx.fault_op(OpClass::Gather);
-        let t0 = ctx.now();
         let p = self.size();
         let net = *ctx.net();
-        let key = self.next_key(kind);
-        let fail_cost = net.barrier(p);
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, Self::strict(), fail_cost),
-            Contribution { clock: ctx.now(), data: OpData::Bytes(encode(mine)) },
-            move |c| {
-                let mut parts = Vec::with_capacity(c.len());
-                let mut total = 0usize;
-                for (_, v) in c.iter() {
-                    match &v.data {
-                        OpData::Bytes(b) => {
-                            total += b.len();
-                            parts.push(b.clone());
-                        }
-                        _ => unreachable!("gather contribution"),
-                    }
-                }
-                let cost = net.gather(p, total);
-                (Arc::new(parts) as _, cost)
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("gather", self.shared.cid, t0, ctx.now());
-        let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
-        Ok(Arc::clone(res).downcast::<Vec<Bytes>>().expect("gather payload"))
+        let mut mine = self.shared.pool.take(len * T::WIDTH);
+        fill(&mut |piece| T::put_slice(piece, &mut mine));
+        let res = self.collective(ctx, "gather", kind, Deposit::Bytes(mine), |slots| {
+            // The one allocator request of a warm gather: the root's parts.
+            let mut parts = self.pooled(Vec::with_capacity(p));
+            parts.bufs.extend(arrived(slots).filter_map(|(_, s)| s.take_bytes()));
+            let cost = net.gather(p, parts.bufs.iter().map(|b| b.len()).sum());
+            match root.map(|r| slots.get_mut(r)) {
+                None => share_all(slots, parts),
+                Some(Some(slot)) => slot.share = Share::Parts(parts),
+                Some(None) => {} // no such rank: nobody is the root
+            }
+            (Ok(()), cost)
+        });
+        self.handle_err(ctx, res)
     }
 
     /// `MPI_Scatterv`: the root supplies one slice per rank; each rank
@@ -727,7 +797,6 @@ impl Comm {
         parts: Option<&[Vec<T>]>,
     ) -> Result<Vec<T>> {
         ctx.fault_op(OpClass::Scatter);
-        let t0 = ctx.now();
         let p = self.size();
         if let Some(parts) = parts {
             if self.rank != root {
@@ -744,38 +813,30 @@ impl Comm {
             return Err(Error::InvalidArg("scatter: root must supply parts".into()));
         }
         let net = *ctx.net();
-        let contrib = match parts {
-            Some(ps) => OpData::Parts(ps.iter().map(|v| encode(v)).collect()),
-            None => OpData::None,
-        };
-        let key = self.next_key(OpKind::Scatter);
-        let fail_cost = net.barrier(p);
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, Self::strict(), fail_cost),
-            Contribution { clock: ctx.now(), data: contrib },
-            move |c| {
-                let parts = match &c[&root].data {
-                    OpData::Parts(ps) => ps.clone(),
-                    _ => unreachable!("scatter root contributed no parts"),
-                };
-                let total: usize = parts.iter().map(|b| b.len()).sum();
-                let cost = net.gather(p, total);
-                (Arc::new(parts) as _, cost)
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("scatter", self.shared.cid, t0, ctx.now());
-        let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
-        let parts = res.downcast_ref::<Vec<Bytes>>().expect("scatter payload");
-        decode(&parts[self.rank])
+        let deposit = parts
+            .map_or(Deposit::None, |ps| Deposit::Parts(ps.iter().map(|v| self.wire(v)).collect()));
+        let res = self.collective(ctx, "scatter", OpKind::Scatter, deposit, |slots| {
+            let Some(Deposit::Parts(parts)) =
+                slots.get_mut(root).map(|s| mem::take(&mut s.deposit))
+            else {
+                return (Err(wrong_kind("scatter: the root's contribution")), 0.0);
+            };
+            let cost = net.gather(p, parts.iter().map(|b| b.len()).sum());
+            for (slot, part) in slots.iter_mut().zip(parts) {
+                slot.share = Share::Bytes(part);
+            }
+            (Ok(()), cost)
+        });
+        match self.handle_err(ctx, res)? {
+            Share::Bytes(mine) => self.unwire(mine),
+            _ => Err(wrong_kind("scatter")),
+        }
     }
 
     /// `MPI_Alltoallv`: rank *i*'s `parts[j]` ends up as element *i* of
     /// rank *j*'s result.
     pub fn alltoall<T: MpiData>(&self, ctx: &Ctx, parts: &[Vec<T>]) -> Result<Vec<Vec<T>>> {
         ctx.fault_op(OpClass::Alltoall);
-        let t0 = ctx.now();
         let p = self.size();
         if parts.len() != p {
             return Err(Error::InvalidArg(format!(
@@ -785,40 +846,28 @@ impl Comm {
             )));
         }
         let net = *ctx.net();
-        let key = self.next_key(OpKind::Alltoall);
-        let fail_cost = net.barrier(p);
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, Self::strict(), fail_cost),
-            Contribution {
-                clock: ctx.now(),
-                data: OpData::Parts(parts.iter().map(|v| encode(v)).collect()),
-            },
-            move |c| {
-                let mut matrix: Vec<Vec<Bytes>> = vec![Vec::new(); p];
-                let mut total = 0usize;
-                for (src, v) in c.iter() {
-                    match &v.data {
-                        OpData::Parts(ps) => {
-                            for (dst, b) in ps.iter().enumerate() {
-                                total += b.len();
-                                // Column per destination, in source order.
-                                let _ = src;
-                                matrix[dst].push(b.clone());
-                            }
-                        }
-                        _ => unreachable!("alltoall contribution"),
+        let deposit = Deposit::Parts(parts.iter().map(|v| self.wire(v)).collect());
+        let res = self.collective(ctx, "alltoall", OpKind::Alltoall, deposit, |slots| {
+            // Column per destination, in source order.
+            let mut columns: Vec<Vec<BytesMut>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
+            let mut total = 0usize;
+            for (_, s) in arrived(slots) {
+                if let Deposit::Parts(row) = mem::take(&mut s.deposit) {
+                    for (column, b) in columns.iter_mut().zip(row) {
+                        total += b.len();
+                        column.push(b);
                     }
                 }
-                let cost = p as f64 * net.latency + net.byte_time * total as f64;
-                (Arc::new(matrix) as _, cost)
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("alltoall", self.shared.cid, t0, ctx.now());
-        let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
-        let matrix = res.downcast_ref::<Vec<Vec<Bytes>>>().expect("alltoall payload");
-        matrix[self.rank].iter().map(|b| decode(b)).collect()
+            }
+            for (slot, column) in slots.iter_mut().zip(columns) {
+                slot.share = Share::Parts(self.pooled(column));
+            }
+            (Ok(()), p as f64 * net.latency + net.byte_time * total as f64)
+        });
+        match self.handle_err(ctx, res)? {
+            Share::Parts(column) => column.bufs.iter().map(|b| decode(b)).collect(),
+            _ => Err(wrong_kind("alltoall")),
+        }
     }
 
     /// `MPI_Reduce` (element-wise): the root gets the combined vector.
@@ -829,75 +878,115 @@ impl Comm {
         op: ReduceOp,
         mine: &[T],
     ) -> Result<Option<Vec<T>>> {
-        let v = self.reduce_impl(ctx, OpKind::Reduce, op, mine, 1.0)?;
-        Ok(if self.rank == root { Some(v) } else { None })
+        match self.reduce_wire(ctx, OpKind::Reduce, op, mine, Some(root))? {
+            Share::Bytes(v) => self.unwire(v).map(Some),
+            Share::Unit => Ok(None),
+            _ => Err(wrong_kind("reduce")),
+        }
     }
 
     /// `MPI_Allreduce` (element-wise).
     pub fn allreduce<T: Reducible>(&self, ctx: &Ctx, op: ReduceOp, mine: &[T]) -> Result<Vec<T>> {
-        self.reduce_impl(ctx, OpKind::Allreduce, op, mine, 2.0)
+        match self.reduce_wire(ctx, OpKind::Allreduce, op, mine, None)? {
+            Share::Shared(v) => decode(&v.bufs[0]),
+            _ => Err(wrong_kind("allreduce")),
+        }
     }
 
     /// Scalar sum allreduce.
     pub fn allreduce_sum<T: Reducible>(&self, ctx: &Ctx, v: T) -> Result<T> {
-        Ok(self.allreduce(ctx, ReduceOp::Sum, &[v])?[0])
+        self.allreduce_word(ctx, ReduceOp::Sum, v)
     }
 
     /// Scalar max allreduce.
     pub fn allreduce_max<T: Reducible>(&self, ctx: &Ctx, v: T) -> Result<T> {
-        Ok(self.allreduce(ctx, ReduceOp::Max, &[v])?[0])
+        self.allreduce_word(ctx, ReduceOp::Max, v)
     }
 
     /// Scalar min allreduce.
     pub fn allreduce_min<T: Reducible>(&self, ctx: &Ctx, v: T) -> Result<T> {
-        Ok(self.allreduce(ctx, ReduceOp::Min, &[v])?[0])
+        self.allreduce_word(ctx, ReduceOp::Min, v)
     }
 
-    fn reduce_impl<T: Reducible>(
+    /// What the reductions share: the fault site and the charge of
+    /// `trees` reduction trees over `nbytes` per rank. `fold` combines the
+    /// deposits in rank order and hands out the shares.
+    fn reduction(
+        &self,
+        ctx: &Ctx,
+        kind: OpKind,
+        (trees, nbytes): (f64, usize),
+        deposit: Deposit,
+        fold: impl FnOnce(&mut [Slot]) -> Result<()>,
+    ) -> Result<Share> {
+        ctx.fault_op(OpClass::Allreduce);
+        let cost = trees * ctx.net().tree(self.size(), nbytes);
+        let res = self.collective(ctx, "reduce", kind, deposit, |slots| (fold(slots), cost));
+        self.handle_err(ctx, res)
+    }
+
+    /// A one-element allreduce: the scalars travel inline in the slots
+    /// and the result comes back by value.
+    fn allreduce_word<T: Reducible>(&self, ctx: &Ctx, op: ReduceOp, v: T) -> Result<T> {
+        let deposit = Deposit::Word(v.to_word());
+        let share = self.reduction(ctx, OpKind::Allreduce, (2.0, T::WIDTH), deposit, |slots| {
+            let words = arrived(slots).filter_map(|(_, s)| match s.deposit {
+                Deposit::Word(w) => Some(T::get(&w)),
+                _ => None,
+            });
+            let word = words.reduce(|x, y| T::combine(op, x, y)).map(T::to_word);
+            slots.iter_mut().for_each(|s| s.share = Share::Word(word.unwrap_or_default()));
+            Ok(())
+        })?;
+        match share {
+            Share::Word(w) => Ok(T::get(&w)),
+            _ => Err(wrong_kind("allreduce")),
+        }
+    }
+
+    /// An element-wise reduction of wire buffers, folded in rank order
+    /// and encoded back into the lowest rank's buffer; the result goes to
+    /// `root` alone or (with `None`) is shared by all.
+    fn reduce_wire<T: Reducible>(
         &self,
         ctx: &Ctx,
         kind: OpKind,
         op: ReduceOp,
         mine: &[T],
-        tree_factor: f64,
-    ) -> Result<Vec<T>> {
-        ctx.fault_op(OpClass::Allreduce);
-        let t0 = ctx.now();
-        let p = self.size();
-        let net = *ctx.net();
-        let key = self.next_key(kind);
-        let fail_cost = net.barrier(p);
-        let nbytes = mine.len() * T::WIDTH;
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, Self::strict(), fail_cost),
-            Contribution { clock: ctx.now(), data: OpData::Bytes(encode(mine)) },
-            move |c| {
-                let mut acc: Option<Vec<T>> = None;
-                for (_, v) in c.iter() {
-                    let vals: Vec<T> = match &v.data {
-                        OpData::Bytes(b) => decode(b).expect("reduce payload"),
-                        _ => unreachable!("reduce contribution"),
-                    };
-                    acc = Some(match acc {
-                        None => vals,
-                        Some(mut a) => {
-                            assert_eq!(a.len(), vals.len(), "reduce length mismatch");
-                            for (x, y) in a.iter_mut().zip(vals) {
-                                *x = T::combine(op, *x, y);
-                            }
-                            a
-                        }
-                    });
+        root: Option<usize>,
+    ) -> Result<Share> {
+        let trees = if root.is_some() { 1.0 } else { 2.0 };
+        let deposit = Deposit::Bytes(self.wire(mine));
+        self.reduction(ctx, kind, (trees, mine.len() * T::WIDTH), deposit, |slots| {
+            let mut acc: Vec<T> = Vec::new();
+            let mut out: Option<BytesMut> = None;
+            for b in arrived(slots).filter_map(|(_, s)| s.take_bytes()) {
+                if out.is_none() {
+                    decode_into(&b, &mut acc)?;
+                    out = Some(b);
+                    continue;
                 }
-                let cost = tree_factor * net.tree(p, nbytes);
-                (Arc::new(encode(&acc.unwrap_or_default())) as _, cost)
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("reduce", self.shared.cid, t0, ctx.now());
-        let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
-        decode(res.downcast_ref::<Bytes>().expect("reduce result"))
+                if b.len() != acc.len() * T::WIDTH {
+                    return Err(Error::InvalidArg(format!(
+                        "reduce: contributions of {} and {} bytes",
+                        acc.len() * T::WIDTH,
+                        b.len()
+                    )));
+                }
+                for (i, x) in acc.iter_mut().enumerate() {
+                    *x = T::combine(op, *x, T::get(&b[i * T::WIDTH..]));
+                }
+                self.shared.pool.recycle(b);
+            }
+            let mut out = out.unwrap_or_default();
+            encode_into(&acc, &mut out);
+            match root.map(|r| slots.get_mut(r)) {
+                None => share_all(slots, self.pooled(vec![out])),
+                Some(Some(slot)) => slot.share = Share::Bytes(out),
+                Some(None) => {} // no such rank: nobody is the root
+            }
+            Ok(())
+        })
     }
 
     /// `MPI_Comm_split`. `color = None` is `MPI_UNDEFINED` (no resulting
@@ -906,76 +995,46 @@ impl Comm {
     /// original rank order after recovery (its Fig. 7).
     pub fn split(&self, ctx: &Ctx, color: Option<i64>, key: i64) -> Result<Option<Comm>> {
         ctx.fault_op(OpClass::Split);
-        let t0 = ctx.now();
-        let p = self.size();
-        let net = *ctx.net();
-        // Capture the shared handle, not a members clone: every rank
-        // cloning the member vec made split O(p²) across the communicator.
-        let owner = Arc::clone(&self.shared);
-        let opkey = self.next_key(OpKind::Split);
-        let fail_cost = net.barrier(p);
-        let out = self.shared.ops.run_op(
-            opkey,
-            self.op_ctx(ctx, Self::strict(), fail_cost),
-            Contribution { clock: ctx.now(), data: OpData::SplitKey { color, key } },
-            move |c| {
-                // Group (old-rank, key) pairs by colour.
-                let mut by_color: std::collections::BTreeMap<i64, Vec<(i64, usize)>> =
-                    std::collections::BTreeMap::new();
-                for (old_rank, v) in c.iter() {
-                    if let OpData::SplitKey { color: Some(col), key } = v.data {
-                        by_color.entry(col).or_default().push((key, *old_rank));
-                    }
+        let cost = ctx.net().tree(self.size(), 16);
+        let deposit = Deposit::SplitKey { color, key };
+        let res = self.collective(ctx, "split", OpKind::Split, deposit, |slots| {
+            // (colour, key, old rank), sorted: one run per colour, in new
+            // rank order; communicators are made in colour order.
+            let mut keyed: Vec<(i64, i64, usize)> = arrived(slots)
+                .filter_map(|(old_rank, s)| match s.deposit {
+                    Deposit::SplitKey { color: Some(col), key } => Some((col, key, old_rank)),
+                    _ => None,
+                })
+                .collect();
+            keyed.sort_unstable();
+            for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+                let procs = run.iter().map(|&(_, _, r)| self.shared.members[r].clone()).collect();
+                let shared = CommShared::new(procs);
+                for (new_rank, &(_, _, old_rank)) in run.iter().enumerate() {
+                    slots[old_rank].share = Share::Comm(Arc::clone(&shared), new_rank);
                 }
-                let mut result: std::collections::HashMap<usize, (Arc<CommShared>, usize)> =
-                    std::collections::HashMap::new();
-                for (_, mut list) in by_color {
-                    list.sort_unstable();
-                    let procs: Vec<Arc<ProcState>> =
-                        list.iter().map(|&(_, r)| owner.members[r].clone()).collect();
-                    let shared = CommShared::new(procs);
-                    for (new_rank, &(_, old_rank)) in list.iter().enumerate() {
-                        result.insert(old_rank, (Arc::clone(&shared), new_rank));
-                    }
-                }
-                let cost = net.tree(p, 16);
-                (Arc::new(result) as _, cost)
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("split", self.shared.cid, t0, ctx.now());
-        let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
-        let map = res
-            .downcast_ref::<std::collections::HashMap<usize, (Arc<CommShared>, usize)>>()
-            .expect("split result");
-        Ok(map
-            .get(&self.rank)
-            .map(|(shared, new_rank)| Comm::from_shared(Arc::clone(shared), *new_rank)))
+            }
+            (Ok(()), cost)
+        });
+        match self.handle_err(ctx, res)? {
+            Share::Comm(shared, new_rank) => Ok(Some(Comm::from_shared(shared, new_rank))),
+            Share::Unit => Ok(None),
+            _ => Err(wrong_kind("split")),
+        }
     }
 
     /// `MPI_Comm_dup`.
     pub fn dup(&self, ctx: &Ctx) -> Result<Comm> {
         ctx.fault_op(OpClass::Dup);
-        let t0 = ctx.now();
-        let p = self.size();
-        let net = *ctx.net();
-        let owner = Arc::clone(&self.shared);
-        let key = self.next_key(OpKind::Dup);
-        let fail_cost = net.barrier(p);
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, Self::strict(), fail_cost),
-            Contribution { clock: ctx.now(), data: OpData::None },
-            move |_| {
-                let shared = CommShared::new(owner.members.clone());
-                (Arc::new(shared) as _, net.tree(p, 16))
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("dup", self.shared.cid, t0, ctx.now());
-        let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
-        let shared = res.downcast_ref::<Arc<CommShared>>().expect("dup result");
-        Ok(Comm::from_shared(Arc::clone(shared), self.rank))
+        let cost = ctx.net().tree(self.size(), 16);
+        let res = self.collective(ctx, "dup", OpKind::Dup, Deposit::None, |slots| {
+            let shared = CommShared::new(self.shared.members.clone());
+            for (rank, s) in slots.iter_mut().enumerate() {
+                s.share = Share::Comm(Arc::clone(&shared), rank);
+            }
+            (Ok(()), cost)
+        });
+        Comm::from_share(self.handle_err(ctx, res), "dup")
     }
 
     // ----------------------------------------------------------------- ULFM
@@ -997,37 +1056,19 @@ impl Comm {
     /// preserving relative rank order. Works on revoked communicators.
     pub fn shrink(&self, ctx: &Ctx) -> Result<Comm> {
         ctx.fault_op(OpClass::Shrink);
-        let t0 = ctx.now();
         let p = self.size();
-        let owner = Arc::clone(&self.shared);
         let model = ctx.model_handle();
-        let key = self.next_recovery_key(OpKind::Shrink);
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, OpSemantics { tolerant: true, revocable: false }, 0.0),
-            Contribution { clock: ctx.now(), data: OpData::None },
-            move |c| {
-                let survivors: Vec<usize> = c.keys().copied().collect();
-                let nfailed = p - survivors.len();
-                let procs: Vec<Arc<ProcState>> =
-                    survivors.iter().map(|&r| owner.members[r].clone()).collect();
-                let shared = CommShared::new(procs);
-                let mut rank_map = std::collections::HashMap::new();
-                for (new_rank, &old_rank) in survivors.iter().enumerate() {
-                    rank_map.insert(old_rank, new_rank);
-                }
-                let cost = model.shrink(p, nfailed);
-                (Arc::new((shared, rank_map)) as _, cost)
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("shrink", self.shared.cid, t0, ctx.now());
-        let res = self.handle_err(ctx, out.result.as_ref().map_err(Clone::clone))?;
-        let (shared, rank_map) = res
-            .downcast_ref::<(Arc<CommShared>, std::collections::HashMap<usize, usize>)>()
-            .expect("shrink result");
-        let new_rank = *rank_map.get(&self.rank).expect("shrink: calling rank must be a survivor");
-        Ok(Comm::from_shared(Arc::clone(shared), new_rank))
+        let res = self.collective(ctx, "shrink", OpKind::Shrink, Deposit::None, |slots| {
+            let procs: Vec<Arc<ProcState>> =
+                arrived(slots).map(|(r, _)| self.shared.members[r].clone()).collect();
+            let nfailed = p - procs.len();
+            let shared = CommShared::new(procs);
+            for (new_rank, (_, s)) in arrived(slots).enumerate() {
+                s.share = Share::Comm(Arc::clone(&shared), new_rank);
+            }
+            (Ok(()), model.shrink(p, nfailed))
+        });
+        Comm::from_share(self.handle_err(ctx, res), "shrink")
     }
 
     /// `OMPI_Comm_agree`: fault-tolerant agreement on the logical AND of
@@ -1037,33 +1078,12 @@ impl Comm {
     /// (ULFM's uniform-return rule). Works on revoked communicators.
     pub fn agree(&self, ctx: &Ctx, flag: &mut bool) -> Result<()> {
         ctx.fault_op(OpClass::Agree);
-        let t0 = ctx.now();
-        let p = self.size();
-        let model = ctx.model_handle();
-        let nfailed_now = self.failed_ranks().len();
-        let key = self.next_recovery_key(OpKind::Agree);
-        let out = self.shared.ops.run_op(
-            key,
-            self.op_ctx(ctx, OpSemantics { tolerant: true, revocable: false }, 0.0),
-            Contribution { clock: ctx.now(), data: OpData::Flag(*flag) },
-            move |c| {
-                let mut acc = true;
-                for (_, v) in c.iter() {
-                    if let OpData::Flag(f) = v.data {
-                        acc &= f;
-                    }
-                }
-                let cost = model.agree(p, nfailed_now);
-                (Arc::new(acc) as _, cost)
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("agree", self.shared.cid, t0, ctx.now());
-        let res = out.result.as_ref().map_err(Clone::clone)?;
-        *flag = *res.downcast_ref::<bool>().expect("agree result");
+        self.shared.agree(ctx, self.rank, ("agree", self.next_key(OpKind::Agree)), flag)?;
         let unacked: Vec<usize> = {
             let acked = self.acked.borrow();
-            self.failed_ranks().into_iter().filter(|r| !acked.contains(r)).collect()
+            self.shared.with_failed(|failed| {
+                failed.iter().copied().filter(|r| !acked.contains(r)).collect()
+            })
         };
         if unacked.is_empty() {
             Ok(())
@@ -1086,25 +1106,60 @@ impl Comm {
         Group::new(acked.iter().map(|&r| self.shared.members[r].id).collect())
     }
 
-    pub(crate) fn members(&self) -> &[Arc<ProcState>] {
-        &self.shared.members
+    /// The handle a communicator-making collective hands this rank.
+    fn from_share(res: Result<Share>, op: &'static str) -> Result<Comm> {
+        match res? {
+            Share::Comm(shared, rank) => Ok(Comm::from_shared(shared, rank)),
+            _ => Err(wrong_kind(op)),
+        }
+    }
+}
+
+/// A share of a kind the calling collective never hands out: a bug in
+/// the runtime, reported to the caller like any protocol violation.
+fn wrong_kind(what: &str) -> Error {
+    Error::Protocol(format!("{what} is of the wrong kind"))
+}
+
+/// Give every participant the same payloads to read.
+fn share_all(slots: &mut [Slot], payloads: Pooled) {
+    let payloads = Arc::new(payloads);
+    for s in slots {
+        s.share = Share::Shared(Arc::clone(&payloads));
+    }
+}
+
+/// Wire buffers on loan from a communicator's pool: whoever holds them
+/// last — a gather's root, the last reader of a broadcast, the rendezvous
+/// itself when nobody came for them — returns them on drop.
+pub(crate) struct Pooled {
+    pub bufs: Vec<BytesMut>,
+    home: Arc<CommShared>,
+}
+
+impl Drop for Pooled {
+    fn drop(&mut self) {
+        for buf in self.bufs.drain(..) {
+            self.home.pool.recycle(buf);
+        }
     }
 }
 
 /// What the root of a [`Comm::gather_view`] holds: every rank's
-/// contribution, still in wire form, in rank order. The bytes are the
-/// ones each member encoded — shared with the collective's bookkeeping,
-/// never copied for the root — and stay alive as long as this handle.
+/// contribution, still in wire form, in rank order. The buffers are the
+/// very ones the members filled — moved through the collective, never
+/// copied — owned by this handle for as long as it lives and returned to
+/// the communicator's pool, for the next round's members, when it drops.
 pub struct Gathered<T: MpiData> {
-    parts: Arc<Vec<Bytes>>,
+    parts: Pooled,
     _elem: PhantomData<T>,
 }
 
 impl<T: MpiData> Gathered<T> {
     /// Checks every contribution's width once (the error [`decode`]
     /// would give), so the views below are infallible.
-    fn new(parts: Arc<Vec<Bytes>>) -> Result<Self> {
-        for b in parts.iter() {
+    fn new(parts: Pooled) -> Result<Self> {
+        for b in &parts.bufs {
             WireSlice::<T>::new(b)?;
         }
         Ok(Gathered { parts, _elem: PhantomData })
@@ -1112,17 +1167,18 @@ impl<T: MpiData> Gathered<T> {
 
     /// Number of contributions (the communicator size).
     pub fn len(&self) -> usize {
-        self.parts.len()
+        self.parts.bufs.len()
     }
 
     /// True for a gather over no rank (never, on a live communicator).
     pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
+        self.parts.bufs.is_empty()
     }
 
     /// Rank `rank`'s contribution.
     pub fn part(&self, rank: usize) -> WireSlice<'_, T> {
-        WireSlice::new(&self.parts[rank]).expect("widths were checked at construction")
+        // Invariant: `new` checked every buffer's width.
+        WireSlice::new(&self.parts.bufs[rank]).expect("widths were checked at construction")
     }
 
     /// Every contribution decoded into a vector of its own, in rank order.
@@ -1252,45 +1308,19 @@ impl std::fmt::Debug for Comm {
 
 /// Shared state of an intercommunicator (two disjoint groups).
 pub(crate) struct InterShared {
-    pub cid: u64,
     /// `groups[0]` = the group that initiated the spawn (parents);
     /// `groups[1]` = the spawned group (children).
     pub groups: [Vec<Arc<ProcState>>; 2],
     /// Both groups concatenated (side 0 then side 1): the participant
-    /// space of every inter-collective, built once at construction
-    /// instead of per call per rank.
-    pub all: Vec<Arc<ProcState>>,
-    pub revoked: AtomicBool,
-    pub ops: OpTable,
-    /// `(epoch, failed count)` over `all`; see `CommShared::failed_cache`.
-    failed_count: parking_lot::Mutex<(u64, usize)>,
+    /// space of every inter-collective, with the intercommunicator's id,
+    /// revoke flag and operation table.
+    pub all: CommShared,
 }
 
 impl InterShared {
     pub fn new(groups: [Vec<Arc<ProcState>>; 2]) -> Arc<Self> {
-        let mut all = groups[0].clone();
-        all.extend(groups[1].iter().cloned());
-        Arc::new(InterShared {
-            cid: alloc_cid(),
-            groups,
-            all,
-            revoked: AtomicBool::new(false),
-            ops: OpTable::new(),
-            failed_count: parking_lot::Mutex::new((0, 0)),
-        })
-    }
-
-    fn failed_count_cached(&self) -> usize {
-        let epoch = failure_epoch();
-        if epoch == 0 {
-            return 0;
-        }
-        let mut c = self.failed_count.lock();
-        if c.0 != epoch {
-            c.1 = self.all.iter().filter(|m| m.is_failed()).count();
-            c.0 = epoch;
-        }
-        c.1
+        let all = CommShared::over(groups.concat());
+        Arc::new(InterShared { groups, all })
     }
 }
 
@@ -1340,9 +1370,7 @@ impl InterComm {
     }
 
     fn next_key(&self, kind: OpKind) -> OpKey {
-        let seq = self.op_seq.get();
-        self.op_seq.set(seq + 1);
-        OpKey { seq, kind }
+        OpKey { seq: self.op_seq.replace(self.op_seq.get() + 1), kind }
     }
 
     /// `MPI_Intercomm_merge`: fuse both groups into one intracommunicator.
@@ -1351,66 +1379,30 @@ impl InterComm {
     /// its Fig. 2).
     pub fn merge(&self, ctx: &Ctx, high: bool) -> Result<Comm> {
         ctx.fault_op(OpClass::Merge);
-        let t0 = ctx.now();
-        let p = self.shared.all.len();
+        let all = &self.shared.all;
+        let p = all.members.len();
         let n0 = self.shared.groups[0].len();
-        let model = ctx.model_handle();
-        let net = *ctx.net();
-        let key = self.next_key(OpKind::Merge);
-        let opctx = OpCtx {
-            my_index: self.my_index(),
-            participants: &self.shared.all,
-            me: ctx.me(),
-            revoked: &self.shared.revoked,
-            semantics: OpSemantics { tolerant: false, revocable: true },
-            fail_cost: net.barrier(p),
-            stall_timeout: ctx.stall_timeout(),
-        };
-        let owner = Arc::clone(&self.shared);
-        let out = self.shared.ops.run_op(
-            key,
-            opctx,
-            Contribution { clock: ctx.now(), data: OpData::MergeSide { high } },
-            move |c| {
-                // Which side asked to be high? (Indices < n0 are side 0.)
-                let mut side0_high = false;
-                let mut side1_high = false;
-                for (&idx, v) in c.iter() {
-                    if let OpData::MergeSide { high } = v.data {
-                        if idx < n0 {
-                            side0_high |= high;
-                        } else {
-                            side1_high |= high;
-                        }
-                    }
-                }
-                // Low side first. Ties keep side 0 first (MPI leaves the
-                // order implementation-defined in that case).
-                let side0_first = !side0_high || side1_high == side0_high;
-                let (first, second) = if side0_first {
-                    (&owner.all[..n0], &owner.all[n0..])
-                } else {
-                    (&owner.all[n0..], &owner.all[..n0])
-                };
-                let mut procs = first.to_vec();
-                procs.extend_from_slice(second);
-                let shared = CommShared::new(procs);
-                (Arc::new((shared, side0_first)) as _, model.intercomm_merge(p))
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("intercomm_merge", self.shared.cid, t0, ctx.now());
-        let res = out.result.as_ref().map_err(Clone::clone)?;
-        let (shared, side0_first) =
-            res.downcast_ref::<(Arc<CommShared>, bool)>().expect("merge result");
-        let new_rank = match (self.side, *side0_first) {
-            (0, true) => self.rank,
-            (1, true) => n0 + self.rank,
-            (1, false) => self.rank,
-            (0, false) => self.shared.groups[1].len() + self.rank,
-            _ => unreachable!("side is always 0 or 1"),
-        };
-        Ok(Comm::from_shared(Arc::clone(shared), new_rank))
+        let cost = ctx.model().intercomm_merge(p);
+        let id = ("intercomm_merge", self.next_key(OpKind::Merge));
+        let deposit = Deposit::MergeSide { high };
+        let res = all.collective(ctx, self.my_index(), id, deposit, |slots| {
+            // Which side asked to be high? (Indices < n0 are side 0.)
+            let asked = |side: &mut [Slot]| {
+                arrived(side).any(|(_, s)| matches!(s.deposit, Deposit::MergeSide { high: true }))
+            };
+            let (side0, side1) = slots.split_at_mut(n0);
+            let (side0_high, side1_high) = (asked(side0), asked(side1));
+            // Low side first. Ties keep side 0 first (MPI leaves the
+            // order implementation-defined in that case).
+            let first = if !side0_high || side1_high == side0_high { 0..n0 } else { n0..p };
+            let order = first.clone().chain((0..p).filter(|i| !first.contains(i)));
+            let shared = CommShared::new(order.clone().map(|i| all.members[i].clone()).collect());
+            for (new_rank, i) in order.enumerate() {
+                slots[i].share = Share::Comm(Arc::clone(&shared), new_rank);
+            }
+            (Ok(()), cost)
+        });
+        Comm::from_share(res, "merge")
     }
 
     /// `OMPI_Comm_agree` over both groups of the intercommunicator (the
@@ -1418,49 +1410,18 @@ impl InterComm {
     /// parents and children during recovery).
     pub fn agree(&self, ctx: &Ctx, flag: &mut bool) -> Result<()> {
         ctx.fault_op(OpClass::Agree);
-        let t0 = ctx.now();
-        let p = self.shared.all.len();
-        let model = ctx.model_handle();
-        let nfailed = self.shared.failed_count_cached();
-        let key = self.next_key(OpKind::Agree);
-        let opctx = OpCtx {
-            my_index: self.my_index(),
-            participants: &self.shared.all,
-            me: ctx.me(),
-            revoked: &self.shared.revoked,
-            semantics: OpSemantics { tolerant: true, revocable: false },
-            fail_cost: 0.0,
-            stall_timeout: ctx.stall_timeout(),
-        };
-        let out = self.shared.ops.run_op(
-            key,
-            opctx,
-            Contribution { clock: ctx.now(), data: OpData::Flag(*flag) },
-            move |c| {
-                let mut acc = true;
-                for (_, v) in c.iter() {
-                    if let OpData::Flag(f) = v.data {
-                        acc &= f;
-                    }
-                }
-                (Arc::new(acc) as _, model.agree(p, nfailed))
-            },
-        );
-        ctx.sync_to(&out);
-        ctx.trace_event("intercomm_agree", self.shared.cid, t0, ctx.now());
-        let res = out.result.as_ref().map_err(Clone::clone)?;
-        *flag = *res.downcast_ref::<bool>().expect("agree result");
-        Ok(())
+        let id = ("intercomm_agree", self.next_key(OpKind::Agree));
+        self.shared.all.agree(ctx, self.my_index(), id, flag)
     }
 
     /// Revoke the intercommunicator.
     pub fn revoke(&self, ctx: &Ctx) {
         ctx.check_killed();
-        self.shared.revoked.store(true, Ordering::Release);
-        for m in &self.shared.all {
+        self.shared.all.revoked.store(true, Ordering::Release);
+        for m in &self.shared.all.members {
             m.wake();
         }
-        let p = self.shared.all.len();
+        let p = self.shared.all.members.len();
         ctx.advance(ctx.model().revoke(p));
     }
 }
@@ -1468,11 +1429,139 @@ impl InterComm {
 impl std::fmt::Debug for InterComm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InterComm")
-            .field("cid", &self.shared.cid)
+            .field("cid", &self.shared.all.cid)
             .field("side", &self.side)
             .field("rank", &self.rank)
             .field("local", &self.local_size())
             .field("remote", &self.remote_size())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{run, RunConfig};
+
+    /// Spin (cooperatively) until `ready`.
+    fn wait_until(ready: impl Fn() -> bool) {
+        while !ready() {
+            crate::fiber::yield_now();
+        }
+    }
+
+    fn unwound(comm: &Comm, rank: usize) -> bool {
+        comm.shared.members[rank].dead.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn a_member_killed_after_depositing_contributes_and_its_buffer_is_recycled_once() {
+        const P: usize = 5;
+        const VICTIM: usize = 3;
+        let report = run(RunConfig::local(P), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            let mine = vec![w.rank() as u64; w.rank() + 1];
+            if w.rank() != 0 {
+                // The victim never returns: it dies blocked in the gather,
+                // after its deposit.
+                assert!(matches!(w.gather_view(ctx, 0, &mine), Ok(None)));
+                return;
+            }
+            // The root holds back until all the others are in, then kills
+            // one of them and only joins once that one has unwound.
+            let gather = OpKey { seq: 0, kind: OpKind::Gather };
+            wait_until(|| w.shared.ops.arrived_in(gather) == P - 1);
+            w.inject_kill(VICTIM);
+            wait_until(|| unwound(&w, VICTIM));
+            assert_eq!(w.shared.pool.pooled(), 0, "every buffer is in the rendezvous");
+            let parts = w.gather_view(ctx, 0, &mine).unwrap().expect("the root's view");
+            for r in 0..P {
+                assert_eq!(parts.part(r).to_vec(), vec![r as u64; r + 1], "rank {r}'s bytes");
+            }
+            assert_eq!(w.shared.pool.pooled(), 0, "the view owns them while it lives");
+            drop(parts);
+            assert_eq!(w.shared.pool.pooled(), P, "each once — the dead member's too");
+            // All P allocations are distinct: nothing went back twice.
+            let mut bufs: Vec<BytesMut> = (0..P).map(|_| w.shared.pool.take(0)).collect();
+            bufs.sort_by_key(|b| b.as_ptr() as usize);
+            bufs.dedup_by_key(|b| b.as_ptr() as usize);
+            assert_eq!((bufs.len(), w.shared.pool.pooled()), (P, 0));
+            ctx.report_f64("checked", 1.0);
+        });
+        report.assert_no_app_errors();
+        assert_eq!((report.procs_failed, report.get_f64("checked")), (1, Some(1.0)));
+    }
+
+    #[test]
+    fn a_root_killed_while_holding_its_view_leaks_nothing() {
+        const P: usize = 4;
+        const ROOT: usize = 1;
+        let report = run(RunConfig::local(P), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            let view = w.gather_view(ctx, ROOT, &[w.rank() as f64; 64]).unwrap();
+            assert_eq!(view.is_some(), w.rank() == ROOT);
+            if let Some(view) = view {
+                assert_eq!((view.len(), w.shared.pool.pooled()), (P, 0));
+                ctx.die(); // the unwind drops `view`
+            }
+            if w.rank() == 0 {
+                wait_until(|| unwound(&w, ROOT));
+                assert_eq!(w.shared.pool.pooled(), P, "the view went back as the root unwound");
+                ctx.report_f64("checked", 1.0);
+            }
+        });
+        report.assert_no_app_errors();
+        assert_eq!((report.procs_failed, report.get_f64("checked")), (1, Some(1.0)));
+    }
+
+    #[test]
+    fn gather_rounds_cycle_the_pool_within_its_bound() {
+        // More ranks than the default bound, so the bound follows the
+        // communicator; rounds apart (a barrier) reuse round one's buffers.
+        const P: usize = 40;
+        let report = run(RunConfig::local(P), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            let mut first: Vec<usize> = Vec::new();
+            for round in 0..6 {
+                let mine = [w.rank() as u32; 100];
+                if let Some(view) = w.gather_view(ctx, 0, &mine).unwrap() {
+                    let mut ptrs: Vec<usize> =
+                        (0..P).map(|r| view.parts.bufs[r].as_ptr() as usize).collect();
+                    ptrs.sort_unstable();
+                    ptrs.dedup();
+                    assert_eq!(ptrs.len(), P, "round {round}: one buffer per rank");
+                    if round == 0 {
+                        first = ptrs;
+                    } else {
+                        assert_eq!(ptrs, first, "round {round} reuses round 0's buffers");
+                    }
+                }
+                assert!(w.shared.pool.pooled() <= P);
+                w.barrier(ctx).unwrap();
+            }
+            if w.rank() == 0 {
+                assert_eq!(w.shared.pool.pooled(), P);
+            }
+        });
+        report.assert_no_app_errors();
+    }
+
+    #[test]
+    fn scalar_allreduce_folds_in_rank_order() {
+        // A sum whose value depends on the association: only the
+        // left-to-right fold over ascending ranks gives this result.
+        let terms: [f64; 6] = [1e16, 1.0, -1e16, 1.0, 3.0, 1e-3];
+        let want = terms.iter().copied().reduce(|a, b| a + b).unwrap();
+        assert_ne!(want, terms.iter().rev().copied().reduce(|a, b| a + b).unwrap());
+        let report = run(RunConfig::local(terms.len()), move |ctx| {
+            let w = ctx.initial_world().unwrap();
+            let sum = w.allreduce_sum(ctx, terms[w.rank()]).unwrap();
+            assert_eq!(sum.to_bits(), want.to_bits());
+            let sums = w.allreduce(ctx, ReduceOp::Sum, &[terms[w.rank()], 1.0]).unwrap();
+            assert_eq!((sums[0].to_bits(), sums[1]), (want.to_bits(), terms.len() as f64));
+            assert_eq!(w.allreduce_max(ctx, w.rank()).unwrap(), terms.len() - 1);
+            assert_eq!(w.allreduce_min(ctx, -(w.rank() as i32)).unwrap(), 1 - terms.len() as i32);
+        });
+        report.assert_no_app_errors();
     }
 }

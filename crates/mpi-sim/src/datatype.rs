@@ -2,11 +2,11 @@
 //!
 //! MPI transfers raw buffers described by datatypes; we keep the same spirit
 //! with a small [`MpiData`] trait that fixes a little-endian wire encoding,
-//! so payloads are plain byte buffers inside the runtime — a uniquely
-//! owned [`bytes::BytesMut`] for point-to-point messages, a shared
-//! [`bytes::Bytes`] for collective results — and typed slices at the API
-//! boundary. Decoding reads any `&[u8]`, so both kinds (and sub-ranges of
-//! them, see [`WireSlice`]) decode through the same functions.
+//! so payloads are plain byte buffers inside the runtime — uniquely owned,
+//! pooled [`bytes::BytesMut`]s for messages and collective contributions
+//! alike — and typed slices at the API boundary. Decoding reads any
+//! `&[u8]`, so whole buffers and sub-ranges of them (see [`WireSlice`])
+//! decode through the same functions.
 
 use std::marker::PhantomData;
 

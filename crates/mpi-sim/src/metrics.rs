@@ -116,12 +116,20 @@ impl TraceRing {
         self.dropped
     }
 
-    /// The retained events, oldest first.
+    /// A copy of the retained events, oldest first — for a peek mid-run;
+    /// the end of a run takes them with [`into_events`](Self::into_events).
     pub fn events(&self) -> Vec<TraceEvent> {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
         out
+    }
+
+    /// The retained events, oldest first: the ring's own storage, rotated
+    /// in place and handed over.
+    pub fn into_events(mut self) -> Vec<TraceEvent> {
+        self.buf.rotate_left(self.head);
+        self.buf
     }
 }
 
@@ -399,6 +407,20 @@ mod tests {
         assert_eq!(r.dropped(), 6);
         let ts: Vec<f64> = r.events().iter().map(|e| e.t_start).collect();
         assert_eq!(ts, vec![6.0, 7.0, 8.0, 9.0], "retained events are the newest, oldest first");
+    }
+
+    #[test]
+    fn into_events_hands_over_the_rings_own_storage_in_the_same_order() {
+        for pushes in [0, 3, 4, 10, 11] {
+            let mut r = TraceRing::new(4);
+            for i in 0..pushes {
+                r.push(ev(i as f64));
+            }
+            let (copy, storage) = (r.events(), r.buf.as_ptr());
+            let taken = r.into_events();
+            assert_eq!(taken, copy, "{pushes} pushes");
+            assert_eq!(taken.as_ptr(), storage, "rotated in place, not copied");
+        }
     }
 
     #[test]

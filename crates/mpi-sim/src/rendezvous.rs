@@ -22,24 +22,34 @@
 //! an application-level collective-ordering bug (which would deadlock
 //! real MPI) into [`Error::CollectiveMismatch`].
 //!
+//! **Ownership** (DESIGN.md §2 has the long form). An operation's state
+//! is one vector of [`Slot`]s indexed by participant, sized when its
+//! first member arrives and recycled through the table's free list when
+//! the entry is collected. A [`Deposit`] is *moved* into its owner's slot
+//! and is the table's from then on — a member killed after depositing
+//! leaves it behind for the survivors. The finishing participant moves
+//! the deposits out again, folding in **ascending participant order**,
+//! and writes each participant's [`Share`] into that participant's slot;
+//! consuming is taking one's own share, by value. What nobody took is
+//! dropped when the entry is collected.
+//!
 //! Failure scans are cached per op against the global
 //! [`crate::proc::failure_epoch`]: while no new process fails, arrival
-//! accounting is O(contributions) instead of O(participants) per wake,
+//! accounting is O(known failures) instead of O(participants) per wake,
 //! which is what keeps 100k-rank collectives from going quadratic.
 //!
 //! The outcome also carries the operation's **virtual end time**
 //! `max(contributed clocks) + cost`, which is how collectives synchronize
 //! the participants' virtual clocks.
 
-use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::BytesMut;
 use parking_lot::Mutex;
 
+use crate::comm::{CommShared, InterShared, Pooled};
 use crate::error::{Error, Result};
 use crate::proc::{failure_epoch, KillSignal, ProcState};
 
@@ -70,31 +80,87 @@ pub(crate) struct OpKey {
     pub kind: OpKind,
 }
 
-/// What a participant brings to the operation.
-#[derive(Debug, Clone)]
-pub(crate) enum OpData {
-    /// Nothing (barrier).
+/// What a participant brings to the operation. Small fixed-size
+/// contributions travel inline; bulk ones are pooled wire buffers.
+#[derive(Debug, Default)]
+pub(crate) enum Deposit {
+    /// Nothing (barrier, the non-roots of a bcast or scatter).
+    #[default]
     None,
     /// Agreement flag.
     Flag(bool),
+    /// One scalar, as zero-padded little-endian wire bytes (allreduce).
+    Word([u8; 8]),
     /// One payload (bcast root, gather/reduce contributions).
-    Bytes(Bytes),
+    Bytes(BytesMut),
     /// Per-destination payloads (scatter root, alltoall).
-    Parts(Vec<Bytes>),
+    Parts(Vec<BytesMut>),
     /// Split colour (None = `MPI_UNDEFINED`) and ordering key.
     SplitKey { color: Option<i64>, key: i64 },
-    /// Merge side and `high` flag.
+    /// Merge `high` flag (the side follows from the participant index).
     MergeSide { high: bool },
 }
 
-/// A participant's deposit: its virtual clock and its data.
-#[derive(Debug, Clone)]
-pub(crate) struct Contribution {
-    pub clock: f64,
-    pub data: OpData,
+/// One participant's share of a finished operation's outcome.
+#[derive(Default)]
+pub(crate) enum Share {
+    /// Nothing (barrier, the non-roots of a gather or reduce, the
+    /// `MPI_UNDEFINED` colour of a split).
+    #[default]
+    Unit,
+    /// The agreed flag.
+    Flag(bool),
+    /// The reduced scalar, in [`Deposit::Word`]'s form.
+    Word([u8; 8]),
+    /// A payload for this participant alone (its scatter part, the
+    /// reduction at the root); the consumer recycles the buffer.
+    Bytes(BytesMut),
+    /// Per-rank payloads for this participant alone (the gather root's
+    /// view, an alltoall column).
+    Parts(Pooled),
+    /// Payloads every participant reads (bcast, allgather, allreduce).
+    Shared(Arc<Pooled>),
+    /// A new intracommunicator and this participant's rank in it.
+    Comm(Arc<CommShared>, usize),
+    /// A new intercommunicator (spawn, parent side).
+    Inter(Arc<InterShared>),
 }
 
-/// Published outcome of an operation.
+/// A participant's place in an operation: its deposit on the way in, its
+/// share of the outcome on the way out.
+#[derive(Default)]
+pub(crate) struct Slot {
+    arrived: bool,
+    /// Set once this participant has taken its share. The entry is only
+    /// collected once every *live* participant has: a dead one's past
+    /// consumption must never stand in for a live one still on its way
+    /// (a rank that consumed and then died would otherwise let the entry
+    /// vanish before a slow rank arrives, re-creates it, and observes a
+    /// spurious failure).
+    consumed: bool,
+    /// The participant's virtual clock when it deposited.
+    pub clock: f64,
+    pub deposit: Deposit,
+    pub share: Share,
+}
+
+impl Slot {
+    /// Move a [`Deposit::Bytes`] out (`None` for anything else).
+    pub fn take_bytes(&mut self) -> Option<BytesMut> {
+        match std::mem::take(&mut self.deposit) {
+            Deposit::Bytes(buf) => Some(buf),
+            _ => None,
+        }
+    }
+}
+
+/// The slots of the participants that have deposited, in ascending
+/// participant order.
+pub(crate) fn arrived(slots: &mut [Slot]) -> impl Iterator<Item = (usize, &mut Slot)> {
+    slots.iter_mut().enumerate().filter(|(_, s)| s.arrived)
+}
+
+/// What a consumer gets back: the operation's times and its own share.
 pub(crate) struct Outcome {
     /// Virtual time at which the last participant arrived (the maximum of
     /// the contributed clocks): what an early arriver waits until.
@@ -102,81 +168,79 @@ pub(crate) struct Outcome {
     /// Virtual time at which the operation completes for everyone:
     /// `t_arrived` plus the operation's cost.
     pub t_end: f64,
-    /// The computed result (downcast by the calling collective), or the
-    /// uniform error the operation finished with.
-    pub result: Result<Arc<dyn Any + Send + Sync>>,
+    /// This participant's share (matched by the calling collective), or
+    /// the uniform error the operation finished with.
+    pub result: Result<Share>,
 }
 
+/// A resolved operation: its times and, if it failed, the uniform error.
+struct Done {
+    t_arrived: f64,
+    t_end: f64,
+    err: Option<Error>,
+}
+
+#[derive(Default)]
 struct OpState {
-    contrib: BTreeMap<usize, Contribution>,
-    done: Option<Arc<Outcome>>,
-    /// Participant indices that have consumed the outcome. The entry may
-    /// only be garbage-collected once every *live* participant has
-    /// consumed — a dead participant's past consumption must never
-    /// substitute for a live one still on its way (a fast-failing rank
-    /// that consumed and then died would otherwise let the entry vanish
-    /// before a slow rank arrives, which would then re-create it and
-    /// observe a spurious failure).
-    consumed_by: std::collections::BTreeSet<usize>,
+    slots: Vec<Slot>,
+    arrived: usize,
+    consumed: usize,
+    done: Option<Done>,
     /// Participant indices observed failed, valid as of `scan_epoch`.
     /// Re-scanned only when the global failure epoch moves, so healthy
     /// ops never pay the O(participants) scan after the first one.
     failed_cache: Vec<usize>,
+    /// 0 matches the no-failures-ever epoch: the empty cache is valid.
     scan_epoch: u64,
 }
 
-impl Outcome {
-    fn at(t_arrived: f64, cost: f64, result: Result<Arc<dyn Any + Send + Sync>>) -> Arc<Self> {
-        Arc::new(Outcome { t_arrived, t_end: t_arrived + cost, result })
-    }
-}
-
 impl OpState {
-    fn new() -> Self {
-        OpState {
-            contrib: BTreeMap::new(),
-            done: None,
-            consumed_by: std::collections::BTreeSet::new(),
-            failed_cache: Vec::new(),
-            scan_epoch: 0, // matches the no-failures-ever epoch: cache is validly empty
-        }
-    }
-
     /// Bring `failed_cache` up to date with the global failure epoch.
     fn refresh_failed(&mut self, participants: &[Arc<ProcState>]) {
         let epoch = failure_epoch();
         if self.scan_epoch == epoch {
             return;
         }
-        self.failed_cache = participants
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_failed())
-            .map(|(i, _)| i)
-            .collect();
+        self.failed_cache.clear();
+        self.failed_cache
+            .extend(participants.iter().enumerate().filter(|(_, p)| p.is_failed()).map(|(i, _)| i));
         self.scan_epoch = epoch;
     }
-}
 
-/// Per-communicator operation table.
-pub(crate) struct OpTable {
-    inner: Mutex<HashMap<OpKey, OpState>>,
-}
+    /// Participants known failed that never deposited.
+    fn failed_missing(&self) -> impl Iterator<Item = usize> + '_ {
+        self.failed_cache.iter().copied().filter(|&i| !self.slots[i].arrived)
+    }
 
-impl Default for OpTable {
-    fn default() -> Self {
-        Self::new()
+    /// Publish the outcome: `cost` after the last arrival, `err` for all
+    /// or (with `None`) each participant's share from its slot.
+    fn resolve(&mut self, cost: f64, err: Option<Error>) {
+        let t_arrived =
+            self.slots.iter().filter(|s| s.arrived).fold(0.0_f64, |m, s| m.max(s.clock));
+        self.done = Some(Done { t_arrived, t_end: t_arrived + cost, err });
+    }
+
+    /// Empty the state for the free list: untaken shares and deposits are
+    /// dropped here, the two vectors keep their storage.
+    fn reset(&mut self) {
+        self.slots.clear();
+        self.failed_cache.clear();
+        (self.arrived, self.consumed, self.done, self.scan_epoch) = (0, 0, None, 0);
     }
 }
 
-/// How an operation reacts to failures and revocation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OpSemantics {
-    /// Tolerant ops (`shrink`, `agree`, post-failure `merge`) complete over
-    /// the survivors; intolerant ops fail with `ProcFailed`.
-    pub tolerant: bool,
-    /// Whether a communicator revoke aborts the op.
-    pub revocable: bool,
+/// Per-communicator operation table: the few operations in flight (a
+/// rank is in one collective at a time, so a linear search beats a hash)
+/// and the collected states awaiting reuse.
+#[derive(Default)]
+pub(crate) struct OpTable {
+    inner: Mutex<Inner>,
+}
+
+#[derive(Default)]
+struct Inner {
+    live: Vec<(OpKey, OpState)>,
+    free: Vec<OpState>,
 }
 
 /// Everything `run_op` needs to know about the calling participant.
@@ -185,12 +249,12 @@ pub(crate) struct OpCtx<'a> {
     pub my_index: usize,
     /// All participants, indexable by participant index.
     pub participants: &'a [Arc<ProcState>],
-    /// The calling process (for self-kill checks).
-    pub me: &'a Arc<ProcState>,
     /// The communicator's revoked flag.
     pub revoked: &'a AtomicBool,
-    /// Failure/revocation semantics of this op.
-    pub semantics: OpSemantics,
+    /// The recovery tools (`shrink`, `agree`) complete over the survivors
+    /// and ignore a revoke; any other op fails with `ProcFailed` when a
+    /// participant died before contributing, and a revoke aborts it.
+    pub recovery: bool,
     /// Virtual cost charged when the op *fails* (detection cost).
     pub fail_cost: f64,
     /// Stall-detector timeout (collective-ordering bugs).
@@ -198,119 +262,126 @@ pub(crate) struct OpCtx<'a> {
 }
 
 impl OpTable {
-    pub fn new() -> Self {
-        OpTable { inner: Mutex::new(HashMap::new()) }
-    }
-
-    /// Execute one collective. `finish` computes, exactly once (in whichever
-    /// thread completes the operation), the shared outcome and the
-    /// operation's virtual cost from the deposited contributions. Returns
-    /// the outcome handle; the caller is responsible for advancing its
-    /// clock to `t_end` and downcasting the result.
+    /// Execute one collective: deposit `deposit` at virtual time `clock`
+    /// and wait for the outcome. `finish` runs exactly once (in whichever
+    /// participant completes the operation) over the slots: it reads the
+    /// deposits of those that [`arrived`], writes every participant's
+    /// share, and returns the operation's virtual cost — or the error all
+    /// participants are to see. The caller is responsible for advancing
+    /// its clock to `t_end` and matching its share.
     pub fn run_op<F>(
         &self,
         key: OpKey,
         ctx: OpCtx<'_>,
-        contrib: Contribution,
+        clock: f64,
+        deposit: Deposit,
         finish: F,
-    ) -> Arc<Outcome>
+    ) -> Outcome
     where
-        F: FnOnce(&BTreeMap<usize, Contribution>) -> (Arc<dyn Any + Send + Sync>, f64),
+        F: FnOnce(&mut [Slot]) -> (Result<()>, f64),
     {
         let started = Instant::now();
+        let n = ctx.participants.len();
+        let me = ctx.my_index;
         let mut finish = Some(finish);
-        let mut deposited = false;
+        let mut deposit = Some(deposit);
         // Wake every blocked peer once the outcome is published. Waking
         // under the table lock is fine (parker and ready-queue locks are
         // leaves); only the resolving participant pays the O(p) sweep.
-        let wake_peers = |ctx: &OpCtx<'_>| {
+        let wake_peers = || {
             for (i, p) in ctx.participants.iter().enumerate() {
-                if i != ctx.my_index {
+                if i != me {
                     p.wake();
                 }
             }
         };
         let mut guard = self.inner.lock();
         loop {
-            // Re-fetch each iteration: the map may be mutated between waits.
-            let st = guard.entry(key).or_insert_with(OpState::new);
+            // Re-find each iteration: the table may change between waits.
+            let Inner { live, free } = &mut *guard;
+            let at = live.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+                let mut st = free.pop().unwrap_or_default();
+                st.slots.resize_with(n, Slot::default);
+                live.push((key, st));
+                live.len() - 1
+            });
+            let st = &mut live[at].1;
 
-            if !deposited && st.done.is_none() {
-                let prev = st.contrib.insert(ctx.my_index, contrib.clone());
-                assert!(
-                    prev.is_none(),
-                    "participant {} deposited twice into {key:?}",
-                    ctx.my_index
-                );
-                deposited = true;
-                // No wake here: arrivals alone never unblock anyone — the
-                // last arriver resolves the op in its own loop below and
-                // wakes the others then.
+            if st.done.is_none() {
+                if let Some(deposit) = deposit.take() {
+                    let slot = &mut st.slots[me];
+                    // A handle's sequence counters never mint a key twice.
+                    assert!(!slot.arrived, "participant {me} deposited twice into {key:?}");
+                    *slot = Slot { arrived: true, clock, deposit, ..Slot::default() };
+                    st.arrived += 1;
+                    // No wake here: arrivals alone never unblock anyone —
+                    // the last arriver resolves the op in its own loop
+                    // below and wakes the others then.
+                }
             }
 
             // Fail-stop takes precedence over everything, including a
             // ready outcome: a killed process must not act on the result.
-            if ctx.me.killed.load(Ordering::Acquire) {
+            // Its deposit stays behind for the survivors.
+            if ctx.participants[me].killed.load(Ordering::Acquire) {
                 drop(guard);
                 std::panic::panic_any(KillSignal);
             }
 
             if let Some(done) = &st.done {
-                let out = Arc::clone(done);
-                st.consumed_by.insert(ctx.my_index);
-                // Garbage-collect once every live participant has
-                // consumed, i.e. every non-consumer is failed. The failed
-                // set comes from the epoch cache, so a full consume cycle
-                // is O(p log p), not O(p²).
+                let result = match &done.err {
+                    Some(e) => Err(e.clone()),
+                    None => Ok(std::mem::take(&mut st.slots[me].share)),
+                };
+                let out = Outcome { t_arrived: done.t_arrived, t_end: done.t_end, result };
+                if !std::mem::replace(&mut st.slots[me].consumed, true) {
+                    st.consumed += 1;
+                }
+                // Collect once every live participant has consumed, i.e.
+                // every non-consumer is failed. The failed set comes from
+                // the epoch cache, so a full consume cycle stays O(p).
                 st.refresh_failed(ctx.participants);
-                let n = ctx.participants.len();
-                let all_live_consumed = st.consumed_by.len() == n || {
+                let all_live_consumed = st.consumed == n || {
                     let failed_not_consumed =
-                        st.failed_cache.iter().filter(|i| !st.consumed_by.contains(i)).count();
-                    st.consumed_by.len() + failed_not_consumed == n
+                        st.failed_cache.iter().filter(|&&i| !st.slots[i].consumed).count();
+                    st.consumed + failed_not_consumed == n
                 };
                 if all_live_consumed {
-                    guard.remove(&key);
+                    let (_, mut st) = live.swap_remove(at);
+                    st.reset();
+                    free.push(st);
                 }
                 return out;
             }
 
-            // Fail-stop: if we were killed while blocked, unwind now; our
-            // contribution stays behind for the survivors.
-            if ctx.me.killed.load(Ordering::Acquire) {
-                drop(guard);
-                std::panic::panic_any(KillSignal);
-            }
-
-            // Revocation aborts revocable ops for every participant.
-            if ctx.semantics.revocable && ctx.revoked.load(Ordering::Acquire) {
-                let arrived = max_clock(&st.contrib).max(contrib.clock);
-                st.done = Some(Outcome::at(arrived, ctx.fail_cost, Err(Error::Revoked)));
-                wake_peers(&ctx);
+            // Revocation aborts the op for every participant.
+            if !ctx.recovery && ctx.revoked.load(Ordering::Acquire) {
+                st.resolve(ctx.fail_cost, Some(Error::Revoked));
+                wake_peers();
                 continue;
             }
 
-            // Arrival / failure accounting, O(contributions + known
-            // failures) per wake thanks to the epoch cache.
+            // Arrival / failure accounting, O(known failures) per wake
+            // thanks to the epoch cache.
             st.refresh_failed(ctx.participants);
-            let failed_missing: Vec<usize> =
-                st.failed_cache.iter().filter(|i| !st.contrib.contains_key(i)).copied().collect();
-            let missing_live = ctx.participants.len() - st.contrib.len() - failed_missing.len();
+            let failed_missing = st.failed_missing().count();
+            let missing_live = n - st.arrived - failed_missing;
 
             if missing_live == 0 {
-                if failed_missing.is_empty() || ctx.semantics.tolerant {
-                    // Complete (over the survivors, for tolerant ops).
-                    let f = finish.take().expect("finish consumed twice");
-                    let (result, cost) = f(&st.contrib);
-                    st.done = Some(Outcome::at(max_clock(&st.contrib), cost, Ok(result)));
+                if failed_missing == 0 || ctx.recovery {
+                    // Complete (over the survivors, for the recovery tools).
+                    let (res, cost) = match finish.take() {
+                        Some(f) => f(&mut st.slots),
+                        None => {
+                            (Err(Error::Protocol(format!("{key:?} resolved twice"))), ctx.fail_cost)
+                        }
+                    };
+                    st.resolve(cost, res.err());
                 } else {
-                    st.done = Some(Outcome::at(
-                        max_clock(&st.contrib),
-                        ctx.fail_cost,
-                        Err(Error::ProcFailed { ranks: failed_missing }),
-                    ));
+                    let ranks = st.failed_missing().collect();
+                    st.resolve(ctx.fail_cost, Some(Error::ProcFailed { ranks }));
                 }
-                wake_peers(&ctx);
+                wake_peers();
                 continue;
             }
 
@@ -322,36 +393,39 @@ impl OpTable {
             // the `missing_live == 0` branch above.
 
             if started.elapsed() > ctx.stall_timeout {
-                let result = if !failed_missing.is_empty() && !ctx.semantics.tolerant {
+                let err = if failed_missing > 0 && !ctx.recovery {
                     // Live peers never arrived, likely thrown off course by
                     // the failure; report the failure, not the stall.
-                    Err(Error::ProcFailed { ranks: failed_missing })
+                    Error::ProcFailed { ranks: st.failed_missing().collect() }
                 } else {
-                    let arrived: Vec<usize> = st.contrib.keys().copied().collect();
-                    Err(Error::CollectiveMismatch {
+                    let arrived: Vec<usize> = arrived(&mut st.slots).map(|(i, _)| i).collect();
+                    Error::CollectiveMismatch {
                         detail: format!(
-                            "{key:?}: only {arrived:?} of {} participants arrived within {:?}",
-                            ctx.participants.len(),
+                            "{key:?}: only {arrived:?} of {n} participants arrived within {:?}",
                             ctx.stall_timeout
                         ),
-                    })
+                    }
                 };
-                st.done = Some(Outcome::at(max_clock(&st.contrib), ctx.fail_cost, result));
-                wake_peers(&ctx);
+                st.resolve(ctx.fail_cost, Some(err));
+                wake_peers();
                 continue;
             }
 
             // Park until a peer resolves the op, a kill lands, or the
             // idle sweep fires (which is what drives the stall detector).
             drop(guard);
-            crate::sched::block_wait(ctx.me);
+            crate::sched::block_wait(&ctx.participants[me]);
             guard = self.inner.lock();
         }
     }
 }
 
-fn max_clock(contrib: &BTreeMap<usize, Contribution>) -> f64 {
-    contrib.values().fold(0.0_f64, |m, c| m.max(c.clock))
+#[cfg(test)]
+impl OpTable {
+    /// How many participants have deposited into the live op `key`.
+    pub(crate) fn arrived_in(&self, key: OpKey) -> usize {
+        self.inner.lock().live.iter().find(|(k, _)| *k == key).map_or(0, |(_, st)| st.arrived)
+    }
 }
 
 #[cfg(test)]
@@ -364,97 +438,85 @@ mod tests {
         (0..n).map(|i| Arc::new(ProcState::new(ProcId(i as u64), 0))).collect()
     }
 
-    fn sem(tolerant: bool) -> OpSemantics {
-        OpSemantics { tolerant, revocable: true }
-    }
-
-    fn run_from_all(
-        table: Arc<OpTable>,
-        parts: Vec<Arc<ProcState>>,
-        revoked: Arc<AtomicBool>,
-        tolerant: bool,
-        clocks: Vec<f64>,
-    ) -> Vec<Arc<Outcome>> {
-        let key = OpKey { seq: 0, kind: OpKind::Barrier };
-        let mut handles = Vec::new();
-        for (i, _me) in parts.iter().cloned().enumerate() {
-            let table = Arc::clone(&table);
-            let parts = parts.clone();
-            let revoked = Arc::clone(&revoked);
-            let clock = clocks[i];
-            handles.push(std::thread::spawn(move || {
-                let ctx = OpCtx {
-                    my_index: i,
-                    participants: &parts,
-                    me: &parts[i],
-                    revoked: &revoked,
-                    semantics: sem(tolerant),
-                    fail_cost: 0.5,
-                    stall_timeout: Duration::from_secs(5),
-                };
-                table.run_op(key, ctx, Contribution { clock, data: OpData::None }, |c| {
-                    (Arc::new(c.len()) as Arc<dyn Any + Send + Sync>, 1.0)
-                })
-            }));
+    /// A finisher whose outcome, for everyone, is the bit set of the
+    /// participants that arrived; costs `cost`.
+    fn arrivals(cost: f64) -> impl FnOnce(&mut [Slot]) -> (Result<()>, f64) {
+        move |slots| {
+            let set = arrived(slots).fold(0u64, |set, (i, _)| set | 1 << i);
+            for s in slots.iter_mut() {
+                s.share = Share::Word(set.to_le_bytes());
+            }
+            (Ok(()), cost)
         }
-        me_unused(&parts);
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
-    fn me_unused(_: &[Arc<ProcState>]) {}
+    fn word(out: &Outcome) -> u64 {
+        match out.result {
+            Ok(Share::Word(w)) => u64::from_le_bytes(w),
+            Ok(_) => panic!("expected a word share"),
+            Err(ref e) => panic!("expected a word share, got {e:?}"),
+        }
+    }
+
+    /// Participant `i` of `parts` runs the op `key` to its outcome on a
+    /// thread of its own.
+    fn spawn_op(
+        table: &Arc<OpTable>,
+        parts: &[Arc<ProcState>],
+        revoked: &Arc<AtomicBool>,
+        key: OpKey,
+        i: usize,
+        (recovery, fail_cost, clock): (bool, f64, f64),
+    ) -> std::thread::JoinHandle<Outcome> {
+        let (table, parts, revoked) = (Arc::clone(table), parts.to_vec(), Arc::clone(revoked));
+        std::thread::spawn(move || {
+            let ctx = OpCtx {
+                my_index: i,
+                participants: &parts,
+                revoked: &revoked,
+                recovery,
+                fail_cost,
+                stall_timeout: Duration::from_secs(5),
+            };
+            table.run_op(key, ctx, clock, Deposit::None, arrivals(1.0))
+        })
+    }
+
+    fn unrevoked() -> Arc<AtomicBool> {
+        Arc::new(AtomicBool::new(false))
+    }
 
     #[test]
     fn all_arrive_single_result_and_clock_sync() {
-        let table = Arc::new(OpTable::new());
+        let table = Arc::new(OpTable::default());
         let parts = procs(4);
-        let outs = run_from_all(
-            table,
-            parts,
-            Arc::new(AtomicBool::new(false)),
-            false,
-            vec![1.0, 4.0, 2.0, 3.0],
-        );
-        for o in &outs {
+        let key = OpKey { seq: 0, kind: OpKind::Barrier };
+        let clocks = [1.0, 4.0, 2.0, 3.0];
+        let handles: Vec<_> = (0..4)
+            .map(|i| spawn_op(&table, &parts, &unrevoked(), key, i, (false, 0.5, clocks[i])))
+            .collect();
+        for h in handles {
+            let o = h.join().unwrap();
             assert_eq!(o.t_arrived, 4.0); // the last arrival ...
             assert!((o.t_end - 5.0).abs() < 1e-12); // ... plus cost 1.0
-            let n = o.result.as_ref().unwrap().downcast_ref::<usize>().unwrap();
-            assert_eq!(*n, 4);
+            assert_eq!(word(&o), 0b1111);
         }
     }
 
     #[test]
     fn dead_member_fails_intolerant_op() {
-        let table = Arc::new(OpTable::new());
+        let table = Arc::new(OpTable::default());
         let parts = procs(3);
         parts[2].kill(); // dies before contributing
-        let live = [parts[0].clone(), parts[1].clone()];
-        let revoked = Arc::new(AtomicBool::new(false));
         let key = OpKey { seq: 1, kind: OpKind::Barrier };
-        let mut handles = Vec::new();
-        for (i, _) in live.iter().enumerate() {
-            let table = Arc::clone(&table);
-            let parts = parts.clone();
-            let revoked = Arc::clone(&revoked);
-            handles.push(std::thread::spawn(move || {
-                let ctx = OpCtx {
-                    my_index: i,
-                    participants: &parts,
-                    me: &parts[i],
-                    revoked: &revoked,
-                    semantics: sem(false),
-                    fail_cost: 0.25,
-                    stall_timeout: Duration::from_secs(5),
-                };
-                table.run_op(key, ctx, Contribution { clock: 1.0, data: OpData::None }, |c| {
-                    (Arc::new(c.len()) as Arc<dyn Any + Send + Sync>, 1.0)
-                })
-            }));
-        }
+        let handles: Vec<_> = (0..2)
+            .map(|i| spawn_op(&table, &parts, &unrevoked(), key, i, (false, 0.25, 1.0)))
+            .collect();
         for h in handles {
             let out = h.join().unwrap();
             match &out.result {
                 Err(Error::ProcFailed { ranks }) => assert_eq!(ranks, &vec![2]),
-                other => panic!("expected ProcFailed, got {other:?}"),
+                other => panic!("expected ProcFailed, got {:?}", other.as_ref().err()),
             }
             assert!((out.t_end - 1.25).abs() < 1e-12);
         }
@@ -462,87 +524,48 @@ mod tests {
 
     #[test]
     fn dead_member_tolerated_by_tolerant_op() {
-        let table = Arc::new(OpTable::new());
+        let table = Arc::new(OpTable::default());
         let parts = procs(3);
         parts[1].kill();
-        let revoked = Arc::new(AtomicBool::new(false));
         let key = OpKey { seq: 2, kind: OpKind::Shrink };
-        let mut handles = Vec::new();
-        for i in [0usize, 2usize] {
-            let table = Arc::clone(&table);
-            let parts = parts.clone();
-            let revoked = Arc::clone(&revoked);
-            handles.push(std::thread::spawn(move || {
-                let ctx = OpCtx {
-                    my_index: i,
-                    participants: &parts,
-                    me: &parts[i],
-                    revoked: &revoked,
-                    semantics: OpSemantics { tolerant: true, revocable: false },
-                    fail_cost: 0.0,
-                    stall_timeout: Duration::from_secs(5),
-                };
-                table.run_op(key, ctx, Contribution { clock: 0.0, data: OpData::None }, |c| {
-                    (Arc::new(c.keys().copied().collect::<Vec<_>>()) as _, 0.0)
-                })
-            }));
-        }
+        let handles: Vec<_> = [0usize, 2]
+            .map(|i| spawn_op(&table, &parts, &unrevoked(), key, i, (true, 0.0, 0.0)))
+            .into_iter()
+            .collect();
         for h in handles {
-            let out = h.join().unwrap();
-            let survivors =
-                out.result.as_ref().unwrap().downcast_ref::<Vec<usize>>().unwrap().clone();
-            assert_eq!(survivors, vec![0, 2]);
+            assert_eq!(word(&h.join().unwrap()), 0b101, "the survivors, in order");
         }
     }
 
     #[test]
     fn revocation_aborts_waiting_op() {
-        let table = Arc::new(OpTable::new());
+        let table = Arc::new(OpTable::default());
         let parts = procs(2);
-        let revoked = Arc::new(AtomicBool::new(false));
+        let revoked = unrevoked();
         let key = OpKey { seq: 3, kind: OpKind::Bcast };
-        let t_table = Arc::clone(&table);
-        let t_parts = parts.clone();
-        let t_rev = Arc::clone(&revoked);
-        let h = std::thread::spawn(move || {
-            let ctx = OpCtx {
-                my_index: 0,
-                participants: &t_parts,
-                me: &t_parts[0],
-                revoked: &t_rev,
-                semantics: sem(false),
-                fail_cost: 0.0,
-                stall_timeout: Duration::from_secs(5),
-            };
-            t_table.run_op(key, ctx, Contribution { clock: 0.0, data: OpData::None }, |_| {
-                (Arc::new(()) as _, 0.0)
-            })
-        });
+        let h = spawn_op(&table, &parts, &revoked, key, 0, (false, 0.0, 0.0));
         std::thread::sleep(Duration::from_millis(20));
         revoked.store(true, Ordering::Release);
         parts[0].wake();
         let out = h.join().unwrap();
-        assert_eq!(out.result.as_ref().err(), Some(&Error::Revoked));
+        assert_eq!(out.result.err(), Some(Error::Revoked));
     }
 
     #[test]
     fn stall_detector_fires_on_missing_participant() {
-        let table = Arc::new(OpTable::new());
+        let table = OpTable::default();
         let parts = procs(2); // participant 1 never calls
-        let revoked = Arc::new(AtomicBool::new(false));
+        let revoked = AtomicBool::new(false);
         let key = OpKey { seq: 4, kind: OpKind::Gather };
         let ctx = OpCtx {
             my_index: 0,
             participants: &parts,
-            me: &parts[0],
             revoked: &revoked,
-            semantics: sem(false),
+            recovery: false,
             fail_cost: 0.0,
             stall_timeout: Duration::from_millis(50),
         };
-        let out = table.run_op(key, ctx, Contribution { clock: 0.0, data: OpData::None }, |_| {
-            (Arc::new(()) as _, 0.0)
-        });
+        let out = table.run_op(key, ctx, 0.0, Deposit::None, arrivals(0.0));
         assert!(matches!(out.result, Err(Error::CollectiveMismatch { .. })));
     }
 
@@ -550,35 +573,112 @@ mod tests {
     fn late_arrival_after_failure_consumes_same_outcome() {
         // Participant 1 arrives only after the op already failed because
         // participant 2 died; it must see the identical outcome.
-        let table = Arc::new(OpTable::new());
+        let table = Arc::new(OpTable::default());
         let parts = procs(3);
         parts[2].kill();
-        let revoked = Arc::new(AtomicBool::new(false));
+        let revoked = unrevoked();
         let key = OpKey { seq: 5, kind: OpKind::Barrier };
-
-        let run =
-            |i: usize, table: Arc<OpTable>, parts: Vec<Arc<ProcState>>, rev: Arc<AtomicBool>| {
-                std::thread::spawn(move || {
-                    let ctx = OpCtx {
-                        my_index: i,
-                        participants: &parts,
-                        me: &parts[i],
-                        revoked: &rev,
-                        semantics: sem(false),
-                        fail_cost: 0.0,
-                        stall_timeout: Duration::from_secs(5),
-                    };
-                    table.run_op(key, ctx, Contribution { clock: 0.0, data: OpData::None }, |_| {
-                        (Arc::new(()) as _, 0.0)
-                    })
-                })
-            };
-        let h0 = run(0, Arc::clone(&table), parts.clone(), Arc::clone(&revoked));
-        let o0 = h0.join().unwrap();
+        let run = |i| spawn_op(&table, &parts, &revoked, key, i, (false, 0.0, 0.0));
+        let o0 = run(0).join().unwrap();
         assert!(o0.result.is_err());
+        assert_eq!(table.inner.lock().live.len(), 1, "a live participant has yet to consume");
         // Now the late participant arrives.
-        let h1 = run(1, Arc::clone(&table), parts.clone(), Arc::clone(&revoked));
-        let o1 = h1.join().unwrap();
-        assert_eq!(o0.result.as_ref().err(), o1.result.as_ref().err());
+        let o1 = run(1).join().unwrap();
+        assert_eq!(o0.result.err(), o1.result.err());
+        // Everyone alive has consumed: the entry is collected. The dead
+        // participant, were it to reach the op after all (killed, not yet
+        // unwound), finds no entry, re-creates it, deposits — and unwinds
+        // at the fail-stop check before it can act on anything.
+        assert_eq!(table.inner.lock().live.len(), 0);
+        assert!(run(2).join().is_err_and(|unwound| unwound.is::<KillSignal>()));
+        let inner = table.inner.lock();
+        assert_eq!((inner.live.len(), inner.live[0].1.arrived), (1, 1), "its deposit stays");
+    }
+
+    #[test]
+    fn slot_vector_is_reused_across_keys_and_participant_counts() {
+        let table = Arc::new(OpTable::default());
+        let revoked = unrevoked();
+        let round = |n: usize, seq: u64, kind: OpKind| {
+            let parts = procs(n);
+            let key = OpKey { seq, kind };
+            let handles: Vec<_> = (0..n)
+                .map(|i| spawn_op(&table, &parts, &revoked, key, i, (false, 0.0, 0.0)))
+                .collect();
+            for h in handles {
+                assert_eq!(word(&h.join().unwrap()), (1 << n) - 1);
+            }
+            let inner = table.inner.lock();
+            assert_eq!((inner.live.len(), inner.free.len()), (0, 1), "collected, kept for reuse");
+            assert!(inner.free[0].slots.is_empty(), "nothing of the finished op survives");
+            (inner.free[0].slots.as_ptr() as usize, inner.free[0].slots.capacity())
+        };
+        let (first, cap) = round(6, 0, OpKind::Barrier);
+        assert!(cap >= 6);
+        // Fewer participants, another kind, another sequence number: the
+        // same storage, no matter what the key is.
+        assert_eq!(round(2, 0, OpKind::Agree), (first, cap));
+        assert_eq!(round(6, 7, OpKind::Gather), (first, cap));
+        // More participants than ever before: it grows, once.
+        let (_, grown) = round(9, 8, OpKind::Barrier);
+        assert!(grown >= 9);
+        assert_eq!(round(9, 9, OpKind::Barrier).1, grown);
+    }
+
+    #[test]
+    fn deposits_move_in_and_shares_move_out() {
+        // Every deposit is moved (not copied) into the table and moved out
+        // again as its right-hand neighbour's share — also the deposit of
+        // a participant killed while it waited.
+        let table = Arc::new(OpTable::default());
+        let parts = procs(3);
+        let revoked = unrevoked();
+        let key = OpKey { seq: 0, kind: OpKind::Gather };
+        let deposited = Arc::new(Mutex::new([0usize; 3]));
+        let go = |i: usize| {
+            let (table, parts, revoked) = (Arc::clone(&table), parts.clone(), Arc::clone(&revoked));
+            let deposited = Arc::clone(&deposited);
+            std::thread::spawn(move || {
+                let ctx = OpCtx {
+                    my_index: i,
+                    participants: &parts,
+                    revoked: &revoked,
+                    recovery: false,
+                    fail_cost: 0.0,
+                    stall_timeout: Duration::from_secs(5),
+                };
+                let mut buf = BytesMut::with_capacity(8);
+                buf.extend_from_slice(&[i as u8; 4]);
+                deposited.lock()[i] = buf.as_ptr() as usize;
+                let out = table.run_op(key, ctx, 0.0, Deposit::Bytes(buf), |slots| {
+                    for i in 0..slots.len() {
+                        if let Deposit::Bytes(b) = std::mem::take(&mut slots[(i + 1) % 3].deposit) {
+                            slots[i].share = Share::Bytes(b);
+                        }
+                    }
+                    (Ok(()), 0.0)
+                });
+                match out.result {
+                    Ok(Share::Bytes(b)) => (b.as_ptr() as usize, b.to_vec()),
+                    _ => panic!("expected a neighbour's buffer"),
+                }
+            })
+        };
+        let h2 = go(2);
+        while table.arrived_in(key) < 1 {
+            std::thread::yield_now();
+        }
+        parts[2].kill(); // after its deposit
+        assert!(h2.join().is_err_and(|unwound| unwound.is::<KillSignal>()), "killed while blocked");
+        let (h0, h1) = (go(0), go(1));
+        let (got0, got1) = (h0.join().unwrap(), h1.join().unwrap());
+        let deposited = *deposited.lock();
+        assert_eq!(got0, (deposited[1], vec![1; 4]));
+        assert_eq!(got1, (deposited[2], vec![2; 4]), "the dead member's bytes, its very buffer");
+        // Both live members consumed, so the entry was collected — and the
+        // share nobody came for (the dead member's) was dropped with it.
+        let inner = table.inner.lock();
+        assert_eq!((inner.live.len(), inner.free.len()), (0, 1));
+        assert!(inner.free[0].slots.is_empty());
     }
 }

@@ -1180,10 +1180,10 @@ where
 
     let mut app_errors = std::mem::take(&mut *uni.app_errors.lock());
     app_errors.sort();
-    let (mut trace, trace_dropped) = {
-        let ring = uni.trace.lock();
-        (ring.events(), ring.dropped())
-    };
+    // Every rank has exited: the ring is taken, not copied.
+    let ring = std::mem::replace(&mut *uni.trace.lock(), TraceRing::new(0));
+    let trace_dropped = ring.dropped();
+    let mut trace = ring.into_events();
     trace.sort_by(|a, b| {
         a.proc
             .cmp(&b.proc)

@@ -10,12 +10,11 @@
 //! function and find the intercommunicator to their parents via
 //! [`crate::Ctx::parent`].
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use crate::comm::{Comm, InterComm, InterShared};
 use crate::error::{Error, Result};
-use crate::rendezvous::{Contribution, OpCtx, OpData, OpKind, OpSemantics};
+use crate::rendezvous::{arrived, Deposit, OpKind, Share};
 use crate::runtime::Ctx;
 
 /// Where (and what) to spawn for one new process.
@@ -48,102 +47,61 @@ impl SpawnSpec {
 /// their initial world.
 pub fn comm_spawn_multiple(ctx: &Ctx, comm: &Comm, specs: &[SpawnSpec]) -> Result<InterComm> {
     ctx.fault_op(crate::faultplan::OpClass::Spawn);
-    let t0 = ctx.now();
     if specs.is_empty() {
         return Err(Error::InvalidArg("spawn of zero processes".into()));
     }
     let p = comm.size();
-    let uni = Arc::clone(ctx.universe());
-    let specs = specs.to_vec();
+    let uni = ctx.universe();
     let model = ctx.model_handle();
-    // Capture the communicator's shared handle instead of cloning the
-    // member vec in every rank (that clone made spawn O(p²) overall).
-    let parents = Arc::clone(comm_shared(comm));
-    let key = comm.next_key(OpKind::Spawn);
-    let opctx = OpCtx {
-        my_index: comm.rank(),
-        participants: comm.members(),
-        me: ctx.me(),
-        revoked: comm_revoked_flag(comm),
-        semantics: OpSemantics { tolerant: false, revocable: true },
-        fail_cost: 0.0,
-        stall_timeout: ctx.stall_timeout(),
-    };
-    let out = comm_ops(comm).run_op(
-        key,
-        opctx,
-        Contribution { clock: ctx.now(), data: OpData::None },
-        move |contrib| {
-            // Resolve placements first; an unresolvable host fails the
-            // whole spawn uniformly.
-            let mut placements = Vec::with_capacity(specs.len());
-            let mut load = uni.live_per_host();
-            let mut failure: Option<Error> = None;
-            for spec in &specs {
-                let host = match &spec.host {
-                    Some(name) => match uni.hostfile.index_of(name) {
-                        Some(h) => h,
-                        None => {
-                            failure = Some(Error::SpawnFailed(format!("unknown host '{name}'")));
-                            break;
-                        }
-                    },
+    let res = comm.collective(ctx, "spawn_multiple", OpKind::Spawn, Deposit::None, |slots| {
+        // Resolve placements first; an unresolvable host fails the
+        // whole spawn uniformly.
+        let cost = model.spawn_multiple(p, specs.len(), specs.len());
+        let mut placements = Vec::with_capacity(specs.len());
+        let mut load = uni.live_per_host();
+        for spec in specs {
+            let host = match &spec.host {
+                Some(name) => match uni.hostfile.index_of(name) {
+                    Some(h) => h,
                     None => {
-                        // Least-loaded host.
-                        let (h, _) = load
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|&(_, &c)| c)
-                            .expect("hostfile is never empty");
-                        h
+                        return (Err(Error::SpawnFailed(format!("unknown host '{name}'"))), cost)
                     }
-                };
-                load[host] += 1;
-                placements.push(host);
-            }
-            let cost = model.spawn_multiple(p, specs.len(), specs.len());
-            if let Some(err) = failure {
-                return (Arc::new(Err::<Arc<InterShared>, Error>(err)) as _, cost);
-            }
+                },
+                None => {
+                    // Least-loaded host.
+                    let (h, _) = load
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|&(_, &c)| c)
+                        .expect("hostfile is never empty");
+                    h
+                }
+            };
+            load[host] += 1;
+            placements.push(host);
+        }
 
-            // Create the children and their spawn-group world.
-            let children: Vec<_> = placements.iter().map(|&h| uni.alloc_proc(h)).collect();
-            let child_world = crate::comm::CommShared::new(children.clone());
-            let inter = InterShared::new([parents.members.clone(), children.clone()]);
-            // Children start their clocks at the spawn's completion time.
-            let t_birth = contrib.values().fold(0.0_f64, |m, c| m.max(c.clock)) + cost;
-            for (i, child) in children.into_iter().enumerate() {
-                uni.launch(
-                    child,
-                    Some((Arc::clone(&child_world), i)),
-                    Some((Arc::clone(&inter), i)),
-                    t_birth,
-                );
-            }
-            (Arc::new(Ok::<Arc<InterShared>, Error>(inter)) as _, cost)
-        },
-    );
-    ctx.sync_to(&out);
-    ctx.trace_event("spawn_multiple", comm.cid(), t0, ctx.now());
-    let res = out.result.as_ref().map_err(Clone::clone)?;
-    let inner =
-        res.downcast_ref::<std::result::Result<Arc<InterShared>, Error>>().expect("spawn result");
-    match inner {
-        Ok(shared) => Ok(InterComm::new(Arc::clone(shared), 0, comm.rank())),
-        Err(e) => Err(e.clone()),
+        // Create the children and their spawn-group world.
+        let children: Vec<_> = placements.iter().map(|&h| uni.alloc_proc(h)).collect();
+        let child_world = crate::comm::CommShared::new(children.clone());
+        let inter = InterShared::new([comm.shared.members.clone(), children.clone()]);
+        // Children start their clocks at the spawn's completion time.
+        let t_birth = arrived(slots).fold(0.0_f64, |m, (_, s)| m.max(s.clock)) + cost;
+        for (i, child) in children.into_iter().enumerate() {
+            uni.launch(
+                child,
+                Some((Arc::clone(&child_world), i)),
+                Some((Arc::clone(&inter), i)),
+                t_birth,
+            );
+        }
+        for s in slots {
+            s.share = Share::Inter(Arc::clone(&inter));
+        }
+        (Ok(()), cost)
+    });
+    match res? {
+        Share::Inter(shared) => Ok(InterComm::new(shared, 0, comm.rank())),
+        _ => Err(Error::Protocol("spawn: the outcome is of the wrong kind".into())),
     }
-}
-
-// Narrow internal accessors, kept here so `comm.rs` stays the single owner
-// of its field layout.
-fn comm_ops(comm: &Comm) -> &crate::rendezvous::OpTable {
-    &comm.shared.ops
-}
-
-fn comm_shared(comm: &Comm) -> &Arc<crate::comm::CommShared> {
-    &comm.shared
-}
-
-fn comm_revoked_flag(comm: &Comm) -> &AtomicBool {
-    &comm.shared.revoked
 }
