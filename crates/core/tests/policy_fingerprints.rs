@@ -12,9 +12,13 @@
 //! `SpareSubstitute` change the end-of-run gathers / world size (so their
 //! makespans legitimately differ), but the *numerics* — the combined
 //! solution error — must still be bit-equal on a healthy run.
+//!
+//! The d = 3 table below holds the d-dimensional stack to the same three
+//! contracts.
 
+use advect2d::ndproblem::ProblemN;
 use ftsg_core::app::keys;
-use ftsg_core::{run_app, AppConfig, ProcLayout, RecoveryPolicy, Technique};
+use ftsg_core::{run_app, AppConfig, ProcLayout, ProcLayoutN, RecoveryPolicy, Technique};
 use ulfm_sim::{run, Report, RunConfig};
 
 fn healthy_report(cfg: AppConfig) -> Report {
@@ -93,6 +97,96 @@ fn healthy_shrink_and_substitute_keep_error_bits() {
             assert_eq!(orig.len(), world);
             for (i, &o) in orig.iter().enumerate() {
                 assert_eq!(o as usize, i, "healthy {} run is the identity map", policy);
+            }
+            if policy == RecoveryPolicy::ShrinkRedistribute {
+                assert_eq!(
+                    report.get_list(keys::DROPPED_GRIDS).unwrap_or_default(),
+                    Vec::<f64>::new()
+                );
+            }
+        }
+    }
+}
+
+// ---- The same three contracts at d = 3. ----
+
+fn healthy_report_3d(cfg: AppConfig) -> Report {
+    let layout_world =
+        ProcLayoutN::new(cfg.dim, cfg.n, cfg.l, cfg.technique.layout(), cfg.scale).world_size();
+    let world = cfg.world_size(layout_world);
+    let report = run(RunConfig::local(world).with_seed(1), move |ctx| run_app(&cfg, ctx));
+    report.assert_no_app_errors();
+    report
+}
+
+/// `AppConfig::small_nd(technique, 3)`, on the elliptic problem if asked.
+fn small_3d(technique: Technique, elliptic: bool) -> AppConfig {
+    let cfg = AppConfig::small_nd(technique, 3);
+    if elliptic {
+        cfg.with_problem_nd(ProblemN::standard_elliptic(3))
+    } else {
+        cfg
+    }
+}
+
+/// (technique, elliptic, err_l1 bits, makespan bits) under
+/// `AppConfig::small_nd(technique, 3)`, seed 1, captured from the
+/// d-dimensional driver before it became an instance of the generic one.
+const PINNED_3D: &[(Technique, bool, u64, u64)] = &[
+    (Technique::CheckpointRestart, false, 0x3fb5feba2f2e25f9, 0x3f6a31eb123ac8b5),
+    (Technique::ResamplingCopying, false, 0x3fb5feba2f2e25f9, 0x3f22efcf63de7f58),
+    (Technique::AlternateCombination, false, 0x3fb5feba2f2e25f9, 0x3f20eb1265bbcf29),
+    (Technique::BuddyCheckpoint, false, 0x3fb5feba2f2e25f9, 0x3f2a9e198ea4fc7e),
+    // The elliptic problem (distributed Jacobi). Its error is the
+    // round-off residue ROADMAP item 1a describes; the bits still pin it.
+    (Technique::CheckpointRestart, true, 0x36154aa962ffbda0, 0x3f6a31eb123ac8b5),
+];
+
+#[test]
+fn healthy_3d_run_is_bitwise_stable_per_technique() {
+    let actual: Vec<(u64, u64)> = PINNED_3D
+        .iter()
+        .map(|&(t, elliptic, _, _)| {
+            let report = healthy_report_3d(small_3d(t, elliptic));
+            let err = report.get_f64(keys::ERR_L1).expect("controller reports err_l1");
+            (err.to_bits(), report.makespan.to_bits())
+        })
+        .collect();
+    for (&(t, elliptic, _, _), (e, m)) in PINNED_3D.iter().zip(&actual) {
+        println!("    ({:?}, {elliptic}, {:#018x}, {:#018x}),", t, e, m);
+    }
+    for (&(t, elliptic, err_bits, mk_bits), &(e, m)) in PINNED_3D.iter().zip(&actual) {
+        assert_eq!(e, err_bits, "{} (elliptic {elliptic}) 3D err_l1 bits drifted", t.label());
+        assert_eq!(m, mk_bits, "{} (elliptic {elliptic}) 3D makespan bits drifted", t.label());
+    }
+}
+
+#[test]
+fn healthy_3d_defer_is_bitwise_identical_to_respawn() {
+    for &(t, elliptic, err_bits, mk_bits) in PINNED_3D {
+        let cfg = small_3d(t, elliptic).with_recovery_policy(RecoveryPolicy::DeferRepair);
+        let report = healthy_report_3d(cfg);
+        let err = report.get_f64(keys::ERR_L1).expect("err_l1");
+        assert_eq!(err.to_bits(), err_bits, "{} 3D defer err bits", t.label());
+        assert_eq!(report.makespan.to_bits(), mk_bits, "{} 3D defer makespan bits", t.label());
+    }
+}
+
+#[test]
+fn healthy_3d_shrink_and_substitute_keep_error_bits() {
+    for &(t, elliptic, err_bits, _) in PINNED_3D {
+        for (policy, spares) in
+            [(RecoveryPolicy::ShrinkRedistribute, 0usize), (RecoveryPolicy::SpareSubstitute, 2)]
+        {
+            let cfg = small_3d(t, elliptic).with_recovery_policy(policy).with_spares(spares);
+            let report = healthy_report_3d(cfg);
+            let err = report.get_f64(keys::ERR_L1).expect("err_l1");
+            assert_eq!(err.to_bits(), err_bits, "{} {} 3D err bits", t.label(), policy);
+            let world = report.get_f64(keys::WORLD).unwrap() as usize;
+            let orig = report.get_list(keys::RANK_ORIG).expect("policy gathers rank_orig");
+            assert_eq!(orig.len(), world);
+            for (i, &o) in orig.iter().enumerate() {
+                assert_eq!(o as usize, i, "healthy 3D {} run is the identity map", policy);
             }
             if policy == RecoveryPolicy::ShrinkRedistribute {
                 assert_eq!(
