@@ -49,10 +49,14 @@ pub fn emulate_paper_scale(mut profile: ClusterProfile, n: u32, log2_steps: u32)
 /// Run the full application on a cluster profile and return the report.
 /// Panics if the application recorded any error (experiments must be
 /// healthy runs).
+///
+/// One scheduler worker: with more, an end-of-run kill races the victim's
+/// halo partner's last sends in real time, which moves virtual times, so
+/// two runs of the same experiment could write different tables.
 pub fn launch_on(profile: ClusterProfile, model: ModelKind, cfg: AppConfig, seed: u64) -> Report {
     let layout = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
     let world = layout.world_size();
-    let mut rc = RunConfig::cluster(profile, world).with_seed(seed);
+    let mut rc = RunConfig::cluster(profile, world).with_seed(seed).with_workers(1);
     if model == ModelKind::Ideal {
         let net = rc.profile.net;
         rc = rc.with_model(Arc::new(IdealUlfm::new(net)));

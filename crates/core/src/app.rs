@@ -1,34 +1,31 @@
-//! The end-to-end fault-tolerant application (§II): solve the 2D advection
+//! The end-to-end fault-tolerant application (§II): solve the advection
 //! equation on every sub-grid for `2^k` timesteps, suffer injected
 //! process failures, detect them, reconstruct the world communicator at
 //! its original size and rank order, recover the lost sub-grid data with
 //! the configured technique, combine, and measure the error against the
 //! analytic solution.
 //!
+//! One driver serves every dimension: [`run_app`] dispatches once, by
+//! `cfg.dim`, to the generic `run` over the 2D stack ([`D2`]) or the
+//! d-dimensional one ([`Nd`]); what differs between them is the
+//! [`Stack`] trait. Results land under the same [`keys`] either way.
+//!
 //! Every rank — original or respawned — executes [`run_app`]; respawned
 //! children are routed through the child branch of the reconstruction
 //! protocol exactly as a re-executed `main()` would be in the paper's MPI
 //! code.
 
-use advect2d::TimeGrid;
-use sparsegrid::{
-    combine_onto, l1_error_vs, robust_coefficients, CombinationTerm, Grid2, LevelPair, LevelSet,
-};
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
-use crate::ckpt_async::AsyncCheckpointer;
 use crate::config::{AppConfig, AppEvent, CombineMode, Technique};
-use crate::gather::{
-    binomial_combine, current_rank_of, gather_grid, gather_grid_into, recv_grid, send_grid,
-};
-use crate::layout::{Assignment, ProcLayout};
+use crate::gather::current_rank_of;
 use crate::policy::RecoveryPolicy;
-use crate::psolve::DistributedSolver;
 use crate::reconstruct::{
     is_casualty, reconstruct, repair_deferred, Attempt, Join, ReconstructTimings, RepairArm,
 };
-use crate::recovery;
+use crate::recovery::{self, buddy_exchange, BuddyStore, RecoveryStats};
+use crate::stack::{Env, Nd, Stack, D2};
 use crate::tags::TagSpace;
 use crate::timeline::build_timeline;
 
@@ -108,7 +105,7 @@ pub struct AppOutcome;
 /// Detection points: for Checkpoint/Restart, every checkpoint period and
 /// the end; otherwise just the end ("the 2D-advection solver is run for
 /// 2^13 timesteps at which point failure detection is tested", §III).
-pub(crate) fn detection_points(cfg: &AppConfig) -> Vec<u64> {
+fn detection_points(cfg: &AppConfig) -> Vec<u64> {
     let steps = cfg.steps();
     let mut v = Vec::new();
     if cfg.technique.has_periodic_protection() {
@@ -130,34 +127,36 @@ pub(crate) fn detection_points(cfg: &AppConfig) -> Vec<u64> {
 /// it over, nothing is copied. In synchronous mode — configured, or
 /// degraded to because the writer stage became unusable, which pins the
 /// rank to the critical-path write for the rest of the run — the root
-/// assembles into the one buffer kept here and writes from it.
-#[derive(Default)]
-struct CkptLanding {
+/// assembles into the one buffer kept here and writes from it. A stack
+/// without a writer stage ([`Stack::Writer`]) is always synchronous.
+struct CkptLanding<S: Stack> {
     /// The background writer, created by the first checkpoint of a root
     /// in async mode.
-    writer: Option<AsyncCheckpointer>,
+    writer: Option<S::Writer>,
     degraded: bool,
     /// The synchronous path's gather target, reused across rounds.
-    own: Option<Grid2>,
+    own: Option<S::Grid>,
 }
 
-impl CkptLanding {
+impl<S: Stack> CkptLanding<S> {
     /// The grid to gather the next checkpoint into, at `level`; its node
     /// values are unspecified. May block on the writer's backpressure.
-    fn buffer(&mut self, cfg: &AppConfig, store: &CheckpointStore, level: LevelPair) -> Grid2 {
-        if cfg.ckpt_async && !self.degraded {
-            let ck = self.writer.get_or_insert_with(|| AsyncCheckpointer::new(store.clone()));
-            match ck.take_buffer(level) {
+    fn buffer(&mut self, cfg: &AppConfig, store: &CheckpointStore, level: &S::Level) -> S::Grid {
+        if cfg.ckpt_async && !self.degraded && self.writer.is_none() {
+            self.writer = S::open_writer(store);
+        }
+        if let Some(ck) = self.writer.as_mut() {
+            match S::take_buffer(ck, level) {
                 Ok(grid) => return grid,
                 Err(_) => self.degrade(),
             }
         }
         match self.own.take() {
             Some(mut grid) => {
-                grid.reshape(level);
+                S::reshape(&mut grid, level);
                 grid
             }
-            None => Grid2::zeros(level),
+            None => S::zeros(level),
         }
     }
 
@@ -172,9 +171,9 @@ impl CkptLanding {
 
     /// A buffer from [`buffer`](Self::buffer) whose gather failed: back to
     /// where it came from.
-    fn release(&mut self, grid: Grid2) {
+    fn release(&mut self, grid: S::Grid) {
         match self.writer.as_mut() {
-            Some(ck) => ck.give_back(grid),
+            Some(ck) => S::give_back(ck, grid),
             None => self.own = Some(grid),
         }
     }
@@ -188,19 +187,18 @@ impl CkptLanding {
         store: &CheckpointStore,
         grid_id: usize,
         step: u64,
-        mut grid: Grid2,
+        mut grid: S::Grid,
     ) -> Result<()> {
         if let Some(ck) = self.writer.as_mut() {
-            match ck.submit(ctx, grid_id, step, grid) {
-                Ok(_) => return Ok(()),
-                Err((_, refused)) => {
+            match S::submit(ck, ctx, grid_id, step, grid) {
+                Ok(()) => return Ok(()),
+                Err(refused) => {
                     grid = refused;
                     self.degrade();
                 }
             }
         }
-        let bytes = store
-            .write(grid_id, step, &grid)
+        let bytes = S::write_checkpoint(store, grid_id, step, &grid)
             .map_err(|e| Error::InvalidArg(format!("checkpoint write: {e}")))?;
         ctx.disk_write(bytes);
         self.own = Some(grid);
@@ -215,43 +213,33 @@ impl CkptLanding {
     fn drain(&self, ctx: &Ctx) -> Result<()> {
         match &self.writer {
             Some(ck) => {
-                ck.drain(ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}")))
+                S::drain(ck, ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}")))
             }
             None => Ok(()),
         }
     }
 }
 
-/// Split the world into per-grid groups. Idle spare ranks (`my` is
+/// Split the world into per-grid groups. Idle spare ranks (`grid` is
 /// `None`, `SpareSubstitute` only) take the colour one past the last grid
 /// so they land in a group of their own and the split stays collective.
-pub(crate) fn build_group_by_color(
-    ctx: &Ctx,
-    world: &Comm,
-    grid: Option<usize>,
-    n_grids: usize,
-) -> Result<Comm> {
+fn build_group(ctx: &Ctx, world: &Comm, grid: Option<usize>, n_grids: usize) -> Result<Comm> {
     let color = grid.map_or(n_grids as i64, |g| g as i64);
     world
         .split(ctx, Some(color), world.rank() as i64)?
         .ok_or_else(|| Error::InvalidArg("every rank belongs to a grid group".into()))
 }
 
-/// [`build_group_by_color`] keyed by the 2D assignment.
-fn build_group(ctx: &Ctx, world: &Comm, my: Option<Assignment>, n_grids: usize) -> Result<Comm> {
-    build_group_by_color(ctx, world, my.map(|m| m.grid), n_grids)
-}
-
 /// What a committed data-recovery attempt leaves behind on this rank.
-pub(crate) struct Recovered {
+struct Recovered {
     /// The detection step the data came back at.
-    pub at_step: u64,
+    at_step: u64,
     /// The per-grid group communicator over the confirmed world.
-    pub group: Comm,
+    group: Comm,
     /// This rank's accountable recovery time (Fig. 9a).
-    pub t_recovery: f64,
+    t_recovery: f64,
     /// The failed-rank list the recovery used (rank 0's broadcast).
-    pub failed: Vec<usize>,
+    failed: Vec<usize>,
 }
 
 /// First collective of a data-recovery attempt: rank 0 tells everyone —
@@ -259,7 +247,7 @@ pub(crate) struct Recovered {
 /// to recover: this event's casualties so far, plus (at the final step)
 /// the earlier end-of-run casualties, so that late-spawned children derive
 /// the same lost-grid set as the survivors.
-pub(crate) fn share_recovery_metadata(
+fn share_recovery_metadata(
     ctx: &Ctx,
     world: &Comm,
     dp: Option<u64>,
@@ -296,29 +284,6 @@ pub(crate) fn share_recovery_metadata(
     Ok((meta[0], meta[1..].iter().map(|&r| r as usize).collect()))
 }
 
-/// [`reconstruct`] with `attempt` as the data recovery of its confirming
-/// rounds: returns the confirmed world and what the attempt of the round
-/// that was confirmed recovered (`None` when no round ran one — nothing
-/// failed, or the arm only shrinks and so refills nothing to recover).
-pub(crate) fn reconstruct_recovering(
-    ctx: &Ctx,
-    join: Join,
-    arm: &mut RepairArm<'_>,
-    timings: &mut ReconstructTimings,
-    mut attempt: impl FnMut(&Ctx, &Comm, &mut ReconstructTimings) -> Result<Recovered>,
-) -> Result<(Comm, Option<Recovered>)> {
-    let mut last: Option<Recovered> = None;
-    let mut run = |ctx: &Ctx, world: &Comm, tm: &mut ReconstructTimings| {
-        last = None;
-        last = Some(attempt(ctx, world, tm)?);
-        Ok(())
-    };
-    let riding: Option<Attempt<'_>> =
-        if matches!(arm, RepairArm::Shrink(_)) { None } else { Some(&mut run) };
-    let world = reconstruct(ctx, join, arm, riding, timings)?;
-    Ok((world, last))
-}
-
 /// The ULFM operations the per-event audit counts (`ulfm_sim::OP_NAMES`
 /// spellings), each reported under the key `ops_<name>`.
 pub const AUDITED_OPS: [&str; 7] =
@@ -326,16 +291,16 @@ pub const AUDITED_OPS: [&str; 7] =
 
 /// One failure event as rank 0 books it: where its window and its
 /// operation counts started, and what the repair loop timed.
-pub(crate) struct Event {
+struct Event {
     t_start: f64,
     ops_start: [u64; AUDITED_OPS.len()],
     /// This event's timings only (detection, reconstruction and the data
     /// recovery riding its confirming round).
-    pub round: ReconstructTimings,
+    round: ReconstructTimings,
 }
 
 impl Event {
-    pub fn open(ctx: &Ctx) -> Self {
+    fn open(ctx: &Ctx) -> Self {
         Event {
             t_start: ctx.now(),
             ops_start: AUDITED_OPS.map(|op| ctx.op_count(op)),
@@ -346,7 +311,7 @@ impl Event {
     /// The repaired world is confirmed: rank 0 reports the event's
     /// timeline and how many of each audited operation it made (one list
     /// entry per event), everyone folds its timings into the run's.
-    pub fn close(
+    fn close(
         self,
         ctx: &Ctx,
         cfg: &AppConfig,
@@ -367,28 +332,20 @@ impl Event {
     }
 }
 
-/// What every data-recovery attempt of a run reads but never changes.
-struct Env<'a> {
-    cfg: &'a AppConfig,
-    layout: &'a ProcLayout,
-    store: &'a CheckpointStore,
-    dt: f64,
-}
-
 /// This rank's share of what a repair can rewrite: its grid slot, the
 /// solver on it, the protection data it holds, and the casualty lists the
 /// final combination needs.
-#[derive(Default)]
-struct RankState {
+struct RankState<S: Stack> {
     /// `None` on the idle spare tail under `SpareSubstitute`.
-    my: Option<Assignment>,
-    solver: Option<DistributedSolver>,
+    my: Option<S::Assignment>,
+    /// `Some` exactly when `my` is.
+    solver: Option<S::Solver>,
     /// Checkpoint buffers and (async mode) the background writer; only a
     /// CR group root ever puts anything in it.
-    landing: CkptLanding,
+    landing: CkptLanding<S>,
     /// In-memory buddy checkpoints this rank holds for partner grids
     /// (Buddy Checkpoint only; respawned ranks start empty).
-    buddy_store: recovery::BuddyStore,
+    buddy_store: BuddyStore<S>,
     /// Grids that lost data at the *final* detection point; the Alternate
     /// Combination's final solution is the robust combination over the
     /// survivors ("all the surviving sub-grids, including those on the
@@ -401,27 +358,36 @@ struct RankState {
     t_ckpt: f64,
 }
 
-impl RankState {
+impl<S: Stack> RankState<S> {
+    fn new() -> Self {
+        RankState {
+            my: None,
+            solver: None,
+            landing: CkptLanding { writer: None, degraded: false, own: None },
+            buddy_store: BuddyStore::<S>::new(),
+            final_lost: Vec::new(),
+            end_failed: Vec::new(),
+            t_rec: 0.0,
+            t_ckpt: 0.0,
+        }
+    }
+
+    /// This rank's grid id (none on the spare tail).
+    fn grid(&self) -> Option<usize> {
+        self.my.map(S::grid_of)
+    }
+
     /// Take the grid slot of `world_rank` (none on the spare tail),
     /// rebuilding the solver if the slot changed: a respawned child takes
     /// its slot for the first time, a promote split may have moved a spare
     /// into a failed slot (or, on the spawn fallback, back out). The data
     /// recovery that follows restores the solver's state. No other repair
     /// ever moves a surviving rank, so elsewhere this changes nothing.
-    fn take_slot(&mut self, env: &Env<'_>, world_rank: usize) {
-        let new = env.layout.try_assignment(world_rank);
+    fn take_slot(&mut self, env: &Env<'_, S>, world_rank: usize) {
+        let new = S::assignment(env.layout, world_rank);
         if new != self.my {
             self.my = new;
-            self.solver = new.map(|m| {
-                DistributedSolver::new(
-                    env.cfg.problem,
-                    env.layout.system().grid(m.grid).level,
-                    env.dt,
-                    env.layout.group(m.grid),
-                    m.local,
-                )
-                .with_kernel(env.cfg.kernel)
-            });
+            self.solver = new.map(|m| S::solver(env, m));
         }
     }
 
@@ -432,7 +398,7 @@ impl RankState {
     fn attempt(
         &mut self,
         ctx: &Ctx,
-        env: &Env<'_>,
+        env: &Env<'_, S>,
         world: &Comm,
         dp: Option<u64>,
         timings: &mut ReconstructTimings,
@@ -441,7 +407,7 @@ impl RankState {
         // before any restore reads the store (counted as checkpoint time —
         // it is the write's exposed tail).
         let t_drain0 = ctx.now();
-        stage(self.landing.drain(ctx), "ckpt-drain", ctx)?;
+        stage(self.landing.drain(ctx), "ckpt-drain")?;
         self.t_ckpt += ctx.now() - t_drain0;
         self.take_slot(env, world.rank());
         let steps = env.cfg.steps();
@@ -453,29 +419,10 @@ impl RankState {
             &timings.failed_ranks,
             &self.end_failed,
         )?;
-        let n_grids = env.layout.system().grids().len();
-        let group = build_group(ctx, world, self.my, n_grids)?;
-        // Even a failed attempt spent restore time — attribute it. Idle
-        // spares hold no grid data; they skip the technique's recovery
-        // (group collectives plus point-to-point between grid owners) and
-        // just keep the world collectives around it company.
+        let group = build_group(ctx, world, self.grid(), S::n_grids(env.layout))?;
+        // Even a failed attempt spent restore time — attribute it.
         let t_res0 = ctx.now();
-        let recovered = match (self.my, self.solver.as_mut()) {
-            (Some(m), Some(sv)) => recovery::recover(
-                ctx,
-                env.cfg,
-                env.layout,
-                world,
-                &group,
-                m,
-                sv,
-                env.store,
-                &mut self.buddy_store,
-                &failed,
-                at_step,
-            ),
-            _ => Ok(recovery::RecoveryStats::default()),
-        };
+        let recovered = self.recover(ctx, env, world, &group, &failed, at_step);
         timings.t_restore += ctx.now() - t_res0;
         match recovered {
             Ok(stats) => Ok(Recovered { at_step, group, t_recovery: stats.t_recovery, failed }),
@@ -490,6 +437,26 @@ impl RankState {
         }
     }
 
+    /// The technique's recovery of the grids `failed` broke. Idle spares
+    /// hold no grid data: they skip it (group collectives plus
+    /// point-to-point between grid owners) and just keep the world
+    /// collectives around it company.
+    fn recover(
+        &mut self,
+        ctx: &Ctx,
+        env: &Env<'_, S>,
+        world: &Comm,
+        group: &Comm,
+        failed: &[usize],
+        at_step: u64,
+    ) -> Result<RecoveryStats> {
+        let (Some(m), Some(sv)) = (self.my, self.solver.as_mut()) else {
+            return Ok(RecoveryStats::default());
+        };
+        let bs = &mut self.buddy_store;
+        recovery::recover::<S>(ctx, env, world, group, S::grid_of(m), sv, bs, failed, at_step)
+    }
+
     /// Run the Fig. 3 loop with this rank's data recovery riding its
     /// confirming rounds, and book what the confirming barrier committed:
     /// returns the confirmed world and, if any round ran an attempt, the
@@ -497,23 +464,31 @@ impl RankState {
     fn reconstruct(
         &mut self,
         ctx: &Ctx,
-        env: &Env<'_>,
+        env: &Env<'_, S>,
         join: Join,
         arm: &mut RepairArm<'_>,
         dp: Option<u64>,
         timings: &mut ReconstructTimings,
     ) -> Result<(Comm, Option<(Comm, u64)>)> {
-        let (world, recovered) =
-            reconstruct_recovering(ctx, join, arm, timings, |ctx, world, tm| {
-                self.attempt(ctx, env, world, dp, tm)
-            })?;
-        Ok((world, recovered.map(|rec| self.commit(env, rec))))
+        // What the attempt of the confirmed round recovered: `None` when
+        // no round ran one (nothing failed, or the arm only shrinks and so
+        // refills nothing to recover).
+        let mut last: Option<Recovered> = None;
+        let mut run = |ctx: &Ctx, world: &Comm, tm: &mut ReconstructTimings| {
+            last = None;
+            last = Some(self.attempt(ctx, env, world, dp, tm)?);
+            Ok(())
+        };
+        let riding: Option<Attempt<'_>> =
+            if matches!(arm, RepairArm::Shrink(_)) { None } else { Some(&mut run) };
+        let world = reconstruct(ctx, join, arm, riding, timings)?;
+        Ok((world, last.map(|rec| self.commit(env, rec))))
     }
 
-    fn commit(&mut self, env: &Env<'_>, rec: Recovered) -> (Comm, u64) {
+    fn commit(&mut self, env: &Env<'_, S>, rec: Recovered) -> (Comm, u64) {
         self.t_rec += rec.t_recovery;
         if rec.at_step == env.cfg.steps() {
-            extend_lost(&mut self.final_lost, env.layout, &rec.failed);
+            union_into(&mut self.final_lost, &S::broken_grids(env.layout, &rec.failed));
             self.end_failed = rec.failed;
         }
         (rec.group, rec.at_step)
@@ -524,10 +499,8 @@ impl RankState {
 /// an app error in the run report) on unrecoverable protocol failures;
 /// deposits results under [`keys`] via the rank-0 controller.
 pub fn run_app(cfg: &AppConfig, ctx: &mut Ctx) {
-    if cfg.dim >= 3 {
-        return crate::app_nd::run_app_nd(cfg, ctx);
-    }
-    match run_app_inner(cfg, ctx) {
+    let ran = if cfg.dim >= 3 { run::<Nd>(cfg, ctx) } else { run::<D2>(cfg, ctx) };
+    match ran {
         Ok(()) => {}
         // A respawned child whose repair round was abandoned by a further
         // failure: its successor is already being spawned by the
@@ -544,7 +517,7 @@ pub fn run_app(cfg: &AppConfig, ctx: &mut Ctx) {
 
 /// Emit a live observer event from rank 0 (a no-op on other ranks and
 /// without an observer configured).
-pub(crate) fn notify(cfg: &AppConfig, world: &Comm, ev: AppEvent) {
+fn notify(cfg: &AppConfig, world: &Comm, ev: AppEvent) {
     if world.rank() == 0 {
         if let Some(obs) = &cfg.observer {
             obs.emit(ev);
@@ -554,22 +527,22 @@ pub(crate) fn notify(cfg: &AppConfig, world: &Comm, ev: AppEvent) {
 
 /// Attach a protocol-stage label to an error so an unrecoverable failure
 /// reports *where* in the application flow it happened.
-pub(crate) fn stage<T>(r: Result<T>, which: &str, _ctx: &Ctx) -> Result<T> {
+fn stage<T>(r: Result<T>, which: &str) -> Result<T> {
     r.map_err(|e| match e {
         Error::InvalidArg(msg) => Error::InvalidArg(format!("[{which}] {msg}")),
         other => Error::InvalidArg(format!("[{which}] {other}")),
     })
 }
 
-fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
-    let layout = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
+/// The driver, once for every [`Stack`].
+fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
+    let (layout, problem, dt) = S::setup(cfg)?;
     let steps = cfg.steps();
-    let tg = TimeGrid::for_system(&cfg.problem, cfg.n, steps, 0.4);
     let store = CheckpointStore::new(&cfg.ckpt_dir)
         .map_err(|e| Error::InvalidArg(format!("checkpoint dir: {e}")))?
         .with_corruption(cfg.ckpt_corruption.clone());
-    let env = Env { cfg, layout: &layout, store: &store, dt: tg.dt };
-    let mut st = RankState::default();
+    let env = Env::<S> { cfg, layout: &layout, problem: &problem, store: &store, dt };
+    let mut st = RankState::<S>::new();
 
     let mut repair_timings = ReconstructTimings::default();
     let mut t_solve_local = 0.0_f64;
@@ -578,8 +551,8 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     let pol = cfg.recovery_policy;
     // Grid-owning world prefix `W`; ranks `>= active_slots` are idle
     // spares (`SpareSubstitute` only).
-    let active_slots = layout.world_size();
-    let n_grids = layout.system().grids().len();
+    let active_slots = S::world_size(&layout);
+    let n_grids = S::n_grids(&layout);
     // Current world rank → original rank. `None` means the identity (the
     // world was never shrunk); set only by the shrink-family repairs.
     let mut members: Option<Vec<usize>> = None;
@@ -619,12 +592,10 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         world = ctx
             .initial_world()
             .ok_or_else(|| Error::InvalidArg("original process has no world".into()))?;
-        let expected = cfg.world_size(layout.world_size());
-        if world.size() != expected {
+        if world.size() != cfg.world_size(active_slots) {
             return Err(Error::InvalidArg(format!(
-                "world size {} does not match layout size {} (+ {} spares)",
+                "world size {} does not match layout size {active_slots} (+ {} spares)",
                 world.size(),
-                layout.world_size(),
                 cfg.spares
             )));
         }
@@ -633,7 +604,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         // Only original ranks arm — see the child branch.
         ctx.arm_fault_sites(&cfg.plan, world.rank());
         st.take_slot(&env, world.rank());
-        group = stage(build_group(ctx, &world, st.my, n_grids), "initial-split", ctx)?;
+        group = stage(build_group(ctx, &world, st.grid(), n_grids), "initial-split")?;
         current_step = 0;
     }
 
@@ -709,7 +680,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             let Some(sv) = st.solver.as_mut() else {
                 continue; // idle spare
             };
-            match sv.step(ctx, &group) {
+            match S::step(sv, ctx, &group) {
                 Ok(()) => {}
                 Err(e) if is_casualty(&e) => {
                     // Propagate the failure to the rest of the group:
@@ -740,7 +711,6 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         let (w, recovered) = stage(
             st.reconstruct(ctx, &env, Join::Detect(world), &mut arm, Some(dp), &mut event.round),
             "detect-reconstruct",
-            ctx,
         )?;
         world = w;
         if let Some((g, d)) = recovered {
@@ -755,14 +725,9 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // a broken grid sit out — for good under shrink, until the
             // epoch batch under defer. Healthy groups keep their old
             // group communicator (its membership is untouched).
-            for &r in &event.round.failed_ranks {
-                if !deferred.contains(&r) {
-                    deferred.push(r);
-                }
-            }
-            deferred.sort_unstable();
-            dropped = layout.broken_grids(&deferred);
-            group_broken = st.my.is_some_and(|m| dropped.contains(&m.grid));
+            union_into(&mut deferred, &event.round.failed_ranks);
+            dropped = S::broken_grids(&layout, &deferred);
+            group_broken = st.grid().is_some_and(|g| dropped.contains(&g));
             event.close(ctx, cfg, &world, &mut event_idx, dp, &mut repair_timings);
         } else if cfg.technique == Technique::CheckpointRestart && dp < steps && !group_broken {
             // Healthy checkpoint write ("failure detection is tested prior
@@ -771,21 +736,15 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // spares skip the write.
             if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
                 let t0 = ctx.now();
+                let m = S::grid_of(m);
                 // The root gathers straight into the buffer the checkpoint
                 // is written from.
-                let mut target =
-                    (group.rank() == 0).then(|| st.landing.buffer(cfg, &store, sv.level()));
-                match gather_grid_into(
-                    ctx,
-                    &group,
-                    layout.group(m.grid),
-                    sv.level(),
-                    sv,
-                    target.as_mut(),
-                ) {
+                let level = S::level(&layout, m);
+                let mut target = (group.rank() == 0).then(|| st.landing.buffer(cfg, &store, level));
+                match S::gather_into(ctx, &group, &layout, m, sv, target.as_mut()) {
                     Ok(()) => {
                         if let Some(g) = target {
-                            st.landing.land(ctx, &store, m.grid, current_step, g)?;
+                            st.landing.land(ctx, &store, m, current_step, g)?;
                         }
                     }
                     Err(e) if is_casualty(&e) => {
@@ -811,38 +770,28 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // world-wide protocol keyed by original roots, and a dropped
             // grid's root may simply be gone. `members` flips identically
             // on every survivor, so the suspension is collective.
-            if !group_broken {
-                if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
-                    let t0 = ctx.now();
-                    match recovery::buddy_exchange(
-                        ctx,
-                        &layout,
-                        &world,
-                        &group,
-                        m,
-                        sv,
-                        current_step,
-                        &mut st.buddy_store,
-                    ) {
-                        Ok(()) => {}
-                        Err(e) if is_casualty(&e) => {
-                            // Release any peer blocked on the dead/errored ranks.
-                            world.revoke(ctx);
-                            if !group.failed_ranks().is_empty() || group.is_revoked() {
-                                // Our own group lost someone: sit the next segment
-                                // out and let the detection point repair us.
-                                group.revoke(ctx);
-                                group_broken = true;
-                            }
-                            // Otherwise a *cross-group* buddy failed mid-exchange:
-                            // our grid is intact, so skip this protection round
-                            // (the buddy store keeps its previous copy) and keep
-                            // stepping.
+            if let (false, Some(m), Some(sv)) = (group_broken, st.my, st.solver.as_ref()) {
+                let t0 = ctx.now();
+                let (m, bs) = (S::grid_of(m), &mut st.buddy_store);
+                match buddy_exchange::<S>(ctx, &layout, &world, &group, m, sv, current_step, bs) {
+                    Ok(()) => {}
+                    Err(e) if is_casualty(&e) => {
+                        // Release any peer blocked on the dead/errored ranks.
+                        world.revoke(ctx);
+                        if !group.failed_ranks().is_empty() || group.is_revoked() {
+                            // Our own group lost someone: sit the next segment
+                            // out and let the detection point repair us.
+                            group.revoke(ctx);
+                            group_broken = true;
                         }
-                        Err(e) => return Err(e),
+                        // Otherwise a *cross-group* buddy failed mid-exchange:
+                        // our grid is intact, so skip this protection round
+                        // (the buddy store keeps its previous copy) and keep
+                        // stepping.
                     }
-                    st.t_ckpt += ctx.now() - t0;
+                    Err(e) => return Err(e),
                 }
+                st.t_ckpt += ctx.now() - t0;
             }
         }
 
@@ -854,22 +803,15 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         if pol == RecoveryPolicy::DeferRepair && dp == steps && !deferred.is_empty() {
             let mut event = Event::open(ctx);
             let m = members.take().unwrap_or_else(|| (0..world.size()).collect());
+            let respawn = cfg.respawn_policy;
             let refilled = stage(
-                repair_deferred(ctx, world, m, &mut deferred, cfg.respawn_policy, &mut event.round),
+                repair_deferred(ctx, world, m, &mut deferred, respawn, &mut event.round),
                 "defer-epoch-repair",
-                ctx,
             )?;
+            let (join, mut arm) = (Join::Refilled(refilled), RepairArm::Respawn(respawn));
             let (w, recovered) = stage(
-                st.reconstruct(
-                    ctx,
-                    &env,
-                    Join::Refilled(refilled),
-                    &mut RepairArm::Respawn(cfg.respawn_policy),
-                    Some(steps),
-                    &mut event.round,
-                ),
+                st.reconstruct(ctx, &env, join, &mut arm, Some(steps), &mut event.round),
                 "defer-epoch-recovery",
-                ctx,
             )?;
             world = w;
             if let Some((g, _)) = recovered {
@@ -888,7 +830,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // store is cleared. ----
     {
         let t_drain0 = ctx.now();
-        stage(st.landing.drain(ctx), "ckpt-drain-final", ctx)?;
+        stage(st.landing.drain(ctx), "ckpt-drain-final")?;
         st.t_ckpt += ctx.now() - t_drain0;
     }
     // Every write (and any fault-injected strike on it) has landed by
@@ -903,40 +845,12 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // kill, no communicator reconstruction ("non-real (simulated)",
     // §III). ----
     if !cfg.simulated_lost_grids.is_empty() {
-        let fabricated: Vec<usize> = cfg
-            .simulated_lost_grids
-            .iter()
-            .map(|&g| {
-                let info = layout.group(g);
-                // Never fabricate rank 0 as failed (controller constraint).
-                info.first + info.size - 1
-            })
-            .collect();
+        // Never fabricate rank 0 as failed (controller constraint).
+        let fabricated: Vec<usize> =
+            cfg.simulated_lost_grids.iter().map(|&g| S::last_rank_of(&layout, g)).collect();
         debug_assert!(!fabricated.contains(&0), "rank 0 cannot be a (simulated) victim");
-        // The recovery protocol is group collectives plus point-to-point
-        // between grid owners; idle spares have nothing to do.
-        if let (Some(m), Some(sv)) = (st.my, st.solver.as_mut()) {
-            let stats = recovery::recover(
-                ctx,
-                cfg,
-                &layout,
-                &world,
-                &group,
-                m,
-                sv,
-                &store,
-                &mut st.buddy_store,
-                &fabricated,
-                steps,
-            )?;
-            st.t_rec += stats.t_recovery;
-        }
-        for g in layout.broken_grids(&fabricated) {
-            if !st.final_lost.contains(&g) {
-                st.final_lost.push(g);
-            }
-        }
-        st.final_lost.sort_unstable();
+        st.t_rec += st.recover(ctx, &env, &world, &group, &fabricated, steps)?.t_recovery;
+        union_into(&mut st.final_lost, &S::broken_grids(&layout, &fabricated));
     }
 
     // ---- combination & measurement. ----
@@ -958,15 +872,9 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // coefficients over the survivors (for *every* technique — there is
     // no restored data to combine classically).
     if pol == RecoveryPolicy::ShrinkRedistribute {
-        for &g in &dropped {
-            if !st.final_lost.contains(&g) {
-                st.final_lost.push(g);
-            }
-        }
-        st.final_lost.sort_unstable();
+        union_into(&mut st.final_lost, &dropped);
     }
-    let sys = layout.system();
-    let tags = TagSpace::for_layout(&layout);
+    let tags = TagSpace::for_grids(n_grids);
     let (err, t_rec_max, t_ckpt_max, t_solve_max, t_end, rank_hosts, rank_grids, rank_orig) = loop {
         let attempt: Result<CombineOutcome> = (|| {
             let use_robust = match pol {
@@ -982,78 +890,59 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 // A level only counts as lost when *no* surviving grid
                 // holds it: under the Duplicates layout a dropped
                 // diagonal whose duplicate survives is still covered.
-                let surviving: LevelSet = sys
-                    .grids()
-                    .iter()
-                    .filter(|g| !st.final_lost.contains(&g.id))
-                    .map(|g| g.level)
-                    .collect();
-                let lost_levels: Vec<LevelPair> = st
-                    .final_lost
-                    .iter()
-                    .map(|&b| sys.grid(b).level)
-                    .filter(|lv| !surviving.contains(lv))
-                    .collect();
-                let cmap = robust_coefficients(&sys.classical_downset(), &lost_levels, &surviving);
+                let (cmap, _) = S::robust_coefficients(&layout, &st.final_lost, true);
                 // One combining grid per level, in grid-id order (the
                 // diagonal precedes its duplicate, so the duplicate only
                 // stands in when the diagonal is gone) — a duplicate pair
                 // must not be double-counted.
                 let mut ids: Vec<usize> = Vec::new();
-                let mut covered: Vec<LevelPair> = Vec::new();
-                for g in sys.grids() {
-                    if st.final_lost.contains(&g.id)
-                        || cmap.get(&g.level).copied().unwrap_or(0) == 0
-                        || covered.contains(&g.level)
+                let mut covered: Vec<S::Level> = Vec::new();
+                for g in 0..n_grids {
+                    let level = S::level(&layout, g);
+                    if st.final_lost.contains(&g)
+                        || S::coefficient(&cmap, level) == 0
+                        || covered.contains(level)
                     {
                         continue;
                     }
-                    covered.push(g.level);
-                    ids.push(g.id);
+                    covered.push(level.clone());
+                    ids.push(g);
                 }
-                let coeffs = ids.iter().map(|&i| cmap[&sys.grid(i).level] as f64).collect();
+                let coeffs = ids
+                    .iter()
+                    .map(|&i| S::coefficient(&cmap, S::level(&layout, i)) as f64)
+                    .collect();
                 (ids, coeffs)
             } else {
-                let ids = sys.combination_ids();
-                let coeffs = ids.iter().map(|&i| sys.classical_coefficient(i) as f64).collect();
+                let ids = S::combination_ids(&layout);
+                let coeffs = ids.iter().map(|&i| S::classical_coefficient(&layout, i)).collect();
                 (ids, coeffs)
             };
             // A dropped grid never combines (it is in `final_lost`), so a
             // sitting-out survivor is excluded via `combine_ids` already;
             // `group_broken` and the spare guard make the exclusion
             // explicit.
-            let combining = !group_broken && st.my.is_some_and(|m| combine_ids.contains(&m.grid));
-            let mut my_full: Option<Grid2> = None;
-            if combining {
-                let m = st.my.expect("combining rank owns a grid");
-                let sv = st.solver.as_ref().expect("combining rank runs a solver");
-                my_full = gather_grid(ctx, &group, layout.group(m.grid), sv.level(), sv)?;
-            }
-            let target = sys.min_level();
-            let combined: Option<Grid2> = match cfg.combine_mode {
+            let my_grid = st.grid().filter(|g| !group_broken && combine_ids.contains(g));
+            let mut my_full: Option<S::Grid> = match (my_grid, st.solver.as_ref()) {
+                (Some(m), Some(sv)) => S::gather(ctx, &group, &layout, m, sv)?,
+                _ => None,
+            };
+            let target = S::min_level(&layout);
+            let combined: Option<S::Grid> = match cfg.combine_mode {
                 CombineMode::Central => {
                     // Reference path: every leader ships its whole grid to
                     // the controller, which left-folds the combination.
                     // (Rank 0 is always original rank 0 — the members map
                     // never drops it.)
-                    if let Some(g) = &my_full {
+                    if let (Some(g), Some(m)) = (&my_full, my_grid) {
                         if world.rank() != 0 {
-                            let gid = st.my.expect("combining rank owns a grid").grid;
-                            send_grid(ctx, &world, 0, tags.combine + gid as i32, g)?;
+                            S::send(ctx, &world, 0, tags.combine + m as i32, g)?;
                         }
                     }
                     if world.rank() == 0 {
-                        let mut sources: Vec<(f64, Grid2)> = Vec::new();
+                        let mut sources: Vec<(f64, S::Grid)> = Vec::new();
                         for (&gid, &coeff) in combine_ids.iter().zip(&combine_coeffs) {
-                            // Layout roots are original ranks; translate to
-                            // the current world (a surviving grid's root is
-                            // alive, or the grid would be in the lost set).
-                            let src = current_rank_of(layout.root_of(gid), members.as_deref())
-                                .ok_or_else(|| {
-                                    Error::InvalidArg(format!(
-                                        "combining grid {gid}'s root is not in the shrunken world"
-                                    ))
-                                })?;
+                            let src = current_root::<S>(&layout, gid, members.as_deref())?;
                             let grid = if src == world.rank() {
                                 // Each grid id is combined exactly once, so
                                 // the gathered grid can be moved, not cloned.
@@ -1061,17 +950,13 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                             } else {
                                 // Every source is alive at once for the
                                 // fold, so each is a grid of its own.
-                                recv_grid(ctx, &world, src, tags.combine + gid as i32)?
+                                S::recv(ctx, &world, src, tags.combine + gid as i32)?
                             };
                             sources.push((coeff, grid));
                         }
-                        let terms: Vec<CombinationTerm> = sources
-                            .iter()
-                            .map(|(c, g)| CombinationTerm { coeff: *c, grid: g })
-                            .collect();
-                        let combined = combine_onto(target, &terms);
-                        ctx.compute_cells((terms.len() * target.points()) as u64);
-                        Some(combined)
+                        let terms: Vec<S::Term<'_>> =
+                            sources.iter().map(|(c, g)| S::term(*c, g)).collect();
+                        Some(S::combine(ctx, &target, &terms))
                     } else {
                         None
                     }
@@ -1082,57 +967,31 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                     // own term on the target level, then partially combined
                     // grids flow down a log-depth tree (bitwise equal to
                     // `combine_binomial` of the same ordered term list).
-                    // Layout roots are original ranks; translate each to
-                    // the current (possibly shrunken) world.
                     let leaders: Vec<usize> = combine_ids
                         .iter()
-                        .map(|&gid| {
-                            current_rank_of(layout.root_of(gid), members.as_deref()).ok_or_else(
-                                || {
-                                    Error::InvalidArg(format!(
-                                        "combining grid {gid}'s leader is not in the shrunken world"
-                                    ))
-                                },
-                            )
-                        })
+                        .map(|&gid| current_root::<S>(&layout, gid, members.as_deref()))
                         .collect::<Result<_>>()?;
-                    let part = match my_full.take() {
-                        Some(g) => {
-                            let mg = st.my.expect("combining rank owns a grid").grid;
+                    let part = match (my_full.take(), my_grid) {
+                        (Some(g), Some(m)) => {
                             let k = combine_ids
                                 .iter()
-                                .position(|&gid| gid == mg)
+                                .position(|&gid| gid == m)
                                 .expect("leader's grid is a combination term");
-                            let term = CombinationTerm { coeff: combine_coeffs[k], grid: &g };
-                            let p = combine_onto(target, std::slice::from_ref(&term));
-                            ctx.compute_cells(target.points() as u64);
-                            Some(p)
+                            let term = S::term(combine_coeffs[k], &g);
+                            Some(S::combine(ctx, &target, std::slice::from_ref(&term)))
                         }
-                        None => None,
+                        _ => None,
                     };
-                    binomial_combine(
-                        ctx,
-                        &world,
-                        &leaders,
-                        0,
-                        target,
-                        part,
-                        &mut block_buf,
-                        tags.tree,
-                    )?
+                    let tree = tags.tree;
+                    S::binomial_combine(ctx, &world, &leaders, &target, part, &mut block_buf, tree)?
                 }
             };
             let mut err = f64::NAN;
             if world.rank() == 0 {
-                let combined = combined.unwrap_or_else(|| Grid2::zeros(target));
-                let t_final = tg.dt * steps as f64;
-                err = l1_error_vs(&combined, cfg.problem.exact_at(t_final));
+                let combined = combined.unwrap_or_else(|| S::zeros(&target));
+                err = S::l1_error(&problem, &combined, dt * steps as f64);
                 if let Some(prefix) = &cfg.output_prefix {
-                    let base = prefix.display();
-                    crate::output::write_csv(&combined, format!("{base}.csv"))
-                        .map_err(|e| Error::InvalidArg(format!("solution csv: {e}")))?;
-                    crate::output::write_pgm(&combined, format!("{base}.pgm"))
-                        .map_err(|e| Error::InvalidArg(format!("solution pgm: {e}")))?;
+                    S::write_solution(&combined, prefix)?;
                 }
             }
             let t_rec_max = world.allreduce_max(ctx, st.t_rec)?;
@@ -1147,7 +1006,7 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             };
             let hosts = flatten(world.gather(ctx, 0, &[ctx.my_host() as f64])?);
             // Idle spares report grid −1.
-            let grids = flatten(world.gather(ctx, 0, &[st.my.map_or(-1.0, |m| m.grid as f64)])?);
+            let grids = flatten(world.gather(ctx, 0, &[st.grid().map_or(-1.0, |g| g as f64)])?);
             // The membership map, only under the policies whose contract
             // O7 checks through it — the respawn-family policies skip the
             // extra gather so their no-failure path stays bitwise
@@ -1185,37 +1044,20 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                     &mut members,
                     true,
                 );
+                let round = &mut event.round;
                 let (w, recovered) = stage(
-                    st.reconstruct(
-                        ctx,
-                        &env,
-                        Join::Detect(world),
-                        &mut arm,
-                        Some(steps),
-                        &mut event.round,
-                    ),
+                    st.reconstruct(ctx, &env, Join::Detect(world), &mut arm, Some(steps), round),
                     "combine-reconstruct",
-                    ctx,
                 )?;
                 world = w;
                 if let Some((g, _)) = recovered {
                     group = g;
                 }
                 if shrink {
-                    for &r in &event.round.failed_ranks {
-                        if !deferred.contains(&r) {
-                            deferred.push(r);
-                        }
-                    }
-                    deferred.sort_unstable();
-                    dropped = layout.broken_grids(&deferred);
-                    for &g in &dropped {
-                        if !st.final_lost.contains(&g) {
-                            st.final_lost.push(g);
-                        }
-                    }
-                    st.final_lost.sort_unstable();
-                    group_broken = st.my.is_some_and(|m| dropped.contains(&m.grid));
+                    union_into(&mut deferred, &event.round.failed_ranks);
+                    dropped = S::broken_grids(&layout, &deferred);
+                    union_into(&mut st.final_lost, &dropped);
+                    group_broken = st.grid().is_some_and(|g| dropped.contains(&g));
                 }
                 event.close(ctx, cfg, &world, &mut event_idx, steps, &mut repair_timings);
             }
@@ -1253,17 +1095,31 @@ fn run_app_inner(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     Ok(())
 }
 
-/// Fold the grids broken by `failed` into the end-of-run lost-grid set.
-fn extend_lost(final_lost: &mut Vec<usize>, layout: &ProcLayout, failed: &[usize]) {
-    for g in layout.broken_grids(failed) {
-        if !final_lost.contains(&g) {
-            final_lost.push(g);
+/// Add `items` to the sorted set `set` (grid ids or ranks), keeping it
+/// sorted.
+fn union_into(set: &mut Vec<usize>, items: &[usize]) {
+    for &x in items {
+        if !set.contains(&x) {
+            set.push(x);
         }
     }
-    final_lost.sort_unstable();
+    set.sort_unstable();
 }
 
-pub(crate) fn merge_timings(acc: &mut ReconstructTimings, round: &ReconstructTimings) {
+/// `grid`'s root in the current world. Layout roots are original ranks
+/// and `members` maps the current world to them; a combining grid's root
+/// is alive, or the grid would be in the lost set.
+fn current_root<S: Stack>(
+    layout: &S::Layout,
+    grid: usize,
+    members: Option<&[usize]>,
+) -> Result<usize> {
+    current_rank_of(S::root_of(layout, grid), members).ok_or_else(|| {
+        Error::InvalidArg(format!("combining grid {grid}'s root is not in the shrunken world"))
+    })
+}
+
+fn merge_timings(acc: &mut ReconstructTimings, round: &ReconstructTimings) {
     acc.t_list += round.t_list;
     acc.t_detect += round.t_detect;
     acc.t_ack += round.t_ack;

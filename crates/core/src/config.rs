@@ -98,6 +98,8 @@ pub struct AppConfig {
     /// (default); `false` restores the synchronous critical-path write
     /// for A/B comparison. Either way the solver output is bitwise
     /// identical — only where the `T_IO` virtual cost lands differs.
+    /// 2D only: at `dim ≥ 3` Checkpoint/Restart always writes
+    /// synchronously (the writer stage is 2D-only).
     pub ckpt_async: bool,
     /// Fault-injection corruption strikes applied to checkpoint files as
     /// they land (chaos campaigns; empty by default).
@@ -128,6 +130,7 @@ pub struct AppConfig {
     pub spares: usize,
     /// If set, the controller writes the combined solution here as
     /// `<prefix>.csv` and `<prefix>.pgm` after the final combination.
+    /// 2D only: [`AppConfig::validate`] rejects it at `dim ≥ 3`.
     pub output_prefix: Option<PathBuf>,
     /// Combine via the binomial reduction tree over group leaders
     /// (default) or the centralized master gather kept in-tree as the
@@ -354,7 +357,7 @@ impl AppConfig {
     }
 
     /// Checkpoint synchronously on the critical path (the pre-async
-    /// reference behavior, kept for A/B comparison).
+    /// reference behavior, kept for A/B comparison; 3D runs always do).
     pub fn with_sync_checkpoints(mut self) -> Self {
         self.ckpt_async = false;
         self
@@ -397,6 +400,9 @@ impl AppConfig {
         }
         GridSystemN::try_new(self.dim, self.n, self.l, self.technique.layout())?;
         if self.dim >= 3 {
+            if self.output_prefix.is_some() {
+                return Err("a solution file (output prefix) is written by 2D runs only".into());
+            }
             if let Some(p) = &self.problem_nd {
                 if p.dim() != self.dim {
                     return Err(format!(
@@ -542,6 +548,16 @@ mod tests {
         let mut bad = ok;
         bad.problem_nd = Some(advect2d::ndproblem::ProblemN::standard_advection(4));
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_solution_file_in_three_dimensions() {
+        // The nd stack writes no CSV/PGM: asking for one used to be
+        // silently ignored; now it is a config error (the CLI exits 2).
+        let nd = AppConfig::small_nd(Technique::AlternateCombination, 3).with_output_prefix("x");
+        assert!(nd.validate().unwrap_err().contains("2D runs only"));
+        let d2 = AppConfig::small(Technique::AlternateCombination).with_output_prefix("x");
+        assert!(d2.validate().is_ok());
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //!   (approximate, robust combination coefficients over the survivors),
 //! * [`app`] — the driver that runs the full story: solve `2^k` timesteps,
 //!   suffer injected failures, detect, reconstruct, recover, combine, and
-//!   measure the error against the analytic solution.
+//!   measure the error against the analytic solution,
+//! * [`stack`] — what [`app`] and [`recovery`] are generic over: the 2D
+//!   stack ([`layout`], [`psolve`], [`gather`], the v2 checkpoint format)
+//!   and the d-dimensional one ([`layout_nd`], [`psolve_nd`],
+//!   [`gather_nd`], v3), as the two instances of one [`stack::Stack`] trait.
 
 pub mod app;
-pub mod app_nd;
 pub mod checkpoint;
 pub mod ckpt_async;
 pub mod config;
@@ -36,7 +39,7 @@ pub mod psolve;
 pub mod psolve_nd;
 pub mod reconstruct;
 pub mod recovery;
-pub mod recovery_nd;
+pub mod stack;
 pub mod tags;
 pub mod timeline;
 

@@ -1,5 +1,6 @@
 //! The data recovery techniques: the paper's three (§II-D) plus the
-//! diskless buddy-checkpointing extension.
+//! diskless buddy-checkpointing extension, written once for every
+//! [`Stack`].
 //!
 //! Data recovery always restores the **whole sub-grid** that experienced
 //! failures: "data recovery only for the failed processes on a sub-grid is
@@ -23,22 +24,21 @@
 //!   in-memory copies on a partner group's root; restore + recompute like
 //!   Checkpoint/Restart, no disk involved, initial-condition fallback if
 //!   the buddy's copies died with their holder.
+//!
+//! `my` below is always this rank's grid id.
 
-use sparsegrid::{combine_onto, robust_coefficients, CombinationTerm, Grid2, LevelPair, LevelSet};
+use sparsegrid::scheme::RcSource;
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
-use crate::config::{AppConfig, Technique};
-use crate::gather::{gather_grid, recv_grid, recv_grid_onto, scatter_grid, send_grid};
-use crate::layout::{Assignment, ProcLayout};
-use crate::psolve::DistributedSolver;
+use crate::config::Technique;
+use crate::stack::{Env, Stack};
 use crate::tags::TagSpace;
-use sparsegrid::scheme::RcSource;
 
 /// In-memory buddy checkpoints held *by this rank* for partner grids:
 /// grid id → (checkpointed step, grid data). Only group roots hold
 /// entries; a respawned root starts empty (its copies died with it).
-pub type BuddyStore = std::collections::HashMap<usize, (u64, Grid2)>;
+pub type BuddyStore<S> = std::collections::HashMap<usize, (u64, <S as Stack>::Grid)>;
 
 /// The buddy of a combining grid: the next combining grid, cyclically.
 /// Deterministic and never the grid itself (there are ≥ 3 combining
@@ -49,8 +49,8 @@ pub type BuddyStore = std::collections::HashMap<usize, (u64, Grid2)>;
 /// rank list, and a rank whose grid does not combine (e.g. a bogus
 /// simulated-loss id) must surface as a recoverable [`Error`] rather
 /// than unwind mid-recovery.
-pub fn buddy_of(layout: &ProcLayout, grid: usize) -> Result<usize> {
-    let ids = layout.system().combination_ids();
+pub fn buddy_of<S: Stack>(layout: &S::Layout, grid: usize) -> Result<usize> {
+    let ids = S::combination_ids(layout);
     let pos = ids.iter().position(|&g| g == grid).ok_or_else(|| {
         Error::InvalidArg(format!("grid {grid} is not in the combining set {ids:?}"))
     })?;
@@ -61,40 +61,40 @@ pub fn buddy_of(layout: &ProcLayout, grid: usize) -> Result<usize> {
 /// combining group gathers its grid; the root ships it to the buddy
 /// group's root, which stores it in memory. Collective over the world.
 #[allow(clippy::too_many_arguments)]
-pub fn buddy_exchange(
+pub fn buddy_exchange<S: Stack>(
     ctx: &Ctx,
-    layout: &ProcLayout,
+    layout: &S::Layout,
     world: &Comm,
     group: &Comm,
-    my: Assignment,
-    solver: &DistributedSolver,
+    my: usize,
+    solver: &S::Solver,
     at_step: u64,
-    store: &mut BuddyStore,
+    store: &mut BuddyStore<S>,
 ) -> Result<()> {
-    let ids = layout.system().combination_ids();
-    let tags = TagSpace::for_layout(layout);
+    let ids = S::combination_ids(layout);
+    let tags = TagSpace::for_grids(S::n_grids(layout));
     // Phase 1: every group gathers and its root sends to the buddy root.
-    let full = gather_grid(ctx, group, layout.group(my.grid), solver.level(), solver)?;
+    let full = S::gather(ctx, group, layout, my, solver)?;
     if let Some(grid) = &full {
-        let buddy = buddy_of(layout, my.grid)?;
-        send_grid(ctx, world, layout.root_of(buddy), tags.buddy + my.grid as i32, grid)?;
+        let buddy = buddy_of::<S>(layout, my)?;
+        S::send(ctx, world, S::root_of(layout, buddy), tags.buddy + my as i32, grid)?;
     }
     // Phase 2: buddy roots collect the copies addressed to them.
     for &g in &ids {
-        let buddy = buddy_of(layout, g)?;
-        if world.rank() == layout.root_of(buddy) {
-            let (src, tag) = (layout.root_of(g), tags.buddy + g as i32);
+        let buddy = buddy_of::<S>(layout, g)?;
+        if world.rank() == S::root_of(layout, buddy) {
+            let (src, tag) = (S::root_of(layout, g), tags.buddy + g as i32);
             match store.get_mut(&g) {
                 // Overwrite the previous round's copy in place. It is the
                 // same grid at the same level, so nothing is re-shaped and
                 // the values are only written once they arrived whole: a
                 // transfer that fails leaves the previous copy intact.
                 Some((step, grid)) => {
-                    recv_grid_onto(ctx, world, src, tag, grid)?;
+                    S::recv_onto(ctx, world, src, tag, grid)?;
                     *step = at_step;
                 }
                 None => {
-                    store.insert(g, (at_step, recv_grid(ctx, world, src, tag)?));
+                    store.insert(g, (at_step, S::recv(ctx, world, src, tag)?));
                 }
             }
         }
@@ -127,345 +127,298 @@ pub struct RecoveryStats {
 /// `ShrinkRedistribute` never calls this — its broken grids are dropped
 /// and the final combination handles them with robust coefficients.
 #[allow(clippy::too_many_arguments)]
-pub fn recover(
+pub fn recover<S: Stack>(
     ctx: &Ctx,
-    cfg: &AppConfig,
-    layout: &ProcLayout,
+    env: &Env<'_, S>,
     world: &Comm,
     group: &Comm,
-    my: Assignment,
-    solver: &mut DistributedSolver,
-    store: &CheckpointStore,
-    buddy_store: &mut BuddyStore,
+    my: usize,
+    solver: &mut S::Solver,
+    buddy_store: &mut BuddyStore<S>,
     failed_ranks: &[usize],
     at_step: u64,
 ) -> Result<RecoveryStats> {
-    let broken = layout.broken_grids(failed_ranks);
+    let broken = S::broken_grids(env.layout, failed_ranks);
     if broken.is_empty() {
         return Ok(RecoveryStats::default());
     }
     let t0 = ctx.now();
-    let stats = match cfg.technique {
-        Technique::CheckpointRestart => {
-            recover_checkpoint(ctx, layout, group, my, solver, store, &broken, at_step)
-        }
-        Technique::ResamplingCopying => {
-            recover_resample_copy(ctx, layout, world, group, my, solver, &broken, at_step)
-        }
-        Technique::AlternateCombination => {
-            recover_alt_combination(ctx, layout, world, group, my, solver, &broken, at_step)
-        }
-        Technique::BuddyCheckpoint => {
-            recover_buddy(ctx, layout, world, group, my, solver, buddy_store, &broken, at_step)
-        }
+    let r = Recovery::<S> { ctx, layout: env.layout, world, group, my, broken: &broken, at_step };
+    let stats = match env.cfg.technique {
+        Technique::CheckpointRestart => r.checkpoint(solver, env.store),
+        Technique::ResamplingCopying => r.resample_copy(solver),
+        Technique::AlternateCombination => r.alt_combination(solver),
+        Technique::BuddyCheckpoint => r.buddy(solver, buddy_store),
     }?;
     ctx.trace_phase("data_restore", t0);
     Ok(stats)
 }
 
-/// Buddy-checkpoint recovery: the broken grid's last in-memory copy lives
-/// on its buddy group's root; restore from there (or restart from the
-/// initial condition if the buddy root died too and its copies with it),
-/// then recompute to the detection point.
-#[allow(clippy::too_many_arguments)]
-fn recover_buddy(
-    ctx: &Ctx,
-    layout: &ProcLayout,
-    world: &Comm,
-    group: &Comm,
-    my: Assignment,
-    solver: &mut DistributedSolver,
-    store: &mut BuddyStore,
-    broken: &[usize],
+/// One data recovery, as this rank takes part in it.
+struct Recovery<'a, S: Stack> {
+    ctx: &'a Ctx,
+    layout: &'a S::Layout,
+    world: &'a Comm,
+    group: &'a Comm,
+    /// This rank's grid id.
+    my: usize,
+    /// The grids to restore, ascending.
+    broken: &'a [usize],
+    /// The detection point they come back at.
     at_step: u64,
-) -> Result<RecoveryStats> {
-    let t0 = ctx.now();
-    let tags = TagSpace::for_layout(layout);
-    let mut touched = false;
-    for &b in broken {
-        let buddy = buddy_of(layout, b)?;
-        // The buddy root answers with [has, step] and then maybe the grid.
-        if world.rank() == layout.root_of(buddy) {
-            touched = true;
-            match store.get(&b) {
-                Some((step, grid)) => {
-                    world.send(
-                        ctx,
-                        layout.root_of(b),
-                        tags.buddy_hdr + b as i32,
-                        &[1u64, *step],
-                    )?;
-                    send_grid(ctx, world, layout.root_of(b), tags.buddy + b as i32, grid)?;
-                }
-                None => {
-                    world.send(ctx, layout.root_of(b), tags.buddy_hdr + b as i32, &[0u64, 0u64])?;
-                }
-            }
-        }
-        if my.grid == b {
-            touched = true;
-            let payload: Option<(u64, Grid2)> = if group.rank() == 0 {
-                let hdr: Vec<u64> =
-                    world.recv(ctx, layout.root_of(buddy), tags.buddy_hdr + b as i32)?;
-                if hdr[0] == 1 {
-                    let grid = recv_grid(ctx, world, layout.root_of(buddy), tags.buddy + b as i32)?;
-                    Some((hdr[1], grid))
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            // Everyone in the group learns the restored step.
-            let step_msg: Option<Vec<u64>> = if group.rank() == 0 {
-                Some(vec![payload.as_ref().map_or(NO_CHECKPOINT, |(s, _)| *s)])
-            } else {
-                None
-            };
-            let restored = group.bcast(ctx, 0, step_msg.as_deref())?[0];
-            if restored == NO_CHECKPOINT {
-                solver.reset_to_initial();
-            } else {
-                let grid = payload.map(|(_, g)| g);
-                let block = scatter_grid(ctx, group, layout.group(b), grid.as_ref())?;
-                solver.load_block(&block, restored);
-            }
-            let behind = at_step - solver.steps_done();
-            solver.run(ctx, group, behind)?;
-            // This group's own buddy copies of *other* grids are stale but
-            // intact; its copy OF this grid lives elsewhere and stays valid.
-        }
-    }
-    let t = if touched { ctx.now() - t0 } else { 0.0 };
-    Ok(RecoveryStats { t_recovery: t, recovered_grids: broken.to_vec() })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recover_checkpoint(
-    ctx: &Ctx,
-    layout: &ProcLayout,
-    group: &Comm,
-    my: Assignment,
-    solver: &mut DistributedSolver,
-    store: &CheckpointStore,
-    broken: &[usize],
-    at_step: u64,
-) -> Result<RecoveryStats> {
-    if !broken.contains(&my.grid) {
-        return Ok(RecoveryStats { t_recovery: 0.0, recovered_grids: broken.to_vec() });
-    }
-    let t0 = ctx.now();
-    let info = layout.group(my.grid);
-    // Root reads the newest *valid* checkpoint from disk, falling back
-    // past corrupt or torn files (a restart must never consume a corrupt
-    // checkpoint; with none left it restarts from the initial condition).
-    let payload: Option<(u64, Grid2)> = if group.rank() == 0 {
-        let (restored, skipped) = store
-            .read_latest_valid(my.grid)
-            .map_err(|e| Error::InvalidArg(format!("checkpoint read: {e}")))?;
-        if skipped > 0 {
-            ctx.report_add(crate::app::keys::CKPT_SKIPPED, skipped as f64);
-        }
-        match restored {
-            Some((step, grid, bytes)) => {
-                ctx.disk_read(bytes);
-                Some((step, grid))
-            }
-            None => None,
-        }
-    } else {
-        None
-    };
-    // Everyone learns the restored step.
-    let step_msg: Option<Vec<u64>> = if group.rank() == 0 {
-        Some(vec![payload.as_ref().map_or(NO_CHECKPOINT, |(s, _)| *s)])
-    } else {
-        None
-    };
-    let restored = group.bcast(ctx, 0, step_msg.as_deref())?[0];
-    if restored == NO_CHECKPOINT {
-        // No checkpoint yet: restart from the initial condition.
-        solver.reset_to_initial();
-    } else {
-        let grid = payload.map(|(_, g)| g);
-        let block = scatter_grid(ctx, group, info, grid.as_ref())?;
-        solver.load_block(&block, restored);
-    }
-    // Recompute up to the detection point ("performs a recomputation for a
-    // number of timesteps by which the checkpoint is behind").
-    let behind = at_step - solver.steps_done();
-    solver.run(ctx, group, behind)?;
-    Ok(RecoveryStats { t_recovery: ctx.now() - t0, recovered_grids: broken.to_vec() })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recover_resample_copy(
-    ctx: &Ctx,
-    layout: &ProcLayout,
-    world: &Comm,
-    group: &Comm,
-    my: Assignment,
-    solver: &mut DistributedSolver,
-    broken: &[usize],
-    at_step: u64,
-) -> Result<RecoveryStats> {
-    let sys = layout.system();
-    let tags = TagSpace::for_layout(layout);
-    let t0 = ctx.now();
-    let mut touched = false;
-    for &b in broken {
-        let src = sys.rc_source(b).ok_or_else(|| {
-            Error::InvalidArg(format!("grid {b} has no Resampling-and-Copying source"))
-        })?;
-        let (src_id, resample) = match src {
-            RcSource::Copy(s) => (s, false),
-            RcSource::Resample(s) => (s, true),
-        };
-        if broken.contains(&src_id) {
-            return Err(Error::InvalidArg(format!(
-                "RC constraint violated: grids {b} and {src_id} failed together"
-            )));
-        }
-        let b_level = sys.grid(b).level;
-        if my.grid == src_id {
-            touched = true;
-            // Source group: gather and ship (restricted if resampling).
-            let full = gather_grid(ctx, group, layout.group(src_id), solver.level(), solver)?;
-            if let Some(full) = full {
-                let out = if resample { full.restrict_to(b_level) } else { full };
-                send_grid(ctx, world, layout.root_of(b), tags.rc + b as i32, &out)?;
-            }
-        }
-        if my.grid == b {
-            touched = true;
-            let grid: Option<Grid2> = if group.rank() == 0 {
-                Some(recv_grid(ctx, world, layout.root_of(src_id), tags.rc + b as i32)?)
-            } else {
-                None
-            };
-            let block = scatter_grid(ctx, group, layout.group(b), grid.as_ref())?;
-            solver.load_block(&block, at_step);
-        }
-    }
-    let t = if touched { ctx.now() - t0 } else { 0.0 };
-    Ok(RecoveryStats { t_recovery: t, recovered_grids: broken.to_vec() })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recover_alt_combination(
-    ctx: &Ctx,
-    layout: &ProcLayout,
-    world: &Comm,
-    group: &Comm,
-    my: Assignment,
-    solver: &mut DistributedSolver,
-    broken: &[usize],
-    at_step: u64,
-) -> Result<RecoveryStats> {
-    let sys = layout.system();
-    let tags = TagSpace::for_layout(layout);
-
-    // --- 1. New combination coefficients over the survivors (this is the
-    //        technique's accountable recovery cost). Deterministic, so
-    //        every rank computes them locally. ---
-    let t_coeff0 = ctx.now();
-    let lost_levels: Vec<LevelPair> = broken.iter().map(|&b| sys.grid(b).level).collect();
-    let surviving: LevelSet =
-        sys.grids().iter().filter(|g| !broken.contains(&g.id)).map(|g| g.level).collect();
-    let downset = sys.classical_downset();
-    let coeffs = robust_coefficients(&downset, &lost_levels, &surviving);
-    // Virtual cost of solving the small coefficient problem.
-    ctx.advance(1.0e-4 + 4.0e-6 * downset.len() as f64);
-    let t_recovery = ctx.now() - t_coeff0;
-
-    // --- 2. Gather the needed surviving grids to world rank 0. ---
-    let needed: Vec<usize> = sys
-        .grids()
-        .iter()
-        .filter(|g| !broken.contains(&g.id) && coeffs.get(&g.level).copied().unwrap_or(0) != 0)
-        .map(|g| g.id)
-        .collect();
-    if needed.is_empty() {
-        return Err(Error::InvalidArg(
-            "alternate combination: no surviving grids can cover the losses".into(),
-        ));
-    }
-    if needed.contains(&my.grid) {
-        let full = gather_grid(ctx, group, layout.group(my.grid), solver.level(), solver)?;
-        if let Some(full) = full {
-            // Root ships to the controller (self-sends are fine).
-            send_grid(ctx, world, 0, tags.ac_gather + my.grid as i32, &full)?;
-        }
-    }
-
-    // --- 3. The controller combines onto each lost level and ships the
-    //        recovered grids back. ---
-    if world.rank() == 0 {
-        let mut sources: Vec<(f64, Grid2)> = Vec::with_capacity(needed.len());
-        for &gid in &needed {
-            let g = recv_grid(ctx, world, layout.root_of(gid), tags.ac_gather + gid as i32)?;
-            let c = coeffs[&sys.grid(gid).level] as f64;
-            sources.push((c, g));
-        }
-        let terms: Vec<CombinationTerm> =
-            sources.iter().map(|(c, g)| CombinationTerm { coeff: *c, grid: g }).collect();
-        for &b in broken {
-            let lvl = sys.grid(b).level;
-            let recovered = combine_onto(lvl, &terms);
-            ctx.compute_cells((terms.len() * lvl.points()) as u64);
-            send_grid(ctx, world, layout.root_of(b), tags.ac_result + b as i32, &recovered)?;
-        }
-    }
-
-    // --- 4. Broken groups load the recovered data. ---
-    if broken.contains(&my.grid) {
-        let grid: Option<Grid2> = if group.rank() == 0 {
-            Some(recv_grid(ctx, world, 0, tags.ac_result + my.grid as i32)?)
+impl<S: Stack> Recovery<'_, S> {
+    /// The restore half of Checkpoint/Restart and Buddy Checkpoint: the
+    /// group learns the step of the copy its root holds in `payload`,
+    /// loads it (or, with none, restarts from the initial condition), and
+    /// recomputes up to the detection point ("performs a recomputation for
+    /// a number of timesteps by which the checkpoint is behind").
+    fn restore(&self, solver: &mut S::Solver, payload: Option<(u64, S::Grid)>) -> Result<()> {
+        let Recovery { ctx, layout, group, my, at_step, .. } = *self;
+        let step_msg: Option<Vec<u64>> = if group.rank() == 0 {
+            Some(vec![payload.as_ref().map_or(NO_CHECKPOINT, |(s, _)| *s)])
         } else {
             None
         };
-        let block = scatter_grid(ctx, group, layout.group(my.grid), grid.as_ref())?;
-        solver.load_block(&block, at_step);
+        let restored = group.bcast(ctx, 0, step_msg.as_deref())?[0];
+        if restored == NO_CHECKPOINT {
+            S::reset_to_initial(solver);
+        } else {
+            let grid = payload.map(|(_, g)| g);
+            let block = S::scatter(ctx, group, layout, my, grid.as_ref())?;
+            S::load_block(solver, &block, restored);
+        }
+        for _ in S::steps_done(solver)..at_step {
+            S::step(solver, ctx, group)?;
+        }
+        Ok(())
     }
 
-    Ok(RecoveryStats { t_recovery, recovered_grids: broken.to_vec() })
+    /// Buddy-checkpoint recovery: the broken grid's last in-memory copy
+    /// lives on its buddy group's root; restore from there (or restart from
+    /// the initial condition if the buddy root died too and its copies with
+    /// it), then recompute to the detection point.
+    fn buddy(&self, solver: &mut S::Solver, store: &BuddyStore<S>) -> Result<RecoveryStats> {
+        let Recovery { ctx, layout, world, group, my, broken, .. } = *self;
+        let t0 = ctx.now();
+        let tags = TagSpace::for_grids(S::n_grids(layout));
+        let mut touched = false;
+        for &b in broken {
+            let buddy = buddy_of::<S>(layout, b)?;
+            let (root_b, root_buddy) = (S::root_of(layout, b), S::root_of(layout, buddy));
+            // The buddy root answers with [has, step] and then maybe the grid.
+            if world.rank() == root_buddy {
+                touched = true;
+                match store.get(&b) {
+                    Some((step, grid)) => {
+                        world.send(ctx, root_b, tags.buddy_hdr + b as i32, &[1u64, *step])?;
+                        S::send(ctx, world, root_b, tags.buddy + b as i32, grid)?;
+                    }
+                    None => {
+                        world.send(ctx, root_b, tags.buddy_hdr + b as i32, &[0u64, 0u64])?;
+                    }
+                }
+            }
+            if my == b {
+                touched = true;
+                let payload: Option<(u64, S::Grid)> = if group.rank() == 0 {
+                    let hdr: Vec<u64> = world.recv(ctx, root_buddy, tags.buddy_hdr + b as i32)?;
+                    if hdr[0] == 1 {
+                        Some((hdr[1], S::recv(ctx, world, root_buddy, tags.buddy + b as i32)?))
+                    } else {
+                        None
+                    }
+                } else {
+                    None
+                };
+                self.restore(solver, payload)?;
+                // This group's own buddy copies of *other* grids are stale but
+                // intact; its copy OF this grid lives elsewhere and stays valid.
+            }
+        }
+        let t = if touched { ctx.now() - t0 } else { 0.0 };
+        Ok(RecoveryStats { t_recovery: t, recovered_grids: broken.to_vec() })
+    }
+
+    fn checkpoint(&self, solver: &mut S::Solver, store: &CheckpointStore) -> Result<RecoveryStats> {
+        let Recovery { ctx, group, my, broken, .. } = *self;
+        if !broken.contains(&my) {
+            return Ok(RecoveryStats { t_recovery: 0.0, recovered_grids: broken.to_vec() });
+        }
+        let t0 = ctx.now();
+        // Root reads the newest *valid* checkpoint from disk, falling back
+        // past corrupt or torn files (a restart must never consume a corrupt
+        // checkpoint; with none left it restarts from the initial condition).
+        let payload: Option<(u64, S::Grid)> = if group.rank() == 0 {
+            let (restored, skipped) = S::read_checkpoint(store, my)
+                .map_err(|e| Error::InvalidArg(format!("checkpoint read: {e}")))?;
+            if skipped > 0 {
+                ctx.report_add(crate::app::keys::CKPT_SKIPPED, skipped as f64);
+            }
+            restored.map(|(step, grid, bytes)| {
+                ctx.disk_read(bytes);
+                (step, grid)
+            })
+        } else {
+            None
+        };
+        self.restore(solver, payload)?;
+        Ok(RecoveryStats { t_recovery: ctx.now() - t0, recovered_grids: broken.to_vec() })
+    }
+
+    fn resample_copy(&self, solver: &mut S::Solver) -> Result<RecoveryStats> {
+        let Recovery { ctx, layout, world, group, my, broken, at_step } = *self;
+        let tags = TagSpace::for_grids(S::n_grids(layout));
+        let t0 = ctx.now();
+        let mut touched = false;
+        for &b in broken {
+            let src = S::rc_source(layout, b).ok_or_else(|| {
+                Error::InvalidArg(format!("grid {b} has no Resampling-and-Copying source"))
+            })?;
+            let (src_id, resample) = match src {
+                RcSource::Copy(s) => (s, false),
+                RcSource::Resample(s) => (s, true),
+            };
+            if broken.contains(&src_id) {
+                return Err(Error::InvalidArg(format!(
+                    "RC constraint violated: grids {b} and {src_id} failed together"
+                )));
+            }
+            let b_level = S::level(layout, b).clone();
+            if my == src_id {
+                touched = true;
+                // Source group: gather and ship (restricted if resampling).
+                let full = S::gather(ctx, group, layout, src_id, solver)?;
+                if let Some(full) = full {
+                    let out = if resample { S::restrict(&full, &b_level) } else { full };
+                    S::send(ctx, world, S::root_of(layout, b), tags.rc + b as i32, &out)?;
+                }
+            }
+            if my == b {
+                touched = true;
+                let grid: Option<S::Grid> = if group.rank() == 0 {
+                    Some(S::recv(ctx, world, S::root_of(layout, src_id), tags.rc + b as i32)?)
+                } else {
+                    None
+                };
+                let block = S::scatter(ctx, group, layout, b, grid.as_ref())?;
+                S::load_block(solver, &block, at_step);
+            }
+        }
+        let t = if touched { ctx.now() - t0 } else { 0.0 };
+        Ok(RecoveryStats { t_recovery: t, recovered_grids: broken.to_vec() })
+    }
+
+    fn alt_combination(&self, solver: &mut S::Solver) -> Result<RecoveryStats> {
+        let Recovery { ctx, layout, world, group, my, broken, at_step } = *self;
+        let tags = TagSpace::for_grids(S::n_grids(layout));
+
+        // --- 1. New combination coefficients over the survivors (this is the
+        //        technique's accountable recovery cost). Deterministic, so
+        //        every rank computes them locally. Every broken level is lost:
+        //        the extra-layers layout holds each level once. ---
+        let t_coeff0 = ctx.now();
+        let (coeffs, downset_len) = S::robust_coefficients(layout, broken, false);
+        // Virtual cost of solving the small coefficient problem.
+        ctx.advance(1.0e-4 + 4.0e-6 * downset_len as f64);
+        let t_recovery = ctx.now() - t_coeff0;
+        let coeff = |g: usize| S::coefficient(&coeffs, S::level(layout, g));
+
+        // --- 2. Gather the needed surviving grids to world rank 0. ---
+        let needed: Vec<usize> =
+            (0..S::n_grids(layout)).filter(|&g| !broken.contains(&g) && coeff(g) != 0).collect();
+        if needed.is_empty() {
+            return Err(Error::InvalidArg(
+                "alternate combination: no surviving grids can cover the losses".into(),
+            ));
+        }
+        if needed.contains(&my) {
+            let full = S::gather(ctx, group, layout, my, solver)?;
+            if let Some(full) = full {
+                // Root ships to the controller (self-sends are fine).
+                S::send(ctx, world, 0, tags.ac_gather + my as i32, &full)?;
+            }
+        }
+
+        // --- 3. The controller combines onto each lost level and ships the
+        //        recovered grids back. ---
+        if world.rank() == 0 {
+            let mut sources: Vec<(f64, S::Grid)> = Vec::with_capacity(needed.len());
+            for &gid in &needed {
+                let g = S::recv(ctx, world, S::root_of(layout, gid), tags.ac_gather + gid as i32)?;
+                sources.push((coeff(gid) as f64, g));
+            }
+            let terms: Vec<S::Term<'_>> = sources.iter().map(|(c, g)| S::term(*c, g)).collect();
+            for &b in broken {
+                let recovered = S::combine(ctx, S::level(layout, b), &terms);
+                S::send(ctx, world, S::root_of(layout, b), tags.ac_result + b as i32, &recovered)?;
+            }
+        }
+
+        // --- 4. Broken groups load the recovered data. ---
+        if broken.contains(&my) {
+            let grid: Option<S::Grid> = if group.rank() == 0 {
+                Some(S::recv(ctx, world, 0, tags.ac_result + my as i32)?)
+            } else {
+                None
+            };
+            let block = S::scatter(ctx, group, layout, my, grid.as_ref())?;
+            S::load_block(solver, &block, at_step);
+        }
+
+        Ok(RecoveryStats { t_recovery, recovered_grids: broken.to_vec() })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::{Nd, D2};
+    use crate::{ProcLayout, ProcLayoutN};
     use sparsegrid::Layout;
 
-    #[test]
-    fn buddy_of_cycles_within_the_combining_set() {
-        let layout = ProcLayout::new(6, 3, Layout::Plain, 1);
-        let ids = layout.system().combination_ids();
+    fn assert_buddies_cycle<S: Stack>(layout: &S::Layout) {
+        let ids = S::combination_ids(layout);
         for &g in &ids {
-            let b = buddy_of(&layout, g).unwrap();
+            let b = buddy_of::<S>(layout, g).unwrap();
             assert!(ids.contains(&b));
             assert_ne!(b, g, "a grid must never buddy itself");
         }
+    }
+
+    /// The extra-layer grids exist in the system but take no part in the
+    /// classical combination — exactly the miss the recovery path can
+    /// feed in — and an id in no layout at all.
+    fn assert_outsiders_are_errors<S: Stack>(layout: &S::Layout) {
+        let ids = S::combination_ids(layout);
+        let outsider = (0..S::n_grids(layout))
+            .find(|id| !ids.contains(id))
+            .expect("ExtraLayers layout must have non-combining grids");
+        let err = buddy_of::<S>(layout, outsider).unwrap_err();
+        assert!(err.to_string().contains("not in the combining set"), "got: {err}");
+        assert!(buddy_of::<S>(layout, 9999).is_err());
+    }
+
+    #[test]
+    fn buddy_of_cycles_within_the_combining_set() {
+        assert_buddies_cycle::<D2>(&ProcLayout::new(6, 3, Layout::Plain, 1));
     }
 
     #[test]
     fn buddy_of_non_combining_grid_is_an_error_not_a_panic() {
         // Regression: a failed rank's grid id outside the combining set
         // used to unwind mid-recovery via `.expect("combining grid")`.
-        let layout = ProcLayout::new(6, 3, Layout::ExtraLayers, 1);
-        let ids = layout.system().combination_ids();
-        // The extra-layer grids exist in the system but take no part in
-        // the classical combination — exactly the miss the recovery path
-        // can feed in.
-        let outsider = layout
-            .system()
-            .grids()
-            .iter()
-            .map(|g| g.id)
-            .find(|id| !ids.contains(id))
-            .expect("ExtraLayers layout must have non-combining grids");
-        let err = buddy_of(&layout, outsider).unwrap_err();
-        assert!(err.to_string().contains("not in the combining set"), "got: {err}");
-        // And an id that is in no layout at all.
-        assert!(buddy_of(&layout, 9999).is_err());
+        assert_outsiders_are_errors::<D2>(&ProcLayout::new(6, 3, Layout::ExtraLayers, 1));
+    }
+
+    #[test]
+    fn buddy_of_n_cycles_within_the_combining_set() {
+        assert_buddies_cycle::<Nd>(&ProcLayoutN::new(3, 4, 4, Layout::Plain, 1));
+    }
+
+    #[test]
+    fn buddy_of_n_non_combining_grid_is_an_error_not_a_panic() {
+        assert_outsiders_are_errors::<Nd>(&ProcLayoutN::new(3, 4, 4, Layout::ExtraLayers, 1));
     }
 }

@@ -1,0 +1,658 @@
+//! The two instances of the application: the tuned 2D stack ([`D2`]) and
+//! the d-dimensional one ([`Nd`]).
+//!
+//! The paper's program — detection, the Fig. 3 repair, data recovery and
+//! combination — does not depend on the dimension, and neither does the
+//! combination theory behind it (arXiv:1404.2670). So [`crate::app`] and
+//! [`crate::recovery`] are written once, generic over [`Stack`]; the two
+//! unit types below delegate to the twin modules (`layout`/`layout_nd`,
+//! `psolve`/`psolve_nd`, `gather`/`gather_nd`, the v2/v3 checkpoint
+//! codecs). Generic code is monomorphised: each instance runs its own
+//! stack's operations, messages and clock charges with no dispatch
+//! between them, which is what keeps the d = 2 and d = 3 fingerprints
+//! (`policy_fingerprints`) and the benchmark's virtual times exact.
+
+use std::convert::Infallible;
+use std::io;
+use std::path::Path;
+
+use advect2d::ndproblem::{ProblemN, TimeGridN};
+use advect2d::{AdvectionProblem, TimeGrid};
+use sparsegrid::scheme::RcSource;
+use sparsegrid::{
+    combine_onto, combine_onto_nd, l1_error_vs, robust_coefficients, robust_coefficients_nd,
+    CombinationTerm, CombinationTermN, Grid2, GridN, LevelPair, LevelSet, LevelSetN, LevelVecN,
+    RcSourceN,
+};
+use ulfm_sim::{Comm, Ctx, Error, Result};
+
+use crate::checkpoint::{CheckpointStore, Restored, RestoredN};
+use crate::ckpt_async::AsyncCheckpointer;
+use crate::config::AppConfig;
+use crate::gather;
+use crate::gather_nd;
+use crate::layout::{Assignment, ProcLayout};
+use crate::layout_nd::{AssignmentN, ProcLayoutN};
+use crate::psolve::DistributedSolver;
+use crate::psolve_nd::DistributedSolverN;
+
+/// What a run builds before epoch 0 and every repair reads unchanged.
+pub struct Env<'a, S: Stack> {
+    /// The configuration.
+    pub cfg: &'a AppConfig,
+    /// The world → sub-grid map.
+    pub layout: &'a S::Layout,
+    /// The PDE.
+    pub problem: &'a S::Problem,
+    /// Where CR checkpoints land.
+    pub store: &'a CheckpointStore,
+    /// The timestep of every solver.
+    pub dt: f64,
+}
+
+/// What the driver and the data recovery need from one dimension's
+/// layout, solver, grids, transport, checkpoints and coefficients.
+///
+/// Three facts differ between the stacks and live here, not in options:
+/// the nd stack lands checkpoints synchronously ([`Stack::Writer`]), only
+/// the 2D stack writes a solution file ([`Stack::write_solution`]), and
+/// each stack builds its own problem, time grid and layout
+/// ([`Stack::setup`]), robust coefficients ([`Stack::robust_coefficients`])
+/// and error evaluation ([`Stack::l1_error`]).
+pub trait Stack: Sized + 'static {
+    /// The PDE the solvers step.
+    type Problem;
+    /// A sub-grid's level.
+    type Level: Clone + PartialEq;
+    /// Combination coefficients by level.
+    type Coeffs;
+    /// One whole sub-grid.
+    type Grid;
+    /// One combination term: a coefficient and a borrowed grid.
+    type Term<'a>;
+    /// The world → sub-grid map. `D2` decomposes each group into a 2D
+    /// process grid (4 + 4 halo messages per step); `Nd` into slabs along
+    /// the last axis (2 + 2, whatever the dimension).
+    type Layout;
+    /// One rank's place in the layout.
+    type Assignment: Copy + PartialEq;
+    /// The distributed solver on one rank's block of a sub-grid.
+    type Solver;
+    /// The background stage a CR group root hands its checkpoints to, if
+    /// any. `D2`: [`AsyncCheckpointer`]. `Nd`: none ([`Infallible`]) — the
+    /// nd stack lands checkpoints **synchronously** whatever `ckpt_async`
+    /// says, because the writer stage is 2D-only; honouring it at d ≥ 3
+    /// would move 3D virtual times.
+    type Writer;
+
+    /// The layout, the problem and the timestep of `cfg`. This runs on
+    /// every rank before epoch 0. `Nd` validates `cfg` first, turning
+    /// triples the simplex enumeration would panic on into config errors;
+    /// `D2` does not (validation builds a `GridSystemN`: allocator work on
+    /// every rank of a thousand-rank run).
+    fn setup(cfg: &AppConfig) -> Result<(Self::Layout, Self::Problem, f64)>;
+    /// A solver for the slot `a`, at the initial condition.
+    fn solver(env: &Env<'_, Self>, a: Self::Assignment) -> Self::Solver;
+
+    /// Active slots (the world size without spares).
+    fn world_size(layout: &Self::Layout) -> usize;
+    /// Number of sub-grids; ids are `0..n_grids`.
+    fn n_grids(layout: &Self::Layout) -> usize;
+    /// The slot of `world_rank`, `None` on the spare tail.
+    fn assignment(layout: &Self::Layout, world_rank: usize) -> Option<Self::Assignment>;
+    /// The grid id of a slot.
+    fn grid_of(a: Self::Assignment) -> usize;
+    /// World rank of `grid`'s group root.
+    fn root_of(layout: &Self::Layout, grid: usize) -> usize;
+    /// The highest world rank of `grid`'s group.
+    fn last_rank_of(layout: &Self::Layout, grid: usize) -> usize;
+    /// The grids that lost a member to `failed`, ascending.
+    fn broken_grids(layout: &Self::Layout, failed: &[usize]) -> Vec<usize>;
+    /// The grids with a nonzero classical coefficient, ascending.
+    fn combination_ids(layout: &Self::Layout) -> Vec<usize>;
+    /// The classical combination coefficient of `grid`.
+    fn classical_coefficient(layout: &Self::Layout, grid: usize) -> f64;
+    /// Where Resampling and Copying restores `grid` from.
+    fn rc_source(layout: &Self::Layout, grid: usize) -> Option<RcSource>;
+    /// The level of `grid`.
+    fn level(layout: &Self::Layout, grid: usize) -> &Self::Level;
+    /// The coarsest level, where the combined solution is evaluated.
+    fn min_level(layout: &Self::Layout) -> Self::Level;
+
+    /// Robust coefficients over the classical downset once the grids
+    /// `lost` are gone, using only the levels of the others; also the
+    /// size of that downset. With `covered`, the level of a lost grid that
+    /// a surviving grid (a duplicate) also holds is not lost.
+    fn robust_coefficients(
+        layout: &Self::Layout,
+        lost: &[usize],
+        covered: bool,
+    ) -> (Self::Coeffs, usize);
+    /// The coefficient of `level` (0 if absent).
+    fn coefficient(coeffs: &Self::Coeffs, level: &Self::Level) -> i64;
+
+    /// One timestep of the group's solve, halo exchange included.
+    fn step(sv: &mut Self::Solver, ctx: &Ctx, group: &Comm) -> Result<()>;
+    /// Steps taken so far.
+    fn steps_done(sv: &Self::Solver) -> u64;
+    /// Back to the initial condition at step 0.
+    fn reset_to_initial(sv: &mut Self::Solver);
+    /// Overwrite the owned block and set the step counter.
+    fn load_block(sv: &mut Self::Solver, block: &[f64], steps_done: u64);
+
+    /// A zero grid at `level`.
+    fn zeros(level: &Self::Level) -> Self::Grid;
+    /// Re-shape `grid` to `level`, keeping its allocation.
+    fn reshape(grid: &mut Self::Grid, level: &Self::Level);
+    /// Exact injection of `grid` onto the coarser `level`.
+    fn restrict(grid: &Self::Grid, level: &Self::Level) -> Self::Grid;
+    /// A combination term.
+    fn term(coeff: f64, grid: &Self::Grid) -> Self::Term<'_>;
+    /// The left-fold combination of `terms` on `target`, its compute
+    /// (one cell update per term and node) charged to `ctx`.
+    fn combine(ctx: &Ctx, target: &Self::Level, terms: &[Self::Term<'_>]) -> Self::Grid;
+    /// Average l1 error of `grid` against the exact solution at `t`.
+    fn l1_error(problem: &Self::Problem, grid: &Self::Grid, t: f64) -> f64;
+    /// Write the combined solution to `<prefix>.csv` and `<prefix>.pgm`.
+    /// Only `D2` writes one; `AppConfig::validate` rejects
+    /// `output_prefix` at d ≥ 3, so `Nd` is never asked.
+    fn write_solution(grid: &Self::Grid, prefix: &Path) -> Result<()>;
+
+    /// The group's gather of `grid` to its root (`None` elsewhere).
+    fn gather(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &Self::Layout,
+        grid: usize,
+        sv: &Self::Solver,
+    ) -> Result<Option<Self::Grid>>;
+    /// [`gather`](Self::gather) into a grid the root supplies.
+    fn gather_into(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &Self::Layout,
+        grid: usize,
+        sv: &Self::Solver,
+        out: Option<&mut Self::Grid>,
+    ) -> Result<()>;
+    /// The root's `whole` (if root) scattered back as this rank's block.
+    fn scatter(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &Self::Layout,
+        grid: usize,
+        whole: Option<&Self::Grid>,
+    ) -> Result<Vec<f64>>;
+    /// Send a whole grid (level header + payload).
+    fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Self::Grid) -> Result<()>;
+    /// Receive a whole grid.
+    fn recv(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Self::Grid>;
+    /// Receive a whole grid onto `out`, keeping its allocation.
+    fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut Self::Grid) -> Result<()>;
+    /// The binomial-tree combination over `leaders` to world rank 0 (see
+    /// [`gather::binomial_combine`]).
+    fn binomial_combine(
+        ctx: &Ctx,
+        comm: &Comm,
+        leaders: &[usize],
+        target: &Self::Level,
+        mine: Option<Self::Grid>,
+        scratch: &mut Vec<f64>,
+        tag: i32,
+    ) -> Result<Option<Self::Grid>>;
+
+    /// Write the checkpoint of grid `id` synchronously; returns its bytes.
+    fn write_checkpoint(
+        to: &CheckpointStore,
+        id: usize,
+        step: u64,
+        g: &Self::Grid,
+    ) -> io::Result<usize>;
+    /// The newest valid checkpoint of grid `id` as `(step, grid, bytes)`,
+    /// and how many corrupt files were skipped on the way.
+    #[allow(clippy::type_complexity)]
+    fn read_checkpoint(
+        from: &CheckpointStore,
+        id: usize,
+    ) -> io::Result<(Option<(u64, Self::Grid, usize)>, usize)>;
+    /// Start the background writer for `store` (`None`: there is none).
+    fn open_writer(store: &CheckpointStore) -> Option<Self::Writer>;
+    /// Borrow a snapshot buffer at `level`; may block on backpressure.
+    fn take_buffer(w: &mut Self::Writer, level: &Self::Level) -> Result<Self::Grid>;
+    /// Return a borrowed buffer unused.
+    fn give_back(w: &mut Self::Writer, grid: Self::Grid);
+    /// Hand the filled checkpoint of grid `id` over; a refused one comes
+    /// back.
+    fn submit(
+        w: &mut Self::Writer,
+        ctx: &Ctx,
+        id: usize,
+        step: u64,
+        g: Self::Grid,
+    ) -> std::result::Result<(), Self::Grid>;
+    /// Wait until everything handed over has landed.
+    fn drain(w: &Self::Writer, ctx: &Ctx) -> Result<()>;
+}
+
+/// The 2D stack: the paper's application and the bitwise reference.
+pub struct D2;
+
+/// The d-dimensional stack (d ≥ 3).
+pub struct Nd;
+
+impl Stack for D2 {
+    type Problem = AdvectionProblem;
+    type Level = LevelPair;
+    type Coeffs = std::collections::BTreeMap<LevelPair, i32>;
+    type Grid = Grid2;
+    type Term<'a> = CombinationTerm<'a>;
+    type Layout = ProcLayout;
+    type Assignment = Assignment;
+    type Solver = DistributedSolver;
+    type Writer = AsyncCheckpointer;
+
+    fn setup(cfg: &AppConfig) -> Result<(ProcLayout, AdvectionProblem, f64)> {
+        let layout = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
+        let tg = TimeGrid::for_system(&cfg.problem, cfg.n, cfg.steps(), 0.4);
+        Ok((layout, cfg.problem, tg.dt))
+    }
+    fn solver(env: &Env<'_, Self>, a: Assignment) -> DistributedSolver {
+        let level = env.layout.system().grid(a.grid).level;
+        DistributedSolver::new(*env.problem, level, env.dt, env.layout.group(a.grid), a.local)
+            .with_kernel(env.cfg.kernel)
+    }
+
+    fn world_size(layout: &ProcLayout) -> usize {
+        layout.world_size()
+    }
+    fn n_grids(layout: &ProcLayout) -> usize {
+        layout.system().n_grids()
+    }
+    fn assignment(layout: &ProcLayout, world_rank: usize) -> Option<Assignment> {
+        layout.try_assignment(world_rank)
+    }
+    fn grid_of(a: Assignment) -> usize {
+        a.grid
+    }
+    fn root_of(layout: &ProcLayout, grid: usize) -> usize {
+        layout.root_of(grid)
+    }
+    fn last_rank_of(layout: &ProcLayout, grid: usize) -> usize {
+        let info = layout.group(grid);
+        info.first + info.size - 1
+    }
+    fn broken_grids(layout: &ProcLayout, failed: &[usize]) -> Vec<usize> {
+        layout.broken_grids(failed)
+    }
+    fn combination_ids(layout: &ProcLayout) -> Vec<usize> {
+        layout.system().combination_ids()
+    }
+    fn classical_coefficient(layout: &ProcLayout, grid: usize) -> f64 {
+        layout.system().classical_coefficient(grid) as f64
+    }
+    fn rc_source(layout: &ProcLayout, grid: usize) -> Option<RcSource> {
+        layout.system().rc_source(grid)
+    }
+    fn level(layout: &ProcLayout, grid: usize) -> &LevelPair {
+        &layout.system().grid(grid).level
+    }
+    fn min_level(layout: &ProcLayout) -> LevelPair {
+        layout.system().min_level()
+    }
+
+    fn robust_coefficients(
+        layout: &ProcLayout,
+        lost: &[usize],
+        covered: bool,
+    ) -> (Self::Coeffs, usize) {
+        let sys = layout.system();
+        let level = |&b: &usize| sys.grid(b).level;
+        let grids = sys.grids().iter();
+        let surviving: LevelSet =
+            grids.filter(|g| !lost.contains(&g.id)).map(|g| g.level).collect();
+        let lost: Vec<LevelPair> = if covered {
+            lost.iter().map(level).filter(|lv| !surviving.contains(lv)).collect()
+        } else {
+            lost.iter().map(level).collect()
+        };
+        let downset = sys.classical_downset();
+        (robust_coefficients(&downset, &lost, &surviving), downset.len())
+    }
+    fn coefficient(coeffs: &Self::Coeffs, level: &LevelPair) -> i64 {
+        coeffs.get(level).map_or(0, |&c| c as i64)
+    }
+
+    fn step(sv: &mut DistributedSolver, ctx: &Ctx, group: &Comm) -> Result<()> {
+        sv.step(ctx, group)
+    }
+    fn steps_done(sv: &DistributedSolver) -> u64 {
+        sv.steps_done()
+    }
+    fn reset_to_initial(sv: &mut DistributedSolver) {
+        sv.reset_to_initial()
+    }
+    fn load_block(sv: &mut DistributedSolver, block: &[f64], steps_done: u64) {
+        sv.load_block(block, steps_done)
+    }
+
+    fn zeros(level: &LevelPair) -> Grid2 {
+        Grid2::zeros(*level)
+    }
+    fn reshape(grid: &mut Grid2, level: &LevelPair) {
+        grid.reshape(*level)
+    }
+    fn restrict(grid: &Grid2, level: &LevelPair) -> Grid2 {
+        grid.restrict_to(*level)
+    }
+    fn term(coeff: f64, grid: &Grid2) -> CombinationTerm<'_> {
+        CombinationTerm { coeff, grid }
+    }
+    fn combine(ctx: &Ctx, target: &LevelPair, terms: &[CombinationTerm<'_>]) -> Grid2 {
+        let combined = combine_onto(*target, terms);
+        ctx.compute_cells((terms.len() * combined.values().len()) as u64);
+        combined
+    }
+    fn l1_error(problem: &AdvectionProblem, grid: &Grid2, t: f64) -> f64 {
+        l1_error_vs(grid, problem.exact_at(t))
+    }
+    fn write_solution(grid: &Grid2, prefix: &Path) -> Result<()> {
+        let base = prefix.display();
+        crate::output::write_csv(grid, format!("{base}.csv"))
+            .map_err(|e| Error::InvalidArg(format!("solution csv: {e}")))?;
+        crate::output::write_pgm(grid, format!("{base}.pgm"))
+            .map_err(|e| Error::InvalidArg(format!("solution pgm: {e}")))
+    }
+
+    fn gather(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &ProcLayout,
+        grid: usize,
+        sv: &DistributedSolver,
+    ) -> Result<Option<Grid2>> {
+        gather::gather_grid(ctx, group, layout.group(grid), sv.level(), sv)
+    }
+    fn gather_into(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &ProcLayout,
+        grid: usize,
+        sv: &DistributedSolver,
+        out: Option<&mut Grid2>,
+    ) -> Result<()> {
+        gather::gather_grid_into(ctx, group, layout.group(grid), sv.level(), sv, out)
+    }
+    fn scatter(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &ProcLayout,
+        grid: usize,
+        whole: Option<&Grid2>,
+    ) -> Result<Vec<f64>> {
+        gather::scatter_grid(ctx, group, layout.group(grid), whole)
+    }
+    fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Grid2) -> Result<()> {
+        gather::send_grid(ctx, comm, dest, tag, grid)
+    }
+    fn recv(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Grid2> {
+        gather::recv_grid(ctx, comm, src, tag)
+    }
+    fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut Grid2) -> Result<()> {
+        gather::recv_grid_onto(ctx, comm, src, tag, out)
+    }
+    fn binomial_combine(
+        ctx: &Ctx,
+        comm: &Comm,
+        leaders: &[usize],
+        target: &LevelPair,
+        mine: Option<Grid2>,
+        scratch: &mut Vec<f64>,
+        tag: i32,
+    ) -> Result<Option<Grid2>> {
+        gather::binomial_combine(ctx, comm, leaders, 0, *target, mine, scratch, tag)
+    }
+
+    fn write_checkpoint(
+        to: &CheckpointStore,
+        id: usize,
+        step: u64,
+        g: &Grid2,
+    ) -> io::Result<usize> {
+        to.write(id, step, g)
+    }
+    fn read_checkpoint(from: &CheckpointStore, id: usize) -> io::Result<(Option<Restored>, usize)> {
+        from.read_latest_valid(id)
+    }
+    fn open_writer(store: &CheckpointStore) -> Option<AsyncCheckpointer> {
+        Some(AsyncCheckpointer::new(store.clone()))
+    }
+    fn take_buffer(w: &mut AsyncCheckpointer, level: &LevelPair) -> Result<Grid2> {
+        w.take_buffer(*level)
+    }
+    fn give_back(w: &mut AsyncCheckpointer, grid: Grid2) {
+        w.give_back(grid)
+    }
+    fn submit(
+        w: &mut AsyncCheckpointer,
+        ctx: &Ctx,
+        id: usize,
+        step: u64,
+        g: Grid2,
+    ) -> std::result::Result<(), Grid2> {
+        w.submit(ctx, id, step, g).map(|_| ()).map_err(|(_, refused)| refused)
+    }
+    fn drain(w: &AsyncCheckpointer, ctx: &Ctx) -> Result<()> {
+        w.drain(ctx)
+    }
+}
+
+impl Stack for Nd {
+    type Problem = ProblemN;
+    type Level = LevelVecN;
+    type Coeffs = std::collections::BTreeMap<LevelVecN, i64>;
+    type Grid = GridN;
+    type Term<'a> = CombinationTermN<'a>;
+    type Layout = ProcLayoutN;
+    type Assignment = AssignmentN;
+    type Solver = DistributedSolverN;
+    type Writer = Infallible;
+
+    fn setup(cfg: &AppConfig) -> Result<(ProcLayoutN, ProblemN, f64)> {
+        cfg.validate().map_err(Error::InvalidArg)?;
+        let problem = cfg.resolved_problem_nd();
+        let layout = ProcLayoutN::new(cfg.dim, cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
+        let tg = TimeGridN::for_system(&problem, cfg.n, cfg.steps(), 0.4);
+        Ok((layout, problem, tg.dt))
+    }
+    fn solver(env: &Env<'_, Self>, a: AssignmentN) -> DistributedSolverN {
+        let (level, group) = (&env.layout.system().grid(a.grid).level, env.layout.group(a.grid));
+        DistributedSolverN::new(env.problem.clone(), level, env.dt, group, a.local)
+            .with_kernel(env.cfg.kernel)
+    }
+
+    fn world_size(layout: &ProcLayoutN) -> usize {
+        layout.world_size()
+    }
+    fn n_grids(layout: &ProcLayoutN) -> usize {
+        layout.system().n_grids()
+    }
+    fn assignment(layout: &ProcLayoutN, world_rank: usize) -> Option<AssignmentN> {
+        layout.try_assignment(world_rank)
+    }
+    fn grid_of(a: AssignmentN) -> usize {
+        a.grid
+    }
+    fn root_of(layout: &ProcLayoutN, grid: usize) -> usize {
+        layout.root_of(grid)
+    }
+    fn last_rank_of(layout: &ProcLayoutN, grid: usize) -> usize {
+        let info = layout.group(grid);
+        info.first + info.size - 1
+    }
+    fn broken_grids(layout: &ProcLayoutN, failed: &[usize]) -> Vec<usize> {
+        layout.broken_grids(failed)
+    }
+    fn combination_ids(layout: &ProcLayoutN) -> Vec<usize> {
+        layout.system().combination_ids()
+    }
+    fn classical_coefficient(layout: &ProcLayoutN, grid: usize) -> f64 {
+        layout.system().classical_coefficient(grid) as f64
+    }
+    fn rc_source(layout: &ProcLayoutN, grid: usize) -> Option<RcSource> {
+        layout.system().rc_source(grid).map(|src| match src {
+            RcSourceN::Copy(s) => RcSource::Copy(s),
+            RcSourceN::Resample(s) => RcSource::Resample(s),
+        })
+    }
+    fn level(layout: &ProcLayoutN, grid: usize) -> &LevelVecN {
+        &layout.system().grid(grid).level
+    }
+    fn min_level(layout: &ProcLayoutN) -> LevelVecN {
+        layout.system().min_level()
+    }
+
+    fn robust_coefficients(
+        layout: &ProcLayoutN,
+        lost: &[usize],
+        covered: bool,
+    ) -> (Self::Coeffs, usize) {
+        let sys = layout.system();
+        let level = |&b: &usize| sys.grid(b).level.clone();
+        let mut surviving = LevelSetN::new(sys.dim());
+        for g in sys.grids().iter().filter(|g| !lost.contains(&g.id)) {
+            surviving.insert(g.level.clone());
+        }
+        let lost: Vec<LevelVecN> = if covered {
+            lost.iter().map(level).filter(|lv| !surviving.contains(lv)).collect()
+        } else {
+            lost.iter().map(level).collect()
+        };
+        let downset = sys.classical_downset();
+        (robust_coefficients_nd(&downset, &lost, &surviving), downset.len())
+    }
+    fn coefficient(coeffs: &Self::Coeffs, level: &LevelVecN) -> i64 {
+        coeffs.get(level).copied().unwrap_or(0)
+    }
+
+    fn step(sv: &mut DistributedSolverN, ctx: &Ctx, group: &Comm) -> Result<()> {
+        sv.step(ctx, group)
+    }
+    fn steps_done(sv: &DistributedSolverN) -> u64 {
+        sv.steps_done()
+    }
+    fn reset_to_initial(sv: &mut DistributedSolverN) {
+        sv.reset_to_initial()
+    }
+    fn load_block(sv: &mut DistributedSolverN, block: &[f64], steps_done: u64) {
+        sv.load_block(block, steps_done)
+    }
+
+    fn zeros(level: &LevelVecN) -> GridN {
+        GridN::zeros(level)
+    }
+    fn reshape(grid: &mut GridN, level: &LevelVecN) {
+        grid.reshape(level)
+    }
+    fn restrict(grid: &GridN, level: &LevelVecN) -> GridN {
+        grid.restrict_to(level)
+    }
+    fn term(coeff: f64, grid: &GridN) -> CombinationTermN<'_> {
+        CombinationTermN { coeff, grid }
+    }
+    fn combine(ctx: &Ctx, target: &LevelVecN, terms: &[CombinationTermN<'_>]) -> GridN {
+        let combined = combine_onto_nd(target, terms);
+        ctx.compute_cells((terms.len() * combined.values().len()) as u64);
+        combined
+    }
+    fn l1_error(problem: &ProblemN, grid: &GridN, t: f64) -> f64 {
+        grid.l1_error_vs(|x| problem.exact(x, t))
+    }
+    fn write_solution(_: &GridN, _: &Path) -> Result<()> {
+        Err(Error::InvalidArg("solution files are written by 2D runs only".into()))
+    }
+
+    fn gather(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &ProcLayoutN,
+        grid: usize,
+        sv: &DistributedSolverN,
+    ) -> Result<Option<GridN>> {
+        gather_nd::gather_grid_n(ctx, group, layout.group(grid), sv.level(), sv)
+    }
+    fn gather_into(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &ProcLayoutN,
+        grid: usize,
+        sv: &DistributedSolverN,
+        out: Option<&mut GridN>,
+    ) -> Result<()> {
+        gather_nd::gather_grid_n_into(ctx, group, layout.group(grid), sv.level(), sv, out)
+    }
+    fn scatter(
+        ctx: &Ctx,
+        group: &Comm,
+        layout: &ProcLayoutN,
+        grid: usize,
+        whole: Option<&GridN>,
+    ) -> Result<Vec<f64>> {
+        gather_nd::scatter_grid_n(ctx, group, layout.group(grid), whole)
+    }
+    fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &GridN) -> Result<()> {
+        gather_nd::send_grid_n(ctx, comm, dest, tag, grid)
+    }
+    fn recv(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<GridN> {
+        gather_nd::recv_grid_n(ctx, comm, src, tag)
+    }
+    fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut GridN) -> Result<()> {
+        gather_nd::recv_grid_n_onto(ctx, comm, src, tag, out)
+    }
+    fn binomial_combine(
+        ctx: &Ctx,
+        comm: &Comm,
+        leaders: &[usize],
+        target: &LevelVecN,
+        mine: Option<GridN>,
+        scratch: &mut Vec<f64>,
+        tag: i32,
+    ) -> Result<Option<GridN>> {
+        gather_nd::binomial_combine_n(ctx, comm, leaders, 0, target, mine, scratch, tag)
+    }
+
+    fn write_checkpoint(
+        to: &CheckpointStore,
+        id: usize,
+        step: u64,
+        g: &GridN,
+    ) -> io::Result<usize> {
+        to.write_nd(id, step, g)
+    }
+    fn read_checkpoint(
+        from: &CheckpointStore,
+        id: usize,
+    ) -> io::Result<(Option<RestoredN>, usize)> {
+        from.read_latest_valid_nd(id)
+    }
+    fn open_writer(_: &CheckpointStore) -> Option<Infallible> {
+        None
+    }
+    fn take_buffer(w: &mut Infallible, _: &LevelVecN) -> Result<GridN> {
+        match *w {}
+    }
+    fn give_back(w: &mut Infallible, _: GridN) {
+        match *w {}
+    }
+    fn submit(
+        w: &mut Infallible,
+        _: &Ctx,
+        _: usize,
+        _: u64,
+        _: GridN,
+    ) -> std::result::Result<(), GridN> {
+        match *w {}
+    }
+    fn drain(w: &Infallible, _: &Ctx) -> Result<()> {
+        match *w {}
+    }
+}

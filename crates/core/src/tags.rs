@@ -8,8 +8,6 @@
 //! derives one uniform stride from the layout's grid count instead, so
 //! every region is exactly wide enough by construction.
 
-use crate::layout::ProcLayout;
-
 /// First tag of the derived regions (everything below is free for
 /// fixed app tags such as [`crate::reconstruct::MERGE_TAG`]).
 pub const TAG_BASE: i32 = 7000;
@@ -67,16 +65,6 @@ impl TagSpace {
             combine: base(5),
             tree: base(6),
         }
-    }
-
-    /// Tag regions sized for a concrete process layout.
-    pub fn for_layout(layout: &ProcLayout) -> Self {
-        Self::for_grids(layout.system().n_grids())
-    }
-
-    /// Tag regions sized for a d-dimensional process layout.
-    pub fn for_layout_nd(layout: &crate::layout_nd::ProcLayoutN) -> Self {
-        Self::for_grids(layout.system().n_grids())
     }
 }
 

@@ -6,9 +6,13 @@
 //!      [--steps LOG2] [--problem advection|elliptic]
 //!      [--fail COUNT] [--fail-at STEP] [--cluster local|opl|raijin]
 //!      [--policy respawn|shrink|substitute|defer] [--spares N]
-//!      [--spare-node] [--central-combine] [--trace] [--trace-json FILE]
-//!      [--output PREFIX] [--seed S]
+//!      [--sync-ckpt] [--spare-node] [--central-combine] [--trace]
+//!      [--trace-json FILE] [--output PREFIX] [--seed S]
 //! ```
+//!
+//! `--output` and `--sync-ckpt` are 2D options: a 3D run writes no
+//! solution file (asking for one is an invalid configuration) and its
+//! Checkpoint/Restart always writes synchronously.
 //!
 //! Runs one complete application: solve, (optionally) suffer real process
 //! failures, detect, reconstruct, recover, combine, and report the error
@@ -48,7 +52,11 @@ fn usage() -> ! {
          \x20           [--steps LOG2] [--problem advection|elliptic]\n\
          \x20           [--fail COUNT] [--fail-at STEP] [--cluster local|opl|raijin]\n\
          \x20           [--policy respawn|shrink|substitute|defer] [--spares N]\n\
-         \x20           [--sync-ckpt] [--spare-node] [--central-combine] [--seed S]"
+         \x20           [--sync-ckpt] [--spare-node] [--central-combine] [--seed S]\n\
+         \x20           [--trace] [--trace-json FILE] [--output PREFIX]\n\
+         --output and --sync-ckpt are 2D options: a 3D run writes no solution\n\
+         file (asking for one is an invalid configuration), and 3D\n\
+         Checkpoint/Restart always writes synchronously."
     );
     std::process::exit(2);
 }
