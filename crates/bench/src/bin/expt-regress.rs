@@ -6,8 +6,9 @@
 //! committed `BENCH_pr*.json` baseline — or, for the CRC ratio, under its
 //! 2x floor — or if the one-failure repair of the paper's shape does not
 //! reproduce its committed agree count and `T_RECONSTRUCT` exactly, or a
-//! warm collective round of 64 ranks its committed allocator-request
-//! counts (see `ftsg_bench::experiments::regress` for the list).
+//! warm collective round of 64 ranks, a warm robust-coefficient solve or
+//! a warm Fig. 4 handler call its committed allocator-request count (see
+//! `ftsg_bench::experiments::regress` for the list).
 //!
 //! ```text
 //! expt-regress [--dir PATH] [--iters K] [--exact]
@@ -19,42 +20,13 @@
 //! the deterministic gates (virtual clock, allocator counts), which CI
 //! blocks on.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use ftsg_bench::experiments::alloc_sites::{requests, TracingAllocator};
 use ftsg_bench::experiments::regress;
 
-/// Allocator requests so far, by every thread (the collective gates).
-static REQUESTS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+/// Counts allocator requests by every thread (the allocation gates); it
+/// never traces here.
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn requests() -> u64 {
-    REQUESTS.load(Ordering::SeqCst)
-}
+static ALLOCATOR: TracingAllocator = TracingAllocator;
 
 fn usage() -> ! {
     eprintln!("usage: expt-regress [--dir PATH] [--iters K] [--exact]");

@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! expt-timeline [--seed S] [--json PATH]
+//! expt-timeline --alloc-sites <workload>
 //! ```
 //!
 //! For each technique (CR, RC, AC, BC) the small configuration is run
@@ -22,8 +23,15 @@
 //! the benchmark's five kill-and-repair shapes on OPL under the beta-ULFM
 //! model, parent commit vs this one, written to `BENCH_pr22.json`
 //! (`BENCH_OUT` redirects it) and `results/repair.csv`.
+//!
+//! `--alloc-sites <workload>` prints instead where one warm rep of a
+//! benchmark workload's shape asks the allocator, by call site, from a
+//! backtrace of every request (see `ftsg_bench::experiments::alloc_sites`).
+//! The count is the benchmark's `heap_allocs` of that workload, give or
+//! take the harness's own few.
 
 use ftsg_bench::chaos::TECHNIQUES;
+use ftsg_bench::experiments::alloc_sites::{self, TracingAllocator};
 use ftsg_bench::experiments::repair;
 use ftsg_bench::table::utc_today;
 use ftsg_bench::Table;
@@ -31,18 +39,26 @@ use ftsg_core::app::{keys, AUDITED_OPS};
 use ftsg_core::{run_app, AppConfig, ProcLayout, RecoveryPolicy, PHASES};
 use ulfm_sim::{run, timelines_to_json, FaultPlan, RecoveryTimeline, RunConfig};
 
+/// Counts every allocator request; traces them only under `--alloc-sites`.
+#[global_allocator]
+static ALLOCATOR: TracingAllocator = TracingAllocator;
+
 struct Cli {
     seed: u64,
     json: Option<String>,
+    alloc_sites: Option<String>,
 }
 
 fn parse_args() -> Cli {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = || -> ! {
-        eprintln!("usage: expt-timeline [--seed S] [--json PATH]");
+        eprintln!(
+            "usage: expt-timeline [--seed S] [--json PATH]\n       \
+             expt-timeline --alloc-sites <workload>"
+        );
         std::process::exit(2);
     };
-    let mut cli = Cli { seed: 1, json: None };
+    let mut cli = Cli { seed: 1, json: None, alloc_sites: None };
     let mut i = 0;
     while i < args.len() {
         let take = |i: &mut usize| -> String {
@@ -52,6 +68,7 @@ fn parse_args() -> Cli {
         match args[i].as_str() {
             "--seed" => cli.seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
             "--json" => cli.json = Some(take(&mut i)),
+            "--alloc-sites" => cli.alloc_sites = Some(take(&mut i)),
             _ => usage(),
         }
         i += 1;
@@ -116,6 +133,16 @@ fn audit_table(
 
 fn main() {
     let cli = parse_args();
+    if let Some(workload) = &cli.alloc_sites {
+        match alloc_sites::attribute(workload) {
+            Ok(sites) => print!("{}", sites.table(25).render()),
+            Err(e) => {
+                eprintln!("expt-timeline: {e}");
+                std::process::exit(2);
+            }
+        }
+        return;
+    }
     let mut headers: Vec<&str> = vec!["phase"];
     headers.extend(TECHNIQUES.iter().map(|t| t.label()));
     let mut table =

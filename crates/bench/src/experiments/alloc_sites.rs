@@ -1,0 +1,222 @@
+//! Where a benchmark workload's allocator requests come from, by call
+//! site (`expt-timeline --alloc-sites <workload>`).
+//!
+//! [`TracingAllocator`] counts every request the process makes of the
+//! system allocator, as the benchmark's counting allocator does, and on
+//! demand takes a `std::backtrace` of each and charges it to its call
+//! site — the first frame in this repository's `crates/`, i.e. the code
+//! that asked, not the collection that grew. Capturing, resolving and
+//! charging a backtrace allocates too: a per-thread reentrancy guard keeps
+//! those requests out of the count and out of the table. [`attribute`]
+//! runs one warm-up and then one traced rep of the workload's shape from
+//! [`crate::experiments::repair`] (OPL, beta-ULFM, one scheduler worker,
+//! seed 7). The counts are exact.
+//!
+//! A binary opts in with
+//! `#[global_allocator] static A: TracingAllocator = TracingAllocator;`
+//! and reads [`requests`] for exact counts (`expt-regress` does, with
+//! tracing never switched on).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::backtrace::Backtrace;
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use crate::experiments::repair;
+use crate::table::Table;
+
+/// Requests so far, by every thread, the tracer's own excepted.
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
+/// Take a backtrace of every request.
+static TRACING: AtomicBool = AtomicBool::new(false);
+/// Traced requests by call site.
+static SITES: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+
+thread_local! {
+    /// Set while this thread captures and charges a trace.
+    static IN_TRACE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The system allocator behind a request counter and, on demand, a
+/// backtrace of every request.
+pub struct TracingAllocator;
+
+/// Count one request; trace it if tracing is on.
+#[inline]
+fn note() {
+    if !TRACING.load(Ordering::Relaxed) {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    // A thread being torn down has no guard left; count it plainly.
+    if IN_TRACE.try_with(Cell::get).unwrap_or(false) {
+        return;
+    }
+    REQUESTS.fetch_add(1, Ordering::Relaxed);
+    let _ = IN_TRACE.try_with(|guard| {
+        guard.set(true);
+        let site = site_of(&Backtrace::force_capture());
+        *SITES.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).entry(site).or_default() +=
+            1;
+        guard.set(false);
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting and tracing touch no
+// allocator state, and the allocations a trace makes re-enter `alloc`
+// under the guard, which only forwards them.
+unsafe impl GlobalAlloc for TracingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's `layout` obligations are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` — the
+        // caller's obligation, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A grow-or-shrink is one request, as the benchmark counts it.
+        note();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Requests so far, by every thread (the tracer's own excepted).
+pub fn requests() -> u64 {
+    REQUESTS.load(Ordering::SeqCst)
+}
+
+/// One workload's requests by call site.
+pub struct AllocSites {
+    pub workload: String,
+    /// Requests of the traced rep.
+    pub requests: u64,
+    /// `(site, requests)`, most requests first.
+    pub sites: Vec<(String, u64)>,
+}
+
+/// The call site a trace is charged to: the first frame whose source is
+/// under `crates/` (this module's own frames excepted), as
+/// `function (crates/…/file.rs:line)`, or `(outside crates/)`.
+fn site_of(trace: &Backtrace) -> String {
+    site_in(&trace.to_string())
+}
+
+/// [`site_of`] on a backtrace's text: one line per function — `N: name`
+/// for a frame, plain `name` for a function inlined into it — each
+/// followed by `at path:line:column` where resolved.
+fn site_in(text: &str) -> String {
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    for pair in lines.windows(2) {
+        let Some(path) = pair[1].strip_prefix("at ") else { continue };
+        let symbol = match pair[0].split_once(": ") {
+            Some((n, name)) if n.bytes().all(|b| b.is_ascii_digit()) => name,
+            _ => pair[0],
+        };
+        let Some(start) = path.find("crates/") else { continue };
+        let path = &path[start..];
+        if path.contains("alloc_sites.rs") {
+            continue;
+        }
+        let path = path.rsplit_once(':').map_or(path, |(file_line, _column)| file_line);
+        // Keep the function's path, drop a symbol hash if one is printed.
+        let symbol = match symbol.rsplit_once("::h") {
+            Some((name, hash))
+                if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) =>
+            {
+                name
+            }
+            _ => symbol,
+        };
+        return format!("{symbol} ({path})");
+    }
+    "(outside crates/)".into()
+}
+
+/// Run `workload` once to warm up, then once with every request traced,
+/// and charge the requests to their call sites.
+pub fn attribute(workload: &str) -> Result<AllocSites, String> {
+    repair::launch_workload(workload).ok_or_else(|| {
+        let names: Vec<_> = repair::workloads().collect();
+        format!("no workload {workload:?}; the workloads are {names:?}")
+    })?;
+    SITES.lock().unwrap_or_else(|p| p.into_inner()).clear();
+    TRACING.store(true, Ordering::SeqCst);
+    let before = requests();
+    repair::launch_workload(workload);
+    let counted = requests() - before;
+    TRACING.store(false, Ordering::SeqCst);
+    let by_site = std::mem::take(&mut *SITES.lock().unwrap_or_else(|p| p.into_inner()));
+    let mut sites: Vec<(String, u64)> = by_site.into_iter().collect();
+    sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    Ok(AllocSites { workload: workload.into(), requests: counted, sites })
+}
+
+impl AllocSites {
+    /// The `top` sites with the most requests, then the rest as one row.
+    pub fn table(&self, top: usize) -> Table {
+        let mut t = Table::new(
+            format!(
+                "Allocator requests of one warm {} rep by call site: {} requests",
+                self.workload, self.requests
+            ),
+            &["site", "requests", "share"],
+        );
+        let share = |n: u64| format!("{:.1}%", 100.0 * n as f64 / self.requests.max(1) as f64);
+        for (site, n) in self.sites.iter().take(top) {
+            t.row(vec![site.clone(), n.to_string(), share(*n)]);
+        }
+        let rest: u64 = self.sites.iter().skip(top).map(|(_, n)| n).sum();
+        if rest > 0 {
+            let others = format!("({} other sites)", self.sites.len() - top);
+            t.row(vec![others, rest.to_string(), share(rest)]);
+        }
+        t
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_trace_is_charged_to_the_first_function_under_crates() {
+        let text = "   0: ftsg_bench::experiments::alloc_sites::note
+             at ./crates/bench/src/experiments/alloc_sites.rs:58:25
+   1: __rust_alloc
+   2: alloc::raw_vec::RawVec<T,A>::with_capacity_in
+             at /rustc/abc/library/alloc/src/raw_vec.rs:140:20
+      alloc::vec::Vec<T>::with_capacity
+             at /rustc/abc/library/alloc/src/vec/mod.rs:480:9
+      sparsegrid::ndim::IndexedDownset::with_capacity
+             at /src/crates/sparsegrid/src/ndim.rs:330:44
+   3: ftsg_core::stack::robust_by_grid
+             at ./crates/core/src/stack.rs:641:16
+   4: ulfm_sim::comm::Comm::handle_err::h0123456789abcdef
+             at ./crates/mpi-sim/src/comm.rs:270:9";
+        assert_eq!(
+            site_in(text),
+            "sparsegrid::ndim::IndexedDownset::with_capacity (crates/sparsegrid/src/ndim.rs:330)"
+        );
+        let (_, handler) = text.split_once("   4: ").unwrap();
+        assert_eq!(
+            site_in(handler),
+            "ulfm_sim::comm::Comm::handle_err (crates/mpi-sim/src/comm.rs:270)"
+        );
+        assert_eq!(site_in("   0: std::rt::lang_start\n   1: main"), "(outside crates/)");
+    }
+}

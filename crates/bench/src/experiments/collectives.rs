@@ -3,14 +3,14 @@
 //! `crates/core/tests/alloc_discipline.rs` pins the same numbers).
 //!
 //! A round is counted between two gates all ranks pass without touching
-//! the allocator (an `iprobe` poll is the yield point), after warm-up
-//! rounds have grown the rendezvous' slot vectors, the buffer pool and
-//! the trace ring to their steady size — on one scheduler worker, so the
-//! count is deterministic.
+//! the allocator (`ftsg_core::alloc_probe::Gate`), after warm-up rounds
+//! have grown the rendezvous' slot vectors, the buffer pool and the trace
+//! ring to their steady size — on one scheduler worker, so the count is
+//! deterministic.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use ftsg_core::alloc_probe::Gate;
 use ulfm_sim::{run, Comm, Ctx, RunConfig};
 
 /// Ranks of the measured communicator (twice the buffer pool's floor).
@@ -19,34 +19,6 @@ pub const RANKS: usize = 64;
 pub const ROUNDS: u64 = 16;
 /// Elements every rank contributes to a gather round (16 KB of `f64`).
 const BLOCK: usize = 2048;
-
-/// All ranks arrive, the last one stamps the caller's request counter and
-/// lets the others go.
-struct Gate {
-    arrived: AtomicUsize,
-    stamp: AtomicU64,
-    open: AtomicBool,
-    requests: fn() -> u64,
-}
-
-impl Gate {
-    fn new(requests: fn() -> u64) -> Arc<Self> {
-        let (arrived, stamp, open) = Default::default();
-        Arc::new(Gate { arrived, stamp, open, requests })
-    }
-
-    fn pass(&self, ctx: &Ctx, comm: &Comm) {
-        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == comm.size() {
-            self.stamp.store((self.requests)(), Ordering::SeqCst);
-            self.open.store(true, Ordering::SeqCst);
-        }
-        while !self.open.load(Ordering::SeqCst) {
-            // Nobody sends on this tag; the probe is the yield point.
-            let probed = comm.iprobe(ctx, Some(comm.rank()), Some(i32::MAX));
-            assert!(matches!(probed, Ok(false)), "the gate's probe found {probed:?}");
-        }
-    }
-}
 
 /// Allocator requests made by all [`RANKS`] ranks together over
 /// [`ROUNDS`] rounds of `round`, after 4 warm-up rounds. `requests` reads
@@ -71,7 +43,7 @@ fn warm_requests(
         gates.1.pass(ctx, &comm);
     });
     report.assert_no_app_errors();
-    close.stamp.load(Ordering::SeqCst) - open.stamp.load(Ordering::SeqCst)
+    open.requests_until(&close)
 }
 
 /// The two exact counts.

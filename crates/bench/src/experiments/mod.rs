@@ -2,6 +2,7 @@
 //! `run(&Opts) -> Vec<Table>`; the binaries print and save the tables.
 
 pub mod ablation;
+pub mod alloc_sites;
 pub mod codec;
 pub mod collectives;
 pub mod dim3;

@@ -71,6 +71,16 @@
 //!     contribution, a boxed outcome, a map node — moves a count by a
 //!     multiple of 64. Measured through the calling binary's counting
 //!     allocator, so only `expt-regress` (which installs one) runs them.
+//! 11. **`robust_solve_requests_2d`**, **`robust_solve_requests_3d`** and
+//!     **`errhandler_requests`** (allocator requests, **exact match**) —
+//!     one warm robust-coefficient solve at the `ranks1k_kill` and
+//!     `solve3d_kill` shapes, and 16 warm Fig. 4 handler calls on each of
+//!     14 survivors (`ftsg_core::alloc_probe::repair_share`, which
+//!     `alloc_discipline.rs` asserts too), vs `BENCH_pr26.json`
+//!     `acceptance`. Guards a rank's share of a repair,
+//!     which every rank pays: a level set, a coefficient map or a search
+//!     node's clone creeping back into the solve, or a failed list or a
+//!     group rebuilt per handler call, moves a count.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -292,8 +302,17 @@ pub fn run_exact(dir: &str, requests: fn() -> u64) -> Result<RegressReport, Stri
     let inline_base = num_field(&pr24, "warm_inline_collective_requests", "BENCH_pr24.json")?;
     let gather_base = num_field(&pr24, "warm_gather_view_requests", "BENCH_pr24.json")?;
     let warm = crate::experiments::collectives::measure(requests);
+    let pr26 = read_baseline(dir, "BENCH_pr26.json")?;
+    let repair = ftsg_core::alloc_probe::repair_share(requests);
+    let pinned = |key: &'static str, fresh: u64| -> Result<GateResult, String> {
+        let base = num_field(&pr26, key, "BENCH_pr26.json")?;
+        Ok(GateResult::exact(key, "BENCH_pr26.json", base, fresh as f64))
+    };
     Ok(RegressReport {
         gates: vec![
+            pinned("robust_solve_requests_2d", repair.robust_2d)?,
+            pinned("robust_solve_requests_3d", repair.robust_3d)?,
+            pinned("errhandler_requests", repair.errhandler)?,
             GateResult::exact(
                 "warm_inline_collective_requests",
                 "BENCH_pr24.json",

@@ -159,6 +159,17 @@ fn launch(shape: &Shape) -> Report {
     report
 }
 
+/// The five workloads' names, in the benchmark's order.
+pub fn workloads() -> impl Iterator<Item = &'static str> {
+    SHAPES.iter().map(|shape| shape.0)
+}
+
+/// Run the workload called `name` the way the benchmark does (`None` if
+/// there is no such workload).
+pub fn launch_workload(name: &str) -> Option<Report> {
+    SHAPES.iter().find(|shape| shape.0 == name).map(launch)
+}
+
 fn row_of(report: &Report) -> RepairRow {
     let get = |key: &str| report.get_f64(key).unwrap_or(f64::NAN);
     RepairRow {

@@ -538,10 +538,17 @@ fn stage<T>(r: Result<T>, which: &str) -> Result<T> {
 fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     let (layout, problem, dt) = S::setup(cfg)?;
     let steps = cfg.steps();
-    let store = CheckpointStore::new(&cfg.ckpt_dir)
-        .map_err(|e| Error::InvalidArg(format!("checkpoint dir: {e}")))?
-        .with_corruption(cfg.ckpt_corruption.clone());
-    let env = Env::<S> { cfg, layout: &layout, problem: &problem, store: &store, dt };
+    // Only Checkpoint/Restart writes to disk; every other technique runs
+    // without a store, and without creating its directory.
+    let store = match cfg.technique {
+        Technique::CheckpointRestart => Some(
+            CheckpointStore::new(&cfg.ckpt_dir)
+                .map_err(|e| Error::InvalidArg(format!("checkpoint dir: {e}")))?
+                .with_corruption(cfg.ckpt_corruption.clone()),
+        ),
+        _ => None,
+    };
+    let env = Env::<S> { cfg, layout: &layout, problem: &problem, store: store.as_ref(), dt };
     let mut st = RankState::<S>::new();
 
     let mut repair_timings = ReconstructTimings::default();
@@ -739,12 +746,12 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 let m = S::grid_of(m);
                 // The root gathers straight into the buffer the checkpoint
                 // is written from.
-                let level = S::level(&layout, m);
-                let mut target = (group.rank() == 0).then(|| st.landing.buffer(cfg, &store, level));
+                let (level, store) = (S::level(&layout, m), env.checkpoints()?);
+                let mut target = (group.rank() == 0).then(|| st.landing.buffer(cfg, store, level));
                 match S::gather_into(ctx, &group, &layout, m, sv, target.as_mut()) {
                     Ok(()) => {
                         if let Some(g) = target {
-                            st.landing.land(ctx, &store, m, current_step, g)?;
+                            st.landing.land(ctx, store, m, current_step, g)?;
                         }
                     }
                     Err(e) if is_casualty(&e) => {
@@ -835,7 +842,7 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     }
     // Every write (and any fault-injected strike on it) has landed by
     // now; tell the restart-integrity oracle which strikes really did.
-    let corrupt_applied = store.corruptions_applied();
+    let corrupt_applied = store.as_ref().map_or(0, CheckpointStore::corruptions_applied);
     if corrupt_applied > 0 {
         ctx.report_add(keys::CKPT_CORRUPT_APPLIED, corrupt_applied as f64);
     }
@@ -890,28 +897,23 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 // A level only counts as lost when *no* surviving grid
                 // holds it: under the Duplicates layout a dropped
                 // diagonal whose duplicate survives is still covered.
-                let (cmap, _) = S::robust_coefficients(&layout, &st.final_lost, true);
+                let (by_grid, _) = S::robust_coefficients(&layout, &st.final_lost, true);
                 // One combining grid per level, in grid-id order (the
                 // diagonal precedes its duplicate, so the duplicate only
                 // stands in when the diagonal is gone) — a duplicate pair
                 // must not be double-counted.
-                let mut ids: Vec<usize> = Vec::new();
-                let mut covered: Vec<S::Level> = Vec::new();
-                for g in 0..n_grids {
+                let mut ids: Vec<usize> = Vec::with_capacity(n_grids);
+                for (g, &c) in by_grid.iter().enumerate() {
                     let level = S::level(&layout, g);
                     if st.final_lost.contains(&g)
-                        || S::coefficient(&cmap, level) == 0
-                        || covered.contains(level)
+                        || c == 0
+                        || ids.iter().any(|&i| S::level(&layout, i) == level)
                     {
                         continue;
                     }
-                    covered.push(level.clone());
                     ids.push(g);
                 }
-                let coeffs = ids
-                    .iter()
-                    .map(|&i| S::coefficient(&cmap, S::level(&layout, i)) as f64)
-                    .collect();
+                let coeffs = ids.iter().map(|&i| by_grid[i] as f64).collect();
                 (ids, coeffs)
             } else {
                 let ids = S::combination_ids(&layout);
@@ -967,10 +969,10 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                     // own term on the target level, then partially combined
                     // grids flow down a log-depth tree (bitwise equal to
                     // `combine_binomial` of the same ordered term list).
-                    let leaders: Vec<usize> = combine_ids
-                        .iter()
-                        .map(|&gid| current_root::<S>(&layout, gid, members.as_deref()))
-                        .collect::<Result<_>>()?;
+                    let mut leaders = Vec::with_capacity(combine_ids.len());
+                    for &gid in &combine_ids {
+                        leaders.push(current_root::<S>(&layout, gid, members.as_deref())?);
+                    }
                     let part = match (my_full.take(), my_grid) {
                         (Some(g), Some(m)) => {
                             let k = combine_ids
@@ -1089,8 +1091,11 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             let d: Vec<f64> = dropped.iter().map(|&g| g as f64).collect();
             ctx.report_list(keys::DROPPED_GRIDS, &d);
         }
-        // Best-effort cleanup of the checkpoint directory.
-        let _ = store.clear();
+        // Best-effort cleanup of the checkpoint directory, if the run had
+        // one.
+        if let Some(store) = &store {
+            let _ = store.clear();
+        }
     }
     Ok(())
 }

@@ -2,14 +2,16 @@
 //! paper's Figs. 4 and 6.
 
 use ulfm_sim::group::GroupCompare;
-use ulfm_sim::{Comm, Ctx};
+use ulfm_sim::{Comm, Ctx, Error};
 
 /// Port of the paper's Fig. 4 (`mpiErrorHandler`): on a communicator
 /// error, acknowledge the locally observed failures so the subsequent
 /// `agree` can return uniformly. (The paper notes a ≥ 10 ms delay is
 /// sometimes needed here; the runtime's cost model charges it inside
-/// `failure_ack`.)
-pub fn mpi_error_handler(ctx: &Ctx, comm: &Comm) {
+/// `failure_ack`.) The listing's signature — the communicator and the
+/// error — so it attaches as it is, capturing nothing:
+/// `comm.set_errhandler(mpi_error_handler)`.
+pub fn mpi_error_handler(ctx: &Ctx, comm: &Comm, _error: &Error) {
     comm.failure_ack(ctx);
     let _failed_group = comm.failure_get_acked();
 }
@@ -32,7 +34,7 @@ pub fn failed_procs_list(broken: &Comm, shrinked: &Comm) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ulfm_sim::{run, Error, RunConfig};
+    use ulfm_sim::{run, RunConfig};
 
     #[test]
     fn failed_list_identifies_paper_example() {
@@ -44,8 +46,8 @@ mod tests {
                 ctx.die();
             }
             match w.barrier(ctx) {
-                Err(Error::ProcFailed { .. }) => {
-                    mpi_error_handler(ctx, &w);
+                Err(e @ Error::ProcFailed { .. }) => {
+                    mpi_error_handler(ctx, &w, &e);
                     let shrinked = w.shrink(ctx).unwrap();
                     let failed = failed_procs_list(&w, &shrinked);
                     assert_eq!(failed, vec![3, 5]);

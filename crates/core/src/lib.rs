@@ -24,6 +24,7 @@
 //!   and the d-dimensional one ([`layout_nd`], [`psolve_nd`],
 //!   [`gather_nd`], v3), as the two instances of one [`stack::Stack`] trait.
 
+pub mod alloc_probe;
 pub mod app;
 pub mod checkpoint;
 pub mod ckpt_async;

@@ -38,9 +38,6 @@
 //! agree second. And the attempt sits between Fig. 3's line-12 agree and
 //! its line-13 barrier, where the listing has nothing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use ulfm_sim::{comm_spawn_multiple, Comm, Ctx, Error, InterComm, Result, SpawnSpec};
 
 use crate::detect::{failed_procs_list, mpi_error_handler};
@@ -622,33 +619,6 @@ pub enum Join {
 /// attempt revokes whatever communicators it created itself first.
 pub type Attempt<'a> = &'a mut dyn FnMut(&Ctx, &Comm, &mut ReconstructTimings) -> Result<()>;
 
-/// Virtual seconds the Fig. 4 error handler spent acknowledging failures
-/// on one communicator handle, so the agree/detect segments it runs inside
-/// are reported net of it and every timeline phase stays disjoint. (An
-/// `f64` in atomic bits: the handler must be `Send`.)
-struct AckMeter(Arc<AtomicU64>);
-
-impl AckMeter {
-    /// Fig. 3 line 11: attach the Fig. 4 handler; it acknowledges observed
-    /// failures whenever an operation on `comm` errors, so the subsequent
-    /// agreement returns uniformly.
-    fn attach(comm: &Comm) -> Self {
-        let bits = Arc::new(AtomicU64::new(0.0f64.to_bits()));
-        let acc = Arc::clone(&bits);
-        comm.set_errhandler(move |ctx, comm, _err| {
-            let a0 = ctx.now();
-            mpi_error_handler(ctx, comm);
-            let total = f64::from_bits(acc.load(Ordering::Relaxed)) + (ctx.now() - a0);
-            acc.store(total.to_bits(), Ordering::Relaxed);
-        });
-        AckMeter(bits)
-    }
-
-    fn total(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// The child part of Fig. 3 (lines 19–26): merge with the survivors, agree,
 /// learn the old rank, and take it in the reorder split.
 ///
@@ -704,11 +674,16 @@ pub fn reconstruct(
     };
     loop {
         timings.rounds += 1;
-        let ack = AckMeter::attach(&comm);
+        // Fig. 3 line 11: attach the Fig. 4 handler. It acknowledges the
+        // observed failures whenever an operation on `comm` errors, so the
+        // agreement returns uniformly; the handle meters its time, so the
+        // agree and detect segments it runs inside are reported net of it
+        // and every timeline phase stays disjoint.
+        comm.set_errhandler(mpi_error_handler);
         let t_agree0 = ctx.now();
         let mut flag = true;
         let _ = comm.agree(ctx, &mut flag); // handler acks on error
-        let ack_in_agree = ack.total();
+        let ack_in_agree = comm.errhandler_time();
         timings.t_agree += (ctx.now() - t_agree0 - ack_in_agree).max(0.0);
         timings.t_ack += ack_in_agree;
 
@@ -744,7 +719,7 @@ pub fn reconstruct(
             Err(e) if is_casualty(&e) => {
                 // The erroring barrier *is* the failure detector (Fig. 3
                 // line 13): its time is the detection phase.
-                let ack_in_detect = ack.total() - ack_in_agree;
+                let ack_in_detect = comm.errhandler_time() - ack_in_agree;
                 timings.t_detect += (ctx.now() - t_barrier0 - ack_in_detect).max(0.0);
                 timings.t_ack += ack_in_detect;
                 ctx.trace_phase("detect", t_barrier0);

@@ -144,17 +144,18 @@ pub fn recover<S: Stack>(
     }
     let t0 = ctx.now();
     let r = Recovery::<S> { ctx, layout: env.layout, world, group, my, broken: &broken, at_step };
-    let stats = match env.cfg.technique {
-        Technique::CheckpointRestart => r.checkpoint(solver, env.store),
+    let t_recovery = match env.cfg.technique {
+        Technique::CheckpointRestart => r.checkpoint(solver, env.checkpoints()?),
         Technique::ResamplingCopying => r.resample_copy(solver),
         Technique::AlternateCombination => r.alt_combination(solver),
         Technique::BuddyCheckpoint => r.buddy(solver, buddy_store),
     }?;
     ctx.trace_phase("data_restore", t0);
-    Ok(stats)
+    Ok(RecoveryStats { t_recovery, recovered_grids: broken })
 }
 
-/// One data recovery, as this rank takes part in it.
+/// One data recovery, as this rank takes part in it. Each technique
+/// returns this rank's accountable recovery time.
 struct Recovery<'a, S: Stack> {
     ctx: &'a Ctx,
     layout: &'a S::Layout,
@@ -199,7 +200,7 @@ impl<S: Stack> Recovery<'_, S> {
     /// lives on its buddy group's root; restore from there (or restart from
     /// the initial condition if the buddy root died too and its copies with
     /// it), then recompute to the detection point.
-    fn buddy(&self, solver: &mut S::Solver, store: &BuddyStore<S>) -> Result<RecoveryStats> {
+    fn buddy(&self, solver: &mut S::Solver, store: &BuddyStore<S>) -> Result<f64> {
         let Recovery { ctx, layout, world, group, my, broken, .. } = *self;
         let t0 = ctx.now();
         let tags = TagSpace::for_grids(S::n_grids(layout));
@@ -237,14 +238,13 @@ impl<S: Stack> Recovery<'_, S> {
                 // intact; its copy OF this grid lives elsewhere and stays valid.
             }
         }
-        let t = if touched { ctx.now() - t0 } else { 0.0 };
-        Ok(RecoveryStats { t_recovery: t, recovered_grids: broken.to_vec() })
+        Ok(if touched { ctx.now() - t0 } else { 0.0 })
     }
 
-    fn checkpoint(&self, solver: &mut S::Solver, store: &CheckpointStore) -> Result<RecoveryStats> {
+    fn checkpoint(&self, solver: &mut S::Solver, store: &CheckpointStore) -> Result<f64> {
         let Recovery { ctx, group, my, broken, .. } = *self;
         if !broken.contains(&my) {
-            return Ok(RecoveryStats { t_recovery: 0.0, recovered_grids: broken.to_vec() });
+            return Ok(0.0);
         }
         let t0 = ctx.now();
         // Root reads the newest *valid* checkpoint from disk, falling back
@@ -264,10 +264,10 @@ impl<S: Stack> Recovery<'_, S> {
             None
         };
         self.restore(solver, payload)?;
-        Ok(RecoveryStats { t_recovery: ctx.now() - t0, recovered_grids: broken.to_vec() })
+        Ok(ctx.now() - t0)
     }
 
-    fn resample_copy(&self, solver: &mut S::Solver) -> Result<RecoveryStats> {
+    fn resample_copy(&self, solver: &mut S::Solver) -> Result<f64> {
         let Recovery { ctx, layout, world, group, my, broken, at_step } = *self;
         let tags = TagSpace::for_grids(S::n_grids(layout));
         let t0 = ctx.now();
@@ -306,11 +306,10 @@ impl<S: Stack> Recovery<'_, S> {
                 S::load_block(solver, &block, at_step);
             }
         }
-        let t = if touched { ctx.now() - t0 } else { 0.0 };
-        Ok(RecoveryStats { t_recovery: t, recovered_grids: broken.to_vec() })
+        Ok(if touched { ctx.now() - t0 } else { 0.0 })
     }
 
-    fn alt_combination(&self, solver: &mut S::Solver) -> Result<RecoveryStats> {
+    fn alt_combination(&self, solver: &mut S::Solver) -> Result<f64> {
         let Recovery { ctx, layout, world, group, my, broken, at_step } = *self;
         let tags = TagSpace::for_grids(S::n_grids(layout));
 
@@ -323,11 +322,10 @@ impl<S: Stack> Recovery<'_, S> {
         // Virtual cost of solving the small coefficient problem.
         ctx.advance(1.0e-4 + 4.0e-6 * downset_len as f64);
         let t_recovery = ctx.now() - t_coeff0;
-        let coeff = |g: usize| S::coefficient(&coeffs, S::level(layout, g));
 
         // --- 2. Gather the needed surviving grids to world rank 0. ---
-        let needed: Vec<usize> =
-            (0..S::n_grids(layout)).filter(|&g| !broken.contains(&g) && coeff(g) != 0).collect();
+        let mut needed = Vec::with_capacity(coeffs.len());
+        needed.extend((0..coeffs.len()).filter(|&g| !broken.contains(&g) && coeffs[g] != 0));
         if needed.is_empty() {
             return Err(Error::InvalidArg(
                 "alternate combination: no surviving grids can cover the losses".into(),
@@ -347,7 +345,7 @@ impl<S: Stack> Recovery<'_, S> {
             let mut sources: Vec<(f64, S::Grid)> = Vec::with_capacity(needed.len());
             for &gid in &needed {
                 let g = S::recv(ctx, world, S::root_of(layout, gid), tags.ac_gather + gid as i32)?;
-                sources.push((coeff(gid) as f64, g));
+                sources.push((coeffs[gid] as f64, g));
             }
             let terms: Vec<S::Term<'_>> = sources.iter().map(|(c, g)| S::term(*c, g)).collect();
             for &b in broken {
@@ -367,7 +365,7 @@ impl<S: Stack> Recovery<'_, S> {
             S::load_block(solver, &block, at_step);
         }
 
-        Ok(RecoveryStats { t_recovery, recovered_grids: broken.to_vec() })
+        Ok(t_recovery)
     }
 }
 

@@ -20,9 +20,8 @@ use advect2d::ndproblem::{ProblemN, TimeGridN};
 use advect2d::{AdvectionProblem, TimeGrid};
 use sparsegrid::scheme::RcSource;
 use sparsegrid::{
-    combine_onto, combine_onto_nd, l1_error_vs, robust_coefficients, robust_coefficients_nd,
-    CombinationTerm, CombinationTermN, Grid2, GridN, LevelPair, LevelSet, LevelSetN, LevelVecN,
-    RcSourceN,
+    combine_onto, combine_onto_nd, l1_error_vs, CombinationTerm, CombinationTermN, Grid2, GridN,
+    IndexedDownset, LevelPair, LevelVecN, RcSourceN,
 };
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
@@ -44,10 +43,20 @@ pub struct Env<'a, S: Stack> {
     pub layout: &'a S::Layout,
     /// The PDE.
     pub problem: &'a S::Problem,
-    /// Where CR checkpoints land.
-    pub store: &'a CheckpointStore,
+    /// Where CR checkpoints land: `Some` exactly under Checkpoint/Restart,
+    /// the one technique that writes to disk.
+    pub store: Option<&'a CheckpointStore>,
     /// The timestep of every solver.
     pub dt: f64,
+}
+
+impl<S: Stack> Env<'_, S> {
+    /// The checkpoint store, which only a Checkpoint/Restart run has.
+    pub fn checkpoints(&self) -> Result<&CheckpointStore> {
+        self.store.ok_or_else(|| {
+            Error::InvalidArg("only Checkpoint/Restart keeps a checkpoint store".into())
+        })
+    }
 }
 
 /// What the driver and the data recovery need from one dimension's
@@ -64,8 +73,6 @@ pub trait Stack: Sized + 'static {
     type Problem;
     /// A sub-grid's level.
     type Level: Clone + PartialEq;
-    /// Combination coefficients by level.
-    type Coeffs;
     /// One whole sub-grid.
     type Grid;
     /// One combination term: a coefficient and a borrowed grid.
@@ -120,16 +127,15 @@ pub trait Stack: Sized + 'static {
     fn min_level(layout: &Self::Layout) -> Self::Level;
 
     /// Robust coefficients over the classical downset once the grids
-    /// `lost` are gone, using only the levels of the others; also the
-    /// size of that downset. With `covered`, the level of a lost grid that
-    /// a surviving grid (a duplicate) also holds is not lost.
+    /// `lost` are gone, using only the levels of the others, as the
+    /// coefficient of each grid's level by grid id; also the size of that
+    /// downset. With `covered`, the level of a lost grid that a surviving
+    /// grid (a duplicate) also holds is not lost.
     fn robust_coefficients(
         layout: &Self::Layout,
         lost: &[usize],
         covered: bool,
-    ) -> (Self::Coeffs, usize);
-    /// The coefficient of `level` (0 if absent).
-    fn coefficient(coeffs: &Self::Coeffs, level: &Self::Level) -> i64;
+    ) -> (Vec<i64>, usize);
 
     /// One timestep of the group's solve, halo exchange included.
     fn step(sv: &mut Self::Solver, ctx: &Ctx, group: &Comm) -> Result<()>;
@@ -243,7 +249,6 @@ pub struct Nd;
 impl Stack for D2 {
     type Problem = AdvectionProblem;
     type Level = LevelPair;
-    type Coeffs = std::collections::BTreeMap<LevelPair, i32>;
     type Grid = Grid2;
     type Term<'a> = CombinationTerm<'a>;
     type Layout = ProcLayout;
@@ -304,22 +309,10 @@ impl Stack for D2 {
         layout: &ProcLayout,
         lost: &[usize],
         covered: bool,
-    ) -> (Self::Coeffs, usize) {
-        let sys = layout.system();
-        let level = |&b: &usize| sys.grid(b).level;
-        let grids = sys.grids().iter();
-        let surviving: LevelSet =
-            grids.filter(|g| !lost.contains(&g.id)).map(|g| g.level).collect();
-        let lost: Vec<LevelPair> = if covered {
-            lost.iter().map(level).filter(|lv| !surviving.contains(lv)).collect()
-        } else {
-            lost.iter().map(level).collect()
-        };
-        let downset = sys.classical_downset();
-        (robust_coefficients(&downset, &lost, &surviving), downset.len())
-    }
-    fn coefficient(coeffs: &Self::Coeffs, level: &LevelPair) -> i64 {
-        coeffs.get(level).map_or(0, |&c| c as i64)
+    ) -> (Vec<i64>, usize) {
+        let (sys, downset) = (layout.system(), layout.system().indexed_downset());
+        let index = |g: usize| downset.index_of(&[sys.grid(g).level.i, sys.grid(g).level.j]);
+        (robust_by_grid(&downset, sys.n_grids(), index, lost, covered), downset.len())
     }
 
     fn step(sv: &mut DistributedSolver, ctx: &Ctx, group: &Comm) -> Result<()> {
@@ -449,7 +442,6 @@ impl Stack for D2 {
 impl Stack for Nd {
     type Problem = ProblemN;
     type Level = LevelVecN;
-    type Coeffs = std::collections::BTreeMap<LevelVecN, i64>;
     type Grid = GridN;
     type Term<'a> = CombinationTermN<'a>;
     type Layout = ProcLayoutN;
@@ -515,23 +507,10 @@ impl Stack for Nd {
         layout: &ProcLayoutN,
         lost: &[usize],
         covered: bool,
-    ) -> (Self::Coeffs, usize) {
-        let sys = layout.system();
-        let level = |&b: &usize| sys.grid(b).level.clone();
-        let mut surviving = LevelSetN::new(sys.dim());
-        for g in sys.grids().iter().filter(|g| !lost.contains(&g.id)) {
-            surviving.insert(g.level.clone());
-        }
-        let lost: Vec<LevelVecN> = if covered {
-            lost.iter().map(level).filter(|lv| !surviving.contains(lv)).collect()
-        } else {
-            lost.iter().map(level).collect()
-        };
-        let downset = sys.classical_downset();
-        (robust_coefficients_nd(&downset, &lost, &surviving), downset.len())
-    }
-    fn coefficient(coeffs: &Self::Coeffs, level: &LevelVecN) -> i64 {
-        coeffs.get(level).copied().unwrap_or(0)
+    ) -> (Vec<i64>, usize) {
+        let (sys, downset) = (layout.system(), layout.system().indexed_downset());
+        let index = |g: usize| downset.index_of(&sys.grid(g).level);
+        (robust_by_grid(&downset, sys.n_grids(), index, lost, covered), downset.len())
     }
 
     fn step(sv: &mut DistributedSolverN, ctx: &Ctx, group: &Comm) -> Result<()> {
@@ -655,4 +634,24 @@ impl Stack for Nd {
     fn drain(w: &Infallible, _: &Ctx) -> Result<()> {
         match *w {}
     }
+}
+
+/// The robust search over `downset` (the classical downset, numbered)
+/// read back by grid id, where `index(g)` numbers grid `g`'s level: a
+/// level is usable iff a grid outside `lost` holds it and — unless
+/// `covered` — no grid in `lost` does. Survivors and losses are read off
+/// the grid ids; no level set is built.
+fn robust_by_grid(
+    downset: &IndexedDownset,
+    n_grids: usize,
+    index: impl Fn(usize) -> Option<usize>,
+    lost: &[usize],
+    covered: bool,
+) -> Vec<i64> {
+    let holds = |g: usize, i: usize| index(g) == Some(i);
+    let kept = downset.robust(|i| {
+        let survives = (0..n_grids).any(|g| !lost.contains(&g) && holds(g, i));
+        survives && (covered || !lost.iter().any(|&g| holds(g, i)))
+    });
+    (0..n_grids).map(|g| index(g).map_or(0, |i| kept.coefficient(i))).collect()
 }

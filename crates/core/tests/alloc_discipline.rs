@@ -23,13 +23,29 @@
 //! 7. a warm `gather_view` of 64 ranks makes **exactly 1** request per
 //!    operation (the vector of parts the root's `Gathered` owns) and none
 //!    per rank: every member's wire buffer comes from the pool and goes
-//!    back to it when the root drops its view.
+//!    back to it when the root drops its view;
+//! 8. one warm robust-coefficient solve — every rank of an Alternate
+//!    Combination repair makes two — at the `ranks1k_kill` shape (n = 9,
+//!    l = 4, extra layers, grids 1 and 2 lost) makes **exactly 3**: the
+//!    downset's table, the search's one buffer of masks, the per-grid
+//!    result;
+//! 9. so does one at the `solve3d_kill` shape (d = 3, n = 7, l = 4, grid 1
+//!    lost);
+//! 10. a warm call of the Fig. 4 error handler on a communicator with two
+//!     known failures makes **0**: the acknowledged list is refilled in
+//!     place and the acknowledged group comes from the communicator's
+//!     cache.
+//!
+//! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
+//! the measurement `expt-regress --exact` gates on; the multi-rank
+//! scenarios count between two of that module's allocation-free `Gate`s.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use advect2d::{AdvectionProblem, KernelConfig, ProblemN};
+use ftsg_core::alloc_probe::{repair_share, Gate, RepairShare, HANDLER_CALLS};
 use ftsg_core::layout::GroupInfo;
 use ftsg_core::layout_nd::GroupInfoN;
 use ftsg_core::psolve::DistributedSolver;
@@ -69,34 +85,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// A rendezvous of all ranks that itself allocates nothing (an MPI
-/// barrier does): arrive, then poll cooperatively — a false `iprobe`
-/// yields the fiber without touching the allocator — until the last rank
-/// has. That rank stamps the request counter *before* it releases the
-/// others, so the stamp separates "everything before the gate, on every
-/// rank" from "everything after it".
-#[derive(Default)]
-struct Gate {
-    arrived: AtomicUsize,
-    stamp: AtomicU64,
-    open: AtomicBool,
-}
-
-impl Gate {
-    fn pass(&self, ctx: &Ctx, comm: &Comm) {
-        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == comm.size() {
-            self.stamp.store(REQUESTS.load(Ordering::SeqCst), Ordering::SeqCst);
-            self.open.store(true, Ordering::SeqCst);
-        }
-        while !self.open.load(Ordering::SeqCst) {
-            // Nobody sends on this tag; the probe is the yield point.
-            assert!(!comm.iprobe(ctx, Some(comm.rank()), Some(i32::MAX)).unwrap());
-        }
-    }
+fn requests() -> u64 {
+    REQUESTS.load(Ordering::SeqCst)
 }
 
 /// Allocator requests made by all `world` ranks together over `counted`
-/// rounds of `round`, after `warm` warm-up rounds.
+/// rounds of `round`, after `warm` warm-up rounds, between two gates that
+/// allocate nothing themselves.
 fn warm_requests<S>(
     world: usize,
     warm: usize,
@@ -104,7 +99,7 @@ fn warm_requests<S>(
     make: impl Fn(&Ctx, &Comm) -> S + Send + Sync + 'static,
     round: impl Fn(&Ctx, &Comm, &mut S) + Send + Sync + 'static,
 ) -> u64 {
-    let (open, close) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
+    let (open, close) = (Gate::new(requests), Gate::new(requests));
     let gates = (Arc::clone(&open), Arc::clone(&close));
     let report = run(RunConfig::local(world).with_workers(1), move |ctx| {
         let comm = ctx.initial_world().unwrap();
@@ -119,7 +114,7 @@ fn warm_requests<S>(
         gates.1.pass(ctx, &comm);
     });
     report.assert_no_app_errors();
-    close.stamp.load(Ordering::SeqCst) - open.stamp.load(Ordering::SeqCst)
+    open.requests_until(&close)
 }
 
 /// The CR configuration of scenario 4 at `checkpoints` checkpoints.
@@ -264,11 +259,19 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         gather, ROUNDS as u64,
         "{ROUNDS} warm gather_view rounds of {RANKS} ranks made {gather} requests, not one each"
     );
+    // 8.-10. A rank's share of a repair.
+    let RepairShare { robust_2d, robust_3d, errhandler } = repair_share(requests);
+    assert_eq!(robust_2d, 3, "a warm 2D robust solve made {robust_2d} requests, not 3");
+    assert_eq!(robust_3d, 3, "a warm 3D robust solve made {robust_3d} requests, not 3");
+    assert_eq!(
+        errhandler, 0,
+        "{HANDLER_CALLS} warm handler calls x 14 survivors made {errhandler} requests"
+    );
     println!(
         "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
          rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
          gather_view of {RANKS} ranks; {extra_rounds} extra checkpoint rounds cost {:.3} of one \
-         round's bytes each",
+         round's bytes each; 3 per warm robust solve (2D and 3D); 0 per warm Fig. 4 handler call",
         extra as f64 / extra_rounds as f64 / round_bytes as f64
     );
 }

@@ -299,3 +299,27 @@ fn buddy_checkpoint_avoids_disk_entirely() {
         "diskless protection ({bc}) must be far below disk checkpoints ({cr})"
     );
 }
+
+#[test]
+fn only_checkpoint_restart_opens_a_checkpoint_directory() {
+    // Every other technique keeps its data in memory: no rank creates the
+    // directory. Under CR rank 0 clears it at the end, keeping it.
+    for technique in [
+        Technique::ResamplingCopying,
+        Technique::AlternateCombination,
+        Technique::BuddyCheckpoint,
+        Technique::CheckpointRestart,
+    ] {
+        let cfg = AppConfig::small(technique);
+        let dir = cfg.ckpt_dir.clone();
+        assert!(!dir.exists(), "{dir:?} is fresh");
+        launch(cfg);
+        if technique == Technique::CheckpointRestart {
+            let left = std::fs::read_dir(&dir).expect("CR opened the directory").count();
+            assert_eq!(left, 0, "rank 0 cleared every checkpoint");
+            std::fs::remove_dir(&dir).expect("an empty directory");
+        } else {
+            assert!(!dir.exists(), "{technique:?} created {dir:?}");
+        }
+    }
+}

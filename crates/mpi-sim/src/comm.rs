@@ -54,10 +54,10 @@ pub(crate) struct CommShared {
     pub ops: OpTable,
     /// Retired payload buffers, shared by all ranks of the communicator.
     pub pool: BufPool,
-    /// `(epoch, failed ranks)` — the member failure scan, re-run only
-    /// when the global failure epoch moves. Keeps `failed_ranks` O(1)
-    /// amortized instead of O(members) per call.
-    failed_cache: parking_lot::Mutex<(u64, Vec<usize>)>,
+    /// The member failure scan, re-run only when the global failure epoch
+    /// moves. Keeps `failed_ranks` O(1) amortized instead of O(members)
+    /// per call.
+    failed_cache: parking_lot::Mutex<FailedCache>,
     /// The member list as a [`Group`], built once on first use. Shared
     /// storage: every rank's `comm.group()` is an O(1) clone of the
     /// same group (and shares its lazy membership index), so the
@@ -81,7 +81,7 @@ impl CommShared {
             revoked: AtomicBool::new(false),
             ops: OpTable::default(),
             pool,
-            failed_cache: parking_lot::Mutex::new((0, Vec::new())),
+            failed_cache: parking_lot::Mutex::new(FailedCache::default()),
             group_cache: OnceLock::new(),
         }
     }
@@ -93,13 +93,14 @@ impl CommShared {
             return read(&[]);
         }
         let mut c = self.failed_cache.lock();
-        if c.0 != epoch {
-            c.1.clear();
+        if c.epoch != epoch {
+            c.ranks.clear();
             let failed = self.members.iter().enumerate().filter(|(_, p)| p.is_failed());
-            c.1.extend(failed.map(|(r, _)| r));
-            c.0 = epoch;
+            c.ranks.extend(failed.map(|(r, _)| r));
+            c.epoch = epoch;
+            c.group = None;
         }
-        read(&c.1)
+        read(&c.ranks)
     }
 
     /// One collective of member `my_index`, from deposit to share: the
@@ -159,6 +160,18 @@ impl CommShared {
         }
         Ok(())
     }
+}
+
+/// A communicator's failed members as of one global failure epoch.
+#[derive(Default)]
+struct FailedCache {
+    epoch: u64,
+    /// Failed ranks, ascending.
+    ranks: Vec<usize>,
+    /// `ranks` as a group, built by the first [`Comm::failure_get_acked`]
+    /// that asks for exactly these ranks and shared by every later one,
+    /// the way [`Comm::group`] is.
+    group: Option<Group>,
 }
 
 /// Reduction operators for [`Comm::reduce`] / [`Comm::allreduce`].
@@ -225,6 +238,9 @@ pub struct Comm {
     recovery_seq: Cell<u64>,
     acked: RefCell<Vec<usize>>,
     errhandler: RefCell<Option<ErrHandler>>,
+    /// Virtual seconds spent inside the error handler since it was
+    /// attached.
+    errhandler_time: Cell<f64>,
 }
 
 impl Comm {
@@ -236,6 +252,7 @@ impl Comm {
             recovery_seq: Cell::new(0),
             acked: RefCell::new(Vec::new()),
             errhandler: RefCell::new(None),
+            errhandler_time: Cell::new(0.0),
         }
     }
 
@@ -244,8 +261,20 @@ impl Comm {
     /// handlers, it runs *before* the error is returned; unlike
     /// `MPI_ERRORS_ARE_FATAL`, the error is still returned afterwards
     /// (the `MPI_ERRORS_RETURN` + handler discipline ULFM requires).
+    /// Attaching restarts [`errhandler_time`](Self::errhandler_time) at
+    /// zero. A handler that captures nothing is a zero-sized closure, and
+    /// boxing it does not allocate.
     pub fn set_errhandler(&self, h: impl Fn(&Ctx, &Comm, &Error) + Send + 'static) {
         *self.errhandler.borrow_mut() = Some(Box::new(h));
+        self.errhandler_time.set(0.0);
+    }
+
+    /// Virtual seconds this handle's error handler has run since it was
+    /// attached (each call metered as the clock after it minus the clock
+    /// before it), so the caller can report the operations the handler
+    /// ran inside net of it.
+    pub fn errhandler_time(&self) -> f64 {
+        self.errhandler_time.get()
     }
 
     /// Run the attached error handler (if any) and pass the error through.
@@ -255,7 +284,9 @@ impl Comm {
                 ctx.metrics.note_failure_observed();
             }
             if let Some(h) = &*self.errhandler.borrow() {
+                let t0 = ctx.now();
                 h(ctx, self, e);
+                self.errhandler_time.set(self.errhandler_time.get() + (ctx.now() - t0));
             }
         }
         r
@@ -1093,17 +1124,31 @@ impl Comm {
     }
 
     /// `OMPI_Comm_failure_ack`: acknowledge every failure observed so far.
+    /// The handle's acknowledged list is refilled in place.
     pub fn failure_ack(&self, ctx: &Ctx) {
         ctx.check_killed();
-        let failed = self.failed_ranks();
-        *self.acked.borrow_mut() = failed;
+        self.shared.with_failed(|failed| {
+            let mut acked = self.acked.borrow_mut();
+            acked.clear();
+            acked.extend_from_slice(failed);
+        });
         ctx.advance(ctx.model().failure_ack(self.size()));
     }
 
     /// `OMPI_Comm_failure_get_acked`: the group of acknowledged failures.
+    /// When they are the communicator's failed members as last scanned —
+    /// what [`failure_ack`](Self::failure_ack) leaves until the next
+    /// failure — the group is built once and shared by every rank, the way
+    /// [`Comm::group`] is.
     pub fn failure_get_acked(&self) -> Group {
         let acked = self.acked.borrow();
-        Group::new(acked.iter().map(|&r| self.shared.members[r].id).collect())
+        let build = || Group::new(acked.iter().map(|&r| self.shared.members[r].id).collect());
+        let mut cache = self.shared.failed_cache.lock();
+        if cache.ranks == *acked {
+            cache.group.get_or_insert_with(build).clone()
+        } else {
+            build()
+        }
     }
 
     /// The handle a communicator-making collective hands this rank.

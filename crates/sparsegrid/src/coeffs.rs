@@ -20,11 +20,34 @@
 //! combination of Harding & Hegland. Losses in the middle of a diagonal
 //! recruit grids from the extra layers; that is precisely why the paper's
 //! Alternate Combination technique carries two extra layers of sub-grids.
+//!
+//! ## The robust search
+//!
+//! A level may stay inside the downset as long as its coefficient is
+//! zero — its data is never touched. Only a *nonzero* coefficient on a
+//! lost or unavailable level (a *bad* level) forces index-set surgery,
+//! and there is a choice of surgeries: removing the upset of the bad
+//! level itself, or of one of its upper neighbours, which can zero the bad
+//! level's coefficient while keeping far more of the downset (losing the
+//! lower-diagonal `(i,i)` *and* the corner extra grid is only solvable by
+//! trimming a neighbouring diagonal grid instead of the corner's whole
+//! upset). The downsets are tiny (l(l+1)/2 levels), so
+//! [`robust_coefficients`] runs a best-retention depth-first search: at
+//! each node it takes the first bad level in lexicographic order, tries
+//! the upper neighbours along `i`, then `j`, then the level itself,
+//! prunes a branch that cannot beat the largest valid subset found so
+//! far, and keeps the first one found on a tie.
+//!
+//! That search is written once, for every dimension:
+//! [`IndexedDownset::robust`]. The [`crate::ndim`] module docs say how it
+//! runs on index bitmasks and why it visits the same subsets in the same
+//! order as the set-based search it replaced.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use crate::level::LevelPair;
+use crate::ndim::IndexedDownset;
 
 /// A finite set of level pairs, maintained as a downset for coefficient
 /// computations.
@@ -76,7 +99,7 @@ impl LevelSet {
     }
 
     /// Iterate in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = &LevelPair> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &LevelPair> {
         self.levels.iter()
     }
 
@@ -131,7 +154,8 @@ pub fn gcp_coefficients(j_set: &LevelSet) -> BTreeMap<LevelPair, i32> {
 /// assign a nonzero coefficient to a level outside `available`, that level
 /// is treated as lost too and the surgery repeats. Always terminates (the
 /// set shrinks); returns the final coefficients (possibly empty, if every
-/// grid is gone).
+/// grid is gone). An adapter over [`IndexedDownset::robust`] (see the
+/// module docs).
 ///
 /// ```
 /// use sparsegrid::{robust_coefficients, verify_covering, GridSystem, Layout, LevelSet};
@@ -155,59 +179,10 @@ pub fn robust_coefficients(
     lost: &[LevelPair],
     available: &LevelSet,
 ) -> BTreeMap<LevelPair, i32> {
-    // A level may stay inside the downset as long as its coefficient is
-    // zero — its data is never touched. Only a *nonzero* coefficient on a
-    // lost/unavailable grid forces index-set surgery, and there is a
-    // choice of surgeries: removing the upset of the bad level itself, or
-    // of one of its two upper neighbours (which can zero the bad level's
-    // coefficient while keeping far more of the downset — e.g. losing the
-    // lower-diagonal (i,i) *and* the corner extra grid is only solvable by
-    // trimming a neighbouring diagonal grid instead of the corner's whole
-    // upset). The downsets involved are tiny (l(l+1)/2 levels), so a
-    // best-retention recursive search is affordable and deterministic.
-    fn search(
-        j: &LevelSet,
-        usable: &impl Fn(&LevelPair) -> bool,
-        best: &mut Option<(usize, BTreeMap<LevelPair, i32>)>,
-    ) {
-        let coeffs = gcp_coefficients(j);
-        let bad = coeffs.keys().find(|l| !usable(l)).copied();
-        match bad {
-            None => {
-                let retained = j.len();
-                let better = match best {
-                    Some((n, _)) => retained > *n,
-                    None => true,
-                };
-                if better && !coeffs.is_empty() {
-                    *best = Some((retained, coeffs));
-                }
-            }
-            Some(bad) => {
-                // Prune: this branch can never beat the incumbent.
-                if let Some((n, _)) = best {
-                    if j.len() <= *n {
-                        return;
-                    }
-                }
-                for cand in [bad.plus(1, 0), bad.plus(0, 1), bad] {
-                    if !j.contains(&cand) {
-                        continue;
-                    }
-                    let mut j2 = j.clone();
-                    j2.remove_upset(cand);
-                    if j2.len() < j.len() {
-                        search(&j2, usable, best);
-                    }
-                }
-            }
-        }
-    }
-
-    let usable = |l: &LevelPair| !lost.contains(l) && available.contains(l);
-    let mut best = None;
-    search(j_set, &usable, &mut best);
-    best.map(|(_, c)| c).unwrap_or_default()
+    let set = IndexedDownset::new(2, j_set.iter().map(|l| [l.i, l.j]));
+    let pair = |i: usize| LevelPair::new(set.level(i)[0], set.level(i)[1]);
+    let robust = set.robust(|i| !lost.contains(&pair(i)) && available.contains(&pair(i)));
+    robust.iter().map(|(i, c)| (pair(i), c as i32)).collect()
 }
 
 /// Verify the defining GCP property of a coefficient set: every

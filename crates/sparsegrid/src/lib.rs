@@ -46,7 +46,8 @@ pub use level::LevelPair;
 pub use ndcombine::{combine_binomial_nd, combine_onto_into_nd, combine_onto_nd, CombinationTermN};
 pub use ndgrid::GridN;
 pub use ndim::{
-    gcp_coefficients_nd, robust_coefficients_nd, verify_covering_nd, LevelSetN, LevelVecN,
+    gcp_coefficients_nd, robust_coefficients_nd, verify_covering_nd, IndexedDownset, LevelSetN,
+    LevelVecN, RobustCoefficients,
 };
 pub use norms::{l1_error_vs, l1_grid_diff, l2_error_vs, linf_error_vs};
 pub use scheme::{GridRole, GridSystem, Layout, SubGrid};

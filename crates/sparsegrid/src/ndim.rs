@@ -20,6 +20,46 @@
 //! to the textbook formula `(−1)^q · C(d−1, q)` on the diagonal
 //! `|l|₁ = τ − q` (away from the truncation corners), which the tests
 //! verify.
+//!
+//! ## The robust search on bitmasks
+//!
+//! The search itself (best retention, first bad level, candidates, ties:
+//! the [`crate::coeffs`] module docs) lives here once for every
+//! dimension, in [`IndexedDownset::robust`]; [`robust_coefficients_nd`]
+//! and [`crate::robust_coefficients`] are thin adapters over it, and so is
+//! the application's per-rank solve.
+//!
+//! [`IndexedDownset`] numbers the levels in lexicographic order — the
+//! order a `BTreeSet` of level vectors, or of level pairs, iterates in —
+//! and builds one table per solve: each level's `2^d` corners `l + z`,
+//! `z ∈ {0,1}^d`, as indices (the `d` corners one step up are its upper
+//! neighbours). The classical downset comes straight from
+//! [`TruncatedSimplex`], the one listing of the truncated simplex, which
+//! is already in that order. Every subset the search visits is then a
+//! bitmask over those indices. A coefficient counts the set bits among a
+//! level's corners, removing an upset is `j & !upset` with every level's
+//! upset precomputed, and a subset's size is a popcount. The masks of the
+//! whole solve (one per search depth) share one buffer, where the
+//! set-based search cloned a set and built a coefficient map at every
+//! node.
+//!
+//! The bitmask search visits the same subsets in the same order as the
+//! set-based one, because every choice it makes reads only the order of
+//! the indices, which is the lexicographic order of the levels:
+//!
+//! * the first bad level is the lowest index whose coefficient is nonzero
+//!   and whose level is unusable — the first such key of the coefficient
+//!   map;
+//! * the candidates are tried as before: the upper neighbour along axis
+//!   0, 1, …, `d − 1`, then the level itself, each only if still present;
+//! * a subset's size, and so the pruning and the best-retention test,
+//!   is the set's length;
+//! * on a tie the first subset found stays.
+//!
+//! So the coefficients, the tie-breaks and the downset's size are the
+//! ones the set-based search gave; `ftsg-core`'s `robust_pins` test
+//! checks that against a transcription of it on every loss of one to
+//! three grids of the application's shapes.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -61,44 +101,16 @@ impl LevelSetN {
         }
     }
 
-    /// Fallible constructor for the truncated simplex: rejects degenerate
-    /// dimensions, simplices that cannot hold the floor corner, and
-    /// parameter combinations whose corner sum `floor · d` overflows
-    /// `u32` — all as errors rather than panics, so user-supplied config
-    /// can be validated at the boundary.
+    /// Fallible constructor for the truncated simplex: the errors of
+    /// [`TruncatedSimplex::new`] are returned rather than panicked on, so
+    /// user-supplied config can be validated at the boundary.
     pub fn try_truncated_simplex(dim: usize, floor: u32, tau: u32) -> Result<Self, String> {
-        if dim < 1 {
-            return Err("dimension must be ≥ 1".into());
-        }
-        let d32 = u32::try_from(dim).map_err(|_| format!("dimension {dim} exceeds u32 range"))?;
-        let corner = floor
-            .checked_mul(d32)
-            .ok_or_else(|| format!("floor {floor} × dim {dim} overflows u32"))?;
-        if tau < corner {
-            return Err(format!("tau {tau} cannot hold the floor corner ({floor}^{dim})"));
-        }
+        let simplex = TruncatedSimplex::new(dim, floor, tau)?;
         let mut set = LevelSetN::new(dim);
-        let mut cursor = vec![floor; dim];
-        loop {
-            if cursor.iter().sum::<u32>() <= tau {
-                set.levels.insert(cursor.clone());
-            }
-            // Odometer increment with per-digit cap tau (pruned by the
-            // simplex test above).
-            let mut i = 0;
-            loop {
-                if i == dim {
-                    return Ok(set);
-                }
-                cursor[i] += 1;
-                let partial: u32 = cursor.iter().sum();
-                if partial <= tau {
-                    break;
-                }
-                cursor[i] = floor;
-                i += 1;
-            }
+        for level in simplex.levels() {
+            set.levels.insert(level);
         }
+        Ok(set)
     }
 
     /// Dimension of the member vectors.
@@ -135,8 +147,71 @@ impl LevelSetN {
     }
 
     /// Iterate in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = &LevelVecN> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &LevelVecN> {
         self.levels.iter()
+    }
+}
+
+/// The truncated simplex `{ l : floor ≤ l_i, |l|₁ ≤ tau }`, listed in
+/// lexicographic order: `len` levels, known up front, the first
+/// `[floor; dim]`, each next one from `advance` on the one before, in
+/// place, so listing it allocates nothing. [`LevelSetN::truncated_simplex`],
+/// [`IndexedDownset::truncated_simplex`] and the 2D
+/// [`crate::GridSystem::classical_downset`] are all listed this way.
+#[derive(Debug, Clone, Copy)]
+pub struct TruncatedSimplex {
+    dim: usize,
+    floor: u32,
+    tau: u32,
+}
+
+impl TruncatedSimplex {
+    /// Rejects degenerate dimensions, simplices that cannot hold the floor
+    /// corner, and parameter combinations whose corner sum `floor · d`
+    /// overflows `u32`.
+    pub fn new(dim: usize, floor: u32, tau: u32) -> Result<Self, String> {
+        if dim < 1 {
+            return Err("dimension must be ≥ 1".into());
+        }
+        let d32 = u32::try_from(dim).map_err(|_| format!("dimension {dim} exceeds u32 range"))?;
+        let corner = floor
+            .checked_mul(d32)
+            .ok_or_else(|| format!("floor {floor} × dim {dim} overflows u32"))?;
+        if tau < corner {
+            return Err(format!("tau {tau} cannot hold the floor corner ({floor}^{dim})"));
+        }
+        Ok(TruncatedSimplex { dim, floor, tau })
+    }
+
+    /// Number of levels: the ways to spread at most `tau − floor · d` over
+    /// `d` axes, `C(tau − floor · d + d, d)`.
+    fn len(&self) -> usize {
+        let slack = (self.tau - self.floor * self.dim as u32) as usize;
+        (1..=self.dim).fold(1, |n, k| n * (slack + k) / k)
+    }
+
+    /// Step `level` to its lexicographic successor — an odometer whose last
+    /// axis turns fastest, each axis reset to `floor` once the sum would
+    /// exceed `tau`. False, with `level` back at the floor corner, if it
+    /// was the last.
+    fn advance(&self, level: &mut [u32]) -> bool {
+        debug_assert_eq!(level.len(), self.dim);
+        for axis in (0..self.dim).rev() {
+            level[axis] += 1;
+            if level.iter().sum::<u32>() <= self.tau {
+                return true;
+            }
+            level[axis] = self.floor;
+        }
+        false
+    }
+
+    /// The levels as vectors, in lexicographic order.
+    pub fn levels(self) -> impl Iterator<Item = LevelVecN> {
+        std::iter::successors(Some(vec![self.floor; self.dim]), move |level| {
+            let mut next = level.clone();
+            self.advance(&mut next).then_some(next)
+        })
     }
 }
 
@@ -202,63 +277,269 @@ pub fn verify_covering_nd(coeffs: &BTreeMap<LevelVecN, i64>, floor: u32) -> Opti
     }
 }
 
-/// Robust coefficients after losses, in any dimension: the same
-/// best-retention surgery search as the 2D version — a bad (lost or
-/// unavailable) level with nonzero coefficient is neutralized by removing
-/// the upset of one of its `d` upper neighbours or of the level itself,
-/// searched for maximum retained downset size.
+/// Robust coefficients after losses, in any dimension: the
+/// best-retention surgery search of the module docs over `j_set`, where a
+/// level is usable unless it is `lost` or missing from `available`. An
+/// adapter over [`IndexedDownset::robust`].
 pub fn robust_coefficients_nd(
     j_set: &LevelSetN,
     lost: &[LevelVecN],
     available: &LevelSetN,
 ) -> BTreeMap<LevelVecN, i64> {
-    fn search(
-        j: &LevelSetN,
-        usable: &impl Fn(&LevelVecN) -> bool,
-        best: &mut Option<(usize, BTreeMap<LevelVecN, i64>)>,
-    ) {
-        let coeffs = gcp_coefficients_nd(j);
-        let bad = coeffs.keys().find(|l| !usable(l)).cloned();
-        match bad {
-            None => {
-                let retained = j.len();
-                let better = best.as_ref().is_none_or(|(n, _)| retained > *n);
-                if better && !coeffs.is_empty() {
-                    *best = Some((retained, coeffs));
-                }
-            }
-            Some(bad) => {
-                if let Some((n, _)) = best {
-                    if j.len() <= *n {
-                        return;
-                    }
-                }
-                let d = j.dim();
-                let mut candidates: Vec<LevelVecN> = (0..d)
-                    .map(|axis| {
-                        let mut v = bad.clone();
-                        v[axis] += 1;
-                        v
-                    })
-                    .collect();
-                candidates.push(bad);
-                for cand in candidates {
-                    if !j.contains(&cand) {
-                        continue;
-                    }
-                    let mut j2 = j.clone();
-                    j2.remove_upset(&cand);
-                    if j2.len() < j.len() {
-                        search(&j2, usable, best);
-                    }
-                }
+    let set = IndexedDownset::new(j_set.dim(), j_set.iter().map(|l| l.iter().copied()));
+    let robust = set.robust(|i| {
+        let l = set.level(i);
+        !lost.iter().any(|q| q[..] == *l) && available.contains(l)
+    });
+    robust.iter().map(|(i, c)| (set.level(i).to_vec(), c)).collect()
+}
+
+/// Marks a corner outside the set in an [`IndexedDownset`] row.
+const ABSENT: u32 = u32::MAX;
+
+/// A finite set of level vectors — in practice a downset — numbered in
+/// lexicographic order, with the table the robust search reads: row `i`
+/// holds level `i`, then the index of each corner `l + z`, `z ∈ {0,1}^d`
+/// (bit `a` of `z` steps axis `a`, so corner `1 << a` is the upper
+/// neighbour `l + e_a`), or `ABSENT` where the set lacks it.
+#[derive(Debug, Clone)]
+pub struct IndexedDownset {
+    dim: usize,
+    len: usize,
+    rows: Vec<u32>,
+}
+
+impl IndexedDownset {
+    /// The set of `levels`, given in strictly ascending lexicographic
+    /// order (as a [`LevelSetN`] or a [`crate::LevelSet`] iterates), each
+    /// of `dim` components.
+    pub fn new<L: IntoIterator<Item = u32>>(
+        dim: usize,
+        levels: impl ExactSizeIterator<Item = L>,
+    ) -> Self {
+        let mut set = Self::with_capacity(dim, levels.len());
+        for level in levels {
+            let start = set.rows.len();
+            set.rows.extend(level);
+            assert_eq!(set.rows.len() - start, dim, "dimension mismatch");
+            set.rows.resize(start + Self::row_len(dim), ABSENT);
+            set.len += 1;
+        }
+        debug_assert!((1..set.len).all(|i| set.level(i - 1) < set.level(i)), "ascending levels");
+        set.link();
+        set
+    }
+
+    /// The truncated simplex `{ l : floor ≤ l_i, |l|₁ ≤ tau }` (see
+    /// [`TruncatedSimplex`]), which must hold the floor corner. One
+    /// allocation: each level is written in place as its predecessor's
+    /// successor.
+    pub fn truncated_simplex(dim: usize, floor: u32, tau: u32) -> Self {
+        let simplex = TruncatedSimplex::new(dim, floor, tau).unwrap_or_else(|e| panic!("{e}"));
+        let (len, row) = (simplex.len(), Self::row_len(dim));
+        let mut set = Self::with_capacity(dim, len);
+        set.rows.extend(std::iter::repeat_n(floor, dim));
+        for i in 1..len {
+            set.rows.resize(i * row, ABSENT);
+            set.rows.extend_from_within((i - 1) * row..(i - 1) * row + dim);
+            let advanced = simplex.advance(&mut set.rows[i * row..i * row + dim]);
+            debug_assert!(advanced, "the simplex has {len} levels");
+        }
+        set.rows.resize(len * row, ABSENT);
+        set.len = len;
+        set.link();
+        set
+    }
+
+    fn row_len(dim: usize) -> usize {
+        dim + (1 << dim)
+    }
+
+    fn with_capacity(dim: usize, len: usize) -> Self {
+        assert!((1..32).contains(&dim), "a table of 2^d corners needs 1 ≤ d < 32");
+        IndexedDownset { dim, len: 0, rows: Vec::with_capacity(len * Self::row_len(dim)) }
+    }
+
+    /// Fill every row's corner columns.
+    fn link(&mut self) {
+        let (d, row) = (self.dim, Self::row_len(self.dim));
+        for i in 0..self.len {
+            for z in 0..1usize << d {
+                let corner = self.find(|a| self.rows[i * row + a] + ((z >> a) & 1) as u32);
+                self.rows[i * row + d + z] = corner.map_or(ABSENT, |c| c as u32);
             }
         }
     }
-    let usable = |l: &LevelVecN| !lost.iter().any(|q| q == l) && available.contains(l);
-    let mut best = None;
-    search(j_set, &usable, &mut best);
-    best.map(|(_, c)| c).unwrap_or_default()
+
+    /// The index of the level whose component `a` is `key(a)`, if present.
+    fn find(&self, key: impl Fn(usize) -> u32) -> Option<usize> {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let level = self.level(mid);
+            match (0..self.dim).map(|a| level[a].cmp(&key(a))).find(|o| o.is_ne()) {
+                None => return Some(mid),
+                Some(std::cmp::Ordering::Less) => lo = mid + 1,
+                Some(_) => hi = mid,
+            }
+        }
+        None
+    }
+
+    /// Number of levels.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Level `i`.
+    pub fn level(&self, i: usize) -> &[u32] {
+        let start = i * Self::row_len(self.dim);
+        &self.rows[start..start + self.dim]
+    }
+
+    /// The index of `level`, if it is in the set.
+    pub fn index_of(&self, level: &[u32]) -> Option<usize> {
+        debug_assert_eq!(level.len(), self.dim);
+        self.find(|a| level[a])
+    }
+
+    /// The corner indices of level `i`.
+    fn corners(&self, i: usize) -> &[u32] {
+        let start = i * Self::row_len(self.dim) + self.dim;
+        &self.rows[start..start + (1 << self.dim)]
+    }
+
+    /// Inclusion–exclusion coefficient of level `i` over the subset `j`
+    /// (0 if `i` is not in it).
+    fn coefficient(&self, i: usize, j: &[u64]) -> i64 {
+        if !has(j, i as u32) {
+            return 0;
+        }
+        let corners = self.corners(i).iter().enumerate();
+        let present = corners.filter(|&(_, &c)| has(j, c));
+        present.map(|(z, _)| if z.count_ones() % 2 == 0 { 1 } else { -1 }).sum()
+    }
+
+    /// The best-retention surgery search of the module docs over this set,
+    /// with level `i` usable iff `usable(i)`: the largest subset, reached by
+    /// removing upsets, whose nonzero coefficients all sit on usable levels
+    /// (the first found on a tie). All working sets are bitmasks over the
+    /// indices, kept in one buffer.
+    pub fn robust(&self, usable: impl Fn(usize) -> bool) -> RobustCoefficients<'_> {
+        let (n, words) = (self.len, self.len.div_ceil(64));
+        // [kept][usable][upset of each level][one frame per search depth].
+        let mut bits = vec![0u64; (2 * n + 3) * words];
+        let (kept, rest) = bits.split_at_mut(words);
+        let (usable_bits, rest) = rest.split_at_mut(words);
+        let (upsets, frames) = rest.split_at_mut(n * words);
+        for i in 0..n {
+            if usable(i) {
+                set_bit(usable_bits, i);
+            }
+            let upset = &mut upsets[i * words..(i + 1) * words];
+            for b in (i..n).filter(|&b| leq(self.level(i), self.level(b))) {
+                set_bit(upset, b);
+            }
+            set_bit(&mut frames[..words], i);
+        }
+        let mut search = Search { set: self, usable: usable_bits, upsets, kept, kept_len: None };
+        search.visit(frames);
+        RobustCoefficients { set: self, words, bits }
+    }
+}
+
+/// Is bit `i` of the mask set? ([`ABSENT`] never is.)
+fn has(mask: &[u64], i: u32) -> bool {
+    mask.get(i as usize / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+}
+
+fn set_bit(mask: &mut [u64], i: usize) {
+    mask[i / 64] |= 1 << (i % 64);
+}
+
+fn count(mask: &[u64]) -> usize {
+    mask.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// The search's state: the set, its usable levels and upsets, and the
+/// best subset so far with its size.
+struct Search<'a> {
+    set: &'a IndexedDownset,
+    usable: &'a [u64],
+    upsets: &'a [u64],
+    kept: &'a mut [u64],
+    kept_len: Option<usize>,
+}
+
+impl Search<'_> {
+    /// Visit the subset in `frames`' first mask; the rest of `frames` is
+    /// scratch for the deeper visits (each removes at least one level, so
+    /// one frame per level suffices).
+    fn visit(&mut self, frames: &mut [u64]) {
+        let (set, upsets, words) = (self.set, self.upsets, self.kept.len());
+        let (j, deeper) = frames.split_at_mut(words);
+        let len = count(j);
+        let mut nonzero = false;
+        let mut bad = None;
+        for i in (0..set.len).filter(|&i| has(j, i as u32)) {
+            if set.coefficient(i, j) != 0 {
+                if !has(self.usable, i as u32) {
+                    bad = Some(i);
+                    break;
+                }
+                nonzero = true;
+            }
+        }
+        let Some(bad) = bad else {
+            if nonzero && self.kept_len.is_none_or(|n| len > n) {
+                self.kept.copy_from_slice(j);
+                self.kept_len = Some(len);
+            }
+            return;
+        };
+        // Prune: this branch can never beat the incumbent.
+        if self.kept_len.is_some_and(|n| len <= n) {
+            return;
+        }
+        let corners = set.corners(bad);
+        let ups = (0..set.dim).map(|a| corners[1 << a]);
+        for cand in ups.chain([bad as u32]).filter(|&c| has(j, c)) {
+            let upset = &upsets[cand as usize * words..][..words];
+            for ((child, &w), &u) in deeper.iter_mut().zip(j.iter()).zip(upset) {
+                *child = w & !u;
+            }
+            if count(&deeper[..words]) < len {
+                self.visit(deeper);
+            }
+        }
+    }
+}
+
+/// What [`IndexedDownset::robust`] settled on: the retained subset, whose
+/// inclusion–exclusion coefficients are the robust combination.
+pub struct RobustCoefficients<'a> {
+    set: &'a IndexedDownset,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl RobustCoefficients<'_> {
+    /// The robust coefficient of level `i` (0 if it has none, or if no
+    /// subset qualified).
+    pub fn coefficient(&self, i: usize) -> i64 {
+        self.set.coefficient(i, &self.bits[..self.words])
+    }
+
+    /// `(index, coefficient)` of every nonzero coefficient, in index
+    /// (= lexicographic) order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, i64)> + '_ {
+        (0..self.set.len).map(|i| (i, self.coefficient(i))).filter(|&(_, c)| c != 0)
+    }
 }
 
 #[cfg(test)]
@@ -360,6 +641,55 @@ mod tests {
         assert!(!c.is_empty(), "the partial surgery exists");
         assert_eq!(c.values().sum::<i64>(), 1);
         assert_eq!(verify_covering_nd(&c, floor), None);
+    }
+
+    #[test]
+    fn indexed_simplex_numbers_the_set_lexicographically_with_its_corners() {
+        for (d, floor, tau) in [(1usize, 2u32, 5u32), (2, 3, 11), (3, 1, 8), (4, 1, 9), (3, 2, 6)] {
+            // The oracle: every point of the box floor..=tau in each axis,
+            // filtered by the simplex test, in lexicographic order.
+            let mut oracle: Vec<Vec<u32>> = vec![vec![]];
+            for _ in 0..d {
+                oracle = (oracle.into_iter())
+                    .flat_map(|l| (floor..=tau).map(move |v| [&l[..], &[v]].concat()))
+                    .collect();
+            }
+            oracle.retain(|l| l.iter().sum::<u32>() <= tau);
+            let set = LevelSetN::truncated_simplex(d, floor, tau);
+            assert!(set.iter().eq(&oracle), "d={d}");
+            let indexed = IndexedDownset::truncated_simplex(d, floor, tau);
+            assert_eq!(indexed.len(), oracle.len(), "d={d}");
+            for (i, l) in oracle.iter().enumerate() {
+                assert_eq!(indexed.level(i), &l[..]);
+                assert_eq!(indexed.index_of(l), Some(i));
+                for z in 0..1usize << d {
+                    let corner: Vec<u32> = (0..d).map(|a| l[a] + ((z >> a) & 1) as u32).collect();
+                    let want =
+                        oracle.iter().position(|o| *o == corner).map_or(ABSENT, |c| c as u32);
+                    assert_eq!(indexed.corners(i)[z], want);
+                }
+            }
+            assert_eq!(indexed.index_of(&vec![floor + tau; d]), None);
+        }
+    }
+
+    #[test]
+    fn robust_with_every_level_usable_is_the_gcp_and_with_none_is_empty() {
+        for (d, floor, tau) in [(2usize, 3u32, 11u32), (3, 1, 8), (4, 1, 9)] {
+            let set = LevelSetN::truncated_simplex(d, floor, tau);
+            let indexed = IndexedDownset::truncated_simplex(d, floor, tau);
+            let all: BTreeMap<LevelVecN, i64> = (indexed.robust(|_| true).iter())
+                .map(|(i, c)| (indexed.level(i).to_vec(), c))
+                .collect();
+            assert_eq!(all, gcp_coefficients_nd(&set), "d={d}");
+        }
+        // With nothing usable no subset qualifies, and without an
+        // incumbent nothing is pruned: keep this set small.
+        let small = IndexedDownset::truncated_simplex(3, 1, 4);
+        assert_eq!(small.robust(|_| false).iter().count(), 0);
+        let empty = IndexedDownset::new(3, std::iter::empty::<[u32; 3]>());
+        assert!(empty.is_empty());
+        assert_eq!(empty.robust(|_| true).iter().count(), 0);
     }
 
     #[test]

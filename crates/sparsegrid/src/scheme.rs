@@ -16,6 +16,7 @@
 
 use crate::coeffs::LevelSet;
 use crate::level::LevelPair;
+use crate::ndim::{IndexedDownset, TruncatedSimplex};
 
 /// Which redundancy a grid system carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,18 +183,16 @@ impl GridSystem {
     }
 
     /// The triangular downset `J = {(i,j) : m ≤ i,j ≤ n, i+j ≤ τ}` behind
-    /// the classical coefficients.
+    /// the classical coefficients, a truncated simplex: `i ≤ n` follows
+    /// from `j ≥ m` and `i + j ≤ τ`.
     pub fn classical_downset(&self) -> LevelSet {
-        let m = self.n - self.l + 1;
-        let mut levels = Vec::new();
-        for i in m..=self.n {
-            for j in m..=self.n {
-                if i + j <= self.tau() {
-                    levels.push(LevelPair::new(i, j));
-                }
-            }
-        }
-        levels.into_iter().collect()
+        let simplex = TruncatedSimplex::new(2, self.n - self.l + 1, self.tau()).expect("2m ≤ τ");
+        simplex.levels().map(|l| LevelPair::new(l[0], l[1])).collect()
+    }
+
+    /// The same downset, numbered for the robust search.
+    pub fn indexed_downset(&self) -> IndexedDownset {
+        IndexedDownset::truncated_simplex(2, self.n - self.l + 1, self.tau())
     }
 
     /// Levels for which solution data exists (one entry per distinct level:

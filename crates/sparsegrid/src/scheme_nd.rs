@@ -21,7 +21,7 @@
 //! [`crate::scheme::GridSystem`] exactly (a unit test pins this), so the
 //! 2D fast path remains the reference instantiation.
 
-use crate::ndim::{LevelSetN, LevelVecN};
+use crate::ndim::{IndexedDownset, LevelSetN, LevelVecN, TruncatedSimplex};
 use crate::scheme::Layout;
 
 /// The role a sub-grid plays in the d-dimensional system.
@@ -145,7 +145,7 @@ impl GridSystemN {
             .and_then(|v| v.checked_add(n))
             .ok_or_else(|| format!("tau overflows u32 for dim={dim}, n={n}, l={l}"))?;
         // The simplex must be constructible too (floor · d ≤ tau etc.).
-        LevelSetN::try_truncated_simplex(dim, m, tau)?;
+        TruncatedSimplex::new(dim, m, tau)?;
 
         let mut grids = Vec::new();
         for q in 0..dim.min(l as usize) {
@@ -251,6 +251,11 @@ impl GridSystemN {
     pub fn classical_downset(&self) -> LevelSetN {
         let m = self.n - self.l + 1;
         LevelSetN::truncated_simplex(self.dim, m, self.tau())
+    }
+
+    /// The same downset, numbered for the robust search.
+    pub fn indexed_downset(&self) -> IndexedDownset {
+        IndexedDownset::truncated_simplex(self.dim, self.n - self.l + 1, self.tau())
     }
 
     /// Levels for which solution data exists (duplicates share their
