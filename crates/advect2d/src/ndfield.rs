@@ -184,17 +184,13 @@ impl PaddedFieldN {
         });
     }
 
-    /// Overwrite the interior from row-major `values` (the layout
-    /// [`extend_with_interior`](Self::extend_with_interior) produces).
-    /// The halo is left stale.
-    pub fn load_interior(&mut self, values: &[f64]) {
+    /// [`for_each_interior_row`](Self::for_each_interior_row), writable:
+    /// the same runs in the same order. The halo is left stale.
+    pub fn for_each_interior_row_mut(&mut self, f: &mut dyn FnMut(&mut [f64])) {
         let PaddedFieldN { shape, pstride, cur, .. } = self;
-        assert_eq!(values.len(), shape.iter().product::<usize>(), "interior size mismatch");
         let origin: usize = pstride.iter().sum();
-        let mut src = 0usize;
         for_each_slab_row(shape, pstride, origin, 0, shape[shape.len() - 1], &mut |off, n| {
-            cur[off..off + n].copy_from_slice(&values[src..src + n]);
-            src += n;
+            f(&mut cur[off..off + n]);
         });
     }
 

@@ -1,19 +1,21 @@
 //! Real-time performance of the sparse grid machinery: coefficient
 //! computation (classical and robust) and combination evaluation.
 
+use advect2d::AdvectionProblem;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ftsg_core::gather::{assemble_grid, split_grid_into};
+use ftsg_core::gather::{gather_grid_into, scatter_grid_into};
 use ftsg_core::layout::GroupInfo;
-use ftsg_core::psolve::block_range;
+use ftsg_core::psolve::{block_range, DistributedSolver};
 use sparsegrid::{
     combine_onto, gcp_coefficients, robust_coefficients, CombinationTerm, Grid2, GridSystem,
     Layout, LevelPair,
 };
+use ulfm_sim::{run, RunConfig};
 
 /// Seed formulation of the gather–scatter grid marshalling: per-element
 /// `at`/`at_mut` indexing (each with its own bounds check and 2-D index
-/// arithmetic), kept here as the baseline the slice-based
-/// `split_grid_into`/`assemble_grid` are measured against.
+/// arithmetic), kept here as the baseline the in-place
+/// `scatter_grid_into`/`gather_grid_into` round trip is measured against.
 mod seed {
     use super::*;
 
@@ -67,6 +69,10 @@ mod seed {
 
 /// The gather–scatter marshalling round trip on a level-9 grid with a
 /// 2×2 group: split into member blocks, assemble back into a full grid.
+/// The seed case marshals in one thread; the in-place case is the path
+/// the application runs — the root scatters its grid straight into the
+/// four solvers' padded rows and gathers them back into the same grid —
+/// over the simulated runtime, launch included, 8 round trips per run.
 fn bench_gather_scatter(c: &mut Criterion) {
     let mut g = c.benchmark_group("gather_scatter");
     let level = LevelPair::new(9, 9);
@@ -81,11 +87,22 @@ fn bench_gather_scatter(c: &mut Criterion) {
         })
     });
 
-    let mut blocks: Vec<Vec<f64>> = Vec::new();
-    g.bench_function(BenchmarkId::new("fast_row_slices", "n9_2x2"), |b| {
+    g.sample_size(10);
+    g.throughput(Throughput::Elements((8 * 2 * (1usize << 9) * (1usize << 9)) as u64));
+    g.bench_function(BenchmarkId::new("in_place_x8", "n9_2x2"), |b| {
         b.iter(|| {
-            split_grid_into(&grid, &info, &mut blocks);
-            assemble_grid(level, &info, &blocks).unwrap()
+            let grid = grid.clone();
+            let report = run(RunConfig::local(4), move |ctx| {
+                let w = ctx.initial_world().unwrap();
+                let p = AdvectionProblem::standard();
+                let mut solver = DistributedSolver::new(p, level, 1e-4, &info, w.rank());
+                let mut root = (w.rank() == 0).then(|| grid.clone());
+                for _ in 0..8 {
+                    scatter_grid_into(ctx, &w, &info, root.as_ref(), &mut solver).unwrap();
+                    gather_grid_into(ctx, &w, &info, level, &solver, root.as_mut()).unwrap();
+                }
+            });
+            report.assert_no_app_errors();
         })
     });
     g.finish();

@@ -7,8 +7,9 @@
 //! 2x floor — or if the one-failure repair of the paper's shape does not
 //! reproduce its committed agree count and `T_RECONSTRUCT` exactly, or a
 //! warm collective round of 64 ranks, a warm robust-coefficient solve or
-//! a warm Fig. 4 handler call its committed allocator-request count (see
-//! `ftsg_bench::experiments::regress` for the list).
+//! a warm Fig. 4 handler call its committed allocator-request count, or a
+//! whole `paper2d_kill` or `solve3d_kill` run asks for more bytes than
+//! committed (see `ftsg_bench::experiments::regress` for the list).
 //!
 //! ```text
 //! expt-regress [--dir PATH] [--iters K] [--exact]
@@ -17,14 +18,14 @@
 //! `--dir` points at the directory holding the committed baselines
 //! (default `.`, the repo root); `--iters` sets the timed repetitions per
 //! wall-clock measurement (default 30, median taken); `--exact` runs only
-//! the deterministic gates (virtual clock, allocator counts), which CI
-//! blocks on.
+//! the deterministic gates (virtual clock, allocator counts and bytes),
+//! which CI blocks on.
 
-use ftsg_bench::experiments::alloc_sites::{requests, TracingAllocator};
+use ftsg_bench::experiments::alloc_sites::{bytes, requests, TracingAllocator};
 use ftsg_bench::experiments::regress;
 
-/// Counts allocator requests by every thread (the allocation gates); it
-/// never traces here.
+/// Counts allocator requests and bytes by every thread (the allocation
+/// gates); it never traces here.
 #[global_allocator]
 static ALLOCATOR: TracingAllocator = TracingAllocator;
 
@@ -53,9 +54,9 @@ fn main() {
         i += 1;
     }
     let outcome = if exact {
-        regress::run_exact(&dir, requests)
+        regress::run_exact(&dir, requests, bytes)
     } else {
-        regress::run(&dir, iters, requests)
+        regress::run(&dir, iters, requests, bytes)
     };
     match outcome {
         Ok(report) => {

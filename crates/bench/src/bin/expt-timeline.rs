@@ -26,9 +26,11 @@
 //!
 //! `--alloc-sites <workload>` prints instead where one warm rep of a
 //! benchmark workload's shape asks the allocator, by call site, from a
-//! backtrace of every request (see `ftsg_bench::experiments::alloc_sites`).
-//! The count is the benchmark's `heap_allocs` of that workload, give or
-//! take the harness's own few.
+//! backtrace of every request (see `ftsg_bench::experiments::alloc_sites`):
+//! requests and bytes per site, once with the sites that make the most
+//! requests first and once with those that ask for the most bytes. The
+//! totals are the benchmark's `heap_allocs` and `heap_alloc_mb` of that
+//! workload, give or take the harness's own few.
 
 use ftsg_bench::chaos::TECHNIQUES;
 use ftsg_bench::experiments::alloc_sites::{self, TracingAllocator};
@@ -135,7 +137,10 @@ fn main() {
     let cli = parse_args();
     if let Some(workload) = &cli.alloc_sites {
         match alloc_sites::attribute(workload) {
-            Ok(sites) => print!("{}", sites.table(25).render()),
+            Ok(sites) => {
+                print!("{}", sites.table(25, false).render());
+                print!("{}", sites.table(25, true).render());
+            }
             Err(e) => {
                 eprintln!("expt-timeline: {e}");
                 std::process::exit(2);

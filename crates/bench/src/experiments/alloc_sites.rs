@@ -1,21 +1,22 @@
-//! Where a benchmark workload's allocator requests come from, by call
-//! site (`expt-timeline --alloc-sites <workload>`).
+//! Where a benchmark workload's allocator requests and the bytes they ask
+//! for come from, by call site (`expt-timeline --alloc-sites <workload>`).
 //!
 //! [`TracingAllocator`] counts every request the process makes of the
-//! system allocator, as the benchmark's counting allocator does, and on
-//! demand takes a `std::backtrace` of each and charges it to its call
+//! system allocator and the bytes it asks for, as the benchmark's counting
+//! allocator does (`heap_allocs`, `heap_alloc_mb`), and on demand takes a
+//! `std::backtrace` of each and charges it, with its bytes, to its call
 //! site — the first frame in this repository's `crates/`, i.e. the code
 //! that asked, not the collection that grew. Capturing, resolving and
 //! charging a backtrace allocates too: a per-thread reentrancy guard keeps
 //! those requests out of the count and out of the table. [`attribute`]
 //! runs one warm-up and then one traced rep of the workload's shape from
 //! [`crate::experiments::repair`] (OPL, beta-ULFM, one scheduler worker,
-//! seed 7). The counts are exact.
+//! seed 7). The counts and byte sums are exact.
 //!
 //! A binary opts in with
 //! `#[global_allocator] static A: TracingAllocator = TracingAllocator;`
-//! and reads [`requests`] for exact counts (`expt-regress` does, with
-//! tracing never switched on).
+//! and reads [`requests`] and [`bytes`] for exact totals (`expt-regress`
+//! does, with tracing never switched on).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -29,37 +30,43 @@ use crate::table::Table;
 
 /// Requests so far, by every thread, the tracer's own excepted.
 static REQUESTS: AtomicU64 = AtomicU64::new(0);
+/// Bytes those requests asked for.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 /// Take a backtrace of every request.
 static TRACING: AtomicBool = AtomicBool::new(false);
-/// Traced requests by call site.
-static SITES: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+/// Traced `(requests, bytes)` by call site.
+static SITES: Mutex<BTreeMap<String, (u64, u64)>> = Mutex::new(BTreeMap::new());
 
 thread_local! {
     /// Set while this thread captures and charges a trace.
     static IN_TRACE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The system allocator behind a request counter and, on demand, a
-/// backtrace of every request.
+/// The system allocator behind a request and byte counter and, on demand,
+/// a backtrace of every request.
 pub struct TracingAllocator;
 
-/// Count one request; trace it if tracing is on.
+/// Count one request of `size` bytes; trace it if tracing is on.
 #[inline]
-fn note() {
-    if !TRACING.load(Ordering::Relaxed) {
+fn note(size: usize) {
+    let count = || {
         REQUESTS.fetch_add(1, Ordering::Relaxed);
-        return;
+        BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    };
+    if !TRACING.load(Ordering::Relaxed) {
+        return count();
     }
     // A thread being torn down has no guard left; count it plainly.
     if IN_TRACE.try_with(Cell::get).unwrap_or(false) {
         return;
     }
-    REQUESTS.fetch_add(1, Ordering::Relaxed);
+    count();
     let _ = IN_TRACE.try_with(|guard| {
         guard.set(true);
         let site = site_of(&Backtrace::force_capture());
-        *SITES.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).entry(site).or_default() +=
-            1;
+        let mut sites = SITES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let (requests, bytes) = sites.entry(site).or_default();
+        (*requests, *bytes) = (*requests + 1, *bytes + size as u64);
         guard.set(false);
     });
 }
@@ -70,13 +77,13 @@ fn note() {
 // under the guard, which only forwards them.
 unsafe impl GlobalAlloc for TracingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's `layout` obligations are passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -88,8 +95,9 @@ unsafe impl GlobalAlloc for TracingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A grow-or-shrink is one request, as the benchmark counts it.
-        note();
+        // A grow-or-shrink is one request for `new_size` bytes, as the
+        // benchmark counts it.
+        note(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -100,13 +108,28 @@ pub fn requests() -> u64 {
     REQUESTS.load(Ordering::SeqCst)
 }
 
-/// One workload's requests by call site.
+/// Bytes those requests asked for.
+pub fn bytes() -> u64 {
+    BYTES.load(Ordering::SeqCst)
+}
+
+/// One workload's requests and bytes by call site.
 pub struct AllocSites {
     pub workload: String,
     /// Requests of the traced rep.
     pub requests: u64,
-    /// `(site, requests)`, most requests first.
-    pub sites: Vec<(String, u64)>,
+    /// Bytes they asked for.
+    pub bytes: u64,
+    /// Every site, most requests first.
+    pub sites: Vec<Site>,
+}
+
+/// One call site's share of the traced rep.
+pub struct Site {
+    /// `function (crates/…/file.rs:line)`.
+    pub name: String,
+    pub requests: u64,
+    pub bytes: u64,
 }
 
 /// The call site a trace is charged to: the first frame whose source is
@@ -156,34 +179,49 @@ pub fn attribute(workload: &str) -> Result<AllocSites, String> {
     })?;
     SITES.lock().unwrap_or_else(|p| p.into_inner()).clear();
     TRACING.store(true, Ordering::SeqCst);
-    let before = requests();
+    let before = (requests(), bytes());
     repair::launch_workload(workload);
-    let counted = requests() - before;
+    let counted = (requests() - before.0, bytes() - before.1);
     TRACING.store(false, Ordering::SeqCst);
     let by_site = std::mem::take(&mut *SITES.lock().unwrap_or_else(|p| p.into_inner()));
-    let mut sites: Vec<(String, u64)> = by_site.into_iter().collect();
-    sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    Ok(AllocSites { workload: workload.into(), requests: counted, sites })
+    let mut sites: Vec<Site> = by_site
+        .into_iter()
+        .map(|(name, (requests, bytes))| Site { name, requests, bytes })
+        .collect();
+    sites.sort_by(|a, b| b.requests.cmp(&a.requests).then_with(|| a.name.cmp(&b.name)));
+    Ok(AllocSites { workload: workload.into(), requests: counted.0, bytes: counted.1, sites })
 }
 
 impl AllocSites {
-    /// The `top` sites with the most requests, then the rest as one row.
-    pub fn table(&self, top: usize) -> Table {
+    /// The `top` sites with the most requests — with `by_bytes`, the most
+    /// bytes — each with both, then the rest as one row.
+    pub fn table(&self, top: usize, by_bytes: bool) -> Table {
+        let key = |s: &Site| if by_bytes { s.bytes } else { s.requests };
+        let mut sites: Vec<&Site> = self.sites.iter().collect();
+        sites.sort_by(|a, b| key(b).cmp(&key(a)).then_with(|| a.name.cmp(&b.name)));
         let mut t = Table::new(
             format!(
-                "Allocator requests of one warm {} rep by call site: {} requests",
-                self.workload, self.requests
+                "Allocator requests of one warm {} rep by call site, most {} first: {} \
+                 requests, {} bytes",
+                self.workload,
+                if by_bytes { "bytes" } else { "requests" },
+                self.requests,
+                self.bytes
             ),
-            &["site", "requests", "share"],
+            &["site", "requests", "share", "bytes", "share"],
         );
-        let share = |n: u64| format!("{:.1}%", 100.0 * n as f64 / self.requests.max(1) as f64);
-        for (site, n) in self.sites.iter().take(top) {
-            t.row(vec![site.clone(), n.to_string(), share(*n)]);
+        let share = |n: u64, of: u64| format!("{:.1}%", 100.0 * n as f64 / of.max(1) as f64);
+        let mut row = |name: String, n: u64, b: u64| {
+            let (n_share, b_share) = (share(n, self.requests), share(b, self.bytes));
+            t.row(vec![name, n.to_string(), n_share, b.to_string(), b_share]);
+        };
+        for site in sites.iter().take(top) {
+            row(site.name.clone(), site.requests, site.bytes);
         }
-        let rest: u64 = self.sites.iter().skip(top).map(|(_, n)| n).sum();
-        if rest > 0 {
-            let others = format!("({} other sites)", self.sites.len() - top);
-            t.row(vec![others, rest.to_string(), share(rest)]);
+        let rest = &sites[top.min(sites.len())..];
+        if !rest.is_empty() {
+            let (n, b) = rest.iter().fold((0, 0), |(n, b), s| (n + s.requests, b + s.bytes));
+            row(format!("({} other sites)", rest.len()), n, b);
         }
         t
     }

@@ -5,9 +5,10 @@
 
 use std::sync::Arc;
 
-use ftsg_core::gather::{binomial_combine, recv_grid, send_grid};
+use ftsg_core::gather::{binomial_combine, recv_grid_onto, send_grid};
 use sparsegrid::{
-    combine_onto, gcp_coefficients, CombinationTerm, Grid2, GridSystem, Layout, LevelPair,
+    accumulate_onto, combine_onto, gcp_coefficients, CombinationTerm, Grid2, GridSystem, Layout,
+    LevelPair,
 };
 use ulfm_sim::{run, RunConfig};
 
@@ -36,19 +37,21 @@ pub fn combine_makespan(n: u32, central: bool) -> f64 {
         let (coeff, grid) = &td[me];
         if central {
             // Reference path: leaders ship whole component grids to the
-            // controller, which left-folds the combination serially.
+            // controller, which left-folds the terms as they arrive.
             if me != 0 {
                 send_grid(ctx, &w, 0, 9000 + me as i32, grid).unwrap();
             } else {
-                let mut sources: Vec<(f64, Grid2)> = vec![(*coeff, grid.clone())];
+                let mut combined = Grid2::zeros(target);
+                accumulate_onto(&mut combined, &CombinationTerm { coeff: *coeff, grid });
+                let mut buf = Grid2::zeros(target);
                 for src in 1..w.size() {
-                    let g = recv_grid(ctx, &w, src, 9000 + src as i32).unwrap();
-                    sources.push((td[src].0, g));
+                    recv_grid_onto(ctx, &w, src, 9000 + src as i32, &mut buf).unwrap();
+                    accumulate_onto(
+                        &mut combined,
+                        &CombinationTerm { coeff: td[src].0, grid: &buf },
+                    );
                 }
-                let terms: Vec<CombinationTerm> =
-                    sources.iter().map(|(c, g)| CombinationTerm { coeff: *c, grid: g }).collect();
-                let combined = combine_onto(target, &terms);
-                ctx.compute_cells((terms.len() * target.points()) as u64);
+                ctx.compute_cells((w.size() * target.points()) as u64);
                 assert!(combined.values()[1].is_finite());
             }
         } else {

@@ -81,6 +81,22 @@
 //!     which every rank pays: a level set, a coefficient map or a search
 //!     node's clone creeping back into the solve, or a failed list or a
 //!     group rebuilt per handler call, moves a count.
+//! 12. **`paper2d_kill_bytes`** and **`solve3d_kill_bytes`** (bytes
+//!     requested of the allocator, held to a **ceiling**) — one whole run
+//!     of the `paper2d_kill` and `solve3d_kill` shapes
+//!     ([`crate::experiments::repair::run_bytes`]: seed 7, one scheduler
+//!     worker, after a warm-up run), at or below `BENCH_pr27.json`
+//!     `acceptance`. Guards the landing grid: a gathered, received or
+//!     decoded grid that gets a fresh buffer again, or a scatter that
+//!     stages its blocks, adds about a megabyte per grid. The ceiling is
+//!     the measurement plus 64 KiB, and it assumes the count depends on
+//!     the host only through the temp-dir paths a run formats: on a
+//!     2-core Xeon the count was the same to the byte under rustc 1.95.0
+//!     and a 1.97 nightly, and from a checkout whose path is 225
+//!     characters long; a 259-character `TMPDIR` added 1,983 bytes
+//!     (about 8 per character, so even a `PATH_MAX` one stays inside
+//!     the margin). A toolchain whose standard library allocates
+//!     differently may need the ceiling re-measured.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -140,16 +156,23 @@ impl GateResult {
     /// A gate held to a fixed floor: `fresh` must reach `floor` itself,
     /// with no tolerance band around a committed measurement.
     fn floor(name: &'static str, source: &'static str, floor: f64, fresh: f64) -> Self {
-        let pass = passes(floor, fresh, true, 0.0);
-        GateResult {
-            name,
-            source,
-            baseline: floor,
-            fresh,
-            higher_is_better: true,
-            exact: false,
-            pass,
-        }
+        Self::bound(name, source, floor, fresh, true)
+    }
+
+    /// A gate held to a fixed ceiling: `fresh` must not exceed `ceiling`.
+    fn ceiling(name: &'static str, source: &'static str, ceiling: f64, fresh: f64) -> Self {
+        Self::bound(name, source, ceiling, fresh, false)
+    }
+
+    fn bound(
+        name: &'static str,
+        source: &'static str,
+        bound: f64,
+        fresh: f64,
+        higher_is_better: bool,
+    ) -> Self {
+        let pass = passes(bound, fresh, higher_is_better, 0.0);
+        GateResult { name, source, baseline: bound, fresh, higher_is_better, exact: false, pass }
     }
 }
 
@@ -290,10 +313,14 @@ fn baseline_scale_wall(pr6: &str) -> Result<f64, String> {
         .ok_or_else(|| "BENCH_pr6.json: no ok pooled row with wall_per_step_ms".into())
 }
 
-/// The exact-match gates alone (virtual clock, allocator counts) —
-/// deterministic, so CI can block on them. `requests` reads the calling
-/// binary's counting allocator.
-pub fn run_exact(dir: &str, requests: fn() -> u64) -> Result<RegressReport, String> {
+/// The deterministic gates alone (virtual clock, allocator counts and
+/// bytes), so CI can block on them. `requests` and `bytes` read the
+/// calling binary's counting allocator.
+pub fn run_exact(
+    dir: &str,
+    requests: fn() -> u64,
+    bytes: fn() -> u64,
+) -> Result<RegressReport, String> {
     let pr22 = read_baseline(dir, "BENCH_pr22.json")?;
     let agree_base = num_field(&pr22, "paper_shape_agree_calls", "BENCH_pr22.json")?;
     let reconstruct_base = num_field(&pr22, "paper_shape_t_reconstruct", "BENCH_pr22.json")?;
@@ -304,12 +331,21 @@ pub fn run_exact(dir: &str, requests: fn() -> u64) -> Result<RegressReport, Stri
     let warm = crate::experiments::collectives::measure(requests);
     let pr26 = read_baseline(dir, "BENCH_pr26.json")?;
     let repair = ftsg_core::alloc_probe::repair_share(requests);
+    let pr27 = read_baseline(dir, "BENCH_pr27.json")?;
+    let run_bytes = |key: &'static str, workload: &str| -> Result<GateResult, String> {
+        let ceiling = num_field(&pr27, key, "BENCH_pr27.json")?;
+        let fresh = crate::experiments::repair::run_bytes(workload, bytes)
+            .ok_or_else(|| format!("no workload {workload}"))?;
+        Ok(GateResult::ceiling(key, "BENCH_pr27.json", ceiling, fresh as f64))
+    };
     let pinned = |key: &'static str, fresh: u64| -> Result<GateResult, String> {
         let base = num_field(&pr26, key, "BENCH_pr26.json")?;
         Ok(GateResult::exact(key, "BENCH_pr26.json", base, fresh as f64))
     };
     Ok(RegressReport {
         gates: vec![
+            run_bytes("paper2d_kill_bytes", "paper2d_kill")?,
+            run_bytes("solve3d_kill_bytes", "solve3d_kill")?,
             pinned("robust_solve_requests_2d", repair.robust_2d)?,
             pinned("robust_solve_requests_3d", repair.robust_3d)?,
             pinned("errhandler_requests", repair.errhandler)?,
@@ -343,9 +379,14 @@ pub fn run_exact(dir: &str, requests: fn() -> u64) -> Result<RegressReport, Stri
 }
 
 /// Run every gate against the baselines committed in `dir`.
-pub fn run(dir: &str, iters: usize, requests: fn() -> u64) -> Result<RegressReport, String> {
+pub fn run(
+    dir: &str,
+    iters: usize,
+    requests: fn() -> u64,
+    bytes: fn() -> u64,
+) -> Result<RegressReport, String> {
     let iters = iters.max(3);
-    let exact = run_exact(dir, requests)?;
+    let exact = run_exact(dir, requests, bytes)?;
 
     let pr1 = read_baseline(dir, "BENCH_pr1.json")?;
     let step_base = num_field(&pr1, "level9_single_owner_step_speedup", "BENCH_pr1.json")?;
@@ -443,6 +484,10 @@ mod tests {
         assert!(GateResult::floor("f", "x.json", 2.0, 2.0).pass);
         assert!(GateResult::floor("f", "x.json", 2.0, 4.7).pass);
         assert!(!GateResult::floor("f", "x.json", 2.0, 1.99).pass);
+        // Nor has a ceiling: at or under it holds, one byte over does not.
+        assert!(GateResult::ceiling("c", "x.json", 100.0, 100.0).pass);
+        assert!(GateResult::ceiling("c", "x.json", 100.0, 60.0).pass);
+        assert!(!GateResult::ceiling("c", "x.json", 100.0, 101.0).pass);
         // An exact gate has no band either way.
         assert!(GateResult::exact("e", "x.json", 1.5, 1.5).pass);
         assert!(!GateResult::exact("e", "x.json", 1.5, 1.5 + f64::EPSILON).pass);

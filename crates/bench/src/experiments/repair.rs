@@ -170,6 +170,17 @@ pub fn launch_workload(name: &str) -> Option<Report> {
     SHAPES.iter().find(|shape| shape.0 == name).map(launch)
 }
 
+/// Bytes asked of the allocator over one whole run of the workload called
+/// `name` — after a warm-up run, so process-wide lazies are paid — read
+/// through the calling binary's counting allocator (`None` if there is no
+/// such workload).
+pub fn run_bytes(name: &str, bytes: fn() -> u64) -> Option<u64> {
+    launch_workload(name)?;
+    let before = bytes();
+    launch_workload(name)?;
+    Some(bytes() - before)
+}
+
 fn row_of(report: &Report) -> RepairRow {
     let get = |key: &str| report.get_f64(key).unwrap_or(f64::NAN);
     RepairRow {

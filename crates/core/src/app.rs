@@ -20,6 +20,7 @@ use ulfm_sim::{Comm, Ctx, Error, Result};
 use crate::checkpoint::CheckpointStore;
 use crate::config::{AppConfig, AppEvent, CombineMode, Technique};
 use crate::gather::current_rank_of;
+use crate::landing::Landing;
 use crate::policy::RecoveryPolicy;
 use crate::reconstruct::{
     is_casualty, reconstruct, repair_deferred, Attempt, Join, ReconstructTimings, RepairArm,
@@ -118,106 +119,6 @@ fn detection_points(cfg: &AppConfig) -> Vec<u64> {
     }
     v.push(steps);
     v
-}
-
-/// Where a CR group root assembles and lands its periodic checkpoints.
-///
-/// While the background writer stage is usable, the gather target *is*
-/// one of its two snapshot buffers: the root assembles into it and hands
-/// it over, nothing is copied. In synchronous mode — configured, or
-/// degraded to because the writer stage became unusable, which pins the
-/// rank to the critical-path write for the rest of the run — the root
-/// assembles into the one buffer kept here and writes from it. A stack
-/// without a writer stage ([`Stack::Writer`]) is always synchronous.
-struct CkptLanding<S: Stack> {
-    /// The background writer, created by the first checkpoint of a root
-    /// in async mode.
-    writer: Option<S::Writer>,
-    degraded: bool,
-    /// The synchronous path's gather target, reused across rounds.
-    own: Option<S::Grid>,
-}
-
-impl<S: Stack> CkptLanding<S> {
-    /// The grid to gather the next checkpoint into, at `level`; its node
-    /// values are unspecified. May block on the writer's backpressure.
-    fn buffer(&mut self, cfg: &AppConfig, store: &CheckpointStore, level: &S::Level) -> S::Grid {
-        if cfg.ckpt_async && !self.degraded && self.writer.is_none() {
-            self.writer = S::open_writer(store);
-        }
-        if let Some(ck) = self.writer.as_mut() {
-            match S::take_buffer(ck, level) {
-                Ok(grid) => return grid,
-                Err(_) => self.degrade(),
-            }
-        }
-        match self.own.take() {
-            Some(mut grid) => {
-                S::reshape(&mut grid, level);
-                grid
-            }
-            None => S::zeros(level),
-        }
-    }
-
-    /// The writer stage is unusable (its thread is gone). Degrade to the
-    /// synchronous critical-path write for the rest of the run instead of
-    /// failing the rank: slower, still correct. Dropping the checkpointer
-    /// joins the dead thread.
-    fn degrade(&mut self) {
-        self.degraded = true;
-        self.writer = None;
-    }
-
-    /// A buffer from [`buffer`](Self::buffer) whose gather failed: back to
-    /// where it came from.
-    fn release(&mut self, grid: S::Grid) {
-        match self.writer.as_mut() {
-            Some(ck) => S::give_back(ck, grid),
-            None => self.own = Some(grid),
-        }
-    }
-
-    /// Land the gathered `grid` as the checkpoint of `grid_id` at `step`:
-    /// snapshot + hand-off (T_IO is charged as deferred cost and settled
-    /// at the drains), or the synchronous write.
-    fn land(
-        &mut self,
-        ctx: &Ctx,
-        store: &CheckpointStore,
-        grid_id: usize,
-        step: u64,
-        mut grid: S::Grid,
-    ) -> Result<()> {
-        if let Some(ck) = self.writer.as_mut() {
-            match S::submit(ck, ctx, grid_id, step, grid) {
-                Ok(()) => return Ok(()),
-                Err(refused) => {
-                    grid = refused;
-                    self.degrade();
-                }
-            }
-        }
-        let bytes = S::write_checkpoint(store, grid_id, step, &grid)
-            .map_err(|e| Error::InvalidArg(format!("checkpoint write: {e}")))?;
-        ctx.disk_write(bytes);
-        self.own = Some(grid);
-        Ok(())
-    }
-
-    /// Drain the async checkpoint queue if this rank runs one (group
-    /// roots under CR with `ckpt_async`); a no-op everywhere else. Called
-    /// before every checkpoint restore and at end of run, so a restart
-    /// only ever sees fully landed files and the store can be cleared
-    /// safely.
-    fn drain(&self, ctx: &Ctx) -> Result<()> {
-        match &self.writer {
-            Some(ck) => {
-                S::drain(ck, ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}")))
-            }
-            None => Ok(()),
-        }
-    }
 }
 
 /// Split the world into per-grid groups. Idle spare ranks (`grid` is
@@ -340,9 +241,9 @@ struct RankState<S: Stack> {
     my: Option<S::Assignment>,
     /// `Some` exactly when `my` is.
     solver: Option<S::Solver>,
-    /// Checkpoint buffers and (async mode) the background writer; only a
-    /// CR group root ever puts anything in it.
-    landing: CkptLanding<S>,
+    /// Where every whole grid this rank assembles or receives lands
+    /// (under CR with `ckpt_async`, a group root's writer stage too).
+    landing: Landing<S>,
     /// In-memory buddy checkpoints this rank holds for partner grids
     /// (Buddy Checkpoint only; respawned ranks start empty).
     buddy_store: BuddyStore<S>,
@@ -363,7 +264,7 @@ impl<S: Stack> RankState<S> {
         RankState {
             my: None,
             solver: None,
-            landing: CkptLanding { writer: None, degraded: false, own: None },
+            landing: Landing::default(),
             buddy_store: BuddyStore::<S>::new(),
             final_lost: Vec::new(),
             end_failed: Vec::new(),
@@ -453,8 +354,8 @@ impl<S: Stack> RankState<S> {
         let (Some(m), Some(sv)) = (self.my, self.solver.as_mut()) else {
             return Ok(RecoveryStats::default());
         };
-        let bs = &mut self.buddy_store;
-        recovery::recover::<S>(ctx, env, world, group, S::grid_of(m), sv, bs, failed, at_step)
+        let (my, landing, bs) = (S::grid_of(m), &mut self.landing, &mut self.buddy_store);
+        recovery::recover::<S>(ctx, env, world, group, my, sv, landing, bs, failed, at_step)
     }
 
     /// Run the Fig. 3 loop with this rank's data recovery riding its
@@ -627,9 +528,8 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // rank guaranteed to survive every event end-to-end); indexes the
     // per-event recovery timelines.
     let mut event_idx = 0usize;
-    // Reused across every gather below — the owned block is copied into
-    // this buffer instead of a fresh Vec per checkpoint/combine.
-    let mut block_buf: Vec<f64> = Vec::new();
+    // The tree combination's hop-receive buffer, kept across its retries.
+    let mut hop_buf: Vec<f64> = Vec::new();
     while current_step < steps {
         // ---- epoch boundary: observer tick + cooperative cancellation
         // poll. Every rank arrives here together (children join at the
@@ -743,25 +643,15 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // spares skip the write.
             if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
                 let t0 = ctx.now();
-                let m = S::grid_of(m);
-                // The root gathers straight into the buffer the checkpoint
-                // is written from.
-                let (level, store) = (S::level(&layout, m), env.checkpoints()?);
-                let mut target = (group.rank() == 0).then(|| st.landing.buffer(cfg, store, level));
-                match S::gather_into(ctx, &group, &layout, m, sv, target.as_mut()) {
-                    Ok(()) => {
-                        if let Some(g) = target {
-                            st.landing.land(ctx, store, m, current_step, g)?;
-                        }
-                    }
+                let (m, store) = (S::grid_of(m), env.checkpoints()?);
+                let step = current_step;
+                match st.landing.checkpoint(ctx, cfg, store, &group, &layout, m, sv, step) {
+                    Ok(()) => {}
                     Err(e) if is_casualty(&e) => {
                         // A group member died mid-checkpoint. This checkpoint
                         // is lost (recovery will fall back to an older one and
                         // recompute further); mark the group broken and let
                         // the next detection point repair.
-                        if let Some(g) = target {
-                            st.landing.release(g);
-                        }
                         group.revoke(ctx);
                         world.revoke(ctx);
                         group_broken = true;
@@ -779,8 +669,9 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // on every survivor, so the suspension is collective.
             if let (false, Some(m), Some(sv)) = (group_broken, st.my, st.solver.as_ref()) {
                 let t0 = ctx.now();
-                let (m, bs) = (S::grid_of(m), &mut st.buddy_store);
-                match buddy_exchange::<S>(ctx, &layout, &world, &group, m, sv, current_step, bs) {
+                let (m, step) = (S::grid_of(m), current_step);
+                let (landing, bs) = (&mut st.landing, &mut st.buddy_store);
+                match buddy_exchange::<S>(ctx, &layout, &world, &group, m, sv, step, landing, bs) {
                     Ok(()) => {}
                     Err(e) if is_casualty(&e) => {
                         // Release any peer blocked on the dead/errored ranks.
@@ -925,42 +816,52 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             // `group_broken` and the spare guard make the exclusion
             // explicit.
             let my_grid = st.grid().filter(|g| !group_broken && combine_ids.contains(g));
-            let mut my_full: Option<S::Grid> = match (my_grid, st.solver.as_ref()) {
-                (Some(m), Some(sv)) => S::gather(ctx, &group, &layout, m, sv)?,
-                _ => None,
-            };
+            // This rank's term: its grid and that grid's coefficient.
+            let my_term = my_grid.and_then(|m| {
+                let k = combine_ids.iter().position(|&gid| gid == m)?;
+                Some((m, combine_coeffs[k]))
+            });
             let target = S::min_level(&layout);
             let combined: Option<S::Grid> = match cfg.combine_mode {
                 CombineMode::Central => {
                     // Reference path: every leader ships its whole grid to
-                    // the controller, which left-folds the combination.
-                    // (Rank 0 is always original rank 0 — the members map
-                    // never drops it.)
-                    if let (Some(g), Some(m)) = (&my_full, my_grid) {
+                    // the controller, which left-folds the terms as they
+                    // arrive. (Rank 0 is always original rank 0 — the
+                    // members map never drops it.)
+                    let fold_all = |own: Option<&S::Grid>| -> Result<Option<S::Grid>> {
                         if world.rank() != 0 {
-                            S::send(ctx, &world, 0, tags.combine + m as i32, g)?;
+                            return Ok(None);
                         }
-                    }
-                    if world.rank() == 0 {
-                        let mut sources: Vec<(f64, S::Grid)> = Vec::new();
+                        let mut fold = S::fold(&target);
+                        // Every other term lands in one receive buffer.
+                        let mut buf: Option<S::Grid> = None;
                         for (&gid, &coeff) in combine_ids.iter().zip(&combine_coeffs) {
                             let src = current_root::<S>(&layout, gid, members.as_deref())?;
-                            let grid = if src == world.rank() {
-                                // Each grid id is combined exactly once, so
-                                // the gathered grid can be moved, not cloned.
-                                my_full.take().expect("controller gathered its own grid")
+                            let term = if src == world.rank() {
+                                own.ok_or_else(|| {
+                                    Error::InvalidArg("the controller gathered no grid".into())
+                                })?
                             } else {
-                                // Every source is alive at once for the
-                                // fold, so each is a grid of its own.
-                                S::recv(ctx, &world, src, tags.combine + gid as i32)?
+                                let buf =
+                                    buf.get_or_insert_with(|| S::zeros(S::level(&layout, gid)));
+                                S::recv_onto(ctx, &world, src, tags.combine + gid as i32, buf)?;
+                                buf
                             };
-                            sources.push((coeff, grid));
+                            S::fold_in(&mut fold, coeff, term);
                         }
-                        let terms: Vec<S::Term<'_>> =
-                            sources.iter().map(|(c, g)| S::term(*c, g)).collect();
-                        Some(S::combine(ctx, &target, &terms))
-                    } else {
-                        None
+                        Ok(Some(S::folded(ctx, fold, combine_ids.len())))
+                    };
+                    match (my_term, st.solver.as_ref()) {
+                        (Some((m, _)), Some(sv)) => st
+                            .landing
+                            .gather(ctx, &group, &layout, m, sv, |own| {
+                                if world.rank() != 0 {
+                                    S::send(ctx, &world, 0, tags.combine + m as i32, own)?;
+                                }
+                                fold_all(Some(own))
+                            })?
+                            .flatten(),
+                        _ => fold_all(None)?,
                     }
                 }
                 CombineMode::Tree => {
@@ -969,23 +870,22 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                     // own term on the target level, then partially combined
                     // grids flow down a log-depth tree (bitwise equal to
                     // `combine_binomial` of the same ordered term list).
+                    let part = match (my_term, st.solver.as_ref()) {
+                        (Some((m, coeff)), Some(sv)) => {
+                            st.landing.gather(ctx, &group, &layout, m, sv, |own| {
+                                let mut fold = S::fold(&target);
+                                S::fold_in(&mut fold, coeff, own);
+                                Ok(S::folded(ctx, fold, 1))
+                            })?
+                        }
+                        _ => None,
+                    };
                     let mut leaders = Vec::with_capacity(combine_ids.len());
                     for &gid in &combine_ids {
                         leaders.push(current_root::<S>(&layout, gid, members.as_deref())?);
                     }
-                    let part = match (my_full.take(), my_grid) {
-                        (Some(g), Some(m)) => {
-                            let k = combine_ids
-                                .iter()
-                                .position(|&gid| gid == m)
-                                .expect("leader's grid is a combination term");
-                            let term = S::term(combine_coeffs[k], &g);
-                            Some(S::combine(ctx, &target, std::slice::from_ref(&term)))
-                        }
-                        _ => None,
-                    };
                     let tree = tags.tree;
-                    S::binomial_combine(ctx, &world, &leaders, &target, part, &mut block_buf, tree)?
+                    S::binomial_combine(ctx, &world, &leaders, &target, part, &mut hop_buf, tree)?
                 }
             };
             let mut err = f64::NAN;

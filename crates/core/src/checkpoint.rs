@@ -93,9 +93,6 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// A successfully restored checkpoint: `(step, grid, bytes on disk)`.
 pub type Restored = (u64, Grid2, usize);
 
-/// A successfully restored d-dimensional checkpoint.
-pub type RestoredN = (u64, GridN, usize);
-
 // ---------------------------------------------------------------------------
 // CRC-64/XZ (ECMA-182 polynomial, reflected, init/xorout = !0)
 // ---------------------------------------------------------------------------
@@ -395,6 +392,26 @@ impl CheckpointStore {
     /// corrupt header must not drive `points()` into overflow), declared
     /// size before reading the payload, CRC before trusting any of it.
     pub fn decode(raw: &[u8]) -> Result<(u64, Grid2), String> {
+        let (step, level, payload) = Self::parse(raw)?;
+        let mut values = Vec::with_capacity(payload.len() / 8);
+        f64::extend_from_raw(payload, &mut values);
+        Grid2::from_raw(level, values).map(|grid| (step, grid))
+    }
+
+    /// [`decode`](Self::decode) onto a grid the caller owns: `out` is
+    /// re-shaped to the checkpoint's level, keeping its allocation, and
+    /// overwritten; returns the step. A buffer that fails validation
+    /// leaves `out` untouched.
+    pub fn decode_into(raw: &[u8], out: &mut Grid2) -> Result<u64, String> {
+        let (step, level, payload) = Self::parse(raw)?;
+        out.reshape(level);
+        f64::copy_from_raw(payload, out.values_mut());
+        Ok(step)
+    }
+
+    /// The validated step, level and payload bytes of a v2 buffer (see
+    /// [`decode`](Self::decode)).
+    fn parse(raw: &[u8]) -> Result<(u64, LevelPair, &[u8]), String> {
         if raw.len() < OVERHEAD {
             return Err(format!("truncated checkpoint ({} bytes; torn write?)", raw.len()));
         }
@@ -426,10 +443,7 @@ impl CheckpointStore {
                 "checkpoint checksum mismatch (stored {stored:016x}, computed {computed:016x})"
             ));
         }
-        let level = LevelPair::new(i, j);
-        let mut values = Vec::with_capacity(points as usize);
-        f64::extend_from_raw(&raw[HEADER_LEN..raw.len() - 8], &mut values);
-        Grid2::from_raw(level, values).map(|grid| (step, grid))
+        Ok((step, LevelPair::new(i, j), &raw[HEADER_LEN..raw.len() - 8]))
     }
 
     /// Write a checkpoint of a grid. Returns the byte size written, for
@@ -555,6 +569,29 @@ impl CheckpointStore {
     /// recomputes from the initial condition) together with the number of
     /// corrupt candidates skipped, for restart-integrity reporting.
     pub fn read_latest_valid(&self, grid_id: usize) -> io::Result<(Option<Restored>, usize)> {
+        let (restored, skipped) = self.latest_valid(grid_id, Self::decode)?;
+        Ok((restored.map(|((step, grid), bytes)| (step, grid, bytes)), skipped))
+    }
+
+    /// [`read_latest_valid`](Self::read_latest_valid) decoding onto a grid
+    /// the caller owns (see [`decode_into`](Self::decode_into)): returns
+    /// `(step, bytes)` of the restored checkpoint. `out` is untouched when
+    /// none is valid.
+    pub fn read_latest_valid_into(
+        &self,
+        grid_id: usize,
+        out: &mut Grid2,
+    ) -> io::Result<(Option<(u64, usize)>, usize)> {
+        self.latest_valid(grid_id, |raw| Self::decode_into(raw, out))
+    }
+
+    /// The newest file of `grid_id` that `decode` accepts, with its size,
+    /// and how many newer ones it refused.
+    fn latest_valid<T>(
+        &self,
+        grid_id: usize,
+        mut decode: impl FnMut(&[u8]) -> Result<T, String>,
+    ) -> io::Result<(Option<(T, usize)>, usize)> {
         let mut skipped = 0usize;
         for (_, path) in self.candidates(grid_id)? {
             let raw = match Self::read_file(&path) {
@@ -563,8 +600,8 @@ impl CheckpointStore {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
             };
-            match Self::decode(&raw) {
-                Ok((step, grid)) => return Ok((Some((step, grid, raw.len())), skipped)),
+            match decode(&raw) {
+                Ok(restored) => return Ok((Some((restored, raw.len())), skipped)),
                 Err(_) => skipped += 1,
             }
         }
@@ -612,13 +649,23 @@ impl CheckpointStore {
         }
     }
 
-    /// Parse and validate a v3 checkpoint buffer, with the same
-    /// check-before-use discipline as [`CheckpointStore::decode`]: the
-    /// dimension is bounded before the level vector is read, every level
-    /// is bounded before the point count is computed (`d ≤ 8` levels of
-    /// `≤ 2^26 + 1` points stay far inside `u64` via a u128 product), the
-    /// declared size must match exactly, and the CRC gates everything.
-    pub fn decode_nd(raw: &[u8]) -> Result<(u64, GridN), String> {
+    /// Parse and validate a v3 checkpoint buffer onto a grid the caller
+    /// owns, with [`decode_into`](Self::decode_into)'s contract and the
+    /// same check-before-use discipline as [`CheckpointStore::decode`]:
+    /// the dimension is bounded before the level vector is read, every
+    /// level is bounded before the point count is computed (`d ≤ 8` levels
+    /// of `≤ 2^26 + 1` points stay far inside `u64` via a u128 product),
+    /// the declared size must match exactly, and the CRC gates everything.
+    pub fn decode_nd_into(raw: &[u8], out: &mut GridN) -> Result<u64, String> {
+        let (step, level, payload) = Self::parse_nd(raw)?;
+        out.reshape(&level);
+        f64::copy_from_raw(payload, out.values_mut());
+        Ok(step)
+    }
+
+    /// The validated step, level vector and payload bytes of a v3 buffer
+    /// (see [`decode_nd_into`](Self::decode_nd_into)).
+    fn parse_nd(raw: &[u8]) -> Result<(u64, Vec<u32>, &[u8]), String> {
         if raw.len() < HEADER3_FIXED + 4 + 8 {
             return Err(format!("truncated checkpoint ({} bytes; torn write?)", raw.len()));
         }
@@ -661,9 +708,7 @@ impl CheckpointStore {
                 "checkpoint checksum mismatch (stored {stored:016x}, computed {computed:016x})"
             ));
         }
-        let mut values = Vec::with_capacity(points as usize);
-        f64::extend_from_raw(&raw[header_len..raw.len() - 8], &mut values);
-        GridN::from_raw(&level, values).map(|grid| (step, grid))
+        Ok((step, level, &raw[header_len..raw.len() - 8]))
     }
 
     /// Write a d-dimensional checkpoint. Same atomicity, corruption-strike
@@ -688,24 +733,17 @@ impl CheckpointStore {
         self.land(grid_id, step, &header, values)
     }
 
-    /// Read the newest *valid* d-dimensional checkpoint of a grid,
-    /// falling back past corrupt, torn, or wrong-format files. The v3
-    /// sibling of [`CheckpointStore::read_latest_valid`].
-    pub fn read_latest_valid_nd(&self, grid_id: usize) -> io::Result<(Option<RestoredN>, usize)> {
-        let mut skipped = 0usize;
-        for (_, path) in self.candidates(grid_id)? {
-            let raw = match Self::read_file(&path) {
-                Ok(raw) => raw,
-                // Pruned from under us by a concurrent writer; not corrupt.
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            match Self::decode_nd(&raw) {
-                Ok((step, grid)) => return Ok((Some((step, grid, raw.len())), skipped)),
-                Err(_) => skipped += 1,
-            }
-        }
-        Ok((None, skipped))
+    /// Read the newest *valid* d-dimensional checkpoint of a grid onto a
+    /// grid the caller owns, falling back past corrupt, torn, or
+    /// wrong-format files. The v3 sibling of
+    /// [`read_latest_valid_into`](Self::read_latest_valid_into), with its
+    /// contract.
+    pub fn read_latest_valid_nd_into(
+        &self,
+        grid_id: usize,
+        out: &mut GridN,
+    ) -> io::Result<(Option<(u64, usize)>, usize)> {
+        self.latest_valid(grid_id, |raw| Self::decode_nd_into(raw, out))
     }
 
     /// Remove every checkpoint file (end-of-run cleanup). Only this
@@ -880,8 +918,9 @@ mod tests {
         let g = grid3();
         let wrote = s.write_nd(2, 1234, &g).unwrap();
         assert_eq!(wrote, HEADER3_FIXED + 4 * 3 + 8 + g.byte_size());
-        let (restored, skipped) = s.read_latest_valid_nd(2).unwrap();
-        let (step, back, read_bytes) = restored.unwrap();
+        let mut back = GridN::zeros(&[1, 1, 1]);
+        let (restored, skipped) = s.read_latest_valid_nd_into(2, &mut back).unwrap();
+        let (step, read_bytes) = restored.unwrap();
         assert_eq!(step, 1234);
         assert_eq!(back.level(), g.level());
         assert_eq!(back.values(), g.values());
@@ -901,8 +940,9 @@ mod tests {
         let mid = raw.len() / 2;
         raw[mid] ^= 0x04; // one bit, length preserved
         std::fs::write(&path, &raw).unwrap();
-        let (restored, skipped) = s.read_latest_valid_nd(1).unwrap();
-        let (step, _, _) = restored.expect("older valid checkpoint must be found");
+        let mut back = GridN::zeros(&[1, 1, 1]);
+        let (restored, skipped) = s.read_latest_valid_nd_into(1, &mut back).unwrap();
+        let (step, _) = restored.expect("older valid checkpoint must be found");
         assert_eq!(step, 10, "fallback must land on the older valid file");
         assert_eq!(skipped, 1);
         s.clear().unwrap();
@@ -920,7 +960,8 @@ mod tests {
         buf.extend_from_slice(&[0u8; 12]);
         let crc = crc64(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
-        let err = CheckpointStore::decode_nd(&buf).unwrap_err();
+        let mut out = GridN::zeros(&[1, 1, 1]);
+        let err = CheckpointStore::decode_nd_into(&buf, &mut out).unwrap_err();
         assert!(err.contains("absurd dimension"), "got: {err}");
 
         let mut buf = Vec::new();
@@ -933,14 +974,14 @@ mod tests {
         }
         let crc = crc64(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
-        let err = CheckpointStore::decode_nd(&buf).unwrap_err();
+        let err = CheckpointStore::decode_nd_into(&buf, &mut out).unwrap_err();
         assert!(err.contains("absurd level"), "got: {err}");
     }
 
     #[test]
     fn nd_and_v2_formats_are_mutually_invalid() {
         let v2 = CheckpointStore::encode(5, LevelPair::new(2, 2), &[0.0; 25]);
-        let err = CheckpointStore::decode_nd(&v2).unwrap_err();
+        let err = CheckpointStore::decode_nd_into(&v2, &mut GridN::zeros(&[1, 1])).unwrap_err();
         assert!(err.contains("magic"), "got: {err}");
         let g = GridN::from_fn(&[2, 2], |x| x[0] + x[1]);
         let v3 = CheckpointStore::encode_nd(5, g.level(), g.values());
@@ -965,6 +1006,34 @@ mod tests {
         assert_eq!(step, 10);
         assert_eq!(back, good);
         assert_eq!(skipped, 1);
+        s.clear().unwrap();
+    }
+
+    #[test]
+    fn a_restore_decodes_onto_the_callers_grid() {
+        let s = store();
+        let good = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x * 2.0 + y);
+        s.write(0, 10, &good).unwrap();
+        s.write(0, 20, &Grid2::from_fn(LevelPair::new(3, 3), |x, y| x - y)).unwrap();
+        let path = s.path(0, 20);
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[HEADER_LEN + 3] ^= 0x01;
+        std::fs::write(&path, &raw).unwrap();
+        // A grid of another level with room to spare: re-shaped in place.
+        let mut out = Grid2::from_fn(LevelPair::new(4, 3), |_, _| f64::NAN);
+        let ptr = out.values().as_ptr();
+        let (restored, skipped) = s.read_latest_valid_into(0, &mut out).unwrap();
+        assert_eq!((restored, skipped), (Some((10, OVERHEAD + good.byte_size())), 1));
+        assert_eq!((&out, out.values().as_ptr()), (&good, ptr));
+        // Nothing valid: the caller's grid is left as it was.
+        let (restored, skipped) = s.read_latest_valid_into(5, &mut out).unwrap();
+        assert_eq!((restored, skipped, &out), (None, 0, &good));
+        s.clear().unwrap();
+        let g = grid3();
+        s.write_nd(1, 7, &g).unwrap();
+        let mut out = GridN::zeros(&[1, 1, 1]);
+        let (restored, _) = s.read_latest_valid_nd_into(1, &mut out).unwrap();
+        assert_eq!((restored.map(|r| r.0), &out), (Some(7), &g));
         s.clear().unwrap();
     }
 

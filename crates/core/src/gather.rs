@@ -5,16 +5,27 @@
 //! full [`Grid2`], the roots exchange grids (for combination or data
 //! recovery), and recovered grids are scattered back into member blocks.
 //!
-//! The gather assembles **in place**: the root reads each member's block
-//! from the collective's wire bytes ([`Comm::gather_view`]) and copies
-//! its rows straight into a caller-owned grid ([`gather_grid_into`]), so
-//! a gathered sub-grid exists once on the root — not also as a decoded
-//! `Vec` per member and a fresh zero-filled grid per round.
-//! [`assemble_grid`] over decoded blocks stays as the reference the
-//! in-place path is pinned against.
+//! Every operation has one form, and it works in place:
+//!
+//! * the **gather** ([`gather_grid_into`]) reads each member's block from
+//!   the collective's wire bytes ([`Comm::gather_view_with`]) and copies
+//!   its rows straight into a grid the root supplies — in the application
+//!   the rank's one landing grid ([`crate::landing`]) — so a gathered
+//!   sub-grid exists once on the root, not also as a decoded `Vec` per
+//!   member and a fresh grid per round;
+//! * the **scatter** ([`scatter_grid_into`]) is its mirror: the root
+//!   pushes the rows of each member's block from the grid straight into
+//!   that member's wire buffer ([`Comm::scatter_view_with`]), and every
+//!   member copies its wire rows straight into its block where it lies —
+//!   a solver's padded field ([`BlockRowsMut`]);
+//! * a whole grid travels as [`send_grid`] and lands on a grid the
+//!   receiver already owns ([`recv_grid_onto`]).
+//!
+//! [`assemble_grid`] and [`split_grid`] over decoded blocks stay as the
+//! references the in-place paths are pinned against.
 
 use sparsegrid::{Grid2, LevelPair};
-use ulfm_sim::{Comm, Ctx, Error, Gathered, Result};
+use ulfm_sim::{Comm, Ctx, Error, Gathered, Result, ScatterParts, WireSlice};
 
 use crate::layout::GroupInfo;
 use crate::psolve::block_range;
@@ -109,29 +120,45 @@ fn assemble_grid_into(
 /// Cut a full grid into the per-member blocks of a group (inverse of
 /// [`assemble_grid`]; the seam is dropped).
 pub fn split_grid(grid: &Grid2, info: &GroupInfo) -> Vec<Vec<f64>> {
-    let mut out = Vec::new();
-    split_grid_into(grid, info, &mut out);
-    out
+    let blocks = Blocks { grid, info };
+    (0..info.size)
+        .map(|local| {
+            let mut block = Vec::with_capacity(blocks.part_len(local));
+            blocks.put_part(local, &mut |row| block.extend_from_slice(row));
+            block
+        })
+        .collect()
 }
 
-/// [`split_grid`] into reused storage: the outer vector and each inner
-/// block vector keep their allocations across calls (the periodic
-/// combine splits the same layout every interval).
-pub fn split_grid_into(grid: &Grid2, info: &GroupInfo, out: &mut Vec<Vec<f64>>) {
-    let level = grid.level();
-    let nxg = 1usize << level.i;
-    let nyg = 1usize << level.j;
-    out.resize_with(info.size, Vec::new);
-    out.truncate(info.size);
-    for (local, block) in out.iter_mut().enumerate() {
-        let pi = local % info.px;
-        let pj = local / info.px;
-        let (x0, lnx) = block_range(nxg, info.px, pi);
-        let (y0, lny) = block_range(nyg, info.py, pj);
-        block.clear();
-        block.reserve(lnx * lny);
-        for m in 0..lny {
-            block.extend_from_slice(&grid.row(y0 + m)[x0..x0 + lnx]);
+/// The member blocks of `grid` as the scatter root sends them: rows of the
+/// grid where they lie, block after block in group-rank order.
+struct Blocks<'a> {
+    grid: &'a Grid2,
+    info: &'a GroupInfo,
+}
+
+impl Blocks<'_> {
+    /// Member `local`'s block: `(x0, lnx, y0, lny)` in grid nodes.
+    fn range(&self, local: usize) -> (usize, usize, usize, usize) {
+        let level = self.grid.level();
+        let (x0, lnx) = block_range(1 << level.i, self.info.px, local % self.info.px);
+        let (y0, lny) = block_range(1 << level.j, self.info.py, local / self.info.px);
+        (x0, lnx, y0, lny)
+    }
+}
+
+impl ScatterParts<f64> for Blocks<'_> {
+    fn parts(&self) -> usize {
+        self.info.size
+    }
+    fn part_len(&self, local: usize) -> usize {
+        let (_, lnx, _, lny) = self.range(local);
+        lnx * lny
+    }
+    fn put_part(&self, local: usize, put: &mut dyn FnMut(&[f64])) {
+        let (x0, lnx, y0, lny) = self.range(local);
+        for m in y0..y0 + lny {
+            put(&self.grid.row(m)[x0..x0 + lnx]);
         }
     }
 }
@@ -156,6 +183,20 @@ impl<S: AsRef<[f64]> + ?Sized> BlockRows for S {
     }
     fn for_each_row(&self, put: &mut dyn FnMut(&[f64])) {
         put(self.as_ref());
+    }
+}
+
+/// A rank's block as it comes out of a scatter: [`BlockRows`]' rows,
+/// writable where they lie, so the received values go straight into the
+/// solver's padded field.
+pub trait BlockRowsMut: BlockRows {
+    /// Call `put` with every row, writable, in [`BlockRows`] order.
+    fn for_each_row_mut(&mut self, put: &mut dyn FnMut(&mut [f64]));
+}
+
+impl<S: AsRef<[f64]> + AsMut<[f64]> + ?Sized> BlockRowsMut for S {
+    fn for_each_row_mut(&mut self, put: &mut dyn FnMut(&mut [f64])) {
+        put(self.as_mut());
     }
 }
 
@@ -193,37 +234,39 @@ pub fn gather_grid_into(
     }
 }
 
-/// [`gather_grid_into`] for a caller without a grid to gather into:
-/// returns `Some(grid)` on the root, `None` elsewhere. Ownership of the
-/// gathered grid passes to the caller, so each call allocates it — for
-/// the once-per-event gathers (final combination, data recovery).
-pub fn gather_grid(
-    ctx: &Ctx,
-    group: &Comm,
-    info: &GroupInfo,
-    level: LevelPair,
-    my_block: &(impl BlockRows + ?Sized),
-) -> Result<Option<Grid2>> {
-    // The grid is made once the contributions are in: a root blocked in
-    // the collective should not sit on an empty grid meanwhile.
-    let Some(blocks) = gather_blocks(ctx, group, my_block)? else {
-        return Ok(None);
-    };
-    let mut grid = Grid2::zeros(level);
-    assemble_grid_into(level, info, &blocks, &mut grid)?;
-    Ok(Some(grid))
-}
-
-/// Collective over the group: the root splits `grid` and scatters; every
-/// member receives its block.
-pub fn scatter_grid(
+/// Collective over the group: the root (group rank 0) scatters `grid`,
+/// which exactly it supplies, and every member lands its block straight
+/// in `my_block`'s rows (see the module docs). A part of the wrong length
+/// is an error and leaves `my_block` untouched.
+pub fn scatter_grid_into(
     ctx: &Ctx,
     group: &Comm,
     info: &GroupInfo,
     grid: Option<&Grid2>,
-) -> Result<Vec<f64>> {
-    let parts = grid.map(|g| split_grid(g, info));
-    group.scatter(ctx, 0, parts.as_deref())
+    my_block: &mut (impl BlockRowsMut + ?Sized),
+) -> Result<()> {
+    let blocks = grid.map(|grid| Blocks { grid, info });
+    group.scatter_view_with(ctx, 0, blocks.as_ref(), |part| land_block(&part, my_block))
+}
+
+/// Copy a received block, row by row, over `my_block`.
+pub(crate) fn land_block(
+    part: &WireSlice<'_, f64>,
+    my_block: &mut (impl BlockRowsMut + ?Sized),
+) -> Result<()> {
+    if part.len() != my_block.block_len() {
+        return Err(Error::InvalidArg(format!(
+            "scatter: a part of {} values for a block of {}",
+            part.len(),
+            my_block.block_len()
+        )));
+    }
+    let mut at = 0;
+    my_block.for_each_row_mut(&mut |row| {
+        part.copy_to(at, row);
+        at += row.len();
+    });
+    Ok(())
 }
 
 /// Translate an *original* world rank into the current (possibly
@@ -243,18 +286,10 @@ pub fn current_rank_of(orig: usize, members: Option<&[usize]>) -> Option<usize> 
 }
 
 /// Send a whole grid over a communicator as two messages (level header +
-/// payload). Pairs with [`recv_grid`].
+/// payload). Pairs with [`recv_grid_onto`].
 pub fn send_grid(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Grid2) -> Result<()> {
     comm.send(ctx, dest, tag, &[grid.level().i as u64, grid.level().j as u64])?;
     comm.send(ctx, dest, tag, grid.values())
-}
-
-/// Receive a whole grid sent by [`send_grid`]. Ownership passes to the
-/// caller, so each call allocates the grid it returns; a caller that
-/// already owns a grid to overwrite uses [`recv_grid_onto`].
-pub fn recv_grid(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Grid2> {
-    let level = recv_grid_level(ctx, comm, src, tag)?;
-    Grid2::from_raw(level, comm.recv(ctx, src, tag)?).map_err(Error::InvalidArg)
 }
 
 /// Receive a whole grid sent by [`send_grid`] onto a caller-owned grid:
@@ -432,19 +467,21 @@ mod tests {
                     block.push(((y0 + m) * 8 + (x0 + k)) as f64);
                 }
             }
-            let gathered = gather_grid(ctx, &w, &g, level, &block).unwrap();
-            if w.rank() == 0 {
-                let grid = gathered.unwrap();
+            let mut grid = (w.rank() == 0).then(|| Grid2::zeros(LevelPair::new(1, 1)));
+            gather_grid_into(ctx, &w, &g, level, &block, grid.as_mut()).unwrap();
+            if let Some(grid) = &grid {
                 assert_eq!(grid.at(5, 2), (2 * 8 + 5) as f64);
                 assert_eq!(grid.at(8, 3), grid.at(0, 3)); // seam
-                                                          // Scatter it back.
-                let mine = scatter_grid(ctx, &w, &g, Some(&grid)).unwrap();
-                assert_eq!(mine, block);
-            } else {
-                assert!(gathered.is_none());
-                let mine = scatter_grid(ctx, &w, &g, None).unwrap();
-                assert_eq!(mine, block);
             }
+            // Scatter it back, into a block of the right size.
+            let mut mine = vec![f64::NAN; block.len()];
+            scatter_grid_into(ctx, &w, &g, grid.as_ref(), &mut mine[..]).unwrap();
+            assert_eq!(mine, block);
+            // A block of the wrong size is refused and left alone.
+            let mut short = vec![f64::NAN; block.len() - 1];
+            let err = scatter_grid_into(ctx, &w, &g, grid.as_ref(), &mut short[..]).unwrap_err();
+            assert!(err.to_string().contains("for a block of"), "{err}");
+            assert!(short.iter().all(|v| v.is_nan()));
             ctx.report_add("ok", 1.0);
         });
         report.assert_no_app_errors();
@@ -470,15 +507,13 @@ mod tests {
                         assert_eq!(grid, Grid2::from_fn(level, |x, y| x - y));
                         assert_eq!(grid.values().as_ptr(), ptr, "received in place");
                     }
-                    // A sender that died before sending is `ProcFailed` on
-                    // both forms — what the recovery retry loops match on —
-                    // and the caller's grid is untouched.
+                    // A sender that died before sending is `ProcFailed` —
+                    // what the recovery retry loops match on — and the
+                    // caller's grid is untouched.
                     let before = grid.clone();
                     let dead = recv_grid_onto(ctx, &w, 2, 56, &mut grid).unwrap_err();
                     assert!(matches!(dead, Error::ProcFailed { .. }), "got: {dead}");
                     assert_eq!(grid, before);
-                    let dead = recv_grid(ctx, &w, 2, 56).unwrap_err();
-                    assert!(matches!(dead, Error::ProcFailed { .. }), "got: {dead}");
                     ctx.report_f64("ok", 1.0);
                 }
                 _ => ctx.die(),
@@ -497,7 +532,9 @@ mod tests {
                 let g = Grid2::from_fn(LevelPair::new(3, 2), |x, y| x - y);
                 send_grid(ctx, &w, 1, 55, &g).unwrap();
             } else {
-                let g = recv_grid(ctx, &w, 0, 55).unwrap();
+                // The receiver's grid takes the sender's level.
+                let mut g = Grid2::zeros(LevelPair::new(1, 1));
+                recv_grid_onto(ctx, &w, 0, 55, &mut g).unwrap();
                 assert_eq!(g.level(), LevelPair::new(3, 2));
                 assert!((g.eval(0.5, 0.5) - 0.0).abs() < 1e-12);
                 ctx.report_f64("ok", 1.0);

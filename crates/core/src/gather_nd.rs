@@ -1,21 +1,24 @@
 //! Gather–scatter between distributed slabs and whole d-dimensional
-//! sub-grids — the nd sibling of [`crate::gather`].
+//! sub-grids — the nd sibling of [`crate::gather`], with the same one
+//! in-place form per operation.
 //!
-//! Each group's root gathers the member slabs into a full [`GridN`], the
-//! roots exchange grids (for combination or data recovery), and recovered
-//! grids are scattered back into member slabs. The gather assembles in
-//! place from the collective's wire bytes into a caller-owned grid
-//! ([`gather_grid_n_into`]), like its 2D sibling; [`assemble_grid_n`]
-//! over decoded slabs stays as the pinned reference. The tree combination
+//! Each group's root gathers the member slabs straight into a grid it
+//! supplies ([`gather_grid_n_into`]), the roots exchange grids (for
+//! combination or data recovery) as [`send_grid_n`] /
+//! [`recv_grid_n_onto`], and recovered grids are scattered back with each
+//! slab's rows pushed from the grid into the member's wire buffer and
+//! copied from there straight into its padded field
+//! ([`scatter_grid_n_into`]). [`assemble_grid_n`] and [`split_grid_n`]
+//! over decoded slabs stay as the pinned references. The tree combination
 //! mirrors [`crate::gather::binomial_combine`] hop for hop, including the
 //! recoverable [`ulfm_sim::Error::Protocol`] surface at the final-ship
 //! hop.
 
 use sparsegrid::ndgrid::for_each_slab_row;
 use sparsegrid::GridN;
-use ulfm_sim::{Comm, Ctx, Error, Gathered, Result};
+use ulfm_sim::{Comm, Ctx, Error, Gathered, Result, ScatterParts};
 
-use crate::gather::{gather_blocks, BlockRows};
+use crate::gather::{gather_blocks, land_block, BlockRows, BlockRowsMut};
 use crate::layout_nd::GroupInfoN;
 use crate::psolve::block_range;
 
@@ -103,23 +106,50 @@ fn assemble_grid_n_into(
 /// Cut a full grid into the per-member slabs of a group (inverse of
 /// [`assemble_grid_n`]; the seams are dropped).
 pub fn split_grid_n(grid: &GridN, info: &GroupInfoN) -> Vec<Vec<f64>> {
-    let mut out = Vec::new();
-    split_grid_n_into(grid, info, &mut out);
-    out
+    let slabs = Slabs::new(grid, info);
+    (0..info.size)
+        .map(|local| {
+            let mut block = Vec::with_capacity(slabs.part_len(local));
+            slabs.put_part(local, &mut |row| block.extend_from_slice(row));
+            block
+        })
+        .collect()
 }
 
-/// [`split_grid_n`] into reused storage.
-pub fn split_grid_n_into(grid: &GridN, info: &GroupInfoN, out: &mut Vec<Vec<f64>>) {
-    let d = grid.dim();
-    let np: Vec<usize> = grid.level().iter().map(|&l| 1usize << l).collect();
-    let plane: usize = np[..d - 1].iter().product();
-    out.resize_with(info.size, Vec::new);
-    for (local, block) in out.iter_mut().enumerate() {
-        let (z0, lnz) = block_range(np[d - 1], info.size, local);
-        block.clear();
-        block.reserve(plane * lnz);
-        for_each_slab_row(&np, grid.strides(), 0, z0, z0 + lnz, &mut |off, n| {
-            block.extend_from_slice(&grid.values()[off..off + n]);
+/// The member slabs of `grid` as the scatter root sends them: runs of the
+/// grid where they lie, slab after slab in group-rank order.
+struct Slabs<'a> {
+    grid: &'a GridN,
+    info: &'a GroupInfoN,
+    /// Nodes per axis of the fundamental domain (`2^l`: the seams
+    /// dropped).
+    np: Vec<usize>,
+}
+
+impl<'a> Slabs<'a> {
+    fn new(grid: &'a GridN, info: &'a GroupInfoN) -> Self {
+        Slabs { grid, info, np: grid.level().iter().map(|&l| 1usize << l).collect() }
+    }
+
+    /// Member `local`'s planes along the last axis: `(z0, lnz)`.
+    fn planes(&self, local: usize) -> (usize, usize) {
+        block_range(self.np[self.np.len() - 1], self.info.size, local)
+    }
+}
+
+impl ScatterParts<f64> for Slabs<'_> {
+    fn parts(&self) -> usize {
+        self.info.size
+    }
+    fn part_len(&self, local: usize) -> usize {
+        let plane: usize = self.np[..self.np.len() - 1].iter().product();
+        plane * self.planes(local).1
+    }
+    fn put_part(&self, local: usize, put: &mut dyn FnMut(&[f64])) {
+        let (z0, lnz) = self.planes(local);
+        let (strides, values) = (self.grid.strides(), self.grid.values());
+        for_each_slab_row(&self.np, strides, 0, z0, z0 + lnz, &mut |off, n| {
+            put(&values[off..off + n]);
         });
     }
 }
@@ -147,51 +177,28 @@ pub fn gather_grid_n_into(
     }
 }
 
-/// [`gather_grid_n_into`] for a caller without a grid to gather into:
-/// `Some(grid)` on the root, `None` elsewhere. Ownership passes to the
-/// caller, so each call allocates the grid (after the collective).
-pub fn gather_grid_n(
-    ctx: &Ctx,
-    group: &Comm,
-    info: &GroupInfoN,
-    level: &[u32],
-    my_block: &(impl BlockRows + ?Sized),
-) -> Result<Option<GridN>> {
-    let Some(blocks) = gather_blocks(ctx, group, my_block)? else {
-        return Ok(None);
-    };
-    let mut grid = GridN::zeros(level);
-    assemble_grid_n_into(level, info, &blocks, &mut grid)?;
-    Ok(Some(grid))
-}
-
-/// Collective over the group: the root splits `grid` and scatters; every
-/// member receives its slab.
-pub fn scatter_grid_n(
+/// Collective over the group: the root scatters `grid`, which exactly it
+/// supplies, and every member lands its slab straight in `my_block`'s
+/// rows — the d-dimensional [`crate::gather::scatter_grid_into`], with
+/// the same contract.
+pub fn scatter_grid_n_into(
     ctx: &Ctx,
     group: &Comm,
     info: &GroupInfoN,
     grid: Option<&GridN>,
-) -> Result<Vec<f64>> {
-    let parts = grid.map(|g| split_grid_n(g, info));
-    group.scatter(ctx, 0, parts.as_deref())
+    my_block: &mut (impl BlockRowsMut + ?Sized),
+) -> Result<()> {
+    let slabs = grid.map(|grid| Slabs::new(grid, info));
+    group.scatter_view_with(ctx, 0, slabs.as_ref(), |part| land_block(&part, my_block))
 }
 
 /// Send a whole grid over a communicator as two messages (level-vector
 /// header + payload). The dimension travels as the header length, so the
-/// pair works for any `d`. Pairs with [`recv_grid_n`].
+/// pair works for any `d`. Pairs with [`recv_grid_n_onto`].
 pub fn send_grid_n(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &GridN) -> Result<()> {
     let header: Vec<u64> = grid.level().iter().map(|&l| l as u64).collect();
     comm.send(ctx, dest, tag, &header)?;
     comm.send(ctx, dest, tag, grid.values())
-}
-
-/// Receive a whole grid sent by [`send_grid_n`]. Ownership passes to the
-/// caller, so each call allocates the grid it returns; a caller that
-/// already owns a grid to overwrite uses [`recv_grid_n_onto`].
-pub fn recv_grid_n(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<GridN> {
-    let level = recv_grid_n_level(ctx, comm, src, tag)?;
-    GridN::from_raw(&level, comm.recv(ctx, src, tag)?).map_err(Error::InvalidArg)
 }
 
 /// Receive a whole grid sent by [`send_grid_n`] onto a caller-owned
@@ -347,10 +354,6 @@ mod tests {
                 sparsegrid::ndgrid::advance(&mut idx, &np);
             }
             assert_eq!(assemble_grid_n(&level, &g, &blocks).unwrap(), grid, "level {level:?}");
-            // Reused storage of another group size comes out the same.
-            let mut reused = split_grid_n(&grid, &info(5));
-            split_grid_n_into(&grid, &g, &mut reused);
-            assert_eq!(reused, blocks, "level {level:?}");
         }
     }
 
@@ -372,17 +375,14 @@ mod tests {
             let w = ctx.initial_world().unwrap();
             let g = info(4);
             let block = split_grid_n(&grid, &g)[w.rank()].clone();
-            let gathered = gather_grid_n(ctx, &w, &g, &level, &block).unwrap();
-            if w.rank() == 0 {
-                let full = gathered.unwrap();
-                assert_eq!(full, grid);
-                let mine = scatter_grid_n(ctx, &w, &g, Some(&full)).unwrap();
-                assert_eq!(mine, block);
-            } else {
-                assert!(gathered.is_none());
-                let mine = scatter_grid_n(ctx, &w, &g, None).unwrap();
-                assert_eq!(mine, block);
+            let mut full = (w.rank() == 0).then(|| GridN::zeros(&[1, 1]));
+            gather_grid_n_into(ctx, &w, &g, &level, &block, full.as_mut()).unwrap();
+            if let Some(full) = &full {
+                assert_eq!(full, &grid);
             }
+            let mut mine = vec![f64::NAN; block.len()];
+            scatter_grid_n_into(ctx, &w, &g, full.as_ref(), &mut mine[..]).unwrap();
+            assert_eq!(mine, block);
             ctx.report_add("ok", 1.0);
         });
         report.assert_no_app_errors();
@@ -398,7 +398,9 @@ mod tests {
                 let g = GridN::from_fn(&[3, 2, 2], |x| x[0] - x[1] + 2.0 * x[2]);
                 send_grid_n(ctx, &w, 1, 55, &g).unwrap();
             } else {
-                let g = recv_grid_n(ctx, &w, 0, 55).unwrap();
+                // The receiver's grid takes the sender's level.
+                let mut g = GridN::zeros(&[1, 1]);
+                recv_grid_n_onto(ctx, &w, 0, 55, &mut g).unwrap();
                 assert_eq!(g.level(), &[3, 2, 2]);
                 assert!((g.eval(&[0.5, 0.5, 0.5]) - 1.0).abs() < 1e-12);
                 ctx.report_f64("ok", 1.0);

@@ -22,7 +22,9 @@
 //! * [`stack`] — what [`app`] and [`recovery`] are generic over: the 2D
 //!   stack ([`layout`], [`psolve`], [`gather`], the v2 checkpoint format)
 //!   and the d-dimensional one ([`layout_nd`], [`psolve_nd`],
-//!   [`gather_nd`], v3), as the two instances of one [`stack::Stack`] trait.
+//!   [`gather_nd`], v3), as the two instances of one [`stack::Stack`] trait,
+//! * [`landing`] — the one grid per rank that every whole sub-grid the
+//!   rank assembles or receives lands in.
 
 pub mod alloc_probe;
 pub mod app;
@@ -32,6 +34,7 @@ pub mod config;
 pub mod detect;
 pub mod gather;
 pub mod gather_nd;
+pub mod landing;
 pub mod layout;
 pub mod layout_nd;
 pub mod output;

@@ -15,7 +15,7 @@ use advect2d::{AdvectionProblem, BandPool, KernelConfig};
 use sparsegrid::{ensure_len, LevelPair};
 use ulfm_sim::{waitall, Comm, Ctx, Result};
 
-use crate::gather::BlockRows;
+use crate::gather::{BlockRows, BlockRowsMut};
 use crate::layout::GroupInfo;
 
 /// Halo-exchange message tags (runtime-reserved range is negative, so any
@@ -378,16 +378,9 @@ impl DistributedSolver {
         self.for_each_row(&mut |row| out.extend_from_slice(row));
     }
 
-    /// Overwrite the owned block (data recovery path) and set the step
-    /// counter to `steps_done`.
-    pub fn load_block(&mut self, values: &[f64], steps_done: u64) {
-        assert_eq!(values.len(), self.lnx * self.lny, "block size mismatch");
-        let pnx = self.lnx + 2;
-        let padded = self.field.padded_mut();
-        for m in 0..self.lny {
-            padded[(m + 1) * pnx + 1..(m + 1) * pnx + 1 + self.lnx]
-                .copy_from_slice(&values[m * self.lnx..(m + 1) * self.lnx]);
-        }
+    /// Set the step counter: the block was loaded in place (a scatter
+    /// into [`BlockRowsMut`]) with the state after `steps_done` steps.
+    pub fn set_steps_done(&mut self, steps_done: u64) {
         self.steps_done = steps_done;
     }
 
@@ -429,6 +422,16 @@ impl BlockRows for DistributedSolver {
     }
 }
 
+impl BlockRowsMut for DistributedSolver {
+    fn for_each_row_mut(&mut self, put: &mut dyn FnMut(&mut [f64])) {
+        let (lnx, pnx) = (self.lnx, self.lnx + 2);
+        let padded = self.field.padded_mut();
+        for m in 0..self.lny {
+            put(&mut padded[(m + 1) * pnx + 1..][..lnx]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,8 +461,14 @@ mod tests {
         assert_eq!(block.len(), 64);
         let mut modified = block.clone();
         modified[10] = 99.0;
-        s.load_block(&modified, 7);
-        assert_eq!(s.local_block()[10], 99.0);
+        let mut src = modified.as_slice();
+        s.for_each_row_mut(&mut |row| {
+            let (head, rest) = src.split_at(row.len());
+            row.copy_from_slice(head);
+            src = rest;
+        });
+        s.set_steps_done(7);
+        assert_eq!(s.local_block(), modified);
         assert_eq!(s.steps_done(), 7);
     }
 

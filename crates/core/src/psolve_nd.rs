@@ -24,7 +24,7 @@ use advect2d::{KernelConfig, KernelKind};
 use sparsegrid::LevelVecN;
 use ulfm_sim::{waitall, Comm, Ctx, Result};
 
-use crate::gather::BlockRows;
+use crate::gather::{BlockRows, BlockRowsMut};
 use crate::layout_nd::GroupInfoN;
 use crate::psolve::block_range;
 
@@ -205,10 +205,9 @@ impl DistributedSolverN {
         self.field.extend_with_interior(out);
     }
 
-    /// Overwrite the owned slab (data recovery path) and set the step
-    /// counter to `steps_done`.
-    pub fn load_block(&mut self, values: &[f64], steps_done: u64) {
-        self.field.load_interior(values);
+    /// Set the step counter: the slab was loaded in place (a scatter
+    /// into [`BlockRowsMut`]) with the state after `steps_done` steps.
+    pub fn set_steps_done(&mut self, steps_done: u64) {
         self.steps_done = steps_done;
     }
 
@@ -246,6 +245,12 @@ impl BlockRows for DistributedSolverN {
     }
     fn for_each_row(&self, put: &mut dyn FnMut(&[f64])) {
         self.field.for_each_interior_row(put);
+    }
+}
+
+impl BlockRowsMut for DistributedSolverN {
+    fn for_each_row_mut(&mut self, put: &mut dyn FnMut(&mut [f64])) {
+        self.field.for_each_interior_row_mut(put);
     }
 }
 
@@ -338,8 +343,14 @@ mod tests {
         assert_eq!(block.len(), 64);
         let mut modified = block.clone();
         modified[10] = 99.0;
-        s.load_block(&modified, 7);
-        assert_eq!(s.local_block()[10], 99.0);
+        let mut src = modified.as_slice();
+        s.for_each_row_mut(&mut |row| {
+            let (head, rest) = src.split_at(row.len());
+            row.copy_from_slice(head);
+            src = rest;
+        });
+        s.set_steps_done(7);
+        assert_eq!(s.local_block(), modified);
         assert_eq!(s.steps_done(), 7);
     }
 

@@ -25,6 +25,11 @@
 //!   Checkpoint/Restart, no disk involved, initial-condition fallback if
 //!   the buddy's copies died with their holder.
 //!
+//! Every whole grid a technique assembles or receives lands in the rank's
+//! one landing grid ([`Landing`]); the only fresh grids are the ones a
+//! technique makes — a resample, the controller's combinations — and a
+//! buddy copy the first time it is stored.
+//!
 //! `my` below is always this rank's grid id.
 
 use sparsegrid::scheme::RcSource;
@@ -32,6 +37,7 @@ use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::Technique;
+use crate::landing::Landing;
 use crate::stack::{Env, Stack};
 use crate::tags::TagSpace;
 
@@ -69,16 +75,16 @@ pub fn buddy_exchange<S: Stack>(
     my: usize,
     solver: &S::Solver,
     at_step: u64,
+    landing: &mut Landing<S>,
     store: &mut BuddyStore<S>,
 ) -> Result<()> {
     let ids = S::combination_ids(layout);
     let tags = TagSpace::for_grids(S::n_grids(layout));
     // Phase 1: every group gathers and its root sends to the buddy root.
-    let full = S::gather(ctx, group, layout, my, solver)?;
-    if let Some(grid) = &full {
+    landing.gather(ctx, group, layout, my, solver, |grid| {
         let buddy = buddy_of::<S>(layout, my)?;
-        S::send(ctx, world, S::root_of(layout, buddy), tags.buddy + my as i32, grid)?;
-    }
+        S::send(ctx, world, S::root_of(layout, buddy), tags.buddy + my as i32, grid)
+    })?;
     // Phase 2: buddy roots collect the copies addressed to them.
     for &g in &ids {
         let buddy = buddy_of::<S>(layout, g)?;
@@ -94,7 +100,9 @@ pub fn buddy_exchange<S: Stack>(
                     *step = at_step;
                 }
                 None => {
-                    store.insert(g, (at_step, S::recv(ctx, world, src, tag)?));
+                    let mut grid = S::zeros(S::level(layout, g));
+                    S::recv_onto(ctx, world, src, tag, &mut grid)?;
+                    store.insert(g, (at_step, grid));
                 }
             }
         }
@@ -134,6 +142,7 @@ pub fn recover<S: Stack>(
     group: &Comm,
     my: usize,
     solver: &mut S::Solver,
+    landing: &mut Landing<S>,
     buddy_store: &mut BuddyStore<S>,
     failed_ranks: &[usize],
     at_step: u64,
@@ -145,10 +154,10 @@ pub fn recover<S: Stack>(
     let t0 = ctx.now();
     let r = Recovery::<S> { ctx, layout: env.layout, world, group, my, broken: &broken, at_step };
     let t_recovery = match env.cfg.technique {
-        Technique::CheckpointRestart => r.checkpoint(solver, env.checkpoints()?),
-        Technique::ResamplingCopying => r.resample_copy(solver),
-        Technique::AlternateCombination => r.alt_combination(solver),
-        Technique::BuddyCheckpoint => r.buddy(solver, buddy_store),
+        Technique::CheckpointRestart => r.checkpoint(solver, landing, env.checkpoints()?),
+        Technique::ResamplingCopying => r.resample_copy(solver, landing),
+        Technique::AlternateCombination => r.alt_combination(solver, landing),
+        Technique::BuddyCheckpoint => r.buddy(solver, landing, buddy_store),
     }?;
     ctx.trace_phase("data_restore", t0);
     Ok(RecoveryStats { t_recovery, recovered_grids: broken })
@@ -175,10 +184,10 @@ impl<S: Stack> Recovery<'_, S> {
     /// loads it (or, with none, restarts from the initial condition), and
     /// recomputes up to the detection point ("performs a recomputation for
     /// a number of timesteps by which the checkpoint is behind").
-    fn restore(&self, solver: &mut S::Solver, payload: Option<(u64, S::Grid)>) -> Result<()> {
+    fn restore(&self, solver: &mut S::Solver, payload: Option<(u64, &S::Grid)>) -> Result<()> {
         let Recovery { ctx, layout, group, my, at_step, .. } = *self;
         let step_msg: Option<Vec<u64>> = if group.rank() == 0 {
-            Some(vec![payload.as_ref().map_or(NO_CHECKPOINT, |(s, _)| *s)])
+            Some(vec![payload.map_or(NO_CHECKPOINT, |(s, _)| s)])
         } else {
             None
         };
@@ -186,9 +195,8 @@ impl<S: Stack> Recovery<'_, S> {
         if restored == NO_CHECKPOINT {
             S::reset_to_initial(solver);
         } else {
-            let grid = payload.map(|(_, g)| g);
-            let block = S::scatter(ctx, group, layout, my, grid.as_ref())?;
-            S::load_block(solver, &block, restored);
+            let whole = payload.map(|(_, g)| g);
+            S::scatter_into(ctx, group, layout, my, whole, solver, restored)?;
         }
         for _ in S::steps_done(solver)..at_step {
             S::step(solver, ctx, group)?;
@@ -200,7 +208,12 @@ impl<S: Stack> Recovery<'_, S> {
     /// lives on its buddy group's root; restore from there (or restart from
     /// the initial condition if the buddy root died too and its copies with
     /// it), then recompute to the detection point.
-    fn buddy(&self, solver: &mut S::Solver, store: &BuddyStore<S>) -> Result<f64> {
+    fn buddy(
+        &self,
+        solver: &mut S::Solver,
+        landing: &mut Landing<S>,
+        store: &BuddyStore<S>,
+    ) -> Result<f64> {
         let Recovery { ctx, layout, world, group, my, broken, .. } = *self;
         let t0 = ctx.now();
         let tags = TagSpace::for_grids(S::n_grids(layout));
@@ -223,17 +236,22 @@ impl<S: Stack> Recovery<'_, S> {
             }
             if my == b {
                 touched = true;
-                let payload: Option<(u64, S::Grid)> = if group.rank() == 0 {
-                    let hdr: Vec<u64> = world.recv(ctx, root_buddy, tags.buddy_hdr + b as i32)?;
-                    if hdr[0] == 1 {
-                        Some((hdr[1], S::recv(ctx, world, root_buddy, tags.buddy + b as i32)?))
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                };
-                self.restore(solver, payload)?;
+                landing.with_root(group.rank() == 0, S::level(layout, b), |grid| {
+                    let payload = match grid {
+                        Some(grid) => {
+                            let hdr: Vec<u64> =
+                                world.recv(ctx, root_buddy, tags.buddy_hdr + b as i32)?;
+                            if hdr[0] == 1 {
+                                S::recv_onto(ctx, world, root_buddy, tags.buddy + b as i32, grid)?;
+                                Some((hdr[1], &*grid))
+                            } else {
+                                None
+                            }
+                        }
+                        None => None,
+                    };
+                    self.restore(solver, payload)
+                })?;
                 // This group's own buddy copies of *other* grids are stale but
                 // intact; its copy OF this grid lives elsewhere and stays valid.
             }
@@ -241,8 +259,13 @@ impl<S: Stack> Recovery<'_, S> {
         Ok(if touched { ctx.now() - t0 } else { 0.0 })
     }
 
-    fn checkpoint(&self, solver: &mut S::Solver, store: &CheckpointStore) -> Result<f64> {
-        let Recovery { ctx, group, my, broken, .. } = *self;
+    fn checkpoint(
+        &self,
+        solver: &mut S::Solver,
+        landing: &mut Landing<S>,
+        store: &CheckpointStore,
+    ) -> Result<f64> {
+        let Recovery { ctx, layout, group, my, broken, .. } = *self;
         if !broken.contains(&my) {
             return Ok(0.0);
         }
@@ -250,24 +273,27 @@ impl<S: Stack> Recovery<'_, S> {
         // Root reads the newest *valid* checkpoint from disk, falling back
         // past corrupt or torn files (a restart must never consume a corrupt
         // checkpoint; with none left it restarts from the initial condition).
-        let payload: Option<(u64, S::Grid)> = if group.rank() == 0 {
-            let (restored, skipped) = S::read_checkpoint(store, my)
-                .map_err(|e| Error::InvalidArg(format!("checkpoint read: {e}")))?;
-            if skipped > 0 {
-                ctx.report_add(crate::app::keys::CKPT_SKIPPED, skipped as f64);
-            }
-            restored.map(|(step, grid, bytes)| {
-                ctx.disk_read(bytes);
-                (step, grid)
-            })
-        } else {
-            None
-        };
-        self.restore(solver, payload)?;
+        landing.with_root(group.rank() == 0, S::level(layout, my), |grid| {
+            let payload = match grid {
+                Some(grid) => {
+                    let (restored, skipped) = S::read_checkpoint(store, my, grid)
+                        .map_err(|e| Error::InvalidArg(format!("checkpoint read: {e}")))?;
+                    if skipped > 0 {
+                        ctx.report_add(crate::app::keys::CKPT_SKIPPED, skipped as f64);
+                    }
+                    restored.map(|(step, bytes)| {
+                        ctx.disk_read(bytes);
+                        (step, &*grid)
+                    })
+                }
+                None => None,
+            };
+            self.restore(solver, payload)
+        })?;
         Ok(ctx.now() - t0)
     }
 
-    fn resample_copy(&self, solver: &mut S::Solver) -> Result<f64> {
+    fn resample_copy(&self, solver: &mut S::Solver, landing: &mut Landing<S>) -> Result<f64> {
         let Recovery { ctx, layout, world, group, my, broken, at_step } = *self;
         let tags = TagSpace::for_grids(S::n_grids(layout));
         let t0 = ctx.now();
@@ -285,31 +311,33 @@ impl<S: Stack> Recovery<'_, S> {
                     "RC constraint violated: grids {b} and {src_id} failed together"
                 )));
             }
-            let b_level = S::level(layout, b).clone();
+            let (b_level, tag) = (S::level(layout, b), tags.rc + b as i32);
             if my == src_id {
                 touched = true;
                 // Source group: gather and ship (restricted if resampling).
-                let full = S::gather(ctx, group, layout, src_id, solver)?;
-                if let Some(full) = full {
-                    let out = if resample { S::restrict(&full, &b_level) } else { full };
-                    S::send(ctx, world, S::root_of(layout, b), tags.rc + b as i32, &out)?;
-                }
+                landing.gather(ctx, group, layout, src_id, solver, |full| {
+                    let root_b = S::root_of(layout, b);
+                    if resample {
+                        S::send(ctx, world, root_b, tag, &S::restrict(full, b_level))
+                    } else {
+                        S::send(ctx, world, root_b, tag, full)
+                    }
+                })?;
             }
             if my == b {
                 touched = true;
-                let grid: Option<S::Grid> = if group.rank() == 0 {
-                    Some(S::recv(ctx, world, S::root_of(layout, src_id), tags.rc + b as i32)?)
-                } else {
-                    None
-                };
-                let block = S::scatter(ctx, group, layout, b, grid.as_ref())?;
-                S::load_block(solver, &block, at_step);
+                landing.with_root(group.rank() == 0, b_level, |mut grid| {
+                    if let Some(grid) = grid.as_deref_mut() {
+                        S::recv_onto(ctx, world, S::root_of(layout, src_id), tag, grid)?;
+                    }
+                    S::scatter_into(ctx, group, layout, b, grid.as_deref(), solver, at_step)
+                })?;
             }
         }
         Ok(if touched { ctx.now() - t0 } else { 0.0 })
     }
 
-    fn alt_combination(&self, solver: &mut S::Solver) -> Result<f64> {
+    fn alt_combination(&self, solver: &mut S::Solver, landing: &mut Landing<S>) -> Result<f64> {
         let Recovery { ctx, layout, world, group, my, broken, at_step } = *self;
         let tags = TagSpace::for_grids(S::n_grids(layout));
 
@@ -326,43 +354,48 @@ impl<S: Stack> Recovery<'_, S> {
         // --- 2. Gather the needed surviving grids to world rank 0. ---
         let mut needed = Vec::with_capacity(coeffs.len());
         needed.extend((0..coeffs.len()).filter(|&g| !broken.contains(&g) && coeffs[g] != 0));
-        if needed.is_empty() {
+        let Some(&first) = needed.first() else {
             return Err(Error::InvalidArg(
                 "alternate combination: no surviving grids can cover the losses".into(),
             ));
-        }
+        };
         if needed.contains(&my) {
-            let full = S::gather(ctx, group, layout, my, solver)?;
-            if let Some(full) = full {
-                // Root ships to the controller (self-sends are fine).
-                S::send(ctx, world, 0, tags.ac_gather + my as i32, &full)?;
-            }
+            // Root ships to the controller (self-sends are fine).
+            landing.gather(ctx, group, layout, my, solver, |full| {
+                S::send(ctx, world, 0, tags.ac_gather + my as i32, full)
+            })?;
         }
 
-        // --- 3. The controller combines onto each lost level and ships the
-        //        recovered grids back. ---
+        // --- 3. The controller folds each needed grid, as it arrives in
+        //        its landing grid, into a combination on every lost level,
+        //        then ships the recovered grids back. ---
         if world.rank() == 0 {
-            let mut sources: Vec<(f64, S::Grid)> = Vec::with_capacity(needed.len());
-            for &gid in &needed {
-                let g = S::recv(ctx, world, S::root_of(layout, gid), tags.ac_gather + gid as i32)?;
-                sources.push((coeffs[gid] as f64, g));
-            }
-            let terms: Vec<S::Term<'_>> = sources.iter().map(|(c, g)| S::term(*c, g)).collect();
-            for &b in broken {
-                let recovered = S::combine(ctx, S::level(layout, b), &terms);
+            let folds = landing.with(S::level(layout, first), |term| {
+                let mut folds: Vec<S::Fold> =
+                    broken.iter().map(|&b| S::fold(S::level(layout, b))).collect();
+                for &gid in &needed {
+                    let (src, tag) = (S::root_of(layout, gid), tags.ac_gather + gid as i32);
+                    S::recv_onto(ctx, world, src, tag, term)?;
+                    for fold in &mut folds {
+                        S::fold_in(fold, coeffs[gid] as f64, term);
+                    }
+                }
+                Ok(folds)
+            })?;
+            for (&b, fold) in broken.iter().zip(folds) {
+                let recovered = S::folded(ctx, fold, needed.len());
                 S::send(ctx, world, S::root_of(layout, b), tags.ac_result + b as i32, &recovered)?;
             }
         }
 
         // --- 4. Broken groups load the recovered data. ---
         if broken.contains(&my) {
-            let grid: Option<S::Grid> = if group.rank() == 0 {
-                Some(S::recv(ctx, world, 0, tags.ac_result + my as i32)?)
-            } else {
-                None
-            };
-            let block = S::scatter(ctx, group, layout, my, grid.as_ref())?;
-            S::load_block(solver, &block, at_step);
+            landing.with_root(group.rank() == 0, S::level(layout, my), |mut grid| {
+                if let Some(grid) = grid.as_deref_mut() {
+                    S::recv_onto(ctx, world, 0, tags.ac_result + my as i32, grid)?;
+                }
+                S::scatter_into(ctx, group, layout, my, grid.as_deref(), solver, at_step)
+            })?;
         }
 
         Ok(t_recovery)

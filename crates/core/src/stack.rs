@@ -20,12 +20,12 @@ use advect2d::ndproblem::{ProblemN, TimeGridN};
 use advect2d::{AdvectionProblem, TimeGrid};
 use sparsegrid::scheme::RcSource;
 use sparsegrid::{
-    combine_onto, combine_onto_nd, l1_error_vs, CombinationTerm, CombinationTermN, Grid2, GridN,
+    accumulate_onto, l1_error_vs, CombinationTerm, CombinationTermN, FoldN, Grid2, GridN,
     IndexedDownset, LevelPair, LevelVecN, RcSourceN,
 };
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
-use crate::checkpoint::{CheckpointStore, Restored, RestoredN};
+use crate::checkpoint::CheckpointStore;
 use crate::ckpt_async::AsyncCheckpointer;
 use crate::config::AppConfig;
 use crate::gather;
@@ -75,8 +75,9 @@ pub trait Stack: Sized + 'static {
     type Level: Clone + PartialEq;
     /// One whole sub-grid.
     type Grid;
-    /// One combination term: a coefficient and a borrowed grid.
-    type Term<'a>;
+    /// A combination being folded onto one level, one term at a time
+    /// ([`fold`](Self::fold)).
+    type Fold;
     /// The world → sub-grid map. `D2` decomposes each group into a 2D
     /// process grid (4 + 4 halo messages per step); `Nd` into slabs along
     /// the last axis (2 + 2, whatever the dimension).
@@ -143,8 +144,6 @@ pub trait Stack: Sized + 'static {
     fn steps_done(sv: &Self::Solver) -> u64;
     /// Back to the initial condition at step 0.
     fn reset_to_initial(sv: &mut Self::Solver);
-    /// Overwrite the owned block and set the step counter.
-    fn load_block(sv: &mut Self::Solver, block: &[f64], steps_done: u64);
 
     /// A zero grid at `level`.
     fn zeros(level: &Self::Level) -> Self::Grid;
@@ -152,11 +151,16 @@ pub trait Stack: Sized + 'static {
     fn reshape(grid: &mut Self::Grid, level: &Self::Level);
     /// Exact injection of `grid` onto the coarser `level`.
     fn restrict(grid: &Self::Grid, level: &Self::Level) -> Self::Grid;
-    /// A combination term.
-    fn term(coeff: f64, grid: &Self::Grid) -> Self::Term<'_>;
-    /// The left-fold combination of `terms` on `target`, its compute
-    /// (one cell update per term and node) charged to `ctx`.
-    fn combine(ctx: &Ctx, target: &Self::Level, terms: &[Self::Term<'_>]) -> Self::Grid;
+    /// An empty combination on `target`. Terms are folded in one at a
+    /// time as they arrive ([`fold_in`](Self::fold_in)); folding a term
+    /// list in order is the left fold `combine_onto` / `combine_onto_nd`
+    /// computes, bit for bit, so no term needs to outlive its turn.
+    fn fold(target: &Self::Level) -> Self::Fold;
+    /// Add `coeff · grid` to `fold`, evaluated on its nodes.
+    fn fold_in(fold: &mut Self::Fold, coeff: f64, grid: &Self::Grid);
+    /// The folded grid, its compute (one cell update per node for each of
+    /// the `terms` terms) charged to `ctx`.
+    fn folded(ctx: &Ctx, fold: Self::Fold, terms: usize) -> Self::Grid;
     /// Average l1 error of `grid` against the exact solution at `t`.
     fn l1_error(problem: &Self::Problem, grid: &Self::Grid, t: f64) -> f64;
     /// Write the combined solution to `<prefix>.csv` and `<prefix>.pgm`.
@@ -164,15 +168,9 @@ pub trait Stack: Sized + 'static {
     /// `output_prefix` at d ≥ 3, so `Nd` is never asked.
     fn write_solution(grid: &Self::Grid, prefix: &Path) -> Result<()>;
 
-    /// The group's gather of `grid` to its root (`None` elsewhere).
-    fn gather(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &Self::Layout,
-        grid: usize,
-        sv: &Self::Solver,
-    ) -> Result<Option<Self::Grid>>;
-    /// [`gather`](Self::gather) into a grid the root supplies.
+    /// The group's gather of `grid` to its root, assembled in place into
+    /// `out`, which exactly the root supplies; it is re-shaped and fully
+    /// overwritten.
     fn gather_into(
         ctx: &Ctx,
         group: &Comm,
@@ -181,19 +179,22 @@ pub trait Stack: Sized + 'static {
         sv: &Self::Solver,
         out: Option<&mut Self::Grid>,
     ) -> Result<()>;
-    /// The root's `whole` (if root) scattered back as this rank's block.
-    fn scatter(
+    /// The group's scatter of `whole`, which exactly the root supplies,
+    /// straight into every member's solver block; the solvers then stand
+    /// at `steps_done`.
+    fn scatter_into(
         ctx: &Ctx,
         group: &Comm,
         layout: &Self::Layout,
         grid: usize,
         whole: Option<&Self::Grid>,
-    ) -> Result<Vec<f64>>;
+        sv: &mut Self::Solver,
+        steps_done: u64,
+    ) -> Result<()>;
     /// Send a whole grid (level header + payload).
     fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Self::Grid) -> Result<()>;
-    /// Receive a whole grid.
-    fn recv(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Self::Grid>;
-    /// Receive a whole grid onto `out`, keeping its allocation.
+    /// Receive a whole grid onto `out`, re-shaped to the sender's level
+    /// and keeping its allocation.
     fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut Self::Grid) -> Result<()>;
     /// The binomial-tree combination over `leaders` to world rank 0 (see
     /// [`gather::binomial_combine`]).
@@ -214,13 +215,13 @@ pub trait Stack: Sized + 'static {
         step: u64,
         g: &Self::Grid,
     ) -> io::Result<usize>;
-    /// The newest valid checkpoint of grid `id` as `(step, grid, bytes)`,
-    /// and how many corrupt files were skipped on the way.
-    #[allow(clippy::type_complexity)]
+    /// The newest valid checkpoint of grid `id`, decoded onto `into`, as
+    /// `(step, bytes)`; and how many corrupt files were skipped on the way.
     fn read_checkpoint(
         from: &CheckpointStore,
         id: usize,
-    ) -> io::Result<(Option<(u64, Self::Grid, usize)>, usize)>;
+        into: &mut Self::Grid,
+    ) -> io::Result<(Option<(u64, usize)>, usize)>;
     /// Start the background writer for `store` (`None`: there is none).
     fn open_writer(store: &CheckpointStore) -> Option<Self::Writer>;
     /// Borrow a snapshot buffer at `level`; may block on backpressure.
@@ -250,7 +251,7 @@ impl Stack for D2 {
     type Problem = AdvectionProblem;
     type Level = LevelPair;
     type Grid = Grid2;
-    type Term<'a> = CombinationTerm<'a>;
+    type Fold = Grid2;
     type Layout = ProcLayout;
     type Assignment = Assignment;
     type Solver = DistributedSolver;
@@ -324,9 +325,6 @@ impl Stack for D2 {
     fn reset_to_initial(sv: &mut DistributedSolver) {
         sv.reset_to_initial()
     }
-    fn load_block(sv: &mut DistributedSolver, block: &[f64], steps_done: u64) {
-        sv.load_block(block, steps_done)
-    }
 
     fn zeros(level: &LevelPair) -> Grid2 {
         Grid2::zeros(*level)
@@ -337,13 +335,15 @@ impl Stack for D2 {
     fn restrict(grid: &Grid2, level: &LevelPair) -> Grid2 {
         grid.restrict_to(*level)
     }
-    fn term(coeff: f64, grid: &Grid2) -> CombinationTerm<'_> {
-        CombinationTerm { coeff, grid }
+    fn fold(target: &LevelPair) -> Grid2 {
+        Grid2::zeros(*target)
     }
-    fn combine(ctx: &Ctx, target: &LevelPair, terms: &[CombinationTerm<'_>]) -> Grid2 {
-        let combined = combine_onto(*target, terms);
-        ctx.compute_cells((terms.len() * combined.values().len()) as u64);
-        combined
+    fn fold_in(fold: &mut Grid2, coeff: f64, grid: &Grid2) {
+        accumulate_onto(fold, &CombinationTerm { coeff, grid })
+    }
+    fn folded(ctx: &Ctx, fold: Grid2, terms: usize) -> Grid2 {
+        ctx.compute_cells((terms * fold.values().len()) as u64);
+        fold
     }
     fn l1_error(problem: &AdvectionProblem, grid: &Grid2, t: f64) -> f64 {
         l1_error_vs(grid, problem.exact_at(t))
@@ -356,15 +356,6 @@ impl Stack for D2 {
             .map_err(|e| Error::InvalidArg(format!("solution pgm: {e}")))
     }
 
-    fn gather(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &ProcLayout,
-        grid: usize,
-        sv: &DistributedSolver,
-    ) -> Result<Option<Grid2>> {
-        gather::gather_grid(ctx, group, layout.group(grid), sv.level(), sv)
-    }
     fn gather_into(
         ctx: &Ctx,
         group: &Comm,
@@ -375,20 +366,21 @@ impl Stack for D2 {
     ) -> Result<()> {
         gather::gather_grid_into(ctx, group, layout.group(grid), sv.level(), sv, out)
     }
-    fn scatter(
+    fn scatter_into(
         ctx: &Ctx,
         group: &Comm,
         layout: &ProcLayout,
         grid: usize,
         whole: Option<&Grid2>,
-    ) -> Result<Vec<f64>> {
-        gather::scatter_grid(ctx, group, layout.group(grid), whole)
+        sv: &mut DistributedSolver,
+        steps_done: u64,
+    ) -> Result<()> {
+        gather::scatter_grid_into(ctx, group, layout.group(grid), whole, sv)?;
+        sv.set_steps_done(steps_done);
+        Ok(())
     }
     fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Grid2) -> Result<()> {
         gather::send_grid(ctx, comm, dest, tag, grid)
-    }
-    fn recv(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Grid2> {
-        gather::recv_grid(ctx, comm, src, tag)
     }
     fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut Grid2) -> Result<()> {
         gather::recv_grid_onto(ctx, comm, src, tag, out)
@@ -413,8 +405,12 @@ impl Stack for D2 {
     ) -> io::Result<usize> {
         to.write(id, step, g)
     }
-    fn read_checkpoint(from: &CheckpointStore, id: usize) -> io::Result<(Option<Restored>, usize)> {
-        from.read_latest_valid(id)
+    fn read_checkpoint(
+        from: &CheckpointStore,
+        id: usize,
+        into: &mut Grid2,
+    ) -> io::Result<(Option<(u64, usize)>, usize)> {
+        from.read_latest_valid_into(id, into)
     }
     fn open_writer(store: &CheckpointStore) -> Option<AsyncCheckpointer> {
         Some(AsyncCheckpointer::new(store.clone()))
@@ -443,7 +439,7 @@ impl Stack for Nd {
     type Problem = ProblemN;
     type Level = LevelVecN;
     type Grid = GridN;
-    type Term<'a> = CombinationTermN<'a>;
+    type Fold = FoldN;
     type Layout = ProcLayoutN;
     type Assignment = AssignmentN;
     type Solver = DistributedSolverN;
@@ -522,9 +518,6 @@ impl Stack for Nd {
     fn reset_to_initial(sv: &mut DistributedSolverN) {
         sv.reset_to_initial()
     }
-    fn load_block(sv: &mut DistributedSolverN, block: &[f64], steps_done: u64) {
-        sv.load_block(block, steps_done)
-    }
 
     fn zeros(level: &LevelVecN) -> GridN {
         GridN::zeros(level)
@@ -535,12 +528,15 @@ impl Stack for Nd {
     fn restrict(grid: &GridN, level: &LevelVecN) -> GridN {
         grid.restrict_to(level)
     }
-    fn term(coeff: f64, grid: &GridN) -> CombinationTermN<'_> {
-        CombinationTermN { coeff, grid }
+    fn fold(target: &LevelVecN) -> FoldN {
+        FoldN::new(target)
     }
-    fn combine(ctx: &Ctx, target: &LevelVecN, terms: &[CombinationTermN<'_>]) -> GridN {
-        let combined = combine_onto_nd(target, terms);
-        ctx.compute_cells((terms.len() * combined.values().len()) as u64);
+    fn fold_in(fold: &mut FoldN, coeff: f64, grid: &GridN) {
+        fold.add(&CombinationTermN { coeff, grid })
+    }
+    fn folded(ctx: &Ctx, fold: FoldN, terms: usize) -> GridN {
+        let combined = fold.into_grid();
+        ctx.compute_cells((terms * combined.values().len()) as u64);
         combined
     }
     fn l1_error(problem: &ProblemN, grid: &GridN, t: f64) -> f64 {
@@ -550,15 +546,6 @@ impl Stack for Nd {
         Err(Error::InvalidArg("solution files are written by 2D runs only".into()))
     }
 
-    fn gather(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &ProcLayoutN,
-        grid: usize,
-        sv: &DistributedSolverN,
-    ) -> Result<Option<GridN>> {
-        gather_nd::gather_grid_n(ctx, group, layout.group(grid), sv.level(), sv)
-    }
     fn gather_into(
         ctx: &Ctx,
         group: &Comm,
@@ -569,20 +556,21 @@ impl Stack for Nd {
     ) -> Result<()> {
         gather_nd::gather_grid_n_into(ctx, group, layout.group(grid), sv.level(), sv, out)
     }
-    fn scatter(
+    fn scatter_into(
         ctx: &Ctx,
         group: &Comm,
         layout: &ProcLayoutN,
         grid: usize,
         whole: Option<&GridN>,
-    ) -> Result<Vec<f64>> {
-        gather_nd::scatter_grid_n(ctx, group, layout.group(grid), whole)
+        sv: &mut DistributedSolverN,
+        steps_done: u64,
+    ) -> Result<()> {
+        gather_nd::scatter_grid_n_into(ctx, group, layout.group(grid), whole, sv)?;
+        sv.set_steps_done(steps_done);
+        Ok(())
     }
     fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &GridN) -> Result<()> {
         gather_nd::send_grid_n(ctx, comm, dest, tag, grid)
-    }
-    fn recv(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<GridN> {
-        gather_nd::recv_grid_n(ctx, comm, src, tag)
     }
     fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut GridN) -> Result<()> {
         gather_nd::recv_grid_n_onto(ctx, comm, src, tag, out)
@@ -610,8 +598,9 @@ impl Stack for Nd {
     fn read_checkpoint(
         from: &CheckpointStore,
         id: usize,
-    ) -> io::Result<(Option<RestoredN>, usize)> {
-        from.read_latest_valid_nd(id)
+        into: &mut GridN,
+    ) -> io::Result<(Option<(u64, usize)>, usize)> {
+        from.read_latest_valid_nd_into(id, into)
     }
     fn open_writer(_: &CheckpointStore) -> Option<Infallible> {
         None

@@ -34,7 +34,14 @@
 //! 10. a warm call of the Fig. 4 error handler on a communicator with two
 //!     known failures makes **0**: the acknowledged list is refilled in
 //!     place and the acknowledged group comes from the communicator's
-//!     cache.
+//!     cache;
+//! 11. a warm scatter of a level-9 grid into the solver rows of a 2×2
+//!     group makes **0**: the root pushes each block's rows from the grid
+//!     into a pooled wire buffer, the parts vector is recycled, and each
+//!     member copies its wire rows straight into its padded field;
+//! 12. a group root that gathers the same level twice through its landing
+//!     grid asks for fewer bytes the second time than one grid holds: no
+//!     grid-sized buffer is made again.
 //!
 //! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
 //! the measurement `expt-regress --exact` gates on; the multi-rank
@@ -46,12 +53,15 @@ use std::sync::Arc;
 
 use advect2d::{AdvectionProblem, KernelConfig, ProblemN};
 use ftsg_core::alloc_probe::{repair_share, Gate, RepairShare, HANDLER_CALLS};
+use ftsg_core::gather::scatter_grid_into;
+use ftsg_core::landing::Landing;
 use ftsg_core::layout::GroupInfo;
 use ftsg_core::layout_nd::GroupInfoN;
 use ftsg_core::psolve::DistributedSolver;
 use ftsg_core::psolve_nd::DistributedSolverN;
+use ftsg_core::stack::D2;
 use ftsg_core::{run_app, AppConfig, ProcLayout, Technique};
-use sparsegrid::LevelPair;
+use sparsegrid::{Grid2, LevelPair};
 use ulfm_sim::{run, Comm, Ctx, RunConfig};
 
 static REQUESTS: AtomicU64 = AtomicU64::new(0);
@@ -89,6 +99,10 @@ fn requests() -> u64 {
     REQUESTS.load(Ordering::SeqCst)
 }
 
+fn bytes() -> u64 {
+    BYTES.load(Ordering::SeqCst)
+}
+
 /// Allocator requests made by all `world` ranks together over `counted`
 /// rounds of `round`, after `warm` warm-up rounds, between two gates that
 /// allocate nothing themselves.
@@ -99,7 +113,19 @@ fn warm_requests<S>(
     make: impl Fn(&Ctx, &Comm) -> S + Send + Sync + 'static,
     round: impl Fn(&Ctx, &Comm, &mut S) + Send + Sync + 'static,
 ) -> u64 {
-    let (open, close) = (Gate::new(requests), Gate::new(requests));
+    warm_count(requests, world, warm, counted, make, round)
+}
+
+/// [`warm_requests`] of another counter: `count` reads it.
+fn warm_count<S>(
+    count: fn() -> u64,
+    world: usize,
+    warm: usize,
+    counted: usize,
+    make: impl Fn(&Ctx, &Comm) -> S + Send + Sync + 'static,
+    round: impl Fn(&Ctx, &Comm, &mut S) + Send + Sync + 'static,
+) -> u64 {
+    let (open, close) = (Gate::new(count), Gate::new(count));
     let gates = (Arc::clone(&open), Arc::clone(&close));
     let report = run(RunConfig::local(world).with_workers(1), move |ctx| {
         let comm = ctx.initial_world().unwrap();
@@ -267,11 +293,55 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         errhandler, 0,
         "{HANDLER_CALLS} warm handler calls x 14 survivors made {errhandler} requests"
     );
+    // 11. Scatter a level-9 grid into the rows of four solvers.
+    let info = GroupInfo { grid: 0, first: 0, size: 4, px: 2, py: 2 };
+    let level = LevelPair::new(9, 9);
+    let scatter = warm_requests(
+        4,
+        2,
+        ROUNDS,
+        move |_, comm| {
+            let p = AdvectionProblem::standard();
+            let solver = DistributedSolver::new(p, level, 1e-4, &info, comm.rank());
+            let whole = (comm.rank() == 0).then(|| Grid2::from_fn(level, |x, y| x - y));
+            (solver, whole)
+        },
+        move |ctx, comm, (solver, whole)| {
+            scatter_grid_into(ctx, comm, &info, whole.as_ref(), solver).unwrap();
+        },
+    );
+    assert_eq!(scatter, 0, "{ROUNDS} warm level-9 scatters into 2x2 solvers made {scatter}");
+    // 12. Gather grid 0 of a layout twice through the root's landing grid.
+    let layout = Arc::new(ProcLayout::new(9, 2, sparsegrid::Layout::Plain, 2));
+    let group = *layout.group(0);
+    let grid_bytes = 8 * layout.system().grid(0).level.points() as u64;
+    let regather = warm_count(
+        bytes,
+        group.size,
+        1,
+        1,
+        move |_, comm| {
+            let p = AdvectionProblem::standard();
+            let level = layout.system().grid(0).level;
+            let solver = DistributedSolver::new(p, level, 1e-4, &group, comm.rank());
+            (Arc::clone(&layout), solver, Landing::<D2>::default())
+        },
+        |ctx, comm, (layout, solver, landing)| {
+            let first = landing.gather(ctx, comm, layout, 0, solver, |g| Ok(g.values()[1]));
+            assert!(first.unwrap().is_none_or(|v| v.is_finite()));
+        },
+    );
+    assert!(
+        regather < grid_bytes,
+        "the second gather of a {grid_bytes}-byte grid asked for {regather} bytes"
+    );
     println!(
         "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
          rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
          gather_view of {RANKS} ranks; {extra_rounds} extra checkpoint rounds cost {:.3} of one \
-         round's bytes each; 3 per warm robust solve (2D and 3D); 0 per warm Fig. 4 handler call",
+         round's bytes each; 3 per warm robust solve (2D and 3D); 0 per warm Fig. 4 handler \
+         call; 0 per warm level-9 scatter into solver rows; a second gather through the \
+         landing grid asked for {regather} bytes, one grid is {grid_bytes}",
         extra as f64 / extra_rounds as f64 / round_bytes as f64
     );
 }

@@ -1,12 +1,17 @@
-//! In-place gather pins (PR 18): assembling a sub-grid straight from the
-//! gather's wire bytes into a caller-owned grid must equal, bit for bit,
-//! the reference `assemble_grid(gather())` / `assemble_grid_n(gather())`
-//! over decoded blocks — on uneven splits, into a dirty buffer of another
-//! shape — and must refuse a wrong block count or block length with the
-//! reference's own `InvalidArg` text.
+//! In-place gather and scatter pins. Assembling a sub-grid straight from
+//! the gather's wire bytes into a caller-owned grid must equal, bit for
+//! bit, the reference `assemble_grid(gather())` /
+//! `assemble_grid_n(gather())` over decoded blocks — on uneven splits,
+//! into a dirty buffer of another shape — and must refuse a wrong block
+//! count or block length with the reference's own `InvalidArg` text. The
+//! scatter that pushes each block's rows from the grid onto the wire and
+//! lands them in the member's rows must deliver, bit for bit, what the
+//! reference `scatter(split_grid())` / `scatter(split_grid_n())` does.
 
-use ftsg_core::gather::{assemble_grid, gather_grid, gather_grid_into};
-use ftsg_core::gather_nd::{assemble_grid_n, gather_grid_n, gather_grid_n_into};
+use ftsg_core::gather::{assemble_grid, gather_grid_into, scatter_grid_into, split_grid};
+use ftsg_core::gather_nd::{
+    assemble_grid_n, gather_grid_n_into, scatter_grid_n_into, split_grid_n,
+};
 use ftsg_core::layout::GroupInfo;
 use ftsg_core::layout_nd::GroupInfoN;
 use ftsg_core::psolve::block_range;
@@ -64,16 +69,12 @@ fn in_place_gather_equals_assemble_of_gather_2d() {
         let first = target.as_ref().map(|g| (g.level(), bits(g.values())));
         // The steady state: the same buffer again, now without a re-shape.
         gather_grid_into(ctx, &w, &INFO2, LEVEL2, &block, target.as_mut()).unwrap();
-        let fresh = gather_grid(ctx, &w, &INFO2, LEVEL2, &block).unwrap();
-        assert_eq!((reference.is_some(), target.is_some(), fresh.is_some()), (root, root, root));
-        if let (Some(reference), Some((level, first)), Some(again), Some(fresh)) =
-            (reference, first, target, fresh)
-        {
+        assert_eq!((reference.is_some(), target.is_some()), (root, root));
+        if let (Some(reference), Some((level, first)), Some(again)) = (reference, first, target) {
             let want = bits(reference.values());
             assert_eq!(level, LEVEL2);
             assert_eq!(first, want, "into a re-shaped dirty buffer");
             assert_eq!(bits(again.values()), want, "into the same buffer again");
-            assert_eq!(bits(fresh.values()), want, "into a grid of its own");
             assert_eq!(reference.at(128, 7).to_bits(), reference.at(0, 7).to_bits(), "seam");
             ctx.report_f64("checked", 1.0);
         }
@@ -97,16 +98,12 @@ fn in_place_gather_equals_assemble_of_gather_nd() {
         gather_grid_n_into(ctx, &w, &INFO3, &LEVEL3, &block, target.as_mut()).unwrap();
         let first = target.as_ref().map(|g| (g.level().to_vec(), bits(g.values())));
         gather_grid_n_into(ctx, &w, &INFO3, &LEVEL3, &block, target.as_mut()).unwrap();
-        let fresh = gather_grid_n(ctx, &w, &INFO3, &LEVEL3, &block).unwrap();
-        assert_eq!((reference.is_some(), target.is_some(), fresh.is_some()), (root, root, root));
-        if let (Some(reference), Some((level, first)), Some(again), Some(fresh)) =
-            (reference, first, target, fresh)
-        {
+        assert_eq!((reference.is_some(), target.is_some()), (root, root));
+        if let (Some(reference), Some((level, first)), Some(again)) = (reference, first, target) {
             let want = bits(reference.values());
             assert_eq!(level, LEVEL3);
             assert_eq!(first, want, "into a re-shaped dirty buffer");
             assert_eq!(bits(again.values()), want, "into the same buffer again");
-            assert_eq!(bits(fresh.values()), want, "into a grid of its own");
             assert_eq!(again.shape(), reference.shape());
             ctx.report_f64("checked", 1.0);
         }
@@ -141,7 +138,6 @@ fn wrong_block_count_or_length_keeps_the_reference_error_text() {
                 .unwrap()
                 .map(|blocks| assemble_grid(LEVEL2, &info2, &blocks).unwrap_err().to_string());
             let got = gather_grid_into(ctx, &w, &info2, LEVEL2, &block2, grid2.as_mut());
-            let fresh = gather_grid(ctx, &w, &info2, LEVEL2, &block2);
             // 3D: every rank a 32-value plane pair but rank 4.
             let block3 = if w.rank() == 4 { mine3 } else { vec![1.0; 32] };
             let want3 = w
@@ -149,22 +145,51 @@ fn wrong_block_count_or_length_keeps_the_reference_error_text() {
                 .unwrap()
                 .map(|blocks| assemble_grid_n(&LEVEL3, &info3, &blocks).unwrap_err().to_string());
             let got3 = gather_grid_n_into(ctx, &w, &info3, &LEVEL3, &block3, grid3.as_mut());
-            let fresh3 = gather_grid_n(ctx, &w, &info3, &LEVEL3, &block3);
             match (want, want3) {
                 (Some(want), Some(want3)) => {
                     assert!(want.contains("assemble_grid: "), "{what}: {want}");
                     assert!(want3.contains("assemble_grid_n: "), "{what}: {want3}");
                     assert_eq!(got.unwrap_err().to_string(), want, "{what}");
-                    assert_eq!(fresh.unwrap_err().to_string(), want, "{what}");
                     assert_eq!(got3.unwrap_err().to_string(), want3, "{what}");
-                    assert_eq!(fresh3.unwrap_err().to_string(), want3, "{what}");
                     ctx.report_add("checked", 1.0);
                 }
                 // Members contributed and are done; only the root assembles.
-                _ => assert!(got.is_ok() && fresh.is_ok() && got3.is_ok() && fresh3.is_ok()),
+                _ => assert!(got.is_ok() && got3.is_ok()),
             }
         }
     });
     report.assert_no_app_errors();
     assert_eq!(report.get_f64("checked"), Some(2.0));
+}
+
+#[test]
+fn in_place_scatter_equals_scatter_of_split() {
+    // The test grids, whole: the 2D one with its seams, the 3D one too.
+    let grid2 = Grid2::from_fn(LEVEL2, |x, y| node_value((y * 1e3 + x * 1e6) as usize));
+    let grid3 = GridN::from_fn(&LEVEL3, |x| node_value((x[0] * 1e3 + x[1] * 1e6 + x[2]) as usize));
+    let report = run(RunConfig::local(WORLD), move |ctx| {
+        let w = ctx.initial_world().unwrap();
+        let root = w.rank() == 0;
+        let parts2 = root.then(|| split_grid(&grid2, &INFO2));
+        let want2 = w.scatter(ctx, 0, parts2.as_deref()).unwrap();
+        // Into a dirty block of the right length.
+        let mut got2 = vec![f64::NAN; want2.len()];
+        scatter_grid_into(ctx, &w, &INFO2, root.then_some(&grid2), &mut got2[..]).unwrap();
+        assert_eq!(bits(&got2), bits(&want2), "2D block of rank {}", w.rank());
+        assert_eq!(got2.len(), block2(w.rank()).len());
+        // 3D: the first three ranks hold the slabs.
+        let slabs = w.split(ctx, Some((w.rank() < INFO3.size) as i64), w.rank() as i64).unwrap();
+        let slabs = slabs.unwrap();
+        if w.rank() < INFO3.size {
+            let parts3 = root.then(|| split_grid_n(&grid3, &INFO3));
+            let want3 = slabs.scatter(ctx, 0, parts3.as_deref()).unwrap();
+            let mut got3 = vec![f64::NAN; want3.len()];
+            scatter_grid_n_into(ctx, &slabs, &INFO3, root.then_some(&grid3), &mut got3[..])
+                .unwrap();
+            assert_eq!(bits(&got3), bits(&want3), "3D slab of rank {}", w.rank());
+        }
+        ctx.report_add("checked", 1.0);
+    });
+    report.assert_no_app_errors();
+    assert_eq!(report.get_f64("checked"), Some(WORLD as f64));
 }

@@ -14,6 +14,9 @@
 //! result everyone shares (`bcast`, `allgather`, `allreduce`), or the
 //! rendezvous itself when nobody came for it — hands it back on drop, so
 //! round k+1 of a checkpoint schedule gathers through round k's buffers.
+//! A scatter root's parts travel as one vector of such buffers; the
+//! emptied vector comes back here too, so a warm scatter allocates
+//! nothing at either end.
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
@@ -27,6 +30,8 @@ use parking_lot::Mutex;
 pub struct BufPool {
     bufs: Mutex<Vec<BytesMut>>,
     max: usize,
+    /// The emptied parts vector of the last scatter.
+    parts: Mutex<Vec<BytesMut>>,
 }
 
 impl Default for BufPool {
@@ -41,7 +46,7 @@ impl BufPool {
 
     /// An empty pool retaining at most `max` buffers.
     pub fn new(max: usize) -> Self {
-        BufPool { bufs: Mutex::new(Vec::new()), max }
+        BufPool { bufs: Mutex::new(Vec::new()), max, parts: Mutex::new(Vec::new()) }
     }
 
     /// An empty buffer with at least `cap` capacity: the pooled buffer
@@ -89,6 +94,22 @@ impl BufPool {
     /// Number of buffers currently pooled.
     pub fn pooled(&self) -> usize {
         self.bufs.lock().len()
+    }
+
+    /// An empty vector with room for `n` buffers, for a scatter root's
+    /// parts: the one [`recycle_parts`](Self::recycle_parts) kept (grown
+    /// if it is too small), or a fresh one.
+    pub fn take_parts(&self, n: usize) -> Vec<BytesMut> {
+        let mut parts = std::mem::take(&mut *self.parts.lock());
+        parts.reserve_exact(n);
+        parts
+    }
+
+    /// Keep a scatter's parts vector, emptied, for the next
+    /// [`take_parts`](Self::take_parts).
+    pub fn recycle_parts(&self, mut parts: Vec<BytesMut>) {
+        parts.clear();
+        *self.parts.lock() = parts;
     }
 }
 
@@ -141,6 +162,20 @@ mod tests {
         let d = pool.take(4096);
         assert_eq!(d.capacity(), 4096);
         assert_eq!(pool.pooled(), pooled);
+    }
+
+    #[test]
+    fn a_parts_vector_comes_back_empty_with_its_room() {
+        let pool = BufPool::new(4);
+        let mut parts = pool.take_parts(3);
+        let (ptr, cap) = (parts.as_ptr(), parts.capacity());
+        assert!(parts.is_empty() && cap >= 3);
+        parts.push(pool.take(8));
+        pool.recycle_parts(parts);
+        let again = pool.take_parts(2);
+        assert_eq!((again.len(), again.as_ptr(), again.capacity()), (0, ptr, cap));
+        // Taken and not given back: the next scatter gets a fresh one.
+        assert_eq!(pool.take_parts(1).capacity(), 1);
     }
 
     #[test]

@@ -821,22 +821,45 @@ impl Comm {
 
     /// `MPI_Scatterv`: the root supplies one slice per rank; each rank
     /// receives its slice.
+    ///
+    /// This form decodes the received part into a vector of its own; a
+    /// member that loads bulk data in place uses
+    /// [`scatter_view_with`](Comm::scatter_view_with), on which this one
+    /// is built.
     pub fn scatter<T: MpiData>(
         &self,
         ctx: &Ctx,
         root: usize,
         parts: Option<&[Vec<T>]>,
     ) -> Result<Vec<T>> {
+        self.scatter_view_with(ctx, root, parts, |mine| Ok(mine.to_vec()))
+    }
+
+    /// [`scatter`](Comm::scatter) with both ends in place — the mirror of
+    /// [`gather_view_with`](Comm::gather_view_with). The root pushes each
+    /// rank's part, piece by piece, straight into a pooled wire buffer
+    /// (see [`ScatterParts`]); every rank, the root included, hands its
+    /// part still in wire form to `read`, which decodes the ranges it
+    /// wants straight into place, and the buffer goes back to the pool.
+    /// Same collective as `scatter` in every other respect — one fault
+    /// site, one cost-model charge, the same checks and failure semantics.
+    pub fn scatter_view_with<T: MpiData, R>(
+        &self,
+        ctx: &Ctx,
+        root: usize,
+        parts: Option<&(impl ScatterParts<T> + ?Sized)>,
+        read: impl FnOnce(WireSlice<'_, T>) -> Result<R>,
+    ) -> Result<R> {
         ctx.fault_op(OpClass::Scatter);
         let p = self.size();
         if let Some(parts) = parts {
             if self.rank != root {
                 return Err(Error::InvalidArg("scatter: only the root supplies parts".into()));
             }
-            if parts.len() != p {
+            if parts.parts() != p {
                 return Err(Error::InvalidArg(format!(
                     "scatter: {} parts for {} ranks",
-                    parts.len(),
+                    parts.parts(),
                     p
                 )));
             }
@@ -844,22 +867,34 @@ impl Comm {
             return Err(Error::InvalidArg("scatter: root must supply parts".into()));
         }
         let net = *ctx.net();
-        let deposit = parts
-            .map_or(Deposit::None, |ps| Deposit::Parts(ps.iter().map(|v| self.wire(v)).collect()));
+        let deposit = parts.map_or(Deposit::None, |ps| {
+            let mut wire = self.shared.pool.take_parts(p);
+            for rank in 0..p {
+                let mut buf = self.shared.pool.take(ps.part_len(rank) * T::WIDTH);
+                ps.put_part(rank, &mut |piece| T::put_slice(piece, &mut buf));
+                wire.push(buf);
+            }
+            Deposit::Parts(wire)
+        });
         let res = self.collective(ctx, "scatter", OpKind::Scatter, deposit, |slots| {
-            let Some(Deposit::Parts(parts)) =
+            let Some(Deposit::Parts(mut parts)) =
                 slots.get_mut(root).map(|s| mem::take(&mut s.deposit))
             else {
                 return (Err(wrong_kind("scatter: the root's contribution")), 0.0);
             };
             let cost = net.gather(p, parts.iter().map(|b| b.len()).sum());
-            for (slot, part) in slots.iter_mut().zip(parts) {
+            for (slot, part) in slots.iter_mut().zip(parts.drain(..)) {
                 slot.share = Share::Bytes(part);
             }
+            self.shared.pool.recycle_parts(parts);
             (Ok(()), cost)
         });
         match self.handle_err(ctx, res)? {
-            Share::Bytes(mine) => self.unwire(mine),
+            Share::Bytes(mine) => {
+                let read = WireSlice::new(&mine).and_then(read);
+                self.shared.pool.recycle(mine);
+                read
+            }
             _ => Err(wrong_kind("scatter")),
         }
     }
@@ -1229,6 +1264,34 @@ impl<T: MpiData> Gathered<T> {
     /// Every contribution decoded into a vector of its own, in rank order.
     pub fn to_vecs(&self) -> Vec<Vec<T>> {
         (0..self.len()).map(|r| self.part(r).to_vec()).collect()
+    }
+}
+
+/// What the root of a [`Comm::scatter_view_with`] sends: one part per
+/// rank, produced piece by piece straight into the part's wire buffer, so
+/// no part is staged in a vector of its own first — the root of a grid
+/// scatter pushes the rows of each member's block where they lie in the
+/// grid.
+pub trait ScatterParts<T> {
+    /// Number of parts (the communicator size).
+    fn parts(&self) -> usize;
+    /// Elements in rank `rank`'s part.
+    fn part_len(&self, rank: usize) -> usize;
+    /// Push rank `rank`'s part to `put`: in order, `part_len(rank)`
+    /// elements in all.
+    fn put_part(&self, rank: usize, put: &mut dyn FnMut(&[T]));
+}
+
+/// A part per rank, each a vector of its own.
+impl<T> ScatterParts<T> for [Vec<T>] {
+    fn parts(&self) -> usize {
+        self.len()
+    }
+    fn part_len(&self, rank: usize) -> usize {
+        self[rank].len()
+    }
+    fn put_part(&self, rank: usize, put: &mut dyn FnMut(&[T])) {
+        put(&self[rank]);
     }
 }
 

@@ -79,7 +79,8 @@ pub mod trace_export;
 
 pub use bufpool::BufPool;
 pub use comm::{
-    waitall, Comm, ErrHandler, Gathered, InterComm, ReduceOp, Request, ANY_SOURCE, ANY_TAG,
+    waitall, Comm, ErrHandler, Gathered, InterComm, ReduceOp, Request, ScatterParts, ANY_SOURCE,
+    ANY_TAG,
 };
 pub use costmodel::{
     BetaUlfm, ClusterProfile, DiskParams, IdealUlfm, NetParams, UlfmCostModel, TABLE_I,

@@ -21,9 +21,10 @@ use std::cell::Cell;
 
 use crate::runtime::TraceEvent;
 
-/// Default [`TraceRing`] capacity (events). At ~56 bytes per event this
-/// preallocates ~2 MB per run — small enough to leave on everywhere,
-/// large enough that typical campaign-size runs drop nothing.
+/// Default [`TraceRing`] capacity (events). A [`TraceEvent`] is 80 bytes,
+/// so the ring preallocates 2,621,440 bytes (2.5 MiB) per run — small
+/// enough to leave on everywhere, large enough that typical
+/// campaign-size runs drop nothing.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 15;
 
 /// Every operation name the runtime traces, in a fixed order so per-op

@@ -1184,15 +1184,8 @@ where
     let ring = std::mem::replace(&mut *uni.trace.lock(), TraceRing::new(0));
     let trace_dropped = ring.dropped();
     let mut trace = ring.into_events();
-    trace.sort_by(|a, b| {
-        a.proc
-            .cmp(&b.proc)
-            .then(a.t_start.total_cmp(&b.t_start))
-            .then(a.t_end.total_cmp(&b.t_end))
-            .then(a.op.cmp(b.op))
-            .then(a.cid.cmp(&b.cid))
-            .then(a.bytes.cmp(&b.bytes))
-    });
+    // In place: a stable sort would allocate a scratch copy of the ring.
+    trace.sort_unstable_by(trace_order);
     let mut timelines = std::mem::take(&mut *uni.timelines.lock());
     timelines.sort_by(|a, b| a.t_start.total_cmp(&b.t_start).then(a.event.cmp(&b.event)));
     Report {
@@ -1212,9 +1205,71 @@ where
     }
 }
 
+/// The order of a run's trace: by process, start and end time, operation,
+/// communicator and bytes — then host and category, which makes it total
+/// over every field. Events that compare equal are identical, so an
+/// unstable sort (no scratch copy) gives the trace a stable one would.
+fn trace_order(a: &TraceEvent, b: &TraceEvent) -> std::cmp::Ordering {
+    a.proc
+        .cmp(&b.proc)
+        .then(a.t_start.total_cmp(&b.t_start))
+        .then(a.t_end.total_cmp(&b.t_end))
+        .then(a.op.cmp(b.op))
+        .then(a.cid.cmp(&b.cid))
+        .then(a.bytes.cmp(&b.bytes))
+        .then(a.host.cmp(&b.host))
+        .then(a.cat.cmp(b.cat))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_trace_sorts_in_place_to_what_a_stable_sort_gives() {
+        // Every field takes two values, so the 256 events tie on the first
+        // six keys in groups of four (host × cat) and many are duplicates
+        // once the cycle wraps; shuffled, then sorted both ways.
+        let ops = ["agree", "send"];
+        let cats = ["mpi", "recovery"];
+        let mut events: Vec<TraceEvent> = (0..256u64)
+            .map(|i| TraceEvent {
+                proc: i % 2,
+                host: (i / 2 % 2) as usize,
+                op: ops[(i / 4 % 2) as usize],
+                cat: cats[(i / 8 % 2) as usize],
+                cid: i / 16 % 2,
+                t_start: if i / 32 % 2 == 0 { 0.0 } else { -0.0 },
+                t_end: (i / 64 % 2) as f64,
+                bytes: i / 128 % 2 * 8,
+            })
+            .collect();
+        rand::seq::SliceRandom::shuffle(&mut events[..], &mut StdRng::seed_from_u64(27));
+        let mut stable = events.clone();
+        stable.sort_by(trace_order);
+        events.sort_unstable_by(trace_order);
+        assert_eq!(events, stable);
+        // Where the six keys the trace was always sorted by decide, the
+        // two later keys change nothing.
+        let six = |a: &TraceEvent, b: &TraceEvent| {
+            (a.proc.cmp(&b.proc))
+                .then(a.t_start.total_cmp(&b.t_start))
+                .then(a.t_end.total_cmp(&b.t_end))
+                .then(a.op.cmp(b.op))
+                .then(a.cid.cmp(&b.cid))
+                .then(a.bytes.cmp(&b.bytes))
+        };
+        for pair in events.windows(2) {
+            assert_ne!(six(&pair[0], &pair[1]), std::cmp::Ordering::Greater);
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_default_trace_ring_is_the_documented_size() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 80);
+        assert_eq!(TraceRing::new(DEFAULT_TRACE_CAPACITY).capacity() * 80, 2_621_440);
+    }
 
     #[test]
     fn single_process_runs_and_reports() {

@@ -1,7 +1,7 @@
 //! Cross-thread integration tests for point-to-point and collective
 //! operations of the simulated runtime.
 
-use ulfm_sim::{run, ReduceOp, RunConfig};
+use ulfm_sim::{run, ReduceOp, RunConfig, ScatterParts};
 
 #[test]
 fn p2p_ring_pass() {
@@ -210,6 +210,57 @@ fn scatter_and_allgather() {
     });
     report.assert_no_app_errors();
     assert_eq!(report.get_f64("ok"), Some(n as f64));
+}
+
+/// Rank `r`'s part is `r + 1` rows of three values, pushed row by row.
+struct Rows;
+
+impl ScatterParts<f64> for Rows {
+    fn parts(&self) -> usize {
+        4
+    }
+    fn part_len(&self, rank: usize) -> usize {
+        3 * (rank + 1)
+    }
+    fn put_part(&self, rank: usize, put: &mut dyn FnMut(&[f64])) {
+        for row in 0..=rank {
+            put(&[rank as f64, row as f64, 0.5]);
+        }
+    }
+}
+
+#[test]
+fn scatter_view_lands_each_part_in_place_and_checks_the_root() {
+    let report = run(RunConfig::local(4), |ctx| {
+        let w = ctx.initial_world().unwrap();
+        let parts = (w.rank() == 0).then_some(&Rows);
+        // The part is read out of the wire straight into the caller's rows.
+        let mut rows = vec![[f64::NAN; 3]; w.rank() + 1];
+        let got = w
+            .scatter_view_with(ctx, 0, parts, |mine| {
+                for (k, row) in rows.iter_mut().enumerate() {
+                    mine.copy_to(3 * k, row);
+                }
+                Ok(mine.len())
+            })
+            .unwrap();
+        assert_eq!(got, 3 * (w.rank() + 1));
+        for (k, row) in rows.iter().enumerate() {
+            assert_eq!(*row, [w.rank() as f64, k as f64, 0.5]);
+        }
+        // The plain form reads the same parts into vectors of their own.
+        let plain = w.scatter(ctx, 0, (w.rank() == 0).then(|| vec![vec![7u8]; 4]).as_deref());
+        assert_eq!(plain.unwrap(), vec![7u8]);
+        // Only the root supplies parts, and it must: both are refused
+        // before the collective starts.
+        let swapped = (w.rank() != 0).then_some(&Rows);
+        let bad = w.scatter_view_with(ctx, 0, swapped, |_| Ok(())).unwrap_err();
+        let want = if w.rank() == 0 { "root must supply" } else { "only the root supplies" };
+        assert!(bad.to_string().contains(want), "{bad}");
+        ctx.report_add("ok", 1.0);
+    });
+    report.assert_no_app_errors();
+    assert_eq!(report.get_f64("ok"), Some(4.0));
 }
 
 #[test]

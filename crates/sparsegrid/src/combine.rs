@@ -32,34 +32,41 @@ pub fn combine_onto(target: LevelPair, terms: &[CombinationTerm<'_>]) -> Grid2 {
 /// round over preallocated partials performs no heap allocation. Bitwise
 /// identical to [`combine_onto`] at `out.level()`.
 pub fn combine_onto_into(out: &mut Grid2, terms: &[CombinationTerm<'_>]) {
-    let target = out.level();
     for v in out.values_mut() {
         *v = 0.0;
     }
+    for term in terms {
+        accumulate_onto(out, term);
+    }
+}
+
+/// One step of [`combine_onto_into`]'s left fold: `out += coeff · grid`,
+/// evaluated on `out`'s nodes. Folding a term list into a zero grid one
+/// term at a time — as each term arrives, into as many targets as need
+/// it — is therefore bit for bit [`combine_onto`] of the list.
+pub fn accumulate_onto(out: &mut Grid2, term: &CombinationTerm<'_>) {
+    let (g, c) = (term.grid, term.coeff);
+    if c == 0.0 {
+        return;
+    }
+    let target = out.level();
     let (hx, hy) = out.spacing();
     let (nx, ny) = (out.nx(), out.ny());
-    for term in terms {
-        let g = term.grid;
-        let c = term.coeff;
-        if c == 0.0 {
-            continue;
-        }
-        if target.leq(&g.level()) {
-            // Injection fast path: strides are exact powers of two.
-            let sx = 1usize << (g.level().i - target.i);
-            let sy = 1usize << (g.level().j - target.j);
-            for m in 0..ny {
-                for k in 0..nx {
-                    *out.at_mut(k, m) += c * g.at(k * sx, m * sy);
-                }
+    if target.leq(&g.level()) {
+        // Injection fast path: strides are exact powers of two.
+        let sx = 1usize << (g.level().i - target.i);
+        let sy = 1usize << (g.level().j - target.j);
+        for m in 0..ny {
+            for k in 0..nx {
+                *out.at_mut(k, m) += c * g.at(k * sx, m * sy);
             }
-        } else {
-            for m in 0..ny {
-                let y = m as f64 * hy;
-                for k in 0..nx {
-                    let x = k as f64 * hx;
-                    *out.at_mut(k, m) += c * g.eval(x, y);
-                }
+        }
+    } else {
+        for m in 0..ny {
+            let y = m as f64 * hy;
+            for k in 0..nx {
+                let x = k as f64 * hx;
+                *out.at_mut(k, m) += c * g.eval(x, y);
             }
         }
     }

@@ -65,14 +65,17 @@ impl Grid2 {
     /// Reuse or re-shape: make this grid one at `level`, keeping its
     /// allocation. At the same level nothing moves; otherwise the value
     /// buffer is cut or extended to the new node count (the invariant
-    /// `values().len() == nx * ny` holds either way). Node values are
+    /// `values().len() == nx * ny` holds either way), growing — if it must
+    /// — to exactly that count, not by doubling. Node values are
     /// **unspecified** afterwards — whatever the buffer held, zeros where
     /// it grew — so this is for in-place assembly that overwrites every
     /// node, which must not pay a zero-fill first.
     pub fn reshape(&mut self, level: LevelPair) {
         if level != self.level {
             (self.level, self.nx, self.ny) = (level, level.nx(), level.ny());
-            self.data.resize(self.nx * self.ny, 0.0);
+            let n = self.nx * self.ny;
+            self.data.reserve_exact(n.saturating_sub(self.data.len()));
+            self.data.resize(n, 0.0);
         }
     }
 
@@ -264,6 +267,9 @@ mod tests {
         assert_eq!((g.level(), g.values().len()), (lv(2, 3), 45));
         assert_eq!(g.values().as_ptr(), ptr, "45 nodes fit the 45-node allocation");
         assert_eq!(g.row(8).len(), 5);
+        // Growing past the allocation asks for the new count, not double.
+        g.reshape(lv(3, 3));
+        assert_eq!((g.values().len(), g.data.capacity()), (81, 81));
     }
 
     #[test]

@@ -40,10 +40,14 @@ pub mod scheme_nd;
 pub mod scratch;
 
 pub use coeffs::{gcp_coefficients, robust_coefficients, verify_covering, LevelSet};
-pub use combine::{combine_binomial, combine_onto, combine_onto_into, CombinationTerm};
+pub use combine::{
+    accumulate_onto, combine_binomial, combine_onto, combine_onto_into, CombinationTerm,
+};
 pub use grid2::Grid2;
 pub use level::LevelPair;
-pub use ndcombine::{combine_binomial_nd, combine_onto_into_nd, combine_onto_nd, CombinationTermN};
+pub use ndcombine::{
+    combine_binomial_nd, combine_onto_into_nd, combine_onto_nd, CombinationTermN, FoldN,
+};
 pub use ndgrid::GridN;
 pub use ndim::{
     gcp_coefficients_nd, robust_coefficients_nd, verify_covering_nd, IndexedDownset, LevelSetN,

@@ -35,28 +35,61 @@ pub fn combine_onto_nd(target: &[u32], terms: &[CombinationTermN<'_>]) -> GridN 
 /// call and re-aimed per term, so the request count depends on the term
 /// list only, never on the target's size.
 pub fn combine_onto_into_nd(out: &mut GridN, terms: &[CombinationTermN<'_>]) {
-    let d = out.dim();
     for v in out.values_mut() {
         *v = 0.0;
     }
-    let spacing = out.spacing();
-    let mut walk: Option<InterpWalk> = None;
+    let mut walk = None;
     for term in terms {
-        let g = term.grid;
-        let c = term.coeff;
-        assert_eq!(g.dim(), d, "combination term dimension mismatch");
-        if c == 0.0 {
-            continue;
-        }
-        let dominated = out.level().iter().zip(g.level()).all(|(&t, &s)| t <= s);
-        if dominated {
-            // Injection fast path: strides are exact powers of two.
-            inject_rows(g, out, |o, v| *o += c * v);
-        } else {
-            let walk = walk.get_or_insert_with(|| InterpWalk::new(out.shape()));
-            walk.aim(g, |i, k| k as f64 * spacing[i]);
-            walk.run(g, out.values_mut(), |o, v| *o += c * v);
-        }
+        accumulate(out, term, &mut walk);
+    }
+}
+
+/// [`combine_onto_nd`] one term at a time: a grid at the target level
+/// that terms are added to as they arrive ([`add`](Self::add)), keeping
+/// the interpolation tables its first interpolated term allocated for
+/// the rest. Folding a term list in order is bit for bit
+/// [`combine_onto_nd`] of the list, with the same allocator requests.
+pub struct FoldN {
+    out: GridN,
+    walk: Option<InterpWalk>,
+}
+
+impl FoldN {
+    /// An empty fold (a zero grid) at `target`.
+    pub fn new(target: &[u32]) -> Self {
+        FoldN { out: GridN::zeros(target), walk: None }
+    }
+
+    /// One step of the left fold: `out += coeff · grid` on every node.
+    pub fn add(&mut self, term: &CombinationTermN<'_>) {
+        accumulate(&mut self.out, term, &mut self.walk);
+    }
+
+    /// The folded grid, by value.
+    pub fn into_grid(self) -> GridN {
+        self.out
+    }
+}
+
+/// `out += coeff · grid`: pure injection when `grid` dominates `out`,
+/// otherwise through `walk`, created on first need for `out`'s shape.
+fn accumulate(out: &mut GridN, term: &CombinationTermN<'_>, walk: &mut Option<InterpWalk>) {
+    let (g, c) = (term.grid, term.coeff);
+    assert_eq!(g.dim(), out.dim(), "combination term dimension mismatch");
+    if c == 0.0 {
+        return;
+    }
+    let dominated = out.level().iter().zip(g.level()).all(|(&t, &s)| t <= s);
+    if dominated {
+        // Injection fast path: strides are exact powers of two.
+        inject_rows(g, out, |o, v| *o += c * v);
+    } else {
+        // Node coordinates as `GridN::spacing` gives them, computed in
+        // place rather than in a vector per term.
+        let shape = out.shape();
+        let walk = walk.get_or_insert_with(|| InterpWalk::new(shape));
+        walk.aim(g, |i, k| k as f64 * (1.0 / (shape[i] - 1) as f64));
+        walk.run(g, out.values_mut(), |o, v| *o += c * v);
     }
 }
 

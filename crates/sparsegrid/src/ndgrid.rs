@@ -84,15 +84,17 @@ impl GridN {
     /// Reuse or re-shape: make this grid one at `level`, keeping its
     /// value allocation — the d-dimensional [`crate::Grid2::reshape`].
     /// At the same level nothing moves; otherwise shape, strides and the
-    /// value count follow `level`. Node values are **unspecified**
-    /// afterwards (stale contents, zeros where the buffer grew): for
-    /// in-place assembly that overwrites every node.
+    /// value count follow `level`, the values growing — if they must — to
+    /// exactly that count. Node values are **unspecified** afterwards
+    /// (stale contents, zeros where the buffer grew): for in-place
+    /// assembly that overwrites every node.
     pub fn reshape(&mut self, level: &[u32]) {
         if level != self.level.as_slice() {
             let (shape, stride, total) = geometry(level);
             (self.shape, self.stride) = (shape, stride);
             self.level.clear();
             self.level.extend_from_slice(level);
+            self.data.reserve_exact(total.saturating_sub(self.data.len()));
             self.data.resize(total, 0.0);
         }
     }
@@ -518,6 +520,9 @@ mod tests {
         assert_eq!((g.dim(), g.values().len()), (3, 75));
         assert_eq!(g.values().as_ptr(), ptr, "75 nodes fit the 75-node allocation");
         assert_eq!(g.offset(&[2, 4, 4]), 74);
+        // Growing past the allocation asks for the new count, not double.
+        g.reshape(&[2, 2, 2]);
+        assert_eq!((g.values().len(), g.data.capacity()), (125, 125));
     }
 
     #[test]

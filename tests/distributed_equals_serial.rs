@@ -3,10 +3,10 @@
 //! reproduce the single-owner serial solver **bitwise** — same stencil,
 //! same arithmetic order, halos standing in for periodic wrap.
 
-use ftsg::app::gather::gather_grid;
+use ftsg::app::gather::gather_grid_into;
 use ftsg::app::psolve::DistributedSolver;
 use ftsg::app::GroupInfo;
-use ftsg::grid::LevelPair;
+use ftsg::grid::{Grid2, LevelPair};
 use ftsg::mpi::{run, RunConfig};
 use ftsg::pde::{AdvectionProblem, LocalSolver};
 
@@ -25,7 +25,8 @@ fn compare(level: LevelPair, px: usize, py: usize, steps: u64) {
         let w = ctx.initial_world().unwrap();
         let mut solver = DistributedSolver::new(problem, level, dt, &info, w.rank());
         solver.run(ctx, &w, steps).unwrap();
-        let full = gather_grid(ctx, &w, &info, level, &solver.local_block()).unwrap();
+        let mut full = (w.rank() == 0).then(|| Grid2::zeros(level));
+        gather_grid_into(ctx, &w, &info, level, &solver, full.as_mut()).unwrap();
         if let Some(grid) = full {
             // Compare against the serial oracle, node by node, bitwise.
             let mut max_diff = 0.0f64;
