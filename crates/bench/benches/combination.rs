@@ -99,7 +99,7 @@ fn bench_gather_scatter(c: &mut Criterion) {
                 let mut root = (w.rank() == 0).then(|| grid.clone());
                 for _ in 0..8 {
                     scatter_grid_into(ctx, &w, &info, root.as_ref(), &mut solver).unwrap();
-                    gather_grid_into(ctx, &w, &info, level, &solver, root.as_mut()).unwrap();
+                    gather_grid_into(ctx, &w, &info, &level, &solver, root.as_mut()).unwrap();
                 }
             });
             report.assert_no_app_errors();

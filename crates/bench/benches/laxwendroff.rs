@@ -12,7 +12,7 @@ use advect2d::{
     PaddedField, PaddedFieldN, ProblemN, StencilN,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ftsg_core::gather_nd::{assemble_grid_n, split_grid_n};
+use ftsg_core::gather::{assemble_grid, split_grid};
 use ftsg_core::layout_nd::GroupInfoN;
 use sparsegrid::{
     combine_onto_into, combine_onto_into_nd, gcp_coefficients, CombinationTerm, CombinationTermN,
@@ -333,19 +333,19 @@ fn assert_nd_alloc_discipline() {
     let (small, large) = (combine_requests(&[4, 4, 4]), combine_requests(&[6, 5, 4]));
     assert_eq!(small, large, "nd combine requests grew with the target: {small} vs {large}");
 
-    // `assemble_grid_n` over three slabs: the request count must not
+    // `assemble_grid` over three slabs: the request count must not
     // depend on the plane size (4 × 4 vs 32 × 16 nodes per plane).
     let info = GroupInfoN { grid: 0, first: 0, size: 3 };
-    let assemble_requests = |level: &[u32]| {
-        let blocks = split_grid_n(&GridN::from_fn(level, |x| x[0] - x[1] + x[2]), &info);
+    let assemble_requests = |level: Vec<u32>| {
+        let blocks = split_grid(&GridN::from_fn(&level, |x| x[0] - x[1] + x[2]), &info);
         let before = alloc_count();
-        let grid = assemble_grid_n(level, &info, &blocks).expect("well-formed blocks");
+        let grid = assemble_grid(&level, &info, &blocks).expect("well-formed blocks");
         let requests = alloc_count() - before;
         assert_eq!(grid.level(), level);
         requests
     };
-    let (small, large) = (assemble_requests(&[2, 2, 3]), assemble_requests(&[5, 4, 3]));
-    assert_eq!(small, large, "assemble_grid_n requests grew with the plane: {small} vs {large}");
+    let (small, large) = (assemble_requests(vec![2, 2, 3]), assemble_requests(vec![5, 4, 3]));
+    assert_eq!(small, large, "assemble_grid requests grew with the plane: {small} vs {large}");
 }
 
 criterion_group!(benches, assert_alloc_free, bench_kernel, bench_level9_step, bench_local_solver);

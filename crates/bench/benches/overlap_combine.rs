@@ -74,7 +74,7 @@ fn bench_distributed_tree_combine(c: &mut Criterion) {
                     let part = combine_onto(target, std::slice::from_ref(&term));
                     let leaders: Vec<usize> = (0..w.size()).collect();
                     let mut scratch = Vec::new();
-                    binomial_combine(ctx, &w, &leaders, 0, target, Some(part), &mut scratch, 7)
+                    binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), &mut scratch, 7)
                         .unwrap();
                 });
                 report.assert_no_app_errors();

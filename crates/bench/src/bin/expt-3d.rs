@@ -9,7 +9,9 @@
 //!
 //! Writes `results/expt3d.csv` and the `BENCH_pr10.json` acceptance
 //! artifact (`--out` overrides the JSON path). `--smoke` shrinks the
-//! sweep for the CI lane.
+//! sweep for the CI lane. Exits non-zero if an error is not finite or a
+//! healthy error is round-off rather than discretization error
+//! (`healthy_errors_resolved`).
 
 use ftsg_bench::experiments::dim3::{self, Dim3Opts};
 
@@ -61,5 +63,9 @@ fn main() {
     }
     println!("acceptance artifact written to {}", o.out);
     let bad = points.iter().filter(|p| !p.err.is_finite()).count();
+    if !dim3::healthy_errors_resolved(&points) {
+        eprintln!("expt-3d: a healthy error is below {:e}: round-off", dim3::RESOLVED_ERR);
+        std::process::exit(1);
+    }
     std::process::exit(if bad == 0 { 0 } else { 1 });
 }

@@ -22,7 +22,10 @@ use ulfm_sim::{run, RunConfig};
 use crate::table::{sci, sig3, utc_today, Table};
 
 /// Sizing knobs for the 3D sweep (own struct: the shared [`crate::Opts`]
-/// defaults are 2D-sized).
+/// defaults are 2D-sized). The default shape has a floor level
+/// `m = n − l + 1 = 2`, so the error is measured on a 5 × 5 × 5 lattice:
+/// at `m = 1` it would be x ∈ {0, ½, 1}³, where the elliptic solution
+/// `Π sin(2πxᵢ)` vanishes and the error is round-off.
 #[derive(Debug, Clone)]
 pub struct Dim3Opts {
     pub n: u32,
@@ -37,7 +40,7 @@ pub struct Dim3Opts {
 impl Default for Dim3Opts {
     fn default() -> Self {
         Dim3Opts {
-            n: 4,
+            n: 5,
             l: 4,
             log2_steps: 4,
             reps: 5,
@@ -189,12 +192,24 @@ pub fn table(o: &Dim3Opts, points: &[CurvePoint]) -> Table {
     t
 }
 
+/// The smallest healthy error that counts as resolved: anything below is
+/// round-off, not discretization error.
+pub const RESOLVED_ERR: f64 = 1e-8;
+
+/// The healthy (no loss) error of `problem`.
+fn healthy(points: &[CurvePoint], problem: &str) -> f64 {
+    points.iter().find(|p| p.problem == problem && p.lost == 0).map_or(f64::NAN, |p| p.err)
+}
+
+/// Both healthy errors are discretization errors (≥ [`RESOLVED_ERR`]),
+/// so every ratio to them means something.
+pub fn healthy_errors_resolved(points: &[CurvePoint]) -> bool {
+    ["advection", "elliptic"].iter().all(|prob| healthy(points, prob) >= RESOLVED_ERR)
+}
+
 /// The `BENCH_pr10.json` acceptance artifact: the error curves plus the
 /// headline numbers the regression lane reads back.
 pub fn to_json(o: &Dim3Opts, points: &[CurvePoint]) -> String {
-    let healthy = |prob: &str| {
-        points.iter().find(|p| p.problem == prob && p.lost == 0).map_or(f64::NAN, |p| p.err)
-    };
     let worst_ac_ratio =
         points.iter().filter(|p| p.technique == "AC").map(|p| p.ratio).fold(0.0_f64, f64::max);
     let worst_cr_ratio =
@@ -215,11 +230,12 @@ pub fn to_json(o: &Dim3Opts, points: &[CurvePoint]) -> String {
         o.n, o.l, o.log2_steps, o.reps, o.max_lost, o.seed
     ));
     s.push_str(" \"acceptance\": {\n");
-    s.push_str(&format!("  \"healthy_3d_err_advection\": {:.6e},\n", healthy("advection")));
-    s.push_str(&format!("  \"healthy_3d_err_elliptic\": {:.6e},\n", healthy("elliptic")));
+    s.push_str(&format!("  \"healthy_3d_err_advection\": {:.6e},\n", healthy(points, "advection")));
+    s.push_str(&format!("  \"healthy_3d_err_elliptic\": {:.6e},\n", healthy(points, "elliptic")));
     s.push_str(&format!("  \"worst_cr_err_growth\": {:.4},\n", worst_cr_ratio));
     s.push_str(&format!("  \"worst_ac_err_growth\": {:.4},\n", worst_ac_ratio));
-    s.push_str(&format!("  \"all_errors_finite\": {all_finite}\n"));
+    s.push_str(&format!("  \"all_errors_finite\": {all_finite},\n"));
+    s.push_str(&format!("  \"healthy_errors_resolved\": {}\n", healthy_errors_resolved(points)));
     s.push_str(" },\n \"results\": [\n");
     for (i, p) in points.iter().enumerate() {
         s.push_str(&format!(
@@ -266,5 +282,17 @@ mod tests {
         {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        // No healthy elliptic point: unresolved.
+        assert!(json.contains("\"healthy_errors_resolved\": false"), "{json}");
+        let resolved = vec![
+            CurvePoint { problem: "advection", technique: "CR", lost: 0, err: 1e-3, ratio: 1.0 },
+            CurvePoint { problem: "elliptic", technique: "CR", lost: 0, err: 2e-2, ratio: 1.0 },
+        ];
+        assert!(healthy_errors_resolved(&resolved));
+        let round_off = vec![
+            CurvePoint { problem: "advection", technique: "CR", lost: 0, err: 1e-3, ratio: 1.0 },
+            CurvePoint { problem: "elliptic", technique: "CR", lost: 0, err: 3.6e-48, ratio: 1.0 },
+        ];
+        assert!(!healthy_errors_resolved(&round_off));
     }
 }

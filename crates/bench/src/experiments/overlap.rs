@@ -24,9 +24,10 @@ pub fn classical_terms(n: u32) -> (LevelPair, Vec<(f64, Grid2)>) {
     (sys.min_level(), terms)
 }
 
-/// One combination phase over a world of G leaders, replicating the cost
-/// accounting of `run_app`'s combine phase for the chosen mode. Returns
-/// the virtual makespan.
+/// One combination phase over a world of G leaders: `run_app`'s tree, or
+/// (`central`) the centralized master gather it replaced, emulated here
+/// on the same transport as the baseline of the BENCH_pr3.json ratio.
+/// Returns the virtual makespan.
 pub fn combine_makespan(n: u32, central: bool) -> f64 {
     let (target, data) = classical_terms(n);
     let world = data.len();
@@ -63,7 +64,7 @@ pub fn combine_makespan(n: u32, central: bool) -> f64 {
             let leaders: Vec<usize> = (0..w.size()).collect();
             let mut scratch = Vec::new();
             let combined =
-                binomial_combine(ctx, &w, &leaders, 0, target, Some(part), &mut scratch, 9500)
+                binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), &mut scratch, 9500)
                     .unwrap();
             if me == 0 {
                 assert!(combined.unwrap().values()[1].is_finite());

@@ -13,16 +13,13 @@
 //!    binomial-tree combination vs the centralized master gather, vs
 //!    `BENCH_pr3.json` `acceptance.combine_virtual_makespan_speedup_level9`.
 //!    Guards the communication schedule and the cost models.
-//! 3. **`scale_1k_wall_per_step_ms`** (wall clock, lower is better) — the
-//!    ~1k-rank pooled-scheduler failure run, vs the first ok pooled row of
-//!    `BENCH_pr6.json`. Guards the simulator runtime itself.
-//! 4. **`level9_simd_speedup`** (wall clock, ratio of two same-machine
+//! 3. **`level9_simd_speedup`** (wall clock, ratio of two same-machine
 //!    measurements) — the vectorized level-9 step vs the scalar reference
 //!    step, vs `BENCH_pr8.json`
 //!    `acceptance.level9_simd_speedup_vs_scalar`. Guards the SIMD
 //!    kernels: a build or dispatch change that silently falls back to
 //!    scalar collapses this ratio to ~1.
-//! 5. **`serve_overlap_ratio`** (wall clock, ratio of two same-process
+//! 4. **`serve_overlap_ratio`** (wall clock, ratio of two same-process
 //!    measurements) — the campaign service's 2-worker vs 1-worker
 //!    throughput on a fixed batch of tiny CR solves, vs `BENCH_pr9.json`
 //!    `acceptance.gate_overlap_ratio`. Guards the service layer: a
@@ -30,20 +27,20 @@
 //!    shared pool collapses the ratio to ~1, while the ratio form
 //!    cancels host-load and process-history noise that makes absolute
 //!    jobs/sec baselines unportable.
-//! 6. **`d2_level9_step_wall_ns`** (wall clock, lower is better) — the
+//! 5. **`d2_level9_step_wall_ns`** (wall clock, lower is better) — the
 //!    absolute median wall time of the double-buffered d=2 level-9 step,
 //!    vs `BENCH_pr8.json` `acceptance.pr1_fast_double_buffered_median_ns`.
 //!    Guards the classic 2D hot path against the d-dimensional
 //!    generalization: the speedup gates are ratios and would hide a
 //!    change that slowed both formulations equally.
-//! 7. **`nd_rows_speedup_vs_closure`** (wall clock, ratio of two
+//! 6. **`nd_rows_speedup_vs_closure`** (wall clock, ratio of two
 //!    same-process measurements) — the d-dimensional row step vs the
 //!    point-closure reference step at the `solve3d_kill` slab shapes, vs
 //!    `BENCH_pr17.json` `acceptance.nd_rows_speedup_vs_closure`. Guards
 //!    the nd hot path: a per-point dispatch or a per-step allocation
 //!    creeping back into `PaddedFieldN::step_rows` / `StencilN::row`
 //!    collapses the ratio towards 1, while the host factor cancels.
-//! 8. **`crc_sliced_over_bytewise_ratio`** (wall clock, ratio of two
+//! 7. **`crc_sliced_over_bytewise_ratio`** (wall clock, ratio of two
 //!    same-process measurements, held to a *floor* rather than to the
 //!    committed value ± tolerance) — the production slice-by-8 CRC-64
 //!    over the byte-at-a-time reference on the largest `ckpt_heavy`
@@ -53,7 +50,7 @@
 //!    bytewise loop collapses the ratio to 1. How far above the floor a
 //!    CPU lands varies with its cache and issue width, which is why the
 //!    committed ratio itself is not the bar.
-//! 9. **`paper_shape_agree_calls`** and **`paper_shape_t_reconstruct`**
+//! 8. **`paper_shape_agree_calls`** and **`paper_shape_t_reconstruct`**
 //!    (virtual clock, **exact match**) — how many agreements the
 //!    one-failure repair of the paper's own shape (`paper2d_kill`) puts on
 //!    rank 0's path, and its `T_RECONSTRUCT`, vs `BENCH_pr22.json`
@@ -61,17 +58,17 @@
 //!    creeping back in, or a repair-path operation changing, moves one of
 //!    the two. Deterministic and host-independent, so unlike the gates
 //!    above it is not a matter of tolerance.
-//! 10. **`warm_inline_collective_requests`** and
-//!     **`warm_gather_view_requests`** (allocator requests, **exact
-//!     match**) — what 16 warm rounds of `barrier` + `allreduce_sum` +
-//!     `agree`, and 16 warm `gather_view` rounds, cost on 64 ranks
-//!     ([`crate::experiments::collectives`]), vs `BENCH_pr24.json`
-//!     `acceptance` (0, and 1 per operation). Guards the rendezvous: a
-//!     per-rank allocation creeping back into a collective — a cloned
-//!     contribution, a boxed outcome, a map node — moves a count by a
-//!     multiple of 64. Measured through the calling binary's counting
-//!     allocator, so only `expt-regress` (which installs one) runs them.
-//! 11. **`robust_solve_requests_2d`**, **`robust_solve_requests_3d`** and
+//! 9. **`warm_inline_collective_requests`** and
+//!    **`warm_gather_view_requests`** (allocator requests, **exact
+//!    match**) — what 16 warm rounds of `barrier` + `allreduce_sum` +
+//!    `agree`, and 16 warm `gather_view` rounds, cost on 64 ranks
+//!    ([`crate::experiments::collectives`]), vs `BENCH_pr24.json`
+//!    `acceptance` (0, and 1 per operation). Guards the rendezvous: a
+//!    per-rank allocation creeping back into a collective — a cloned
+//!    contribution, a boxed outcome, a map node — moves a count by a
+//!    multiple of 64. Measured through the calling binary's counting
+//!    allocator, so only `expt-regress` (which installs one) runs them.
+//! 10. **`robust_solve_requests_2d`**, **`robust_solve_requests_3d`** and
 //!     **`errhandler_requests`** (allocator requests, **exact match**) —
 //!     one warm robust-coefficient solve at the `ranks1k_kill` and
 //!     `solve3d_kill` shapes, and 16 warm Fig. 4 handler calls on each of
@@ -81,7 +78,7 @@
 //!     which every rank pays: a level set, a coefficient map or a search
 //!     node's clone creeping back into the solve, or a failed list or a
 //!     group rebuilt per handler call, moves a count.
-//! 12. **`paper2d_kill_bytes`** and **`solve3d_kill_bytes`** (bytes
+//! 11. **`paper2d_kill_bytes`** and **`solve3d_kill_bytes`** (bytes
 //!     requested of the allocator, held to a **ceiling**) — one whole run
 //!     of the `paper2d_kill` and `solve3d_kill` shapes
 //!     ([`crate::experiments::repair::run_bytes`]: seed 7, one scheduler
@@ -107,11 +104,10 @@ use std::time::Instant;
 
 use advect2d::laxwendroff::{lax_wendroff_row, lax_wendroff_step, LwCoef};
 use advect2d::{AdvectionProblem, PaddedField};
-use ftsg_core::RecoveryPolicy;
 use sparsegrid::{Grid2, LevelPair};
 
 use crate::experiments::overlap::combine_makespan;
-use crate::experiments::scale::{json_num, json_str, run_child, ChildSpec};
+use crate::experiments::scale::json_num;
 use crate::table::{sig3, Table};
 
 /// Allowed relative slip against a committed baseline before the gate
@@ -282,37 +278,6 @@ fn measure_step_walls(iters: usize) -> (f64, f64) {
     (naive, fast)
 }
 
-/// Re-run the smallest-scale pooled configuration from the committed
-/// `BENCH_pr6.json` config block in-process and return its
-/// `wall_per_step_ms`.
-fn measure_scale_wall(pr6: &str) -> Result<f64, String> {
-    let spec = ChildSpec {
-        n: num_field(pr6, "n", "BENCH_pr6.json")? as u32,
-        s: 53,
-        log2_steps: num_field(pr6, "log2_steps", "BENCH_pr6.json")? as u32,
-        failures: num_field(pr6, "failures", "BENCH_pr6.json")? as usize,
-        seed: num_field(pr6, "seed", "BENCH_pr6.json")? as u64,
-        threads: false,
-        workers: 0,
-        stack_kb: 1024,
-        policy: RecoveryPolicy::Respawn,
-    };
-    let row = run_child(&spec);
-    json_num(&row, "wall_per_step_ms").ok_or_else(|| format!("scale re-run emitted no wall: {row}"))
-}
-
-/// First ok pooled row's `wall_per_step_ms` from the committed scale
-/// report (the sweep emits one row per line).
-fn baseline_scale_wall(pr6: &str) -> Result<f64, String> {
-    pr6.lines()
-        .filter(|l| {
-            json_str(l, "status").as_deref() == Some("ok")
-                && json_str(l, "mode").as_deref() == Some("pooled")
-        })
-        .find_map(|l| json_num(l, "wall_per_step_ms"))
-        .ok_or_else(|| "BENCH_pr6.json: no ok pooled row with wall_per_step_ms".into())
-}
-
 /// The deterministic gates alone (virtual clock, allocator counts and
 /// bytes), so CI can block on them. `requests` and `bytes` read the
 /// calling binary's counting allocator.
@@ -398,10 +363,6 @@ pub fn run(
         num_field(&pr3, "combine_virtual_makespan_speedup_level9", "BENCH_pr3.json")?;
     let combine_fresh = combine_makespan(9, true) / combine_makespan(9, false);
 
-    let pr6 = read_baseline(dir, "BENCH_pr6.json")?;
-    let scale_base = baseline_scale_wall(&pr6)?;
-    let scale_fresh = measure_scale_wall(&pr6)?;
-
     let pr8 = read_baseline(dir, "BENCH_pr8.json")?;
     let simd_base = num_field(&pr8, "level9_simd_speedup_vs_scalar", "BENCH_pr8.json")?;
     let simd_fresh = crate::experiments::kernel::measure_simd_step_speedup(iters);
@@ -428,13 +389,6 @@ pub fn run(
                 combine_base,
                 combine_fresh,
                 true,
-            ),
-            GateResult::new(
-                "scale_1k_wall_per_step_ms",
-                "BENCH_pr6.json",
-                scale_base,
-                scale_fresh,
-                false,
             ),
             GateResult::new("level9_simd_speedup", "BENCH_pr8.json", simd_base, simd_fresh, true),
             GateResult::new("serve_overlap_ratio", "BENCH_pr9.json", serve_base, serve_fresh, true),
@@ -495,19 +449,6 @@ mod tests {
         // Non-finite measurements never pass.
         assert!(!passes(f64::NAN, 1.0, true, 0.15));
         assert!(!passes(1.0, f64::INFINITY, false, 0.15));
-    }
-
-    #[test]
-    fn baseline_scale_wall_takes_first_ok_pooled_row() {
-        let pr6 = concat!(
-            "{\"schema\":\"scale-row-v1\",\"status\":\"dnf\",\"mode\":\"pooled\"}\n",
-            "{\"schema\":\"scale-row-v1\",\"status\":\"ok\",\"mode\":\"threads\",",
-            "\"wall_per_step_ms\":99.0}\n",
-            "{\"schema\":\"scale-row-v1\",\"status\":\"ok\",\"mode\":\"pooled\",",
-            "\"wall_per_step_ms\":10.5}\n",
-        );
-        assert_eq!(baseline_scale_wall(pr6).unwrap(), 10.5);
-        assert!(baseline_scale_wall("{}").is_err());
     }
 
     #[test]

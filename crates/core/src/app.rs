@@ -15,11 +15,12 @@
 //! protocol exactly as a re-executed `main()` would be in the paper's MPI
 //! code.
 
+use sparsegrid::ComponentGrid;
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
-use crate::config::{AppConfig, AppEvent, CombineMode, Technique};
-use crate::gather::current_rank_of;
+use crate::config::{AppConfig, AppEvent, Technique};
+use crate::gather::{binomial_combine, current_rank_of};
 use crate::landing::Landing;
 use crate::policy::RecoveryPolicy;
 use crate::reconstruct::{
@@ -822,75 +823,30 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
                 Some((m, combine_coeffs[k]))
             });
             let target = S::min_level(&layout);
-            let combined: Option<S::Grid> = match cfg.combine_mode {
-                CombineMode::Central => {
-                    // Reference path: every leader ships its whole grid to
-                    // the controller, which left-folds the terms as they
-                    // arrive. (Rank 0 is always original rank 0 — the
-                    // members map never drops it.)
-                    let fold_all = |own: Option<&S::Grid>| -> Result<Option<S::Grid>> {
-                        if world.rank() != 0 {
-                            return Ok(None);
-                        }
+            // Binomial reduction tree over the group leaders, in
+            // combination-term order: each leader materializes its own term
+            // on the target level, then partially combined grids flow down
+            // a log-depth tree (bitwise equal to `combine_binomial` of the
+            // same ordered term list).
+            let part = match (my_term, st.solver.as_ref()) {
+                (Some((m, coeff)), Some(sv)) => {
+                    st.landing.gather(ctx, &group, &layout, m, sv, |own| {
                         let mut fold = S::fold(&target);
-                        // Every other term lands in one receive buffer.
-                        let mut buf: Option<S::Grid> = None;
-                        for (&gid, &coeff) in combine_ids.iter().zip(&combine_coeffs) {
-                            let src = current_root::<S>(&layout, gid, members.as_deref())?;
-                            let term = if src == world.rank() {
-                                own.ok_or_else(|| {
-                                    Error::InvalidArg("the controller gathered no grid".into())
-                                })?
-                            } else {
-                                let buf =
-                                    buf.get_or_insert_with(|| S::zeros(S::level(&layout, gid)));
-                                S::recv_onto(ctx, &world, src, tags.combine + gid as i32, buf)?;
-                                buf
-                            };
-                            S::fold_in(&mut fold, coeff, term);
-                        }
-                        Ok(Some(S::folded(ctx, fold, combine_ids.len())))
-                    };
-                    match (my_term, st.solver.as_ref()) {
-                        (Some((m, _)), Some(sv)) => st
-                            .landing
-                            .gather(ctx, &group, &layout, m, sv, |own| {
-                                if world.rank() != 0 {
-                                    S::send(ctx, &world, 0, tags.combine + m as i32, own)?;
-                                }
-                                fold_all(Some(own))
-                            })?
-                            .flatten(),
-                        _ => fold_all(None)?,
-                    }
+                        S::fold_in(&mut fold, coeff, own);
+                        Ok(S::folded(ctx, fold, 1))
+                    })?
                 }
-                CombineMode::Tree => {
-                    // Binomial reduction tree over the group leaders, in
-                    // combination-term order: each leader materializes its
-                    // own term on the target level, then partially combined
-                    // grids flow down a log-depth tree (bitwise equal to
-                    // `combine_binomial` of the same ordered term list).
-                    let part = match (my_term, st.solver.as_ref()) {
-                        (Some((m, coeff)), Some(sv)) => {
-                            st.landing.gather(ctx, &group, &layout, m, sv, |own| {
-                                let mut fold = S::fold(&target);
-                                S::fold_in(&mut fold, coeff, own);
-                                Ok(S::folded(ctx, fold, 1))
-                            })?
-                        }
-                        _ => None,
-                    };
-                    let mut leaders = Vec::with_capacity(combine_ids.len());
-                    for &gid in &combine_ids {
-                        leaders.push(current_root::<S>(&layout, gid, members.as_deref())?);
-                    }
-                    let tree = tags.tree;
-                    S::binomial_combine(ctx, &world, &leaders, &target, part, &mut hop_buf, tree)?
-                }
+                _ => None,
             };
+            let mut leaders = Vec::with_capacity(combine_ids.len());
+            for &gid in &combine_ids {
+                leaders.push(current_root::<S>(&layout, gid, members.as_deref())?);
+            }
+            let combined =
+                binomial_combine(ctx, &world, &leaders, 0, &target, part, &mut hop_buf, tags.tree)?;
             let mut err = f64::NAN;
             if world.rank() == 0 {
-                let combined = combined.unwrap_or_else(|| S::zeros(&target));
+                let combined = combined.unwrap_or_else(|| S::Grid::zeros(&target));
                 err = S::l1_error(&problem, &combined, dt * steps as f64);
                 if let Some(prefix) = &cfg.output_prefix {
                     S::write_solution(&combined, prefix)?;

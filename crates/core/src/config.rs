@@ -132,12 +132,6 @@ pub struct AppConfig {
     /// `<prefix>.csv` and `<prefix>.pgm` after the final combination.
     /// 2D only: [`AppConfig::validate`] rejects it at `dim ≥ 3`.
     pub output_prefix: Option<PathBuf>,
-    /// Combine via the binomial reduction tree over group leaders
-    /// (default) or the centralized master gather kept in-tree as the
-    /// reference path. The tree result is bitwise equal to
-    /// `sparsegrid::combine_binomial` of the same ordered term list; the
-    /// central path reproduces the left-fold `combine_onto`.
-    pub combine_mode: CombineMode,
     /// Stencil-kernel configuration for every distributed solver this
     /// run creates: scalar reference vs vectorized rows, plus optional
     /// intra-rank row-band parallelism. All settings are
@@ -192,18 +186,6 @@ impl std::fmt::Debug for AppObserver {
     }
 }
 
-/// How the final combination is evaluated across group leaders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CombineMode {
-    /// Binomial reduction tree over group leaders: each hop ships a
-    /// partially combined grid, depth `⌈log₂ G⌉`.
-    #[default]
-    Tree,
-    /// Every leader ships its grid to rank 0, which evaluates the
-    /// left-fold combination serially (the pre-tree reference path).
-    Central,
-}
-
 impl AppConfig {
     /// A small, fast configuration for tests and examples.
     pub fn small(technique: Technique) -> Self {
@@ -226,7 +208,6 @@ impl AppConfig {
             recovery_policy: RecoveryPolicy::Respawn,
             spares: 0,
             output_prefix: None,
-            combine_mode: CombineMode::default(),
             kernel: KernelConfig::global(),
             cancel: None,
             observer: None,
@@ -267,7 +248,6 @@ impl AppConfig {
             recovery_policy: RecoveryPolicy::Respawn,
             spares: 0,
             output_prefix: None,
-            combine_mode: CombineMode::default(),
             kernel: KernelConfig::global(),
             cancel: None,
             observer: None,
@@ -347,12 +327,6 @@ impl AppConfig {
     /// Replace the checkpoint count (Eq. 2 output).
     pub fn with_checkpoints(mut self, c: u32) -> Self {
         self.checkpoints = c;
-        self
-    }
-
-    /// Combine via the centralized master gather (the reference path).
-    pub fn with_central_combine(mut self) -> Self {
-        self.combine_mode = CombineMode::Central;
         self
     }
 

@@ -1,165 +1,156 @@
-//! Gather–scatter between distributed blocks and whole sub-grids.
+//! Gather–scatter between distributed blocks and whole sub-grids, once for
+//! every grid.
 //!
 //! "The solutions are combined in parallel using a gather–scatter
 //! approach" (§II-A): each group's root gathers the member blocks into a
-//! full [`Grid2`], the roots exchange grids (for combination or data
+//! whole sub-grid, the roots exchange grids (for combination or data
 //! recovery), and recovered grids are scattered back into member blocks.
-//!
-//! Every operation has one form, and it works in place:
+//! None of it depends on the dimension. A grid says what travels
+//! ([`ComponentGrid`]: its level as one header word per axis, its values,
+//! its periodic seams) and a group description says where each member's
+//! block lies in it ([`GroupBlocks`]: a `GroupInfo` cuts a 2D grid into
+//! process-grid blocks, a `GroupInfoN` a d-dimensional one into slabs
+//! along the last axis). Every operation below is written once over those
+//! two traits and works in place:
 //!
 //! * the **gather** ([`gather_grid_into`]) reads each member's block from
 //!   the collective's wire bytes ([`Comm::gather_view_with`]) and copies
-//!   its rows straight into a grid the root supplies — in the application
+//!   its runs straight into a grid the root supplies — in the application
 //!   the rank's one landing grid ([`crate::landing`]) — so a gathered
 //!   sub-grid exists once on the root, not also as a decoded `Vec` per
 //!   member and a fresh grid per round;
 //! * the **scatter** ([`scatter_grid_into`]) is its mirror: the root
-//!   pushes the rows of each member's block from the grid straight into
+//!   pushes the runs of each member's block from the grid straight into
 //!   that member's wire buffer ([`Comm::scatter_view_with`]), and every
 //!   member copies its wire rows straight into its block where it lies —
 //!   a solver's padded field ([`BlockRowsMut`]);
 //! * a whole grid travels as [`send_grid`] and lands on a grid the
-//!   receiver already owns ([`recv_grid_onto`]).
+//!   receiver already owns ([`recv_grid_onto`]);
+//! * the combination reduces partial grids down a binomial tree
+//!   ([`binomial_combine`]).
 //!
 //! [`assemble_grid`] and [`split_grid`] over decoded blocks stay as the
 //! references the in-place paths are pinned against.
 
-use sparsegrid::{Grid2, LevelPair};
-use ulfm_sim::{Comm, Ctx, Error, Gathered, Result, ScatterParts, WireSlice};
+use sparsegrid::ComponentGrid;
+use ulfm_sim::{Comm, Ctx, Error, Result, ScatterParts, WireSlice};
 
-use crate::layout::GroupInfo;
-use crate::psolve::block_range;
-
-/// Assemble a full periodic grid (with its duplicated seam row/column)
-/// from per-member fundamental-domain blocks, ordered by group rank.
-pub fn assemble_grid(level: LevelPair, info: &GroupInfo, blocks: &[Vec<f64>]) -> Result<Grid2> {
-    let nxg = 1usize << level.i;
-    let nyg = 1usize << level.j;
-    if blocks.len() != info.size {
-        return Err(Error::InvalidArg(format!(
-            "assemble_grid: {} blocks for group of {}",
-            blocks.len(),
-            info.size
-        )));
-    }
-    let mut grid = Grid2::zeros(level);
-    for (local, block) in blocks.iter().enumerate() {
-        let pi = local % info.px;
-        let pj = local / info.px;
-        let (x0, lnx) = block_range(nxg, info.px, pi);
-        let (y0, lny) = block_range(nyg, info.py, pj);
-        if block.len() != lnx * lny {
-            return Err(Error::InvalidArg(format!(
-                "assemble_grid: block {local} has {} values, expected {}",
-                block.len(),
-                lnx * lny
-            )));
-        }
-        for m in 0..lny {
-            grid.row_mut(y0 + m)[x0..x0 + lnx].copy_from_slice(&block[m * lnx..(m + 1) * lnx]);
-        }
-    }
-    // Periodic seam: node 2^i duplicates node 0.
-    for m in 0..nyg {
-        let row = grid.row_mut(m);
-        row[nxg] = row[0];
-    }
-    let row_len = nxg + 1;
-    grid.values_mut().copy_within(0..row_len, nyg * row_len);
-    Ok(grid)
+/// A group description: where each member's block lies in a whole grid.
+pub trait GroupBlocks {
+    /// The grid the group solves.
+    type Grid: ComponentGrid;
+    /// What [`runs`](Self::runs) needs to know of a grid, read once per
+    /// operation.
+    type Shape;
+    /// Number of members.
+    fn members(&self) -> usize;
+    /// The shape of `grid`.
+    fn shape(grid: &Self::Grid) -> Self::Shape;
+    /// `f(offset, len)` for every run of grid values member `local`'s
+    /// block holds, in block order, in a grid of `shape`. The runs cover
+    /// the fundamental domain (seams dropped) once over all members.
+    fn runs(&self, shape: &Self::Shape, local: usize, f: &mut impl FnMut(usize, usize));
 }
 
-/// [`assemble_grid`] from the wire bytes of a gather into a caller-owned
-/// grid: `out` is re-shaped to `level` (keeping its allocation, no
-/// zero-fill) and every node is overwritten. The block-count, block-length
-/// and seam rules — and the error texts — are [`assemble_grid`]'s. On an
-/// error `out` holds a partial assembly; the caller must not use it.
-fn assemble_grid_into(
-    level: LevelPair,
-    info: &GroupInfo,
-    blocks: &Gathered<f64>,
-    out: &mut Grid2,
+/// The level of a group's grid.
+pub type Level<D> = <<D as GroupBlocks>::Grid as ComponentGrid>::Level;
+
+/// Values in member `local`'s block.
+fn block_len<D: GroupBlocks>(info: &D, shape: &D::Shape, local: usize) -> usize {
+    let mut len = 0;
+    info.runs(shape, local, &mut |_, n| len += n);
+    len
+}
+
+/// Fill `grid` (already at its level) from `count` member blocks, ordered
+/// by group rank: check the count and every block's length (`len(local)`),
+/// copy each block run by run (`copy(local, at, run)` fills `run` from the
+/// block's values at `at` on), then re-assert the seams. On an error
+/// `grid` holds a partial assembly.
+fn assemble<D: GroupBlocks>(
+    info: &D,
+    count: usize,
+    grid: &mut D::Grid,
+    len: impl Fn(usize) -> usize,
+    mut copy: impl FnMut(usize, usize, &mut [f64]),
 ) -> Result<()> {
-    let nxg = 1usize << level.i;
-    let nyg = 1usize << level.j;
-    if blocks.len() != info.size {
+    if count != info.members() {
         return Err(Error::InvalidArg(format!(
-            "assemble_grid: {} blocks for group of {}",
-            blocks.len(),
-            info.size
+            "assemble_grid: {count} blocks for group of {}",
+            info.members()
         )));
     }
-    out.reshape(level);
-    for local in 0..info.size {
-        let block = blocks.part(local);
-        let pi = local % info.px;
-        let pj = local / info.px;
-        let (x0, lnx) = block_range(nxg, info.px, pi);
-        let (y0, lny) = block_range(nyg, info.py, pj);
-        if block.len() != lnx * lny {
+    let shape = D::shape(grid);
+    let values = grid.values_mut();
+    for local in 0..count {
+        let want = block_len(info, &shape, local);
+        if len(local) != want {
             return Err(Error::InvalidArg(format!(
-                "assemble_grid: block {local} has {} values, expected {}",
-                block.len(),
-                lnx * lny
+                "assemble_grid: block {local} has {} values, expected {want}",
+                len(local)
             )));
         }
-        for m in 0..lny {
-            block.copy_to(m * lnx, &mut out.row_mut(y0 + m)[x0..x0 + lnx]);
-        }
+        let mut at = 0;
+        info.runs(&shape, local, &mut |off, n| {
+            copy(local, at, &mut values[off..off + n]);
+            at += n;
+        });
     }
-    // Periodic seam: node 2^i duplicates node 0.
-    for m in 0..nyg {
-        let row = out.row_mut(m);
-        row[nxg] = row[0];
-    }
-    let row_len = nxg + 1;
-    out.values_mut().copy_within(0..row_len, nyg * row_len);
+    grid.apply_periodic_seams();
     Ok(())
 }
 
-/// Cut a full grid into the per-member blocks of a group (inverse of
-/// [`assemble_grid`]; the seam is dropped).
-pub fn split_grid(grid: &Grid2, info: &GroupInfo) -> Vec<Vec<f64>> {
-    let blocks = Blocks { grid, info };
-    (0..info.size)
+/// Assemble a whole periodic grid (seams included) from per-member
+/// fundamental-domain blocks, ordered by group rank.
+pub fn assemble_grid<D: GroupBlocks>(
+    level: &Level<D>,
+    info: &D,
+    blocks: &[Vec<f64>],
+) -> Result<D::Grid> {
+    let mut grid = D::Grid::zeros(level);
+    let len = |local: usize| blocks[local].len();
+    assemble(info, blocks.len(), &mut grid, len, |local, at, run| {
+        run.copy_from_slice(&blocks[local][at..at + run.len()])
+    })?;
+    Ok(grid)
+}
+
+/// Cut a whole grid into the per-member blocks of a group (inverse of
+/// [`assemble_grid`]; the seams are dropped).
+pub fn split_grid<D: GroupBlocks>(grid: &D::Grid, info: &D) -> Vec<Vec<f64>> {
+    let cut = Cut::new(info, grid);
+    (0..info.members())
         .map(|local| {
-            let mut block = Vec::with_capacity(blocks.part_len(local));
-            blocks.put_part(local, &mut |row| block.extend_from_slice(row));
+            let mut block = Vec::with_capacity(cut.part_len(local));
+            cut.put_part(local, &mut |run| block.extend_from_slice(run));
             block
         })
         .collect()
 }
 
-/// The member blocks of `grid` as the scatter root sends them: rows of the
+/// The member blocks of a grid as the scatter root sends them: runs of the
 /// grid where they lie, block after block in group-rank order.
-struct Blocks<'a> {
-    grid: &'a Grid2,
-    info: &'a GroupInfo,
+struct Cut<'a, D: GroupBlocks> {
+    info: &'a D,
+    shape: D::Shape,
+    values: &'a [f64],
 }
 
-impl Blocks<'_> {
-    /// Member `local`'s block: `(x0, lnx, y0, lny)` in grid nodes.
-    fn range(&self, local: usize) -> (usize, usize, usize, usize) {
-        let level = self.grid.level();
-        let (x0, lnx) = block_range(1 << level.i, self.info.px, local % self.info.px);
-        let (y0, lny) = block_range(1 << level.j, self.info.py, local / self.info.px);
-        (x0, lnx, y0, lny)
+impl<'a, D: GroupBlocks> Cut<'a, D> {
+    fn new(info: &'a D, grid: &'a D::Grid) -> Self {
+        Cut { info, shape: D::shape(grid), values: grid.values() }
     }
 }
 
-impl ScatterParts<f64> for Blocks<'_> {
+impl<D: GroupBlocks> ScatterParts<f64> for Cut<'_, D> {
     fn parts(&self) -> usize {
-        self.info.size
+        self.info.members()
     }
     fn part_len(&self, local: usize) -> usize {
-        let (_, lnx, _, lny) = self.range(local);
-        lnx * lny
+        block_len(self.info, &self.shape, local)
     }
     fn put_part(&self, local: usize, put: &mut dyn FnMut(&[f64])) {
-        let (x0, lnx, y0, lny) = self.range(local);
-        for m in y0..y0 + lny {
-            put(&self.grid.row(m)[x0..x0 + lnx]);
-        }
+        self.info.runs(&self.shape, local, &mut |off, n| put(&self.values[off..off + n]));
     }
 }
 
@@ -200,36 +191,36 @@ impl<S: AsRef<[f64]> + AsMut<[f64]> + ?Sized> BlockRowsMut for S {
     }
 }
 
-/// The group's gather of `my_block` to rank 0 (see [`BlockRows`]).
-pub(crate) fn gather_blocks(
-    ctx: &Ctx,
-    group: &Comm,
-    my_block: &(impl BlockRows + ?Sized),
-) -> Result<Option<Gathered<f64>>> {
-    group.gather_view_with(ctx, 0, my_block.block_len(), |put| my_block.for_each_row(put))
-}
-
 /// Collective over the group: gather member blocks to the group root,
 /// assembled in place into the root's own grid. Exactly the root (group
 /// rank 0) supplies `out`; it is re-shaped to `level` and fully
 /// overwritten, so a root that gathers every round (the periodic
 /// checkpoint) hands in the same buffer each time and allocates nothing.
-/// If the collective or the assembly fails, `out` is unspecified.
-pub fn gather_grid_into(
+/// The block-count and block-length rules, and their error texts, are
+/// [`assemble_grid`]'s. If the collective or the assembly fails, `out` is
+/// unspecified.
+pub fn gather_grid_into<D: GroupBlocks>(
     ctx: &Ctx,
     group: &Comm,
-    info: &GroupInfo,
-    level: LevelPair,
+    info: &D,
+    level: &Level<D>,
     my_block: &(impl BlockRows + ?Sized),
-    out: Option<&mut Grid2>,
+    out: Option<&mut D::Grid>,
 ) -> Result<()> {
     if (group.rank() == 0) != out.is_some() {
         return Err(Error::InvalidArg(
             "gather_grid_into: exactly the group root must supply the grid".into(),
         ));
     }
-    match (gather_blocks(ctx, group, my_block)?, out) {
-        (Some(blocks), Some(out)) => assemble_grid_into(level, info, &blocks, out),
+    let put = |put: &mut dyn FnMut(&[f64])| my_block.for_each_row(put);
+    match (group.gather_view_with(ctx, 0, my_block.block_len(), put)?, out) {
+        (Some(blocks), Some(out)) => {
+            out.reshape(level);
+            let len = |local: usize| blocks.part(local).len();
+            assemble(info, blocks.len(), out, len, |local, at, run| {
+                blocks.part(local).copy_to(at, run)
+            })
+        }
         _ => Ok(()),
     }
 }
@@ -238,19 +229,19 @@ pub fn gather_grid_into(
 /// which exactly it supplies, and every member lands its block straight
 /// in `my_block`'s rows (see the module docs). A part of the wrong length
 /// is an error and leaves `my_block` untouched.
-pub fn scatter_grid_into(
+pub fn scatter_grid_into<D: GroupBlocks>(
     ctx: &Ctx,
     group: &Comm,
-    info: &GroupInfo,
-    grid: Option<&Grid2>,
+    info: &D,
+    grid: Option<&D::Grid>,
     my_block: &mut (impl BlockRowsMut + ?Sized),
 ) -> Result<()> {
-    let blocks = grid.map(|grid| Blocks { grid, info });
-    group.scatter_view_with(ctx, 0, blocks.as_ref(), |part| land_block(&part, my_block))
+    let cut = grid.map(|grid| Cut::new(info, grid));
+    group.scatter_view_with(ctx, 0, cut.as_ref(), |part| land_block(&part, my_block))
 }
 
 /// Copy a received block, row by row, over `my_block`.
-pub(crate) fn land_block(
+fn land_block(
     part: &WireSlice<'_, f64>,
     my_block: &mut (impl BlockRowsMut + ?Sized),
 ) -> Result<()> {
@@ -276,8 +267,8 @@ pub(crate) fn land_block(
 /// original rank is dead under the current membership.
 ///
 /// The combination under `ShrinkRedistribute` routes every grid exchange
-/// through this: group leaders and the central root are recorded in the
-/// layout by original rank, but live at their compacted rank.
+/// through this: group leaders are recorded in the layout by original
+/// rank, but live at their compacted rank.
 pub fn current_rank_of(orig: usize, members: Option<&[usize]>) -> Option<usize> {
     match members {
         None => Some(orig),
@@ -285,32 +276,52 @@ pub fn current_rank_of(orig: usize, members: Option<&[usize]>) -> Option<usize> 
     }
 }
 
-/// Send a whole grid over a communicator as two messages (level header +
-/// payload). Pairs with [`recv_grid_onto`].
-pub fn send_grid(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Grid2) -> Result<()> {
-    comm.send(ctx, dest, tag, &[grid.level().i as u64, grid.level().j as u64])?;
+/// More axes than a level header ever carries: a grid of 32 axes has at
+/// least 2^32 nodes, and the robust coefficient tables stop below it too.
+const MAX_AXES: usize = 32;
+
+/// The first `axes` words of `buf`, for a level header.
+fn header_words(buf: &mut [u64; MAX_AXES], axes: usize) -> Result<&mut [u64]> {
+    buf.get_mut(..axes).ok_or_else(|| Error::InvalidArg(format!("a level header of {axes} axes")))
+}
+
+/// Send a whole grid over a communicator as two messages: the level, one
+/// `u64` per axis, then the values. Pairs with [`recv_grid_onto`].
+pub fn send_grid<G: ComponentGrid>(
+    ctx: &Ctx,
+    comm: &Comm,
+    dest: usize,
+    tag: i32,
+    grid: &G,
+) -> Result<()> {
+    let mut buf = [0u64; MAX_AXES];
+    let header = header_words(&mut buf, grid.axes())?;
+    grid.header(header);
+    comm.send(ctx, dest, tag, header)?;
     comm.send(ctx, dest, tag, grid.values())
 }
 
-/// Receive a whole grid sent by [`send_grid`] onto a caller-owned grid:
-/// `out` is re-shaped to the sender's level (keeping its allocation) and
-/// the values land straight in it, so repeated receives onto the same
-/// grid (the periodic buddy copies) allocate nothing once it has grown
-/// to the largest level flowing through. The values are written only
-/// once they have arrived whole: on an error `out` is untouched, except
-/// that a level change has already re-shaped it.
-pub fn recv_grid_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut Grid2) -> Result<()> {
-    out.reshape(recv_grid_level(ctx, comm, src, tag)?);
-    comm.recv_onto(ctx, src, tag, out.values_mut())
-}
-
-/// The header message of [`send_grid`].
-fn recv_grid_level(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<LevelPair> {
+/// Receive a whole grid sent by [`send_grid`] onto a caller-owned grid of
+/// as many axes: `out` is re-shaped to the sender's level (keeping its
+/// allocation) and the values land straight in it, so repeated receives
+/// onto the same grid (the periodic buddy copies) allocate nothing once it
+/// has grown to the largest level flowing through. The values are written
+/// only once they have arrived whole: on an error `out` is untouched,
+/// except that a level change has already re-shaped it.
+pub fn recv_grid_onto<G: ComponentGrid>(
+    ctx: &Ctx,
+    comm: &Comm,
+    src: usize,
+    tag: i32,
+    out: &mut G,
+) -> Result<()> {
     // A header of any other length is `recv_onto`'s `InvalidArg`; a dead
     // or revoked peer surfaces as itself, for the callers' retry loops.
-    let mut header = [0u64; 2];
-    comm.recv_onto(ctx, src, tag, &mut header)?;
-    Ok(LevelPair::new(header[0] as u32, header[1] as u32))
+    let mut buf = [0u64; MAX_AXES];
+    let header = header_words(&mut buf, out.axes())?;
+    comm.recv_onto(ctx, src, tag, header)?;
+    out.reshape_to_header(header);
+    comm.recv_onto(ctx, src, tag, out.values_mut())
 }
 
 /// Binomial-tree reduction of per-leader partial grids, ending at world
@@ -322,9 +333,10 @@ fn recv_grid_level(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Level
 /// Round `r` pairs index `i` with `i + 2^r`: the higher index ships its
 /// partial (a whole, partially-combined grid) and drops out, the lower
 /// one adds it in place. The pairing and the per-receiver addition order
-/// are exactly those of [`sparsegrid::combine_binomial`], and each hop
-/// merge is a plain elementwise `+=`, so the reduced grid is **bitwise
-/// equal** to that serial reference for the same ordered term list.
+/// are exactly those of [`sparsegrid::combine_binomial`] and
+/// [`sparsegrid::combine_binomial_nd`], and each hop merge is a plain
+/// elementwise `+=`, so the reduced grid is **bitwise equal** to that
+/// serial reference for the same ordered term list.
 ///
 /// All hops use the nonblocking `isend`/`irecv_into`/`wait` path: a peer
 /// dying mid-tree surfaces `ProcFailed` (or `Revoked`) at the waiting
@@ -332,16 +344,16 @@ fn recv_grid_level(ctx: &Ctx, comm: &Comm, src: usize, tag: i32) -> Result<Level
 /// `scratch` is the reused hop-receive buffer. Returns the combined grid
 /// on `root` (`None` if `leaders` is empty), `None` elsewhere.
 #[allow(clippy::too_many_arguments)]
-pub fn binomial_combine(
+pub fn binomial_combine<G: ComponentGrid>(
     ctx: &Ctx,
     comm: &Comm,
     leaders: &[usize],
     root: usize,
-    target: LevelPair,
-    mine: Option<Grid2>,
+    target: &G::Level,
+    mine: Option<G>,
     scratch: &mut Vec<f64>,
     tag: i32,
-) -> Result<Option<Grid2>> {
+) -> Result<Option<G>> {
     let me = comm.rank();
     let my_idx = leaders.iter().position(|&r| r == me);
     // A non-leader never carries a partial. A leader normally does, but a
@@ -396,7 +408,7 @@ pub fn binomial_combine(
         Ok(None)
     } else if me == root {
         comm.irecv_into(ctx, leaders[0], tag, scratch)?.wait(ctx)?;
-        Grid2::from_raw(target, std::mem::take(scratch)).map(Some).map_err(Error::InvalidArg)
+        G::from_raw(target, std::mem::take(scratch)).map(Some).map_err(Error::InvalidArg)
     } else {
         Ok(None)
     }
@@ -405,9 +417,35 @@ pub fn binomial_combine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::GroupInfo;
+    use crate::layout_nd::GroupInfoN;
+    use crate::psolve::block_range;
+    use sparsegrid::{
+        combine_binomial_nd, combine_onto_nd, CombinationTermN, Grid2, GridN, LevelPair,
+    };
+    use ulfm_sim::{run, RunConfig};
 
     fn info(size: usize, px: usize, py: usize) -> GroupInfo {
         GroupInfo { grid: 0, first: 0, size, px, py }
+    }
+
+    fn info_n(size: usize) -> GroupInfoN {
+        GroupInfoN { grid: 0, first: 0, size }
+    }
+
+    /// A periodic-consistent grid (seams equal node 0 of each axis).
+    fn periodic_grid(level: &[u32]) -> GridN {
+        let np: Vec<usize> = level.iter().map(|&l| 1usize << l).collect();
+        GridN::from_fn(level, move |x| {
+            let mut v = 0.0;
+            for (i, &xi) in x.iter().enumerate() {
+                // Wrap the seam coordinate back to 0 so the sample is
+                // exactly periodic on the nodal lattice.
+                let w = if (xi - 1.0).abs() < 1e-12 { 0.0 } else { xi };
+                v += (w * np[i] as f64) * (i + 1) as f64;
+            }
+            (v * 0.37).sin()
+        })
     }
 
     #[test]
@@ -428,17 +466,66 @@ mod tests {
         let g = info(4, 2, 2);
         let blocks = split_grid(&periodic, &g);
         assert_eq!(blocks.len(), 4);
-        let back = assemble_grid(level, &g, &blocks).unwrap();
+        let back = assemble_grid(&level, &g, &blocks).unwrap();
         assert_eq!(back, periodic);
+    }
+
+    #[test]
+    fn assemble_split_roundtrip_nd() {
+        let level = vec![3u32, 2, 3];
+        let grid = periodic_grid(&level);
+        for size in [1, 2, 3, 5] {
+            let g = info_n(size);
+            let blocks = split_grid(&grid, &g);
+            assert_eq!(blocks.len(), size);
+            let back = assemble_grid(&level, &g, &blocks).unwrap();
+            assert_eq!(back, grid, "roundtrip at {size} slabs");
+        }
+    }
+
+    #[test]
+    fn uneven_slabs_split_by_rows_and_roundtrip() {
+        // nz = 8 over 3 ranks → 2/3/3 planes; d = 1..4 with a ragged
+        // transverse shape. Every block is checked value for value
+        // against a per-node read, so a misplaced row cannot hide behind
+        // the symmetric round trip.
+        for level in [vec![3u32], vec![2, 3], vec![3, 2, 3], vec![1, 2, 0, 3]] {
+            let d = level.len();
+            let grid = periodic_grid(&level);
+            let g = info_n(3);
+            let blocks = split_grid(&grid, &g);
+            let plane: usize = level[..d - 1].iter().map(|&l| 1usize << l).product();
+            assert_eq!(
+                blocks.iter().map(Vec::len).collect::<Vec<_>>(),
+                [2 * plane, 3 * plane, 3 * plane],
+                "level {level:?}"
+            );
+            let np: Vec<usize> = level.iter().map(|&l| 1usize << l).collect();
+            let mut idx = vec![0usize; d];
+            for value in blocks.iter().flatten() {
+                assert_eq!(*value, grid.at(&idx), "level {level:?} at {idx:?}");
+                sparsegrid::ndgrid::advance(&mut idx, &np);
+            }
+            assert_eq!(assemble_grid(&level, &g, &blocks).unwrap(), grid, "level {level:?}");
+        }
     }
 
     #[test]
     fn assemble_validates_shapes() {
         let level = LevelPair::new(2, 2);
         let g = info(2, 2, 1);
-        assert!(assemble_grid(level, &g, &[vec![0.0; 8]]).is_err()); // too few blocks
+        assert!(assemble_grid(&level, &g, &[vec![0.0; 8]]).is_err()); // too few blocks
         let bad = vec![vec![0.0; 7], vec![0.0; 8]];
-        assert!(assemble_grid(level, &g, &bad).is_err()); // wrong block size
+        assert!(assemble_grid(&level, &g, &bad).is_err()); // wrong block size
+    }
+
+    #[test]
+    fn assemble_validates_shapes_nd() {
+        let level = vec![2u32, 2, 2];
+        let g = info_n(2);
+        assert!(assemble_grid(&level, &g, &[vec![0.0; 32]]).is_err()); // too few blocks
+        let bad = vec![vec![0.0; 31], vec![0.0; 32]];
+        assert!(assemble_grid(&level, &g, &bad).is_err()); // wrong block size
     }
 
     #[test]
@@ -453,7 +540,6 @@ mod tests {
 
     #[test]
     fn gather_scatter_over_runtime() {
-        use ulfm_sim::{run, RunConfig};
         let level = LevelPair::new(3, 3);
         let report = run(RunConfig::local(4), move |ctx| {
             let w = ctx.initial_world().unwrap();
@@ -468,7 +554,7 @@ mod tests {
                 }
             }
             let mut grid = (w.rank() == 0).then(|| Grid2::zeros(LevelPair::new(1, 1)));
-            gather_grid_into(ctx, &w, &g, level, &block, grid.as_mut()).unwrap();
+            gather_grid_into(ctx, &w, &g, &level, &block, grid.as_mut()).unwrap();
             if let Some(grid) = &grid {
                 assert_eq!(grid.at(5, 2), (2 * 8 + 5) as f64);
                 assert_eq!(grid.at(8, 3), grid.at(0, 3)); // seam
@@ -489,8 +575,29 @@ mod tests {
     }
 
     #[test]
+    fn gather_scatter_over_runtime_nd() {
+        let level = vec![2u32, 2, 3];
+        let grid = periodic_grid(&level);
+        let report = run(RunConfig::local(4), move |ctx| {
+            let w = ctx.initial_world().unwrap();
+            let g = info_n(4);
+            let block = split_grid(&grid, &g)[w.rank()].clone();
+            let mut full = (w.rank() == 0).then(|| GridN::zeros(&[1, 1]));
+            gather_grid_into(ctx, &w, &g, &level, &block, full.as_mut()).unwrap();
+            if let Some(full) = &full {
+                assert_eq!(full, &grid);
+            }
+            let mut mine = vec![f64::NAN; block.len()];
+            scatter_grid_into(ctx, &w, &g, full.as_ref(), &mut mine[..]).unwrap();
+            assert_eq!(mine, block);
+            ctx.report_add("ok", 1.0);
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.get_f64("ok"), Some(4.0));
+    }
+
+    #[test]
     fn recv_grid_onto_reuses_the_callers_grid_and_passes_failures_through() {
-        use ulfm_sim::{run, RunConfig};
         let report = run(RunConfig::local(3), |ctx| {
             let w = ctx.initial_world().unwrap();
             match w.rank() {
@@ -525,7 +632,6 @@ mod tests {
 
     #[test]
     fn send_recv_grid_over_runtime() {
-        use ulfm_sim::{run, RunConfig};
         let report = run(RunConfig::local(2), |ctx| {
             let w = ctx.initial_world().unwrap();
             if w.rank() == 0 {
@@ -542,5 +648,65 @@ mod tests {
         });
         report.assert_no_app_errors();
         assert_eq!(report.get_f64("ok"), Some(1.0));
+    }
+
+    #[test]
+    fn send_recv_grid_over_runtime_nd() {
+        let report = run(RunConfig::local(2), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            if w.rank() == 0 {
+                let g = GridN::from_fn(&[3, 2, 2], |x| x[0] - x[1] + 2.0 * x[2]);
+                send_grid(ctx, &w, 1, 55, &g).unwrap();
+                send_grid(ctx, &w, 1, 56, &g).unwrap();
+            } else {
+                // The receiver's grid takes the sender's level …
+                let mut g = GridN::zeros(&[1, 1, 1]);
+                recv_grid_onto(ctx, &w, 0, 55, &mut g).unwrap();
+                assert_eq!(g.level(), &[3, 2, 2]);
+                assert!((g.eval(&[0.5, 0.5, 0.5]) - 1.0).abs() < 1e-12);
+                // … but not its number of axes: that header is refused.
+                let mut flat = GridN::zeros(&[1, 1]);
+                let err = recv_grid_onto(ctx, &w, 0, 56, &mut flat).unwrap_err();
+                assert!(matches!(err, Error::InvalidArg(_)), "got: {err}");
+                ctx.report_f64("ok", 1.0);
+            }
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.get_f64("ok"), Some(1.0));
+    }
+
+    #[test]
+    fn tree_combine_matches_serial_reference_bitwise() {
+        const WORLD: usize = 5;
+        let target = vec![2u32, 2, 2];
+        let report = run(RunConfig::local(WORLD), move |ctx| {
+            let w = ctx.initial_world().unwrap();
+            let myval = (w.rank() + 1) as f64;
+            let src = GridN::from_fn(&target, |x| myval * (1.0 + x[0] + 2.0 * x[1] - x[2]));
+            let term = CombinationTermN { coeff: 1.0, grid: &src };
+            let part = combine_onto_nd(&target, std::slice::from_ref(&term));
+            let leaders: Vec<usize> = (0..WORLD).collect();
+            let mut scratch = Vec::new();
+            let combined =
+                binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), &mut scratch, 42)
+                    .unwrap();
+            if w.rank() == 0 {
+                let srcs: Vec<GridN> = (0..WORLD)
+                    .map(|r| {
+                        let v = (r + 1) as f64;
+                        GridN::from_fn(&target, move |x| v * (1.0 + x[0] + 2.0 * x[1] - x[2]))
+                    })
+                    .collect();
+                let terms: Vec<CombinationTermN> =
+                    srcs.iter().map(|g| CombinationTermN { coeff: 1.0, grid: g }).collect();
+                let oracle = combine_binomial_nd(&target, &terms);
+                assert_eq!(combined.unwrap(), oracle, "tree must match serial bitwise");
+                ctx.report_add("verified", 1.0);
+            } else {
+                assert!(combined.is_none());
+            }
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.get_f64("verified"), Some(1.0));
     }
 }

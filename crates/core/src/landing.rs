@@ -23,11 +23,13 @@
 //! for the rest of the run — and for a stack without a writer stage
 //! ([`Stack::Writer`]), the landing grid is the one kept here.
 
+use sparsegrid::ComponentGrid;
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::AppConfig;
-use crate::stack::Stack;
+use crate::gather::gather_grid_into;
+use crate::stack::{Level, Stack};
 
 /// A rank's landing grid (see the module docs).
 pub struct Landing<S: Stack> {
@@ -51,7 +53,7 @@ impl<S: Stack> Landing<S> {
     /// whatever `f` returns. May block on the writer's backpressure.
     pub fn with<T>(
         &mut self,
-        level: &S::Level,
+        level: &Level<S>,
         f: impl FnOnce(&mut S::Grid) -> Result<T>,
     ) -> Result<T> {
         let mut grid = self.take(level);
@@ -65,7 +67,7 @@ impl<S: Stack> Landing<S> {
     pub fn with_root<T>(
         &mut self,
         root: bool,
-        level: &S::Level,
+        level: &Level<S>,
         f: impl FnOnce(Option<&mut S::Grid>) -> Result<T>,
     ) -> Result<T> {
         if root {
@@ -87,12 +89,13 @@ impl<S: Stack> Landing<S> {
         sv: &S::Solver,
         then: impl FnOnce(&S::Grid) -> Result<T>,
     ) -> Result<Option<T>> {
-        self.with_root(group.rank() == 0, S::level(layout, id), |out| match out {
+        let (info, level) = (S::group(layout, id), S::level(layout, id));
+        self.with_root(group.rank() == 0, level, |out| match out {
             Some(grid) => {
-                S::gather_into(ctx, group, layout, id, sv, Some(&mut *grid))?;
+                gather_grid_into(ctx, group, info, level, sv, Some(&mut *grid))?;
                 then(grid).map(Some)
             }
-            None => S::gather_into(ctx, group, layout, id, sv, None).map(|()| None),
+            None => gather_grid_into(ctx, group, info, level, sv, None).map(|()| None),
         })
     }
 
@@ -113,14 +116,15 @@ impl<S: Stack> Landing<S> {
         sv: &S::Solver,
         step: u64,
     ) -> Result<()> {
+        let (info, level) = (S::group(layout, id), S::level(layout, id));
         if group.rank() != 0 {
-            return S::gather_into(ctx, group, layout, id, sv, None);
+            return gather_grid_into(ctx, group, info, level, sv, None);
         }
         if cfg.ckpt_async && !self.degraded && self.writer.is_none() {
             self.writer = S::open_writer(store);
         }
-        let mut grid = self.take(S::level(layout, id));
-        if let Err(e) = S::gather_into(ctx, group, layout, id, sv, Some(&mut grid)) {
+        let mut grid = self.take(level);
+        if let Err(e) = gather_grid_into(ctx, group, info, level, sv, Some(&mut grid)) {
             self.give_back(grid);
             return Err(e);
         }
@@ -156,7 +160,7 @@ impl<S: Stack> Landing<S> {
 
     /// The landing grid at `level`: a snapshot buffer while the writer
     /// stage is usable, the rank's own grid otherwise.
-    fn take(&mut self, level: &S::Level) -> S::Grid {
+    fn take(&mut self, level: &Level<S>) -> S::Grid {
         if let Some(ck) = self.writer.as_mut() {
             match S::take_buffer(ck, level) {
                 Ok(grid) => return grid,
@@ -165,10 +169,10 @@ impl<S: Stack> Landing<S> {
         }
         match self.own.take() {
             Some(mut grid) => {
-                S::reshape(&mut grid, level);
+                grid.reshape(level);
                 grid
             }
-            None => S::zeros(level),
+            None => S::Grid::zeros(level),
         }
     }
 

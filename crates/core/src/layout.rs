@@ -12,7 +12,10 @@
 //! the Fig. 9 caption, and the Resampling-and-Copying world size is the
 //! `19s ∈ {19, 38, 76, 152, 304}` sweep of Table I.
 
-use sparsegrid::{GridRole, GridSystem, Layout};
+use sparsegrid::{Grid2, GridRole, GridSystem, Layout, LevelPair};
+
+use crate::gather::GroupBlocks;
+use crate::psolve::block_range;
 
 /// Per-sub-grid process group description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +41,27 @@ impl GroupInfo {
     /// Does this group contain the given world rank?
     pub fn contains(&self, world_rank: usize) -> bool {
         world_rank >= self.first && world_rank < self.first + self.size
+    }
+}
+
+/// Member `local` (at `(local % px, local / px)` in the process grid) owns
+/// a block of rows; each row of it is one run.
+impl GroupBlocks for GroupInfo {
+    type Grid = Grid2;
+    type Shape = LevelPair;
+    fn members(&self) -> usize {
+        self.size
+    }
+    fn shape(grid: &Grid2) -> LevelPair {
+        grid.level()
+    }
+    fn runs(&self, level: &LevelPair, local: usize, f: &mut impl FnMut(usize, usize)) {
+        let (nx, ny) = (1usize << level.i, 1usize << level.j);
+        let (x0, lnx) = block_range(nx, self.px, local % self.px);
+        let (y0, lny) = block_range(ny, self.py, local / self.px);
+        for m in y0..y0 + lny {
+            f(m * (nx + 1) + x0, lnx);
+        }
     }
 }
 

@@ -14,7 +14,11 @@
 //! slabs than its grid has fundamental planes along the last axis, so
 //! small grids shrink their groups rather than own empty slabs.
 
-use sparsegrid::{GridRoleN, GridSystemN, Layout};
+use sparsegrid::ndgrid::for_each_slab_row;
+use sparsegrid::{GridN, GridRoleN, GridSystemN, Layout};
+
+use crate::gather::GroupBlocks;
+use crate::psolve::block_range;
 
 /// Per-sub-grid process group description (slab decomposition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +40,26 @@ impl GroupInfoN {
     /// Does this group contain the given world rank?
     pub fn contains(&self, world_rank: usize) -> bool {
         world_rank >= self.first && world_rank < self.first + self.size
+    }
+}
+
+/// Member `local` owns a slab of last-axis planes; each axis-0 row of it
+/// is one run.
+impl GroupBlocks for GroupInfoN {
+    type Grid = GridN;
+    /// The fundamental domain's nodes per axis (`2^l`: seams dropped),
+    /// then the grid's strides.
+    type Shape = Vec<usize>;
+    fn members(&self) -> usize {
+        self.size
+    }
+    fn shape(grid: &GridN) -> Vec<usize> {
+        grid.shape().iter().map(|&n| n - 1).chain(grid.strides().iter().copied()).collect()
+    }
+    fn runs(&self, shape: &Vec<usize>, local: usize, f: &mut impl FnMut(usize, usize)) {
+        let (np, strides) = shape.split_at(shape.len() / 2);
+        let (z0, lnz) = block_range(np[np.len() - 1], self.size, local);
+        for_each_slab_row(np, strides, 0, z0, z0 + lnz, f);
     }
 }
 

@@ -20,9 +20,12 @@
 //!   suffer injected failures, detect, reconstruct, recover, combine, and
 //!   measure the error against the analytic solution,
 //! * [`stack`] — what [`app`] and [`recovery`] are generic over: the 2D
-//!   stack ([`layout`], [`psolve`], [`gather`], the v2 checkpoint format)
-//!   and the d-dimensional one ([`layout_nd`], [`psolve_nd`],
-//!   [`gather_nd`], v3), as the two instances of one [`stack::Stack`] trait,
+//!   stack ([`layout`], [`psolve`], the v2 checkpoint format) and the
+//!   d-dimensional one ([`layout_nd`], [`psolve_nd`], v3), as the two
+//!   instances of one [`stack::Stack`] trait,
+//! * [`gather`] — the one whole-grid transport (gather, scatter, send,
+//!   receive, the binomial-tree combination) for every grid and group
+//!   layout,
 //! * [`landing`] — the one grid per rank that every whole sub-grid the
 //!   rank assembles or receives lands in.
 
@@ -33,7 +36,6 @@ pub mod ckpt_async;
 pub mod config;
 pub mod detect;
 pub mod gather;
-pub mod gather_nd;
 pub mod landing;
 pub mod layout;
 pub mod layout_nd;
@@ -50,7 +52,7 @@ pub mod timeline;
 pub use app::{run_app, AppOutcome};
 pub use checkpoint::{CheckpointStore, CorruptKind, CorruptionPlan, CorruptionStrike};
 pub use ckpt_async::AsyncCheckpointer;
-pub use config::{AppConfig, CombineMode, Technique};
+pub use config::{AppConfig, Technique};
 pub use layout::{Assignment, GroupInfo, ProcLayout};
 pub use layout_nd::{AssignmentN, GroupInfoN, ProcLayoutN};
 pub use policy::RecoveryPolicy;

@@ -33,10 +33,12 @@
 //! `my` below is always this rank's grid id.
 
 use sparsegrid::scheme::RcSource;
+use sparsegrid::ComponentGrid;
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::Technique;
+use crate::gather::{recv_grid_onto, scatter_grid_into, send_grid};
 use crate::landing::Landing;
 use crate::stack::{Env, Stack};
 use crate::tags::TagSpace;
@@ -83,7 +85,7 @@ pub fn buddy_exchange<S: Stack>(
     // Phase 1: every group gathers and its root sends to the buddy root.
     landing.gather(ctx, group, layout, my, solver, |grid| {
         let buddy = buddy_of::<S>(layout, my)?;
-        S::send(ctx, world, S::root_of(layout, buddy), tags.buddy + my as i32, grid)
+        send_grid(ctx, world, S::root_of(layout, buddy), tags.buddy + my as i32, grid)
     })?;
     // Phase 2: buddy roots collect the copies addressed to them.
     for &g in &ids {
@@ -96,12 +98,12 @@ pub fn buddy_exchange<S: Stack>(
                 // the values are only written once they arrived whole: a
                 // transfer that fails leaves the previous copy intact.
                 Some((step, grid)) => {
-                    S::recv_onto(ctx, world, src, tag, grid)?;
+                    recv_grid_onto(ctx, world, src, tag, grid)?;
                     *step = at_step;
                 }
                 None => {
-                    let mut grid = S::zeros(S::level(layout, g));
-                    S::recv_onto(ctx, world, src, tag, &mut grid)?;
+                    let mut grid = S::Grid::zeros(S::level(layout, g));
+                    recv_grid_onto(ctx, world, src, tag, &mut grid)?;
                     store.insert(g, (at_step, grid));
                 }
             }
@@ -179,26 +181,37 @@ struct Recovery<'a, S: Stack> {
 }
 
 impl<S: Stack> Recovery<'_, S> {
+    /// The group's scatter of `whole`, which exactly its root supplies,
+    /// straight into every member's solver block; the solvers then stand
+    /// at `steps`.
+    fn scatter(&self, solver: &mut S::Solver, whole: Option<&S::Grid>, steps: u64) -> Result<()> {
+        let info = S::group(self.layout, self.my);
+        scatter_grid_into(self.ctx, self.group, info, whole, solver)?;
+        S::set_steps_done(solver, steps);
+        Ok(())
+    }
+
     /// The restore half of Checkpoint/Restart and Buddy Checkpoint: the
     /// group learns the step of the copy its root holds in `payload`,
     /// loads it (or, with none, restarts from the initial condition), and
     /// recomputes up to the detection point ("performs a recomputation for
     /// a number of timesteps by which the checkpoint is behind").
     fn restore(&self, solver: &mut S::Solver, payload: Option<(u64, &S::Grid)>) -> Result<()> {
-        let Recovery { ctx, layout, group, my, at_step, .. } = *self;
+        let Recovery { ctx, group, at_step, .. } = *self;
         let step_msg: Option<Vec<u64>> = if group.rank() == 0 {
             Some(vec![payload.map_or(NO_CHECKPOINT, |(s, _)| s)])
         } else {
             None
         };
         let restored = group.bcast(ctx, 0, step_msg.as_deref())?[0];
-        if restored == NO_CHECKPOINT {
+        let from = if restored == NO_CHECKPOINT {
             S::reset_to_initial(solver);
+            0
         } else {
-            let whole = payload.map(|(_, g)| g);
-            S::scatter_into(ctx, group, layout, my, whole, solver, restored)?;
-        }
-        for _ in S::steps_done(solver)..at_step {
+            self.scatter(solver, payload.map(|(_, g)| g), restored)?;
+            restored
+        };
+        for _ in from..at_step {
             S::step(solver, ctx, group)?;
         }
         Ok(())
@@ -227,7 +240,7 @@ impl<S: Stack> Recovery<'_, S> {
                 match store.get(&b) {
                     Some((step, grid)) => {
                         world.send(ctx, root_b, tags.buddy_hdr + b as i32, &[1u64, *step])?;
-                        S::send(ctx, world, root_b, tags.buddy + b as i32, grid)?;
+                        send_grid(ctx, world, root_b, tags.buddy + b as i32, grid)?;
                     }
                     None => {
                         world.send(ctx, root_b, tags.buddy_hdr + b as i32, &[0u64, 0u64])?;
@@ -242,7 +255,13 @@ impl<S: Stack> Recovery<'_, S> {
                             let hdr: Vec<u64> =
                                 world.recv(ctx, root_buddy, tags.buddy_hdr + b as i32)?;
                             if hdr[0] == 1 {
-                                S::recv_onto(ctx, world, root_buddy, tags.buddy + b as i32, grid)?;
+                                recv_grid_onto(
+                                    ctx,
+                                    world,
+                                    root_buddy,
+                                    tags.buddy + b as i32,
+                                    grid,
+                                )?;
                                 Some((hdr[1], &*grid))
                             } else {
                                 None
@@ -318,9 +337,9 @@ impl<S: Stack> Recovery<'_, S> {
                 landing.gather(ctx, group, layout, src_id, solver, |full| {
                     let root_b = S::root_of(layout, b);
                     if resample {
-                        S::send(ctx, world, root_b, tag, &S::restrict(full, b_level))
+                        send_grid(ctx, world, root_b, tag, &S::restrict(full, b_level))
                     } else {
-                        S::send(ctx, world, root_b, tag, full)
+                        send_grid(ctx, world, root_b, tag, full)
                     }
                 })?;
             }
@@ -328,9 +347,9 @@ impl<S: Stack> Recovery<'_, S> {
                 touched = true;
                 landing.with_root(group.rank() == 0, b_level, |mut grid| {
                     if let Some(grid) = grid.as_deref_mut() {
-                        S::recv_onto(ctx, world, S::root_of(layout, src_id), tag, grid)?;
+                        recv_grid_onto(ctx, world, S::root_of(layout, src_id), tag, grid)?;
                     }
-                    S::scatter_into(ctx, group, layout, b, grid.as_deref(), solver, at_step)
+                    self.scatter(solver, grid.as_deref(), at_step)
                 })?;
             }
         }
@@ -362,7 +381,7 @@ impl<S: Stack> Recovery<'_, S> {
         if needed.contains(&my) {
             // Root ships to the controller (self-sends are fine).
             landing.gather(ctx, group, layout, my, solver, |full| {
-                S::send(ctx, world, 0, tags.ac_gather + my as i32, full)
+                send_grid(ctx, world, 0, tags.ac_gather + my as i32, full)
             })?;
         }
 
@@ -375,7 +394,7 @@ impl<S: Stack> Recovery<'_, S> {
                     broken.iter().map(|&b| S::fold(S::level(layout, b))).collect();
                 for &gid in &needed {
                     let (src, tag) = (S::root_of(layout, gid), tags.ac_gather + gid as i32);
-                    S::recv_onto(ctx, world, src, tag, term)?;
+                    recv_grid_onto(ctx, world, src, tag, term)?;
                     for fold in &mut folds {
                         S::fold_in(fold, coeffs[gid] as f64, term);
                     }
@@ -384,7 +403,13 @@ impl<S: Stack> Recovery<'_, S> {
             })?;
             for (&b, fold) in broken.iter().zip(folds) {
                 let recovered = S::folded(ctx, fold, needed.len());
-                S::send(ctx, world, S::root_of(layout, b), tags.ac_result + b as i32, &recovered)?;
+                send_grid(
+                    ctx,
+                    world,
+                    S::root_of(layout, b),
+                    tags.ac_result + b as i32,
+                    &recovered,
+                )?;
             }
         }
 
@@ -392,9 +417,9 @@ impl<S: Stack> Recovery<'_, S> {
         if broken.contains(&my) {
             landing.with_root(group.rank() == 0, S::level(layout, my), |mut grid| {
                 if let Some(grid) = grid.as_deref_mut() {
-                    S::recv_onto(ctx, world, 0, tags.ac_result + my as i32, grid)?;
+                    recv_grid_onto(ctx, world, 0, tags.ac_result + my as i32, grid)?;
                 }
-                S::scatter_into(ctx, group, layout, my, grid.as_deref(), solver, at_step)
+                self.scatter(solver, grid.as_deref(), at_step)
             })?;
         }
 

@@ -6,11 +6,14 @@
 //! combination theory behind it (arXiv:1404.2670). So [`crate::app`] and
 //! [`crate::recovery`] are written once, generic over [`Stack`]; the two
 //! unit types below delegate to the twin modules (`layout`/`layout_nd`,
-//! `psolve`/`psolve_nd`, `gather`/`gather_nd`, the v2/v3 checkpoint
-//! codecs). Generic code is monomorphised: each instance runs its own
-//! stack's operations, messages and clock charges with no dispatch
-//! between them, which is what keeps the d = 2 and d = 3 fingerprints
-//! (`policy_fingerprints`) and the benchmark's virtual times exact.
+//! `psolve`/`psolve_nd`, the v2/v3 checkpoint codecs). Whole grids move
+//! through the one transport in [`crate::gather`], which needs no trait
+//! items of its own: the grid ([`ComponentGrid`]) and the group
+//! description ([`GroupBlocks`]) say all it needs. Generic code is
+//! monomorphised: each instance runs its own stack's operations, messages
+//! and clock charges with no dispatch between them, which is what keeps
+//! the d = 2 and d = 3 fingerprints (`policy_fingerprints`) and the
+//! benchmark's virtual times exact.
 
 use std::convert::Infallible;
 use std::io;
@@ -20,20 +23,22 @@ use advect2d::ndproblem::{ProblemN, TimeGridN};
 use advect2d::{AdvectionProblem, TimeGrid};
 use sparsegrid::scheme::RcSource;
 use sparsegrid::{
-    accumulate_onto, l1_error_vs, CombinationTerm, CombinationTermN, FoldN, Grid2, GridN,
-    IndexedDownset, LevelPair, LevelVecN, RcSourceN,
+    accumulate_onto, l1_error_vs, CombinationTerm, CombinationTermN, ComponentGrid, FoldN, Grid2,
+    GridN, IndexedDownset, LevelPair, LevelVecN, RcSourceN,
 };
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
 use crate::ckpt_async::AsyncCheckpointer;
 use crate::config::AppConfig;
-use crate::gather;
-use crate::gather_nd;
-use crate::layout::{Assignment, ProcLayout};
-use crate::layout_nd::{AssignmentN, ProcLayoutN};
+use crate::gather::{BlockRowsMut, GroupBlocks};
+use crate::layout::{Assignment, GroupInfo, ProcLayout};
+use crate::layout_nd::{AssignmentN, GroupInfoN, ProcLayoutN};
 use crate::psolve::DistributedSolver;
 use crate::psolve_nd::DistributedSolverN;
+
+/// A sub-grid's level under stack `S`.
+pub type Level<S> = <<S as Stack>::Grid as ComponentGrid>::Level;
 
 /// What a run builds before epoch 0 and every repair reads unchanged.
 pub struct Env<'a, S: Stack> {
@@ -60,7 +65,7 @@ impl<S: Stack> Env<'_, S> {
 }
 
 /// What the driver and the data recovery need from one dimension's
-/// layout, solver, grids, transport, checkpoints and coefficients.
+/// layout, solver, grids, checkpoints and coefficients.
 ///
 /// Three facts differ between the stacks and live here, not in options:
 /// the nd stack lands checkpoints synchronously ([`Stack::Writer`]), only
@@ -71,10 +76,8 @@ impl<S: Stack> Env<'_, S> {
 pub trait Stack: Sized + 'static {
     /// The PDE the solvers step.
     type Problem;
-    /// A sub-grid's level.
-    type Level: Clone + PartialEq;
     /// One whole sub-grid.
-    type Grid;
+    type Grid: ComponentGrid;
     /// A combination being folded onto one level, one term at a time
     /// ([`fold`](Self::fold)).
     type Fold;
@@ -84,8 +87,11 @@ pub trait Stack: Sized + 'static {
     type Layout;
     /// One rank's place in the layout.
     type Assignment: Copy + PartialEq;
-    /// The distributed solver on one rank's block of a sub-grid.
-    type Solver;
+    /// Where each member of a grid's group holds its block.
+    type Group: GroupBlocks<Grid = Self::Grid>;
+    /// The distributed solver on one rank's block of a sub-grid: the
+    /// block a gather reads and a scatter writes, where it lies.
+    type Solver: BlockRowsMut;
     /// The background stage a CR group root hands its checkpoints to, if
     /// any. `D2`: [`AsyncCheckpointer`]. `Nd`: none ([`Infallible`]) — the
     /// nd stack lands checkpoints **synchronously** whatever `ckpt_async`
@@ -110,6 +116,8 @@ pub trait Stack: Sized + 'static {
     fn assignment(layout: &Self::Layout, world_rank: usize) -> Option<Self::Assignment>;
     /// The grid id of a slot.
     fn grid_of(a: Self::Assignment) -> usize;
+    /// The group description of `grid`.
+    fn group(layout: &Self::Layout, grid: usize) -> &Self::Group;
     /// World rank of `grid`'s group root.
     fn root_of(layout: &Self::Layout, grid: usize) -> usize;
     /// The highest world rank of `grid`'s group.
@@ -123,9 +131,9 @@ pub trait Stack: Sized + 'static {
     /// Where Resampling and Copying restores `grid` from.
     fn rc_source(layout: &Self::Layout, grid: usize) -> Option<RcSource>;
     /// The level of `grid`.
-    fn level(layout: &Self::Layout, grid: usize) -> &Self::Level;
+    fn level(layout: &Self::Layout, grid: usize) -> &Level<Self>;
     /// The coarsest level, where the combined solution is evaluated.
-    fn min_level(layout: &Self::Layout) -> Self::Level;
+    fn min_level(layout: &Self::Layout) -> Level<Self>;
 
     /// Robust coefficients over the classical downset once the grids
     /// `lost` are gone, using only the levels of the others, as the
@@ -140,22 +148,19 @@ pub trait Stack: Sized + 'static {
 
     /// One timestep of the group's solve, halo exchange included.
     fn step(sv: &mut Self::Solver, ctx: &Ctx, group: &Comm) -> Result<()>;
-    /// Steps taken so far.
-    fn steps_done(sv: &Self::Solver) -> u64;
+    /// The solver's block was loaded in place (a scatter) with the state
+    /// after `steps` steps.
+    fn set_steps_done(sv: &mut Self::Solver, steps: u64);
     /// Back to the initial condition at step 0.
     fn reset_to_initial(sv: &mut Self::Solver);
 
-    /// A zero grid at `level`.
-    fn zeros(level: &Self::Level) -> Self::Grid;
-    /// Re-shape `grid` to `level`, keeping its allocation.
-    fn reshape(grid: &mut Self::Grid, level: &Self::Level);
     /// Exact injection of `grid` onto the coarser `level`.
-    fn restrict(grid: &Self::Grid, level: &Self::Level) -> Self::Grid;
+    fn restrict(grid: &Self::Grid, level: &Level<Self>) -> Self::Grid;
     /// An empty combination on `target`. Terms are folded in one at a
     /// time as they arrive ([`fold_in`](Self::fold_in)); folding a term
     /// list in order is the left fold `combine_onto` / `combine_onto_nd`
     /// computes, bit for bit, so no term needs to outlive its turn.
-    fn fold(target: &Self::Level) -> Self::Fold;
+    fn fold(target: &Level<Self>) -> Self::Fold;
     /// Add `coeff · grid` to `fold`, evaluated on its nodes.
     fn fold_in(fold: &mut Self::Fold, coeff: f64, grid: &Self::Grid);
     /// The folded grid, its compute (one cell update per node for each of
@@ -167,46 +172,6 @@ pub trait Stack: Sized + 'static {
     /// Only `D2` writes one; `AppConfig::validate` rejects
     /// `output_prefix` at d ≥ 3, so `Nd` is never asked.
     fn write_solution(grid: &Self::Grid, prefix: &Path) -> Result<()>;
-
-    /// The group's gather of `grid` to its root, assembled in place into
-    /// `out`, which exactly the root supplies; it is re-shaped and fully
-    /// overwritten.
-    fn gather_into(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &Self::Layout,
-        grid: usize,
-        sv: &Self::Solver,
-        out: Option<&mut Self::Grid>,
-    ) -> Result<()>;
-    /// The group's scatter of `whole`, which exactly the root supplies,
-    /// straight into every member's solver block; the solvers then stand
-    /// at `steps_done`.
-    fn scatter_into(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &Self::Layout,
-        grid: usize,
-        whole: Option<&Self::Grid>,
-        sv: &mut Self::Solver,
-        steps_done: u64,
-    ) -> Result<()>;
-    /// Send a whole grid (level header + payload).
-    fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Self::Grid) -> Result<()>;
-    /// Receive a whole grid onto `out`, re-shaped to the sender's level
-    /// and keeping its allocation.
-    fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut Self::Grid) -> Result<()>;
-    /// The binomial-tree combination over `leaders` to world rank 0 (see
-    /// [`gather::binomial_combine`]).
-    fn binomial_combine(
-        ctx: &Ctx,
-        comm: &Comm,
-        leaders: &[usize],
-        target: &Self::Level,
-        mine: Option<Self::Grid>,
-        scratch: &mut Vec<f64>,
-        tag: i32,
-    ) -> Result<Option<Self::Grid>>;
 
     /// Write the checkpoint of grid `id` synchronously; returns its bytes.
     fn write_checkpoint(
@@ -225,7 +190,7 @@ pub trait Stack: Sized + 'static {
     /// Start the background writer for `store` (`None`: there is none).
     fn open_writer(store: &CheckpointStore) -> Option<Self::Writer>;
     /// Borrow a snapshot buffer at `level`; may block on backpressure.
-    fn take_buffer(w: &mut Self::Writer, level: &Self::Level) -> Result<Self::Grid>;
+    fn take_buffer(w: &mut Self::Writer, level: &Level<Self>) -> Result<Self::Grid>;
     /// Return a borrowed buffer unused.
     fn give_back(w: &mut Self::Writer, grid: Self::Grid);
     /// Hand the filled checkpoint of grid `id` over; a refused one comes
@@ -249,11 +214,11 @@ pub struct Nd;
 
 impl Stack for D2 {
     type Problem = AdvectionProblem;
-    type Level = LevelPair;
     type Grid = Grid2;
     type Fold = Grid2;
     type Layout = ProcLayout;
     type Assignment = Assignment;
+    type Group = GroupInfo;
     type Solver = DistributedSolver;
     type Writer = AsyncCheckpointer;
 
@@ -279,6 +244,9 @@ impl Stack for D2 {
     }
     fn grid_of(a: Assignment) -> usize {
         a.grid
+    }
+    fn group(layout: &ProcLayout, grid: usize) -> &GroupInfo {
+        layout.group(grid)
     }
     fn root_of(layout: &ProcLayout, grid: usize) -> usize {
         layout.root_of(grid)
@@ -319,19 +287,13 @@ impl Stack for D2 {
     fn step(sv: &mut DistributedSolver, ctx: &Ctx, group: &Comm) -> Result<()> {
         sv.step(ctx, group)
     }
-    fn steps_done(sv: &DistributedSolver) -> u64 {
-        sv.steps_done()
+    fn set_steps_done(sv: &mut DistributedSolver, steps: u64) {
+        sv.set_steps_done(steps)
     }
     fn reset_to_initial(sv: &mut DistributedSolver) {
         sv.reset_to_initial()
     }
 
-    fn zeros(level: &LevelPair) -> Grid2 {
-        Grid2::zeros(*level)
-    }
-    fn reshape(grid: &mut Grid2, level: &LevelPair) {
-        grid.reshape(*level)
-    }
     fn restrict(grid: &Grid2, level: &LevelPair) -> Grid2 {
         grid.restrict_to(*level)
     }
@@ -354,47 +316,6 @@ impl Stack for D2 {
             .map_err(|e| Error::InvalidArg(format!("solution csv: {e}")))?;
         crate::output::write_pgm(grid, format!("{base}.pgm"))
             .map_err(|e| Error::InvalidArg(format!("solution pgm: {e}")))
-    }
-
-    fn gather_into(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &ProcLayout,
-        grid: usize,
-        sv: &DistributedSolver,
-        out: Option<&mut Grid2>,
-    ) -> Result<()> {
-        gather::gather_grid_into(ctx, group, layout.group(grid), sv.level(), sv, out)
-    }
-    fn scatter_into(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &ProcLayout,
-        grid: usize,
-        whole: Option<&Grid2>,
-        sv: &mut DistributedSolver,
-        steps_done: u64,
-    ) -> Result<()> {
-        gather::scatter_grid_into(ctx, group, layout.group(grid), whole, sv)?;
-        sv.set_steps_done(steps_done);
-        Ok(())
-    }
-    fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &Grid2) -> Result<()> {
-        gather::send_grid(ctx, comm, dest, tag, grid)
-    }
-    fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut Grid2) -> Result<()> {
-        gather::recv_grid_onto(ctx, comm, src, tag, out)
-    }
-    fn binomial_combine(
-        ctx: &Ctx,
-        comm: &Comm,
-        leaders: &[usize],
-        target: &LevelPair,
-        mine: Option<Grid2>,
-        scratch: &mut Vec<f64>,
-        tag: i32,
-    ) -> Result<Option<Grid2>> {
-        gather::binomial_combine(ctx, comm, leaders, 0, *target, mine, scratch, tag)
     }
 
     fn write_checkpoint(
@@ -437,11 +358,11 @@ impl Stack for D2 {
 
 impl Stack for Nd {
     type Problem = ProblemN;
-    type Level = LevelVecN;
     type Grid = GridN;
     type Fold = FoldN;
     type Layout = ProcLayoutN;
     type Assignment = AssignmentN;
+    type Group = GroupInfoN;
     type Solver = DistributedSolverN;
     type Writer = Infallible;
 
@@ -469,6 +390,9 @@ impl Stack for Nd {
     }
     fn grid_of(a: AssignmentN) -> usize {
         a.grid
+    }
+    fn group(layout: &ProcLayoutN, grid: usize) -> &GroupInfoN {
+        layout.group(grid)
     }
     fn root_of(layout: &ProcLayoutN, grid: usize) -> usize {
         layout.root_of(grid)
@@ -512,19 +436,13 @@ impl Stack for Nd {
     fn step(sv: &mut DistributedSolverN, ctx: &Ctx, group: &Comm) -> Result<()> {
         sv.step(ctx, group)
     }
-    fn steps_done(sv: &DistributedSolverN) -> u64 {
-        sv.steps_done()
+    fn set_steps_done(sv: &mut DistributedSolverN, steps: u64) {
+        sv.set_steps_done(steps)
     }
     fn reset_to_initial(sv: &mut DistributedSolverN) {
         sv.reset_to_initial()
     }
 
-    fn zeros(level: &LevelVecN) -> GridN {
-        GridN::zeros(level)
-    }
-    fn reshape(grid: &mut GridN, level: &LevelVecN) {
-        grid.reshape(level)
-    }
     fn restrict(grid: &GridN, level: &LevelVecN) -> GridN {
         grid.restrict_to(level)
     }
@@ -544,47 +462,6 @@ impl Stack for Nd {
     }
     fn write_solution(_: &GridN, _: &Path) -> Result<()> {
         Err(Error::InvalidArg("solution files are written by 2D runs only".into()))
-    }
-
-    fn gather_into(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &ProcLayoutN,
-        grid: usize,
-        sv: &DistributedSolverN,
-        out: Option<&mut GridN>,
-    ) -> Result<()> {
-        gather_nd::gather_grid_n_into(ctx, group, layout.group(grid), sv.level(), sv, out)
-    }
-    fn scatter_into(
-        ctx: &Ctx,
-        group: &Comm,
-        layout: &ProcLayoutN,
-        grid: usize,
-        whole: Option<&GridN>,
-        sv: &mut DistributedSolverN,
-        steps_done: u64,
-    ) -> Result<()> {
-        gather_nd::scatter_grid_n_into(ctx, group, layout.group(grid), whole, sv)?;
-        sv.set_steps_done(steps_done);
-        Ok(())
-    }
-    fn send(ctx: &Ctx, comm: &Comm, dest: usize, tag: i32, grid: &GridN) -> Result<()> {
-        gather_nd::send_grid_n(ctx, comm, dest, tag, grid)
-    }
-    fn recv_onto(ctx: &Ctx, comm: &Comm, src: usize, tag: i32, out: &mut GridN) -> Result<()> {
-        gather_nd::recv_grid_n_onto(ctx, comm, src, tag, out)
-    }
-    fn binomial_combine(
-        ctx: &Ctx,
-        comm: &Comm,
-        leaders: &[usize],
-        target: &LevelVecN,
-        mine: Option<GridN>,
-        scratch: &mut Vec<f64>,
-        tag: i32,
-    ) -> Result<Option<GridN>> {
-        gather_nd::binomial_combine_n(ctx, comm, leaders, 0, target, mine, scratch, tag)
     }
 
     fn write_checkpoint(

@@ -29,20 +29,18 @@ pub struct TagSpace {
     pub buddy: i32,
     /// Buddy-checkpoint `[has, step]` headers.
     pub buddy_hdr: i32,
-    /// Central combination gather/scatter.
-    pub combine: i32,
     /// Tree-combination partial-grid hops.
     pub tree: i32,
 }
 
 impl TagSpace {
-    /// The largest grid count the seven regions can hold without the
-    /// last region's tags (`TAG_BASE + 6·stride + grid_id`) overflowing
+    /// The largest grid count the six regions can hold without the
+    /// last region's tags (`TAG_BASE + 5·stride + grid_id`) overflowing
     /// `i32`. Truncated 3D simplices grow grid counts far beyond the 2D
     /// sweeps this module was sized for, so the bound is enforced rather
     /// than assumed: a count above it used to wrap `n_grids as i32` and
     /// silently collide regions.
-    pub const MAX_GRIDS: usize = ((i32::MAX - TAG_BASE) / 7) as usize;
+    pub const MAX_GRIDS: usize = ((i32::MAX - TAG_BASE) / 6) as usize;
 
     /// Tag regions wide enough for `n_grids` combining grids.
     ///
@@ -62,8 +60,7 @@ impl TagSpace {
             ac_result: base(2),
             buddy: base(3),
             buddy_hdr: base(4),
-            combine: base(5),
-            tree: base(6),
+            tree: base(5),
         }
     }
 }
@@ -72,14 +69,14 @@ impl TagSpace {
 mod tests {
     use super::*;
 
-    fn regions(t: &TagSpace) -> [i32; 7] {
-        [t.rc, t.ac_gather, t.ac_result, t.buddy, t.buddy_hdr, t.combine, t.tree]
+    fn regions(t: &TagSpace) -> [i32; 6] {
+        [t.rc, t.ac_gather, t.ac_result, t.buddy, t.buddy_hdr, t.tree]
     }
 
     #[test]
     fn small_systems_keep_legacy_spacing() {
         let t = TagSpace::for_grids(12);
-        assert_eq!(regions(&t), [7000, 7500, 8000, 8500, 9000, 9500, 10000]);
+        assert_eq!(regions(&t), [7000, 7500, 8000, 8500, 9000, 9500]);
     }
 
     fn assert_disjoint(t: &TagSpace, n: usize) {

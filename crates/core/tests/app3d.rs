@@ -61,18 +61,6 @@ fn healthy_3d_error_is_technique_and_policy_invariant() {
     }
 }
 
-/// Tree combination must agree with central combination (it is the same
-/// sum, associated differently — tolerance, not bit-equality).
-#[test]
-fn tree_and_central_combine_agree_in_3d() {
-    let central =
-        run_3d(AppConfig::small_nd(Technique::AlternateCombination, 3).with_central_combine());
-    let tree = run_3d(AppConfig::small_nd(Technique::AlternateCombination, 3));
-    let e_c = central.get_f64(keys::ERR_L1).unwrap();
-    let e_t = tree.get_f64(keys::ERR_L1).unwrap();
-    assert!((e_c - e_t).abs() < 1e-12, "central {e_c} vs tree {e_t}");
-}
-
 /// One mid-run kill under every technique × respawn-family policy: the
 /// failure is detected, repaired, data recovered, and the final error
 /// stays within the loss envelope (AC's robust combination is lossier

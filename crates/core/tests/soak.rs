@@ -75,7 +75,6 @@ fn soak_random_failures_all_techniques() {
             recovery_policy: Default::default(),
             spares: 0,
             output_prefix: None,
-            combine_mode: Default::default(),
             kernel: advect2d::KernelConfig::global(),
             cancel: None,
             observer: None,

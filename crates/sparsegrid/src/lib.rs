@@ -28,6 +28,7 @@
 
 pub mod coeffs;
 pub mod combine;
+pub mod component;
 pub mod grid2;
 pub mod hier;
 pub mod level;
@@ -43,6 +44,7 @@ pub use coeffs::{gcp_coefficients, robust_coefficients, verify_covering, LevelSe
 pub use combine::{
     accumulate_onto, combine_binomial, combine_onto, combine_onto_into, CombinationTerm,
 };
+pub use component::ComponentGrid;
 pub use grid2::Grid2;
 pub use level::LevelPair;
 pub use ndcombine::{

@@ -593,12 +593,13 @@ mod tests {
 
     #[test]
     fn periodic_seams_match_the_2d_seam_pass() {
-        // Grid2's seam pass as `assemble_grid` / `PaddedField::store`
-        // write it: the seam column of every row below the top, then the
-        // whole top row from row 0.
+        // The 2D seam pass as `PaddedField::store` writes it: the seam
+        // column of every row below the top, then the whole top row from
+        // row 0. `Grid2`'s own pass (the transport's) must agree too.
         let lv = LevelPair::new(3, 2);
         let mut g2 = Grid2::from_fn(lv, |x, y| (x * 5.0).sin() + (y * 3.0).cos() + x * y);
         let mut gn = GridN::from_raw(&[3, 2], g2.values().to_vec()).unwrap();
+        let mut via_trait = g2.clone();
         let (nx, ny) = (g2.nx() - 1, g2.ny() - 1);
         for m in 0..ny {
             let v = g2.at(0, m);
@@ -609,7 +610,9 @@ mod tests {
             *g2.at_mut(k, ny) = v;
         }
         gn.apply_periodic_seams();
+        crate::ComponentGrid::apply_periodic_seams(&mut via_trait);
         assert_eq!(gn.values(), g2.values());
+        assert_eq!(via_trait, g2);
     }
 
     #[test]

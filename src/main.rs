@@ -6,7 +6,7 @@
 //!      [--steps LOG2] [--problem advection|elliptic]
 //!      [--fail COUNT] [--fail-at STEP] [--cluster local|opl|raijin]
 //!      [--policy respawn|shrink|substitute|defer] [--spares N]
-//!      [--sync-ckpt] [--spare-node] [--central-combine] [--trace]
+//!      [--sync-ckpt] [--spare-node] [--trace]
 //!      [--trace-json FILE] [--output PREFIX] [--seed S]
 //! ```
 //!
@@ -39,7 +39,6 @@ struct Cli {
     spares: usize,
     sync_ckpt: bool,
     spare_node: bool,
-    central_combine: bool,
     trace: bool,
     output: Option<String>,
     trace_json: Option<String>,
@@ -52,7 +51,7 @@ fn usage() -> ! {
          \x20           [--steps LOG2] [--problem advection|elliptic]\n\
          \x20           [--fail COUNT] [--fail-at STEP] [--cluster local|opl|raijin]\n\
          \x20           [--policy respawn|shrink|substitute|defer] [--spares N]\n\
-         \x20           [--sync-ckpt] [--spare-node] [--central-combine] [--seed S]\n\
+         \x20           [--sync-ckpt] [--spare-node] [--seed S]\n\
          \x20           [--trace] [--trace-json FILE] [--output PREFIX]\n\
          --output and --sync-ckpt are 2D options: a 3D run writes no solution\n\
          file (asking for one is an invalid configuration), and 3D\n\
@@ -77,7 +76,6 @@ fn parse() -> Cli {
         spares: 4,
         sync_ckpt: false,
         spare_node: false,
-        central_combine: false,
         trace: false,
         output: None,
         trace_json: None,
@@ -120,7 +118,6 @@ fn parse() -> Cli {
             "--spares" => cli.spares = take(&mut i).parse().unwrap_or_else(|_| usage()),
             "--sync-ckpt" => cli.sync_ckpt = true,
             "--spare-node" => cli.spare_node = true,
-            "--central-combine" => cli.central_combine = true,
             "--trace" => cli.trace = true,
             "--output" => cli.output = Some(take(&mut i)),
             "--trace-json" => cli.trace_json = Some(take(&mut i)),
@@ -169,11 +166,6 @@ fn main() {
             RespawnPolicy::SameHost
         },
         output_prefix: cli.output.clone().map(Into::into),
-        combine_mode: if cli.central_combine {
-            ftsg::app::CombineMode::Central
-        } else {
-            ftsg::app::CombineMode::Tree
-        },
         kernel: ftsg::pde::KernelConfig::global(),
         cancel: None,
         observer: None,

@@ -26,7 +26,7 @@ fn compare(level: LevelPair, px: usize, py: usize, steps: u64) {
         let mut solver = DistributedSolver::new(problem, level, dt, &info, w.rank());
         solver.run(ctx, &w, steps).unwrap();
         let mut full = (w.rank() == 0).then(|| Grid2::zeros(level));
-        gather_grid_into(ctx, &w, &info, level, &solver, full.as_mut()).unwrap();
+        gather_grid_into(ctx, &w, &info, &level, &solver, full.as_mut()).unwrap();
         if let Some(grid) = full {
             // Compare against the serial oracle, node by node, bitwise.
             let mut max_diff = 0.0f64;

@@ -10,8 +10,7 @@ use ftsg::app::app::keys;
 use ftsg::app::{run_app, AppConfig, ProcLayout, Technique};
 use ftsg::grid::scheme::RcSource;
 use ftsg::grid::{
-    combine_binomial, combine_onto, l1_error_vs, robust_coefficients, CombinationTerm, Grid2,
-    LevelSet,
+    combine_binomial, l1_error_vs, robust_coefficients, CombinationTerm, Grid2, LevelSet,
 };
 use ftsg::mpi::{run, RunConfig};
 use ftsg::pde::{LocalSolver, TimeGrid};
@@ -158,29 +157,5 @@ fn cr_real_failure_matches_healthy_oracle() {
     assert!(
         measured.to_bits() == oracle.to_bits(),
         "CR-after-failure {measured:e} vs healthy oracle {oracle:e}"
-    );
-}
-
-#[test]
-fn central_reference_combine_matches_left_fold_oracle() {
-    // The centralized master combine is kept in-tree as the reference
-    // path; it reproduces the serial left-fold association.
-    let cfg = AppConfig::paper_shaped(Technique::CheckpointRestart, 7, 1, 5).with_central_combine();
-    let sys = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale).system().clone();
-    let grids = serial_grids(&cfg);
-    let terms: Vec<CombinationTerm> = sys
-        .combination_ids()
-        .into_iter()
-        .map(|id| CombinationTerm { coeff: sys.classical_coefficient(id) as f64, grid: &grids[id] })
-        .collect();
-    let combined = combine_onto(sys.min_level(), &terms);
-    let tg = TimeGrid::for_system(&cfg.problem, cfg.n, cfg.steps(), 0.4);
-    let t_final = tg.dt * cfg.steps() as f64;
-    let oracle = l1_error_vs(&combined, cfg.problem.exact_at(t_final));
-
-    let measured = app_error(cfg);
-    assert!(
-        measured.to_bits() == oracle.to_bits(),
-        "central distributed {measured:e} vs left-fold oracle {oracle:e}"
     );
 }

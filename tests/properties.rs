@@ -230,7 +230,7 @@ proptest! {
                 let leaders: Vec<usize> = (0..w.size()).collect();
                 let mut scratch = Vec::new();
                 let combined = ftsg::app::gather::binomial_combine(
-                    ctx, &w, &leaders, 0, target, Some(part), &mut scratch, 7,
+                    ctx, &w, &leaders, 0, &target, Some(part), &mut scratch, 7,
                 )
                 .unwrap();
                 if w.rank() == 0 {
