@@ -82,10 +82,12 @@
 //!     requested of the allocator, held to a **ceiling**) — one whole run
 //!     of the `paper2d_kill` and `solve3d_kill` shapes
 //!     ([`crate::experiments::repair::run_bytes`]: seed 7, one scheduler
-//!     worker, after a warm-up run), at or below `BENCH_pr27.json`
+//!     worker, after a warm-up run), at or below `BENCH_pr29.json`
 //!     `acceptance`. Guards the landing grid: a gathered, received or
 //!     decoded grid that gets a fresh buffer again, or a scatter that
-//!     stages its blocks, adds about a megabyte per grid. The ceiling is
+//!     stages its blocks, adds about a megabyte per grid, and the
+//!     Alternate Combination sample coming back adds about 5.7 MB to a
+//!     `paper2d_kill` run. The ceiling is
 //!     the measurement plus 64 KiB, and it assumes the count depends on
 //!     the host only through the temp-dir paths a run formats: on a
 //!     2-core Xeon the count was the same to the byte under rustc 1.95.0
@@ -94,6 +96,13 @@
 //!     (about 8 per character, so even a `PATH_MAX` one stays inside
 //!     the margin). A toolchain whose standard library allocates
 //!     differently may need the ceiling re-measured.
+//! 12. **`paper2d_kill_ac_makespan`** (virtual clock, **exact match**) —
+//!     the makespan of the one-failure run of the paper's shape, the
+//!     benchmark's `virt_makespan @ paper2d_kill`, vs `BENCH_pr29.json`
+//!     `acceptance`. Guards Alternate Combination's recovery: it is the
+//!     coefficient solve alone, and a gather, combination or scatter of a
+//!     sample for the lost grid creeping back in moves it (by 0.0172
+//!     vsec, what that sample cost).
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -289,19 +298,21 @@ pub fn run_exact(
     let pr22 = read_baseline(dir, "BENCH_pr22.json")?;
     let agree_base = num_field(&pr22, "paper_shape_agree_calls", "BENCH_pr22.json")?;
     let reconstruct_base = num_field(&pr22, "paper_shape_t_reconstruct", "BENCH_pr22.json")?;
-    let (agree_fresh, reconstruct_fresh) = crate::experiments::repair::measure_paper_shape();
+    let (agree_fresh, reconstruct_fresh, makespan_fresh) =
+        crate::experiments::repair::measure_paper_shape();
     let pr24 = read_baseline(dir, "BENCH_pr24.json")?;
     let inline_base = num_field(&pr24, "warm_inline_collective_requests", "BENCH_pr24.json")?;
     let gather_base = num_field(&pr24, "warm_gather_view_requests", "BENCH_pr24.json")?;
     let warm = crate::experiments::collectives::measure(requests);
     let pr26 = read_baseline(dir, "BENCH_pr26.json")?;
     let repair = ftsg_core::alloc_probe::repair_share(requests);
-    let pr27 = read_baseline(dir, "BENCH_pr27.json")?;
+    let pr29 = read_baseline(dir, "BENCH_pr29.json")?;
+    let makespan_base = num_field(&pr29, "paper2d_kill_ac_makespan", "BENCH_pr29.json")?;
     let run_bytes = |key: &'static str, workload: &str| -> Result<GateResult, String> {
-        let ceiling = num_field(&pr27, key, "BENCH_pr27.json")?;
+        let ceiling = num_field(&pr29, key, "BENCH_pr29.json")?;
         let fresh = crate::experiments::repair::run_bytes(workload, bytes)
             .ok_or_else(|| format!("no workload {workload}"))?;
-        Ok(GateResult::ceiling(key, "BENCH_pr27.json", ceiling, fresh as f64))
+        Ok(GateResult::ceiling(key, "BENCH_pr29.json", ceiling, fresh as f64))
     };
     let pinned = |key: &'static str, fresh: u64| -> Result<GateResult, String> {
         let base = num_field(&pr26, key, "BENCH_pr26.json")?;
@@ -337,6 +348,12 @@ pub fn run_exact(
                 "BENCH_pr22.json",
                 reconstruct_base,
                 reconstruct_fresh,
+            ),
+            GateResult::exact(
+                "paper2d_kill_ac_makespan",
+                "BENCH_pr29.json",
+                makespan_base,
+                makespan_fresh,
             ),
         ],
         tolerance: 0.0,

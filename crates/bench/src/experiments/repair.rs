@@ -194,11 +194,12 @@ fn row_of(report: &Report) -> RepairRow {
     }
 }
 
-/// `(world + intercomm agree calls, T_RECONSTRUCT)` of the one-failure
-/// repair on the paper's own shape (`paper2d_kill`) — the exact-match gate.
-pub fn measure_paper_shape() -> (u64, f64) {
+/// `(world + intercomm agree calls, T_RECONSTRUCT, makespan)` of the
+/// one-failure repair on the paper's own shape (`paper2d_kill`) — the
+/// exact-match gates.
+pub fn measure_paper_shape() -> (u64, f64, f64) {
     let row = row_of(&launch(&SHAPES[0]));
-    (row.ops[0] + row.ops[1], row.repair)
+    (row.ops[0] + row.ops[1], row.repair, row.makespan)
 }
 
 /// Parent and change on all five shapes, with the host stamp.

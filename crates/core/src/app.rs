@@ -755,7 +755,8 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // ---- combination & measurement. ----
     // Under Alternate Combination with end-of-run losses, the final
     // combination *is* the robust combination over the survivors (the
-    // "compulsory stage" whose sample also served as recovered data);
+    // "compulsory stage" of §III-B, and the recovered solution: the lost
+    // grids' solvers were never restored, and nothing reads them);
     // otherwise it is the classical Eq.-1 combination, using recovered
     // data where grids were restored.
     //
@@ -831,9 +832,7 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
             let part = match (my_term, st.solver.as_ref()) {
                 (Some((m, coeff)), Some(sv)) => {
                     st.landing.gather(ctx, &group, &layout, m, sv, |own| {
-                        let mut fold = S::fold(&target);
-                        S::fold_in(&mut fold, coeff, own);
-                        Ok(S::folded(ctx, fold, 1))
+                        Ok(S::term(ctx, &target, coeff, own))
                     })?
                 }
                 _ => None,

@@ -3,8 +3,7 @@
 //! Every whole sub-grid a rank assembles or receives lands in one grid the
 //! rank owns: a checkpoint gather, a recovery gather, the final
 //! combination's gather, a grid received from another rank (a copy or a
-//! resample, a buddy copy, an Alternate Combination term at the
-//! controller, a recovered grid) and a checkpoint decoded for a restart.
+//! resample, a buddy copy) and a checkpoint decoded for a restart.
 //! Each use takes the grid, re-shaped to its level with its allocation
 //! kept, and gives it back when done ([`Landing::with`]), so once the grid
 //! has grown to the largest level through it the rank allocates no

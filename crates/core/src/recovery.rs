@@ -17,9 +17,13 @@
 //!   a grid and its recovery partner must not fail together.
 //! * **Alternate Combination** — new (robust) combination coefficients are
 //!   computed over the surviving grids — including the two extra layers —
-//!   and the lost grid's data is a sample of that combined solution.
-//!   Only the coefficient computation counts as recovery overhead; the
-//!   gather/combine work "happens as a compulsory stage later" (§III-B).
+//!   and that is the whole recovery: only the coefficient computation
+//!   counts as recovery overhead, the gather/combine work "happens as a
+//!   compulsory stage later" (§III-B). Every AC recovery runs at the final
+//!   step, where the lost grids join the final combination's lost set, so
+//!   the robust combination over the survivors *is* the recovered
+//!   solution (arXiv:1404.2670) and no sample of it is shipped back to the
+//!   lost grids: nothing would read it.
 //! * **Buddy Checkpoint** *(extension, not in the paper)* — periodic
 //!   in-memory copies on a partner group's root; restore + recompute like
 //!   Checkpoint/Restart, no disk involved, initial-condition fallback if
@@ -27,8 +31,8 @@
 //!
 //! Every whole grid a technique assembles or receives lands in the rank's
 //! one landing grid ([`Landing`]); the only fresh grids are the ones a
-//! technique makes — a resample, the controller's combinations — and a
-//! buddy copy the first time it is stored.
+//! technique makes — a resample — and a buddy copy the first time it is
+//! stored.
 //!
 //! `my` below is always this rank's grid id.
 
@@ -129,8 +133,10 @@ pub struct RecoveryStats {
 
 /// Run the configured technique's data recovery after a reconstruction.
 /// Collective over the world (every rank calls it; ranks not involved in
-/// a given transfer fall through). `at_step` is the detection point; all
-/// broken grids come back with their state at `at_step`.
+/// a given transfer fall through). `at_step` is the detection point; the
+/// broken grids come back with their state at `at_step`, except under
+/// Alternate Combination, which leaves them out of the final combination
+/// instead.
 ///
 /// Policy note: data recovery presumes the failed slots were *refilled*
 /// (respawn, spare substitution, or the deferred epoch batch).
@@ -158,7 +164,7 @@ pub fn recover<S: Stack>(
     let t_recovery = match env.cfg.technique {
         Technique::CheckpointRestart => r.checkpoint(solver, landing, env.checkpoints()?),
         Technique::ResamplingCopying => r.resample_copy(solver, landing),
-        Technique::AlternateCombination => r.alt_combination(solver, landing),
+        Technique::AlternateCombination => r.alt_combination(env.cfg.steps()),
         Technique::BuddyCheckpoint => r.buddy(solver, landing, buddy_store),
     }?;
     ctx.trace_phase("data_restore", t0);
@@ -356,74 +362,30 @@ impl<S: Stack> Recovery<'_, S> {
         Ok(if touched { ctx.now() - t0 } else { 0.0 })
     }
 
-    fn alt_combination(&self, solver: &mut S::Solver, landing: &mut Landing<S>) -> Result<f64> {
-        let Recovery { ctx, layout, world, group, my, broken, at_step } = *self;
-        let tags = TagSpace::for_grids(S::n_grids(layout));
-
-        // --- 1. New combination coefficients over the survivors (this is the
-        //        technique's accountable recovery cost). Deterministic, so
-        //        every rank computes them locally. Every broken level is lost:
-        //        the extra-layers layout holds each level once. ---
+    /// Alternate Combination: new coefficients over the survivors, and
+    /// nothing else (see the module docs). Sound only at the final step,
+    /// where every AC recovery runs: a mid-run loss would need a sample of
+    /// the combination to step on from.
+    fn alt_combination(&self, final_step: u64) -> Result<f64> {
+        let Recovery { ctx, layout, broken, at_step, .. } = *self;
+        if at_step != final_step {
+            return Err(Error::InvalidArg(format!(
+                "alternate combination recovers at the final step {final_step}, not {at_step}"
+            )));
+        }
+        // The technique's accountable recovery cost. Deterministic, so every
+        // rank computes the coefficients locally. Every broken level is
+        // lost: the extra-layers layout holds each level once.
         let t_coeff0 = ctx.now();
         let (coeffs, downset_len) = S::robust_coefficients(layout, broken, false);
         // Virtual cost of solving the small coefficient problem.
         ctx.advance(1.0e-4 + 4.0e-6 * downset_len as f64);
-        let t_recovery = ctx.now() - t_coeff0;
-
-        // --- 2. Gather the needed surviving grids to world rank 0. ---
-        let mut needed = Vec::with_capacity(coeffs.len());
-        needed.extend((0..coeffs.len()).filter(|&g| !broken.contains(&g) && coeffs[g] != 0));
-        let Some(&first) = needed.first() else {
+        if !coeffs.iter().enumerate().any(|(g, &c)| c != 0 && !broken.contains(&g)) {
             return Err(Error::InvalidArg(
                 "alternate combination: no surviving grids can cover the losses".into(),
             ));
-        };
-        if needed.contains(&my) {
-            // Root ships to the controller (self-sends are fine).
-            landing.gather(ctx, group, layout, my, solver, |full| {
-                send_grid(ctx, world, 0, tags.ac_gather + my as i32, full)
-            })?;
         }
-
-        // --- 3. The controller folds each needed grid, as it arrives in
-        //        its landing grid, into a combination on every lost level,
-        //        then ships the recovered grids back. ---
-        if world.rank() == 0 {
-            let folds = landing.with(S::level(layout, first), |term| {
-                let mut folds: Vec<S::Fold> =
-                    broken.iter().map(|&b| S::fold(S::level(layout, b))).collect();
-                for &gid in &needed {
-                    let (src, tag) = (S::root_of(layout, gid), tags.ac_gather + gid as i32);
-                    recv_grid_onto(ctx, world, src, tag, term)?;
-                    for fold in &mut folds {
-                        S::fold_in(fold, coeffs[gid] as f64, term);
-                    }
-                }
-                Ok(folds)
-            })?;
-            for (&b, fold) in broken.iter().zip(folds) {
-                let recovered = S::folded(ctx, fold, needed.len());
-                send_grid(
-                    ctx,
-                    world,
-                    S::root_of(layout, b),
-                    tags.ac_result + b as i32,
-                    &recovered,
-                )?;
-            }
-        }
-
-        // --- 4. Broken groups load the recovered data. ---
-        if broken.contains(&my) {
-            landing.with_root(group.rank() == 0, S::level(layout, my), |mut grid| {
-                if let Some(grid) = grid.as_deref_mut() {
-                    recv_grid_onto(ctx, world, 0, tags.ac_result + my as i32, grid)?;
-                }
-                self.scatter(solver, grid.as_deref(), at_step)
-            })?;
-        }
-
-        Ok(t_recovery)
+        Ok(ctx.now() - t_coeff0)
     }
 }
 

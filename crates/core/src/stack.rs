@@ -78,9 +78,6 @@ pub trait Stack: Sized + 'static {
     type Problem;
     /// One whole sub-grid.
     type Grid: ComponentGrid;
-    /// A combination being folded onto one level, one term at a time
-    /// ([`fold`](Self::fold)).
-    type Fold;
     /// The world → sub-grid map. `D2` decomposes each group into a 2D
     /// process grid (4 + 4 halo messages per step); `Nd` into slabs along
     /// the last axis (2 + 2, whatever the dimension).
@@ -156,16 +153,11 @@ pub trait Stack: Sized + 'static {
 
     /// Exact injection of `grid` onto the coarser `level`.
     fn restrict(grid: &Self::Grid, level: &Level<Self>) -> Self::Grid;
-    /// An empty combination on `target`. Terms are folded in one at a
-    /// time as they arrive ([`fold_in`](Self::fold_in)); folding a term
-    /// list in order is the left fold `combine_onto` / `combine_onto_nd`
-    /// computes, bit for bit, so no term needs to outlive its turn.
-    fn fold(target: &Level<Self>) -> Self::Fold;
-    /// Add `coeff · grid` to `fold`, evaluated on its nodes.
-    fn fold_in(fold: &mut Self::Fold, coeff: f64, grid: &Self::Grid);
-    /// The folded grid, its compute (one cell update per node for each of
-    /// the `terms` terms) charged to `ctx`.
-    fn folded(ctx: &Ctx, fold: Self::Fold, terms: usize) -> Self::Grid;
+    /// One combination term, `coeff · grid` evaluated on the nodes of
+    /// `target` (bit for bit the one-term `combine_onto` /
+    /// `combine_onto_nd`), its compute (one cell update per node) charged
+    /// to `ctx`.
+    fn term(ctx: &Ctx, target: &Level<Self>, coeff: f64, grid: &Self::Grid) -> Self::Grid;
     /// Average l1 error of `grid` against the exact solution at `t`.
     fn l1_error(problem: &Self::Problem, grid: &Self::Grid, t: f64) -> f64;
     /// Write the combined solution to `<prefix>.csv` and `<prefix>.pgm`.
@@ -215,7 +207,6 @@ pub struct Nd;
 impl Stack for D2 {
     type Problem = AdvectionProblem;
     type Grid = Grid2;
-    type Fold = Grid2;
     type Layout = ProcLayout;
     type Assignment = Assignment;
     type Group = GroupInfo;
@@ -297,15 +288,11 @@ impl Stack for D2 {
     fn restrict(grid: &Grid2, level: &LevelPair) -> Grid2 {
         grid.restrict_to(*level)
     }
-    fn fold(target: &LevelPair) -> Grid2 {
-        Grid2::zeros(*target)
-    }
-    fn fold_in(fold: &mut Grid2, coeff: f64, grid: &Grid2) {
-        accumulate_onto(fold, &CombinationTerm { coeff, grid })
-    }
-    fn folded(ctx: &Ctx, fold: Grid2, terms: usize) -> Grid2 {
-        ctx.compute_cells((terms * fold.values().len()) as u64);
-        fold
+    fn term(ctx: &Ctx, target: &LevelPair, coeff: f64, grid: &Grid2) -> Grid2 {
+        let mut term = Grid2::zeros(*target);
+        accumulate_onto(&mut term, &CombinationTerm { coeff, grid });
+        ctx.compute_cells(term.values().len() as u64);
+        term
     }
     fn l1_error(problem: &AdvectionProblem, grid: &Grid2, t: f64) -> f64 {
         l1_error_vs(grid, problem.exact_at(t))
@@ -359,7 +346,6 @@ impl Stack for D2 {
 impl Stack for Nd {
     type Problem = ProblemN;
     type Grid = GridN;
-    type Fold = FoldN;
     type Layout = ProcLayoutN;
     type Assignment = AssignmentN;
     type Group = GroupInfoN;
@@ -446,16 +432,12 @@ impl Stack for Nd {
     fn restrict(grid: &GridN, level: &LevelVecN) -> GridN {
         grid.restrict_to(level)
     }
-    fn fold(target: &LevelVecN) -> FoldN {
-        FoldN::new(target)
-    }
-    fn fold_in(fold: &mut FoldN, coeff: f64, grid: &GridN) {
-        fold.add(&CombinationTermN { coeff, grid })
-    }
-    fn folded(ctx: &Ctx, fold: FoldN, terms: usize) -> GridN {
-        let combined = fold.into_grid();
-        ctx.compute_cells((terms * combined.values().len()) as u64);
-        combined
+    fn term(ctx: &Ctx, target: &LevelVecN, coeff: f64, grid: &GridN) -> GridN {
+        let mut term = FoldN::new(target);
+        term.add(&CombinationTermN { coeff, grid });
+        let term = term.into_grid();
+        ctx.compute_cells(term.values().len() as u64);
+        term
     }
     fn l1_error(problem: &ProblemN, grid: &GridN, t: f64) -> f64 {
         grid.l1_error_vs(|x| problem.exact(x, t))

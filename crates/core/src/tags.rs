@@ -21,10 +21,6 @@ pub const MIN_STRIDE: i32 = 500;
 pub struct TagSpace {
     /// Resampling-and-Copying grid transfers.
     pub rc: i32,
-    /// Alternate-combination gather to the controller.
-    pub ac_gather: i32,
-    /// Alternate-combination result redistribution.
-    pub ac_result: i32,
     /// Buddy-checkpoint grid payloads.
     pub buddy: i32,
     /// Buddy-checkpoint `[has, step]` headers.
@@ -34,13 +30,13 @@ pub struct TagSpace {
 }
 
 impl TagSpace {
-    /// The largest grid count the six regions can hold without the
-    /// last region's tags (`TAG_BASE + 5·stride + grid_id`) overflowing
+    /// The largest grid count the four regions can hold without the
+    /// last region's tags (`TAG_BASE + 3·stride + grid_id`) overflowing
     /// `i32`. Truncated 3D simplices grow grid counts far beyond the 2D
     /// sweeps this module was sized for, so the bound is enforced rather
     /// than assumed: a count above it used to wrap `n_grids as i32` and
     /// silently collide regions.
-    pub const MAX_GRIDS: usize = ((i32::MAX - TAG_BASE) / 6) as usize;
+    pub const MAX_GRIDS: usize = ((i32::MAX - TAG_BASE) / 4) as usize;
 
     /// Tag regions wide enough for `n_grids` combining grids.
     ///
@@ -54,14 +50,7 @@ impl TagSpace {
         );
         let stride = (n_grids as i32).max(MIN_STRIDE);
         let base = |k: i32| TAG_BASE + k * stride;
-        TagSpace {
-            rc: base(0),
-            ac_gather: base(1),
-            ac_result: base(2),
-            buddy: base(3),
-            buddy_hdr: base(4),
-            tree: base(5),
-        }
+        TagSpace { rc: base(0), buddy: base(1), buddy_hdr: base(2), tree: base(3) }
     }
 }
 
@@ -69,14 +58,14 @@ impl TagSpace {
 mod tests {
     use super::*;
 
-    fn regions(t: &TagSpace) -> [i32; 6] {
-        [t.rc, t.ac_gather, t.ac_result, t.buddy, t.buddy_hdr, t.tree]
+    fn regions(t: &TagSpace) -> [i32; 4] {
+        [t.rc, t.buddy, t.buddy_hdr, t.tree]
     }
 
     #[test]
     fn small_systems_keep_legacy_spacing() {
         let t = TagSpace::for_grids(12);
-        assert_eq!(regions(&t), [7000, 7500, 8000, 8500, 9000, 9500]);
+        assert_eq!(regions(&t), [7000, 7500, 8000, 8500]);
     }
 
     fn assert_disjoint(t: &TagSpace, n: usize) {

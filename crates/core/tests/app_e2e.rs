@@ -3,7 +3,7 @@
 //! communicator reconstruction, and all three data recovery techniques.
 
 use ftsg_core::app::keys;
-use ftsg_core::{run_app, AppConfig, Technique};
+use ftsg_core::{run_app, AppConfig, ProcLayout, ProcLayoutN, Technique};
 use ulfm_sim::{run, FaultPlan, Report, RunConfig};
 
 fn launch(cfg: AppConfig) -> Report {
@@ -136,6 +136,50 @@ fn cr_failure_before_first_checkpoint_restarts_from_ic() {
     let report = launch(base.with_plan(FaultPlan::single(victim, 3)));
     let err = report.get_f64(keys::ERR_L1).unwrap();
     assert!((err - baseline).abs() < 1e-12, "IC restart is exact: {err} vs {baseline}");
+}
+
+/// Alternate Combination recovers by its coefficients alone: a kill right
+/// before the final detection and a failure-free run that merely *lists*
+/// the same grid as lost (`simulated_lost_grids`, whose solvers keep their
+/// true data) report the same error to the bit — so the final solution
+/// reads nothing of the killed grid, neither a respawned solver's initial
+/// condition nor any recovered sample. In 2D and 3D.
+#[test]
+fn ac_kill_at_the_end_combines_exactly_like_a_listed_loss() {
+    let grid = 1;
+    for dim in [2usize, 3] {
+        let base = if dim >= 3 {
+            // n = 5, not 4: at m = 1 the error is taken on a 3×3×3 grid
+            // where every combination agrees, lost grid or not.
+            let mut cfg = AppConfig::small_nd(Technique::AlternateCombination, dim);
+            cfg.n = 5;
+            cfg
+        } else {
+            AppConfig::small(Technique::AlternateCombination)
+        };
+        let (world, first, size) = if dim >= 3 {
+            let lay = ProcLayoutN::new(dim, base.n, base.l, base.technique.layout(), base.scale);
+            (lay.world_size(), lay.group(grid).first, lay.group(grid).size)
+        } else {
+            let lay = ProcLayout::new(base.n, base.l, base.technique.layout(), base.scale);
+            (lay.world_size(), lay.group(grid).first, lay.group(grid).size)
+        };
+        assert!(size > 1, "{dim}D: grid {grid} needs a non-root member");
+        let launch = |cfg: AppConfig| {
+            let report = run(RunConfig::local(world), move |ctx| run_app(&cfg, ctx));
+            report.assert_no_app_errors();
+            report.get_f64(keys::ERR_L1).unwrap()
+        };
+        let healthy = launch(base.clone());
+        let listed = launch(base.clone().with_simulated_losses(vec![grid]));
+        let killed = launch(base.clone().with_plan(FaultPlan::single(first + 1, base.steps())));
+        assert_ne!(listed.to_bits(), healthy.to_bits(), "{dim}D: the loss must show");
+        assert_eq!(
+            killed.to_bits(),
+            listed.to_bits(),
+            "{dim}D: killed {killed} vs listed {listed}"
+        );
+    }
 }
 
 #[test]

@@ -11,7 +11,9 @@
 //!   reported (the `BEFORE` constants were printed by `print_pins` on the commit
 //!   that still had the vote);
 //! * the makespan fell by exactly that vote: one failure-free `agree`
-//!   plus the explicit `failure_ack` that preceded it;
+//!   plus the explicit `failure_ack` that preceded it — and, under
+//!   Alternate Combination, by the window of the sample it no longer
+//!   ships to the lost grid (its recovery is the coefficient solve alone);
 //! * with an asynchronous checkpoint in flight at the kill (CR), the
 //!   checkpoint time grew by at most one barrier charge — the drain now
 //!   runs before the confirming barrier instead of after it — and the
@@ -40,6 +42,15 @@ const BEFORE: [(usize, &str, f64, f64, f64); 8] = [
     (3, "AC", 2.0413321022399993, 1.5398971772799999, 0.0),
     (3, "BC", 3.5087423955199957, 1.5372600678400001, 1.1311039999850614e-5),
 ];
+
+/// `(dim, makespan, makespan with the sample)` of the AC rows: now, and
+/// while Alternate Combination still gathered the survivors, combined
+/// them onto the lost level and scattered that sample into the respawned
+/// group (printed by `print_pins` on the commit that still did, release
+/// build: there the sample's messages raced the respawn, and a debug build
+/// printed less). The difference is the sample window.
+const AC_SAMPLE: [(usize, f64, f64); 2] =
+    [(2, 1.48256669776, 1.4826661652800004), (3, 1.5402657572800007, 1.540332102240001)];
 
 fn config(dim: usize, technique: Technique) -> AppConfig {
     if dim >= 3 {
@@ -116,10 +127,18 @@ fn one_failure_costs_three_agreements_and_the_reconstruction_is_unchanged() {
             ckpt >= ckpt0 && ckpt - ckpt0 <= barrier * (1.0 + 1e-9),
             "{what}: T_CKPT moved {ckpt0:?} -> {ckpt:?}, more than one barrier ({barrier})"
         );
+        let mut window = 0.0;
+        if technique == Technique::AlternateCombination {
+            let (_, now, with_sample) =
+                AC_SAMPLE.into_iter().find(|row| row.0 == dim).expect("AC row");
+            assert_eq!(report.makespan.to_bits(), now.to_bits(), "{what}: {}", report.makespan);
+            window = with_sample - now;
+            assert!(window > 0.0, "{what}: the sample window is {window}");
+        }
         let saved = makespan0 - report.makespan;
         assert!(
-            close(saved + (ckpt - ckpt0), agree + ack),
-            "{what}: makespan fell by {saved}, not {agree} + {ack} - {}",
+            close(saved + (ckpt - ckpt0), agree + ack + window),
+            "{what}: makespan fell by {saved}, not {agree} + {ack} + {window} - {}",
             ckpt - ckpt0
         );
         if technique == Technique::CheckpointRestart && dim == 2 {
