@@ -16,7 +16,7 @@ use ftsg_core::gather::{assemble_grid, split_grid};
 use ftsg_core::layout_nd::GroupInfoN;
 use sparsegrid::{
     combine_onto_into, combine_onto_into_nd, gcp_coefficients, CombinationTerm, CombinationTermN,
-    Grid2, GridN, GridSystem, Layout as GridLayout, LevelPair,
+    Grid2, GridN, GridSystem, Layout as GridLayout, LevelPair, LevelVecN,
 };
 use ulfm_sim::{MetricsCell, TraceEvent, TraceRing};
 
@@ -336,15 +336,16 @@ fn assert_nd_alloc_discipline() {
     // `assemble_grid` over three slabs: the request count must not
     // depend on the plane size (4 × 4 vs 32 × 16 nodes per plane).
     let info = GroupInfoN { grid: 0, first: 0, size: 3 };
-    let assemble_requests = |level: Vec<u32>| {
+    let assemble_requests = |level: &[u32]| {
+        let level = LevelVecN::new(level);
         let blocks = split_grid(&GridN::from_fn(&level, |x| x[0] - x[1] + x[2]), &info);
         let before = alloc_count();
         let grid = assemble_grid(&level, &info, &blocks).expect("well-formed blocks");
         let requests = alloc_count() - before;
-        assert_eq!(grid.level(), level);
+        assert_eq!(grid.level(), &level[..]);
         requests
     };
-    let (small, large) = (assemble_requests(vec![2, 2, 3]), assemble_requests(vec![5, 4, 3]));
+    let (small, large) = (assemble_requests(&[2, 2, 3]), assemble_requests(&[5, 4, 3]));
     assert_eq!(small, large, "assemble_grid requests grew with the plane: {small} vs {large}");
 }
 

@@ -9,7 +9,8 @@
 //! warm collective round of 64 ranks, a warm robust-coefficient solve or
 //! a warm Fig. 4 handler call its committed allocator-request count, or a
 //! whole `paper2d_kill` or `solve3d_kill` run asks for more bytes than
-//! committed, or the `paper2d_kill` makespan is not its committed value
+//! committed, or a whole `solve3d_kill` run makes more allocator requests
+//! than committed, or the `paper2d_kill` makespan is not its committed value
 //! (see `ftsg_bench::experiments::regress` for the list).
 //!
 //! ```text

@@ -81,8 +81,8 @@
 //! 11. **`paper2d_kill_bytes`** and **`solve3d_kill_bytes`** (bytes
 //!     requested of the allocator, held to a **ceiling**) — one whole run
 //!     of the `paper2d_kill` and `solve3d_kill` shapes
-//!     ([`crate::experiments::repair::run_bytes`]: seed 7, one scheduler
-//!     worker, after a warm-up run), at or below `BENCH_pr29.json`
+//!     ([`crate::experiments::repair::run_count`]: seed 7, one scheduler
+//!     worker, after a warm-up run), at or below `BENCH_pr30.json`
 //!     `acceptance`. Guards the landing grid: a gathered, received or
 //!     decoded grid that gets a fresh buffer again, or a scatter that
 //!     stages its blocks, adds about a megabyte per grid, and the
@@ -103,6 +103,17 @@
 //!     coefficient solve alone, and a gather, combination or scatter of a
 //!     sample for the lost grid creeping back in moves it (by 0.0172
 //!     vsec, what that sample cost).
+//! 13. **`solve3d_kill_requests`** (allocator requests, held to a
+//!     **ceiling**) — the same whole `solve3d_kill` run as gate 11,
+//!     counted in requests, at or below `BENCH_pr30.json` `acceptance`.
+//!     The count moves with the temp-dir path a run formats, but only
+//!     downwards: a short path (`/tmp`) makes the most, 3,733, and paths
+//!     of 32 to 416 characters 3,731. So the ceiling is the measured
+//!     value. Guards the nd set-up, which every rank runs: a validation
+//!     that builds the grid system again adds one request per process
+//!     (57), levels that are heap vectors again about 1,400 (one per
+//!     level of every rank's grid system, plus each solver's and each
+//!     grid's level, shape and strides).
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -308,11 +319,12 @@ pub fn run_exact(
     let repair = ftsg_core::alloc_probe::repair_share(requests);
     let pr29 = read_baseline(dir, "BENCH_pr29.json")?;
     let makespan_base = num_field(&pr29, "paper2d_kill_ac_makespan", "BENCH_pr29.json")?;
-    let run_bytes = |key: &'static str, workload: &str| -> Result<GateResult, String> {
-        let ceiling = num_field(&pr29, key, "BENCH_pr29.json")?;
-        let fresh = crate::experiments::repair::run_bytes(workload, bytes)
+    let pr30 = read_baseline(dir, "BENCH_pr30.json")?;
+    let run_count = |key: &'static str, workload: &str, count| -> Result<GateResult, String> {
+        let ceiling = num_field(&pr30, key, "BENCH_pr30.json")?;
+        let fresh = crate::experiments::repair::run_count(workload, count)
             .ok_or_else(|| format!("no workload {workload}"))?;
-        Ok(GateResult::ceiling(key, "BENCH_pr29.json", ceiling, fresh as f64))
+        Ok(GateResult::ceiling(key, "BENCH_pr30.json", ceiling, fresh as f64))
     };
     let pinned = |key: &'static str, fresh: u64| -> Result<GateResult, String> {
         let base = num_field(&pr26, key, "BENCH_pr26.json")?;
@@ -320,8 +332,9 @@ pub fn run_exact(
     };
     Ok(RegressReport {
         gates: vec![
-            run_bytes("paper2d_kill_bytes", "paper2d_kill")?,
-            run_bytes("solve3d_kill_bytes", "solve3d_kill")?,
+            run_count("paper2d_kill_bytes", "paper2d_kill", bytes)?,
+            run_count("solve3d_kill_bytes", "solve3d_kill", bytes)?,
+            run_count("solve3d_kill_requests", "solve3d_kill", requests)?,
             pinned("robust_solve_requests_2d", repair.robust_2d)?,
             pinned("robust_solve_requests_3d", repair.robust_3d)?,
             pinned("errhandler_requests", repair.errhandler)?,

@@ -170,15 +170,15 @@ pub fn launch_workload(name: &str) -> Option<Report> {
     SHAPES.iter().find(|shape| shape.0 == name).map(launch)
 }
 
-/// Bytes asked of the allocator over one whole run of the workload called
-/// `name` — after a warm-up run, so process-wide lazies are paid — read
-/// through the calling binary's counting allocator (`None` if there is no
-/// such workload).
-pub fn run_bytes(name: &str, bytes: fn() -> u64) -> Option<u64> {
+/// What one whole run of the workload called `name` moves a counter of
+/// the calling binary's counting allocator by — the bytes asked of it, or
+/// its requests — after a warm-up run, so process-wide lazies are paid
+/// (`None` if there is no such workload).
+pub fn run_count(name: &str, count: fn() -> u64) -> Option<u64> {
     launch_workload(name)?;
-    let before = bytes();
+    let before = count();
     launch_workload(name)?;
-    Some(bytes() - before)
+    Some(count() - before)
 }
 
 fn row_of(report: &Report) -> RepairRow {

@@ -58,7 +58,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sparsegrid::{Grid2, GridN, LevelPair};
+use sparsegrid::{Grid2, GridN, LevelPair, LevelVecN, MAX_DIM};
 use ulfm_sim::MpiData;
 
 const MAGIC: &[u8; 8] = b"FTSGCKP2";
@@ -67,11 +67,10 @@ const FORMAT_VERSION: u8 = 2;
 const MAGIC3: &[u8; 8] = b"FTSGCKP3";
 const FORMAT_VERSION3: u8 = 3;
 /// v3 header bytes before the level vector: magic + version + dim + step.
+/// A header may claim at most [`MAX_DIM`] axes — the most a level vector
+/// holds, and few enough that the level bound keeps the payload size math
+/// inside u64.
 const HEADER3_FIXED: usize = 8 + 1 + 4 + 8;
-/// Largest dimension a v3 header may claim — far beyond anything this
-/// code runs, and small enough that the level bound keeps the payload
-/// size math inside u64.
-const MAX_DIM: usize = 8;
 /// Header bytes before the payload: magic + version + i + j + step.
 const HEADER_LEN: usize = 8 + 1 + 4 + 4 + 8;
 /// Fixed overhead of a v2 file: header + trailing CRC-64.
@@ -665,7 +664,7 @@ impl CheckpointStore {
 
     /// The validated step, level vector and payload bytes of a v3 buffer
     /// (see [`decode_nd_into`](Self::decode_nd_into)).
-    fn parse_nd(raw: &[u8]) -> Result<(u64, Vec<u32>, &[u8]), String> {
+    fn parse_nd(raw: &[u8]) -> Result<(u64, LevelVecN, &[u8]), String> {
         if raw.len() < HEADER3_FIXED + 4 + 8 {
             return Err(format!("truncated checkpoint ({} bytes; torn write?)", raw.len()));
         }
@@ -684,15 +683,15 @@ impl CheckpointStore {
         if raw.len() < header_len + 8 {
             return Err(format!("truncated checkpoint ({} bytes; torn write?)", raw.len()));
         }
-        let mut level = Vec::with_capacity(dim);
+        let mut level = LevelVecN::splat(0, dim);
         let mut points = 1u128;
-        for a in 0..dim {
+        for (a, axis) in level.iter_mut().enumerate() {
             let l = u32::from_le_bytes(raw[HEADER3_FIXED + 4 * a..][..4].try_into().unwrap());
             if l > MAX_LEVEL {
                 return Err(format!("absurd level {l} on axis {a} in checkpoint header"));
             }
             points *= (1u128 << l) + 1;
-            level.push(l);
+            *axis = l;
         }
         let expect = (header_len + 8) as u128 + 8 * points;
         if raw.len() as u128 != expect {
@@ -720,7 +719,10 @@ impl CheckpointStore {
     }
 
     /// Write a d-dimensional checkpoint from raw parts, streamed like
-    /// [`CheckpointStore::write_raw`].
+    /// [`CheckpointStore::write_raw`]. A level that no v3 header can hold
+    /// (no axes, more than [`MAX_DIM`], or a level beyond the codec's
+    /// bound) is refused with `InvalidInput`: its file could never be
+    /// read back.
     pub fn write_raw_nd(
         &self,
         grid_id: usize,
@@ -728,6 +730,13 @@ impl CheckpointStore {
         level: &[u32],
         values: &[f64],
     ) -> io::Result<usize> {
+        if level.is_empty() || level.len() > MAX_DIM || level.iter().any(|&l| l > MAX_LEVEL) {
+            let bounds = format!("1 to {MAX_DIM} axes, each at most {MAX_LEVEL}");
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("a v3 checkpoint cannot hold level {level:?} ({bounds})"),
+            ));
+        }
         let mut header = Vec::with_capacity(HEADER3_FIXED + 4 * level.len());
         Self::header_nd(step, level, &mut header);
         self.land(grid_id, step, &header, values)
@@ -976,6 +985,27 @@ mod tests {
         buf.extend_from_slice(&crc.to_le_bytes());
         let err = CheckpointStore::decode_nd_into(&buf, &mut out).unwrap_err();
         assert!(err.contains("absurd level"), "got: {err}");
+    }
+
+    #[test]
+    fn nd_writes_only_what_a_v3_header_reads_back() {
+        // MAX_DIM axes land and read back. One more used to land a file no
+        // read accepts, so a restart at d = 9 skipped every checkpoint and
+        // silently recomputed from the initial condition.
+        let s = store();
+        let level = [1u32; MAX_DIM];
+        s.write_raw_nd(0, 4, &level, &vec![0.5; 3usize.pow(MAX_DIM as u32)]).unwrap();
+        let mut back = GridN::zeros(&[1]);
+        let (restored, skipped) = s.read_latest_valid_nd_into(0, &mut back).unwrap();
+        assert_eq!((restored.map(|(step, _)| step), skipped), (Some(4), 0));
+        assert_eq!(back.level(), &level);
+        let nine = [1u32; MAX_DIM + 1];
+        let err = s.write_raw_nd(1, 4, &nine, &vec![0.5; 3usize.pow(MAX_DIM as u32 + 1)]);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(s.write_raw_nd(1, 4, &[], &[]).unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        let (restored, skipped) = s.read_latest_valid_nd_into(1, &mut back).unwrap();
+        assert_eq!((restored, skipped), (None, 0), "nothing was written");
+        s.clear().unwrap();
     }
 
     #[test]

@@ -364,15 +364,17 @@ impl AppConfig {
 
     /// Validate the configuration at the application boundary, *before*
     /// any layout or level-set construction can panic. This is where
-    /// user-supplied `(dim, n, l)` triples that would drive
-    /// `LevelSetN::truncated_simplex` (or the `dim as u32` / coefficient
-    /// arithmetic behind it) into a panic or overflow are turned into
-    /// plain config errors instead.
+    /// user-supplied `(dim, n, l)` triples that would drive the simplex
+    /// enumeration (or the `dim as u32` / coefficient arithmetic behind
+    /// it) into a panic or overflow, or a dimension beyond
+    /// [`sparsegrid::MAX_DIM`], are turned into plain config errors
+    /// instead. It runs [`GridSystemN::check`], which builds nothing, so
+    /// validating makes no allocator request.
     pub fn validate(&self) -> Result<(), String> {
         if self.scale < 1 {
             return Err(format!("process scale must be ≥ 1, got {}", self.scale));
         }
-        GridSystemN::try_new(self.dim, self.n, self.l, self.technique.layout())?;
+        GridSystemN::check(self.dim, self.n, self.l)?;
         if self.dim >= 3 {
             if self.output_prefix.is_some() {
                 return Err("a solution file (output prefix) is written by 2D runs only".into());
@@ -522,6 +524,15 @@ mod tests {
         let mut bad = ok;
         bad.problem_nd = Some(advect2d::ndproblem::ProblemN::standard_advection(4));
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn validate_refuses_more_axes_than_a_level_holds() {
+        let max = AppConfig::small_nd(Technique::CheckpointRestart, sparsegrid::MAX_DIM);
+        assert!(max.validate().is_ok());
+        let mut over = max;
+        over.dim += 1;
+        assert!(over.validate().unwrap_err().contains("MAX_DIM"));
     }
 
     #[test]

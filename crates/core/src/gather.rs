@@ -421,7 +421,7 @@ mod tests {
     use crate::layout_nd::GroupInfoN;
     use crate::psolve::block_range;
     use sparsegrid::{
-        combine_binomial_nd, combine_onto_nd, CombinationTermN, Grid2, GridN, LevelPair,
+        combine_binomial_nd, combine_onto_nd, CombinationTermN, Grid2, GridN, LevelPair, LevelVecN,
     };
     use ulfm_sim::{run, RunConfig};
 
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn assemble_split_roundtrip_nd() {
-        let level = vec![3u32, 2, 3];
+        let level = LevelVecN::new(&[3, 2, 3]);
         let grid = periodic_grid(&level);
         for size in [1, 2, 3, 5] {
             let g = info_n(size);
@@ -489,7 +489,7 @@ mod tests {
         // transverse shape. Every block is checked value for value
         // against a per-node read, so a misplaced row cannot hide behind
         // the symmetric round trip.
-        for level in [vec![3u32], vec![2, 3], vec![3, 2, 3], vec![1, 2, 0, 3]] {
+        for level in [&[3u32][..], &[2, 3], &[3, 2, 3], &[1, 2, 0, 3]].map(LevelVecN::new) {
             let d = level.len();
             let grid = periodic_grid(&level);
             let g = info_n(3);
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn assemble_validates_shapes_nd() {
-        let level = vec![2u32, 2, 2];
+        let level = LevelVecN::new(&[2, 2, 2]);
         let g = info_n(2);
         assert!(assemble_grid(&level, &g, &[vec![0.0; 32]]).is_err()); // too few blocks
         let bad = vec![vec![0.0; 31], vec![0.0; 32]];
@@ -576,7 +576,7 @@ mod tests {
 
     #[test]
     fn gather_scatter_over_runtime_nd() {
-        let level = vec![2u32, 2, 3];
+        let level = LevelVecN::new(&[2, 2, 3]);
         let grid = periodic_grid(&level);
         let report = run(RunConfig::local(4), move |ctx| {
             let w = ctx.initial_world().unwrap();
@@ -678,7 +678,7 @@ mod tests {
     #[test]
     fn tree_combine_matches_serial_reference_bitwise() {
         const WORLD: usize = 5;
-        let target = vec![2u32, 2, 2];
+        let target = LevelVecN::new(&[2, 2, 2]);
         let report = run(RunConfig::local(WORLD), move |ctx| {
             let w = ctx.initial_world().unwrap();
             let myval = (w.rank() + 1) as f64;

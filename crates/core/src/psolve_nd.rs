@@ -71,7 +71,7 @@ impl DistributedSolverN {
         let stencil = StencilN::for_slab(&problem, &field, z0, &np, dt);
         let mut s = DistributedSolverN {
             problem,
-            level: level.to_vec(),
+            level: LevelVecN::new(level),
             dt,
             size: info.size,
             slab: local_rank,

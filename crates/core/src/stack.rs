@@ -97,10 +97,9 @@ pub trait Stack: Sized + 'static {
     type Writer;
 
     /// The layout, the problem and the timestep of `cfg`. This runs on
-    /// every rank before epoch 0. `Nd` validates `cfg` first, turning
-    /// triples the simplex enumeration would panic on into config errors;
-    /// `D2` does not (validation builds a `GridSystemN`: allocator work on
-    /// every rank of a thousand-rank run).
+    /// every rank before epoch 0. Both stacks validate `cfg` first
+    /// (building nothing, so at no allocator cost), turning parameters the
+    /// layout would panic on into config errors.
     fn setup(cfg: &AppConfig) -> Result<(Self::Layout, Self::Problem, f64)>;
     /// A solver for the slot `a`, at the initial condition.
     fn solver(env: &Env<'_, Self>, a: Self::Assignment) -> Self::Solver;
@@ -214,6 +213,7 @@ impl Stack for D2 {
     type Writer = AsyncCheckpointer;
 
     fn setup(cfg: &AppConfig) -> Result<(ProcLayout, AdvectionProblem, f64)> {
+        cfg.validate().map_err(Error::InvalidArg)?;
         let layout = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
         let tg = TimeGrid::for_system(&cfg.problem, cfg.n, cfg.steps(), 0.4);
         Ok((layout, cfg.problem, tg.dt))
@@ -502,4 +502,24 @@ fn robust_by_grid(
         survives && (covered || !lost.iter().any(|&g| holds(g, i)))
     });
     (0..n_grids).map(|g| index(g).map_or(0, |i| kept.coefficient(i))).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Technique;
+
+    #[test]
+    fn both_stacks_turn_a_bad_config_into_a_config_error() {
+        // Without validation, `D2::setup` panicked inside `ProcLayout::new`
+        // or `GridSystem::new` on these.
+        for (n, l, scale) in [(9, 1, 1), (3, 4, 1), (9, 4, 0)] {
+            let mut cfg = AppConfig::small(Technique::AlternateCombination);
+            (cfg.n, cfg.l, cfg.scale) = (n, l, scale);
+            let what = format!("n={n} l={l} scale={scale}");
+            assert!(matches!(D2::setup(&cfg), Err(Error::InvalidArg(_))), "D2 {what}");
+            cfg.dim = 3;
+            assert!(matches!(Nd::setup(&cfg), Err(Error::InvalidArg(_))), "Nd {what}");
+        }
+    }
 }

@@ -41,13 +41,20 @@
 //!     member copies its wire rows straight into its padded field;
 //! 12. a group root that gathers the same level twice through its landing
 //!     grid asks for fewer bytes the second time than one grid holds: no
-//!     grid-sized buffer is made again.
+//!     grid-sized buffer is made again;
+//! 13. what every rank builds before epoch 0, warm: the `solve3d_kill`
+//!     grid system makes **exactly 1** request (its grid vector, sized
+//!     once: levels are inline), validating the `solve3d_kill` and the
+//!     `ranks1k_kill` configurations **0** (the checks build nothing), a
+//!     `GridN` **1** (its values: level, shape and strides are inline)
+//!     and the `ranks1k_kill` 2D grid system **1**.
 //!
 //! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
 //! the measurement `expt-regress --exact` gates on; the multi-rank
 //! scenarios count between two of that module's allocation-free `Gate`s.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,7 +68,7 @@ use ftsg_core::psolve::DistributedSolver;
 use ftsg_core::psolve_nd::DistributedSolverN;
 use ftsg_core::stack::D2;
 use ftsg_core::{run_app, AppConfig, ProcLayout, Technique};
-use sparsegrid::{Grid2, LevelPair};
+use sparsegrid::{Grid2, GridN, GridSystem, GridSystemN, LevelPair};
 use ulfm_sim::{run, Comm, Ctx, RunConfig};
 
 static REQUESTS: AtomicU64 = AtomicU64::new(0);
@@ -141,6 +148,14 @@ fn warm_count<S>(
     });
     report.assert_no_app_errors();
     open.requests_until(&close)
+}
+
+/// Requests of the second of two calls of `f` on this thread.
+fn warm_call(f: impl Fn()) -> u64 {
+    f();
+    let before = requests();
+    f();
+    requests() - before
 }
 
 /// The CR configuration of scenario 4 at `checkpoints` checkpoints.
@@ -335,13 +350,36 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         regather < grid_bytes,
         "the second gather of a {grid_bytes}-byte grid asked for {regather} bytes"
     );
+    // 13. What every rank builds before epoch 0, warm, on this thread.
+    let solve3d = {
+        let mut cfg = AppConfig::small_nd(Technique::AlternateCombination, 3);
+        (cfg.n, cfg.l, cfg.scale, cfg.log2_steps) = (7, 4, 2, 6);
+        cfg
+    };
+    let ranks1k = AppConfig::paper_shaped(Technique::AlternateCombination, 9, 82, 2);
+    let layout = solve3d.technique.layout();
+    let setup = [
+        warm_call(|| drop(black_box(GridSystemN::new(3, 7, 4, layout)))),
+        warm_call(|| solve3d.validate().unwrap()),
+        warm_call(|| ranks1k.validate().unwrap()),
+        warm_call(|| drop(black_box(GridN::zeros(&[4, 4, 7])))),
+        warm_call(|| drop(black_box(GridSystem::new(9, 4, layout)))),
+    ];
+    assert_eq!(
+        setup,
+        [1, 0, 0, 1, 1],
+        "requests of: the solve3d_kill grid system (its grid vector: levels are inline), \
+         validating its configuration and ranks1k_kill's (nothing is built), a GridN (its \
+         values), the ranks1k_kill 2D grid system (its grid vector, sized once)"
+    );
     println!(
         "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
          rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
          gather_view of {RANKS} ranks; {extra_rounds} extra checkpoint rounds cost {:.3} of one \
          round's bytes each; 3 per warm robust solve (2D and 3D); 0 per warm Fig. 4 handler \
          call; 0 per warm level-9 scatter into solver rows; a second gather through the \
-         landing grid asked for {regather} bytes, one grid is {grid_bytes}",
+         landing grid asked for {regather} bytes, one grid is {grid_bytes}; set-up: 1 per 3D \
+         grid system, 0 per validation, 1 per GridN, 1 per 2D grid system",
         extra as f64 / extra_rounds as f64 / round_bytes as f64
     );
 }

@@ -16,7 +16,7 @@ use ftsg_core::gather::{
 use ftsg_core::layout::GroupInfo;
 use ftsg_core::layout_nd::GroupInfoN;
 use ftsg_core::psolve::block_range;
-use sparsegrid::{ComponentGrid, Grid2, GridN, LevelPair};
+use sparsegrid::{ComponentGrid, Grid2, GridN, LevelPair, LevelVecN};
 use ulfm_sim::{run, Report, RunConfig};
 
 const WORLD: usize = 6;
@@ -108,7 +108,7 @@ fn in_place_gather_equals_assemble_of_gather_2d() {
 #[test]
 fn in_place_gather_equals_assemble_of_gather_nd() {
     // A dirty target of another dimension.
-    in_place_gather_equals_reference(INFO3.size, INFO3, LEVEL3.to_vec(), block3, || {
+    in_place_gather_equals_reference(INFO3.size, INFO3, LevelVecN::new(&LEVEL3), block3, || {
         GridN::from_fn(&[4, 4], |_| f64::NAN)
     });
 }
@@ -120,7 +120,7 @@ fn wrong_block_count_or_length_keeps_the_reference_error_text() {
         let root = w.rank() == 0;
         let mut grid2 = root.then(|| Grid2::zeros(LEVEL2));
         let mut grid3 = root.then(|| GridN::zeros(&LEVEL3));
-        let level3 = LEVEL3.to_vec();
+        let level3 = LevelVecN::new(&LEVEL3);
         // (what, 2D layout, the 2D block rank 4 sends, 3D layout, its 3D block)
         let short2 = {
             let mut b = block2(4);
@@ -248,7 +248,7 @@ fn one_transport_moves_grid2_and_gridn_alike_at_d2() {
     let blocks = GroupInfo { grid: 0, first: 0, size: 3, px: 1, py: 3 };
     let slabs = GroupInfoN { grid: 0, first: 0, size: 3 };
     let d2 = d2_transport(blocks, LevelPair::new(4, 3), LevelPair::new(1, 2));
-    let nd = d2_transport(slabs, vec![4, 3], vec![1, 2]);
+    let nd = d2_transport(slabs, LevelVecN::new(&[4, 3]), LevelVecN::new(&[1, 2]));
     d2.assert_no_app_errors();
     nd.assert_no_app_errors();
     for key in ["gathered", "received", "scattered0", "scattered1", "scattered2", "combined"] {

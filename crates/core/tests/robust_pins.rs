@@ -92,7 +92,7 @@ fn search_nd(
             }
             let mut candidates: Vec<LevelVecN> = (0..j.dim())
                 .map(|axis| {
-                    let mut v = bad.clone();
+                    let mut v = bad;
                     v[axis] += 1;
                     v
                 })
@@ -157,10 +157,10 @@ fn levels_nd(
     lost: &[usize],
     covered: bool,
 ) -> (LevelSetN, Vec<LevelVecN>, LevelSetN) {
-    let level = |&b: &usize| sys.grid(b).level.clone();
+    let level = |&b: &usize| sys.grid(b).level;
     let mut surviving = LevelSetN::new(sys.dim());
     for g in sys.grids().iter().filter(|g| !lost.contains(&g.id)) {
-        surviving.insert(g.level.clone());
+        surviving.insert(g.level);
     }
     let lost: Vec<LevelVecN> = if covered {
         lost.iter().map(level).filter(|lv| !surviving.contains(lv)).collect()

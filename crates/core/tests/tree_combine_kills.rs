@@ -8,7 +8,7 @@
 use ftsg_core::gather::binomial_combine;
 use sparsegrid::{
     combine_binomial, combine_binomial_nd, combine_onto, combine_onto_nd, CombinationTerm,
-    CombinationTermN, ComponentGrid, Grid2, GridN, LevelPair,
+    CombinationTermN, ComponentGrid, Grid2, GridN, LevelPair, LevelVecN,
 };
 use ulfm_sim::{run, Error, FaultPlan, FaultSite, OpClass, Report, RunConfig};
 
@@ -45,8 +45,8 @@ impl Terms for Grid2 {
 }
 
 impl Terms for GridN {
-    fn target() -> Vec<u32> {
-        vec![2, 1, 2]
+    fn target() -> LevelVecN {
+        LevelVecN::new(&[2, 1, 2])
     }
     fn source(v: f64) -> Self {
         GridN::from_fn(&Self::target(), |x| v * (1.0 + x[0] + 2.0 * x[1] - x[2]))

@@ -108,12 +108,7 @@ impl ComponentGrid for GridN {
         }
     }
     fn reshape_to_header(&mut self, words: &[u64]) {
-        // The same level again (every receive after the first, in steady
-        // state) builds no level vector.
-        if !words.iter().map(|&w| w as u32).eq(self.level().iter().copied()) {
-            let level: LevelVecN = words.iter().map(|&w| w as u32).collect();
-            GridN::reshape(self, &level)
-        }
+        GridN::reshape(self, &words.iter().map(|&w| w as u32).collect::<LevelVecN>())
     }
     fn apply_periodic_seams(&mut self) {
         GridN::apply_periodic_seams(self)

@@ -53,7 +53,7 @@ pub use ndcombine::{
 pub use ndgrid::GridN;
 pub use ndim::{
     gcp_coefficients_nd, robust_coefficients_nd, verify_covering_nd, IndexedDownset, LevelSetN,
-    LevelVecN, RobustCoefficients,
+    LevelVecN, RobustCoefficients, MAX_DIM,
 };
 pub use norms::{l1_error_vs, l1_grid_diff, l2_error_vs, linf_error_vs};
 pub use scheme::{GridRole, GridSystem, Layout, SubGrid};

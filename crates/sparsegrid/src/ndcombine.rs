@@ -239,10 +239,10 @@ mod tests {
         let m = n - l + 1;
         let tau = n + (dim as u32 - 1) * m;
         let set = LevelSetN::try_truncated_simplex(dim, m, tau).unwrap();
-        let lost: LevelVecN = vec![4, 2, 2];
+        let lost = LevelVecN::new(&[4, 2, 2]);
         let mut surviving = LevelSetN::new(dim);
         for lv in set.iter().filter(|lv| **lv != lost) {
-            surviving.insert(lv.clone());
+            surviving.insert(*lv);
         }
         let coeffs =
             crate::ndim::robust_coefficients_nd(&set, std::slice::from_ref(&lost), &surviving);

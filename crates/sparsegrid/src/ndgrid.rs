@@ -18,8 +18,13 @@
 //! injecting walks through `inject_rows`. Both evaluate, node for node,
 //! the expression `eval` evaluates, so they are bitwise equal to a
 //! per-node `eval` fold (`tests/nd_props.rs` pins it).
+//!
+//! A grid's level, shape and strides are inline arrays of [`MAX_DIM`]
+//! entries, of which the first `d` are used, so a `GridN`'s only heap
+//! storage is its values: [`GridN::zeros`] makes one allocator request,
+//! as [`crate::Grid2::zeros`] does.
 
-use crate::ndim::LevelVecN;
+use crate::ndim::{LevelVecN, MAX_DIM};
 
 /// Nodal values of one d-dimensional component grid.
 ///
@@ -35,8 +40,10 @@ use crate::ndim::LevelVecN;
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridN {
     level: LevelVecN,
-    shape: Vec<usize>,
-    stride: Vec<usize>,
+    /// Points per axis, then zeros.
+    shape: [usize; MAX_DIM],
+    /// Row-major strides, then zeros.
+    stride: [usize; MAX_DIM],
     data: Vec<f64>,
 }
 
@@ -45,23 +52,24 @@ pub fn points_of(l: u32) -> usize {
     (1usize << l) + 1
 }
 
-/// Shape, row-major strides and node count of the lattice at `level`.
-fn geometry(level: &[u32]) -> (Vec<usize>, Vec<usize>, usize) {
+/// A grid at `level` around no values yet, and the node count of its
+/// lattice. Panics unless `1 ≤ d ≤ MAX_DIM`.
+fn geometry(level: &[u32]) -> (GridN, usize) {
     assert!(!level.is_empty(), "level vector must be non-empty");
-    let shape: Vec<usize> = level.iter().map(|&l| points_of(l)).collect();
-    let mut stride = vec![1usize; shape.len()];
-    for i in 1..shape.len() {
-        stride[i] = stride[i - 1] * shape[i - 1];
+    let level = LevelVecN::new(level);
+    let (mut shape, mut stride, mut total) = ([0; MAX_DIM], [0; MAX_DIM], 1);
+    for (a, &l) in level.iter().enumerate() {
+        (shape[a], stride[a]) = (points_of(l), total);
+        total *= shape[a];
     }
-    let total = stride.last().unwrap() * shape.last().unwrap();
-    (shape, stride, total)
+    (GridN { level, shape, stride, data: Vec::new() }, total)
 }
 
 impl GridN {
     /// Zero-initialized grid at the given level vector.
     pub fn zeros(level: &[u32]) -> Self {
-        let (shape, stride, total) = geometry(level);
-        GridN { level: level.to_vec(), shape, stride, data: vec![0.0; total] }
+        let (grid, total) = geometry(level);
+        GridN { data: vec![0.0; total], ..grid }
     }
 
     /// Grid sampled from a function of `x ∈ [0,1]^d`.
@@ -74,11 +82,11 @@ impl GridN {
     /// Rebuild from raw parts (checkpoint restore, message reassembly).
     /// Errors if the buffer length does not match the level.
     pub fn from_raw(level: &[u32], data: Vec<f64>) -> Result<Self, String> {
-        let (shape, stride, total) = geometry(level);
+        let (grid, total) = geometry(level);
         if data.len() != total {
             return Err(format!("grid {level:?}: expected {total} values, got {}", data.len()));
         }
-        Ok(GridN { level: level.to_vec(), shape, stride, data })
+        Ok(GridN { data, ..grid })
     }
 
     /// Reuse or re-shape: make this grid one at `level`, keeping its
@@ -89,11 +97,9 @@ impl GridN {
     /// (stale contents, zeros where the buffer grew): for in-place
     /// assembly that overwrites every node.
     pub fn reshape(&mut self, level: &[u32]) {
-        if level != self.level.as_slice() {
-            let (shape, stride, total) = geometry(level);
-            (self.shape, self.stride) = (shape, stride);
-            self.level.clear();
-            self.level.extend_from_slice(level);
+        if *level != *self.level {
+            let (grid, total) = geometry(level);
+            (self.level, self.shape, self.stride) = (grid.level, grid.shape, grid.stride);
             self.data.reserve_exact(total.saturating_sub(self.data.len()));
             self.data.resize(total, 0.0);
         }
@@ -111,24 +117,24 @@ impl GridN {
 
     /// Points per axis.
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        &self.shape[..self.dim()]
     }
 
     /// Row-major strides (axis 0 fastest).
     pub fn strides(&self) -> &[usize] {
-        &self.stride
+        &self.stride[..self.dim()]
     }
 
     /// Mesh width per axis.
     pub fn spacing(&self) -> Vec<f64> {
-        self.shape.iter().map(|&n| 1.0 / (n - 1) as f64).collect()
+        self.shape().iter().map(|&n| 1.0 / (n - 1) as f64).collect()
     }
 
     /// Linear index of a multi-index.
     #[inline]
     pub fn offset(&self, idx: &[usize]) -> usize {
         debug_assert_eq!(idx.len(), self.dim());
-        idx.iter().zip(&self.stride).map(|(&k, &s)| k * s).sum()
+        idx.iter().zip(self.strides()).map(|(&k, &s)| k * s).sum()
     }
 
     /// Nodal value at a multi-index.
@@ -156,7 +162,7 @@ impl GridN {
 
     /// The coordinates of a node.
     pub fn coords(&self, idx: &[usize]) -> Vec<f64> {
-        idx.iter().zip(&self.shape).map(|(&k, &n)| k as f64 / (n - 1) as f64).collect()
+        idx.iter().zip(self.shape()).map(|(&k, &n)| k as f64 / (n - 1) as f64).collect()
     }
 
     /// d-linear evaluation at an arbitrary point of `[0,1]^d` (clamped).
@@ -215,9 +221,9 @@ impl GridN {
     /// combined solution.
     pub fn sample_to(&self, target: &[u32]) -> GridN {
         let mut out = GridN::zeros(target);
-        let mut walk = InterpWalk::new(&out.shape);
+        let mut walk = InterpWalk::new(out.shape());
         // Node coordinates exactly as `coords` computes them.
-        let denom: Vec<f64> = out.shape.iter().map(|&n| (n - 1) as f64).collect();
+        let denom: Vec<f64> = out.shape().iter().map(|&n| (n - 1) as f64).collect();
         walk.aim(self, |i, k| k as f64 / denom[i]);
         walk.run(self, &mut out.data, |o, v| *o = v);
         out
@@ -233,15 +239,15 @@ impl GridN {
 
     /// Fill from a function (reusing the allocation).
     pub fn fill_from(&mut self, f: impl Fn(&[f64]) -> f64) {
-        let data = &mut self.data;
-        walk_coords(&self.shape, |o, x| data[o] = f(x));
+        let (shape, data) = (&self.shape[..self.level.len()], &mut self.data);
+        walk_coords(shape, |o, x| data[o] = f(x));
     }
 
     /// Mean absolute nodal difference against a reference function —
     /// the d-dimensional analogue of the 2D L1 error norm.
     pub fn l1_error_vs(&self, f: impl Fn(&[f64]) -> f64) -> f64 {
         let mut sum = 0.0;
-        walk_coords(&self.shape, |o, x| sum += (self.data[o] - f(x)).abs());
+        walk_coords(self.shape(), |o, x| sum += (self.data[o] - f(x)).abs());
         sum / self.data.len() as f64
     }
 
@@ -252,9 +258,10 @@ impl GridN {
     /// consistent. Axes `< a` spanning their full extent makes every copy
     /// of axis `a`'s pass one contiguous run of `stride[a]` values.
     pub fn apply_periodic_seams(&mut self) {
-        let below_seam: Vec<usize> = self.shape.iter().map(|&n| n - 1).collect();
-        let GridN { stride, data, .. } = self;
-        for a in 0..stride.len() {
+        let d = self.dim();
+        let below_seam = self.shape.map(|n| n.saturating_sub(1));
+        let (below_seam, stride, data) = (&below_seam[..d], &self.stride[..d], &mut self.data);
+        for a in 0..d {
             let (run, seam) = (stride[a], below_seam[a] * stride[a]);
             for_each_offset(&below_seam[a + 1..], &stride[a + 1..], 0, &mut |off| {
                 data.copy_within(off..off + run, off + seam);
@@ -364,14 +371,14 @@ pub(crate) fn inject_rows(src: &GridN, out: &mut GridN, apply: impl Fn(&mut f64,
     let step: Vec<usize> = (out.level.iter().zip(&src.level).zip(&src.stride))
         .map(|((&t, &s), &stride)| stride << (s - t))
         .collect();
-    let n0 = out.shape[0];
-    let mut hi = vec![0usize; out.dim() - 1];
+    let (n0, d) = (out.shape[0], out.dim());
+    let mut hi = vec![0usize; d - 1];
     for row in out.data.chunks_exact_mut(n0) {
         let base: usize = hi.iter().zip(&step[1..]).map(|(&k, &s)| k * s).sum();
         for (k, o) in row.iter_mut().enumerate() {
             apply(o, src.data[base + k * step[0]]);
         }
-        advance(&mut hi, &out.shape[1..]);
+        advance(&mut hi, &out.shape[1..d]);
     }
 }
 

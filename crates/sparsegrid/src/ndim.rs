@@ -60,13 +60,88 @@
 //! ones the set-based search gave; `ftsg-core`'s `robust_pins` test
 //! checks that against a transcription of it on every loss of one to
 //! three grids of the application's shapes.
+//!
+//! ## Inline levels
+//!
+//! A [`LevelVecN`] holds its axes inline, up to [`MAX_DIM`] of them: a
+//! `Copy` value like the 2D [`crate::LevelPair`], so building, copying or
+//! keying a set by one asks the allocator for nothing. It reads as the
+//! slice of its `d` axes and compares, orders and prints as that slice,
+//! so a [`LevelSetN`] iterates in the same lexicographic order and every
+//! message shows a level as `[4, 2, 2]`. [`MAX_DIM`] is the one bound on
+//! the dimension: the grid system, the configuration and the v3
+//! checkpoint format all refuse more axes.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
-/// A level vector in `d` dimensions. Plain `Vec<u32>` keyed containers
-/// keep the module dependency-free; dimensions are validated at set
-/// construction.
-pub type LevelVecN = Vec<u32>;
+/// The most axes a [`LevelVecN`] holds, and so the largest dimension the
+/// d-dimensional stack runs at.
+pub const MAX_DIM: usize = 8;
+
+/// A level vector of `d ≤ MAX_DIM` axes, held inline (see the module
+/// docs): it derefs to the slice of its axes and compares, orders and
+/// prints as that slice. The axes past `d` stay 0, the least `u32`, so
+/// the derived order — the padded axes first, then `d` — is the slice's
+/// lexicographic order, a proper prefix first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct LevelVecN {
+    axes: [u32; MAX_DIM],
+    len: u8,
+}
+
+impl LevelVecN {
+    /// The level with these axes. Panics beyond [`MAX_DIM`] axes.
+    pub fn new(axes: &[u32]) -> Self {
+        axes.iter().copied().collect()
+    }
+
+    /// `value` on each of `dim` axes. Panics beyond [`MAX_DIM`].
+    pub fn splat(value: u32, dim: usize) -> Self {
+        std::iter::repeat_n(value, dim).collect()
+    }
+}
+
+impl Deref for LevelVecN {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        &self.axes[..self.len as usize]
+    }
+}
+
+impl DerefMut for LevelVecN {
+    fn deref_mut(&mut self) -> &mut [u32] {
+        &mut self.axes[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for LevelVecN {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl FromIterator<u32> for LevelVecN {
+    /// Panics beyond [`MAX_DIM`] axes.
+    fn from_iter<I: IntoIterator<Item = u32>>(axes: I) -> Self {
+        let mut level = LevelVecN { axes: [0; MAX_DIM], len: 0 };
+        for l in axes {
+            assert!(level.len() < MAX_DIM, "a level vector holds at most {MAX_DIM} axes");
+            level.axes[level.len()] = l;
+            level.len += 1;
+        }
+        level
+    }
+}
+
+impl<'a> IntoIterator for &'a LevelVecN {
+    type Item = &'a u32;
+    type IntoIter = std::slice::Iter<'a, u32>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// Componentwise `≤` (the lattice order).
 pub fn leq(a: &[u32], b: &[u32]) -> bool {
@@ -102,15 +177,15 @@ impl LevelSetN {
     }
 
     /// Fallible constructor for the truncated simplex: the errors of
-    /// [`TruncatedSimplex::new`] are returned rather than panicked on, so
-    /// user-supplied config can be validated at the boundary.
+    /// [`TruncatedSimplex::new`], and a dimension beyond [`MAX_DIM`], are
+    /// returned rather than panicked on, so user-supplied config can be
+    /// validated at the boundary.
     pub fn try_truncated_simplex(dim: usize, floor: u32, tau: u32) -> Result<Self, String> {
         let simplex = TruncatedSimplex::new(dim, floor, tau)?;
-        let mut set = LevelSetN::new(dim);
-        for level in simplex.levels() {
-            set.levels.insert(level);
+        if dim > MAX_DIM {
+            return Err(format!("dimension {dim} exceeds MAX_DIM = {MAX_DIM}"));
         }
-        Ok(set)
+        Ok(LevelSetN { dim, levels: simplex.levels().collect() })
     }
 
     /// Dimension of the member vectors.
@@ -121,7 +196,7 @@ impl LevelSetN {
     /// Membership.
     pub fn contains(&self, l: &[u32]) -> bool {
         debug_assert_eq!(l.len(), self.dim);
-        self.levels.contains(l)
+        self.levels.contains(&LevelVecN::new(l))
     }
 
     /// Insert a level (must match the dimension).
@@ -183,6 +258,16 @@ impl TruncatedSimplex {
         Ok(TruncatedSimplex { dim, floor, tau })
     }
 
+    /// The floor of every axis.
+    pub(crate) fn floor(&self) -> u32 {
+        self.floor
+    }
+
+    /// The bound on `|l|₁`.
+    pub(crate) fn tau(&self) -> u32 {
+        self.tau
+    }
+
     /// Number of levels: the ways to spread at most `tau − floor · d` over
     /// `d` axes, `C(tau − floor · d + d, d)`.
     fn len(&self) -> usize {
@@ -206,10 +291,10 @@ impl TruncatedSimplex {
         false
     }
 
-    /// The levels as vectors, in lexicographic order.
+    /// The levels, in lexicographic order. Panics beyond [`MAX_DIM`].
     pub fn levels(self) -> impl Iterator<Item = LevelVecN> {
-        std::iter::successors(Some(vec![self.floor; self.dim]), move |level| {
-            let mut next = level.clone();
+        std::iter::successors(Some(LevelVecN::splat(self.floor, self.dim)), move |level| {
+            let mut next = *level;
             self.advance(&mut next).then_some(next)
         })
     }
@@ -221,19 +306,18 @@ pub fn gcp_coefficients_nd(j: &LevelSetN) -> BTreeMap<LevelVecN, i64> {
     let d = j.dim();
     assert!(d < 63, "coefficient enumeration over 2^d corners needs d < 63");
     let mut out = BTreeMap::new();
-    let mut probe = vec![0u32; d];
     for a in j.iter() {
         let mut c: i64 = 0;
         for z in 0..(1u64 << d) {
             let ones = z.count_ones();
-            probe.clear();
-            probe.extend(a.iter().enumerate().map(|(i, &v)| v + ((z >> i) & 1) as u32));
+            let probe: LevelVecN =
+                a.iter().enumerate().map(|(i, &v)| v + ((z >> i) & 1) as u32).collect();
             if j.contains(&probe) {
                 c += if ones % 2 == 0 { 1 } else { -1 };
             }
         }
         if c != 0 {
-            out.insert(a.clone(), c);
+            out.insert(*a, c);
         }
     }
     out
@@ -246,13 +330,13 @@ pub fn verify_covering_nd(coeffs: &BTreeMap<LevelVecN, i64>, floor: u32) -> Opti
     let d = first.len();
     // Hull: componentwise ranges floor..=max over support; enumerate and
     // test every point dominated by some support level.
-    let mut maxes = vec![floor; d];
+    let mut maxes = LevelVecN::splat(floor, d);
     for a in coeffs.keys() {
         for (m, &v) in maxes.iter_mut().zip(a) {
             *m = (*m).max(v);
         }
     }
-    let mut cursor = vec![floor; d];
+    let mut cursor = LevelVecN::splat(floor, d);
     loop {
         let dominated = coeffs.keys().any(|a| leq(&cursor, a));
         if dominated {
@@ -291,7 +375,7 @@ pub fn robust_coefficients_nd(
         let l = set.level(i);
         !lost.iter().any(|q| q[..] == *l) && available.contains(l)
     });
-    robust.iter().map(|(i, c)| (set.level(i).to_vec(), c)).collect()
+    robust.iter().map(|(i, c)| (LevelVecN::new(set.level(i)), c)).collect()
 }
 
 /// Marks a corner outside the set in an [`IndexedDownset`] row.
@@ -572,7 +656,11 @@ mod tests {
 
         assert_eq!(c_nd.len(), c_2d.len());
         for (lv, c) in &c_2d {
-            assert_eq!(c_nd.get(&vec![lv.i, lv.j]).copied(), Some(*c as i64), "mismatch at {lv}");
+            assert_eq!(
+                c_nd.get(&LevelVecN::new(&[lv.i, lv.j])).copied(),
+                Some(*c as i64),
+                "mismatch at {lv}"
+            );
         }
     }
 
@@ -594,11 +682,15 @@ mod tests {
             let l = vec![a, a, s - 2 * a];
             assert!(l.iter().all(|&x| x > floor), "pick interior point");
             let expect = if q % 2 == 0 { choose(d - 1, q) } else { -choose(d - 1, q) };
-            assert_eq!(c.get(&l).copied().unwrap_or(0), expect, "diagonal q={q} at {l:?}");
+            assert_eq!(
+                c.get(&LevelVecN::new(&l)).copied().unwrap_or(0),
+                expect,
+                "diagonal q={q} at {l:?}"
+            );
         }
         // Deeper diagonals vanish.
-        let deep = vec![3, 3, tau - 6 - 3];
-        assert_eq!(c.get(&deep).copied().unwrap_or(0), 0);
+        let deep = [3, 3, tau - 6 - 3];
+        assert_eq!(c.get(&LevelVecN::new(&deep)).copied().unwrap_or(0), 0);
     }
 
     #[test]
@@ -619,7 +711,7 @@ mod tests {
         let j = LevelSetN::truncated_simplex(d, floor, tau);
         let available = j.clone();
         // Lose two top-diagonal grids.
-        let lost = vec![vec![2, 3, 3], vec![3, 3, 2]];
+        let lost = [LevelVecN::new(&[2, 3, 3]), LevelVecN::new(&[3, 3, 2])];
         let c = robust_coefficients_nd(&j, &lost, &available);
         assert!(!c.is_empty());
         assert_eq!(c.values().sum::<i64>(), 1);
@@ -636,7 +728,7 @@ mod tests {
         let floor = 4;
         let tau = 11; // the (n=7, l=4) system
         let nd = LevelSetN::truncated_simplex(2, floor, tau);
-        let lost = vec![vec![5, 5], vec![4, 4]];
+        let lost = [LevelVecN::new(&[5, 5]), LevelVecN::new(&[4, 4])];
         let c = robust_coefficients_nd(&nd, &lost, &nd.clone());
         assert!(!c.is_empty(), "the partial surgery exists");
         assert_eq!(c.values().sum::<i64>(), 1);
@@ -656,7 +748,7 @@ mod tests {
             }
             oracle.retain(|l| l.iter().sum::<u32>() <= tau);
             let set = LevelSetN::truncated_simplex(d, floor, tau);
-            assert!(set.iter().eq(&oracle), "d={d}");
+            assert!(set.iter().map(|l| &l[..]).eq(&oracle), "d={d}");
             let indexed = IndexedDownset::truncated_simplex(d, floor, tau);
             assert_eq!(indexed.len(), oracle.len(), "d={d}");
             for (i, l) in oracle.iter().enumerate() {
@@ -679,7 +771,7 @@ mod tests {
             let set = LevelSetN::truncated_simplex(d, floor, tau);
             let indexed = IndexedDownset::truncated_simplex(d, floor, tau);
             let all: BTreeMap<LevelVecN, i64> = (indexed.robust(|_| true).iter())
-                .map(|(i, c)| (indexed.level(i).to_vec(), c))
+                .map(|(i, c)| (LevelVecN::new(indexed.level(i)), c))
                 .collect();
             assert_eq!(all, gcp_coefficients_nd(&set), "d={d}");
         }

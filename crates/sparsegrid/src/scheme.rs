@@ -89,7 +89,12 @@ impl GridSystem {
         assert!(l >= 2, "combination level must be ≥ 2, got {l}");
         assert!(n >= l, "full grid size n={n} must be ≥ level l={l}");
         let m = n - l + 1;
-        let mut grids = Vec::new();
+        let redundant = match layout {
+            Layout::Plain => 0,
+            Layout::Duplicates => l,
+            Layout::ExtraLayers => l - 2 + l.saturating_sub(3),
+        };
+        let mut grids = Vec::with_capacity((2 * l - 1 + redundant) as usize);
         for k in 0..l as usize {
             grids.push(SubGrid {
                 id: grids.len(),

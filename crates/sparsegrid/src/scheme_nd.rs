@@ -20,8 +20,15 @@
 //! At `d = 2` the grid IDs, levels, roles and coefficients coincide with
 //! [`crate::scheme::GridSystem`] exactly (a unit test pins this), so the
 //! 2D fast path remains the reference instantiation.
+//!
+//! Every layer is read off the one listing of the simplex,
+//! [`TruncatedSimplex`]'s lexicographic odometer, filtered by `|l|₁`, and
+//! every level is an inline [`LevelVecN`] (`d ≤ MAX_DIM`), so building a
+//! system makes one allocator request: its grid vector, sized up front.
+//! [`GridSystemN::check`] runs the constructor's checks alone and builds
+//! nothing, for validating a configuration.
 
-use crate::ndim::{IndexedDownset, LevelSetN, LevelVecN, TruncatedSimplex};
+use crate::ndim::{IndexedDownset, LevelSetN, LevelVecN, TruncatedSimplex, MAX_DIM};
 use crate::scheme::Layout;
 
 /// The role a sub-grid plays in the d-dimensional system.
@@ -47,8 +54,19 @@ pub enum GridRoleN {
     },
 }
 
+impl GridRoleN {
+    /// The same role at position `k` of its layer.
+    fn at(self, k: usize) -> Self {
+        match self {
+            GridRoleN::Combining { q, .. } => GridRoleN::Combining { q, k },
+            GridRoleN::Duplicate(_) => GridRoleN::Duplicate(k),
+            GridRoleN::ExtraLayer { t, .. } => GridRoleN::ExtraLayer { t, k },
+        }
+    }
+}
+
 /// One sub-grid of the d-dimensional system.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubGridN {
     /// Stable ID (combining grids first, layer by layer, then redundancy).
     pub id: usize,
@@ -89,32 +107,6 @@ fn choose(n: u32, k: u32) -> i64 {
     r
 }
 
-/// All level vectors with `l_i ≥ floor` and `|l|₁ = sum`, lexicographic.
-fn layer_levels(dim: usize, floor: u32, sum: u32) -> Vec<LevelVecN> {
-    let mut out = Vec::new();
-    let mut cur = vec![floor; dim];
-    fn rec(cur: &mut LevelVecN, axis: usize, floor: u32, remaining: u32, out: &mut Vec<LevelVecN>) {
-        if axis + 1 == cur.len() {
-            if remaining >= floor {
-                cur[axis] = remaining;
-                out.push(cur.clone());
-            }
-            return;
-        }
-        let rest_min = floor * (cur.len() - axis - 1) as u32;
-        let mut v = floor;
-        while v + rest_min <= remaining {
-            cur[axis] = v;
-            rec(cur, axis + 1, floor, remaining - v, out);
-            v += 1;
-        }
-    }
-    if sum >= floor * dim as u32 {
-        rec(&mut cur, 0, floor, sum, &mut out);
-    }
-    out
-}
-
 impl GridSystemN {
     /// Build the system for dimension `dim`, full grid size `n`, level `l`
     /// and a layout. Panicking wrapper around [`GridSystemN::try_new`].
@@ -126,11 +118,41 @@ impl GridSystemN {
     }
 
     /// Fallible constructor — the validation boundary for user-supplied
-    /// configuration. Rejects `dim < 1`, `l < 2`, `n < l`, and parameter
-    /// combinations whose `τ = n + (d−1)m` overflows `u32`.
+    /// configuration: the errors of [`GridSystemN::check`].
     pub fn try_new(dim: usize, n: u32, l: u32, layout: Layout) -> Result<Self, String> {
+        let simplex = Self::check(dim, n, l)?;
+        let (m, tau) = (simplex.floor(), simplex.tau());
+        // Each layer as (|l|₁, the role of its grids), in id order.
+        let combining =
+            (0..dim.min(l as usize)).map(|q| (tau - q as u32, GridRoleN::Combining { q, k: 0 }));
+        let duplicates = (layout == Layout::Duplicates).then_some((tau, GridRoleN::Duplicate(0)));
+        let extra = (1..=2usize).filter(|_| layout == Layout::ExtraLayers).filter_map(|t| {
+            let sum = tau.checked_sub(dim as u32 + t as u32 - 1)?;
+            (sum >= m * dim as u32).then_some((sum, GridRoleN::ExtraLayer { t, k: 0 }))
+        });
+        let layers = combining.chain(duplicates).chain(extra);
+        let layer =
+            |sum: u32| simplex.levels().filter(move |level| level.iter().sum::<u32>() == sum);
+        let len = layers.clone().map(|(sum, _)| layer(sum).count()).sum();
+        let mut grids = Vec::with_capacity(len);
+        for (sum, role) in layers {
+            for (k, level) in layer(sum).enumerate() {
+                grids.push(SubGridN { id: grids.len(), level, role: role.at(k) });
+            }
+        }
+        Ok(GridSystemN { dim, n, l, layout, grids })
+    }
+
+    /// The checks of [`GridSystemN::try_new`] alone, building nothing: the
+    /// classical simplex of the system, or why there is none. Rejects
+    /// `dim < 1`, `dim > MAX_DIM`, `l < 2`, `n < l`, and parameter
+    /// combinations whose `τ = n + (d−1)m` overflows `u32`.
+    pub fn check(dim: usize, n: u32, l: u32) -> Result<TruncatedSimplex, String> {
         if dim < 1 {
             return Err(format!("dimension must be ≥ 1, got {dim}"));
+        }
+        if dim > MAX_DIM {
+            return Err(format!("dimension {dim} exceeds MAX_DIM = {MAX_DIM}"));
         }
         if l < 2 {
             return Err(format!("combination level must be ≥ 2, got {l}"));
@@ -139,49 +161,12 @@ impl GridSystemN {
             return Err(format!("full grid size n={n} must be ≥ level l={l}"));
         }
         let m = n - l + 1;
-        let d32 = u32::try_from(dim).map_err(|_| format!("dimension {dim} exceeds u32 range"))?;
-        let tau = (d32 - 1)
+        let tau = (dim as u32 - 1)
             .checked_mul(m)
             .and_then(|v| v.checked_add(n))
             .ok_or_else(|| format!("tau overflows u32 for dim={dim}, n={n}, l={l}"))?;
         // The simplex must be constructible too (floor · d ≤ tau etc.).
-        TruncatedSimplex::new(dim, m, tau)?;
-
-        let mut grids = Vec::new();
-        for q in 0..dim.min(l as usize) {
-            for (k, level) in layer_levels(dim, m, tau - q as u32).into_iter().enumerate() {
-                grids.push(SubGridN {
-                    id: grids.len(),
-                    level,
-                    role: GridRoleN::Combining { q, k },
-                });
-            }
-        }
-        match layout {
-            Layout::Plain => {}
-            Layout::Duplicates => {
-                let tops: Vec<LevelVecN> = layer_levels(dim, m, tau);
-                for (k, level) in tops.into_iter().enumerate() {
-                    grids.push(SubGridN { id: grids.len(), level, role: GridRoleN::Duplicate(k) });
-                }
-            }
-            Layout::ExtraLayers => {
-                for t in 1..=2usize {
-                    let sum = tau as i64 - dim as i64 - t as i64 + 1;
-                    if sum < (m as i64) * dim as i64 {
-                        continue;
-                    }
-                    for (k, level) in layer_levels(dim, m, sum as u32).into_iter().enumerate() {
-                        grids.push(SubGridN {
-                            id: grids.len(),
-                            level,
-                            role: GridRoleN::ExtraLayer { t, k },
-                        });
-                    }
-                }
-            }
-        }
-        Ok(GridSystemN { dim, n, l, layout, grids })
+        TruncatedSimplex::new(dim, m, tau)
     }
 
     /// Dimension `d`.
@@ -206,7 +191,7 @@ impl GridSystemN {
 
     /// Minimum (truncation) level `m = n − l + 1` on every axis.
     pub fn min_level(&self) -> LevelVecN {
-        vec![self.n - self.l + 1; self.dim]
+        LevelVecN::splat(self.n - self.l + 1, self.dim)
     }
 
     /// The top-layer sum `τ = n + (d−1)·m`.
@@ -263,7 +248,7 @@ impl GridSystemN {
     pub fn available_levels(&self) -> LevelSetN {
         let mut set = LevelSetN::new(self.dim);
         for g in &self.grids {
-            set.insert(g.level.clone());
+            set.insert(g.level);
         }
         set
     }
@@ -277,7 +262,7 @@ impl GridSystemN {
     pub fn combining_id_at(&self, level: &[u32]) -> Option<usize> {
         self.grids
             .iter()
-            .find(|g| g.level == level && self.classical_coefficient(g.id) != 0)
+            .find(|g| *g.level == *level && self.classical_coefficient(g.id) != 0)
             .map(|g| g.id)
     }
 
@@ -294,7 +279,7 @@ impl GridSystemN {
                 .find(|g| g.role == GridRoleN::Duplicate(k))
                 .map(|g| RcSourceN::Copy(g.id)),
             GridRoleN::Combining { .. } => {
-                let mut finer = self.grids[id].level.clone();
+                let mut finer = self.grids[id].level;
                 finer[0] += 1;
                 self.combining_id_at(&finer).map(RcSourceN::Resample)
             }
@@ -352,7 +337,7 @@ mod tests {
             assert_eq!(nd.tau(), d2.tau());
             for g in d2.grids() {
                 let ng = nd.grid(g.id);
-                assert_eq!(ng.level, vec![g.level.i, g.level.j], "id {}", g.id);
+                assert_eq!(*ng.level, [g.level.i, g.level.j], "id {}", g.id);
                 assert_eq!(
                     nd.classical_coefficient(g.id),
                     d2.classical_coefficient(g.id) as i64,
@@ -383,7 +368,7 @@ mod tests {
         assert_eq!(rc.n_grids(), 19 + 10);
         let ac = GridSystemN::new(3, 4, 4, Layout::ExtraLayers);
         assert_eq!(ac.n_grids(), 19 + 1); // one extra grid: (1,1,1)
-        assert_eq!(ac.grids().last().unwrap().level, vec![1, 1, 1]);
+        assert_eq!(*ac.grids().last().unwrap().level, [1, 1, 1]);
     }
 
     #[test]
@@ -445,7 +430,112 @@ mod tests {
         assert!(GridSystemN::try_new(3, 4, 1, Layout::Plain).is_err());
         assert!(GridSystemN::try_new(3, 3, 4, Layout::Plain).is_err());
         assert!(GridSystemN::try_new(usize::MAX, 8, 4, Layout::Plain).is_err());
+        assert!(GridSystemN::try_new(MAX_DIM + 1, 4, 4, Layout::Plain).is_err());
+        assert!(GridSystemN::try_new(3, u32::MAX, 4, Layout::Plain).is_err());
         assert!(GridSystemN::try_new(3, 4, 4, Layout::Plain).is_ok());
+        assert_eq!(GridSystemN::new(MAX_DIM, 3, 2, Layout::ExtraLayers).dim(), MAX_DIM);
+    }
+
+    #[test]
+    fn check_reports_what_try_new_reports() {
+        for (dim, n, l) in [
+            (0, 4, 4),
+            (MAX_DIM + 1, 4, 4),
+            (usize::MAX, 8, 4),
+            (3, 4, 1),
+            (3, 3, 4),
+            (3, u32::MAX, 4),
+        ] {
+            let built = GridSystemN::try_new(dim, n, l, Layout::ExtraLayers).map(|_| ());
+            assert_eq!(GridSystemN::check(dim, n, l).map(|_| ()), built, "d={dim} n={n} l={l}");
+            assert!(built.is_err());
+        }
+        assert!(GridSystemN::check(3, 7, 4).is_ok());
+    }
+
+    /// The recursive listing of a layer the constructor used before it read
+    /// layers off the simplex's odometer, transcribed: every level with
+    /// `l_i ≥ floor` and `|l|₁ = sum`, lexicographic.
+    fn recursive_layer(dim: usize, floor: u32, sum: u32) -> Vec<Vec<u32>> {
+        fn rec(
+            cur: &mut Vec<u32>,
+            axis: usize,
+            floor: u32,
+            remaining: u32,
+            out: &mut Vec<Vec<u32>>,
+        ) {
+            if axis + 1 == cur.len() {
+                if remaining >= floor {
+                    cur[axis] = remaining;
+                    out.push(cur.clone());
+                }
+                return;
+            }
+            let rest_min = floor * (cur.len() - axis - 1) as u32;
+            let mut v = floor;
+            while v + rest_min <= remaining {
+                cur[axis] = v;
+                rec(cur, axis + 1, floor, remaining - v, out);
+                v += 1;
+            }
+        }
+        let mut out = Vec::new();
+        if sum >= floor * dim as u32 {
+            rec(&mut vec![floor; dim], 0, floor, sum, &mut out);
+        }
+        out
+    }
+
+    /// `(id, level, role)` of every grid as the recursive constructor built
+    /// them.
+    fn recursive_system(
+        dim: usize,
+        n: u32,
+        l: u32,
+        layout: Layout,
+    ) -> Vec<(usize, Vec<u32>, GridRoleN)> {
+        let m = n - l + 1;
+        let tau = n + (dim as u32 - 1) * m;
+        let mut grids = Vec::new();
+        let mut push = |levels: Vec<Vec<u32>>, role: &dyn Fn(usize) -> GridRoleN| {
+            for (k, level) in levels.into_iter().enumerate() {
+                grids.push((grids.len(), level, role(k)));
+            }
+        };
+        for q in 0..dim.min(l as usize) {
+            push(recursive_layer(dim, m, tau - q as u32), &|k| GridRoleN::Combining { q, k });
+        }
+        match layout {
+            Layout::Plain => {}
+            Layout::Duplicates => push(recursive_layer(dim, m, tau), &GridRoleN::Duplicate),
+            Layout::ExtraLayers => {
+                for t in 1..=2usize {
+                    let sum = tau as i64 - dim as i64 - t as i64 + 1;
+                    if sum >= (m as i64) * dim as i64 {
+                        push(recursive_layer(dim, m, sum as u32), &|k| GridRoleN::ExtraLayer {
+                            t,
+                            k,
+                        });
+                    }
+                }
+            }
+        }
+        grids
+    }
+
+    #[test]
+    fn odometer_layers_match_the_recursive_listing() {
+        for dim in 1..=5 {
+            for (n, l) in [(2, 2), (4, 2), (4, 4), (5, 3), (7, 4), (8, 6), (9, 9)] {
+                for layout in [Layout::Plain, Layout::Duplicates, Layout::ExtraLayers] {
+                    let sys = GridSystemN::new(dim, n, l, layout);
+                    let got: Vec<(usize, Vec<u32>, GridRoleN)> =
+                        sys.grids().iter().map(|g| (g.id, g.level.to_vec(), g.role)).collect();
+                    let want = recursive_system(dim, n, l, layout);
+                    assert_eq!(got, want, "d={dim} n={n} l={l} {layout:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn pick_lost(downset: &LevelSetN, mask: u64) -> Vec<LevelVecN> {
         .iter()
         .enumerate()
         .filter(|(i, _)| i + 1 < downset.len() && (mask >> (i % 64)) & 1 == 1)
-        .map(|(_, lv)| lv.clone())
+        .map(|(_, lv)| *lv)
         .collect()
 }
 
@@ -220,7 +220,7 @@ proptest! {
         let survivors_nd = {
             let mut s = LevelSetN::new(2);
             for lv in downset.iter().filter(|lv| !lost_nd.contains(lv)) {
-                s.insert(lv.clone());
+                s.insert(*lv);
             }
             s
         };
@@ -233,7 +233,7 @@ proptest! {
         let c_2d = robust_coefficients(&set2d, &lost_2d, &survivors_2d);
 
         let c_2d_as_nd: BTreeMap<LevelVecN, i64> =
-            c_2d.iter().map(|(p, &c)| (vec![p.i, p.j], c as i64)).collect();
+            c_2d.iter().map(|(p, &c)| (LevelVecN::new(&[p.i, p.j]), c as i64)).collect();
         prop_assert_eq!(c_nd, c_2d_as_nd);
     }
 
@@ -252,7 +252,7 @@ proptest! {
         let survivors = {
             let mut s = LevelSetN::new(dim);
             for lv in downset.iter().filter(|lv| !lost.contains(lv)) {
-                s.insert(lv.clone());
+                s.insert(*lv);
             }
             s
         };
@@ -281,7 +281,7 @@ proptest! {
         let mut coeffs = gcp_coefficients_nd(&downset);
         prop_assert_eq!(verify_covering_nd(&coeffs, floor), None);
         let support: Vec<LevelVecN> = coeffs.keys().cloned().collect();
-        let victim = support[(idx % support.len() as u64) as usize].clone();
+        let victim = support[(idx % support.len() as u64) as usize];
         *coeffs.get_mut(&victim).unwrap() += bump;
         coeffs.retain(|_, c| *c != 0);
         prop_assert!(
