@@ -611,6 +611,15 @@ pub fn write_steps(shape: &CaseShape) -> Vec<u64> {
 /// time (like real SIGKILLs), so an early repair can legitimately
 /// preempt the targeted write — in that interleaving the corruption
 /// never reaches disk and no skip is owed.
+///
+/// The asynchronous writer keeps only the newest snapshot whose write has
+/// not started on the virtual clock, so a strike on a step that a later
+/// checkpoint superseded never lands either: that file is never written.
+/// O6 already keys off `ckpt_corrupt_applied`, which counts only strikes
+/// on files that landed, so no skip is owed there. In the cases this
+/// function selects the damaged step is the newest checkpoint taken
+/// before the failure is detected, which nothing supersedes and the
+/// recovery drain lands.
 pub fn corrupt_read_expected(case: &ChaosCase) -> bool {
     let Some(strike) = &case.corruption else { return false };
     if case.technique != Technique::CheckpointRestart || case.victims.is_empty() {

@@ -78,6 +78,8 @@ pub struct RepairRow {
     pub restore: f64,
     pub err_l1: f64,
     pub ops: [u64; AUDITED_OPS.len()],
+    /// Checkpoint snapshots the writer superseded (`ckpt_superseded`).
+    pub superseded: u64,
 }
 
 /// The parent commit (`af44c49`, the four-agree protocol) on the same
@@ -91,6 +93,7 @@ const PARENT: [RepairRow; 5] = [
         restore: 0.000140000000000029,
         err_l1: 2.1087270803889937e-6,
         ops: [3, 1, 1, 1, 1, 2, 2],
+        superseded: 0,
     },
     RepairRow {
         makespan: 184.62005456143999,
@@ -98,6 +101,7 @@ const PARENT: [RepairRow; 5] = [
         restore: 0.0001399999999875945,
         err_l1: 1.317342714116752e-7,
         ops: [3, 1, 1, 1, 1, 2, 2],
+        superseded: 0,
     },
     RepairRow {
         makespan: 2.1650586609852627,
@@ -105,6 +109,7 @@ const PARENT: [RepairRow; 5] = [
         restore: 0.000180000000000069,
         err_l1: 0.0010830862873698035,
         ops: [3, 1, 1, 1, 1, 2, 2],
+        superseded: 0,
     },
     RepairRow {
         makespan: 58.751353987199806,
@@ -112,6 +117,7 @@ const PARENT: [RepairRow; 5] = [
         restore: 48.04178158799222,
         err_l1: 1.054192564302708e-6,
         ops: [3, 1, 1, 1, 1, 2, 2],
+        superseded: 0,
     },
     RepairRow {
         makespan: 45.71703210581893,
@@ -119,6 +125,7 @@ const PARENT: [RepairRow; 5] = [
         restore: 0.0002662438400022893,
         err_l1: 2.6029160974104527e-5,
         ops: [3, 0, 1, 0, 0, 2, 2],
+        superseded: 0,
     },
 ];
 
@@ -191,6 +198,7 @@ fn row_of(report: &Report) -> RepairRow {
         ops: AUDITED_OPS.map(|op| {
             report.get_list(&keys::op_count(op)).map_or(0, |v| v.iter().sum::<f64>() as u64)
         }),
+        superseded: report.get_f64(keys::CKPT_SUPERSEDED).map_or(0, |n| n as u64),
     }
 }
 
@@ -200,6 +208,13 @@ fn row_of(report: &Report) -> RepairRow {
 pub fn measure_paper_shape() -> (u64, f64, f64) {
     let row = row_of(&launch(&SHAPES[0]));
     (row.ops[0] + row.ops[1], row.repair, row.makespan)
+}
+
+/// The benchmark's `virt_restore` (`T_RECOVERY + T_CKPT`) of one run of
+/// the workload called `name` — an exact-match gate for `ckpt_heavy`
+/// (`None` if there is no such workload).
+pub fn measure_restore(name: &str) -> Option<f64> {
+    launch_workload(name).map(|report| row_of(&report).restore)
 }
 
 /// Parent and change on all five shapes, with the host stamp.
@@ -241,6 +256,7 @@ impl RepairReport {
                 "was",
                 "agree+intercomm_agree",
                 "was",
+                "ckpt_superseded",
             ],
         );
         for (name, parent, change) in &self.rows {
@@ -254,6 +270,7 @@ impl RepairReport {
                 format!("{:.7}", parent.restore),
                 format!("{}+{}", change.ops[0], change.ops[1]),
                 format!("{}+{}", parent.ops[0], parent.ops[1]),
+                change.superseded.to_string(),
             ]);
         }
         t

@@ -77,6 +77,10 @@ pub mod keys {
     /// repair; the O6 oracle only demands a reported skip when this
     /// key shows the damage truly reached the disk.
     pub const CKPT_CORRUPT_APPLIED: &str = "ckpt_corrupt_applied";
+    /// Checkpoint snapshots superseded before their asynchronous write
+    /// started (never charged, never written; see `ckpt_async`), summed
+    /// over group roots and reported at each drain. Absent when none was.
+    pub const CKPT_SUPERSEDED: &str = "ckpt_superseded";
     /// Original rank per final world rank, gathered only under the
     /// `ShrinkRedistribute` and `SpareSubstitute` policies (the O7
     /// policy-invariant oracle checks the membership contract with it;

@@ -333,7 +333,7 @@ impl CheckpointStore {
     /// all grids' files — so entries are matched on the borrowed bytes of
     /// their name and a path is only built for files of the asked-for
     /// grid.
-    fn candidates(&self, grid_id: usize) -> io::Result<Vec<(u64, PathBuf)>> {
+    pub(crate) fn candidates(&self, grid_id: usize) -> io::Result<Vec<(u64, PathBuf)>> {
         let mut prefix = [0u8; 40];
         let mut cursor = io::Cursor::new(&mut prefix[..]);
         write!(cursor, "grid_{grid_id:04}.s").expect("a usize has at most 20 digits");

@@ -5,41 +5,56 @@
 //! `C = T / T_IO`) because every periodic write stalls the group root for
 //! a full disk write. Here the root instead gathers its sub-grid straight
 //! into one of two snapshot buffers it borrows from this stage
-//! ([`AsyncCheckpointer::take_buffer`]) and hands the filled buffer to a
-//! bounded queue consumed by a dedicated writer thread
-//! ([`AsyncCheckpointer::submit`]); the solver keeps stepping while the
-//! write is in flight. The matching virtual-disk cost is charged as
-//! deferred I/O via [`Ctx::disk_write_async`] and settled — hidden where
-//! compute covered it, exposed where it did not — at the drain barriers.
+//! ([`AsyncCheckpointer::take_buffer`]) and submits the filled buffer
+//! ([`AsyncCheckpointer::submit`]) to a dedicated writer thread; the
+//! solver keeps stepping while the write is in flight. The matching
+//! virtual-disk cost is charged as deferred I/O via
+//! [`Ctx::disk_write_async`] and settled — hidden where compute covered
+//! it, exposed where it did not — at the drain barriers.
 //!
 //! Ownership: a snapshot buffer belongs to exactly one party at a time
 //! and is never copied. The stage owns both while idle; `take_buffer`
-//! lends one to the root, which is its gather target; `submit` moves it
-//! to the writer, which streams it to disk and sends it back to the free
-//! list; a buffer whose gather failed returns through
-//! [`AsyncCheckpointer::give_back`].
+//! lends one to the root, which is its gather target; `submit` keeps it
+//! as the queued snapshot or moves it to the writer, which streams it to
+//! disk and sends it back to the free list; a buffer whose gather failed,
+//! or whose snapshot was superseded, returns to the idle list.
 //!
 //! Protocol invariants:
 //!
-//! * **Bounded queue, backpressure.** At most [`QUEUE_DEPTH`] snapshots
-//!   exist; `take_buffer` blocks on buffer reuse when the writer falls
-//!   behind, so memory stays bounded and a fast solver cannot outrun a
-//!   slow disk without feeling it.
-//! * **Drain barriers.** `drain` blocks until the queue is empty and
-//!   surfaces any writer-side I/O error. The application drains before
-//!   every checkpoint *restore* (a restart must only ever see fully
-//!   landed files) and at end of run (before the store is cleared).
+//! * **Newest wins, on the virtual clock.** The virtual disk holds at
+//!   most one write in flight and one queued behind it
+//!   ([`Ctx::disk_write_async`]). The queued snapshot stays here, on the
+//!   solver side, until the virtual clock passes its start (the
+//!   in-flight write's end); only then is it shipped to the writer
+//!   thread. A checkpoint submitted before that replaces it: the
+//!   superseded snapshot is neither charged nor written, and is counted
+//!   in the `ckpt_superseded` report key at the next drain. So which
+//!   files land depends on the virtual schedule alone, never on how far
+//!   the OS thread has got, and a disk two or more writes behind skips
+//!   the stale snapshots instead of paying for each.
+//! * **Two buffers, real backpressure.** At most [`QUEUE_DEPTH`]
+//!   snapshots exist; a `take_buffer` that needs the buffer of the write
+//!   in flight blocks until the writer thread has really written it, so
+//!   memory stays bounded.
+//! * **Drain barriers.** `drain` ships the queued snapshot, blocks until
+//!   every shipped one has landed and surfaces any writer-side I/O error.
+//!   The application drains before every checkpoint *restore* (a restart
+//!   must only ever see fully landed files, and it reads the newest
+//!   checkpoint the group took) and at end of run (before the store is
+//!   cleared).
 //! * **Crash atomicity.** The writer reuses [`CheckpointStore::write`],
 //!   so every file still lands via tmp + rename + directory fsync: a rank
 //!   killed with writes in flight leaves either a complete, checksummed
-//!   checkpoint or none — never a torn one.
+//!   checkpoint or none — never a torn one. A rank that dies lands what
+//!   it shipped and drops a queued snapshot that was never shipped.
 //!
-//! Fault sites, all inside `submit` and in this order:
-//! [`OpClass::CkptSnapshot`] (the snapshot is complete),
-//! [`OpClass::CkptEnqueue`] before the hand-off, [`OpClass::CkptWrite`]
-//! (inside `disk_write_async`) before the virtual write is scheduled; and
-//! [`OpClass::CkptDrain`] at the top of every drain — so chaos campaigns
-//! can kill a root at every stage of the pipeline.
+//! Fault sites, all inside `submit` and in this order, once per submit
+//! whether or not it supersedes: [`OpClass::CkptSnapshot`] (the snapshot
+//! is complete), [`OpClass::CkptEnqueue`] before the hand-off,
+//! [`OpClass::CkptWrite`] (inside `disk_write_async`) before the virtual
+//! write is scheduled; and [`OpClass::CkptDrain`] at the top of every
+//! drain — so chaos campaigns can kill a root at every stage of the
+//! pipeline.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -50,8 +65,8 @@ use ulfm_sim::{Ctx, Error, OpClass, Result};
 
 use crate::checkpoint::CheckpointStore;
 
-/// Snapshots in flight at once. Two means "double buffer": one being
-/// written, one being filled.
+/// Snapshots in existence at once. Two means "double buffer": one being
+/// written, one queued or being filled.
 pub const QUEUE_DEPTH: usize = 2;
 
 /// A filled snapshot buffer on its way to the writer.
@@ -77,19 +92,29 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+fn writer_gone() -> Error {
+    Error::InvalidArg("checkpoint writer thread is gone".into())
+}
+
 /// A background checkpoint writer bound to one [`CheckpointStore`].
 ///
 /// Owned by a group root; dropped (joining the writer thread) when the
 /// rank finishes or dies. Dropping without draining is safe: the writer
-/// finishes every queued snapshot first, and file atomicity guarantees no
-/// partial state either way.
+/// finishes every shipped snapshot first, a queued one that was never
+/// shipped is dropped, and file atomicity guarantees no partial state
+/// either way.
 pub struct AsyncCheckpointer {
     job_tx: Option<SyncSender<Snapshot>>,
     free_rx: Receiver<Grid2>,
     /// Snapshot buffers not created yet (of the `QUEUE_DEPTH`).
     uncreated: usize,
-    /// Buffers lent out and given back unused.
+    /// Buffers lent out and given back unused, or superseded.
     idle: Vec<Grid2>,
+    /// The newest snapshot and its write's virtual start, held back until
+    /// the clock passes that start.
+    queued: Option<(Snapshot, f64)>,
+    /// Snapshots superseded since the last drain reported them.
+    superseded: u32,
     shared: Arc<Shared>,
     writer: Option<JoinHandle<()>>,
 }
@@ -131,6 +156,8 @@ impl AsyncCheckpointer {
             free_rx,
             uncreated: QUEUE_DEPTH,
             idle: Vec::new(),
+            queued: None,
+            superseded: 0,
             shared,
             writer: Some(writer),
         }
@@ -141,8 +168,9 @@ impl AsyncCheckpointer {
     /// passes it to [`submit`](Self::submit) — or, if the assembly failed,
     /// to [`give_back`](Self::give_back).
     ///
-    /// Blocks — real backpressure, not virtual — when both snapshot
-    /// buffers are still in the writer's hands.
+    /// Blocks — real backpressure, not virtual — when no buffer is idle:
+    /// one holds the queued snapshot and the other is in the writer's
+    /// hands until its file has landed.
     pub fn take_buffer(&mut self, level: LevelPair) -> Result<Grid2> {
         let mut grid = if let Some(grid) = self.idle.pop() {
             grid
@@ -150,9 +178,7 @@ impl AsyncCheckpointer {
             self.uncreated -= 1;
             return Ok(Grid2::zeros(level));
         } else {
-            self.free_rx
-                .recv()
-                .map_err(|_| Error::InvalidArg("checkpoint writer thread is gone".into()))?
+            self.free_rx.recv().map_err(|_| writer_gone())?
         };
         grid.reshape(level);
         Ok(grid)
@@ -163,10 +189,12 @@ impl AsyncCheckpointer {
         self.idle.push(grid);
     }
 
-    /// Hand a filled snapshot buffer to the writer as the checkpoint of
-    /// `grid_id` at `step`; returns the encoded byte size (header +
-    /// payload + checksum), as `write` would. Virtual disk cost is
-    /// charged as deferred I/O on `ctx`.
+    /// Submit a filled snapshot buffer as the checkpoint of `grid_id` at
+    /// `step`; returns the encoded byte size (header + payload +
+    /// checksum), as `write` would. Virtual disk cost is charged as
+    /// deferred I/O on `ctx`. The snapshot goes to the writer thread once
+    /// its virtual write has started; until then it is the queued one,
+    /// and the next submit supersedes it if it still has not started.
     ///
     /// A shut-down writer stage is a recoverable condition, not a
     /// protocol bug: the error hands the snapshot back so the caller can
@@ -179,38 +207,79 @@ impl AsyncCheckpointer {
         step: u64,
         grid: Grid2,
     ) -> std::result::Result<usize, (Error, Grid2)> {
+        // The queued write that has started by now is in flight: ship it
+        // before any fault site, so a root dying in this submit lands it.
+        let shipped = self.ship_started(ctx.now());
         ctx.fault_op(OpClass::CkptSnapshot);
         ctx.fault_op(OpClass::CkptEnqueue);
-        let Some(tx) = self.job_tx.as_ref() else {
-            return Err((Error::InvalidArg("checkpoint writer already shut down".into()), grid));
-        };
-        let bytes = crate::checkpoint::OVERHEAD + grid.byte_size();
-        ctx.disk_write_async(bytes);
-        {
-            let mut n = lock_recover(&self.shared.pending);
-            *n += 1;
+        if let Err(e) = shipped {
+            return Err((e, grid));
         }
-        if let Err(refused) = tx.send(Snapshot { grid_id, step, grid }) {
-            // Writer thread is gone; roll the gauge back so a later drain
-            // cannot wait forever on a job that will never complete.
-            *lock_recover(&self.shared.pending) -= 1;
-            let gone = Error::InvalidArg("checkpoint writer thread is gone".into());
-            return Err((gone, refused.0.grid));
+        if self.job_tx.is_none() {
+            return Err((Error::InvalidArg("checkpoint writer already shut down".into()), grid));
+        }
+        let bytes = crate::checkpoint::OVERHEAD + grid.byte_size();
+        let write = ctx.disk_write_async(bytes);
+        debug_assert_eq!(
+            write.superseded,
+            self.queued.is_some(),
+            "the virtual disk and this stage disagree on the queued write"
+        );
+        if let Some((stale, _)) = self.queued.take() {
+            self.idle.push(stale.grid);
+            self.superseded += 1;
+        }
+        let snap = Snapshot { grid_id, step, grid };
+        if write.start > ctx.now() {
+            self.queued = Some((snap, write.start));
+        } else if let Err(refused) = self.ship(snap) {
+            return Err((writer_gone(), refused.grid));
         }
         Ok(bytes)
     }
 
-    /// Checkpoints handed to the writer and not yet landed on disk.
-    pub fn in_flight(&self) -> usize {
-        *lock_recover(&self.shared.pending)
+    /// Hand `snap` to the writer thread, or back if it is gone.
+    fn ship(&mut self, snap: Snapshot) -> std::result::Result<(), Snapshot> {
+        let Some(tx) = self.job_tx.as_ref() else { return Err(snap) };
+        *lock_recover(&self.shared.pending) += 1;
+        tx.send(snap).map_err(|refused| {
+            // Writer thread is gone; roll the gauge back so a later drain
+            // cannot wait forever on a job that will never complete.
+            *lock_recover(&self.shared.pending) -= 1;
+            refused.0
+        })
     }
 
-    /// Block until every enqueued checkpoint has landed, settle the
-    /// deferred virtual disk cost on `ctx`, and surface any writer-side
-    /// I/O error. A fault site ([`OpClass::CkptDrain`]) fires first, so a
-    /// chaos victim can die with writes still in flight.
-    pub fn drain(&self, ctx: &Ctx) -> Result<()> {
+    /// Ship the queued snapshot if its virtual write starts by `now`
+    /// (always, at `f64::INFINITY`). A refused one is dropped: its buffer
+    /// goes idle and the error tells the caller the stage is gone.
+    fn ship_started(&mut self, now: f64) -> Result<()> {
+        match self.queued.take() {
+            Some((snap, start)) if start <= now => self.ship(snap).map_err(|refused| {
+                self.idle.push(refused.grid);
+                writer_gone()
+            }),
+            queued => {
+                self.queued = queued;
+                Ok(())
+            }
+        }
+    }
+
+    /// Checkpoints submitted and not yet landed on disk: those shipped to
+    /// the writer and the queued one.
+    pub fn in_flight(&self) -> usize {
+        *lock_recover(&self.shared.pending) + usize::from(self.queued.is_some())
+    }
+
+    /// Ship the queued snapshot, block until every shipped checkpoint has
+    /// landed, settle the deferred virtual disk cost on `ctx`, report the
+    /// snapshots superseded since the last drain, and surface any
+    /// writer-side I/O error. A fault site ([`OpClass::CkptDrain`]) fires
+    /// first, so a chaos victim can die with writes in flight.
+    pub fn drain(&mut self, ctx: &Ctx) -> Result<()> {
         ctx.fault_op(OpClass::CkptDrain);
+        let shipped = self.ship_started(f64::INFINITY);
         {
             let mut n = lock_recover(&self.shared.pending);
             while *n > 0 {
@@ -218,7 +287,14 @@ impl AsyncCheckpointer {
             }
         }
         ctx.disk_drain();
-        let errors = std::mem::take(&mut *lock_recover(&self.shared.errors));
+        if self.superseded > 0 {
+            ctx.report_add(crate::app::keys::CKPT_SUPERSEDED, f64::from(self.superseded));
+            self.superseded = 0;
+        }
+        let mut errors = std::mem::take(&mut *lock_recover(&self.shared.errors));
+        if let Err(e) = shipped {
+            errors.push(e.to_string());
+        }
         if errors.is_empty() {
             Ok(())
         } else {
@@ -230,8 +306,9 @@ impl AsyncCheckpointer {
 impl Drop for AsyncCheckpointer {
     fn drop(&mut self) {
         // Closing the job channel stops the writer after it finishes the
-        // queued snapshots; rename-atomicity makes whatever is still in
-        // flight land completely or not at all.
+        // shipped snapshots; a queued one never shipped is dropped with
+        // this stage. Rename-atomicity makes whatever is still in flight
+        // land completely or not at all.
         self.job_tx.take();
         if let Some(h) = self.writer.take() {
             let _ = h.join();
@@ -242,7 +319,8 @@ impl Drop for AsyncCheckpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ulfm_sim::{run, RunConfig};
+    use crate::checkpoint::OVERHEAD;
+    use ulfm_sim::{run, FaultPlan, FaultSite, RunConfig};
 
     fn store() -> CheckpointStore {
         CheckpointStore::new(crate::config::default_ckpt_dir()).unwrap()
@@ -324,6 +402,97 @@ mod tests {
         s.clear().unwrap();
     }
 
+    /// The steps of grid `id` on disk, newest first.
+    fn landed(s: &CheckpointStore, id: usize) -> Vec<u64> {
+        s.candidates(id).unwrap().into_iter().map(|(step, _)| step).collect()
+    }
+
+    #[test]
+    fn only_the_writes_that_start_land() {
+        let s = store().with_retention(8);
+        let dir = s.dir().to_path_buf();
+        let report = run(RunConfig::local(1), move |ctx| {
+            let mut ck =
+                AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap().with_retention(8));
+            let level = LevelPair::new(4, 4);
+            let mut buffers = Vec::new();
+            // Five submits with no clock advance: step 1 starts at once,
+            // step 2 queues behind it, and each later one supersedes the
+            // queued snapshot before its write starts.
+            for step in 1..=5u64 {
+                let g = ck.take_buffer(level).unwrap();
+                if !buffers.contains(&g.values().as_ptr()) {
+                    buffers.push(g.values().as_ptr());
+                }
+                ck.submit(ctx, 0, step, g).map_err(|(e, _)| e).unwrap();
+                assert!(ck.in_flight() <= QUEUE_DEPTH);
+            }
+            assert_eq!(buffers.len(), QUEUE_DEPTH, "still two allocations");
+            assert_eq!(ck.superseded, 3);
+            ck.drain(ctx).unwrap();
+            assert_eq!((ck.in_flight(), ck.superseded), (0, 0));
+            // Then one write per compute interval longer than a write:
+            // nothing is superseded, everything lands.
+            let cost = ctx.profile().disk.write(OVERHEAD + Grid2::zeros(level).byte_size());
+            for step in 6..=8u64 {
+                let g = ck.take_buffer(level).unwrap();
+                ck.submit(ctx, 0, step, g).map_err(|(e, _)| e).unwrap();
+                ctx.advance(2.0 * cost);
+            }
+            ck.drain(ctx).unwrap();
+        });
+        report.assert_no_app_errors();
+        assert_eq!(landed(&s, 0), [8, 7, 6, 5, 1]);
+        assert_eq!(report.get_f64(crate::app::keys::CKPT_SUPERSEDED), Some(3.0));
+        s.clear().unwrap();
+    }
+
+    #[test]
+    fn fault_sites_fire_once_per_submit_whether_or_not_it_supersedes() {
+        // Submit `k` (0-based) of five back-to-back ones supersedes for
+        // k ≥ 2; each must still be the `k`-th occurrence of every class,
+        // and the 3k..3k+2-th operation in a recovery scope.
+        let dies_in = |site: FaultSite| -> f64 {
+            let s = store();
+            let dir = s.dir().to_path_buf();
+            let plan = FaultPlan::at_site(1, site);
+            let report = run(RunConfig::local(2), move |ctx| {
+                let rank = ctx.initial_world().unwrap().rank();
+                if rank == 0 {
+                    return;
+                }
+                ctx.arm_fault_sites(&plan, rank);
+                let _scope = ctx.recovery_scope();
+                let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
+                let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x * y);
+                for step in 0..5u64 {
+                    enqueue(&mut ck, ctx, 0, step, &g).unwrap();
+                    ctx.report_add("submitted", 1.0);
+                }
+                ck.drain(ctx).unwrap();
+            });
+            report.assert_no_app_errors();
+            assert_eq!(report.procs_failed, 1, "{site:?} never fired");
+            s.clear().unwrap();
+            report.get_f64("submitted").unwrap_or(0.0)
+        };
+        for k in 0..5u64 {
+            for kind in [OpClass::CkptSnapshot, OpClass::CkptEnqueue, OpClass::CkptWrite] {
+                assert_eq!(dies_in(FaultSite::Op { kind, nth: k }), k as f64, "{kind:?} #{k}");
+            }
+            for j in 0..3 {
+                let nth = 3 * k + j;
+                assert_eq!(dies_in(FaultSite::DuringRecovery { nth }), k as f64, "op #{nth}");
+            }
+        }
+        // The drain's site follows the fifteen submit sites.
+        assert_eq!(dies_in(FaultSite::DuringRecovery { nth: 15 }), 5.0);
+        assert_eq!(dies_in(FaultSite::Op { kind: OpClass::CkptDrain, nth: 0 }), 5.0);
+    }
+
+    /// Dropping the stage without a drain (a rank that dies or returns
+    /// early) lands what was shipped to the writer thread — the write in
+    /// flight — and discards the queued snapshot that was never shipped.
     #[test]
     fn drop_without_drain_still_lands_queued_writes() {
         let s = store();
@@ -331,12 +500,15 @@ mod tests {
         run(RunConfig::local(1), move |ctx| {
             let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
             let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x - y);
+            // Step 7 starts at once and is shipped; step 8 queues behind
+            // it and has not started when the rank drops the stage.
             enqueue(&mut ck, ctx, 2, 7, &g).unwrap();
-            // Dropped here: the writer must finish the queued job first.
+            enqueue(&mut ck, ctx, 2, 8, &g).unwrap();
+            assert_eq!(ck.in_flight(), 2);
+            // Dropped here: the writer must finish the shipped job first.
         })
         .assert_no_app_errors();
-        let (step, _, _) = s.read(2).unwrap().expect("write must have landed");
-        assert_eq!(step, 7);
+        assert_eq!(landed(&s, 2), [7]);
         s.clear().unwrap();
     }
 

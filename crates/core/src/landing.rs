@@ -14,9 +14,14 @@
 //! the landing grid *is* one of the writer's two snapshot buffers
 //! ([`Stack::take_buffer`]): a checkpoint is gathered into it and handed
 //! over without a copy, and between checkpoints — after a drain, when both
-//! sit idle — the same buffers take the restore and the final gather. A
-//! borrowed buffer goes back on every path, errors included: the writer
-//! owns exactly two, and a lost one would block the next borrow forever.
+//! sit idle — the same buffers take the restore and the final gather. The
+//! writer keeps only the newest checkpoint whose write has not started on
+//! the virtual clock: with one write in flight and one queued, the next
+//! checkpoint's gather waits for the in-flight buffer's real write, and
+//! the queued snapshot comes back unwritten if it still has not started
+//! when the next one is submitted. A borrowed buffer goes back on every
+//! path, errors included: the writer owns exactly two, and a lost one
+//! would block the next borrow forever.
 //! In synchronous mode — configured, or degraded to because the writer
 //! stage became unusable, which pins the rank to the critical-path write
 //! for the rest of the run — and for a stack without a writer stage
@@ -101,7 +106,8 @@ impl<S: Stack> Landing<S> {
     /// The group's periodic checkpoint of grid `id` at `step`: gathered
     /// into the root's landing grid and landed from it — handed to the
     /// writer stage (T_IO is charged as deferred cost and settled at the
-    /// drains), or written synchronously. The first checkpoint of a root
+    /// drains; a later checkpoint may supersede it before its write
+    /// starts), or written synchronously. The first checkpoint of a root
     /// in async mode starts the writer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn checkpoint(
@@ -146,10 +152,11 @@ impl<S: Stack> Landing<S> {
     /// Drain the async checkpoint queue if this rank runs one (group
     /// roots under CR with `ckpt_async`); a no-op everywhere else. Called
     /// before every checkpoint restore and at end of run, so a restart
-    /// only ever sees fully landed files and the store can be cleared
-    /// safely.
-    pub(crate) fn drain(&self, ctx: &Ctx) -> Result<()> {
-        match &self.writer {
+    /// only ever sees fully landed files — the newest checkpoint the group
+    /// took among them, as the queued snapshot lands too — and the store
+    /// can be cleared safely.
+    pub(crate) fn drain(&mut self, ctx: &Ctx) -> Result<()> {
+        match &mut self.writer {
             Some(ck) => {
                 S::drain(ck, ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}")))
             }

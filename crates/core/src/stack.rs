@@ -193,8 +193,8 @@ pub trait Stack: Sized + 'static {
         step: u64,
         g: Self::Grid,
     ) -> std::result::Result<(), Self::Grid>;
-    /// Wait until everything handed over has landed.
-    fn drain(w: &Self::Writer, ctx: &Ctx) -> Result<()>;
+    /// Land everything submitted: the queued snapshot too.
+    fn drain(w: &mut Self::Writer, ctx: &Ctx) -> Result<()>;
 }
 
 /// The 2D stack: the paper's application and the bitwise reference.
@@ -338,7 +338,7 @@ impl Stack for D2 {
     ) -> std::result::Result<(), Grid2> {
         w.submit(ctx, id, step, g).map(|_| ()).map_err(|(_, refused)| refused)
     }
-    fn drain(w: &AsyncCheckpointer, ctx: &Ctx) -> Result<()> {
+    fn drain(w: &mut AsyncCheckpointer, ctx: &Ctx) -> Result<()> {
         w.drain(ctx)
     }
 }
@@ -479,7 +479,7 @@ impl Stack for Nd {
     ) -> std::result::Result<(), GridN> {
         match *w {}
     }
-    fn drain(w: &Infallible, _: &Ctx) -> Result<()> {
+    fn drain(w: &mut Infallible, _: &Ctx) -> Result<()> {
         match *w {}
     }
 }

@@ -5,6 +5,8 @@
 //!    produce the *bitwise-identical* combined-solution error of the
 //!    uninterrupted run — under both synchronous and asynchronous
 //!    checkpointing (the async arm crosses the recovery drain barrier).
+//!    With a disk two or more writes behind, the writer supersedes stale
+//!    snapshots, and the restart still reads the newest checkpoint taken.
 //! 2. **Wire-format integrity.** The v2 checkpoint codec round-trips
 //!    exactly, and *any* single-bit flip of an encoded buffer is detected
 //!    (magic/version/bounds checks or the CRC-64 trailer) — a decode must
@@ -17,7 +19,7 @@ use ftsg_core::app::keys;
 use ftsg_core::{run_app, AppConfig, CheckpointStore, ProcLayout, Technique};
 use proptest::prelude::*;
 use sparsegrid::{Grid2, LevelPair};
-use ulfm_sim::{run, FaultPlan, RunConfig};
+use ulfm_sim::{run, ClusterProfile, FaultPlan, Report, RunConfig};
 
 const N: u32 = 6;
 const L: u32 = 3;
@@ -53,6 +55,42 @@ fn healthy_bits(checkpoints: u32, ckpt_async: bool, seed: u64) -> u64 {
     let bits = err_bits(cr_config(checkpoints, ckpt_async), seed);
     cache.lock().unwrap().insert((checkpoints, ckpt_async, seed), bits);
     bits
+}
+
+/// On OPL a checkpoint write costs about 3.5 vsec and this shape's
+/// compute between two checkpoints a fraction of a millisecond, so every
+/// asynchronous root falls further behind with each checkpoint. The
+/// newest-wins writer skips the snapshots queued behind the disk, yet a
+/// kill still restores the newest checkpoint the group took — the one the
+/// synchronous writer restores — and recomputes the same steps.
+#[test]
+fn a_restart_behind_a_busy_disk_reads_the_newest_checkpoint() {
+    let layout = ProcLayout::new(N, L, Technique::CheckpointRestart.layout(), 1);
+    let world = layout.world_size();
+    let opl = |cfg: AppConfig| -> Report {
+        let rc = RunConfig::cluster(ClusterProfile::opl(), world).with_seed(3);
+        let report = run(rc, move |ctx| run_app(&cfg, ctx));
+        report.assert_no_app_errors();
+        report
+    };
+    // Seven checkpoints of 32 steps: every 4 steps. The kill at step 26
+    // is detected at step 28, so both writers restore step 24.
+    let victim = layout.group(0).first + 1;
+    let kill = FaultPlan::new(vec![(victim, 26)]);
+    let healthy = opl(cr_config(7, true));
+    let killed = opl(cr_config(7, true).with_plan(kill.clone()));
+    let sync = opl(cr_config(7, false).with_plan(kill));
+    let get = |r: &Report, key: &str| r.get_f64(key).unwrap_or_else(|| panic!("no {key}"));
+    // The disk was behind: snapshots were superseded, by every root.
+    let superseded = get(&killed, keys::CKPT_SUPERSEDED);
+    assert!(superseded >= layout.groups().len() as f64, "superseded {superseded}");
+    assert_eq!(sync.get_f64(keys::CKPT_SUPERSEDED), None);
+    assert_eq!(get(&killed, keys::ERR_L1).to_bits(), get(&healthy, keys::ERR_L1).to_bits());
+    // The same checkpoint read and the same steps recomputed: the data
+    // recovery costs what the synchronous writer's does, to rounding. One
+    // checkpoint older would recompute four more steps.
+    let (t_async, t_sync) = (get(&killed, keys::T_RECOVERY), get(&sync, keys::T_RECOVERY));
+    assert!((t_async - t_sync).abs() <= 1e-12 * t_sync, "{t_async} vs {t_sync}");
 }
 
 proptest! {

@@ -94,7 +94,9 @@ pub use metrics::{
     DEFAULT_TRACE_CAPACITY, OP_NAMES,
 };
 pub use proc::ProcId;
-pub use runtime::{run, Ctx, RecoveryScope, Report, RunConfig, SchedMode, TraceEvent, Value};
+pub use runtime::{
+    run, AsyncWrite, Ctx, RecoveryScope, Report, RunConfig, SchedMode, TraceEvent, Value,
+};
 pub use spawn::{comm_spawn_multiple, SpawnSpec};
 pub use topology::{Host, Hostfile};
 pub use trace_export::{to_chrome_trace, write_chrome_trace};

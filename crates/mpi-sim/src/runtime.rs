@@ -520,6 +520,17 @@ impl Report {
     }
 }
 
+/// Where [`Ctx::disk_write_async`] put a write on the rank's serial disk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AsyncWrite {
+    /// Virtual time the write starts: now on an idle disk, otherwise the
+    /// end of the write in flight.
+    pub start: f64,
+    /// The write replaced the queued write, which had not started: that
+    /// one is never charged, and its caller must not land it.
+    pub superseded: bool,
+}
+
 /// Per-process context: the handle through which the application talks to
 /// the runtime (the moral equivalent of the MPI library state plus
 /// `MPI_COMM_WORLD`, `MPI_Comm_get_parent`, and `MPI_Wtime`).
@@ -543,8 +554,9 @@ pub struct Ctx {
     pub(crate) io_hidden: Cell<f64>,
     /// Checkpoint-I/O time this rank stalled on (seconds).
     pub(crate) io_exposed: Cell<f64>,
-    /// Async disk writes in flight: `(virtual start, disk cost)` pairs,
-    /// settled opportunistically and at [`Ctx::disk_drain`].
+    /// Async disk writes not yet settled: `(virtual start, disk cost)`
+    /// pairs, at most one in flight and one queued behind it, settled
+    /// opportunistically and at [`Ctx::disk_drain`].
     pub(crate) io_pending: RefCell<Vec<(f64, f64)>>,
     /// Virtual time at which this rank's (serial) checkpoint disk becomes
     /// idle — back-to-back async writes queue behind each other.
@@ -691,13 +703,34 @@ impl Ctx {
     /// overlap model. Same [`OpClass::CkptWrite`] fault-site hook as the
     /// synchronous form — a victim armed there dies before the write
     /// lands.
-    pub fn disk_write_async(&self, bytes: usize) {
+    ///
+    /// Newest wins: the disk holds at most one write in flight and one
+    /// queued behind it. A write submitted while the queued one has not
+    /// virtually started (its start, the in-flight write's end, is still
+    /// ahead of the clock) replaces it, and the replaced write is never
+    /// charged — neither hidden nor exposed. A write that has started is
+    /// never replaced. The returned [`AsyncWrite`] tells the caller when
+    /// this write starts and whether it replaced one, so the caller lands
+    /// exactly the writes charged here.
+    pub fn disk_write_async(&self, bytes: usize) -> AsyncWrite {
         self.fault_op(OpClass::CkptWrite);
         self.settle_completed_io();
-        let start = self.disk_free_at.get().max(self.now());
+        let now = self.now();
+        let mut pending = self.io_pending.borrow_mut();
+        let superseded = match pending.last() {
+            Some(&(start, _)) if start > now => {
+                pending.pop();
+                self.disk_free_at.set(start);
+                true
+            }
+            _ => false,
+        };
+        let start = self.disk_free_at.get().max(now);
         let cost = self.uni.profile.disk.write(bytes);
         self.disk_free_at.set(start + cost);
-        self.io_pending.borrow_mut().push((start, cost));
+        pending.push((start, cost));
+        debug_assert!(pending.len() <= 2, "one write in flight and one queued at most");
+        AsyncWrite { start, superseded }
     }
 
     /// Complete every in-flight async disk write: disk time already
@@ -721,7 +754,8 @@ impl Ctx {
     }
 
     /// Fold async writes that finished in the past into the hidden-I/O
-    /// tally, keeping the pending list bounded by queue depth.
+    /// tally. With the newest-wins rule of [`Ctx::disk_write_async`] the
+    /// pending list then holds at most two writes.
     fn settle_completed_io(&self) {
         let now = self.now();
         let mut hidden = self.io_hidden.get();
@@ -1407,6 +1441,77 @@ mod tests {
         let total = 2.0 * local_write_cost(1000);
         assert!((report.makespan - total).abs() < 1e-12);
         assert!((report.io_hidden + report.io_exposed - total).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_superseded_write_is_neither_hidden_nor_exposed() {
+        let (small, big) = (local_write_cost(1000), local_write_cost(5000));
+        let report = run(RunConfig::local(1), move |ctx| {
+            let first = ctx.disk_write_async(1000);
+            assert_eq!(first, AsyncWrite { start: 0.0, superseded: false });
+            // Queued behind the first; replaced before it starts.
+            let queued = ctx.disk_write_async(9000);
+            assert_eq!(queued, AsyncWrite { start: first.start + small, superseded: false });
+            let newest = ctx.disk_write_async(5000);
+            assert_eq!(newest, AsyncWrite { start: queued.start, superseded: true });
+            ctx.disk_drain();
+        });
+        report.assert_no_app_errors();
+        // The 9000-byte write was never paid for: the drain waited for the
+        // two writes that landed, back to back.
+        assert_eq!(report.io_hidden, 0.0);
+        assert!((report.io_exposed - (small + big)).abs() < 1e-12);
+        assert!((report.makespan - (small + big)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_started_write_is_never_superseded() {
+        let cost = local_write_cost(1000);
+        let report = run(RunConfig::local(1), move |ctx| {
+            ctx.disk_write_async(1000);
+            let queued = ctx.disk_write_async(1000);
+            // The clock reaches the queued write's start exactly: it has
+            // started, so the next write queues behind it instead.
+            ctx.advance_to(queued.start);
+            let next = ctx.disk_write_async(1000);
+            assert_eq!(next, AsyncWrite { start: queued.start + cost, superseded: false });
+            // Half way through the queued write, the next one is replaced.
+            ctx.advance(cost / 2.0);
+            assert!(ctx.disk_write_async(1000).superseded);
+            ctx.disk_drain();
+        });
+        report.assert_no_app_errors();
+        assert!((report.makespan - 3.0 * cost).abs() < 1e-12);
+        assert!((report.io_hidden + report.io_exposed - 3.0 * cost).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_disk_holds_one_write_in_flight_and_one_queued() {
+        // Sizes and compute gaps that leave the disk anywhere from idle to
+        // many writes behind; at every submit at most two writes pend, and
+        // hidden + exposed is the summed cost of the writes that landed.
+        let report = run(RunConfig::local(1), |ctx| {
+            let mut landed = Vec::new();
+            for k in 0..64usize {
+                let bytes = 1000 + 97 * (k % 7) * 1000;
+                let write = ctx.disk_write_async(bytes);
+                if write.superseded {
+                    landed.pop();
+                }
+                landed.push(local_write_cost(bytes));
+                assert!(ctx.io_pending.borrow().len() <= 2, "submit {k}");
+                ctx.advance(local_write_cost(1000) * (k % 5) as f64 * 0.45);
+                if k % 16 == 15 {
+                    ctx.disk_drain();
+                    assert!(ctx.io_pending.borrow().is_empty());
+                }
+            }
+            let paid = ctx.io_hidden() + ctx.io_exposed();
+            let sum: f64 = landed.iter().sum();
+            assert!((paid - sum).abs() < 1e-9, "paid {paid} for {sum} of landed writes");
+            assert!(landed.len() < 64, "some write must have been superseded");
+        });
+        report.assert_no_app_errors();
     }
 
     #[test]

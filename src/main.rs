@@ -239,6 +239,8 @@ fn main() {
     println!("  solve phase                          : {:.4} s", g(keys::T_SOLVE));
     if cfg.technique == Technique::CheckpointRestart {
         println!("  checkpoint writes                    : {:.4} s", g(keys::T_CKPT));
+        let superseded = report.get_f64(keys::CKPT_SUPERSEDED).unwrap_or(0.0);
+        println!("  checkpoints superseded (unwritten)   : {superseded}");
     }
     if g(keys::N_FAILED) > 0.0 {
         println!("failures repaired                      : {}", g(keys::N_FAILED));
