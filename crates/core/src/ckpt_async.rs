@@ -36,12 +36,17 @@
 //!   snapshots exist; a `take_buffer` that needs the buffer of the write
 //!   in flight blocks until the writer thread has really written it, so
 //!   memory stays bounded.
-//! * **Drain barriers.** `drain` ships the queued snapshot, blocks until
-//!   every shipped one has landed and surfaces any writer-side I/O error.
-//!   The application drains before every checkpoint *restore* (a restart
-//!   must only ever see fully landed files, and it reads the newest
-//!   checkpoint the group took) and at end of run (before the store is
-//!   cleared).
+//! * **Drain barriers land what a restore will read.** `drain` blocks
+//!   until every shipped snapshot has landed and surfaces any writer-side
+//!   I/O error. Before a checkpoint *restore* it ships the queued snapshot
+//!   first, so the restart sees only fully landed files and reads the
+//!   newest checkpoint the group took. At the end of the run, with no
+//!   restore to follow, the end supersedes the queued snapshot instead:
+//!   its write has not started, so it is dropped unwritten and uncharged
+//!   ([`Ctx::disk_drop_unstarted`]) and counted in `ckpt_superseded`,
+//!   while the write in flight still lands and is paid for. A failure in
+//!   the final combination that does restore later reads the newest
+//!   checkpoint that landed and recomputes from there.
 //! * **Crash atomicity.** The writer reuses [`CheckpointStore::write`],
 //!   so every file still lands via tmp + rename + directory fsync: a rank
 //!   killed with writes in flight leaves either a complete, checksummed
@@ -120,8 +125,9 @@ pub struct AsyncCheckpointer {
 }
 
 impl AsyncCheckpointer {
-    /// Spawn the writer thread for `store`.
-    pub fn new(store: CheckpointStore) -> Self {
+    /// Spawn the writer thread for `store`; an error if the thread cannot
+    /// be spawned (the caller writes synchronously instead).
+    pub fn new(store: CheckpointStore) -> std::io::Result<Self> {
         let (job_tx, job_rx) = sync_channel::<Snapshot>(QUEUE_DEPTH);
         let (free_tx, free_rx) = sync_channel::<Grid2>(QUEUE_DEPTH);
         let shared = Arc::new(Shared {
@@ -130,28 +136,25 @@ impl AsyncCheckpointer {
             errors: Mutex::new(Vec::new()),
         });
         let shared2 = Arc::clone(&shared);
-        let writer = std::thread::Builder::new()
-            .name("ckpt-writer".into())
-            .spawn(move || {
-                while let Ok(snap) = job_rx.recv() {
-                    if let Err(e) = store.write(snap.grid_id, snap.step, &snap.grid) {
-                        lock_recover(&shared2.errors)
-                            .push(format!("grid {} step {}: {e}", snap.grid_id, snap.step));
-                    }
-                    {
-                        let mut n = lock_recover(&shared2.pending);
-                        *n -= 1;
-                        if *n == 0 {
-                            shared2.all_done.notify_all();
-                        }
-                    }
-                    // Hand the buffer back for reuse; the solver may
-                    // already be gone (rank death) — that's fine.
-                    let _ = free_tx.send(snap.grid);
+        let writer = std::thread::Builder::new().name("ckpt-writer".into()).spawn(move || {
+            while let Ok(snap) = job_rx.recv() {
+                if let Err(e) = store.write(snap.grid_id, snap.step, &snap.grid) {
+                    lock_recover(&shared2.errors)
+                        .push(format!("grid {} step {}: {e}", snap.grid_id, snap.step));
                 }
-            })
-            .expect("failed to spawn checkpoint writer thread");
-        AsyncCheckpointer {
+                {
+                    let mut n = lock_recover(&shared2.pending);
+                    *n -= 1;
+                    if *n == 0 {
+                        shared2.all_done.notify_all();
+                    }
+                }
+                // Hand the buffer back for reuse; the solver may
+                // already be gone (rank death) — that's fine.
+                let _ = free_tx.send(snap.grid);
+            }
+        })?;
+        Ok(AsyncCheckpointer {
             job_tx: Some(job_tx),
             free_rx,
             uncreated: QUEUE_DEPTH,
@@ -160,7 +163,7 @@ impl AsyncCheckpointer {
             superseded: 0,
             shared,
             writer: Some(writer),
-        }
+        })
     }
 
     /// Borrow a snapshot buffer, re-shaped to `level` with unspecified
@@ -225,10 +228,7 @@ impl AsyncCheckpointer {
             self.queued.is_some(),
             "the virtual disk and this stage disagree on the queued write"
         );
-        if let Some((stale, _)) = self.queued.take() {
-            self.idle.push(stale.grid);
-            self.superseded += 1;
-        }
+        self.supersede_queued();
         let snap = Snapshot { grid_id, step, grid };
         if write.start > ctx.now() {
             self.queued = Some((snap, write.start));
@@ -248,6 +248,15 @@ impl AsyncCheckpointer {
             *lock_recover(&self.shared.pending) -= 1;
             refused.0
         })
+    }
+
+    /// Drop the queued snapshot, if any, unwritten: its buffer goes idle
+    /// and it counts as superseded.
+    fn supersede_queued(&mut self) {
+        if let Some((stale, _)) = self.queued.take() {
+            self.idle.push(stale.grid);
+            self.superseded += 1;
+        }
     }
 
     /// Ship the queued snapshot if its virtual write starts by `now`
@@ -272,14 +281,29 @@ impl AsyncCheckpointer {
         *lock_recover(&self.shared.pending) + usize::from(self.queued.is_some())
     }
 
-    /// Ship the queued snapshot, block until every shipped checkpoint has
-    /// landed, settle the deferred virtual disk cost on `ctx`, report the
-    /// snapshots superseded since the last drain, and surface any
-    /// writer-side I/O error. A fault site ([`OpClass::CkptDrain`]) fires
-    /// first, so a chaos victim can die with writes in flight.
-    pub fn drain(&mut self, ctx: &Ctx) -> Result<()> {
+    /// Block until every shipped checkpoint has landed, settle the
+    /// deferred virtual disk cost on `ctx`, report the snapshots
+    /// superseded since the last drain, and surface any writer-side I/O
+    /// error. With `restore_follows` the queued snapshot is shipped and
+    /// lands too; without, a queued snapshot whose write has not started
+    /// by now is superseded — neither written nor charged. A fault site
+    /// ([`OpClass::CkptDrain`]) fires first, so a chaos victim can die
+    /// with writes in flight.
+    pub fn drain(&mut self, ctx: &Ctx, restore_follows: bool) -> Result<()> {
         ctx.fault_op(OpClass::CkptDrain);
-        let shipped = self.ship_started(f64::INFINITY);
+        let shipped = if restore_follows {
+            self.ship_started(f64::INFINITY)
+        } else {
+            let shipped = self.ship_started(ctx.now());
+            let dropped = ctx.disk_drop_unstarted();
+            debug_assert_eq!(
+                dropped,
+                self.queued.is_some(),
+                "the virtual disk and this stage disagree on the queued write"
+            );
+            self.supersede_queued();
+            shipped
+        };
         {
             let mut n = lock_recover(&self.shared.pending);
             while *n > 0 {
@@ -345,13 +369,13 @@ mod tests {
         let s = store();
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
-            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
+            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap()).unwrap();
             let g = Grid2::from_fn(LevelPair::new(4, 3), |x, y| x * y + 0.5);
             for step in [10u64, 20, 30] {
                 enqueue(&mut ck, ctx, 0, step, &g).unwrap();
                 ctx.advance(1.0);
             }
-            ck.drain(ctx).unwrap();
+            ck.drain(ctx, true).unwrap();
             assert_eq!(ck.in_flight(), 0);
             assert!(ctx.io_hidden() > 0.0, "compute must hide some disk time");
         })
@@ -368,7 +392,7 @@ mod tests {
         let s = store();
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
-            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
+            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap()).unwrap();
             let level = LevelPair::new(4, 4);
             // The two buffers of the double buffer, by allocation.
             let a = ck.take_buffer(level).unwrap();
@@ -388,7 +412,7 @@ mod tests {
                 assert!(ptrs.contains(&g.values().as_ptr()), "a third buffer appeared");
                 ck.submit(ctx, 0, step, g).map_err(|(e, _)| e).unwrap();
             }
-            ck.drain(ctx).unwrap();
+            ck.drain(ctx, true).unwrap();
             // A refused snapshot is handed back intact for the sync path.
             ck.job_tx.take();
             let mut g = ck.take_buffer(level).unwrap();
@@ -413,7 +437,8 @@ mod tests {
         let dir = s.dir().to_path_buf();
         let report = run(RunConfig::local(1), move |ctx| {
             let mut ck =
-                AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap().with_retention(8));
+                AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap().with_retention(8))
+                    .unwrap();
             let level = LevelPair::new(4, 4);
             let mut buffers = Vec::new();
             // Five submits with no clock advance: step 1 starts at once,
@@ -429,7 +454,7 @@ mod tests {
             }
             assert_eq!(buffers.len(), QUEUE_DEPTH, "still two allocations");
             assert_eq!(ck.superseded, 3);
-            ck.drain(ctx).unwrap();
+            ck.drain(ctx, true).unwrap();
             assert_eq!((ck.in_flight(), ck.superseded), (0, 0));
             // Then one write per compute interval longer than a write:
             // nothing is superseded, everything lands.
@@ -439,11 +464,52 @@ mod tests {
                 ck.submit(ctx, 0, step, g).map_err(|(e, _)| e).unwrap();
                 ctx.advance(2.0 * cost);
             }
-            ck.drain(ctx).unwrap();
+            ck.drain(ctx, true).unwrap();
         });
         report.assert_no_app_errors();
         assert_eq!(landed(&s, 0), [8, 7, 6, 5, 1]);
         assert_eq!(report.get_f64(crate::app::keys::CKPT_SUPERSEDED), Some(3.0));
+        s.clear().unwrap();
+    }
+
+    #[test]
+    fn a_final_drain_lands_the_started_writes_and_supersedes_the_queued_one() {
+        let s = store().with_retention(8);
+        let dir = s.dir().to_path_buf();
+        let rc = RunConfig::local(1);
+        let level = LevelPair::new(4, 4);
+        let cost = rc.profile.disk.write(OVERHEAD + Grid2::zeros(level).byte_size());
+        let report = run(rc, move |ctx| {
+            let mut ck =
+                AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap().with_retention(8))
+                    .unwrap();
+            let submit = |ck: &mut AsyncCheckpointer, step| {
+                let g = ck.take_buffer(level).unwrap();
+                ck.submit(ctx, 0, step, g).map_err(|(e, _)| e).unwrap();
+            };
+            // Step 1 starts at once; step 2 queues behind it and has not
+            // started when the run ends: the drain waits for step 1 only.
+            submit(&mut ck, 1);
+            submit(&mut ck, 2);
+            let t0 = ctx.now();
+            ck.drain(ctx, false).unwrap();
+            assert!((ctx.now() - t0 - cost).abs() < 1e-12, "waited {}", ctx.now() - t0);
+            assert_eq!((ck.in_flight(), ck.superseded), (0, 0));
+            // A queued write the clock has reached has started: it lands.
+            submit(&mut ck, 3);
+            submit(&mut ck, 4);
+            ctx.advance(1.5 * cost);
+            ck.drain(ctx, false).unwrap();
+            assert_eq!(ck.in_flight(), 0);
+            // Nothing pends: a final drain with nothing queued drops nothing.
+            ck.drain(ctx, false).unwrap();
+        });
+        report.assert_no_app_errors();
+        assert_eq!(landed(&s, 0), [4, 3, 1]);
+        assert_eq!(report.get_f64(crate::app::keys::CKPT_SUPERSEDED), Some(1.0));
+        // Paid: the three writes that landed, not the superseded one.
+        let paid = report.io_hidden + report.io_exposed;
+        assert!((paid - 3.0 * cost).abs() < 1e-12, "paid {paid} for three writes of {cost}");
         s.clear().unwrap();
     }
 
@@ -463,13 +529,13 @@ mod tests {
                 }
                 ctx.arm_fault_sites(&plan, rank);
                 let _scope = ctx.recovery_scope();
-                let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
+                let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap()).unwrap();
                 let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x * y);
                 for step in 0..5u64 {
                     enqueue(&mut ck, ctx, 0, step, &g).unwrap();
                     ctx.report_add("submitted", 1.0);
                 }
-                ck.drain(ctx).unwrap();
+                ck.drain(ctx, true).unwrap();
             });
             report.assert_no_app_errors();
             assert_eq!(report.procs_failed, 1, "{site:?} never fired");
@@ -498,7 +564,7 @@ mod tests {
         let s = store();
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
-            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
+            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap()).unwrap();
             let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x - y);
             // Step 7 starts at once and is shipped; step 8 queues behind
             // it and has not started when the rank drops the stage.
@@ -517,10 +583,10 @@ mod tests {
         let s = store();
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
-            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
+            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap()).unwrap();
             let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x + y);
             enqueue(&mut ck, ctx, 0, 1, &g).unwrap();
-            ck.drain(ctx).unwrap();
+            ck.drain(ctx, true).unwrap();
             // Simulate the writer stage going away mid-run (the Drop path
             // with the checkpointer still referenced): enqueue must turn
             // into an error the caller can degrade on, never a panic.
@@ -533,7 +599,7 @@ mod tests {
             // The gauge was not bumped for the refused snapshot, so a
             // later drain still returns instead of waiting forever.
             assert_eq!(ck.in_flight(), 0);
-            ck.drain(ctx).unwrap();
+            ck.drain(ctx, true).unwrap();
         })
         .assert_no_app_errors();
         s.clear().unwrap();
@@ -544,7 +610,7 @@ mod tests {
         let s = store();
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
-            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap());
+            let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap()).unwrap();
             // Poison both shared mutexes the way a panicking write-side
             // thread would: panic while holding each guard.
             let shared = Arc::clone(&ck.shared);
@@ -562,7 +628,7 @@ mod tests {
             // service, into sibling jobs sharing the worker).
             let g = Grid2::from_fn(LevelPair::new(4, 4), |x, y| x * y);
             enqueue(&mut ck, ctx, 1, 9, &g).unwrap();
-            ck.drain(ctx).unwrap();
+            ck.drain(ctx, true).unwrap();
             assert_eq!(ck.in_flight(), 0);
         })
         .assert_no_app_errors();
@@ -577,15 +643,15 @@ mod tests {
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
             let inner = CheckpointStore::new(&dir).unwrap();
-            let mut ck = AsyncCheckpointer::new(inner);
+            let mut ck = AsyncCheckpointer::new(inner).unwrap();
             // Nuke the directory so the writer's tmp-file creation fails.
             std::fs::remove_dir_all(&dir).unwrap();
             let g = Grid2::from_fn(LevelPair::new(2, 2), |x, _| x);
             enqueue(&mut ck, ctx, 0, 1, &g).unwrap();
-            let err = ck.drain(ctx).unwrap_err();
+            let err = ck.drain(ctx, true).unwrap_err();
             assert!(err.to_string().contains("checkpoint write failed"), "got: {err}");
             // A second drain reports clean — errors are consumed.
-            ck.drain(ctx).unwrap();
+            ck.drain(ctx, true).unwrap();
         })
         .assert_no_app_errors();
     }

@@ -19,7 +19,8 @@
 //! the virtual clock: with one write in flight and one queued, the next
 //! checkpoint's gather waits for the in-flight buffer's real write, and
 //! the queued snapshot comes back unwritten if it still has not started
-//! when the next one is submitted. A borrowed buffer goes back on every
+//! when the next one is submitted, or when the run ends with no restore
+//! to follow. A borrowed buffer goes back on every
 //! path, errors included: the writer owns exactly two, and a lost one
 //! would block the next borrow forever.
 //! In synchronous mode — configured, or degraded to because the writer
@@ -152,14 +153,15 @@ impl<S: Stack> Landing<S> {
     /// Drain the async checkpoint queue if this rank runs one (group
     /// roots under CR with `ckpt_async`); a no-op everywhere else. Called
     /// before every checkpoint restore and at end of run, so a restart
-    /// only ever sees fully landed files — the newest checkpoint the group
-    /// took among them, as the queued snapshot lands too — and the store
-    /// can be cleared safely.
-    pub(crate) fn drain(&mut self, ctx: &Ctx) -> Result<()> {
+    /// only ever sees fully landed files and the store can be cleared
+    /// safely. When `restore_follows`, the queued snapshot lands too, so
+    /// the restore reads the newest checkpoint the group took; otherwise
+    /// the end of the run supersedes it, unwritten and uncharged, and only
+    /// the started writes land.
+    pub(crate) fn drain(&mut self, ctx: &Ctx, restore_follows: bool) -> Result<()> {
         match &mut self.writer {
-            Some(ck) => {
-                S::drain(ck, ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}")))
-            }
+            Some(ck) => S::drain(ck, ctx, restore_follows)
+                .map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}"))),
             None => Ok(()),
         }
     }

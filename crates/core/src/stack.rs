@@ -178,7 +178,8 @@ pub trait Stack: Sized + 'static {
         id: usize,
         into: &mut Self::Grid,
     ) -> io::Result<(Option<(u64, usize)>, usize)>;
-    /// Start the background writer for `store` (`None`: there is none).
+    /// Start the background writer for `store` (`None`: there is none, or
+    /// it could not start — the root then writes synchronously).
     fn open_writer(store: &CheckpointStore) -> Option<Self::Writer>;
     /// Borrow a snapshot buffer at `level`; may block on backpressure.
     fn take_buffer(w: &mut Self::Writer, level: &Level<Self>) -> Result<Self::Grid>;
@@ -193,8 +194,9 @@ pub trait Stack: Sized + 'static {
         step: u64,
         g: Self::Grid,
     ) -> std::result::Result<(), Self::Grid>;
-    /// Land everything submitted: the queued snapshot too.
-    fn drain(w: &mut Self::Writer, ctx: &Ctx) -> Result<()>;
+    /// Land every started write, and the queued snapshot too when
+    /// `restore_follows`; otherwise the queued snapshot is superseded.
+    fn drain(w: &mut Self::Writer, ctx: &Ctx, restore_follows: bool) -> Result<()>;
 }
 
 /// The 2D stack: the paper's application and the bitwise reference.
@@ -321,7 +323,7 @@ impl Stack for D2 {
         from.read_latest_valid_into(id, into)
     }
     fn open_writer(store: &CheckpointStore) -> Option<AsyncCheckpointer> {
-        Some(AsyncCheckpointer::new(store.clone()))
+        AsyncCheckpointer::new(store.clone()).ok()
     }
     fn take_buffer(w: &mut AsyncCheckpointer, level: &LevelPair) -> Result<Grid2> {
         w.take_buffer(*level)
@@ -338,8 +340,8 @@ impl Stack for D2 {
     ) -> std::result::Result<(), Grid2> {
         w.submit(ctx, id, step, g).map(|_| ()).map_err(|(_, refused)| refused)
     }
-    fn drain(w: &mut AsyncCheckpointer, ctx: &Ctx) -> Result<()> {
-        w.drain(ctx)
+    fn drain(w: &mut AsyncCheckpointer, ctx: &Ctx, restore_follows: bool) -> Result<()> {
+        w.drain(ctx, restore_follows)
     }
 }
 
@@ -479,7 +481,7 @@ impl Stack for Nd {
     ) -> std::result::Result<(), GridN> {
         match *w {}
     }
-    fn drain(w: &mut Infallible, _: &Ctx) -> Result<()> {
+    fn drain(w: &mut Infallible, _: &Ctx, _: bool) -> Result<()> {
         match *w {}
     }
 }

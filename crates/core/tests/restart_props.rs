@@ -6,7 +6,8 @@
 //!    uninterrupted run — under both synchronous and asynchronous
 //!    checkpointing (the async arm crosses the recovery drain barrier).
 //!    With a disk two or more writes behind, the writer supersedes stale
-//!    snapshots, and the restart still reads the newest checkpoint taken.
+//!    snapshots, and the restart still reads the newest checkpoint taken;
+//!    so does the simulated-loss restore after the end-of-run drain.
 //! 2. **Wire-format integrity.** The v2 checkpoint codec round-trips
 //!    exactly, and *any* single-bit flip of an encoded buffer is detected
 //!    (magic/version/bounds checks or the CRC-64 trailer) — a decode must
@@ -91,6 +92,34 @@ fn a_restart_behind_a_busy_disk_reads_the_newest_checkpoint() {
     // checkpoint older would recompute four more steps.
     let (t_async, t_sync) = (get(&killed, keys::T_RECOVERY), get(&sync, keys::T_RECOVERY));
     assert!((t_async - t_sync).abs() <= 1e-12 * t_sync, "{t_async} vs {t_sync}");
+}
+
+/// The simulated-loss restore of Figs. 9/10 reads the store after the
+/// end-of-run drain, so that drain lands the queued snapshot too. On the
+/// disk-bound shape above, the async run restores the newest checkpoint
+/// taken — the one the synchronous writer restores — and recomputes the
+/// same steps, so both runs send the same halo messages. A final drain
+/// that dropped the queued snapshot would restore an older one and
+/// recompute more. (`T_RECOVERY` cannot tell: the lost group's members
+/// wait out their root's end-of-run drain inside the restore.)
+#[test]
+fn a_simulated_loss_after_the_run_reads_the_newest_checkpoint() {
+    let layout = ProcLayout::new(N, L, Technique::CheckpointRestart.layout(), 1);
+    let world = layout.world_size();
+    let opl = |cfg: AppConfig| -> Report {
+        let rc = RunConfig::cluster(ClusterProfile::opl(), world).with_seed(3);
+        let cfg = cfg.with_simulated_losses(vec![0]);
+        let report = run(rc, move |ctx| run_app(&cfg, ctx));
+        report.assert_no_app_errors();
+        report
+    };
+    let (lost_async, lost_sync) = (opl(cr_config(7, true)), opl(cr_config(7, false)));
+    let get = |r: &Report, key: &str| r.get_f64(key).unwrap_or_else(|| panic!("no {key}"));
+    let superseded = get(&lost_async, keys::CKPT_SUPERSEDED);
+    assert!(superseded >= layout.groups().len() as f64, "superseded {superseded}");
+    assert_eq!(get(&lost_async, keys::ERR_L1).to_bits(), get(&lost_sync, keys::ERR_L1).to_bits());
+    let msgs = |r: &Report| r.metrics.total_messages();
+    assert_eq!(msgs(&lost_async), msgs(&lost_sync), "the restores recomputed different steps");
 }
 
 proptest! {

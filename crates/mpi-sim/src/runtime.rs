@@ -715,22 +715,34 @@ impl Ctx {
     pub fn disk_write_async(&self, bytes: usize) -> AsyncWrite {
         self.fault_op(OpClass::CkptWrite);
         self.settle_completed_io();
+        let superseded = self.disk_drop_unstarted();
+        let now = self.now();
+        let start = self.disk_free_at.get().max(now);
+        let cost = self.uni.profile.disk.write(bytes);
+        self.disk_free_at.set(start + cost);
+        let mut pending = self.io_pending.borrow_mut();
+        pending.push((start, cost));
+        debug_assert!(pending.len() <= 2, "one write in flight and one queued at most");
+        AsyncWrite { start, superseded }
+    }
+
+    /// Drop the queued async write if it has not virtually started (its
+    /// start is still ahead of the clock): it is never charged — neither
+    /// hidden nor exposed — and the disk goes idle at the end of the write
+    /// in flight. A write that has started is never dropped. Returns
+    /// whether one was; its caller must then not land it. Not a fault
+    /// site: the caller's drain barrier has its own.
+    pub fn disk_drop_unstarted(&self) -> bool {
         let now = self.now();
         let mut pending = self.io_pending.borrow_mut();
-        let superseded = match pending.last() {
+        match pending.last() {
             Some(&(start, _)) if start > now => {
                 pending.pop();
                 self.disk_free_at.set(start);
                 true
             }
             _ => false,
-        };
-        let start = self.disk_free_at.get().max(now);
-        let cost = self.uni.profile.disk.write(bytes);
-        self.disk_free_at.set(start + cost);
-        pending.push((start, cost));
-        debug_assert!(pending.len() <= 2, "one write in flight and one queued at most");
-        AsyncWrite { start, superseded }
+        }
     }
 
     /// Complete every in-flight async disk write: disk time already
@@ -1486,6 +1498,35 @@ mod tests {
     }
 
     #[test]
+    fn only_an_unstarted_write_is_dropped_and_it_is_never_charged() {
+        let (small, big) = (local_write_cost(1000), local_write_cost(5000));
+        let report = run(RunConfig::local(1), move |ctx| {
+            // Nothing pending, then only a write in flight: nothing to drop.
+            assert!(!ctx.disk_drop_unstarted());
+            ctx.disk_write_async(1000);
+            assert!(!ctx.disk_drop_unstarted(), "the first write started at once");
+            // Queued behind it, dropped before it starts.
+            let queued = ctx.disk_write_async(9000);
+            assert!(queued.start > ctx.now());
+            assert!(ctx.disk_drop_unstarted());
+            assert!(!ctx.disk_drop_unstarted(), "one queued write at most");
+            // The disk is free again at the in-flight write's end.
+            let next = ctx.disk_write_async(5000);
+            assert_eq!(next, AsyncWrite { start: queued.start, superseded: false });
+            // At its start exactly it has started, so it stays.
+            ctx.advance_to(next.start);
+            assert!(!ctx.disk_drop_unstarted());
+            ctx.disk_drain();
+        });
+        report.assert_no_app_errors();
+        // The 9000-byte write was never paid for: compute hid the first
+        // write and the drain waited for the second.
+        assert!((report.io_hidden - small).abs() < 1e-12);
+        assert!((report.io_exposed - big).abs() < 1e-12);
+        assert!((report.makespan - (small + big)).abs() < 1e-12);
+    }
+
+    #[test]
     fn the_disk_holds_one_write_in_flight_and_one_queued() {
         // Sizes and compute gaps that leave the disk anywhere from idle to
         // many writes behind; at every submit at most two writes pend, and
@@ -1500,6 +1541,10 @@ mod tests {
                 }
                 landed.push(local_write_cost(bytes));
                 assert!(ctx.io_pending.borrow().len() <= 2, "submit {k}");
+                // Now and then a barrier drops the queued write unstarted.
+                if k % 8 == 3 && ctx.disk_drop_unstarted() {
+                    landed.pop();
+                }
                 ctx.advance(local_write_cost(1000) * (k % 5) as f64 * 0.45);
                 if k % 16 == 15 {
                     ctx.disk_drain();
