@@ -3,8 +3,7 @@
 //! failure counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftsg_core::reconstruct::communicator_reconstruct;
-use ftsg_core::ReconstructTimings;
+use ftsg_core::{reconstruct, Join, ReconstructTimings, RepairArm, RespawnPolicy};
 use ulfm_sim::{run, FaultPlan, RunConfig};
 
 fn bench_reconstruct(c: &mut Criterion) {
@@ -19,16 +18,28 @@ fn bench_reconstruct(c: &mut Criterion) {
                         let mut t = ReconstructTimings::default();
                         if ctx.is_spawned() {
                             let parent = ctx.parent().unwrap();
-                            let _ =
-                                communicator_reconstruct(ctx, None, Some(parent), &mut t).unwrap();
+                            let _ = reconstruct(
+                                ctx,
+                                Join::Child(parent),
+                                &mut RepairArm::Respawn(RespawnPolicy::SameHost),
+                                None,
+                                &mut t,
+                            )
+                            .unwrap();
                             return;
                         }
                         let world = ctx.initial_world().unwrap();
                         if plan.strikes(world.rank(), 0) {
                             ctx.die();
                         }
-                        let world =
-                            communicator_reconstruct(ctx, Some(world), None, &mut t).unwrap();
+                        let world = reconstruct(
+                            ctx,
+                            Join::Detect(world),
+                            &mut RepairArm::Respawn(RespawnPolicy::SameHost),
+                            None,
+                            &mut t,
+                        )
+                        .unwrap();
                         assert_eq!(world.size(), p);
                     });
                     report.assert_no_app_errors();

@@ -1,11 +1,11 @@
 //! `expt-regress` — bench-regression gate: re-measure the gated
-//! quantities (level-9 step speedup, n9 combine-tree speedup, ~1k-rank
-//! pooled scale wall, SIMD and service ratios, the absolute d=2 step
-//! wall, the 3D rows-over-closure ratio, the sliced-over-bytewise CRC
-//! ratio) and fail (exit 1) if any slips more than 15% against its
-//! committed `BENCH_pr*.json` baseline — or, for the CRC ratio, under its
-//! 2x floor — or if the one-failure repair of the paper's shape does not
-//! reproduce its committed agree count and `T_RECONSTRUCT` exactly, or a
+//! quantities (level-9 step speedup, n9 combine-tree speedup, SIMD
+//! ratio, the absolute d=2 step wall, the 3D rows-over-closure ratio,
+//! the sliced-over-bytewise CRC ratio) and fail (exit 1) if any slips
+//! more than 15% against its committed `BENCH_pr*.json` baseline — or,
+//! for the CRC ratio, under its 2x floor — or if the one-failure repair
+//! of the paper's shape does not reproduce its committed agree count and
+//! `T_RECONSTRUCT` exactly, or a
 //! warm collective round of 64 ranks, a warm robust-coefficient solve or
 //! a warm Fig. 4 handler call its committed allocator-request count, or a
 //! whole `paper2d_kill` or `solve3d_kill` run asks for more bytes than

@@ -50,7 +50,10 @@
 //! once more to attach a Chrome trace and a timeline JSON to the report.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use ftsg_core::app::keys;
@@ -58,7 +61,6 @@ use ftsg_core::{
     run_app, AppConfig, CorruptKind, CorruptionPlan, CorruptionStrike, ProcLayout, ProcLayoutN,
     RecoveryPolicy, Technique,
 };
-use ftsg_service::{CustomOutput, JobId, JobOutput, JobSpec, JobState, Service, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ulfm_sim::{
@@ -420,17 +422,6 @@ impl ChaosCase {
             cfg = cfg.with_ckpt_corruption(CorruptionPlan::one(*strike));
         }
         cfg
-    }
-
-    /// The full solve configuration of this case: the `AppConfig` with
-    /// the victim fault plan (and corruption strike) baked in, plus the
-    /// world size to launch. Public for job-service clients — `ftsg-serve`
-    /// turns chaos specs into solve jobs with exactly this config.
-    pub fn solve_config(&self) -> (AppConfig, usize) {
-        let plan = FaultPlan::new_sites(self.victims.clone());
-        let cfg = self.app_config(plan);
-        let world = cfg.world_size(self.layout().world_size());
-        (cfg, world)
     }
 
     /// Are the victims admissible for this shape? (In range, not rank 0,
@@ -975,8 +966,9 @@ pub struct CampaignOpts {
     pub corruption: bool,
     /// Sample *only* corruption cases (`--corrupt-only`).
     pub corrupt_only: bool,
-    /// Worker threads of the job service the campaign fans its case runs
-    /// out over (0 = the machine's available parallelism).
+    /// Worker threads the campaign fans its case runs out over (0 = the
+    /// machine's available parallelism). Reports are byte-identical at
+    /// any width.
     pub fanout_workers: usize,
     /// Problem dimensionality (`--dim`): 2 samples the classic 2D shape,
     /// ≥ 3 the d-dimensional campaign shape.
@@ -1383,12 +1375,11 @@ pub fn run_campaign(opts: &CampaignOpts) -> CampaignReport {
 
 /// [`run_campaign`] with a progress callback `(index, record)`.
 ///
-/// The campaign is a *client of the job service*: every case run fans
-/// out over a shared worker pool as a panic-isolated custom job, while
-/// sampling, baselines, oracle checks and shrinking stay sequential on
-/// this thread. Determinism is preserved by sampling every case up front
-/// (the exact RNG order of the old sequential loop) and consuming
-/// results in submission order.
+/// Every case run fans out over a scoped worker pool ([`fan_out`]), panic
+/// isolated, while sampling, baselines, oracle checks and shrinking stay
+/// sequential on this thread. Determinism is preserved by sampling every
+/// case up front (the exact RNG order of the old sequential loop) and
+/// consuming results in sampling order.
 pub fn run_campaign_with(
     opts: &CampaignOpts,
     mut progress: impl FnMut(usize, &CaseRecord),
@@ -1421,90 +1412,115 @@ pub fn run_campaign_with(
         cases.push(case);
     }
 
-    // Phase 2 — submit every case run as a job. Blocking submit applies
-    // the queue's backpressure; workers never wait on this thread, so the
-    // submission loop always makes progress.
+    // Phase 2 — run the cases on the pool and consume them in sampling
+    // order; the baseline cache and the shrink loop are deterministic
+    // because their call order is.
     let workers = if opts.fanout_workers == 0 {
         std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
     } else {
         opts.fanout_workers
     };
-    let (svc, _events) =
-        Service::start(ServiceConfig { workers, queue_depth: (workers * 4).max(8) });
-    let ids: Vec<JobId> = cases
-        .iter()
-        .enumerate()
-        .map(|(i, case)| {
-            let case = case.clone();
-            let (seed, stall) = (opts.seed, opts.stall);
-            svc.submit(JobSpec::custom(format!("chaos-{i}:{}", case.spec()), move |_jc| {
-                let plan = FaultPlan::new_sites(case.victims.clone());
-                Ok(Box::new(run_case(&case, plan, seed, stall)) as CustomOutput)
-            }))
-            .unwrap_or_else(|e| panic!("chaos campaign submit failed: {e}"))
-        })
-        .collect();
-
-    // Phase 3 — consume in submission order; the baseline cache and the
-    // shrink loop are deterministic because their call order is.
-    for (i, (case, id)) in cases.iter().zip(ids).enumerate() {
-        let res = match svc.take_output(id) {
-            Some(JobOutput::Custom(out)) => match out.downcast::<CaseResult>() {
-                Ok(res) => *res,
-                Err(_) => unreachable!("chaos jobs return CaseResult"),
-            },
-            // A panic inside the case run was caught at the job boundary:
-            // record it as a violation of its own instead of killing the
-            // campaign (the isolation contract at work).
-            _ => {
-                let detail = match svc.state(id) {
-                    Some(JobState::Failed(msg)) => msg,
-                    other => format!("case job ended without output ({other:?})"),
-                };
-                let record = CaseRecord {
-                    spec: case.spec(),
-                    technique: case.technique.label(),
-                    kind: case.kind(),
-                    procs_failed: 0,
-                    ckpt_skipped: 0.0,
-                    violations: vec![Violation { oracle: "job-panic", detail }],
-                    shrunk_spec: None,
-                    shrunk_n_failures: None,
-                    artifacts: Vec::new(),
-                };
-                progress(i, &record);
-                report.cases.push(record);
-                continue;
-            }
-        };
-        let base = cache.get(case).clone();
-        let violations = check_oracles(case, &res, &base, opts.sabotage);
+    let run_one = |i: usize| {
+        let case = &cases[i];
+        run_case(case, FaultPlan::new_sites(case.victims.clone()), opts.seed, opts.stall)
+    };
+    fan_out(cases.len(), workers, run_one, |i, out| {
+        let case = &cases[i];
         let mut record = CaseRecord {
             spec: case.spec(),
             technique: case.technique.label(),
             kind: case.kind(),
-            procs_failed: res.procs_failed,
-            ckpt_skipped: res.ckpt_skipped.unwrap_or(0.0),
-            violations,
+            procs_failed: 0,
+            ckpt_skipped: 0.0,
+            violations: Vec::new(),
             shrunk_spec: None,
             shrunk_n_failures: None,
             artifacts: Vec::new(),
         };
-        if !record.violations.is_empty() {
-            let (shrunk, runs) = shrink_case(case, opts, &mut cache, 40);
-            report.shrink_runs += runs;
-            record.shrunk_spec = Some(shrunk.spec());
-            record.shrunk_n_failures = Some(shrunk.victims.len());
-            if let Some(dir) = &opts.artifact_dir {
-                record.artifacts = write_artifacts(&shrunk, opts, dir, &format!("case{i:03}"));
+        match out {
+            Ok(res) => {
+                let base = cache.get(case).clone();
+                record.violations = check_oracles(case, &res, &base, opts.sabotage);
+                record.procs_failed = res.procs_failed;
+                record.ckpt_skipped = res.ckpt_skipped.unwrap_or(0.0);
+                if !record.violations.is_empty() {
+                    let (shrunk, runs) = shrink_case(case, opts, &mut cache, 40);
+                    report.shrink_runs += runs;
+                    record.shrunk_spec = Some(shrunk.spec());
+                    record.shrunk_n_failures = Some(shrunk.victims.len());
+                    if let Some(dir) = &opts.artifact_dir {
+                        record.artifacts =
+                            write_artifacts(&shrunk, opts, dir, &format!("case{i:03}"));
+                    }
+                }
             }
+            // A panic inside the case run was caught at the worker: record
+            // it as a violation of its own instead of killing the campaign.
+            Err(detail) => record.violations.push(Violation { oracle: "job-panic", detail }),
         }
         progress(i, &record);
         report.cases.push(record);
-    }
-    svc.shutdown();
+    });
     report.baseline_runs = cache.runs;
     report
+}
+
+/// Run `job(i)` for every `i` in `0..n` on `workers` scoped threads and
+/// hand each outcome to `consume` in index order, whatever order the runs
+/// finish in: results that arrive early wait in a buffer, so `consume`
+/// streams as soon as the next index is in. A panic inside `job(i)` is
+/// caught on its worker and arrives as `Err("panic: <payload>")` at
+/// index `i`; the other jobs run on.
+fn fan_out<T: Send>(
+    n: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+    mut consume: impl FnMut(usize, Result<T, String>),
+) {
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        for _ in 0..workers.max(1).min(n) {
+            let (tx, next, job) = (tx.clone(), &next, &job);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = catch_unwind(AssertUnwindSafe(|| job(i)))
+                    .map_err(|payload| panic_message(payload.as_ref()));
+                if tx.send((i, out)).is_err() {
+                    break; // the consumer is gone (it panicked)
+                }
+            });
+        }
+        drop(tx);
+        let mut early = HashMap::new();
+        for i in 0..n {
+            let out = match early.remove(&i) {
+                Some(out) => out,
+                None => loop {
+                    let (j, out) = rx.recv().expect("every claimed job sends its outcome");
+                    if j == i {
+                        break out;
+                    }
+                    early.insert(j, out);
+                },
+            };
+            consume(i, out);
+        }
+    });
+}
+
+/// Render a `catch_unwind` payload as text (panics carry `&str` or
+/// `String` in practice).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("<non-string payload>");
+    format!("panic: {text}")
 }
 
 /// Replay one spec (the `--repro` path): returns the record after running
@@ -1898,5 +1914,44 @@ mod tests {
         assert!(json.contains(r#""violating":1"#));
         assert!(json.contains(r#"\"y\""#), "quotes must be escaped: {json}");
         assert!(json.contains(r#""artifacts":["out/case000-trace.json"]"#));
+    }
+
+    /// The fan-out contract: results are consumed in sampling order, not
+    /// arrival order, so a campaign's report is byte-identical at any pool
+    /// width. Corruption cases are left out: their kill races failure
+    /// detection in real time (O6), so their `ckpt_skipped` can differ
+    /// from run to run at any width.
+    #[test]
+    fn campaign_report_is_the_same_at_any_fanout_width() {
+        for dim in [2, 3] {
+            let report = |fanout_workers| {
+                let opts = CampaignOpts {
+                    budget: 24,
+                    seed: 1,
+                    corruption: false,
+                    fanout_workers,
+                    dim,
+                    ..Default::default()
+                };
+                run_campaign(&opts)
+            };
+            let (one, three) = (report(1), report(3));
+            assert_eq!(one.cases.len(), 24);
+            assert_eq!(one.to_json(), three.to_json(), "dim {dim}");
+        }
+    }
+
+    /// Panic isolation: a job that panics arrives as `Err("panic: ..")` at
+    /// its own index, and every other job still returns its value, in
+    /// order.
+    #[test]
+    fn a_panicking_job_lands_at_its_own_index_and_the_rest_run_on() {
+        let mut seen = Vec::new();
+        let job = |i: usize| if i == 5 { panic!("boom") } else { i * 10 };
+        fan_out(12, 3, job, |i, out| seen.push((i, out)));
+        let want: Vec<(usize, Result<usize, String>)> = (0..12)
+            .map(|i| (i, if i == 5 { Err("panic: boom".to_string()) } else { Ok(i * 10) }))
+            .collect();
+        assert_eq!(seen, want);
     }
 }

@@ -16,5 +16,4 @@ pub mod policy;
 pub mod regress;
 pub mod repair;
 pub mod scale;
-pub mod serve;
 pub mod table1;

@@ -19,28 +19,20 @@
 //!    `acceptance.level9_simd_speedup_vs_scalar`. Guards the SIMD
 //!    kernels: a build or dispatch change that silently falls back to
 //!    scalar collapses this ratio to ~1.
-//! 4. **`serve_overlap_ratio`** (wall clock, ratio of two same-process
-//!    measurements) — the campaign service's 2-worker vs 1-worker
-//!    throughput on a fixed batch of tiny CR solves, vs `BENCH_pr9.json`
-//!    `acceptance.gate_overlap_ratio`. Guards the service layer: a
-//!    scheduling, locking or panic-boundary change that serializes the
-//!    shared pool collapses the ratio to ~1, while the ratio form
-//!    cancels host-load and process-history noise that makes absolute
-//!    jobs/sec baselines unportable.
-//! 5. **`d2_level9_step_wall_ns`** (wall clock, lower is better) — the
+//! 4. **`d2_level9_step_wall_ns`** (wall clock, lower is better) — the
 //!    absolute median wall time of the double-buffered d=2 level-9 step,
 //!    vs `BENCH_pr8.json` `acceptance.pr1_fast_double_buffered_median_ns`.
 //!    Guards the classic 2D hot path against the d-dimensional
 //!    generalization: the speedup gates are ratios and would hide a
 //!    change that slowed both formulations equally.
-//! 6. **`nd_rows_speedup_vs_closure`** (wall clock, ratio of two
+//! 5. **`nd_rows_speedup_vs_closure`** (wall clock, ratio of two
 //!    same-process measurements) — the d-dimensional row step vs the
 //!    point-closure reference step at the `solve3d_kill` slab shapes, vs
 //!    `BENCH_pr17.json` `acceptance.nd_rows_speedup_vs_closure`. Guards
 //!    the nd hot path: a per-point dispatch or a per-step allocation
 //!    creeping back into `PaddedFieldN::step_rows` / `StencilN::row`
 //!    collapses the ratio towards 1, while the host factor cancels.
-//! 7. **`crc_sliced_over_bytewise_ratio`** (wall clock, ratio of two
+//! 6. **`crc_sliced_over_bytewise_ratio`** (wall clock, ratio of two
 //!    same-process measurements, held to a *floor* rather than to the
 //!    committed value ± tolerance) — the production slice-by-8 CRC-64
 //!    over the byte-at-a-time reference on the largest `ckpt_heavy`
@@ -50,7 +42,7 @@
 //!    bytewise loop collapses the ratio to 1. How far above the floor a
 //!    CPU lands varies with its cache and issue width, which is why the
 //!    committed ratio itself is not the bar.
-//! 8. **`paper_shape_agree_calls`** and **`paper_shape_t_reconstruct`**
+//! 7. **`paper_shape_agree_calls`** and **`paper_shape_t_reconstruct`**
 //!    (virtual clock, **exact match**) — how many agreements the
 //!    one-failure repair of the paper's own shape (`paper2d_kill`) puts on
 //!    rank 0's path, and its `T_RECONSTRUCT`, vs `BENCH_pr22.json`
@@ -58,7 +50,7 @@
 //!    creeping back in, or a repair-path operation changing, moves one of
 //!    the two. Deterministic and host-independent, so unlike the gates
 //!    above it is not a matter of tolerance.
-//! 9. **`warm_inline_collective_requests`** and
+//! 8. **`warm_inline_collective_requests`** and
 //!    **`warm_gather_view_requests`** (allocator requests, **exact
 //!    match**) — what 16 warm rounds of `barrier` + `allreduce_sum` +
 //!    `agree`, and 16 warm `gather_view` rounds, cost on 64 ranks
@@ -68,17 +60,17 @@
 //!    contribution, a boxed outcome, a map node — moves a count by a
 //!    multiple of 64. Measured through the calling binary's counting
 //!    allocator, so only `expt-regress` (which installs one) runs them.
-//! 10. **`robust_solve_requests_2d`**, **`robust_solve_requests_3d`** and
-//!     **`errhandler_requests`** (allocator requests, **exact match**) —
-//!     one warm robust-coefficient solve at the `ranks1k_kill` and
-//!     `solve3d_kill` shapes, and 16 warm Fig. 4 handler calls on each of
-//!     14 survivors (`ftsg_core::alloc_probe::repair_share`, which
-//!     `alloc_discipline.rs` asserts too), vs `BENCH_pr26.json`
-//!     `acceptance`. Guards a rank's share of a repair,
-//!     which every rank pays: a level set, a coefficient map or a search
-//!     node's clone creeping back into the solve, or a failed list or a
-//!     group rebuilt per handler call, moves a count.
-//! 11. **`paper2d_kill_bytes`** and **`solve3d_kill_bytes`** (bytes
+//! 9. **`robust_solve_requests_2d`**, **`robust_solve_requests_3d`** and
+//!    **`errhandler_requests`** (allocator requests, **exact match**) —
+//!    one warm robust-coefficient solve at the `ranks1k_kill` and
+//!    `solve3d_kill` shapes, and 16 warm Fig. 4 handler calls on each of
+//!    14 survivors (`ftsg_core::alloc_probe::repair_share`, which
+//!    `alloc_discipline.rs` asserts too), vs `BENCH_pr26.json`
+//!    `acceptance`. Guards a rank's share of a repair,
+//!    which every rank pays: a level set, a coefficient map or a search
+//!    node's clone creeping back into the solve, or a failed list or a
+//!    group rebuilt per handler call, moves a count.
+//! 10. **`paper2d_kill_bytes`** and **`solve3d_kill_bytes`** (bytes
 //!     requested of the allocator, held to a **ceiling**) — one whole run
 //!     of the `paper2d_kill` and `solve3d_kill` shapes
 //!     ([`crate::experiments::repair::run_count`]: seed 7, one scheduler
@@ -96,15 +88,15 @@
 //!     (about 8 per character, so even a `PATH_MAX` one stays inside
 //!     the margin). A toolchain whose standard library allocates
 //!     differently may need the ceiling re-measured.
-//! 12. **`paper2d_kill_ac_makespan`** (virtual clock, **exact match**) —
+//! 11. **`paper2d_kill_ac_makespan`** (virtual clock, **exact match**) —
 //!     the makespan of the one-failure run of the paper's shape, the
 //!     benchmark's `virt_makespan @ paper2d_kill`, vs `BENCH_pr29.json`
 //!     `acceptance`. Guards Alternate Combination's recovery: it is the
 //!     coefficient solve alone, and a gather, combination or scatter of a
 //!     sample for the lost grid creeping back in moves it (by 0.0172
 //!     vsec, what that sample cost).
-//! 13. **`solve3d_kill_requests`** (allocator requests, held to a
-//!     **ceiling**) — the same whole `solve3d_kill` run as gate 11,
+//! 12. **`solve3d_kill_requests`** (allocator requests, held to a
+//!     **ceiling**) — the same whole `solve3d_kill` run as gate 10,
 //!     counted in requests, at or below `BENCH_pr30.json` `acceptance`.
 //!     The count moves with the temp-dir path a run formats, but only
 //!     downwards: a short path (`/tmp`) makes the most, 3,733, and paths
@@ -114,7 +106,7 @@
 //!     (57), levels that are heap vectors again about 1,400 (one per
 //!     level of every rank's grid system, plus each solver's and each
 //!     grid's level, shape and strides).
-//! 14. **`ckpt_heavy_restore`** (virtual clock, **exact match**) — the
+//! 13. **`ckpt_heavy_restore`** (virtual clock, **exact match**) — the
 //!     benchmark's `virt_restore @ ckpt_heavy` (`T_RECOVERY + T_CKPT` of
 //!     one run of the shape, [`crate::experiments::repair::measure_restore`]),
 //!     vs `BENCH_pr32.json` `acceptance`. Guards the newest-wins checkpoint
@@ -413,10 +405,6 @@ pub fn run(
     let simd_fresh = crate::experiments::kernel::measure_simd_step_speedup(iters);
     let step_wall_base = num_field(&pr8, "pr1_fast_double_buffered_median_ns", "BENCH_pr8.json")?;
 
-    let pr9 = read_baseline(dir, "BENCH_pr9.json")?;
-    let serve_base = num_field(&pr9, "gate_overlap_ratio", "BENCH_pr9.json")?;
-    let serve_fresh = crate::experiments::serve::measure_gate_overlap_ratio();
-
     let pr17 = read_baseline(dir, "BENCH_pr17.json")?;
     let nd_base = num_field(&pr17, "nd_rows_speedup_vs_closure", "BENCH_pr17.json")?;
     let nd_fresh = crate::experiments::kernel::measure_3d_rows_speedup(iters);
@@ -436,7 +424,6 @@ pub fn run(
                 true,
             ),
             GateResult::new("level9_simd_speedup", "BENCH_pr8.json", simd_base, simd_fresh, true),
-            GateResult::new("serve_overlap_ratio", "BENCH_pr9.json", serve_base, serve_fresh, true),
             GateResult::new(
                 "d2_level9_step_wall_ns",
                 "BENCH_pr8.json",

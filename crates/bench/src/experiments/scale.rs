@@ -155,8 +155,8 @@ impl ChildSpec {
 }
 
 /// Peak resident set of this process so far, from `/proc/self/status`
-/// (`None` off Linux). Shared with `expt-serve`'s soak accounting.
-pub(crate) fn peak_rss_kb() -> Option<u64> {
+/// (`None` off Linux).
+fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix("VmHWM:") {

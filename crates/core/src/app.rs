@@ -91,10 +91,6 @@ pub mod keys {
     /// list; the final combination excluded them via robust
     /// coefficients).
     pub const DROPPED_GRIDS: &str = "dropped_grids";
-    /// Set to 1 by rank 0 when the run exited through cooperative
-    /// cancellation (the campaign service reads it to classify the job
-    /// as cancelled rather than failed).
-    pub const CANCELLED: &str = "cancelled";
     /// How many operations named `op` (an entry of
     /// [`AUDITED_OPS`](super::AUDITED_OPS)) rank 0 made during each
     /// failure event: a list with one entry per event, in event order.
@@ -413,10 +409,6 @@ pub fn run_app(cfg: &AppConfig, ctx: &mut Ctx) {
         // survivors' restarted recovery loop; exiting quietly is the
         // correct behaviour, not an error.
         Err(Error::Orphaned) => {}
-        // Cooperative cancellation: every rank exits together at an epoch
-        // boundary after agreeing on the cancel flag; rank 0 has already
-        // reported `keys::CANCELLED`, so this is a quiet non-error exit.
-        Err(Error::Cancelled) => {}
         Err(e) => panic!("ftsg application failed: {e}"),
     }
 }
@@ -536,38 +528,8 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // The tree combination's hop-receive buffer, kept across its retries.
     let mut hop_buf: Vec<f64> = Vec::new();
     while current_step < steps {
-        // ---- epoch boundary: observer tick + cooperative cancellation
-        // poll. Every rank arrives here together (children join at the
-        // loop top once the round that recovered them is confirmed;
-        // survivors finish the repair arm of the previous iteration
-        // first), so both the poll broadcast and the agree below are
-        // collective. ----
+        // ---- epoch boundary: observer tick (rank 0 only; no operation). ----
         notify(cfg, &world, AppEvent::Epoch { step: current_step, steps });
-        if let Some(flag) = &cfg.cancel {
-            let mine = if world.rank() == 0 {
-                Some(vec![flag.load(std::sync::atomic::Ordering::Relaxed) as u64])
-            } else {
-                None
-            };
-            // A failure can strike the poll broadcast itself; treat a
-            // disrupted poll as "no cancel seen" and let the
-            // fault-tolerant agree make the verdict uniform. The flag is
-            // monotonic, so a cancel masked by a failure this epoch is
-            // simply observed at the next one.
-            let seen = match world.bcast(ctx, 0, mine.as_deref()) {
-                Ok(v) => v[0] != 0,
-                Err(e) if is_casualty(&e) => false,
-                Err(e) => return Err(Error::InvalidArg(format!("[cancel-poll] {e}"))),
-            };
-            let mut cancel = seen;
-            let _ = world.agree(ctx, &mut cancel); // fault-tolerant; AND
-            if cancel {
-                if world.rank() == 0 {
-                    ctx.report_f64(keys::CANCELLED, 1.0);
-                }
-                return Err(Error::Cancelled);
-            }
-        }
         let dp = dpoints
             .iter()
             .copied()

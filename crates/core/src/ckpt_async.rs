@@ -91,8 +91,8 @@ struct Shared {
 /// Lock with poison recovery. The data under both mutexes (a gauge and an
 /// error list) is valid after any partial update, so a panic on either
 /// side of the pipeline must not cascade into every later lock: a
-/// poisoned checkpointer would otherwise take down a whole service worker
-/// along with every unrelated job that later touches the same rank state.
+/// poisoned checkpointer would otherwise fail every later enqueue and
+/// drain of its rank.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -624,8 +624,7 @@ mod tests {
             }));
             assert!(ck.shared.pending.is_poisoned());
             // The pipeline keeps working: enqueue, observe, drain — no
-            // poison cascade into this rank (or, under the campaign
-            // service, into sibling jobs sharing the worker).
+            // poison cascade into this rank.
             let g = Grid2::from_fn(LevelPair::new(4, 4), |x, y| x * y);
             enqueue(&mut ck, ctx, 1, 9, &g).unwrap();
             ck.drain(ctx, true).unwrap();

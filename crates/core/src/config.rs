@@ -138,14 +138,9 @@ pub struct AppConfig {
     /// bitwise-identical (see `advect2d::simd`); defaults come from the
     /// `FTSG_KERNEL` / `FTSG_BANDS` / `FTSG_BAND_MIN_CELLS` env knobs.
     pub kernel: KernelConfig,
-    /// Cooperative cancellation token (the campaign service sets it).
-    /// Polled at epoch (detection-segment) boundaries behind a rank-0
-    /// broadcast plus a fault-tolerant agree, so every rank leaves the
-    /// run together; `None` (the default) adds zero runtime operations —
-    /// fault-site operation counts of existing chaos specs are unchanged.
-    pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     /// Live progress/recovery observer, called by rank 0 only (the
-    /// campaign service streams these as `JobEvent`s). `None` by default.
+    /// benchmark harness splits set-up from solve at `Epoch { step: 0 }`).
+    /// `None` by default; it adds no runtime operation either way.
     pub observer: Option<AppObserver>,
 }
 
@@ -209,7 +204,6 @@ impl AppConfig {
             spares: 0,
             output_prefix: None,
             kernel: KernelConfig::global(),
-            cancel: None,
             observer: None,
         }
     }
@@ -249,19 +243,8 @@ impl AppConfig {
             spares: 0,
             output_prefix: None,
             kernel: KernelConfig::global(),
-            cancel: None,
             observer: None,
         }
-    }
-
-    /// Attach a cooperative cancellation token: once `flag` is set, the
-    /// run exits with [`ulfm_sim::Error::Cancelled`] at the next epoch
-    /// boundary every rank agrees on. The flag must be monotonic (set
-    /// once, never cleared) — the epoch poll is an agreement, so a flag
-    /// observed by only part of the world simply cancels one epoch later.
-    pub fn with_cancel(mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
     }
 
     /// Attach a live progress/recovery observer (rank 0 only).

@@ -733,36 +733,6 @@ pub fn reconstruct(
     Ok(comm)
 }
 
-/// [`reconstruct`] as the paper's listing has it — same-host respawn, no
-/// data recovery. Survivors pass `Some(world)` and `None`; respawned
-/// children pass `None` and `Some(parent)`.
-pub fn communicator_reconstruct(
-    ctx: &Ctx,
-    my_world: Option<Comm>,
-    parent: Option<InterComm>,
-    timings: &mut ReconstructTimings,
-) -> Result<Comm> {
-    communicator_reconstruct_with(ctx, my_world, parent, RespawnPolicy::SameHost, timings)
-}
-
-/// [`communicator_reconstruct`] with an explicit [`RespawnPolicy`].
-pub fn communicator_reconstruct_with(
-    ctx: &Ctx,
-    my_world: Option<Comm>,
-    parent: Option<InterComm>,
-    policy: RespawnPolicy,
-    timings: &mut ReconstructTimings,
-) -> Result<Comm> {
-    let join = match (parent, my_world) {
-        (Some(parent), _) => Join::Child(parent),
-        (None, Some(world)) => Join::Detect(world),
-        (None, None) => {
-            return Err(Error::InvalidArg("reconstruct: neither a world nor a parent".into()))
-        }
-    };
-    reconstruct(ctx, join, &mut RepairArm::Respawn(policy), None, timings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,10 @@
 //! solves over the simulated runtime, real fail-stop kills, real
 //! communicator reconstruction, and all three data recovery techniques.
 
+use std::sync::{Arc, Mutex};
+
 use ftsg_core::app::keys;
+use ftsg_core::config::{AppEvent, AppObserver};
 use ftsg_core::{run_app, AppConfig, ProcLayout, ProcLayoutN, Technique};
 use ulfm_sim::{run, FaultPlan, Report, RunConfig};
 
@@ -124,6 +127,48 @@ fn cr_recovers_midrun_failure_exactly() {
         "CR recovery must be exact: {err} vs baseline {baseline}"
     );
     assert!(report.get_f64(keys::T_RECOVERY).unwrap() > 0.0);
+}
+
+/// What rank 0 streams to an observer over a run with one kill: the
+/// first event is `Epoch { step: 0 }` (the benchmark harness splits set-up
+/// from solve there), epoch steps strictly increase, and the one repair
+/// arrives once, as `Recovered { ranks: 1 }`, after the kill step.
+#[test]
+fn observer_sees_epoch_zero_first_and_one_recovery_after_the_kill() {
+    let kill = 15;
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&events);
+    let base = AppConfig::small(Technique::CheckpointRestart);
+    let steps = base.steps();
+    let layout = ProcLayout::new(base.n, base.l, base.technique.layout(), base.scale);
+    let victim = layout.group(2).first + 1;
+    let cfg = base
+        .with_plan(FaultPlan::single(victim, kill))
+        .with_observer(AppObserver::new(move |ev| sink.lock().unwrap().push(ev)));
+    let report = launch(cfg);
+    assert_eq!(report.get_f64(keys::N_FAILED), Some(1.0));
+
+    let events = events.lock().unwrap().clone();
+    assert_eq!(events.first(), Some(&AppEvent::Epoch { step: 0, steps }), "{events:?}");
+    let epochs: Vec<u64> = events
+        .iter()
+        .filter_map(|ev| match *ev {
+            AppEvent::Epoch { step, .. } => Some(step),
+            AppEvent::Recovered { .. } => None,
+        })
+        .collect();
+    assert!(epochs.windows(2).all(|w| w[0] < w[1]), "epochs {epochs:?}");
+    let recovered: Vec<(u64, usize)> = events
+        .iter()
+        .filter_map(|ev| match *ev {
+            AppEvent::Recovered { step, ranks } => Some((step, ranks)),
+            AppEvent::Epoch { .. } => None,
+        })
+        .collect();
+    assert_eq!(recovered.len(), 1, "{events:?}");
+    let (step, ranks) = recovered[0];
+    assert_eq!(ranks, 1);
+    assert!(step > kill, "recovered at step {step}, killed at {kill}");
 }
 
 #[test]

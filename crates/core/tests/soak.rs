@@ -76,7 +76,6 @@ fn soak_random_failures_all_techniques() {
             spares: 0,
             output_prefix: None,
             kernel: advect2d::KernelConfig::global(),
-            cancel: None,
             observer: None,
         };
         let layout = ProcLayout::new(n, l, technique.layout(), scale);

@@ -3,8 +3,10 @@
 //! load-balancing characteristics match the same-host policy.
 
 use ftsg_core::app::keys;
-use ftsg_core::reconstruct::communicator_reconstruct_with;
-use ftsg_core::{run_app, AppConfig, ProcLayout, ReconstructTimings, RespawnPolicy, Technique};
+use ftsg_core::{
+    reconstruct, run_app, AppConfig, Join, ProcLayout, ReconstructTimings, RepairArm,
+    RespawnPolicy, Technique,
+};
 use ulfm_sim::{run, ClusterProfile, FaultPlan, RunConfig};
 
 /// A cluster with 2 slots per node so whole-node failures are cheap to
@@ -24,11 +26,11 @@ fn node_failure_respawns_on_spare_node() {
         let mut timings = ReconstructTimings::default();
         if ctx.is_spawned() {
             let parent = ctx.parent().unwrap();
-            let w = communicator_reconstruct_with(
+            let w = reconstruct(
                 ctx,
+                Join::Child(parent),
+                &mut RepairArm::Respawn(RespawnPolicy::SpareNode),
                 None,
-                Some(parent),
-                RespawnPolicy::SpareNode,
                 &mut timings,
             )
             .unwrap();
@@ -40,11 +42,11 @@ fn node_failure_respawns_on_spare_node() {
         if w.rank() == 2 || w.rank() == 3 {
             ctx.die(); // the whole of node 1
         }
-        let w = communicator_reconstruct_with(
+        let w = reconstruct(
             ctx,
-            Some(w),
+            Join::Detect(w),
+            &mut RepairArm::Respawn(RespawnPolicy::SpareNode),
             None,
-            RespawnPolicy::SpareNode,
             &mut timings,
         )
         .unwrap();
@@ -69,11 +71,11 @@ fn isolated_failure_still_uses_same_host_under_spare_policy() {
         let mut timings = ReconstructTimings::default();
         if ctx.is_spawned() {
             let parent = ctx.parent().unwrap();
-            let _ = communicator_reconstruct_with(
+            let _ = reconstruct(
                 ctx,
+                Join::Child(parent),
+                &mut RepairArm::Respawn(RespawnPolicy::SpareNode),
                 None,
-                Some(parent),
-                RespawnPolicy::SpareNode,
                 &mut timings,
             )
             .unwrap();
@@ -84,11 +86,11 @@ fn isolated_failure_still_uses_same_host_under_spare_policy() {
         if w.rank() == 3 {
             ctx.die(); // node 1 keeps rank 2 alive → not a node failure
         }
-        let _ = communicator_reconstruct_with(
+        let _ = reconstruct(
             ctx,
-            Some(w),
+            Join::Detect(w),
+            &mut RepairArm::Respawn(RespawnPolicy::SpareNode),
             None,
-            RespawnPolicy::SpareNode,
             &mut timings,
         )
         .unwrap();
@@ -104,11 +106,11 @@ fn two_node_failures_get_distinct_spares() {
         let mut timings = ReconstructTimings::default();
         if ctx.is_spawned() {
             let parent = ctx.parent().unwrap();
-            let w = communicator_reconstruct_with(
+            let w = reconstruct(
                 ctx,
+                Join::Child(parent),
+                &mut RepairArm::Respawn(RespawnPolicy::SpareNode),
                 None,
-                Some(parent),
-                RespawnPolicy::SpareNode,
                 &mut timings,
             )
             .unwrap();
@@ -119,11 +121,11 @@ fn two_node_failures_get_distinct_spares() {
         if matches!(w.rank(), 2 | 3 | 6 | 7) {
             ctx.die(); // nodes 1 and 3 entirely
         }
-        let _ = communicator_reconstruct_with(
+        let _ = reconstruct(
             ctx,
-            Some(w),
+            Join::Detect(w),
+            &mut RepairArm::Respawn(RespawnPolicy::SpareNode),
             None,
-            RespawnPolicy::SpareNode,
             &mut timings,
         )
         .unwrap();

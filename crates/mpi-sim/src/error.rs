@@ -36,11 +36,6 @@ pub enum Error {
     /// process holds no usable communicator and must exit cleanly so the
     /// survivors' restarted recovery loop can spawn its successor.
     Orphaned,
-    /// The run was cancelled cooperatively: the application observed an
-    /// external cancellation request at a safe (collective) boundary and
-    /// every rank is exiting together. Not a failure — the campaign
-    /// service reports it as a cancelled job, not a failed one.
-    Cancelled,
     /// An application-level protocol invariant did not hold at this rank
     /// (e.g. a reduction root finding its partial already consumed after
     /// a failure landed mid-hop). Recoverable: the caller's retry loop
@@ -81,7 +76,6 @@ impl fmt::Display for Error {
             Error::Orphaned => {
                 write!(f, "orphaned: repair round abandoned by a further failure")
             }
-            Error::Cancelled => write!(f, "cancelled: run stopped by cooperative cancellation"),
             Error::Protocol(s) => write!(f, "protocol invariant violated: {s}"),
         }
     }

@@ -8,8 +8,7 @@
 //! cargo run --release --example ulfm_primitives
 //! ```
 
-use ftsg::app::reconstruct::communicator_reconstruct;
-use ftsg::app::ReconstructTimings;
+use ftsg::app::{reconstruct, Join, ReconstructTimings, RepairArm, RespawnPolicy};
 use ftsg::mpi::{run, RunConfig};
 
 fn main() {
@@ -21,8 +20,14 @@ fn main() {
             // protocol, like a re-executed main() after
             // MPI_Comm_get_parent.
             let parent = ctx.parent().unwrap();
-            let world = communicator_reconstruct(ctx, None, Some(parent), &mut timings)
-                .expect("child reconstruct");
+            let world = reconstruct(
+                ctx,
+                Join::Child(parent),
+                &mut RepairArm::Respawn(RespawnPolicy::SameHost),
+                None,
+                &mut timings,
+            )
+            .expect("child reconstruct");
             println!(
                 "  [child] joined as rank {} of {} on host {}",
                 world.rank(),
@@ -42,8 +47,14 @@ fn main() {
         }
 
         // Survivors: detect + repair (the paper's Fig. 3 protocol).
-        let world =
-            communicator_reconstruct(ctx, Some(world), None, &mut timings).expect("reconstruct");
+        let world = reconstruct(
+            ctx,
+            Join::Detect(world),
+            &mut RepairArm::Respawn(RespawnPolicy::SameHost),
+            None,
+            &mut timings,
+        )
+        .expect("reconstruct");
         assert_eq!(world.size(), 7, "communicator size must be preserved");
         assert_eq!(world.rank(), original_rank, "rank order must be preserved");
         if world.rank() == 0 {

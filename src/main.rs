@@ -167,7 +167,6 @@ fn main() {
         },
         output_prefix: cli.output.clone().map(Into::into),
         kernel: ftsg::pde::KernelConfig::global(),
-        cancel: None,
         observer: None,
     };
     if let Err(e) = cfg.validate() {
