@@ -609,8 +609,11 @@ pub fn write_steps(shape: &CaseShape) -> Vec<u64> {
 /// O6 already keys off `ckpt_corrupt_applied`, which counts only strikes
 /// on files that landed, so no skip is owed there. In the cases this
 /// function selects the damaged step is the newest checkpoint taken
-/// before the failure is detected, which nothing supersedes and the
-/// recovery drain lands.
+/// before the failure is detected, which no later checkpoint supersedes.
+/// A drain never starts a write, though: if the damaged write is still
+/// queued, unstarted, at the recovery barrier, the barrier supersedes it,
+/// the file never lands and the restart reads the older write that was
+/// in flight — the strike is not applied and, again, no skip is owed.
 pub fn corrupt_read_expected(case: &ChaosCase) -> bool {
     let Some(strike) = &case.corruption else { return false };
     if case.technique != Technique::CheckpointRestart || case.victims.is_empty() {

@@ -106,16 +106,20 @@
 //!     (57), levels that are heap vectors again about 1,400 (one per
 //!     level of every rank's grid system, plus each solver's and each
 //!     grid's level, shape and strides).
-//! 13. **`ckpt_heavy_restore`** (virtual clock, **exact match**) — the
-//!     benchmark's `virt_restore @ ckpt_heavy` (`T_RECOVERY + T_CKPT` of
-//!     one run of the shape, [`crate::experiments::repair::measure_restore`]),
-//!     vs `BENCH_pr32.json` `acceptance`. Guards the newest-wins checkpoint
+//! 13. **`ckpt_heavy_restore`** and **`ckpt_heavy_makespan`** (virtual
+//!     clock, **exact match**) — the benchmark's `virt_restore @
+//!     ckpt_heavy` (`T_RECOVERY + T_CKPT`) and `virt_makespan @
+//!     ckpt_heavy` of one run of the shape
+//!     ([`crate::experiments::repair::measure_restore`]), vs
+//!     `BENCH_pr35.json` `acceptance`. Guard the newest-wins checkpoint
 //!     writer: each root's virtual disk holds one write in flight and one
 //!     queued, a snapshot submitted before the queued write starts
-//!     replaces it, and the end of the run supersedes the queued snapshot
-//!     when no restore follows. A final drain that lands the queued
-//!     snapshot again takes the value back from 9.31 to 12.83 vsec, a
-//!     writer that pays for every queued snapshot to 48.04.
+//!     replaces it, and a drain never starts a write — the recovery
+//!     barrier and the end of the run both supersede the queued snapshot,
+//!     and the restore reads the write that was in flight. A recovery
+//!     barrier that lands the queued snapshot again takes the pair back
+//!     from 5.79 / 15.99 to 9.31 / 19.51 vsec, both drains landing it to
+//!     12.83 / 23.03.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -322,10 +326,12 @@ pub fn run_exact(
     let pr29 = read_baseline(dir, "BENCH_pr29.json")?;
     let makespan_base = num_field(&pr29, "paper2d_kill_ac_makespan", "BENCH_pr29.json")?;
     let pr30 = read_baseline(dir, "BENCH_pr30.json")?;
-    let pr32 = read_baseline(dir, "BENCH_pr32.json")?;
-    let restore_base = num_field(&pr32, "ckpt_heavy_restore", "BENCH_pr32.json")?;
-    let restore_fresh = crate::experiments::repair::measure_restore("ckpt_heavy")
-        .ok_or("no workload ckpt_heavy")?;
+    let pr35 = read_baseline(dir, "BENCH_pr35.json")?;
+    let restore_base = num_field(&pr35, "ckpt_heavy_restore", "BENCH_pr35.json")?;
+    let ckpt_makespan_base = num_field(&pr35, "ckpt_heavy_makespan", "BENCH_pr35.json")?;
+    let (restore_fresh, ckpt_makespan_fresh) =
+        crate::experiments::repair::measure_restore("ckpt_heavy")
+            .ok_or("no workload ckpt_heavy")?;
     let run_count = |key: &'static str, workload: &str, count| -> Result<GateResult, String> {
         let ceiling = num_field(&pr30, key, "BENCH_pr30.json")?;
         let fresh = crate::experiments::repair::run_count(workload, count)
@@ -374,7 +380,13 @@ pub fn run_exact(
                 makespan_base,
                 makespan_fresh,
             ),
-            GateResult::exact("ckpt_heavy_restore", "BENCH_pr32.json", restore_base, restore_fresh),
+            GateResult::exact("ckpt_heavy_restore", "BENCH_pr35.json", restore_base, restore_fresh),
+            GateResult::exact(
+                "ckpt_heavy_makespan",
+                "BENCH_pr35.json",
+                ckpt_makespan_base,
+                ckpt_makespan_fresh,
+            ),
         ],
         tolerance: 0.0,
     })

@@ -210,11 +210,14 @@ pub fn measure_paper_shape() -> (u64, f64, f64) {
     (row.ops[0] + row.ops[1], row.repair, row.makespan)
 }
 
-/// The benchmark's `virt_restore` (`T_RECOVERY + T_CKPT`) of one run of
-/// the workload called `name` — an exact-match gate for `ckpt_heavy`
-/// (`None` if there is no such workload).
-pub fn measure_restore(name: &str) -> Option<f64> {
-    launch_workload(name).map(|report| row_of(&report).restore)
+/// The benchmark's `virt_restore` (`T_RECOVERY + T_CKPT`) and
+/// `virt_makespan` of one run of the workload called `name` — exact-match
+/// gates for `ckpt_heavy` (`None` if there is no such workload).
+pub fn measure_restore(name: &str) -> Option<(f64, f64)> {
+    launch_workload(name).map(|report| {
+        let row = row_of(&report);
+        (row.restore, row.makespan)
+    })
 }
 
 /// Parent and change on all five shapes, with the host stamp.

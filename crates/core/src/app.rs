@@ -305,11 +305,13 @@ impl<S: Stack> RankState<S> {
         dp: Option<u64>,
         timings: &mut ReconstructTimings,
     ) -> Result<Recovered> {
-        // Recovery barrier: every in-flight async checkpoint, the queued
-        // one too, must land before any restore reads the store (counted
-        // as checkpoint time — it is the write's exposed tail).
+        // Recovery barrier: the async checkpoint in flight must land before
+        // any restore reads the store (counted as checkpoint time — it is
+        // the write's exposed tail). A queued snapshot is superseded, not
+        // waited for: the restore reads the one in flight and recomputes
+        // the steps between the two.
         let t_drain0 = ctx.now();
-        stage(self.landing.drain(ctx, true), "ckpt-drain")?;
+        stage(self.landing.drain(ctx), "ckpt-drain")?;
         self.t_ckpt += ctx.now() - t_drain0;
         self.take_slot(env, world.rank());
         let steps = env.cfg.steps();
@@ -690,14 +692,13 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     }
 
     // ---- end-of-run drain barrier: the write in flight must land (and
-    // its un-hidden disk time must be paid) before the store is cleared.
-    // A queued snapshot whose write has not started lands only if the
-    // simulated-loss restore below reads the store; otherwise the end of
-    // the run supersedes it, unwritten and uncharged. ----
+    // its un-hidden disk time must be paid) before the store is cleared
+    // or the simulated-loss restore below reads it. A queued snapshot
+    // whose write has not started is superseded, unwritten and
+    // uncharged. ----
     {
         let t_drain0 = ctx.now();
-        let restore_follows = !cfg.simulated_lost_grids.is_empty();
-        stage(st.landing.drain(ctx, restore_follows), "ckpt-drain-final")?;
+        stage(st.landing.drain(ctx), "ckpt-drain-final")?;
         st.t_ckpt += ctx.now() - t_drain0;
     }
     // Every write (and any fault-injected strike on it) has landed by

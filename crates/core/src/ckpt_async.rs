@@ -36,17 +36,18 @@
 //!   snapshots exist; a `take_buffer` that needs the buffer of the write
 //!   in flight blocks until the writer thread has really written it, so
 //!   memory stays bounded.
-//! * **Drain barriers land what a restore will read.** `drain` blocks
-//!   until every shipped snapshot has landed and surfaces any writer-side
-//!   I/O error. Before a checkpoint *restore* it ships the queued snapshot
-//!   first, so the restart sees only fully landed files and reads the
-//!   newest checkpoint the group took. At the end of the run, with no
-//!   restore to follow, the end supersedes the queued snapshot instead:
-//!   its write has not started, so it is dropped unwritten and uncharged
-//!   ([`Ctx::disk_drop_unstarted`]) and counted in `ckpt_superseded`,
-//!   while the write in flight still lands and is paid for. A failure in
-//!   the final combination that does restore later reads the newest
-//!   checkpoint that landed and recomputes from there.
+//! * **A drain never starts a write.** `drain` blocks until every
+//!   shipped snapshot has landed and surfaces any writer-side I/O error.
+//!   A queued snapshot whose write has not started by then is superseded,
+//!   at the recovery barrier and at the end of the run alike: it is
+//!   dropped unwritten and uncharged ([`Ctx::disk_drop_unstarted`]) and
+//!   counted in `ckpt_superseded`, while the write in flight still lands
+//!   and is paid for. A queued snapshot exists only while a write is in
+//!   flight, so the disk is a whole write behind; landing it would cost a
+//!   full `T_IO` of waiting to save recomputing the steps between the two
+//!   snapshots, which took less than `T_IO` plus one checkpoint period.
+//!   A restore after the drain reads the newest checkpoint on disk, the
+//!   one that was in flight, and recomputes from there.
 //! * **Crash atomicity.** The writer reuses [`CheckpointStore::write`],
 //!   so every file still lands via tmp + rename + directory fsync: a rank
 //!   killed with writes in flight leaves either a complete, checksummed
@@ -259,9 +260,9 @@ impl AsyncCheckpointer {
         }
     }
 
-    /// Ship the queued snapshot if its virtual write starts by `now`
-    /// (always, at `f64::INFINITY`). A refused one is dropped: its buffer
-    /// goes idle and the error tells the caller the stage is gone.
+    /// Ship the queued snapshot if its virtual write starts by `now`. A
+    /// refused one is dropped: its buffer goes idle and the error tells
+    /// the caller the stage is gone.
     fn ship_started(&mut self, now: f64) -> Result<()> {
         match self.queued.take() {
             Some((snap, start)) if start <= now => self.ship(snap).map_err(|refused| {
@@ -284,26 +285,20 @@ impl AsyncCheckpointer {
     /// Block until every shipped checkpoint has landed, settle the
     /// deferred virtual disk cost on `ctx`, report the snapshots
     /// superseded since the last drain, and surface any writer-side I/O
-    /// error. With `restore_follows` the queued snapshot is shipped and
-    /// lands too; without, a queued snapshot whose write has not started
-    /// by now is superseded — neither written nor charged. A fault site
+    /// error. A queued snapshot whose write has not started by now is
+    /// superseded — neither written nor charged. A fault site
     /// ([`OpClass::CkptDrain`]) fires first, so a chaos victim can die
     /// with writes in flight.
-    pub fn drain(&mut self, ctx: &Ctx, restore_follows: bool) -> Result<()> {
+    pub fn drain(&mut self, ctx: &Ctx) -> Result<()> {
         ctx.fault_op(OpClass::CkptDrain);
-        let shipped = if restore_follows {
-            self.ship_started(f64::INFINITY)
-        } else {
-            let shipped = self.ship_started(ctx.now());
-            let dropped = ctx.disk_drop_unstarted();
-            debug_assert_eq!(
-                dropped,
-                self.queued.is_some(),
-                "the virtual disk and this stage disagree on the queued write"
-            );
-            self.supersede_queued();
-            shipped
-        };
+        let shipped = self.ship_started(ctx.now());
+        let dropped = ctx.disk_drop_unstarted();
+        debug_assert_eq!(
+            dropped,
+            self.queued.is_some(),
+            "the virtual disk and this stage disagree on the queued write"
+        );
+        self.supersede_queued();
         {
             let mut n = lock_recover(&self.shared.pending);
             while *n > 0 {
@@ -375,7 +370,7 @@ mod tests {
                 enqueue(&mut ck, ctx, 0, step, &g).unwrap();
                 ctx.advance(1.0);
             }
-            ck.drain(ctx, true).unwrap();
+            ck.drain(ctx).unwrap();
             assert_eq!(ck.in_flight(), 0);
             assert!(ctx.io_hidden() > 0.0, "compute must hide some disk time");
         })
@@ -412,7 +407,9 @@ mod tests {
                 assert!(ptrs.contains(&g.values().as_ptr()), "a third buffer appeared");
                 ck.submit(ctx, 0, step, g).map_err(|(e, _)| e).unwrap();
             }
-            ck.drain(ctx, true).unwrap();
+            // Step 1 is in flight, step 5 queued behind it: the drain
+            // lands step 1 and supersedes step 5.
+            ck.drain(ctx).unwrap();
             // A refused snapshot is handed back intact for the sync path.
             ck.job_tx.take();
             let mut g = ck.take_buffer(level).unwrap();
@@ -422,7 +419,7 @@ mod tests {
             assert!(back.values().iter().all(|&v| v == 7.0));
         })
         .assert_no_app_errors();
-        assert_eq!(s.read(0).unwrap().expect("landed").0, 5);
+        assert_eq!(s.read(0).unwrap().expect("landed").0, 1);
         s.clear().unwrap();
     }
 
@@ -454,7 +451,8 @@ mod tests {
             }
             assert_eq!(buffers.len(), QUEUE_DEPTH, "still two allocations");
             assert_eq!(ck.superseded, 3);
-            ck.drain(ctx, true).unwrap();
+            // The drain lands step 1 and supersedes the queued step 5.
+            ck.drain(ctx).unwrap();
             assert_eq!((ck.in_flight(), ck.superseded), (0, 0));
             // Then one write per compute interval longer than a write:
             // nothing is superseded, everything lands.
@@ -464,11 +462,11 @@ mod tests {
                 ck.submit(ctx, 0, step, g).map_err(|(e, _)| e).unwrap();
                 ctx.advance(2.0 * cost);
             }
-            ck.drain(ctx, true).unwrap();
+            ck.drain(ctx).unwrap();
         });
         report.assert_no_app_errors();
-        assert_eq!(landed(&s, 0), [8, 7, 6, 5, 1]);
-        assert_eq!(report.get_f64(crate::app::keys::CKPT_SUPERSEDED), Some(3.0));
+        assert_eq!(landed(&s, 0), [8, 7, 6, 1]);
+        assert_eq!(report.get_f64(crate::app::keys::CKPT_SUPERSEDED), Some(4.0));
         s.clear().unwrap();
     }
 
@@ -492,17 +490,17 @@ mod tests {
             submit(&mut ck, 1);
             submit(&mut ck, 2);
             let t0 = ctx.now();
-            ck.drain(ctx, false).unwrap();
+            ck.drain(ctx).unwrap();
             assert!((ctx.now() - t0 - cost).abs() < 1e-12, "waited {}", ctx.now() - t0);
             assert_eq!((ck.in_flight(), ck.superseded), (0, 0));
             // A queued write the clock has reached has started: it lands.
             submit(&mut ck, 3);
             submit(&mut ck, 4);
             ctx.advance(1.5 * cost);
-            ck.drain(ctx, false).unwrap();
+            ck.drain(ctx).unwrap();
             assert_eq!(ck.in_flight(), 0);
             // Nothing pends: a final drain with nothing queued drops nothing.
-            ck.drain(ctx, false).unwrap();
+            ck.drain(ctx).unwrap();
         });
         report.assert_no_app_errors();
         assert_eq!(landed(&s, 0), [4, 3, 1]);
@@ -535,7 +533,7 @@ mod tests {
                     enqueue(&mut ck, ctx, 0, step, &g).unwrap();
                     ctx.report_add("submitted", 1.0);
                 }
-                ck.drain(ctx, true).unwrap();
+                ck.drain(ctx).unwrap();
             });
             report.assert_no_app_errors();
             assert_eq!(report.procs_failed, 1, "{site:?} never fired");
@@ -586,7 +584,7 @@ mod tests {
             let mut ck = AsyncCheckpointer::new(CheckpointStore::new(&dir).unwrap()).unwrap();
             let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x + y);
             enqueue(&mut ck, ctx, 0, 1, &g).unwrap();
-            ck.drain(ctx, true).unwrap();
+            ck.drain(ctx).unwrap();
             // Simulate the writer stage going away mid-run (the Drop path
             // with the checkpointer still referenced): enqueue must turn
             // into an error the caller can degrade on, never a panic.
@@ -599,7 +597,7 @@ mod tests {
             // The gauge was not bumped for the refused snapshot, so a
             // later drain still returns instead of waiting forever.
             assert_eq!(ck.in_flight(), 0);
-            ck.drain(ctx, true).unwrap();
+            ck.drain(ctx).unwrap();
         })
         .assert_no_app_errors();
         s.clear().unwrap();
@@ -627,7 +625,7 @@ mod tests {
             // poison cascade into this rank.
             let g = Grid2::from_fn(LevelPair::new(4, 4), |x, y| x * y);
             enqueue(&mut ck, ctx, 1, 9, &g).unwrap();
-            ck.drain(ctx, true).unwrap();
+            ck.drain(ctx).unwrap();
             assert_eq!(ck.in_flight(), 0);
         })
         .assert_no_app_errors();
@@ -647,10 +645,10 @@ mod tests {
             std::fs::remove_dir_all(&dir).unwrap();
             let g = Grid2::from_fn(LevelPair::new(2, 2), |x, _| x);
             enqueue(&mut ck, ctx, 0, 1, &g).unwrap();
-            let err = ck.drain(ctx, true).unwrap_err();
+            let err = ck.drain(ctx).unwrap_err();
             assert!(err.to_string().contains("checkpoint write failed"), "got: {err}");
             // A second drain reports clean — errors are consumed.
-            ck.drain(ctx, true).unwrap();
+            ck.drain(ctx).unwrap();
         })
         .assert_no_app_errors();
     }

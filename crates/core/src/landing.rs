@@ -19,8 +19,8 @@
 //! the virtual clock: with one write in flight and one queued, the next
 //! checkpoint's gather waits for the in-flight buffer's real write, and
 //! the queued snapshot comes back unwritten if it still has not started
-//! when the next one is submitted, or when the run ends with no restore
-//! to follow. A borrowed buffer goes back on every
+//! when the next one is submitted or a drain (the recovery barrier, the
+//! end of the run) is reached. A borrowed buffer goes back on every
 //! path, errors included: the writer owns exactly two, and a lost one
 //! would block the next borrow forever.
 //! In synchronous mode — configured, or degraded to because the writer
@@ -154,14 +154,14 @@ impl<S: Stack> Landing<S> {
     /// roots under CR with `ckpt_async`); a no-op everywhere else. Called
     /// before every checkpoint restore and at end of run, so a restart
     /// only ever sees fully landed files and the store can be cleared
-    /// safely. When `restore_follows`, the queued snapshot lands too, so
-    /// the restore reads the newest checkpoint the group took; otherwise
-    /// the end of the run supersedes it, unwritten and uncharged, and only
-    /// the started writes land.
-    pub(crate) fn drain(&mut self, ctx: &Ctx, restore_follows: bool) -> Result<()> {
+    /// safely. Only the started writes land: a queued snapshot is
+    /// superseded, unwritten and uncharged, and a restore reads the write
+    /// that was in flight and recomputes from its step.
+    pub(crate) fn drain(&mut self, ctx: &Ctx) -> Result<()> {
         match &mut self.writer {
-            Some(ck) => S::drain(ck, ctx, restore_follows)
-                .map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}"))),
+            Some(ck) => {
+                S::drain(ck, ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}")))
+            }
             None => Ok(()),
         }
     }

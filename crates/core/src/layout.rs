@@ -92,24 +92,31 @@ pub struct ProcLayout {
 /// `p` itself has no factorization fitting inside the domain (a tiny grid
 /// asked to host a big group), the group shrinks to the largest process
 /// count that does fit — every block must own at least one node.
+///
+/// Only the divisor pairs `(d, q / d)` and `(q / d, d)` with `d ≤ √q` are
+/// tried, so a group of `q` ranks costs O(√q), not O(q). On equal cost the
+/// smaller `px` wins.
 fn process_grid_shape(p: usize, nx: usize, ny: usize) -> (usize, usize) {
     for q in (1..=p.min(nx * ny)).rev() {
         let mut best: Option<(usize, usize)> = None;
         let mut best_cost = f64::INFINITY;
-        for px in 1..=q.min(nx) {
-            if q % px != 0 {
-                continue;
+        let mut d = 1;
+        while d * d <= q {
+            if q % d == 0 {
+                for (px, py) in [(d, q / d), (q / d, d)] {
+                    if px > nx || py > ny {
+                        continue;
+                    }
+                    // Per-block halo perimeter.
+                    let cost = nx as f64 / px as f64 + ny as f64 / py as f64;
+                    let smaller_px = best.is_some_and(|(bx, _)| px < bx);
+                    if cost < best_cost || (cost == best_cost && smaller_px) {
+                        best_cost = cost;
+                        best = Some((px, py));
+                    }
+                }
             }
-            let py = q / px;
-            if py > ny {
-                continue;
-            }
-            // Per-block halo perimeter.
-            let cost = nx as f64 / px as f64 + ny as f64 / py as f64;
-            if cost < best_cost {
-                best_cost = cost;
-                best = Some((px, py));
-            }
+            d += 1;
         }
         if let Some(shape) = best {
             return shape;
@@ -329,6 +336,60 @@ mod tests {
         let (px, py) = process_grid_shape(16, 4, 1024);
         assert!(px <= 4);
         assert_eq!(px * py, 16);
+    }
+
+    /// The search before it enumerated divisor pairs: every `px ≤ q`,
+    /// strict-less cost, so the first (smallest) `px` wins a tie.
+    fn process_grid_shape_linear(p: usize, nx: usize, ny: usize) -> (usize, usize) {
+        for q in (1..=p.min(nx * ny)).rev() {
+            let mut best: Option<(usize, usize)> = None;
+            let mut best_cost = f64::INFINITY;
+            for px in 1..=q.min(nx) {
+                if q % px != 0 {
+                    continue;
+                }
+                let py = q / px;
+                if py > ny {
+                    continue;
+                }
+                let cost = nx as f64 / px as f64 + ny as f64 / py as f64;
+                if cost < best_cost {
+                    best_cost = cost;
+                    best = Some((px, py));
+                }
+            }
+            if let Some(shape) = best {
+                return shape;
+            }
+        }
+        (1, 1)
+    }
+
+    #[test]
+    fn divisor_pair_search_matches_the_linear_one() {
+        let check = |p, nx, ny| {
+            assert_eq!(
+                process_grid_shape(p, nx, ny),
+                process_grid_shape_linear(p, nx, ny),
+                "p {p} on {nx} x {ny}"
+            );
+        };
+        // Every grid's shape (power-of-two sides), large groups included.
+        for p in 1..=1200 {
+            for i in 0..=10 {
+                for j in 0..=10 {
+                    check(p, 1 << i, 1 << j);
+                }
+            }
+        }
+        // Arbitrary sides, where groups shrink to fit and ties are common.
+        for p in 1..=160 {
+            for nx in 1..=24 {
+                for ny in 1..=24 {
+                    check(p, nx, ny);
+                }
+            }
+        }
     }
 
     #[test]

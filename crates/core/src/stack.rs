@@ -194,9 +194,8 @@ pub trait Stack: Sized + 'static {
         step: u64,
         g: Self::Grid,
     ) -> std::result::Result<(), Self::Grid>;
-    /// Land every started write, and the queued snapshot too when
-    /// `restore_follows`; otherwise the queued snapshot is superseded.
-    fn drain(w: &mut Self::Writer, ctx: &Ctx, restore_follows: bool) -> Result<()>;
+    /// Land every started write and supersede the queued snapshot.
+    fn drain(w: &mut Self::Writer, ctx: &Ctx) -> Result<()>;
 }
 
 /// The 2D stack: the paper's application and the bitwise reference.
@@ -340,8 +339,8 @@ impl Stack for D2 {
     ) -> std::result::Result<(), Grid2> {
         w.submit(ctx, id, step, g).map(|_| ()).map_err(|(_, refused)| refused)
     }
-    fn drain(w: &mut AsyncCheckpointer, ctx: &Ctx, restore_follows: bool) -> Result<()> {
-        w.drain(ctx, restore_follows)
+    fn drain(w: &mut AsyncCheckpointer, ctx: &Ctx) -> Result<()> {
+        w.drain(ctx)
     }
 }
 
@@ -481,7 +480,7 @@ impl Stack for Nd {
     ) -> std::result::Result<(), GridN> {
         match *w {}
     }
-    fn drain(w: &mut Infallible, _: &Ctx, _: bool) -> Result<()> {
+    fn drain(w: &mut Infallible, _: &Ctx) -> Result<()> {
         match *w {}
     }
 }

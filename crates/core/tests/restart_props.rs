@@ -6,8 +6,10 @@
 //!    uninterrupted run — under both synchronous and asynchronous
 //!    checkpointing (the async arm crosses the recovery drain barrier).
 //!    With a disk two or more writes behind, the writer supersedes stale
-//!    snapshots, and the restart still reads the newest checkpoint taken;
-//!    so does the simulated-loss restore after the end-of-run drain.
+//!    snapshots. A drain never starts a write: a snapshot still queued at
+//!    the recovery barrier or at the end of the run is superseded too, and
+//!    the restore reads the write that was in flight and recomputes more
+//!    steps, to the same bits.
 //! 2. **Wire-format integrity.** The v2 checkpoint codec round-trips
 //!    exactly, and *any* single-bit flip of an encoded buffer is detected
 //!    (magic/version/bounds checks or the CRC-64 trailer) — a decode must
@@ -58,22 +60,39 @@ fn healthy_bits(checkpoints: u32, ckpt_async: bool, seed: u64) -> u64 {
     bits
 }
 
-/// On OPL a checkpoint write costs about 3.5 vsec and this shape's
-/// compute between two checkpoints a fraction of a millisecond, so every
-/// asynchronous root falls further behind with each checkpoint. The
-/// newest-wins writer skips the snapshots queued behind the disk, yet a
-/// kill still restores the newest checkpoint the group took — the one the
-/// synchronous writer restores — and recomputes the same steps.
-#[test]
-fn a_restart_behind_a_busy_disk_reads_the_newest_checkpoint() {
+fn opl_world() -> (ProcLayout, impl Fn(AppConfig) -> Report) {
     let layout = ProcLayout::new(N, L, Technique::CheckpointRestart.layout(), 1);
     let world = layout.world_size();
-    let opl = |cfg: AppConfig| -> Report {
+    let opl = move |cfg: AppConfig| -> Report {
         let rc = RunConfig::cluster(ClusterProfile::opl(), world).with_seed(3);
         let report = run(rc, move |ctx| run_app(&cfg, ctx));
         report.assert_no_app_errors();
         report
     };
+    (layout, opl)
+}
+
+fn get(r: &Report, key: &str) -> f64 {
+    r.get_f64(key).unwrap_or_else(|| panic!("no {key}"))
+}
+
+/// Halo messages of `steps` steps of grid `id`: every rank of its group
+/// sends four per step (north, south, east, west).
+fn halo_msgs(layout: &ProcLayout, id: usize, steps: u64) -> u64 {
+    4 * layout.group(id).size as u64 * steps
+}
+
+/// On OPL a checkpoint write costs about 3.5 vsec and this shape's
+/// compute between two checkpoints about 0.48 vsec, so every asynchronous
+/// root falls further behind with each checkpoint. The newest-wins writer
+/// skips the snapshots queued behind the disk. Here the repair outlasts
+/// the write in flight, so the checkpoint queued behind it has started by
+/// the recovery barrier: the kill restores the newest checkpoint the group
+/// took — the one the synchronous writer restores — and recomputes the
+/// same steps.
+#[test]
+fn a_restart_behind_a_busy_disk_reads_the_newest_checkpoint() {
+    let (layout, opl) = opl_world();
     // Seven checkpoints of 32 steps: every 4 steps. The kill at step 26
     // is detected at step 28, so both writers restore step 24.
     let victim = layout.group(0).first + 1;
@@ -81,7 +100,6 @@ fn a_restart_behind_a_busy_disk_reads_the_newest_checkpoint() {
     let healthy = opl(cr_config(7, true));
     let killed = opl(cr_config(7, true).with_plan(kill.clone()));
     let sync = opl(cr_config(7, false).with_plan(kill));
-    let get = |r: &Report, key: &str| r.get_f64(key).unwrap_or_else(|| panic!("no {key}"));
     // The disk was behind: snapshots were superseded, by every root.
     let superseded = get(&killed, keys::CKPT_SUPERSEDED);
     assert!(superseded >= layout.groups().len() as f64, "superseded {superseded}");
@@ -94,32 +112,56 @@ fn a_restart_behind_a_busy_disk_reads_the_newest_checkpoint() {
     assert!((t_async - t_sync).abs() <= 1e-12 * t_sync, "{t_async} vs {t_sync}");
 }
 
+/// A kill at step 10 is detected at step 12, after about 1 vsec of
+/// repair, while each root's disk still writes step 4 (until about 4
+/// vsec) with step 8 queued behind it. The recovery barrier lands step 4
+/// and supersedes step 8 instead of waiting a second write out, so the
+/// restore reads step 4 and the broken group recomputes four steps more
+/// than the synchronous writer's, which restores step 8 — to the same
+/// bits.
+#[test]
+fn a_restart_whose_barrier_finds_a_queued_snapshot_reads_the_write_in_flight() {
+    let (layout, opl) = opl_world();
+    let victim = layout.group(0).first + 1;
+    let kill = FaultPlan::new(vec![(victim, 10)]);
+    let healthy = opl(cr_config(7, true));
+    let killed = opl(cr_config(7, true).with_plan(kill.clone()));
+    let sync = opl(cr_config(7, false).with_plan(kill));
+    assert_eq!(get(&killed, keys::ERR_L1).to_bits(), get(&healthy, keys::ERR_L1).to_bits());
+    assert_eq!(get(&sync, keys::ERR_L1).to_bits(), get(&healthy, keys::ERR_L1).to_bits());
+    // Restored from step 4, not 8: exactly four more steps of the broken
+    // group's halo traffic, and no other message.
+    let msgs = |r: &Report| r.metrics.total_messages();
+    assert_eq!(msgs(&killed) - msgs(&sync), halo_msgs(&layout, 0, 4));
+    // Per root: step 8 at the barrier. After it, step 16 starts on an idle
+    // disk and lands, 20 and 24 are superseded by the next checkpoint, and
+    // 28 by the end of the run. A barrier that landed step 8 would
+    // supersede one snapshot fewer per root.
+    let roots = layout.groups().len() as f64;
+    assert_eq!(get(&killed, keys::CKPT_SUPERSEDED), 4.0 * roots);
+}
+
 /// The simulated-loss restore of Figs. 9/10 reads the store after the
-/// end-of-run drain, so that drain lands the queued snapshot too. On the
-/// disk-bound shape above, the async run restores the newest checkpoint
-/// taken — the one the synchronous writer restores — and recomputes the
-/// same steps, so both runs send the same halo messages. A final drain
-/// that dropped the queued snapshot would restore an older one and
-/// recompute more. (`T_RECOVERY` cannot tell: the lost group's members
-/// wait out their root's end-of-run drain inside the restore.)
+/// end-of-run drain, which supersedes the queued snapshot like any other
+/// drain. On the disk-bound shape above, each root's first checkpoint
+/// (step 4) is still in flight when the run ends and the last (step 28)
+/// queued behind it: the async run drops step 28, restores step 4 and
+/// recomputes 24 steps more than the synchronous run, which restores step
+/// 28 — to the same bits. (`T_RECOVERY` cannot tell: the lost group's
+/// members wait out their root's end-of-run drain inside the restore.)
 #[test]
 fn a_simulated_loss_after_the_run_reads_the_newest_checkpoint() {
-    let layout = ProcLayout::new(N, L, Technique::CheckpointRestart.layout(), 1);
-    let world = layout.world_size();
-    let opl = |cfg: AppConfig| -> Report {
-        let rc = RunConfig::cluster(ClusterProfile::opl(), world).with_seed(3);
-        let cfg = cfg.with_simulated_losses(vec![0]);
-        let report = run(rc, move |ctx| run_app(&cfg, ctx));
-        report.assert_no_app_errors();
-        report
-    };
-    let (lost_async, lost_sync) = (opl(cr_config(7, true)), opl(cr_config(7, false)));
-    let get = |r: &Report, key: &str| r.get_f64(key).unwrap_or_else(|| panic!("no {key}"));
-    let superseded = get(&lost_async, keys::CKPT_SUPERSEDED);
-    assert!(superseded >= layout.groups().len() as f64, "superseded {superseded}");
+    let (layout, opl) = opl_world();
+    let lost = |cfg: AppConfig| opl(cfg.with_simulated_losses(vec![0]));
+    let (lost_async, lost_sync) = (lost(cr_config(7, true)), lost(cr_config(7, false)));
     assert_eq!(get(&lost_async, keys::ERR_L1).to_bits(), get(&lost_sync, keys::ERR_L1).to_bits());
     let msgs = |r: &Report| r.metrics.total_messages();
-    assert_eq!(msgs(&lost_async), msgs(&lost_sync), "the restores recomputed different steps");
+    assert_eq!(msgs(&lost_async) - msgs(&lost_sync), halo_msgs(&layout, 0, 28 - 4));
+    // Every root lands step 4 and supersedes the other six: steps 8 to 24
+    // by the next checkpoint, step 28 by the end of the run.
+    let roots = layout.groups().len() as f64;
+    assert_eq!(get(&lost_async, keys::CKPT_SUPERSEDED), 6.0 * roots);
+    assert_eq!(lost_sync.get_f64(keys::CKPT_SUPERSEDED), None);
 }
 
 proptest! {
