@@ -4,8 +4,10 @@
 //!
 //! Both arms run the identical Checkpoint/Restart application at emulated
 //! paper scale; the only difference is whether the write sits on the
-//! critical path (`--sync-ckpt` behavior) or is handed to the background
-//! writer and charged as deferred I/O that compute can cover. The run
+//! critical path (`--sync-ckpt` behavior) or is handed to the
+//! asynchronous stage and charged as deferred I/O that compute can cover
+//! (the root still writes the file itself, once that write starts on the
+//! virtual clock). The run
 //! reports how much checkpoint I/O the overlap hid (`io_hidden` vs
 //! `io_exposed`), and re-derives Eq. 2's optimal checkpoint count `C =
 //! (t_app / 2) / T_IO` from the *measured exposed* time per write — with

@@ -31,8 +31,8 @@
 //!   torn writes, trashed headers — injected via the store's
 //!   [`CorruptionPlan`]) must never be consumed silently: when the run
 //!   reports the strike actually landed on disk (`ckpt_corrupt_applied`
-//!   — kills race failure detection in real time, so an early repair may
-//!   legitimately preempt the targeted write), a restart positioned to
+//!   — a targeted write that a later checkpoint or the recovery barrier
+//!   supersedes on the virtual clock never lands), a restart positioned to
 //!   read the damaged file has to report it as skipped
 //!   (`ckpt_skipped_corrupt ≥ 1`) and fall back to an older checkpoint —
 //!   O3's bitwise check then proves the restored data is right.
@@ -598,22 +598,21 @@ pub fn write_steps(shape: &CaseShape) -> Vec<u64> {
 /// plain step kill inside `[cs, next_write)` (or up to `steps` when `cs`
 /// is the last write) — so no newer, clean checkpoint can supersede it.
 /// For such cases O6 requires `ckpt_skipped ≥ 1` *when the run reports
-/// `ckpt_corrupt_applied ≥ 1`*: kills race failure detection in real
-/// time (like real SIGKILLs), so an early repair can legitimately
-/// preempt the targeted write — in that interleaving the corruption
-/// never reaches disk and no skip is owed.
+/// `ckpt_corrupt_applied ≥ 1`*: a strike that landed must be reported.
 ///
-/// The asynchronous writer keeps only the newest snapshot whose write has
-/// not started on the virtual clock, so a strike on a step that a later
-/// checkpoint superseded never lands either: that file is never written.
-/// O6 already keys off `ckpt_corrupt_applied`, which counts only strikes
-/// on files that landed, so no skip is owed there. In the cases this
-/// function selects the damaged step is the newest checkpoint taken
-/// before the failure is detected, which no later checkpoint supersedes.
-/// A drain never starts a write, though: if the damaged write is still
-/// queued, unstarted, at the recovery barrier, the barrier supersedes it,
-/// the file never lands and the restart reads the older write that was
-/// in flight — the strike is not applied and, again, no skip is owed.
+/// A strike can be missing from disk only by the virtual-clock supersede
+/// rules, which decide every write, so the same case lands the same
+/// files on every run. The asynchronous writer keeps only the newest
+/// snapshot whose write has not started on the virtual clock: a strike on
+/// a step that a later submit superseded never lands, because that file
+/// is never written. In the cases this function selects the damaged step
+/// is the newest checkpoint taken before the failure is detected, which
+/// no later submit supersedes. A drain never starts a write, though: if
+/// the damaged write is still queued, unstarted, at the recovery barrier,
+/// the barrier supersedes it, the file never lands and the restart reads
+/// the older write that was in flight. In both cases the strike is not
+/// applied, `ckpt_corrupt_applied` does not count it, and no skip is
+/// owed.
 pub fn corrupt_read_expected(case: &ChaosCase) -> bool {
     let Some(strike) = &case.corruption else { return false };
     if case.technique != Technique::CheckpointRestart || case.victims.is_empty() {
@@ -1921,26 +1920,35 @@ mod tests {
 
     /// The fan-out contract: results are consumed in sampling order, not
     /// arrival order, so a campaign's report is byte-identical at any pool
-    /// width. Corruption cases are left out: their kill races failure
-    /// detection in real time (O6), so their `ckpt_skipped` can differ
-    /// from run to run at any width.
+    /// width, and from run to run. That holds for every corruption mix:
+    /// which checkpoint files land is decided on the virtual clock alone.
     #[test]
     fn campaign_report_is_the_same_at_any_fanout_width() {
+        let mixes = [
+            ("--no-corrupt", false, false),
+            ("default", true, false),
+            ("corrupt-only", true, true),
+        ];
         for dim in [2, 3] {
-            let report = |fanout_workers| {
-                let opts = CampaignOpts {
-                    budget: 24,
-                    seed: 1,
-                    corruption: false,
-                    fanout_workers,
-                    dim,
-                    ..Default::default()
+            for (mix, corruption, corrupt_only) in mixes {
+                let report = |fanout_workers| {
+                    let opts = CampaignOpts {
+                        budget: 24,
+                        seed: 1,
+                        corruption,
+                        corrupt_only,
+                        fanout_workers,
+                        dim,
+                        ..Default::default()
+                    };
+                    run_campaign(&opts)
                 };
-                run_campaign(&opts)
-            };
-            let (one, three) = (report(1), report(3));
-            assert_eq!(one.cases.len(), 24);
-            assert_eq!(one.to_json(), three.to_json(), "dim {dim}");
+                let (one, again, three) = (report(1), report(1), report(3));
+                assert_eq!(one.cases.len(), 24);
+                let one = one.to_json();
+                assert_eq!(one, again.to_json(), "dim {dim} {mix}: two runs at width 1");
+                assert_eq!(one, three.to_json(), "dim {dim} {mix}: width 1 vs 3");
+            }
         }
     }
 

@@ -71,11 +71,11 @@ pub mod keys {
     /// never set this key; the chaos O6 oracle checks it both ways.
     pub const CKPT_SKIPPED: &str = "ckpt_skipped_corrupt";
     /// Fault-injection corruption strikes that actually landed on a
-    /// completed checkpoint file, summed over ranks. Failure detection
-    /// races the planned write in real time (kills behave like real
-    /// SIGKILLs), so a planned strike may be preempted by an early
-    /// repair; the O6 oracle only demands a reported skip when this
-    /// key shows the damage truly reached the disk.
+    /// completed checkpoint file, summed over ranks. A planned strike
+    /// misses when its write never lands (a kill before it, or a later
+    /// checkpoint or the recovery barrier superseding it on the virtual
+    /// clock); the O6 oracle only demands a reported skip when this key
+    /// shows the damage truly reached the disk.
     pub const CKPT_CORRUPT_APPLIED: &str = "ckpt_corrupt_applied";
     /// Checkpoint snapshots superseded before their asynchronous write
     /// started (never charged, never written; see `ckpt_async`), summed
@@ -243,7 +243,7 @@ struct RankState<S: Stack> {
     /// `Some` exactly when `my` is.
     solver: Option<S::Solver>,
     /// Where every whole grid this rank assembles or receives lands
-    /// (under CR with `ckpt_async`, a group root's writer stage too).
+    /// (under CR with `ckpt_async`, a group root's checkpoint stage too).
     landing: Landing<S>,
     /// In-memory buddy checkpoints this rank holds for partner grids
     /// (Buddy Checkpoint only; respawned ranks start empty).
@@ -310,9 +310,11 @@ impl<S: Stack> RankState<S> {
         // the write's exposed tail). A queued snapshot is superseded, not
         // waited for: the restore reads the one in flight and recomputes
         // the steps between the two.
-        let t_drain0 = ctx.now();
-        stage(self.landing.drain(ctx), "ckpt-drain")?;
-        self.t_ckpt += ctx.now() - t_drain0;
+        if let Some(store) = env.store {
+            let t_drain0 = ctx.now();
+            stage(self.landing.drain(ctx, store), "ckpt-drain")?;
+            self.t_ckpt += ctx.now() - t_drain0;
+        }
         self.take_slot(env, world.rank());
         let steps = env.cfg.steps();
         let (at_step, failed) = share_recovery_metadata(
@@ -696,9 +698,9 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // or the simulated-loss restore below reads it. A queued snapshot
     // whose write has not started is superseded, unwritten and
     // uncharged. ----
-    {
+    if let Some(store) = env.store {
         let t_drain0 = ctx.now();
-        stage(st.landing.drain(ctx), "ckpt-drain-final")?;
+        stage(st.landing.drain(ctx, store), "ckpt-drain-final")?;
         st.t_ckpt += ctx.now() - t_drain0;
     }
     // Every write (and any fault-injected strike on it) has landed by

@@ -277,17 +277,17 @@ fn apply_strike(path: &Path, kind: CorruptKind) -> io::Result<()> {
 // ---------------------------------------------------------------------------
 
 /// A directory of per-grid, step-versioned checkpoint files.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
     retain: usize,
     corruption: CorruptionPlan,
-    /// Strikes actually applied to landed files, shared across clones
-    /// (the async writer thread holds a clone of the store). Failure
-    /// detection can preempt a planned write — kills race detection in
-    /// real time, like real SIGKILLs — so restart-integrity oracles must
-    /// key off "the corruption landed", not "a strike was planned".
-    applied: std::sync::Arc<AtomicU64>,
+    /// Strikes actually applied to landed files, counted across every rank
+    /// that shares this store. A planned write may never land — a kill
+    /// before it, or a later checkpoint or the recovery barrier superseding
+    /// it on the virtual clock — so restart-integrity oracles must key off
+    /// "the corruption landed", not "a strike was planned".
+    applied: AtomicU64,
 }
 
 impl CheckpointStore {
@@ -298,13 +298,12 @@ impl CheckpointStore {
             dir: dir.as_ref().to_path_buf(),
             retain: DEFAULT_RETAIN,
             corruption: CorruptionPlan::none(),
-            applied: std::sync::Arc::new(AtomicU64::new(0)),
+            applied: AtomicU64::new(0),
         })
     }
 
     /// How many corruption strikes have landed on completed checkpoint
-    /// files (shared across clones of this store, including the async
-    /// writer thread's).
+    /// files, by any rank sharing this store.
     pub fn corruptions_applied(&self) -> u64 {
         self.applied.load(Ordering::SeqCst)
     }
@@ -1149,19 +1148,18 @@ mod tests {
         // every surviving file is a complete, checksummed write and the
         // newest step wins.
         let s = store();
-        let s2 = s.clone();
         let ga = Grid2::from_fn(LevelPair::new(4, 4), |x, y| x + y);
         let gb = Grid2::from_fn(LevelPair::new(4, 4), |x, y| x * y);
-        let (ga2, gb2) = (ga.clone(), gb.clone());
-        let t = std::thread::spawn(move || {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for k in 0..50 {
+                    s.write(0, 1000 + k, &gb).unwrap();
+                }
+            });
             for k in 0..50 {
-                s2.write(0, 1000 + k, &gb2).unwrap();
+                s.write(0, k, &ga).unwrap();
             }
         });
-        for k in 0..50 {
-            s.write(0, k, &ga2).unwrap();
-        }
-        t.join().unwrap();
         let (step, back, _) = s.read(0).unwrap().unwrap();
         assert_eq!(step, 1049, "newest step must win");
         assert_eq!(back, gb);

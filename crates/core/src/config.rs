@@ -94,12 +94,12 @@ pub struct AppConfig {
     pub checkpoints: u32,
     /// Directory for checkpoint files (a per-run temp dir by default).
     pub ckpt_dir: PathBuf,
-    /// Checkpoint writes go through the background writer stage
+    /// Checkpoint writes go through the asynchronous checkpoint stage
     /// (default); `false` restores the synchronous critical-path write
     /// for A/B comparison. Either way the solver output is bitwise
     /// identical — only where the `T_IO` virtual cost lands differs.
     /// 2D only: at `dim ≥ 3` Checkpoint/Restart always writes
-    /// synchronously (the writer stage is 2D-only).
+    /// synchronously (the asynchronous stage is 2D-only).
     pub ckpt_async: bool,
     /// Fault-injection corruption strikes applied to checkpoint files as
     /// they land (chaos campaigns; empty by default).

@@ -10,22 +10,17 @@
 //! grid-sized buffer again. Nothing exists before first use: no rank
 //! allocates a grid before its first step.
 //!
-//! On a Checkpoint/Restart group root with the background writer stage,
-//! the landing grid *is* one of the writer's two snapshot buffers
+//! On a Checkpoint/Restart group root with the asynchronous checkpoint
+//! stage, the landing grid *is* one of the stage's snapshot buffers
 //! ([`Stack::take_buffer`]): a checkpoint is gathered into it and handed
-//! over without a copy, and between checkpoints — after a drain, when both
-//! sit idle — the same buffers take the restore and the final gather. The
-//! writer keeps only the newest checkpoint whose write has not started on
-//! the virtual clock: with one write in flight and one queued, the next
-//! checkpoint's gather waits for the in-flight buffer's real write, and
-//! the queued snapshot comes back unwritten if it still has not started
-//! when the next one is submitted or a drain (the recovery barrier, the
-//! end of the run) is reached. A borrowed buffer goes back on every
-//! path, errors included: the writer owns exactly two, and a lost one
-//! would block the next borrow forever.
-//! In synchronous mode — configured, or degraded to because the writer
-//! stage became unusable, which pins the rank to the critical-path write
-//! for the rest of the run — and for a stack without a writer stage
+//! over without a copy, and between checkpoints the same buffers take the
+//! restore and the final gather. The stage keeps only the newest
+//! checkpoint whose write has not started on the virtual clock: the
+//! queued snapshot comes back unwritten if it still has not started when
+//! the next one is submitted or a drain (the recovery barrier, the end of
+//! the run) is reached. A borrowed buffer goes back on every path, errors
+//! included, so the stage never allocates more than two.
+//! In synchronous mode, and for a stack without an asynchronous stage
 //! ([`Stack::Writer`]), the landing grid is the one kept here.
 
 use sparsegrid::ComponentGrid;
@@ -38,24 +33,23 @@ use crate::stack::{Level, Stack};
 
 /// A rank's landing grid (see the module docs).
 pub struct Landing<S: Stack> {
-    /// The background writer, created by the first checkpoint of a root
-    /// in async mode.
+    /// The asynchronous checkpoint stage, created by the first checkpoint
+    /// of a root in async mode.
     writer: Option<S::Writer>,
-    degraded: bool,
     /// The landing grid whenever there is no writer.
     own: Option<S::Grid>,
 }
 
 impl<S: Stack> Default for Landing<S> {
     fn default() -> Self {
-        Landing { writer: None, degraded: false, own: None }
+        Landing { writer: None, own: None }
     }
 }
 
 impl<S: Stack> Landing<S> {
     /// Run `f` on the landing grid re-shaped to `level` (node values
     /// unspecified: `f` overwrites what it reads) and take the grid back,
-    /// whatever `f` returns. May block on the writer's backpressure.
+    /// whatever `f` returns.
     pub fn with<T>(
         &mut self,
         level: &Level<S>,
@@ -106,10 +100,10 @@ impl<S: Stack> Landing<S> {
 
     /// The group's periodic checkpoint of grid `id` at `step`: gathered
     /// into the root's landing grid and landed from it — handed to the
-    /// writer stage (T_IO is charged as deferred cost and settled at the
-    /// drains; a later checkpoint may supersede it before its write
+    /// asynchronous stage (T_IO is charged as deferred cost and settled at
+    /// the drains; a later checkpoint may supersede it before its write
     /// starts), or written synchronously. The first checkpoint of a root
-    /// in async mode starts the writer.
+    /// in async mode opens the stage.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn checkpoint(
         &mut self,
@@ -126,8 +120,8 @@ impl<S: Stack> Landing<S> {
         if group.rank() != 0 {
             return gather_grid_into(ctx, group, info, level, sv, None);
         }
-        if cfg.ckpt_async && !self.degraded && self.writer.is_none() {
-            self.writer = S::open_writer(store);
+        if cfg.ckpt_async && self.writer.is_none() {
+            self.writer = S::open_writer();
         }
         let mut grid = self.take(level);
         if let Err(e) = gather_grid_into(ctx, group, info, level, sv, Some(&mut grid)) {
@@ -135,13 +129,7 @@ impl<S: Stack> Landing<S> {
             return Err(e);
         }
         if let Some(ck) = self.writer.as_mut() {
-            match S::submit(ck, ctx, id, step, grid) {
-                Ok(()) => return Ok(()),
-                Err(refused) => {
-                    grid = refused;
-                    self.degrade();
-                }
-            }
+            return S::submit(ck, ctx, store, id, step, grid);
         }
         let written = S::write_checkpoint(store, id, step, &grid);
         self.give_back(grid);
@@ -154,26 +142,22 @@ impl<S: Stack> Landing<S> {
     /// roots under CR with `ckpt_async`); a no-op everywhere else. Called
     /// before every checkpoint restore and at end of run, so a restart
     /// only ever sees fully landed files and the store can be cleared
-    /// safely. Only the started writes land: a queued snapshot is
-    /// superseded, unwritten and uncharged, and a restore reads the write
-    /// that was in flight and recomputes from its step.
-    pub(crate) fn drain(&mut self, ctx: &Ctx) -> Result<()> {
+    /// safely. Only the started writes land in `store`: a queued snapshot
+    /// is superseded, unwritten and uncharged, and a restore reads the
+    /// write that was in flight and recomputes from its step.
+    pub(crate) fn drain(&mut self, ctx: &Ctx, store: &CheckpointStore) -> Result<()> {
         match &mut self.writer {
-            Some(ck) => {
-                S::drain(ck, ctx).map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}")))
-            }
+            Some(ck) => S::drain(ck, ctx, store)
+                .map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}"))),
             None => Ok(()),
         }
     }
 
-    /// The landing grid at `level`: a snapshot buffer while the writer
-    /// stage is usable, the rank's own grid otherwise.
+    /// The landing grid at `level`: a snapshot buffer of the asynchronous
+    /// stage if there is one, the rank's own grid otherwise.
     fn take(&mut self, level: &Level<S>) -> S::Grid {
         if let Some(ck) = self.writer.as_mut() {
-            match S::take_buffer(ck, level) {
-                Ok(grid) => return grid,
-                Err(_) => self.degrade(),
-            }
+            return S::take_buffer(ck, level);
         }
         match self.own.take() {
             Some(mut grid) => {
@@ -190,14 +174,5 @@ impl<S: Stack> Landing<S> {
             Some(ck) => S::give_back(ck, grid),
             None => self.own = Some(grid),
         }
-    }
-
-    /// The writer stage is unusable (its thread is gone). Degrade to the
-    /// synchronous critical-path write for the rest of the run instead of
-    /// failing the rank: slower, still correct. Dropping the checkpointer
-    /// joins the dead thread.
-    fn degrade(&mut self) {
-        self.degraded = true;
-        self.writer = None;
     }
 }

@@ -89,11 +89,13 @@ pub trait Stack: Sized + 'static {
     /// The distributed solver on one rank's block of a sub-grid: the
     /// block a gather reads and a scatter writes, where it lies.
     type Solver: BlockRowsMut;
-    /// The background stage a CR group root hands its checkpoints to, if
-    /// any. `D2`: [`AsyncCheckpointer`]. `Nd`: none ([`Infallible`]) — the
-    /// nd stack lands checkpoints **synchronously** whatever `ckpt_async`
-    /// says, because the writer stage is 2D-only; honouring it at d ≥ 3
-    /// would move 3D virtual times.
+    /// The asynchronous stage a CR group root hands its checkpoints to, if
+    /// any: it prices each write as deferred disk time and writes the file
+    /// inline once that write starts on the virtual clock. `D2`:
+    /// [`AsyncCheckpointer`]. `Nd`: none ([`Infallible`]) — the nd stack
+    /// lands checkpoints **synchronously** whatever `ckpt_async` says,
+    /// because the stage is 2D-only; honouring it at d ≥ 3 would move 3D
+    /// virtual times.
     type Writer;
 
     /// The layout, the problem and the timestep of `cfg`. This runs on
@@ -178,24 +180,25 @@ pub trait Stack: Sized + 'static {
         id: usize,
         into: &mut Self::Grid,
     ) -> io::Result<(Option<(u64, usize)>, usize)>;
-    /// Start the background writer for `store` (`None`: there is none, or
-    /// it could not start — the root then writes synchronously).
-    fn open_writer(store: &CheckpointStore) -> Option<Self::Writer>;
-    /// Borrow a snapshot buffer at `level`; may block on backpressure.
-    fn take_buffer(w: &mut Self::Writer, level: &Level<Self>) -> Result<Self::Grid>;
+    /// A new asynchronous stage (`None`: the stack has none, so the root
+    /// writes synchronously).
+    fn open_writer() -> Option<Self::Writer>;
+    /// Borrow a snapshot buffer at `level`.
+    fn take_buffer(w: &mut Self::Writer, level: &Level<Self>) -> Self::Grid;
     /// Return a borrowed buffer unused.
     fn give_back(w: &mut Self::Writer, grid: Self::Grid);
-    /// Hand the filled checkpoint of grid `id` over; a refused one comes
-    /// back.
+    /// Hand the filled checkpoint of grid `id` over, to land in `to`; an
+    /// error if a write it performed failed.
     fn submit(
         w: &mut Self::Writer,
         ctx: &Ctx,
+        to: &CheckpointStore,
         id: usize,
         step: u64,
         g: Self::Grid,
-    ) -> std::result::Result<(), Self::Grid>;
-    /// Land every started write and supersede the queued snapshot.
-    fn drain(w: &mut Self::Writer, ctx: &Ctx) -> Result<()>;
+    ) -> Result<()>;
+    /// Land every started write in `to` and supersede the queued snapshot.
+    fn drain(w: &mut Self::Writer, ctx: &Ctx, to: &CheckpointStore) -> Result<()>;
 }
 
 /// The 2D stack: the paper's application and the bitwise reference.
@@ -321,10 +324,10 @@ impl Stack for D2 {
     ) -> io::Result<(Option<(u64, usize)>, usize)> {
         from.read_latest_valid_into(id, into)
     }
-    fn open_writer(store: &CheckpointStore) -> Option<AsyncCheckpointer> {
-        AsyncCheckpointer::new(store.clone()).ok()
+    fn open_writer() -> Option<AsyncCheckpointer> {
+        Some(AsyncCheckpointer::new())
     }
-    fn take_buffer(w: &mut AsyncCheckpointer, level: &LevelPair) -> Result<Grid2> {
+    fn take_buffer(w: &mut AsyncCheckpointer, level: &LevelPair) -> Grid2 {
         w.take_buffer(*level)
     }
     fn give_back(w: &mut AsyncCheckpointer, grid: Grid2) {
@@ -333,14 +336,15 @@ impl Stack for D2 {
     fn submit(
         w: &mut AsyncCheckpointer,
         ctx: &Ctx,
+        to: &CheckpointStore,
         id: usize,
         step: u64,
         g: Grid2,
-    ) -> std::result::Result<(), Grid2> {
-        w.submit(ctx, id, step, g).map(|_| ()).map_err(|(_, refused)| refused)
+    ) -> Result<()> {
+        w.submit(ctx, to, id, step, g)
     }
-    fn drain(w: &mut AsyncCheckpointer, ctx: &Ctx) -> Result<()> {
-        w.drain(ctx)
+    fn drain(w: &mut AsyncCheckpointer, ctx: &Ctx, to: &CheckpointStore) -> Result<()> {
+        w.drain(ctx, to)
     }
 }
 
@@ -462,10 +466,10 @@ impl Stack for Nd {
     ) -> io::Result<(Option<(u64, usize)>, usize)> {
         from.read_latest_valid_nd_into(id, into)
     }
-    fn open_writer(_: &CheckpointStore) -> Option<Infallible> {
+    fn open_writer() -> Option<Infallible> {
         None
     }
-    fn take_buffer(w: &mut Infallible, _: &LevelVecN) -> Result<GridN> {
+    fn take_buffer(w: &mut Infallible, _: &LevelVecN) -> GridN {
         match *w {}
     }
     fn give_back(w: &mut Infallible, _: GridN) {
@@ -474,13 +478,14 @@ impl Stack for Nd {
     fn submit(
         w: &mut Infallible,
         _: &Ctx,
+        _: &CheckpointStore,
         _: usize,
         _: u64,
         _: GridN,
-    ) -> std::result::Result<(), GridN> {
+    ) -> Result<()> {
         match *w {}
     }
-    fn drain(w: &mut Infallible, _: &Ctx) -> Result<()> {
+    fn drain(w: &mut Infallible, _: &Ctx, _: &CheckpointStore) -> Result<()> {
         match *w {}
     }
 }

@@ -544,8 +544,7 @@ impl Comm {
             // retry; fiber parks are event-driven, so no retry is
             // charged (the metric would otherwise measure scheduler
             // timing, not simulation behaviour).
-            crate::sched::block_wait(ctx.me());
-            if !crate::fiber::in_fiber() {
+            if crate::sched::block_wait(ctx.me()) {
                 ctx.metrics.note_recv_retry();
             }
         }

@@ -137,7 +137,13 @@ thread_local! {
 
 /// Is the calling code running inside a fiber (as opposed to a plain OS
 /// thread)? Decides park strategy at every blocking site.
-#[inline]
+///
+/// Never inlined: a suspended fiber may resume on another worker thread,
+/// and the compiler treats a thread-local's address as fixed for the
+/// whole of a function. Inlined into a loop around a park, the address
+/// of the first worker's `ACTIVE` would be hoisted out of the loop and
+/// read after a migration, when that worker may be idle (`ACTIVE` null).
+#[inline(never)]
 pub(crate) fn in_fiber() -> bool {
     ACTIVE.with(|a| !a.get().is_null())
 }

@@ -191,12 +191,16 @@ impl Parker {
 
 /// Block the calling rank until [`ProcState::wake`] (or a sweep) fires.
 /// Dispatches on execution substrate: fibers park indefinitely (the hub
-/// sweep bounds stall detection), plain threads poll at `TICK`.
-pub(crate) fn block_wait(me: &ProcState) {
+/// sweep bounds stall detection), plain threads poll at `TICK`. Returns
+/// whether it polled: the substrate is read before the park, because a
+/// fiber may resume on another worker thread.
+pub(crate) fn block_wait(me: &ProcState) -> bool {
     if fiber::in_fiber() {
         me.parker.park_fiber();
+        false
     } else {
         me.parker.park_thread(TICK);
+        true
     }
 }
 
