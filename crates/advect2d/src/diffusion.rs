@@ -13,7 +13,6 @@
 
 use sparsegrid::Grid2;
 
-use crate::bands::BandPool;
 use crate::simd::{KernelConfig, KernelKind};
 use crate::stepper::PaddedField;
 
@@ -163,7 +162,7 @@ impl DiffusionSolver {
         DiffusionSolver { problem, grid, dt, steps_done: 0, field, kernel: KernelConfig::global() }
     }
 
-    /// Replace the kernel configuration (formulation + banding).
+    /// Replace the kernel formulation (results are bitwise-identical).
     pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
         self.kernel = kernel;
         self
@@ -186,17 +185,9 @@ impl DiffusionSolver {
         let ry = self.problem.nu * self.dt / (hy * hy);
         self.field.load(&self.grid);
         let row = ftcs_row_fn(self.kernel.kind);
-        let (nx, ny) = (self.field.nx(), self.field.ny());
-        let bands = self.kernel.bands_for(nx * ny, ny);
         for _ in 0..n {
             self.field.refresh_periodic_halo();
-            if bands > 1 {
-                self.field.step_banded(BandPool::global(), bands, |s, c, nn, out| {
-                    row(s, c, nn, rx, ry, out)
-                });
-            } else {
-                self.field.step(|s, c, nn, out| row(s, c, nn, rx, ry, out));
-            }
+            self.field.step(|s, c, nn, out| row(s, c, nn, rx, ry, out));
         }
         self.field.store(&mut self.grid);
         self.steps_done += n;

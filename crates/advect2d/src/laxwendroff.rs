@@ -15,7 +15,6 @@
 
 use sparsegrid::Grid2;
 
-use crate::bands::BandPool;
 use crate::problem::AdvectionProblem;
 use crate::simd::{KernelConfig, KernelKind};
 use crate::stepper::PaddedField;
@@ -221,8 +220,8 @@ impl LocalSolver {
         }
     }
 
-    /// Replace the kernel configuration (formulation + banding). All
-    /// configurations produce bitwise-identical grids.
+    /// Replace the kernel formulation. Both formulations produce
+    /// bitwise-identical grids.
     pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
         self.kernel = kernel;
         self
@@ -247,17 +246,9 @@ impl LocalSolver {
         self.field.load(&self.grid);
         let coef = self.coef;
         let row = lw_row_fn(self.kernel.kind);
-        let (nx, ny) = (self.field.nx(), self.field.ny());
-        let bands = self.kernel.bands_for(nx * ny, ny);
         for _ in 0..n {
             self.field.refresh_periodic_halo();
-            if bands > 1 {
-                self.field.step_banded(BandPool::global(), bands, |s, c, nn, out| {
-                    row(s, c, nn, &coef, out)
-                });
-            } else {
-                self.field.step(|s, c, nn, out| row(s, c, nn, &coef, out));
-            }
+            self.field.step(|s, c, nn, out| row(s, c, nn, &coef, out));
         }
         self.field.store(&mut self.grid);
         self.steps_done += n;

@@ -13,7 +13,6 @@
 //! calculated for advection from the initial conditions" — that is the
 //! reference all error measurements compare against.
 
-pub mod bands;
 pub mod diffusion;
 pub mod laxwendroff;
 pub mod ndfield;
@@ -24,7 +23,6 @@ pub mod simd;
 pub mod stepper;
 pub mod upwind;
 
-pub use bands::{band_range, BandPool};
 pub use diffusion::{
     ftcs_kernel, ftcs_row, ftcs_row_fn, ftcs_step, DiffusionProblem, DiffusionSolver,
 };

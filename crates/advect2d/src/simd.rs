@@ -741,89 +741,40 @@ impl KernelKind {
     }
 }
 
-/// Per-solver kernel configuration: formulation plus optional intra-rank
-/// row-band parallelism (see [`crate::bands::BandPool`]).
+/// Per-solver kernel configuration: which row-kernel formulation to step
+/// with.
 ///
-/// Environment knobs (read by [`KernelConfig::from_env`] /
+/// Environment knob (read by [`KernelConfig::from_env`] /
 /// [`KernelConfig::global`], which [`AppConfig`]-level plumbing and the
 /// solver constructors default to):
 ///
-/// * `FTSG_KERNEL=scalar|simd` — formulation (default `simd`);
-/// * `FTSG_BANDS=N` — split big sub-grids into `N` row bands stepped by
-///   a shared worker pool (default `0` = off);
-/// * `FTSG_BAND_MIN_CELLS=C` — only band sub-grids with at least `C`
-///   interior cells (default `65536`), so tiny distributed blocks never
-///   pay dispatch overhead.
+/// * `FTSG_KERNEL=scalar|simd` — formulation (default `simd`).
 ///
 /// `AppConfig`: `ftsg_core::AppConfig`
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelConfig {
     /// Scalar reference or vectorized rows.
     pub kind: KernelKind,
-    /// Number of row bands a large interior is split into (`0`/`1` =
-    /// step monolithically on the calling thread).
-    pub bands: usize,
-    /// Minimum interior cell count before banding kicks in.
-    pub band_min_cells: usize,
-}
-
-/// Default banding threshold: a 256×256 interior.
-pub const DEFAULT_BAND_MIN_CELLS: usize = 65536;
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            kind: KernelKind::default(),
-            bands: 0,
-            band_min_cells: DEFAULT_BAND_MIN_CELLS,
-        }
-    }
 }
 
 impl KernelConfig {
-    /// Scalar reference rows, no banding (the PR 1 behavior).
+    /// Scalar reference rows.
     pub fn scalar() -> Self {
-        KernelConfig { kind: KernelKind::Scalar, ..KernelConfig::default() }
+        KernelConfig { kind: KernelKind::Scalar }
     }
 
-    /// Vectorized rows, no banding.
+    /// Vectorized rows.
     pub fn simd() -> Self {
-        KernelConfig { kind: KernelKind::Simd, ..KernelConfig::default() }
+        KernelConfig { kind: KernelKind::Simd }
     }
 
-    /// Replace the band count (applies above [`Self::band_min_cells`]).
-    pub fn with_bands(mut self, bands: usize) -> Self {
-        self.bands = bands;
-        self
-    }
-
-    /// Replace the banding size threshold.
-    pub fn with_band_min_cells(mut self, cells: usize) -> Self {
-        self.band_min_cells = cells;
-        self
-    }
-
-    /// Read the `FTSG_KERNEL` / `FTSG_BANDS` / `FTSG_BAND_MIN_CELLS`
-    /// environment knobs (unset or unparsable values fall back to the
-    /// defaults).
+    /// Read the `FTSG_KERNEL` environment knob (unset or unknown values
+    /// fall back to the default).
     pub fn from_env() -> Self {
-        let mut cfg = KernelConfig::default();
         match std::env::var("FTSG_KERNEL").as_deref() {
-            Ok("scalar") => cfg.kind = KernelKind::Scalar,
-            Ok("simd") => cfg.kind = KernelKind::Simd,
-            _ => {}
+            Ok("scalar") => KernelConfig::scalar(),
+            _ => KernelConfig::default(),
         }
-        if let Ok(v) = std::env::var("FTSG_BANDS") {
-            if let Ok(b) = v.parse::<usize>() {
-                cfg.bands = b;
-            }
-        }
-        if let Ok(v) = std::env::var("FTSG_BAND_MIN_CELLS") {
-            if let Ok(c) = v.parse::<usize>() {
-                cfg.band_min_cells = c;
-            }
-        }
-        cfg
     }
 
     /// The process-wide configuration, resolved from the environment once
@@ -831,17 +782,6 @@ impl KernelConfig {
     pub fn global() -> Self {
         static CFG: OnceLock<KernelConfig> = OnceLock::new();
         *CFG.get_or_init(KernelConfig::from_env)
-    }
-
-    /// How many bands to step an `cells`-cell interior of `rows` rows
-    /// with: `1` (monolithic) unless banding is enabled and the interior
-    /// is big enough; never more bands than rows.
-    pub fn bands_for(&self, cells: usize, rows: usize) -> usize {
-        if self.bands < 2 || cells < self.band_min_cells {
-            1
-        } else {
-            self.bands.min(rows).max(1)
-        }
     }
 }
 
@@ -896,16 +836,6 @@ mod tests {
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn kernel_config_bands_for_respects_threshold_and_rows() {
-        let cfg = KernelConfig::simd().with_bands(4).with_band_min_cells(100);
-        assert_eq!(cfg.bands_for(99, 50), 1, "below threshold");
-        assert_eq!(cfg.bands_for(100, 50), 4);
-        assert_eq!(cfg.bands_for(100, 3), 3, "never more bands than rows");
-        let off = KernelConfig::simd();
-        assert_eq!(off.bands_for(1 << 20, 1024), 1, "bands default off");
     }
 
     #[test]

@@ -14,26 +14,7 @@
 
 use sparsegrid::Grid2;
 
-use crate::bands::{band_range, BandPool};
 use crate::problem::AdvectionProblem;
-
-/// A raw pointer into the write buffer that band closures may share.
-///
-/// SAFETY: bands write disjoint row ranges of the buffer (see
-/// [`PaddedField::step_banded`]), so concurrent use never aliases.
-#[derive(Clone, Copy)]
-struct SendMutPtr(*mut f64);
-unsafe impl Send for SendMutPtr {}
-unsafe impl Sync for SendMutPtr {}
-
-impl SendMutPtr {
-    /// Accessor (rather than field access) so closures capture the
-    /// `Sync` wrapper, not the bare pointer, under edition-2021
-    /// disjoint capture.
-    fn get(self) -> *mut f64 {
-        self.0
-    }
-}
 
 /// A persistent double-buffered halo-padded field.
 ///
@@ -220,102 +201,6 @@ impl PaddedField {
     /// [`step`]: PaddedField::step
     pub fn commit_step(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.next);
-    }
-
-    /// [`step`], with the interior rows split into `bands` contiguous
-    /// row bands executed by `pool` (plus the calling thread). Every
-    /// band reads the shared current buffer and writes only its own
-    /// rows of the inactive buffer, and each output point evaluates the
-    /// same kernel expression as [`step`] — so the result is
-    /// **bitwise-identical** to a monolithic step for any band count
-    /// and any scheduling (see `crate::bands` for the full argument).
-    ///
-    /// `bands` is clamped to the row count; `bands <= 1` falls back to
-    /// the plain loop. The kernel must be `Fn + Sync` (it runs
-    /// concurrently); nothing is allocated.
-    ///
-    /// [`step`]: PaddedField::step
-    pub fn step_banded(
-        &mut self,
-        pool: &BandPool,
-        bands: usize,
-        row_kernel: impl Fn(&[f64], &[f64], &[f64], &mut [f64]) + Sync,
-    ) {
-        let bands = bands.clamp(1, self.ny);
-        if bands <= 1 {
-            self.step(row_kernel);
-            return;
-        }
-        let pnx = self.pnx();
-        let (nx, ny) = (self.nx, self.ny);
-        let cur: &[f64] = &self.cur;
-        let next = SendMutPtr(self.next.as_mut_ptr());
-        pool.run(bands, &|b| {
-            let (m0, m1) = band_range(ny, bands, b);
-            for m in m0..m1 {
-                let south = &cur[m * pnx..][..pnx];
-                let center = &cur[(m + 1) * pnx..][..pnx];
-                let north = &cur[(m + 2) * pnx..][..pnx];
-                // SAFETY: band rows are disjoint (band_range partitions
-                // 0..ny), so each output row is written by exactly one
-                // band; the row lies inside the `next` allocation.
-                let out = unsafe {
-                    std::slice::from_raw_parts_mut(next.get().add((m + 1) * pnx + 1), nx)
-                };
-                row_kernel(south, center, north, out);
-            }
-        });
-        std::mem::swap(&mut self.cur, &mut self.next);
-    }
-
-    /// [`step_region`], with the region's rows split into `bands`
-    /// contiguous row bands executed by `pool`. Same bitwise guarantee
-    /// as [`step_banded`]; no buffer swap (pair with [`commit_step`]).
-    /// This is what lets the distributed stepper band the deep-interior
-    /// compute that overlaps halo communication.
-    ///
-    /// [`step_region`]: PaddedField::step_region
-    /// [`step_banded`]: PaddedField::step_banded
-    /// [`commit_step`]: PaddedField::commit_step
-    #[allow(clippy::too_many_arguments)] // step_region's signature + (pool, bands)
-    pub fn step_region_banded(
-        &mut self,
-        pool: &BandPool,
-        bands: usize,
-        m0: usize,
-        m1: usize,
-        k0: usize,
-        k1: usize,
-        row_kernel: impl Fn(&[f64], &[f64], &[f64], &mut [f64]) + Sync,
-    ) {
-        debug_assert!(m1 <= self.ny && k1 <= self.nx, "region out of bounds");
-        if m0 >= m1 || k0 >= k1 {
-            return;
-        }
-        let rows = m1 - m0;
-        let bands = bands.clamp(1, rows);
-        if bands <= 1 {
-            self.step_region(m0, m1, k0, k1, row_kernel);
-            return;
-        }
-        let pnx = self.pnx();
-        let w = k1 - k0;
-        let cur: &[f64] = &self.cur;
-        let next = SendMutPtr(self.next.as_mut_ptr());
-        pool.run(bands, &|b| {
-            let (r0, r1) = band_range(rows, bands, b);
-            for m in m0 + r0..m0 + r1 {
-                let south = &cur[m * pnx + k0..][..w + 2];
-                let center = &cur[(m + 1) * pnx + k0..][..w + 2];
-                let north = &cur[(m + 2) * pnx + k0..][..w + 2];
-                // SAFETY: as in `step_banded` — disjoint output rows,
-                // in-bounds of the `next` allocation.
-                let out = unsafe {
-                    std::slice::from_raw_parts_mut(next.get().add((m + 1) * pnx + 1 + k0), w)
-                };
-                row_kernel(south, center, north, out);
-            }
-        });
     }
 }
 

@@ -8,7 +8,6 @@
 
 use sparsegrid::Grid2;
 
-use crate::bands::BandPool;
 use crate::problem::AdvectionProblem;
 use crate::simd::{KernelConfig, KernelKind};
 use crate::stepper::PaddedField;
@@ -156,7 +155,7 @@ impl UpwindSolver {
         }
     }
 
-    /// Replace the kernel configuration (formulation + banding).
+    /// Replace the kernel formulation (results are bitwise-identical).
     pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
         self.kernel = kernel;
         self
@@ -177,17 +176,9 @@ impl UpwindSolver {
         self.field.load(&self.grid);
         let coef = self.coef;
         let row = upwind_row_fn(self.kernel.kind);
-        let (nx, ny) = (self.field.nx(), self.field.ny());
-        let bands = self.kernel.bands_for(nx * ny, ny);
         for _ in 0..n {
             self.field.refresh_periodic_halo();
-            if bands > 1 {
-                self.field.step_banded(BandPool::global(), bands, |s, c, nn, out| {
-                    row(s, c, nn, &coef, out)
-                });
-            } else {
-                self.field.step(|s, c, nn, out| row(s, c, nn, &coef, out));
-            }
+            self.field.step(|s, c, nn, out| row(s, c, nn, &coef, out));
         }
         self.field.store(&mut self.grid);
         self.steps_done += n;

@@ -1,10 +1,9 @@
-//! Property tests pinning the vectorized and banded fast paths to the
-//! scalar references with **bit-pattern equality**, across random grid
-//! sizes (including ragged widths that exercise the scalar tails),
-//! random coefficients, and several band counts — for all three
-//! stencils. This is the load-bearing guarantee behind recompute-based
-//! fault recovery: any kernel configuration recomputes the exact state
-//! a failed rank held.
+//! Property tests pinning the vectorized fast paths to the scalar
+//! references with **bit-pattern equality**, across random grid sizes
+//! (including ragged widths that exercise the scalar tails) and random
+//! coefficients — for all three stencils. This is the load-bearing
+//! guarantee behind recompute-based fault recovery: either kernel
+//! formulation recomputes the exact state a failed rank held.
 //!
 //! The d-dimensional engine is pinned the same way: the production row
 //! step (scalar loop, the process's SIMD rows, every SIMD backend the CPU
@@ -12,12 +11,10 @@
 
 use advect2d::{
     ftcs_row, ftcs_row_simd, jacobi_kernel, lax_wendroff_row, lax_wendroff_row_simd,
-    upwind_diffusion_kernel, upwind_diffusion_row_n_on, upwind_row, upwind_row_simd, BandPool,
-    KernelKind, LwCoef, PaddedField, PaddedFieldN, SimdIsa, StencilN, UpwindCoef,
-    UpwindDiffusionCoefN,
+    upwind_diffusion_kernel, upwind_diffusion_row_n_on, upwind_row, upwind_row_simd, KernelKind,
+    LwCoef, PaddedFieldN, SimdIsa, StencilN, UpwindCoef, UpwindDiffusionCoefN,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
 
 /// Deterministic pseudo-random fill (splitmix64 → uniform in [-1, 1]):
 /// proptest drives the seed, sizes stay independent of the data strategy.
@@ -35,12 +32,6 @@ fn fill(seed: u64, buf: &mut [f64]) {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// One shared pool so the suite exercises reuse across many dispatches.
-fn pool() -> &'static BandPool {
-    static POOL: OnceLock<BandPool> = OnceLock::new();
-    POOL.get_or_init(|| BandPool::new(3))
 }
 
 proptest! {
@@ -76,90 +67,6 @@ proptest! {
         ftcs_row(s, c, n, cxx, cyy, &mut a);
         ftcs_row_simd(s, c, n, cxx, cyy, &mut b);
         prop_assert_eq!(bits(&a), bits(&b), "FTCS nx={}", nx);
-    }
-
-    /// A banded step equals a monolithic step bitwise, for any grid
-    /// shape, any band count (including more bands than rows — clamped),
-    /// and each stencil family, in both scalar and SIMD formulations.
-    #[test]
-    fn banded_step_matches_monolithic_bitwise(
-        nx in 1usize..40,
-        ny in 1usize..40,
-        bands in 2usize..9,
-        stencil in 0usize..3,
-        simd in any::<bool>(),
-        seed in any::<u64>(),
-        cx in -0.9f64..0.9,
-        cy in -0.9f64..0.9,
-    ) {
-        let lw = LwCoef { cx, cy, cxx: 0.1, cyy: 0.2, cxy: 0.05 };
-        let up = UpwindCoef { cx, cy };
-        let kernel = |s: &[f64], c: &[f64], n: &[f64], out: &mut [f64]| match (stencil, simd) {
-            (0, false) => lax_wendroff_row(s, c, n, &lw, out),
-            (0, true) => lax_wendroff_row_simd(s, c, n, &lw, out),
-            (1, false) => upwind_row(s, c, n, &up, out),
-            (1, true) => upwind_row_simd(s, c, n, &up, out),
-            (_, false) => ftcs_row(s, c, n, 0.2, 0.25, out),
-            (_, true) => ftcs_row_simd(s, c, n, 0.2, 0.25, out),
-        };
-
-        let mut mono = PaddedField::new(nx, ny);
-        fill(seed, mono.padded_mut());
-        let mut banded = mono.clone();
-
-        // Three steps with a halo refresh between them, so band
-        // boundaries move relative to the data.
-        for _ in 0..3 {
-            mono.refresh_periodic_halo();
-            mono.step(kernel);
-            banded.refresh_periodic_halo();
-            banded.step_banded(pool(), bands, kernel);
-        }
-        for m in 0..ny {
-            prop_assert_eq!(
-                bits(mono.interior_row(m)),
-                bits(banded.interior_row(m)),
-                "stencil={} simd={} bands={} row {}", stencil, simd, bands, m
-            );
-        }
-    }
-
-    /// A banded region step equals the plain region step bitwise on a
-    /// random sub-rectangle (the distributed deep-interior shape).
-    #[test]
-    fn banded_region_matches_plain_region_bitwise(
-        nx in 2usize..40,
-        ny in 2usize..40,
-        bands in 2usize..9,
-        seed in any::<u64>(),
-        cx in -0.9f64..0.9,
-        cy in -0.9f64..0.9,
-    ) {
-        let lw = LwCoef { cx, cy, cxx: 0.1, cyy: 0.2, cxy: 0.05 };
-        let kernel = |s: &[f64], c: &[f64], n: &[f64], out: &mut [f64]| {
-            lax_wendroff_row_simd(s, c, n, &lw, out)
-        };
-        // The overlapped stepper's deep interior: rows 1..ny-1, cols
-        // 1..nx-1 (non-empty here since nx, ny >= 2... may still be
-        // empty when nx or ny == 2 — that must be a no-op for both).
-        let (m0, m1, k0, k1) = (1, ny - 1, 1, nx - 1);
-
-        let mut plain = PaddedField::new(nx, ny);
-        fill(seed, plain.padded_mut());
-        let mut banded = plain.clone();
-
-        plain.step_region(m0, m1, k0, k1, kernel);
-        plain.commit_step();
-        banded.step_region_banded(pool(), bands, m0, m1, k0, k1, kernel);
-        banded.commit_step();
-
-        for m in 0..ny {
-            prop_assert_eq!(
-                bits(plain.interior_row(m)),
-                bits(banded.interior_row(m)),
-                "bands={} row {}", bands, m
-            );
-        }
     }
 
     /// The d-dimensional row step — scalar row loop, the process's SIMD

@@ -1,12 +1,12 @@
 //! Per-kernel throughput: scalar reference rows vs the vectorized rows
 //! for all three stencils (Lax–Wendroff, first-order upwind, FTCS
-//! diffusion), plus the banded full-field step. The scalar rows are the
+//! diffusion), plus the full-field step. The scalar rows are the
 //! bitwise-pinned references; this bench is where the SIMD speedup is
 //! measured in isolation from halo/stepping overhead.
 
 use advect2d::{
     ftcs_row, ftcs_row_simd, lax_wendroff_row, lax_wendroff_row_simd, simd_isa_label, upwind_row,
-    upwind_row_simd, BandPool, LwCoef, PaddedField, UpwindCoef,
+    upwind_row_simd, LwCoef, PaddedField, UpwindCoef,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -51,7 +51,7 @@ fn bench_rows(c: &mut Criterion) {
     g.finish();
 }
 
-/// Full-field step (level 8) per stencil: scalar, SIMD, SIMD + 2 bands.
+/// Full-field Lax–Wendroff step (level 8): scalar and SIMD rows.
 /// Steady-state discipline: halo refresh + row kernels + buffer swap.
 fn bench_field_step(c: &mut Criterion) {
     let lw = LwCoef { cx: 0.2, cy: 0.15, cxx: 0.02, cyy: 0.01, cxy: 0.015 };
@@ -63,24 +63,17 @@ fn bench_field_step(c: &mut Criterion) {
     for (k, v) in field.padded_mut().iter_mut().enumerate() {
         *v = ((k as f64) * 0.11).sin();
     }
-    let variants: [(&str, bool, usize); 3] =
-        [("scalar", false, 1), ("simd", true, 1), ("simd_bands2", true, 2)];
-    for (label, simd, bands) in variants {
+    for (label, simd) in [("scalar", false), ("simd", true)] {
         g.bench_function(BenchmarkId::new(label, format!("{n}x{n}")), |b| {
             b.iter(|| {
                 field.refresh_periodic_halo();
-                let kernel = |s: &[f64], c2: &[f64], n2: &[f64], out: &mut [f64]| {
+                field.step(|s, c2, n2, out| {
                     if simd {
                         lax_wendroff_row_simd(s, c2, n2, &lw, out)
                     } else {
                         lax_wendroff_row(s, c2, n2, &lw, out)
                     }
-                };
-                if bands > 1 {
-                    field.step_banded(BandPool::global(), bands, kernel);
-                } else {
-                    field.step(kernel);
-                }
+                });
             })
         });
     }

@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use advect2d::laxwendroff::{lax_wendroff_kernel, lax_wendroff_row, lax_wendroff_step, LwCoef};
 use advect2d::{
-    lax_wendroff_row_simd, AdvectionProblem, BandPool, KernelConfig, KernelKind, LocalSolver,
-    PaddedField, PaddedFieldN, ProblemN, StencilN,
+    lax_wendroff_row_simd, AdvectionProblem, KernelKind, LocalSolver, PaddedField, PaddedFieldN,
+    ProblemN, StencilN,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ftsg_core::gather::{assemble_grid, split_grid};
@@ -109,18 +109,6 @@ fn bench_level9_step(c: &mut Criterion) {
         })
     });
 
-    // Vectorized rows + the intra-rank row-band pool (2 bands). Only a
-    // speedup on multi-core hosts; benchmarked honestly either way.
-    let mut field = PaddedField::from_grid(&Grid2::from_fn(lev, p.initial()));
-    let pool = BandPool::global();
-    g.bench_function(BenchmarkId::new("fast_simd_bands", "9x9"), |b| {
-        b.iter(|| {
-            field.refresh_periodic_halo();
-            field.step_banded(pool, 2, |s, c2, n2, out| {
-                lax_wendroff_row_simd(s, c2, n2, &coef, out)
-            });
-        })
-    });
     g.finish();
 }
 
@@ -160,23 +148,6 @@ fn assert_alloc_free(_c: &mut Criterion) {
         after - before,
         0,
         "LocalSolver::run allocated {} times over 64 steady-state steps",
-        after - before
-    );
-
-    // The same discipline must hold with the vectorized kernel and the
-    // band pool active: the pool is created once (warm-up pays for the
-    // worker threads), and every subsequent banded dispatch reuses it
-    // without touching the allocator.
-    let mut s = LocalSolver::new(p, LevelPair::new(8, 8), 1e-4)
-        .with_kernel(KernelConfig::simd().with_bands(2).with_band_min_cells(1));
-    s.run(2); // warm-up: creates the global BandPool on first banded step
-    let before = alloc_count();
-    s.run(64);
-    let after = alloc_count();
-    assert_eq!(
-        after - before,
-        0,
-        "banded LocalSolver::run allocated {} times over 64 steady-state steps",
         after - before
     );
 
@@ -274,7 +245,7 @@ fn assert_alloc_free(_c: &mut Criterion) {
     assert_eq!(ring.len(), 1024);
     assert_eq!(ring.dropped(), 2048 + 4096 - 1024);
 
-    println!("alloc_discipline: 0 allocations over 192 steps (incl. banded) + 8 combine rounds + 4096 trace events + 200 nd steps; nd combine and assemble size-independent ... ok");
+    println!("alloc_discipline: 0 allocations over 128 steps + 8 combine rounds + 4096 trace events + 200 nd steps; nd combine and assemble size-independent ... ok");
 }
 
 /// The d-dimensional stack's share of the discipline: a step allocates

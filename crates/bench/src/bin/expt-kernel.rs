@@ -1,6 +1,6 @@
 //! `expt-kernel` — kernel vectorization acceptance: per-stencil row
 //! GFLOP/s (scalar vs SIMD) and the level-9 steady-state step wall under
-//! scalar / SIMD / SIMD+bands (see `ftsg_bench::experiments::kernel`).
+//! scalar and SIMD rows (see `ftsg_bench::experiments::kernel`).
 //! Emits `BENCH_pr8.json` (override the path with `BENCH_OUT`) and
 //! `results/kernel.csv`, then the 3D section — closure reference vs row
 //! kernels at the `solve3d_kill` slab shapes — as `BENCH_pr17.json`
@@ -19,10 +19,10 @@ fn main() {
     let iters = if opts.quick { 10 } else { opts.reps.max(3) * 10 };
     let report = kernel::run(".", iters);
     report.table().emit("results/kernel.csv");
-    assert!(report.bitwise_ok, "SIMD/banded paths drifted from the scalar reference");
+    assert!(report.bitwise_ok, "SIMD path drifted from the scalar reference");
     println!(
-        "level-9 step: simd {:.2}x vs scalar, simd+bands {:.2}x vs scalar (isa: {})",
-        report.simd_speedup_vs_scalar, report.bands_speedup_vs_scalar, report.isa
+        "level-9 step: simd {:.2}x vs scalar (isa: {})",
+        report.simd_speedup_vs_scalar, report.isa
     );
     if let Some(v) = report.speedup_vs_pr1_fast {
         println!("vs committed BENCH_pr1 fast path: {v:.2}x (required: 2.0x)");

@@ -1,13 +1,13 @@
 //! `expt-kernel` — the kernel-vectorization acceptance experiment: row
 //! kernel GFLOP/s (scalar reference vs SIMD) for all three stencils, and
-//! the level-9 steady-state step wall under three configurations —
-//! scalar, SIMD, and SIMD + 2 row bands. The SIMD-vs-scalar step ratio
+//! the level-9 steady-state step wall under two configurations —
+//! scalar and SIMD. The SIMD-vs-scalar step ratio
 //! is the machine-relative quantity the regression gate pins; the
 //! absolute nanoseconds let `BENCH_pr8.json` be compared against
 //! `BENCH_pr1.json`'s fast path when both were measured on one machine.
 //!
 //! The experiment also *checks* (not assumes) the bitwise contract: the
-//! SIMD and banded paths must reproduce the scalar trajectory exactly,
+//! SIMD path must reproduce the scalar trajectory exactly,
 //! bit for bit, over several steps before any timing is reported.
 //!
 //! The **3D section** ([`run_3d`], `BENCH_pr17.json`) measures the
@@ -24,8 +24,8 @@ use advect2d::laxwendroff::{lax_wendroff_row, LwCoef};
 use advect2d::{
     ftcs_row, ftcs_row_simd, lax_wendroff_row_simd, simd_isa_label, upwind_diffusion_kernel,
     upwind_diffusion_row_n, upwind_diffusion_row_n_on, upwind_row, upwind_row_simd,
-    AdvectionProblem, BandPool, PaddedField, PaddedFieldN, SimdIsa, StencilN, TimeGridN,
-    UpwindAxisN, UpwindCoef, UpwindDiffusionCoefN,
+    AdvectionProblem, PaddedField, PaddedFieldN, SimdIsa, StencilN, TimeGridN, UpwindAxisN,
+    UpwindCoef, UpwindDiffusionCoefN,
 };
 use ftsg_core::psolve::block_range;
 use ftsg_core::{AppConfig, ProcLayoutN, Technique};
@@ -64,12 +64,10 @@ pub struct KernelReport {
     pub isa: &'static str,
     pub rows: Vec<RowKernelRow>,
     pub steps: Vec<StepRow>,
-    /// SIMD and banded level-9 trajectories bitwise-equal to scalar.
+    /// SIMD level-9 trajectory bitwise-equal to scalar.
     pub bitwise_ok: bool,
     /// Fresh `scalar_ns / simd_ns` at level 9 — machine-relative, gated.
     pub simd_speedup_vs_scalar: f64,
-    /// Fresh `scalar_ns / simd_bands_ns` at level 9.
-    pub bands_speedup_vs_scalar: f64,
     /// `BENCH_pr1.json`'s committed `level9_step/fast_double_buffered`
     /// median, if the baseline file was readable.
     pub pr1_fast_ns: Option<f64>,
@@ -147,32 +145,26 @@ fn measure_rows(nx: usize, iters: usize) -> Vec<RowKernelRow> {
     result
 }
 
-/// Check the bitwise contract on the level-9 field: SIMD and SIMD+bands
-/// must reproduce the scalar trajectory exactly over `steps` steps.
+/// Check the bitwise contract on the level-9 field: SIMD must reproduce
+/// the scalar trajectory exactly over `steps` steps.
 fn check_bitwise(coef: &LwCoef, lev: LevelPair, p: &AdvectionProblem, steps: usize) -> bool {
     let init = Grid2::from_fn(lev, p.initial());
     let mut scalar = PaddedField::from_grid(&init);
     let mut simd = scalar.clone();
-    let mut banded = scalar.clone();
     for _ in 0..steps {
         scalar.refresh_periodic_halo();
         scalar.step(|s, c, n, out| lax_wendroff_row(s, c, n, coef, out));
         simd.refresh_periodic_halo();
         simd.step(|s, c, n, out| lax_wendroff_row_simd(s, c, n, coef, out));
-        banded.refresh_periodic_halo();
-        banded.step_banded(BandPool::global(), 2, |s, c, n, out| {
-            lax_wendroff_row_simd(s, c, n, coef, out)
-        });
     }
     let (ny, _) = (scalar.ny(), scalar.nx());
     (0..ny).all(|m| {
         let r = scalar.interior_row(m);
         r.iter().zip(simd.interior_row(m)).all(|(a, b)| a.to_bits() == b.to_bits())
-            && r.iter().zip(banded.interior_row(m)).all(|(a, b)| a.to_bits() == b.to_bits())
     })
 }
 
-/// Measure the level-9 steady-state step in the three configurations.
+/// Measure the level-9 steady-state step in the two configurations.
 ///
 /// Each mode is timed **in its own steady state**: several un-timed
 /// warm-up steps first, so caches are hot and the core's frequency
@@ -191,21 +183,17 @@ fn measure_level9(iters: usize) -> Vec<StepRow> {
     let iters = iters.max(5);
     let warmup = (iters / 4).max(5);
 
-    let modes: [&'static str; 3] = ["fast_scalar", "fast_simd", "fast_simd_bands2"];
-    modes
+    [("fast_scalar", false), ("fast_simd", true)]
         .into_iter()
-        .enumerate()
-        .map(|(which, mode)| {
+        .map(|(mode, simd)| {
             let mut field = PaddedField::from_grid(&Grid2::from_fn(lev, p.initial()));
             let step = |field: &mut PaddedField| {
                 let t = Instant::now();
                 field.refresh_periodic_halo();
-                match which {
-                    0 => field.step(|s, c, n2, o| lax_wendroff_row(s, c, n2, &coef, o)),
-                    1 => field.step(|s, c, n2, o| lax_wendroff_row_simd(s, c, n2, &coef, o)),
-                    _ => field.step_banded(BandPool::global(), 2, |s, c, n2, o| {
-                        lax_wendroff_row_simd(s, c, n2, &coef, o)
-                    }),
+                if simd {
+                    field.step(|s, c, n2, o| lax_wendroff_row_simd(s, c, n2, &coef, o));
+                } else {
+                    field.step(|s, c, n2, o| lax_wendroff_row(s, c, n2, &coef, o));
                 }
                 t.elapsed().as_secs_f64() * 1e9
             };
@@ -243,7 +231,6 @@ pub fn run(dir: &str, iters: usize) -> KernelReport {
     let ns_of = |mode: &str| steps.iter().find(|r| r.mode == mode).map(|r| r.best_ns);
     let scalar = ns_of("fast_scalar").unwrap_or(f64::NAN);
     let simd = ns_of("fast_simd").unwrap_or(f64::NAN);
-    let bands = ns_of("fast_simd_bands2").unwrap_or(f64::NAN);
     let pr1_fast_ns = pr1_fast_baseline(dir);
 
     KernelReport {
@@ -252,7 +239,6 @@ pub fn run(dir: &str, iters: usize) -> KernelReport {
         steps,
         bitwise_ok,
         simd_speedup_vs_scalar: scalar / simd,
-        bands_speedup_vs_scalar: scalar / bands,
         pr1_fast_ns,
         speedup_vs_pr1_fast: pr1_fast_ns.map(|b| b / simd),
     }
@@ -290,8 +276,8 @@ impl KernelReport {
         s.push_str(
             " \"note\": \"Vectorized kernels from expt-kernel: per-stencil row GFLOP/s \
              (scalar reference vs SIMD) and the level-9 steady-state step wall under \
-             scalar / SIMD / SIMD+2-band configurations. Bitwise equality of the fast \
-             paths is re-checked before timing.\",\n",
+             scalar and SIMD configurations. Bitwise equality of the fast path is \
+             re-checked before timing.\",\n",
         );
         s.push_str(&format!(" \"config\": {{\"simd_isa\": \"{}\", \"level\": 9}},\n", self.isa));
         s.push_str(" \"acceptance\": {\n");
@@ -299,10 +285,6 @@ impl KernelReport {
         s.push_str(&format!(
             "  \"level9_simd_speedup_vs_scalar\": {:.4},\n",
             self.simd_speedup_vs_scalar
-        ));
-        s.push_str(&format!(
-            "  \"level9_simd_bands_speedup_vs_scalar\": {:.4},\n",
-            self.bands_speedup_vs_scalar
         ));
         if let (Some(b), Some(v)) = (self.pr1_fast_ns, self.speedup_vs_pr1_fast) {
             s.push_str(&format!("  \"pr1_fast_double_buffered_median_ns\": {b:.1},\n"));
@@ -597,12 +579,12 @@ mod tests {
         let report = run("/nonexistent", 5);
         assert!(report.bitwise_ok, "fast paths drifted from the scalar reference");
         assert_eq!(report.rows.len(), 12);
-        assert_eq!(report.steps.len(), 3);
+        assert_eq!(report.steps.len(), 2);
         assert!(report.simd_speedup_vs_scalar.is_finite());
         assert!(report.pr1_fast_ns.is_none());
         let json = report.to_json("2026-01-01");
         assert!(json.contains("\"level9_simd_speedup_vs_scalar\""));
-        assert!(json.contains("level9_step/fast_simd_bands2/9x9"));
+        assert!(json.contains("level9_step/fast_simd/9x9"));
         assert!(report.table().render().contains("GFLOP/s"));
     }
 

@@ -133,10 +133,9 @@ pub struct AppConfig {
     /// 2D only: [`AppConfig::validate`] rejects it at `dim ≥ 3`.
     pub output_prefix: Option<PathBuf>,
     /// Stencil-kernel configuration for every distributed solver this
-    /// run creates: scalar reference vs vectorized rows, plus optional
-    /// intra-rank row-band parallelism. All settings are
-    /// bitwise-identical (see `advect2d::simd`); defaults come from the
-    /// `FTSG_KERNEL` / `FTSG_BANDS` / `FTSG_BAND_MIN_CELLS` env knobs.
+    /// run creates: scalar reference vs vectorized rows. Both are
+    /// bitwise-identical (see `advect2d::simd`); the default comes from
+    /// the `FTSG_KERNEL` env knob.
     pub kernel: KernelConfig,
     /// Live progress/recovery observer, called by rank 0 only (the
     /// benchmark harness splits set-up from solve at `Epoch { step: 0 }`).
@@ -253,7 +252,7 @@ impl AppConfig {
         self
     }
 
-    /// Replace the stencil-kernel configuration (formulation + banding).
+    /// Replace the stencil-kernel formulation.
     pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
         self.kernel = kernel;
         self

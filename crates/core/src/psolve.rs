@@ -11,7 +11,7 @@
 
 use advect2d::laxwendroff::{lax_wendroff_row, lw_row_fn, LwCoef};
 use advect2d::stepper::PaddedField;
-use advect2d::{AdvectionProblem, BandPool, KernelConfig};
+use advect2d::{AdvectionProblem, KernelConfig};
 use sparsegrid::{ensure_len, LevelPair};
 use ulfm_sim::{waitall, Comm, Ctx, Result};
 
@@ -56,8 +56,8 @@ pub struct DistributedSolver {
     /// nonblocking receives posted at once.
     recv_buf2: Vec<f64>,
     steps_done: u64,
-    /// Kernel formulation + banding for the stencil sweeps. All
-    /// configurations are bitwise-identical; see `advect2d::simd`.
+    /// Kernel formulation for the stencil sweeps. Both formulations are
+    /// bitwise-identical; see `advect2d::simd`.
     kernel: KernelConfig,
 }
 
@@ -105,8 +105,8 @@ impl DistributedSolver {
         s
     }
 
-    /// Replace the kernel configuration (formulation + banding); results
-    /// are bitwise-identical in every configuration, only speed changes.
+    /// Replace the kernel formulation; results are bitwise-identical in
+    /// both, only speed changes.
     pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
         self.kernel = kernel;
         self
@@ -255,8 +255,7 @@ impl DistributedSolver {
         let south = self.neighbor(0, -1);
         let east = self.neighbor(1, 0);
         let west = self.neighbor(-1, 0);
-        let kcfg = self.kernel;
-        let row = lw_row_fn(kcfg.kind);
+        let row = lw_row_fn(self.kernel.kind);
         let DistributedSolver { field, send_buf, recv_buf, recv_buf2, .. } = self;
         let kernel =
             move |s: &[f64], c: &[f64], n: &[f64], out: &mut [f64]| row(s, c, n, &coef, out);
@@ -271,22 +270,8 @@ impl DistributedSolver {
             group.irecv_into(ctx, north, TAG_S, recv_buf2)?,
         ];
         // Deep interior: needs no halo at all. This is the bulk of the
-        // compute that hides the halo flight time, so it is also where
-        // the optional row-band pool splits the work.
-        let bands = kcfg.bands_for(lnx * lny, lny.saturating_sub(2).max(1));
-        if bands > 1 {
-            field.step_region_banded(
-                BandPool::global(),
-                bands,
-                1,
-                lny.saturating_sub(1),
-                1,
-                lnx.saturating_sub(1),
-                kernel,
-            );
-        } else {
-            field.step_region(1, lny.saturating_sub(1), 1, lnx.saturating_sub(1), kernel);
-        }
+        // compute that hides the halo flight time.
+        field.step_region(1, lny.saturating_sub(1), 1, lnx.saturating_sub(1), kernel);
         ctx.compute_step_cells((lny.saturating_sub(2) * lnx.saturating_sub(2)) as u64);
         waitall(ctx, &mut ry)?;
         debug_assert_eq!(recv_buf.len(), lnx);

@@ -89,7 +89,7 @@ impl DistributedSolverN {
     }
 
     /// Replace the row-kernel formulation (results are bit-identical
-    /// either way; slabs are never banded, so only `kind` applies).
+    /// either way).
     pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
         self.kind = kernel.kind;
         self

@@ -192,8 +192,7 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         |_, comm| {
             let info = GroupInfo { grid: 0, first: 0, size: 4, px: 2, py: 2 };
             let p = AdvectionProblem::standard();
-            // The production formulation, whatever `FTSG_*` says: the
-            // band pool's worker threads are not this test's subject.
+            // The production formulation, whatever `FTSG_KERNEL` says.
             DistributedSolver::new(p, LevelPair::new(9, 9), 1e-4, &info, comm.rank())
                 .with_kernel(KernelConfig::simd())
         },
