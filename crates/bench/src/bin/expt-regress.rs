@@ -10,7 +10,8 @@
 //! a warm Fig. 4 handler call its committed allocator-request count, or a
 //! whole `paper2d_kill` or `solve3d_kill` run asks for more bytes than
 //! committed, or a whole `solve3d_kill` run makes more allocator requests
-//! than committed, or the `paper2d_kill` makespan is not its committed value
+//! than committed, or the `paper2d_kill` makespan, the `ckpt_heavy` restore
+//! and makespan or the 3D CR kill's makespan is not its committed value
 //! (see `ftsg_bench::experiments::regress` for the list).
 //!
 //! ```text

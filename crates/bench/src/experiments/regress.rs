@@ -120,6 +120,14 @@
 //!     barrier that lands the queued snapshot again takes the pair back
 //!     from 5.79 / 15.99 to 9.31 / 19.51 vsec, both drains landing it to
 //!     12.83 / 23.03.
+//! 14. **`cr3d_kill_makespan`** (virtual clock, **exact match**) — the
+//!     makespan of one Checkpoint/Restart kill on the 3D shape
+//!     `virt_pins.rs` pins ([`crate::experiments::repair::measure_cr3d`])
+//!     with the asynchronous checkpoint stage, vs `BENCH_pr38.json`
+//!     `acceptance`; the same run with synchronous checkpoints must take
+//!     longer. Guards the one checkpoint stage of both stacks: a 3D root
+//!     that writes synchronously again reads the synchronous makespan,
+//!     10.88 instead of 8.86 vsec.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -332,6 +340,12 @@ pub fn run_exact(
     let (restore_fresh, ckpt_makespan_fresh) =
         crate::experiments::repair::measure_restore("ckpt_heavy")
             .ok_or("no workload ckpt_heavy")?;
+    let pr38 = read_baseline(dir, "BENCH_pr38.json")?;
+    let cr3d_base = num_field(&pr38, "cr3d_kill_makespan", "BENCH_pr38.json")?;
+    let (cr3d_async, cr3d_sync) = crate::experiments::repair::measure_cr3d();
+    let mut cr3d =
+        GateResult::exact("cr3d_kill_makespan", "BENCH_pr38.json", cr3d_base, cr3d_async);
+    cr3d.pass &= cr3d_async < cr3d_sync;
     let run_count = |key: &'static str, workload: &str, count| -> Result<GateResult, String> {
         let ceiling = num_field(&pr30, key, "BENCH_pr30.json")?;
         let fresh = crate::experiments::repair::run_count(workload, count)
@@ -387,6 +401,7 @@ pub fn run_exact(
                 ckpt_makespan_base,
                 ckpt_makespan_fresh,
             ),
+            cr3d,
         ],
         tolerance: 0.0,
     })

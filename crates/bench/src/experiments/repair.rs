@@ -220,6 +220,30 @@ pub fn measure_restore(name: &str) -> Option<(f64, f64)> {
     })
 }
 
+/// `(asynchronous, synchronous)` makespan of one Checkpoint/Restart kill
+/// on the 3D shape `core/tests/virt_pins.rs` pins: `AppConfig::small_nd`
+/// at d = 3 on OPL, one scheduler worker, seed 11, the last rank of grid
+/// 1 killed halfway through the run, with the asynchronous checkpoint
+/// stage and with `--sync-ckpt`. No benchmark workload runs 3D CR; this
+/// is the exact gate `cr3d_kill_makespan`.
+pub fn measure_cr3d() -> (f64, f64) {
+    let makespan = |sync: bool| {
+        let mut cfg = AppConfig::small_nd(Technique::CheckpointRestart, 3);
+        if sync {
+            cfg = cfg.with_sync_checkpoints();
+        }
+        let groups = groups(&cfg);
+        let world = groups.last().map_or(0, |&(first, size)| first + size);
+        let (first, size) = groups[1];
+        cfg.plan = FaultPlan::single(first + size - 1, cfg.steps() / 2);
+        let rc = RunConfig::cluster(ClusterProfile::opl(), world).with_seed(11).with_workers(1);
+        let report = run(rc, move |ctx| run_app(&cfg, ctx));
+        report.assert_no_app_errors();
+        report.makespan
+    };
+    (makespan(false), makespan(true))
+}
+
 /// Parent and change on all five shapes, with the host stamp.
 #[derive(Debug, Clone)]
 pub struct RepairReport {

@@ -58,7 +58,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sparsegrid::{Grid2, GridN, LevelPair, LevelVecN, MAX_DIM};
+use sparsegrid::{ComponentGrid, Grid2, GridN, LevelPair, LevelVecN, MAX_DIM};
 use ulfm_sim::MpiData;
 
 const MAGIC: &[u8; 8] = b"FTSGCKP2";
@@ -91,6 +91,47 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A successfully restored checkpoint: `(step, grid, bytes on disk)`.
 pub type Restored = (u64, Grid2, usize);
+
+/// A whole sub-grid as one checkpoint file: the one place that picks the
+/// format, v2 for [`Grid2`] and v3 for [`GridN`]. Both formats share the
+/// per-grid file names, with the same atomicity, corruption-strike and
+/// retention rules ([`CheckpointStore::write`]), and are told apart by
+/// magic when a file is decoded.
+pub trait CheckpointGrid: ComponentGrid {
+    /// The length of this grid's checkpoint file: what the virtual disk
+    /// charges for writing it.
+    fn file_len(&self) -> usize;
+    /// Stream this grid to `store` as the checkpoint of `grid_id` at
+    /// `step`; returns the file's length.
+    fn write_to(&self, store: &CheckpointStore, grid_id: usize, step: u64) -> io::Result<usize>;
+    /// Decode a checkpoint file of this grid's format onto it, with
+    /// [`CheckpointStore::decode_into`]'s contract; returns the step.
+    fn decode_onto(&mut self, raw: &[u8]) -> Result<u64, String>;
+}
+
+impl CheckpointGrid for Grid2 {
+    fn file_len(&self) -> usize {
+        OVERHEAD + self.byte_size()
+    }
+    fn write_to(&self, store: &CheckpointStore, grid_id: usize, step: u64) -> io::Result<usize> {
+        store.write_raw(grid_id, step, self.level(), self.values())
+    }
+    fn decode_onto(&mut self, raw: &[u8]) -> Result<u64, String> {
+        CheckpointStore::decode_into(raw, self)
+    }
+}
+
+impl CheckpointGrid for GridN {
+    fn file_len(&self) -> usize {
+        HEADER3_FIXED + 4 * self.level().len() + self.byte_size() + 8
+    }
+    fn write_to(&self, store: &CheckpointStore, grid_id: usize, step: u64) -> io::Result<usize> {
+        store.write_raw_nd(grid_id, step, self.level(), self.values())
+    }
+    fn decode_onto(&mut self, raw: &[u8]) -> Result<u64, String> {
+        CheckpointStore::decode_nd_into(raw, self)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // CRC-64/XZ (ECMA-182 polynomial, reflected, init/xorout = !0)
@@ -444,10 +485,15 @@ impl CheckpointStore {
         Ok((step, LevelPair::new(i, j), &raw[HEADER_LEN..raw.len() - 8]))
     }
 
-    /// Write a checkpoint of a grid. Returns the byte size written, for
-    /// disk-cost accounting.
-    pub fn write(&self, grid_id: usize, step: u64, grid: &Grid2) -> io::Result<usize> {
-        self.write_raw(grid_id, step, grid.level(), grid.values())
+    /// Write a checkpoint of a grid, in its format ([`CheckpointGrid`]).
+    /// Returns the file's size, for disk-cost accounting.
+    pub fn write<G: CheckpointGrid>(
+        &self,
+        grid_id: usize,
+        step: u64,
+        grid: &G,
+    ) -> io::Result<usize> {
+        grid.write_to(self, grid_id, step)
     }
 
     /// Write a checkpoint from raw parts, streamed: header, payload and
@@ -572,15 +618,16 @@ impl CheckpointStore {
     }
 
     /// [`read_latest_valid`](Self::read_latest_valid) decoding onto a grid
-    /// the caller owns (see [`decode_into`](Self::decode_into)): returns
-    /// `(step, bytes)` of the restored checkpoint. `out` is untouched when
-    /// none is valid.
-    pub fn read_latest_valid_into(
+    /// the caller owns, in its format ([`CheckpointGrid::decode_onto`]):
+    /// returns `(step, bytes)` of the restored checkpoint. A file of the
+    /// other format counts as corrupt. `out` is untouched when none is
+    /// valid.
+    pub fn read_latest_valid_into<G: CheckpointGrid>(
         &self,
         grid_id: usize,
-        out: &mut Grid2,
+        out: &mut G,
     ) -> io::Result<(Option<(u64, usize)>, usize)> {
-        self.latest_valid(grid_id, |raw| Self::decode_into(raw, out))
+        self.latest_valid(grid_id, |raw| out.decode_onto(raw))
     }
 
     /// The newest file of `grid_id` that `decode` accepts, with its size,
@@ -709,14 +756,6 @@ impl CheckpointStore {
         Ok((step, level, &raw[header_len..raw.len() - 8]))
     }
 
-    /// Write a d-dimensional checkpoint. Same atomicity, corruption-strike
-    /// and retention semantics as [`CheckpointStore::write`]; v2 and v3
-    /// files share the per-grid filename namespace and are told apart by
-    /// magic at decode time.
-    pub fn write_nd(&self, grid_id: usize, step: u64, grid: &GridN) -> io::Result<usize> {
-        self.write_raw_nd(grid_id, step, grid.level(), grid.values())
-    }
-
     /// Write a d-dimensional checkpoint from raw parts, streamed like
     /// [`CheckpointStore::write_raw`]. A level that no v3 header can hold
     /// (no axes, more than [`MAX_DIM`], or a level beyond the codec's
@@ -739,19 +778,6 @@ impl CheckpointStore {
         let mut header = Vec::with_capacity(HEADER3_FIXED + 4 * level.len());
         Self::header_nd(step, level, &mut header);
         self.land(grid_id, step, &header, values)
-    }
-
-    /// Read the newest *valid* d-dimensional checkpoint of a grid onto a
-    /// grid the caller owns, falling back past corrupt, torn, or
-    /// wrong-format files. The v3 sibling of
-    /// [`read_latest_valid_into`](Self::read_latest_valid_into), with its
-    /// contract.
-    pub fn read_latest_valid_nd_into(
-        &self,
-        grid_id: usize,
-        out: &mut GridN,
-    ) -> io::Result<(Option<(u64, usize)>, usize)> {
-        self.latest_valid(grid_id, |raw| Self::decode_nd_into(raw, out))
     }
 
     /// Remove every checkpoint file (end-of-run cleanup). Only this
@@ -924,10 +950,10 @@ mod tests {
     fn nd_roundtrip_preserves_grid_and_step() {
         let s = store();
         let g = grid3();
-        let wrote = s.write_nd(2, 1234, &g).unwrap();
+        let wrote = s.write(2, 1234, &g).unwrap();
         assert_eq!(wrote, HEADER3_FIXED + 4 * 3 + 8 + g.byte_size());
         let mut back = GridN::zeros(&[1, 1, 1]);
-        let (restored, skipped) = s.read_latest_valid_nd_into(2, &mut back).unwrap();
+        let (restored, skipped) = s.read_latest_valid_into(2, &mut back).unwrap();
         let (step, read_bytes) = restored.unwrap();
         assert_eq!(step, 1234);
         assert_eq!(back.level(), g.level());
@@ -941,15 +967,15 @@ mod tests {
     fn nd_bit_flip_detected_and_fallback_past_it() {
         let s = store();
         let g = grid3();
-        s.write_nd(1, 10, &g).unwrap();
-        s.write_nd(1, 20, &g).unwrap();
+        s.write(1, 10, &g).unwrap();
+        s.write(1, 20, &g).unwrap();
         let path = s.path(1, 20);
         let mut raw = std::fs::read(&path).unwrap();
         let mid = raw.len() / 2;
         raw[mid] ^= 0x04; // one bit, length preserved
         std::fs::write(&path, &raw).unwrap();
         let mut back = GridN::zeros(&[1, 1, 1]);
-        let (restored, skipped) = s.read_latest_valid_nd_into(1, &mut back).unwrap();
+        let (restored, skipped) = s.read_latest_valid_into(1, &mut back).unwrap();
         let (step, _) = restored.expect("older valid checkpoint must be found");
         assert_eq!(step, 10, "fallback must land on the older valid file");
         assert_eq!(skipped, 1);
@@ -995,14 +1021,14 @@ mod tests {
         let level = [1u32; MAX_DIM];
         s.write_raw_nd(0, 4, &level, &vec![0.5; 3usize.pow(MAX_DIM as u32)]).unwrap();
         let mut back = GridN::zeros(&[1]);
-        let (restored, skipped) = s.read_latest_valid_nd_into(0, &mut back).unwrap();
+        let (restored, skipped) = s.read_latest_valid_into(0, &mut back).unwrap();
         assert_eq!((restored.map(|(step, _)| step), skipped), (Some(4), 0));
         assert_eq!(back.level(), &level);
         let nine = [1u32; MAX_DIM + 1];
         let err = s.write_raw_nd(1, 4, &nine, &vec![0.5; 3usize.pow(MAX_DIM as u32 + 1)]);
         assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidInput);
         assert_eq!(s.write_raw_nd(1, 4, &[], &[]).unwrap_err().kind(), io::ErrorKind::InvalidInput);
-        let (restored, skipped) = s.read_latest_valid_nd_into(1, &mut back).unwrap();
+        let (restored, skipped) = s.read_latest_valid_into(1, &mut back).unwrap();
         assert_eq!((restored, skipped), (None, 0), "nothing was written");
         s.clear().unwrap();
     }
@@ -1059,9 +1085,9 @@ mod tests {
         assert_eq!((restored, skipped, &out), (None, 0, &good));
         s.clear().unwrap();
         let g = grid3();
-        s.write_nd(1, 7, &g).unwrap();
+        s.write(1, 7, &g).unwrap();
         let mut out = GridN::zeros(&[1, 1, 1]);
-        let (restored, _) = s.read_latest_valid_nd_into(1, &mut out).unwrap();
+        let (restored, _) = s.read_latest_valid_into(1, &mut out).unwrap();
         assert_eq!((restored.map(|r| r.0), &out), (Some(7), &g));
         s.clear().unwrap();
     }

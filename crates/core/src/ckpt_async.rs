@@ -1,6 +1,8 @@
 //! Asynchronous checkpointing on the virtual clock: a group root's
 //! checkpoint writes are priced as deferred disk time, so the solver's
-//! compute hides them.
+//! compute hides them. One stage serves both stacks: it is generic over
+//! the grid ([`CheckpointGrid`]), which picks the file format and the
+//! file length the virtual disk charges.
 //!
 //! The paper prices Checkpoint/Restart entirely by `T_IO` (Eq. 2,
 //! `C = T / T_IO`) because every periodic write stalls the group root for
@@ -60,54 +62,54 @@
 //! drain — so chaos campaigns can kill a root at every stage of the
 //! pipeline.
 
-use sparsegrid::{Grid2, LevelPair};
 use ulfm_sim::{Ctx, Error, OpClass, Result};
 
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{CheckpointGrid, CheckpointStore};
 
 /// A filled snapshot buffer whose write has not started.
-struct Snapshot {
+struct Snapshot<G> {
     grid_id: usize,
     step: u64,
-    grid: Grid2,
+    grid: G,
 }
 
 /// The checkpoint stage of one group root (see the module docs). Dropping
 /// it without a drain (a rank that dies or returns early) drops the
 /// queued snapshot unwritten; every write that started has landed.
-#[derive(Default)]
-pub struct AsyncCheckpointer {
+pub struct AsyncCheckpointer<G> {
     /// Buffers lent out and given back unused, written, or superseded.
-    idle: Vec<Grid2>,
+    idle: Vec<G>,
     /// The newest snapshot and its write's virtual start, held back until
     /// the clock passes that start.
-    queued: Option<(Snapshot, f64)>,
+    queued: Option<(Snapshot<G>, f64)>,
     /// Snapshots superseded since the last drain reported them.
     superseded: u32,
 }
 
-impl AsyncCheckpointer {
+impl<G> Default for AsyncCheckpointer<G> {
     /// An empty stage: no buffer exists before the first borrow.
-    pub fn new() -> Self {
-        Self::default()
+    fn default() -> Self {
+        AsyncCheckpointer { idle: Vec::new(), queued: None, superseded: 0 }
     }
+}
 
+impl<G: CheckpointGrid> AsyncCheckpointer<G> {
     /// Borrow a snapshot buffer, re-shaped to `level` with unspecified
     /// node values: the caller assembles the next checkpoint into it and
     /// passes it to [`submit`](Self::submit) — or, if the assembly failed,
     /// to [`give_back`](Self::give_back).
-    pub fn take_buffer(&mut self, level: LevelPair) -> Grid2 {
+    pub fn take_buffer(&mut self, level: &G::Level) -> G {
         match self.idle.pop() {
             Some(mut grid) => {
                 grid.reshape(level);
                 grid
             }
-            None => Grid2::zeros(level),
+            None => G::zeros(level),
         }
     }
 
     /// Return a buffer from [`take_buffer`](Self::take_buffer) unused.
-    pub fn give_back(&mut self, grid: Grid2) {
+    pub fn give_back(&mut self, grid: G) {
         self.idle.push(grid);
     }
 
@@ -122,7 +124,7 @@ impl AsyncCheckpointer {
         store: &CheckpointStore,
         grid_id: usize,
         step: u64,
-        grid: Grid2,
+        grid: G,
     ) -> Result<()> {
         // The queued write that has started by now is in flight: land it
         // before any fault site, so a root dying in this submit has it.
@@ -133,7 +135,7 @@ impl AsyncCheckpointer {
             self.idle.push(grid);
             return Err(e);
         }
-        let write = ctx.disk_write_async(crate::checkpoint::OVERHEAD + grid.byte_size());
+        let write = ctx.disk_write_async(grid.file_len());
         debug_assert_eq!(
             write.superseded,
             self.queued.is_some(),
@@ -150,7 +152,7 @@ impl AsyncCheckpointer {
     }
 
     /// Write `snap` to `store`; its buffer goes idle either way.
-    fn ship(&mut self, store: &CheckpointStore, snap: Snapshot) -> Result<()> {
+    fn ship(&mut self, store: &CheckpointStore, snap: Snapshot<G>) -> Result<()> {
         let Snapshot { grid_id, step, grid } = snap;
         let written = store.write(grid_id, step, &grid);
         self.idle.push(grid);
@@ -207,7 +209,7 @@ impl AsyncCheckpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::OVERHEAD;
+    use sparsegrid::{Grid2, GridN, LevelPair, LevelVecN};
     use ulfm_sim::{run, FaultPlan, FaultSite, RunConfig};
 
     fn store() -> CheckpointStore {
@@ -217,14 +219,14 @@ mod tests {
     /// Snapshot `grid` the way a root does: borrow a buffer, fill it,
     /// submit it.
     fn enqueue(
-        ck: &mut AsyncCheckpointer,
+        ck: &mut AsyncCheckpointer<Grid2>,
         ctx: &Ctx,
         store: &CheckpointStore,
         grid_id: usize,
         step: u64,
         grid: &Grid2,
     ) -> Result<()> {
-        let mut buf = ck.take_buffer(grid.level());
+        let mut buf = ck.take_buffer(&grid.level());
         buf.values_mut().copy_from_slice(grid.values());
         ck.submit(ctx, store, grid_id, step, buf)
     }
@@ -235,7 +237,7 @@ mod tests {
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
             let store = CheckpointStore::new(&dir).unwrap();
-            let mut ck = AsyncCheckpointer::new();
+            let mut ck = AsyncCheckpointer::<Grid2>::default();
             let g = Grid2::from_fn(LevelPair::new(4, 3), |x, y| x * y + 0.5);
             for step in [10u64, 20, 30] {
                 enqueue(&mut ck, ctx, &store, 0, step, &g).unwrap();
@@ -254,20 +256,60 @@ mod tests {
     }
 
     #[test]
+    fn a_gridn_stage_lands_v3_files_and_charges_their_length() {
+        let s = store().with_retention(8);
+        let dir = s.dir().to_path_buf();
+        let level: LevelVecN = [3, 1, 2].into_iter().collect();
+        let g = GridN::from_fn(&level, |x| x[0] - 2.0 * x[1] * x[2] + 0.25);
+        let expect = g.clone();
+        let rc = RunConfig::local(1);
+        let cost = rc.profile.disk.write(g.file_len());
+        let report = run(rc, move |ctx| {
+            let store = CheckpointStore::new(&dir).unwrap().with_retention(8);
+            let mut ck = AsyncCheckpointer::<GridN>::default();
+            // One write per compute interval longer than a write: every
+            // snapshot lands.
+            for step in [10u64, 20, 30] {
+                let mut buf = ck.take_buffer(&level);
+                buf.values_mut().copy_from_slice(g.values());
+                ck.submit(ctx, &store, 3, step, buf).unwrap();
+                ctx.advance(2.0 * cost);
+            }
+            ck.drain(ctx, &store).unwrap();
+        });
+        report.assert_no_app_errors();
+        let files = s.candidates(3).unwrap();
+        assert_eq!(files.iter().map(|f| f.0).collect::<Vec<_>>(), [30, 20, 10]);
+        for (step, path) in &files {
+            let raw = std::fs::read(path).unwrap();
+            assert_eq!(raw, CheckpointStore::encode_nd(*step, expect.level(), expect.values()));
+            // Charged as long as the file on disk is.
+            assert_eq!(raw.len(), expect.file_len());
+        }
+        let mut back = GridN::zeros(&[0]);
+        let (restored, skipped) = s.read_latest_valid_into(3, &mut back).unwrap();
+        assert_eq!((restored, skipped), (Some((30, expect.file_len())), 0));
+        assert_eq!(back, expect);
+        let paid = report.io_hidden + report.io_exposed;
+        assert!((paid - 3.0 * cost).abs() < 1e-12, "paid {paid} for three writes of {cost}");
+        s.clear().unwrap();
+    }
+
+    #[test]
     fn snapshot_buffers_circulate_without_copies() {
         let s = store();
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
             let store = CheckpointStore::new(&dir).unwrap();
-            let mut ck = AsyncCheckpointer::new();
+            let mut ck = AsyncCheckpointer::<Grid2>::default();
             let level = LevelPair::new(4, 4);
             // The two buffers of the double buffer, by allocation.
-            let a = ck.take_buffer(level);
-            let b = ck.take_buffer(level);
+            let a = ck.take_buffer(&level);
+            let b = ck.take_buffer(&level);
             let ptrs = [a.values().as_ptr(), b.values().as_ptr()];
             // A buffer whose gather failed comes straight back.
             ck.give_back(b);
-            let b = ck.take_buffer(LevelPair::new(3, 4));
+            let b = ck.take_buffer(&LevelPair::new(3, 4));
             assert_eq!(b.values().as_ptr(), ptrs[1]);
             assert_eq!((b.level(), b.values().len()), (LevelPair::new(3, 4), 9 * 17));
             ck.give_back(b);
@@ -275,7 +317,7 @@ mod tests {
             // every later buffer is one of the same two allocations.
             ck.submit(ctx, &store, 0, 1, a).unwrap();
             for step in 2..6u64 {
-                let g = ck.take_buffer(level);
+                let g = ck.take_buffer(&level);
                 assert!(ptrs.contains(&g.values().as_ptr()), "a third buffer appeared");
                 ck.submit(ctx, &store, 0, step, g).unwrap();
             }
@@ -299,14 +341,14 @@ mod tests {
         let dir = s.dir().to_path_buf();
         let report = run(RunConfig::local(1), move |ctx| {
             let store = CheckpointStore::new(&dir).unwrap().with_retention(8);
-            let mut ck = AsyncCheckpointer::new();
+            let mut ck = AsyncCheckpointer::<Grid2>::default();
             let level = LevelPair::new(4, 4);
             let mut buffers = Vec::new();
             // Five submits with no clock advance: step 1 starts at once,
             // step 2 queues behind it, and each later one supersedes the
             // queued snapshot before its write starts.
             for step in 1..=5u64 {
-                let g = ck.take_buffer(level);
+                let g = ck.take_buffer(&level);
                 if !buffers.contains(&g.values().as_ptr()) {
                     buffers.push(g.values().as_ptr());
                 }
@@ -319,9 +361,9 @@ mod tests {
             assert_eq!((ck.queued.is_some(), ck.superseded), (false, 0));
             // Then one write per compute interval longer than a write:
             // nothing is superseded, everything lands.
-            let cost = ctx.profile().disk.write(OVERHEAD + Grid2::zeros(level).byte_size());
+            let cost = ctx.profile().disk.write(Grid2::zeros(level).file_len());
             for step in 6..=8u64 {
-                let g = ck.take_buffer(level);
+                let g = ck.take_buffer(&level);
                 ck.submit(ctx, &store, 0, step, g).unwrap();
                 ctx.advance(2.0 * cost);
             }
@@ -339,12 +381,12 @@ mod tests {
         let dir = s.dir().to_path_buf();
         let rc = RunConfig::local(1);
         let level = LevelPair::new(4, 4);
-        let cost = rc.profile.disk.write(OVERHEAD + Grid2::zeros(level).byte_size());
+        let cost = rc.profile.disk.write(Grid2::zeros(level).file_len());
         let report = run(rc, move |ctx| {
             let store = CheckpointStore::new(&dir).unwrap().with_retention(8);
-            let mut ck = AsyncCheckpointer::new();
-            let submit = |ck: &mut AsyncCheckpointer, step| {
-                let g = ck.take_buffer(level);
+            let mut ck = AsyncCheckpointer::<Grid2>::default();
+            let submit = |ck: &mut AsyncCheckpointer<Grid2>, step| {
+                let g = ck.take_buffer(&level);
                 ck.submit(ctx, &store, 0, step, g).unwrap();
             };
             // Step 1 starts at once; step 2 queues behind it and has not
@@ -390,7 +432,7 @@ mod tests {
                 ctx.arm_fault_sites(&plan, rank);
                 let _scope = ctx.recovery_scope();
                 let store = CheckpointStore::new(&dir).unwrap();
-                let mut ck = AsyncCheckpointer::new();
+                let mut ck = AsyncCheckpointer::<Grid2>::default();
                 let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x * y);
                 for step in 0..5u64 {
                     enqueue(&mut ck, ctx, &store, 0, step, &g).unwrap();
@@ -426,7 +468,7 @@ mod tests {
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
             let store = CheckpointStore::new(&dir).unwrap();
-            let mut ck = AsyncCheckpointer::new();
+            let mut ck = AsyncCheckpointer::<Grid2>::default();
             let g = Grid2::from_fn(LevelPair::new(3, 3), |x, y| x - y);
             // Step 7 starts at once and is written; step 8 queues behind
             // it and has not started when the rank drops the stage.
@@ -445,7 +487,7 @@ mod tests {
         let dir = s.dir().to_path_buf();
         run(RunConfig::local(1), move |ctx| {
             let store = CheckpointStore::new(&dir).unwrap();
-            let mut ck = AsyncCheckpointer::new();
+            let mut ck = AsyncCheckpointer::<Grid2>::default();
             // Nuke the directory so the write's tmp-file creation fails.
             std::fs::remove_dir_all(&dir).unwrap();
             let g = Grid2::from_fn(LevelPair::new(2, 2), |x, _| x);

@@ -97,9 +97,8 @@ pub struct AppConfig {
     /// Checkpoint writes go through the asynchronous checkpoint stage
     /// (default); `false` restores the synchronous critical-path write
     /// for A/B comparison. Either way the solver output is bitwise
-    /// identical — only where the `T_IO` virtual cost lands differs.
-    /// 2D only: at `dim ≥ 3` Checkpoint/Restart always writes
-    /// synchronously (the asynchronous stage is 2D-only).
+    /// identical — only where the `T_IO` virtual cost lands differs. The
+    /// same at every dimension.
     pub ckpt_async: bool,
     /// Fault-injection corruption strikes applied to checkpoint files as
     /// they land (chaos campaigns; empty by default).

@@ -11,22 +11,22 @@
 //! allocates a grid before its first step.
 //!
 //! On a Checkpoint/Restart group root with the asynchronous checkpoint
-//! stage, the landing grid *is* one of the stage's snapshot buffers
-//! ([`Stack::take_buffer`]): a checkpoint is gathered into it and handed
-//! over without a copy, and between checkpoints the same buffers take the
-//! restore and the final gather. The stage keeps only the newest
+//! stage, at any dimension, the landing grid *is* one of the stage's
+//! snapshot buffers ([`AsyncCheckpointer::take_buffer`]): a checkpoint is
+//! gathered into it and handed over without a copy, and between
+//! checkpoints the same buffers take the restore and the final gather. The stage keeps only the newest
 //! checkpoint whose write has not started on the virtual clock: the
 //! queued snapshot comes back unwritten if it still has not started when
 //! the next one is submitted or a drain (the recovery barrier, the end of
 //! the run) is reached. A borrowed buffer goes back on every path, errors
 //! included, so the stage never allocates more than two.
-//! In synchronous mode, and for a stack without an asynchronous stage
-//! ([`Stack::Writer`]), the landing grid is the one kept here.
+//! In synchronous mode the landing grid is the one kept here.
 
 use sparsegrid::ComponentGrid;
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
 use crate::checkpoint::CheckpointStore;
+use crate::ckpt_async::AsyncCheckpointer;
 use crate::config::AppConfig;
 use crate::gather::gather_grid_into;
 use crate::stack::{Level, Stack};
@@ -35,7 +35,7 @@ use crate::stack::{Level, Stack};
 pub struct Landing<S: Stack> {
     /// The asynchronous checkpoint stage, created by the first checkpoint
     /// of a root in async mode.
-    writer: Option<S::Writer>,
+    writer: Option<AsyncCheckpointer<S::Grid>>,
     /// The landing grid whenever there is no writer.
     own: Option<S::Grid>,
 }
@@ -121,7 +121,7 @@ impl<S: Stack> Landing<S> {
             return gather_grid_into(ctx, group, info, level, sv, None);
         }
         if cfg.ckpt_async && self.writer.is_none() {
-            self.writer = S::open_writer();
+            self.writer = Some(AsyncCheckpointer::default());
         }
         let mut grid = self.take(level);
         if let Err(e) = gather_grid_into(ctx, group, info, level, sv, Some(&mut grid)) {
@@ -129,9 +129,9 @@ impl<S: Stack> Landing<S> {
             return Err(e);
         }
         if let Some(ck) = self.writer.as_mut() {
-            return S::submit(ck, ctx, store, id, step, grid);
+            return ck.submit(ctx, store, id, step, grid);
         }
-        let written = S::write_checkpoint(store, id, step, &grid);
+        let written = store.write(id, step, &grid);
         self.give_back(grid);
         let bytes = written.map_err(|e| Error::InvalidArg(format!("checkpoint write: {e}")))?;
         ctx.disk_write(bytes);
@@ -147,7 +147,8 @@ impl<S: Stack> Landing<S> {
     /// write that was in flight and recomputes from its step.
     pub(crate) fn drain(&mut self, ctx: &Ctx, store: &CheckpointStore) -> Result<()> {
         match &mut self.writer {
-            Some(ck) => S::drain(ck, ctx, store)
+            Some(ck) => ck
+                .drain(ctx, store)
                 .map_err(|e| Error::InvalidArg(format!("checkpoint drain: {e}"))),
             None => Ok(()),
         }
@@ -157,7 +158,7 @@ impl<S: Stack> Landing<S> {
     /// stage if there is one, the rank's own grid otherwise.
     fn take(&mut self, level: &Level<S>) -> S::Grid {
         if let Some(ck) = self.writer.as_mut() {
-            return S::take_buffer(ck, level);
+            return ck.take_buffer(level);
         }
         match self.own.take() {
             Some(mut grid) => {
@@ -171,7 +172,7 @@ impl<S: Stack> Landing<S> {
     /// A grid from [`take`](Self::take), back to where it came from.
     fn give_back(&mut self, grid: S::Grid) {
         match self.writer.as_mut() {
-            Some(ck) => S::give_back(ck, grid),
+            Some(ck) => ck.give_back(grid),
             None => self.own = Some(grid),
         }
     }

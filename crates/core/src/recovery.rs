@@ -301,7 +301,8 @@ impl<S: Stack> Recovery<'_, S> {
         landing.with_root(group.rank() == 0, S::level(layout, my), |grid| {
             let payload = match grid {
                 Some(grid) => {
-                    let (restored, skipped) = S::read_checkpoint(store, my, grid)
+                    let (restored, skipped) = store
+                        .read_latest_valid_into(my, grid)
                         .map_err(|e| Error::InvalidArg(format!("checkpoint read: {e}")))?;
                     if skipped > 0 {
                         ctx.report_add(crate::app::keys::CKPT_SKIPPED, skipped as f64);

@@ -6,17 +6,18 @@
 //! combination theory behind it (arXiv:1404.2670). So [`crate::app`] and
 //! [`crate::recovery`] are written once, generic over [`Stack`]; the two
 //! unit types below delegate to the twin modules (`layout`/`layout_nd`,
-//! `psolve`/`psolve_nd`, the v2/v3 checkpoint codecs). Whole grids move
-//! through the one transport in [`crate::gather`], which needs no trait
-//! items of its own: the grid ([`ComponentGrid`]) and the group
-//! description ([`GroupBlocks`]) say all it needs. Generic code is
+//! `psolve`/`psolve_nd`). Two stages need no trait items of their own:
+//! whole grids move through the one transport in [`crate::gather`], for
+//! which the grid ([`ComponentGrid`]) and the group description
+//! ([`GroupBlocks`]) say all it needs, and checkpoints go through the one
+//! checkpoint stage ([`crate::ckpt_async`], or a synchronous write), for
+//! which the grid picks its file format ([`CheckpointGrid`]: v2 or v3).
+//! So `ckpt_async` means the same thing at every dimension. Generic code is
 //! monomorphised: each instance runs its own stack's operations, messages
 //! and clock charges with no dispatch between them, which is what keeps
 //! the d = 2 and d = 3 fingerprints (`policy_fingerprints`) and the
 //! benchmark's virtual times exact.
 
-use std::convert::Infallible;
-use std::io;
 use std::path::Path;
 
 use advect2d::ndproblem::{ProblemN, TimeGridN};
@@ -28,8 +29,7 @@ use sparsegrid::{
 };
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
-use crate::checkpoint::CheckpointStore;
-use crate::ckpt_async::AsyncCheckpointer;
+use crate::checkpoint::{CheckpointGrid, CheckpointStore};
 use crate::config::AppConfig;
 use crate::gather::{BlockRowsMut, GroupBlocks};
 use crate::layout::{Assignment, GroupInfo, ProcLayout};
@@ -67,17 +67,16 @@ impl<S: Stack> Env<'_, S> {
 /// What the driver and the data recovery need from one dimension's
 /// layout, solver, grids, checkpoints and coefficients.
 ///
-/// Three facts differ between the stacks and live here, not in options:
-/// the nd stack lands checkpoints synchronously ([`Stack::Writer`]), only
-/// the 2D stack writes a solution file ([`Stack::write_solution`]), and
-/// each stack builds its own problem, time grid and layout
+/// Two facts differ between the stacks and live here, not in options:
+/// only the 2D stack writes a solution file ([`Stack::write_solution`]),
+/// and each stack builds its own problem, time grid and layout
 /// ([`Stack::setup`]), robust coefficients ([`Stack::robust_coefficients`])
 /// and error evaluation ([`Stack::l1_error`]).
 pub trait Stack: Sized + 'static {
     /// The PDE the solvers step.
     type Problem;
-    /// One whole sub-grid.
-    type Grid: ComponentGrid;
+    /// One whole sub-grid, and its checkpoint file format.
+    type Grid: CheckpointGrid;
     /// The world → sub-grid map. `D2` decomposes each group into a 2D
     /// process grid (4 + 4 halo messages per step); `Nd` into slabs along
     /// the last axis (2 + 2, whatever the dimension).
@@ -89,14 +88,6 @@ pub trait Stack: Sized + 'static {
     /// The distributed solver on one rank's block of a sub-grid: the
     /// block a gather reads and a scatter writes, where it lies.
     type Solver: BlockRowsMut;
-    /// The asynchronous stage a CR group root hands its checkpoints to, if
-    /// any: it prices each write as deferred disk time and writes the file
-    /// inline once that write starts on the virtual clock. `D2`:
-    /// [`AsyncCheckpointer`]. `Nd`: none ([`Infallible`]) — the nd stack
-    /// lands checkpoints **synchronously** whatever `ckpt_async` says,
-    /// because the stage is 2D-only; honouring it at d ≥ 3 would move 3D
-    /// virtual times.
-    type Writer;
 
     /// The layout, the problem and the timestep of `cfg`. This runs on
     /// every rank before epoch 0. Both stacks validate `cfg` first
@@ -165,40 +156,6 @@ pub trait Stack: Sized + 'static {
     /// Only `D2` writes one; `AppConfig::validate` rejects
     /// `output_prefix` at d ≥ 3, so `Nd` is never asked.
     fn write_solution(grid: &Self::Grid, prefix: &Path) -> Result<()>;
-
-    /// Write the checkpoint of grid `id` synchronously; returns its bytes.
-    fn write_checkpoint(
-        to: &CheckpointStore,
-        id: usize,
-        step: u64,
-        g: &Self::Grid,
-    ) -> io::Result<usize>;
-    /// The newest valid checkpoint of grid `id`, decoded onto `into`, as
-    /// `(step, bytes)`; and how many corrupt files were skipped on the way.
-    fn read_checkpoint(
-        from: &CheckpointStore,
-        id: usize,
-        into: &mut Self::Grid,
-    ) -> io::Result<(Option<(u64, usize)>, usize)>;
-    /// A new asynchronous stage (`None`: the stack has none, so the root
-    /// writes synchronously).
-    fn open_writer() -> Option<Self::Writer>;
-    /// Borrow a snapshot buffer at `level`.
-    fn take_buffer(w: &mut Self::Writer, level: &Level<Self>) -> Self::Grid;
-    /// Return a borrowed buffer unused.
-    fn give_back(w: &mut Self::Writer, grid: Self::Grid);
-    /// Hand the filled checkpoint of grid `id` over, to land in `to`; an
-    /// error if a write it performed failed.
-    fn submit(
-        w: &mut Self::Writer,
-        ctx: &Ctx,
-        to: &CheckpointStore,
-        id: usize,
-        step: u64,
-        g: Self::Grid,
-    ) -> Result<()>;
-    /// Land every started write in `to` and supersede the queued snapshot.
-    fn drain(w: &mut Self::Writer, ctx: &Ctx, to: &CheckpointStore) -> Result<()>;
 }
 
 /// The 2D stack: the paper's application and the bitwise reference.
@@ -214,7 +171,6 @@ impl Stack for D2 {
     type Assignment = Assignment;
     type Group = GroupInfo;
     type Solver = DistributedSolver;
-    type Writer = AsyncCheckpointer;
 
     fn setup(cfg: &AppConfig) -> Result<(ProcLayout, AdvectionProblem, f64)> {
         cfg.validate().map_err(Error::InvalidArg)?;
@@ -308,44 +264,6 @@ impl Stack for D2 {
         crate::output::write_pgm(grid, format!("{base}.pgm"))
             .map_err(|e| Error::InvalidArg(format!("solution pgm: {e}")))
     }
-
-    fn write_checkpoint(
-        to: &CheckpointStore,
-        id: usize,
-        step: u64,
-        g: &Grid2,
-    ) -> io::Result<usize> {
-        to.write(id, step, g)
-    }
-    fn read_checkpoint(
-        from: &CheckpointStore,
-        id: usize,
-        into: &mut Grid2,
-    ) -> io::Result<(Option<(u64, usize)>, usize)> {
-        from.read_latest_valid_into(id, into)
-    }
-    fn open_writer() -> Option<AsyncCheckpointer> {
-        Some(AsyncCheckpointer::new())
-    }
-    fn take_buffer(w: &mut AsyncCheckpointer, level: &LevelPair) -> Grid2 {
-        w.take_buffer(*level)
-    }
-    fn give_back(w: &mut AsyncCheckpointer, grid: Grid2) {
-        w.give_back(grid)
-    }
-    fn submit(
-        w: &mut AsyncCheckpointer,
-        ctx: &Ctx,
-        to: &CheckpointStore,
-        id: usize,
-        step: u64,
-        g: Grid2,
-    ) -> Result<()> {
-        w.submit(ctx, to, id, step, g)
-    }
-    fn drain(w: &mut AsyncCheckpointer, ctx: &Ctx, to: &CheckpointStore) -> Result<()> {
-        w.drain(ctx, to)
-    }
 }
 
 impl Stack for Nd {
@@ -355,7 +273,6 @@ impl Stack for Nd {
     type Assignment = AssignmentN;
     type Group = GroupInfoN;
     type Solver = DistributedSolverN;
-    type Writer = Infallible;
 
     fn setup(cfg: &AppConfig) -> Result<(ProcLayoutN, ProblemN, f64)> {
         cfg.validate().map_err(Error::InvalidArg)?;
@@ -449,44 +366,6 @@ impl Stack for Nd {
     }
     fn write_solution(_: &GridN, _: &Path) -> Result<()> {
         Err(Error::InvalidArg("solution files are written by 2D runs only".into()))
-    }
-
-    fn write_checkpoint(
-        to: &CheckpointStore,
-        id: usize,
-        step: u64,
-        g: &GridN,
-    ) -> io::Result<usize> {
-        to.write_nd(id, step, g)
-    }
-    fn read_checkpoint(
-        from: &CheckpointStore,
-        id: usize,
-        into: &mut GridN,
-    ) -> io::Result<(Option<(u64, usize)>, usize)> {
-        from.read_latest_valid_nd_into(id, into)
-    }
-    fn open_writer() -> Option<Infallible> {
-        None
-    }
-    fn take_buffer(w: &mut Infallible, _: &LevelVecN) -> GridN {
-        match *w {}
-    }
-    fn give_back(w: &mut Infallible, _: GridN) {
-        match *w {}
-    }
-    fn submit(
-        w: &mut Infallible,
-        _: &Ctx,
-        _: &CheckpointStore,
-        _: usize,
-        _: u64,
-        _: GridN,
-    ) -> Result<()> {
-        match *w {}
-    }
-    fn drain(w: &mut Infallible, _: &Ctx, _: &CheckpointStore) -> Result<()> {
-        match *w {}
     }
 }
 

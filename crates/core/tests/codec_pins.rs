@@ -4,13 +4,15 @@
 //! 1. **Sliced CRC == bytewise CRC.** The incremental slice-by-8
 //!    [`Crc64`], fed random data in random pieces, equals the
 //!    byte-at-a-time reference loop and the published check value.
-//! 2. **Streamed file == encoded buffer.** The file `write` / `write_nd`
-//!    land — header, payload and trailer streamed separately — is byte for
-//!    byte what `encode` / `encode_nd` build in one buffer, so
+//! 2. **Streamed file == encoded buffer.** The file `write` lands for a
+//!    `Grid2` (v2) or a `GridN` (v3) — header, payload and trailer
+//!    streamed separately — is byte for byte what `encode` / `encode_nd`
+//!    build in one buffer, and as long as `CheckpointGrid::file_len`
+//!    (what the virtual disk charges) says, so
 //!    `CorruptKind::BitFlip { offset }` strikes, `restart_props.rs` and
 //!    the chaos `corrupt:` grammar keep addressing the same bytes.
 
-use ftsg_core::checkpoint::{crc64, crc64_bytewise, Crc64};
+use ftsg_core::checkpoint::{crc64, crc64_bytewise, CheckpointGrid, Crc64};
 use ftsg_core::config::default_ckpt_dir;
 use ftsg_core::CheckpointStore;
 use proptest::prelude::*;
@@ -75,7 +77,7 @@ fn streamed_v2_file_is_byte_equal_to_encode() {
         let step = 1000 + k as u64;
         let wrote = store.write(k, step, &grid).unwrap();
         let file = landed(&store, k, step);
-        assert_eq!(file.len(), wrote, "level {level}");
+        assert_eq!((file.len(), grid.file_len()), (wrote, wrote), "level {level}");
         assert_eq!(file, CheckpointStore::encode(step, level, grid.values()), "level {level}");
         // And it is the file the reader accepts.
         let (restored, skipped) = store.read_latest_valid(k).unwrap();
@@ -97,12 +99,12 @@ fn streamed_v3_file_is_byte_equal_to_encode_nd() {
             x.iter().enumerate().map(|(a, &v)| (a as f64 + 1.5) * v).sum::<f64>().cos()
         });
         let step = u64::MAX - k as u64; // the widest step stamp
-        let wrote = store.write_nd(k, step, &grid).unwrap();
+        let wrote = store.write(k, step, &grid).unwrap();
         let file = landed(&store, k, step);
-        assert_eq!(file.len(), wrote, "level {level:?}");
+        assert_eq!((file.len(), grid.file_len()), (wrote, wrote), "level {level:?}");
         assert_eq!(file, CheckpointStore::encode_nd(step, level, grid.values()), "level {level:?}");
         let mut back = GridN::zeros(&[0]);
-        let (restored, skipped) = store.read_latest_valid_nd_into(k, &mut back).unwrap();
+        let (restored, skipped) = store.read_latest_valid_into(k, &mut back).unwrap();
         let (got_step, _) = restored.expect("just written");
         assert_eq!((got_step, skipped), (step, 0));
         assert_eq!(back, grid);

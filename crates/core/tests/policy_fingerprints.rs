@@ -124,52 +124,62 @@ fn healthy_report_3d(cfg: AppConfig) -> Report {
     report
 }
 
-/// `AppConfig::small_nd(technique, 3)`, on the elliptic problem if asked.
-fn small_3d(technique: Technique, elliptic: bool) -> AppConfig {
-    let cfg = AppConfig::small_nd(technique, 3);
+/// `AppConfig::small_nd(technique, 3)`, on the elliptic problem if asked,
+/// with synchronous checkpoints if asked.
+fn small_3d(technique: Technique, elliptic: bool, sync: bool) -> AppConfig {
+    let mut cfg = AppConfig::small_nd(technique, 3);
     if elliptic {
-        cfg.with_problem_nd(ProblemN::standard_elliptic(3))
-    } else {
-        cfg
+        cfg = cfg.with_problem_nd(ProblemN::standard_elliptic(3));
     }
+    if sync {
+        cfg = cfg.with_sync_checkpoints();
+    }
+    cfg
 }
 
-/// (technique, elliptic, err_l1 bits, makespan bits) under
-/// `AppConfig::small_nd(technique, 3)`, seed 1, captured from the
-/// d-dimensional driver before it became an instance of the generic one.
-const PINNED_3D: &[(Technique, bool, u64, u64)] = &[
-    (Technique::CheckpointRestart, false, 0x3fb5feba2f2e25f9, 0x3f6a31eb123ac8b5),
-    (Technique::ResamplingCopying, false, 0x3fb5feba2f2e25f9, 0x3f22efcf63de7f58),
-    (Technique::AlternateCombination, false, 0x3fb5feba2f2e25f9, 0x3f20eb1265bbcf29),
-    (Technique::BuddyCheckpoint, false, 0x3fb5feba2f2e25f9, 0x3f2a9e198ea4fc7e),
+/// (technique, elliptic, sync checkpoints, err_l1 bits, makespan bits)
+/// under `AppConfig::small_nd(technique, 3)`, seed 1. The synchronous rows
+/// were captured from the d-dimensional driver before it became an
+/// instance of the generic one, when the nd stack wrote every checkpoint
+/// synchronously. The asynchronous CR rows hide the disk time of all but
+/// the write in flight at the end of the run, as 2D's do; their error
+/// bits are the synchronous rows'.
+const PINNED_3D: &[(Technique, bool, bool, u64, u64)] = &[
+    (Technique::CheckpointRestart, false, true, 0x3fb5feba2f2e25f9, 0x3f6a31eb123ac8b5),
+    (Technique::ResamplingCopying, false, true, 0x3fb5feba2f2e25f9, 0x3f22efcf63de7f58),
+    (Technique::AlternateCombination, false, true, 0x3fb5feba2f2e25f9, 0x3f20eb1265bbcf29),
+    (Technique::BuddyCheckpoint, false, true, 0x3fb5feba2f2e25f9, 0x3f2a9e198ea4fc7e),
     // The elliptic problem (distributed Jacobi). Its error is the
     // round-off residue ROADMAP item 1a describes; the bits still pin it.
-    (Technique::CheckpointRestart, true, 0x36154aa962ffbda0, 0x3f6a31eb123ac8b5),
+    (Technique::CheckpointRestart, true, true, 0x36154aa962ffbda0, 0x3f6a31eb123ac8b5),
+    (Technique::CheckpointRestart, false, false, 0x3fb5feba2f2e25f9, 0x3f52050cfc8a2121),
+    (Technique::CheckpointRestart, true, false, 0x36154aa962ffbda0, 0x3f52050cfc8a2121),
 ];
 
 #[test]
 fn healthy_3d_run_is_bitwise_stable_per_technique() {
     let actual: Vec<(u64, u64)> = PINNED_3D
         .iter()
-        .map(|&(t, elliptic, _, _)| {
-            let report = healthy_report_3d(small_3d(t, elliptic));
+        .map(|&(t, elliptic, sync, _, _)| {
+            let report = healthy_report_3d(small_3d(t, elliptic, sync));
             let err = report.get_f64(keys::ERR_L1).expect("controller reports err_l1");
             (err.to_bits(), report.makespan.to_bits())
         })
         .collect();
-    for (&(t, elliptic, _, _), (e, m)) in PINNED_3D.iter().zip(&actual) {
-        println!("    ({:?}, {elliptic}, {:#018x}, {:#018x}),", t, e, m);
+    for (&(t, elliptic, sync, _, _), (e, m)) in PINNED_3D.iter().zip(&actual) {
+        println!("    ({:?}, {elliptic}, {sync}, {:#018x}, {:#018x}),", t, e, m);
     }
-    for (&(t, elliptic, err_bits, mk_bits), &(e, m)) in PINNED_3D.iter().zip(&actual) {
-        assert_eq!(e, err_bits, "{} (elliptic {elliptic}) 3D err_l1 bits drifted", t.label());
-        assert_eq!(m, mk_bits, "{} (elliptic {elliptic}) 3D makespan bits drifted", t.label());
+    for (&(t, elliptic, sync, err_bits, mk_bits), &(e, m)) in PINNED_3D.iter().zip(&actual) {
+        let what = format!("{} (elliptic {elliptic}, sync {sync})", t.label());
+        assert_eq!(e, err_bits, "{what} 3D err_l1 bits drifted");
+        assert_eq!(m, mk_bits, "{what} 3D makespan bits drifted");
     }
 }
 
 #[test]
 fn healthy_3d_defer_is_bitwise_identical_to_respawn() {
-    for &(t, elliptic, err_bits, mk_bits) in PINNED_3D {
-        let cfg = small_3d(t, elliptic).with_recovery_policy(RecoveryPolicy::DeferRepair);
+    for &(t, elliptic, sync, err_bits, mk_bits) in PINNED_3D {
+        let cfg = small_3d(t, elliptic, sync).with_recovery_policy(RecoveryPolicy::DeferRepair);
         let report = healthy_report_3d(cfg);
         let err = report.get_f64(keys::ERR_L1).expect("err_l1");
         assert_eq!(err.to_bits(), err_bits, "{} 3D defer err bits", t.label());
@@ -179,11 +189,11 @@ fn healthy_3d_defer_is_bitwise_identical_to_respawn() {
 
 #[test]
 fn healthy_3d_shrink_and_substitute_keep_error_bits() {
-    for &(t, elliptic, err_bits, _) in PINNED_3D {
+    for &(t, elliptic, sync, err_bits, _) in PINNED_3D {
         for (policy, spares) in
             [(RecoveryPolicy::ShrinkRedistribute, 0usize), (RecoveryPolicy::SpareSubstitute, 2)]
         {
-            let cfg = small_3d(t, elliptic).with_recovery_policy(policy).with_spares(spares);
+            let cfg = small_3d(t, elliptic, sync).with_recovery_policy(policy).with_spares(spares);
             let report = healthy_report_3d(cfg);
             let err = report.get_f64(keys::ERR_L1).expect("err_l1");
             assert_eq!(err.to_bits(), err_bits, "{} {} 3D err bits", t.label(), policy);

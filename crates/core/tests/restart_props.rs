@@ -3,8 +3,9 @@
 //! 1. **Kill–restart determinism.** A Checkpoint/Restart run killed at an
 //!    arbitrary step and restarted from the newest valid checkpoint must
 //!    produce the *bitwise-identical* combined-solution error of the
-//!    uninterrupted run — under both synchronous and asynchronous
-//!    checkpointing (the async arm crosses the recovery drain barrier).
+//!    uninterrupted run — in 2D and 3D, under both synchronous and
+//!    asynchronous checkpointing (the async arm crosses the recovery drain
+//!    barrier).
 //!    With a disk two or more writes behind, the writer supersedes stale
 //!    snapshots. A drain never starts a write: a snapshot still queued at
 //!    the recovery barrier or at the end of the run is superseded too, and
@@ -19,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use ftsg_core::app::keys;
-use ftsg_core::{run_app, AppConfig, CheckpointStore, ProcLayout, Technique};
+use ftsg_core::{run_app, AppConfig, CheckpointStore, ProcLayout, ProcLayoutN, Technique};
 use proptest::prelude::*;
 use sparsegrid::{Grid2, LevelPair};
 use ulfm_sim::{run, ClusterProfile, FaultPlan, Report, RunConfig};
@@ -28,10 +29,16 @@ const N: u32 = 6;
 const L: u32 = 3;
 const LOG2_STEPS: u32 = 5;
 
-fn cr_config(checkpoints: u32, ckpt_async: bool) -> AppConfig {
-    let mut cfg = AppConfig::small(Technique::CheckpointRestart).with_checkpoints(checkpoints);
-    cfg.n = N;
-    cfg.l = L;
+/// The 2D shape is `N`/`L`; the 3D one is `AppConfig::small_nd`'s.
+fn cr_config_in(dim: usize, checkpoints: u32, ckpt_async: bool) -> AppConfig {
+    let mut cfg = if dim == 2 {
+        let mut cfg = AppConfig::small(Technique::CheckpointRestart);
+        (cfg.n, cfg.l) = (N, L);
+        cfg
+    } else {
+        AppConfig::small_nd(Technique::CheckpointRestart, dim)
+    };
+    cfg = cfg.with_checkpoints(checkpoints);
     cfg.log2_steps = LOG2_STEPS;
     if !ckpt_async {
         cfg = cfg.with_sync_checkpoints();
@@ -39,24 +46,38 @@ fn cr_config(checkpoints: u32, ckpt_async: bool) -> AppConfig {
     cfg
 }
 
+fn cr_config(checkpoints: u32, ckpt_async: bool) -> AppConfig {
+    cr_config_in(2, checkpoints, ckpt_async)
+}
+
+fn world_size(cfg: &AppConfig) -> usize {
+    let layout = cfg.technique.layout();
+    if cfg.dim == 2 {
+        ProcLayout::new(cfg.n, cfg.l, layout, cfg.scale).world_size()
+    } else {
+        ProcLayoutN::new(cfg.dim, cfg.n, cfg.l, layout, cfg.scale).world_size()
+    }
+}
+
 fn err_bits(cfg: AppConfig, seed: u64) -> u64 {
-    let layout = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
-    let world = layout.world_size();
+    let world = world_size(&cfg);
     let report = run(RunConfig::local(world).with_seed(seed), move |ctx| run_app(&cfg, ctx));
     report.assert_no_app_errors();
     report.get_f64(keys::ERR_L1).expect("healthy run reports err_l1").to_bits()
 }
 
-/// Uninterrupted-run error bits, memoized per (checkpoints, async, seed).
-fn healthy_bits(checkpoints: u32, ckpt_async: bool, seed: u64) -> u64 {
-    type Cache = Mutex<HashMap<(u32, bool, u64), u64>>;
+/// Uninterrupted-run error bits, memoized per (dim, checkpoints, async,
+/// seed).
+fn healthy_bits(dim: usize, checkpoints: u32, ckpt_async: bool, seed: u64) -> u64 {
+    type Cache = Mutex<HashMap<(usize, u32, bool, u64), u64>>;
     static CACHE: OnceLock<Cache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&bits) = cache.lock().unwrap().get(&(checkpoints, ckpt_async, seed)) {
+    let key = (dim, checkpoints, ckpt_async, seed);
+    if let Some(&bits) = cache.lock().unwrap().get(&key) {
         return bits;
     }
-    let bits = err_bits(cr_config(checkpoints, ckpt_async), seed);
-    cache.lock().unwrap().insert((checkpoints, ckpt_async, seed), bits);
+    let bits = err_bits(cr_config_in(dim, checkpoints, ckpt_async), seed);
+    cache.lock().unwrap().insert(key, bits);
     bits
 }
 
@@ -169,7 +190,7 @@ proptest! {
 
     /// Kill any non-controller rank at any step (including the very last):
     /// the restarted run's combined solution equals the uninterrupted
-    /// run's, bit for bit, in both checkpointing modes.
+    /// run's, bit for bit, in 2D and 3D and in both checkpointing modes.
     #[test]
     fn killed_and_restarted_run_is_bitwise_identical(
         victim_ix in 0usize..64,
@@ -177,17 +198,16 @@ proptest! {
         checkpoints in 1u32..=3,
         seed in 0u64..4,
     ) {
-        let layout = ProcLayout::new(N, L, Technique::CheckpointRestart.layout(), 1);
-        let victim = 1 + victim_ix % (layout.world_size() - 1);
-        for ckpt_async in [true, false] {
-            let reference = healthy_bits(checkpoints, ckpt_async, seed);
-            let cfg = cr_config(checkpoints, ckpt_async)
-                .with_plan(FaultPlan::new(vec![(victim, kill_step)]));
-            let killed = err_bits(cfg, seed);
+        for (dim, ckpt_async) in [(2, true), (2, false), (3, true), (3, false)] {
+            let cfg = cr_config_in(dim, checkpoints, ckpt_async);
+            let victim = 1 + victim_ix % (world_size(&cfg) - 1);
+            let reference = healthy_bits(dim, checkpoints, ckpt_async, seed);
+            let killed = err_bits(cfg.with_plan(FaultPlan::new(vec![(victim, kill_step)])), seed);
             prop_assert_eq!(
                 killed, reference,
-                "rank {} killed at step {} (C={}, async={}) diverged from the uninterrupted run",
-                victim, kill_step, checkpoints, ckpt_async
+                "{}D: rank {} killed at step {} (C={}, async={}) diverged from the \
+                 uninterrupted run",
+                dim, victim, kill_step, checkpoints, ckpt_async
             );
         }
     }

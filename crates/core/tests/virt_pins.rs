@@ -18,6 +18,11 @@
 //!   checkpoint time grew by at most one barrier charge — the drain now
 //!   runs before the confirming barrier instead of after it — and the
 //!   makespan's fall is short by exactly that much.
+//!
+//! The 3D CR row of `BEFORE` was captured while the nd stack wrote every
+//! checkpoint synchronously, so it runs with synchronous checkpoints; the
+//! same kill with the asynchronous stage, which 3D has used since, is
+//! pinned on its own ([`ASYNC_3D_CR`]).
 
 use ftsg_core::app::keys;
 use ftsg_core::{run_app, AppConfig, ProcLayout, ProcLayoutN, Technique};
@@ -52,6 +57,13 @@ const BEFORE: [(usize, &str, f64, f64, f64); 8] = [
 const AC_SAMPLE: [(usize, f64, f64); 2] =
     [(2, 1.48256669776, 1.4826661652800004), (3, 1.5402657572800007, 1.540332102240001)];
 
+/// `(makespan, T_RECONSTRUCT, T_CKPT)` of the 3D CR kill with the
+/// asynchronous checkpoint stage. Against the synchronous run it hides
+/// about 2 vsec of checkpoint writes; `T_RECONSTRUCT` differs from the
+/// synchronous run's in its last bits only, as 2D's did when its stage
+/// moved the drain before the confirming barrier.
+const ASYNC_3D_CR: (f64, f64, f64) = (8.85589785904, 1.5372596761600001, 4.972469459199999);
+
 fn config(dim: usize, technique: Technique) -> AppConfig {
     if dim >= 3 {
         AppConfig::small_nd(technique, dim)
@@ -60,10 +72,26 @@ fn config(dim: usize, technique: Technique) -> AppConfig {
     }
 }
 
+/// The configuration a `BEFORE` row was captured on: the 3D CR row with
+/// synchronous checkpoints.
+fn before_config(dim: usize, technique: Technique) -> AppConfig {
+    let cfg = config(dim, technique);
+    if dim >= 3 && technique == Technique::CheckpointRestart {
+        cfg.with_sync_checkpoints()
+    } else {
+        cfg
+    }
+}
+
 /// One non-root victim in grid 1, killed mid-run (CR/BC, so a checkpoint
 /// write is in flight) or right before the final detection (RC/AC).
 fn one_failure(dim: usize, technique: Technique) -> (Report, usize) {
-    let base = config(dim, technique);
+    one_failure_of(before_config(dim, technique))
+}
+
+/// [`one_failure`] of `base`.
+fn one_failure_of(base: AppConfig) -> (Report, usize) {
+    let (dim, technique) = (base.dim, base.technique);
     let layout = technique.layout();
     let (world, victim) = if dim >= 3 {
         let lay = ProcLayoutN::new(base.dim, base.n, base.l, layout, base.scale);
@@ -147,20 +175,45 @@ fn one_failure_costs_three_agreements_and_the_reconstruction_is_unchanged() {
     }
 }
 
-/// Prints the rows of [`BEFORE`] for the current commit.
+#[test]
+fn the_asynchronous_stage_hides_3d_checkpoint_writes() {
+    let (makespan0, reconstruct0, ckpt0) = ASYNC_3D_CR;
+    let (report, world) = one_failure_of(config(3, Technique::CheckpointRestart));
+    let (sync, _) = one_failure(3, Technique::CheckpointRestart);
+    let get = |r: &Report, key: &str| r.get_f64(key).unwrap_or_else(|| panic!("no {key}"));
+    assert_eq!(report.makespan.to_bits(), makespan0.to_bits(), "{}", report.makespan);
+    let reconstruct = get(&report, keys::T_RECONSTRUCT);
+    assert_eq!(reconstruct.to_bits(), reconstruct0.to_bits(), "{reconstruct:?}");
+    let ckpt = get(&report, keys::T_CKPT);
+    assert_eq!(ckpt.to_bits(), ckpt0.to_bits(), "{ckpt:?}");
+    // The same three agreements, the same answer, less time.
+    let calls = |op: &str| report.get_list(&keys::op_count(op)).expect("op counts")[0];
+    assert_eq!((calls("agree"), calls("intercomm_agree")), (2.0, 1.0));
+    let agree = BetaUlfm.agree(world, 0);
+    assert!(report.timelines[0].phase("agree") < 3.5 * agree);
+    assert_eq!(get(&report, keys::ERR_L1).to_bits(), get(&sync, keys::ERR_L1).to_bits());
+    assert!(report.makespan < sync.makespan && ckpt < get(&sync, keys::T_CKPT));
+    assert!(report.io_hidden > 0.0, "compute must hide some disk time");
+    assert!(report.io_exposed > 0.0, "the drain must have waited on a write");
+}
+
+/// Prints the rows of [`BEFORE`] for the current commit, then
+/// [`ASYNC_3D_CR`].
 #[test]
 #[ignore = "re-pinning aid: run with --ignored --nocapture"]
 fn print_pins() {
+    let pins = |(report, _): (Report, usize)| {
+        let get = |key: &str| report.get_f64(key).unwrap();
+        format!("{:?}, {:?}, {:?}", report.makespan, get(keys::T_RECONSTRUCT), get(keys::T_CKPT))
+    };
     for dim in [2usize, 3] {
         for technique in TECHNIQUES {
-            let (report, _) = one_failure(dim, technique);
             println!(
-                "    ({dim}, {:?}, {:?}, {:?}, {:?}),",
+                "    ({dim}, {:?}, {}),",
                 technique.label(),
-                report.makespan,
-                report.get_f64(keys::T_RECONSTRUCT).unwrap(),
-                report.get_f64(keys::T_CKPT).unwrap(),
+                pins(one_failure(dim, technique))
             );
         }
     }
+    println!("    ({})", pins(one_failure_of(config(3, Technique::CheckpointRestart))));
 }

@@ -10,9 +10,10 @@
 //!      [--trace-json FILE] [--output PREFIX] [--seed S]
 //! ```
 //!
-//! `--output` and `--sync-ckpt` are 2D options: a 3D run writes no
-//! solution file (asking for one is an invalid configuration) and its
-//! Checkpoint/Restart always writes synchronously.
+//! `--output` is a 2D option: a 3D run writes no solution file (asking
+//! for one is an invalid configuration). `--sync-ckpt` writes
+//! Checkpoint/Restart's checkpoints on the critical path instead of
+//! through the asynchronous stage, at every dimension.
 //!
 //! Runs one complete application: solve, (optionally) suffer real process
 //! failures, detect, reconstruct, recover, combine, and report the error
@@ -53,9 +54,9 @@ fn usage() -> ! {
          \x20           [--policy respawn|shrink|substitute|defer] [--spares N]\n\
          \x20           [--sync-ckpt] [--spare-node] [--seed S]\n\
          \x20           [--trace] [--trace-json FILE] [--output PREFIX]\n\
-         --output and --sync-ckpt are 2D options: a 3D run writes no solution\n\
-         file (asking for one is an invalid configuration), and 3D\n\
-         Checkpoint/Restart always writes synchronously."
+         --output is a 2D option: a 3D run writes no solution file (asking\n\
+         for one is an invalid configuration). --sync-ckpt writes CR's\n\
+         checkpoints on the critical path, at every dimension."
     );
     std::process::exit(2);
 }
