@@ -11,8 +11,10 @@
 //! whole `paper2d_kill` or `solve3d_kill` run asks for more bytes than
 //! committed, or a whole `solve3d_kill` run makes more allocator requests
 //! than committed, or the `paper2d_kill` makespan, the `ckpt_heavy` restore
-//! and makespan or the 3D CR kill's makespan is not its committed value
-//! (see `ftsg_bench::experiments::regress` for the list).
+//! and makespan or the 3D CR kill's makespan is not its committed value,
+//! or the deepest surviving rank of a `ranks1k_kill` run keeps more
+//! fiber-stack pages resident than committed (see
+//! `ftsg_bench::experiments::regress` for the list).
 //!
 //! ```text
 //! expt-regress [--dir PATH] [--iters K] [--exact]
@@ -21,8 +23,8 @@
 //! `--dir` points at the directory holding the committed baselines
 //! (default `.`, the repo root); `--iters` sets the timed repetitions per
 //! wall-clock measurement (default 30, median taken); `--exact` runs only
-//! the deterministic gates (virtual clock, allocator counts and bytes),
-//! which CI blocks on.
+//! the deterministic gates (virtual clock, allocator counts and bytes,
+//! resident stack pages), which CI blocks on.
 
 use ftsg_bench::experiments::alloc_sites::{bytes, requests, TracingAllocator};
 use ftsg_bench::experiments::regress;

@@ -128,6 +128,25 @@
 //!     longer. Guards the one checkpoint stage of both stacks: a 3D root
 //!     that writes synchronously again reads the synchronous makespan,
 //!     10.88 instead of 8.86 vsec.
+//! 15. **`ranks1k_stack_pages`** (resident pages, held to a **ceiling**) —
+//!     how many 4 KiB pages the deepest fiber stack of a run of the
+//!     `ranks1k_kill` shape keeps resident, over every stack the run used:
+//!     the survivors' and the victims', which their replacements are
+//!     spawned onto ([`crate::experiments::repair::measure_stack_pages`],
+//!     on stacks no earlier run of the process touched, counted from the
+//!     present bits of `/proc/self/pagemap`), at or below
+//!     `BENCH_pr39.json` `acceptance` (2). Guards the memory each simulated
+//!     rank costs, which at 1k ranks is half of `ranks1k_kill`'s peak
+//!     resident set: the overflow canary back on a page of its own reads 3
+//!     — 4 KiB more for every rank — and so does a stack that grows past
+//!     the 8,176 bytes two pages hold. The deepest are a replacement's
+//!     (7,824 bytes, in its data recovery's metadata broadcast, which
+//!     grows the rendezvous table through `malloc`) and the survivor that
+//!     resolves the spawn (7,592). Those depths depend on the compiler's
+//!     frame layout (pinned by the rustc in `BENCH_pr39.json`) and, at the
+//!     leaves, on the C library's `malloc`; the count assumes 4 KiB pages
+//!     (transparent huge pages not `always`, which the measurement refuses
+//!     by name) and a readable pagemap.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -313,8 +332,8 @@ fn measure_step_walls(iters: usize) -> (f64, f64) {
 }
 
 /// The deterministic gates alone (virtual clock, allocator counts and
-/// bytes), so CI can block on them. `requests` and `bytes` read the
-/// calling binary's counting allocator.
+/// bytes, resident stack pages), so CI can block on them. `requests` and
+/// `bytes` read the calling binary's counting allocator.
 pub fn run_exact(
     dir: &str,
     requests: fn() -> u64,
@@ -343,6 +362,12 @@ pub fn run_exact(
     let pr38 = read_baseline(dir, "BENCH_pr38.json")?;
     let cr3d_base = num_field(&pr38, "cr3d_kill_makespan", "BENCH_pr38.json")?;
     let (cr3d_async, cr3d_sync) = crate::experiments::repair::measure_cr3d();
+    let pr39 = read_baseline(dir, "BENCH_pr39.json")?;
+    let pages_ceiling = num_field(&pr39, "ranks1k_stack_pages", "BENCH_pr39.json")?;
+    let pages = crate::experiments::repair::measure_stack_pages()?
+        .into_iter()
+        .max()
+        .ok_or("the ranks1k_kill run recorded no fiber stack")?;
     let mut cr3d =
         GateResult::exact("cr3d_kill_makespan", "BENCH_pr38.json", cr3d_base, cr3d_async);
     cr3d.pass &= cr3d_async < cr3d_sync;
@@ -402,6 +427,12 @@ pub fn run_exact(
                 ckpt_makespan_fresh,
             ),
             cr3d,
+            GateResult::ceiling(
+                "ranks1k_stack_pages",
+                "BENCH_pr39.json",
+                pages_ceiling,
+                pages as f64,
+            ),
         ],
         tolerance: 0.0,
     })

@@ -143,6 +143,36 @@ fn groups(cfg: &AppConfig) -> Vec<(usize, usize)> {
 
 /// Run one shape the way `benchmark/src/rep.rs` does.
 fn launch(shape: &Shape) -> Report {
+    let (cfg, world) = configure(shape);
+    launch_on(cfg, world, None)
+}
+
+/// Run `cfg` on `world` ranks the way [`launch`] does. With `stack_ends`,
+/// on fiber stacks of [`FRESH_STACK`] bytes, and every process (the
+/// replacements too) pushes the end of its stack there as it starts.
+fn launch_on(cfg: AppConfig, world: usize, stack_ends: Option<StackEnds>) -> Report {
+    let mut rc = RunConfig::cluster(ClusterProfile::opl(), world).with_seed(SEED).with_workers(1);
+    if stack_ends.is_some() {
+        rc.stack_size = FRESH_STACK;
+    }
+    let report = run(rc, move |ctx| {
+        if let Some(ends) = &stack_ends {
+            // A stack ends on a page boundary and the frames above this
+            // one (the fiber entry and `proc_body`) take under 1 KiB, so
+            // the page boundary above a local is the stack's end.
+            let here = 0u8;
+            let at = std::hint::black_box(&here) as *const u8 as usize;
+            ends.lock().unwrap_or_else(|p| p.into_inner()).push((at | (PAGE - 1)) + 1);
+        }
+        run_app(&cfg, ctx)
+    });
+    report.assert_no_app_errors();
+    report
+}
+
+/// One shape's configuration as the benchmark runs it, victims drawn,
+/// and its world size.
+fn configure(shape: &Shape) -> (AppConfig, usize) {
     let (name, base, victim_grids, kill_step) = *shape;
     let mut cfg = base();
     let groups = groups(&cfg);
@@ -160,10 +190,7 @@ fn launch(shape: &Shape) -> Report {
     });
     cfg.plan = FaultPlan::new(kills.collect());
     cfg.ckpt_dir = std::env::temp_dir().join(format!("ftsg-repair-{}-{name}", std::process::id()));
-    let rc = RunConfig::cluster(ClusterProfile::opl(), world).with_seed(SEED).with_workers(1);
-    let report = run(rc, move |ctx| run_app(&cfg, ctx));
-    report.assert_no_app_errors();
-    report
+    (cfg, world)
 }
 
 /// The five workloads' names, in the benchmark's order.
@@ -242,6 +269,70 @@ pub fn measure_cr3d() -> (f64, f64) {
         report.makespan
     };
     (makespan(false), makespan(true))
+}
+
+/// Stack size of the [`measure_stack_pages`] run: the default plus one
+/// page, a size class of the stack pool no other run uses, so the run gets
+/// stacks no earlier run of the process touched. A rank's resident pages
+/// are counted from the top of its stack, so the extra page changes none.
+const FRESH_STACK: usize = (1 << 20) + 4096;
+
+/// The page the resident counts are in.
+const PAGE: usize = 4096;
+
+/// Where each process of a [`launch_on`] run records its stack's end.
+type StackEnds = std::sync::Arc<std::sync::Mutex<Vec<usize>>>;
+
+/// Count the resident pages of every fiber stack one run of
+/// `ranks1k_kill` used, lowest stack first: the survivors', and the
+/// victims', which their replacements are spawned onto. The count is
+/// exact: it reads the present bit of each page in `/proc/self/pagemap`,
+/// so a page written with zeros counts.
+///
+/// It assumes fiber stacks (x86-64 Linux), 4 KiB pages for them
+/// (transparent huge pages not set to `always`: a stack chunk would fault
+/// in whole 2 MiB pages) and a readable pagemap, and says which one
+/// failed instead of returning a count. The stacks are fresh only once per
+/// process, so a second call is an error too.
+pub fn measure_stack_pages() -> Result<Vec<usize>, String> {
+    static MEASURED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+    if !cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        return Err("ranks run on fiber stacks only on x86-64 Linux".into());
+    }
+    let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+    if thp.is_ok_and(|mode| mode.contains("[always]")) {
+        return Err("transparent huge pages are `always` on this host, so a fiber stack \
+                    chunk may fault in 2 MiB pages and 4 KiB pages cannot be counted"
+            .into());
+    }
+    if MEASURED.swap(true, std::sync::atomic::Ordering::Relaxed) {
+        return Err("an earlier run of this process used the fresh stack size".into());
+    }
+    let pagemap = std::fs::File::open("/proc/self/pagemap")
+        .map_err(|e| format!("cannot open /proc/self/pagemap: {e}"))?;
+    let shape = SHAPES.iter().find(|shape| shape.0 == "ranks1k_kill").ok_or("no ranks1k_kill")?;
+    let (cfg, world) = configure(shape);
+    let ends = StackEnds::default();
+    launch_on(cfg, world, Some(ends.clone()));
+    let mut ends = std::mem::take(&mut *ends.lock().unwrap_or_else(|p| p.into_inner()));
+    ends.sort_unstable();
+    ends.dedup();
+    ends.into_iter()
+        .map(|end| resident_pages(&pagemap, end - FRESH_STACK..end))
+        .collect::<std::io::Result<Vec<usize>>>()
+        .map_err(|e| format!("cannot read /proc/self/pagemap: {e}"))
+}
+
+/// How many 4 KiB pages of the page-aligned `range` are resident: one
+/// pagemap entry per page, bit 63 set when the page is present in memory.
+fn resident_pages(
+    pagemap: &std::fs::File,
+    range: std::ops::Range<usize>,
+) -> std::io::Result<usize> {
+    use std::os::unix::fs::FileExt as _;
+    let mut entries = vec![0u8; range.len() / PAGE * 8];
+    pagemap.read_exact_at(&mut entries, (range.start / PAGE * 8) as u64)?;
+    Ok(entries.chunks_exact(8).filter(|e| e[7] & 0x80 != 0).count())
 }
 
 /// Parent and change on all five shapes, with the host stamp.

@@ -24,7 +24,8 @@ use crate::gather::{binomial_combine, current_rank_of};
 use crate::landing::Landing;
 use crate::policy::RecoveryPolicy;
 use crate::reconstruct::{
-    is_casualty, reconstruct, repair_deferred, Attempt, Join, ReconstructTimings, RepairArm,
+    confirm, is_casualty, reconstruct, repair_deferred, Attempt, Join, ReconstructTimings,
+    RepairArm,
 };
 use crate::recovery::{self, buddy_exchange, BuddyStore, RecoveryStats};
 use crate::stack::{Env, Nd, Stack, D2};
@@ -363,19 +364,23 @@ impl<S: Stack> RankState<S> {
         recovery::recover::<S>(ctx, env, world, group, my, sv, landing, bs, failed, at_step)
     }
 
-    /// Run the Fig. 3 loop with this rank's data recovery riding its
-    /// confirming rounds, and book what the confirming barrier committed:
-    /// returns the confirmed world and, if any round ran an attempt, the
-    /// new group communicator and the step the data came back at.
-    fn reconstruct(
+    /// Run the Fig. 3 loop — `enter` starts it, as a child or on a world
+    /// in place — with this rank's data recovery riding its confirming
+    /// rounds, and book what the confirming barrier committed: returns what
+    /// `enter` returned and, if any round ran an attempt, the new group
+    /// communicator and the step the data came back at.
+    fn reconstruct<T>(
         &mut self,
-        ctx: &Ctx,
         env: &Env<'_, S>,
-        join: Join,
         arm: &mut RepairArm<'_>,
         dp: Option<u64>,
         timings: &mut ReconstructTimings,
-    ) -> Result<(Comm, Option<(Comm, u64)>)> {
+        enter: impl FnOnce(
+            &mut RepairArm<'_>,
+            Option<Attempt<'_>>,
+            &mut ReconstructTimings,
+        ) -> Result<T>,
+    ) -> Result<(T, Option<(Comm, u64)>)> {
         // What the attempt of the confirmed round recovered: `None` when
         // no round ran one (nothing failed, or the arm only shrinks and so
         // refills nothing to recover).
@@ -387,17 +392,22 @@ impl<S: Stack> RankState<S> {
         };
         let riding: Option<Attempt<'_>> =
             if matches!(arm, RepairArm::Shrink(_)) { None } else { Some(&mut run) };
-        let world = reconstruct(ctx, join, arm, riding, timings)?;
-        Ok((world, last.map(|rec| self.commit(env, rec))))
+        let entered = enter(arm, riding, timings)?;
+        Ok((entered, self.commit(env, last)))
     }
 
-    fn commit(&mut self, env: &Env<'_, S>, rec: Recovered) -> (Comm, u64) {
+    /// Book the attempt the confirming barrier committed, if one ran. Out
+    /// of line, so that the recovered state is not copied through the
+    /// frame the repair loop runs on.
+    #[inline(never)]
+    fn commit(&mut self, env: &Env<'_, S>, last: Option<Recovered>) -> Option<(Comm, u64)> {
+        let rec = last?;
         self.t_rec += rec.t_recovery;
         if rec.at_step == env.cfg.steps() {
             union_into(&mut self.final_lost, &S::broken_grids(env.layout, &rec.failed));
             self.end_failed = rec.failed;
         }
-        (rec.group, rec.at_step)
+        Some((rec.group, rec.at_step))
     }
 }
 
@@ -436,46 +446,99 @@ fn stage<T>(r: Result<T>, which: &str) -> Result<T> {
     })
 }
 
-/// The driver, once for every [`Stack`].
+/// The driver's bookkeeping between its phases, besides this rank's
+/// [`RankState`] and its two communicators (which `drive` holds and
+/// the phases that repair replace in place).
+struct Progress {
+    /// This rank's original identity: fixed for the whole run, used for
+    /// step-strike polling (world ranks shift under the shrink-family
+    /// policies; under respawn it equals the world rank throughout).
+    orig_rank: usize,
+    /// This rank's group sits the stepping out: it lost data that the next
+    /// detection point recovers, or (shrink family) its grid was dropped.
+    group_broken: bool,
+    /// Current world rank → original rank. `None` means the identity (the
+    /// world was never shrunk); set only by the shrink-family repairs.
+    members: Option<Vec<usize>>,
+    /// Cumulative dead under the shrink-family policies, original ranks.
+    deferred: Vec<usize>,
+    /// Grids dropped for good under `ShrinkRedistribute` (= the grids
+    /// broken by `deferred`).
+    dropped: Vec<usize>,
+    /// The run's repair timings, every failure event folded in.
+    timings: ReconstructTimings,
+    /// Failure events this run repaired, as seen from rank 0 (the only
+    /// rank guaranteed to survive every event end-to-end); indexes the
+    /// per-event recovery timelines.
+    events: usize,
+    /// This rank's time in the stepping.
+    t_solve: f64,
+}
+
+/// What the combination phase hands the report: the combined solution's
+/// error (rank 0) and the run-wide reductions and maps.
+struct Combined {
+    err: f64,
+    t_rec_max: f64,
+    t_ckpt_max: f64,
+    t_solve_max: f64,
+    t_end: f64,
+    rank_hosts: Vec<f64>,
+    rank_grids: Vec<f64>,
+    rank_orig: Vec<f64>,
+}
+
+/// The driver, once for every [`Stack`]: set-up, world acquisition, the
+/// segment loop with detection and repair, the combination, the report.
+/// The phases are kept out of line so that the frames under a repair hold
+/// loop state only: how deep the repair path reaches is how many stack
+/// pages every simulated rank keeps resident.
+#[inline(never)]
 fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     let (layout, problem, dt) = S::setup(cfg)?;
-    let steps = cfg.steps();
-    // Only Checkpoint/Restart writes to disk; every other technique runs
-    // without a store, and without creating its directory.
-    let store = match cfg.technique {
+    let store = open_store(cfg)?;
+    let env = Env::<S> { cfg, layout: &layout, problem: &problem, store: store.as_ref(), dt };
+    let mut st = RankState::<S>::new();
+    let mut p = Progress {
+        orig_rank: 0,
+        group_broken: false,
+        members: None,
+        deferred: Vec::new(),
+        dropped: Vec::new(),
+        timings: ReconstructTimings::default(),
+        events: 0,
+        t_solve: 0.0,
+    };
+    drive(ctx, &env, &mut st, &mut p)
+}
+
+/// Only Checkpoint/Restart writes to disk; every other technique runs
+/// without a store, and without creating its directory.
+#[inline(never)]
+fn open_store(cfg: &AppConfig) -> Result<Option<CheckpointStore>> {
+    Ok(match cfg.technique {
         Technique::CheckpointRestart => Some(
             CheckpointStore::new(&cfg.ckpt_dir)
                 .map_err(|e| Error::InvalidArg(format!("checkpoint dir: {e}")))?
                 .with_corruption(cfg.ckpt_corruption.clone()),
         ),
         _ => None,
-    };
-    let env = Env::<S> { cfg, layout: &layout, problem: &problem, store: store.as_ref(), dt };
-    let mut st = RankState::<S>::new();
+    })
+}
 
-    let mut repair_timings = ReconstructTimings::default();
-    let mut t_solve_local = 0.0_f64;
-
-    // ---- policy state. ----
-    let pol = cfg.recovery_policy;
+/// World acquisition, for an original rank or a respawned child. Returns
+/// the world, this rank's group and the first step to solve.
+#[inline(never)]
+fn acquire_world<S: Stack>(
+    ctx: &mut Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+) -> Result<(Comm, Comm, u64)> {
+    let cfg = env.cfg;
     // Grid-owning world prefix `W`; ranks `>= active_slots` are idle
     // spares (`SpareSubstitute` only).
-    let active_slots = S::world_size(&layout);
-    let n_grids = S::n_grids(&layout);
-    // Current world rank → original rank. `None` means the identity (the
-    // world was never shrunk); set only by the shrink-family repairs.
-    let mut members: Option<Vec<usize>> = None;
-    // Cumulative dead under the shrink-family policies, original ranks.
-    let mut deferred: Vec<usize> = Vec::new();
-    // Grids dropped for good under `ShrinkRedistribute` (= the grids
-    // broken by `deferred`).
-    let mut dropped: Vec<usize> = Vec::new();
-
-    // ---- world acquisition (original vs respawned child). ----
-    let mut world: Comm;
-    let mut current_step: u64;
-    let mut group: Comm;
-
+    let active_slots = S::world_size(env.layout);
     if let Some(parent) = ctx.parent() {
         // NOTE: children never arm fault sites — a replacement re-arming
         // its predecessor's operation counters would strike again at the
@@ -484,215 +547,315 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
         // A child attaches, takes its slot and has its data recovered all
         // inside the loop; whatever wrecks a later round, it repairs the
         // way the survivors do (the numbering is original: it exists).
-        let mut arm =
-            RepairArm::for_policy(pol, cfg.respawn_policy, active_slots, &mut members, true);
-        let joined =
-            st.reconstruct(ctx, &env, Join::Child(parent), &mut arm, None, &mut repair_timings);
-        (world, (group, current_step)) = match joined {
-            Ok((w, Some(rec))) => (w, rec),
-            Ok((_, None)) => {
-                return Err(Error::InvalidArg("[child-reconstruct] no recovery ran".into()))
-            }
+        let (pol, respawn) = (cfg.recovery_policy, cfg.respawn_policy);
+        let mut arm = RepairArm::for_policy(pol, respawn, active_slots, &mut p.members, true);
+        let ctx: &Ctx = ctx;
+        let joined = st.reconstruct(env, &mut arm, None, &mut p.timings, |arm, riding, tm| {
+            reconstruct(ctx, Join::Child(parent), arm, riding, tm)
+        });
+        return match joined {
+            Ok((world, Some((group, step)))) => Ok((world, group, step)),
+            Ok((_, None)) => Err(Error::InvalidArg("[child-reconstruct] no recovery ran".into())),
             // Our repair round was abandoned mid-flight; exit cleanly.
-            Err(Error::Orphaned) => return Err(Error::Orphaned),
-            Err(e) => return Err(Error::InvalidArg(format!("[child-reconstruct] {e}"))),
+            Err(Error::Orphaned) => Err(Error::Orphaned),
+            Err(e) => Err(Error::InvalidArg(format!("[child-reconstruct] {e}"))),
         };
-    } else {
-        world = ctx
-            .initial_world()
-            .ok_or_else(|| Error::InvalidArg("original process has no world".into()))?;
-        if world.size() != cfg.world_size(active_slots) {
-            return Err(Error::InvalidArg(format!(
-                "world size {} does not match layout size {active_slots} (+ {} spares)",
-                world.size(),
-                cfg.spares
-            )));
-        }
-        // Arm this rank's operation-site and during-recovery fault
-        // triggers (step-boundary strikes stay polled in the main loop).
-        // Only original ranks arm — see the child branch.
-        ctx.arm_fault_sites(&cfg.plan, world.rank());
-        st.take_slot(&env, world.rank());
-        group = stage(build_group(ctx, &world, st.grid(), n_grids), "initial-split")?;
-        current_step = 0;
     }
+    let world = ctx
+        .initial_world()
+        .ok_or_else(|| Error::InvalidArg("original process has no world".into()))?;
+    if world.size() != cfg.world_size(active_slots) {
+        return Err(Error::InvalidArg(format!(
+            "world size {} does not match layout size {active_slots} (+ {} spares)",
+            world.size(),
+            cfg.spares
+        )));
+    }
+    // Arm this rank's operation-site and during-recovery fault triggers
+    // (step-boundary strikes stay polled in the main loop). Only original
+    // ranks arm — see the child branch.
+    ctx.arm_fault_sites(&cfg.plan, world.rank());
+    st.take_slot(env, world.rank());
+    let group = build_group(ctx, &world, st.grid(), S::n_grids(env.layout));
+    Ok((world, stage(group, "initial-split")?, 0))
+}
 
-    // This rank's original identity: fixed for the whole run, used for
-    // step-strike polling (world ranks shift under the shrink-family
-    // policies; under respawn it equals the world rank throughout).
-    let orig_rank = world.rank();
+/// World acquisition, then the main loop over detection segments: solve a
+/// segment, detect, and — if the barrier fails — reconstruct with the data
+/// recovery riding the confirming round (the Fig. 3 protocol, with the
+/// repair action chosen by the recovery policy); else protect the data.
+/// Then the combination and the report, on the world and the group the
+/// loop ends with.
+#[inline(never)]
+fn drive<S: Stack>(
+    ctx: &mut Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+) -> Result<()> {
+    let (mut world, mut group, mut step) = acquire_world(ctx, env, st, p)?;
+    p.orig_rank = world.rank();
 
-    // ---- main loop over detection segments. ----
+    let ctx: &Ctx = ctx;
+    let (cfg, steps) = (env.cfg, env.cfg.steps());
     let dpoints = detection_points(cfg);
-    let mut group_broken = false;
-    // Failure events this run repaired, as seen from rank 0 (the only
-    // rank guaranteed to survive every event end-to-end); indexes the
-    // per-event recovery timelines.
-    let mut event_idx = 0usize;
-    // The tree combination's hop-receive buffer, kept across its retries.
-    let mut hop_buf: Vec<f64> = Vec::new();
-    while current_step < steps {
+    while step < steps {
         // ---- epoch boundary: observer tick (rank 0 only; no operation). ----
-        notify(cfg, &world, AppEvent::Epoch { step: current_step, steps });
+        notify(cfg, &world, AppEvent::Epoch { step, steps });
         let dp = dpoints
             .iter()
             .copied()
-            .find(|&d| d > current_step)
+            .find(|&d| d > step)
             .ok_or_else(|| Error::InvalidArg("detection points end at `steps`".into()))?;
-
-        // Solve this segment. A broken group sits the stepping out (its
-        // data will be recovered wholesale — or, under the shrink-family
-        // policies, its grid is already dropped), but the failure
-        // generator keeps firing: a planned kill strikes at its step
-        // regardless of what the rank is doing, like a real SIGKILL.
-        // Strikes are planned by *original* rank — world ranks shift
-        // under the shrink-family policies.
-        let t_solve0 = ctx.now();
-        for s in current_step..dp {
-            if cfg.plan.strikes(orig_rank, s) {
-                ctx.die();
-            }
-            if group_broken {
-                continue;
-            }
-            let Some(sv) = st.solver.as_mut() else {
-                continue; // idle spare
-            };
-            match S::step(sv, ctx, &group) {
-                Ok(()) => {}
-                Err(e) if is_casualty(&e) => {
-                    // Propagate the failure to the rest of the group:
-                    // members whose halo partners are alive would
-                    // otherwise wait forever on neighbours that have
-                    // stopped stepping. This is exactly what
-                    // `OMPI_Comm_revoke` exists for.
-                    group.revoke(ctx);
-                    group_broken = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        t_solve_local += ctx.now() - t_solve0;
-        current_step = dp;
+        solve(ctx, env, st, p, &group, step..dp)?;
+        step = dp;
         // Failures injected "at some point before the combination": a plan
         // entry at `steps` strikes right before the final detection.
-        if dp == steps && cfg.plan.strikes(orig_rank, steps) {
+        if dp == steps && cfg.plan.strikes(p.orig_rank, steps) {
             ctx.die();
         }
 
-        // Detection and — if the barrier fails — reconstruction with the
-        // data recovery riding its confirming round: the Fig. 3 protocol,
-        // with the repair action chosen by the recovery policy.
-        let mut event = Event::open(ctx);
-        let mut arm =
-            RepairArm::for_policy(pol, cfg.respawn_policy, active_slots, &mut members, false);
-        let (w, recovered) = stage(
-            st.reconstruct(ctx, &env, Join::Detect(world), &mut arm, Some(dp), &mut event.round),
-            "detect-reconstruct",
-        )?;
-        world = w;
-        if let Some((g, d)) = recovered {
-            debug_assert_eq!(d, dp);
-            group = g;
-            group_broken = false;
-            event.close(ctx, cfg, &world, &mut event_idx, dp, &mut repair_timings);
-        } else if !event.round.failed_ranks.is_empty() {
-            // Shrink-family mid-run repair: nothing was spawned. Fold the
-            // new dead (original numbering) into the cumulative set, drop
-            // their grids, and keep going on the survivors. Survivors of
-            // a broken grid sit out — for good under shrink, until the
-            // epoch batch under defer. Healthy groups keep their old
-            // group communicator (its membership is untouched).
-            union_into(&mut deferred, &event.round.failed_ranks);
-            dropped = S::broken_grids(&layout, &deferred);
-            group_broken = st.grid().is_some_and(|g| dropped.contains(&g));
-            event.close(ctx, cfg, &world, &mut event_idx, dp, &mut repair_timings);
-        } else if cfg.technique == Technique::CheckpointRestart && dp < steps && !group_broken {
-            // Healthy checkpoint write ("failure detection is tested prior
-            // to initiating the checkpoint write"). A rank sitting out
-            // (broken grid under a shrink-family policy) and the idle
-            // spares skip the write.
-            if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
-                let t0 = ctx.now();
-                let (m, store) = (S::grid_of(m), env.checkpoints()?);
-                let step = current_step;
-                match st.landing.checkpoint(ctx, cfg, store, &group, &layout, m, sv, step) {
-                    Ok(()) => {}
-                    Err(e) if is_casualty(&e) => {
-                        // A group member died mid-checkpoint. This checkpoint
-                        // is lost (recovery will fall back to an older one and
-                        // recompute further); mark the group broken and let
-                        // the next detection point repair.
-                        group.revoke(ctx);
-                        world.revoke(ctx);
-                        group_broken = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-                st.t_ckpt += ctx.now() - t0;
-            }
-        } else if cfg.technique == Technique::BuddyCheckpoint && dp < steps && members.is_none() {
-            // Healthy buddy exchange: the in-memory, diskless analogue.
-            // Suspended for the rest of the run once a shrink-family
-            // repair removed ranks (`members` set): the exchange is a
-            // world-wide protocol keyed by original roots, and a dropped
-            // grid's root may simply be gone. `members` flips identically
-            // on every survivor, so the suspension is collective.
-            if let (false, Some(m), Some(sv)) = (group_broken, st.my, st.solver.as_ref()) {
-                let t0 = ctx.now();
-                let (m, step) = (S::grid_of(m), current_step);
-                let (landing, bs) = (&mut st.landing, &mut st.buddy_store);
-                match buddy_exchange::<S>(ctx, &layout, &world, &group, m, sv, step, landing, bs) {
-                    Ok(()) => {}
-                    Err(e) if is_casualty(&e) => {
-                        // Release any peer blocked on the dead/errored ranks.
-                        world.revoke(ctx);
-                        if !group.failed_ranks().is_empty() || group.is_revoked() {
-                            // Our own group lost someone: sit the next segment
-                            // out and let the detection point repair us.
-                            group.revoke(ctx);
-                            group_broken = true;
-                        }
-                        // Otherwise a *cross-group* buddy failed mid-exchange:
-                        // our grid is intact, so skip this protection round
-                        // (the buddy store keeps its previous copy) and keep
-                        // stepping.
-                    }
-                    Err(e) => return Err(e),
-                }
-                st.t_ckpt += ctx.now() - t0;
-            }
+        let healthy = detect(ctx, env, st, p, &mut world, &mut group, dp)?;
+        if healthy && dp < steps {
+            protect(ctx, env, st, p, &world, &group, dp)?;
         }
 
-        // ---- the `DeferRepair` lazy batch: at the combination epoch,
-        // respawn every accumulated dead in one round and run the
-        // technique's data recovery with the full failed set in the round
-        // that confirms them. From here on the run is indistinguishable
-        // from `Respawn`. ----
-        if pol == RecoveryPolicy::DeferRepair && dp == steps && !deferred.is_empty() {
-            let mut event = Event::open(ctx);
-            let m = members.take().unwrap_or_else(|| (0..world.size()).collect());
-            let respawn = cfg.respawn_policy;
-            let refilled = stage(
-                repair_deferred(ctx, world, m, &mut deferred, respawn, &mut event.round),
-                "defer-epoch-repair",
-            )?;
-            let (join, mut arm) = (Join::Refilled(refilled), RepairArm::Respawn(respawn));
-            let (w, recovered) = stage(
-                st.reconstruct(ctx, &env, join, &mut arm, Some(steps), &mut event.round),
-                "defer-epoch-recovery",
-            )?;
-            world = w;
-            if let Some((g, _)) = recovered {
-                group = g;
-            }
-            group_broken = false;
-            deferred.clear();
-            dropped.clear();
-            event.close(ctx, cfg, &world, &mut event_idx, steps, &mut repair_timings);
+        if cfg.recovery_policy == RecoveryPolicy::DeferRepair
+            && dp == steps
+            && !p.deferred.is_empty()
+        {
+            world = repair_epoch(ctx, env, st, p, world, &mut group)?;
         }
     }
+    finish(ctx, env, st, p, world, group)
+}
 
+/// Detection at step `dp` and — if the barrier fails — reconstruction
+/// with the data recovery riding its confirming round, on `world` in
+/// place. Returns whether the world was healthy: nothing failed, so the
+/// data may be protected.
+#[inline(never)]
+fn detect<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+    world: &mut Comm,
+    group: &mut Comm,
+    dp: u64,
+) -> Result<bool> {
+    let cfg = env.cfg;
+    let mut event = Event::open(ctx);
+    let active_slots = S::world_size(env.layout);
+    let (pol, respawn) = (cfg.recovery_policy, cfg.respawn_policy);
+    let mut arm = RepairArm::for_policy(pol, respawn, active_slots, &mut p.members, false);
+    let ((), recovered) = stage(
+        st.reconstruct(env, &mut arm, Some(dp), &mut event.round, |arm, riding, tm| {
+            confirm(ctx, world, false, ctx.now(), arm, riding, tm)
+        }),
+        "detect-reconstruct",
+    )?;
+    if let Some((g, d)) = recovered {
+        debug_assert_eq!(d, dp);
+        *group = g;
+        p.group_broken = false;
+    } else if !event.round.failed_ranks.is_empty() {
+        // Shrink-family mid-run repair: nothing was spawned. Fold the new
+        // dead (original numbering) into the cumulative set, drop their
+        // grids, and keep going on the survivors. Survivors of a broken
+        // grid sit out — for good under shrink, until the epoch batch
+        // under defer. Healthy groups keep their old group communicator
+        // (its membership is untouched).
+        union_into(&mut p.deferred, &event.round.failed_ranks);
+        p.dropped = S::broken_grids(env.layout, &p.deferred);
+        p.group_broken = st.grid().is_some_and(|g| p.dropped.contains(&g));
+    } else {
+        return Ok(true);
+    }
+    event.close(ctx, cfg, world, &mut p.events, dp, &mut p.timings);
+    Ok(false)
+}
+
+/// Solve the steps `range` of a segment. A broken group sits the stepping
+/// out (its data will be recovered wholesale — or, under the shrink-family
+/// policies, its grid is already dropped), but the failure generator keeps
+/// firing: a planned kill strikes at its step regardless of what the rank
+/// is doing, like a real SIGKILL. Strikes are planned by *original* rank —
+/// world ranks shift under the shrink-family policies.
+#[inline(never)]
+fn solve<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+    group: &Comm,
+    range: std::ops::Range<u64>,
+) -> Result<()> {
+    let t_solve0 = ctx.now();
+    for s in range {
+        if env.cfg.plan.strikes(p.orig_rank, s) {
+            ctx.die();
+        }
+        if p.group_broken {
+            continue;
+        }
+        let Some(sv) = st.solver.as_mut() else {
+            continue; // idle spare
+        };
+        match S::step(sv, ctx, group) {
+            Ok(()) => {}
+            Err(e) if is_casualty(&e) => {
+                // Propagate the failure to the rest of the group: members
+                // whose halo partners are alive would otherwise wait
+                // forever on neighbours that have stopped stepping. This
+                // is exactly what `OMPI_Comm_revoke` exists for.
+                group.revoke(ctx);
+                p.group_broken = true;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    p.t_solve += ctx.now() - t_solve0;
+    Ok(())
+}
+
+/// Protect the data at a healthy detection point before the last: the
+/// checkpoint write (CR) or the buddy exchange (BC). The other techniques
+/// keep no copy.
+#[inline(never)]
+fn protect<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+    world: &Comm,
+    group: &Comm,
+    step: u64,
+) -> Result<()> {
+    let cfg = env.cfg;
+    if cfg.technique == Technique::CheckpointRestart && !p.group_broken {
+        // Healthy checkpoint write ("failure detection is tested prior to
+        // initiating the checkpoint write"). A rank sitting out (broken
+        // grid under a shrink-family policy) and the idle spares skip the
+        // write.
+        if let (Some(m), Some(sv)) = (st.my, st.solver.as_ref()) {
+            let t0 = ctx.now();
+            let (m, store) = (S::grid_of(m), env.checkpoints()?);
+            match st.landing.checkpoint(ctx, cfg, store, group, env.layout, m, sv, step) {
+                Ok(()) => {}
+                Err(e) if is_casualty(&e) => {
+                    // A group member died mid-checkpoint. This checkpoint
+                    // is lost (recovery will fall back to an older one and
+                    // recompute further); mark the group broken and let the
+                    // next detection point repair.
+                    group.revoke(ctx);
+                    world.revoke(ctx);
+                    p.group_broken = true;
+                }
+                Err(e) => return Err(e),
+            }
+            st.t_ckpt += ctx.now() - t0;
+        }
+    } else if cfg.technique == Technique::BuddyCheckpoint && p.members.is_none() {
+        // Healthy buddy exchange: the in-memory, diskless analogue.
+        // Suspended for the rest of the run once a shrink-family repair
+        // removed ranks (`members` set): the exchange is a world-wide
+        // protocol keyed by original roots, and a dropped grid's root may
+        // simply be gone. `members` flips identically on every survivor,
+        // so the suspension is collective.
+        if let (false, Some(m), Some(sv)) = (p.group_broken, st.my, st.solver.as_ref()) {
+            let t0 = ctx.now();
+            let (m, layout) = (S::grid_of(m), env.layout);
+            let (landing, bs) = (&mut st.landing, &mut st.buddy_store);
+            match buddy_exchange::<S>(ctx, layout, world, group, m, sv, step, landing, bs) {
+                Ok(()) => {}
+                Err(e) if is_casualty(&e) => {
+                    // Release any peer blocked on the dead/errored ranks.
+                    world.revoke(ctx);
+                    if !group.failed_ranks().is_empty() || group.is_revoked() {
+                        // Our own group lost someone: sit the next segment
+                        // out and let the detection point repair us.
+                        group.revoke(ctx);
+                        p.group_broken = true;
+                    }
+                    // Otherwise a *cross-group* buddy failed mid-exchange:
+                    // our grid is intact, so skip this protection round
+                    // (the buddy store keeps its previous copy) and keep
+                    // stepping.
+                }
+                Err(e) => return Err(e),
+            }
+            st.t_ckpt += ctx.now() - t0;
+        }
+    }
+    Ok(())
+}
+
+/// The `DeferRepair` lazy batch: at the combination epoch, respawn every
+/// accumulated dead in one round and run the technique's data recovery
+/// with the full failed set in the round that confirms them. From here on
+/// the run is indistinguishable from `Respawn`. Returns the repaired world.
+#[inline(never)]
+fn repair_epoch<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+    world: Comm,
+    group: &mut Comm,
+) -> Result<Comm> {
+    let (cfg, steps) = (env.cfg, env.cfg.steps());
+    let mut event = Event::open(ctx);
+    let m = p.members.take().unwrap_or_else(|| (0..world.size()).collect());
+    let respawn = cfg.respawn_policy;
+    let refilled = stage(
+        repair_deferred(ctx, world, m, &mut p.deferred, respawn, &mut event.round),
+        "defer-epoch-repair",
+    )?;
+    let (mut world, mut arm) = (refilled, RepairArm::Respawn(respawn));
+    let ((), recovered) = stage(
+        st.reconstruct(env, &mut arm, Some(steps), &mut event.round, |arm, riding, tm| {
+            confirm(ctx, &mut world, true, ctx.now(), arm, riding, tm)
+        }),
+        "defer-epoch-recovery",
+    )?;
+    if let Some((g, _)) = recovered {
+        *group = g;
+    }
+    p.group_broken = false;
+    p.deferred.clear();
+    p.dropped.clear();
+    event.close(ctx, cfg, &world, &mut p.events, steps, &mut p.timings);
+    Ok(world)
+}
+
+/// Everything after the last segment: the end-of-run drain, the
+/// combination and the report.
+#[inline(never)]
+fn finish<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+    mut world: Comm,
+    mut group: Comm,
+) -> Result<()> {
+    settle(ctx, env, st, &world, &group)?;
+    let combined = combine(ctx, env, st, p, &mut world, &mut group)?;
+    report(ctx, env, p, &world, &combined);
+    Ok(())
+}
+
+/// After the last segment: the end-of-run drain, the corruption tally and
+/// the simulated grid losses.
+#[inline(never)]
+fn settle<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    world: &Comm,
+    group: &Comm,
+) -> Result<()> {
     // ---- end-of-run drain barrier: the write in flight must land (and
     // its un-hidden disk time must be paid) before the store is cleared
     // or the simulated-loss restore below reads it. A queued snapshot
@@ -705,7 +868,7 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     }
     // Every write (and any fault-injected strike on it) has landed by
     // now; tell the restart-integrity oracle which strikes really did.
-    let corrupt_applied = store.as_ref().map_or(0, CheckpointStore::corruptions_applied);
+    let corrupt_applied = env.store.map_or(0, CheckpointStore::corruptions_applied);
     if corrupt_applied > 0 {
         ctx.report_add(keys::CKPT_CORRUPT_APPLIED, corrupt_applied as f64);
     }
@@ -714,216 +877,256 @@ fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
     // recovery path as if each listed grid had lost a process — no real
     // kill, no communicator reconstruction ("non-real (simulated)",
     // §III). ----
-    if !cfg.simulated_lost_grids.is_empty() {
+    let lost = &env.cfg.simulated_lost_grids;
+    if !lost.is_empty() {
         // Never fabricate rank 0 as failed (controller constraint).
-        let fabricated: Vec<usize> =
-            cfg.simulated_lost_grids.iter().map(|&g| S::last_rank_of(&layout, g)).collect();
+        let fabricated: Vec<usize> = lost.iter().map(|&g| S::last_rank_of(env.layout, g)).collect();
         debug_assert!(!fabricated.contains(&0), "rank 0 cannot be a (simulated) victim");
-        st.t_rec += st.recover(ctx, &env, &world, &group, &fabricated, steps)?.t_recovery;
-        union_into(&mut st.final_lost, &S::broken_grids(&layout, &fabricated));
+        let steps = env.cfg.steps();
+        st.t_rec += st.recover(ctx, env, world, group, &fabricated, steps)?.t_recovery;
+        union_into(&mut st.final_lost, &S::broken_grids(env.layout, &fabricated));
     }
+    Ok(())
+}
 
-    // ---- combination & measurement. ----
-    // Under Alternate Combination with end-of-run losses, the final
-    // combination *is* the robust combination over the survivors (the
-    // "compulsory stage" of §III-B, and the recovered solution: the lost
-    // grids' solvers were never restored, and nothing reads them);
-    // otherwise it is the classical Eq.-1 combination, using recovered
-    // data where grids were restored.
-    //
-    // The whole phase runs inside a retry loop: a failure striking during
-    // the combination or the final reductions revokes the comms, repairs
-    // the world, re-runs data recovery for the new casualties, and
-    // restarts the phase from scratch on the fresh communicators (the
-    // combination is pure, so re-running it is safe).
-    // (err, t_rec_max, t_ckpt_max, t_solve_max, t_end, rank_hosts, rank_grids, rank_orig)
-    type CombineOutcome = (f64, f64, f64, f64, f64, Vec<f64>, Vec<f64>, Vec<f64>);
+/// Combination & measurement. Under Alternate Combination with end-of-run
+/// losses, the final combination *is* the robust combination over the
+/// survivors (the "compulsory stage" of §III-B, and the recovered
+/// solution: the lost grids' solvers were never restored, and nothing
+/// reads them); otherwise it is the classical Eq.-1 combination, using
+/// recovered data where grids were restored.
+///
+/// The whole phase runs inside a retry loop: a failure striking during
+/// the combination or the final reductions revokes the comms, repairs the
+/// world, re-runs data recovery for the new casualties, and restarts the
+/// phase from scratch on the fresh communicators (the combination is
+/// pure, so re-running it is safe). `world` and `group` end as the
+/// communicators the combination succeeded on.
+#[inline(never)]
+fn combine<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+    world: &mut Comm,
+    group: &mut Comm,
+) -> Result<Combined> {
     // Under `ShrinkRedistribute` the dropped grids are lost for good:
     // fold them into the final lost set so the combination recomputes its
     // coefficients over the survivors (for *every* technique — there is
     // no restored data to combine classically).
-    if pol == RecoveryPolicy::ShrinkRedistribute {
-        union_into(&mut st.final_lost, &dropped);
+    if env.cfg.recovery_policy == RecoveryPolicy::ShrinkRedistribute {
+        union_into(&mut st.final_lost, &p.dropped);
     }
-    let tags = TagSpace::for_grids(n_grids);
-    let (err, t_rec_max, t_ckpt_max, t_solve_max, t_end, rank_hosts, rank_grids, rank_orig) = loop {
-        let attempt: Result<CombineOutcome> = (|| {
-            let use_robust = match pol {
-                // Dropped grids were never repaired: robust coefficients
-                // are the only way to a solution, whatever the technique.
-                RecoveryPolicy::ShrinkRedistribute => !st.final_lost.is_empty(),
-                // Repaired-slot policies restored exact (CR/BC) or
-                // near-exact (RC) data; only Alternate Combination's
-                // end-of-run losses combine robustly.
-                _ => cfg.technique == Technique::AlternateCombination && !st.final_lost.is_empty(),
-            };
-            let (combine_ids, combine_coeffs): (Vec<usize>, Vec<f64>) = if use_robust {
-                // A level only counts as lost when *no* surviving grid
-                // holds it: under the Duplicates layout a dropped
-                // diagonal whose duplicate survives is still covered.
-                let (by_grid, _) = S::robust_coefficients(&layout, &st.final_lost, true);
-                // One combining grid per level, in grid-id order (the
-                // diagonal precedes its duplicate, so the duplicate only
-                // stands in when the diagonal is gone) — a duplicate pair
-                // must not be double-counted.
-                let mut ids: Vec<usize> = Vec::with_capacity(n_grids);
-                for (g, &c) in by_grid.iter().enumerate() {
-                    let level = S::level(&layout, g);
-                    if st.final_lost.contains(&g)
-                        || c == 0
-                        || ids.iter().any(|&i| S::level(&layout, i) == level)
-                    {
-                        continue;
-                    }
-                    ids.push(g);
-                }
-                let coeffs = ids.iter().map(|&i| by_grid[i] as f64).collect();
-                (ids, coeffs)
-            } else {
-                let ids = S::combination_ids(&layout);
-                let coeffs = ids.iter().map(|&i| S::classical_coefficient(&layout, i)).collect();
-                (ids, coeffs)
-            };
-            // A dropped grid never combines (it is in `final_lost`), so a
-            // sitting-out survivor is excluded via `combine_ids` already;
-            // `group_broken` and the spare guard make the exclusion
-            // explicit.
-            let my_grid = st.grid().filter(|g| !group_broken && combine_ids.contains(g));
-            // This rank's term: its grid and that grid's coefficient.
-            let my_term = my_grid.and_then(|m| {
-                let k = combine_ids.iter().position(|&gid| gid == m)?;
-                Some((m, combine_coeffs[k]))
-            });
-            let target = S::min_level(&layout);
-            // Binomial reduction tree over the group leaders, in
-            // combination-term order: each leader materializes its own term
-            // on the target level, then partially combined grids flow down
-            // a log-depth tree (bitwise equal to `combine_binomial` of the
-            // same ordered term list).
-            let part = match (my_term, st.solver.as_ref()) {
-                (Some((m, coeff)), Some(sv)) => {
-                    st.landing.gather(ctx, &group, &layout, m, sv, |own| {
-                        Ok(S::term(ctx, &target, coeff, own))
-                    })?
-                }
-                _ => None,
-            };
-            let mut leaders = Vec::with_capacity(combine_ids.len());
-            for &gid in &combine_ids {
-                leaders.push(current_root::<S>(&layout, gid, members.as_deref())?);
-            }
-            let combined =
-                binomial_combine(ctx, &world, &leaders, 0, &target, part, &mut hop_buf, tags.tree)?;
-            let mut err = f64::NAN;
-            if world.rank() == 0 {
-                let combined = combined.unwrap_or_else(|| S::Grid::zeros(&target));
-                err = S::l1_error(&problem, &combined, dt * steps as f64);
-                if let Some(prefix) = &cfg.output_prefix {
-                    S::write_solution(&combined, prefix)?;
-                }
-            }
-            let t_rec_max = world.allreduce_max(ctx, st.t_rec)?;
-            let t_ckpt_max = world.allreduce_max(ctx, st.t_ckpt)?;
-            let t_solve_max = world.allreduce_max(ctx, t_solve_local)?;
-            let t_end = world.allreduce_max(ctx, ctx.now())?;
-            // Final rank→host and rank→grid maps, gathered over the live
-            // world so the chaos oracles can compare them with the
-            // no-failure run's.
-            let flatten = |o: Option<Vec<Vec<f64>>>| -> Vec<f64> {
-                o.map(|v| v.into_iter().flatten().collect()).unwrap_or_default()
-            };
-            let hosts = flatten(world.gather(ctx, 0, &[ctx.my_host() as f64])?);
-            // Idle spares report grid −1.
-            let grids = flatten(world.gather(ctx, 0, &[st.grid().map_or(-1.0, |g| g as f64)])?);
-            // The membership map, only under the policies whose contract
-            // O7 checks through it — the respawn-family policies skip the
-            // extra gather so their no-failure path stays bitwise
-            // identical to the pre-policy code.
-            let origs = if matches!(
-                pol,
-                RecoveryPolicy::ShrinkRedistribute | RecoveryPolicy::SpareSubstitute
-            ) {
-                flatten(world.gather(ctx, 0, &[orig_rank as f64])?)
-            } else {
-                Vec::new()
-            };
-            Ok((err, t_rec_max, t_ckpt_max, t_solve_max, t_end, hosts, grids, origs))
-        })();
-        match attempt {
-            Ok(v) => break v,
+    let tags = TagSpace::for_grids(S::n_grids(env.layout));
+    // The tree combination's hop-receive buffer, kept across its retries.
+    let mut hop_buf: Vec<f64> = Vec::new();
+    loop {
+        match combine_once(ctx, env, st, p, world, group, &mut hop_buf, tags.tree) {
+            Ok(combined) => return Ok(combined),
             Err(Error::ProcFailed { .. }) | Err(Error::Revoked) | Err(Error::Protocol(_)) => {
-                // Release peers still blocked in this attempt, repair,
-                // recover the new casualties, and go again. This is a
-                // failure event of its own: window and timings start here.
-                // Under shrink there is no repair and no data recovery —
-                // the new dead and their grids are dropped and the retry
-                // runs over the smaller survivor set; healthy groups keep
-                // their comms (their membership is intact).
-                let shrink = pol == RecoveryPolicy::ShrinkRedistribute;
-                let mut event = Event::open(ctx);
-                world.revoke(ctx);
-                if !shrink {
-                    group.revoke(ctx);
-                }
-                let mut arm = RepairArm::for_policy(
-                    pol,
-                    cfg.respawn_policy,
-                    active_slots,
-                    &mut members,
-                    true,
-                );
-                let round = &mut event.round;
-                let (w, recovered) = stage(
-                    st.reconstruct(ctx, &env, Join::Detect(world), &mut arm, Some(steps), round),
-                    "combine-reconstruct",
-                )?;
-                world = w;
-                if let Some((g, _)) = recovered {
-                    group = g;
-                }
-                if shrink {
-                    union_into(&mut deferred, &event.round.failed_ranks);
-                    dropped = S::broken_grids(&layout, &deferred);
-                    union_into(&mut st.final_lost, &dropped);
-                    group_broken = st.grid().is_some_and(|g| dropped.contains(&g));
-                }
-                event.close(ctx, cfg, &world, &mut event_idx, steps, &mut repair_timings);
+                repair_combine(ctx, env, st, p, world, group)?;
             }
             Err(e) => return Err(e),
         }
-    };
+    }
+}
 
-    // ---- report (controller writes the blackboard). ----
+/// A failure struck the combination: release peers still blocked in the
+/// attempt, repair, recover the new casualties, on `world` and `group` in
+/// place. This is a failure event of its own: window and timings start
+/// here. Under shrink there is no repair and no data recovery — the new
+/// dead and their grids are dropped and the retry runs over the smaller
+/// survivor set; healthy groups keep their comms (their membership is
+/// intact).
+#[inline(never)]
+fn repair_combine<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &mut Progress,
+    world: &mut Comm,
+    group: &mut Comm,
+) -> Result<()> {
+    let (cfg, steps) = (env.cfg, env.cfg.steps());
+    let pol = cfg.recovery_policy;
+    let shrink = pol == RecoveryPolicy::ShrinkRedistribute;
+    let mut event = Event::open(ctx);
+    world.revoke(ctx);
+    if !shrink {
+        group.revoke(ctx);
+    }
+    let active_slots = S::world_size(env.layout);
+    let mut arm =
+        RepairArm::for_policy(pol, cfg.respawn_policy, active_slots, &mut p.members, true);
+    let ((), recovered) = stage(
+        st.reconstruct(env, &mut arm, Some(steps), &mut event.round, |arm, riding, tm| {
+            confirm(ctx, world, false, ctx.now(), arm, riding, tm)
+        }),
+        "combine-reconstruct",
+    )?;
+    if let Some((g, _)) = recovered {
+        *group = g;
+    }
+    if shrink {
+        union_into(&mut p.deferred, &event.round.failed_ranks);
+        p.dropped = S::broken_grids(env.layout, &p.deferred);
+        union_into(&mut st.final_lost, &p.dropped);
+        p.group_broken = st.grid().is_some_and(|g| p.dropped.contains(&g));
+    }
+    event.close(ctx, cfg, world, &mut p.events, steps, &mut p.timings);
+    Ok(())
+}
+
+/// One attempt at the combination and the final reductions.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn combine_once<S: Stack>(
+    ctx: &Ctx,
+    env: &Env<'_, S>,
+    st: &mut RankState<S>,
+    p: &Progress,
+    world: &Comm,
+    group: &Comm,
+    hop_buf: &mut Vec<f64>,
+    tag: i32,
+) -> Result<Combined> {
+    let (cfg, layout, pol) = (env.cfg, env.layout, env.cfg.recovery_policy);
+    let use_robust = match pol {
+        // Dropped grids were never repaired: robust coefficients are the
+        // only way to a solution, whatever the technique.
+        RecoveryPolicy::ShrinkRedistribute => !st.final_lost.is_empty(),
+        // Repaired-slot policies restored exact (CR/BC) or near-exact (RC)
+        // data; only Alternate Combination's end-of-run losses combine
+        // robustly.
+        _ => cfg.technique == Technique::AlternateCombination && !st.final_lost.is_empty(),
+    };
+    let (combine_ids, combine_coeffs): (Vec<usize>, Vec<f64>) = if use_robust {
+        // A level only counts as lost when *no* surviving grid holds it:
+        // under the Duplicates layout a dropped diagonal whose duplicate
+        // survives is still covered.
+        let (by_grid, _) = S::robust_coefficients(layout, &st.final_lost, true);
+        // One combining grid per level, in grid-id order (the diagonal
+        // precedes its duplicate, so the duplicate only stands in when the
+        // diagonal is gone) — a duplicate pair must not be double-counted.
+        let mut ids: Vec<usize> = Vec::with_capacity(S::n_grids(layout));
+        for (g, &c) in by_grid.iter().enumerate() {
+            let level = S::level(layout, g);
+            if st.final_lost.contains(&g)
+                || c == 0
+                || ids.iter().any(|&i| S::level(layout, i) == level)
+            {
+                continue;
+            }
+            ids.push(g);
+        }
+        let coeffs = ids.iter().map(|&i| by_grid[i] as f64).collect();
+        (ids, coeffs)
+    } else {
+        let ids = S::combination_ids(layout);
+        let coeffs = ids.iter().map(|&i| S::classical_coefficient(layout, i)).collect();
+        (ids, coeffs)
+    };
+    // A dropped grid never combines (it is in `final_lost`), so a
+    // sitting-out survivor is excluded via `combine_ids` already;
+    // `group_broken` and the spare guard make the exclusion explicit.
+    let my_grid = st.grid().filter(|g| !p.group_broken && combine_ids.contains(g));
+    // This rank's term: its grid and that grid's coefficient.
+    let my_term = my_grid.and_then(|m| {
+        let k = combine_ids.iter().position(|&gid| gid == m)?;
+        Some((m, combine_coeffs[k]))
+    });
+    let target = S::min_level(layout);
+    // Binomial reduction tree over the group leaders, in combination-term
+    // order: each leader materializes its own term on the target level,
+    // then partially combined grids flow down a log-depth tree (bitwise
+    // equal to `combine_binomial` of the same ordered term list).
+    let part = match (my_term, st.solver.as_ref()) {
+        (Some((m, coeff)), Some(sv)) => st
+            .landing
+            .gather(ctx, group, layout, m, sv, |own| Ok(S::term(ctx, &target, coeff, own)))?,
+        _ => None,
+    };
+    let mut leaders = Vec::with_capacity(combine_ids.len());
+    for &gid in &combine_ids {
+        leaders.push(current_root::<S>(layout, gid, p.members.as_deref())?);
+    }
+    let combined = binomial_combine(ctx, world, &leaders, 0, &target, part, hop_buf, tag)?;
+    let mut err = f64::NAN;
     if world.rank() == 0 {
-        ctx.report_f64(keys::T_TOTAL, t_end);
-        ctx.report_f64(keys::T_RECOVERY, t_rec_max);
-        ctx.report_f64(keys::T_CKPT, t_ckpt_max);
-        ctx.report_f64(keys::T_SOLVE, t_solve_max);
-        ctx.report_f64(keys::ERR_L1, err);
-        ctx.report_f64(keys::T_LIST, repair_timings.t_list);
-        ctx.report_f64(keys::T_RECONSTRUCT, repair_timings.t_total);
-        ctx.report_f64(keys::T_SHRINK, repair_timings.t_shrink);
-        ctx.report_f64(keys::T_SPAWN, repair_timings.t_spawn);
-        ctx.report_f64(keys::T_MERGE, repair_timings.t_merge);
-        ctx.report_f64(keys::T_AGREE, repair_timings.t_agree);
-        ctx.report_f64(keys::N_FAILED, repair_timings.failed_ranks.len() as f64);
-        ctx.report_f64(keys::WORLD, world.size() as f64);
-        ctx.report_list(keys::RANK_HOSTS, &rank_hosts);
-        ctx.report_list(keys::RANK_GRIDS, &rank_grids);
-        if !rank_orig.is_empty() {
-            ctx.report_list(keys::RANK_ORIG, &rank_orig);
-        }
-        if pol == RecoveryPolicy::ShrinkRedistribute {
-            let d: Vec<f64> = dropped.iter().map(|&g| g as f64).collect();
-            ctx.report_list(keys::DROPPED_GRIDS, &d);
-        }
-        // Best-effort cleanup of the checkpoint directory, if the run had
-        // one.
-        if let Some(store) = &store {
-            let _ = store.clear();
+        let combined = combined.unwrap_or_else(|| S::Grid::zeros(&target));
+        err = S::l1_error(env.problem, &combined, env.dt * cfg.steps() as f64);
+        if let Some(prefix) = &cfg.output_prefix {
+            S::write_solution(&combined, prefix)?;
         }
     }
-    Ok(())
+    let t_rec_max = world.allreduce_max(ctx, st.t_rec)?;
+    let t_ckpt_max = world.allreduce_max(ctx, st.t_ckpt)?;
+    let t_solve_max = world.allreduce_max(ctx, p.t_solve)?;
+    let t_end = world.allreduce_max(ctx, ctx.now())?;
+    // Final rank→host and rank→grid maps, gathered over the live world so
+    // the chaos oracles can compare them with the no-failure run's.
+    let flatten = |o: Option<Vec<Vec<f64>>>| -> Vec<f64> {
+        o.map(|v| v.into_iter().flatten().collect()).unwrap_or_default()
+    };
+    let rank_hosts = flatten(world.gather(ctx, 0, &[ctx.my_host() as f64])?);
+    // Idle spares report grid −1.
+    let rank_grids = flatten(world.gather(ctx, 0, &[st.grid().map_or(-1.0, |g| g as f64)])?);
+    // The membership map, only under the policies whose contract O7
+    // checks through it — the respawn-family policies skip the extra
+    // gather so their no-failure path stays bitwise identical to the
+    // pre-policy code.
+    let rank_orig =
+        if matches!(pol, RecoveryPolicy::ShrinkRedistribute | RecoveryPolicy::SpareSubstitute) {
+            flatten(world.gather(ctx, 0, &[p.orig_rank as f64])?)
+        } else {
+            Vec::new()
+        };
+    Ok(Combined {
+        err,
+        t_rec_max,
+        t_ckpt_max,
+        t_solve_max,
+        t_end,
+        rank_hosts,
+        rank_grids,
+        rank_orig,
+    })
+}
+
+/// The report: the controller writes the blackboard.
+#[inline(never)]
+fn report<S: Stack>(ctx: &Ctx, env: &Env<'_, S>, p: &Progress, world: &Comm, c: &Combined) {
+    if world.rank() != 0 {
+        return;
+    }
+    let t = &p.timings;
+    ctx.report_f64(keys::T_TOTAL, c.t_end);
+    ctx.report_f64(keys::T_RECOVERY, c.t_rec_max);
+    ctx.report_f64(keys::T_CKPT, c.t_ckpt_max);
+    ctx.report_f64(keys::T_SOLVE, c.t_solve_max);
+    ctx.report_f64(keys::ERR_L1, c.err);
+    ctx.report_f64(keys::T_LIST, t.t_list);
+    ctx.report_f64(keys::T_RECONSTRUCT, t.t_total);
+    ctx.report_f64(keys::T_SHRINK, t.t_shrink);
+    ctx.report_f64(keys::T_SPAWN, t.t_spawn);
+    ctx.report_f64(keys::T_MERGE, t.t_merge);
+    ctx.report_f64(keys::T_AGREE, t.t_agree);
+    ctx.report_f64(keys::N_FAILED, t.failed_ranks.len() as f64);
+    ctx.report_f64(keys::WORLD, world.size() as f64);
+    ctx.report_list(keys::RANK_HOSTS, &c.rank_hosts);
+    ctx.report_list(keys::RANK_GRIDS, &c.rank_grids);
+    if !c.rank_orig.is_empty() {
+        ctx.report_list(keys::RANK_ORIG, &c.rank_orig);
+    }
+    if env.cfg.recovery_policy == RecoveryPolicy::ShrinkRedistribute {
+        let d: Vec<f64> = p.dropped.iter().map(|&g| g as f64).collect();
+        ctx.report_list(keys::DROPPED_GRIDS, &d);
+    }
+    // Best-effort cleanup of the checkpoint directory, if the run had one.
+    if let Some(store) = env.store {
+        let _ = store.clear();
+    }
 }
 
 /// Add `items` to the sorted set `set` (grid ids or ranks), keeping it

@@ -507,9 +507,8 @@ pub fn repair_substitute(
 /// `alive` is the shrunken survivor world, `members` its current→original
 /// rank map, `deferred` the accumulated dead (original ranks); a casualty
 /// during the batch joins it. The caller confirms the returned
-/// communicator with [`reconstruct`] entered as [`Join::Refilled`], whose
-/// first round is already a confirming round. All repaired ranks are
-/// recorded in `timings.failed_ranks`.
+/// communicator with `confirm`, `confirming` from the first round. All
+/// repaired ranks are recorded in `timings.failed_ranks`.
 pub fn repair_deferred(
     ctx: &Ctx,
     alive: Comm,
@@ -603,9 +602,6 @@ pub enum Join {
     /// combination): nothing is known to have failed on this world yet, so
     /// the first round only detects.
     Detect(Comm),
-    /// A survivor whose world was just refilled outside the loop (the
-    /// `DeferRepair` epoch batch): the first round already confirms.
-    Refilled(Comm),
     /// A respawned child (what `MPI_Comm_get_parent` returned): it attaches
     /// through Fig. 3 lines 19–26, then confirms with everyone.
     Child(InterComm),
@@ -649,7 +645,7 @@ fn child_join(ctx: &Ctx, parent: InterComm, timings: &mut ReconstructTimings) ->
 /// it ran inside that round is thereby committed for every rank.
 ///
 /// The attempt is due in every confirming round, i.e. once this event has
-/// repaired something (a child and a refilled world start there). The
+/// repaired something (a child starts there). The
 /// exit test is the barrier's result alone, as in the listing.
 ///
 /// `timings.t_total` stays the paper's quantity (Fig. 8b): it excludes the
@@ -659,19 +655,38 @@ pub fn reconstruct(
     ctx: &Ctx,
     join: Join,
     arm: &mut RepairArm<'_>,
-    mut attempt: Option<Attempt<'_>>,
+    attempt: Option<Attempt<'_>>,
     timings: &mut ReconstructTimings,
 ) -> Result<Comm> {
     let t_start = ctx.now();
-    let mut not_reconstruction = 0.0;
-    let (mut comm, mut confirming) = match join {
+    let (mut comm, confirming) = match join {
         Join::Detect(world) => (world, false),
-        Join::Refilled(world) => (world, true),
         Join::Child(parent) => {
             timings.rounds += 1;
             (child_join(ctx, parent, timings)?, true)
         }
     };
+    confirm(ctx, &mut comm, confirming, t_start, arm, attempt, timings)?;
+    Ok(comm)
+}
+
+/// The loop of [`reconstruct`] on a communicator the caller holds: each
+/// repair replaces `*comm`, and on `Ok` it is the confirmed one. A
+/// survivor runs it on its world in place: `confirming` is false at a
+/// detection point (as under [`Join::Detect`]) and true on a world just
+/// refilled outside the loop (the `DeferRepair` epoch batch), whose first
+/// round already confirms; `t_start` is when the event's reconstruction
+/// began.
+pub(crate) fn confirm(
+    ctx: &Ctx,
+    comm: &mut Comm,
+    mut confirming: bool,
+    t_start: f64,
+    arm: &mut RepairArm<'_>,
+    mut attempt: Option<Attempt<'_>>,
+    timings: &mut ReconstructTimings,
+) -> Result<()> {
+    let mut not_reconstruction = 0.0;
     loop {
         timings.rounds += 1;
         // Fig. 3 line 11: attach the Fig. 4 handler. It acknowledges the
@@ -691,7 +706,7 @@ pub fn reconstruct(
             Some(run) if confirming => {
                 let t_attempt0 = ctx.now();
                 let _scope = ctx.recovery_scope();
-                match run(ctx, &comm, timings) {
+                match run(ctx, comm, timings) {
                     Ok(()) => {}
                     // Vote the round down: revoked before we enter the
                     // barrier, it fails for every rank.
@@ -723,14 +738,14 @@ pub fn reconstruct(
                 timings.t_detect += (ctx.now() - t_barrier0 - ack_in_detect).max(0.0);
                 timings.t_ack += ack_in_detect;
                 ctx.trace_phase("detect", t_barrier0);
-                comm = arm.repair(ctx, &comm, timings)?;
+                *comm = arm.repair(ctx, comm, timings)?;
                 confirming = true;
             }
             Err(e) => return Err(e),
         }
     }
     timings.t_total += ctx.now() - t_start - not_reconstruction;
-    Ok(comm)
+    Ok(())
 }
 
 #[cfg(test)]

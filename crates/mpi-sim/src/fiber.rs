@@ -11,9 +11,17 @@
 //! heap chunks: one allocation maps a single VMA covering many stacks,
 //! and untouched pages cost no RSS, so 100k × 1 MiB of *address space*
 //! stays well under both the kernel `max_map_count` limit and real
-//! memory. Stacks are recycled, never freed. A canary word at the low end
-//! of each stack is checked on every suspension; overflow aborts loudly
-//! rather than corrupting a neighbouring stack.
+//! memory. Stacks are recycled, never freed.
+//!
+//! A canary word sits just *below* each stack's usable range and is
+//! checked on every suspension; overflow aborts loudly rather than
+//! corrupting a neighbouring stack. The word is not on a page of its own:
+//! every stack keeps its top 16 bytes unused, and the canary of the stack
+//! carved directly above lives there (a chunk's first stack has its canary
+//! at the end of the chunk's leading pad page). That page holds the lower
+//! stack's seeded frame anyway, so a rank's resident stack is the pages
+//! its frames reach — two, at the deepest, for any rank of a 1k-rank
+//! repair (the `ranks1k_stack_pages` gate of `expt-regress`).
 //!
 //! On targets without the assembly shim the module still compiles;
 //! [`SUPPORTED`] is `false` and the runtime falls back to
@@ -112,12 +120,20 @@ mod imp {
 mod imp {
     // Fallback so the crate still builds; the runtime never constructs
     // fibers when `SUPPORTED` is false.
+
+    /// # Safety
+    ///
+    /// None required: `unsafe` only to match the shim's signature, and it
+    /// never runs.
     pub(super) unsafe fn ulfm_fiber_switch(
         _save: *mut super::SwitchCtx,
         _restore: *const super::SwitchCtx,
     ) {
         unreachable!("fiber backend not available on this target")
     }
+    /// # Safety
+    ///
+    /// As above: a signature twin that never runs.
     pub(super) unsafe fn ulfm_fiber_entry() {
         unreachable!("fiber backend not available on this target")
     }
@@ -159,8 +175,8 @@ pub(crate) struct Fiber {
     finished: bool,
 }
 
-// The raw pointers are either owned (stack) or only touched while the
-// fiber is mounted on exactly one worker thread.
+// SAFETY: the raw pointers are either owned (the stack) or only touched
+// while the fiber is mounted on exactly one worker thread.
 unsafe impl Send for Fiber {}
 
 impl Fiber {
@@ -175,17 +191,29 @@ impl Fiber {
         let mut f =
             Box::new(Fiber { ctx: SwitchCtx::null(), stack, func: Some(func), finished: false });
         let fiber_ptr: *mut Fiber = &mut *f;
+        // SAFETY: the stack is this fiber's alone, and the seeded frame
+        // fits below its `top()`; the canary word is inside the stack's
+        // chunk (never freed), 8-aligned, and no frame of any fiber uses
+        // it (see `Stack`).
         unsafe {
             f.ctx.rsp = seed_stack(f.stack.top(), fiber_ptr);
-            // Canary at the low end; verified at every switch-out.
-            (f.stack.base as *mut u64).write(CANARY);
+            // Just below the usable range; verified at every switch-out.
+            f.stack.canary().write(CANARY);
         }
         f
     }
 
+    /// Does the word just below the stack's usable range still hold
+    /// [`CANARY`]? Any other value means a frame ran off the stack.
+    fn canary_intact(&self) -> bool {
+        // SAFETY: as in `new`, the canary word is live, aligned chunk
+        // memory that nothing but `new` and this check accesses, and
+        // handing the fiber to this thread ordered `new`'s write before.
+        unsafe { self.stack.canary().read() == CANARY }
+    }
+
     fn check_canary(&self) {
-        let ok = unsafe { (self.stack.base as *const u64).read() } == CANARY;
-        if !ok {
+        if !self.canary_intact() {
             // The neighbouring stack may already be corrupt; this is not
             // recoverable, and unwinding could make it worse.
             eprintln!("fatal: fiber stack overflow detected (canary clobbered)");
@@ -207,6 +235,11 @@ impl Drop for Fiber {
 /// Lay out the initial frame: six zeroed callee-saved slots (r12 carries
 /// the fiber pointer) under the trampoline return address. Returns the
 /// seeded rsp.
+///
+/// # Safety
+///
+/// `top` must be 16-aligned, with at least 56 writable bytes below it that
+/// no live frame uses.
 unsafe fn seed_stack(top: *mut u8, fiber: *mut Fiber) -> *mut u8 {
     let mut sp = top as *mut u64;
     sp = sp.sub(1);
@@ -232,8 +265,11 @@ unsafe fn seed_stack(top: *mut u8, fiber: *mut Fiber) -> *mut u8 {
 /// the worker for the last time.
 #[no_mangle]
 extern "C" fn ulfm_fiber_main(fiber: *mut Fiber) -> ! {
+    // SAFETY: `fiber` is the boxed fiber `seed_stack` staged in r12; the
+    // box outlives its stack, and only this fiber's thread touches it now.
     let func = unsafe { (*fiber).func.take().expect("fiber entry closure") };
     let _ = catch_unwind(AssertUnwindSafe(func));
+    // SAFETY: as above.
     unsafe { (*fiber).finished = true };
     suspend(SwitchReason::Finished);
     // A finished fiber must never be resumed.
@@ -249,6 +285,9 @@ pub(crate) fn resume(fiber: &mut Fiber) -> SwitchReason {
     let mut worker = SwitchCtx::null();
     WORKER_CTX.with(|w| w.set(&mut worker));
     ACTIVE.with(|a| a.set(fiber as *mut Fiber));
+    // SAFETY: `fiber.ctx` is a seeded or suspended context of a fiber
+    // that is not running anywhere (`&mut`), and `worker` outlives the
+    // switch: the fiber's next suspension switches straight back here.
     unsafe { imp::ulfm_fiber_switch(&mut worker, &fiber.ctx) };
     ACTIVE.with(|a| a.set(std::ptr::null_mut()));
     WORKER_CTX.with(|w| w.set(std::ptr::null_mut()));
@@ -267,6 +306,8 @@ pub(crate) fn suspend(reason: SwitchReason) {
     assert!(!fiber.is_null(), "suspend outside a fiber");
     let worker = WORKER_CTX.with(|w| w.get());
     REASON.with(|r| r.set(reason));
+    // SAFETY: `fiber` is the running fiber (`ACTIVE`), and `worker` is the
+    // context `resume` saved on this thread's stack, live until it returns.
     unsafe { imp::ulfm_fiber_switch(&mut (*fiber).ctx, worker) };
 }
 
@@ -285,19 +326,36 @@ pub(crate) fn yield_now() {
 // Stack pool
 // ---------------------------------------------------------------------
 
-/// A carved-out stack: `size` bytes at `base`, 16-byte aligned.
+/// Bytes every stack keeps unused at its top. The last word of them is the
+/// canary of the stack carved directly above; the reservation keeps
+/// `top()` 16-byte aligned for the seeded frame.
+const TOP_RESERVE: usize = 16;
+
+/// Leading pad of every chunk: its last word is the canary of the chunk's
+/// first stack, so every stack's canary sits at `base − 8`.
+const CHUNK_PAD: usize = 4096;
+
+/// A carved-out stack: `size` bytes at `base`, both page-aligned. Frames
+/// use `[base, top())`. The word just below `base` is this stack's canary,
+/// in the reserved top of the stack beneath (or the chunk's pad).
 struct Stack {
     base: *mut u8,
     size: usize,
 }
 
+// SAFETY: a `Stack` is an exclusively owned range of a chunk that is never
+// freed; moving it between threads moves that ownership.
 unsafe impl Send for Stack {}
 
 impl Stack {
+    /// One past the highest byte a frame may use.
     fn top(&self) -> *mut u8 {
-        // Aligned down to 16 for the seeded frame.
-        let t = unsafe { self.base.add(self.size) };
-        ((t as usize) & !15) as *mut u8
+        self.base.wrapping_add(self.size - TOP_RESERVE)
+    }
+
+    /// The overflow canary: the word just below the usable range.
+    fn canary(&self) -> *mut u64 {
+        self.base.wrapping_sub(8).cast()
     }
 
     fn recycle(&mut self) {
@@ -319,11 +377,22 @@ struct StackPool {
     free: HashMap<usize, Vec<Stack>>,
 }
 
-/// Address-space granularity of one chunk allocation. 64 MiB ⇒ 64 stacks
-/// per VMA at the default 1 MiB stack size.
+/// Address-space granularity of one chunk allocation. 64 MiB ⇒ a pad page
+/// and 63 stacks per VMA at the default 1 MiB stack size.
 const CHUNK_BYTES: usize = 64 << 20;
 
 static POOL: Mutex<Option<StackPool>> = Mutex::new(None);
+
+/// Stacks per chunk of `size`-byte stacks.
+fn per_chunk(size: usize) -> usize {
+    ((CHUNK_BYTES - CHUNK_PAD) / size).max(1)
+}
+
+/// Slot `i` of a chunk at `chunk`: the `i`-th run of `size` bytes after
+/// the pad.
+fn slot(chunk: *mut u8, size: usize, i: usize) -> Stack {
+    Stack { base: chunk.wrapping_add(CHUNK_PAD + i * size), size }
+}
 
 impl StackPool {
     fn take(stack_size: usize) -> Stack {
@@ -336,15 +405,19 @@ impl StackPool {
         }
         // Carve a fresh chunk. Pages are untouched until a fiber actually
         // runs deep enough, so address space is the only upfront cost.
-        let per_chunk = (CHUNK_BYTES / stack_size).max(1);
-        let layout = std::alloc::Layout::from_size_align(per_chunk * stack_size, 4096)
-            .expect("stack chunk layout");
+        let layout = std::alloc::Layout::from_size_align(
+            CHUNK_PAD + per_chunk(stack_size) * stack_size,
+            4096,
+        )
+        .expect("stack chunk layout");
+        // SAFETY: the layout's size is non-zero.
         let chunk = unsafe { std::alloc::alloc(layout) };
         assert!(!chunk.is_null(), "fiber stack chunk allocation failed");
-        for i in 1..per_chunk {
-            list.push(Stack { base: unsafe { chunk.add(i * stack_size) }, size: stack_size });
-        }
-        Stack { base: chunk, size: stack_size }
+        // Hand the slots out lowest first: each new stack's canary lands in
+        // the top page of the one below, which its seeded frame already
+        // made resident.
+        list.extend((1..per_chunk(stack_size)).rev().map(|i| slot(chunk, stack_size, i)));
+        slot(chunk, stack_size, 0)
     }
 
     fn give(stack: Stack) {
@@ -436,6 +509,53 @@ mod tests {
         // 64 sequential fibers must not need 64 fresh stacks.
         let pool = POOL.lock().unwrap();
         assert!(pool.as_ref().is_some_and(|p| !p.free.is_empty()));
+    }
+
+    #[test]
+    fn every_canary_lies_outside_its_own_and_its_lower_neighbours_range() {
+        // Carving only computes addresses; this chunk is never touched.
+        let chunk = std::ptr::null_mut::<u8>().wrapping_add(1 << 40);
+        for size in [16 << 10, 64 << 10, 1 << 20, 3 << 20, CHUNK_BYTES] {
+            let slots: Vec<Stack> = (0..per_chunk(size)).map(|i| slot(chunk, size, i)).collect();
+            assert_eq!(slots.len(), per_chunk(size));
+            let end = chunk as usize + CHUNK_PAD + slots.len() * size;
+            assert!(end - chunk as usize <= CHUNK_BYTES.max(CHUNK_PAD + size));
+            for (i, s) in slots.iter().enumerate() {
+                let (base, top, canary) = (s.base as usize, s.top() as usize, s.canary() as usize);
+                assert_eq!((base % 4096, top % 16, canary % 8), (0, 0, 0));
+                assert!(canary + 8 <= base, "slot {i}: canary inside its own range");
+                assert!(canary >= chunk as usize, "slot {i}: canary before the chunk");
+                if let Some(lower) = i.checked_sub(1).map(|j| &slots[j]) {
+                    assert!(canary >= lower.top() as usize, "slot {i}: canary in slot {}", i - 1);
+                    assert!(canary + 8 <= lower.base as usize + lower.size);
+                }
+                assert!(base + s.size <= end);
+            }
+        }
+    }
+
+    #[test]
+    fn any_other_value_in_the_canary_word_is_caught() {
+        let mut f = Fiber::new(64 << 10, Box::new(|| {}));
+        assert!(f.canary_intact());
+        for bad in [0, u64::MAX, CANARY ^ 1, CANARY ^ (1 << 63), CANARY.rotate_left(8)] {
+            // SAFETY: the canary word is live chunk memory that only this
+            // test and the fiber's own check touch.
+            unsafe { f.stack.canary().write(bad) };
+            assert!(!f.canary_intact(), "{bad:#x} passed for the canary");
+        }
+        // SAFETY: as above.
+        unsafe { f.stack.canary().write(CANARY) };
+        assert!(f.canary_intact());
+        assert_eq!(resume(&mut f), SwitchReason::Finished);
+    }
+
+    #[test]
+    fn a_fiber_stays_six_words() {
+        // Every rank's fiber is a heap box: a `Stack` that grows a word
+        // costs 8 bytes per rank on every run (`heap_alloc_mb`).
+        assert_eq!(std::mem::size_of::<Stack>(), 2 * std::mem::size_of::<usize>());
+        assert_eq!(std::mem::size_of::<Fiber>(), 48);
     }
 
     #[test]

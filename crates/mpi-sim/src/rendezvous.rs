@@ -299,12 +299,10 @@ impl OpTable {
         loop {
             // Re-find each iteration: the table may change between waits.
             let Inner { live, free } = &mut *guard;
-            let at = live.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
-                let mut st = free.pop().unwrap_or_default();
-                st.slots.resize_with(n, Slot::default);
-                live.push((key, st));
-                live.len() - 1
-            });
+            let at = match live.iter().position(|(k, _)| *k == key) {
+                Some(at) => at,
+                None => open(live, free, key, n),
+            };
             let st = &mut live[at].1;
 
             if st.done.is_none() {
@@ -347,9 +345,7 @@ impl OpTable {
                     st.consumed + failed_not_consumed == n
                 };
                 if all_live_consumed {
-                    let (_, mut st) = live.swap_remove(at);
-                    st.reset();
-                    free.push(st);
+                    retire(live, free, at);
                 }
                 return out;
             }
@@ -370,12 +366,7 @@ impl OpTable {
             if missing_live == 0 {
                 if failed_missing == 0 || ctx.recovery {
                     // Complete (over the survivors, for the recovery tools).
-                    let (res, cost) = match finish.take() {
-                        Some(f) => f(&mut st.slots),
-                        None => {
-                            (Err(Error::Protocol(format!("{key:?} resolved twice"))), ctx.fail_cost)
-                        }
-                    };
+                    let (res, cost) = complete(&mut finish, key, &mut st.slots, ctx.fail_cost);
                     st.resolve(cost, res.err());
                 } else {
                     let ranks = st.failed_missing().collect();
@@ -393,19 +384,7 @@ impl OpTable {
             // the `missing_live == 0` branch above.
 
             if started.elapsed() > ctx.stall_timeout {
-                let err = if failed_missing > 0 && !ctx.recovery {
-                    // Live peers never arrived, likely thrown off course by
-                    // the failure; report the failure, not the stall.
-                    Error::ProcFailed { ranks: st.failed_missing().collect() }
-                } else {
-                    let arrived: Vec<usize> = arrived(&mut st.slots).map(|(i, _)| i).collect();
-                    Error::CollectiveMismatch {
-                        detail: format!(
-                            "{key:?}: only {arrived:?} of {n} participants arrived within {:?}",
-                            ctx.stall_timeout
-                        ),
-                    }
-                };
+                let err = stalled(st, key, failed_missing > 0 && !ctx.recovery, ctx.stall_timeout);
                 st.resolve(ctx.fail_cost, Some(err));
                 wake_peers();
                 continue;
@@ -417,6 +396,61 @@ impl OpTable {
             crate::sched::block_wait(&ctx.participants[me]);
             guard = self.inner.lock();
         }
+    }
+}
+
+/// Enter `key` in the table, for `n` participants, reusing a collected
+/// state if there is one; returns its index. Out of line, like
+/// [`retire`]: the state passes through the frame, and `run_op`'s frame
+/// stays on the stack of every participant that waits.
+#[inline(never)]
+fn open(live: &mut Vec<(OpKey, OpState)>, free: &mut Vec<OpState>, key: OpKey, n: usize) -> usize {
+    let mut st = free.pop().unwrap_or_default();
+    st.slots.resize_with(n, Slot::default);
+    live.push((key, st));
+    live.len() - 1
+}
+
+/// Collect the entry at `at` for reuse.
+#[inline(never)]
+fn retire(live: &mut Vec<(OpKey, OpState)>, free: &mut Vec<OpState>, at: usize) {
+    let (_, mut st) = live.swap_remove(at);
+    st.reset();
+    free.push(st);
+}
+
+/// Run an operation's finisher over its slots. Out of line: a finisher
+/// (a spawn's launches its children) can need a large frame, and
+/// `run_op`'s frame stays on the stack of every participant that waits.
+#[inline(never)]
+fn complete<F>(
+    finish: &mut Option<F>,
+    key: OpKey,
+    slots: &mut [Slot],
+    fail_cost: f64,
+) -> (Result<()>, f64)
+where
+    F: FnOnce(&mut [Slot]) -> (Result<()>, f64),
+{
+    match finish.take() {
+        Some(f) => f(slots),
+        None => (Err(Error::Protocol(format!("{key:?} resolved twice"))), fail_cost),
+    }
+}
+
+/// The error a stalled operation resolves with: the failure when a
+/// participant died (live peers never arrived, likely thrown off course by
+/// it; report the failure, not the stall), else the ordering bug.
+#[cold]
+#[inline(never)]
+fn stalled(st: &mut OpState, key: OpKey, failed: bool, timeout: Duration) -> Error {
+    if failed {
+        return Error::ProcFailed { ranks: st.failed_missing().collect() };
+    }
+    let n = st.slots.len();
+    let arrived: Vec<usize> = arrived(&mut st.slots).map(|(i, _)| i).collect();
+    Error::CollectiveMismatch {
+        detail: format!("{key:?}: only {arrived:?} of {n} participants arrived within {timeout:?}"),
     }
 }
 

@@ -338,8 +338,8 @@ fn proc_body(
         uni: Arc::clone(uni),
         me: Arc::clone(me),
         clock: Cell::new(clock0),
-        world: world.map(|(s, r)| Comm::from_shared(s, r)),
-        parent: parent.map(|(s, r)| InterComm::new(s, 1, r)),
+        world,
+        parent,
         rng: RefCell::new(StdRng::seed_from_u64(seed)),
         faults: RefCell::new(None),
         recovery_depth: Cell::new(0),
@@ -354,6 +354,16 @@ fn proc_body(
     };
     let entry = Arc::clone(&uni.entry);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| entry(&mut ctx)));
+    exit(uni, me, &ctx, result);
+}
+
+/// Fold a terminated process into the universe: its exit record, a
+/// genuine panic's message, and — for the last process out — the end of
+/// the run. Out of line, so that the record and the message formatting do
+/// not widen `proc_body`'s frame, which lies under the whole of the rank's
+/// run.
+#[inline(never)]
+fn exit(uni: &Universe, me: &ProcState, ctx: &Ctx, result: std::thread::Result<()>) {
     {
         // Async writes still in flight when the process exits (or dies):
         // the portion of their disk time this rank's lifetime already
@@ -373,19 +383,16 @@ fn proc_body(
         metrics: ctx.metrics.snapshot(me.id.0, me.host),
         bb: ctx.bb.take(),
     });
-    match result {
-        Ok(()) => { /* normal completion */ }
-        Err(payload) => {
-            me.mark_dead();
-            if payload.downcast_ref::<KillSignal>().is_none() {
-                // Genuine application panic, not a fail-stop.
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
-                uni.app_errors.lock().push(format!("proc {} panicked: {msg}", me.id.0));
-            }
+    if let Err(payload) = result {
+        me.mark_dead();
+        if payload.downcast_ref::<KillSignal>().is_none() {
+            // Genuine application panic, not a fail-stop.
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            uni.app_errors.lock().push(format!("proc {} panicked: {msg}", me.id.0));
         }
     }
     if uni.live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -538,8 +545,12 @@ pub struct Ctx {
     pub(crate) uni: Arc<Universe>,
     pub(crate) me: Arc<ProcState>,
     pub(crate) clock: Cell<f64>,
-    world: Option<Comm>,
-    parent: Option<InterComm>,
+    /// The initial world (its shared state and this rank), made a handle
+    /// only when [`Ctx::initial_world`] takes it: a `Comm` held here would
+    /// sit in `proc_body`'s frame, under the whole of the rank's run.
+    world: Option<(Arc<CommShared>, usize)>,
+    /// The parent intercommunicator, likewise ([`Ctx::parent`]).
+    parent: Option<(Arc<InterShared>, usize)>,
     rng: RefCell<StdRng>,
     /// Armed operation-site kills for this rank ([`Ctx::arm_fault_sites`]).
     faults: RefCell<Option<FaultArm>>,
@@ -594,13 +605,13 @@ impl Ctx {
     /// beyond their spawn group (also delivered here, like the
     /// `MPI_COMM_WORLD` of a spawned group).
     pub fn initial_world(&mut self) -> Option<Comm> {
-        self.world.take()
+        self.world.take().map(|(s, r)| Comm::from_shared(s, r))
     }
 
     /// Take the parent intercommunicator (`MPI_Comm_get_parent`): `Some`
     /// if and only if this process was spawned by `comm_spawn_multiple`.
     pub fn parent(&mut self) -> Option<InterComm> {
-        self.parent.take()
+        self.parent.take().map(|(s, r)| InterComm::new(s, 1, r))
     }
 
     /// True for spawned (child) processes, without consuming the handle.
