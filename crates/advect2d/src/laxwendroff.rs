@@ -295,6 +295,7 @@ impl LocalSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ndsolve::tests::{error_after, upwind};
     use crate::problem::InitialCondition;
     use sparsegrid::{l1_error_vs, linf_error_vs, LevelPair};
 
@@ -354,6 +355,21 @@ mod tests {
         let e = l1_error_vs(s.grid(), p.exact_at(s.time()));
         // Error dominated by the coarse direction (h = 1/8) but bounded.
         assert!(e < 0.05, "anisotropic error {e}");
+    }
+
+    #[test]
+    fn lax_wendroff_beats_upwind_on_smooth_data() {
+        // First-order upwind: the d = 2 upwind–diffusion stencil, κ = 0.
+        let p = AdvectionProblem::standard();
+        let (lev, dt, steps) = (6, 0.2 / 64.0, 64);
+        let e_up = error_after(&upwind([p.ax, p.ay]), &[lev, lev], dt, steps);
+        let mut lw = LocalSolver::new(p, LevelPair::new(lev, lev), dt);
+        lw.run(steps);
+        let e_lw = l1_error_vs(lw.grid(), p.exact_at(lw.time()));
+        assert!(
+            e_lw < e_up / 5.0,
+            "second order must beat first order: LW {e_lw} vs upwind {e_up}"
+        );
     }
 
     #[test]

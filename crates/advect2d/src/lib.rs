@@ -12,8 +12,15 @@
 //! solution (`u(x, t) = u₀(x − a t)` wrapped periodically), "which can be
 //! calculated for advection from the initial conditions" — that is the
 //! reference all error measurements compare against.
+//!
+//! The d-dimensional [`SolverN`] (first-order upwind advection–diffusion,
+//! Jacobi sweeps) carries the other model problems. At d = 2 it is the
+//! first-order upwind scheme with `κ = 0` and the FTCS heat equation with
+//! `a = 0` (`tests/equivalence.rs` holds it to their point formulas bit
+//! for bit).
 
-pub mod diffusion;
+#[cfg(test)]
+mod diffusion;
 pub mod laxwendroff;
 pub mod ndfield;
 pub mod ndproblem;
@@ -21,11 +28,9 @@ pub mod ndsolve;
 pub mod problem;
 pub mod simd;
 pub mod stepper;
-pub mod upwind;
+#[cfg(test)]
+mod upwind;
 
-pub use diffusion::{
-    ftcs_kernel, ftcs_row, ftcs_row_fn, ftcs_step, DiffusionProblem, DiffusionSolver,
-};
 pub use laxwendroff::{
     lax_wendroff_kernel, lax_wendroff_row, lax_wendroff_step, lw_row_fn, LocalSolver, LwCoef,
 };
@@ -37,11 +42,7 @@ pub use ndsolve::{
 };
 pub use problem::{AdvectionProblem, InitialCondition};
 pub use simd::{
-    ftcs_row_simd, jacobi_row_n_simd, lax_wendroff_row_simd, simd_isa_label,
-    upwind_diffusion_row_n_on, upwind_diffusion_row_n_simd, upwind_row_simd, KernelConfig,
-    KernelKind, SimdIsa,
+    jacobi_row_n_simd, lax_wendroff_row_simd, simd_isa_label, upwind_diffusion_row_n_on,
+    upwind_diffusion_row_n_simd, KernelConfig, KernelKind, SimdIsa,
 };
 pub use stepper::{PaddedField, TimeGrid};
-pub use upwind::{
-    upwind_kernel, upwind_row, upwind_row_fn, upwind_step_naive, UpwindCoef, UpwindSolver,
-};

@@ -10,6 +10,11 @@
 //! monolithic ones. The point closures [`upwind_diffusion_kernel`] and
 //! [`jacobi_kernel`] are the reference formulation every row kernel
 //! (scalar loop and each SIMD backend) is tested bitwise against.
+//!
+//! At d = 2 the upwind–diffusion stencil is also the crate's first-order
+//! upwind scheme (`κ = 0`) and its FTCS heat equation (`a = 0`): the
+//! operation order per cell is that of the five-point 2D formulas, so
+//! both come out bit for bit (`tests/equivalence.rs`).
 
 use sparsegrid::ndgrid::advance;
 use sparsegrid::GridN;
@@ -283,8 +288,8 @@ pub fn padded_rhs_slab(
 }
 
 /// Single-owner periodic d-dimensional solver, mirroring the 2D
-/// `UpwindSolver`/`LocalSolver` pattern: load once, step through the
-/// double-buffered padded field, store once.
+/// [`LocalSolver`](crate::LocalSolver) pattern: load once, step through
+/// the double-buffered padded field, store once.
 #[derive(Debug, Clone)]
 pub struct SolverN {
     problem: ProblemN,
@@ -345,19 +350,48 @@ impl SolverN {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ndproblem::TimeGridN;
+
+    /// The heat equation `∂u/∂t = κΔu` in 2D: no velocity, so the
+    /// stencil is FTCS.
+    pub(crate) fn heat(kappa: f64) -> ProblemN {
+        ProblemN::AdvectionDiffusion { a: vec![0.0; 2], kappa, k: vec![1; 2] }
+    }
+
+    /// First-order upwind advection in 2D: no diffusion.
+    pub(crate) fn upwind(a: [f64; 2]) -> ProblemN {
+        ProblemN::AdvectionDiffusion { a: a.to_vec(), kappa: 0.0, k: vec![1; 2] }
+    }
+
+    /// `Δt` at `safety` times the explicit-stability bound of level `n`.
+    pub(crate) fn stable_dt(p: &ProblemN, n: u32, safety: f64) -> f64 {
+        TimeGridN::for_system(p, n, 0, safety).dt
+    }
+
+    /// l1 error against the exact solution after `steps` steps.
+    pub(crate) fn error_after(p: &ProblemN, level: &[u32], dt: f64, steps: u64) -> f64 {
+        let mut s = SolverN::new(p.clone(), level, dt);
+        s.run(steps);
+        let t = s.time();
+        s.grid().l1_error_vs(|x| p.exact(x, t))
+    }
+
+    /// A solver whose state is overwritten with the constant `value`.
+    pub(crate) fn constant_solver(p: ProblemN, level: &[u32], dt: f64, value: f64) -> SolverN {
+        let mut s = SolverN::new(p, level, dt);
+        for v in s.grid.values_mut() {
+            *v = value;
+        }
+        s
+    }
 
     #[test]
     fn constant_state_is_a_fixed_point_of_advection() {
         let p =
             ProblemN::AdvectionDiffusion { a: vec![1.0, -0.5, 0.25], kappa: 0.1, k: vec![1; 3] };
-        let mut s = SolverN::new(p, &[3, 3, 3], 0.001);
-        // Overwrite the IC with a constant.
-        for v in s.grid.values_mut() {
-            *v = 2.0;
-        }
+        let mut s = constant_solver(p, &[3, 3, 3], 0.001, 2.0);
         s.run(20);
         for &v in s.grid().values() {
             assert!((v - 2.0).abs() < 1e-13, "constant broken: {v}");
@@ -367,12 +401,8 @@ mod tests {
     #[test]
     fn advection_diffusion_tracks_the_exact_solution() {
         let p = ProblemN::standard_advection(3);
-        let tg = TimeGridN::for_system(&p, 5, 0, 0.4);
-        let steps = (0.05 / tg.dt).round() as u64;
-        let mut s = SolverN::new(p.clone(), &[5, 5, 5], tg.dt);
-        s.run(steps);
-        let t = s.time();
-        let err = s.grid().l1_error_vs(|x| p.exact(x, t));
+        let dt = TimeGridN::for_system(&p, 5, 0, 0.4).dt;
+        let err = error_after(&p, &[5, 5, 5], dt, (0.05 / dt).round() as u64);
         assert!(err < 0.06, "first-order upwind should stay close: {err}");
     }
 
@@ -381,15 +411,25 @@ mod tests {
         let p = ProblemN::standard_advection(2);
         let err_at = |lev: u32| {
             let dt = 0.1 / (1u64 << lev) as f64;
-            let steps = (0.1 / dt).round() as u64;
-            let mut s = SolverN::new(p.clone(), &[lev, lev], dt);
-            s.run(steps);
-            let t = s.time();
-            s.grid().l1_error_vs(|x| p.exact(x, t))
+            error_after(&p, &[lev, lev], dt, (0.1 / dt).round() as u64)
         };
         let e4 = err_at(4);
         let e5 = err_at(5);
         assert!(e5 < e4 / 1.6, "e4={e4}, e5={e5}");
+    }
+
+    #[test]
+    fn ftcs_converges_at_second_order_in_space() {
+        // Fixed final time, Δt scaled with h² (the stability bound), so
+        // the spatial error dominates.
+        let p = heat(0.05);
+        let err_at = |lev: u32| {
+            let dt = stable_dt(&p, lev, 0.5);
+            error_after(&p, &[lev, lev], dt, (0.05 / dt).round() as u64)
+        };
+        let e4 = err_at(4);
+        let e5 = err_at(5);
+        assert!(e5 < e4 / 3.0, "e4={e4}, e5={e5}");
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //! recompute after a failure on a machine that selected a different ISA
 //! backend — produces bit-identical grids. The proptests in
 //! `tests/kernel_props.rs` pin this across random sizes, coefficients
-//! and ragged widths for all three stencils, and for the d-dimensional
-//! upwind–diffusion and Jacobi rows against their point-closure
-//! references (d = 1..4, every backend the CPU runs).
+//! and ragged widths for the 2D Lax–Wendroff row, and for the
+//! d-dimensional upwind–diffusion and Jacobi rows against their
+//! point-closure references (d = 1..4, every backend the CPU runs).
+//! First-order upwind advection and FTCS diffusion in 2D are the
+//! upwind–diffusion row at d = 2 with `κ = 0` or `a = 0`.
 //!
 //! ## Backends
 //!
@@ -49,7 +51,6 @@ use std::sync::OnceLock;
 
 use crate::laxwendroff::LwCoef;
 use crate::ndsolve::{jacobi_row_n, upwind_diffusion_row_n, JacobiAxisN, UpwindAxisN};
-use crate::upwind::UpwindCoef;
 
 // ---------------------------------------------------------------------
 // Lane types
@@ -347,188 +348,6 @@ pub fn lax_wendroff_row_simd(
 }
 
 // ---------------------------------------------------------------------
-// Upwind
-// ---------------------------------------------------------------------
-
-/// Generic lane-parallel upwind body. The scalar reference branches per
-/// point on `coef.cx >= 0.0` / `coef.cy >= 0.0`; both are row constants,
-/// so hoisting them to const generics evaluates the exact same selected
-/// expression per point (matching [`crate::upwind::upwind_row`]).
-#[inline(always)]
-fn upwind_body<V: Lanes, const XUP: bool, const YUP: bool>(
-    south: &[f64],
-    center: &[f64],
-    north: &[f64],
-    coef: &UpwindCoef,
-    out: &mut [f64],
-) {
-    let nx = out.len();
-    let south = &south[..nx + 2];
-    let center = &center[..nx + 2];
-    let north = &north[..nx + 2];
-    let cx = V::splat(coef.cx);
-    let cy = V::splat(coef.cy);
-    let sp = south.as_ptr();
-    let cp = center.as_ptr();
-    let np = north.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut k = 0;
-    while k + V::N <= nx {
-        // SAFETY: same bounds argument as `lw_body`.
-        unsafe {
-            let c = V::load(cp.add(k + 1));
-            let w = V::load(cp.add(k));
-            let e = V::load(cp.add(k + 2));
-            let s = V::load(sp.add(k + 1));
-            let n = V::load(np.add(k + 1));
-            let dx = if XUP { c - w } else { e - c };
-            let dy = if YUP { c - s } else { n - c };
-            let r = c - cx * dx - cy * dy;
-            r.store(op.add(k));
-        }
-        k += V::N;
-    }
-    while k < nx {
-        let c = center[k + 1];
-        let w = center[k];
-        let e = center[k + 2];
-        let s = south[k + 1];
-        let n = north[k + 1];
-        let dx = if XUP { c - w } else { e - c };
-        let dy = if YUP { c - s } else { n - c };
-        out[k] = c - coef.cx * dx - coef.cy * dy;
-        k += 1;
-    }
-}
-
-macro_rules! upwind_signs {
-    ($V:ty, $s:expr, $c:expr, $n:expr, $coef:expr, $out:expr) => {
-        match ($coef.cx >= 0.0, $coef.cy >= 0.0) {
-            (true, true) => upwind_body::<$V, true, true>($s, $c, $n, $coef, $out),
-            (true, false) => upwind_body::<$V, true, false>($s, $c, $n, $coef, $out),
-            (false, true) => upwind_body::<$V, false, true>($s, $c, $n, $coef, $out),
-            (false, false) => upwind_body::<$V, false, false>($s, $c, $n, $coef, $out),
-        }
-    };
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn upwind_avx2(south: &[f64], center: &[f64], north: &[f64], coef: &UpwindCoef, out: &mut [f64]) {
-    upwind_signs!(F64x4, south, center, north, coef, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn upwind_avx512(south: &[f64], center: &[f64], north: &[f64], coef: &UpwindCoef, out: &mut [f64]) {
-    upwind_signs!(F64x8, south, center, north, coef, out)
-}
-
-/// Vectorized upwind row update: same contract and **bit-identical
-/// results** as [`crate::upwind::upwind_row`].
-#[inline]
-pub fn upwind_row_simd(
-    south: &[f64],
-    center: &[f64],
-    north: &[f64],
-    coef: &UpwindCoef,
-    out: &mut [f64],
-) {
-    match SimdIsa::resolved() {
-        // SAFETY: resolved() returns Avx512/Avx2 only after runtime detection.
-        #[cfg(target_arch = "x86_64")]
-        SimdIsa::Avx512 => unsafe { upwind_avx512(south, center, north, coef, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdIsa::Avx2 => unsafe { upwind_avx2(south, center, north, coef, out) },
-        _ => upwind_signs!(F64x4, south, center, north, coef, out),
-    }
-}
-
-// ---------------------------------------------------------------------
-// FTCS (diffusion)
-// ---------------------------------------------------------------------
-
-/// Generic lane-parallel FTCS body; per-point expression identical to
-/// [`crate::diffusion::ftcs_row`].
-#[inline(always)]
-fn ftcs_body<V: Lanes>(
-    south: &[f64],
-    center: &[f64],
-    north: &[f64],
-    rx: f64,
-    ry: f64,
-    out: &mut [f64],
-) {
-    let nx = out.len();
-    let south = &south[..nx + 2];
-    let center = &center[..nx + 2];
-    let north = &north[..nx + 2];
-    let vrx = V::splat(rx);
-    let vry = V::splat(ry);
-    let two = V::splat(2.0);
-    let sp = south.as_ptr();
-    let cp = center.as_ptr();
-    let np = north.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut k = 0;
-    while k + V::N <= nx {
-        // SAFETY: same bounds argument as `lw_body`.
-        unsafe {
-            let c = V::load(cp.add(k + 1));
-            let w = V::load(cp.add(k));
-            let e = V::load(cp.add(k + 2));
-            let s = V::load(sp.add(k + 1));
-            let n = V::load(np.add(k + 1));
-            let r = c + vrx * (e - two * c + w) + vry * (n - two * c + s);
-            r.store(op.add(k));
-        }
-        k += V::N;
-    }
-    while k < nx {
-        let c = center[k + 1];
-        let w = center[k];
-        let e = center[k + 2];
-        let s = south[k + 1];
-        let n_ = north[k + 1];
-        out[k] = c + rx * (e - 2.0 * c + w) + ry * (n_ - 2.0 * c + s);
-        k += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn ftcs_avx2(south: &[f64], center: &[f64], north: &[f64], rx: f64, ry: f64, out: &mut [f64]) {
-    ftcs_body::<F64x4>(south, center, north, rx, ry, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn ftcs_avx512(south: &[f64], center: &[f64], north: &[f64], rx: f64, ry: f64, out: &mut [f64]) {
-    ftcs_body::<F64x8>(south, center, north, rx, ry, out)
-}
-
-/// Vectorized FTCS row update: same contract and **bit-identical
-/// results** as [`crate::diffusion::ftcs_row`].
-#[inline]
-pub fn ftcs_row_simd(
-    south: &[f64],
-    center: &[f64],
-    north: &[f64],
-    rx: f64,
-    ry: f64,
-    out: &mut [f64],
-) {
-    match SimdIsa::resolved() {
-        // SAFETY: resolved() returns Avx512/Avx2 only after runtime detection.
-        #[cfg(target_arch = "x86_64")]
-        SimdIsa::Avx512 => unsafe { ftcs_avx512(south, center, north, rx, ry, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdIsa::Avx2 => unsafe { ftcs_avx2(south, center, north, rx, ry, out) },
-        _ => ftcs_body::<F64x4>(south, center, north, rx, ry, out),
-    }
-}
-
-// ---------------------------------------------------------------------
 // d-dimensional rows (upwind–diffusion, Jacobi)
 // ---------------------------------------------------------------------
 
@@ -802,8 +621,9 @@ mod tests {
 
     #[test]
     fn simd_rows_match_scalar_on_a_ragged_row() {
-        // One direct row-level check per stencil (the broad sweep lives
-        // in tests/kernel_props.rs); nx = 13 exercises body + tail.
+        // One direct row-level check of the 2D stencil (the broad sweep,
+        // the d-dimensional rows too, lives in tests/kernel_props.rs);
+        // nx = 13 exercises body + tail.
         let nx = 13;
         let row: Vec<f64> = (0..3 * (nx + 2)).map(|k| (k as f64 * 0.37).sin()).collect();
         let (s, rest) = row.split_at(nx + 2);
@@ -814,24 +634,6 @@ mod tests {
         let mut b = vec![0.0; nx];
         crate::laxwendroff::lax_wendroff_row(s, c, n, &lw, &mut a);
         lax_wendroff_row_simd(s, c, n, &lw, &mut b);
-        assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-
-        for (cx, cy) in [(0.3, 0.4), (-0.3, 0.4), (0.3, -0.4), (-0.3, -0.4)] {
-            let up = UpwindCoef { cx, cy };
-            crate::upwind::upwind_row(s, c, n, &up, &mut a);
-            upwind_row_simd(s, c, n, &up, &mut b);
-            assert_eq!(
-                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "upwind cx={cx} cy={cy}"
-            );
-        }
-
-        crate::diffusion::ftcs_row(s, c, n, 0.21, 0.17, &mut a);
-        ftcs_row_simd(s, c, n, 0.21, 0.17, &mut b);
         assert_eq!(
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -5,8 +5,8 @@
 //! resolution in the whole grid system (`h = 2⁻ⁿ`), and every component
 //! grid advances with it.
 //!
-//! [`PaddedField`] is the allocation-free stepping engine shared by the
-//! Lax–Wendroff, upwind and FTCS solvers: a persistent double-buffered
+//! [`PaddedField`] is the allocation-free stepping engine of the
+//! Lax–Wendroff solvers: a persistent double-buffered
 //! halo-padded block where one timestep only refreshes the halo ring
 //! (`O(perimeter)` copies) and ping-pongs the two buffers, instead of
 //! rebuilding a padded copy of the whole field and copying the result

@@ -8,14 +8,14 @@
 //! rebuild-everything reference implementations — not approximately,
 //! but with `f64` bit-pattern equality — across isotropic and
 //! anisotropic levels.
+//!
+//! The d-dimensional [`SolverN`] at d = 2 is pinned the same way to the
+//! 2D first-order upwind (`κ = 0`) and FTCS (`a = 0`) formulas, each
+//! written out point by point below.
 
 use advect2d::laxwendroff::{lax_wendroff_step, LwCoef};
-use advect2d::upwind::{upwind_step_naive, UpwindCoef};
-use advect2d::{
-    ftcs_step, AdvectionProblem, DiffusionProblem, DiffusionSolver, InitialCondition, KernelConfig,
-    LocalSolver, UpwindSolver,
-};
-use sparsegrid::{Grid2, LevelPair};
+use advect2d::{AdvectionProblem, KernelConfig, LocalSolver, ProblemN, SolverN, TimeGridN};
+use sparsegrid::{Grid2, GridN, LevelPair};
 
 /// Bit-pattern equality over whole grids, with a useful failure message.
 fn assert_bits_equal(a: &Grid2, b: &Grid2, what: &str) {
@@ -87,51 +87,78 @@ fn lax_wendroff_split_runs_equal_one_run() {
     assert_bits_equal(split.grid(), whole.grid(), "split vs whole run");
 }
 
+/// One periodic step of a five-point update on a d = 2 grid, cell by
+/// cell with wrapped neighbours: `point(c, w, e, s, n)` is the new value
+/// of a cell from its own and its west, east, south and north values.
+fn naive_step_2d(grid: &mut GridN, point: impl Fn(f64, f64, f64, f64, f64) -> f64) {
+    let (nx, ny) = (grid.shape()[0] - 1, grid.shape()[1] - 1);
+    let old = grid.values().to_vec();
+    let at = |k: usize, m: usize| old[(m % ny) * (nx + 1) + k % nx];
+    for m in 0..ny {
+        for k in 0..nx {
+            let v =
+                point(at(k, m), at(k + nx - 1, m), at(k + 1, m), at(k, m + ny - 1), at(k, m + 1));
+            grid.values_mut()[m * (nx + 1) + k] = v;
+        }
+    }
+    grid.apply_periodic_seams();
+}
+
+/// 17 steps of `p` at level `(i, j)` by [`SolverN`] and by the point
+/// rule `point`, bit for bit, seams included.
+fn assert_solver_n_matches(
+    p: &ProblemN,
+    (i, j): (u32, u32),
+    dt: f64,
+    point: impl Fn(f64, f64, f64, f64, f64) -> f64,
+    what: &str,
+) {
+    let steps = 17;
+    let mut fast = SolverN::new(p.clone(), &[i, j], dt);
+    let mut naive = fast.grid().clone();
+    for _ in 0..steps {
+        naive_step_2d(&mut naive, &point);
+    }
+    fast.run(steps);
+    let bits = |g: &GridN| g.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(fast.grid()), bits(&naive), "{what} level ({i},{j})");
+}
+
+/// Mesh widths of level `(i, j)`.
+fn spacing((i, j): (u32, u32)) -> (f64, f64) {
+    (1.0 / (1u64 << i) as f64, 1.0 / (1u64 << j) as f64)
+}
+
 #[test]
 fn upwind_fast_path_is_bitwise_identical() {
-    // Negative velocity exercises the other upwind branch.
-    let p = AdvectionProblem { ax: -1.0, ay: 0.5, ic: InitialCondition::CosHill };
-    for &(i, j) in LEVELS {
-        let lev = LevelPair::new(i, j);
-        let dt = 0.2 / (1u64 << i.max(j)) as f64;
-        let steps = 17;
-
-        let mut naive = Grid2::from_fn(lev, p.initial());
-        let (hx, hy) = naive.spacing();
-        let coef = UpwindCoef::new(&p, hx, hy, dt);
-        let (mut padded, mut out) = (Vec::new(), Vec::new());
-        for _ in 0..steps {
-            upwind_step_naive(&mut naive, &coef, &mut padded, &mut out);
-        }
-
-        for (kcfg, label) in kernel_configs() {
-            let mut fast = UpwindSolver::new(p, lev, dt).with_kernel(kcfg);
-            fast.run(steps);
-            assert_bits_equal(fast.grid(), &naive, &format!("upwind level ({i},{j}) {label}"));
-            assert_seam_bits(fast.grid(), &format!("upwind level ({i},{j}) {label}"));
+    // Both velocity signs: each side of the upwind difference per axis.
+    for a in [[-1.0, 0.5], [0.75, -1.0]] {
+        let p = ProblemN::AdvectionDiffusion { a: a.to_vec(), kappa: 0.0, k: vec![1, 2] };
+        for &(i, j) in LEVELS {
+            let dt = 0.2 / (1u64 << i.max(j)) as f64;
+            let (hx, hy) = spacing((i, j));
+            let (cx, cy) = (a[0] * dt / hx, a[1] * dt / hy);
+            let upwind = |c: f64, w: f64, e: f64, s: f64, n: f64| {
+                let dx = if cx >= 0.0 { c - w } else { e - c };
+                let dy = if cy >= 0.0 { c - s } else { n - c };
+                c - cx * dx - cy * dy
+            };
+            assert_solver_n_matches(&p, (i, j), dt, upwind, &format!("upwind a={a:?}"));
         }
     }
 }
 
 #[test]
 fn ftcs_fast_path_is_bitwise_identical() {
-    let p = DiffusionProblem::standard();
+    let kappa = 0.05;
+    let p = ProblemN::AdvectionDiffusion { a: vec![0.0, 0.0], kappa, k: vec![1, 1] };
     for &(i, j) in LEVELS {
-        let lev = LevelPair::new(i, j);
-        let dt = p.stable_dt(i.max(j), 0.5);
-        let steps = 17;
-
-        let mut naive = Grid2::from_fn(lev, p.initial());
-        let mut scratch = Vec::new();
-        for _ in 0..steps {
-            ftcs_step(&p, &mut naive, dt, &mut scratch);
-        }
-
-        for (kcfg, label) in kernel_configs() {
-            let mut fast = DiffusionSolver::new(p, lev, dt).with_kernel(kcfg);
-            fast.run(steps);
-            assert_bits_equal(fast.grid(), &naive, &format!("FTCS level ({i},{j}) {label}"));
-            assert_seam_bits(fast.grid(), &format!("FTCS level ({i},{j}) {label}"));
-        }
+        let dt = TimeGridN::for_system(&p, i.max(j), 0, 0.5).dt;
+        let (hx, hy) = spacing((i, j));
+        let (rx, ry) = (kappa * dt / (hx * hx), kappa * dt / (hy * hy));
+        let ftcs = |c: f64, w: f64, e: f64, s: f64, n: f64| {
+            c + rx * (e - 2.0 * c + w) + ry * (n - 2.0 * c + s)
+        };
+        assert_solver_n_matches(&p, (i, j), dt, ftcs, "FTCS");
     }
 }

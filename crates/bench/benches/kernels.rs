@@ -1,13 +1,10 @@
-//! Per-kernel throughput: scalar reference rows vs the vectorized rows
-//! for all three stencils (Lax–Wendroff, first-order upwind, FTCS
-//! diffusion), plus the full-field step. The scalar rows are the
-//! bitwise-pinned references; this bench is where the SIMD speedup is
-//! measured in isolation from halo/stepping overhead.
+//! Per-kernel throughput: the scalar reference Lax–Wendroff row vs the
+//! vectorized row, plus the full-field step. The scalar row is the
+//! bitwise-pinned reference; this bench is where the SIMD speedup is
+//! measured in isolation from halo/stepping overhead (the d-dimensional
+//! rows are timed per backend by `expt-kernel`'s 3D section).
 
-use advect2d::{
-    ftcs_row, ftcs_row_simd, lax_wendroff_row, lax_wendroff_row_simd, simd_isa_label, upwind_row,
-    upwind_row_simd, LwCoef, PaddedField, UpwindCoef,
-};
+use advect2d::{lax_wendroff_row, lax_wendroff_row_simd, simd_isa_label, LwCoef, PaddedField};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 /// Three padded stencil rows plus an output row, deterministically
@@ -22,8 +19,6 @@ fn rows(nx: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
 
 fn bench_rows(c: &mut Criterion) {
     let lw = LwCoef { cx: 0.2, cy: 0.15, cxx: 0.02, cyy: 0.01, cxy: 0.015 };
-    let up = UpwindCoef { cx: 0.2, cy: 0.15 };
-    let (rx, ry) = (0.2, 0.25);
 
     let mut g = c.benchmark_group(format!("row_kernels_{}", simd_isa_label()));
     for &nx in &[64usize, 512, 4096] {
@@ -34,18 +29,6 @@ fn bench_rows(c: &mut Criterion) {
         });
         g.bench_function(BenchmarkId::new("lw_simd", nx), |b| {
             b.iter(|| lax_wendroff_row_simd(&s, &cc, &n, &lw, &mut out))
-        });
-        g.bench_function(BenchmarkId::new("upwind_scalar", nx), |b| {
-            b.iter(|| upwind_row(&s, &cc, &n, &up, &mut out))
-        });
-        g.bench_function(BenchmarkId::new("upwind_simd", nx), |b| {
-            b.iter(|| upwind_row_simd(&s, &cc, &n, &up, &mut out))
-        });
-        g.bench_function(BenchmarkId::new("ftcs_scalar", nx), |b| {
-            b.iter(|| ftcs_row(&s, &cc, &n, rx, ry, &mut out))
-        });
-        g.bench_function(BenchmarkId::new("ftcs_simd", nx), |b| {
-            b.iter(|| ftcs_row_simd(&s, &cc, &n, rx, ry, &mut out))
         });
     }
     g.finish();

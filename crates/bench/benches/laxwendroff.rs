@@ -3,15 +3,13 @@
 //! whole bench binary runs under a counting global allocator, and the
 //! steady-state stepping loop is asserted to allocate *nothing*.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use advect2d::laxwendroff::{lax_wendroff_kernel, lax_wendroff_row, lax_wendroff_step, LwCoef};
 use advect2d::{
     lax_wendroff_row_simd, AdvectionProblem, KernelKind, LocalSolver, PaddedField, PaddedFieldN,
     ProblemN, StencilN,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ftsg_bench::experiments::alloc_sites::{requests, TracingAllocator};
 use ftsg_core::gather::{assemble_grid, split_grid};
 use ftsg_core::layout_nd::GroupInfoN;
 use sparsegrid::{
@@ -20,34 +18,12 @@ use sparsegrid::{
 };
 use ulfm_sim::{MetricsCell, TraceEvent, TraceRing};
 
-/// A pass-through allocator that counts calls to `alloc`/`realloc`. The
-/// counter is how the bench proves "allocation-free": warm code paths
-/// are run between two reads of [`alloc_count`], and the delta must be
+/// Counts every allocator request (`alloc`, `alloc_zeroed`, `realloc`).
+/// The count is how the bench proves "allocation-free": warm code paths
+/// are run between two reads of [`requests`], and the delta must be
 /// zero.
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_count() -> usize {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static ALLOCATOR: TracingAllocator = TracingAllocator;
 
 fn bench_kernel(c: &mut Criterion) {
     let mut g = c.benchmark_group("lw_kernel");
@@ -141,9 +117,9 @@ fn assert_alloc_free(_c: &mut Criterion) {
     let p = AdvectionProblem::standard();
     let mut s = LocalSolver::new(p, LevelPair::new(8, 8), 1e-4);
     s.run(2); // warm-up: pays any one-time setup
-    let before = alloc_count();
+    let before = requests();
     s.run(64);
-    let after = alloc_count();
+    let after = requests();
     assert_eq!(
         after - before,
         0,
@@ -157,11 +133,11 @@ fn assert_alloc_free(_c: &mut Criterion) {
     let coef = LwCoef::new(&p, 1.0 / 256.0, 1.0 / 256.0, 1e-4);
     let (mut padded, mut out) = (Vec::new(), Vec::new());
     lax_wendroff_step(&mut grid, &coef, &mut padded, &mut out);
-    let before = alloc_count();
+    let before = requests();
     for _ in 0..64 {
         lax_wendroff_step(&mut grid, &coef, &mut padded, &mut out);
     }
-    let after = alloc_count();
+    let after = requests();
     assert_eq!(after - before, 0, "naive step with warm scratch allocated {}", after - before);
 
     // A full combine round over warm storage must also be allocation-free:
@@ -195,11 +171,11 @@ fn assert_alloc_free(_c: &mut Criterion) {
         }
     };
     combine_round(&mut parts); // warm-up
-    let before = alloc_count();
+    let before = requests();
     for _ in 0..8 {
         combine_round(&mut parts);
     }
-    let after = alloc_count();
+    let after = requests();
     assert_eq!(
         after - before,
         0,
@@ -227,7 +203,7 @@ fn assert_alloc_free(_c: &mut Criterion) {
     for k in 0..2048 {
         ring.push(ev(k));
     }
-    let before = alloc_count();
+    let before = requests();
     for k in 0..4096 {
         ring.push(ev(k));
         cell.note_op("send", 5e-7);
@@ -235,7 +211,7 @@ fn assert_alloc_free(_c: &mut Criterion) {
         cell.note_recvd(64);
         cell.note_recv_retry();
     }
-    let after = alloc_count();
+    let after = requests();
     assert_eq!(
         after - before,
         0,
@@ -269,11 +245,11 @@ fn assert_nd_alloc_discipline() {
             field.commit_step();
         };
         step(&mut field); // warm-up: resolves the SIMD backend once
-        let before = alloc_count();
+        let before = requests();
         for _ in 0..100 {
             step(&mut field);
         }
-        let after = alloc_count();
+        let after = requests();
         assert_eq!(
             after - before,
             0,
@@ -297,9 +273,9 @@ fn assert_nd_alloc_discipline() {
     let combine_requests = |level: &[u32]| {
         let mut out = GridN::zeros(level);
         combine_onto_into_nd(&mut out, &refs); // warm-up
-        let before = alloc_count();
+        let before = requests();
         combine_onto_into_nd(&mut out, &refs);
-        alloc_count() - before
+        requests() - before
     };
     let (small, large) = (combine_requests(&[4, 4, 4]), combine_requests(&[6, 5, 4]));
     assert_eq!(small, large, "nd combine requests grew with the target: {small} vs {large}");
@@ -310,11 +286,11 @@ fn assert_nd_alloc_discipline() {
     let assemble_requests = |level: &[u32]| {
         let level = LevelVecN::new(level);
         let blocks = split_grid(&GridN::from_fn(&level, |x| x[0] - x[1] + x[2]), &info);
-        let before = alloc_count();
+        let before = requests();
         let grid = assemble_grid(&level, &info, &blocks).expect("well-formed blocks");
-        let requests = alloc_count() - before;
+        let made = requests() - before;
         assert_eq!(grid.level(), &level[..]);
-        requests
+        made
     };
     let (small, large) = (assemble_requests(&[2, 2, 3]), assemble_requests(&[5, 4, 3]));
     assert_eq!(small, large, "assemble_grid requests grew with the plane: {small} vs {large}");

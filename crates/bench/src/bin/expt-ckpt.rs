@@ -28,42 +28,18 @@
 //! asserts bitwise agreement only, never a timing, so the CI step stays
 //! deterministic; `expt-regress` holds the CRC ratio to its floor.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use ftsg_bench::experiments::alloc_sites::{self, TracingAllocator};
 use ftsg_bench::experiments::codec;
 use ftsg_bench::runner::{emulate_paper_scale, launch_on, ModelKind};
+use ftsg_bench::table::utc_today;
 use ftsg_core::app::keys;
 use ftsg_core::{AppConfig, ProcLayout, Technique};
 use ulfm_sim::{ClusterProfile, FaultPlan, Report};
 
-/// Bytes requested from the allocator so far, by every thread.
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+/// Counts the bytes the codec section's write rounds ask for (tracing
+/// stays off).
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: TracingAllocator = TracingAllocator;
 
 const N: u32 = 7;
 const LOG2_STEPS: u32 = 5;
@@ -109,24 +85,6 @@ fn hidden_frac(o: &Outcome) -> f64 {
     } else {
         0.0
     }
-}
-
-/// UTC date (YYYY-MM-DD) from the system clock, no external crates.
-fn utc_today() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
 }
 
 fn main() {
@@ -233,7 +191,7 @@ fn main() {
     std::fs::write(&out, json).expect("write bench json");
     println!("wrote {out}");
 
-    let report = codec::run(10, || ALLOC_BYTES.load(Ordering::Relaxed)).expect("codec section I/O");
+    let report = codec::run(10, alloc_sites::bytes).expect("codec section I/O");
     report.table().emit("results/ckpt_codec.csv");
     println!(
         "codec: sliced CRC {:.2}x the bytewise reference (nproc: {}, cpu: {}, {}, git: {})",

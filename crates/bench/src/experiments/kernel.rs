@@ -1,5 +1,5 @@
-//! `expt-kernel` — the kernel-vectorization acceptance experiment: row
-//! kernel GFLOP/s (scalar reference vs SIMD) for all three stencils, and
+//! `expt-kernel` — the kernel-vectorization acceptance experiment: the
+//! Lax–Wendroff row's GFLOP/s (scalar reference vs SIMD), and
 //! the level-9 steady-state step wall under two configurations —
 //! scalar and SIMD. The SIMD-vs-scalar step ratio
 //! is the machine-relative quantity the regression gate pins; the
@@ -22,10 +22,9 @@ use std::time::Instant;
 
 use advect2d::laxwendroff::{lax_wendroff_row, LwCoef};
 use advect2d::{
-    ftcs_row, ftcs_row_simd, lax_wendroff_row_simd, simd_isa_label, upwind_diffusion_kernel,
-    upwind_diffusion_row_n, upwind_diffusion_row_n_on, upwind_row, upwind_row_simd,
-    AdvectionProblem, PaddedField, PaddedFieldN, SimdIsa, StencilN, TimeGridN, UpwindAxisN,
-    UpwindCoef, UpwindDiffusionCoefN,
+    lax_wendroff_row_simd, simd_isa_label, upwind_diffusion_kernel, upwind_diffusion_row_n,
+    upwind_diffusion_row_n_on, AdvectionProblem, PaddedField, PaddedFieldN, SimdIsa, StencilN,
+    TimeGridN, UpwindAxisN, UpwindDiffusionCoefN,
 };
 use ftsg_core::psolve::block_range;
 use ftsg_core::{AppConfig, ProcLayoutN, Technique};
@@ -33,12 +32,10 @@ use sparsegrid::{Grid2, LevelPair};
 
 use crate::table::{sig3, Table};
 
-/// FLOPs per output cell of each row kernel, counted from the pinned
-/// scalar expressions (adds + subs + muls; no FMA contraction exists in
-/// these kernels by design).
+/// FLOPs per output cell of the Lax–Wendroff row, counted from the
+/// pinned scalar expression (adds + subs + muls; no FMA contraction
+/// exists in the kernel by design).
 pub const LW_FLOPS_PER_CELL: f64 = 21.0;
-pub const UPWIND_FLOPS_PER_CELL: f64 = 6.0;
-pub const FTCS_FLOPS_PER_CELL: f64 = 10.0;
 
 /// One row-kernel measurement.
 #[derive(Debug, Clone)]
@@ -113,10 +110,9 @@ fn rows(nx: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
     (s, c, n, vec![0.0; nx])
 }
 
-/// Measure all six row-kernel variants at width `nx`.
+/// Measure both Lax–Wendroff row variants at width `nx`.
 fn measure_rows(nx: usize, iters: usize) -> Vec<RowKernelRow> {
     let lw = LwCoef { cx: 0.2, cy: 0.15, cxx: 0.02, cyy: 0.01, cxy: 0.015 };
-    let up = UpwindCoef { cx: 0.2, cy: 0.15 };
     let (s, c, n, mut out) = rows(nx);
     let batch = (1 << 14) / nx.max(1) + 1;
 
@@ -134,14 +130,6 @@ fn measure_rows(nx: usize, iters: usize) -> Vec<RowKernelRow> {
     push("lax_wendroff", "scalar", LW_FLOPS_PER_CELL, ns);
     let ns = time_ns(iters, batch, || lax_wendroff_row_simd(&s, &c, &n, &lw, &mut out));
     push("lax_wendroff", "simd", LW_FLOPS_PER_CELL, ns);
-    let ns = time_ns(iters, batch, || upwind_row(&s, &c, &n, &up, &mut out));
-    push("upwind", "scalar", UPWIND_FLOPS_PER_CELL, ns);
-    let ns = time_ns(iters, batch, || upwind_row_simd(&s, &c, &n, &up, &mut out));
-    push("upwind", "simd", UPWIND_FLOPS_PER_CELL, ns);
-    let ns = time_ns(iters, batch, || ftcs_row(&s, &c, &n, 0.2, 0.25, &mut out));
-    push("ftcs", "scalar", FTCS_FLOPS_PER_CELL, ns);
-    let ns = time_ns(iters, batch, || ftcs_row_simd(&s, &c, &n, 0.2, 0.25, &mut out));
-    push("ftcs", "simd", FTCS_FLOPS_PER_CELL, ns);
     result
 }
 
@@ -274,7 +262,7 @@ impl KernelReport {
         s.push_str("{\n \"pr\": 8,\n");
         s.push_str(&format!(" \"date\": \"{date}\",\n"));
         s.push_str(
-            " \"note\": \"Vectorized kernels from expt-kernel: per-stencil row GFLOP/s \
+            " \"note\": \"Vectorized kernels from expt-kernel: Lax–Wendroff row GFLOP/s \
              (scalar reference vs SIMD) and the level-9 steady-state step wall under \
              scalar and SIMD configurations. Bitwise equality of the fast path is \
              re-checked before timing.\",\n",
@@ -578,7 +566,7 @@ mod tests {
     fn quick_report_is_complete_and_serializes() {
         let report = run("/nonexistent", 5);
         assert!(report.bitwise_ok, "fast paths drifted from the scalar reference");
-        assert_eq!(report.rows.len(), 12);
+        assert_eq!(report.rows.len(), 4);
         assert_eq!(report.steps.len(), 2);
         assert!(report.simd_speedup_vs_scalar.is_finite());
         assert!(report.pr1_fast_ns.is_none());
