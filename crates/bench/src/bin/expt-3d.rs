@@ -7,8 +7,9 @@
 //!         [--max-lost K] [--seed S] [--out PATH]
 //! ```
 //!
-//! Writes `results/expt3d.csv` and the `BENCH_pr10.json` acceptance
-//! artifact (`--out` overrides the JSON path). `--smoke` shrinks the
+//! Writes `results/expt3d.csv` and the `target/expt/BENCH_pr10.json`
+//! acceptance artifact (`--out` names the JSON path instead; no default
+//! run rewrites the committed one). `--smoke` shrinks the
 //! sweep for the CI lane. Exits non-zero if an error is not finite or a
 //! healthy error is round-off rather than discretization error
 //! (`healthy_errors_resolved`).
@@ -57,6 +58,9 @@ fn main() {
     let t = dim3::table(&o, &points);
     t.emit("results/expt3d.csv");
     let json = dim3::to_json(&o, &points);
+    if let Some(dir) = std::path::Path::new(&o.out).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
     if let Err(e) = std::fs::write(&o.out, &json) {
         eprintln!("expt-3d: cannot write {}: {e}", o.out);
         std::process::exit(1);

@@ -17,21 +17,23 @@
 //! A third arm kills a rank mid-run to prove the recovery drain barrier:
 //! the restart must produce the bitwise-identical combined solution.
 //!
-//! Emits `BENCH_pr5.json` (override with `BENCH_OUT`).
+//! Emits `target/expt/BENCH_pr5.json` (`BENCH_OUT` names the file
+//! instead; no run rewrites the committed baseline).
 //!
 //! Then the **codec section** (`ftsg_bench::experiments::codec`): sliced
 //! vs bytewise CRC-64 throughput, `write` / `read_latest_valid` per round
 //! and the allocator bytes a write round requests, at the `ckpt_heavy`
 //! grid set — wall-clock and counts of the layer the A/B above prices in
-//! virtual seconds. Emits `BENCH_pr18.json` (`<BENCH_OUT stem>_codec.json`
-//! when `BENCH_OUT` redirects the run) and `results/ckpt_codec.csv`. It
+//! virtual seconds. Emits `target/expt/BENCH_pr18.json` (`<BENCH_OUT
+//! stem>_codec.json` when `BENCH_OUT` redirects the run) and
+//! `results/ckpt_codec.csv`. It
 //! asserts bitwise agreement only, never a timing, so the CI step stays
 //! deterministic; `expt-regress` holds the CRC ratio to its floor.
 
 use ftsg_bench::experiments::alloc_sites::{self, TracingAllocator};
 use ftsg_bench::experiments::codec;
 use ftsg_bench::runner::{emulate_paper_scale, launch_on, ModelKind};
-use ftsg_bench::table::utc_today;
+use ftsg_bench::table::{bench_out, utc_today};
 use ftsg_core::app::keys;
 use ftsg_core::{AppConfig, ProcLayout, Technique};
 use ulfm_sim::{ClusterProfile, FaultPlan, Report};
@@ -167,7 +169,7 @@ fn main() {
         opl_sync.makespan
     );
 
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr5.json".into());
+    let out = bench_out("BENCH_pr5.json", "");
     let json = format!(
         "{{\n \"pr\": 5,\n \"date\": \"{date}\",\n \"note\": \"Sync vs async checkpointing A/B \
          from expt-ckpt (virtual seconds; emulated paper scale, n={N}, 2^{LOG2_STEPS} steps, \
@@ -197,11 +199,7 @@ fn main() {
         "codec: sliced CRC {:.2}x the bytewise reference (nproc: {}, cpu: {}, {}, git: {})",
         report.crc_ratio, report.nproc, report.cpu, report.rustc, report.git
     );
-    // A redirected run (smoke lanes) must not touch the committed file.
-    let out_codec = match std::env::var("BENCH_OUT") {
-        Ok(path) => format!("{}_codec.json", path.trim_end_matches(".json")),
-        Err(_) => "BENCH_pr18.json".into(),
-    };
+    let out_codec = bench_out("BENCH_pr18.json", "_codec");
     std::fs::write(&out_codec, report.to_json(&utc_today())).expect("write bench json");
     println!("wrote {out_codec}");
 }

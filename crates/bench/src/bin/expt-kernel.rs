@@ -1,17 +1,18 @@
 //! `expt-kernel` — kernel vectorization acceptance: per-stencil row
 //! GFLOP/s (scalar vs SIMD) and the level-9 steady-state step wall under
 //! scalar and SIMD rows (see `ftsg_bench::experiments::kernel`).
-//! Emits `BENCH_pr8.json` (override the path with `BENCH_OUT`) and
-//! `results/kernel.csv`, then the 3D section — closure reference vs row
-//! kernels at the `solve3d_kill` slab shapes — as `BENCH_pr17.json`
-//! (`<BENCH_OUT stem>_3d.json` when `BENCH_OUT` redirects the run) and
+//! Emits `target/expt/BENCH_pr8.json` (`BENCH_OUT` names the file
+//! instead) and `results/kernel.csv`, then the 3D section — closure
+//! reference vs row kernels at the `solve3d_kill` slab shapes — as
+//! `target/expt/BENCH_pr17.json` (`<BENCH_OUT stem>_3d.json` when
+//! `BENCH_OUT` redirects the run) and
 //! `results/kernel3d.csv`.
 //!
 //! Accepts the standard experiment flags; only `--reps` (timing samples,
 //! scaled ×10) and `--quick` matter here.
 
 use ftsg_bench::experiments::kernel;
-use ftsg_bench::table::utc_today;
+use ftsg_bench::table::{bench_out, utc_today};
 use ftsg_bench::Opts;
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
     if let Some(v) = report.speedup_vs_pr1_fast {
         println!("vs committed BENCH_pr1 fast path: {v:.2}x (required: 2.0x)");
     }
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr8.json".into());
+    let out = bench_out("BENCH_pr8.json", "");
     std::fs::write(&out, report.to_json(&utc_today())).expect("write bench json");
     println!("wrote {out}");
 
@@ -38,11 +39,7 @@ fn main() {
         "3D step: rows {:.2}x vs closure (isa: {}, nproc: {}, cpu: {})",
         report.rows_speedup_vs_closure, report.isa, report.nproc, report.cpu
     );
-    // A redirected run (smoke lanes) must not touch the committed file.
-    let out3d = match std::env::var("BENCH_OUT") {
-        Ok(path) => format!("{}_3d.json", path.trim_end_matches(".json")),
-        Err(_) => "BENCH_pr17.json".into(),
-    };
+    let out3d = bench_out("BENCH_pr17.json", "_3d");
     std::fs::write(&out3d, report.to_json(&utc_today())).expect("write bench json");
     println!("wrote {out3d}");
 }

@@ -3,9 +3,9 @@
 //! tree over group leaders, and the halo stepper blocking vs overlapped —
 //! all in **virtual seconds** from the runtime's cost models, exactly the
 //! accounting the application charges (see `ftsg_core::app`). Emits
-//! `BENCH_pr3.json` (override with `BENCH_OUT`); if `CRITERION_OUT_JSON`
-//! points at an NDJSON file produced by the criterion shim, those entries
-//! are merged into the `results` array.
+//! `target/expt/BENCH_pr3.json` (`BENCH_OUT` names the file instead); if
+//! `CRITERION_OUT_JSON` points at an NDJSON file produced by the criterion
+//! shim, those entries are merged into the `results` array.
 
 use advect2d::AdvectionProblem;
 use ftsg_bench::experiments::overlap::combine_makespan;
@@ -33,7 +33,7 @@ fn step_report(level: LevelPair, steps: u64, overlapped: bool) -> Report {
     report
 }
 
-use ftsg_bench::table::utc_today;
+use ftsg_bench::table::{bench_out, utc_today};
 
 fn main() {
     let mut virt = Vec::new();
@@ -77,7 +77,7 @@ fn main() {
         }
     }
 
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr3.json".into());
+    let out = bench_out("BENCH_pr3.json", "");
     let json = format!(
         "{{\n \"pr\": 3,\n \"date\": \"{date}\",\n \"note\": \"Virtual-makespan A/B from \
          expt-overlap (runtime cost models; 'central' and 'blocking' re-run the reference \

@@ -1,13 +1,14 @@
 //! `expt-policy` — recovery-policy matrix: per-failure-count overhead vs
 //! solution error vs virtual makespan across `RecoveryPolicy` × technique
-//! (see `ftsg_bench::experiments::policy`). Emits `BENCH_pr7.json`
-//! (override the path with `BENCH_OUT`) and `results/policy.csv`.
+//! (see `ftsg_bench::experiments::policy`). Emits
+//! `target/expt/BENCH_pr7.json` (`BENCH_OUT` names the file instead) and
+//! `results/policy.csv`.
 //!
 //! Accepts the standard experiment flags (`--n`, `--l`, `--steps`,
 //! `--reps`, `--seed`, `--quick`).
 
 use ftsg_bench::experiments::policy;
-use ftsg_bench::table::utc_today;
+use ftsg_bench::table::{bench_out, utc_today};
 use ftsg_bench::Opts;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
         report.substitute_overhead_ratio,
         report.shrink_overhead_ratio,
     );
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr7.json".into());
+    let out = bench_out("BENCH_pr7.json", "");
     std::fs::write(&out, report.to_json(&utc_today())).expect("write bench json");
     println!("wrote {out}");
 }

@@ -1,7 +1,8 @@
 //! `expt-scale` — re-run a Fig-8-style failure sweep at ~1k/10k/100k
 //! simulated ranks and compare the pooled cooperative scheduler against
 //! the legacy thread-per-rank runtime (wall-clock per simulated step,
-//! peak RSS, largest launchable world). Emits `BENCH_pr6.json`.
+//! peak RSS, largest launchable world). Emits `target/expt/BENCH_pr6.json`
+//! (`--out` names the file instead).
 //!
 //! ```text
 //! expt-scale [--smoke] [--threads-per-rank] [--scales a,b,c] [--n N]

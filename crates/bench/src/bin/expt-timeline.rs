@@ -21,8 +21,10 @@
 //!
 //! Last comes the repair-path ledger (`ftsg_bench::experiments::repair`):
 //! the benchmark's five kill-and-repair shapes on OPL under the beta-ULFM
-//! model, parent commit vs this one, written to `BENCH_pr22.json`
-//! (`BENCH_OUT` redirects it) and `results/repair.csv`.
+//! model, parent commit vs this one, written to
+//! `target/expt/BENCH_pr22.json` (`BENCH_OUT` names the file instead; the
+//! committed `BENCH_pr22.json` holds two `expt-regress` baselines) and
+//! `results/repair.csv`.
 //!
 //! `--alloc-sites <workload>` prints instead where one warm rep of a
 //! benchmark workload's shape asks the allocator, by call site, from a
@@ -35,7 +37,7 @@
 use ftsg_bench::chaos::TECHNIQUES;
 use ftsg_bench::experiments::alloc_sites::{self, TracingAllocator};
 use ftsg_bench::experiments::repair;
-use ftsg_bench::table::utc_today;
+use ftsg_bench::table::{bench_out, utc_today};
 use ftsg_bench::Table;
 use ftsg_core::app::{keys, AUDITED_OPS};
 use ftsg_core::{run_app, AppConfig, ProcLayout, RecoveryPolicy, PHASES};
@@ -191,7 +193,7 @@ fn main() {
 
     let ledger = repair::run_all();
     ledger.table().emit("results/repair.csv");
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr22.json".into());
+    let out = bench_out("BENCH_pr22.json", "");
     std::fs::write(&out, ledger.to_json(&utc_today())).unwrap_or_else(|e| {
         eprintln!("expt-timeline: cannot write {out}: {e}");
         std::process::exit(2);

@@ -5,8 +5,9 @@
 //! system allocator and the bytes it asks for, as the benchmark's counting
 //! allocator does (`heap_allocs`, `heap_alloc_mb`), and on demand takes a
 //! `std::backtrace` of each and charges it, with its bytes, to its call
-//! site — the first frame in this repository's `crates/`, i.e. the code
-//! that asked, not the collection that grew. Capturing, resolving and
+//! site and that site's caller — the first two frames in this
+//! repository's `crates/`, i.e. the code that asked, not the collection
+//! that grew, and where it was asked from, shown as `site < caller`. Capturing, resolving and
 //! charging a backtrace allocates too: a per-thread reentrancy guard keeps
 //! those requests out of the count and out of the table. [`attribute`]
 //! runs one warm-up and then one traced rep of the workload's shape from
@@ -126,15 +127,17 @@ pub struct AllocSites {
 
 /// One call site's share of the traced rep.
 pub struct Site {
-    /// `function (crates/…/file.rs:line)`.
+    /// `function (crates/…/file.rs:line)`, then ` < ` and its caller's.
     pub name: String,
     pub requests: u64,
     pub bytes: u64,
 }
 
-/// The call site a trace is charged to: the first frame whose source is
-/// under `crates/` (this module's own frames excepted), as
-/// `function (crates/…/file.rs:line)`, or `(outside crates/)`.
+/// The call site a trace is charged to, and its caller: the first two
+/// frames whose source is under `crates/` (this module's own frames
+/// excepted), each as `function (crates/…/file.rs:line)`, shown as
+/// `site < caller` — the same site reached from two places is two rows —
+/// or `(outside crates/)`.
 fn site_of(trace: &Backtrace) -> String {
     site_in(&trace.to_string())
 }
@@ -144,16 +147,15 @@ fn site_of(trace: &Backtrace) -> String {
 /// followed by `at path:line:column` where resolved.
 fn site_in(text: &str) -> String {
     let lines: Vec<&str> = text.lines().map(str::trim).collect();
-    for pair in lines.windows(2) {
-        let Some(path) = pair[1].strip_prefix("at ") else { continue };
+    let mut frames = lines.windows(2).filter_map(|pair| {
+        let path = pair[1].strip_prefix("at ")?;
         let symbol = match pair[0].split_once(": ") {
             Some((n, name)) if n.bytes().all(|b| b.is_ascii_digit()) => name,
             _ => pair[0],
         };
-        let Some(start) = path.find("crates/") else { continue };
-        let path = &path[start..];
+        let path = &path[path.find("crates/")?..];
         if path.contains("alloc_sites.rs") {
-            continue;
+            return None;
         }
         let path = path.rsplit_once(':').map_or(path, |(file_line, _column)| file_line);
         // Keep the function's path, drop a symbol hash if one is printed.
@@ -165,9 +167,13 @@ fn site_in(text: &str) -> String {
             }
             _ => symbol,
         };
-        return format!("{symbol} ({path})");
+        Some(format!("{symbol} ({path})"))
+    });
+    match (frames.next(), frames.next()) {
+        (Some(site), Some(caller)) => format!("{site} < {caller}"),
+        (Some(site), None) => site,
+        (None, _) => "(outside crates/)".into(),
     }
-    "(outside crates/)".into()
 }
 
 /// Run `workload` once to warm up, then once with every request traced,
@@ -248,7 +254,8 @@ mod tests {
              at ./crates/mpi-sim/src/comm.rs:270:9";
         assert_eq!(
             site_in(text),
-            "sparsegrid::ndim::IndexedDownset::with_capacity (crates/sparsegrid/src/ndim.rs:330)"
+            "sparsegrid::ndim::IndexedDownset::with_capacity (crates/sparsegrid/src/ndim.rs:330) \
+             < ftsg_core::stack::robust_by_grid (crates/core/src/stack.rs:641)"
         );
         let (_, handler) = text.split_once("   4: ").unwrap();
         assert_eq!(

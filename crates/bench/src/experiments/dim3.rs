@@ -46,7 +46,7 @@ impl Default for Dim3Opts {
             reps: 5,
             max_lost: 6,
             seed: 2014,
-            out: "BENCH_pr10.json".into(),
+            out: "target/expt/BENCH_pr10.json".into(),
         }
     }
 }

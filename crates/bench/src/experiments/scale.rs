@@ -16,8 +16,9 @@
 //!    by a parent-side timeout and recorded as a DNF instead of wedging
 //!    the sweep.
 //!
-//! Results land in `BENCH_pr6.json` (machine-readable rows + summary
-//! against the ≥10x-ranks / ≥2x-wall targets) and `results/scale.csv`.
+//! Results land in `target/expt/BENCH_pr6.json` (machine-readable rows +
+//! summary against the ≥10x-ranks / ≥2x-wall targets) and
+//! `results/scale.csv`.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -77,7 +78,7 @@ impl Default for ScaleOpts {
             workers: 0,
             stack_kb: 1024,
             policy: RecoveryPolicy::Respawn,
-            out: "BENCH_pr6.json".into(),
+            out: "target/expt/BENCH_pr6.json".into(),
         }
     }
 }
@@ -466,6 +467,9 @@ pub fn orchestrate(o: &ScaleOpts) -> i32 {
         t10 = rank_ratio.map(|r| r >= 10.0).unwrap_or(mp > 0 && mt == 0),
         t2 = speedup.map(|s| s >= 2.0).unwrap_or(false),
     );
+    if let Some(dir) = std::path::Path::new(&o.out).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
     if let Err(e) = std::fs::write(&o.out, &json) {
         eprintln!("expt-scale: cannot write {}: {e}", o.out);
         return 2;

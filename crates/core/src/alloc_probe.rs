@@ -8,9 +8,9 @@
 //! [`Gate`] separates "everything before, on every rank" from "everything
 //! after" without allocating itself. [`repair_share`] counts what a
 //! rank's share of a repair costs: every rank of an Alternate Combination
-//! run solves the robust coefficient problem twice per failure event and
-//! runs the Fig. 4 error handler twice — on `ranks1k_kill` that is 1,005
-//! ranks.
+//! run solves the robust coefficient problem once per lost set (in its
+//! data recovery; the final combination reuses that solve) and runs the
+//! Fig. 4 error handler twice — on `ranks1k_kill` that is 1,005 ranks.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -15,6 +15,8 @@
 //! protocol exactly as a re-executed `main()` would be in the paper's MPI
 //! code.
 
+use std::borrow::Cow;
+
 use sparsegrid::ComponentGrid;
 use ulfm_sim::{Comm, Ctx, Error, Result};
 
@@ -139,8 +141,8 @@ struct Recovered {
     at_step: u64,
     /// The per-grid group communicator over the confirmed world.
     group: Comm,
-    /// This rank's accountable recovery time (Fig. 9a).
-    t_recovery: f64,
+    /// What the data recovery did on this rank.
+    stats: RecoveryStats,
     /// The failed-rank list the recovery used (rank 0's broadcast).
     failed: Vec<usize>,
 }
@@ -158,7 +160,7 @@ fn share_recovery_metadata(
     event_failed: &[usize],
     end_failed: &[usize],
 ) -> Result<(u64, Vec<usize>)> {
-    let meta: Option<Vec<u64>> = if world.rank() == 0 {
+    let meta: Option<Vec<usize>> = if world.rank() == 0 {
         // Cross-rank protocol assumption, not a local invariant: slot 0
         // knows the detection step because the controller never fails (the
         // paper's standing constraint) and children are never spawned into
@@ -172,19 +174,24 @@ fn share_recovery_metadata(
                 "recovery metadata missing on the controller rank".into(),
             ));
         };
-        let mut failed = event_failed.to_vec();
+        // [step, failed ranks ascending...]: a `usize` travels as a `u64`.
+        let mut v = vec![d as usize];
+        v.extend_from_slice(event_failed);
         if d == steps {
-            failed.extend(end_failed.iter().filter(|r| !event_failed.contains(r)));
+            v.extend(end_failed.iter().filter(|r| !event_failed.contains(r)));
         }
-        failed.sort_unstable();
-        let mut v = vec![d];
-        v.extend(failed.iter().map(|&r| r as u64));
+        v[1..].sort_unstable();
         Some(v)
     } else {
         None
     };
-    let meta = world.bcast(ctx, 0, meta.as_deref())?;
-    Ok((meta[0], meta[1..].iter().map(|&r| r as usize).collect()))
+    // The received message becomes the failed list in place.
+    let mut failed = world.bcast(ctx, 0, meta.as_deref())?;
+    if failed.is_empty() {
+        return Err(Error::Protocol("recovery metadata without a detection step".into()));
+    }
+    let at_step = failed.remove(0) as u64;
+    Ok((at_step, failed))
 }
 
 /// The ULFM operations the per-event audit counts (`ulfm_sim::OP_NAMES`
@@ -257,6 +264,10 @@ struct RankState<S: Stack> {
     /// Ranks that failed at the *final* detection step (or later, during
     /// the combination), accumulated across failure events.
     end_failed: Vec<usize>,
+    /// The last robust solve of an Alternate Combination recovery: the
+    /// lost set it was solved for and the coefficients by grid id. The
+    /// combination reuses them when that set is `final_lost`.
+    robust: Option<(Vec<usize>, Vec<i64>)>,
     t_rec: f64,
     t_ckpt: f64,
 }
@@ -270,6 +281,7 @@ impl<S: Stack> RankState<S> {
             buddy_store: BuddyStore::<S>::new(),
             final_lost: Vec::new(),
             end_failed: Vec::new(),
+            robust: None,
             t_rec: 0.0,
             t_ckpt: 0.0,
         }
@@ -332,7 +344,7 @@ impl<S: Stack> RankState<S> {
         let recovered = self.recover(ctx, env, world, &group, &failed, at_step);
         timings.t_restore += ctx.now() - t_res0;
         match recovered {
-            Ok(stats) => Ok(Recovered { at_step, group, t_recovery: stats.t_recovery, failed }),
+            Ok(stats) => Ok(Recovered { at_step, group, stats, failed }),
             Err(e) => {
                 // Release every peer still blocked in this attempt's group
                 // collectives (the loop revokes the world).
@@ -347,7 +359,7 @@ impl<S: Stack> RankState<S> {
     /// The technique's recovery of the grids `failed` broke. Idle spares
     /// hold no grid data: they skip it (group collectives plus
     /// point-to-point between grid owners) and just keep the world
-    /// collectives around it company.
+    /// collectives around it company, learning only which grids broke.
     fn recover(
         &mut self,
         ctx: &Ctx,
@@ -357,11 +369,22 @@ impl<S: Stack> RankState<S> {
         failed: &[usize],
         at_step: u64,
     ) -> Result<RecoveryStats> {
+        let broken = S::broken_grids(env.layout, failed);
         let (Some(m), Some(sv)) = (self.my, self.solver.as_mut()) else {
-            return Ok(RecoveryStats::default());
+            return Ok(RecoveryStats { recovered_grids: broken, ..RecoveryStats::default() });
         };
         let (my, landing, bs) = (S::grid_of(m), &mut self.landing, &mut self.buddy_store);
-        recovery::recover::<S>(ctx, env, world, group, my, sv, landing, bs, failed, at_step)
+        recovery::recover::<S>(ctx, env, world, group, my, sv, landing, bs, broken, at_step)
+    }
+
+    /// Fold a recovery at the final step into the final combination's lost
+    /// set, keeping the robust coefficients it solved (Alternate
+    /// Combination) for the combination to reuse.
+    fn lose_at_end(&mut self, stats: RecoveryStats) {
+        union_into(&mut self.final_lost, &stats.recovered_grids);
+        if let Some(coeffs) = stats.robust {
+            self.robust = Some((stats.recovered_grids, coeffs));
+        }
     }
 
     /// Run the Fig. 3 loop — `enter` starts it, as a child or on a world
@@ -402,9 +425,9 @@ impl<S: Stack> RankState<S> {
     #[inline(never)]
     fn commit(&mut self, env: &Env<'_, S>, last: Option<Recovered>) -> Option<(Comm, u64)> {
         let rec = last?;
-        self.t_rec += rec.t_recovery;
+        self.t_rec += rec.stats.t_recovery;
         if rec.at_step == env.cfg.steps() {
-            union_into(&mut self.final_lost, &S::broken_grids(env.layout, &rec.failed));
+            self.lose_at_end(rec.stats);
             self.end_failed = rec.failed;
         }
         Some((rec.group, rec.at_step))
@@ -882,9 +905,9 @@ fn settle<S: Stack>(
         // Never fabricate rank 0 as failed (controller constraint).
         let fabricated: Vec<usize> = lost.iter().map(|&g| S::last_rank_of(env.layout, g)).collect();
         debug_assert!(!fabricated.contains(&0), "rank 0 cannot be a (simulated) victim");
-        let steps = env.cfg.steps();
-        st.t_rec += st.recover(ctx, env, world, group, &fabricated, steps)?.t_recovery;
-        union_into(&mut st.final_lost, &S::broken_grids(env.layout, &fabricated));
+        let stats = st.recover(ctx, env, world, group, &fabricated, env.cfg.steps())?;
+        st.t_rec += stats.t_recovery;
+        st.lose_at_end(stats);
     }
     Ok(())
 }
@@ -1001,40 +1024,47 @@ fn combine_once<S: Stack>(
         // robustly.
         _ => cfg.technique == Technique::AlternateCombination && !st.final_lost.is_empty(),
     };
-    let (combine_ids, combine_coeffs): (Vec<usize>, Vec<f64>) = if use_robust {
-        // A level only counts as lost when *no* surviving grid holds it:
-        // under the Duplicates layout a dropped diagonal whose duplicate
-        // survives is still covered.
-        let (by_grid, _) = S::robust_coefficients(layout, &st.final_lost, true);
-        // One combining grid per level, in grid-id order (the diagonal
-        // precedes its duplicate, so the duplicate only stands in when the
-        // diagonal is gone) — a duplicate pair must not be double-counted.
-        let mut ids: Vec<usize> = Vec::with_capacity(S::n_grids(layout));
-        for (g, &c) in by_grid.iter().enumerate() {
-            let level = S::level(layout, g);
-            if st.final_lost.contains(&g)
-                || c == 0
-                || ids.iter().any(|&i| S::level(layout, i) == level)
-            {
-                continue;
+    // The robust coefficients by grid id: the recovery's own solve when it
+    // was for this very lost set (under Alternate Combination's layout a
+    // lost level is never covered by a survivor, so `covered` changes
+    // nothing), else solved here. A level only counts as lost when *no*
+    // surviving grid holds it: under the Duplicates layout a dropped
+    // diagonal whose duplicate survives is still covered.
+    let robust: Option<Cow<'_, [i64]>> = use_robust.then(|| match &st.robust {
+        Some((lost, by_grid)) if *lost == st.final_lost => Cow::Borrowed(&by_grid[..]),
+        _ => Cow::Owned(S::robust_coefficients(layout, &st.final_lost, true).0),
+    });
+    // The combination's terms, as grid ids in term order; a term's
+    // coefficient is read off `robust` or the classical scheme.
+    let combine_ids = match &robust {
+        Some(by_grid) => {
+            // One combining grid per level, in grid-id order (the diagonal
+            // precedes its duplicate, so the duplicate only stands in when
+            // the diagonal is gone) — a duplicate pair must not be
+            // double-counted.
+            let mut ids: Vec<usize> = Vec::with_capacity(S::n_grids(layout));
+            for (g, &c) in by_grid.iter().enumerate() {
+                let level = S::level(layout, g);
+                if st.final_lost.contains(&g)
+                    || c == 0
+                    || ids.iter().any(|&i| S::level(layout, i) == level)
+                {
+                    continue;
+                }
+                ids.push(g);
             }
-            ids.push(g);
+            ids
         }
-        let coeffs = ids.iter().map(|&i| by_grid[i] as f64).collect();
-        (ids, coeffs)
-    } else {
-        let ids = S::combination_ids(layout);
-        let coeffs = ids.iter().map(|&i| S::classical_coefficient(layout, i)).collect();
-        (ids, coeffs)
+        None => S::combination_ids(layout),
     };
     // A dropped grid never combines (it is in `final_lost`), so a
     // sitting-out survivor is excluded via `combine_ids` already;
     // `group_broken` and the spare guard make the exclusion explicit.
     let my_grid = st.grid().filter(|g| !p.group_broken && combine_ids.contains(g));
     // This rank's term: its grid and that grid's coefficient.
-    let my_term = my_grid.and_then(|m| {
-        let k = combine_ids.iter().position(|&gid| gid == m)?;
-        Some((m, combine_coeffs[k]))
+    let my_term = my_grid.map(|m| match &robust {
+        Some(by_grid) => (m, by_grid[m] as f64),
+        None => (m, S::classical_coefficient(layout, m)),
     });
     let target = S::min_level(layout);
     // Binomial reduction tree over the group leaders, in combination-term
@@ -1047,10 +1077,11 @@ fn combine_once<S: Stack>(
             .gather(ctx, group, layout, m, sv, |own| Ok(S::term(ctx, &target, coeff, own)))?,
         _ => None,
     };
-    let mut leaders = Vec::with_capacity(combine_ids.len());
-    for &gid in &combine_ids {
-        leaders.push(current_root::<S>(layout, gid, p.members.as_deref())?);
-    }
+    // The term list becomes the leader list in place.
+    let leaders = combine_ids
+        .into_iter()
+        .map(|gid| current_root::<S>(layout, gid, p.members.as_deref()))
+        .collect::<Result<Vec<usize>>>()?;
     let combined = binomial_combine(ctx, world, &leaders, 0, &target, part, hop_buf, tag)?;
     let mut err = f64::NAN;
     if world.rank() == 0 {
@@ -1065,20 +1096,21 @@ fn combine_once<S: Stack>(
     let t_solve_max = world.allreduce_max(ctx, p.t_solve)?;
     let t_end = world.allreduce_max(ctx, ctx.now())?;
     // Final rank→host and rank→grid maps, gathered over the live world so
-    // the chaos oracles can compare them with the no-failure run's.
-    let flatten = |o: Option<Vec<Vec<f64>>>| -> Vec<f64> {
-        o.map(|v| v.into_iter().flatten().collect()).unwrap_or_default()
+    // the chaos oracles can compare them with the no-failure run's. The
+    // root decodes the contributions straight into one list.
+    let gather_scalar = |v: f64| -> Result<Vec<f64>> {
+        Ok(world.gather_view(ctx, 0, &[v])?.map(|parts| parts.concat()).unwrap_or_default())
     };
-    let rank_hosts = flatten(world.gather(ctx, 0, &[ctx.my_host() as f64])?);
+    let rank_hosts = gather_scalar(ctx.my_host() as f64)?;
     // Idle spares report grid −1.
-    let rank_grids = flatten(world.gather(ctx, 0, &[st.grid().map_or(-1.0, |g| g as f64)])?);
+    let rank_grids = gather_scalar(st.grid().map_or(-1.0, |g| g as f64))?;
     // The membership map, only under the policies whose contract O7
     // checks through it — the respawn-family policies skip the extra
     // gather so their no-failure path stays bitwise identical to the
     // pre-policy code.
     let rank_orig =
         if matches!(pol, RecoveryPolicy::ShrinkRedistribute | RecoveryPolicy::SpareSubstitute) {
-            flatten(world.gather(ctx, 0, &[p.orig_rank as f64])?)
+            gather_scalar(p.orig_rank as f64)?
         } else {
             Vec::new()
         };

@@ -86,13 +86,10 @@ pub fn respawn_specs(
 ) -> Vec<SpawnSpec> {
     let hostfile = ctx.hostfile();
     let slots = ctx.profile().slots_per_host;
-    let same_host = |rank: usize| SpawnSpec::on_host(hostfile.hosts()[rank / slots].name.clone());
+    let same_host = |rank: usize| SpawnSpec::on_host(rank / slots);
     match policy {
         RespawnPolicy::SameHost => failed_ranks.iter().map(|&r| same_host(r)).collect(),
-        RespawnPolicy::FirstHost => failed_ranks
-            .iter()
-            .map(|_| SpawnSpec::on_host(hostfile.hosts()[0].name.clone()))
-            .collect(),
+        RespawnPolicy::FirstHost => failed_ranks.iter().map(|_| SpawnSpec::on_host(0)).collect(),
         RespawnPolicy::SpareNode => {
             let total = broken.size();
             // Hosts whose entire rank block failed.
@@ -124,7 +121,7 @@ pub fn respawn_specs(
                 .map(|&r| {
                     let host = r / slots;
                     match dead_to_spare.get(&host) {
-                        Some(&spare) => SpawnSpec::on_host(hostfile.hosts()[spare].name.clone()),
+                        Some(&spare) => SpawnSpec::on_host(spare),
                         None => same_host(r),
                     }
                 })

@@ -127,11 +127,20 @@ pub struct RecoveryStats {
     /// recovery work (the paper's Fig. 9a quantity; aggregate with a max
     /// across the world).
     pub t_recovery: f64,
-    /// Sub-grids that were restored.
+    /// The sub-grids the failures broke, ascending: the grids restored,
+    /// or under Alternate Combination the grids lost. Every rank gets the
+    /// list, the idle spares included, since the combination's lost set
+    /// is built from it.
     pub recovered_grids: Vec<usize>,
+    /// Alternate Combination only: the robust coefficients by grid id once
+    /// `recovered_grids` are lost, as the recovery solved them. They are a
+    /// function of the lost set alone (arXiv:1404.2670), so the final
+    /// combination reuses them while its lost set is this one.
+    pub robust: Option<Vec<i64>>,
 }
 
-/// Run the configured technique's data recovery after a reconstruction.
+/// Run the configured technique's data recovery of the grids `broken`
+/// (ascending) after a reconstruction.
 /// Collective over the world (every rank calls it; ranks not involved in
 /// a given transfer fall through). `at_step` is the detection point; the
 /// broken grids come back with their state at `at_step`, except under
@@ -152,23 +161,25 @@ pub fn recover<S: Stack>(
     solver: &mut S::Solver,
     landing: &mut Landing<S>,
     buddy_store: &mut BuddyStore<S>,
-    failed_ranks: &[usize],
+    broken: Vec<usize>,
     at_step: u64,
 ) -> Result<RecoveryStats> {
-    let broken = S::broken_grids(env.layout, failed_ranks);
     if broken.is_empty() {
         return Ok(RecoveryStats::default());
     }
     let t0 = ctx.now();
     let r = Recovery::<S> { ctx, layout: env.layout, world, group, my, broken: &broken, at_step };
-    let t_recovery = match env.cfg.technique {
-        Technique::CheckpointRestart => r.checkpoint(solver, landing, env.checkpoints()?),
-        Technique::ResamplingCopying => r.resample_copy(solver, landing),
-        Technique::AlternateCombination => r.alt_combination(env.cfg.steps()),
-        Technique::BuddyCheckpoint => r.buddy(solver, landing, buddy_store),
-    }?;
+    let (t_recovery, robust) = match env.cfg.technique {
+        Technique::CheckpointRestart => (r.checkpoint(solver, landing, env.checkpoints()?)?, None),
+        Technique::ResamplingCopying => (r.resample_copy(solver, landing)?, None),
+        Technique::AlternateCombination => {
+            let (t, coeffs) = r.alt_combination(env.cfg.steps())?;
+            (t, Some(coeffs))
+        }
+        Technique::BuddyCheckpoint => (r.buddy(solver, landing, buddy_store)?, None),
+    };
     ctx.trace_phase("data_restore", t0);
-    Ok(RecoveryStats { t_recovery, recovered_grids: broken })
+    Ok(RecoveryStats { t_recovery, recovered_grids: broken, robust })
 }
 
 /// One data recovery, as this rank takes part in it. Each technique
@@ -366,8 +377,9 @@ impl<S: Stack> Recovery<'_, S> {
     /// Alternate Combination: new coefficients over the survivors, and
     /// nothing else (see the module docs). Sound only at the final step,
     /// where every AC recovery runs: a mid-run loss would need a sample of
-    /// the combination to step on from.
-    fn alt_combination(&self, final_step: u64) -> Result<f64> {
+    /// the combination to step on from. Returns the accountable time and
+    /// the coefficients by grid id, which the final combination reuses.
+    fn alt_combination(&self, final_step: u64) -> Result<(f64, Vec<i64>)> {
         let Recovery { ctx, layout, broken, at_step, .. } = *self;
         if at_step != final_step {
             return Err(Error::InvalidArg(format!(
@@ -386,7 +398,7 @@ impl<S: Stack> Recovery<'_, S> {
                 "alternate combination: no surviving grids can cover the losses".into(),
             ));
         }
-        Ok(ctx.now() - t_coeff0)
+        Ok((ctx.now() - t_coeff0, coeffs))
     }
 }
 

@@ -393,6 +393,56 @@ fn robust_by_grid(
 mod tests {
     use super::*;
     use crate::Technique;
+    use sparsegrid::Layout;
+
+    /// Every lost set of one to three grids, and for each whether the
+    /// robust solve without `covered` (the Alternate Combination recovery's)
+    /// equals the one with it (the final combination's), bit for bit.
+    fn covered_matters<S: Stack>(layout: &S::Layout) -> Vec<(Vec<usize>, bool)> {
+        let n = S::n_grids(layout);
+        let mut sets = Vec::new();
+        for a in 0..n {
+            sets.push(vec![a]);
+            for b in a + 1..n {
+                sets.push(vec![a, b]);
+                sets.extend((b + 1..n).map(|c| vec![a, b, c]));
+            }
+        }
+        sets.into_iter()
+            .map(|lost| {
+                let differs = S::robust_coefficients(layout, &lost, false)
+                    != S::robust_coefficients(layout, &lost, true);
+                (lost, differs)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_alternate_combination_layout_solves_the_same_with_or_without_covered() {
+        // The extra-layers layout holds each level once, so no survivor
+        // covers a lost level: the combination may reuse the recovery's
+        // solve for the same lost set.
+        let mut solved = 0;
+        for (n, l) in [(6, 3), (9, 4), (10, 5)] {
+            let layout = ProcLayout::new(n, l, Layout::ExtraLayers, 1);
+            for (lost, differs) in covered_matters::<D2>(&layout) {
+                assert!(!differs, "D2 n={n} l={l}: lost {lost:?}");
+                solved += 1;
+            }
+        }
+        for (n, l) in [(4, 4), (5, 4)] {
+            let layout = ProcLayoutN::new(3, n, l, Layout::ExtraLayers, 1);
+            for (lost, differs) in covered_matters::<Nd>(&layout) {
+                assert!(!differs, "Nd d=3 n={n} l={l}: lost {lost:?}");
+                solved += 1;
+            }
+        }
+        assert!(solved > 500, "only {solved} lost sets checked");
+        // The check has teeth: under the Duplicates layout a lost diagonal
+        // whose duplicate survives is covered, and the solves differ.
+        let dup = ProcLayout::new(6, 3, Layout::Duplicates, 1);
+        assert!(covered_matters::<D2>(&dup).iter().any(|&(_, differs)| differs));
+    }
 
     #[test]
     fn both_stacks_turn_a_bad_config_into_a_config_error() {

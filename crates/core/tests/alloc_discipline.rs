@@ -25,16 +25,17 @@
 //!    per rank: every member's wire buffer comes from the pool and goes
 //!    back to it when the root drops its view;
 //! 8. one warm robust-coefficient solve — every rank of an Alternate
-//!    Combination repair makes two — at the `ranks1k_kill` shape (n = 9,
+//!    Combination repair makes one per lost set, which the final
+//!    combination reuses — at the `ranks1k_kill` shape (n = 9,
 //!    l = 4, extra layers, grids 1 and 2 lost) makes **exactly 3**: the
 //!    downset's table, the search's one buffer of masks, the per-grid
 //!    result;
 //! 9. so does one at the `solve3d_kill` shape (d = 3, n = 7, l = 4, grid 1
 //!    lost);
 //! 10. a warm call of the Fig. 4 error handler on a communicator with two
-//!     known failures makes **0**: the acknowledged list is refilled in
-//!     place and the acknowledged group comes from the communicator's
-//!     cache;
+//!     known failures makes **0**: the acknowledged list is the
+//!     communicator's shared failed list and the acknowledged group comes
+//!     from the communicator's cache;
 //! 11. a warm scatter of a level-9 grid into the solver rows of a 2×2
 //!     group makes **0**: the root pushes each block's rows from the grid
 //!     into a pooled wire buffer, the parts vector is recycled, and each
@@ -47,7 +48,12 @@
 //!     once: levels are inline), validating the `solve3d_kill` and the
 //!     `ranks1k_kill` configurations **0** (the checks build nothing), a
 //!     `GridN` **1** (its values: level, shape and strides are inline)
-//!     and the `ranks1k_kill` 2D grid system **1**.
+//!     and the `ranks1k_kill` 2D grid system **1**;
+//! 14. a whole small Alternate Combination run (n = 6, l = 3, scale 2,
+//!     2D) whose two victims in grids 1 and 2 die at the final step makes
+//!     exactly [`AC_REPAIR_RUN`] requests, warm: every rank solves the
+//!     robust coefficients once, in its data recovery, and the final
+//!     combination reuses them (a second solve per rank adds 3 × 17).
 //!
 //! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
 //! the measurement `expt-regress --exact` gates on; the multi-rank
@@ -69,7 +75,7 @@ use ftsg_core::psolve_nd::DistributedSolverN;
 use ftsg_core::stack::D2;
 use ftsg_core::{run_app, AppConfig, ProcLayout, Technique};
 use sparsegrid::{Grid2, GridN, GridSystem, GridSystemN, LevelPair};
-use ulfm_sim::{run, Comm, Ctx, RunConfig};
+use ulfm_sim::{run, Comm, Ctx, FaultPlan, RunConfig};
 
 static REQUESTS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -156,6 +162,32 @@ fn warm_call(f: impl Fn()) -> u64 {
     let before = requests();
     f();
     requests() - before
+}
+
+/// Allocator requests of a whole warm run of scenario 14's configuration:
+/// 885, and 2 more with debug assertions on (the spawn's reconciliation
+/// of the per-host live counts in `Hub::live_per_host`).
+const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 887 } else { 885 };
+
+/// Scenario 14's run: the small 2D Alternate Combination shape, scale 2,
+/// the last rank of grids 1 and 2 killed at the final step. Returns its
+/// world size too.
+fn ac_repair_config() -> (AppConfig, usize) {
+    let mut cfg = AppConfig::small(Technique::AlternateCombination);
+    cfg.scale = 2;
+    let layout = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
+    let last = |g: usize| layout.group(g).first + layout.group(g).size - 1;
+    let plan = FaultPlan::new(vec![(last(1), cfg.steps()), (last(2), cfg.steps())]);
+    (cfg.with_plan(plan), layout.world_size())
+}
+
+/// Requests, by every thread, of one whole run of `cfg` on `world` ranks.
+fn run_requests(cfg: AppConfig, world: usize) -> u64 {
+    let before = requests();
+    let report = run(RunConfig::local(world).with_workers(1), move |ctx| run_app(&cfg, ctx));
+    let made = requests() - before;
+    report.assert_no_app_errors();
+    made
 }
 
 /// The CR configuration of scenario 4 at `checkpoints` checkpoints.
@@ -371,6 +403,16 @@ fn bulk_data_paths_hold_their_allocation_budget() {
          validating its configuration and ranks1k_kill's (nothing is built), a GridN (its \
          values), the ranks1k_kill 2D grid system (its grid vector, sized once)"
     );
+    // 14. A two-failure Alternate Combination repair at the final step.
+    let (cfg, world) = ac_repair_config();
+    run_requests(cfg.clone(), world);
+    let ac_run = run_requests(cfg, world);
+    assert_eq!(
+        ac_run, AC_REPAIR_RUN,
+        "a warm two-failure AC run of {world} ranks made {ac_run} requests, not \
+         {AC_REPAIR_RUN} (3 more per rank: the combination solved the robust coefficients \
+         again)"
+    );
     println!(
         "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
          rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
@@ -378,7 +420,8 @@ fn bulk_data_paths_hold_their_allocation_budget() {
          round's bytes each; 3 per warm robust solve (2D and 3D); 0 per warm Fig. 4 handler \
          call; 0 per warm level-9 scatter into solver rows; a second gather through the \
          landing grid asked for {regather} bytes, one grid is {grid_bytes}; set-up: 1 per 3D \
-         grid system, 0 per validation, 1 per GridN, 1 per 2D grid system",
+         grid system, 0 per validation, 1 per GridN, 1 per 2D grid system; {ac_run} per \
+         warm two-failure AC run of {world} ranks",
         extra as f64 / extra_rounds as f64 / round_bytes as f64
     );
 }

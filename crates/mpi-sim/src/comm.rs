@@ -88,19 +88,40 @@ impl CommShared {
 
     /// Read the ranks currently known failed, ascending.
     fn with_failed<R>(&self, read: impl FnOnce(&[usize]) -> R) -> R {
-        let epoch = failure_epoch();
-        if epoch == 0 {
+        if failure_epoch() == 0 {
             return read(&[]);
         }
+        read(self.refreshed_failed().ranks.as_deref().unwrap_or_default())
+    }
+
+    /// The ranks currently known failed, ascending, as the one list every
+    /// handle shares (`None` while there are none): cloning it is a
+    /// reference count, not a copy.
+    fn failed_list(&self) -> Option<Arc<[usize]>> {
+        if failure_epoch() == 0 {
+            return None;
+        }
+        self.refreshed_failed().ranks.clone()
+    }
+
+    /// The failed-member cache, rescanned if the global failure epoch
+    /// moved. The list is rebuilt only when the scan finds a different
+    /// one: another communicator's failure leaves this one's list, and
+    /// every handle holding it, as they were.
+    fn refreshed_failed(&self) -> parking_lot::MutexGuard<'_, FailedCache> {
+        let epoch = failure_epoch();
         let mut c = self.failed_cache.lock();
         if c.epoch != epoch {
-            c.ranks.clear();
-            let failed = self.members.iter().enumerate().filter(|(_, p)| p.is_failed());
-            c.ranks.extend(failed.map(|(r, _)| r));
+            let failed = || self.members.iter().enumerate().filter(|(_, p)| p.is_failed());
+            let cached = c.ranks.as_deref().unwrap_or_default();
+            if !failed().map(|(r, _)| r).eq(cached.iter().copied()) {
+                let ranks: Vec<usize> = failed().map(|(r, _)| r).collect();
+                c.ranks = (!ranks.is_empty()).then(|| ranks.into());
+                c.group = None;
+            }
             c.epoch = epoch;
-            c.group = None;
         }
-        read(&c.ranks)
+        c
     }
 
     /// One collective of member `my_index`, from deposit to share: the
@@ -166,8 +187,10 @@ impl CommShared {
 #[derive(Default)]
 struct FailedCache {
     epoch: u64,
-    /// Failed ranks, ascending.
-    ranks: Vec<usize>,
+    /// Failed ranks, ascending (`None`: no member failed). Shared with
+    /// every handle's acknowledged list and every `agree` error naming
+    /// them.
+    ranks: Option<Arc<[usize]>>,
     /// `ranks` as a group, built by the first [`Comm::failure_get_acked`]
     /// that asks for exactly these ranks and shared by every later one,
     /// the way [`Comm::group`] is.
@@ -236,7 +259,9 @@ pub struct Comm {
     /// points). `OpKind::Shrink`/`OpKind::Agree` keys are only ever minted
     /// from this counter, so the two domains cannot collide.
     recovery_seq: Cell<u64>,
-    acked: RefCell<Vec<usize>>,
+    /// The failures [`Comm::failure_ack`] acknowledged: the
+    /// communicator's shared failed list as it stood then (`None`: none).
+    acked: RefCell<Option<Arc<[usize]>>>,
     errhandler: RefCell<Option<ErrHandler>>,
     /// Virtual seconds spent inside the error handler since it was
     /// attached.
@@ -250,7 +275,7 @@ impl Comm {
             rank,
             op_seq: Cell::new(0),
             recovery_seq: Cell::new(0),
-            acked: RefCell::new(Vec::new()),
+            acked: RefCell::new(None),
             errhandler: RefCell::new(None),
             errhandler_time: Cell::new(0.0),
         }
@@ -1144,28 +1169,28 @@ impl Comm {
     pub fn agree(&self, ctx: &Ctx, flag: &mut bool) -> Result<()> {
         ctx.fault_op(OpClass::Agree);
         self.shared.agree(ctx, self.rank, ("agree", self.next_key(OpKind::Agree)), flag)?;
-        let unacked: Vec<usize> = {
+        let unacked = self.shared.failed_list().and_then(|failed| {
             let acked = self.acked.borrow();
-            self.shared.with_failed(|failed| {
-                failed.iter().copied().filter(|r| !acked.contains(r)).collect()
-            })
-        };
-        if unacked.is_empty() {
-            Ok(())
-        } else {
-            self.handle_err(ctx, Err(Error::ProcFailed { ranks: unacked }))
+            let acked = acked.as_deref().unwrap_or_default();
+            let unacked = |r: &usize| !acked.contains(r);
+            match failed.iter().filter(|r| unacked(r)).count() {
+                0 => None,
+                // Nothing of it acknowledged: name the shared list itself.
+                n if n == failed.len() => Some(failed),
+                _ => Some(failed.iter().copied().filter(unacked).collect()),
+            }
+        });
+        match unacked {
+            None => Ok(()),
+            Some(ranks) => self.handle_err(ctx, Err(Error::ProcFailed { ranks })),
         }
     }
 
     /// `OMPI_Comm_failure_ack`: acknowledge every failure observed so far.
-    /// The handle's acknowledged list is refilled in place.
+    /// The handle keeps the communicator's shared failed list, not a copy.
     pub fn failure_ack(&self, ctx: &Ctx) {
         ctx.check_killed();
-        self.shared.with_failed(|failed| {
-            let mut acked = self.acked.borrow_mut();
-            acked.clear();
-            acked.extend_from_slice(failed);
-        });
+        *self.acked.borrow_mut() = self.shared.failed_list();
         ctx.advance(ctx.model().failure_ack(self.size()));
     }
 
@@ -1176,9 +1201,10 @@ impl Comm {
     /// [`Comm::group`] is.
     pub fn failure_get_acked(&self) -> Group {
         let acked = self.acked.borrow();
+        let acked = acked.as_deref().unwrap_or_default();
         let build = || Group::new(acked.iter().map(|&r| self.shared.members[r].id).collect());
         let mut cache = self.shared.failed_cache.lock();
-        if cache.ranks == *acked {
+        if cache.ranks.as_deref().unwrap_or_default() == acked {
             cache.group.get_or_insert_with(build).clone()
         } else {
             build()
@@ -1263,6 +1289,17 @@ impl<T: MpiData> Gathered<T> {
     /// Every contribution decoded into a vector of its own, in rank order.
     pub fn to_vecs(&self) -> Vec<Vec<T>> {
         (0..self.len()).map(|r| self.part(r).to_vec()).collect()
+    }
+
+    /// Every contribution decoded, in rank order, into one vector: a
+    /// gather of one scalar per rank lands in a single allocation.
+    pub fn concat(&self) -> Vec<T> {
+        let bufs = &self.parts.bufs;
+        let mut out = Vec::with_capacity(bufs.iter().map(|b| b.len() / T::WIDTH).sum());
+        for b in bufs {
+            T::extend_from_raw(b, &mut out);
+        }
+        out
     }
 }
 

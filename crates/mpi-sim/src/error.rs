@@ -8,6 +8,7 @@
 //! into [`Error::ProcFailed`].
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Result alias used across the runtime.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -18,8 +19,11 @@ pub enum Error {
     /// One or more peer processes participating in the operation have
     /// failed (fail-stop). Carries the ranks *known locally* to have failed
     /// in the communicator the operation ran on — like ULFM, different
-    /// ranks may observe different subsets until they agree.
-    ProcFailed { ranks: Vec<usize> },
+    /// ranks may observe different subsets until they agree. The list is
+    /// shared: every participant an operation fails for gets the one list
+    /// its resolver built, and an `agree` that has acknowledged nothing
+    /// names the communicator's cached failed list itself.
+    ProcFailed { ranks: Arc<[usize]> },
     /// The communicator was revoked (`OMPI_Comm_revoke`) by some rank.
     /// Only `shrink` and `agree` remain usable on a revoked communicator.
     Revoked,
@@ -46,7 +50,7 @@ pub enum Error {
 impl Error {
     /// Convenience constructor for a single known-failed rank.
     pub fn proc_failed(rank: usize) -> Self {
-        Error::ProcFailed { ranks: vec![rank] }
+        Error::ProcFailed { ranks: Arc::from([rank]) }
     }
 
     /// True if this is a process-failure error (the class the paper's
@@ -92,7 +96,7 @@ mod tests {
         let e = Error::proc_failed(3);
         assert!(e.is_proc_failed());
         assert!(!e.is_revoked());
-        assert_eq!(e, Error::ProcFailed { ranks: vec![3] });
+        assert_eq!(e, Error::ProcFailed { ranks: Arc::from([3]) });
     }
 
     #[test]
@@ -103,7 +107,7 @@ mod tests {
 
     #[test]
     fn display_formats_are_informative() {
-        let e = Error::ProcFailed { ranks: vec![1, 4] };
+        let e = Error::ProcFailed { ranks: Arc::from([1, 4]) };
         let s = format!("{e}");
         assert!(s.contains("PROC_FAILED"));
         assert!(s.contains('1') && s.contains('4'));

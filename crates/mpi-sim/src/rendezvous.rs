@@ -549,7 +549,7 @@ mod tests {
         for h in handles {
             let out = h.join().unwrap();
             match &out.result {
-                Err(Error::ProcFailed { ranks }) => assert_eq!(ranks, &vec![2]),
+                Err(Error::ProcFailed { ranks }) => assert_eq!(ranks[..], [2]),
                 other => panic!("expected ProcFailed, got {:?}", other.as_ref().err()),
             }
             assert!((out.t_end - 1.25).abs() < 1e-12);

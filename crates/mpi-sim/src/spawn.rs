@@ -18,17 +18,22 @@ use crate::rendezvous::{arrived, Deposit, OpKind, Share};
 use crate::runtime::Ctx;
 
 /// Where (and what) to spawn for one new process.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The host is named by its hostfile index: the `MPI_Info` `"host"` key
+/// resolved once, by whoever builds the spec, rather than by every rank
+/// that passes the spec on. So a spec is `Copy` and owns no string, and a
+/// survivor's spawn list is its one allocation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpawnSpec {
-    /// Host to place the process on (the `MPI_Info` `"host"` key). `None`
-    /// lets the runtime pick the least-loaded node.
-    pub host: Option<String>,
+    /// Hostfile index of the host to place the process on. `None` lets
+    /// the runtime pick the least-loaded node.
+    pub host: Option<usize>,
 }
 
 impl SpawnSpec {
-    /// Spawn pinned to a named host.
-    pub fn on_host(name: impl Into<String>) -> Self {
-        SpawnSpec { host: Some(name.into()) }
+    /// Spawn pinned to the host at hostfile index `host`.
+    pub fn on_host(host: usize) -> Self {
+        SpawnSpec { host: Some(host) }
     }
 
     /// Spawn wherever the runtime likes.
@@ -60,13 +65,12 @@ pub fn comm_spawn_multiple(ctx: &Ctx, comm: &Comm, specs: &[SpawnSpec]) -> Resul
         let mut placements = Vec::with_capacity(specs.len());
         let mut load = uni.live_per_host();
         for spec in specs {
-            let host = match &spec.host {
-                Some(name) => match uni.hostfile.index_of(name) {
-                    Some(h) => h,
-                    None => {
-                        return (Err(Error::SpawnFailed(format!("unknown host '{name}'"))), cost)
-                    }
-                },
+            let host = match spec.host {
+                Some(h) if h < uni.hostfile.len() => h,
+                Some(h) => {
+                    let unknown = Error::SpawnFailed(format!("no host at hostfile index {h}"));
+                    return (Err(unknown), cost);
+                }
                 None => {
                     // Least-loaded host.
                     let (h, _) = load

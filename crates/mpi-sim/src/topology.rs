@@ -5,7 +5,8 @@
 //! passing the resulting host name to `MPI_Comm_spawn_multiple` via an
 //! `MPI_Info` object, so failed ranks come back on the physical node they
 //! occupied before the failure (preserving load balance). This module
-//! reproduces the same mechanics.
+//! reproduces the same mechanics; the spawn spec carries the hostfile
+//! index that name stands for (`SpawnSpec::on_host`).
 
 use crate::error::{Error, Result};
 
@@ -114,12 +115,6 @@ impl Hostfile {
             self.total_slots()
         )))
     }
-
-    /// Look up a host index by name (as `MPI_Info_set(info, "host", name)`
-    /// would resolve it at spawn time).
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.hosts.iter().position(|h| h.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,5 @@ mod tests {
         assert_eq!(hf.host_of_rank(1).unwrap(), 0);
         assert_eq!(hf.host_of_rank(2).unwrap(), 1);
         assert_eq!(hf.host_of_rank(4).unwrap(), 1);
-        assert_eq!(hf.index_of("b"), Some(1));
-        assert_eq!(hf.index_of("zz"), None);
     }
 }

@@ -62,7 +62,7 @@ fn run_script(plan: FaultPlan, expect_victims: Vec<usize>) -> Report {
                 Err(e @ (Error::ProcFailed { .. } | Error::Revoked)) => {
                     if let (0, Error::ProcFailed { ranks }) = (observed, &e) {
                         // Nothing shrank yet, so ranks are original ranks.
-                        assert_eq!(ranks, &expect_victims, "the complete victim set");
+                        assert_eq!(ranks[..], expect_victims[..], "the complete victim set");
                     }
                     observed += 1;
                     assert!(observed <= 8, "recovery did not converge");

@@ -24,7 +24,7 @@ fn kill_while_blocked_in_barrier() {
         match w.barrier(ctx) {
             Ok(()) => ctx.report_add("ok_outcomes", 1.0),
             Err(Error::ProcFailed { ranks }) => {
-                assert_eq!(ranks, vec![3]);
+                assert_eq!(ranks[..], [3]);
                 ctx.report_add("failed_outcomes", 1.0);
             }
             Err(e) => panic!("unexpected {e}"),
@@ -312,13 +312,8 @@ fn oversubscription_slows_per_step_compute() {
         let balanced = ctx.now() - t0;
 
         // Spawn 2 extra processes pinned to host 0 → 4 live procs there.
-        let host0 = ctx.hostfile().hosts()[0].name.clone();
-        let inter = comm_spawn_multiple(
-            ctx,
-            &w,
-            &[SpawnSpec::on_host(host0.clone()), SpawnSpec::on_host(host0)],
-        )
-        .unwrap();
+        let inter =
+            comm_spawn_multiple(ctx, &w, &[SpawnSpec::on_host(0), SpawnSpec::on_host(0)]).unwrap();
         let m = inter.merge(ctx, false).unwrap();
         m.barrier(ctx).unwrap(); // children are up
         assert_eq!(ctx.oversubscription(), 2.0);

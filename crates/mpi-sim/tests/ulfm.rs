@@ -58,7 +58,7 @@ fn barrier_detects_failure_like_fig3() {
         }
         match w.barrier(ctx) {
             Err(Error::ProcFailed { ranks }) => {
-                assert_eq!(ranks, vec![3]);
+                assert_eq!(ranks[..], [3]);
                 ctx.report_add("detected", 1.0);
             }
             other => panic!("expected ProcFailed, got {other:?}"),
@@ -181,7 +181,7 @@ fn agree_flags_unacked_failures() {
         let mut flag = true;
         match w.agree(ctx, &mut flag) {
             Err(Error::ProcFailed { ranks }) => {
-                assert_eq!(ranks, vec![1]);
+                assert_eq!(ranks[..], [1]);
                 assert!(flag, "agreed value is still delivered");
                 ctx.report_add("ok", 1.0);
             }
@@ -237,8 +237,7 @@ fn spawn_pins_to_named_host() {
             return;
         }
         let w = ctx.initial_world().unwrap();
-        let target = ctx.hostfile().hosts()[2].name.clone();
-        let _inter = comm_spawn_multiple(ctx, &w, &[SpawnSpec::on_host(target)]).unwrap();
+        let _inter = comm_spawn_multiple(ctx, &w, &[SpawnSpec::on_host(2)]).unwrap();
     });
     report.assert_no_app_errors();
     assert_eq!(report.get_f64("child_host"), Some(2.0));
@@ -251,7 +250,8 @@ fn spawn_unknown_host_fails_uniformly() {
             panic!("nothing should be spawned");
         }
         let w = ctx.initial_world().unwrap();
-        let e = comm_spawn_multiple(ctx, &w, &[SpawnSpec::on_host("nonexistent")]).unwrap_err();
+        let past_the_end = SpawnSpec::on_host(ctx.hostfile().len());
+        let e = comm_spawn_multiple(ctx, &w, &[past_the_end]).unwrap_err();
         assert!(matches!(e, Error::SpawnFailed(_)));
         ctx.report_add("ok", 1.0);
     });
