@@ -2,7 +2,7 @@
 //! vectorized row, plus the full-field step. The scalar row is the
 //! bitwise-pinned reference; this bench is where the SIMD speedup is
 //! measured in isolation from halo/stepping overhead (the d-dimensional
-//! rows are timed per backend by `expt-kernel`'s 3D section).
+//! rows are timed per backend by `expt kernel`'s 3D section).
 
 use advect2d::{lax_wendroff_row, lax_wendroff_row_simd, simd_isa_label, LwCoef, PaddedField};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

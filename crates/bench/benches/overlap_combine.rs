@@ -3,7 +3,7 @@
 //! both associations — the central master's left fold and the
 //! binomial-tree pairing (serial, and distributed over a simulated
 //! group of leaders). Virtual-makespan acceptance numbers come from the
-//! `expt-overlap` binary; these benches pin the real-time cost of the
+//! `expt overlap` binary; these benches pin the real-time cost of the
 //! same code paths so regressions show up in `cargo bench`.
 
 use std::sync::Arc;
@@ -87,7 +87,7 @@ fn bench_distributed_tree_combine(c: &mut Criterion) {
 /// Overlapped vs blocking halo stepper, 2×2 group, bursts of 8 steps.
 /// Both run over the simulated runtime, so the delta here is scheduling
 /// overhead (request bookkeeping vs rendezvous), not the virtual-time
-/// overlap win — that is `expt-overlap`'s job to measure.
+/// overlap win — that is `expt overlap`'s job to measure.
 fn bench_overlapped_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("overlap_step");
     g.sample_size(10);

@@ -1,5 +1,5 @@
 //! Deterministic fault-injection campaigns with invariant oracles and
-//! failing-case minimization (the `expt-chaos` engine).
+//! failing-case minimization (the `expt chaos` engine).
 //!
 //! A *campaign* samples `budget` cases from a seeded RNG, cycling through
 //! the four techniques and the three fault-site kinds (step boundary,
@@ -45,7 +45,7 @@
 //! Failing cases are shrunk greedily — drop failures one at a time, halve
 //! the step count, reduce the combination level — re-running the oracles
 //! after each candidate reduction, and emitted as one-line repro specs
-//! (`CR/n6l3s1k5c2/3@step:16+5@op:gather:1`) that `expt-chaos --repro`
+//! (`CR/n6l3s1k5c2/3@step:16+5@op:gather:1`) that `expt chaos --repro`
 //! replays exactly. With `--artifacts DIR`, every shrunk repro is re-run
 //! once more to attach a Chrome trace and a timeline JSON to the report.
 
@@ -67,6 +67,8 @@ use ulfm_sim::{
     run, timelines_to_json, write_chrome_trace, FaultPlan, FaultSite, OpClass, RecoveryTimeline,
     Report, RunConfig,
 };
+
+use crate::cli::{Args, Flags, Usage};
 
 /// Default campaign size (`--budget`).
 pub const DEFAULT_BUDGET: usize = 200;
@@ -994,6 +996,129 @@ impl Default for CampaignOpts {
     }
 }
 
+impl CampaignOpts {
+    /// The flags of `expt chaos`.
+    pub const FLAGS: Flags =
+        "--budget N --seed S --policy respawn|shrink|substitute|defer --dim D \
+        --stall-secs T --fanout-workers W --sabotage --no-corrupt --corrupt-only --json PATH \
+        --repro SPEC --artifacts DIR";
+
+    pub fn from_args(a: &Args) -> Result<Self, Usage> {
+        let d = CampaignOpts::default();
+        let o = CampaignOpts {
+            budget: a.get_or("--budget", d.budget)?,
+            seed: a.get_or("--seed", d.seed)?,
+            sabotage: a.has("--sabotage"),
+            policy: a.get_with("--policy", RecoveryPolicy::from_label)?.unwrap_or(d.policy),
+            stall: a
+                .get_with("--stall-secs", |v| v.parse().ok().map(Duration::from_secs))?
+                .unwrap_or(d.stall),
+            artifact_dir: a.value("--artifacts").map(PathBuf::from),
+            corruption: !a.has("--no-corrupt"),
+            corrupt_only: a.has("--corrupt-only"),
+            fanout_workers: a.get_or("--fanout-workers", d.fanout_workers)?,
+            dim: a.get_or("--dim", d.dim)?,
+        };
+        if o.dim < 2 {
+            return Err(a.usage(format!("--dim must be at least 2 (got {})", o.dim)));
+        }
+        Ok(o)
+    }
+}
+
+/// `expt chaos`: a campaign (or with `--repro SPEC` one case), printed
+/// and with `--json PATH` written out. Exit code 0 when every examined
+/// case satisfies all oracles, 1 when any violation was found (the
+/// minimized repro specs are printed and go into the report).
+///
+/// `--policy` runs every sampled case under the given recovery policy;
+/// sampling is policy-independent, so campaigns with the same seed
+/// examine the same fault sites under each policy. `--dim 3` samples the
+/// 3D campaign shape instead of the classic 2D one.
+pub fn main(a: &Args) -> Result<i32, Usage> {
+    let opts = CampaignOpts::from_args(a)?;
+    if let Some(spec) = a.value("--repro") {
+        return Ok(match replay(spec, &opts) {
+            Ok(record) => {
+                print_record(0, &record);
+                i32::from(!record.violations.is_empty())
+            }
+            Err(e) => {
+                eprintln!("expt chaos: {e}");
+                2
+            }
+        });
+    }
+
+    let corrupt_mix = if opts.corrupt_only {
+        "all"
+    } else if opts.corruption {
+        "1-in-5"
+    } else {
+        "off"
+    };
+    println!(
+        "chaos campaign: budget={} seed={} policy={} dim={} sabotage={} stall={}s \
+         corruption={corrupt_mix}",
+        opts.budget,
+        opts.seed,
+        opts.policy.label(),
+        opts.dim,
+        opts.sabotage,
+        opts.stall.as_secs()
+    );
+    let report = run_campaign_with(&opts, |i, r| {
+        if !r.violations.is_empty() {
+            print_record(i, r);
+        }
+    });
+
+    println!();
+    println!("coverage (technique x site kind):");
+    let cov = report.coverage();
+    let mut keys: Vec<_> = cov.keys().collect();
+    keys.sort();
+    for k in keys {
+        println!("  {:<4} {:<8} {:>4} cases", k.0, k.1, cov[k]);
+    }
+    println!(
+        "\nexamined {} cases ({} baseline runs, {} shrink runs): {} violating",
+        report.cases.len(),
+        report.baseline_runs,
+        report.shrink_runs,
+        report.n_violating()
+    );
+    for line in report.repro_lines() {
+        println!("  {line}");
+    }
+
+    if let Some(path) = a.value("--json") {
+        if let Err(e) = std::fs::write(path, report.to_json()) {
+            eprintln!("expt chaos: cannot write {path}: {e}");
+            return Ok(2);
+        }
+        println!("report written to {path}");
+    }
+    Ok(i32::from(report.n_violating() != 0))
+}
+
+fn print_record(i: usize, r: &CaseRecord) {
+    let verdict = if r.violations.is_empty() { "ok" } else { "VIOLATION" };
+    println!(
+        "[{i:>4}] {verdict:<9} {:<4} {:<8} failed={} {}",
+        r.technique, r.kind, r.procs_failed, r.spec
+    );
+    for v in &r.violations {
+        println!("        {}: {}", v.oracle, v.detail);
+    }
+    if let Some(s) = &r.shrunk_spec {
+        println!("        minimized to {} failure(s): {s}", r.shrunk_n_failures.unwrap_or(0));
+    }
+    for a in &r.artifacts {
+        println!("        artifact: {a}");
+    }
+}
+
 /// One examined case in the campaign report.
 #[derive(Debug, Clone)]
 pub struct CaseRecord {
@@ -1045,7 +1170,7 @@ impl CampaignReport {
             .filter(|c| !c.violations.is_empty())
             .map(|c| {
                 format!(
-                    "cargo run -p ftsg-bench --bin expt-chaos -- --repro '{}'  # {}",
+                    "cargo run -p ftsg-bench --bin expt -- chaos --repro '{}'  # {}",
                     c.shrunk_spec.as_deref().unwrap_or(&c.spec),
                     c.violations[0].oracle
                 )
@@ -1420,11 +1545,8 @@ pub fn run_campaign_with(
     // Phase 2 — run the cases on the pool and consume them in sampling
     // order; the baseline cache and the shrink loop are deterministic
     // because their call order is.
-    let workers = if opts.fanout_workers == 0 {
-        std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
-    } else {
-        opts.fanout_workers
-    };
+    let workers =
+        if opts.fanout_workers == 0 { crate::stamp::nproc() } else { opts.fanout_workers };
     let run_one = |i: usize| {
         let case = &cases[i];
         run_case(case, FaultPlan::new_sites(case.victims.clone()), opts.seed, opts.stall)

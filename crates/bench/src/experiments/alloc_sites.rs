@@ -1,5 +1,5 @@
 //! Where a benchmark workload's allocator requests and the bytes they ask
-//! for come from, by call site (`expt-timeline --alloc-sites <workload>`).
+//! for come from, by call site (`expt timeline --alloc-sites <workload>`).
 //!
 //! [`TracingAllocator`] counts every request the process makes of the
 //! system allocator and the bytes it asks for, as the benchmark's counting
@@ -14,10 +14,10 @@
 //! [`crate::experiments::repair`] (OPL, beta-ULFM, one scheduler worker,
 //! seed 7). The counts and byte sums are exact.
 //!
-//! A binary opts in with
-//! `#[global_allocator] static A: TracingAllocator = TracingAllocator;`
-//! and reads [`requests`] and [`bytes`] for exact totals (`expt-regress`
-//! does, with tracing never switched on).
+//! The `expt` binary installs it as its global allocator; [`requests`]
+//! and [`bytes`] read its exact totals (`expt regress` and `expt ckpt` do,
+//! with tracing never switched on). In a process that installs none, as
+//! the library's unit tests, both stay 0.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;

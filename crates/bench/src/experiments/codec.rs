@@ -1,11 +1,11 @@
-//! The checkpoint-codec section of `expt-ckpt`: what the layer between a
+//! The checkpoint-codec section of `expt ckpt`: what the layer between a
 //! gathered sub-grid and the disk costs, on the wall clock and in
 //! allocator bytes, at the grid set of the benchmark's `ckpt_heavy`
 //! workload (CR, n = 10, l = 4).
 //!
 //! * CRC-64 throughput of the production slice-by-8 [`Crc64`] against the
 //!   byte-at-a-time reference [`crc64_bytewise`] — their **ratio** is what
-//!   `expt-regress` gates, because a ratio of two same-process timings
+//!   `expt regress` gates, because a ratio of two same-process timings
 //!   survives the host factor;
 //! * `CheckpointStore::write` and `read_latest_valid` of every sub-grid,
 //!   milliseconds per round (write is fsync-bound on most hosts);
@@ -25,13 +25,13 @@ use ftsg_core::checkpoint::{crc64, crc64_bytewise};
 use ftsg_core::{CheckpointStore, Technique};
 use sparsegrid::{Grid2, GridSystem};
 
-use crate::experiments::kernel::cpu_model;
+use crate::stamp::Stamp;
 use crate::table::{sig3, Table};
 
 /// The `ckpt_heavy` shape.
 const N: u32 = 10;
 const L: u32 = 4;
-/// The floor `expt-regress` holds the sliced-over-bytewise ratio to.
+/// The floor `expt regress` holds the sliced-over-bytewise ratio to.
 pub const CRC_RATIO_REQUIRED_MIN: f64 = 2.0;
 
 /// One measured quantity.
@@ -47,10 +47,7 @@ pub struct CodecRow {
 /// Outcome of the codec section.
 #[derive(Debug, Clone)]
 pub struct CodecReport {
-    pub nproc: usize,
-    pub cpu: String,
-    pub rustc: String,
-    pub git: String,
+    pub stamp: &'static Stamp,
     pub n_grids: usize,
     /// Bytes one checkpoint round puts on disk.
     pub bytes_per_round: usize,
@@ -96,33 +93,13 @@ fn crc_throughput(encoded: &[Vec<u8>], iters: usize) -> (f64, f64) {
     (mb / sliced, mb / bytewise)
 }
 
-/// The gated ratio alone (for `expt-regress`): sliced over bytewise CRC
+/// The gated ratio alone (for `expt regress`): sliced over bytewise CRC
 /// throughput on the largest `ckpt_heavy` sub-grid.
 pub fn measure_crc_ratio(iters: usize) -> f64 {
     let largest = grids().into_iter().max_by_key(Grid2::byte_size).expect("the system has grids");
     let encoded = [CheckpointStore::encode(0, largest.level(), largest.values())];
     let (sliced, bytewise) = crc_throughput(&encoded, iters);
     sliced / bytewise
-}
-
-pub(crate) fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("-V")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-pub(crate) fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Run the section with `iters` timing samples per quantity.
@@ -178,10 +155,7 @@ pub fn run(iters: usize, alloc_bytes: fn() -> u64) -> std::io::Result<CodecRepor
 
     let row = |bench, value, unit, clock| CodecRow { bench, value, unit, clock };
     Ok(CodecReport {
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        cpu: cpu_model(),
-        rustc: rustc_version(),
-        git: git_revision(),
+        stamp: Stamp::host(),
         n_grids: grids.len(),
         bytes_per_round,
         rows: vec![
@@ -235,10 +209,10 @@ impl CodecReport {
              \"n\": {N}, \"l\": {L}, \"grids\": {}, \"bytes_per_round\": {}}},\n \
              \"acceptance\": {{\n  \"crc_sliced_over_bytewise_ratio\": {:.4},\n  \
              \"crc_ratio_required_min\": {CRC_RATIO_REQUIRED_MIN:.1}\n }},\n \"results\": [\n{}\n ]\n}}\n",
-            self.nproc,
-            self.cpu,
-            self.rustc,
-            self.git,
+            self.stamp.nproc,
+            self.stamp.cpu,
+            self.stamp.rustc,
+            self.stamp.git,
             self.n_grids,
             self.bytes_per_round,
             self.crc_ratio,

@@ -1,5 +1,5 @@
 //! What a warm collective costs the allocator — the exact counts behind
-//! `BENCH_pr24.json` (`expt-regress --exact` re-measures them, and
+//! `BENCH_pr24.json` (`expt regress --exact` re-measures them, and
 //! `crates/core/tests/alloc_discipline.rs` pins the same numbers).
 //!
 //! A round is counted between two gates all ranks pass without touching

@@ -1,4 +1,4 @@
-//! `expt-3d` — the paper's Figs. 9/10 experiment lifted to three
+//! `expt 3d` — the paper's Figs. 9/10 experiment lifted to three
 //! dimensions: error of the combined solution vs the number of lost
 //! component grids, per recovery technique, for both 3D problems
 //! (upwind advection–diffusion and the elliptic Jacobi solve).
@@ -9,7 +9,7 @@
 //! copies from duplicate grids (near-exact), and AC recombines the
 //! survivors with robust coefficients (the error–loss trade-off curve).
 //!
-//! The binary writes `results/expt3d.csv` and the `BENCH_pr10.json`
+//! [`main`] writes `results/expt3d.csv` and the `BENCH_pr10.json`
 //! acceptance artifact.
 
 use advect2d::ndproblem::ProblemN;
@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ulfm_sim::{run, RunConfig};
 
+use crate::cli::{Args, Flags, Usage};
 use crate::table::{sci, sig3, utc_today, Table};
 
 /// Sizing knobs for the 3D sweep (own struct: the shared [`crate::Opts`]
@@ -34,29 +35,51 @@ pub struct Dim3Opts {
     pub reps: usize,
     pub max_lost: usize,
     pub seed: u64,
-    pub out: String,
 }
 
 impl Default for Dim3Opts {
     fn default() -> Self {
-        Dim3Opts {
-            n: 5,
-            l: 4,
-            log2_steps: 4,
-            reps: 5,
-            max_lost: 6,
-            seed: 2014,
-            out: "target/expt/BENCH_pr10.json".into(),
-        }
+        Dim3Opts { n: 5, l: 4, log2_steps: 4, reps: 5, max_lost: 6, seed: 2014 }
     }
 }
 
 impl Dim3Opts {
-    /// Shrink for the CI smoke lane.
-    pub fn apply_smoke(&mut self) {
-        self.reps = 1;
-        self.max_lost = 2;
+    /// The flags of `expt 3d`.
+    pub const FLAGS: Flags = "--quick --n N --l L --steps LOG2 --reps R --max-lost K --seed S";
+
+    /// Read [`Dim3Opts::FLAGS`]; `--quick` caps the sweep at 1 rep and
+    /// 2 losses (the CI lane).
+    pub fn from_args(a: &Args) -> Result<Self, Usage> {
+        let d = Dim3Opts::default();
+        let mut o = Dim3Opts {
+            n: a.get_or("--n", d.n)?,
+            l: a.get_or("--l", d.l)?,
+            log2_steps: a.get_or("--steps", d.log2_steps)?,
+            reps: a.get_or("--reps", d.reps)?,
+            max_lost: a.get_or("--max-lost", d.max_lost)?,
+            seed: a.get_or("--seed", d.seed)?,
+        };
+        if a.quick() {
+            (o.reps, o.max_lost) = (o.reps.min(1), o.max_lost.min(2));
+        }
+        a.check_levels(o.n, o.l)?;
+        Ok(o)
     }
+}
+
+/// `expt 3d`: the sweep, `results/expt3d.csv` and `BENCH_pr10.json`.
+/// Exits 1 if an error is not finite or a healthy error is round-off
+/// rather than discretization error ([`healthy_errors_resolved`]).
+pub fn main(a: &Args) -> Result<i32, Usage> {
+    let o = Dim3Opts::from_args(a)?;
+    let points = sweep(&o);
+    table(&o, &points).emit(a.csv("expt3d.csv"));
+    a.record("BENCH_pr10.json", &to_json(&o, &points));
+    if !healthy_errors_resolved(&points) {
+        eprintln!("expt 3d: a healthy error is below {RESOLVED_ERR:e}: round-off");
+        return Ok(1);
+    }
+    Ok(if points.iter().all(|p| p.err.is_finite()) { 0 } else { 1 })
 }
 
 const DIM: usize = 3;

@@ -60,8 +60,10 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                             Technique::AlternateCombination => 3,
                             Technique::BuddyCheckpoint => 4,
                         };
+                    // Synchronous checkpoint writes, as in the paper.
                     let cfg = AppConfig::paper_shaped(technique, opts.n, s, log2_steps)
-                        .with_checkpoints(checkpoints);
+                        .with_checkpoints(checkpoints)
+                        .with_sync_checkpoints();
                     let steps = cfg.steps();
                     let plan = if failures == 0 {
                         FaultPlan::none()

@@ -36,7 +36,8 @@ const SCALE: usize = 4;
 /// `C = T_base / T_IO` (capped so the checkpoint period stays ≥ 2 steps).
 pub fn calibrated_checkpoints(opts: &Opts, profile: &ClusterProfile, log2_steps: u32) -> u32 {
     let cfg = AppConfig::paper_shaped(Technique::CheckpointRestart, opts.n, SCALE, log2_steps)
-        .with_checkpoints(1);
+        .with_checkpoints(1)
+        .with_sync_checkpoints();
     let report = launch_on(profile.clone(), ModelKind::Beta, cfg, opts.seed ^ 0xCAFE);
     let t_base = report.get_f64(keys::T_TOTAL).unwrap();
     let bytes = sparsegrid::LevelPair::new(opts.n - opts.l + 1, opts.n).points() * 8;
@@ -86,8 +87,11 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                         technique == Technique::ResamplingCopying,
                         seed,
                     );
+                    // The paper's checkpoint writes block (only CR makes
+                    // any): the asynchronous stage is this repo's extension.
                     let cfg = AppConfig::paper_shaped(technique, opts.n, SCALE, log2_steps)
                         .with_checkpoints(checkpoints)
+                        .with_sync_checkpoints()
                         .with_simulated_losses(grids);
                     let report = launch_on(profile.clone(), ModelKind::Beta, cfg, seed);
                     rec += report.get_f64(keys::T_RECOVERY).unwrap();

@@ -1,4 +1,4 @@
-//! `expt-kernel` — the kernel-vectorization acceptance experiment: the
+//! `expt kernel` — the kernel-vectorization acceptance experiment: the
 //! Lax–Wendroff row's GFLOP/s (scalar reference vs SIMD), and
 //! the level-9 steady-state step wall under two configurations —
 //! scalar and SIMD. The SIMD-vs-scalar step ratio
@@ -15,14 +15,14 @@
 //! `solve3d_kill` workload — one field per rank, swept in rank order —
 //! under the point-closure reference, the scalar row loop and the row
 //! kernel of every SIMD backend the CPU can run. The rows-over-closure
-//! *ratio* is what `expt-regress` gates: both sides are measured in one
+//! *ratio* is what `expt regress` gates: both sides are measured in one
 //! process, so the host factor cancels.
 
 use std::time::Instant;
 
 use advect2d::laxwendroff::{lax_wendroff_row, LwCoef};
 use advect2d::{
-    lax_wendroff_row_simd, simd_isa_label, upwind_diffusion_kernel, upwind_diffusion_row_n,
+    lax_wendroff_row_simd, upwind_diffusion_kernel, upwind_diffusion_row_n,
     upwind_diffusion_row_n_on, AdvectionProblem, PaddedField, PaddedFieldN, SimdIsa, StencilN,
     TimeGridN, UpwindAxisN, UpwindDiffusionCoefN,
 };
@@ -30,7 +30,10 @@ use ftsg_core::psolve::block_range;
 use ftsg_core::{AppConfig, ProcLayoutN, Technique};
 use sparsegrid::{Grid2, LevelPair};
 
-use crate::table::{sig3, Table};
+use crate::cli::{Args, Usage};
+use crate::stamp::Stamp;
+use crate::table::{sig3, utc_today, Table};
+use crate::Opts;
 
 /// FLOPs per output cell of the Lax–Wendroff row, counted from the
 /// pinned scalar expression (adds + subs + muls; no FMA contraction
@@ -222,7 +225,7 @@ pub fn run(dir: &str, iters: usize) -> KernelReport {
     let pr1_fast_ns = pr1_fast_baseline(dir);
 
     KernelReport {
-        isa: simd_isa_label(),
+        isa: Stamp::host().isa,
         rows,
         steps,
         bitwise_ok,
@@ -345,10 +348,8 @@ pub struct Step3dRow {
 /// Outcome of the 3D section.
 #[derive(Debug, Clone)]
 pub struct Kernel3dReport {
-    /// The backend the process steps with (what production rows use).
-    pub isa: &'static str,
-    pub nproc: usize,
-    pub cpu: String,
+    /// The host; its `isa` is the backend production rows step with.
+    pub stamp: &'static Stamp,
     /// Slab fields (= ranks of the workload's layout) and their cells.
     pub fields: usize,
     pub cells: usize,
@@ -420,18 +421,6 @@ fn sweep_3d(slabs: &mut [Slab3d], how: Step3d) {
     }
 }
 
-pub(crate) fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|t| {
-            t.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// Run the 3D section with `iters` timing samples per mode.
 pub fn run_3d(iters: usize) -> Kernel3dReport {
     let modes: Vec<Step3d> = [Step3d::Closure, Step3d::RowsScalar]
@@ -472,9 +461,7 @@ pub fn run_3d(iters: usize) -> Kernel3dReport {
         rows.iter().find(|r| r.mode == mode).map(|r| r.ns_per_cell).unwrap_or(f64::NAN)
     };
     Kernel3dReport {
-        isa: simd_isa_label(),
-        nproc: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        cpu: cpu_model(),
+        stamp: Stamp::host(),
         fields,
         cells,
         rows_speedup_vs_closure: ns_of(Step3d::Closure) / ns_of(Step3d::Rows(SimdIsa::resolved())),
@@ -501,7 +488,7 @@ impl Kernel3dReport {
         let mut t = Table::new(
             format!(
                 "3D step at the solve3d_kill slab shapes ({} fields, {} cells; isa: {})",
-                self.fields, self.cells, self.isa
+                self.fields, self.cells, self.stamp.isa
             ),
             &["mode", "ns_per_cell"],
         );
@@ -526,7 +513,7 @@ impl Kernel3dReport {
         s.push_str(&format!(
             " \"config\": {{\"simd_isa\": \"{}\", \"nproc\": {}, \"cpu\": \"{}\", \
              \"dim\": 3, \"n\": 7, \"l\": 4, \"scale\": 2, \"fields\": {}, \"cells\": {}}},\n",
-            self.isa, self.nproc, self.cpu, self.fields, self.cells
+            self.stamp.isa, self.stamp.nproc, self.stamp.cpu, self.fields, self.cells
         ));
         s.push_str(" \"acceptance\": {\n");
         s.push_str(&format!("  \"nd_rows_bitwise_identical\": {},\n", self.bitwise_ok));
@@ -548,6 +535,37 @@ impl Kernel3dReport {
         s.push_str("\n ]\n}\n");
         s
     }
+}
+
+/// `expt kernel`: both sections, `BENCH_pr8.json` and `results/kernel.csv`
+/// then `BENCH_pr17.json` and `results/kernel3d.csv`. Of the shared
+/// experiment flags only `--reps` (timing samples, scaled ×10) and
+/// `--quick` matter here.
+pub fn main(a: &Args) -> Result<i32, Usage> {
+    let opts = Opts::from_args(a)?;
+    let iters = if opts.quick { 10 } else { opts.reps.max(3) * 10 };
+    let report = run(".", iters);
+    report.table().emit(a.csv("kernel.csv"));
+    assert!(report.bitwise_ok, "SIMD path drifted from the scalar reference");
+    println!(
+        "level-9 step: simd {:.2}x vs scalar (isa: {})",
+        report.simd_speedup_vs_scalar, report.isa
+    );
+    if let Some(v) = report.speedup_vs_pr1_fast {
+        println!("vs committed BENCH_pr1 fast path: {v:.2}x (required: 2.0x)");
+    }
+    a.record("BENCH_pr8.json", &report.to_json(&utc_today()));
+
+    let report = run_3d(iters);
+    report.table().emit(a.csv("kernel3d.csv"));
+    assert!(report.bitwise_ok, "3D row kernels drifted from the closure reference");
+    let s = report.stamp;
+    println!(
+        "3D step: rows {:.2}x vs closure (isa: {}, nproc: {}, cpu: {})",
+        report.rows_speedup_vs_closure, s.isa, s.nproc, s.cpu
+    );
+    a.record("BENCH_pr17.json", &report.to_json(&utc_today()));
+    Ok(0)
 }
 
 #[cfg(test)]

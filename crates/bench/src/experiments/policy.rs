@@ -1,4 +1,4 @@
-//! `expt-policy` — the recovery-policy matrix: per-failure-count recovery
+//! `expt policy` — the recovery-policy matrix: per-failure-count recovery
 //! overhead vs combined-solution error vs virtual makespan, across every
 //! `RecoveryPolicy` × technique pair.
 //!
@@ -20,9 +20,10 @@ use ftsg_core::{run_app, AppConfig, ProcLayout, RecoveryPolicy, Technique};
 use ulfm_sim::{FaultPlan, Report, RunConfig};
 
 use crate::chaos::CHAOS_SPARES;
+use crate::cli::{Args, Usage};
 use crate::opts::Opts;
 use crate::runner::random_victims;
-use crate::table::{sig3, Table};
+use crate::table::{sig3, utc_today, Table};
 
 /// Failure counts swept per policy × technique cell.
 pub const FAILURE_COUNTS: [usize; 4] = [0, 1, 2, 3];
@@ -240,4 +241,18 @@ impl PolicyReport {
             rows.join(",\n"),
         )
     }
+}
+
+/// `expt policy`: the matrix, `results/policy.csv` and `BENCH_pr7.json`.
+pub fn main(a: &Args) -> Result<i32, Usage> {
+    let report = run(&Opts::from_args(a)?);
+    report.table().emit(a.csv("policy.csv"));
+    println!(
+        "overhead vs respawn at {} failures: substitute {:.2}x, shrink {:.2}x",
+        FAILURE_COUNTS.last().unwrap(),
+        report.substitute_overhead_ratio,
+        report.shrink_overhead_ratio,
+    );
+    a.record("BENCH_pr7.json", &report.to_json(&utc_today()));
+    Ok(0)
 }

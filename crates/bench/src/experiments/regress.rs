@@ -1,4 +1,4 @@
-//! `expt-regress` — the bench-regression gate: re-measure the
+//! `expt regress` — the bench-regression gate: re-measure the
 //! load-bearing performance claims in this repo and compare each against
 //! the committed `BENCH_*.json` baseline, failing on a regression beyond
 //! [`TOLERANCE`].
@@ -59,7 +59,7 @@
 //!    per-rank allocation creeping back into a collective — a cloned
 //!    contribution, a boxed outcome, a map node — moves a count by a
 //!    multiple of 64. Measured through the calling binary's counting
-//!    allocator, so only `expt-regress` (which installs one) runs them.
+//!    allocator, so only `expt regress` (which installs one) runs them.
 //! 9. **`robust_solve_requests_2d`**, **`robust_solve_requests_3d`** and
 //!    **`errhandler_requests`** (allocator requests, **exact match**) —
 //!    one warm robust-coefficient solve at the `ranks1k_kill` and
@@ -160,7 +160,7 @@
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
-//! ([`run_exact`], `expt-regress --exact`) is a blocking CI step. Locally
+//! ([`run_exact`], `expt regress --exact`) is a blocking CI step. Locally
 //! a nonzero exit means "look before you merge".
 
 use std::time::Instant;
@@ -169,6 +169,8 @@ use advect2d::laxwendroff::{lax_wendroff_row, lax_wendroff_step, LwCoef};
 use advect2d::{AdvectionProblem, PaddedField};
 use sparsegrid::{Grid2, LevelPair};
 
+use crate::cli::{Args, Usage};
+use crate::experiments::alloc_sites::{bytes, requests};
 use crate::experiments::overlap::combine_makespan;
 use crate::experiments::scale::json_num;
 use crate::table::{sig3, Table};
@@ -525,6 +527,54 @@ pub fn run(
         .collect(),
         tolerance: TOLERANCE,
     })
+}
+
+/// `expt regress`: `--dir` holds the committed baselines (default `.`,
+/// the repo root); `--iters` sets the timed repetitions per wall-clock
+/// measurement (default 30, median taken); `--exact` runs only the
+/// deterministic gates (virtual clock, allocator counts and bytes,
+/// resident stack pages), which CI blocks on. Exits 1 when a gate
+/// regressed, 2 when a baseline cannot be read. The allocation gates read
+/// the counting allocator the `expt` binary installs.
+pub fn main(a: &Args) -> Result<i32, Usage> {
+    let dir: String = a.get_or("--dir", ".".into())?;
+    let iters = a.get_or("--iters", 30)?;
+    let exact = a.has("--exact");
+    let report = match if exact {
+        run_exact(&dir, requests, bytes)
+    } else {
+        run(&dir, iters, requests, bytes)
+    } {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("expt regress: {e}");
+            return Ok(2);
+        }
+    };
+    if exact {
+        print!("{}", report.table().render());
+    } else {
+        report.table().emit(a.csv("regress.csv"));
+    }
+    if report.all_pass() {
+        println!(
+            "regression gate: PASS ({} gates within {:.0}%)",
+            report.gates.len(),
+            report.tolerance * 100.0
+        );
+        return Ok(0);
+    }
+    for g in report.gates.iter().filter(|g| !g.pass) {
+        eprintln!(
+            "regression gate: {} regressed beyond {:.0}%: baseline {:.4} vs fresh {:.4} ({})",
+            g.name,
+            report.tolerance * 100.0,
+            g.baseline,
+            g.fresh,
+            g.source
+        );
+    }
+    Ok(1)
 }
 
 #[cfg(test)]

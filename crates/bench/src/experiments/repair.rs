@@ -10,14 +10,13 @@
 //! (= `T_RECONSTRUCT`), `virt_restore` (= `T_RECOVERY + T_CKPT`) and
 //! `err_l1`. Everything is deterministic, so the committed
 //! `BENCH_pr22.json` is exact and [`measure_paper_shape`] feeds a
-//! *blocking* exact-match gate of `expt-regress`.
+//! *blocking* exact-match gate of `expt regress`.
 
 use ftsg_core::app::{keys, AUDITED_OPS};
 use ftsg_core::{run_app, AppConfig, ProcLayout, ProcLayoutN, RecoveryPolicy, Technique};
 use ulfm_sim::{run, ClusterProfile, FaultPlan, Report, RunConfig};
 
-use crate::experiments::codec::{git_revision, rustc_version};
-use crate::experiments::kernel::cpu_model;
+use crate::stamp::Stamp;
 use crate::table::Table;
 
 /// The seed the benchmark's recorded runs use (it only picks which
@@ -338,20 +337,14 @@ fn resident_pages(
 /// Parent and change on all five shapes, with the host stamp.
 #[derive(Debug, Clone)]
 pub struct RepairReport {
-    pub nproc: usize,
-    pub cpu: String,
-    pub rustc: String,
-    pub git: String,
+    pub stamp: &'static Stamp,
     /// `(workload, parent, change)`.
     pub rows: Vec<(&'static str, RepairRow, RepairRow)>,
 }
 
 pub fn run_all() -> RepairReport {
     RepairReport {
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        cpu: cpu_model(),
-        rustc: rustc_version(),
-        git: git_revision(),
+        stamp: Stamp::host(),
         rows: SHAPES
             .iter()
             .zip(PARENT)
@@ -432,10 +425,10 @@ impl RepairReport {
              \"config\": {{\"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\", \"git\": \"{}\", \
              \"seed\": {SEED}}},\n \"acceptance\": {{\n  \"paper_shape_agree_calls\": {},\n  \
              \"paper_shape_t_reconstruct\": {:?}\n }},\n \"rows\": [\n{}\n ]\n}}\n",
-            self.nproc,
-            self.cpu,
-            self.rustc,
-            self.git,
+            self.stamp.nproc,
+            self.stamp.cpu,
+            self.stamp.rustc,
+            self.stamp.git,
             paper.ops[0] + paper.ops[1],
             paper.repair,
             rows.join(",\n"),

@@ -1,4 +1,4 @@
-//! `expt-scale` — runtime scalability sweep: wall-clock-per-simulated-step
+//! `expt scale` — runtime scalability sweep: wall-clock-per-simulated-step
 //! and peak RSS of Fig-8-style failure/recovery runs at ~1k/10k/100k
 //! simulated ranks, pooled cooperative scheduler versus the legacy
 //! thread-per-rank escape hatch.
@@ -7,8 +7,8 @@
 //! same Resampling-and-Copying layout, beta-ULFM model and single
 //! injected failure as Fig. 8, but swept over process scales `s` where
 //! the RC world size `19s` reaches 1007, 10013 and 100700 ranks. Each
-//! configuration runs in its own child process (re-exec of this binary
-//! with `--child`) so that
+//! configuration runs in its own child process (a re-exec of this binary
+//! as `expt scale --child …`) so that
 //!
 //! 1. `VmHWM` in `/proc/self/status` is an honest per-configuration peak,
 //! 2. a thread-per-rank attempt that cannot finish — thread spawn failing
@@ -28,10 +28,12 @@ use ftsg_core::{run_app, AppConfig, ProcLayout, RecoveryPolicy, Technique};
 use ulfm_sim::{run, ClusterProfile, FaultPlan, RunConfig};
 
 use crate::chaos::CHAOS_SPARES;
+use crate::cli::{list, Args, Flags, Usage};
 use crate::runner::random_victims;
+use crate::stamp::nproc;
 use crate::table::{sig3, Table};
 
-/// Sweep sizing and orchestration knobs (see `expt-scale --help`).
+/// Sweep sizing and orchestration knobs (see `expt scale --help`).
 #[derive(Debug, Clone)]
 pub struct ScaleOpts {
     /// RC process scales to sweep; world size is `19s`.
@@ -51,17 +53,15 @@ pub struct ScaleOpts {
     /// Run only the thread-per-rank escape hatch (CI smoke of the
     /// fallback path).
     pub threads_only: bool,
-    /// CI smoke: smallest scale only, fewer steps, pooled only (or
+    /// `--quick`: smallest scale only, fewer steps, pooled only (or
     /// threads only when combined with `threads_only`).
-    pub smoke: bool,
+    pub quick: bool,
     /// Worker count for the pooled scheduler (0 = available parallelism).
     pub workers: usize,
     /// Fiber/thread stack size in KiB.
     pub stack_kb: usize,
     /// Recovery policy applied by the app on every injected failure.
     pub policy: RecoveryPolicy,
-    /// Output path for the machine-readable benchmark report.
-    pub out: String,
 }
 
 impl Default for ScaleOpts {
@@ -74,23 +74,90 @@ impl Default for ScaleOpts {
             seed: 2014,
             timeout: Duration::from_secs(900),
             threads_only: false,
-            smoke: false,
+            quick: false,
             workers: 0,
             stack_kb: 1024,
             policy: RecoveryPolicy::Respawn,
-            out: "target/expt/BENCH_pr6.json".into(),
         }
     }
 }
 
+/// The flags of `expt scale`: the sweep's, then the internal `--child`
+/// and the two only a child takes.
+pub const FLAGS: Flags = "--quick --threads-per-rank --scales a,b,c --n N --steps LOG2 \
+    --failures F --seed S --workers W --stack-kb K --policy respawn|shrink|substitute|defer \
+    --timeout-secs T --child --s S --mode pooled|threads";
+
 impl ScaleOpts {
+    pub fn from_args(a: &Args) -> Result<Self, Usage> {
+        let d = ScaleOpts::default();
+        let mut o = ScaleOpts {
+            scales: a.get_with("--scales", list)?.unwrap_or(d.scales),
+            n: a.get_or("--n", d.n)?,
+            log2_steps: a.get_or("--steps", d.log2_steps)?,
+            failures: a.get_or("--failures", d.failures)?,
+            seed: a.get_or("--seed", d.seed)?,
+            timeout: a.get_with("--timeout-secs", secs)?.unwrap_or(d.timeout),
+            threads_only: a.has("--threads-per-rank"),
+            quick: false,
+            workers: a.get_or("--workers", d.workers)?,
+            stack_kb: a.get_or("--stack-kb", d.stack_kb)?,
+            policy: a.get_with("--policy", RecoveryPolicy::from_label)?.unwrap_or(d.policy),
+        };
+        if a.quick() {
+            o.apply_quick();
+        }
+        a.check_levels(o.n, L)?;
+        Ok(o)
+    }
+
     /// Shrink to the CI smoke shape: ~1k ranks, 4 steps, tight timeout.
-    pub fn apply_smoke(&mut self) {
+    pub fn apply_quick(&mut self) {
         self.scales = vec![53];
         self.log2_steps = 2;
         self.timeout = Duration::from_secs(300);
-        self.smoke = true;
+        self.quick = true;
     }
+
+    /// The pooled configuration at process scale `s`.
+    fn spec(&self, s: usize) -> ChildSpec {
+        let (n, log2_steps, failures, seed) = (self.n, self.log2_steps, self.failures, self.seed);
+        let (workers, stack_kb, policy) = (self.workers, self.stack_kb, self.policy);
+        ChildSpec { n, s, log2_steps, failures, seed, threads: false, workers, stack_kb, policy }
+    }
+}
+
+/// The RC combination level every configuration runs at.
+const L: u32 = 4;
+
+fn secs(v: &str) -> Option<Duration> {
+    v.parse().ok().map(Duration::from_secs)
+}
+
+/// `expt scale`: the sweep (`BENCH_pr6.json`, `results/scale.csv`), or
+/// with `--child` one configuration of it, whose result row goes to
+/// stdout for the parent to parse.
+pub fn main(a: &Args) -> Result<i32, Usage> {
+    let child = a.has("--child");
+    let (misplaced, with): (&[&str], _) = match child {
+        true => (&["--quick", "--threads-per-rank", "--scales", "--timeout-secs"], "without"),
+        false => (&["--s", "--mode"], "with"),
+    };
+    if let Some(f) = misplaced.iter().find(|f| a.has(f)) {
+        return Err(a.usage(format!("{f} is only taken {with} --child")));
+    }
+    if !child {
+        return Ok(orchestrate(&ScaleOpts::from_args(a)?, a));
+    }
+    println!("{}", run_child(&child_spec(a)?));
+    Ok(0)
+}
+
+/// The configuration a `--child` command line names.
+fn child_spec(a: &Args) -> Result<ChildSpec, Usage> {
+    let o = ScaleOpts::from_args(a)?;
+    let threads = a.get_with("--mode", |m| Some(m == "threads"))?.unwrap_or(false);
+    Ok(ChildSpec { threads, ..o.spec(a.get_or("--s", o.scales[0])?) })
 }
 
 /// One child configuration, round-trippable through argv.
@@ -108,28 +175,18 @@ pub struct ChildSpec {
 }
 
 impl ChildSpec {
+    /// The child's command line: this subcommand, `--child`, and every
+    /// field.
     fn argv(&self) -> Vec<String> {
-        vec![
-            "--child".into(),
-            "--n".into(),
-            self.n.to_string(),
-            "--s".into(),
-            self.s.to_string(),
-            "--steps".into(),
-            self.log2_steps.to_string(),
-            "--failures".into(),
-            self.failures.to_string(),
-            "--seed".into(),
-            self.seed.to_string(),
-            "--mode".into(),
-            if self.threads { "threads".into() } else { "pooled".into() },
-            "--workers".into(),
-            self.workers.to_string(),
-            "--stack-kb".into(),
-            self.stack_kb.to_string(),
-            "--policy".into(),
-            self.policy.label().into(),
-        ]
+        let ChildSpec { n, s, log2_steps, failures, seed, workers, stack_kb, policy, .. } = *self;
+        let (mode, policy) = (self.mode(), policy.label());
+        format!(
+            "scale --child --n {n} --s {s} --steps {log2_steps} --failures {failures} --seed {seed} \
+             --mode {mode} --workers {workers} --stack-kb {stack_kb} --policy {policy}"
+        )
+        .split(' ')
+        .map(String::from)
+        .collect()
     }
 
     fn mode(&self) -> &'static str {
@@ -148,7 +205,7 @@ impl ChildSpec {
         if self.threads {
             world
         } else if self.workers == 0 {
-            std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
+            nproc()
         } else {
             self.workers
         }
@@ -179,7 +236,7 @@ fn json_opt(v: Option<f64>) -> String {
 /// parent parses the line, so the schema tag comes first.
 pub fn run_child(spec: &ChildSpec) -> String {
     let technique = Technique::ResamplingCopying;
-    let layout = ProcLayout::new(spec.n, 4, technique.layout(), spec.s);
+    let layout = ProcLayout::new(spec.n, L, technique.layout(), spec.s);
     let mut cfg = AppConfig::paper_shaped(technique, spec.n, spec.s, spec.log2_steps)
         .with_recovery_policy(spec.policy);
     if spec.policy == RecoveryPolicy::SpareSubstitute {
@@ -283,7 +340,7 @@ fn run_one(exe: &std::path::Path, spec: &ChildSpec, ranks: usize, timeout: Durat
     let mut child = match child {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("expt-scale: cannot spawn child: {e}");
+            eprintln!("expt scale: cannot spawn child: {e}");
             return dnf("failed_spawn");
         }
     };
@@ -296,7 +353,7 @@ fn run_one(exe: &std::path::Path, spec: &ChildSpec, ranks: usize, timeout: Durat
                     let _ = child.kill();
                     let _ = child.wait();
                     eprintln!(
-                        "expt-scale: {} ranks ({}) exceeded {}s — recorded as DNF",
+                        "expt scale: {} ranks ({}) exceeded {}s — recorded as DNF",
                         ranks,
                         spec.mode(),
                         timeout.as_secs()
@@ -306,7 +363,7 @@ fn run_one(exe: &std::path::Path, spec: &ChildSpec, ranks: usize, timeout: Durat
                 std::thread::sleep(Duration::from_millis(100));
             }
             Err(e) => {
-                eprintln!("expt-scale: wait failed: {e}");
+                eprintln!("expt scale: wait failed: {e}");
                 let _ = child.kill();
                 return dnf("failed_wait");
             }
@@ -331,31 +388,21 @@ fn run_one(exe: &std::path::Path, spec: &ChildSpec, ranks: usize, timeout: Durat
 
 /// Run the sweep, write `BENCH_pr6.json` and the CSV table, and return
 /// the process exit code (0 when every pooled configuration finished).
-pub fn orchestrate(o: &ScaleOpts) -> i32 {
+pub fn orchestrate(o: &ScaleOpts, a: &Args) -> i32 {
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("expt-scale: current_exe: {e}");
+            eprintln!("expt scale: current_exe: {e}");
             return 2;
         }
     };
     let mut specs: Vec<ChildSpec> = Vec::new();
     for &s in &o.scales {
-        let base = ChildSpec {
-            n: o.n,
-            s,
-            log2_steps: o.log2_steps,
-            failures: o.failures,
-            seed: o.seed,
-            threads: false,
-            workers: o.workers,
-            stack_kb: o.stack_kb,
-            policy: o.policy,
-        };
+        let base = o.spec(s);
         if !o.threads_only {
             specs.push(base);
         }
-        if o.threads_only || !o.smoke {
+        if o.threads_only || !o.quick {
             specs.push(ChildSpec { threads: true, ..base });
         }
     }
@@ -380,8 +427,8 @@ pub fn orchestrate(o: &ScaleOpts) -> i32 {
     let mut rows: Vec<String> = Vec::new();
     for spec in &specs {
         let ranks =
-            ProcLayout::new(spec.n, 4, Technique::ResamplingCopying.layout(), spec.s).world_size();
-        eprintln!("expt-scale: {} ranks, mode={} ...", ranks, spec.mode());
+            ProcLayout::new(spec.n, L, Technique::ResamplingCopying.layout(), spec.s).world_size();
+        eprintln!("expt scale: {} ranks, mode={} ...", ranks, spec.mode());
         let row = run_one(&exe, spec, ranks, o.timeout);
         let status = json_str(&row, "status").unwrap_or_else(|| "unparsed".into());
         table.row(vec![
@@ -453,7 +500,7 @@ pub fn orchestrate(o: &ScaleOpts) -> i32 {
         f = o.failures,
         seed = o.seed,
         to = o.timeout.as_secs(),
-        smoke = o.smoke,
+        smoke = o.quick,
         policy = o.policy.label(),
         workers = o.workers,
         stack_kb = o.stack_kb,
@@ -467,15 +514,8 @@ pub fn orchestrate(o: &ScaleOpts) -> i32 {
         t10 = rank_ratio.map(|r| r >= 10.0).unwrap_or(mp > 0 && mt == 0),
         t2 = speedup.map(|s| s >= 2.0).unwrap_or(false),
     );
-    if let Some(dir) = std::path::Path::new(&o.out).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(&o.out, &json) {
-        eprintln!("expt-scale: cannot write {}: {e}", o.out);
-        return 2;
-    }
-    table.emit("results/scale.csv");
-    println!("report written to {}", o.out);
+    a.record("BENCH_pr6.json", &json);
+    table.emit(a.csv("scale.csv"));
     if let Some(s) = speedup {
         println!("speedup at smallest scale (threads/pooled): {:.2}x", s);
     }
@@ -512,7 +552,15 @@ mod tests {
             policy: RecoveryPolicy::ShrinkRedistribute,
         };
         let argv = spec.argv();
-        assert!(argv.contains(&"--child".to_string()));
+        // The child is this same binary: without the subcommand in front
+        // it would run something else, or nothing.
+        assert_eq!(argv[..2], ["scale", "--child"]);
+        let parsed = crate::cli::parse(&argv).expect("the child's argv parses");
+        assert_eq!(parsed.experiment.name, "scale");
+        let back = child_spec(&parsed).unwrap();
+        assert!(back.threads);
+        assert_eq!((back.n, back.s, back.log2_steps, back.seed), (9, 53, 2, 7));
+        assert_eq!(back.policy, RecoveryPolicy::ShrinkRedistribute);
         assert!(argv.windows(2).any(|w| w == ["--mode", "threads"]));
         assert!(argv.windows(2).any(|w| w == ["--policy", "shrink"]));
     }
@@ -529,7 +577,7 @@ mod tests {
     #[test]
     fn smoke_shrinks_to_smallest_scale() {
         let mut o = ScaleOpts::default();
-        o.apply_smoke();
+        o.apply_quick();
         assert_eq!(o.scales, vec![53]);
         assert!(o.log2_steps <= 2);
     }

@@ -1,9 +1,10 @@
-//! Command-line options shared by the experiment binaries.
+//! The sizing flags the paper's figures share.
+
+use crate::cli::{list, Args, Flags, Usage};
 
 /// Experiment sizing knobs. The defaults keep every experiment
-//  laptop-scale; `--paper` pushes the structural parameters to the
-/// paper's (n = 13 still requires substantial memory — see
-/// EXPERIMENTS.md).
+/// laptop-scale; the paper's own structural parameters are in the field
+/// docs (n = 13 needs substantial memory, see EXPERIMENTS.md).
 #[derive(Debug, Clone)]
 pub struct Opts {
     /// Full grid size `n` (paper: 13; default 9).
@@ -38,44 +39,27 @@ impl Default for Opts {
 }
 
 impl Opts {
-    /// Parse `--n V --l V --steps V --scales a,b,c --reps V --seed V
-    /// --quick` from `std::env::args`. Unknown flags abort with usage.
-    pub fn from_args() -> Self {
-        let mut o = Opts::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        let usage = || -> ! {
-            eprintln!(
-                "usage: [--n N] [--l L] [--steps LOG2] [--scales a,b,c] [--reps R] [--seed S] [--quick]"
-            );
-            std::process::exit(2);
+    /// The flags of the figure experiments, `kernel` and `policy`.
+    pub const FLAGS: Flags = "--n N --l L --steps LOG2 --scales a,b,c --reps R --seed S --quick";
+
+    /// Read [`Opts::FLAGS`]; `--quick` then shrinks the sweep, and the
+    /// levels must leave a grid system (`2 <= l <= n`).
+    pub fn from_args(a: &Args) -> Result<Self, Usage> {
+        let d = Opts::default();
+        let mut o = Opts {
+            n: a.get_or("--n", d.n)?,
+            l: a.get_or("--l", d.l)?,
+            log2_steps: a.get_or("--steps", d.log2_steps)?,
+            scales: a.get_with("--scales", list)?.unwrap_or(d.scales),
+            reps: a.get_or("--reps", d.reps)?,
+            quick: false,
+            seed: a.get_or("--seed", d.seed)?,
         };
-        while i < args.len() {
-            let take = |i: &mut usize| -> String {
-                *i += 1;
-                args.get(*i).cloned().unwrap_or_else(|| usage())
-            };
-            match args[i].as_str() {
-                "--n" => o.n = take(&mut i).parse().unwrap_or_else(|_| usage()),
-                "--l" => o.l = take(&mut i).parse().unwrap_or_else(|_| usage()),
-                "--steps" => o.log2_steps = take(&mut i).parse().unwrap_or_else(|_| usage()),
-                "--reps" => o.reps = take(&mut i).parse().unwrap_or_else(|_| usage()),
-                "--seed" => o.seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
-                "--scales" => {
-                    o.scales = take(&mut i)
-                        .split(',')
-                        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                        .collect();
-                }
-                "--quick" => o.quick = true,
-                _ => usage(),
-            }
-            i += 1;
-        }
-        if o.quick {
+        if a.quick() {
             o.apply_quick();
         }
-        o
+        a.check_levels(o.n, o.l)?;
+        Ok(o)
     }
 
     /// Shrink the sweep for smoke tests.

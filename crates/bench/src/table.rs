@@ -1,4 +1,4 @@
-//! Aligned text tables and CSV output for the experiment binaries.
+//! Aligned text tables and CSV output for the experiments.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -82,7 +82,7 @@ impl Table {
         out
     }
 
-    /// Print to stdout and save a CSV next to the repo's `results/` dir.
+    /// Print to stdout and save the CSV at `csv_path`.
     pub fn emit(&self, csv_path: impl AsRef<Path>) {
         println!("{}", self.render());
         let path = csv_path.as_ref();
@@ -113,24 +113,6 @@ pub fn sig3(v: f64) -> String {
 /// Scientific rendering for errors.
 pub fn sci(v: f64) -> String {
     format!("{v:.3e}")
-}
-
-/// Where a bin writes the JSON report it calls `name` (`BENCH_prN.json`):
-/// `$BENCH_OUT`, with `suffix` put before its `.json`, when that is set,
-/// else `target/expt/<name>`. A bare run so never rewrites a committed
-/// `BENCH_*.json` (several are `expt-regress` baselines); committing a new
-/// report is a copy.
-pub fn bench_out(name: &str, suffix: &str) -> String {
-    match std::env::var("BENCH_OUT") {
-        Ok(path) => format!("{}{suffix}.json", path.trim_end_matches(".json")),
-        Err(_) => {
-            let dir = std::path::Path::new("target/expt");
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: could not create {}: {e}", dir.display());
-            }
-            dir.join(name).display().to_string()
-        }
-    }
 }
 
 /// UTC date (YYYY-MM-DD) from the system clock, no external crates —

@@ -2,7 +2,7 @@
 //! process that installs a counting `#[global_allocator]` passes a
 //! function returning its count so far as `requests`. This is the one
 //! measurement behind `tests/alloc_discipline.rs`' exact budgets and the
-//! allocation gates of `expt-regress --exact`; only their assertions and
+//! allocation gates of `expt regress --exact`; only their assertions and
 //! baselines differ.
 //!
 //! [`Gate`] separates "everything before, on every rank" from "everything

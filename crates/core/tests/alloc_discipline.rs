@@ -56,7 +56,7 @@
 //!     combination reuses them (a second solve per rank adds 3 × 17).
 //!
 //! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
-//! the measurement `expt-regress --exact` gates on; the multi-rank
+//! the measurement `expt regress --exact` gates on; the multi-rank
 //! scenarios count between two of that module's allocation-free `Gate`s.
 
 use std::alloc::{GlobalAlloc, Layout, System};

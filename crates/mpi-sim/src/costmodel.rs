@@ -253,7 +253,7 @@ pub struct BetaUlfm;
 /// Table I of the paper: `(cores, spawn_multiple, shrink, agree, merge)`
 /// seconds on OPL at exactly two failed processes. The one copy of these
 /// numbers — the model's anchors below and the paper column of
-/// `expt-table1` both read it.
+/// `expt table1` both read it.
 pub const TABLE_I: [(usize, f64, f64, f64, f64); 5] = [
     (19, 0.01, 0.01, 0.49, 0.01),
     (38, 4.19, 2.46, 0.51, 0.01),

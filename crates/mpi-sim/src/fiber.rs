@@ -21,7 +21,7 @@
 //! at the end of the chunk's leading pad page). That page holds the lower
 //! stack's seeded frame anyway, so a rank's resident stack is the pages
 //! its frames reach — two, at the deepest, for any rank of a 1k-rank
-//! repair (the `ranks1k_stack_pages` gate of `expt-regress`).
+//! repair (the `ranks1k_stack_pages` gate of `expt regress`).
 //!
 //! On targets without the assembly shim the module still compiles;
 //! [`SUPPORTED`] is `false` and the runtime falls back to

@@ -7,7 +7,7 @@
 //!
 //! This closes the DESIGN.md §7 item on operation-site fault injection at
 //! the runtime level; the application-level campaign lives in
-//! `ftsg-bench`'s `expt-chaos`.
+//! `ftsg-bench`'s `expt chaos`.
 
 use ulfm_sim::{run, Error, FaultPlan, FaultSite, OpClass, Report, RunConfig};
 
