@@ -34,8 +34,11 @@ fn buddy_vs_disk(opts: &Opts) -> Table {
     for base_profile in [ClusterProfile::opl(), ClusterProfile::raijin()] {
         let profile = emulate_paper_scale(base_profile, opts.n, opts.log2_steps);
         for technique in [Technique::CheckpointRestart, Technique::BuddyCheckpoint] {
-            let cfg =
-                AppConfig::paper_shaped(technique, opts.n, 2, opts.log2_steps).with_checkpoints(4);
+            // The paper's CR writes its checkpoints synchronously: that
+            // disk term is what the buddy copy removes (BC writes none).
+            let cfg = AppConfig::paper_shaped(technique, opts.n, 2, opts.log2_steps)
+                .with_checkpoints(4)
+                .with_sync_checkpoints();
             let steps = cfg.steps();
             let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), 2);
             let baseline = launch_on(profile.clone(), ModelKind::Ideal, cfg.clone(), opts.seed)

@@ -188,7 +188,11 @@ fn configure(shape: &Shape) -> (AppConfig, usize) {
         (pick.victim_ranks()[0], step)
     });
     cfg.plan = FaultPlan::new(kills.collect());
-    cfg.ckpt_dir = std::env::temp_dir().join(format!("ftsg-repair-{}-{name}", std::process::id()));
+    // The pid zero-padded to 10 digits, as in `config::default_ckpt_dir`:
+    // the path's length, and so the bytes a counted run asks for, must not
+    // depend on the pid's digit count.
+    let pid = std::process::id();
+    cfg.ckpt_dir = std::env::temp_dir().join(format!("ftsg-repair-{pid:010}-{name}"));
     (cfg, world)
 }
 

@@ -26,8 +26,8 @@ use crate::gather::{binomial_combine, current_rank_of};
 use crate::landing::Landing;
 use crate::policy::RecoveryPolicy;
 use crate::reconstruct::{
-    confirm, is_casualty, reconstruct, repair_deferred, Attempt, Join, ReconstructTimings,
-    RepairArm,
+    confirm, is_casualty, reconstruct, repair_deferred, union_shared, Attempt, Join,
+    ReconstructTimings, RepairArm,
 };
 use crate::recovery::{self, buddy_exchange, BuddyStore, RecoveryStats};
 use crate::stack::{Env, Nd, Stack, D2};
@@ -1199,11 +1199,7 @@ fn merge_timings(acc: &mut ReconstructTimings, round: &ReconstructTimings) {
     acc.t_split += round.t_split;
     acc.t_total += round.t_total;
     acc.rounds += round.rounds;
-    for &r in &round.failed_ranks {
-        if !acc.failed_ranks.contains(&r) {
-            acc.failed_ranks.push(r);
-        }
-    }
+    union_shared(&mut acc.failed_ranks, &round.failed_ranks);
 }
 
 #[cfg(test)]

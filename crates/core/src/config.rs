@@ -419,12 +419,30 @@ impl AppConfig {
 pub fn default_ckpt_dir() -> PathBuf {
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("ftsg-ckpt-{}-{}", std::process::id(), seq))
+    std::env::temp_dir().join(ckpt_dir_name(std::process::id(), seq))
+}
+
+/// `ftsg-ckpt-{pid}-{seq}` with the pid zero-padded to 10 digits (any
+/// `u32`), so the name's length, and the bytes a run allocates for it, do
+/// not depend on how many digits the process id happens to have. Built
+/// in one allocation sized up front.
+fn ckpt_dir_name(pid: u32, seq: u64) -> String {
+    use std::fmt::Write;
+    let mut name = String::with_capacity(48);
+    write!(name, "ftsg-ckpt-{pid:010}-{seq}").expect("writing to a String cannot fail");
+    name
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ckpt_dir_names_have_one_length_whatever_the_pid() {
+        assert_eq!(ckpt_dir_name(7, 3), "ftsg-ckpt-0000000007-3");
+        assert_eq!(ckpt_dir_name(7, 3).len(), ckpt_dir_name(4_000_000, 3).len());
+        assert_eq!(ckpt_dir_name(7, 3).len(), ckpt_dir_name(u32::MAX, 3).len());
+    }
 
     #[test]
     fn technique_layouts() {

@@ -38,6 +38,8 @@
 //! agree second. And the attempt sits between Fig. 3's line-12 agree and
 //! its line-13 barrier, where the listing has nothing.
 
+use std::sync::Arc;
+
 use ulfm_sim::{comm_spawn_multiple, Comm, Ctx, Error, InterComm, Result, SpawnSpec};
 
 use crate::detect::{failed_procs_list, mpi_error_handler};
@@ -75,9 +77,10 @@ pub enum RespawnPolicy {
 
 /// Compute the spawn placement for the failed ranks under a policy.
 ///
-/// Deterministic across survivors: it depends only on the failed-rank
-/// list, the hostfile, and the broken communicator's membership (used to
-/// find spare nodes that currently host none of its processes).
+/// Only the spawn's root calls it: `MPI_Comm_spawn_multiple` reads the
+/// root's arguments alone. It depends only on the failed-rank list, the
+/// hostfile, and the broken communicator's membership (used to find spare
+/// nodes that currently host none of its processes).
 pub fn respawn_specs(
     ctx: &Ctx,
     broken: &Comm,
@@ -130,6 +133,16 @@ pub fn respawn_specs(
     }
 }
 
+/// `specs()` at survivor rank 0, the spawn's root, and nothing elsewhere:
+/// `MPI_Comm_spawn_multiple` reads no other rank's specs.
+fn root_specs(survivors: &Comm, specs: impl FnOnce() -> Vec<SpawnSpec>) -> Vec<SpawnSpec> {
+    if survivors.rank() == 0 {
+        specs()
+    } else {
+        Vec::new()
+    }
+}
+
 /// Virtual-time breakdown of one reconstruction (what Fig. 8 and Table I
 /// report).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -171,7 +184,10 @@ pub struct ReconstructTimings {
     /// recovery itself).
     pub rounds: u32,
     /// Ranks that were repaired (union over rounds, original numbering).
-    pub failed_ranks: Vec<usize>,
+    /// While one round's list is the whole union — every single-round
+    /// event — this is that round's Fig. 6 list itself, shared with every
+    /// survivor of the shrink ([`union_shared`]).
+    pub failed_ranks: Arc<[usize]>,
 }
 
 /// Port of Fig. 7 (`selectRankKey`): the split key a *survivor* uses so
@@ -218,12 +234,15 @@ fn single_colour(split: Option<Comm>) -> Result<Comm> {
     split.ok_or_else(|| Error::Protocol("single-colour split returned no communicator".into()))
 }
 
-/// Record `failed` (original numbering) among the event's repaired ranks.
-fn note_failed(timings: &mut ReconstructTimings, failed: &[usize]) {
-    for &r in failed {
-        if !timings.failed_ranks.contains(&r) {
-            timings.failed_ranks.push(r);
-        }
+/// Add to `acc` the ranks of `more` it lacks, in `more`'s order. When the
+/// union is `more` itself (`acc` is a prefix of it: empty, say), `acc`
+/// becomes a clone of that shared list; otherwise a new list is built, and
+/// only if `more` has a rank `acc` lacks.
+pub(crate) fn union_shared(acc: &mut Arc<[usize]>, more: &Arc<[usize]>) {
+    if more.starts_with(acc) {
+        *acc = Arc::clone(more);
+    } else if more.iter().any(|r| !acc.contains(r)) {
+        *acc = acc.iter().chain(more.iter().filter(|r| !acc.contains(r))).copied().collect();
     }
 }
 
@@ -244,7 +263,7 @@ fn revoke_shrink_list(
     ctx: &Ctx,
     broken: &Comm,
     timings: &mut ReconstructTimings,
-) -> Result<(Comm, Vec<usize>)> {
+) -> Result<(Comm, Arc<[usize]>)> {
     let t0 = ctx.now();
     broken.revoke(ctx);
     timings.t_revoke += ctx.now() - t0;
@@ -268,7 +287,7 @@ fn reshrink(
     reference: &Comm,
     survivors: &Comm,
     timings: &mut ReconstructTimings,
-) -> Result<(Comm, Vec<usize>)> {
+) -> Result<(Comm, Arc<[usize]>)> {
     timings.rounds += 1;
     let t = ctx.now();
     let shrinked = survivors.shrink(ctx)?;
@@ -281,21 +300,22 @@ fn reshrink(
 }
 
 /// Fig. 5 lines 7–21 over `survivors`: spawn one replacement per entry of
-/// `failed`, merge, agree, hand each child its old rank, and re-order with
-/// this survivor keyed `key`. `Ok(None)` means a *further* rank died
+/// `failed` (placed by `specs`, which only survivor rank 0, the spawn's
+/// root, builds), merge, agree, hand each child its old rank, and re-order
+/// with this survivor keyed `key`. `Ok(None)` means a *further* rank died
 /// mid-round: the round is abandoned (its children — if any were created —
 /// saw the same uniform error and exit as [`Error::Orphaned`]) and the
 /// caller re-shrinks and goes again with the enlarged list.
 fn respawn_round(
     ctx: &Ctx,
     survivors: &Comm,
-    specs: &[SpawnSpec],
+    specs: Vec<SpawnSpec>,
     failed: &[usize],
     key: i64,
     timings: &mut ReconstructTimings,
 ) -> Result<Option<Comm>> {
     let t_spawn0 = ctx.now();
-    let inter: InterComm = match comm_spawn_multiple(ctx, survivors, specs) {
+    let inter: InterComm = match comm_spawn_multiple(ctx, survivors, 0, specs) {
         Ok(i) => i,
         // A survivor died at the spawn rendezvous: no children exist.
         Err(e) if is_casualty(&e) => return Ok(None),
@@ -378,7 +398,7 @@ pub fn repair_comm_with(
     let _scope = ctx.recovery_scope();
     let (mut shrinked, mut failed) = revoke_shrink_list(ctx, broken, timings)?;
     loop {
-        note_failed(timings, &failed);
+        union_shared(&mut timings.failed_ranks, &failed);
         // A revoked-but-intact communicator (collateral revocation, no
         // deaths) needs no respawn; hand back the full-membership shrink.
         if failed.is_empty() {
@@ -386,10 +406,10 @@ pub fn repair_comm_with(
         }
         // Paper (same-host): hostfileLineIndex ← failedRank / SLOTS; read
         // the host name from that hostfile line and put it in the MPI_Info.
-        let specs = respawn_specs(ctx, broken, &failed, policy);
+        let specs = root_specs(&shrinked, || respawn_specs(ctx, broken, &failed, policy));
         // A survivor's merged rank equals its shrunken rank (Fig. 7).
         let key = select_rank_key(shrinked.rank(), shrinked.size(), &failed, broken.size());
-        if let Some(repaired) = respawn_round(ctx, &shrinked, &specs, &failed, key, timings)? {
+        if let Some(repaired) = respawn_round(ctx, &shrinked, specs, &failed, key, timings)? {
             return Ok(repaired);
         }
         (shrinked, failed) = reshrink(ctx, broken, &shrinked, timings)?;
@@ -415,8 +435,8 @@ pub fn repair_shrink(
     let m = members.get_or_insert_with(|| (0..broken.size()).collect());
     debug_assert_eq!(m.len(), broken.size(), "members map tracks the current world");
     let (shrinked, failed) = revoke_shrink_list(ctx, broken, timings)?;
-    let orig: Vec<usize> = failed.iter().map(|&r| m[r]).collect();
-    note_failed(timings, &orig);
+    let orig: Arc<[usize]> = failed.iter().map(|&r| m[r]).collect();
+    union_shared(&mut timings.failed_ranks, &orig);
     compact_members(m, &failed);
     debug_assert_eq!(m.len(), shrinked.size());
     Ok(shrinked)
@@ -450,8 +470,8 @@ pub fn repair_substitute(
     let _scope = ctx.recovery_scope();
     let (mut shrinked, mut failed) = revoke_shrink_list(ctx, broken, timings)?;
     loop {
-        failed.sort_unstable();
-        note_failed(timings, &failed);
+        debug_assert!(failed.is_sorted(), "Fig. 6 yields the failed list ascending");
+        union_shared(&mut timings.failed_ranks, &failed);
         if failed.is_empty() {
             return Ok(shrinked);
         }
@@ -519,21 +539,21 @@ pub fn repair_deferred(
     let mut cur = alive;
     loop {
         deferred.sort_unstable();
-        note_failed(timings, deferred);
+        union_shared(&mut timings.failed_ranks, &deferred[..].into());
         if deferred.is_empty() {
             return Ok(cur);
         }
-        let specs = respawn_specs(ctx, &cur, deferred, respawn);
+        let specs = root_specs(&cur, || respawn_specs(ctx, &cur, deferred, respawn));
         // Survivors key by their original rank; children key by the rank
         // they are handed. Together that restores the original order.
         let key = members[cur.rank()] as i64;
-        if let Some(repaired) = respawn_round(ctx, &cur, &specs, deferred, key, timings)? {
+        if let Some(repaired) = respawn_round(ctx, &cur, specs, deferred, key, timings)? {
             return Ok(repaired);
         }
         // A casualty during the batch: shrink the survivor world and move
         // the new dead (translated to original numbering) into the set.
         let (shrinked, newly) = reshrink(ctx, &cur, &cur, timings)?;
-        for &r in &newly {
+        for &r in newly.iter() {
             if !deferred.contains(&members[r]) {
                 deferred.push(members[r]);
             }
@@ -747,7 +767,72 @@ pub(crate) fn confirm(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
+    use ulfm_sim::{run, FaultPlan, FaultSite, OpClass, RunConfig};
+
     use super::*;
+    use crate::detect::failed_procs_list;
+
+    #[test]
+    fn a_death_mid_spawn_lists_against_the_original_communicator() {
+        // Ranks 3 and 5 of 7 die; rank 6 dies entering the spawn that
+        // would replace them. The survivors re-shrink and list again,
+        // still numbered in the broken world, and every survivor ends
+        // the event holding that one list.
+        let plan = FaultPlan::at_site(6, FaultSite::Op { kind: OpClass::Spawn, nth: 0 });
+        let lists = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&lists);
+        let report = run(RunConfig::local(7), move |ctx| {
+            let mut timings = ReconstructTimings::default();
+            let mut arm = RepairArm::Respawn(RespawnPolicy::SameHost);
+            if let Some(parent) = ctx.parent() {
+                let world = reconstruct(ctx, Join::Child(parent), &mut arm, None, &mut timings);
+                assert_eq!(world.unwrap().size(), 7);
+                return;
+            }
+            let w = ctx.initial_world().unwrap();
+            ctx.arm_fault_sites(&plan, w.rank());
+            if w.rank() == 3 || w.rank() == 5 {
+                ctx.die();
+            }
+            let original = w.rank();
+            let world = reconstruct(ctx, Join::Detect(w), &mut arm, None, &mut timings).unwrap();
+            assert_eq!((world.size(), world.rank()), (7, original));
+            seen.lock().unwrap().push(timings.failed_ranks);
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.procs_failed, 3);
+        let lists = lists.lock().unwrap();
+        assert_eq!(lists.len(), 4);
+        assert_eq!(*lists[0], [3, 5, 6]);
+        assert!(lists.iter().all(|l| Arc::ptr_eq(l, &lists[0])));
+    }
+
+    #[test]
+    fn a_list_is_numbered_in_the_communicator_asked_about() {
+        // One shrunken communicator asked against two references: the
+        // original world and the first shrink (where rank 6 is rank 4).
+        let report = run(RunConfig::local(7), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            if w.rank() == 3 || w.rank() == 5 {
+                ctx.die();
+            }
+            assert!(w.barrier(ctx).is_err());
+            let first = w.shrink(ctx).unwrap();
+            if w.rank() == 6 {
+                ctx.die();
+            }
+            assert!(first.barrier(ctx).is_err());
+            let second = first.shrink(ctx).unwrap();
+            assert_eq!(*failed_procs_list(&w, &second), [3, 5, 6]);
+            assert_eq!(*failed_procs_list(&first, &second), [4]);
+            assert_eq!(*failed_procs_list(&w, &second), [3, 5, 6]);
+            ctx.report_add("ok", 1.0);
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.get_f64("ok"), Some(4.0));
+    }
 
     #[test]
     fn select_rank_key_reproduces_paper_example() {

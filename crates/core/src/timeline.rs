@@ -82,7 +82,7 @@ pub fn build_timeline(
         detect_step,
         t_start,
         t_end,
-        failed_ranks: tm.failed_ranks.clone(),
+        failed_ranks: tm.failed_ranks.to_vec(),
         phases,
     }
 }
@@ -104,7 +104,7 @@ mod tests {
             t_agree: 0.004,
             t_split: 0.006,
             t_restore: 0.080,
-            failed_ranks: vec![3],
+            failed_ranks: [3].into(),
             ..Default::default()
         };
         let tl = build_timeline(0, 16, 1.0, 1.25, &tm);

@@ -53,7 +53,11 @@
 //!     2D) whose two victims in grids 1 and 2 die at the final step makes
 //!     exactly [`AC_REPAIR_RUN`] requests, warm: every rank solves the
 //!     robust coefficients once, in its data recovery, and the final
-//!     combination reuses them (a second solve per rank adds 3 × 17).
+//!     combination reuses them (a second solve per rank adds 3 × 17);
+//! 15. after a two-victim shrink of 16 ranks, once one survivor has
+//!     derived the Fig. 6 failed list, the other 13 survivors' calls make
+//!     **0** requests together: each gets the list the first one derived,
+//!     shared on the shrunken communicator.
 //!
 //! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
 //! the measurement `expt regress --exact` gates on; the multi-rank
@@ -66,6 +70,7 @@ use std::sync::Arc;
 
 use advect2d::{AdvectionProblem, KernelConfig, ProblemN};
 use ftsg_core::alloc_probe::{repair_share, Gate, RepairShare, HANDLER_CALLS};
+use ftsg_core::detect::failed_procs_list;
 use ftsg_core::gather::scatter_grid_into;
 use ftsg_core::landing::Landing;
 use ftsg_core::layout::GroupInfo;
@@ -165,9 +170,9 @@ fn warm_call(f: impl Fn()) -> u64 {
 }
 
 /// Allocator requests of a whole warm run of scenario 14's configuration:
-/// 885, and 2 more with debug assertions on (the spawn's reconciliation
+/// 772, and 2 more with debug assertions on (the spawn's reconciliation
 /// of the per-host live counts in `Hub::live_per_host`).
-const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 887 } else { 885 };
+const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 774 } else { 772 };
 
 /// Scenario 14's run: the small 2D Alternate Combination shape, scale 2,
 /// the last rank of grids 1 and 2 killed at the final step. Returns its
@@ -188,6 +193,36 @@ fn run_requests(cfg: AppConfig, world: usize) -> u64 {
     let made = requests() - before;
     report.assert_no_app_errors();
     made
+}
+
+/// Scenario 15's world and the two of its ranks that die.
+const FIG6_RANKS: usize = 16;
+const FIG6_DEAD: [usize; 2] = [3, 11];
+
+/// Requests of the Fig. 6 calls of every survivor but the first to make
+/// one, together, on the [`FIG6_RANKS`]-rank world whose [`FIG6_DEAD`]
+/// ranks died. The survivors' shrunken communicator carries the gates.
+fn later_fig6_requests() -> u64 {
+    let (open, close) = (Gate::new(requests), Gate::new(requests));
+    let gates = (Arc::clone(&open), Arc::clone(&close));
+    let report = run(RunConfig::local(FIG6_RANKS).with_workers(1), move |ctx| {
+        let world = ctx.initial_world().unwrap();
+        if FIG6_DEAD.contains(&world.rank()) {
+            ctx.die();
+        }
+        assert!(world.barrier(ctx).is_err(), "a barrier over dead ranks succeeded");
+        let survivors = world.shrink(ctx).unwrap();
+        if survivors.rank() == 0 {
+            black_box(failed_procs_list(&world, &survivors));
+        }
+        gates.0.pass(ctx, &survivors);
+        if survivors.rank() != 0 {
+            black_box(failed_procs_list(&world, &survivors));
+        }
+        gates.1.pass(ctx, &survivors);
+    });
+    report.assert_no_app_errors();
+    open.requests_until(&close)
 }
 
 /// The CR configuration of scenario 4 at `checkpoints` checkpoints.
@@ -413,6 +448,10 @@ fn bulk_data_paths_hold_their_allocation_budget() {
          {AC_REPAIR_RUN} (3 more per rank: the combination solved the robust coefficients \
          again)"
     );
+    // 15. The Fig. 6 list, asked for by every survivor of one shrink.
+    let fig6 = later_fig6_requests();
+    let later = FIG6_RANKS - FIG6_DEAD.len() - 1;
+    assert_eq!(fig6, 0, "{later} survivors' Fig. 6 calls after the first made {fig6} requests");
     println!(
         "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
          rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
@@ -421,7 +460,8 @@ fn bulk_data_paths_hold_their_allocation_budget() {
          call; 0 per warm level-9 scatter into solver rows; a second gather through the \
          landing grid asked for {regather} bytes, one grid is {grid_bytes}; set-up: 1 per 3D \
          grid system, 0 per validation, 1 per GridN, 1 per 2D grid system; {ac_run} per \
-         warm two-failure AC run of {world} ranks",
+         warm two-failure AC run of {world} ranks; {fig6} for {later} survivors' Fig. 6 \
+         lists after the first",
         extra as f64 / extra_rounds as f64 / round_bytes as f64
     );
 }

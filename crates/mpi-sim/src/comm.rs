@@ -63,6 +63,9 @@ pub(crate) struct CommShared {
     /// same group (and shares its lazy membership index), so the
     /// world-wide `failedProcsList` stays linear per rank.
     group_cache: OnceLock<Group>,
+    /// [`Comm::missing_ranks`]' list and the id of the communicator it
+    /// is numbered in, derived by the first rank that asks.
+    missing: parking_lot::Mutex<Option<(u64, Arc<[usize]>)>>,
 }
 
 impl CommShared {
@@ -83,6 +86,7 @@ impl CommShared {
             pool,
             failed_cache: parking_lot::Mutex::new(FailedCache::default()),
             group_cache: OnceLock::new(),
+            missing: parking_lot::Mutex::new(None),
         }
     }
 
@@ -341,6 +345,26 @@ impl Comm {
             .group_cache
             .get_or_init(|| Group::new(self.shared.members.iter().map(|p| p.id).collect()))
             .clone()
+    }
+
+    /// The ranks, in `reference`, of the processes missing from this
+    /// communicator, as `derive` works them out (the paper's Fig. 6 group
+    /// algebra). Derived once per pair and shared, the way
+    /// [`Comm::group`] is: the first rank to ask runs `derive`, every
+    /// later one gets the same list, a reference count rather than a
+    /// copy. Keyed by `reference`'s id, so a list numbered in another
+    /// communicator — a nested failure's original one rather than the
+    /// direct parent — is derived afresh.
+    pub fn missing_ranks(
+        &self,
+        reference: &Comm,
+        derive: impl FnOnce() -> Arc<[usize]>,
+    ) -> Arc<[usize]> {
+        let mut memo = self.shared.missing.lock();
+        match &*memo {
+            Some((cid, list)) if *cid == reference.cid() => Arc::clone(list),
+            _ => Arc::clone(&memo.insert((reference.cid(), derive())).1),
+        }
     }
 
     /// Has some rank revoked this communicator?

@@ -301,6 +301,12 @@ pub(crate) fn resume(fiber: &mut Fiber) -> SwitchReason {
 
 /// Suspend the calling fiber, handing control back to its worker with
 /// `reason`. Returns when the scheduler next resumes the fiber.
+///
+/// Never inlined, for the reason [`in_fiber`] is not: inlined into a loop
+/// around a yield (`Ctx::sleep_real`'s), the addresses of the first
+/// worker's `ACTIVE` and `WORKER_CTX` would be hoisted out of the loop
+/// and read after the fiber resumed on another worker.
+#[inline(never)]
 pub(crate) fn suspend(reason: SwitchReason) {
     let fiber = ACTIVE.with(|a| a.get());
     assert!(!fiber.is_null(), "suspend outside a fiber");

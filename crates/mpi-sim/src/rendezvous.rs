@@ -52,6 +52,7 @@ use parking_lot::Mutex;
 use crate::comm::{CommShared, InterShared, Pooled};
 use crate::error::{Error, Result};
 use crate::proc::{failure_epoch, KillSignal, ProcState};
+use crate::spawn::SpawnSpec;
 
 /// Collective kinds; part of the matching key so mismatched collectives
 /// surface as a mismatch instead of exchanging garbage.
@@ -99,6 +100,8 @@ pub(crate) enum Deposit {
     SplitKey { color: Option<i64>, key: i64 },
     /// Merge `high` flag (the side follows from the participant index).
     MergeSide { high: bool },
+    /// What to spawn (the spawn's root).
+    Specs(Vec<SpawnSpec>),
 }
 
 /// One participant's share of a finished operation's outcome.

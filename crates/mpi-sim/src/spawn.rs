@@ -21,8 +21,8 @@ use crate::runtime::Ctx;
 ///
 /// The host is named by its hostfile index: the `MPI_Info` `"host"` key
 /// resolved once, by whoever builds the spec, rather than by every rank
-/// that passes the spec on. So a spec is `Copy` and owns no string, and a
-/// survivor's spawn list is its one allocation.
+/// that passes the spec on. So a spec is `Copy` and owns no string, and
+/// the spawn list, which only the root passes on, is one allocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpawnSpec {
     /// Hostfile index of the host to place the process on. `None` lets
@@ -42,29 +42,43 @@ impl SpawnSpec {
     }
 }
 
-/// `MPI_Comm_spawn_multiple`: collectively (over `comm`) create
-/// `specs.len()` new processes and return the parent↔children
-/// intercommunicator. All callers must pass identical `specs` (MPI would
-/// only read the root's).
+/// `MPI_Comm_spawn_multiple`: collectively (over `comm`) create one new
+/// process per spec and return the parent↔children intercommunicator.
+/// As in MPI, only `root`'s `specs` are read: they travel to the spawn
+/// through the rendezvous, the way a broadcast's payload does, so the
+/// other ranks pass anything (an empty vector costs nothing).
 ///
 /// The children re-enter the application entry function with
 /// [`crate::Ctx::parent`] set and their own spawn-group communicator as
 /// their initial world.
-pub fn comm_spawn_multiple(ctx: &Ctx, comm: &Comm, specs: &[SpawnSpec]) -> Result<InterComm> {
+pub fn comm_spawn_multiple(
+    ctx: &Ctx,
+    comm: &Comm,
+    root: usize,
+    specs: Vec<SpawnSpec>,
+) -> Result<InterComm> {
     ctx.fault_op(crate::faultplan::OpClass::Spawn);
-    if specs.is_empty() {
-        return Err(Error::InvalidArg("spawn of zero processes".into()));
+    if root >= comm.size() {
+        return Err(Error::InvalidArg(format!("spawn root {root} is not a rank")));
     }
     let p = comm.size();
     let uni = ctx.universe();
     let model = ctx.model_handle();
-    let res = comm.collective(ctx, "spawn_multiple", OpKind::Spawn, Deposit::None, |slots| {
+    let deposit = if comm.rank() == root { Deposit::Specs(specs) } else { Deposit::None };
+    let res = comm.collective(ctx, "spawn_multiple", OpKind::Spawn, deposit, |slots| {
+        let specs = match slots.get_mut(root).map(|s| std::mem::take(&mut s.deposit)) {
+            Some(Deposit::Specs(specs)) if !specs.is_empty() => specs,
+            Some(Deposit::Specs(_)) => {
+                return (Err(Error::InvalidArg("spawn of zero processes".into())), 0.0)
+            }
+            _ => return (Err(Error::Protocol("spawn: the root's specs are missing".into())), 0.0),
+        };
         // Resolve placements first; an unresolvable host fails the
         // whole spawn uniformly.
         let cost = model.spawn_multiple(p, specs.len(), specs.len());
         let mut placements = Vec::with_capacity(specs.len());
         let mut load = uni.live_per_host();
-        for spec in specs {
+        for spec in &specs {
             let host = match spec.host {
                 Some(h) if h < uni.hostfile.len() => h,
                 Some(h) => {

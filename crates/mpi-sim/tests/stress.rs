@@ -92,9 +92,7 @@ fn repeated_failure_repair_rounds() {
         let shrunk2 = shrunk.shrink(ctx).unwrap();
         assert_eq!(shrunk2.size(), 3);
         // Respawn both losses in one go.
-        let inter =
-            comm_spawn_multiple(ctx, &shrunk2, &[SpawnSpec::anywhere(), SpawnSpec::anywhere()])
-                .unwrap();
+        let inter = comm_spawn_multiple(ctx, &shrunk2, 0, vec![SpawnSpec::anywhere(); 2]).unwrap();
         let merged = inter.merge(ctx, false).unwrap();
         assert_eq!(merged.size(), 5);
         let sum = merged.allreduce_sum(ctx, 1u64).unwrap();
@@ -148,7 +146,7 @@ fn spawn_storm() {
         };
         while let Some(wave) = next_wave(comm.size()) {
             let inter =
-                comm_spawn_multiple(ctx, &comm, &vec![SpawnSpec::anywhere(); wave]).unwrap();
+                comm_spawn_multiple(ctx, &comm, 0, vec![SpawnSpec::anywhere(); wave]).unwrap();
             comm = inter.merge(ctx, false).unwrap();
         }
         assert_eq!(comm.size(), 9);
@@ -312,8 +310,7 @@ fn oversubscription_slows_per_step_compute() {
         let balanced = ctx.now() - t0;
 
         // Spawn 2 extra processes pinned to host 0 → 4 live procs there.
-        let inter =
-            comm_spawn_multiple(ctx, &w, &[SpawnSpec::on_host(0), SpawnSpec::on_host(0)]).unwrap();
+        let inter = comm_spawn_multiple(ctx, &w, 0, vec![SpawnSpec::on_host(0); 2]).unwrap();
         let m = inter.merge(ctx, false).unwrap();
         m.barrier(ctx).unwrap(); // children are up
         assert_eq!(ctx.oversubscription(), 2.0);

@@ -172,7 +172,8 @@ fn trace_covers_recovery_operations() {
         let _ = w.barrier(ctx);
         let s = w.shrink(ctx).unwrap();
         let inter =
-            ulfm_sim::comm_spawn_multiple(ctx, &s, &[ulfm_sim::SpawnSpec::anywhere()]).unwrap();
+            ulfm_sim::comm_spawn_multiple(ctx, &s, 0, vec![ulfm_sim::SpawnSpec::anywhere()])
+                .unwrap();
         let _ = inter.merge(ctx, false).unwrap();
     });
     report.assert_no_app_errors();

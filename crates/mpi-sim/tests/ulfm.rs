@@ -210,8 +210,7 @@ fn spawn_and_merge_low_high() {
             return;
         }
         let w = ctx.initial_world().unwrap();
-        let inter =
-            comm_spawn_multiple(ctx, &w, &[SpawnSpec::anywhere(), SpawnSpec::anywhere()]).unwrap();
+        let inter = comm_spawn_multiple(ctx, &w, 0, vec![SpawnSpec::anywhere(); 2]).unwrap();
         assert_eq!(inter.local_size(), 3);
         assert_eq!(inter.remote_size(), 2);
         let merged = inter.merge(ctx, false).unwrap();
@@ -237,10 +236,35 @@ fn spawn_pins_to_named_host() {
             return;
         }
         let w = ctx.initial_world().unwrap();
-        let _inter = comm_spawn_multiple(ctx, &w, &[SpawnSpec::on_host(2)]).unwrap();
+        let _inter = comm_spawn_multiple(ctx, &w, 0, vec![SpawnSpec::on_host(2)]).unwrap();
     });
     report.assert_no_app_errors();
     assert_eq!(report.get_f64("child_host"), Some(2.0));
+}
+
+#[test]
+fn spawn_reads_the_root_specs_alone() {
+    // The other ranks' specs (a host past the hostfile's end, which would
+    // fail the spawn) are never read, and a root with no specs refuses
+    // the spawn on every rank.
+    let report = run(RunConfig::local(3), |ctx| {
+        if ctx.is_spawned() {
+            ctx.report_add("children", 1.0);
+            return;
+        }
+        let w = ctx.initial_world().unwrap();
+        let past_the_end = SpawnSpec::on_host(ctx.hostfile().len());
+        let mine = if w.rank() == 1 { vec![SpawnSpec::anywhere(); 2] } else { vec![past_the_end] };
+        let inter = comm_spawn_multiple(ctx, &w, 1, mine).unwrap();
+        assert_eq!(inter.remote_size(), 2);
+        let none = if w.rank() == 0 { Vec::new() } else { vec![SpawnSpec::anywhere()] };
+        let e = comm_spawn_multiple(ctx, &w, 0, none).unwrap_err();
+        assert!(matches!(e, Error::InvalidArg(_)), "{e:?}");
+        ctx.report_add("ok", 1.0);
+    });
+    report.assert_no_app_errors();
+    assert_eq!(report.get_f64("ok"), Some(3.0));
+    assert_eq!(report.get_f64("children"), Some(2.0));
 }
 
 #[test]
@@ -251,7 +275,7 @@ fn spawn_unknown_host_fails_uniformly() {
         }
         let w = ctx.initial_world().unwrap();
         let past_the_end = SpawnSpec::on_host(ctx.hostfile().len());
-        let e = comm_spawn_multiple(ctx, &w, &[past_the_end]).unwrap_err();
+        let e = comm_spawn_multiple(ctx, &w, 0, vec![past_the_end]).unwrap_err();
         assert!(matches!(e, Error::SpawnFailed(_)));
         ctx.report_add("ok", 1.0);
     });
@@ -272,7 +296,7 @@ fn intercomm_agree_spans_both_sides() {
             return;
         }
         let w = ctx.initial_world().unwrap();
-        let inter = comm_spawn_multiple(ctx, &w, &[SpawnSpec::anywhere()]).unwrap();
+        let inter = comm_spawn_multiple(ctx, &w, 0, vec![SpawnSpec::anywhere()]).unwrap();
         let mut flag = true;
         inter.agree(ctx, &mut flag).unwrap();
         assert!(!flag, "child's false vote must win the AND");
