@@ -236,9 +236,18 @@ mod tests {
     }
 
     #[test]
+    fn only_3d_takes_a_combination_level() {
+        // The 2D experiments run `AppConfig::paper_shaped`, whose l is the
+        // paper's 4: they take no `--l`.
+        for name in ["policy", "fig8", "all"] {
+            assert_eq!(err(&[name, "--l", "5"]), "unknown flag --l");
+        }
+    }
+
+    #[test]
     fn a_bad_n_l_pair_is_a_usage_error() {
         assert_eq!(err(&["fig8", "--n", "3"]), "need 2 <= l <= n (got n=3, l=4)");
-        assert_eq!(err(&["all", "--quick", "--l", "1"]), "need 2 <= l <= n (got n=7, l=1)");
+        assert_eq!(err(&["3d", "--quick", "--l", "1"]), "need 2 <= l <= n (got n=5, l=1)");
         assert_eq!(err(&["3d", "--n", "3"]), "need 2 <= l <= n (got n=3, l=4)");
         assert_eq!(err(&["scale", "--n", "3"]), "need 2 <= l <= n (got n=3, l=4)");
     }
@@ -247,7 +256,7 @@ mod tests {
     fn values_parse_and_the_last_one_wins() {
         let a = parse(&["fig8", "--n", "7", "--scales", "1,2", "--n", "8", "--out", "x"]).unwrap();
         assert_eq!(a.get_or("--n", 9u32), Ok(8));
-        assert_eq!(a.get_or("--l", 4u32), Ok(4));
+        assert_eq!(a.get_or("--reps", 5usize), Ok(5));
         assert_eq!(a.get_with("--scales", list::<usize>), Ok(Some(vec![1, 2])));
         assert_eq!(a.out, Path::new("x"));
         assert_eq!(a.csv("fig8.csv"), Path::new("results/fig8.csv"));
@@ -265,7 +274,7 @@ mod tests {
             }
         }
         let fig8 = usage_line(&EXPERIMENTS[0]);
-        assert!(fig8.starts_with("usage: expt fig8 [--n N] [--l L]"), "{fig8}");
+        assert!(fig8.starts_with("usage: expt fig8 [--n N] [--steps LOG2]"), "{fig8}");
         assert!(fig8.ends_with("[--quick] [--out DIR]"), "{fig8}");
     }
 }

@@ -11,7 +11,7 @@
 //!    level: total time to recover from a double failure.
 
 use ftsg_core::app::keys;
-use ftsg_core::{AppConfig, ProcLayout, RespawnPolicy, Technique};
+use ftsg_core::{AppConfig, RespawnPolicy, Technique};
 use ulfm_sim::{ClusterProfile, FaultPlan};
 
 use crate::opts::Opts;
@@ -40,7 +40,7 @@ fn buddy_vs_disk(opts: &Opts) -> Table {
                 .with_checkpoints(4)
                 .with_sync_checkpoints();
             let steps = cfg.steps();
-            let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), 2);
+            let layout = opts.layout(technique, 2);
             let baseline = launch_on(profile.clone(), ModelKind::Ideal, cfg.clone(), opts.seed)
                 .get_f64(keys::ERR_L1)
                 .unwrap();
@@ -66,7 +66,8 @@ fn respawn_placement(opts: &Opts) -> Table {
     let mut t = Table::new(
         format!(
             "Ablation: respawn placement under a whole-node failure (n={}, l={})",
-            opts.n, opts.l
+            opts.n,
+            opts.l()
         ),
         &["policy", "t_total(s)", "t_solve(s)", "vs_same_host"],
     );
@@ -74,7 +75,7 @@ fn respawn_placement(opts: &Opts) -> Table {
     // three quarters of the solve feel the post-recovery load (im)balance.
     let technique = Technique::CheckpointRestart;
     let scale = 2;
-    let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), scale);
+    let layout = opts.layout(technique, scale);
     // A small-node profile (4 slots) so one node holds a meaningful chunk
     // of the world and its loss is a genuine node failure.
     let mut profile = emulate_paper_scale(
@@ -115,7 +116,7 @@ fn ulfm_maturity(opts: &Opts) -> Table {
     );
     let technique = Technique::ResamplingCopying;
     for &s in &opts.scales {
-        let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), s);
+        let layout = opts.layout(technique, s);
         for model in [ModelKind::Beta, ModelKind::Ideal] {
             let cfg = AppConfig::paper_shaped(technique, opts.n, s, opts.log2_steps);
             let steps = cfg.steps();

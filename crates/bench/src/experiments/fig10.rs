@@ -10,7 +10,7 @@
 //! is "near-exact".
 
 use ftsg_core::app::keys;
-use ftsg_core::{AppConfig, ProcLayout, Technique};
+use ftsg_core::{AppConfig, Technique};
 use ulfm_sim::ClusterProfile;
 
 use crate::opts::Opts;
@@ -27,7 +27,9 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     let mut t = Table::new(
         format!(
             "Fig. 10: average l1 approximation error vs lost grids (n={}, l={}, {} reps)",
-            opts.n, opts.l, reps
+            opts.n,
+            opts.l(),
+            reps
         ),
         &["technique", "lost_grids", "avg_err_l1", "vs_baseline"],
     );
@@ -37,7 +39,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         Technique::ResamplingCopying,
         Technique::AlternateCombination,
     ] {
-        let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), SCALE);
+        let layout = opts.layout(technique, SCALE);
         let mut baseline = f64::NAN;
         for lost in 0..=max_lost {
             let mut acc = 0.0;

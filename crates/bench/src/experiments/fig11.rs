@@ -11,7 +11,7 @@
 //! `E(s) = T(s₁)·P(s₁) / (T(s)·P(s))`.
 
 use ftsg_core::app::keys;
-use ftsg_core::{AppConfig, ProcLayout, Technique};
+use ftsg_core::{AppConfig, Technique};
 use ulfm_sim::{ClusterProfile, FaultPlan};
 
 use crate::experiments::fig9::calibrated_checkpoints;
@@ -22,7 +22,7 @@ use crate::table::{sig3, Table};
 /// Run the time and efficiency sweeps.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let mut t11a = Table::new(
-        format!("Fig. 11a: overall execution time (n={}, l={})", opts.n, opts.l),
+        format!("Fig. 11a: overall execution time (n={}, l={})", opts.n, opts.l()),
         &["technique", "failures", "cores", "t_total(s)"],
     );
     let mut t11b = Table::new(
@@ -46,7 +46,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         for &failures in failure_counts {
             let mut series: Vec<(usize, f64)> = Vec::new();
             for &s in &opts.scales {
-                let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), s);
+                let layout = opts.layout(technique, s);
                 let cores = layout.world_size();
                 let mut total = 0.0;
                 for rep in 0..opts.reps {

@@ -11,7 +11,7 @@
 //! be roughly the same, irrespective of the number of process failures".
 
 use ftsg_core::app::keys;
-use ftsg_core::{AppConfig, ProcLayout, Technique};
+use ftsg_core::{AppConfig, Technique};
 use ulfm_sim::{ClusterProfile, FaultPlan};
 
 use crate::opts::Opts;
@@ -21,16 +21,19 @@ use crate::table::{sig3, Table};
 /// Run the sweep; returns one table with both sub-figures' series.
 pub fn run(opts: &Opts) -> Vec<Table> {
     let technique = Technique::ResamplingCopying;
+    let title = format!(
+        "Fig. 8: failure identification & communicator reconstruction (n={}, l={}, {} reps)",
+        opts.n,
+        opts.l(),
+        opts.reps
+    );
     let mut t = Table::new(
-        format!(
-            "Fig. 8: failure identification & communicator reconstruction (n={}, l={}, {} reps)",
-            opts.n, opts.l, opts.reps
-        ),
+        title,
         &["model", "cores", "failures", "t_list(s)  [8a]", "t_reconstruct(s)  [8b]"],
     );
     for model in [ModelKind::Beta, ModelKind::Ideal] {
         for &s in &opts.scales {
-            let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), s);
+            let layout = opts.layout(technique, s);
             let cores = layout.world_size();
             for failures in [1usize, 2] {
                 let mut t_list = 0.0;

@@ -17,7 +17,7 @@
 //! T = half the predicted run time), calibrated from a probe run.
 
 use ftsg_core::app::keys;
-use ftsg_core::{AppConfig, ProcLayout, Technique};
+use ftsg_core::{AppConfig, Technique};
 use ulfm_sim::ClusterProfile;
 
 use crate::opts::Opts;
@@ -40,7 +40,7 @@ pub fn calibrated_checkpoints(opts: &Opts, profile: &ClusterProfile, log2_steps:
         .with_sync_checkpoints();
     let report = launch_on(profile.clone(), ModelKind::Beta, cfg, opts.seed ^ 0xCAFE);
     let t_base = report.get_f64(keys::T_TOTAL).unwrap();
-    let bytes = sparsegrid::LevelPair::new(opts.n - opts.l + 1, opts.n).points() * 8;
+    let bytes = sparsegrid::LevelPair::new(opts.n - opts.l() + 1, opts.n).points() * 8;
     let t_io = profile.checkpoint_write_time(bytes);
     AppConfig::optimal_checkpoints(2.0 * t_base, t_io).min((1u64 << log2_steps) as u32 / 2)
 }
@@ -50,7 +50,9 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     let mut t9a = Table::new(
         format!(
             "Fig. 9a: failed grid data recovery overhead (n={}, l={}, scale={SCALE}, {} reps)",
-            opts.n, opts.l, opts.reps
+            opts.n,
+            opts.l(),
+            opts.reps
         ),
         &["cluster", "technique", "lost_grids", "t_recovery(s)"],
     );
@@ -66,14 +68,13 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     for base_profile in [ClusterProfile::opl(), ClusterProfile::raijin()] {
         let profile = emulate_paper_scale(base_profile, opts.n, log2_steps);
         let checkpoints = calibrated_checkpoints(opts, &profile, log2_steps);
-        let p_c = ProcLayout::new(opts.n, opts.l, Technique::CheckpointRestart.layout(), SCALE)
-            .world_size() as f64;
+        let p_c = opts.layout(Technique::CheckpointRestart, SCALE).world_size() as f64;
         for technique in [
             Technique::CheckpointRestart,
             Technique::ResamplingCopying,
             Technique::AlternateCombination,
         ] {
-            let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), SCALE);
+            let layout = opts.layout(technique, SCALE);
             let p_own = layout.world_size() as f64;
             for lost in 1..=max_lost {
                 let mut rec = 0.0;

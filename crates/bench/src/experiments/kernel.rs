@@ -259,7 +259,7 @@ impl KernelReport {
     }
 
     /// `BENCH_pr8.json` contents: acceptance block first, then one result
-    /// row per measurement (criterion-shim row shape).
+    /// row per measurement (its `bench` name and best time).
     pub fn to_json(&self, date: &str) -> String {
         let mut s = String::new();
         s.push_str("{\n \"pr\": 8,\n");

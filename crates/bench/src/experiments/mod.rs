@@ -85,7 +85,7 @@ fn all(a: &Args) -> Result<i32, Usage> {
     println!(
         "ftsg experiment suite: n={}, l={}, 2^{} steps, scales {:?}, {} reps{}\n",
         opts.n,
-        opts.l,
+        opts.l(),
         opts.log2_steps,
         opts.scales,
         opts.reps,

@@ -102,9 +102,7 @@ fn step_report(level: LevelPair, steps: u64, overlapped: bool) -> Report {
     report
 }
 
-/// `expt overlap`: both A/Bs and `BENCH_pr3.json`; if `CRITERION_OUT_JSON`
-/// points at an NDJSON file produced by the criterion shim, its entries
-/// are merged into the `results` array.
+/// `expt overlap`: both A/Bs and `BENCH_pr3.json`.
 pub fn main(a: &Args) -> Result<i32, Usage> {
     let mut virt = Vec::new();
     let mut record = |case: &str, makespan: f64| {
@@ -137,31 +135,18 @@ pub fn main(a: &Args) -> Result<i32, Usage> {
     assert!(s11 >= 1.3, "combine virtual-makespan speedup at level 11 below 1.3x: {s11:.3}");
     assert!(hidden_frac > 0.0, "overlapped stepper hid no communication");
 
-    // Merge criterion shim NDJSON entries, if a capture file exists.
-    let mut results = Vec::new();
-    if let Ok(path) = std::env::var("CRITERION_OUT_JSON") {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                results.push(format!("  {line}"));
-            }
-        }
-    }
-
     let json = format!(
         "{{\n \"pr\": 3,\n \"date\": \"{date}\",\n \"note\": \"Virtual-makespan A/B from \
          expt-overlap (runtime cost models; 'central' and 'blocking' re-run the reference \
-         paths kept in-tree); 'results' are criterion shim wall-clock entries when captured \
-         via CRITERION_OUT_JSON.\",\n \"acceptance\": {{\n  \
+         paths kept in-tree).\",\n \"acceptance\": {{\n  \
          \"combine_virtual_makespan_speedup_level9\": {s9:.3},\n  \
          \"combine_virtual_makespan_speedup_level11\": {s11:.3},\n  \
          \"required_min_combine_speedup\": 1.3,\n  \
          \"step_virtual_makespan_speedup_level9\": {step_speedup:.3},\n  \
          \"hidden_comm_fraction_level9_step\": {hidden_frac:.4},\n  \
-         \"steady_state_allocations_per_combine_round\": 0\n }},\n \"virtual\": [\n{virt}\n ],\n \
-         \"results\": [\n{results}\n ]\n}}\n",
+         \"steady_state_allocations_per_combine_round\": 0\n }},\n \"virtual\": [\n{virt}\n ]\n}}\n",
         date = utc_today(),
         virt = virt.join(",\n"),
-        results = results.join(",\n"),
     );
     a.record("BENCH_pr3.json", &json);
     Ok(0)

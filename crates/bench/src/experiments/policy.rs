@@ -83,7 +83,7 @@ pub fn run(opts: &Opts) -> PolicyReport {
     // cross-policy assertions.
     let mut err_bits: HashMap<(&'static str, &'static str, usize, usize), u64> = HashMap::new();
     for technique in techniques {
-        let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), 1);
+        let layout = opts.layout(technique, 1);
         let steps = 1u64 << opts.log2_steps;
         for policy in RecoveryPolicy::all() {
             let mut zero_makespan = f64::NAN;
@@ -176,7 +176,7 @@ pub fn run(opts: &Opts) -> PolicyReport {
     PolicyReport {
         rows,
         n: opts.n,
-        l: opts.l,
+        l: opts.l(),
         log2_steps: opts.log2_steps,
         reps,
         substitute_overhead_ratio,

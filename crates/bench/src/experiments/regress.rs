@@ -306,9 +306,9 @@ fn median(mut v: Vec<f64>) -> f64 {
 }
 
 /// Median wall times `(naive, fast)` in seconds of the seed and the
-/// double-buffered level-9 step formulations (the same two code paths
-/// `cargo bench` measures, sized down to `iters` timed runs each). The
-/// ratio feeds the speedup gate; the `fast` wall also gates absolutely.
+/// double-buffered level-9 step formulations, over `iters` timed runs
+/// each. The ratio feeds the speedup gate; the `fast` wall also gates
+/// absolutely.
 fn measure_step_walls(iters: usize) -> (f64, f64) {
     let p = AdvectionProblem::standard();
     let lev = LevelPair::new(9, 9);

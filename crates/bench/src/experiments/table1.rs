@@ -11,7 +11,7 @@
 //! recovery protocol*, not just the model functions.
 
 use ftsg_core::app::keys;
-use ftsg_core::{AppConfig, ProcLayout, Technique};
+use ftsg_core::{AppConfig, Technique};
 use ulfm_sim::{ClusterProfile, FaultPlan, TABLE_I};
 
 use crate::opts::Opts;
@@ -24,7 +24,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
     let mut t = Table::new(
         format!(
             "Table I: ULFM operation wall times, two process failures (n={}, l={})",
-            opts.n, opts.l
+            opts.n,
+            opts.l()
         ),
         &[
             "cores",
@@ -39,7 +40,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         ],
     );
     for &s in &opts.scales {
-        let layout = ProcLayout::new(opts.n, opts.l, technique.layout(), s);
+        let layout = opts.layout(technique, s);
         let cores = layout.world_size();
         let seed = opts.seed ^ (s as u64) << 20;
         let cfg = AppConfig::paper_shaped(technique, opts.n, s, opts.log2_steps);

@@ -1,5 +1,7 @@
 //! The sizing flags the paper's figures share.
 
+use ftsg_core::{AppConfig, ProcLayout, Technique};
+
 use crate::cli::{list, Args, Flags, Usage};
 
 /// Experiment sizing knobs. The defaults keep every experiment
@@ -7,10 +9,9 @@ use crate::cli::{list, Args, Flags, Usage};
 /// docs (n = 13 needs substantial memory, see EXPERIMENTS.md).
 #[derive(Debug, Clone)]
 pub struct Opts {
-    /// Full grid size `n` (paper: 13; default 9).
+    /// Full grid size `n` (paper: 13; default 9). The combination level
+    /// is the paper's, from [`AppConfig::paper_shaped`]: see [`Opts::l`].
     pub n: u32,
-    /// Combination level `l` (paper and default: 4).
-    pub l: u32,
     /// `log2` of the timestep count (paper: 13; default 6).
     pub log2_steps: u32,
     /// Process scales to sweep (paper: 1, 2, 4, 8, 16 → 19–304 cores).
@@ -28,7 +29,6 @@ impl Default for Opts {
     fn default() -> Self {
         Opts {
             n: 9,
-            l: 4,
             log2_steps: 6,
             scales: vec![1, 2, 4, 8, 16],
             reps: 5,
@@ -40,7 +40,7 @@ impl Default for Opts {
 
 impl Opts {
     /// The flags of the figure experiments, `kernel` and `policy`.
-    pub const FLAGS: Flags = "--n N --l L --steps LOG2 --scales a,b,c --reps R --seed S --quick";
+    pub const FLAGS: Flags = "--n N --steps LOG2 --scales a,b,c --reps R --seed S --quick";
 
     /// Read [`Opts::FLAGS`]; `--quick` then shrinks the sweep, and the
     /// levels must leave a grid system (`2 <= l <= n`).
@@ -48,7 +48,6 @@ impl Opts {
         let d = Opts::default();
         let mut o = Opts {
             n: a.get_or("--n", d.n)?,
-            l: a.get_or("--l", d.l)?,
             log2_steps: a.get_or("--steps", d.log2_steps)?,
             scales: a.get_with("--scales", list)?.unwrap_or(d.scales),
             reps: a.get_or("--reps", d.reps)?,
@@ -58,8 +57,20 @@ impl Opts {
         if a.quick() {
             o.apply_quick();
         }
-        a.check_levels(o.n, o.l)?;
+        a.check_levels(o.n, o.l())?;
         Ok(o)
+    }
+
+    /// The combination level of every run these options size: the one
+    /// [`AppConfig::paper_shaped`] sets.
+    pub fn l(&self) -> u32 {
+        AppConfig::paper_shaped(Technique::AlternateCombination, self.n, 1, self.log2_steps).l
+    }
+
+    /// The process layout of `technique`'s runs at `scale`: the one the
+    /// run's own configuration builds, so victims drawn from it exist.
+    pub fn layout(&self, technique: Technique, scale: usize) -> ProcLayout {
+        ProcLayout::new(self.n, self.l(), technique.layout(), scale)
     }
 
     /// Shrink the sweep for smoke tests.
@@ -79,7 +90,7 @@ mod tests {
     #[test]
     fn defaults_are_paper_shaped() {
         let o = Opts::default();
-        assert_eq!(o.l, 4);
+        assert_eq!(o.l(), 4);
         assert_eq!(o.scales, vec![1, 2, 4, 8, 16]);
     }
 

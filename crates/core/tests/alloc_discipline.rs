@@ -7,7 +7,8 @@
 //!
 //! 1. 64 warm `DistributedSolver::step`s of a 2×2 level-9 group make **0**
 //!    allocator requests, summed over all ranks;
-//! 2. so do 64 warm `DistributedSolverN::step`s of a 3-slab 3D group;
+//! 2. so do 64 warm `DistributedSolverN::step`s of a 3-slab 3D group,
+//!    under each row formulation (scalar reference and SIMD);
 //! 3. so does a warm ring exchange of mixed 2 KB / 128 KB messages — in
 //!    particular `BufPool::take` never (re)allocates once every size has a
 //!    buffer in circulation;
@@ -51,13 +52,27 @@
 //!     and the `ranks1k_kill` 2D grid system **1**;
 //! 14. a whole small Alternate Combination run (n = 6, l = 3, scale 2,
 //!     2D) whose two victims in grids 1 and 2 die at the final step makes
-//!     exactly [`AC_REPAIR_RUN`] requests, warm: every rank solves the
-//!     robust coefficients once, in its data recovery, and the final
+//!     exactly [`AC_REPAIR_RUN`] requests, warm, beyond what std asks for
+//!     to spawn the run's one scheduler worker thread: every rank solves
+//!     the robust coefficients once, in its data recovery, and the final
 //!     combination reuses them (a second solve per rank adds 3 × 17);
 //! 15. after a two-victim shrink of 16 ranks, once one survivor has
 //!     derived the Fig. 6 failed list, the other 13 survivors' calls make
 //!     **0** requests together: each gets the list the first one derived,
-//!     shared on the shrunken communicator.
+//!     shared on the shrunken communicator;
+//! 16. 64 warm `LocalSolver::run` steps of a level-8 grid make **0**;
+//! 17. so do 64 warm `lax_wendroff_step`s, the reference formulation,
+//!     once its scratch vectors are warm;
+//! 18. so do 8 warm combine rounds: each term re-materialized into its
+//!     preallocated partial, the partials merged in place by the
+//!     binomial-tree association, as a leader does per round;
+//! 19. so do 4,096 warm trace events into a full `TraceRing` and their
+//!     `MetricsCell` counters: the ring overwrites in place, and counts
+//!     what it dropped;
+//! 20. `combine_onto_into_nd` into a warm target makes as many requests
+//!     at 18× the target's nodes: per-call tables, nothing per node;
+//! 21. `assemble_grid` of three slabs makes as many requests at 32× the
+//!     plane's nodes.
 //!
 //! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
 //! the measurement `expt regress --exact` gates on; the multi-rank
@@ -68,10 +83,12 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use advect2d::{AdvectionProblem, KernelConfig, ProblemN};
+use advect2d::{
+    lax_wendroff_step, AdvectionProblem, KernelConfig, KernelKind, LocalSolver, LwCoef, ProblemN,
+};
 use ftsg_core::alloc_probe::{repair_share, Gate, RepairShare, HANDLER_CALLS};
 use ftsg_core::detect::failed_procs_list;
-use ftsg_core::gather::scatter_grid_into;
+use ftsg_core::gather::{assemble_grid, scatter_grid_into, split_grid};
 use ftsg_core::landing::Landing;
 use ftsg_core::layout::GroupInfo;
 use ftsg_core::layout_nd::GroupInfoN;
@@ -79,8 +96,11 @@ use ftsg_core::psolve::DistributedSolver;
 use ftsg_core::psolve_nd::DistributedSolverN;
 use ftsg_core::stack::D2;
 use ftsg_core::{run_app, AppConfig, ProcLayout, Technique};
-use sparsegrid::{Grid2, GridN, GridSystem, GridSystemN, LevelPair};
-use ulfm_sim::{run, Comm, Ctx, FaultPlan, RunConfig};
+use sparsegrid::{
+    combine_onto_into, combine_onto_into_nd, gcp_coefficients, CombinationTerm, CombinationTermN,
+    Grid2, GridN, GridSystem, GridSystemN, LevelPair, LevelVecN,
+};
+use ulfm_sim::{run, Comm, Ctx, FaultPlan, MetricsCell, RunConfig, TraceEvent, TraceRing};
 
 static REQUESTS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -161,18 +181,36 @@ fn warm_count<S>(
     open.requests_until(&close)
 }
 
-/// Requests of the second of two calls of `f` on this thread.
-fn warm_call(f: impl Fn()) -> u64 {
-    f();
+/// Requests of one call of `f` on this thread.
+fn requests_of(f: impl FnOnce()) -> u64 {
     let before = requests();
     f();
     requests() - before
 }
 
-/// Allocator requests of a whole warm run of scenario 14's configuration:
-/// 772, and 2 more with debug assertions on (the spawn's reconciliation
-/// of the per-host live counts in `Hub::live_per_host`).
-const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 774 } else { 772 };
+/// Requests of the second of two calls of `f` on this thread.
+fn warm_call(mut f: impl FnMut()) -> u64 {
+    f();
+    requests_of(f)
+}
+
+/// Allocator requests of a whole warm run of scenario 14's configuration,
+/// net of its worker thread's spawn: 764, and 2 more with debug
+/// assertions on (the spawn's reconciliation of the per-host live counts
+/// in `Hub::live_per_host`).
+const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 766 } else { 764 };
+
+/// Requests std makes to spawn and join one named thread, as `run`
+/// spawns its scheduler worker. They depend on the test harness: while it
+/// captures output, every thread spawned inherits the capture, and that
+/// costs 2 requests more per thread than under `--nocapture`.
+fn thread_spawn_requests() -> u64 {
+    let spawn = || {
+        let worker = std::thread::Builder::new().name(format!("ulfm-worker-{}", 0));
+        worker.spawn(|| {}).unwrap().join().unwrap();
+    };
+    warm_call(spawn)
+}
 
 /// Scenario 14's run: the small 2D Alternate Combination shape, scale 2,
 /// the last rank of grids 1 and 2 killed at the final step. Returns its
@@ -267,19 +305,28 @@ fn bulk_data_paths_hold_their_allocation_budget() {
     );
     assert_eq!(steps2d, 0, "64 warm 2D steps x 4 ranks made {steps2d} allocator requests");
 
-    // 2. The d-dimensional plane exchange + row kernels, uneven slabs.
-    let steps3d = warm_requests(
-        3,
-        8,
-        64,
-        |_, comm| {
-            let info = GroupInfoN { grid: 0, first: 0, size: 3 };
-            let p = ProblemN::standard_advection(3);
-            DistributedSolverN::new(p, &[5, 4, 3], 1e-4, &info, comm.rank())
-        },
-        |ctx, comm, solver| solver.step(ctx, comm).unwrap(),
-    );
-    assert_eq!(steps3d, 0, "64 warm 3D steps x 3 ranks made {steps3d} allocator requests");
+    // 2. The d-dimensional plane exchange + row kernels, uneven slabs,
+    //    under each row formulation.
+    for kind in KernelKind::all() {
+        let steps3d = warm_requests(
+            3,
+            8,
+            64,
+            move |_, comm| {
+                let info = GroupInfoN { grid: 0, first: 0, size: 3 };
+                let p = ProblemN::standard_advection(3);
+                DistributedSolverN::new(p, &[5, 4, 3], 1e-4, &info, comm.rank())
+                    .with_kernel(KernelConfig { kind })
+            },
+            |ctx, comm, solver| solver.step(ctx, comm).unwrap(),
+        );
+        assert_eq!(
+            steps3d,
+            0,
+            "64 warm 3D {} steps x 3 ranks made {steps3d} allocator requests",
+            kind.label()
+        );
+    }
 
     // 3. Mixed message sizes round a ring: every size in flight keeps its
     //    own pooled buffer, so no take grows one or asks for another.
@@ -441,17 +488,110 @@ fn bulk_data_paths_hold_their_allocation_budget() {
     // 14. A two-failure Alternate Combination repair at the final step.
     let (cfg, world) = ac_repair_config();
     run_requests(cfg.clone(), world);
-    let ac_run = run_requests(cfg, world);
+    let ac_run = run_requests(cfg, world) - thread_spawn_requests();
     assert_eq!(
         ac_run, AC_REPAIR_RUN,
-        "a warm two-failure AC run of {world} ranks made {ac_run} requests, not \
-         {AC_REPAIR_RUN} (3 more per rank: the combination solved the robust coefficients \
-         again)"
+        "a warm two-failure AC run of {world} ranks made {ac_run} requests beyond its worker \
+         thread's spawn, not {AC_REPAIR_RUN} (3 more per rank: the combination solved the \
+         robust coefficients again)"
     );
     // 15. The Fig. 6 list, asked for by every survivor of one shrink.
     let fig6 = later_fig6_requests();
     let later = FIG6_RANKS - FIG6_DEAD.len() - 1;
     assert_eq!(fig6, 0, "{later} survivors' Fig. 6 calls after the first made {fig6} requests");
+    // 16. The single-owner level-8 solve.
+    let p = AdvectionProblem::standard();
+    let mut local = LocalSolver::new(p, LevelPair::new(8, 8), 1e-4);
+    let local_steps = warm_call(|| local.run(64));
+    assert_eq!(local_steps, 0, "64 warm LocalSolver steps made {local_steps} requests");
+    // 17. The reference step, scratch warm.
+    let mut grid = Grid2::from_fn(LevelPair::new(8, 8), p.initial());
+    let coef = LwCoef::new(&p, 1.0 / 256.0, 1.0 / 256.0, 1e-4);
+    let (mut padded, mut out) = (Vec::new(), Vec::new());
+    let reference = warm_call(|| {
+        for _ in 0..64 {
+            lax_wendroff_step(&mut grid, &coef, &mut padded, &mut out);
+        }
+    });
+    assert_eq!(reference, 0, "64 warm reference steps made {reference} requests");
+    // 18. Combine rounds over warm partials.
+    let sys = GridSystem::new(6, 3, sparsegrid::Layout::Plain);
+    let terms: Vec<(f64, Grid2)> = gcp_coefficients(&sys.classical_downset())
+        .iter()
+        .filter(|(_, &c)| c != 0)
+        .map(|(&lv, &c)| (c as f64, Grid2::from_fn(lv, |x, y| (5.0 * x).sin() + 2.0 * y)))
+        .collect();
+    let mut parts: Vec<Grid2> = terms.iter().map(|_| Grid2::zeros(sys.min_level())).collect();
+    let combine = warm_call(|| {
+        for _ in 0..8 {
+            for ((c, g), part) in terms.iter().zip(parts.iter_mut()) {
+                combine_onto_into(part, &[CombinationTerm { coeff: *c, grid: g }]);
+            }
+            let mut stride = 1;
+            while stride < parts.len() {
+                for i in (0..parts.len() - stride).step_by(2 * stride) {
+                    let (head, tail) = parts.split_at_mut(i + stride);
+                    head[i].axpy(1.0, &tail[0]);
+                }
+                stride *= 2;
+            }
+        }
+    });
+    assert_eq!(combine, 0, "8 warm combine rounds made {combine} requests");
+    assert!(parts[0].values().iter().all(|v| v.is_finite()));
+    // 19. Default-on tracing: a full ring and the per-rank counters.
+    let (mut ring, cell) = (TraceRing::new(1024), MetricsCell::new());
+    let event = |k: usize| TraceEvent {
+        proc: 1,
+        host: 0,
+        op: "send",
+        cat: "mpi",
+        cid: 0,
+        t_start: k as f64 * 1e-6,
+        t_end: k as f64 * 1e-6 + 5e-7,
+        bytes: 64,
+    };
+    (0..2048).for_each(|k| ring.push(event(k)));
+    let tracing = requests_of(|| {
+        for k in 0..4096 {
+            ring.push(event(k));
+            cell.note_op("send", 5e-7);
+            cell.note_sent(64);
+            cell.note_recvd(64);
+            cell.note_recv_retry();
+        }
+    });
+    assert_eq!(tracing, 0, "4096 warm trace events made {tracing} requests");
+    assert_eq!((ring.len(), ring.dropped()), (1024, 2048 + 4096 - 1024));
+    // 20. An nd combination onto a non-dominated target: both terms are
+    //     coarser than it on one axis and finer on another.
+    let nd_terms: Vec<GridN> = [[2u32, 6, 3], [7, 2, 5]]
+        .iter()
+        .map(|lv| GridN::from_fn(lv, |x| (3.0 * x[0]).sin() + x[1] * x[2]))
+        .collect();
+    let refs: Vec<CombinationTermN> =
+        nd_terms.iter().map(|g| CombinationTermN { coeff: 1.0, grid: g }).collect();
+    let nd_combine = |level: &[u32]| {
+        let mut out = GridN::zeros(level);
+        warm_call(|| combine_onto_into_nd(&mut out, &refs))
+    };
+    let (small, large) = (nd_combine(&[4, 4, 4]), nd_combine(&[6, 5, 4]));
+    assert_eq!(small, large, "nd combine requests grew with the target: {small} vs {large}");
+    // 21. Three slabs assembled into one grid, at two plane sizes.
+    let slabs = GroupInfoN { grid: 0, first: 0, size: 3 };
+    let assemble = |level: &[u32]| {
+        let level = LevelVecN::new(level);
+        let blocks = split_grid(&GridN::from_fn(&level, |x| x[0] - x[1] + x[2]), &slabs);
+        let mut grid = None;
+        let made = requests_of(|| grid = Some(assemble_grid(&level, &slabs, &blocks)));
+        assert_eq!(grid.unwrap().expect("well-formed blocks").level(), &level[..]);
+        made
+    };
+    let (small_plane, large_plane) = (assemble(&[2, 2, 3]), assemble(&[5, 4, 3]));
+    assert_eq!(
+        small_plane, large_plane,
+        "assemble_grid requests grew with the plane: {small_plane} vs {large_plane}"
+    );
     println!(
         "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
          rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
@@ -460,8 +600,10 @@ fn bulk_data_paths_hold_their_allocation_budget() {
          call; 0 per warm level-9 scatter into solver rows; a second gather through the \
          landing grid asked for {regather} bytes, one grid is {grid_bytes}; set-up: 1 per 3D \
          grid system, 0 per validation, 1 per GridN, 1 per 2D grid system; {ac_run} per \
-         warm two-failure AC run of {world} ranks; {fig6} for {later} survivors' Fig. 6 \
-         lists after the first",
+         warm two-failure AC run of {world} ranks beyond its worker's spawn; {fig6} for \
+         {later} survivors' Fig. 6 lists after the first; 0 over 64 warm local and reference \
+         steps, 8 combine rounds and 4096 trace events; {small} per nd combine and \
+         {small_plane} per assembly at either size",
         extra as f64 / extra_rounds as f64 / round_bytes as f64
     );
 }
