@@ -8,7 +8,11 @@
 //! copies), evaluates a stencil over the interior into the other buffer,
 //! and ping-pongs — the same allocation-free discipline as the tuned 2D
 //! path, which remains the d=2 fast case (this engine never runs at d=2
-//! in production; the 2D kernels do).
+//! in production; the 2D kernels do). As there, the second buffer (the
+//! spare) exists from [`PaddedFieldN::new`] until
+//! [`PaddedFieldN::release_spare`], which a solver calls when it commits
+//! its solve's last step, and again from the next step, which re-creates
+//! it.
 //!
 //! ## Production rows, reference points
 //!
@@ -33,14 +37,24 @@
 
 use sparsegrid::ndgrid::{advance, for_each_offset, for_each_slab_row, GridN};
 
-/// A persistent double-buffered halo-padded d-dimensional field.
-#[derive(Debug, Clone, PartialEq)]
+/// A double-buffered halo-padded d-dimensional field; after
+/// [`release_spare`](Self::release_spare) only the current buffer exists
+/// until the next step.
+#[derive(Debug, Clone)]
 pub struct PaddedFieldN {
     shape: Vec<usize>,
-    pshape: Vec<usize>,
     pstride: Vec<usize>,
     cur: Vec<f64>,
+    /// The spare: written by a step, then swapped in. Empty once released.
     next: Vec<f64>,
+}
+
+/// Two fields are equal when their shapes and current buffers are: the
+/// spare holds nothing a reader can see.
+impl PartialEq for PaddedFieldN {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.cur == other.cur
+    }
 }
 
 impl PaddedFieldN {
@@ -54,13 +68,7 @@ impl PaddedFieldN {
             pstride[i] = pstride[i - 1] * pshape[i - 1];
         }
         let len = pstride.last().unwrap() * pshape.last().unwrap();
-        PaddedFieldN {
-            shape: shape.to_vec(),
-            pshape,
-            pstride,
-            cur: vec![0.0; len],
-            next: vec![0.0; len],
-        }
+        PaddedFieldN { shape: shape.to_vec(), pstride, cur: vec![0.0; len], next: vec![0.0; len] }
     }
 
     /// A field sized for `grid`'s fundamental domain, loaded from it.
@@ -100,6 +108,16 @@ impl PaddedFieldN {
     /// Mutable view of the current padded buffer.
     pub fn padded_mut(&mut self) -> &mut [f64] {
         &mut self.cur
+    }
+
+    /// Free the spare buffer: no step follows, or none soon. The current
+    /// buffer, and so every value a reader sees, is untouched; the next
+    /// step allocates the spare again. A step writes every interior cell
+    /// of the spare before it is read, and the halo is wrapped or
+    /// exchanged after the swap, so a fresh spare steps bit for bit as a
+    /// kept one.
+    pub fn release_spare(&mut self) {
+        self.next = Vec::new();
     }
 
     /// Interior value at an interior multi-index.
@@ -264,6 +282,9 @@ impl PaddedFieldN {
     /// read the buffer they write, so any cover is bitwise equal to a
     /// monolithic step. Allocation-free.
     pub fn step_rows(&mut self, z0: usize, z1: usize, row: impl Fn(&[f64], usize, &mut [f64])) {
+        if self.next.is_empty() {
+            self.next = vec![0.0; self.cur.len()];
+        }
         let PaddedFieldN { shape, pstride, cur, next, .. } = self;
         debug_assert!(z1 <= shape[shape.len() - 1]);
         let origin: usize = pstride.iter().sum();
@@ -299,6 +320,7 @@ impl PaddedFieldN {
     /// Commit a timestep assembled from [`step_rows`](Self::step_rows) /
     /// [`step_planes`](Self::step_planes) calls: swap the buffers.
     pub fn commit_step(&mut self) {
+        debug_assert!(!self.next.is_empty(), "a step commits a spare it has written");
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 }
@@ -418,6 +440,46 @@ mod tests {
         parts.step_planes(1, 3, kernel);
         parts.commit_step();
         assert_eq!(whole.padded()[..], parts.padded()[..]);
+    }
+
+    /// Step, release the spare, step again: bit for bit what stepping
+    /// with the spare kept gives, whether the next step is one
+    /// `step_rows` sweep or a plane-decomposed cover (either one
+    /// re-creates the spare), at the 2D stepper's shapes and at 3D ones.
+    /// A released spare is not part of the state: the fields compare
+    /// equal.
+    #[test]
+    fn a_released_spare_steps_bitwise_as_a_kept_one() {
+        let kernel =
+            |cur: &[f64], off: usize| cur[off] * 0.4 + cur[off - 1] * 0.35 + cur[off + 1] * 0.25;
+        let shapes: [&[usize]; 8] =
+            [&[8, 6], &[1, 5], &[5, 1], &[2, 2], &[1, 1], &[4, 3, 3], &[3, 1, 2], &[1, 1, 1]];
+        for shape in shapes {
+            let mut kept = PaddedFieldN::new(shape);
+            for (i, v) in kept.padded_mut().iter_mut().enumerate() {
+                *v = (i as f64 * 0.37).sin();
+            }
+            kept.refresh_periodic_halo();
+            kept.step_with(kernel);
+            let (mut whole, mut parts) = (kept.clone(), kept.clone());
+            whole.release_spare();
+            parts.release_spare();
+            assert_eq!(whole, kept, "{shape:?}: only the spare differs");
+            for f in [&mut kept, &mut whole, &mut parts] {
+                f.refresh_periodic_halo();
+            }
+            kept.step_with(kernel);
+            whole.step_with(kernel);
+            let planes = shape[shape.len() - 1];
+            parts.step_planes(0, 1, kernel);
+            parts.step_planes(1, planes, kernel);
+            parts.commit_step();
+            for f in [&mut kept, &mut whole, &mut parts] {
+                f.refresh_periodic_halo();
+            }
+            assert_eq!(whole.padded(), kept.padded(), "{shape:?}: one sweep");
+            assert_eq!(parts.padded(), kept.padded(), "{shape:?}: planes");
+        }
     }
 
     #[test]

@@ -6,17 +6,21 @@
 //! grid advances with it.
 //!
 //! [`PaddedField`] is the allocation-free stepping engine of the
-//! Lax–Wendroff solvers: a persistent double-buffered
-//! halo-padded block where one timestep only refreshes the halo ring
-//! (`O(perimeter)` copies) and ping-pongs the two buffers, instead of
-//! rebuilding a padded copy of the whole field and copying the result
-//! back (`O(area)` traffic plus two `Vec` reallocations per step).
+//! Lax–Wendroff solvers: a double-buffered halo-padded block where one
+//! timestep only refreshes the halo ring (`O(perimeter)` copies) and
+//! ping-pongs the two buffers, instead of rebuilding a padded copy of the
+//! whole field and copying the result back (`O(area)` traffic plus two
+//! `Vec` reallocations per step). The second buffer, the spare, exists
+//! from [`PaddedField::new`] until [`PaddedField::release_spare`] — which
+//! a solver calls when it commits its solve's last step, so that what
+//! follows (a distributed run's combination) does not carry a dead copy
+//! of every block — and again from the next step, which re-creates it.
 
 use sparsegrid::Grid2;
 
 use crate::problem::AdvectionProblem;
 
-/// A persistent double-buffered halo-padded field.
+/// A double-buffered halo-padded field.
 ///
 /// Both buffers hold `(nx + 2) × (ny + 2)` values, row-major with x
 /// fastest; the interior `nx × ny` block is the fundamental periodic
@@ -24,7 +28,8 @@ use crate::problem::AdvectionProblem;
 /// stored). A timestep reads stencil rows from the current buffer and
 /// writes each output row directly into the interior of the other
 /// buffer, then the buffers swap; nothing is allocated and nothing is
-/// copied except the halo ring.
+/// copied except the halo ring. After [`release_spare`] only the current
+/// buffer exists; the next step allocates the other one again.
 ///
 /// The halo can be filled two ways: [`refresh_periodic_halo`] for the
 /// single-owner periodic solvers, or externally (distributed halo
@@ -32,12 +37,22 @@ use crate::problem::AdvectionProblem;
 ///
 /// [`refresh_periodic_halo`]: PaddedField::refresh_periodic_halo
 /// [`padded_mut`]: PaddedField::padded_mut
-#[derive(Debug, Clone, PartialEq)]
+/// [`release_spare`]: PaddedField::release_spare
+#[derive(Debug, Clone)]
 pub struct PaddedField {
     nx: usize,
     ny: usize,
     cur: Vec<f64>,
+    /// The spare: written by a step, then swapped in. Empty once released.
     next: Vec<f64>,
+}
+
+/// Two fields are equal when their shapes and current buffers are: the
+/// spare holds nothing a reader can see.
+impl PartialEq for PaddedField {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nx, self.ny) == (other.nx, other.ny) && self.cur == other.cur
+    }
 }
 
 impl PaddedField {
@@ -69,6 +84,24 @@ impl PaddedField {
     #[inline]
     pub fn pnx(&self) -> usize {
         self.nx + 2
+    }
+
+    /// Free the spare buffer: no step follows, or none soon. The current
+    /// buffer, and so every value a reader sees, is untouched; the next
+    /// step allocates the spare again.
+    pub fn release_spare(&mut self) {
+        self.next = Vec::new();
+    }
+
+    /// The current buffer and the spare, the spare allocated again if it
+    /// was released. A step writes every interior cell of the spare before
+    /// it is read, and the halo is refreshed or exchanged after the swap,
+    /// so a fresh spare steps bit for bit as a kept one.
+    fn buffers(&mut self) -> (&[f64], &mut [f64]) {
+        if self.next.is_empty() {
+            self.next = vec![0.0; self.cur.len()];
+        }
+        (&self.cur, &mut self.next)
     }
 
     /// Copy `grid`'s fundamental domain into the interior. The halo is
@@ -145,16 +178,9 @@ impl PaddedField {
     /// `nx + 2` wide) from the current buffer and the `nx`-wide output
     /// row in the other buffer; the buffers then swap. The halo of the
     /// *new* current buffer is stale until the next refresh/exchange.
-    pub fn step(&mut self, mut row_kernel: impl FnMut(&[f64], &[f64], &[f64], &mut [f64])) {
-        let pnx = self.pnx();
-        for m in 0..self.ny {
-            let south = &self.cur[m * pnx..][..pnx];
-            let center = &self.cur[(m + 1) * pnx..][..pnx];
-            let north = &self.cur[(m + 2) * pnx..][..pnx];
-            let out = &mut self.next[(m + 1) * pnx + 1..][..self.nx];
-            row_kernel(south, center, north, out);
-        }
-        std::mem::swap(&mut self.cur, &mut self.next);
+    pub fn step(&mut self, row_kernel: impl FnMut(&[f64], &[f64], &[f64], &mut [f64])) {
+        self.step_region(0, self.ny, 0, self.nx, row_kernel);
+        self.commit_step();
     }
 
     /// Apply `row_kernel` to the sub-rectangle of interior rows
@@ -182,13 +208,13 @@ impl PaddedField {
         if m0 >= m1 || k0 >= k1 {
             return;
         }
-        let pnx = self.pnx();
-        let w = k1 - k0;
+        let (pnx, w) = (self.pnx(), k1 - k0);
+        let (cur, next) = self.buffers();
         for m in m0..m1 {
-            let south = &self.cur[m * pnx + k0..][..w + 2];
-            let center = &self.cur[(m + 1) * pnx + k0..][..w + 2];
-            let north = &self.cur[(m + 2) * pnx + k0..][..w + 2];
-            let out = &mut self.next[(m + 1) * pnx + 1 + k0..][..w];
+            let south = &cur[m * pnx + k0..][..w + 2];
+            let center = &cur[(m + 1) * pnx + k0..][..w + 2];
+            let north = &cur[(m + 2) * pnx + k0..][..w + 2];
+            let out = &mut next[(m + 1) * pnx + 1 + k0..][..w];
             row_kernel(south, center, north, out);
         }
     }
@@ -200,6 +226,7 @@ impl PaddedField {
     /// [`step_region`]: PaddedField::step_region
     /// [`step`]: PaddedField::step
     pub fn commit_step(&mut self) {
+        debug_assert!(!self.next.is_empty(), "a step commits a spare it has written");
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 }
@@ -242,39 +269,81 @@ mod tests {
     use super::*;
     use crate::problem::AdvectionProblem;
 
+    /// A stencil with every dependency direction exercised.
+    fn kernel(s: &[f64], c: &[f64], n: &[f64], out: &mut [f64]) {
+        for k in 0..out.len() {
+            out[k] = 0.5 * c[k + 1]
+                + 0.1 * (c[k] + c[k + 2])
+                + 0.2 * (s[k + 1] - n[k + 1])
+                + 0.05 * (s[k] * n[k + 2]);
+        }
+    }
+
+    /// Interior shapes: wide, one column, one row, tiny, a single cell.
+    const SHAPES: [(usize, usize); 5] = [(8, 6), (1, 5), (5, 1), (2, 2), (1, 1)];
+
+    fn filled(nx: usize, ny: usize) -> PaddedField {
+        let mut f = PaddedField::new(nx, ny);
+        for (i, v) in f.padded_mut().iter_mut().enumerate() {
+            *v = (i as f64 * 0.37).sin();
+        }
+        f
+    }
+
+    /// One timestep as the overlapped stepper covers it: deep interior,
+    /// edge rows, edge columns — disjoint and complete for every shape.
+    fn step_by_regions(f: &mut PaddedField) {
+        let (nx, ny) = (f.nx(), f.ny());
+        f.step_region(1, ny.saturating_sub(1), 1, nx.saturating_sub(1), kernel);
+        f.step_region(0, 1, 1, nx.saturating_sub(1), kernel);
+        if ny > 1 {
+            f.step_region(ny - 1, ny, 1, nx.saturating_sub(1), kernel);
+        }
+        f.step_region(0, ny, 0, 1, kernel);
+        if nx > 1 {
+            f.step_region(0, ny, nx - 1, nx, kernel);
+        }
+        f.commit_step();
+    }
+
     #[test]
     fn region_decomposed_step_is_bitwise_equal() {
-        // A stencil with every dependency direction exercised.
-        let kernel = |s: &[f64], c: &[f64], n: &[f64], out: &mut [f64]| {
-            for k in 0..out.len() {
-                out[k] = 0.5 * c[k + 1]
-                    + 0.1 * (c[k] + c[k + 2])
-                    + 0.2 * (s[k + 1] - n[k + 1])
-                    + 0.05 * (s[k] * n[k + 2]);
-            }
-        };
-        for (nx, ny) in [(8, 6), (1, 5), (5, 1), (2, 2), (1, 1)] {
-            let mut whole = PaddedField::new(nx, ny);
-            for (i, v) in whole.padded_mut().iter_mut().enumerate() {
-                *v = (i as f64 * 0.37).sin();
-            }
+        for (nx, ny) in SHAPES {
+            let mut whole = filled(nx, ny);
             let mut parts = whole.clone();
             whole.step(kernel);
-            // The overlapped stepper's cover: deep interior, edge rows,
-            // edge columns — disjoint and complete for every shape.
-            parts.step_region(1, ny.saturating_sub(1), 1, nx.saturating_sub(1), kernel);
-            parts.step_region(0, 1, 1, nx.saturating_sub(1), kernel);
-            if ny > 1 {
-                parts.step_region(ny - 1, ny, 1, nx.saturating_sub(1), kernel);
-            }
-            parts.step_region(0, ny, 0, 1, kernel);
-            if nx > 1 {
-                parts.step_region(0, ny, nx - 1, nx, kernel);
-            }
-            parts.commit_step();
+            step_by_regions(&mut parts);
             for m in 0..ny {
                 assert_eq!(whole.interior_row(m), parts.interior_row(m), "{nx}x{ny} row {m}");
             }
+        }
+    }
+
+    /// Step, release the spare, step again: bit for bit what stepping
+    /// with the spare kept gives, whether the next step is monolithic or
+    /// region-decomposed (either one re-creates the spare). A released
+    /// spare is not part of the state: the fields compare equal.
+    #[test]
+    fn a_released_spare_steps_bitwise_as_a_kept_one() {
+        for (nx, ny) in SHAPES {
+            let mut kept = filled(nx, ny);
+            kept.refresh_periodic_halo();
+            kept.step(kernel);
+            let (mut whole, mut parts) = (kept.clone(), kept.clone());
+            whole.release_spare();
+            parts.release_spare();
+            assert_eq!(whole, kept, "{nx}x{ny}: only the spare differs");
+            for f in [&mut kept, &mut whole, &mut parts] {
+                f.refresh_periodic_halo();
+            }
+            kept.step(kernel);
+            whole.step(kernel);
+            step_by_regions(&mut parts);
+            for f in [&mut kept, &mut whole, &mut parts] {
+                f.refresh_periodic_halo();
+            }
+            assert_eq!(whole.padded(), kept.padded(), "{nx}x{ny}: monolithic");
+            assert_eq!(parts.padded(), kept.padded(), "{nx}x{ny}: regions");
         }
     }
 

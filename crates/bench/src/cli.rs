@@ -245,6 +245,26 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_the_run_never_reads_is_a_usage_error() {
+        assert_eq!(err(&["table1", "--reps", "3"]), "unknown flag --reps");
+        assert_eq!(err(&["ablation", "--reps", "3"]), "unknown flag --reps");
+        for name in ["fig9", "fig10", "policy", "kernel"] {
+            assert_eq!(err(&[name, "--scales", "1,2"]), "unknown flag --scales", "{name}");
+        }
+        for flag in ["--n", "--steps", "--seed"] {
+            assert_eq!(err(&["kernel", flag, "7"]), format!("unknown flag {flag}"));
+        }
+        // `expt all` runs every figure, so it takes every figure flag.
+        let all = EXPERIMENTS.iter().find(|e| e.name == "all").unwrap();
+        assert_eq!(all.flags, crate::Opts::FLAGS);
+        for e in EXPERIMENTS.iter().take_while(|e| e.name != "all") {
+            for (flag, _) in specs(e) {
+                assert!(specs(all).iter().any(|(f, _)| *f == flag), "{}: {flag}", e.name);
+            }
+        }
+    }
+
+    #[test]
     fn a_bad_n_l_pair_is_a_usage_error() {
         assert_eq!(err(&["fig8", "--n", "3"]), "need 2 <= l <= n (got n=3, l=4)");
         assert_eq!(err(&["3d", "--quick", "--l", "1"]), "need 2 <= l <= n (got n=5, l=1)");

@@ -14,10 +14,15 @@
 //! [`crate::experiments::repair`] (OPL, beta-ULFM, one scheduler worker,
 //! seed 7). The counts and byte sums are exact.
 //!
+//! It also keeps the heap bytes live (allocated and not yet freed) and
+//! their high-water mark: [`live_peak`] reads the most one warm run of a
+//! workload holds at once, which does not depend on how the C library
+//! maps and returns memory, as the benchmark's `peak_rss_mb` does.
+//!
 //! The `expt` binary installs it as its global allocator; [`requests`]
 //! and [`bytes`] read its exact totals (`expt regress` and `expt ckpt` do,
 //! with tracing never switched on). In a process that installs none, as
-//! the library's unit tests, both stay 0.
+//! the library's unit tests, both stay 0, and so does [`live_peak`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -33,6 +38,10 @@ use crate::table::Table;
 static REQUESTS: AtomicU64 = AtomicU64::new(0);
 /// Bytes those requests asked for.
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, the tracer's own included.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The most `LIVE` has been since [`live_peak`] last restarted it.
+static PEAK: AtomicU64 = AtomicU64::new(0);
 /// Take a backtrace of every request.
 static TRACING: AtomicBool = AtomicBool::new(false);
 /// Traced `(requests, bytes)` by call site.
@@ -72,6 +81,16 @@ fn note(size: usize) {
     });
 }
 
+/// `size` bytes became live, or, if the request failed, none did.
+#[inline]
+fn live_add(ptr: *mut u8, size: usize) -> *mut u8 {
+    if !ptr.is_null() {
+        let live = LIVE.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+    ptr
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; counting and tracing touch no
 // allocator state, and the allocations a trace makes re-enter `alloc`
@@ -80,16 +99,17 @@ unsafe impl GlobalAlloc for TracingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
         // SAFETY: the caller's `layout` obligations are passed through.
-        unsafe { System.alloc(layout) }
+        live_add(unsafe { System.alloc(layout) }, layout.size())
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
         // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
+        live_add(unsafe { System.alloc_zeroed(layout) }, layout.size())
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` with this `layout` — the
         // caller's obligation, passed through.
         unsafe { System.dealloc(ptr, layout) }
@@ -100,7 +120,13 @@ unsafe impl GlobalAlloc for TracingAllocator {
         // benchmark counts it.
         note(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            // The old block is gone and the new one live; on failure the
+            // old one stays live.
+            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        }
+        live_add(moved, new_size)
     }
 }
 
@@ -112,6 +138,18 @@ pub fn requests() -> u64 {
 /// Bytes those requests asked for.
 pub fn bytes() -> u64 {
     BYTES.load(Ordering::SeqCst)
+}
+
+/// The most heap bytes one run of `workload` holds live at once, above
+/// what was live when it started, by [`repair::run_count`]'s protocol
+/// (seed 7, one scheduler worker, after a warm-up run); `None` if there is
+/// no such workload.
+pub fn live_peak(workload: &str) -> Option<u64> {
+    repair::launch_workload(workload)?;
+    let start = LIVE.load(Ordering::SeqCst);
+    PEAK.store(start, Ordering::SeqCst);
+    repair::launch_workload(workload)?;
+    Some(PEAK.load(Ordering::SeqCst) - start)
 }
 
 /// One workload's requests and bytes by call site.

@@ -539,8 +539,8 @@ impl Kernel3dReport {
 
 /// `expt kernel`: both sections, `BENCH_pr8.json` and `results/kernel.csv`
 /// then `BENCH_pr17.json` and `results/kernel3d.csv`. Of the shared
-/// experiment flags only `--reps` (timing samples, scaled ×10) and
-/// `--quick` matter here.
+/// experiment flags it takes only `--reps` (timing samples, scaled ×10)
+/// and `--quick`.
 pub fn main(a: &Args) -> Result<i32, Usage> {
     let opts = Opts::from_args(a)?;
     let iters = if opts.quick { 10 } else { opts.reps.max(3) * 10 };

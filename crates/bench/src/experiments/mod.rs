@@ -21,28 +21,35 @@ pub mod table1;
 pub mod timeline;
 
 use crate::chaos::{self, CampaignOpts};
-use crate::cli::{Args, Experiment, Usage};
+use crate::cli::{Args, Experiment, Flags, Usage};
 use crate::table::Table;
 use crate::Opts;
 
+/// [`Opts::FLAGS`] without `--reps`: sweeps that repeat no run.
+const NO_REPS: Flags = "--n N --steps LOG2 --scales a,b,c --seed S --quick";
+/// [`Opts::FLAGS`] without `--scales`: runs at one process scale.
+const ONE_SCALE: Flags = "--n N --steps LOG2 --reps R --seed S --quick";
+
 /// Every `expt` subcommand, in `expt --help` order. `expt all` runs the
-/// entries before its own: the paper's figures and tables.
+/// entries before its own: the paper's figures and tables. Each entry
+/// declares only the flags its run reads, so a flag that would change
+/// nothing is a usage error; `expt all` takes all of [`Opts::FLAGS`].
 #[rustfmt::skip]
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "fig8", flags: Opts::FLAGS, run: |a| figure(a, fig8::run, &["fig8.csv"]),
         help: "Fig. 8: failed-list creation and reconstruction times vs cores, 1 and 2 failures" },
-    Experiment { name: "table1", flags: Opts::FLAGS,
+    Experiment { name: "table1", flags: NO_REPS,
         run: |a| figure(a, table1::run, &["table1.csv"]),
         help: "Table I: spawn/shrink/agree/merge times at 2 failures, beside the paper's" },
-    Experiment { name: "fig9", flags: Opts::FLAGS,
+    Experiment { name: "fig9", flags: ONE_SCALE,
         run: |a| figure(a, fig9::run, &["fig9a.csv", "fig9b.csv"]),
         help: "Fig. 9: data recovery overheads, raw and process-time normalized, OPL and Raijin" },
-    Experiment { name: "fig10", flags: Opts::FLAGS, run: |a| figure(a, fig10::run, &["fig10.csv"]),
+    Experiment { name: "fig10", flags: ONE_SCALE, run: |a| figure(a, fig10::run, &["fig10.csv"]),
         help: "Fig. 10: average error of the combined solution vs number of lost grids" },
     Experiment { name: "fig11", flags: Opts::FLAGS,
         run: |a| figure(a, fig11::run, &["fig11a.csv", "fig11b.csv"]),
         help: "Fig. 11: overall time and parallel efficiency vs cores, 0/1/2 failures" },
-    Experiment { name: "ablation", flags: Opts::FLAGS,
+    Experiment { name: "ablation", flags: NO_REPS,
         run: |a| figure(a, ablation::run, &["ablation_respawn.csv", "ablation_ulfm.csv",
             "ablation_buddy.csv"]),
         help: "respawn placement, beta vs ideal ULFM, buddy checkpointing vs CR" },
@@ -54,9 +61,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
         help: "synchronous vs asynchronous checkpointing A/B, then the checkpoint codec" },
     Experiment { name: "overlap", flags: "", run: overlap::main,
         help: "combination tree vs central gather, overlapped vs blocking halo steps" },
-    Experiment { name: "kernel", flags: Opts::FLAGS, run: kernel::main,
+    Experiment { name: "kernel", flags: "--reps R --quick", run: kernel::main,
         help: "SIMD vs scalar rows and level-9 steps, 3D rows vs the closure reference" },
-    Experiment { name: "policy", flags: Opts::FLAGS, run: policy::main,
+    Experiment { name: "policy", flags: ONE_SCALE, run: policy::main,
         help: "recovery-policy matrix: overhead vs error vs makespan per technique" },
     Experiment { name: "timeline", flags: "--seed S --json PATH --alloc-sites WORKLOAD",
         run: timeline::main,

@@ -160,6 +160,18 @@
 //!     the Fig. 6 list derived by every survivor instead of shared 6,012,
 //!     the repaired-rank books copying it 2,006, the spawn list built on
 //!     every survivor instead of the root alone 1,002.
+//! 17. **`paper2d_kill_live_peak_bytes`** and
+//!     **`solve3d_kill_live_peak_bytes`** (live heap bytes, held to a
+//!     **ceiling**) — the most heap bytes one whole run of the shape holds
+//!     at once, above what was live when it started
+//!     ([`crate::experiments::alloc_sites::live_peak`], gate 12's
+//!     protocol), at or below `BENCH_pr46.json` `acceptance`: the
+//!     measurement plus 64 KiB, as gate 10. The deterministic twin of the
+//!     benchmark's `peak_rss_mb`, which also depends on how the C library
+//!     maps and returns memory. Guards each solver releasing its spare
+//!     step buffer when it commits the run's last step: solvers that keep
+//!     it add 6,489,600 bytes to the peak of a `paper2d_kill` run and
+//!     5,264,832 to that of a `solve3d_kill` run.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs the full
 //! lane advisory (`continue-on-error`); the exact gate alone
@@ -173,7 +185,7 @@ use advect2d::{AdvectionProblem, PaddedField};
 use sparsegrid::{Grid2, LevelPair};
 
 use crate::cli::{Args, Usage};
-use crate::experiments::alloc_sites::{bytes, requests};
+use crate::experiments::alloc_sites::{bytes, live_peak, requests};
 use crate::experiments::overlap::combine_makespan;
 use crate::experiments::scale::json_num;
 use crate::table::{sig3, Table};
@@ -398,6 +410,12 @@ pub fn run_exact(
         Ok(GateResult::ceiling(key, file, ceiling, fresh as f64))
     };
     let (pr30, pr44) = ((pr30.as_str(), "BENCH_pr30.json"), (pr44.as_str(), "BENCH_pr44.json"));
+    let pr46 = read_baseline(dir, "BENCH_pr46.json")?;
+    let live_peak = |key: &'static str, workload: &str| -> Result<GateResult, String> {
+        let ceiling = num_field(&pr46, key, "BENCH_pr46.json")?;
+        let fresh = live_peak(workload).ok_or_else(|| format!("no workload {workload}"))?;
+        Ok(GateResult::ceiling(key, "BENCH_pr46.json", ceiling, fresh as f64))
+    };
     let pinned = |key: &'static str, fresh: u64| -> Result<GateResult, String> {
         let base = num_field(&pr26, key, "BENCH_pr26.json")?;
         Ok(GateResult::exact(key, "BENCH_pr26.json", base, fresh as f64))
@@ -408,6 +426,8 @@ pub fn run_exact(
             run_count(pr30, "solve3d_kill_bytes", "solve3d_kill", bytes)?,
             run_count(pr30, "solve3d_kill_requests", "solve3d_kill", requests)?,
             run_count(pr44, "ranks1k_kill_requests", "ranks1k_kill", requests)?,
+            live_peak("paper2d_kill_live_peak_bytes", "paper2d_kill")?,
+            live_peak("solve3d_kill_live_peak_bytes", "solve3d_kill")?,
             pinned("robust_solve_requests_2d", repair.robust_2d)?,
             pinned("robust_solve_requests_3d", repair.robust_3d)?,
             pinned("errhandler_requests", repair.errhandler)?,

@@ -56,6 +56,8 @@ pub struct DistributedSolver {
     /// nonblocking receives posted at once.
     recv_buf2: Vec<f64>,
     steps_done: u64,
+    /// The step after which the field's spare buffer is released.
+    last_step: Option<u64>,
     /// Kernel formulation for the stencil sweeps. Both formulations are
     /// bitwise-identical; see `advect2d::simd`.
     kernel: KernelConfig,
@@ -99,6 +101,7 @@ impl DistributedSolver {
             recv_buf: Vec::new(),
             recv_buf2: Vec::new(),
             steps_done: 0,
+            last_step: None,
             kernel: KernelConfig::global(),
         };
         s.reset_to_initial();
@@ -109,6 +112,15 @@ impl DistributedSolver {
     /// both, only speed changes.
     pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
         self.kernel = kernel;
+        self
+    }
+
+    /// The solve ends at step `steps`: committing that step releases the
+    /// field's spare buffer, which only a recovery that rewinds this
+    /// solver steps with again (its next step re-creates it). Without
+    /// this, the spare is kept.
+    pub fn with_last_step(mut self, steps: u64) -> Self {
+        self.last_step = Some(steps);
         self
     }
 
@@ -319,8 +331,7 @@ impl DistributedSolver {
         }
         let edge_cols = if lnx > 1 { 2 } else { 1 };
         ctx.compute_step_cells((edge_cols * lny) as u64);
-        field.commit_step();
-        self.steps_done += 1;
+        self.commit_step();
         Ok(())
     }
 
@@ -332,10 +343,22 @@ impl DistributedSolver {
     pub fn step_blocking(&mut self, ctx: &Ctx, group: &Comm) -> Result<()> {
         self.halo_exchange(ctx, group)?;
         let coef = self.coef;
-        self.field.step(|s, c, n, out| lax_wendroff_row(s, c, n, &coef, out));
+        self.field.step_region(0, self.lny, 0, self.lnx, |s, c, n, out| {
+            lax_wendroff_row(s, c, n, &coef, out)
+        });
         ctx.compute_step_cells((self.lnx * self.lny) as u64);
-        self.steps_done += 1;
+        self.commit_step();
         Ok(())
+    }
+
+    /// Swap the step's output in and count it; the solve's last step
+    /// also releases the spare buffer.
+    fn commit_step(&mut self) {
+        self.field.commit_step();
+        self.steps_done += 1;
+        if Some(self.steps_done) == self.last_step {
+            self.field.release_spare();
+        }
     }
 
     /// Run `n` steps.

@@ -48,6 +48,8 @@ pub struct DistributedSolverN {
     recv_lo: Vec<f64>,
     recv_hi: Vec<f64>,
     steps_done: u64,
+    /// The step after which the field's spare buffer is released.
+    last_step: Option<u64>,
 }
 
 impl DistributedSolverN {
@@ -83,6 +85,7 @@ impl DistributedSolverN {
             recv_lo: Vec::new(),
             recv_hi: Vec::new(),
             steps_done: 0,
+            last_step: None,
         };
         s.reset_to_initial();
         s
@@ -92,6 +95,15 @@ impl DistributedSolverN {
     /// either way).
     pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
         self.kind = kernel.kind;
+        self
+    }
+
+    /// The solve ends at step `steps`: committing that step releases the
+    /// field's spare buffer, which only a recovery that rewinds this
+    /// solver steps with again (its next step re-creates it). Without
+    /// this, the spare is kept.
+    pub fn with_last_step(mut self, steps: u64) -> Self {
+        self.last_step = Some(steps);
         self
     }
 
@@ -158,8 +170,7 @@ impl DistributedSolverN {
             field.step_rows(lnz - 1, lnz, row);
         }
         ctx.compute_step_cells((plane_cells * lnz.min(2)) as u64);
-        field.commit_step();
-        self.steps_done += 1;
+        self.commit_step();
         Ok(())
     }
 
@@ -177,10 +188,19 @@ impl DistributedSolverN {
         field.set_plane(0, recv_lo);
         field.set_plane(lnz + 1, recv_hi);
         field.step_rows(0, lnz, |cur, off, out| stencil.row(KernelKind::Scalar, cur, off, out));
-        field.commit_step();
+        self.commit_step();
         ctx.compute_step_cells((self.plane_cells() * lnz) as u64);
-        self.steps_done += 1;
         Ok(())
+    }
+
+    /// Swap the step's output in and count it; the solve's last step
+    /// also releases the spare buffer.
+    fn commit_step(&mut self) {
+        self.field.commit_step();
+        self.steps_done += 1;
+        if Some(self.steps_done) == self.last_step {
+            self.field.release_spare();
+        }
     }
 
     /// Run `n` steps.

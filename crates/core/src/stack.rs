@@ -94,7 +94,9 @@ pub trait Stack: Sized + 'static {
     /// (building nothing, so at no allocator cost), turning parameters the
     /// layout would panic on into config errors.
     fn setup(cfg: &AppConfig) -> Result<(Self::Layout, Self::Problem, f64)>;
-    /// A solver for the slot `a`, at the initial condition.
+    /// A solver for the slot `a`, at the initial condition. It releases
+    /// its spare step buffer when it commits the run's last step, so the
+    /// combination does not carry a dead copy of every block.
     fn solver(env: &Env<'_, Self>, a: Self::Assignment) -> Self::Solver;
 
     /// Active slots (the world size without spares).
@@ -182,6 +184,7 @@ impl Stack for D2 {
         let level = env.layout.system().grid(a.grid).level;
         DistributedSolver::new(*env.problem, level, env.dt, env.layout.group(a.grid), a.local)
             .with_kernel(env.cfg.kernel)
+            .with_last_step(env.cfg.steps())
     }
 
     fn world_size(layout: &ProcLayout) -> usize {
@@ -285,6 +288,7 @@ impl Stack for Nd {
         let (level, group) = (&env.layout.system().grid(a.grid).level, env.layout.group(a.grid));
         DistributedSolverN::new(env.problem.clone(), level, env.dt, group, a.local)
             .with_kernel(env.cfg.kernel)
+            .with_last_step(env.cfg.steps())
     }
 
     fn world_size(layout: &ProcLayoutN) -> usize {

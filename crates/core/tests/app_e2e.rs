@@ -412,3 +412,53 @@ fn only_checkpoint_restart_opens_a_checkpoint_directory() {
         }
     }
 }
+
+/// A Checkpoint/Restart kill that strikes during the combination, in 2D
+/// and 3D: the victim, a non-root member of grid 1, dies entering its
+/// first allreduce, which is the combination's. The combination's repair
+/// restores the group from its last checkpoint and recomputes to the end,
+/// so solvers that released their spare buffer with the run's last step
+/// step again. The error must equal the failure-free run's to the bit,
+/// and it and the makespan must equal values pinned before solvers
+/// released their spare. Message counts are not pinned: with more than
+/// one scheduler worker they depend on timing.
+#[test]
+fn cr_kill_during_the_combination_recomputes_to_the_pinned_bits() {
+    use ulfm_sim::{FaultSite, OpClass};
+    let grid = 1;
+    for (dim, err_bits, makespan_bits) in [
+        (2usize, 0x3f41_f1f2_92e9_3597_u64, 0x3f6e_d010_5f59_e8fc_u64),
+        (3, 0x3f82_660e_c2ab_84f1, 0x3f6d_8080_bb48_b852),
+    ] {
+        let base = if dim >= 3 {
+            // n = 5: at m = 1 the error is taken where every combination
+            // agrees, so it could not tell restored data from any other.
+            let mut cfg = AppConfig::small_nd(Technique::CheckpointRestart, dim);
+            cfg.n = 5;
+            cfg
+        } else {
+            AppConfig::small(Technique::CheckpointRestart)
+        };
+        let (world, first) = if dim >= 3 {
+            let lay = ProcLayoutN::new(dim, base.n, base.l, base.technique.layout(), base.scale);
+            (lay.world_size(), lay.group(grid).first)
+        } else {
+            let lay = ProcLayout::new(base.n, base.l, base.technique.layout(), base.scale);
+            (lay.world_size(), lay.group(grid).first)
+        };
+        let launch = |cfg: AppConfig| {
+            let report = run(RunConfig::local(world), move |ctx| run_app(&cfg, ctx));
+            report.assert_no_app_errors();
+            report
+        };
+        let healthy = launch(base.clone()).get_f64(keys::ERR_L1).unwrap();
+        let site = FaultSite::Op { kind: OpClass::Allreduce, nth: 0 };
+        let killed = launch(base.with_plan(FaultPlan::at_site(first + 1, site)));
+        assert_eq!(killed.get_f64(keys::N_FAILED), Some(1.0), "{dim}D");
+        assert!(killed.get_f64(keys::T_RECOVERY).unwrap() > 0.0, "{dim}D: no restore ran");
+        let err = killed.get_f64(keys::ERR_L1).unwrap();
+        assert_eq!(err.to_bits(), healthy.to_bits(), "{dim}D: {err} vs healthy {healthy}");
+        assert_eq!(err.to_bits(), err_bits, "{dim}D: err_l1 {err}");
+        assert_eq!(killed.makespan.to_bits(), makespan_bits, "{dim}D: {}", killed.makespan);
+    }
+}

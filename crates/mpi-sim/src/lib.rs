@@ -40,8 +40,10 @@
 //! [`costmodel::UlfmCostModel`]; [`costmodel::BetaUlfm`] is calibrated
 //! against Table I of the paper (the beta Open MPI `1.7ft` pathologies),
 //! while [`costmodel::IdealUlfm`] models what a mature implementation should
-//! cost. Experiments report virtual time; Criterion benches measure the real
-//! performance of this runtime separately.
+//! cost. Experiments report virtual time; the real cost of this runtime
+//! (wall clock, allocator requests, resident memory) is measured separately,
+//! by the repository's `benchmark/` harness and the `expt` binary
+//! (`expt regress`, `expt timeline`).
 //!
 //! ## Quick example
 //!
