@@ -31,9 +31,9 @@
 //! The halo can be filled two ways: [`PaddedFieldN::refresh_periodic_halo`]
 //! for single-owner periodic solves, or transverse wrap + external plane
 //! exchange ([`PaddedFieldN::wrap_transverse_halo`] /
-//! [`PaddedFieldN::set_plane`]) for the distributed slab decomposition —
+//! [`PaddedFieldN::plane_mut`]) for the distributed slab decomposition —
 //! slabs split the **last** axis, whose stride is largest, so every
-//! exchanged halo plane is one contiguous slice.
+//! exchanged halo plane is one contiguous slice, received where it lies.
 
 use sparsegrid::ndgrid::{advance, for_each_offset, for_each_slab_row, GridN};
 
@@ -266,11 +266,11 @@ impl PaddedFieldN {
         &self.cur[z * s..(z + 1) * s]
     }
 
-    /// Overwrite the padded plane at padded last-axis index `z` (halo
-    /// plane fill from a neighbour's boundary plane).
-    pub fn set_plane(&mut self, z: usize, data: &[f64]) {
+    /// The padded plane at padded last-axis index `z`, to overwrite: a
+    /// halo plane receives a neighbour's boundary plane straight into it.
+    pub fn plane_mut(&mut self, z: usize) -> &mut [f64] {
         let s = self.plane_len();
-        self.cur[z * s..(z + 1) * s].copy_from_slice(data);
+        &mut self.cur[z * s..(z + 1) * s]
     }
 
     /// The production stepping primitive: update last-axis interior
@@ -489,7 +489,7 @@ mod tests {
         let len = f.plane_len();
         assert_eq!(len, 5 * 5);
         let data: Vec<f64> = (0..len).map(|i| i as f64).collect();
-        f.set_plane(0, &data);
+        f.plane_mut(0).copy_from_slice(&data);
         assert_eq!(f.plane(0), &data[..]);
     }
 }

@@ -70,10 +70,8 @@ pub fn combine_makespan(n: u32, central: bool) -> f64 {
             let part = combine_onto(target, std::slice::from_ref(&term));
             ctx.compute_cells(target.points() as u64);
             let leaders: Vec<usize> = (0..w.size()).collect();
-            let mut scratch = Vec::new();
             let combined =
-                binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), &mut scratch, 9500)
-                    .unwrap();
+                binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), 9500).unwrap();
             if me == 0 {
                 assert!(combined.unwrap().values()[1].is_finite());
             }

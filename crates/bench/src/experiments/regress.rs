@@ -97,15 +97,16 @@
 //!     vsec, what that sample cost).
 //! 12. **`solve3d_kill_requests`** (allocator requests, held to a
 //!     **ceiling**) — the same whole `solve3d_kill` run as gate 10,
-//!     counted in requests, at or below `BENCH_pr30.json` `acceptance`.
+//!     counted in requests, at or below `BENCH_pr47.json` `acceptance`.
 //!     The count moves with the temp-dir path a run formats, but only
-//!     downwards: a short path (`/tmp`) makes the most, 3,733, and paths
-//!     of 32 to 416 characters 3,731. So the ceiling is the measured
-//!     value. Guards the nd set-up, which every rank runs: a validation
-//!     that builds the grid system again adds one request per process
-//!     (57), levels that are heap vectors again about 1,400 (one per
-//!     level of every rank's grid system, plus each solver's and each
-//!     grid's level, shape and strides).
+//!     downwards: a short path (`/tmp`) makes the most, 2,390, and a
+//!     61-character one 2,388. So the ceiling is the measured value.
+//!     Guards the nd set-up and stepping, which every rank runs: a
+//!     validation that builds the grid system again adds one request per
+//!     process (57), levels that are heap vectors again about 1,400 (one
+//!     per level of every rank's grid system, plus each solver's and each
+//!     grid's level, shape and strides), a halo vector per solver again
+//!     56 (the halo planes are received straight into the field).
 //! 13. **`ckpt_heavy_restore`** and **`ckpt_heavy_makespan`** (virtual
 //!     clock, **exact match**) — the benchmark's `virt_restore @
 //!     ckpt_heavy` (`T_RECOVERY + T_CKPT`) and `virt_makespan @
@@ -150,9 +151,12 @@
 //! 16. **`ranks1k_kill_requests`** (allocator requests, held to a
 //!     **ceiling**) — one whole run of the `ranks1k_kill` shape (1,005
 //!     ranks, two victims, Alternate Combination), counted as gate 12
-//!     counts `solve3d_kill`, at or below `BENCH_pr44.json` `acceptance`:
-//!     24,863, measured with `TMPDIR` unset (a 64-character one reads
-//!     24,861). Guards what every survivor of a repair pays: a second
+//!     counts `solve3d_kill`, at or below `BENCH_pr47.json` `acceptance`:
+//!     19,937, measured with `TMPDIR` unset (a 61-character one reads
+//!     19,935). Guards what every rank pays — a halo vector per solver
+//!     again adds 1,005 (halos are received straight into the field's
+//!     ghost cells), the detection points built as a list again 1,007 —
+//!     and what every survivor of a repair pays: a second
 //!     robust solve per rank adds 3,015, a broken-grid list built twice
 //!     1,005, a failure list copied per survivor (an acknowledged list,
 //!     an error's rank list) about 1,000 each, a host name per spawn spec
@@ -398,7 +402,7 @@ pub fn run_exact(
     let mut cr3d =
         GateResult::exact("cr3d_kill_makespan", "BENCH_pr38.json", cr3d_base, cr3d_async);
     cr3d.pass &= cr3d_async < cr3d_sync;
-    let pr44 = read_baseline(dir, "BENCH_pr44.json")?;
+    let pr47 = read_baseline(dir, "BENCH_pr47.json")?;
     let run_count = |(text, file): (&str, &'static str),
                      key: &'static str,
                      workload: &str,
@@ -409,7 +413,7 @@ pub fn run_exact(
             .ok_or_else(|| format!("no workload {workload}"))?;
         Ok(GateResult::ceiling(key, file, ceiling, fresh as f64))
     };
-    let (pr30, pr44) = ((pr30.as_str(), "BENCH_pr30.json"), (pr44.as_str(), "BENCH_pr44.json"));
+    let (pr30, pr47) = ((pr30.as_str(), "BENCH_pr30.json"), (pr47.as_str(), "BENCH_pr47.json"));
     let pr46 = read_baseline(dir, "BENCH_pr46.json")?;
     let live_peak = |key: &'static str, workload: &str| -> Result<GateResult, String> {
         let ceiling = num_field(&pr46, key, "BENCH_pr46.json")?;
@@ -424,8 +428,8 @@ pub fn run_exact(
         gates: vec![
             run_count(pr30, "paper2d_kill_bytes", "paper2d_kill", bytes)?,
             run_count(pr30, "solve3d_kill_bytes", "solve3d_kill", bytes)?,
-            run_count(pr30, "solve3d_kill_requests", "solve3d_kill", requests)?,
-            run_count(pr44, "ranks1k_kill_requests", "ranks1k_kill", requests)?,
+            run_count(pr47, "solve3d_kill_requests", "solve3d_kill", requests)?,
+            run_count(pr47, "ranks1k_kill_requests", "ranks1k_kill", requests)?,
             live_peak("paper2d_kill_live_peak_bytes", "paper2d_kill")?,
             live_peak("solve3d_kill_live_peak_bytes", "solve3d_kill")?,
             pinned("robust_solve_requests_2d", repair.robust_2d)?,

@@ -107,22 +107,18 @@ pub mod keys {
 #[derive(Debug, Clone, Copy)]
 pub struct AppOutcome;
 
-/// Detection points: for Checkpoint/Restart, every checkpoint period and
-/// the end; otherwise just the end ("the 2D-advection solver is run for
-/// 2^13 timesteps at which point failure detection is tested", §III).
-fn detection_points(cfg: &AppConfig) -> Vec<u64> {
+/// The first detection point after `step` (which must be below
+/// `steps`). The points are, under periodic protection, every multiple of
+/// the checkpoint period below `steps`, and `steps` itself; otherwise just
+/// the end ("the 2D-advection solver is run for 2^13 timesteps at which
+/// point failure detection is tested", §III).
+fn next_detection_point(cfg: &AppConfig, step: u64) -> u64 {
     let steps = cfg.steps();
-    let mut v = Vec::new();
-    if cfg.technique.has_periodic_protection() {
-        let p = cfg.ckpt_period();
-        let mut s = p;
-        while s < steps {
-            v.push(s);
-            s += p;
-        }
+    if !cfg.technique.has_periodic_protection() {
+        return steps;
     }
-    v.push(steps);
-    v
+    let p = cfg.ckpt_period();
+    (step / p + 1).saturating_mul(p).min(steps)
 }
 
 /// Split the world into per-grid groups. Idle spare ranks (`grid` is
@@ -621,15 +617,10 @@ fn drive<S: Stack>(
 
     let ctx: &Ctx = ctx;
     let (cfg, steps) = (env.cfg, env.cfg.steps());
-    let dpoints = detection_points(cfg);
     while step < steps {
         // ---- epoch boundary: observer tick (rank 0 only; no operation). ----
         notify(cfg, &world, AppEvent::Epoch { step, steps });
-        let dp = dpoints
-            .iter()
-            .copied()
-            .find(|&d| d > step)
-            .ok_or_else(|| Error::InvalidArg("detection points end at `steps`".into()))?;
+        let dp = next_detection_point(cfg, step);
         solve(ctx, env, st, p, &group, step..dp)?;
         step = dp;
         // Failures injected "at some point before the combination": a plan
@@ -942,10 +933,8 @@ fn combine<S: Stack>(
         union_into(&mut st.final_lost, &p.dropped);
     }
     let tags = TagSpace::for_grids(S::n_grids(env.layout));
-    // The tree combination's hop-receive buffer, kept across its retries.
-    let mut hop_buf: Vec<f64> = Vec::new();
     loop {
-        match combine_once(ctx, env, st, p, world, group, &mut hop_buf, tags.tree) {
+        match combine_once(ctx, env, st, p, world, group, tags.tree) {
             Ok(combined) => return Ok(combined),
             Err(Error::ProcFailed { .. }) | Err(Error::Revoked) | Err(Error::Protocol(_)) => {
                 repair_combine(ctx, env, st, p, world, group)?;
@@ -1011,7 +1000,6 @@ fn combine_once<S: Stack>(
     p: &Progress,
     world: &Comm,
     group: &Comm,
-    hop_buf: &mut Vec<f64>,
     tag: i32,
 ) -> Result<Combined> {
     let (cfg, layout, pol) = (env.cfg, env.layout, env.cfg.recovery_policy);
@@ -1082,7 +1070,7 @@ fn combine_once<S: Stack>(
         .into_iter()
         .map(|gid| current_root::<S>(layout, gid, p.members.as_deref()))
         .collect::<Result<Vec<usize>>>()?;
-    let combined = binomial_combine(ctx, world, &leaders, 0, &target, part, hop_buf, tag)?;
+    let combined = binomial_combine(ctx, world, &leaders, 0, &target, part, tag)?;
     let mut err = f64::NAN;
     if world.rank() == 0 {
         let combined = combined.unwrap_or_else(|| S::Grid::zeros(&target));
@@ -1155,9 +1143,12 @@ fn report<S: Stack>(ctx: &Ctx, env: &Env<'_, S>, p: &Progress, world: &Comm, c: 
         let d: Vec<f64> = p.dropped.iter().map(|&g| g as f64).collect();
         ctx.report_list(keys::DROPPED_GRIDS, &d);
     }
-    // Best-effort cleanup of the checkpoint directory, if the run had one.
+    // Best-effort cleanup of the checkpoint directory, if the run had one:
+    // its files, then the directory itself (`remove_dir` refuses one that
+    // is not empty).
     if let Some(store) = env.store {
         let _ = store.clear();
+        let _ = std::fs::remove_dir(store.dir());
     }
 }
 
@@ -1206,6 +1197,32 @@ fn merge_timings(acc: &mut ReconstructTimings, round: &ReconstructTimings) {
 mod tests {
     use super::*;
 
+    /// The detection points `drive` visits from step 0.
+    fn detection_points(cfg: &AppConfig) -> Vec<u64> {
+        let mut points = vec![next_detection_point(cfg, 0)];
+        while let Some(&last) = points.last().filter(|&&p| p < cfg.steps()) {
+            points.push(next_detection_point(cfg, last));
+        }
+        points
+    }
+
+    /// The list the points used to be built as, before epoch 0 on every
+    /// rank: the reference `next_detection_point` is held to.
+    fn listed_detection_points(cfg: &AppConfig) -> Vec<u64> {
+        let steps = cfg.steps();
+        let mut v = Vec::new();
+        if cfg.technique.has_periodic_protection() {
+            let p = cfg.ckpt_period();
+            let mut s = p;
+            while s < steps {
+                v.push(s);
+                s += p;
+            }
+        }
+        v.push(steps);
+        v
+    }
+
     #[test]
     fn detection_points_cr_vs_others() {
         let mut cfg = AppConfig::small(Technique::CheckpointRestart); // 32 steps, C=2
@@ -1221,5 +1238,33 @@ mod tests {
         let cfg = AppConfig::small(Technique::CheckpointRestart).with_checkpoints(3);
         // period = 32 / 4 = 8 → checkpoints at 8, 16, 24; end at 32.
         assert_eq!(detection_points(&cfg), vec![8, 16, 24, 32]);
+    }
+
+    #[test]
+    fn the_next_detection_point_is_the_listed_one_after_every_step() {
+        let techniques = [
+            Technique::CheckpointRestart,
+            Technique::BuddyCheckpoint,
+            Technique::ResamplingCopying,
+            Technique::AlternateCombination,
+        ];
+        // 32 steps: periods 32, 16, 10, 8, 6, 5, 4, 1 — dividing `steps`
+        // and not; 31 checkpoints (period 1) and more than steps (period
+        // clamped to 1).
+        for technique in techniques {
+            for checkpoints in [0, 1, 2, 3, 4, 5, 7, 31, 40] {
+                let cfg = AppConfig::small(technique).with_checkpoints(checkpoints);
+                let listed = listed_detection_points(&cfg);
+                assert_eq!(detection_points(&cfg), listed, "{technique:?} C={checkpoints}");
+                for step in 0..cfg.steps() {
+                    let want = listed.iter().copied().find(|&d| d > step).unwrap();
+                    assert_eq!(
+                        next_detection_point(&cfg, step),
+                        want,
+                        "{technique:?} C={checkpoints} step {step}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -338,12 +338,15 @@ pub fn recv_grid_onto<G: ComponentGrid>(
 /// elementwise `+=`, so the reduced grid is **bitwise equal** to that
 /// serial reference for the same ordered term list.
 ///
-/// All hops use the nonblocking `isend`/`irecv_into`/`wait` path: a peer
+/// All hops use the nonblocking `isend`/`irecv`/`wait` path: a peer
 /// dying mid-tree surfaces `ProcFailed` (or `Revoked`) at the waiting
 /// rank instead of wedging it, and every hop is a fault-injection site.
-/// `scratch` is the reused hop-receive buffer. Returns the combined grid
-/// on `root` (`None` if `leaders` is empty), `None` elsewhere.
-#[allow(clippy::too_many_arguments)]
+/// A receiving leader adds each hop straight off the wire into its
+/// partial ([`ulfm_sim::Request::wait_with`]), element by element in the
+/// same order, so no hop is decoded into a grid-sized copy first; only
+/// `root`'s final receive from `leaders[0]` builds a vector, the combined
+/// grid's. Returns the combined grid on `root` (`None` if `leaders` is
+/// empty), `None` elsewhere.
 pub fn binomial_combine<G: ComponentGrid>(
     ctx: &Ctx,
     comm: &Comm,
@@ -351,7 +354,6 @@ pub fn binomial_combine<G: ComponentGrid>(
     root: usize,
     target: &G::Level,
     mine: Option<G>,
-    scratch: &mut Vec<f64>,
     tag: i32,
 ) -> Result<Option<G>> {
     let me = comm.rank();
@@ -372,18 +374,14 @@ pub fn binomial_combine<G: ComponentGrid>(
                 break;
             }
             if i % (2 * stride) == 0 && i + stride < n {
-                comm.irecv_into(ctx, leaders[i + stride], tag, scratch)?.wait(ctx)?;
                 let vals = grid.values_mut();
-                if scratch.len() != vals.len() {
-                    return Err(Error::InvalidArg(format!(
-                        "tree combine: hop payload of {} values, expected {}",
-                        scratch.len(),
-                        vals.len()
-                    )));
-                }
-                for (a, b) in vals.iter_mut().zip(scratch.iter()) {
-                    *a += *b;
-                }
+                comm.irecv::<f64>(ctx, leaders[i + stride], tag)?.wait_with(ctx, |wire| {
+                    wire.expect_len(vals.len())?;
+                    for (a, b) in vals.iter_mut().zip(wire.iter()) {
+                        *a += b;
+                    }
+                    Ok(())
+                })?;
                 ctx.compute_cells(vals.len() as u64);
             }
             stride *= 2;
@@ -407,8 +405,9 @@ pub fn binomial_combine<G: ComponentGrid>(
         comm.isend(ctx, root, tag, grid.values())?.wait(ctx)?;
         Ok(None)
     } else if me == root {
-        comm.irecv_into(ctx, leaders[0], tag, scratch)?.wait(ctx)?;
-        G::from_raw(target, std::mem::take(scratch)).map(Some).map_err(Error::InvalidArg)
+        let mut values = Vec::new();
+        comm.irecv(ctx, leaders[0], tag)?.wait_into(ctx, &mut values)?;
+        G::from_raw(target, values).map(Some).map_err(Error::InvalidArg)
     } else {
         Ok(None)
     }
@@ -686,10 +685,7 @@ mod tests {
             let term = CombinationTermN { coeff: 1.0, grid: &src };
             let part = combine_onto_nd(&target, std::slice::from_ref(&term));
             let leaders: Vec<usize> = (0..WORLD).collect();
-            let mut scratch = Vec::new();
-            let combined =
-                binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), &mut scratch, 42)
-                    .unwrap();
+            let combined = binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), 42).unwrap();
             if w.rank() == 0 {
                 let srcs: Vec<GridN> = (0..WORLD)
                     .map(|r| {

@@ -8,12 +8,21 @@
 //! step is a two-phase halo exchange (y edges first, then x edges carrying
 //! the freshly filled y-halos so corners arrive for the cross term) and
 //! one stencil application via [`advect2d::laxwendroff::lax_wendroff_kernel`].
+//!
+//! The padded field is the only halo storage a rank keeps, as in MPI's
+//! own idiom of receiving into the ghost plane (`MPI_Irecv(&A[nrow+1][0],
+//! …)`): every halo is received straight into its ghost row or column
+//! ([`ulfm_sim::Request::wait_with`]) and sent straight from where it
+//! lies — a row as one slice, a column element by element into the
+//! pooled wire buffer ([`ulfm_sim::Comm::isend_with`]). A warm step makes
+//! no allocator request, and neither does a fresh solver's first one once
+//! its communicator's buffer pool is warm.
 
 use advect2d::laxwendroff::{lax_wendroff_row, lw_row_fn, LwCoef};
 use advect2d::stepper::PaddedField;
 use advect2d::{AdvectionProblem, KernelConfig};
-use sparsegrid::{ensure_len, LevelPair};
-use ulfm_sim::{waitall, Comm, Ctx, Result};
+use sparsegrid::LevelPair;
+use ulfm_sim::{waitall_with, Comm, Ctx, Error, Result};
 
 use crate::gather::{BlockRows, BlockRowsMut};
 use crate::layout::GroupInfo;
@@ -50,11 +59,6 @@ pub struct DistributedSolver {
     lnx: usize,
     lny: usize,
     field: PaddedField,
-    send_buf: Vec<f64>,
-    recv_buf: Vec<f64>,
-    /// Second receive buffer so both directions of a halo axis can have
-    /// nonblocking receives posted at once.
-    recv_buf2: Vec<f64>,
     steps_done: u64,
     /// The step after which the field's spare buffer is released.
     last_step: Option<u64>,
@@ -97,9 +101,6 @@ impl DistributedSolver {
             lnx,
             lny,
             field: PaddedField::new(lnx, lny),
-            send_buf: Vec::new(),
-            recv_buf: Vec::new(),
-            recv_buf2: Vec::new(),
             steps_done: 0,
             last_step: None,
             kernel: KernelConfig::global(),
@@ -156,84 +157,47 @@ impl DistributedSolver {
         nj * self.px + ni
     }
 
-    /// Two-phase halo exchange over the group communicator.
+    /// Two-phase halo exchange over the group communicator, blocking.
     ///
-    /// Allocation-free: interior rows are sent straight from the padded
-    /// buffer (they are contiguous), columns are packed into a reused
-    /// scratch vector, and all four receives land in a reused buffer via
-    /// [`Comm::sendrecv_into`].
+    /// Interior rows are sent straight from the padded buffer and
+    /// received straight into its ghost rows (they are contiguous);
+    /// columns go through a local vector, packed to send and decoded to
+    /// unpack. The overlapped [`step`](Self::step) needs no such vector.
     fn halo_exchange(&mut self, ctx: &Ctx, group: &Comm) -> Result<()> {
         let pnx = self.lnx + 2;
         let (lnx, lny) = (self.lnx, self.lny);
-        // Phase 1: y direction (interior rows only). Rows are contiguous
-        // slices of the padded buffer — no packing needed.
-        let north = self.neighbor(0, 1);
-        let south = self.neighbor(0, -1);
-        // Send up, receive from below (both tagged N for the northward
-        // stream), and vice versa.
-        let n = group.sendrecv_into(
+        let (north, south) = (self.neighbor(0, 1), self.neighbor(0, -1));
+        let (east, west) = (self.neighbor(1, 0), self.neighbor(-1, 0));
+        let field = &mut self.field;
+        // Phase 1: y direction (interior rows only). Send up, receive
+        // from below (both tagged N for the northward stream), and vice
+        // versa.
+        group.send(ctx, north, TAG_N, field.interior_row(lny - 1))?;
+        group.recv_onto(ctx, south, TAG_N, &mut field.padded_mut()[1..1 + lnx])?;
+        group.send(ctx, south, TAG_S, field.interior_row(0))?;
+        group.recv_onto(
             ctx,
             north,
-            TAG_N,
-            self.field.interior_row(lny - 1),
-            south,
-            TAG_N,
-            &mut self.recv_buf,
-        )?;
-        debug_assert_eq!(n, lnx);
-        self.field.padded_mut()[1..1 + lnx].copy_from_slice(&self.recv_buf[..lnx]);
-        let n = group.sendrecv_into(
-            ctx,
-            south,
             TAG_S,
-            self.field.interior_row(0),
-            north,
-            TAG_S,
-            &mut self.recv_buf,
+            &mut field.padded_mut()[(lny + 1) * pnx + 1..][..lnx],
         )?;
-        debug_assert_eq!(n, lnx);
-        self.field.padded_mut()[(lny + 1) * pnx + 1..][..lnx]
-            .copy_from_slice(&self.recv_buf[..lnx]);
         // Phase 2: x direction, full padded height so corners propagate.
-        let east = self.neighbor(1, 0);
-        let west = self.neighbor(-1, 0);
-        ensure_len(&mut self.send_buf, lny + 2);
-        for m in 0..lny + 2 {
-            self.send_buf[m] = self.field.padded()[m * pnx + lnx];
-        }
-        let n = group.sendrecv_into(
-            ctx,
-            east,
-            TAG_E,
-            &self.send_buf,
-            west,
-            TAG_E,
-            &mut self.recv_buf,
-        )?;
-        debug_assert_eq!(n, lny + 2);
+        let mut col = Vec::with_capacity(lny + 2);
+        for (x, ghost, dest, src, tag) in
+            [(lnx, 0, east, west, TAG_E), (1, lnx + 1, west, east, TAG_W)]
         {
-            let padded = self.field.padded_mut();
-            for m in 0..lny + 2 {
-                padded[m * pnx] = self.recv_buf[m];
+            col.clear();
+            col.extend(field.padded()[x..].iter().step_by(pnx));
+            group.send(ctx, dest, tag, &col)?;
+            if group.recv_into(ctx, src, tag, &mut col)? != lny + 2 {
+                return Err(Error::InvalidArg(format!(
+                    "halo column of {} values, expected {}",
+                    col.len(),
+                    lny + 2
+                )));
             }
-        }
-        for m in 0..lny + 2 {
-            self.send_buf[m] = self.field.padded()[m * pnx + 1];
-        }
-        let n = group.sendrecv_into(
-            ctx,
-            west,
-            TAG_W,
-            &self.send_buf,
-            east,
-            TAG_W,
-            &mut self.recv_buf,
-        )?;
-        debug_assert_eq!(n, lny + 2);
-        {
-            let padded = self.field.padded_mut();
-            for m in 0..lny + 2 {
-                padded[m * pnx + lnx + 1] = self.recv_buf[m];
+            for (v, &c) in field.padded_mut()[ghost..].iter_mut().step_by(pnx).zip(&col) {
+                *v = c;
             }
         }
         Ok(())
@@ -241,10 +205,11 @@ impl DistributedSolver {
 
     /// Advance one timestep with communication–computation overlap:
     /// post the y-direction halo ring nonblocking, compute the deep
-    /// interior (no halo dependence) while the rows fly, complete and
-    /// install them, post the x-direction ring (full padded height — the
-    /// packed columns carry the freshly installed y-halos so corners
-    /// propagate), compute the north/south boundary rows, complete, and
+    /// interior (no halo dependence) while the rows fly, complete the
+    /// receives straight into the ghost rows, post the x-direction ring
+    /// (full padded height — the columns carry the freshly received
+    /// y-halos so corners propagate), compute the north/south boundary
+    /// rows, complete the receives straight into the ghost columns, and
     /// finish the east/west boundary columns. Every cell evaluates the
     /// exact expression of [`step_blocking`], just in a different order of
     /// disjoint regions, so the result is **bitwise equal** to the
@@ -252,10 +217,17 @@ impl DistributedSolver {
     /// the interior stencil (`max(compute, exposed_comm)` instead of
     /// their sum on the virtual clock).
     ///
+    /// No halo is staged: rows are sent from and received into the padded
+    /// field where they lie, and each column is pushed element by element
+    /// into its pooled wire buffer ([`Comm::isend_with`]) and read element
+    /// by element off the wire into its ghost column
+    /// ([`ulfm_sim::Request::wait_with`]). A halo of the wrong length is
+    /// an `InvalidArg` that writes nothing into the field.
+    ///
     /// Errors with `ProcFailed` if a halo partner has died — all posted
-    /// requests are still driven to completion by `waitall` first, so a
-    /// mid-step death surfaces uniformly and never wedges a survivor. The
-    /// group is then *broken* and must be data-recovered as a whole
+    /// requests are still driven to completion by `waitall_with` first, so
+    /// a mid-step death surfaces uniformly and never wedges a survivor.
+    /// The group is then *broken* and must be data-recovered as a whole
     /// (§II-D).
     ///
     /// [`step_blocking`]: DistributedSolver::step_blocking
@@ -268,7 +240,7 @@ impl DistributedSolver {
         let east = self.neighbor(1, 0);
         let west = self.neighbor(-1, 0);
         let row = lw_row_fn(self.kernel.kind);
-        let DistributedSolver { field, send_buf, recv_buf, recv_buf2, .. } = self;
+        let field = &mut self.field;
         let kernel =
             move |s: &[f64], c: &[f64], n: &[f64], out: &mut [f64]| row(s, c, n, &coef, out);
 
@@ -278,52 +250,44 @@ impl DistributedSolver {
         let mut ry = [
             group.isend(ctx, north, TAG_N, field.interior_row(lny - 1))?,
             group.isend(ctx, south, TAG_S, field.interior_row(0))?,
-            group.irecv_into(ctx, south, TAG_N, recv_buf)?,
-            group.irecv_into(ctx, north, TAG_S, recv_buf2)?,
+            group.irecv(ctx, south, TAG_N)?,
+            group.irecv(ctx, north, TAG_S)?,
         ];
         // Deep interior: needs no halo at all. This is the bulk of the
         // compute that hides the halo flight time.
         field.step_region(1, lny.saturating_sub(1), 1, lnx.saturating_sub(1), kernel);
         ctx.compute_step_cells((lny.saturating_sub(2) * lnx.saturating_sub(2)) as u64);
-        waitall(ctx, &mut ry)?;
-        debug_assert_eq!(recv_buf.len(), lnx);
-        field.padded_mut()[1..1 + lnx].copy_from_slice(&recv_buf[..lnx]);
-        field.padded_mut()[(lny + 1) * pnx + 1..][..lnx].copy_from_slice(&recv_buf2[..lnx]);
+        // Receive 2 (from the south) lands in ghost row 0, receive 3 in
+        // ghost row lny + 1.
+        waitall_with(ctx, &mut ry, |i, wire| {
+            let ghost = if i == 2 { 0 } else { lny + 1 };
+            wire.read_onto(&mut field.padded_mut()[ghost * pnx + 1..][..lnx])
+        })?;
 
         // Phase 2: x direction, full padded height so corners propagate.
-        // One scratch buffer serves both packs: the eager isend has
-        // copied the first column before the second overwrites it.
-        ensure_len(send_buf, lny + 2);
-        for (m, v) in send_buf.iter_mut().enumerate() {
-            *v = field.padded()[m * pnx + lnx];
-        }
-        let re = group.isend(ctx, east, TAG_E, send_buf)?;
-        for (m, v) in send_buf.iter_mut().enumerate() {
-            *v = field.padded()[m * pnx + 1];
-        }
-        let rw = group.isend(ctx, west, TAG_W, send_buf)?;
         let mut rx = [
-            re,
-            rw,
-            group.irecv_into(ctx, west, TAG_E, recv_buf)?,
-            group.irecv_into(ctx, east, TAG_W, recv_buf2)?,
+            group.isend_with(ctx, east, TAG_E, lny + 2, |put| put_column(field, lnx, put))?,
+            group.isend_with(ctx, west, TAG_W, lny + 2, |put| put_column(field, 1, put))?,
+            group.irecv(ctx, west, TAG_E)?,
+            group.irecv(ctx, east, TAG_W)?,
         ];
-        // North/south boundary rows need only the y-halos just installed.
+        // North/south boundary rows need only the y-halos just received.
         field.step_region(0, 1, 1, lnx.saturating_sub(1), kernel);
         if lny > 1 {
             field.step_region(lny - 1, lny, 1, lnx.saturating_sub(1), kernel);
         }
         let edge_rows = if lny > 1 { 2 } else { 1 };
         ctx.compute_step_cells((edge_rows * lnx.saturating_sub(2)) as u64);
-        waitall(ctx, &mut rx)?;
-        debug_assert_eq!(recv_buf.len(), lny + 2);
-        {
-            let padded = field.padded_mut();
-            for m in 0..lny + 2 {
-                padded[m * pnx] = recv_buf[m];
-                padded[m * pnx + lnx + 1] = recv_buf2[m];
+        // Receive 2 (from the west) lands in ghost column 0, receive 3 in
+        // ghost column lnx + 1.
+        waitall_with(ctx, &mut rx, |i, wire| {
+            wire.expect_len(lny + 2)?;
+            let ghost = if i == 2 { 0 } else { lnx + 1 };
+            for (v, w) in field.padded_mut()[ghost..].iter_mut().step_by(pnx).zip(wire.iter()) {
+                *v = w;
             }
-        }
+            Ok(())
+        })?;
         // East/west boundary columns complete the ring.
         field.step_region(0, lny, 0, 1, kernel);
         if lnx > 1 {
@@ -418,6 +382,14 @@ impl DistributedSolver {
     }
 }
 
+/// Push padded column `x` of `field`, full padded height, element by
+/// element: an east/west halo as it lies in the field.
+fn put_column(field: &PaddedField, x: usize, put: &mut dyn FnMut(&[f64])) {
+    for v in field.padded()[x..].iter().step_by(field.pnx()) {
+        put(std::slice::from_ref(v));
+    }
+}
+
 /// The owned interior block, row by row where it lies in the padded field.
 impl BlockRows for DistributedSolver {
     fn block_len(&self) -> usize {
@@ -443,6 +415,38 @@ impl BlockRowsMut for DistributedSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ulfm_sim::{run, RunConfig};
+
+    #[test]
+    fn a_halo_of_the_wrong_length_is_an_error_that_writes_no_ghost() {
+        // A 2×1 group: rank 0 steps, rank 1 stands in for its east/west
+        // neighbour and sends columns one value short.
+        let report = run(RunConfig::local(2), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            let info = GroupInfo { grid: 0, first: 0, size: 2, px: 2, py: 1 };
+            let p = AdvectionProblem::standard();
+            let mut s = DistributedSolver::new(p, LevelPair::new(3, 3), 0.01, &info, w.rank());
+            let (lnx, lny) = (s.lnx, s.lny);
+            if w.rank() == 1 {
+                w.send(ctx, 0, TAG_E, &vec![1.0f64; lny + 1]).unwrap();
+                w.send(ctx, 0, TAG_W, &vec![1.0f64; lny + 1]).unwrap();
+                return;
+            }
+            let ghosts = |s: &DistributedSolver| -> Vec<f64> {
+                let pnx = lnx + 2;
+                let col = |x: usize| s.field.padded()[x..].iter().step_by(pnx).copied();
+                col(0).chain(col(lnx + 1)).collect()
+            };
+            let before = ghosts(&s);
+            let err = s.step(ctx, &w).unwrap_err();
+            assert!(matches!(err, Error::InvalidArg(_)), "{err}");
+            assert_eq!(ghosts(&s), before, "no ghost column written");
+            assert_eq!(s.steps_done(), 0);
+            ctx.report_f64("checked", 1.0);
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.get_f64("checked"), Some(1.0));
+    }
 
     #[test]
     fn block_range_partitions_exactly() {

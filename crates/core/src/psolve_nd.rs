@@ -7,7 +7,9 @@
 //! along the last axis inside a one-cell halo-padded buffer; a step wraps
 //! the transverse axes periodically (the slab owns them entirely), then
 //! exchanges the two boundary planes with the ring neighbours — each one
-//! contiguous slice of the padded buffer — and applies the problem's
+//! contiguous slice of the padded buffer, sent from where it lies and
+//! received straight into the halo plane (planes `0` and `lnz + 1`), so a
+//! rank keeps no halo storage besides its field — and applies the problem's
 //! [`StencilN`] row by row ([`PaddedFieldN::step_rows`]): no allocation
 //! and one kernel dispatch per contiguous axis-0 row.
 //! Like the 2D [`crate::psolve::DistributedSolver`], the overlapped
@@ -22,7 +24,7 @@ use advect2d::ndproblem::ProblemN;
 use advect2d::ndsolve::StencilN;
 use advect2d::{KernelConfig, KernelKind};
 use sparsegrid::LevelVecN;
-use ulfm_sim::{waitall, Comm, Ctx, Result};
+use ulfm_sim::{waitall_with, Comm, Ctx, Result};
 
 use crate::gather::{BlockRows, BlockRowsMut};
 use crate::layout_nd::GroupInfoN;
@@ -45,8 +47,6 @@ pub struct DistributedSolverN {
     field: PaddedFieldN,
     stencil: StencilN,
     kind: KernelKind,
-    recv_lo: Vec<f64>,
-    recv_hi: Vec<f64>,
     steps_done: u64,
     /// The step after which the field's spare buffer is released.
     last_step: Option<u64>,
@@ -82,8 +82,6 @@ impl DistributedSolverN {
             field,
             stencil,
             kind: KernelConfig::global().kind,
-            recv_lo: Vec::new(),
-            recv_hi: Vec::new(),
             steps_done: 0,
             last_step: None,
         };
@@ -134,13 +132,15 @@ impl DistributedSolverN {
     /// Advance one timestep with communication–computation overlap: wrap
     /// the transverse halo, post the two boundary-plane sends and halo
     /// receives nonblocking, compute the deep interior planes while they
-    /// fly, complete and install the halo planes, then compute the two
-    /// boundary planes. Every cell evaluates the exact expression of
-    /// [`step_blocking`](Self::step_blocking) in a different order of
-    /// disjoint plane ranges, so the result is **bitwise equal**.
+    /// fly, complete the receives straight into the halo planes (a plane
+    /// of the wrong length is an `InvalidArg` that writes nothing), then
+    /// compute the two boundary planes. Every cell evaluates the exact
+    /// expression of [`step_blocking`](Self::step_blocking) in a
+    /// different order of disjoint plane ranges, so the result is
+    /// **bitwise equal**.
     ///
     /// Errors with `ProcFailed` if a ring partner has died — all posted
-    /// requests are driven to completion by `waitall` first, so a
+    /// requests are driven to completion by `waitall_with` first, so a
     /// mid-step death surfaces uniformly and never wedges a survivor.
     pub fn step(&mut self, ctx: &Ctx, group: &Comm) -> Result<()> {
         let lnz = self.lnz;
@@ -148,22 +148,23 @@ impl DistributedSolverN {
         let up = (self.slab + 1) % self.size;
         let down = (self.slab + self.size - 1) % self.size;
         self.field.wrap_transverse_halo();
-        let DistributedSolverN { field, stencil, kind, recv_lo, recv_hi, .. } = self;
+        let DistributedSolverN { field, stencil, kind, .. } = self;
         let row = |cur: &[f64], off: usize, out: &mut [f64]| stencil.row(*kind, cur, off, out);
         // Eager sends copy at post time, so the field stays free for the
         // stencil while the requests are in flight.
         let mut reqs = [
             group.isend(ctx, up, TAG_UP, field.plane(lnz))?,
             group.isend(ctx, down, TAG_DOWN, field.plane(1))?,
-            group.irecv_into(ctx, down, TAG_UP, recv_lo)?,
-            group.irecv_into(ctx, up, TAG_DOWN, recv_hi)?,
+            group.irecv(ctx, down, TAG_UP)?,
+            group.irecv(ctx, up, TAG_DOWN)?,
         ];
         // Deep interior planes need no external halo.
         field.step_rows(1, lnz.saturating_sub(1), row);
         ctx.compute_step_cells((plane_cells * lnz.saturating_sub(2)) as u64);
-        waitall(ctx, &mut reqs)?;
-        field.set_plane(0, recv_lo);
-        field.set_plane(lnz + 1, recv_hi);
+        // Receive 2 (from below) lands in plane 0, receive 3 in lnz + 1.
+        waitall_with(ctx, &mut reqs, |i, wire| {
+            wire.read_onto(field.plane_mut(if i == 2 { 0 } else { lnz + 1 }))
+        })?;
         // Boundary planes complete the cover.
         field.step_rows(0, 1, row);
         if lnz > 1 {
@@ -182,11 +183,11 @@ impl DistributedSolverN {
         let up = (self.slab + 1) % self.size;
         let down = (self.slab + self.size - 1) % self.size;
         self.field.wrap_transverse_halo();
-        let DistributedSolverN { field, stencil, recv_lo, recv_hi, .. } = self;
-        group.sendrecv_into(ctx, up, TAG_UP, field.plane(lnz), down, TAG_UP, recv_lo)?;
-        group.sendrecv_into(ctx, down, TAG_DOWN, field.plane(1), up, TAG_DOWN, recv_hi)?;
-        field.set_plane(0, recv_lo);
-        field.set_plane(lnz + 1, recv_hi);
+        let DistributedSolverN { field, stencil, .. } = self;
+        group.send(ctx, up, TAG_UP, field.plane(lnz))?;
+        group.recv_onto(ctx, down, TAG_UP, field.plane_mut(0))?;
+        group.send(ctx, down, TAG_DOWN, field.plane(1))?;
+        group.recv_onto(ctx, up, TAG_DOWN, field.plane_mut(lnz + 1))?;
         field.step_rows(0, lnz, |cur, off, out| stencil.row(KernelKind::Scalar, cur, off, out));
         self.commit_step();
         ctx.compute_step_cells((self.plane_cells() * lnz) as u64);
@@ -279,7 +280,36 @@ mod tests {
     use super::*;
     use advect2d::ndsolve::SolverN;
     use sparsegrid::ndgrid::advance;
-    use ulfm_sim::{run, RunConfig};
+    use ulfm_sim::{run, Error, RunConfig};
+
+    #[test]
+    fn a_halo_plane_of_the_wrong_length_is_an_error_that_writes_no_plane() {
+        // Two slabs: rank 0 steps, rank 1 stands in for both its ring
+        // neighbours and sends planes one value short.
+        let report = run(RunConfig::local(2), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            let info = GroupInfoN { grid: 0, first: 0, size: 2 };
+            let p = ProblemN::standard_advection(3);
+            let mut s = DistributedSolverN::new(p, &[3, 3, 3], 0.01, &info, w.rank());
+            let (lnz, len) = (s.lnz, s.field.plane_len());
+            if w.rank() == 1 {
+                w.send(ctx, 0, TAG_UP, &vec![1.0f64; len - 1]).unwrap();
+                w.send(ctx, 0, TAG_DOWN, &vec![1.0f64; len - 1]).unwrap();
+                return;
+            }
+            let halos = |s: &DistributedSolverN| {
+                [s.field.plane(0).to_vec(), s.field.plane(lnz + 1).to_vec()]
+            };
+            let before = halos(&s);
+            let err = s.step(ctx, &w).unwrap_err();
+            assert!(matches!(err, Error::InvalidArg(_)), "{err}");
+            assert_eq!(halos(&s), before, "no halo plane written");
+            assert_eq!(s.steps_done(), 0);
+            ctx.report_f64("checked", 1.0);
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.get_f64("checked"), Some(1.0));
+    }
 
     /// Fundamental-domain values of a single-owner solve, row-major with
     /// axis 0 fastest (seam nodes excluded) — the oracle layout

@@ -72,7 +72,12 @@
 //! 20. `combine_onto_into_nd` into a warm target makes as many requests
 //!     at 18× the target's nodes: per-call tables, nothing per node;
 //! 21. `assemble_grid` of three slabs makes as many requests at 32× the
-//!     plane's nodes.
+//!     plane's nodes;
+//! 22. on a group whose communicator's buffer pool is warm, a freshly
+//!     built solver's first overlapped step makes **0** requests, in 2D
+//!     (a 2×2 level-9 group) and in nd (3 slabs): halos are received
+//!     straight into the field's ghost cells and columns pushed straight
+//!     into the wire, so a solver owns no halo buffer to grow.
 //!
 //! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
 //! the measurement `expt regress --exact` gates on; the multi-rank
@@ -195,10 +200,10 @@ fn warm_call(mut f: impl FnMut()) -> u64 {
 }
 
 /// Allocator requests of a whole warm run of scenario 14's configuration,
-/// net of its worker thread's spawn: 764, and 2 more with debug
+/// net of its worker thread's spawn: 659, and 2 more with debug
 /// assertions on (the spawn's reconciliation of the per-host live counts
 /// in `Hub::live_per_host`).
-const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 766 } else { 764 };
+const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 661 } else { 659 };
 
 /// Requests std makes to spawn and join one named thread, as `run`
 /// spawns its scheduler worker. They depend on the test harness: while it
@@ -592,6 +597,48 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         small_plane, large_plane,
         "assemble_grid requests grew with the plane: {small_plane} vs {large_plane}"
     );
+    // 22. A fresh solver's first step on a warm pool: a warm solver's
+    //     steps warm the pool, then a second solver, built before the
+    //     count starts, takes its first step.
+    let first2d = warm_requests(
+        4,
+        8,
+        1,
+        |_, comm| {
+            let info = GroupInfo { grid: 0, first: 0, size: 4, px: 2, py: 2 };
+            let p = AdvectionProblem::standard();
+            let make = || {
+                DistributedSolver::new(p, LevelPair::new(9, 9), 1e-4, &info, comm.rank())
+                    .with_kernel(KernelConfig::simd())
+            };
+            (make(), make(), 0)
+        },
+        |ctx, comm, (warm, fresh, rounds)| {
+            *rounds += 1;
+            let solver = if *rounds <= 8 { warm } else { fresh };
+            solver.step(ctx, comm).unwrap()
+        },
+    );
+    assert_eq!(first2d, 0, "4 fresh 2D solvers' first steps made {first2d} allocator requests");
+    let first3d = warm_requests(
+        3,
+        8,
+        1,
+        |_, comm| {
+            let info = GroupInfoN { grid: 0, first: 0, size: 3 };
+            let make = || {
+                let p = ProblemN::standard_advection(3);
+                DistributedSolverN::new(p, &[5, 4, 3], 1e-4, &info, comm.rank())
+            };
+            (make(), make(), 0)
+        },
+        |ctx, comm, (warm, fresh, rounds)| {
+            *rounds += 1;
+            let solver = if *rounds <= 8 { warm } else { fresh };
+            solver.step(ctx, comm).unwrap()
+        },
+    );
+    assert_eq!(first3d, 0, "3 fresh 3D solvers' first steps made {first3d} allocator requests");
     println!(
         "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
          rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
@@ -603,7 +650,8 @@ fn bulk_data_paths_hold_their_allocation_budget() {
          warm two-failure AC run of {world} ranks beyond its worker's spawn; {fig6} for \
          {later} survivors' Fig. 6 lists after the first; 0 over 64 warm local and reference \
          steps, 8 combine rounds and 4096 trace events; {small} per nd combine and \
-         {small_plane} per assembly at either size",
+         {small_plane} per assembly at either size; 0 over a fresh solver's first step on a \
+         warm pool (2D and 3D)",
         extra as f64 / extra_rounds as f64 / round_bytes as f64
     );
 }

@@ -392,7 +392,8 @@ fn buddy_checkpoint_avoids_disk_entirely() {
 #[test]
 fn only_checkpoint_restart_opens_a_checkpoint_directory() {
     // Every other technique keeps its data in memory: no rank creates the
-    // directory. Under CR rank 0 clears it at the end, keeping it.
+    // directory. Under CR rank 0 removes it at the end, with every
+    // checkpoint in it.
     for technique in [
         Technique::ResamplingCopying,
         Technique::AlternateCombination,
@@ -402,15 +403,27 @@ fn only_checkpoint_restart_opens_a_checkpoint_directory() {
         let cfg = AppConfig::small(technique);
         let dir = cfg.ckpt_dir.clone();
         assert!(!dir.exists(), "{dir:?} is fresh");
-        launch(cfg);
+        let r = launch(cfg);
         if technique == Technique::CheckpointRestart {
-            let left = std::fs::read_dir(&dir).expect("CR opened the directory").count();
-            assert_eq!(left, 0, "rank 0 cleared every checkpoint");
-            std::fs::remove_dir(&dir).expect("an empty directory");
-        } else {
-            assert!(!dir.exists(), "{technique:?} created {dir:?}");
+            assert!(r.get_f64(keys::T_CKPT).unwrap() > 0.0, "CR wrote checkpoints");
         }
+        assert!(!dir.exists(), "{technique:?} left {dir:?}");
     }
+}
+
+#[test]
+fn a_checkpoint_restart_run_leaves_nothing_at_its_checkpoint_directory() {
+    // A fresh path, a kill mid-run: checkpoints are written, one is read
+    // back by the restart, and the run ends with the path gone.
+    let dir = std::env::temp_dir().join(format!("ftsg-e2e-leftover-{}", std::process::id()));
+    assert!(!dir.exists(), "{dir:?} is fresh");
+    let mut cfg =
+        AppConfig::small(Technique::CheckpointRestart).with_plan(FaultPlan::new(vec![(1, 15)]));
+    cfg.ckpt_dir = dir.clone();
+    let r = launch(cfg);
+    assert_eq!(r.procs_failed, 1);
+    assert!(r.get_f64(keys::T_RECOVERY).unwrap() > 0.0, "the restart read a checkpoint");
+    assert!(!dir.exists(), "the run left {dir:?}");
 }
 
 /// A Checkpoint/Restart kill that strikes during the combination, in 2D

@@ -233,8 +233,7 @@ where
         ctx.report_list(&format!("scattered{me}"), &mine);
         let scaled = whole.values().iter().map(|v| v * (me + 1) as f64).collect();
         let part = D::Grid::from_raw(&level, scaled).unwrap();
-        let tree =
-            binomial_combine(ctx, &w, &[0, 1, 2], 0, &level, Some(part), &mut Vec::new(), 42);
+        let tree = binomial_combine(ctx, &w, &[0, 1, 2], 0, &level, Some(part), 42);
         if let Some(combined) = tree.unwrap() {
             ctx.report_list("combined", combined.values());
         }

@@ -72,23 +72,13 @@ fn run_script<G: Terms>(plan: FaultPlan) -> Report {
         let (target, src) = (G::target(), G::source(myval));
         let mut comm = w0;
         let mut attempts = 0u32;
-        let mut scratch: Vec<f64> = Vec::new();
         loop {
             attempts += 1;
             assert!(attempts <= 6, "tree retry did not converge");
             let res = (|| -> ulfm_sim::Result<()> {
                 let leaders: Vec<usize> = (0..comm.size()).collect();
                 let part = G::part(&src);
-                let combined = binomial_combine(
-                    ctx,
-                    &comm,
-                    &leaders,
-                    0,
-                    &target,
-                    Some(part),
-                    &mut scratch,
-                    42,
-                )?;
+                let combined = binomial_combine(ctx, &comm, &leaders, 0, &target, Some(part), 42)?;
                 // Strict collective: survivors uniformly observe any death.
                 let vals = comm.gather(ctx, 0, &[myval])?;
                 if let Some(vals) = vals {
@@ -174,7 +164,6 @@ fn run_ship_script(plan: FaultPlan) -> Report {
         let target = Grid2::target();
         let mut comm = w0;
         let mut attempts = 0u32;
-        let mut scratch: Vec<f64> = Vec::new();
         loop {
             attempts += 1;
             assert!(attempts <= 6, "ship retry did not converge");
@@ -182,8 +171,7 @@ fn run_ship_script(plan: FaultPlan) -> Report {
                 let leaders: Vec<usize> = (1..comm.size()).collect();
                 let part =
                     leaders.contains(&comm.rank()).then(|| Grid2::part(&Grid2::source(myval)));
-                let combined =
-                    binomial_combine(ctx, &comm, &leaders, 0, &target, part, &mut scratch, 42)?;
+                let combined = binomial_combine(ctx, &comm, &leaders, 0, &target, part, 42)?;
                 let vals = comm.gather(ctx, 0, &[myval])?;
                 if let Some(vals) = vals {
                     let flat: Vec<f64> = vals.into_iter().flatten().collect();
@@ -254,25 +242,22 @@ fn consumed_partial_surfaces_protocol_error_not_abort() {
     let report = run(RunConfig::local(2), move |ctx| {
         let w = ctx.initial_world().unwrap();
         let target = Grid2::target();
-        let mut scratch: Vec<f64> = Vec::new();
         let leaders = vec![1usize];
         if w.rank() == 1 {
             // First round: the partial was consumed by a previous attempt.
-            let res =
-                binomial_combine::<Grid2>(ctx, &w, &leaders, 0, &target, None, &mut scratch, 7);
+            let res = binomial_combine::<Grid2>(ctx, &w, &leaders, 0, &target, None, 7);
             match res {
                 Err(Error::Protocol(_)) => ctx.report_add("protocol_err", 1.0),
                 other => panic!("expected Error::Protocol, got {other:?}"),
             }
             // Retry with a rebuilt partial — the root's receive completes.
             let part = Grid2::part(&Grid2::source(2.0));
-            let _ = binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), &mut scratch, 7)
+            let _ = binomial_combine(ctx, &w, &leaders, 0, &target, Some(part), 7)
                 .expect("retried ship succeeds");
         } else {
-            let combined: Grid2 =
-                binomial_combine(ctx, &w, &leaders, 0, &target, None, &mut scratch, 7)
-                    .expect("root receives the retried ship")
-                    .expect("root holds the combined grid");
+            let combined: Grid2 = binomial_combine(ctx, &w, &leaders, 0, &target, None, 7)
+                .expect("root receives the retried ship")
+                .expect("root holds the combined grid");
             let oracle = Grid2::oracle(&[Grid2::source(2.0)]);
             assert_eq!(combined, oracle, "retried ship is bitwise correct");
             ctx.report_add("verified", 1.0);

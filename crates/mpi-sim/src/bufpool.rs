@@ -1,11 +1,19 @@
 //! Reusable payload buffers.
 //!
 //! A point-to-point payload is owned by exactly one party at a time: the
-//! sender takes a buffer from the pool and encodes into it, the
+//! sender takes a buffer from the pool and encodes into it — a slice in
+//! one copy, or piece by piece where the data lies strided
+//! ([`Comm::isend_with`](crate::Comm::isend_with)) — the
 //! [`Envelope`](crate::mailbox::Envelope) carries it — by value, never
 //! shared — through the destination mailbox, and the receiver hands it
-//! back with [`BufPool::recycle`] once decoded. Nothing on that path is
-//! reference counted, so a warm exchange makes no allocator request at
+//! back with [`BufPool::recycle`] once read. The receiver reads it where
+//! it wants the bytes to land: a nonblocking receive's wait hands its
+//! reader the buffer's bytes
+//! ([`Request::wait_with`](crate::Request::wait_with)), which decodes
+//! them straight into the caller's array — a halo into the field's ghost
+//! cells — and the buffer goes back here as soon as the reader returns.
+//! Nothing on that path is reference counted, and no receiver keeps a
+//! buffer of its own, so a warm exchange makes no allocator request at
 //! all: the buffer that carried the last message carries the next one.
 //!
 //! A collective's bulk contribution takes the same road: a member fills a

@@ -413,24 +413,28 @@ impl Comm {
         if d.is_failed() {
             return self.handle_err(ctx, Err(Error::proc_failed(dest)));
         }
-        self.deposit(ctx, d, tag, data, "send");
+        self.deposit(ctx, d, tag, data.len(), |put| put(data), "send");
         Ok(())
     }
 
     /// The eager deposit behind [`send`](Comm::send) and
-    /// [`isend`](Comm::isend): one copy, slice → pooled wire buffer, and
-    /// the buffer itself moves into the destination mailbox. From the
-    /// push on it belongs to the envelope; the receiver recycles it.
+    /// [`isend_with`](Comm::isend_with): one copy, `fill`'s pieces →
+    /// pooled wire buffer of `len` elements, and the buffer itself moves
+    /// into the destination mailbox. From the push on it belongs to the
+    /// envelope; the receiver recycles it.
     fn deposit<T: MpiData>(
         &self,
         ctx: &Ctx,
         d: &ProcState,
         tag: Tag,
-        data: &[T],
+        len: usize,
+        fill: impl FnOnce(&mut dyn FnMut(&[T])),
         label: &'static str,
     ) {
         let t0 = ctx.now();
-        let payload = self.wire(data);
+        let mut payload = self.shared.pool.take(len * T::WIDTH);
+        fill(&mut |piece| T::put_slice(piece, &mut payload));
+        debug_assert_eq!(payload.len(), len * T::WIDTH, "fill pushes `len` elements");
         let nbytes = payload.len();
         let arrive = ctx.now() + ctx.net().p2p(nbytes);
         d.mailbox.push(Envelope {
@@ -487,20 +491,9 @@ impl Comm {
         out: &mut [T],
     ) -> Result<()> {
         let (_, _, raw) = self.recv_raw(ctx, Some(src), Some(tag))?;
-        let got = raw.len();
-        let fits = got == out.len() * T::WIDTH;
-        if fits {
-            T::copy_from_raw(&raw, out);
-        }
+        let read = WireSlice::new(&raw).and_then(|wire| wire.read_onto(out));
         self.shared.pool.recycle(raw);
-        if !fits {
-            return Err(Error::InvalidArg(format!(
-                "recv_onto: payload of {got} bytes for {} elements of width {}",
-                out.len(),
-                T::WIDTH
-            )));
-        }
-        Ok(())
+        read
     }
 
     /// Receive exactly one element.
@@ -615,7 +608,7 @@ impl Comm {
     }
 
     /// `MPI_Isend`: post a nonblocking send and return a [`Request`] to
-    /// complete with [`Request::wait`] / [`waitall`].
+    /// complete with [`Request::wait`] / [`waitall_with`].
     ///
     /// Sends in this runtime are eager — the payload is copied into the
     /// destination mailbox at post time, so `data` is reusable immediately
@@ -630,6 +623,24 @@ impl Comm {
         tag: Tag,
         data: &[T],
     ) -> Result<Request<'_, T>> {
+        self.isend_with(ctx, dest, tag, data.len(), |put| put(data))
+    }
+
+    /// [`isend`](Comm::isend) of a payload that lies in pieces — a
+    /// strided column of a padded field: `fill` pushes the pieces, in
+    /// order and `len` elements in all, straight into the pooled wire
+    /// buffer (as [`gather_view_with`](Comm::gather_view_with) does for a
+    /// gather contribution), so the payload is never packed into a
+    /// contiguous copy first. Same fault site, liveness check and
+    /// deposit as `isend`.
+    pub fn isend_with<T: MpiData>(
+        &self,
+        ctx: &Ctx,
+        dest: usize,
+        tag: Tag,
+        len: usize,
+        fill: impl FnOnce(&mut dyn FnMut(&[T])),
+    ) -> Result<Request<'_, T>> {
         ctx.fault_op(OpClass::Isend);
         self.check_usable(ctx)?;
         let d =
@@ -639,15 +650,17 @@ impl Comm {
         if d.is_failed() {
             return self.handle_err(ctx, Err(Error::proc_failed(dest)));
         }
-        self.deposit(ctx, d, tag, data, "isend");
-        Ok(Request { comm: self, state: ReqState::Send { dest } })
+        self.deposit(ctx, d, tag, len, fill, "isend");
+        Ok(Request::new(self, ReqState::Send { dest }))
     }
 
-    /// `MPI_Irecv`: post a nonblocking receive into a reused buffer. The
-    /// message is matched and decoded into `out` (cleared first) when the
-    /// request completes via [`Request::test`], [`Request::wait`] or
-    /// [`waitall`]; the consumed payload is recycled into the
-    /// communicator's buffer pool.
+    /// `MPI_Irecv`: post a nonblocking receive from `src` with `tag`.
+    /// The request names no destination: the wait that completes it
+    /// does. [`Request::wait_with`] hands its reader the payload's wire
+    /// bytes, so a halo decodes straight into the field's ghost cells;
+    /// [`Request::wait_into`] decodes into a reused vector. Either way
+    /// the read runs inside the wait, and the payload's buffer goes back
+    /// to the communicator's pool right after it.
     ///
     /// Virtual time models overlap: the clock only advances at *wait* time,
     /// and only up to the message's arrival — compute charged between post
@@ -655,19 +668,13 @@ impl Comm {
     /// `max(compute, exposed_comm)` rather than their sum. The overlapped
     /// share is accounted to [`Ctx::comm_hidden`], the stalled remainder to
     /// [`Ctx::comm_exposed`].
-    pub fn irecv_into<'r, T: MpiData>(
-        &'r self,
-        ctx: &Ctx,
-        src: usize,
-        tag: Tag,
-        out: &'r mut Vec<T>,
-    ) -> Result<Request<'r, T>> {
+    pub fn irecv<T: MpiData>(&self, ctx: &Ctx, src: usize, tag: Tag) -> Result<Request<'_, T>> {
         ctx.fault_op(OpClass::Irecv);
         self.check_usable(ctx)?;
         if src >= self.size() {
             return Err(Error::InvalidArg(format!("irecv from rank {src} of {}", self.size())));
         }
-        Ok(Request { comm: self, state: ReqState::Recv { src, tag, out, posted: ctx.now() } })
+        Ok(Request::new(self, ReqState::Recv { src, tag, posted: ctx.now() }))
     }
 
     /// Combined send + receive (deadlock-free because sends are eager);
@@ -1356,31 +1363,64 @@ impl<T> ScatterParts<T> for [Vec<T>] {
 }
 
 /// A posted nonblocking operation (see [`Comm::isend`] /
-/// [`Comm::irecv_into`]). Must be completed with [`Request::wait`],
-/// [`Request::test`] or [`waitall`]; an error consumes the request (like
-/// MPI, a failed request is not retryable — re-post instead).
+/// [`Comm::irecv`]). Must be completed with a wait ([`Request::wait`],
+/// [`Request::wait_with`], [`Request::wait_into`], [`waitall_with`]) or
+/// [`Request::test_with`]; an error consumes the request (like MPI, a
+/// failed request is not retryable — re-post instead).
+///
+/// A receive's bytes land where its completion says: the reader given to
+/// `wait_with` sees them as a [`WireSlice`] and decodes them wherever it
+/// likes — a ghost row, a strided ghost column, a sum it folds them
+/// into. Plain `wait` completes a receive without reading it.
 pub struct Request<'a, T: MpiData> {
     comm: &'a Comm,
-    state: ReqState<'a, T>,
+    state: ReqState,
+    _elem: std::marker::PhantomData<fn() -> T>,
 }
 
-enum ReqState<'a, T: MpiData> {
+enum ReqState {
     /// An eager send: delivered at post time, but completion still checks
     /// the destination is alive.
     Send { dest: usize },
     /// A posted receive waiting for its match.
-    Recv { src: usize, tag: Tag, out: &'a mut Vec<T>, posted: f64 },
+    Recv { src: usize, tag: Tag, posted: f64 },
     /// Already completed (or failed).
     Done,
 }
 
-impl<T: MpiData> Request<'_, T> {
+impl<'a, T: MpiData> Request<'a, T> {
+    fn new(comm: &'a Comm, state: ReqState) -> Self {
+        Request { comm, state, _elem: std::marker::PhantomData }
+    }
+
+    /// `MPI_Wait` without a reader: completes a send, or a receive whose
+    /// bytes nobody reads. See [`wait_with`](Self::wait_with).
+    pub fn wait(&mut self, ctx: &Ctx) -> Result<()> {
+        self.wait_with(ctx, |_| Ok(()))
+    }
+
+    /// [`wait_with`](Self::wait_with) decoding a receive into a reused
+    /// vector (cleared first).
+    pub fn wait_into(&mut self, ctx: &Ctx, out: &mut Vec<T>) -> Result<()> {
+        self.wait_with(ctx, |wire| {
+            wire.read_into(out);
+            Ok(())
+        })
+    }
+
     /// `MPI_Wait`: complete the operation. For a receive this blocks until
     /// the message arrives (or the source fails / the communicator is
-    /// revoked — [`Error::ProcFailed`] surfaces here, never a wedge); for
-    /// a send it verifies the destination is still alive. Waiting on an
-    /// already-completed request is a no-op, like MPI's null request.
-    pub fn wait(&mut self, ctx: &Ctx) -> Result<()> {
+    /// revoked — [`Error::ProcFailed`] surfaces here, never a wedge), then
+    /// hands `read` the payload's wire bytes, before the payload's buffer
+    /// goes back to the communicator's pool; an error `read` returns is
+    /// the wait's. For a send it verifies the destination is still alive
+    /// (`read` is not called). Waiting on an already-completed request is
+    /// a no-op, like MPI's null request.
+    pub fn wait_with(
+        &mut self,
+        ctx: &Ctx,
+        read: impl FnOnce(WireSlice<'_, T>) -> Result<()>,
+    ) -> Result<()> {
         ctx.fault_op(OpClass::Wait);
         match std::mem::replace(&mut self.state, ReqState::Done) {
             ReqState::Done => Ok(()),
@@ -1391,12 +1431,12 @@ impl<T: MpiData> Request<'_, T> {
                     Ok(())
                 }
             }
-            ReqState::Recv { src, tag, out, posted } => {
+            ReqState::Recv { src, tag, posted } => {
                 let t_block = ctx.now();
                 let (_, _, arrive, raw) = self.comm.recv_raw_full(ctx, Some(src), Some(tag))?;
-                let decoded = decode_into(&raw, out);
+                let read = WireSlice::new(&raw).and_then(read);
                 self.comm.shared.pool.recycle(raw);
-                decoded?;
+                read?;
                 // Flight time between posting and blocking was hidden
                 // behind whatever the rank computed in the meantime; the
                 // remainder (up to arrival) was exposed stall, which
@@ -1408,21 +1448,26 @@ impl<T: MpiData> Request<'_, T> {
     }
 
     /// `MPI_Test`: complete the operation if it can finish without
-    /// blocking. Returns `Ok(true)` once complete (for a receive, the data
-    /// is then in its output buffer); `Ok(false)` means "not yet". A dead
-    /// peer surfaces [`Error::ProcFailed`] immediately.
-    pub fn test(&mut self, ctx: &Ctx) -> Result<bool> {
+    /// blocking, reading a receive's bytes with `read` as
+    /// [`wait_with`](Self::wait_with) does. Returns `Ok(true)` once
+    /// complete; `Ok(false)` means "not yet" (and `read` was not called).
+    /// A dead peer surfaces [`Error::ProcFailed`] immediately.
+    pub fn test_with(
+        &mut self,
+        ctx: &Ctx,
+        read: impl FnOnce(WireSlice<'_, T>) -> Result<()>,
+    ) -> Result<bool> {
         match &self.state {
-            ReqState::Done | ReqState::Send { .. } => self.wait(ctx).map(|()| true),
+            ReqState::Done | ReqState::Send { .. } => self.wait_with(ctx, read).map(|()| true),
             ReqState::Recv { src, tag, .. } => {
                 let (src, tag) = (*src, *tag);
                 if self.comm.iprobe(ctx, Some(src), Some(tag))? {
-                    self.wait(ctx).map(|()| true)
+                    self.wait_with(ctx, read).map(|()| true)
                 } else if self.comm.shared.members[src].is_failed() {
                     // A dead source with nothing queued will never deliver
                     // (one more probe closes the push-then-die race).
                     if self.comm.iprobe(ctx, Some(src), Some(tag))? {
-                        return self.wait(ctx).map(|()| true);
+                        return self.wait_with(ctx, read).map(|()| true);
                     }
                     self.state = ReqState::Done;
                     self.comm.handle_err(ctx, Err(Error::proc_failed(src)))
@@ -1439,24 +1484,25 @@ impl<T: MpiData> Request<'_, T> {
     }
 }
 
-/// `MPI_Waitall`: complete every request. All requests are driven to
-/// completion even when some fail (so no posted receive is left dangling);
-/// the first error encountered, in request order, is returned — the
+/// `MPI_Waitall`: complete every request, in order, each as
+/// [`Request::wait_with`] does; `read` gets the index of the receive
+/// whose bytes it is handed. All requests are driven to completion even
+/// when some fail (so no posted receive is left dangling); the first
+/// error encountered, in request order, is returned — the
 /// uniform-failure discipline a halo exchange needs before entering
 /// recovery.
-pub fn waitall<T: MpiData>(ctx: &Ctx, reqs: &mut [Request<'_, T>]) -> Result<()> {
+pub fn waitall_with<T: MpiData>(
+    ctx: &Ctx,
+    reqs: &mut [Request<'_, T>],
+    mut read: impl FnMut(usize, WireSlice<'_, T>) -> Result<()>,
+) -> Result<()> {
     let mut first_err = None;
-    for r in reqs.iter_mut() {
-        if let Err(e) = r.wait(ctx) {
-            if first_err.is_none() {
-                first_err = Some(e);
-            }
+    for (i, r) in reqs.iter_mut().enumerate() {
+        if let Err(e) = r.wait_with(ctx, |wire| read(i, wire)) {
+            first_err.get_or_insert(e);
         }
     }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
+    first_err.map_or(Ok(()), Err)
 }
 
 impl std::fmt::Debug for Comm {
@@ -1712,6 +1758,89 @@ mod tests {
             }
         });
         report.assert_no_app_errors();
+    }
+
+    #[test]
+    fn an_in_place_wait_reads_the_bytes_then_pools_their_buffer() {
+        let report = run(RunConfig::local(2), |ctx| {
+            let w = ctx.initial_world().unwrap();
+            if w.rank() == 0 {
+                w.send(ctx, 1, 4, &[1.5f64, -2.5, 4.0]).unwrap();
+                w.send(ctx, 1, 4, &[9.0f64, 8.0]).unwrap();
+                return;
+            }
+            // Straight onto the middle of a field, neighbours untouched;
+            // the buffer is still the reader's while it reads.
+            let mut field = [0.0f64; 5];
+            let mut req = w.irecv(ctx, 0, 4).unwrap();
+            req.wait_with(ctx, |wire| {
+                assert_eq!(w.shared.pool.pooled(), 0, "the payload is not back yet");
+                wire.read_onto(&mut field[1..4])
+            })
+            .unwrap();
+            assert_eq!(field, [0.0, 1.5, -2.5, 4.0, 0.0]);
+            assert!(req.is_done());
+            assert_eq!(w.shared.pool.pooled(), 1, "back in the pool at completion");
+            // A payload of another length is a typed error that writes
+            // nothing; its buffer goes back all the same.
+            let err = w
+                .irecv::<f64>(ctx, 0, 4)
+                .unwrap()
+                .wait_with(ctx, |wire| wire.read_onto(&mut field[..3]))
+                .unwrap_err();
+            assert!(matches!(err, Error::InvalidArg(_)), "{err}");
+            assert_eq!(field, [0.0, 1.5, -2.5, 4.0, 0.0]);
+            assert_eq!(w.shared.pool.pooled(), 2);
+            ctx.report_f64("checked", 1.0);
+        });
+        report.assert_no_app_errors();
+        assert_eq!(report.get_f64("checked"), Some(1.0));
+    }
+
+    /// Run three rounds of a three-rank ring (isend right, irecv left,
+    /// one `waitall_with`) with rank 1 armed to die at its `nth` site of
+    /// `kind`; receives are read in place when `in_place`, else decoded
+    /// into a vector. Returns whether rank 1 died.
+    fn ring_victim_dies(kind: OpClass, nth: u64, in_place: bool) -> bool {
+        use crate::faultplan::{FaultPlan, FaultSite};
+        let plan = FaultPlan::at_site(1, FaultSite::Op { kind, nth });
+        let report = run(RunConfig::local(3), move |ctx| {
+            let w = ctx.initial_world().unwrap();
+            ctx.arm_fault_sites(&plan, w.rank());
+            let (right, left) = ((w.rank() + 1) % 3, (w.rank() + 2) % 3);
+            let (mut slot, mut vec) = ([0u64; 4], Vec::new());
+            for _ in 0..3 {
+                let res = (|| -> Result<()> {
+                    let mut reqs =
+                        [w.isend(ctx, right, 7, &[w.rank() as u64; 4])?, w.irecv(ctx, left, 7)?];
+                    waitall_with(ctx, &mut reqs, |_, wire| {
+                        if in_place {
+                            wire.read_onto(&mut slot)
+                        } else {
+                            wire.read_into(&mut vec);
+                            Ok(())
+                        }
+                    })
+                })();
+                if res.is_err() {
+                    return;
+                }
+            }
+        });
+        report.procs_failed == 1
+    }
+
+    #[test]
+    fn an_in_place_wait_has_the_vector_forms_fault_sites() {
+        // Per round: one isend, one irecv, two waits. The first index
+        // at which the victim survives is its count of that site.
+        for (kind, count) in [(OpClass::Isend, 3), (OpClass::Irecv, 3), (OpClass::Wait, 6)] {
+            for nth in 0..=count {
+                let (place, vec) =
+                    (ring_victim_dies(kind, nth, true), ring_victim_dies(kind, nth, false));
+                assert_eq!((place, vec), (nth < count, nth < count), "{kind:?} nth={nth}");
+            }
+        }
     }
 
     #[test]

@@ -265,6 +265,41 @@ impl<'a, T: MpiData> WireSlice<'a, T> {
         T::copy_from_raw(&self.raw[start * T::WIDTH..(start + out.len()) * T::WIDTH], out);
     }
 
+    /// An [`Error::InvalidArg`] unless the view holds exactly `n`
+    /// elements: the check a reader makes before it writes anything.
+    pub fn expect_len(&self, n: usize) -> Result<()> {
+        if self.len() != n {
+            return Err(Error::InvalidArg(format!(
+                "payload of {} bytes for {n} elements of width {}",
+                self.raw.len(),
+                T::WIDTH
+            )));
+        }
+        Ok(())
+    }
+
+    /// Decode the whole view over `out`, which must be exactly as long
+    /// ([`expect_len`](Self::expect_len)'s error otherwise, and `out`
+    /// untouched) — MPI's receive into the array one computes on.
+    pub fn read_onto(&self, out: &mut [T]) -> Result<()> {
+        self.expect_len(out.len())?;
+        T::copy_from_raw(self.raw, out);
+        Ok(())
+    }
+
+    /// Decode the whole view into a reused vector (cleared first).
+    pub fn read_into(&self, out: &mut Vec<T>) {
+        out.clear();
+        T::extend_from_raw(self.raw, out);
+    }
+
+    /// The elements in order, each decoded as it is read: for a reader
+    /// that scatters them (a strided column) or folds them into values
+    /// it holds (a sum), so no decoded copy exists.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = T> + '_ {
+        self.raw.chunks_exact(T::WIDTH).map(T::get)
+    }
+
     /// Decode the whole view into a fresh vector.
     pub fn to_vec(&self) -> Vec<T> {
         decode(self.raw).expect("the width was checked at construction")
@@ -395,6 +430,27 @@ mod tests {
         // The width check is `decode`'s.
         let err = WireSlice::<f64>::new(&enc).unwrap_err();
         assert_eq!(err.to_string(), decode::<f64>(&enc).unwrap_err().to_string());
+    }
+
+    #[test]
+    fn wire_slice_reads_whole_views_onto_into_and_element_by_element() {
+        let xs: Vec<f64> = (0..5).map(|i| f64::from_bits(0x7ff8_0000_0000_0000 | i)).collect();
+        let enc = encode(&xs);
+        let view = WireSlice::<f64>::new(&enc).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut onto = [0.0f64; 5];
+        view.read_onto(&mut onto).unwrap();
+        assert_eq!(bits(&onto), bits(&xs));
+        // Any other length is an error and writes nothing.
+        let mut short = [7.0f64; 4];
+        assert!(matches!(view.read_onto(&mut short), Err(Error::InvalidArg(_))));
+        assert_eq!(short, [7.0; 4]);
+        let mut into = vec![1.0f64; 9];
+        view.read_into(&mut into);
+        assert_eq!(bits(&into), bits(&xs));
+        let iter = view.iter();
+        assert_eq!(iter.len(), 5);
+        assert_eq!(bits(&iter.collect::<Vec<_>>()), bits(&xs));
     }
 
     #[test]

@@ -81,8 +81,8 @@ pub mod trace_export;
 
 pub use bufpool::BufPool;
 pub use comm::{
-    waitall, Comm, ErrHandler, Gathered, InterComm, ReduceOp, Request, ScatterParts, ANY_SOURCE,
-    ANY_TAG,
+    waitall_with, Comm, ErrHandler, Gathered, InterComm, ReduceOp, Request, ScatterParts,
+    ANY_SOURCE, ANY_TAG,
 };
 pub use costmodel::{
     BetaUlfm, ClusterProfile, DiskParams, IdealUlfm, NetParams, UlfmCostModel, TABLE_I,

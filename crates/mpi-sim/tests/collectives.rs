@@ -435,11 +435,14 @@ fn iprobe_and_nonblocking_recv() {
             // Nothing queued yet.
             assert!(!w.iprobe(ctx, Some(1), Some(5)).unwrap());
             let mut data: Vec<u64> = Vec::new();
-            let mut req = w.irecv_into(ctx, 1, 5, &mut data).unwrap();
-            assert!(!req.test(ctx).unwrap(), "not yet sent");
+            let mut req = w.irecv(ctx, 1, 5).unwrap();
+            assert!(
+                !req.test_with(ctx, |_| unreachable!("nothing arrived")).unwrap(),
+                "not yet sent"
+            );
             // Tell the sender to go, then wait.
             w.send_one(ctx, 1, 1, 0u8).unwrap();
-            req.wait(ctx).unwrap();
+            req.wait_into(ctx, &mut data).unwrap();
             assert_eq!(data, vec![77]);
             // And iprobe sees a second queued message before recv consumes
             // it. The sender's second push races with our wait, so spin
@@ -469,9 +472,8 @@ fn nonblocking_recv_from_dead_source_errors_on_test() {
             ctx.die();
         }
         ctx.sleep_real(std::time::Duration::from_millis(20));
-        let mut out: Vec<u64> = Vec::new();
-        let mut req = w.irecv_into(ctx, 1, 9, &mut out).unwrap();
-        match req.test(ctx) {
+        let mut req = w.irecv::<u64>(ctx, 1, 9).unwrap();
+        match req.test_with(ctx, |_| unreachable!("a dead source delivers nothing")) {
             Err(e) => assert!(e.is_proc_failed()),
             Ok(v) => panic!("expected failure, got {v:?}"),
         }

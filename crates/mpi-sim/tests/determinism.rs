@@ -49,8 +49,8 @@ fn workload(config: RunConfig) -> Report {
         ctx.compute_cells(50_000);
         let mut halo: Vec<u64> = Vec::new();
         {
-            let mut req = s.irecv_into(ctx, (r + n - 1) % n, 9, &mut halo).unwrap();
-            req.wait(ctx).unwrap();
+            let mut req = s.irecv(ctx, (r + n - 1) % n, 9).unwrap();
+            req.wait_into(ctx, &mut halo).unwrap();
         }
         pending.wait(ctx).unwrap();
 

@@ -1,18 +1,18 @@
 //! Mid-operation kill stress for the **nonblocking** layer: a victim
 //! dies at the top of its Nth `isend`, `irecv` or `wait` — at every op
 //! index of a short run. The p2p phase is a ring shift built from
-//! `isend`/`irecv_into`/`waitall`; a strict allreduce closes each round
+//! `isend`/`irecv`/`waitall_with`; a strict allreduce closes each round
 //! so survivors agree uniformly on failures. A dead peer must surface
 //! `ProcFailed` (or `Revoked`) at completion — never a wedge — and the
 //! revoke → shrink recovery loop must converge to a working communicator
 //! of the right size.
 
-use ulfm_sim::{run, waitall, Error, FaultPlan, FaultSite, OpClass, Report, RunConfig};
+use ulfm_sim::{run, waitall_with, Error, FaultPlan, FaultSite, OpClass, Report, RunConfig};
 
 const WORLD: usize = 6;
 const ROUNDS: u64 = 3;
 
-/// Run `ROUNDS` rounds of ring shift (isend right, irecv left, waitall)
+/// Run `ROUNDS` rounds of ring shift (isend right, irecv left, waitall_with)
 /// followed by an allreduce, with a revoke/shrink recovery loop, under
 /// the given fault plan. Reporting mirrors `midop_kills`: `done` per
 /// finishing rank, `observers` per rank that saw a recoverable error,
@@ -32,9 +32,12 @@ fn run_script(plan: FaultPlan) -> Report {
                 let data = vec![comm.rank() as u64; 4];
                 let mut buf: Vec<u64> = Vec::new();
                 {
-                    let rr = comm.irecv_into(ctx, left, 7, &mut buf)?;
+                    let rr = comm.irecv(ctx, left, 7)?;
                     let rs = comm.isend(ctx, right, 7, &data)?;
-                    waitall(ctx, &mut [rr, rs])?;
+                    waitall_with(ctx, &mut [rr, rs], |_, wire| {
+                        wire.read_into(&mut buf);
+                        Ok(())
+                    })?;
                 }
                 assert_eq!(buf, vec![left as u64; 4], "ring payload");
                 // Uniform agreement that the round went through: a strict
@@ -112,7 +115,7 @@ fn kill_at_every_irecv_site() {
 
 #[test]
 fn kill_at_every_wait_site() {
-    // `waitall` drives two requests per round, each firing a wait site.
+    // `waitall_with` drives two requests per round, each firing a wait site.
     sweep(OpClass::Wait, 2);
 }
 

@@ -228,9 +228,8 @@ proptest! {
                 let term = CombinationTerm { coeff: *c, grid: g };
                 let part = combine_onto(target, std::slice::from_ref(&term));
                 let leaders: Vec<usize> = (0..w.size()).collect();
-                let mut scratch = Vec::new();
                 let combined = ftsg::app::gather::binomial_combine(
-                    ctx, &w, &leaders, 0, &target, Some(part), &mut scratch, 7,
+                    ctx, &w, &leaders, 0, &target, Some(part), 7,
                 )
                 .unwrap();
                 if w.rank() == 0 {
