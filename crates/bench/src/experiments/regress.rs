@@ -66,10 +66,11 @@
 //!    `solve3d_kill` shapes, and 16 warm Fig. 4 handler calls on each of
 //!    14 survivors (`ftsg_core::alloc_probe::repair_share`, which
 //!    `alloc_discipline.rs` asserts too), vs `BENCH_pr26.json`
-//!    `acceptance`. Guards a rank's share of a repair,
-//!    which every rank pays: a level set, a coefficient map or a search
-//!    node's clone creeping back into the solve, or a failed list or a
-//!    group rebuilt per handler call, moves a count.
+//!    `acceptance`. Guards the robust derivation a run's plan makes once
+//!    per lost set, and a rank's share of a repair, which every rank
+//!    pays: a level set, a coefficient map or a search node's clone
+//!    creeping back into the solve, or a failed list or a group rebuilt
+//!    per handler call, moves a count.
 //! 10. **`paper2d_kill_bytes`** and **`solve3d_kill_bytes`** (bytes
 //!     requested of the allocator, held to a **ceiling**) — one whole run
 //!     of the `paper2d_kill` and `solve3d_kill` shapes
@@ -97,16 +98,16 @@
 //!     vsec, what that sample cost).
 //! 12. **`solve3d_kill_requests`** (allocator requests, held to a
 //!     **ceiling**) — the same whole `solve3d_kill` run as gate 10,
-//!     counted in requests, at or below `BENCH_pr47.json` `acceptance`.
+//!     counted in requests, at or below `BENCH_pr49.json` `acceptance`.
 //!     The count moves with the temp-dir path a run formats, but only
-//!     downwards: a short path (`/tmp`) makes the most, 2,390, and a
-//!     61-character one 2,388. So the ceiling is the measured value.
-//!     Guards the nd set-up and stepping, which every rank runs: a
-//!     validation that builds the grid system again adds one request per
-//!     process (57), levels that are heap vectors again about 1,400 (one
-//!     per level of every rank's grid system, plus each solver's and each
-//!     grid's level, shape and strides), a halo vector per solver again
-//!     56 (the halo planes are received straight into the field).
+//!     downwards: a short path (`/tmp`) makes the most, 1,849, and a
+//!     61-character one 1,847. So the ceiling is the measured value.
+//!     Guards the nd set-up and stepping: the run's plan builds the layout
+//!     once, for every rank (`S::setup` on every rank again adds 228),
+//!     levels that are heap vectors again add about 1,400 (one per level
+//!     of the grid system, plus each solver's and each grid's level,
+//!     shape and strides), a halo vector per solver again 56 (the halo
+//!     planes are received straight into the field).
 //! 13. **`ckpt_heavy_restore`** and **`ckpt_heavy_makespan`** (virtual
 //!     clock, **exact match**) — the benchmark's `virt_restore @
 //!     ckpt_heavy` (`T_RECOVERY + T_CKPT`) and `virt_makespan @
@@ -151,14 +152,16 @@
 //! 16. **`ranks1k_kill_requests`** (allocator requests, held to a
 //!     **ceiling**) — one whole run of the `ranks1k_kill` shape (1,005
 //!     ranks, two victims, Alternate Combination), counted as gate 12
-//!     counts `solve3d_kill`, at or below `BENCH_pr47.json` `acceptance`:
-//!     19,937, measured with `TMPDIR` unset (a 61-character one reads
-//!     19,935). Guards what every rank pays — a halo vector per solver
-//!     again adds 1,005 (halos are received straight into the field's
-//!     ghost cells), the detection points built as a list again 1,007 —
-//!     and what every survivor of a repair pays: a second
-//!     robust solve per rank adds 3,015, a broken-grid list built twice
-//!     1,005, a failure list copied per survivor (an acknowledged list,
+//!     counts `solve3d_kill`, at or below `BENCH_pr49.json` `acceptance`:
+//!     10,905, measured with `TMPDIR` unset (a 61-character one reads
+//!     10,903). Guards what every rank pays — `S::setup` on every rank
+//!     again adds 2,014 (the run's plan builds the layout once), a halo
+//!     vector per solver again 1,005 (halos are received straight into
+//!     the field's ghost cells), the detection points built as a list
+//!     again 1,007 — and what every survivor of a repair pays: the
+//!     robust solve, the broken grids and the term list derived on every
+//!     rank instead of once by the plan took 3,015, 1,005 and 1,005, a
+//!     failure list copied per survivor (an acknowledged list,
 //!     an error's rank list) about 1,000 each, a host name per spawn spec
 //!     2,006, a vector per rank at the root of a one-scalar gather 2,010,
 //!     the Fig. 6 list derived by every survivor instead of shared 6,012,
@@ -402,7 +405,7 @@ pub fn run_exact(
     let mut cr3d =
         GateResult::exact("cr3d_kill_makespan", "BENCH_pr38.json", cr3d_base, cr3d_async);
     cr3d.pass &= cr3d_async < cr3d_sync;
-    let pr47 = read_baseline(dir, "BENCH_pr47.json")?;
+    let pr49 = read_baseline(dir, "BENCH_pr49.json")?;
     let run_count = |(text, file): (&str, &'static str),
                      key: &'static str,
                      workload: &str,
@@ -413,7 +416,7 @@ pub fn run_exact(
             .ok_or_else(|| format!("no workload {workload}"))?;
         Ok(GateResult::ceiling(key, file, ceiling, fresh as f64))
     };
-    let (pr30, pr47) = ((pr30.as_str(), "BENCH_pr30.json"), (pr47.as_str(), "BENCH_pr47.json"));
+    let (pr30, pr49) = ((pr30.as_str(), "BENCH_pr30.json"), (pr49.as_str(), "BENCH_pr49.json"));
     let pr46 = read_baseline(dir, "BENCH_pr46.json")?;
     let live_peak = |key: &'static str, workload: &str| -> Result<GateResult, String> {
         let ceiling = num_field(&pr46, key, "BENCH_pr46.json")?;
@@ -428,8 +431,8 @@ pub fn run_exact(
         gates: vec![
             run_count(pr30, "paper2d_kill_bytes", "paper2d_kill", bytes)?,
             run_count(pr30, "solve3d_kill_bytes", "solve3d_kill", bytes)?,
-            run_count(pr47, "solve3d_kill_requests", "solve3d_kill", requests)?,
-            run_count(pr47, "ranks1k_kill_requests", "ranks1k_kill", requests)?,
+            run_count(pr49, "solve3d_kill_requests", "solve3d_kill", requests)?,
+            run_count(pr49, "ranks1k_kill_requests", "ranks1k_kill", requests)?,
             live_peak("paper2d_kill_live_peak_bytes", "paper2d_kill")?,
             live_peak("solve3d_kill_live_peak_bytes", "solve3d_kill")?,
             pinned("robust_solve_requests_2d", repair.robust_2d)?,

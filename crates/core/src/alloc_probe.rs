@@ -7,10 +7,11 @@
 //!
 //! [`Gate`] separates "everything before, on every rank" from "everything
 //! after" without allocating itself. [`repair_share`] counts what a
-//! rank's share of a repair costs: every rank of an Alternate Combination
-//! run solves the robust coefficient problem once per lost set (in its
-//! data recovery; the final combination reuses that solve) and runs the
-//! Fig. 4 error handler twice — on `ranks1k_kill` that is 1,005 ranks.
+//! repair costs: the robust coefficient problem is solved once per lost
+//! set and run, by the run's [`Plan`] (whichever rank asks first; every
+//! other rank, and the final combination, gets the same solve), and
+//! every rank runs the Fig. 4 error handler twice — on `ranks1k_kill`
+//! that is 1,005 ranks.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -19,9 +20,11 @@ use std::sync::Arc;
 use sparsegrid::Layout;
 use ulfm_sim::{run, Comm, Ctx, RunConfig};
 
+use crate::config::AppConfig;
 use crate::detect::mpi_error_handler;
+use crate::plan::Plan;
 use crate::stack::{Nd, Stack, D2};
-use crate::{ProcLayout, ProcLayoutN};
+use crate::{ProcLayout, ProcLayoutN, Technique};
 
 /// A rendezvous of all ranks of a communicator that itself allocates
 /// nothing (an MPI barrier does): arrive, then poll cooperatively — a
@@ -66,17 +69,45 @@ const DEAD: [usize; 2] = [3, 11];
 /// Handler calls counted per survivor.
 pub const HANDLER_CALLS: u64 = 16;
 
-/// What a rank's share of a repair costs, exactly.
+/// What a repair costs, exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairShare {
     /// One warm robust solve at `ranks1k_kill`'s shape: n = 9, l = 4,
-    /// the extra-layers layout, grids 1 and 2 lost.
+    /// the extra-layers layout, grids 1 and 2 lost
+    /// ([`Stack::robust_coefficients`], the derivation a plan memoises).
     pub robust_2d: u64,
     /// One at `solve3d_kill`'s: d = 3, n = 7, l = 4, grid 1 lost.
     pub robust_3d: u64,
+    /// The same lost set asked of a fresh plan of `ranks1k_kill`'s
+    /// configuration, then asked again.
+    pub plan_2d: Memoised,
+    /// The same at `solve3d_kill`'s.
+    pub plan_3d: Memoised,
     /// [`HANDLER_CALLS`] warm handler calls on each of the 14 survivors,
     /// together.
     pub errhandler: u64,
+}
+
+/// Requests of a memoised derivation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Memoised {
+    /// The first call: the derivation and its memo entry.
+    pub cold: u64,
+    /// A repeat of it, which reads the memo.
+    pub repeat: u64,
+}
+
+/// Requests of the first and the second call of `ask` on a fresh plan of
+/// `cfg`, built before the count.
+fn memoised<S: Stack>(requests: fn() -> u64, cfg: &AppConfig, ask: impl Fn(&Plan<S>)) -> Memoised {
+    let plan = Plan::<S>::new(cfg).expect("a benchmark shape is a valid configuration");
+    let count = || {
+        let before = requests();
+        ask(&plan);
+        requests() - before
+    };
+    let cold = count();
+    Memoised { cold, repeat: count() }
 }
 
 /// Requests of the second of two calls of `solve`.
@@ -87,7 +118,7 @@ fn warm(requests: fn() -> u64, solve: impl Fn()) -> u64 {
     requests() - before
 }
 
-/// The three counts: the solves on the calling thread, the handler calls
+/// The counts: the solves on the calling thread, the handler calls
 /// between two gates on one scheduler worker.
 pub fn repair_share(requests: fn() -> u64) -> RepairShare {
     let d2 = ProcLayout::new(9, 4, Layout::ExtraLayers, 82);
@@ -98,7 +129,17 @@ pub fn repair_share(requests: fn() -> u64) -> RepairShare {
     let robust_3d = warm(requests, || {
         black_box(Nd::robust_coefficients(&nd, &[1], false));
     });
-    RepairShare { robust_2d, robust_3d, errhandler: handler_requests(requests) }
+    let ranks1k = AppConfig::paper_shaped(Technique::AlternateCombination, 9, 82, 2);
+    let plan_2d = memoised::<D2>(requests, &ranks1k, |plan| {
+        black_box(plan.robust(&[1, 2], false));
+    });
+    let mut solve3d = AppConfig::small_nd(Technique::AlternateCombination, 3);
+    (solve3d.n, solve3d.l, solve3d.scale) = (7, 4, 2);
+    let plan_3d = memoised::<Nd>(requests, &solve3d, |plan| {
+        black_box(plan.robust(&[1], false));
+    });
+    let errhandler = handler_requests(requests);
+    RepairShare { robust_2d, robust_3d, plan_2d, plan_3d, errhandler }
 }
 
 /// [`HANDLER_CALLS`] warm calls of the Fig. 4 handler on each survivor of

@@ -16,6 +16,7 @@
 //! code.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use sparsegrid::ComponentGrid;
 use ulfm_sim::{Comm, Ctx, Error, Result};
@@ -24,6 +25,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::{AppConfig, AppEvent, Technique};
 use crate::gather::{binomial_combine, current_rank_of};
 use crate::landing::Landing;
+use crate::plan::{Plan, Robust};
 use crate::policy::RecoveryPolicy;
 use crate::reconstruct::{
     confirm, is_casualty, reconstruct, repair_deferred, union_shared, Attempt, Join,
@@ -252,18 +254,19 @@ struct RankState<S: Stack> {
     /// In-memory buddy checkpoints this rank holds for partner grids
     /// (Buddy Checkpoint only; respawned ranks start empty).
     buddy_store: BuddyStore<S>,
-    /// Grids that lost data at the *final* detection point; the Alternate
-    /// Combination's final solution is the robust combination over the
-    /// survivors ("all the surviving sub-grids, including those on the
-    /// extra layers, are assigned new coefficients for the combination").
-    final_lost: Vec<usize>,
+    /// Grids that lost data at the *final* detection point, ascending; the
+    /// Alternate Combination's final solution is the robust combination
+    /// over the survivors ("all the surviving sub-grids, including those
+    /// on the extra layers, are assigned new coefficients for the
+    /// combination"). The plan's broken list itself while it is one.
+    final_lost: Arc<[usize]>,
     /// Ranks that failed at the *final* detection step (or later, during
     /// the combination), accumulated across failure events.
     end_failed: Vec<usize>,
-    /// The last robust solve of an Alternate Combination recovery: the
-    /// lost set it was solved for and the coefficients by grid id. The
-    /// combination reuses them when that set is `final_lost`.
-    robust: Option<(Vec<usize>, Vec<i64>)>,
+    /// The last robust solve of an Alternate Combination recovery (the
+    /// plan's). The combination reuses it when its lost set is
+    /// `final_lost`.
+    robust: Option<Arc<Robust>>,
     t_rec: f64,
     t_ckpt: f64,
 }
@@ -275,7 +278,7 @@ impl<S: Stack> RankState<S> {
             solver: None,
             landing: Landing::default(),
             buddy_store: BuddyStore::<S>::new(),
-            final_lost: Vec::new(),
+            final_lost: Arc::default(),
             end_failed: Vec::new(),
             robust: None,
             t_rec: 0.0,
@@ -365,7 +368,7 @@ impl<S: Stack> RankState<S> {
         failed: &[usize],
         at_step: u64,
     ) -> Result<RecoveryStats> {
-        let broken = S::broken_grids(env.layout, failed);
+        let broken = env.plan.broken(failed);
         let (Some(m), Some(sv)) = (self.my, self.solver.as_mut()) else {
             return Ok(RecoveryStats { recovered_grids: broken, ..RecoveryStats::default() });
         };
@@ -377,9 +380,9 @@ impl<S: Stack> RankState<S> {
     /// set, keeping the robust coefficients it solved (Alternate
     /// Combination) for the combination to reuse.
     fn lose_at_end(&mut self, stats: RecoveryStats) {
-        union_into(&mut self.final_lost, &stats.recovered_grids);
-        if let Some(coeffs) = stats.robust {
-            self.robust = Some((stats.recovered_grids, coeffs));
+        union_sorted(&mut self.final_lost, &stats.recovered_grids);
+        if stats.robust.is_some() {
+            self.robust = stats.robust;
         }
     }
 
@@ -482,8 +485,8 @@ struct Progress {
     /// Cumulative dead under the shrink-family policies, original ranks.
     deferred: Vec<usize>,
     /// Grids dropped for good under `ShrinkRedistribute` (= the grids
-    /// broken by `deferred`).
-    dropped: Vec<usize>,
+    /// broken by `deferred`, the plan's list).
+    dropped: Arc<[usize]>,
     /// The run's repair timings, every failure event folded in.
     timings: ReconstructTimings,
     /// Failure events this run repaired, as seen from rank 0 (the only
@@ -514,16 +517,19 @@ struct Combined {
 /// pages every simulated rank keeps resident.
 #[inline(never)]
 fn run<S: Stack>(cfg: &AppConfig, ctx: &mut Ctx) -> Result<()> {
-    let (layout, problem, dt) = S::setup(cfg)?;
+    // The layout, problem and timestep are the same on every rank: the
+    // first to get here builds the run's plan, the others share it.
+    let plan = ctx.run_shared(|| Plan::<S>::new(cfg));
+    let plan = plan.as_ref().as_ref().map_err(Error::clone)?;
     let store = open_store(cfg)?;
-    let env = Env::<S> { cfg, layout: &layout, problem: &problem, store: store.as_ref(), dt };
+    let env = Env::new(cfg, plan, store.as_ref());
     let mut st = RankState::<S>::new();
     let mut p = Progress {
         orig_rank: 0,
         group_broken: false,
         members: None,
         deferred: Vec::new(),
-        dropped: Vec::new(),
+        dropped: Arc::default(),
         timings: ReconstructTimings::default(),
         events: 0,
         t_solve: 0.0,
@@ -681,7 +687,7 @@ fn detect<S: Stack>(
         // under defer. Healthy groups keep their old group communicator
         // (its membership is untouched).
         union_into(&mut p.deferred, &event.round.failed_ranks);
-        p.dropped = S::broken_grids(env.layout, &p.deferred);
+        p.dropped = env.plan.broken(&p.deferred);
         p.group_broken = st.grid().is_some_and(|g| p.dropped.contains(&g));
     } else {
         return Ok(true);
@@ -779,9 +785,9 @@ fn protect<S: Stack>(
         // so the suspension is collective.
         if let (false, Some(m), Some(sv)) = (p.group_broken, st.my, st.solver.as_ref()) {
             let t0 = ctx.now();
-            let (m, layout) = (S::grid_of(m), env.layout);
+            let (m, plan) = (S::grid_of(m), env.plan);
             let (landing, bs) = (&mut st.landing, &mut st.buddy_store);
-            match buddy_exchange::<S>(ctx, layout, world, group, m, sv, step, landing, bs) {
+            match buddy_exchange::<S>(ctx, plan, world, group, m, sv, step, landing, bs) {
                 Ok(()) => {}
                 Err(e) if is_casualty(&e) => {
                     // Release any peer blocked on the dead/errored ranks.
@@ -838,7 +844,7 @@ fn repair_epoch<S: Stack>(
     }
     p.group_broken = false;
     p.deferred.clear();
-    p.dropped.clear();
+    p.dropped = Arc::default();
     event.close(ctx, cfg, &world, &mut p.events, steps, &mut p.timings);
     Ok(world)
 }
@@ -930,7 +936,7 @@ fn combine<S: Stack>(
     // coefficients over the survivors (for *every* technique — there is
     // no restored data to combine classically).
     if env.cfg.recovery_policy == RecoveryPolicy::ShrinkRedistribute {
-        union_into(&mut st.final_lost, &p.dropped);
+        union_sorted(&mut st.final_lost, &p.dropped);
     }
     let tags = TagSpace::for_grids(S::n_grids(env.layout));
     loop {
@@ -982,8 +988,8 @@ fn repair_combine<S: Stack>(
     }
     if shrink {
         union_into(&mut p.deferred, &event.round.failed_ranks);
-        p.dropped = S::broken_grids(env.layout, &p.deferred);
-        union_into(&mut st.final_lost, &p.dropped);
+        p.dropped = env.plan.broken(&p.deferred);
+        union_sorted(&mut st.final_lost, &p.dropped);
         p.group_broken = st.grid().is_some_and(|g| p.dropped.contains(&g));
     }
     event.close(ctx, cfg, world, &mut p.events, steps, &mut p.timings);
@@ -1012,46 +1018,26 @@ fn combine_once<S: Stack>(
         // robustly.
         _ => cfg.technique == Technique::AlternateCombination && !st.final_lost.is_empty(),
     };
-    // The robust coefficients by grid id: the recovery's own solve when it
-    // was for this very lost set (under Alternate Combination's layout a
-    // lost level is never covered by a survivor, so `covered` changes
-    // nothing), else solved here. A level only counts as lost when *no*
-    // surviving grid holds it: under the Duplicates layout a dropped
-    // diagonal whose duplicate survives is still covered.
-    let robust: Option<Cow<'_, [i64]>> = use_robust.then(|| match &st.robust {
-        Some((lost, by_grid)) if *lost == st.final_lost => Cow::Borrowed(&by_grid[..]),
-        _ => Cow::Owned(S::robust_coefficients(layout, &st.final_lost, true).0),
+    // The robust solve: the recovery's own when it was for this very lost
+    // set (under Alternate Combination's layout a lost level is never
+    // covered by a survivor, so `covered` changes nothing), else the
+    // plan's for it. A level only counts as lost when *no* surviving grid
+    // holds it: under the Duplicates layout a dropped diagonal whose
+    // duplicate survives is still covered.
+    let robust: Option<Arc<Robust>> = use_robust.then(|| match &st.robust {
+        Some(r) if *r.lost == *st.final_lost => Arc::clone(r),
+        _ => env.plan.robust(&st.final_lost, true),
     });
-    // The combination's terms, as grid ids in term order; a term's
-    // coefficient is read off `robust` or the classical scheme.
-    let combine_ids = match &robust {
-        Some(by_grid) => {
-            // One combining grid per level, in grid-id order (the diagonal
-            // precedes its duplicate, so the duplicate only stands in when
-            // the diagonal is gone) — a duplicate pair must not be
-            // double-counted.
-            let mut ids: Vec<usize> = Vec::with_capacity(S::n_grids(layout));
-            for (g, &c) in by_grid.iter().enumerate() {
-                let level = S::level(layout, g);
-                if st.final_lost.contains(&g)
-                    || c == 0
-                    || ids.iter().any(|&i| S::level(layout, i) == level)
-                {
-                    continue;
-                }
-                ids.push(g);
-            }
-            ids
-        }
-        None => S::combination_ids(layout),
-    };
+    // The combination's terms; a term's coefficient is read off `robust`
+    // or the classical scheme.
+    let terms = robust.as_ref().map_or(&env.plan.classical, |r| &r.terms);
     // A dropped grid never combines (it is in `final_lost`), so a
-    // sitting-out survivor is excluded via `combine_ids` already;
+    // sitting-out survivor is excluded via the terms already;
     // `group_broken` and the spare guard make the exclusion explicit.
-    let my_grid = st.grid().filter(|g| !p.group_broken && combine_ids.contains(g));
+    let my_grid = st.grid().filter(|g| !p.group_broken && terms.grids.contains(g));
     // This rank's term: its grid and that grid's coefficient.
     let my_term = my_grid.map(|m| match &robust {
-        Some(by_grid) => (m, by_grid[m] as f64),
+        Some(r) => (m, r.by_grid[m] as f64),
         None => (m, S::classical_coefficient(layout, m)),
     });
     let target = S::min_level(layout);
@@ -1065,11 +1051,16 @@ fn combine_once<S: Stack>(
             .gather(ctx, group, layout, m, sv, |own| Ok(S::term(ctx, &target, coeff, own)))?,
         _ => None,
     };
-    // The term list becomes the leader list in place.
-    let leaders = combine_ids
-        .into_iter()
-        .map(|gid| current_root::<S>(layout, gid, p.members.as_deref()))
-        .collect::<Result<Vec<usize>>>()?;
+    // The leaders are the terms' roots, renumbered in the world if a
+    // shrink compacted it.
+    let leaders: Cow<'_, [usize]> = match p.members.as_deref() {
+        None => Cow::Borrowed(&terms.roots),
+        members => Cow::Owned(
+            (terms.grids.iter())
+                .map(|&gid| current_root::<S>(layout, gid, members))
+                .collect::<Result<Vec<usize>>>()?,
+        ),
+    };
     let combined = binomial_combine(ctx, world, &leaders, 0, &target, part, tag)?;
     let mut err = f64::NAN;
     if world.rank() == 0 {
@@ -1161,6 +1152,23 @@ fn union_into(set: &mut Vec<usize>, items: &[usize]) {
         }
     }
     set.sort_unstable();
+}
+
+/// [`union_into`] on a shared sorted set, with `items` sorted too: `set`
+/// is kept when it gains nothing, and becomes a clone of `items` when
+/// that is the union (`set` empty, say); only a union that is neither
+/// builds a new list.
+fn union_sorted(set: &mut Arc<[usize]>, items: &Arc<[usize]>) {
+    if items.iter().all(|x| set.contains(x)) {
+        return;
+    }
+    if set.iter().all(|x| items.contains(x)) {
+        *set = Arc::clone(items);
+        return;
+    }
+    let mut union = set.to_vec();
+    union_into(&mut union, items);
+    *set = union.into();
 }
 
 /// `grid`'s root in the current world. Layout roots are original ranks

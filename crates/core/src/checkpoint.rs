@@ -814,12 +814,65 @@ impl CheckpointStore {
     }
 }
 
+/// A store on a directory of its own, which goes, with whatever it holds,
+/// when the fixture drops: unit tests leave nothing in the temp dir. It
+/// reads as the store it wraps.
+#[cfg(test)]
+pub(crate) struct ScratchStore(Option<CheckpointStore>);
+
+#[cfg(test)]
+impl ScratchStore {
+    pub(crate) fn new() -> Self {
+        ScratchStore(Some(CheckpointStore::new(crate::config::default_ckpt_dir()).unwrap()))
+    }
+
+    pub(crate) fn with_retention(self, k: usize) -> Self {
+        self.map(|s| s.with_retention(k))
+    }
+
+    pub(crate) fn with_corruption(self, plan: CorruptionPlan) -> Self {
+        self.map(|s| s.with_corruption(plan))
+    }
+
+    fn map(mut self, f: impl FnOnce(CheckpointStore) -> CheckpointStore) -> Self {
+        ScratchStore(self.0.take().map(f))
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for ScratchStore {
+    type Target = CheckpointStore;
+
+    fn deref(&self) -> &CheckpointStore {
+        self.0.as_ref().expect("a scratch store holds its store until it drops")
+    }
+}
+
+#[cfg(test)]
+impl Drop for ScratchStore {
+    fn drop(&mut self) {
+        if let Some(store) = &self.0 {
+            let _ = fs::remove_dir_all(store.dir());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn store() -> CheckpointStore {
-        CheckpointStore::new(crate::config::default_ckpt_dir()).unwrap()
+    fn store() -> ScratchStore {
+        ScratchStore::new()
+    }
+
+    #[test]
+    fn a_scratch_store_takes_its_directory_with_it() {
+        let s = store().with_retention(2);
+        let dir = s.dir().to_path_buf();
+        s.write(0, 7, &Grid2::from_fn(LevelPair::new(2, 2), |x, y| x + y)).unwrap();
+        assert!(dir.is_dir() && fs::read_dir(&dir).unwrap().count() == 1);
+        drop(s);
+        assert!(!dir.exists(), "{} outlived its fixture", dir.display());
     }
 
     #[test]

@@ -212,8 +212,8 @@ mod tests {
     use sparsegrid::{Grid2, GridN, LevelPair, LevelVecN};
     use ulfm_sim::{run, FaultPlan, FaultSite, RunConfig};
 
-    fn store() -> CheckpointStore {
-        CheckpointStore::new(crate::config::default_ckpt_dir()).unwrap()
+    fn store() -> crate::checkpoint::ScratchStore {
+        crate::checkpoint::ScratchStore::new()
     }
 
     /// Snapshot `grid` the way a root does: borrow a buffer, fill it,

@@ -27,7 +27,10 @@
 //!   receive, the binomial-tree combination) for every grid and group
 //!   layout,
 //! * [`landing`] — the one grid per rank that every whole sub-grid the
-//!   rank assembles or receives lands in.
+//!   rank assembles or receives lands in,
+//! * [`plan`] — what every rank would derive alike (the layout, and each
+//!   lost set's broken grids, robust coefficients and combination terms),
+//!   derived once per run and shared by all of its ranks.
 
 pub mod alloc_probe;
 pub mod app;
@@ -40,6 +43,7 @@ pub mod landing;
 pub mod layout;
 pub mod layout_nd;
 pub mod output;
+pub mod plan;
 pub mod policy;
 pub mod psolve;
 pub mod psolve_nd;

@@ -129,22 +129,30 @@ impl DistributedSolver {
     /// counter. The condition is separable
     /// ([`AdvectionProblem::initial_x`]), so it is tabulated once per
     /// column and once per row and multiplied out, not evaluated per
-    /// cell.
+    /// cell. The column factors are tabulated in the block's first
+    /// interior row, which every other row is written from before it is
+    /// scaled itself: each cell is the same product, and no table is
+    /// allocated.
     pub fn reset_to_initial(&mut self) {
         let nx_glob = (1usize << self.level.i) as f64;
         let ny_glob = (1usize << self.level.j) as f64;
-        let fx: Vec<f64> = (self.x0..self.x0 + self.lnx)
-            .map(|gx| self.problem.initial_x(gx as f64 / nx_glob))
-            .collect();
-        let pnx = self.lnx + 2;
-        let padded = self.field.padded_mut();
-        for m in 0..self.lny {
-            let fy = self.problem.initial_y((self.y0 + m) as f64 / ny_glob);
-            let row = &mut padded[(m + 1) * pnx + 1..][..self.lnx];
-            for (v, &f) in row.iter_mut().zip(&fx) {
+        let (lnx, pnx, problem) = (self.lnx, self.lnx + 2, &self.problem);
+        let fy = |m: usize| problem.initial_y((self.y0 + m) as f64 / ny_glob);
+        // Padded rows 0 and 1, then padded rows 2.. (interior rows 1..).
+        let (head, rest) = self.field.padded_mut().split_at_mut(2 * pnx);
+        let fx = &mut head[pnx + 1..][..lnx];
+        for (f, gx) in fx.iter_mut().zip(self.x0..) {
+            *f = problem.initial_x(gx as f64 / nx_glob);
+        }
+        for m in 1..self.lny {
+            let fy = fy(m);
+            let row = &mut rest[(m - 1) * pnx + 1..][..lnx];
+            for (v, &f) in row.iter_mut().zip(fx.iter()) {
                 *v = f * fy;
             }
         }
+        let fy = fy(0);
+        fx.iter_mut().for_each(|f| *f *= fy);
         self.steps_done = 0;
     }
 
@@ -446,6 +454,53 @@ mod tests {
         });
         report.assert_no_app_errors();
         assert_eq!(report.get_f64("checked"), Some(1.0));
+    }
+
+    /// The block's interior as the initial condition tabulated into a
+    /// column table and multiplied out row by row: the form
+    /// `reset_to_initial` is held to.
+    fn tabulated_initial(s: &DistributedSolver) -> Vec<f64> {
+        let nx_glob = (1usize << s.level.i) as f64;
+        let ny_glob = (1usize << s.level.j) as f64;
+        let fx: Vec<f64> =
+            (s.x0..s.x0 + s.lnx).map(|gx| s.problem.initial_x(gx as f64 / nx_glob)).collect();
+        let mut cells = Vec::new();
+        for m in 0..s.lny {
+            let fy = s.problem.initial_y((s.y0 + m) as f64 / ny_glob);
+            cells.extend(fx.iter().map(|&f| f * fy));
+        }
+        cells
+    }
+
+    #[test]
+    fn the_initial_condition_is_the_tabulated_one_bit_for_bit() {
+        // Ragged blocks, one column wide (lnx = 1) and one row high
+        // (lny = 1) among them.
+        let shapes =
+            [((3, 2), 3, 4), ((2, 3), 4, 3), ((4, 4), 3, 5), ((5, 3), 2, 2), ((2, 2), 1, 1)];
+        let p = AdvectionProblem::standard();
+        let (mut thin, mut flat) = (false, false);
+        for ((i, j), px, py) in shapes {
+            let info = GroupInfo { grid: 0, first: 0, size: px * py, px, py };
+            for rank in 0..info.size {
+                let mut s = DistributedSolver::new(p, LevelPair::new(i, j), 0.01, &info, rank);
+                (thin, flat) = (thin || s.lnx == 1, flat || s.lny == 1);
+                let cells = |s: &DistributedSolver| -> Vec<u64> {
+                    (0..s.lny)
+                        .flat_map(|m| s.field.interior_row(m).iter().map(|v| v.to_bits()))
+                        .collect()
+                };
+                let want: Vec<u64> = tabulated_initial(&s).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(cells(&s), want, "level ({i}, {j}) {px}x{py} rank {rank}");
+                // A reset over stepped values lands the same bits.
+                s.field.padded_mut().iter_mut().for_each(|v| *v = f64::NAN);
+                s.steps_done = 3;
+                s.reset_to_initial();
+                assert_eq!(cells(&s), want, "reset: level ({i}, {j}) {px}x{py} rank {rank}");
+                assert_eq!(s.steps_done(), 0);
+            }
+        }
+        assert!(thin && flat, "no block was one column wide and one row high");
     }
 
     #[test]

@@ -36,6 +36,8 @@
 //!
 //! `my` below is always this rank's grid id.
 
+use std::sync::Arc;
+
 use sparsegrid::scheme::RcSource;
 use sparsegrid::ComponentGrid;
 use ulfm_sim::{Comm, Ctx, Error, Result};
@@ -44,6 +46,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::Technique;
 use crate::gather::{recv_grid_onto, scatter_grid_into, send_grid};
 use crate::landing::Landing;
+use crate::plan::{Plan, Robust};
 use crate::stack::{Env, Stack};
 use crate::tags::TagSpace;
 
@@ -52,17 +55,16 @@ use crate::tags::TagSpace;
 /// entries; a respawned root starts empty (its copies died with it).
 pub type BuddyStore<S> = std::collections::HashMap<usize, (u64, <S as Stack>::Grid)>;
 
-/// The buddy of a combining grid: the next combining grid, cyclically.
-/// Deterministic and never the grid itself (there are ≥ 3 combining
-/// grids for every `l ≥ 2`).
+/// The buddy of a combining grid: the next of the combining grids `ids`
+/// (the plan's classical terms), cyclically. Deterministic and never the
+/// grid itself (there are ≥ 3 combining grids for every `l ≥ 2`).
 ///
 /// A grid id outside the combining set is an error, not a panic: this is
 /// called inside the recovery path with grid ids derived from the failed
 /// rank list, and a rank whose grid does not combine (e.g. a bogus
 /// simulated-loss id) must surface as a recoverable [`Error`] rather
 /// than unwind mid-recovery.
-pub fn buddy_of<S: Stack>(layout: &S::Layout, grid: usize) -> Result<usize> {
-    let ids = S::combination_ids(layout);
+pub fn buddy_of(ids: &[usize], grid: usize) -> Result<usize> {
     let pos = ids.iter().position(|&g| g == grid).ok_or_else(|| {
         Error::InvalidArg(format!("grid {grid} is not in the combining set {ids:?}"))
     })?;
@@ -75,7 +77,7 @@ pub fn buddy_of<S: Stack>(layout: &S::Layout, grid: usize) -> Result<usize> {
 #[allow(clippy::too_many_arguments)]
 pub fn buddy_exchange<S: Stack>(
     ctx: &Ctx,
-    layout: &S::Layout,
+    plan: &Plan<S>,
     world: &Comm,
     group: &Comm,
     my: usize,
@@ -84,16 +86,16 @@ pub fn buddy_exchange<S: Stack>(
     landing: &mut Landing<S>,
     store: &mut BuddyStore<S>,
 ) -> Result<()> {
-    let ids = S::combination_ids(layout);
+    let (layout, ids) = (&plan.layout, &plan.classical.grids[..]);
     let tags = TagSpace::for_grids(S::n_grids(layout));
     // Phase 1: every group gathers and its root sends to the buddy root.
     landing.gather(ctx, group, layout, my, solver, |grid| {
-        let buddy = buddy_of::<S>(layout, my)?;
+        let buddy = buddy_of(ids, my)?;
         send_grid(ctx, world, S::root_of(layout, buddy), tags.buddy + my as i32, grid)
     })?;
     // Phase 2: buddy roots collect the copies addressed to them.
-    for &g in &ids {
-        let buddy = buddy_of::<S>(layout, g)?;
+    for &g in ids {
+        let buddy = buddy_of(ids, g)?;
         if world.rank() == S::root_of(layout, buddy) {
             let (src, tag) = (S::root_of(layout, g), tags.buddy + g as i32);
             match store.get_mut(&g) {
@@ -129,14 +131,14 @@ pub struct RecoveryStats {
     pub t_recovery: f64,
     /// The sub-grids the failures broke, ascending: the grids restored,
     /// or under Alternate Combination the grids lost. Every rank gets the
-    /// list, the idle spares included, since the combination's lost set
-    /// is built from it.
-    pub recovered_grids: Vec<usize>,
-    /// Alternate Combination only: the robust coefficients by grid id once
-    /// `recovered_grids` are lost, as the recovery solved them. They are a
-    /// function of the lost set alone (arXiv:1404.2670), so the final
-    /// combination reuses them while its lost set is this one.
-    pub robust: Option<Vec<i64>>,
+    /// list (the plan's), the idle spares included, since the
+    /// combination's lost set is built from it.
+    pub recovered_grids: Arc<[usize]>,
+    /// Alternate Combination only: the robust solve once
+    /// `recovered_grids` are lost (the plan's). It is a function of the
+    /// lost set alone (arXiv:1404.2670), so the final combination reuses
+    /// it while its lost set is this one.
+    pub robust: Option<Arc<Robust>>,
 }
 
 /// Run the configured technique's data recovery of the grids `broken`
@@ -161,20 +163,20 @@ pub fn recover<S: Stack>(
     solver: &mut S::Solver,
     landing: &mut Landing<S>,
     buddy_store: &mut BuddyStore<S>,
-    broken: Vec<usize>,
+    broken: Arc<[usize]>,
     at_step: u64,
 ) -> Result<RecoveryStats> {
     if broken.is_empty() {
         return Ok(RecoveryStats::default());
     }
     let t0 = ctx.now();
-    let r = Recovery::<S> { ctx, layout: env.layout, world, group, my, broken: &broken, at_step };
+    let r = Recovery::<S> { ctx, plan: env.plan, world, group, my, broken: &broken, at_step };
     let (t_recovery, robust) = match env.cfg.technique {
         Technique::CheckpointRestart => (r.checkpoint(solver, landing, env.checkpoints()?)?, None),
         Technique::ResamplingCopying => (r.resample_copy(solver, landing)?, None),
         Technique::AlternateCombination => {
-            let (t, coeffs) = r.alt_combination(env.cfg.steps())?;
-            (t, Some(coeffs))
+            let (t, solved) = r.alt_combination(env.cfg.steps())?;
+            (t, Some(solved))
         }
         Technique::BuddyCheckpoint => (r.buddy(solver, landing, buddy_store)?, None),
     };
@@ -186,7 +188,7 @@ pub fn recover<S: Stack>(
 /// returns this rank's accountable recovery time.
 struct Recovery<'a, S: Stack> {
     ctx: &'a Ctx,
-    layout: &'a S::Layout,
+    plan: &'a Plan<S>,
     world: &'a Comm,
     group: &'a Comm,
     /// This rank's grid id.
@@ -202,7 +204,7 @@ impl<S: Stack> Recovery<'_, S> {
     /// straight into every member's solver block; the solvers then stand
     /// at `steps`.
     fn scatter(&self, solver: &mut S::Solver, whole: Option<&S::Grid>, steps: u64) -> Result<()> {
-        let info = S::group(self.layout, self.my);
+        let info = S::group(&self.plan.layout, self.my);
         scatter_grid_into(self.ctx, self.group, info, whole, solver)?;
         S::set_steps_done(solver, steps);
         Ok(())
@@ -244,12 +246,13 @@ impl<S: Stack> Recovery<'_, S> {
         landing: &mut Landing<S>,
         store: &BuddyStore<S>,
     ) -> Result<f64> {
-        let Recovery { ctx, layout, world, group, my, broken, .. } = *self;
+        let Recovery { ctx, plan, world, group, my, broken, .. } = *self;
+        let (layout, ids) = (&plan.layout, &plan.classical.grids[..]);
         let t0 = ctx.now();
         let tags = TagSpace::for_grids(S::n_grids(layout));
         let mut touched = false;
         for &b in broken {
-            let buddy = buddy_of::<S>(layout, b)?;
+            let buddy = buddy_of(ids, b)?;
             let (root_b, root_buddy) = (S::root_of(layout, b), S::root_of(layout, buddy));
             // The buddy root answers with [has, step] and then maybe the grid.
             if world.rank() == root_buddy {
@@ -301,7 +304,8 @@ impl<S: Stack> Recovery<'_, S> {
         landing: &mut Landing<S>,
         store: &CheckpointStore,
     ) -> Result<f64> {
-        let Recovery { ctx, layout, group, my, broken, .. } = *self;
+        let Recovery { ctx, plan, group, my, broken, .. } = *self;
+        let layout = &plan.layout;
         if !broken.contains(&my) {
             return Ok(0.0);
         }
@@ -331,7 +335,8 @@ impl<S: Stack> Recovery<'_, S> {
     }
 
     fn resample_copy(&self, solver: &mut S::Solver, landing: &mut Landing<S>) -> Result<f64> {
-        let Recovery { ctx, layout, world, group, my, broken, at_step } = *self;
+        let Recovery { ctx, plan, world, group, my, broken, at_step } = *self;
+        let layout = &plan.layout;
         let tags = TagSpace::for_grids(S::n_grids(layout));
         let t0 = ctx.now();
         let mut touched = false;
@@ -378,27 +383,30 @@ impl<S: Stack> Recovery<'_, S> {
     /// nothing else (see the module docs). Sound only at the final step,
     /// where every AC recovery runs: a mid-run loss would need a sample of
     /// the combination to step on from. Returns the accountable time and
-    /// the coefficients by grid id, which the final combination reuses.
-    fn alt_combination(&self, final_step: u64) -> Result<(f64, Vec<i64>)> {
-        let Recovery { ctx, layout, broken, at_step, .. } = *self;
+    /// the solve, which the final combination reuses.
+    fn alt_combination(&self, final_step: u64) -> Result<(f64, Arc<Robust>)> {
+        let Recovery { ctx, plan, broken, at_step, .. } = *self;
         if at_step != final_step {
             return Err(Error::InvalidArg(format!(
                 "alternate combination recovers at the final step {final_step}, not {at_step}"
             )));
         }
         // The technique's accountable recovery cost. Deterministic, so every
-        // rank computes the coefficients locally. Every broken level is
-        // lost: the extra-layers layout holds each level once.
+        // rank has the same coefficients: the plan solves them once and
+        // every rank is charged the solve its process would make. Every
+        // broken level is lost: the extra-layers layout holds each level
+        // once.
         let t_coeff0 = ctx.now();
-        let (coeffs, downset_len) = S::robust_coefficients(layout, broken, false);
+        let solved = plan.robust(broken, false);
         // Virtual cost of solving the small coefficient problem.
-        ctx.advance(1.0e-4 + 4.0e-6 * downset_len as f64);
-        if !coeffs.iter().enumerate().any(|(g, &c)| c != 0 && !broken.contains(&g)) {
+        ctx.advance(1.0e-4 + 4.0e-6 * solved.downset_len as f64);
+        // A surviving grid with a nonzero coefficient is a term.
+        if solved.terms.grids.is_empty() {
             return Err(Error::InvalidArg(
                 "alternate combination: no surviving grids can cover the losses".into(),
             ));
         }
-        Ok((ctx.now() - t_coeff0, coeffs))
+        Ok((ctx.now() - t_coeff0, solved))
     }
 }
 
@@ -412,7 +420,7 @@ mod tests {
     fn assert_buddies_cycle<S: Stack>(layout: &S::Layout) {
         let ids = S::combination_ids(layout);
         for &g in &ids {
-            let b = buddy_of::<S>(layout, g).unwrap();
+            let b = buddy_of(&ids, g).unwrap();
             assert!(ids.contains(&b));
             assert_ne!(b, g, "a grid must never buddy itself");
         }
@@ -426,9 +434,9 @@ mod tests {
         let outsider = (0..S::n_grids(layout))
             .find(|id| !ids.contains(id))
             .expect("ExtraLayers layout must have non-combining grids");
-        let err = buddy_of::<S>(layout, outsider).unwrap_err();
+        let err = buddy_of(&ids, outsider).unwrap_err();
         assert!(err.to_string().contains("not in the combining set"), "got: {err}");
-        assert!(buddy_of::<S>(layout, 9999).is_err());
+        assert!(buddy_of(&ids, 9999).is_err());
     }
 
     #[test]

@@ -34,28 +34,40 @@ use crate::config::AppConfig;
 use crate::gather::{BlockRowsMut, GroupBlocks};
 use crate::layout::{Assignment, GroupInfo, ProcLayout};
 use crate::layout_nd::{AssignmentN, GroupInfoN, ProcLayoutN};
+use crate::plan::Plan;
 use crate::psolve::DistributedSolver;
 use crate::psolve_nd::DistributedSolverN;
 
 /// A sub-grid's level under stack `S`.
 pub type Level<S> = <<S as Stack>::Grid as ComponentGrid>::Level;
 
-/// What a run builds before epoch 0 and every repair reads unchanged.
+/// What a rank's run reads unchanged from set-up to report: the
+/// configuration, its checkpoint store, and the run's [`Plan`], which
+/// every rank shares (the layout, problem and timestep are borrowed from
+/// it).
 pub struct Env<'a, S: Stack> {
     /// The configuration.
     pub cfg: &'a AppConfig,
+    /// The run's plan: built once, by the first rank to ask.
+    pub plan: &'a Plan<S>,
     /// The world → sub-grid map.
     pub layout: &'a S::Layout,
     /// The PDE.
     pub problem: &'a S::Problem,
     /// Where CR checkpoints land: `Some` exactly under Checkpoint/Restart,
-    /// the one technique that writes to disk.
+    /// the one technique that writes to disk. Each rank keeps its own.
     pub store: Option<&'a CheckpointStore>,
     /// The timestep of every solver.
     pub dt: f64,
 }
 
-impl<S: Stack> Env<'_, S> {
+impl<'a, S: Stack> Env<'a, S> {
+    /// The environment of a rank with `store` on the run's `plan`.
+    pub fn new(cfg: &'a AppConfig, plan: &'a Plan<S>, store: Option<&'a CheckpointStore>) -> Self {
+        let (layout, problem, dt) = (&plan.layout, &plan.problem, plan.dt);
+        Env { cfg, plan, layout, problem, store, dt }
+    }
+
     /// The checkpoint store, which only a Checkpoint/Restart run has.
     pub fn checkpoints(&self) -> Result<&CheckpointStore> {
         self.store.ok_or_else(|| {
@@ -74,13 +86,13 @@ impl<S: Stack> Env<'_, S> {
 /// and error evaluation ([`Stack::l1_error`]).
 pub trait Stack: Sized + 'static {
     /// The PDE the solvers step.
-    type Problem;
+    type Problem: Send + Sync;
     /// One whole sub-grid, and its checkpoint file format.
     type Grid: CheckpointGrid;
     /// The world → sub-grid map. `D2` decomposes each group into a 2D
     /// process grid (4 + 4 halo messages per step); `Nd` into slabs along
     /// the last axis (2 + 2, whatever the dimension).
-    type Layout;
+    type Layout: Send + Sync;
     /// One rank's place in the layout.
     type Assignment: Copy + PartialEq;
     /// Where each member of a grid's group holds its block.
@@ -89,10 +101,12 @@ pub trait Stack: Sized + 'static {
     /// block a gather reads and a scatter writes, where it lies.
     type Solver: BlockRowsMut;
 
-    /// The layout, the problem and the timestep of `cfg`. This runs on
-    /// every rank before epoch 0. Both stacks validate `cfg` first
-    /// (building nothing, so at no allocator cost), turning parameters the
-    /// layout would panic on into config errors.
+    /// The layout, the problem and the timestep of `cfg`. This runs once
+    /// per run, before epoch 0, on the first rank to ask for the run's
+    /// [`Plan`]; every other rank shares what it built. Both stacks
+    /// validate `cfg` first (building nothing, so at no allocator cost),
+    /// turning parameters the layout would panic on into config errors,
+    /// which every rank then returns.
     fn setup(cfg: &AppConfig) -> Result<(Self::Layout, Self::Problem, f64)>;
     /// A solver for the slot `a`, at the initial condition. It releases
     /// its spare step buffer when it commits the run's last step, so the
@@ -126,16 +140,30 @@ pub trait Stack: Sized + 'static {
     /// The coarsest level, where the combined solution is evaluated.
     fn min_level(layout: &Self::Layout) -> Level<Self>;
 
-    /// Robust coefficients over the classical downset once the grids
-    /// `lost` are gone, using only the levels of the others, as the
-    /// coefficient of each grid's level by grid id; also the size of that
-    /// downset. With `covered`, the level of a lost grid that a surviving
-    /// grid (a duplicate) also holds is not lost.
+    /// The classical downset, numbered for the robust search.
+    fn downset(layout: &Self::Layout) -> IndexedDownset;
+    /// Robust coefficients over `downset` (the layout's [`Stack::downset`])
+    /// once the grids `lost` are gone, using only the levels of the
+    /// others, as the coefficient of each grid's level by grid id. With
+    /// `covered`, the level of a lost grid that a surviving grid (a
+    /// duplicate) also holds is not lost.
+    fn robust_over(
+        layout: &Self::Layout,
+        downset: &IndexedDownset,
+        lost: &[usize],
+        covered: bool,
+    ) -> Vec<i64>;
+    /// [`Stack::robust_over`] the layout's downset, built for this call;
+    /// also the size of that downset. A run asks its [`Plan`], which
+    /// builds the downset once and solves each lost set once.
     fn robust_coefficients(
         layout: &Self::Layout,
         lost: &[usize],
         covered: bool,
-    ) -> (Vec<i64>, usize);
+    ) -> (Vec<i64>, usize) {
+        let downset = Self::downset(layout);
+        (Self::robust_over(layout, &downset, lost, covered), downset.len())
+    }
 
     /// One timestep of the group's solve, halo exchange included.
     fn step(sv: &mut Self::Solver, ctx: &Ctx, group: &Comm) -> Result<()>;
@@ -228,14 +256,18 @@ impl Stack for D2 {
         layout.system().min_level()
     }
 
-    fn robust_coefficients(
+    fn downset(layout: &ProcLayout) -> IndexedDownset {
+        layout.system().indexed_downset()
+    }
+    fn robust_over(
         layout: &ProcLayout,
+        downset: &IndexedDownset,
         lost: &[usize],
         covered: bool,
-    ) -> (Vec<i64>, usize) {
-        let (sys, downset) = (layout.system(), layout.system().indexed_downset());
+    ) -> Vec<i64> {
+        let sys = layout.system();
         let index = |g: usize| downset.index_of(&[sys.grid(g).level.i, sys.grid(g).level.j]);
-        (robust_by_grid(&downset, sys.n_grids(), index, lost, covered), downset.len())
+        robust_by_grid(downset, sys.n_grids(), index, lost, covered)
     }
 
     fn step(sv: &mut DistributedSolver, ctx: &Ctx, group: &Comm) -> Result<()> {
@@ -335,14 +367,18 @@ impl Stack for Nd {
         layout.system().min_level()
     }
 
-    fn robust_coefficients(
+    fn downset(layout: &ProcLayoutN) -> IndexedDownset {
+        layout.system().indexed_downset()
+    }
+    fn robust_over(
         layout: &ProcLayoutN,
+        downset: &IndexedDownset,
         lost: &[usize],
         covered: bool,
-    ) -> (Vec<i64>, usize) {
-        let (sys, downset) = (layout.system(), layout.system().indexed_downset());
+    ) -> Vec<i64> {
+        let sys = layout.system();
         let index = |g: usize| downset.index_of(&sys.grid(g).level);
-        (robust_by_grid(&downset, sys.n_grids(), index, lost, covered), downset.len())
+        robust_by_grid(downset, sys.n_grids(), index, lost, covered)
     }
 
     fn step(sv: &mut DistributedSolverN, ctx: &Ctx, group: &Comm) -> Result<()> {

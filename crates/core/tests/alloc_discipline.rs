@@ -25,14 +25,17 @@
 //!    operation (the vector of parts the root's `Gathered` owns) and none
 //!    per rank: every member's wire buffer comes from the pool and goes
 //!    back to it when the root drops its view;
-//! 8. one warm robust-coefficient solve — every rank of an Alternate
-//!    Combination repair makes one per lost set, which the final
-//!    combination reuses — at the `ranks1k_kill` shape (n = 9,
-//!    l = 4, extra layers, grids 1 and 2 lost) makes **exactly 3**: the
-//!    downset's table, the search's one buffer of masks, the per-grid
-//!    result;
-//! 9. so does one at the `solve3d_kill` shape (d = 3, n = 7, l = 4, grid 1
-//!    lost);
+//! 8. one warm robust-coefficient derivation at the `ranks1k_kill` shape
+//!    (n = 9, l = 4, extra layers, grids 1 and 2 lost) makes **exactly
+//!    3**: the downset's table, the search's one buffer of masks, the
+//!    per-grid result. A run's plan makes it once per lost set, for every
+//!    rank of an Alternate Combination repair and the final combination
+//!    alike: the plan's first solve of that lost set makes
+//!    **exactly [`PLAN_COLD_2D`]** (the derivation over the downset the
+//!    plan keeps, the term list and the memo entry), a repeat **0**;
+//! 9. so do the derivation and the plan at the `solve3d_kill` shape
+//!    (d = 3, n = 7, l = 4, grid 1 lost): 3, **[`PLAN_COLD_3D`]** cold and
+//!    **0** again;
 //! 10. a warm call of the Fig. 4 error handler on a communicator with two
 //!     known failures makes **0**: the acknowledged list is the
 //!     communicator's shared failed list and the acknowledged group comes
@@ -44,7 +47,7 @@
 //! 12. a group root that gathers the same level twice through its landing
 //!     grid asks for fewer bytes the second time than one grid holds: no
 //!     grid-sized buffer is made again;
-//! 13. what every rank builds before epoch 0, warm: the `solve3d_kill`
+//! 13. what set-up builds before epoch 0, warm: the `solve3d_kill`
 //!     grid system makes **exactly 1** request (its grid vector, sized
 //!     once: levels are inline), validating the `solve3d_kill` and the
 //!     `ranks1k_kill` configurations **0** (the checks build nothing), a
@@ -53,9 +56,11 @@
 //! 14. a whole small Alternate Combination run (n = 6, l = 3, scale 2,
 //!     2D) whose two victims in grids 1 and 2 die at the final step makes
 //!     exactly [`AC_REPAIR_RUN`] requests, warm, beyond what std asks for
-//!     to spawn the run's one scheduler worker thread: every rank solves
-//!     the robust coefficients once, in its data recovery, and the final
-//!     combination reuses them (a second solve per rank adds 3 × 17);
+//!     to spawn the run's one scheduler worker thread: the run's plan is
+//!     built once, and it derives the broken grids, the robust solve and
+//!     the term list once for all 17 ranks, whose data recovery and final
+//!     combination share them (any of them derived per rank again adds a
+//!     multiple of 17);
 //! 15. after a two-victim shrink of 16 ranks, once one survivor has
 //!     derived the Fig. 6 failed list, the other 13 survivors' calls make
 //!     **0** requests together: each gets the list the first one derived,
@@ -77,7 +82,14 @@
 //!     built solver's first overlapped step makes **0** requests, in 2D
 //!     (a 2×2 level-9 group) and in nd (3 slabs): halos are received
 //!     straight into the field's ghost cells and columns pushed straight
-//!     into the wire, so a solver owns no halo buffer to grow.
+//!     into the wire, so a solver owns no halo buffer to grow;
+//! 23. 64 ranks of one run that each ask the run's plan for one lost
+//!     set's broken grids, robust solve and term list make **as many**
+//!     requests together as the one rank of a one-rank run does (12): the
+//!     first to ask derives, the others share. Where every rank derived
+//!     its own, each made 5 — the broken grids 1, the robust solve 3, the
+//!     term list 1, as `ranks1k_kill`'s site table read over its 1,005
+//!     ranks — and 64 ranks made 320.
 //!
 //! Scenarios 8–10 are measured by `ftsg_core::alloc_probe::repair_share`,
 //! the measurement `expt regress --exact` gates on; the multi-rank
@@ -91,12 +103,13 @@ use std::sync::Arc;
 use advect2d::{
     lax_wendroff_step, AdvectionProblem, KernelConfig, KernelKind, LocalSolver, LwCoef, ProblemN,
 };
-use ftsg_core::alloc_probe::{repair_share, Gate, RepairShare, HANDLER_CALLS};
+use ftsg_core::alloc_probe::{repair_share, Gate, Memoised, RepairShare, HANDLER_CALLS};
 use ftsg_core::detect::failed_procs_list;
 use ftsg_core::gather::{assemble_grid, scatter_grid_into, split_grid};
 use ftsg_core::landing::Landing;
 use ftsg_core::layout::GroupInfo;
 use ftsg_core::layout_nd::GroupInfoN;
+use ftsg_core::plan::Plan;
 use ftsg_core::psolve::DistributedSolver;
 use ftsg_core::psolve_nd::DistributedSolverN;
 use ftsg_core::stack::D2;
@@ -199,11 +212,40 @@ fn warm_call(mut f: impl FnMut()) -> u64 {
     requests_of(f)
 }
 
+/// Requests of a fresh plan's first robust solve of one lost set at the
+/// `ranks1k_kill` and `solve3d_kill` shapes (scenarios 8 and 9).
+const PLAN_COLD_2D: u64 = 8;
+const PLAN_COLD_3D: u64 = 8;
+
+/// Requests of every rank of a `world`-rank run asking the run's plan for
+/// the broken grids of one failed list, then the robust solve of what they
+/// broke and its term list, at the `ranks1k_kill` shape, all ranks
+/// together (scenario 23). The plan is built before the count.
+fn plan_share(world: usize) -> u64 {
+    warm_requests(
+        world,
+        0,
+        1,
+        |ctx, _| {
+            let cfg = AppConfig::paper_shaped(Technique::AlternateCombination, 9, 82, 2);
+            ctx.run_shared(|| Plan::<D2>::new(&cfg))
+        },
+        |_, _, plan| {
+            let plan = plan.as_ref().as_ref().unwrap();
+            let (g1, g2) = (plan.layout.group(1), plan.layout.group(2));
+            let broken = plan.broken(&[g1.first + g1.size - 1, g2.first]);
+            let solved = plan.robust(&broken, false);
+            assert_eq!((&*broken, solved.terms.grids.is_empty()), (&[1, 2][..], false));
+            black_box(&solved.terms.roots);
+        },
+    )
+}
+
 /// Allocator requests of a whole warm run of scenario 14's configuration,
-/// net of its worker thread's spawn: 659, and 2 more with debug
+/// net of its worker thread's spawn: 519, and 2 more with debug
 /// assertions on (the spawn's reconciliation of the per-host live counts
 /// in `Hub::live_per_host`).
-const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 661 } else { 659 };
+const AC_REPAIR_RUN: u64 = if cfg!(debug_assertions) { 521 } else { 519 };
 
 /// Requests std makes to spawn and join one named thread, as `run`
 /// spawns its scheduler worker. They depend on the test harness: while it
@@ -418,10 +460,18 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         gather, ROUNDS as u64,
         "{ROUNDS} warm gather_view rounds of {RANKS} ranks made {gather} requests, not one each"
     );
-    // 8.-10. A rank's share of a repair.
-    let RepairShare { robust_2d, robust_3d, errhandler } = repair_share(requests);
+    // 8.-10. A repair's robust solve, and a rank's share of the handler.
+    let RepairShare { robust_2d, robust_3d, plan_2d, plan_3d, errhandler } = repair_share(requests);
     assert_eq!(robust_2d, 3, "a warm 2D robust solve made {robust_2d} requests, not 3");
     assert_eq!(robust_3d, 3, "a warm 3D robust solve made {robust_3d} requests, not 3");
+    for (plan, cold, dim) in [(plan_2d, PLAN_COLD_2D, "2D"), (plan_3d, PLAN_COLD_3D, "3D")] {
+        assert_eq!(
+            plan,
+            Memoised { cold, repeat: 0 },
+            "a plan's {dim} robust solve of one lost set, then a repeat: {plan:?}, not {cold} \
+             then 0"
+        );
+    }
     assert_eq!(
         errhandler, 0,
         "{HANDLER_CALLS} warm handler calls x 14 survivors made {errhandler} requests"
@@ -468,7 +518,7 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         regather < grid_bytes,
         "the second gather of a {grid_bytes}-byte grid asked for {regather} bytes"
     );
-    // 13. What every rank builds before epoch 0, warm, on this thread.
+    // 13. What set-up builds before epoch 0, warm, on this thread.
     let solve3d = {
         let mut cfg = AppConfig::small_nd(Technique::AlternateCombination, 3);
         (cfg.n, cfg.l, cfg.scale, cfg.log2_steps) = (7, 4, 2, 6);
@@ -497,8 +547,8 @@ fn bulk_data_paths_hold_their_allocation_budget() {
     assert_eq!(
         ac_run, AC_REPAIR_RUN,
         "a warm two-failure AC run of {world} ranks made {ac_run} requests beyond its worker \
-         thread's spawn, not {AC_REPAIR_RUN} (3 more per rank: the combination solved the \
-         robust coefficients again)"
+         thread's spawn, not {AC_REPAIR_RUN} (a multiple of 17 more: a rank derived what the \
+         run's plan derives once)"
     );
     // 15. The Fig. 6 list, asked for by every survivor of one shrink.
     let fig6 = later_fig6_requests();
@@ -639,6 +689,12 @@ fn bulk_data_paths_hold_their_allocation_budget() {
         },
     );
     assert_eq!(first3d, 0, "3 fresh 3D solvers' first steps made {first3d} allocator requests");
+    // 23. One lost set's arithmetic, asked of the plan by every rank.
+    let (alone, shared) = (plan_share(1), plan_share(RANKS));
+    assert_eq!(
+        shared, alone,
+        "{RANKS} ranks asking the plan for one lost set made {shared} requests, one rank {alone}"
+    );
     println!(
         "alloc_discipline: 0 requests over 64 warm 2D steps, 64 warm 3D steps, 32 mixed ring \
          rounds and {ROUNDS} barrier + allreduce_sum and agree rounds of {RANKS} ranks; 1 per \
@@ -651,7 +707,10 @@ fn bulk_data_paths_hold_their_allocation_budget() {
          {later} survivors' Fig. 6 lists after the first; 0 over 64 warm local and reference \
          steps, 8 combine rounds and 4096 trace events; {small} per nd combine and \
          {small_plane} per assembly at either size; 0 over a fresh solver's first step on a \
-         warm pool (2D and 3D)",
-        extra as f64 / extra_rounds as f64 / round_bytes as f64
+         warm pool (2D and 3D); a plan's first robust solve {} (2D) / {} (3D), a repeat 0; \
+         {shared} for {RANKS} ranks asking the plan for one lost set, as one rank alone",
+        extra as f64 / extra_rounds as f64 / round_bytes as f64,
+        plan_2d.cold,
+        plan_3d.cold
     );
 }

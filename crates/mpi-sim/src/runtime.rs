@@ -20,6 +20,7 @@
 //! `ProcId` order — so the same seed produces an identical [`Report`] at
 //! any worker count.
 
+use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -276,6 +277,8 @@ pub(crate) struct Universe {
     trace: Mutex<TraceRing>,
     /// Per-failure-event recovery timelines ([`Ctx::report_timeline`]).
     timelines: Mutex<Vec<RecoveryTimeline>>,
+    /// The run's shared values ([`Ctx::run_shared`]), one per type.
+    shared: Mutex<Vec<(TypeId, Arc<dyn Any + Send + Sync>)>>,
 }
 
 impl Universe {
@@ -617,6 +620,29 @@ impl Ctx {
     /// True for spawned (child) processes, without consuming the handle.
     pub fn is_spawned(&self) -> bool {
         self.parent.is_some()
+    }
+
+    /// The run's one value of type `T`: the first process to ask — of
+    /// the run, original or spawned — builds it with `init`, every later
+    /// one gets the same `Arc`. What every rank would otherwise derive
+    /// alike is derived once. The value lives as long as the run: the next
+    /// [`run`] builds its own, so nothing carries over between runs.
+    ///
+    /// `init` runs under the run's slot lock, so it must make no runtime
+    /// operation (a fiber parked in it would hold the lock); it is a pure
+    /// derivation, and makes no fault site count.
+    pub fn run_shared<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Arc<T> {
+        let mut slots = self.uni.shared.lock();
+        let id = TypeId::of::<T>();
+        let slot = match slots.iter().find(|(t, _)| *t == id) {
+            Some((_, value)) => Arc::clone(value),
+            None => {
+                let value: Arc<dyn Any + Send + Sync> = Arc::new(init());
+                slots.push((id, Arc::clone(&value)));
+                value
+            }
+        };
+        slot.downcast().unwrap_or_else(|_| unreachable!("the slots are keyed by type"))
     }
 
     /// Virtual time in seconds (`MPI_Wtime`).
@@ -1149,6 +1175,7 @@ where
         trace_cap: config.trace_capacity,
         trace: Mutex::new(TraceRing::new(config.trace_capacity)),
         timelines: Mutex::new(Vec::new()),
+        shared: Mutex::new(Vec::new()),
     });
 
     // Block placement of the initial world, like `mpirun --map-by slot`.
@@ -1326,6 +1353,85 @@ mod tests {
     fn the_default_trace_ring_is_the_documented_size() {
         assert_eq!(std::mem::size_of::<TraceEvent>(), 80);
         assert_eq!(TraceRing::new(DEFAULT_TRACE_CAPACITY).capacity() * 80, 2_621_440);
+    }
+
+    /// Runs `world` ranks that each ask for the run's shared value, an
+    /// `init` that counts its calls; returns the count and the addresses
+    /// every rank got.
+    fn ask_for_the_shared_value(cfg: RunConfig) -> (usize, Vec<usize>) {
+        let inits = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (count, got) = (Arc::clone(&inits), Arc::clone(&seen));
+        let report = run(cfg, move |ctx| {
+            let value = ctx.run_shared(|| {
+                count.fetch_add(1, Ordering::SeqCst);
+                vec![7u64; 3]
+            });
+            assert_eq!(*value, [7, 7, 7]);
+            got.lock().push(Arc::as_ptr(&value) as usize);
+        });
+        report.assert_no_app_errors();
+        let seen = std::mem::take(&mut *seen.lock());
+        (inits.load(Ordering::SeqCst), seen)
+    }
+
+    #[test]
+    fn a_shared_value_is_built_once_per_run_and_handed_to_every_rank() {
+        for cfg in
+            [RunConfig::local(64).with_workers(2), RunConfig::local(64).with_thread_per_rank()]
+        {
+            // A second run builds its own: nothing carries over.
+            for _ in 0..2 {
+                let (inits, seen) = ask_for_the_shared_value(cfg.clone());
+                assert_eq!(inits, 1, "init ran {inits} times over 64 ranks");
+                assert_eq!(seen.len(), 64);
+                assert!(seen.iter().all(|&p| p == seen[0]), "ranks got different values");
+            }
+        }
+    }
+
+    #[test]
+    fn a_respawned_child_gets_the_survivors_shared_value() {
+        let inits = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (count, got) = (Arc::clone(&inits), Arc::clone(&seen));
+        let report = run(RunConfig::local(4).with_workers(1), move |ctx| {
+            let value = ctx.run_shared(|| {
+                count.fetch_add(1, Ordering::SeqCst);
+                String::from("plan")
+            });
+            got.lock().push((ctx.is_spawned(), Arc::as_ptr(&value) as usize));
+            if let Some(parent) = ctx.parent() {
+                parent.merge(ctx, true).unwrap();
+                return;
+            }
+            let w = ctx.initial_world().unwrap();
+            if w.rank() == 3 {
+                ctx.die();
+            }
+            assert!(w.barrier(ctx).is_err(), "a barrier over a dead rank succeeded");
+            let survivors = w.shrink(ctx).unwrap();
+            let specs = vec![crate::spawn::SpawnSpec::anywhere()];
+            let inter = crate::spawn::comm_spawn_multiple(ctx, &survivors, 0, specs).unwrap();
+            inter.merge(ctx, false).unwrap();
+        });
+        report.assert_no_app_errors();
+        assert_eq!(inits.load(Ordering::SeqCst), 1);
+        let seen = std::mem::take(&mut *seen.lock());
+        assert_eq!(seen.iter().filter(|(child, _)| *child).count(), 1, "one child asked");
+        assert_eq!(seen.len(), 5);
+        assert!(seen.iter().all(|&(_, p)| p == seen[0].1), "the child got another value");
+    }
+
+    #[test]
+    fn a_shared_value_dies_with_its_run() {
+        let weak = Arc::new(Mutex::new(std::sync::Weak::<u64>::new()));
+        let keep = Arc::clone(&weak);
+        run(RunConfig::local(3), move |ctx| {
+            *keep.lock() = Arc::downgrade(&ctx.run_shared(|| 5u64));
+        })
+        .assert_no_app_errors();
+        assert!(weak.lock().upgrade().is_none(), "the value outlived its run");
     }
 
     #[test]
