@@ -69,6 +69,7 @@ use ulfm_sim::{
 };
 
 use crate::cli::{Args, Flags, Usage};
+use crate::runner::violates_rc;
 
 /// Default campaign size (`--budget`).
 pub const DEFAULT_BUDGET: usize = 200;
@@ -435,13 +436,9 @@ impl ChaosCase {
         let distinct = ranks.iter().collect::<std::collections::BTreeSet<_>>().len() == ranks.len();
         distinct
             && ranks.iter().all(|&r| r != 0 && r < world)
-            && !(self.technique == Technique::ResamplingCopying && violates_rc(&layout, &ranks))
+            && !(self.technique == Technique::ResamplingCopying
+                && violates_rc(&layout.broken_grids(&ranks), &layout.rc_conflicts()))
     }
-}
-
-fn violates_rc(layout: &CaseLayout, victims: &[usize]) -> bool {
-    let broken = layout.broken_grids(victims);
-    layout.rc_conflicts().iter().any(|&(a, b)| broken.contains(&a) && broken.contains(&b))
 }
 
 /// What one run produced, as the oracles see it.
@@ -1246,7 +1243,7 @@ fn sample_ranks(
         if technique == Technique::ResamplingCopying {
             let mut attempt = chosen.clone();
             attempt.push(r);
-            if violates_rc(layout, &attempt) {
+            if violates_rc(&layout.broken_grids(&attempt), &layout.rc_conflicts()) {
                 continue;
             }
         }

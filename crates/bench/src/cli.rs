@@ -232,7 +232,7 @@ mod tests {
         assert_eq!(err(&["fig8", "--quick", "--n"]), "--n needs a value");
         assert_eq!(err(&["chaos", "--json"]), "--json needs a value");
         assert!(err(&["fig8", "--n", "x"]).starts_with("bad value for --n"));
-        assert!(err(&["scale", "--scales", "53,x"]).starts_with("bad value for --scales"));
+        assert!(err(&["fig8", "--scales", "53,x"]).starts_with("bad value for --scales"));
     }
 
     #[test]
@@ -269,7 +269,6 @@ mod tests {
         assert_eq!(err(&["fig8", "--n", "3"]), "need 2 <= l <= n (got n=3, l=4)");
         assert_eq!(err(&["3d", "--quick", "--l", "1"]), "need 2 <= l <= n (got n=5, l=1)");
         assert_eq!(err(&["3d", "--n", "3"]), "need 2 <= l <= n (got n=3, l=4)");
-        assert_eq!(err(&["scale", "--n", "3"]), "need 2 <= l <= n (got n=3, l=4)");
     }
 
     #[test]

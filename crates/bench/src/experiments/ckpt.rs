@@ -16,8 +16,8 @@
 //!
 //! A third arm kills a rank mid-run to prove the recovery drain barrier:
 //! the restart must produce the bitwise-identical combined solution.
-//!
-//! Emits `BENCH_pr5.json` under `--out`.
+//! The A/B prints its table and asserts; it writes no record (its
+//! committed `BENCH_pr5.json` is history that no gate reads).
 //!
 //! Then the **codec section** ([`crate::experiments::codec`]): sliced
 //! vs bytewise CRC-64 throughput, `write` / `read_latest_valid` per round
@@ -91,8 +91,7 @@ pub fn main(a: &Args) -> Result<i32, Usage> {
     // Each group root writes once per period: total writes in a healthy run.
     let n_writes = (n_grids as u64 * u64::from(CHECKPOINTS)) as f64;
 
-    let mut cases = Vec::new();
-    let mut record = |case: &str, o: &Outcome| {
+    let show = |case: &str, o: &Outcome| {
         println!(
             "{case:<24} makespan {:>10.3}  t_ckpt {:>8.3}  io hidden/exposed {:>8.3}/{:>8.3}  \
              hidden {:>6.1}%",
@@ -102,17 +101,6 @@ pub fn main(a: &Args) -> Result<i32, Usage> {
             o.io_exposed,
             100.0 * hidden_frac(o)
         );
-        cases.push(format!(
-            "  {{\"case\": \"{case}\", \"virtual_makespan_s\": {:.6}, \"t_ckpt_s\": {:.6}, \
-             \"io_hidden_s\": {:.6}, \"io_exposed_s\": {:.6}, \"hidden_io_fraction\": {:.4}, \
-             \"err_l1\": {:.17e}}}",
-            o.makespan,
-            o.t_ckpt,
-            o.io_hidden,
-            o.io_exposed,
-            hidden_frac(o),
-            o.err
-        ));
     };
 
     let opl = ClusterProfile::opl();
@@ -127,11 +115,11 @@ pub fn main(a: &Args) -> Result<i32, Usage> {
     // and recomputes — the combined solution must not move by one bit.
     let opl_fail = cr_run(&opl, false, FaultPlan::new(vec![(3, 12)]));
 
-    record("opl/sync", &opl_sync);
-    record("opl/async", &opl_async);
-    record("raijin/sync", &rai_sync);
-    record("raijin/async", &rai_async);
-    record("opl/async+kill@12", &opl_fail);
+    show("opl/sync", &opl_sync);
+    show("opl/async", &opl_async);
+    show("raijin/sync", &rai_sync);
+    show("raijin/async", &rai_async);
+    show("opl/async+kill@12", &opl_fail);
 
     // Eq. 2 with the measured *exposed* write cost: what the schedule
     // optimizer should actually price once writes overlap compute.
@@ -164,28 +152,6 @@ pub fn main(a: &Args) -> Result<i32, Usage> {
         opl_async.makespan,
         opl_sync.makespan
     );
-
-    let json = format!(
-        "{{\n \"pr\": 5,\n \"date\": \"{date}\",\n \"note\": \"Sync vs async checkpointing A/B \
-         from expt-ckpt (virtual seconds; emulated paper scale, n={N}, 2^{LOG2_STEPS} steps, \
-         C={CHECKPOINTS}, {n_grids} grids). Eq. 2 re-derived from the measured exposed write \
-         cost: overlap collapses the effective T_IO, moving the optimal C from the paper's \
-         disk-limited value toward one checkpoint per period.\",\n \"acceptance\": {{\n  \
-         \"hidden_io_fraction_opl_async\": {frac:.4},\n  \
-         \"required_min_hidden_io_fraction\": 0.5,\n  \
-         \"bitwise_identical_sync_vs_async\": {bitwise_sync_async},\n  \
-         \"bitwise_identical_after_midrun_kill\": {bitwise_recovery},\n  \
-         \"opl_makespan_sync_s\": {:.6},\n  \"opl_makespan_async_s\": {:.6},\n  \
-         \"eq2_exposed_tio_per_write_sync_s\": {tio_sync:.6},\n  \
-         \"eq2_exposed_tio_per_write_async_s\": {tio_async:.6},\n  \
-         \"eq2_optimal_checkpoints_sync\": {c_sync},\n  \
-         \"eq2_optimal_checkpoints_async\": {c_async}\n }},\n \"cases\": [\n{cases}\n ]\n}}\n",
-        opl_sync.makespan,
-        opl_async.makespan,
-        date = utc_today(),
-        cases = cases.join(",\n"),
-    );
-    a.record("BENCH_pr5.json", &json);
 
     let report = codec::run(10, alloc_sites::bytes).expect("codec section I/O");
     report.table().emit(a.csv("ckpt_codec.csv"));

@@ -237,7 +237,7 @@ mod tests {
             assert!(json.contains(key), "{key} missing from {json}");
         }
         assert_eq!(
-            crate::experiments::scale::json_num(&json, "crc_ratio_required_min"),
+            crate::experiments::regress::json_num(&json, "crc_ratio_required_min"),
             Some(CRC_RATIO_REQUIRED_MIN)
         );
     }

@@ -5,22 +5,21 @@
 //!
 //! Losses are *simulated* at end-of-run (no kills, no reconstruction
 //! time), exactly like the 2D Fig. 9/10 harness: CR restores lost grids
-//! from checkpoints (error stays at the healthy value), RC resamples or
-//! copies from duplicate grids (near-exact), and AC recombines the
-//! survivors with robust coefficients (the error–loss trade-off curve).
+//! from checkpoints (the error stays at the healthy value, bit for bit),
+//! RC resamples or copies from duplicate grids and AC recombines the
+//! survivors with robust coefficients (both trade error for loss: the
+//! committed curves stay within 2x of healthy).
 //!
-//! [`main`] writes `results/expt3d.csv` and the `BENCH_pr10.json`
-//! acceptance artifact.
+//! [`main`] writes `results/expt3d.csv` and checks what holds of it.
 
 use advect2d::ndproblem::ProblemN;
 use ftsg_core::app::keys;
 use ftsg_core::{run_app, AppConfig, ProcLayoutN, Technique};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use ulfm_sim::{run, RunConfig};
 
 use crate::cli::{Args, Flags, Usage};
-use crate::table::{sci, sig3, utc_today, Table};
+use crate::runner::random_lost_grids;
+use crate::table::{sci, sig3, Table};
 
 /// Sizing knobs for the 3D sweep (own struct: the shared [`crate::Opts`]
 /// defaults are 2D-sized). The default shape has a floor level
@@ -67,16 +66,20 @@ impl Dim3Opts {
     }
 }
 
-/// `expt 3d`: the sweep, `results/expt3d.csv` and `BENCH_pr10.json`.
-/// Exits 1 if an error is not finite or a healthy error is round-off
-/// rather than discretization error ([`healthy_errors_resolved`]).
+/// `expt 3d`: the sweep and `results/expt3d.csv`. Exits 1 if an error
+/// is not finite, a healthy error is round-off rather than
+/// discretization error ([`healthy_errors_resolved`]), or a CR row's
+/// error is not its healthy error ([`cr_holds_healthy`]).
 pub fn main(a: &Args) -> Result<i32, Usage> {
     let o = Dim3Opts::from_args(a)?;
     let points = sweep(&o);
     table(&o, &points).emit(a.csv("expt3d.csv"));
-    a.record("BENCH_pr10.json", &to_json(&o, &points));
     if !healthy_errors_resolved(&points) {
         eprintln!("expt 3d: a healthy error is below {RESOLVED_ERR:e}: round-off");
+        return Ok(1);
+    }
+    if !cr_holds_healthy(&points) {
+        eprintln!("expt 3d: a CR row's error is not its healthy error: a restore lost data");
         return Ok(1);
     }
     Ok(if points.iter().all(|p| p.err.is_finite()) { 0 } else { 1 })
@@ -107,40 +110,6 @@ fn problem_of(name: &str) -> ProblemN {
     }
 }
 
-/// Sample `count` distinct lost grids, honouring the RC duplicate
-/// conflicts when the technique is Resampling-and-Copying.
-fn random_lost_grids_nd(
-    layout: &ProcLayoutN,
-    count: usize,
-    rc_constraints: bool,
-    seed: u64,
-) -> Vec<usize> {
-    let sys = layout.system();
-    let n_grids = sys.n_grids();
-    assert!(count <= n_grids, "cannot lose {count} of {n_grids} grids");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let conflicts = sys.rc_conflicts();
-    let mut guard = 0usize;
-    loop {
-        guard += 1;
-        assert!(guard < 100_000, "could not sample {count} admissible lost grids");
-        let mut grids: Vec<usize> = Vec::new();
-        while grids.len() < count {
-            let g = rng.gen_range(0..n_grids);
-            if !grids.contains(&g) {
-                grids.push(g);
-            }
-        }
-        if rc_constraints
-            && conflicts.iter().any(|&(a, b)| grids.contains(&a) && grids.contains(&b))
-        {
-            continue;
-        }
-        grids.sort_unstable();
-        return grids;
-    }
-}
-
 fn run_once(o: &Dim3Opts, problem: &str, technique: Technique, lost: &[usize], seed: u64) -> f64 {
     let mut cfg = AppConfig::small_nd(technique, DIM).with_problem_nd(problem_of(problem));
     cfg.n = o.n;
@@ -159,7 +128,9 @@ pub fn sweep(o: &Dim3Opts) -> Vec<CurvePoint> {
     for problem in ["advection", "elliptic"] {
         for technique in TECHNIQUES {
             let layout = ProcLayoutN::new(DIM, o.n, o.l, technique.layout(), 1);
-            let max_lost = o.max_lost.min(layout.system().n_grids() - 1);
+            let (n_grids, conflicts) = (layout.system().n_grids(), layout.system().rc_conflicts());
+            let rc = technique == Technique::ResamplingCopying;
+            let max_lost = o.max_lost.min(n_grids - 1);
             let healthy = run_once(o, problem, technique, &[], o.seed);
             points.push(CurvePoint {
                 problem,
@@ -172,12 +143,7 @@ pub fn sweep(o: &Dim3Opts) -> Vec<CurvePoint> {
                 let mut sum = 0.0;
                 for rep in 0..o.reps {
                     let seed = o.seed ^ ((lost as u64) << 32) ^ ((rep as u64) << 16);
-                    let grids = random_lost_grids_nd(
-                        &layout,
-                        lost,
-                        technique == Technique::ResamplingCopying,
-                        seed,
-                    );
+                    let grids = random_lost_grids(n_grids, &conflicts, lost, rc, seed);
                     sum += run_once(o, problem, technique, &grids, seed);
                 }
                 let err = sum / o.reps as f64;
@@ -230,92 +196,62 @@ pub fn healthy_errors_resolved(points: &[CurvePoint]) -> bool {
     ["advection", "elliptic"].iter().all(|prob| healthy(points, prob) >= RESOLVED_ERR)
 }
 
-/// The `BENCH_pr10.json` acceptance artifact: the error curves plus the
-/// headline numbers the regression lane reads back.
-pub fn to_json(o: &Dim3Opts, points: &[CurvePoint]) -> String {
-    let worst_ac_ratio =
-        points.iter().filter(|p| p.technique == "AC").map(|p| p.ratio).fold(0.0_f64, f64::max);
-    let worst_cr_ratio =
-        points.iter().filter(|p| p.technique == "CR").map(|p| p.ratio).fold(0.0_f64, f64::max);
-    let all_finite = points.iter().all(|p| p.err.is_finite());
-    let mut s = String::new();
-    s.push_str("{\n \"pr\": 10,\n");
-    s.push_str(&format!(" \"date\": \"{}\",\n", utc_today()));
-    s.push_str(
-        " \"note\": \"expt-3d: combined-solution L1 error vs simulated lost grids for the 3D \
-         advection-diffusion and elliptic problems under CR (checkpoint restore), RC \
-         (resample/copy) and AC (robust recombination of the survivors) — the paper's \
-         Figs. 9/10 lifted to d=3.\",\n",
-    );
-    s.push_str(&format!(
-        " \"config\": {{\"dim\": {DIM}, \"n\": {}, \"l\": {}, \"log2_steps\": {}, \"reps\": {}, \
-         \"max_lost\": {}, \"seed\": {}}},\n",
-        o.n, o.l, o.log2_steps, o.reps, o.max_lost, o.seed
-    ));
-    s.push_str(" \"acceptance\": {\n");
-    s.push_str(&format!("  \"healthy_3d_err_advection\": {:.6e},\n", healthy(points, "advection")));
-    s.push_str(&format!("  \"healthy_3d_err_elliptic\": {:.6e},\n", healthy(points, "elliptic")));
-    s.push_str(&format!("  \"worst_cr_err_growth\": {:.4},\n", worst_cr_ratio));
-    s.push_str(&format!("  \"worst_ac_err_growth\": {:.4},\n", worst_ac_ratio));
-    s.push_str(&format!("  \"all_errors_finite\": {all_finite},\n"));
-    s.push_str(&format!("  \"healthy_errors_resolved\": {}\n", healthy_errors_resolved(points)));
-    s.push_str(" },\n \"results\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "  {{\"problem\": \"{}\", \"technique\": \"{}\", \"lost\": {}, \"err_l1\": {:.6e}, \
-             \"vs_healthy\": {:.4}}}{}\n",
-            p.problem,
-            p.technique,
-            p.lost,
-            p.err,
-            p.ratio,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str(" ]\n}\n");
-    s
+/// Every Checkpoint/Restart row's error is its problem's healthy error,
+/// bit for bit: a restore from checkpoints loses nothing, however many
+/// grids were lost.
+pub fn cr_holds_healthy(points: &[CurvePoint]) -> bool {
+    let mut cr =
+        points.iter().filter(|p| p.technique == Technique::CheckpointRestart.label()).peekable();
+    cr.peek().is_some() && cr.all(|p| p.err.to_bits() == healthy(points, p.problem).to_bits())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn point(problem: &'static str, technique: &'static str, lost: usize, err: f64) -> CurvePoint {
+        CurvePoint { problem, technique, lost, err, ratio: 1.0 }
+    }
+
     #[test]
     fn lost_grid_sampler_respects_rc_conflicts() {
         let layout = ProcLayoutN::new(3, 4, 4, Technique::ResamplingCopying.layout(), 1);
-        let conflicts = layout.system().rc_conflicts();
+        let (n_grids, conflicts) = (layout.system().n_grids(), layout.system().rc_conflicts());
         assert!(!conflicts.is_empty(), "RC layouts have duplicate conflicts");
         for seed in 0..32 {
-            let grids = random_lost_grids_nd(&layout, 4, true, seed);
+            let grids = random_lost_grids(n_grids, &conflicts, 4, true, seed);
             assert_eq!(grids.len(), 4);
             assert!(!conflicts.iter().any(|&(a, b)| grids.contains(&a) && grids.contains(&b)));
         }
     }
 
     #[test]
-    fn json_has_the_acceptance_fields() {
-        let o = Dim3Opts::default();
-        let points = vec![
-            CurvePoint { problem: "advection", technique: "AC", lost: 0, err: 1e-3, ratio: 1.0 },
-            CurvePoint { problem: "elliptic", technique: "AC", lost: 1, err: 2e-3, ratio: 2.0 },
-        ];
-        let json = to_json(&o, &points);
-        for key in
-            ["healthy_3d_err_advection", "worst_ac_err_growth", "all_errors_finite", "\"pr\": 10"]
-        {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+    fn healthy_errors_must_be_resolved() {
         // No healthy elliptic point: unresolved.
-        assert!(json.contains("\"healthy_errors_resolved\": false"), "{json}");
-        let resolved = vec![
-            CurvePoint { problem: "advection", technique: "CR", lost: 0, err: 1e-3, ratio: 1.0 },
-            CurvePoint { problem: "elliptic", technique: "CR", lost: 0, err: 2e-2, ratio: 1.0 },
-        ];
+        assert!(!healthy_errors_resolved(&[point("advection", "AC", 0, 1e-3)]));
+        let resolved = [point("advection", "CR", 0, 1e-3), point("elliptic", "CR", 0, 2e-2)];
         assert!(healthy_errors_resolved(&resolved));
-        let round_off = vec![
-            CurvePoint { problem: "advection", technique: "CR", lost: 0, err: 1e-3, ratio: 1.0 },
-            CurvePoint { problem: "elliptic", technique: "CR", lost: 0, err: 3.6e-48, ratio: 1.0 },
-        ];
+        let round_off = [point("advection", "CR", 0, 1e-3), point("elliptic", "CR", 0, 3.6e-48)];
         assert!(!healthy_errors_resolved(&round_off));
+    }
+
+    #[test]
+    fn a_cr_row_one_ulp_off_its_healthy_error_fails() {
+        let (adv, ell) = (8.984e-3_f64, 1.048e-1_f64);
+        let mut points = vec![
+            point("advection", "CR", 0, adv),
+            point("advection", "CR", 3, adv),
+            point("advection", "AC", 3, 1.2 * adv),
+            point("elliptic", "CR", 0, ell),
+            point("elliptic", "CR", 6, ell),
+        ];
+        assert!(cr_holds_healthy(&points));
+        points[4].err = f64::from_bits(ell.to_bits() + 1);
+        assert!(!cr_holds_healthy(&points));
+        points[4].err = ell;
+        points[1].err = f64::from_bits(adv.to_bits() - 1);
+        assert!(!cr_holds_healthy(&points));
+        // A sweep without CR rows shows nothing.
+        assert!(!cr_holds_healthy(&points[2..3]));
     }
 }

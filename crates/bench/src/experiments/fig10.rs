@@ -40,6 +40,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
         Technique::AlternateCombination,
     ] {
         let layout = opts.layout(technique, SCALE);
+        let (n_grids, conflicts) = (layout.system().n_grids(), layout.system().rc_conflicts());
+        let rc = technique == Technique::ResamplingCopying;
         let mut baseline = f64::NAN;
         for lost in 0..=max_lost {
             let mut acc = 0.0;
@@ -49,12 +51,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 let grids = if lost == 0 {
                     Vec::new()
                 } else {
-                    random_lost_grids(
-                        &layout,
-                        lost,
-                        technique == Technique::ResamplingCopying,
-                        seed,
-                    )
+                    random_lost_grids(n_grids, &conflicts, lost, rc, seed)
                 };
                 let cfg = AppConfig::paper_shaped(technique, opts.n, SCALE, opts.log2_steps)
                     .with_simulated_losses(grids);

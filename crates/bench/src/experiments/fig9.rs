@@ -75,6 +75,7 @@ pub fn run(opts: &Opts) -> Vec<Table> {
             Technique::AlternateCombination,
         ] {
             let layout = opts.layout(technique, SCALE);
+            let (n_grids, conflicts) = (layout.system().n_grids(), layout.system().rc_conflicts());
             let p_own = layout.world_size() as f64;
             for lost in 1..=max_lost {
                 let mut rec = 0.0;
@@ -82,12 +83,8 @@ pub fn run(opts: &Opts) -> Vec<Table> {
                 let mut total = 0.0;
                 for rep in 0..opts.reps {
                     let seed = opts.seed ^ (lost as u64) << 32 ^ rep as u64;
-                    let grids = random_lost_grids(
-                        &layout,
-                        lost,
-                        technique == Technique::ResamplingCopying,
-                        seed,
-                    );
+                    let rc = technique == Technique::ResamplingCopying;
+                    let grids = random_lost_grids(n_grids, &conflicts, lost, rc, seed);
                     // The paper's checkpoint writes block (only CR makes
                     // any): the asynchronous stage is this repo's extension.
                     let cfg = AppConfig::paper_shaped(technique, opts.n, SCALE, log2_steps)

@@ -202,7 +202,7 @@ fn measure_level9(iters: usize) -> Vec<StepRow> {
 fn pr1_fast_baseline(dir: &str) -> Option<f64> {
     let text = std::fs::read_to_string(format!("{dir}/BENCH_pr1.json")).ok()?;
     let at = text.find("level9_step/fast_double_buffered")?;
-    crate::experiments::scale::json_num(&text[at..], "median_ns")
+    crate::experiments::regress::json_num(&text[at..], "median_ns")
 }
 
 /// Run the whole experiment. `iters` sizes the timing loops (use a small

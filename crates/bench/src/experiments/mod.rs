@@ -16,7 +16,6 @@ pub mod overlap;
 pub mod policy;
 pub mod regress;
 pub mod repair;
-pub mod scale;
 pub mod table1;
 pub mod timeline;
 
@@ -70,8 +69,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         help: "per-phase recovery timelines, ULFM op-count audit, repair ledger" },
     Experiment { name: "chaos", flags: CampaignOpts::FLAGS, run: chaos::main,
         help: "fault-injection campaign with invariant oracles and case minimization" },
-    Experiment { name: "scale", flags: scale::FLAGS, run: scale::main,
-        help: "pooled vs thread-per-rank runtime at ~1k/10k/100k simulated ranks" },
     Experiment { name: "regress", flags: "--dir PATH --iters K --exact", run: regress::main,
         help: "re-measure every gated quantity against its committed BENCH_*.json" },
 ];

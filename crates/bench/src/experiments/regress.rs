@@ -194,7 +194,6 @@ use sparsegrid::{Grid2, LevelPair};
 use crate::cli::{Args, Usage};
 use crate::experiments::alloc_sites::{bytes, live_peak, requests};
 use crate::experiments::overlap::combine_makespan;
-use crate::experiments::scale::json_num;
 use crate::table::{sig3, Table};
 
 /// Allowed relative slip against a committed baseline before the gate
@@ -310,6 +309,17 @@ fn passes(baseline: f64, fresh: f64, higher_is_better: bool, tol: f64) -> bool {
 fn read_baseline(dir: &str, file: &'static str) -> Result<String, String> {
     let path = format!("{dir}/{file}");
     std::fs::read_to_string(&path).map_err(|e| format!("cannot read baseline {path}: {e}"))
+}
+
+/// The numeric field `key` of one of our own flat JSON records, at its
+/// first occurrence. Good enough because every value we emit is a bare
+/// number or `null` (which reads `None`).
+pub(crate) fn json_num(obj: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let i = obj.find(&pat)? + pat.len();
+    let rest = obj[i..].trim_start();
+    let end = rest.find([',', '}'])?;
+    rest[..end].trim().parse().ok()
 }
 
 /// First numeric occurrence of `key` in `text` (our BENCH files put the
@@ -610,6 +620,16 @@ pub fn main(a: &Args) -> Result<i32, Usage> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_helpers_parse_own_rows() {
+        let row = r#"{"status":"ok","ranks":1007,"wall_s":1.5,"peak_rss_mb":null}"#;
+        assert_eq!(json_num(row, "ranks"), Some(1007.0));
+        assert_eq!(json_num(row, "wall_s"), Some(1.5));
+        assert_eq!(json_num(row, "peak_rss_mb"), None);
+        assert_eq!(json_num(row, "status"), None);
+        assert_eq!(json_num(row, "absent"), None);
+    }
 
     #[test]
     fn pass_rule_is_directional() {

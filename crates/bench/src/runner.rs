@@ -78,6 +78,7 @@ pub fn random_victims(
 ) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
     let world = layout.world_size();
+    let conflicts = layout.system().rc_conflicts();
     let mut chosen: Vec<usize> = Vec::new();
     let mut guard = 0usize;
     while chosen.len() < count {
@@ -90,7 +91,7 @@ pub fn random_victims(
         if rc_constraints {
             let mut attempt = chosen.clone();
             attempt.push(r);
-            if violates_rc(layout, &attempt) {
+            if violates_rc(&layout.broken_grids(&attempt), &conflicts) {
                 continue;
             }
         }
@@ -100,18 +101,19 @@ pub fn random_victims(
     chosen
 }
 
-/// Sample `count` distinct lost *grids* for the simulated-failure
-/// experiments (Figs. 9 and 10), honouring RC conflicts when requested.
+/// Sample `count` distinct lost *grids* of `n_grids` for the
+/// simulated-failure experiments (Figs. 9 and 10 and their 3D twin),
+/// redrawing any set that [`violates_rc`] when `rc_constraints` is set.
+/// Deterministic in `seed`.
 pub fn random_lost_grids(
-    layout: &ProcLayout,
+    n_grids: usize,
+    conflicts: &[(usize, usize)],
     count: usize,
     rc_constraints: bool,
     seed: u64,
 ) -> Vec<usize> {
-    let n_grids = layout.system().n_grids();
     assert!(count <= n_grids, "cannot lose {count} of {n_grids} grids");
     let mut rng = StdRng::seed_from_u64(seed);
-    let conflicts = layout.system().rc_conflicts();
     let mut guard = 0usize;
     loop {
         guard += 1;
@@ -123,9 +125,7 @@ pub fn random_lost_grids(
                 grids.push(g);
             }
         }
-        if rc_constraints
-            && conflicts.iter().any(|&(a, b)| grids.contains(&a) && grids.contains(&b))
-        {
+        if rc_constraints && violates_rc(&grids, conflicts) {
             continue;
         }
         grids.sort_unstable();
@@ -133,9 +133,11 @@ pub fn random_lost_grids(
     }
 }
 
-fn violates_rc(layout: &ProcLayout, victims: &[usize]) -> bool {
-    let broken = layout.broken_grids(victims);
-    layout.system().rc_conflicts().iter().any(|&(a, b)| broken.contains(&a) && broken.contains(&b))
+/// The `broken` grids hold both grids of a Resampling-and-Copying
+/// conflict pair (a grid and the duplicate it would be copied from), so
+/// RC could not recover them.
+pub fn violates_rc(broken: &[usize], conflicts: &[(usize, usize)]) -> bool {
+    conflicts.iter().any(|&(a, b)| broken.contains(&a) && broken.contains(&b))
 }
 
 #[cfg(test)]
@@ -160,30 +162,31 @@ mod tests {
     #[test]
     fn rc_constrained_victims_avoid_conflicting_grids() {
         let lay = rc_layout();
+        let conflicts = lay.system().rc_conflicts();
         for seed in 0..30 {
             let v = random_victims(&lay, 4, true, seed);
-            assert!(!violates_rc(&lay, &v), "seed {seed} gave conflicting {v:?}");
+            let broken = lay.broken_grids(&v);
+            assert!(!violates_rc(&broken, &conflicts), "seed {seed} gave conflicting {v:?}");
         }
     }
 
     #[test]
     fn lost_grids_respect_rc_conflicts() {
         let lay = rc_layout();
+        let sys = lay.system();
+        let conflicts = sys.rc_conflicts();
         for seed in 0..30 {
-            let g = random_lost_grids(&lay, 5, true, seed);
+            let g = random_lost_grids(sys.n_grids(), &conflicts, 5, true, seed);
             assert_eq!(g.len(), 5);
-            let conflicts = lay.system().rc_conflicts();
-            assert!(
-                !conflicts.iter().any(|&(a, b)| g.contains(&a) && g.contains(&b)),
-                "seed {seed} gave conflicting {g:?}"
-            );
+            assert!(!violates_rc(&g, &conflicts), "seed {seed} gave conflicting {g:?}");
         }
     }
 
     #[test]
     fn unconstrained_lost_grids_cover_range() {
         let lay = rc_layout();
-        let g = random_lost_grids(&lay, lay.system().n_grids(), false, 1);
-        assert_eq!(g, (0..lay.system().n_grids()).collect::<Vec<_>>());
+        let sys = lay.system();
+        let g = random_lost_grids(sys.n_grids(), &sys.rc_conflicts(), sys.n_grids(), false, 1);
+        assert_eq!(g, (0..sys.n_grids()).collect::<Vec<_>>());
     }
 }

@@ -19,8 +19,8 @@
 //! A collective's bulk contribution takes the same road: a member fills a
 //! pooled buffer and *moves* it into the rendezvous; whoever holds it last
 //! — a gather's root for as long as its view lives, the last reader of a
-//! result everyone shares (`bcast`, `allgather`, `allreduce`), or the
-//! rendezvous itself when nobody came for it — hands it back on drop, so
+//! result everyone shares (`bcast`), or the rendezvous itself when nobody
+//! came for it — hands it back on drop, so
 //! round k+1 of a checkpoint schedule gathers through round k's buffers.
 //! A scatter root's parts travel as one vector of such buffers; the
 //! emptied vector comes back here too, so a warm scatter allocates

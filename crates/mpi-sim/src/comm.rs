@@ -677,24 +677,9 @@ impl Comm {
         Ok(Request::new(self, ReqState::Recv { src, tag, posted: ctx.now() }))
     }
 
-    /// Combined send + receive (deadlock-free because sends are eager);
-    /// the workhorse of halo exchange.
-    pub fn sendrecv<T: MpiData>(
-        &self,
-        ctx: &Ctx,
-        dest: usize,
-        send_tag: Tag,
-        data: &[T],
-        src: usize,
-        recv_tag: Tag,
-    ) -> Result<Vec<T>> {
-        self.send(ctx, dest, send_tag, data)?;
-        self.recv(ctx, src, recv_tag)
-    }
-
-    /// [`sendrecv`](Comm::sendrecv) into a reused receive buffer:
-    /// allocation-free in steady state. Returns the received element
-    /// count.
+    /// Combined send + receive into a reused receive buffer (deadlock-free
+    /// because sends are eager): allocation-free in steady state. Returns
+    /// the received element count.
     #[allow(clippy::too_many_arguments)]
     pub fn sendrecv_into<T: MpiData>(
         &self,
@@ -829,49 +814,27 @@ impl Comm {
         len: usize,
         fill: impl FnOnce(&mut dyn FnMut(&[T])),
     ) -> Result<Option<Gathered<T>>> {
-        match self.gather_wire(ctx, OpKind::Gather, Some(root), len, fill)? {
-            Share::Parts(parts) => Gathered::new(parts).map(Some),
-            Share::Unit => Ok(None),
-            _ => Err(wrong_kind("gather")),
-        }
-    }
-
-    /// `MPI_Allgatherv`: like gather, but everyone gets all contributions.
-    pub fn allgather<T: MpiData>(&self, ctx: &Ctx, mine: &[T]) -> Result<Vec<Vec<T>>> {
-        match self.gather_wire(ctx, OpKind::Allgather, None, mine.len(), |put| put(mine))? {
-            Share::Shared(parts) => parts.bufs.iter().map(|b| decode(b)).collect(),
-            _ => Err(wrong_kind("allgather")),
-        }
-    }
-
-    /// The gather proper: every rank's wire buffer moves through the
-    /// rendezvous to `root` alone, or (without one) is shared by all.
-    fn gather_wire<T: MpiData>(
-        &self,
-        ctx: &Ctx,
-        kind: OpKind,
-        root: Option<usize>,
-        len: usize,
-        fill: impl FnOnce(&mut dyn FnMut(&[T])),
-    ) -> Result<Share> {
         ctx.fault_op(OpClass::Gather);
         let p = self.size();
         let net = *ctx.net();
         let mut mine = self.shared.pool.take(len * T::WIDTH);
         fill(&mut |piece| T::put_slice(piece, &mut mine));
-        let res = self.collective(ctx, "gather", kind, Deposit::Bytes(mine), |slots| {
+        let res = self.collective(ctx, "gather", OpKind::Gather, Deposit::Bytes(mine), |slots| {
             // The one allocator request of a warm gather: the root's parts.
             let mut parts = self.pooled(Vec::with_capacity(p));
             parts.bufs.extend(arrived(slots).filter_map(|(_, s)| s.take_bytes()));
             let cost = net.gather(p, parts.bufs.iter().map(|b| b.len()).sum());
-            match root.map(|r| slots.get_mut(r)) {
-                None => share_all(slots, parts),
-                Some(Some(slot)) => slot.share = Share::Parts(parts),
-                Some(None) => {} // no such rank: nobody is the root
+            // A root out of range is no rank's: nobody gets the parts.
+            if let Some(slot) = slots.get_mut(root) {
+                slot.share = Share::Parts(parts);
             }
             (Ok(()), cost)
         });
-        self.handle_err(ctx, res)
+        match self.handle_err(ctx, res)? {
+            Share::Parts(parts) => Gathered::new(parts).map(Some),
+            Share::Unit => Ok(None),
+            _ => Err(wrong_kind("gather")),
+        }
     }
 
     /// `MPI_Scatterv`: the root supplies one slice per rank; each rank
@@ -954,43 +917,6 @@ impl Comm {
         }
     }
 
-    /// `MPI_Alltoallv`: rank *i*'s `parts[j]` ends up as element *i* of
-    /// rank *j*'s result.
-    pub fn alltoall<T: MpiData>(&self, ctx: &Ctx, parts: &[Vec<T>]) -> Result<Vec<Vec<T>>> {
-        ctx.fault_op(OpClass::Alltoall);
-        let p = self.size();
-        if parts.len() != p {
-            return Err(Error::InvalidArg(format!(
-                "alltoall: {} parts for {} ranks",
-                parts.len(),
-                p
-            )));
-        }
-        let net = *ctx.net();
-        let deposit = Deposit::Parts(parts.iter().map(|v| self.wire(v)).collect());
-        let res = self.collective(ctx, "alltoall", OpKind::Alltoall, deposit, |slots| {
-            // Column per destination, in source order.
-            let mut columns: Vec<Vec<BytesMut>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-            let mut total = 0usize;
-            for (_, s) in arrived(slots) {
-                if let Deposit::Parts(row) = mem::take(&mut s.deposit) {
-                    for (column, b) in columns.iter_mut().zip(row) {
-                        total += b.len();
-                        column.push(b);
-                    }
-                }
-            }
-            for (slot, column) in slots.iter_mut().zip(columns) {
-                slot.share = Share::Parts(self.pooled(column));
-            }
-            (Ok(()), p as f64 * net.latency + net.byte_time * total as f64)
-        });
-        match self.handle_err(ctx, res)? {
-            Share::Parts(column) => column.bufs.iter().map(|b| decode(b)).collect(),
-            _ => Err(wrong_kind("alltoall")),
-        }
-    }
-
     /// `MPI_Reduce` (element-wise): the root gets the combined vector.
     pub fn reduce<T: Reducible>(
         &self,
@@ -999,18 +925,41 @@ impl Comm {
         op: ReduceOp,
         mine: &[T],
     ) -> Result<Option<Vec<T>>> {
-        match self.reduce_wire(ctx, OpKind::Reduce, op, mine, Some(root))? {
+        let nbytes = mine.len() * T::WIDTH;
+        let deposit = Deposit::Bytes(self.wire(mine));
+        let share = self.reduction(ctx, OpKind::Reduce, (1.0, nbytes), deposit, |slots| {
+            let mut acc: Vec<T> = Vec::new();
+            let mut out: Option<BytesMut> = None;
+            for b in arrived(slots).filter_map(|(_, s)| s.take_bytes()) {
+                if out.is_none() {
+                    decode_into(&b, &mut acc)?;
+                    out = Some(b);
+                    continue;
+                }
+                if b.len() != acc.len() * T::WIDTH {
+                    return Err(Error::InvalidArg(format!(
+                        "reduce: contributions of {} and {} bytes",
+                        acc.len() * T::WIDTH,
+                        b.len()
+                    )));
+                }
+                for (i, x) in acc.iter_mut().enumerate() {
+                    *x = T::combine(op, *x, T::get(&b[i * T::WIDTH..]));
+                }
+                self.shared.pool.recycle(b);
+            }
+            let mut out = out.unwrap_or_default();
+            encode_into(&acc, &mut out);
+            // A root out of range is no rank's: nobody gets the result.
+            if let Some(slot) = slots.get_mut(root) {
+                slot.share = Share::Bytes(out);
+            }
+            Ok(())
+        })?;
+        match share {
             Share::Bytes(v) => self.unwire(v).map(Some),
             Share::Unit => Ok(None),
             _ => Err(wrong_kind("reduce")),
-        }
-    }
-
-    /// `MPI_Allreduce` (element-wise).
-    pub fn allreduce<T: Reducible>(&self, ctx: &Ctx, op: ReduceOp, mine: &[T]) -> Result<Vec<T>> {
-        match self.reduce_wire(ctx, OpKind::Allreduce, op, mine, None)? {
-            Share::Shared(v) => decode(&v.bufs[0]),
-            _ => Err(wrong_kind("allreduce")),
         }
     }
 
@@ -1022,11 +971,6 @@ impl Comm {
     /// Scalar max allreduce.
     pub fn allreduce_max<T: Reducible>(&self, ctx: &Ctx, v: T) -> Result<T> {
         self.allreduce_word(ctx, ReduceOp::Max, v)
-    }
-
-    /// Scalar min allreduce.
-    pub fn allreduce_min<T: Reducible>(&self, ctx: &Ctx, v: T) -> Result<T> {
-        self.allreduce_word(ctx, ReduceOp::Min, v)
     }
 
     /// What the reductions share: the fault site and the charge of
@@ -1065,51 +1009,6 @@ impl Comm {
         }
     }
 
-    /// An element-wise reduction of wire buffers, folded in rank order
-    /// and encoded back into the lowest rank's buffer; the result goes to
-    /// `root` alone or (with `None`) is shared by all.
-    fn reduce_wire<T: Reducible>(
-        &self,
-        ctx: &Ctx,
-        kind: OpKind,
-        op: ReduceOp,
-        mine: &[T],
-        root: Option<usize>,
-    ) -> Result<Share> {
-        let trees = if root.is_some() { 1.0 } else { 2.0 };
-        let deposit = Deposit::Bytes(self.wire(mine));
-        self.reduction(ctx, kind, (trees, mine.len() * T::WIDTH), deposit, |slots| {
-            let mut acc: Vec<T> = Vec::new();
-            let mut out: Option<BytesMut> = None;
-            for b in arrived(slots).filter_map(|(_, s)| s.take_bytes()) {
-                if out.is_none() {
-                    decode_into(&b, &mut acc)?;
-                    out = Some(b);
-                    continue;
-                }
-                if b.len() != acc.len() * T::WIDTH {
-                    return Err(Error::InvalidArg(format!(
-                        "reduce: contributions of {} and {} bytes",
-                        acc.len() * T::WIDTH,
-                        b.len()
-                    )));
-                }
-                for (i, x) in acc.iter_mut().enumerate() {
-                    *x = T::combine(op, *x, T::get(&b[i * T::WIDTH..]));
-                }
-                self.shared.pool.recycle(b);
-            }
-            let mut out = out.unwrap_or_default();
-            encode_into(&acc, &mut out);
-            match root.map(|r| slots.get_mut(r)) {
-                None => share_all(slots, self.pooled(vec![out])),
-                Some(Some(slot)) => slot.share = Share::Bytes(out),
-                Some(None) => {} // no such rank: nobody is the root
-            }
-            Ok(())
-        })
-    }
-
     /// `MPI_Comm_split`. `color = None` is `MPI_UNDEFINED` (no resulting
     /// communicator for this rank); within a colour, new ranks are ordered
     /// by `(key, old rank)` — the mechanism the paper uses to restore the
@@ -1142,20 +1041,6 @@ impl Comm {
             Share::Unit => Ok(None),
             _ => Err(wrong_kind("split")),
         }
-    }
-
-    /// `MPI_Comm_dup`.
-    pub fn dup(&self, ctx: &Ctx) -> Result<Comm> {
-        ctx.fault_op(OpClass::Dup);
-        let cost = ctx.net().tree(self.size(), 16);
-        let res = self.collective(ctx, "dup", OpKind::Dup, Deposit::None, |slots| {
-            let shared = CommShared::new(self.shared.members.clone());
-            for (rank, s) in slots.iter_mut().enumerate() {
-                s.share = Share::Comm(Arc::clone(&shared), rank);
-            }
-            (Ok(()), cost)
-        });
-        Comm::from_share(self.handle_err(ctx, res), "dup")
     }
 
     // ----------------------------------------------------------------- ULFM
@@ -1364,9 +1249,9 @@ impl<T> ScatterParts<T> for [Vec<T>] {
 
 /// A posted nonblocking operation (see [`Comm::isend`] /
 /// [`Comm::irecv`]). Must be completed with a wait ([`Request::wait`],
-/// [`Request::wait_with`], [`Request::wait_into`], [`waitall_with`]) or
-/// [`Request::test_with`]; an error consumes the request (like MPI, a
-/// failed request is not retryable — re-post instead).
+/// [`Request::wait_with`], [`Request::wait_into`], [`waitall_with`]); an
+/// error consumes the request (like MPI, a failed request is not
+/// retryable — re-post instead).
 ///
 /// A receive's bytes land where its completion says: the reader given to
 /// `wait_with` sees them as a [`WireSlice`] and decodes them wherever it
@@ -1446,42 +1331,6 @@ impl<'a, T: MpiData> Request<'a, T> {
             }
         }
     }
-
-    /// `MPI_Test`: complete the operation if it can finish without
-    /// blocking, reading a receive's bytes with `read` as
-    /// [`wait_with`](Self::wait_with) does. Returns `Ok(true)` once
-    /// complete; `Ok(false)` means "not yet" (and `read` was not called).
-    /// A dead peer surfaces [`Error::ProcFailed`] immediately.
-    pub fn test_with(
-        &mut self,
-        ctx: &Ctx,
-        read: impl FnOnce(WireSlice<'_, T>) -> Result<()>,
-    ) -> Result<bool> {
-        match &self.state {
-            ReqState::Done | ReqState::Send { .. } => self.wait_with(ctx, read).map(|()| true),
-            ReqState::Recv { src, tag, .. } => {
-                let (src, tag) = (*src, *tag);
-                if self.comm.iprobe(ctx, Some(src), Some(tag))? {
-                    self.wait_with(ctx, read).map(|()| true)
-                } else if self.comm.shared.members[src].is_failed() {
-                    // A dead source with nothing queued will never deliver
-                    // (one more probe closes the push-then-die race).
-                    if self.comm.iprobe(ctx, Some(src), Some(tag))? {
-                        return self.wait_with(ctx, read).map(|()| true);
-                    }
-                    self.state = ReqState::Done;
-                    self.comm.handle_err(ctx, Err(Error::proc_failed(src)))
-                } else {
-                    Ok(false)
-                }
-            }
-        }
-    }
-
-    /// True once the request has been completed (successfully or not).
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, ReqState::Done)
-    }
 }
 
 /// `MPI_Waitall`: complete every request, in order, each as
@@ -1554,11 +1403,6 @@ impl InterComm {
         InterComm { shared, side, rank, op_seq: Cell::new(0) }
     }
 
-    /// Rank within the local group.
-    pub fn local_rank(&self) -> usize {
-        self.rank
-    }
-
     /// Size of the local group.
     pub fn local_size(&self) -> usize {
         self.shared.groups[self.side].len()
@@ -1567,12 +1411,6 @@ impl InterComm {
     /// Size of the remote group.
     pub fn remote_size(&self) -> usize {
         self.shared.groups[1 - self.side].len()
-    }
-
-    /// True on the child (spawned) side — the side for which
-    /// `MPI_Comm_get_parent` would return this intercommunicator.
-    pub fn is_child_side(&self) -> bool {
-        self.side == 1
     }
 
     fn my_index(&self) -> usize {
@@ -1779,7 +1617,6 @@ mod tests {
             })
             .unwrap();
             assert_eq!(field, [0.0, 1.5, -2.5, 4.0, 0.0]);
-            assert!(req.is_done());
             assert_eq!(w.shared.pool.pooled(), 1, "back in the pool at completion");
             // A payload of another length is a typed error that writes
             // nothing; its buffer goes back all the same.
@@ -1854,10 +1691,7 @@ mod tests {
             let w = ctx.initial_world().unwrap();
             let sum = w.allreduce_sum(ctx, terms[w.rank()]).unwrap();
             assert_eq!(sum.to_bits(), want.to_bits());
-            let sums = w.allreduce(ctx, ReduceOp::Sum, &[terms[w.rank()], 1.0]).unwrap();
-            assert_eq!((sums[0].to_bits(), sums[1]), (want.to_bits(), terms.len() as f64));
             assert_eq!(w.allreduce_max(ctx, w.rank()).unwrap(), terms.len() - 1);
-            assert_eq!(w.allreduce_min(ctx, -(w.rank() as i32)).unwrap(), 1 - terms.len() as i32);
         });
         report.assert_no_app_errors();
     }

@@ -175,16 +175,6 @@ impl ClusterProfile {
         }
     }
 
-    /// Set the per-timestep compute multiplier (see
-    /// [`ClusterProfile::step_multiplier`]): experiments that compress
-    /// the timestep count use it so one simulated step stands for `m`
-    /// emulated ones — e.g. the checkpoint-overlap A/B, where a
-    /// checkpoint period must carry enough compute to hide `T_IO`.
-    pub fn with_step_multiplier(mut self, m: f64) -> Self {
-        self.step_multiplier = m;
-        self
-    }
-
     /// The hostfile this profile implies (uniform block of nodes), with a
     /// few spare hosts appended so spare-node recovery policies have
     /// somewhere to respawn.

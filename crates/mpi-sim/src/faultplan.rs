@@ -41,17 +41,19 @@ pub enum OpClass {
     Barrier,
     /// `MPI_Bcast`.
     Bcast,
-    /// `MPI_Gatherv` / `MPI_Allgatherv`.
+    /// `MPI_Gatherv`.
     Gather,
     /// `MPI_Scatterv`.
     Scatter,
-    /// `MPI_Alltoallv`.
+    /// `MPI_Alltoallv`: spec and report vocabulary; the simulator makes no
+    /// such call, so a site of this class never strikes.
     Alltoall,
     /// `MPI_Reduce` / `MPI_Allreduce`.
     Allreduce,
     /// `MPI_Comm_split`.
     Split,
-    /// `MPI_Comm_dup`.
+    /// `MPI_Comm_dup`: spec and report vocabulary; the simulator makes no
+    /// such call, so a site of this class never strikes.
     Dup,
     /// `OMPI_Comm_shrink`.
     Shrink,

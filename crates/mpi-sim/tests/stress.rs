@@ -204,7 +204,8 @@ fn clocks_never_go_backwards() {
                 2 => {
                     let next = (w.rank() + 1) % w.size();
                     let prev = (w.rank() + w.size() - 1) % w.size();
-                    let _ = w.sendrecv(ctx, next, 9, &[i as f64], prev, 9).unwrap();
+                    w.send(ctx, next, 9, &[i as f64]).unwrap();
+                    let _: Vec<f64> = w.recv(ctx, prev, 9).unwrap();
                 }
                 _ => ctx.compute_cells(100),
             }

@@ -198,7 +198,6 @@ fn spawn_and_merge_low_high() {
         if ctx.is_spawned() {
             // Child: merge with high=true → top ranks.
             let parent = ctx.parent().unwrap();
-            assert!(parent.is_child_side());
             assert_eq!(parent.remote_size(), 3);
             assert_eq!(parent.local_size(), 2);
             let merged = parent.merge(ctx, true).unwrap();

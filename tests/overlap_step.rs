@@ -11,7 +11,8 @@ use ftsg::mpi::{run, RunConfig};
 use ftsg::pde::{AdvectionProblem, TimeGrid};
 
 /// Step two solvers side by side — one overlapped, one blocking — on
-/// duplicated communicators (distinct contexts, no tag cross-talk) and
+/// communicators split off the world (distinct contexts, no tag
+/// cross-talk) and
 /// compare their owned blocks bitwise after every step.
 fn ab_compare(level: LevelPair, px: usize, py: usize, steps: u64) {
     let world = px * py;
@@ -19,8 +20,8 @@ fn ab_compare(level: LevelPair, px: usize, py: usize, steps: u64) {
     let tg = TimeGrid::for_system(&problem, level.i.max(level.j), steps, 0.4);
     let report = run(RunConfig::local(world), move |ctx| {
         let w = ctx.initial_world().unwrap();
-        let g_over = w.dup(ctx).unwrap();
-        let g_block = w.dup(ctx).unwrap();
+        let g_over = w.split(ctx, Some(0), w.rank() as i64).unwrap().unwrap();
+        let g_block = w.split(ctx, Some(0), w.rank() as i64).unwrap().unwrap();
         let info = ftsg::app::layout::GroupInfo { grid: 0, first: 0, size: world, px, py };
         let mut over = DistributedSolver::new(problem, level, tg.dt, &info, w.rank());
         let mut block = DistributedSolver::new(problem, level, tg.dt, &info, w.rank());
